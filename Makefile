@@ -66,13 +66,15 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Ingest- and query-path benchmarks with machine-readable JSON output
-# (BENCH_ingest.json / BENCH_query.json) for commit-to-commit comparison.
+# Ingest-path, query-path and pre-processing-layer benchmarks with
+# machine-readable JSON output (BENCH_ingest.json / BENCH_query.json /
+# BENCH_preprocess.json) for commit-to-commit comparison.
 bench-json:
 	bash scripts/bench.sh
 
 # Benchmark regression guard: reruns the benchmarks into a scratch dir and
-# fails if any ns_per_op regressed >25% versus the committed baseline JSON.
+# fails if any ns_per_op or allocs_per_op regressed >25% versus the committed
+# baseline JSON.
 # Also runs as part of `make check BENCH_GUARD=1`. Override BENCHTIME for a
 # longer, less noisy run; refresh baselines with `make bench-json`.
 bench-guard:
@@ -80,6 +82,7 @@ bench-guard:
 	BENCH_OUTDIR=/tmp/benchguard BENCHTIME=$${BENCHTIME:-500ms} bash scripts/bench.sh
 	bash scripts/benchdiff.sh BENCH_ingest.json /tmp/benchguard/BENCH_ingest.json
 	bash scripts/benchdiff.sh BENCH_query.json /tmp/benchguard/BENCH_query.json
+	bash scripts/benchdiff.sh BENCH_preprocess.json /tmp/benchguard/BENCH_preprocess.json
 
 # Full scenario sweep: run every committed case end-to-end against a live
 # server and write one SCENARIO_<case>.json verdict per case. Fails if any

@@ -1,6 +1,10 @@
 package core
 
-import "dynsample/internal/obs"
+import (
+	"time"
+
+	"dynsample/internal/obs"
+)
 
 // Runtime-phase instrumentation: what dynamic sample selection chose and
 // what it cost, aggregated across queries. Per-query detail rides the
@@ -32,3 +36,18 @@ var (
 	obsPlannerUnsat = obs.Default().Counter("aqp_core_planner_unsatisfiable_total",
 		"Bounded queries rejected because no candidate plan satisfied the bounds.")
 )
+
+// Pre-processing instrumentation: where the last SmallGroup.Preprocess run
+// spent its time — "count" (scan 1 and band derivation), "classify" (the
+// serial, generator-owning scan 2) and "materialise" (masks and sample
+// tables).
+var obsPreprocessSeconds = obs.Default().GaugeVec("aqp_core_preprocess_seconds",
+	"Duration of the last small group pre-processing run, by phase.", "phase")
+
+// observePhase records the time since start under phase and returns now, the
+// start of the next phase.
+func observePhase(phase string, start time.Time) time.Time {
+	now := time.Now()
+	obsPreprocessSeconds.With(phase).Set(now.Sub(start).Seconds())
+	return now
+}

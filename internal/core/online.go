@@ -7,7 +7,6 @@ import (
 
 	"dynsample/internal/bitmask"
 	"dynsample/internal/engine"
-	"dynsample/internal/parallel"
 	"dynsample/internal/randx"
 )
 
@@ -261,41 +260,39 @@ func (o *Online) bindMeta(meta *Metadata, db *engine.Database) error {
 	return nil
 }
 
-// seedFrequencies scans the database once, counting per column the
-// occurrences of every value outside the frozen L(C). Columns are
-// independent, so the scan fans out one column per worker.
+// seedFrequencies counts, per column of S, the occurrences of every value
+// outside the frozen L(C) in db.
 func (o *Online) seedFrequencies(meta *Metadata, db *engine.Database) error {
 	cols := meta.Columns()
+	names := make([]string, len(cols))
+	// A column with more than maxTracked + |L(C)| distinct values has more
+	// than maxTracked outside L(C): it saturates whatever the counts are.
+	maxCommon := 0
+	for i, cm := range cols {
+		names[i] = cm.Column
+		if len(cm.Common) > maxCommon {
+			maxCommon = len(cm.Common)
+		}
+	}
+	freqs, err := db.ColumnFrequencies(names, o.maxTracked+maxCommon, o.p.cfg.Workers)
+	if err != nil {
+		return err
+	}
 	o.freqs = make([]map[engine.Value]int64, len(cols))
 	o.saturated = make([]bool, len(cols))
-	accs := make([]engine.ColumnAccessor, len(cols))
-	for i, cm := range cols {
-		acc, err := db.Accessor(cm.Column)
-		if err != nil {
-			return err
-		}
-		accs[i] = acc
-	}
-	n := db.NumRows()
-	parallel.ForEach(o.p.cfg.Workers, len(cols), func(i int) {
+	o.maxRareCount = 0
+	for i, f := range freqs {
 		freq := make(map[engine.Value]int64)
-		common := cols[i].Common
-		for row := 0; row < n; row++ {
-			v := accs[i].Value(row)
-			if _, ok := common[v]; ok {
-				continue
+		for _, vc := range f.Counts() {
+			if _, ok := cols[i].Common[vc.Value]; !ok {
+				freq[vc.Value] = vc.Count
 			}
-			freq[v]++
-			if len(freq) > o.maxTracked {
-				o.saturated[i] = true
-				freq = nil
-				break
-			}
+		}
+		if f.Over || len(freq) > o.maxTracked {
+			o.saturated[i] = true
+			continue
 		}
 		o.freqs[i] = freq
-	})
-	o.maxRareCount = 0
-	for _, freq := range o.freqs {
 		for _, c := range freq {
 			if c > o.maxRareCount {
 				o.maxRareCount = c
@@ -317,36 +314,26 @@ func (o *Online) seedMissing(meta *Metadata, db *engine.Database) error {
 		lim = DefaultDistinctLimit
 	}
 	var pos []int
-	var accs []engine.ColumnAccessor
+	var names []string
 	for i, name := range db.Columns() {
-		if _, inS := meta.Column(name); inS {
-			continue
+		if _, inS := meta.Column(name); !inS {
+			pos = append(pos, i)
+			names = append(names, name)
 		}
-		acc, err := db.Accessor(name)
-		if err != nil {
-			return err
-		}
-		pos = append(pos, i)
-		accs = append(accs, acc)
 	}
-	vals := make([]map[engine.Value]struct{}, len(pos))
-	n := db.NumRows()
-	parallel.ForEach(o.p.cfg.Workers, len(pos), func(i int) {
-		set := make(map[engine.Value]struct{})
-		for row := 0; row < n; row++ {
-			set[accs[i].Value(row)] = struct{}{}
-			if len(set) > lim {
-				set = nil // τ-excluded: a rebuild would drop this column too
-				break
-			}
-		}
-		vals[i] = set
-	})
+	freqs, err := db.ColumnFrequencies(names, lim, o.p.cfg.Workers)
+	if err != nil {
+		return err
+	}
 	o.missingPos = o.missingPos[:0]
 	o.missingVals = o.missingVals[:0]
-	for i, set := range vals {
-		if set == nil {
-			continue
+	for i, f := range freqs {
+		if f.Over {
+			continue // τ-excluded: a rebuild would drop this column too
+		}
+		set := make(map[engine.Value]struct{})
+		for _, vc := range f.Counts() {
+			set[vc.Value] = struct{}{}
 		}
 		o.missingPos = append(o.missingPos, pos[i])
 		o.missingVals = append(o.missingVals, set)

@@ -47,7 +47,7 @@ func tableBytes(t *testing.T, tbl *engine.Table) []byte {
 }
 
 // Pre-processing must build byte-identical sample sets for any worker count:
-// the parallel paths (per-column counters, per-table materialisation) only
+// the parallel paths (row-sharded counts, per-table materialisation) only
 // partition work whose outputs never depend on completion order, and all
 // randomness stays in the single-threaded second scan.
 func TestPreprocessWorkerCountDeterminism(t *testing.T) {

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
+	"time"
 
 	"dynsample/internal/bitmask"
 	"dynsample/internal/engine"
@@ -115,7 +117,7 @@ type SmallGroupConfig struct {
 	// star schemas at a small runtime join cost.
 	Renormalize bool
 	// Workers is the worker budget for both phases. Pre-processing fans out
-	// the per-column frequency counters of scan 1 and the materialisation of
+	// the row-sharded frequency counts of scan 1 and the materialisation of
 	// the small group tables across Workers goroutines; at runtime the
 	// rewritten query's steps execute as parallel tasks over partitioned
 	// scans (RewritePlan.Workers). 0 preserves the fully serial paths.
@@ -194,131 +196,156 @@ func (s *SmallGroup) Name() string { return "smallgroup" }
 // Scan 1 counts the occurrences of each distinct value in every candidate
 // column (dropping columns whose distinct count exceeds τ) and derives each
 // column's common-value set L(C) — generalised, under the multi-level
-// extension, to a band assignment per value. Scan 2 assigns every row its
-// membership bitmask, materialises the small group tables and draws the
-// overall sample by reservoir sampling, all in one pass.
+// extension, to a band assignment per value. Scan 2 finds every row's small
+// group tables, collects their row lists and draws the overall sample by
+// reservoir sampling, all in one pass; materialisation then stores each row
+// list as a sample table. Both scans run on the engine's typed kernel:
+// dimension columns are counted and classified through the star join, never
+// at fact-table length.
 func (s *SmallGroup) Preprocess(db *engine.Database) (Prepared, error) {
 	cfg := s.cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	if db.NumRows() == 0 {
+		return nil, fmt.Errorf("smallgroup: database %q is empty", db.Name)
+	}
+	phase := time.Now()
+	split, err := countBands(db, cfg)
+	if err != nil {
+		return nil, err
+	}
+	phase = observePhase("count", phase)
+	rows, err := split.classify(db, cfg)
+	if err != nil {
+		return nil, err
+	}
+	phase = observePhase("classify", phase)
+	p, err := split.materialise(db, cfg, rows)
+	if err != nil {
+		return nil, err
+	}
+	observePhase("materialise", phase)
+	return p, nil
+}
 
+// bandSplit is the outcome of scan 1: the metadata catalog and the per-row
+// band lookups derived from the same frequencies.
+type bandSplit struct {
+	meta  *Metadata
+	bands []*engine.ColumnClasses // per column of S: the row's hierarchy level, -1 when common
+	rare  *engine.RowClassifier   // bit i: the row belongs to column i's small group table
+	pairs []*pairTester
+}
+
+// countBands is scan 1: per-column value frequencies with the τ cutoff
+// ("once the number of distinct values for a column exceeds a threshold τ ...
+// we remove that column from S and cease to maintain its counts").
+func countBands(db *engine.Database, cfg SmallGroupConfig) (*bandSplit, error) {
 	candidates := cfg.Columns
 	if candidates == nil {
 		candidates = db.Columns()
 	}
-	n := db.NumRows()
-	if n == 0 {
-		return nil, fmt.Errorf("smallgroup: database %q is empty", db.Name)
+	n := int64(db.NumRows())
+	freqs, err := db.ColumnFrequencies(candidates, cfg.DistinctLimit, cfg.Workers)
+	if err != nil {
+		return nil, fmt.Errorf("smallgroup: %w", err)
 	}
-
-	// ---- Scan 1: per-column value frequencies with the τ cutoff. ----
-	// Dictionary-encoded columns count by code into a dense array; numeric
-	// columns use a hashtable with the paper's τ cutoff ("once the number of
-	// distinct values for a column exceeds a threshold τ ... we remove that
-	// column from S and cease to maintain its counts").
-	counters := make([]*colCounter, 0, len(candidates))
-	for _, name := range candidates {
-		acc, err := db.Accessor(name)
-		if err != nil {
-			return nil, fmt.Errorf("smallgroup: %w", err)
-		}
-		ct, err := db.ColumnType(name)
-		if err != nil {
-			return nil, fmt.Errorf("smallgroup: %w", err)
-		}
-		counters = append(counters, newColCounter(name, acc, ct, cfg.DistinctLimit))
-	}
-	// Counters are independent (one column each, accessors are read-only), so
-	// scan 1 fans out one full-column pass per worker. Counts are identical to
-	// the serial row-major loop for any worker count.
-	parallel.ForEach(cfg.Workers, len(counters), func(i int) {
-		c := counters[i]
-		for row := 0; row < n; row++ {
-			c.observe(row)
-		}
-	})
-
 	// Derive the band assignment per surviving column; drop columns with no
 	// small groups ("It may be that a column C has no small groups, in which
 	// case it is removed from S").
 	var metas []ColumnMeta
-	var bands []bandTester
-	for _, c := range counters {
-		cm, tester, ok := c.finish(int64(n), cfg.Levels)
-		if !ok {
-			continue
+	split := &bandSplit{}
+	for _, f := range freqs {
+		if cm, band, ok := deriveBands(f, n, cfg.Levels); ok {
+			metas = append(metas, cm)
+			split.bands = append(split.bands, band)
 		}
-		metas = append(metas, cm)
-		bands = append(bands, tester)
 	}
-	meta := NewMetadata(int64(n), metas)
-
+	split.meta = NewMetadata(n, metas)
+	split.rare = engine.NewRowClassifier(split.bands)
 	// Pair tables (§4.2.3 variation): tuple frequencies over rows where both
 	// columns are individually common.
-	pairTesters, err := buildPairs(db, meta, cfg, bands)
-	if err != nil {
-		return nil, err
-	}
-	width := meta.Width()
+	split.pairs, err = buildPairs(db, split.meta, cfg, split.rare)
+	return split, err
+}
 
-	// ---- Scan 2: bitmask assignment, small group tables, overall sample. ----
+// sampleRows is the outcome of scan 2: the base rows each sample table
+// stores.
+type sampleRows struct {
+	tables  [][]int     // per small group table, by index
+	weights [][]float64 // per table; nil when every row is stored at rate 1
+	overall []int
+	// overallWeights is nil for the uniform reservoir sample, which scales
+	// by overallScale instead.
+	overallWeights []float64
+	overallScale   float64
+}
+
+// classify is scan 2. It owns the one seeded generator, so it stays on one
+// goroutine and keeps the draw order fixed: per row, one coin per
+// medium-band column in index order, then the reservoir offer.
+func (split *bandSplit) classify(db *engine.Database, cfg SmallGroupConfig) (*sampleRows, error) {
+	n, width := db.NumRows(), split.meta.Width()
 	rng := randx.New(cfg.Seed)
-	// maskOf is called from concurrent table builders later; band and pair
-	// testers only read their frequency structures, so it is safe as long as
-	// no tester captures mutable scratch state.
-	maskOf := func(row int) bitmask.Mask {
-		m := bitmask.New(width)
-		for i, band := range bands {
-			if band(row) >= 0 {
-				m.Set(i)
-			}
-		}
-		for _, pt := range pairTesters {
-			if pt.test(row) {
-				m.Set(pt.index)
-			}
-		}
-		return m
-	}
-
 	target := int(cfg.BaseRate * float64(n))
 	if target < 1 {
 		target = 1
 	}
 	res := sample.NewReservoir(target, rng)
-	tableRows := make([][]int, width)
-	tableWeights := make([][]float64, width)
+	out := &sampleRows{tables: make([][]int, width), weights: make([][]float64, width)}
 	weighted := make([]bool, width)
+	rowBits := make([]uint64, split.rare.Words())
 	for row := 0; row < n; row++ {
-		for i, band := range bands {
-			b := band(row)
-			if b < 0 {
-				continue
-			}
-			rate := cfg.Levels[b].Rate
-			if rate < 1 {
-				// Medium band: subsample at the level's rate; the bitmask
-				// still marks the row so the overall sample filters it out.
-				if rng.Float64() >= rate {
-					continue
+		if split.rare.Bits(row, rowBits) {
+			eachBit(rowBits, func(i int) {
+				rate := cfg.Levels[split.bands[i].Class(row)].Rate
+				if rate < 1 {
+					// Medium band: subsample at the level's rate; the bitmask
+					// still marks the row so the overall sample filters it out.
+					if rng.Float64() >= rate {
+						return
+					}
+					weighted[i] = true
 				}
-				weighted[i] = true
-			}
-			tableRows[i] = append(tableRows[i], row)
-			tableWeights[i] = append(tableWeights[i], 1/rate)
+				out.tables[i] = append(out.tables[i], row)
+				out.weights[i] = append(out.weights[i], 1/rate)
+			})
 		}
-		for _, pt := range pairTesters {
-			if pt.test(row) {
-				tableRows[pt.index] = append(tableRows[pt.index], row)
-				tableWeights[pt.index] = append(tableWeights[pt.index], 1)
+		for _, pt := range split.pairs {
+			if pt.test(row, rowBits) {
+				out.tables[pt.index] = append(out.tables[pt.index], row)
 			}
 		}
 		res.Offer(row)
 	}
+	for i := range out.weights {
+		if !weighted[i] {
+			out.weights[i] = nil
+		}
+	}
 
-	p := &smallGroupPrepared{db: db, meta: meta, cfg: cfg, tables: make([]sampleSource, width), pstats: &plannerStats{}}
+	if cfg.Overall != nil {
+		var err error
+		out.overall, out.overallWeights, err = cfg.Overall.BuildOverall(db, target, cfg.Seed+1)
+		if err != nil {
+			return nil, fmt.Errorf("smallgroup: overall builder: %w", err)
+		}
+		out.overallScale = 1
+	} else {
+		out.overall = append([]int(nil), res.Items()...)
+		sort.Ints(out.overall)
+		out.overallScale = float64(n) / float64(len(out.overall))
+	}
+	return out, nil
+}
 
+// materialise stores each row list as a sample table: flat join synopses by
+// default, renormalized (§5.2.2 space optimisation) on request.
+func (split *bandSplit) materialise(db *engine.Database, cfg SmallGroupConfig, rows *sampleRows) (*smallGroupPrepared, error) {
+	meta, width := split.meta, split.meta.Width()
+	p := &smallGroupPrepared{db: db, meta: meta, cfg: cfg, tables: make([]sampleSource, width),
+		overallScale: rows.overallScale, pstats: &plannerStats{}}
 	names := make([]string, width)
 	for _, cm := range meta.Columns() {
 		names[cm.Index] = "sg_" + cm.Column
@@ -326,65 +353,46 @@ func (s *SmallGroup) Preprocess(db *engine.Database) (Prepared, error) {
 	for _, pm := range meta.Pairs() {
 		names[pm.Index] = "sg_" + pm.Cols[0] + "__" + pm.Cols[1]
 	}
-
-	// Overall sample rows and weights.
-	var overallRows []int
-	var overallWeights []float64
-	if cfg.Overall != nil {
-		var err error
-		overallRows, overallWeights, err = cfg.Overall.BuildOverall(db, target, cfg.Seed+1)
-		if err != nil {
-			return nil, fmt.Errorf("smallgroup: overall builder: %w", err)
-		}
-		p.overallScale = 1
-	} else {
-		overallRows = append([]int(nil), res.Items()...)
-		sort.Ints(overallRows)
-		p.overallScale = float64(n) / float64(len(overallRows))
-	}
-
-	// Materialise: flat join synopses by default, renormalized (§5.2.2
-	// space optimisation) on request.
 	var renorm *engine.Renormalizer
 	if cfg.Renormalize {
-		all := append(append([][]int{}, tableRows...), overallRows)
+		all := append(append([][]int{}, rows.tables...), rows.overall)
 		renorm = engine.NewRenormalizer(db, all...)
 		p.sharedDims = renorm.ReducedDims()
-	}
-	materialize := func(name string, rows []int, masks []bitmask.Mask, w []float64) (sampleSource, error) {
-		if renorm != nil {
-			src, err := renorm.Build(name, rows, masks, w)
-			if err != nil {
-				return sampleSource{}, err
-			}
-			return sampleSource{src: src, name: name}, nil
-		}
-		return sampleSource{src: db.Flatten(name, rows, masks, w), name: name}, nil
 	}
 
 	// Fan the per-table builds (bitmask computation + materialisation) out
 	// across workers: task i builds small group table i, the last task builds
-	// the overall sample. Every input (row lists, band testers, the base
+	// the overall sample. Every input (row lists, the classifier, the base
 	// data, the renormalizer's remap) is read-only by now, and each task
 	// writes only its own slot, so the built tables are identical for any
-	// worker count.
+	// worker count. Masks are computed for the sampled rows only.
 	buildOne := func(i int) error {
-		rows, name := overallRows, "sg_overall"
-		var w []float64 = overallWeights
+		src := sampleSource{name: "sg_overall"}
+		list, w := rows.overall, rows.overallWeights
 		if i < width {
-			rows, name = tableRows[i], names[i]
-			w = nil
-			if weighted[i] {
-				w = tableWeights[i]
+			src.name, list, w = names[i], rows.tables[i], rows.weights[i]
+		}
+		masks := make([]bitmask.Mask, len(list))
+		rowBits := make([]uint64, split.rare.Words())
+		for j, r := range list {
+			m := bitmask.New(width)
+			split.rare.Bits(r, rowBits)
+			eachBit(rowBits, m.Set)
+			for _, pt := range split.pairs {
+				if pt.test(r, rowBits) {
+					m.Set(pt.index)
+				}
 			}
+			masks[j] = m
 		}
-		masks := make([]bitmask.Mask, len(rows))
-		for j, r := range rows {
-			masks[j] = maskOf(r)
-		}
-		src, err := materialize(name, rows, masks, w)
-		if err != nil {
-			return err
+		if renorm != nil {
+			rdb, err := renorm.Build(src.name, list, masks, w)
+			if err != nil {
+				return err
+			}
+			src.src = rdb
+		} else {
+			src.src = db.Flatten(src.name, list, masks, w)
 		}
 		if i < width {
 			p.tables[i] = src
@@ -399,65 +407,83 @@ func (s *SmallGroup) Preprocess(db *engine.Database) (Prepared, error) {
 	return p, nil
 }
 
+// eachBit calls fn with the position of every set bit, ascending.
+func eachBit(words []uint64, fn func(i int)) {
+	for w, word := range words {
+		for ; word != 0; word &= word - 1 {
+			fn(w*64 + bits.TrailingZeros64(word))
+		}
+	}
+}
+
 // pairTester tests pair-table membership for one configured column pair.
 type pairTester struct {
-	index int
-	test  func(row int) bool
+	index  int
+	a0, a1 engine.ColumnAccessor
+	// s0, s1 are the pair columns' bit positions in S, or -1 for a column
+	// outside S (every value common).
+	s0, s1 int
+	rare   map[engine.GroupKey]struct{}
+}
+
+// candidate reports whether both values of the row are individually common,
+// given the row's single-column membership bits.
+func (pt *pairTester) candidate(rowBits []uint64) bool {
+	return !bitSet(rowBits, pt.s0) && !bitSet(rowBits, pt.s1)
+}
+
+func bitSet(words []uint64, i int) bool {
+	return i >= 0 && words[i/64]&(1<<(uint(i)%64)) != 0
+}
+
+// key appends the row's encoded value tuple to buf.
+func (pt *pairTester) key(buf []byte, row int) []byte {
+	return engine.AppendKey(buf, []engine.Value{pt.a0.Value(row), pt.a1.Value(row)})
+}
+
+// test reports whether the row belongs in the pair table. It keeps no
+// scratch state, so concurrent mask builders may share a tester (a per-call
+// allocation is acceptable — pair tables are opt-in and their rows few).
+func (pt *pairTester) test(row int, rowBits []uint64) bool {
+	if !pt.candidate(rowBits) {
+		return false
+	}
+	_, ok := pt.rare[engine.GroupKey(pt.key(make([]byte, 0, 32), row))]
+	return ok
 }
 
 // buildPairs derives the pair small group tables' metadata and testers. A
 // row belongs to the pair table when both its values are individually common
 // and the (v1,v2) combination's total frequency lies in the rare tail of
 // mass at most t·N.
-func buildPairs(db *engine.Database, meta *Metadata, cfg SmallGroupConfig, bands []bandTester) ([]pairTester, error) {
-	if len(cfg.Pairs) == 0 {
-		return nil, nil
-	}
+func buildPairs(db *engine.Database, meta *Metadata, cfg SmallGroupConfig, rare *engine.RowClassifier) ([]*pairTester, error) {
+	var testers []*pairTester
 	n := db.NumRows()
-	bandOf := make(map[string]bandTester, len(meta.Columns()))
-	for i, cm := range meta.Columns() {
-		bandOf[cm.Column] = bands[i]
-	}
-	commonRow := func(col string) (func(row int) bool, error) {
-		if t, ok := bandOf[col]; ok {
-			return func(row int) bool { return t(row) < 0 }, nil
-		}
-		// Column not in S: every value is common.
-		if !db.HasColumn(col) {
-			return nil, fmt.Errorf("smallgroup: unknown pair column %q", col)
-		}
-		return func(int) bool { return true }, nil
-	}
-
-	var testers []pairTester
+	rowBits := make([]uint64, rare.Words())
 	for _, pair := range cfg.Pairs {
-		acc0, err := db.Accessor(pair[0])
-		if err != nil {
+		pt := &pairTester{s0: -1, s1: -1}
+		var err error
+		if pt.a0, err = db.Accessor(pair[0]); err != nil {
 			return nil, fmt.Errorf("smallgroup: %w", err)
 		}
-		acc1, err := db.Accessor(pair[1])
-		if err != nil {
+		if pt.a1, err = db.Accessor(pair[1]); err != nil {
 			return nil, fmt.Errorf("smallgroup: %w", err)
 		}
-		common0, err := commonRow(pair[0])
-		if err != nil {
-			return nil, err
+		if i, ok := meta.Index(pair[0]); ok {
+			pt.s0 = i
 		}
-		common1, err := commonRow(pair[1])
-		if err != nil {
-			return nil, err
+		if i, ok := meta.Index(pair[1]); ok {
+			pt.s1 = i
 		}
 
 		counts := make(map[engine.GroupKey]int64)
-		tuple := make([]engine.Value, 2)
 		var buf []byte
 		for row := 0; row < n; row++ {
-			if !common0(row) || !common1(row) {
-				continue
+			rare.Bits(row, rowBits)
+			if pt.candidate(rowBits) {
+				buf = pt.key(buf[:0], row)
+				counts[engine.GroupKey(buf)]++
 			}
-			tuple[0], tuple[1] = acc0.Value(row), acc1.Value(row)
-			buf = engine.AppendKey(buf[:0], tuple)
-			counts[engine.GroupKey(buf)]++
 		}
 
 		// Rare tuples: maximal ascending-frequency suffix with total mass
@@ -477,99 +503,22 @@ func buildPairs(db *engine.Database, meta *Metadata, cfg SmallGroupConfig, bands
 			return all[i].k < all[j].k
 		})
 		budget := int64(cfg.SmallGroupFraction * float64(n))
-		rare := make(map[engine.GroupKey]struct{})
+		pt.rare = make(map[engine.GroupKey]struct{})
 		var rareRows int64
 		for _, e := range all {
 			if rareRows+e.c > budget {
 				break
 			}
-			rare[e.k] = struct{}{}
+			pt.rare[e.k] = struct{}{}
 			rareRows += e.c
 		}
-		if len(rare) == 0 {
+		if len(pt.rare) == 0 {
 			continue // no small pair groups
 		}
-		index := meta.AddPair(PairMeta{Cols: pair, Rare: rare, RareRows: rareRows})
-
-		a0, a1, c0, c1 := acc0, acc1, common0, common1
-		rareSet := rare
-		// No captured buffers: the tester must be callable from concurrent
-		// mask-building workers (a per-call stack allocation is acceptable —
-		// pair tables are opt-in and rows per table are few).
-		testers = append(testers, pairTester{
-			index: index,
-			test: func(row int) bool {
-				if !c0(row) || !c1(row) {
-					return false
-				}
-				tvals := [2]engine.Value{a0.Value(row), a1.Value(row)}
-				tbuf := engine.AppendKey(make([]byte, 0, 32), tvals[:])
-				_, ok := rareSet[engine.GroupKey(tbuf)]
-				return ok
-			},
-		})
+		pt.index = meta.AddPair(PairMeta{Cols: pair, Rare: pt.rare, RareRows: rareRows})
+		testers = append(testers, pt)
 	}
 	return testers, nil
-}
-
-func sortedCounts(counts map[engine.Value]int64) []engine.ValueCount {
-	out := make([]engine.ValueCount, 0, len(counts))
-	for v, c := range counts {
-		out = append(out, engine.ValueCount{Value: v, Count: c})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Value.Less(out[j].Value)
-	})
-	return out
-}
-
-// bandTester returns the hierarchy level of a base row's value for one
-// column, or -1 when the value is common (outside every band).
-type bandTester func(row int) int
-
-// colCounter accumulates value frequencies for one candidate column during
-// scan 1.
-type colCounter struct {
-	name  string
-	limit int
-
-	code  engine.CodeAccessor // non-nil for dictionary-encoded columns
-	codes []int64             // counts by dictionary code
-	acc   engine.ColumnAccessor
-	count map[engine.Value]int64 // counts for numeric columns
-	alive bool
-}
-
-func newColCounter(name string, acc engine.ColumnAccessor, t engine.Type, limit int) *colCounter {
-	c := &colCounter{name: name, limit: limit, acc: acc, alive: true}
-	if ca, ok := acc.(engine.CodeAccessor); ok && t == engine.String {
-		c.code = ca
-	} else {
-		c.count = make(map[engine.Value]int64)
-	}
-	return c
-}
-
-func (c *colCounter) observe(row int) {
-	if !c.alive {
-		return
-	}
-	if c.code != nil {
-		code := c.code.Code(row)
-		for int(code) >= len(c.codes) {
-			c.codes = append(c.codes, 0)
-		}
-		c.codes[code]++
-		return
-	}
-	c.count[c.acc.Value(row)]++
-	if len(c.count) > c.limit {
-		c.alive = false
-		c.count = nil
-	}
 }
 
 // bandBounds converts the level fractions into cumulative row budgets.
@@ -610,103 +559,59 @@ func assignBands(asc []int64, bounds []int64) (levels []int, banded int, rareRow
 	return levels, banded, rareRows
 }
 
-// finish derives the band assignment and metadata for the column. ok is
-// false when the column was dropped from S (τ exceeded, or no small groups).
-func (c *colCounter) finish(n int64, levels []HierarchyLevel) (ColumnMeta, bandTester, bool) {
-	if !c.alive {
+// deriveBands turns one column's frequencies into its metadata and per-row
+// band lookup: each value's hierarchy level, or -1 when the value is common
+// (outside every band). ok is false when the column is dropped from S (τ
+// exceeded, or no small groups).
+func deriveBands(f *engine.ColumnFreq, n int64, levels []HierarchyLevel) (ColumnMeta, *engine.ColumnClasses, bool) {
+	if f.Over {
 		return ColumnMeta{}, nil, false
 	}
-	if c.code != nil {
-		return c.finishDict(n, levels)
-	}
-	vcs := sortedCounts(c.count) // descending
-	asc := make([]int64, len(vcs))
-	for i := range vcs {
-		asc[i] = vcs[len(vcs)-1-i].Count
-	}
-	lvls, banded, rareRows := assignBands(asc, bandBounds(n, levels))
-	if banded == 0 {
-		return ColumnMeta{}, nil, false
-	}
-	common := make(map[engine.Value]struct{})
-	var exact map[engine.Value]struct{}
-	if len(levels) > 1 {
-		exact = make(map[engine.Value]struct{})
-	}
-	valueLevel := make(map[engine.Value]int, len(vcs))
-	for i, vc := range vcs {
-		lvl := lvls[len(vcs)-1-i]
-		switch {
-		case lvl < 0:
-			common[vc.Value] = struct{}{}
-		case lvl == 0 && exact != nil:
-			exact[vc.Value] = struct{}{}
-		}
-		if lvl >= 0 {
-			valueLevel[vc.Value] = lvl
-		}
-	}
-	cm := ColumnMeta{Column: c.name, Common: common, Exact: exact, RareRows: rareRows, Distinct: len(vcs)}
-	acc := c.acc
-	tester := func(row int) int {
-		if lvl, ok := valueLevel[acc.Value(row)]; ok {
-			return lvl
-		}
-		return -1
-	}
-	return cm, tester, true
-}
-
-func (c *colCounter) finishDict(n int64, levels []HierarchyLevel) (ColumnMeta, bandTester, bool) {
-	type cc struct {
-		code  int32
-		count int64
-	}
-	var vcs []cc
-	for code, count := range c.codes {
-		if count > 0 {
-			vcs = append(vcs, cc{int32(code), count})
-		}
-	}
-	if len(vcs) > c.limit {
-		return ColumnMeta{}, nil, false
-	}
+	// Ascending frequency. Which of several equally frequent values falls on
+	// the rare side of a band boundary is part of the sample family's
+	// identity, so the tie order is frozen: strings ascending, numerics
+	// descending.
+	vcs := f.Counts()
 	sort.Slice(vcs, func(i, j int) bool {
-		if vcs[i].count != vcs[j].count {
-			return vcs[i].count < vcs[j].count // ascending
+		if vcs[i].Count != vcs[j].Count {
+			return vcs[i].Count < vcs[j].Count
 		}
-		return c.code.DictValue(vcs[i].code) < c.code.DictValue(vcs[j].code)
+		if f.View.Type == engine.String {
+			return vcs[i].Value.Less(vcs[j].Value)
+		}
+		return vcs[j].Value.Less(vcs[i].Value)
 	})
 	asc := make([]int64, len(vcs))
 	for i, vc := range vcs {
-		asc[i] = vc.count
+		asc[i] = vc.Count
 	}
 	lvls, banded, rareRows := assignBands(asc, bandBounds(n, levels))
 	if banded == 0 {
 		return ColumnMeta{}, nil, false
-	}
-	levelByCode := make([]int8, len(c.codes))
-	for i := range levelByCode {
-		levelByCode[i] = -1
 	}
 	common := make(map[engine.Value]struct{})
 	var exact map[engine.Value]struct{}
 	if len(levels) > 1 {
 		exact = make(map[engine.Value]struct{})
 	}
+	valueLevel := make(map[engine.Value]int8, banded)
 	for i, vc := range vcs {
-		lvl := lvls[i]
-		levelByCode[vc.code] = int8(lvl)
-		v := engine.StringVal(c.code.DictValue(vc.code))
-		switch {
+		switch lvl := lvls[i]; {
 		case lvl < 0:
-			common[v] = struct{}{}
-		case lvl == 0 && exact != nil:
-			exact[v] = struct{}{}
+			common[vc.Value] = struct{}{}
+		default:
+			valueLevel[vc.Value] = int8(lvl)
+			if lvl == 0 && exact != nil {
+				exact[vc.Value] = struct{}{}
+			}
 		}
 	}
-	cm := ColumnMeta{Column: c.name, Common: common, Exact: exact, RareRows: rareRows, Distinct: len(vcs)}
-	code := c.code
-	tester := func(row int) int { return int(levelByCode[code.Code(row)]) }
-	return cm, tester, true
+	cm := ColumnMeta{Column: f.View.Name, Common: common, Exact: exact, RareRows: rareRows, Distinct: len(vcs)}
+	band := f.Classify(func(v engine.Value) int8 {
+		if lvl, ok := valueLevel[v]; ok {
+			return lvl
+		}
+		return -1
+	})
+	return cm, band, true
 }

@@ -84,6 +84,12 @@ func TestPreprocessMetadata(t *testing.T) {
 	if !meta.IsCommon("b", engine.StringVal("B0")) || !meta.IsCommon("zzz", engine.IntVal(1)) {
 		t.Error("columns outside S must report values as common")
 	}
+	// The run left its phase breakdown in aqp_core_preprocess_seconds.
+	for _, phase := range []string{"count", "classify", "materialise"} {
+		if s := obsPreprocessSeconds.With(phase).Value(); s <= 0 {
+			t.Errorf("aqp_core_preprocess_seconds{phase=%q} = %g after Preprocess", phase, s)
+		}
+	}
 }
 
 func TestSmallGroupTableSizeBound(t *testing.T) {

@@ -1,0 +1,493 @@
+package engine
+
+import (
+	"fmt"
+	"math"
+
+	"dynsample/internal/parallel"
+)
+
+// The column-frequency and classification kernel. Pre-processing (scan 1 and
+// the band test of scan 2), online seeding and DistinctValues all ask the
+// same two questions of the joined view — how often does each value of a
+// column occur, and which class does each row's value fall in — and all of
+// them answer it here, over typed storage and through the star join instead
+// of row by row through ColumnAccessor.Value:
+//
+//   - a fact column is tallied by a typed loop over its own slice: densely by
+//     dictionary code for strings, in an int64- or float64-keyed map (with
+//     the τ early exit) for numerics;
+//   - a dimension column is never scanned at fact-table length. One pass over
+//     the dimension's foreign-key column counts how many fact rows reference
+//     each dimension row, and every column of that dimension is then a fold
+//     over its few thousand rows weighted by those counts. A dimension row no
+//     fact row references has weight zero, so its values never appear.
+//
+// Counts are integers, so the row-sharded partial tallies merge exactly: the
+// result is the same for every worker count.
+
+// ColumnView is a typed, read-only window onto one column of a table or of a
+// database's joined view: the storage slice for its type and, for a
+// dimension column, the fact table's foreign-key slice. The value of view
+// row r lives at index r of the typed slice when FK is nil and at index
+// FK[r] otherwise, so hot loops index slices instead of boxing every cell
+// into a Value.
+//
+// The slices are the column's own storage, cut at the length of the version
+// the view was taken from. They must not be modified, and they stay valid
+// while an Appender grows later versions: appends land beyond these lengths.
+type ColumnView struct {
+	Name string
+	Type Type
+
+	Ints   []int64   // Type == Int
+	Floats []float64 // Type == Float
+	Codes  []int32   // Type == String: one dictionary code per row
+	Dict   []string  // Type == String: code -> string
+
+	FK  []int64 // fact row -> row of the owning dimension; nil for fact columns
+	Dim int     // index into Database.Dims; -1 when FK is nil
+}
+
+// View returns the typed view of a flat table's column.
+func (c *Column) View() ColumnView {
+	return ColumnView{Name: c.Name, Type: c.Type, Ints: c.ints, Floats: c.floats, Codes: c.codes, Dict: c.dict, Dim: -1}
+}
+
+// View returns the typed view of a column of the joined view.
+func (db *Database) View(name string) (ColumnView, error) {
+	b, ok := db.bindings[name]
+	if !ok {
+		return ColumnView{}, fmt.Errorf("engine: unknown column %q", name)
+	}
+	v := b.col.View()
+	if b.fk != nil {
+		v.FK, v.Dim = b.fk.ints, b.dim
+	}
+	return v, nil
+}
+
+// tally holds value counts in the representation of the column's type:
+// dense (by dictionary code, or by dimension row id for a foreign-key pass)
+// or a typed map for numerics. over marks a map that crossed the distinct
+// limit and was dropped.
+type tally struct {
+	dense  []int64
+	ints   map[int64]int64
+	floats map[float64]int64
+	over   bool
+}
+
+// ColumnFreq is the exact value-frequency table of one view column over the
+// fact rows of one database version.
+type ColumnFreq struct {
+	View ColumnView
+	// Over reports that the column has more distinct values than the limit
+	// the frequencies were requested with (the paper's τ cutoff, §4.2.1);
+	// its counts are then dropped.
+	Over bool
+
+	t tally
+}
+
+// ColumnFrequencies counts every distinct value of each named view column.
+// A positive limit is the distinct-value cutoff: a column exceeding it comes
+// back with Over set and no counts, and its numeric tally stops at the first
+// row that crosses the limit. Row ranges are tallied on up to workers
+// goroutines; the counts do not depend on workers.
+//
+// Float values are told apart as Value == does: NaN equals nothing, itself
+// included, and +0 equals −0 (which of the two zeros represents the pair is
+// unspecified).
+func (db *Database) ColumnFrequencies(names []string, limit, workers int) ([]*ColumnFreq, error) {
+	if limit <= 0 {
+		limit = math.MaxInt
+	}
+	out := make([]*ColumnFreq, len(names))
+	// One pass per requested fact column and one per referenced dimension's
+	// foreign-key column; passOf[i] is the pass column i is derived from.
+	var passes []pass
+	passOf := make([]int, len(names))
+	fkPass := make(map[int]int)
+	for i, name := range names {
+		v, err := db.View(name)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = &ColumnFreq{View: v}
+		if v.FK == nil {
+			passOf[i] = len(passes)
+			passes = append(passes, pass{v: v})
+			continue
+		}
+		if _, ok := fkPass[v.Dim]; !ok {
+			fkPass[v.Dim] = len(passes)
+			passes = append(passes, pass{v: ColumnView{Type: Int, Ints: v.FK}, dimRows: db.Dims[v.Dim].Table.NumRows()})
+		}
+		passOf[i] = fkPass[v.Dim]
+	}
+
+	n := db.NumRows()
+	nShards := parallel.Normalize(workers, (n+ScanShardRows-1)/ScanShardRows)
+	shards := parallel.Shards(n, (n+nShards-1)/nShards)
+	if len(shards) == 0 {
+		shards = []parallel.Shard{{}} // empty database: every tally is empty
+	}
+	partial := make([]tally, len(passes)*len(shards))
+	parallel.ForEach(workers, len(partial), func(k int) {
+		s := shards[k%len(shards)]
+		partial[k] = passes[k/len(shards)].tally(s.Lo, s.Hi, limit)
+	})
+	merged := make([]tally, len(passes))
+	parallel.ForEach(workers, len(passes), func(p int) {
+		merged[p] = mergeTallies(partial[p*len(shards):(p+1)*len(shards)], limit)
+	})
+
+	parallel.ForEach(workers, len(out), func(i int) {
+		f := out[i]
+		f.t = merged[passOf[i]]
+		if f.View.FK != nil {
+			f.t = foldDimension(f.View, f.t.dense, limit)
+		}
+		f.Over = f.t.over
+		if f.t.dense != nil {
+			distinct := 0
+			for _, c := range f.t.dense {
+				if c > 0 {
+					distinct++
+				}
+			}
+			f.Over = distinct > limit
+		}
+		if f.Over {
+			f.t = tally{}
+		}
+	})
+	return out, nil
+}
+
+// pass is one scan of a physical fact-table column: a requested fact column,
+// or (dimRows > 0) a dimension's foreign-key column, which is counted densely
+// by dimension row id.
+type pass struct {
+	v       ColumnView
+	dimRows int
+}
+
+// tally counts rows [lo,hi) of the pass's column.
+func (p pass) tally(lo, hi, limit int) tally {
+	var t tally
+	switch {
+	case p.v.Type == String:
+		t.dense = make([]int64, len(p.v.Dict))
+		for _, code := range p.v.Codes[lo:hi] {
+			t.dense[code]++
+		}
+	case p.dimRows > 0:
+		t.dense = make([]int64, p.dimRows)
+		for _, id := range p.v.Ints[lo:hi] {
+			t.dense[id]++
+		}
+	case p.v.Type == Int:
+		t.ints = make(map[int64]int64)
+		for _, x := range p.v.Ints[lo:hi] {
+			t.ints[x]++
+			if len(t.ints) > limit {
+				return tally{over: true}
+			}
+		}
+	default:
+		t.floats = make(map[float64]int64)
+		for _, x := range p.v.Floats[lo:hi] {
+			t.floats[x]++
+			if len(t.floats) > limit {
+				return tally{over: true}
+			}
+		}
+	}
+	return t
+}
+
+// mergeTallies adds the row-shard tallies of one column into the first.
+func mergeTallies(parts []tally, limit int) tally {
+	t := parts[0]
+	for _, p := range parts[1:] {
+		if t.over || p.over {
+			return tally{over: true}
+		}
+		for i, c := range p.dense {
+			t.dense[i] += c
+		}
+		for x, c := range p.ints {
+			t.ints[x] += c
+		}
+		for x, c := range p.floats {
+			t.floats[x] += c
+		}
+		if len(t.ints) > limit || len(t.floats) > limit {
+			return tally{over: true}
+		}
+	}
+	return t
+}
+
+// foldDimension counts a dimension column through the join: refs[d] is the
+// number of fact rows referencing dimension row d.
+func foldDimension(v ColumnView, refs []int64, limit int) tally {
+	var t tally
+	switch v.Type {
+	case String:
+		t.dense = make([]int64, len(v.Dict))
+		for d, c := range refs {
+			t.dense[v.Codes[d]] += c
+		}
+	case Int:
+		t.ints = make(map[int64]int64)
+		for d, c := range refs {
+			if c == 0 {
+				continue
+			}
+			t.ints[v.Ints[d]] += c
+			if len(t.ints) > limit {
+				return tally{over: true}
+			}
+		}
+	default:
+		t.floats = make(map[float64]int64)
+		for d, c := range refs {
+			x := v.Floats[d]
+			if x != x {
+				// NaN equals nothing: each referencing fact row holds a
+				// value of its own, as a per-row count would find.
+				for ; c > 0 && len(t.floats) <= limit; c-- {
+					t.floats[x] = 1
+				}
+			} else if c > 0 {
+				t.floats[x] += c
+			}
+			if len(t.floats) > limit {
+				return tally{over: true}
+			}
+		}
+	}
+	return t
+}
+
+// Counts returns the column's distinct values with their occurrence counts,
+// in no particular order; nil when Over.
+func (f *ColumnFreq) Counts() []ValueCount {
+	var out []ValueCount
+	for code, c := range f.t.dense {
+		if c > 0 {
+			out = append(out, ValueCount{Value: StringVal(f.View.Dict[code]), Count: c})
+		}
+	}
+	for x, c := range f.t.ints {
+		out = append(out, ValueCount{Value: IntVal(x), Count: c})
+	}
+	for x, c := range f.t.floats {
+		out = append(out, ValueCount{Value: FloatVal(x), Count: c})
+	}
+	return out
+}
+
+// ColumnClasses maps every row of a counted column to a small class number
+// chosen per distinct value — for small group sampling, the hierarchy band
+// of the row's value. A negative class means "none".
+type ColumnClasses struct {
+	view ColumnView
+
+	// Class per value, in the representation the values were counted in.
+	// Numeric maps hold only the non-negative classes.
+	byCode  []int8
+	byInt   map[int64]int8
+	byFloat map[float64]int8
+	// byDimRow, for a dimension column, is the class of each dimension
+	// row's value: the per-value table folded through the join once, so a
+	// fact row costs one foreign-key load and one array load.
+	byDimRow []int8
+}
+
+// Classify evaluates class once per distinct counted value and returns the
+// per-row lookup. The column must not be Over.
+func (f *ColumnFreq) Classify(class func(Value) int8) *ColumnClasses {
+	c := &ColumnClasses{view: f.View}
+	switch f.View.Type {
+	case String:
+		c.byCode = make([]int8, len(f.t.dense))
+		for code, n := range f.t.dense {
+			c.byCode[code] = -1
+			if n > 0 {
+				c.byCode[code] = class(StringVal(f.View.Dict[code]))
+			}
+		}
+	case Int:
+		c.byInt = make(map[int64]int8)
+		for x := range f.t.ints {
+			if k := class(IntVal(x)); k >= 0 {
+				c.byInt[x] = k
+			}
+		}
+	default:
+		c.byFloat = make(map[float64]int8)
+		for x := range f.t.floats {
+			if k := class(FloatVal(x)); k >= 0 {
+				c.byFloat[x] = k
+			}
+		}
+	}
+	if f.View.FK != nil {
+		byDimRow := make([]int8, f.View.ownLen())
+		for d := range byDimRow {
+			byDimRow[d] = c.own(d)
+		}
+		c.byDimRow = byDimRow
+	}
+	return c
+}
+
+// ownLen is the number of rows of the table that stores the column.
+func (v ColumnView) ownLen() int {
+	switch v.Type {
+	case Int:
+		return len(v.Ints)
+	case Float:
+		return len(v.Floats)
+	default:
+		return len(v.Codes)
+	}
+}
+
+// own returns the class of the value at row p of the table that stores the
+// column (the fact table, or the column's dimension).
+func (c *ColumnClasses) own(p int) int8 {
+	switch c.view.Type {
+	case String:
+		return c.byCode[c.view.Codes[p]]
+	case Int:
+		if k, ok := c.byInt[c.view.Ints[p]]; ok {
+			return k
+		}
+	default:
+		if k, ok := c.byFloat[c.view.Floats[p]]; ok {
+			return k
+		}
+	}
+	return -1
+}
+
+// Class returns the class of view row r's value.
+func (c *ColumnClasses) Class(row int) int8 {
+	if c.byDimRow != nil {
+		return c.byDimRow[c.view.FK[row]]
+	}
+	return c.own(row)
+}
+
+// RowClassifier answers, for one fact row, which of a set of classified
+// columns hold a classified (non-negative) value: bit i of the result stands
+// for column i. Dimension columns cost one lookup per dimension, not per
+// column — each dimension row's bits are precomputed.
+type RowClassifier struct {
+	cols  []*ColumnClasses
+	words int
+	fact  []int // positions in cols of the fact-table columns
+	dims  []dimBits
+}
+
+// dimBits holds, for one dimension, the bits its columns contribute per
+// dimension row: words uint64s per row.
+type dimBits struct {
+	fk   []int64
+	bits []uint64
+}
+
+// NewRowClassifier combines per-column classes into one row classifier.
+func NewRowClassifier(cols []*ColumnClasses) *RowClassifier {
+	rc := &RowClassifier{cols: cols, words: (len(cols) + 63) / 64}
+	slot := make(map[int]int) // Database.Dims index -> position in rc.dims
+	for i, c := range cols {
+		if c.byDimRow == nil {
+			rc.fact = append(rc.fact, i)
+			continue
+		}
+		k, ok := slot[c.view.Dim]
+		if !ok {
+			k = len(rc.dims)
+			slot[c.view.Dim] = k
+			rc.dims = append(rc.dims, dimBits{fk: c.view.FK, bits: make([]uint64, len(c.byDimRow)*rc.words)})
+		}
+		bits := rc.dims[k].bits
+		for d, class := range c.byDimRow {
+			if class >= 0 {
+				bits[d*rc.words+i/64] |= 1 << (uint(i) % 64)
+			}
+		}
+	}
+	return rc
+}
+
+// Words is the length of the bit vector Bits fills: ceil(columns/64).
+func (rc *RowClassifier) Words() int { return rc.words }
+
+// Bits overwrites dst[:Words()] with the row's bit vector and reports
+// whether any bit is set.
+func (rc *RowClassifier) Bits(row int, dst []uint64) bool {
+	dst = dst[:rc.words]
+	for w := range dst {
+		dst[w] = 0
+	}
+	for i := range rc.dims {
+		d := &rc.dims[i]
+		for w, b := range d.bits[int(d.fk[row])*rc.words:][:rc.words] {
+			dst[w] |= b
+		}
+	}
+	for _, i := range rc.fact {
+		if rc.cols[i].own(row) >= 0 {
+			dst[i/64] |= 1 << (uint(i) % 64)
+		}
+	}
+	var any uint64
+	for _, b := range dst {
+		any |= b
+	}
+	return any != 0
+}
+
+// gather copies the values at the given positions of the column's own
+// storage (fact rows for a fact column, dimension rows for a dimension
+// column) into a new column, one typed loop per column. A string column's
+// dictionary is rebuilt in order of first appearance, translating codes
+// instead of re-hashing strings.
+func (v ColumnView) gather(at []int) *Column {
+	nc := NewColumn(v.Name, v.Type)
+	switch v.Type {
+	case Int:
+		nc.ints = make([]int64, len(at))
+		for i, p := range at {
+			nc.ints[i] = v.Ints[p]
+		}
+	case Float:
+		nc.floats = make([]float64, len(at))
+		for i, p := range at {
+			nc.floats[i] = v.Floats[p]
+		}
+	default:
+		codeMap := make([]int32, len(v.Dict))
+		for k := range codeMap {
+			codeMap[k] = -1
+		}
+		nc.codes = make([]int32, len(at))
+		for i, p := range at {
+			code := v.Codes[p]
+			if codeMap[code] < 0 {
+				codeMap[code] = int32(len(nc.dict))
+				nc.dict = append(nc.dict, v.Dict[code])
+				nc.dictIx[v.Dict[code]] = codeMap[code]
+			}
+			nc.codes[i] = codeMap[code]
+		}
+	}
+	return nc
+}

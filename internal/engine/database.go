@@ -36,6 +36,7 @@ type Database struct {
 type binding struct {
 	col *Column
 	fk  *Column // nil for fact columns
+	dim int     // index into Dims; -1 for fact columns
 }
 
 // NewDatabase assembles a star schema and validates it. FK columns are
@@ -57,14 +58,14 @@ func NewDatabase(name string, fact *Table, dims ...DimJoin) (*Database, error) {
 		if fkCols[c.Name] {
 			continue
 		}
-		if err := db.bind(c.Name, binding{col: c}); err != nil {
+		if err := db.bind(c.Name, binding{col: c, dim: -1}); err != nil {
 			return nil, err
 		}
 	}
-	for _, d := range dims {
+	for di, d := range dims {
 		fk := fact.MustColumn(d.FK)
 		for _, c := range d.Table.Columns() {
-			if err := db.bind(c.Name, binding{col: c, fk: fk}); err != nil {
+			if err := db.bind(c.Name, binding{col: c, fk: fk, dim: di}); err != nil {
 				return nil, err
 			}
 		}
@@ -168,47 +169,27 @@ func (db *Database) Flatten(name string, rows []int, masks []bitmask.Mask, weigh
 	if weights != nil && len(weights) != len(rows) {
 		panic("engine: Flatten weights length mismatch")
 	}
+	// Resolve the join once per dimension, then gather column-at-a-time.
+	dimRows := make([][]int, len(db.Dims))
 	cols := make([]*Column, len(db.colNames))
-	copiers := make([]func(r int), len(db.colNames))
 	for i, cn := range db.colNames {
-		b := db.bindings[cn]
-		col := NewColumn(cn, b.col.Type)
-		cols[i] = col
-		acc, err := db.Accessor(cn)
+		v, err := db.View(cn)
 		if err != nil {
 			panic(err)
 		}
-		switch b.col.Type {
-		case String:
-			// Translate dictionary codes directly; far cheaper than
-			// re-hashing every string.
-			ca := acc.(CodeAccessor)
-			codeMap := make([]int32, ca.DictSize())
-			for j := range codeMap {
-				codeMap[j] = -1
-			}
-			copiers[i] = func(r int) {
-				code := ca.Code(r)
-				if codeMap[code] < 0 {
-					codeMap[code] = int32(col.DictSize())
-					col.AppendString(ca.DictValue(code))
-					return
+		at := rows
+		if v.FK != nil {
+			if dimRows[v.Dim] == nil {
+				dimRows[v.Dim] = make([]int, len(rows))
+				for j, r := range rows {
+					dimRows[v.Dim][j] = int(v.FK[r])
 				}
-				col.codes = append(col.codes, codeMap[code])
 			}
-		case Int:
-			copiers[i] = func(r int) { col.AppendInt(acc.Value(r).I) }
-		default:
-			copiers[i] = func(r int) { col.AppendFloat(acc.Float(r)) }
+			at = dimRows[v.Dim]
 		}
+		cols[i] = v.gather(at)
 	}
 	out := NewTable(name, cols...)
-	for _, r := range rows {
-		for i := range copiers {
-			copiers[i](r)
-		}
-		out.rows++
-	}
 	out.Masks = masks
 	out.Weights = weights
 	return out
@@ -223,38 +204,25 @@ func (db *Database) TotalBytes() int64 {
 	return b
 }
 
-// DistinctValues scans a view column and returns its distinct values with
-// exact counts, most frequent first (ties broken by value order for
-// determinism). Used by tests and by baseline strategies.
+// DistinctValues returns a view column's distinct values with exact counts,
+// most frequent first (ties broken by value order for determinism).
 func (db *Database) DistinctValues(name string) ([]ValueCount, error) {
-	acc, err := db.Accessor(name)
+	fs, err := db.ColumnFrequencies([]string{name}, 0, 0)
 	if err != nil {
 		return nil, err
 	}
-	counts := make(map[Value]int64)
-	n := db.NumRows()
-	for i := 0; i < n; i++ {
-		counts[acc.Value(i)]++
-	}
-	return sortValueCounts(counts), nil
-}
-
-// ValueCount pairs a column value with its number of occurrences.
-type ValueCount struct {
-	Value Value
-	Count int64
-}
-
-func sortValueCounts(counts map[Value]int64) []ValueCount {
-	out := make([]ValueCount, 0, len(counts))
-	for v, c := range counts {
-		out = append(out, ValueCount{Value: v, Count: c})
-	}
+	out := fs[0].Counts()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Count != out[j].Count {
 			return out[i].Count > out[j].Count
 		}
 		return out[i].Value.Less(out[j].Value)
 	})
-	return out
+	return out, nil
+}
+
+// ValueCount pairs a column value with its number of occurrences.
+type ValueCount struct {
+	Value Value
+	Count int64
 }

@@ -95,35 +95,7 @@ func (r *Renormalizer) Build(name string, rows []int, masks []bitmask.Mask, weig
 func subsetTable(t *Table, name string, rows []int) *Table {
 	cols := make([]*Column, t.NumCols())
 	for j, c := range t.Columns() {
-		nc := NewColumn(c.Name, c.Type)
-		switch c.Type {
-		case Int:
-			nc.ints = make([]int64, len(rows))
-			for i, r := range rows {
-				nc.ints[i] = c.ints[r]
-			}
-		case Float:
-			nc.floats = make([]float64, len(rows))
-			for i, r := range rows {
-				nc.floats[i] = c.floats[r]
-			}
-		default:
-			codeMap := make([]int32, len(c.dict))
-			for k := range codeMap {
-				codeMap[k] = -1
-			}
-			nc.codes = make([]int32, 0, len(rows))
-			for _, r := range rows {
-				code := c.codes[r]
-				if codeMap[code] < 0 {
-					codeMap[code] = int32(len(nc.dict))
-					nc.dict = append(nc.dict, c.dict[code])
-					nc.dictIx[c.dict[code]] = codeMap[code]
-				}
-				nc.codes = append(nc.codes, codeMap[code])
-			}
-		}
-		cols[j] = nc
+		cols[j] = c.View().gather(rows)
 	}
 	return NewTable(name, cols...)
 }

@@ -575,7 +575,9 @@ func (c *Coordinator) CompleteRebuild(p core.Prepared, rebuiltAt uint64) error {
 	if !c.rebuilding {
 		return errors.New("ingest: no rebuild in progress")
 	}
+	start := time.Now()
 	err := c.online.Rebase(p, rebuiltAt, c.tail)
+	obsRebaseSeconds.Set(time.Since(start).Seconds())
 	c.rebuilding = false
 	c.tail = nil
 	c.driftFired = false

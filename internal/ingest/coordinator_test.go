@@ -554,8 +554,12 @@ func TestCoordinatorDriftTriggersOneRebuild(t *testing.T) {
 	if _, err := c.Ingest("", hot(50)); err != nil {
 		t.Fatal(err)
 	}
+	obsRebaseSeconds.Set(0)
 	if err := c.CompleteRebuild(rebuilt, gen); err != nil {
 		t.Fatal(err)
+	}
+	if s := obsRebaseSeconds.Value(); s <= 0 {
+		t.Fatalf("aqp_ingest_rebase_seconds = %g after a completed rebuild, want the write stall", s)
 	}
 	if d := c.Drift(); d >= 1 {
 		t.Fatalf("drift = %g after rebuild, want < 1 (HOT is common now)", d)

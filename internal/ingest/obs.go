@@ -18,6 +18,8 @@ var (
 		"Rows inserted into small group tables by ingest.")
 	obsDrift = obs.Default().Gauge("aqp_ingest_drift",
 		"Common-set drift: heaviest rare value count over the t*N threshold; crossing 1 triggers a rebuild.")
+	obsRebaseSeconds = obs.Default().Gauge("aqp_ingest_rebase_seconds",
+		"Duration of the last Online.Rebase: how long a completed rebuild stalled ingest writes under the writer lock.")
 	obsDataGen = obs.Default().Gauge("aqp_ingest_data_generation",
 		"Ingest batches applied to the serving database version.")
 	obsReplayed = obs.Default().Counter("aqp_ingest_replayed_batches_total",

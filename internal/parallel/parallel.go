@@ -3,7 +3,7 @@
 // the pre-processing phase.
 //
 // The package deliberately contains no clever scheduling: callers decide the
-// unit of work (a row-range shard, a rewrite step, a column counter) and
+// unit of work (a row-range shard, a rewrite step, a sample-table build) and
 // parallel runs those units on a bounded number of goroutines. Every helper
 // is deterministic in its outputs — results are always collected positionally
 // (slot i holds task i's output), so callers that combine partial results in

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Benchmark harness: runs the ingest-path and query-path benchmarks and emits
-# machine-readable JSON (BENCH_ingest.json, BENCH_query.json) so successive
-# commits can be compared. Needs only bash, awk and the go toolchain.
+# Benchmark harness: runs the ingest-path, query-path and pre-processing
+# layer benchmarks and emits machine-readable JSON (BENCH_ingest.json,
+# BENCH_query.json, BENCH_preprocess.json) so successive commits can be
+# compared. Needs only bash, awk and the go toolchain.
 #
 #   scripts/bench.sh            # full run (benchtime 2s)
 #   BENCHTIME=200ms scripts/bench.sh   # quick run
@@ -24,7 +25,12 @@ bench_json "$OUTDIR/BENCH_ingest.json" /tmp/bench_ingest.txt
 
 echo "bench: query path (concurrent HTTP queries, with and without ingest load)..." >&2
 go test ./internal/server -run '^$' -bench 'BenchmarkConcurrentQuery' \
-  -benchtime "$BENCHTIME" | tee /tmp/bench_query.txt
+  -benchtime "$BENCHTIME" -benchmem | tee /tmp/bench_query.txt
 bench_json "$OUTDIR/BENCH_query.json" /tmp/bench_query.txt
 
-echo "bench: wrote $OUTDIR/BENCH_ingest.json and $OUTDIR/BENCH_query.json" >&2
+echo "bench: pre-processing layers (count, classify, materialise, online seeding; tpch spec, 200k rows)..." >&2
+go test ./internal/core -run '^$' -bench 'BenchmarkPreprocessLayers' \
+  -benchtime "$BENCHTIME" -benchmem | tee /tmp/bench_preprocess.txt
+bench_json "$OUTDIR/BENCH_preprocess.json" /tmp/bench_preprocess.txt
+
+echo "bench: wrote $OUTDIR/BENCH_ingest.json, $OUTDIR/BENCH_query.json and $OUTDIR/BENCH_preprocess.json" >&2

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Fixture-driven tests for the shell tooling in scripts/: the bench output
 # -> JSON converter (scientific notation, name escaping) and the benchdiff
-# regression guard (including the required failure on a synthetic 2x
-# ns_per_op regression). Run by `make check`. Needs only bash, awk, diff.
+# regression guard (including the required failures on a synthetic 2x
+# ns_per_op regression and a synthetic 2x allocs_per_op regression). Run by `make check`. Needs only bash, awk, diff.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -48,6 +48,8 @@ t "benchdiff passes on regression within threshold" 0 \
   bash scripts/benchdiff.sh scripts/testdata/baseline.json scripts/testdata/within.json
 t "benchdiff fails on synthetic 2x ns_per_op regression" 1 \
   bash scripts/benchdiff.sh scripts/testdata/baseline.json scripts/testdata/regress2x.json
+t "benchdiff fails on synthetic 2x allocs_per_op regression at equal ns_per_op" 1 \
+  bash scripts/benchdiff.sh scripts/testdata/baseline.json scripts/testdata/regress_allocs.json
 t "benchdiff passes on improvement (new benchmark is informational)" 0 \
   bash scripts/benchdiff.sh scripts/testdata/baseline.json scripts/testdata/improved.json
 t "benchdiff honours a custom threshold (2x allowed at 150%)" 0 \
