@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test vet cover bench bench-json bench-guard scenarios scenario-smoke experiments experiments-quick examples faults smoke fuzz fuzz-smoke clean
+.PHONY: all check build test vet cover bench bench-json bench-guard scenarios scenario-smoke experiments experiments-quick examples faults smoke fuzz fuzz-smoke loc clean
 
 all: build vet test
 
@@ -118,6 +118,12 @@ fuzz:
 fuzz-smoke:
 	$(GO) test ./internal/core -run FuzzLoadSmallGroup -fuzz FuzzLoadSmallGroup -fuzztime 15s
 	$(GO) test ./internal/ingest -run FuzzWALDecode -fuzz FuzzWALDecode -fuzztime 15s
+
+# Non-test, non-blank, non-comment Go lines per package under internal/ and
+# cmd/, plus a total: the ledger ROADMAP's "One path per job" shrink is
+# measured on. Compare against another checkout with `scripts/loc.sh DIR`.
+loc:
+	@bash scripts/loc.sh
 
 clean:
 	$(GO) clean ./...

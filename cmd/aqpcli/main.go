@@ -53,7 +53,7 @@ func main() {
 		z        = flag.Float64("z", 2.0, "Zipf skew (>= 0)")
 		rows     = flag.Int("rows", 200000, "fact rows (>= 1)")
 		rate     = flag.Float64("rate", 0.01, "base sampling rate r, in (0, 1]")
-		workers  = flag.Int("workers", parallel.DefaultWorkers(), "worker goroutines per query and for pre-processing; 0 = serial legacy path")
+		workers  = flag.Int("workers", parallel.DefaultWorkers(), "worker goroutines per query and for pre-processing (>= 1); 1 disables parallelism")
 		strategy = flag.String("strategy", "smallgroup", "strategy: smallgroup or uniform")
 		seed     = flag.Int64("seed", 42, "random seed")
 		query    = flag.String("query", "", "run one query and exit")
@@ -71,8 +71,8 @@ func main() {
 	if *rows < 1 {
 		fatal(fmt.Errorf("invalid -rows %d: need at least 1 fact row", *rows))
 	}
-	if *workers < 0 {
-		fatal(fmt.Errorf("invalid -workers %d: must be >= 0", *workers))
+	if *workers < 1 {
+		fatal(fmt.Errorf("invalid -workers %d: must be >= 1", *workers))
 	}
 	if *timeout < 0 {
 		fatal(fmt.Errorf("invalid -timeout %v: must be >= 0 (0 disables the deadline)", *timeout))

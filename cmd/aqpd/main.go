@@ -68,7 +68,7 @@ func main() {
 		z            = flag.Float64("z", 2.0, "Zipf skew (>= 0)")
 		rows         = flag.Int("rows", 200000, "fact rows (>= 1)")
 		rate         = flag.Float64("rate", 0.01, "base sampling rate r, in (0, 1]")
-		workers      = flag.Int("workers", parallel.DefaultWorkers(), "worker goroutines per query and for pre-processing; 1 disables parallelism (0 = serial legacy path)")
+		workers      = flag.Int("workers", parallel.DefaultWorkers(), "worker goroutines per query and for pre-processing (>= 1); 1 disables parallelism")
 		seed         = flag.Int64("seed", 42, "random seed")
 		restore      = flag.String("restore", "", "load a pre-processed sample set (see aqpcli -save)")
 		queryTimeout = flag.Duration("query-timeout", 30*time.Second, "default per-query deadline; 0 disables (clients may override per request via timeout_ms)")
@@ -409,8 +409,8 @@ func validateFlags(dbKind string, rate float64, rows int, z float64, workers int
 	if z < 0 {
 		return fmt.Errorf("invalid -z %g: Zipf skew must be >= 0", z)
 	}
-	if workers < 0 {
-		return fmt.Errorf("invalid -workers %d: must be >= 0", workers)
+	if workers < 1 {
+		return fmt.Errorf("invalid -workers %d: must be >= 1", workers)
 	}
 	if queryTimeout < 0 {
 		return fmt.Errorf("invalid -query-timeout %v: must be >= 0 (0 disables the default deadline)", queryTimeout)

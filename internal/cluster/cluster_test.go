@@ -91,7 +91,13 @@ type testCluster struct {
 // timings so tripping and re-probing resolve in milliseconds.
 func newTestCluster(t *testing.T, n int, mut func(*Config)) *testCluster {
 	t.Helper()
-	tc := &testCluster{t: t, db: buildClusterDB(t)}
+	return newTestClusterOver(t, buildClusterDB(t), n, mut)
+}
+
+// newTestClusterOver is newTestCluster over a caller-built dataset.
+func newTestClusterOver(t *testing.T, db *engine.Database, n int, mut func(*Config)) *testCluster {
+	t.Helper()
+	tc := &testCluster{t: t, db: db}
 	var addrs []string
 	for id := 0; id < n; id++ {
 		striped, err := Stripe(tc.db, id, n)

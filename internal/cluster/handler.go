@@ -2,11 +2,9 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -15,98 +13,62 @@ import (
 	"dynsample/internal/engine"
 	"dynsample/internal/obs"
 	"dynsample/internal/server"
-	"dynsample/internal/sqlparse"
-	"dynsample/internal/stats"
 )
 
-// Handler returns the coordinator's routes: the same /v1 + legacy client
-// surface as a single-node server for /query, /exact and /columns (a client
-// should not need to know it is talking to a cluster), plus the
-// cluster-specific GET /shards and POST /admin/probe. Wrapped in the
-// server's request-ID and panic-recovery middleware so both tiers share one
-// envelope discipline.
+// Handler returns the coordinator's routes: the request pipeline it shares
+// with a single-node server (/v1/query, /v1/exact, /v1/columns, /metrics,
+// /debug/slowlog — a client should not need to know it is talking to a
+// cluster), plus the cluster-specific GET /v1/shards, POST /v1/admin/probe
+// and shard-aware probes.
 func (c *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	versioned := func(pattern string, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, h)
-		method, path, _ := strings.Cut(pattern, " ")
-		mux.HandleFunc(method+" /v1"+path, h)
-	}
-	versioned("POST /query", c.handleQuery)
-	versioned("POST /exact", c.handleExact)
-	versioned("GET /columns", c.handleColumns)
-	versioned("GET /shards", c.handleShards)
-	versioned("POST /admin/probe", c.handleProbe)
-	mux.HandleFunc("GET /healthz", c.handleHealthz)
-	mux.HandleFunc("GET /readyz", c.handleReadyz)
-	mux.Handle("GET /metrics", obs.Handler(obs.Default()))
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		server.WriteError(w, http.StatusNotFound, server.CodeNotFound,
-			fmt.Errorf("no route for %s %s", r.Method, r.URL.Path))
+	p := server.NewPipeline(c, server.Config{
+		Strategy:       "cluster",
+		DefaultTimeout: c.cfg.DefaultTimeout,
+		RetryAfter:     c.cfg.RetryAfter,
 	})
-	return server.Wrap(mux)
+	p.Handle("GET /v1/shards", func(*http.Request) (any, error) {
+		return map[string]any{"shards": c.shardStatuses()}, nil
+	})
+	p.Handle("POST /v1/admin/probe", func(*http.Request) (any, error) {
+		return map[string]any{"shards": c.ProbeAll()}, nil
+	})
+	p.Handle("GET /healthz", c.health)
+	p.Handle("GET /readyz", c.ready)
+	return p.Handler()
 }
 
-// compileRequest decodes and validates one client request against the
-// cluster schema. Numeric bound validation is left to the shards (their
-// envelopes are relayed verbatim on fatal errors), but parse/compile errors
-// fail here, before any fan-out. Returns nil compiled after writing the
-// error; label is the metrics status in that case.
-func (c *Coordinator) compileRequest(w http.ResponseWriter, r *http.Request) (*sqlparse.Compiled, *server.QueryRequest, string) {
+// Schema implements server.Backend: the zero-row schema learned at join and
+// the cluster-wide row count from the shards' summaries.
+func (c *Coordinator) Schema() (*engine.Database, int64, error) {
 	schema := c.schema.Load()
 	if schema == nil {
-		c.unavailable(w, fmt.Errorf("no shard has joined yet; cluster schema unknown"))
-		return nil, nil, "unavailable"
+		return nil, 0, unavailable(fmt.Errorf("no shard has joined yet; cluster schema unknown"))
 	}
-	var req server.QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest,
-			fmt.Errorf("bad request body: %w", err))
-		return nil, nil, "bad_request"
+	var rows int64
+	for _, sh := range c.shards {
+		if st := sh.summary(); st != nil {
+			rows += st.Rows
+		}
 	}
-	if req.Raw {
-		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest,
-			fmt.Errorf("raw responses are shard-internal; the coordinator returns presented groups"))
-		return nil, nil, "bad_request"
-	}
-	if strings.TrimSpace(req.SQL) == "" {
-		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, fmt.Errorf("empty sql"))
-		return nil, nil, "bad_request"
-	}
-	stmt, err := sqlparse.Parse(strings.TrimSuffix(strings.TrimSpace(req.SQL), ";"))
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, err)
-		return nil, nil, "bad_request"
-	}
-	compiled, err := sqlparse.Compile(stmt, schema)
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, err)
-		return nil, nil, "bad_request"
-	}
-	return compiled, &req, ""
+	return schema, rows, nil
 }
 
-// unavailable writes the 503 + jittered Retry-After the cluster emits when
-// it cannot answer at all.
-func (c *Coordinator) unavailable(w http.ResponseWriter, err error) {
-	secs := server.RetryAfterSecs(c.cfg.RetryAfter, time.Second)
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	server.WriteErrorRetry(w, http.StatusServiceUnavailable, CodeShardUnavailable,
-		int64(secs)*1000, err)
+// RawWire implements server.Backend: raw accumulators are the shard-side
+// wire format; the coordinator only returns presented groups.
+func (c *Coordinator) RawWire() bool { return false }
+
+// unavailable marks err as the 503 + jittered Retry-After the cluster emits
+// when it cannot answer at all.
+func unavailable(err error) error {
+	return &server.UnavailableError{Code: CodeShardUnavailable, Err: err}
 }
 
-// relayShardError forwards a fatal shard envelope verbatim: the shard
-// already said precisely what is wrong with the request (bad SQL, unknown
-// column, unsatisfiable bounds with the best achievable figures), and every
-// shard would say the same.
-func relayShardError(w http.ResponseWriter, e *shardError) {
-	if len(e.body) > 0 && json.Valid(e.body) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(e.status)
-		w.Write(e.body)
-		return
-	}
-	server.WriteError(w, e.status, server.CodeInternal, e)
+// relay forwards a fatal shard envelope verbatim: the shard already said
+// precisely what is wrong with the request (bad SQL, unknown column,
+// unsatisfiable bounds with the best achievable figures), and every shard
+// would say the same.
+func (e *shardError) relay() error {
+	return &server.RelayError{Status: e.status, Body: e.body, Err: e}
 }
 
 // partition splits the cluster for one query: shards provably irrelevant to
@@ -176,19 +138,12 @@ func equalityStrings(p engine.Predicate) (string, []string) {
 	return "", nil
 }
 
-// fanOut runs one query against every target concurrently and returns the
-// per-shard outcomes indexed by shard id.
-func (c *Coordinator) fanOut(r *http.Request, path string, req *server.QueryRequest, targets []*shard, exact bool) ([]*rawAnswer, []error) {
-	ctx := r.Context()
-	timeout := c.cfg.DefaultTimeout
-	if req.TimeoutMS != nil && *req.TimeoutMS > 0 {
-		timeout = time.Duration(*req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+// fanOut runs one query against every target concurrently, under the
+// request deadline ctx carries, and returns the per-shard outcomes indexed by
+// shard id. A fatal error is a property of the request, so the first one
+// (in shard order) is returned for relay.
+func (c *Coordinator) fanOut(ctx context.Context, path string, req *server.QueryRequest, targets []*shard, exact bool) ([]*rawAnswer, error) {
+	defer obs.TraceFrom(ctx).StartStage("execute")()
 	answers := make([]*rawAnswer, len(c.shards))
 	errs := make([]error, len(c.shards))
 	var wg sync.WaitGroup
@@ -201,31 +156,25 @@ func (c *Coordinator) fanOut(r *http.Request, path string, req *server.QueryRequ
 		}(sh)
 	}
 	wg.Wait()
-	return answers, errs
-}
-
-func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	status := "error"
-	defer func() { obsQueries.With("query", status).Inc() }()
-	compiled, req, label := c.compileRequest(w, r)
-	if compiled == nil {
-		status = label
-		return
-	}
-	targets, pruned, skipped := c.partition(compiled.Query)
-	answers, errs := c.fanOut(r, "/v1/query", req, targets, false)
-
-	// A fatal error is a property of the request; relay the first one.
 	for _, sh := range targets {
 		if se, ok := errs[sh.id].(*shardError); ok && se.fatal() {
-			status = "fatal"
-			relayShardError(w, se)
-			return
+			return nil, se.relay()
 		}
 	}
-	var contributing, missing []*shard
-	missing = append(missing, skipped...)
+	return answers, nil
+}
+
+// Query implements server.Backend: prune, fan out, merge the survivors, and
+// — when shards are missing — widen the error figures and demote exactness.
+func (c *Coordinator) Query(ctx context.Context, q *engine.Query, req *server.QueryRequest) (*server.Outcome, error) {
+	start := time.Now()
+	targets, pruned, skipped := c.partition(q)
+	answers, err := c.fanOut(ctx, "/v1/query", req, targets, false)
+	if err != nil {
+		return nil, err
+	}
+	var contributing []*shard
+	missing := skipped
 	for _, sh := range targets {
 		if answers[sh.id] != nil {
 			contributing = append(contributing, sh)
@@ -234,122 +183,66 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(contributing) == 0 {
-		status = "unavailable"
-		c.unavailable(w, unavailableErr(missing, len(pruned)))
-		return
+		return nil, unavailable(unavailableErr(missing, len(pruned)))
 	}
-	merged, meta, err := mergeAnswers(contributing, answers)
+	out, err := mergeAnswers(contributing, answers)
 	if err != nil {
-		status = "error"
-		server.WriteError(w, http.StatusInternalServerError, server.CodeInternal, err)
-		return
+		return nil, err
 	}
-	partial := len(missing) > 0
-	if partial {
+	if len(missing) > 0 {
 		obsPartial.Inc()
-		demoteExact(merged, compiled.Query.GroupBy, missing)
+		demoteExact(out.Result, q.GroupBy, missing)
+		out.Partial, out.MissingShards = true, shardIDs(missing)
 	}
-
-	ivs := core.ConfidenceIntervals(merged, req.Confidence)
-	achieved := core.AchievedError(merged, ivs)
-	resp := server.QueryResponse{
-		Columns:    outputNames(compiled),
-		RowsRead:   meta.rowsRead,
-		ElapsedUS:  time.Since(start).Microseconds(),
-		Generation: meta.generation,
-		Degraded:   meta.degraded,
-		Plan:       meta.plan,
-		Partial:    partial,
-	}
-	if partial {
+	// Intervals are not additive; accumulators are. Recompute from the merge.
+	out.Intervals = core.ConfidenceIntervals(out.Result, req.Confidence)
+	achieved := core.AchievedError(out.Result, out.Intervals)
+	if out.Partial {
 		f := missingFraction(contributing, missing)
 		achieved = core.WidenError(achieved, f)
-		if meta.predicted != nil {
-			p := core.WidenError(*meta.predicted, f)
-			meta.predicted = &p
+		if out.Predicted != nil {
+			p := core.WidenError(*out.Predicted, f)
+			out.Predicted = &p
 		}
-		resp.MissingShards = shardIDs(missing)
-		// A partial answer always states its (widened) realized error, even
-		// on unbounded queries — the client must be able to see what the
-		// holes cost.
-		resp.Achieved = &achieved
-	} else if meta.predicted != nil {
-		resp.Achieved = &achieved
 	}
-	resp.Predicted = meta.predicted
-	presentInto(&resp, compiled, merged, ivs, false)
-	if partial {
-		status = "partial"
-	} else {
-		status = "ok"
+	// A partial answer always states its (widened) realized error, even on
+	// unbounded queries — the client must be able to see what the holes cost.
+	if out.Partial || out.Predicted != nil {
+		out.Achieved = &achieved
 	}
-	server.WriteJSON(w, resp)
+	out.Elapsed = time.Since(start)
+	return out, nil
 }
 
-func (c *Coordinator) handleExact(w http.ResponseWriter, r *http.Request) {
+// Exact implements server.Backend. It refuses to degrade: an exact answer
+// computed over a subset of the data would be silently wrong, which is worse
+// than no answer.
+func (c *Coordinator) Exact(ctx context.Context, q *engine.Query, req *server.QueryRequest) (*server.Outcome, error) {
 	start := time.Now()
-	status := "error"
-	defer func() { obsQueries.With("exact", status).Inc() }()
-	compiled, req, label := c.compileRequest(w, r)
-	if compiled == nil {
-		status = label
-		return
-	}
-	if req.ErrorBound != 0 || req.TimeBoundMS != 0 || req.Confidence != 0 {
-		status = "bad_request"
-		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest,
-			fmt.Errorf("error_bound/time_bound_ms/confidence apply to /query only; /exact always scans the base table"))
-		return
-	}
-	targets, _, skipped := c.partition(compiled.Query)
-	// Exact refuses to degrade: an exact answer computed over a subset of
-	// the data would be silently wrong, which is worse than no answer.
+	targets, _, skipped := c.partition(q)
 	if len(skipped) > 0 {
-		status = "unavailable"
-		c.unavailable(w, fmt.Errorf("exact query needs every shard; shards %v are unavailable (circuit open)",
+		return nil, unavailable(fmt.Errorf("exact query needs every shard; shards %v are unavailable (circuit open)",
 			shardIDs(skipped)))
-		return
 	}
-	answers, errs := c.fanOut(r, "/v1/exact", req, targets, true)
+	answers, err := c.fanOut(ctx, "/v1/exact", req, targets, true)
+	if err != nil {
+		return nil, err
+	}
 	var failed []*shard
 	for _, sh := range targets {
-		if se, ok := errs[sh.id].(*shardError); ok && se.fatal() {
-			status = "fatal"
-			relayShardError(w, se)
-			return
-		}
 		if answers[sh.id] == nil {
 			failed = append(failed, sh)
 		}
 	}
 	if len(failed) > 0 {
-		status = "unavailable"
-		c.unavailable(w, unavailableErr(failed, 0))
-		return
+		return nil, unavailable(unavailableErr(failed, 0))
 	}
-	merged, meta, err := mergeAnswers(targets, answers)
+	out, err := mergeAnswers(targets, answers)
 	if err != nil {
-		server.WriteError(w, http.StatusInternalServerError, server.CodeInternal, err)
-		return
+		return nil, err
 	}
-	resp := server.QueryResponse{
-		Columns:    outputNames(compiled),
-		RowsRead:   meta.rowsRead,
-		ElapsedUS:  time.Since(start).Microseconds(),
-		Generation: meta.generation,
-	}
-	presentInto(&resp, compiled, merged, nil, true)
-	status = "ok"
-	server.WriteJSON(w, resp)
-}
-
-// mergedMeta aggregates the scalar answer metadata across contributions.
-type mergedMeta struct {
-	rowsRead   int64
-	generation uint64
-	degraded   bool
-	plan       string
-	predicted  *float64
+	out.Elapsed = time.Since(start)
+	return out, nil
 }
 
 // mergeAnswers merges the contributing shards' results in ascending shard-id
@@ -357,28 +250,27 @@ type mergedMeta struct {
 // generation is the minimum (the answer includes at least every batch up to
 // it on every shard), degraded ORs, predicted error takes the conservative
 // maximum, and plan is the shared name or "mixed".
-func mergeAnswers(contributing []*shard, answers []*rawAnswer) (*engine.Result, mergedMeta, error) {
-	var meta mergedMeta
-	var merged *engine.Result
+func mergeAnswers(contributing []*shard, answers []*rawAnswer) (*server.Outcome, error) {
+	out := &server.Outcome{}
 	maxPred := math.Inf(-1)
 	for _, sh := range contributing {
 		ans := answers[sh.id]
-		if merged == nil {
-			merged = ans.res
-		} else if err := merged.Merge(ans.res); err != nil {
-			return nil, meta, fmt.Errorf("merging shard %d: %w", sh.id, err)
+		if out.Result == nil {
+			out.Result = ans.res
+		} else if err := out.Result.Merge(ans.res); err != nil {
+			return nil, fmt.Errorf("merging shard %d: %w", sh.id, err)
 		}
-		meta.rowsRead += ans.raw.RowsRead
-		meta.degraded = meta.degraded || ans.raw.Degraded
-		if meta.generation == 0 || ans.raw.Generation < meta.generation {
-			meta.generation = ans.raw.Generation
+		out.RowsRead += ans.raw.RowsRead
+		out.Degraded = out.Degraded || ans.raw.Degraded
+		if out.Generation == 0 || ans.raw.Generation < out.Generation {
+			out.Generation = ans.raw.Generation
 		}
 		if ans.raw.Plan != "" {
-			switch meta.plan {
+			switch out.Plan {
 			case "", ans.raw.Plan:
-				meta.plan = ans.raw.Plan
+				out.Plan = ans.raw.Plan
 			default:
-				meta.plan = "mixed"
+				out.Plan = "mixed"
 			}
 		}
 		if ans.raw.Predicted != nil && *ans.raw.Predicted > maxPred {
@@ -386,9 +278,9 @@ func mergeAnswers(contributing []*shard, answers []*rawAnswer) (*engine.Result, 
 		}
 	}
 	if !math.IsInf(maxPred, -1) {
-		meta.predicted = &maxPred
+		out.Predicted = &maxPred
 	}
-	return merged, meta, nil
+	return out, nil
 }
 
 // demoteExact clears the Exact flag of any merged group a missing shard may
@@ -424,47 +316,6 @@ func shardMayHoldGroup(st *core.ShardStats, groupBy []string, key []engine.Value
 	return true
 }
 
-// presentInto renders the merged result into the client response exactly
-// like a single-node server would, with intervals recomputed from the merged
-// accumulators (intervals are not additive; accumulators are).
-func presentInto(resp *server.QueryResponse, compiled *sqlparse.Compiled, merged *engine.Result,
-	ivs map[engine.GroupKey][]stats.Interval, exact bool) {
-	for _, g := range compiled.Present(merged) {
-		key := engine.EncodeKey(g.Key)
-		gj := server.GroupJSON{Exact: exact || g.Exact}
-		for _, v := range g.Key {
-			gj.Key = append(gj.Key, strings.Trim(v.String(), "'"))
-		}
-		for _, o := range compiled.Outputs {
-			switch o.Kind {
-			case sqlparse.OutAgg:
-				v := g.Vals[o.AggIndex]
-				gj.Values = append(gj.Values, v)
-				if !exact {
-					gj.CI = append(gj.CI, groupInterval(ivs, key, o.AggIndex, v))
-				}
-			case sqlparse.OutAvg:
-				avg := 0.0
-				if g.Vals[o.DenIndex] != 0 {
-					avg = g.Vals[o.NumIndex] / g.Vals[o.DenIndex]
-				}
-				gj.Values = append(gj.Values, avg)
-				if !exact {
-					gj.CI = append(gj.CI, [2]float64{avg, avg})
-				}
-			}
-		}
-		resp.Groups = append(resp.Groups, gj)
-	}
-}
-
-func groupInterval(ivs map[engine.GroupKey][]stats.Interval, key engine.GroupKey, agg int, v float64) [2]float64 {
-	if group, ok := ivs[key]; ok && agg < len(group) {
-		return [2]float64{group[agg].Lo, group[agg].Hi}
-	}
-	return [2]float64{v, v}
-}
-
 func unavailableErr(missing []*shard, pruned int) error {
 	parts := make([]string, 0, len(missing))
 	for _, sh := range missing {
@@ -482,14 +333,6 @@ func unavailableErr(missing []*shard, pruned int) error {
 			pruned, strings.Join(parts, "; "))
 	}
 	return fmt.Errorf("no shard available to answer: %s", strings.Join(parts, "; "))
-}
-
-func outputNames(c *sqlparse.Compiled) []string {
-	var names []string
-	for _, o := range c.Outputs {
-		names = append(names, o.Name)
-	}
-	return names
 }
 
 // ShardStatus is one entry of GET /shards and /healthz: the operator's view
@@ -529,15 +372,8 @@ func (c *Coordinator) shardStatuses() []ShardStatus {
 	return out
 }
 
-func (c *Coordinator) handleShards(w http.ResponseWriter, _ *http.Request) {
-	server.WriteJSON(w, map[string]any{"shards": c.shardStatuses()})
-}
-
-func (c *Coordinator) handleProbe(w http.ResponseWriter, _ *http.Request) {
-	server.WriteJSON(w, map[string]any{"shards": c.ProbeAll()})
-}
-
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+// health implements GET /healthz: degraded while any breaker is not closed.
+func (c *Coordinator) health(*http.Request) (any, error) {
 	statuses := c.shardStatuses()
 	health := "ok"
 	for _, s := range statuses {
@@ -546,52 +382,18 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			break
 		}
 	}
-	server.WriteJSON(w, map[string]any{"status": health, "shards": statuses})
+	return map[string]any{"status": health, "shards": statuses}, nil
 }
 
-// handleReadyz reports ready once the cluster can answer anything at all:
-// the schema is known and at least one breaker is closed.
-func (c *Coordinator) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	ready := c.schema.Load() != nil
-	if ready {
-		ready = false
+// ready implements GET /readyz: ready once the cluster can answer anything
+// at all — the schema is known and at least one breaker is closed.
+func (c *Coordinator) ready(*http.Request) (any, error) {
+	if c.schema.Load() != nil {
 		for _, sh := range c.shards {
 			if sh.br.Allow() {
-				ready = true
-				break
+				return map[string]any{"status": "ready"}, nil
 			}
 		}
 	}
-	if !ready {
-		server.WriteError(w, http.StatusServiceUnavailable, CodeShardUnavailable,
-			fmt.Errorf("no shard joined and available yet"))
-		return
-	}
-	server.WriteJSON(w, map[string]any{"status": "ready"})
-}
-
-func (c *Coordinator) handleColumns(w http.ResponseWriter, _ *http.Request) {
-	schema := c.schema.Load()
-	if schema == nil {
-		c.unavailable(w, fmt.Errorf("no shard has joined yet; cluster schema unknown"))
-		return
-	}
-	types := map[string]string{}
-	for _, name := range schema.Columns() {
-		if t, err := schema.ColumnType(name); err == nil {
-			types[name] = t.String()
-		}
-	}
-	var rows int64
-	for _, sh := range c.shards {
-		if st := sh.summary(); st != nil {
-			rows += st.Rows
-		}
-	}
-	server.WriteJSON(w, map[string]any{
-		"database": schema.Name,
-		"rows":     rows,
-		"columns":  schema.Columns(),
-		"types":    types,
-	})
+	return nil, unavailable(fmt.Errorf("no shard joined and available yet"))
 }

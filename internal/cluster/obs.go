@@ -28,7 +28,4 @@ var (
 		"Answers served from a strict subset of shards (partial: true).")
 	obsPruned = obs.Default().Counter("aqp_cluster_shards_pruned_total",
 		"Shards skipped because their summary value sets excluded the query's predicate.")
-	obsQueries = obs.Default().CounterVec("aqp_cluster_queries_total",
-		"Coordinator requests by endpoint and terminal status.",
-		"endpoint", "status")
 )

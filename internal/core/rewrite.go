@@ -47,11 +47,10 @@ func StepFor(t *engine.Table, scale float64) RewriteStep {
 type RewritePlan struct {
 	Query *engine.Query
 	Steps []RewriteStep
-	// Workers is the worker budget for executing the plan. 0 preserves the
-	// fully serial path (steps in order, serial scans). Any value >= 1 runs
-	// the steps as parallel tasks, each with a partitioned scan
-	// (engine.ExecOptions.Workers), and merges the per-step results in step
-	// order — so answers are bit-identical for every worker count >= 1.
+	// Workers is the worker budget for executing the plan (values below 1
+	// mean 1): the steps run as parallel tasks, each with a partitioned scan
+	// (engine.ExecOptions.Workers), and the per-step results are merged in
+	// step order — so answers are bit-identical for every worker count.
 	Workers int
 }
 

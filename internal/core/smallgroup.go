@@ -120,7 +120,7 @@ type SmallGroupConfig struct {
 	// the row-sharded frequency counts of scan 1 and the materialisation of
 	// the small group tables across Workers goroutines; at runtime the
 	// rewritten query's steps execute as parallel tasks over partitioned
-	// scans (RewritePlan.Workers). 0 preserves the fully serial paths.
+	// scans (RewritePlan.Workers). Values below 1 mean 1 (everything inline).
 	// Outputs are identical for every value: parallel pre-processing
 	// partitions work whose results never depend on completion order, and
 	// all randomness stays in the single-threaded second scan.

@@ -363,9 +363,11 @@ func ExecutePlan(plan *RewritePlan) (*engine.Result, int64, error) {
 
 // ExecutePlanCtx runs a rewrite plan under a context.
 //
-// With plan.Workers >= 1 the steps — the branches of the rewritten UNION ALL
-// — execute as parallel tasks, each itself a partitioned scan, and the
-// per-step results are merged in step order on the calling goroutine. The
+// The steps — the branches of the rewritten UNION ALL — execute as up to
+// plan.Workers parallel tasks, each itself a partitioned scan, and the
+// per-step results are merged in step order on the calling goroutine.
+// Goroutines are cheap and blocked shards release workers quickly, so mild
+// oversubscription (steps × scan workers) beats partitioning the budget. The
 // bitmask anti-double-counting semantics are unaffected: each step's Exclude
 // mask was fixed at plan time, so no step depends on another's output.
 //
@@ -384,7 +386,7 @@ func ExecutePlanCtx(ctx context.Context, plan *RewritePlan) (*engine.Result, int
 		stepObs = make([]obs.SampleExec, len(plan.Steps))
 	}
 	partials := make([]*engine.Result, len(plan.Steps))
-	err := parallel.ForEachCtx(ctx, planTaskWorkers(plan), len(plan.Steps), func(i int) error {
+	err := parallel.ForEachCtx(ctx, plan.Workers, len(plan.Steps), func(i int) error {
 		faults.Fire(ctx, faults.PointPlanStep, i)
 		st := plan.Steps[i]
 		stepStart := time.Now()
@@ -432,18 +434,6 @@ func ExecutePlanCtx(ctx context.Context, plan *RewritePlan) (*engine.Result, int
 		endStage()
 	}
 	return combined, rowsRead, nil
-}
-
-// planTaskWorkers maps the plan's worker budget onto its steps: 0 keeps the
-// legacy inline loop (ForEach runs inline at 1), and >= 1 lets up to Workers
-// steps run concurrently on top of their own sharded scans. Goroutines are
-// cheap and blocked shards release workers quickly, so mild oversubscription
-// (steps × scan workers) is preferable to partitioning the budget.
-func planTaskWorkers(plan *RewritePlan) int {
-	if plan.Workers <= 0 {
-		return 1
-	}
-	return plan.Workers
 }
 
 // ConfidenceIntervals derives per-group, per-aggregate intervals from the

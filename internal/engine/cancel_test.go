@@ -10,10 +10,12 @@ import (
 )
 
 // TestExecuteCtxBackgroundBitIdentical: an uncancelled ExecuteCtx must agree
-// exactly with Execute for serial, single-worker and multi-worker scans.
+// exactly with Execute, and every worker count — the zero value included —
+// must agree exactly with every other.
 func TestExecuteCtxBackgroundBitIdentical(t *testing.T) {
 	tbl := randomScanTable(11, 3*ScanShardRows+123)
 	q := scanQuery()
+	var first *Result
 	for _, workers := range []int{0, 1, 4} {
 		opt := ExecOptions{Scale: 2.5, Workers: workers}
 		want, err := Execute(tbl, q, opt)
@@ -25,12 +27,15 @@ func TestExecuteCtxBackgroundBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		resultsBitIdentical(t, want, got)
+		if first == nil {
+			first = got
+		}
+		resultsBitIdentical(t, first, got)
 	}
 }
 
-// TestExecuteCtxSerialMatchesParallelAcrossWorkers: the ctx-aware serial
-// kernel (chunked per shard) must still accumulate in pure row order, and
-// every worker count >= 1 must agree bit-for-bit.
+// TestExecuteCtxSerialMatchesAcrossWorkers: every worker budget, including
+// the non-positive ones that normalise to 1, must agree bit-for-bit.
 func TestExecuteCtxSerialMatchesAcrossWorkers(t *testing.T) {
 	tbl := randomScanTable(7, 2*ScanShardRows+57)
 	q := scanQuery()
@@ -38,7 +43,7 @@ func TestExecuteCtxSerialMatchesAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 3, 8} {
+	for _, workers := range []int{-1, 0, 2, 3, 8} {
 		wn, err := ExecuteCtx(context.Background(), tbl, q, ExecOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"dynsample/internal/bitmask"
 	"dynsample/internal/faults"
@@ -28,17 +29,13 @@ type ExecOptions struct {
 	// itself a uniform sample, so this is the planner's sampling-fraction
 	// knob; the caller compensates by raising Scale.
 	MaxRows int
-	// Workers selects the scan kernel. 0 (the zero value) runs the serial
-	// single-pass kernel, unchanged from the original implementation. Any
-	// value >= 1 runs the partitioned kernel: the source is split into
-	// fixed row-range shards (ScanShardRows rows each), up to Workers
-	// goroutines scan shards concurrently, and the per-shard partial
-	// Results are merged in shard order. Because the shard boundaries and
-	// the merge order depend only on the source size — never on Workers —
-	// the partitioned kernel returns bit-identical answers for every
-	// worker count (Workers=1 and Workers=N agree exactly; they may differ
-	// from the serial kernel in the last float ulp, since float addition
-	// is not associative).
+	// Workers is how many goroutines scan concurrently; values below 1
+	// (including the zero value) mean 1, which runs inline on the calling
+	// goroutine. The source is split into fixed row-range shards
+	// (ScanShardRows rows each) and the per-shard partial Results are
+	// merged in shard order. Because the shard boundaries and the merge
+	// order depend only on the source size — never on Workers — answers are
+	// bit-identical for every worker count.
 	Workers int
 }
 
@@ -99,8 +96,8 @@ func bindQuery(src Source, q *Query) (*boundQuery, error) {
 // weight 1. The result's group values are sums of weight*Scale*x where x is
 // 1 for COUNT and the measure value for SUM.
 //
-// With opt.Workers >= 1 the scan is partitioned into row-range shards
-// evaluated concurrently (see ExecOptions.Workers); sources and predicates
+// The scan is partitioned into row-range shards evaluated by up to
+// opt.Workers goroutines (see ExecOptions.Workers); sources and predicates
 // are only read, so a single source may serve many Execute calls at once.
 //
 // Execute is ExecuteCtx with a background context — it cannot be cancelled.
@@ -108,13 +105,11 @@ func Execute(src Source, q *Query, opt ExecOptions) (*Result, error) {
 	return ExecuteCtx(context.Background(), src, q, opt)
 }
 
-// ExecuteCtx is Execute under a context. Cancellation is observed at shard
-// boundaries — between ScanShardRows-row chunks on the serial path, between
-// shard tasks on the partitioned path — never inside a shard, so an
-// uncancelled ExecuteCtx returns answers bit-identical to Execute for every
-// worker count. When ctx is cancelled or its deadline passes mid-scan,
-// ExecuteCtx returns ctx.Err() promptly (in-flight shards finish first) and
-// no partial result.
+// ExecuteCtx is Execute under a context. Cancellation is observed between
+// shard tasks, never inside a shard, so an uncancelled ExecuteCtx returns
+// answers bit-identical to Execute for every worker count. When ctx is
+// cancelled or its deadline passes mid-scan, ExecuteCtx returns ctx.Err()
+// promptly (in-flight shards finish first) and no partial result.
 func ExecuteCtx(ctx context.Context, src Source, q *Query, opt ExecOptions) (*Result, error) {
 	scale := opt.Scale
 	if scale == 0 {
@@ -129,41 +124,39 @@ func ExecuteCtx(ctx context.Context, src Source, q *Query, opt ExecOptions) (*Re
 		n = opt.MaxRows
 	}
 	shards := parallel.Shards(n, ScanShardRows)
-	if opt.Workers <= 0 || len(shards) <= 1 {
-		// Serial kernel: one Result accumulated in row order, scanned
-		// chunk-by-chunk so long scans still observe cancellation. The
-		// accumulation order is identical to a single [0, n) pass.
-		res := NewResult(q.GroupBy, q.Aggs)
-		for i, sh := range shards {
-			faults.Fire(ctx, faults.PointScanShard, i)
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			scanRange(res, src, q, bound, opt, scale, sh.Lo, sh.Hi)
-		}
-		observeScan(res.RowsScanned, len(shards))
-		return res, nil
-	}
-
-	partials := make([]*Result, len(shards))
+	// Merge in shard order: per-group accumulation order is then a pure
+	// function of the shard boundaries, independent of the worker count. A
+	// partial is folded in as soon as every earlier shard is, so only the
+	// out-of-order ones stay live, not one per shard.
+	var (
+		mu       sync.Mutex
+		res      *Result
+		next     int
+		partials = make([]*Result, len(shards))
+	)
 	err = parallel.ForEachCtx(ctx, opt.Workers, len(shards), func(i int) error {
 		faults.Fire(ctx, faults.PointScanShard, i)
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		partials[i] = executeRange(src, q, bound, opt, scale, shards[i].Lo, shards[i].Hi)
+		p := executeRange(src, q, bound, opt, scale, shards[i].Lo, shards[i].Hi)
+		mu.Lock()
+		defer mu.Unlock()
+		for partials[i] = p; next < len(partials) && partials[next] != nil; next++ {
+			if res == nil {
+				res = partials[next]
+			} else {
+				res.merge(partials[next], true)
+			}
+			partials[next] = nil
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Merge in shard order: per-group accumulation order is then a pure
-	// function of the shard boundaries, independent of the worker count.
-	res := partials[0]
-	for _, p := range partials[1:] {
-		if err := res.Merge(p); err != nil {
-			return nil, err
-		}
+	if res == nil { // empty source
+		res = NewResult(q.GroupBy, q.Aggs)
 	}
 	observeScan(res.RowsScanned, len(shards))
 	return res, nil

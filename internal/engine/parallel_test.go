@@ -73,8 +73,8 @@ func resultsBitIdentical(t *testing.T, want, got *Result) {
 	}
 }
 
-// The partitioned kernel must return bit-identical results for every worker
-// count >= 1: shard boundaries and merge order depend only on the source.
+// The scan kernel must return bit-identical results for every worker count,
+// 0 included: shard boundaries and merge order depend only on the source.
 func TestExecuteWorkerCountDeterminism(t *testing.T) {
 	src := randomScanTable(7, 3*ScanShardRows+137) // 4 shards, last one ragged
 	q := scanQuery()
@@ -89,7 +89,7 @@ func TestExecuteWorkerCountDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 3, 8, 64} {
+	for _, workers := range []int{0, 2, 3, 8, 64} {
 		opt.Workers = workers
 		got, err := Execute(src, q, opt)
 		if err != nil {

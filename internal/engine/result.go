@@ -74,12 +74,16 @@ func (r *Result) lookup(buf []byte) (*Group, bool) {
 }
 
 func (r *Result) insert(key string, keyVals []Value) *Group {
+	// One backing array for the four per-aggregate accumulators: a scan that
+	// meets many groups allocates per group, and this is most of it.
+	n := len(r.Aggs)
+	acc := make([]float64, 4*n)
 	g := &Group{
 		Key:      keyVals,
-		Vals:     make([]float64, len(r.Aggs)),
-		RawSum:   make([]float64, len(r.Aggs)),
-		RawSumSq: make([]float64, len(r.Aggs)),
-		VarAcc:   make([]float64, len(r.Aggs)),
+		Vals:     acc[0:n:n],
+		RawSum:   acc[n : 2*n : 2*n],
+		RawSumSq: acc[2*n : 3*n : 3*n],
+		VarAcc:   acc[3*n : 4*n : 4*n],
 	}
 	r.groups[key] = g
 	return g
@@ -133,19 +137,26 @@ func (r *Result) Merge(other *Result) error {
 			return fmt.Errorf("engine: merging results grouped by %v vs %v", r.GroupBy, other.GroupBy)
 		}
 	}
+	r.merge(other, false)
+	return nil
+}
+
+// merge is Merge without the shape checks. With adopt set, groups new to r
+// move over instead of being copied: for a partial the caller owns and drops,
+// such as one shard of a scan.
+func (r *Result) merge(other *Result, adopt bool) {
 	for k, og := range other.groups {
 		g, ok := r.groups[k]
 		if !ok {
-			cp := &Group{
-				Key:      og.Key,
-				Vals:     append([]float64(nil), og.Vals...),
-				RawRows:  og.RawRows,
-				RawSum:   append([]float64(nil), og.RawSum...),
-				RawSumSq: append([]float64(nil), og.RawSumSq...),
-				VarAcc:   append([]float64(nil), og.VarAcc...),
-				Exact:    og.Exact,
+			if !adopt {
+				cp := *og
+				cp.Vals = append([]float64(nil), og.Vals...)
+				cp.RawSum = append([]float64(nil), og.RawSum...)
+				cp.RawSumSq = append([]float64(nil), og.RawSumSq...)
+				cp.VarAcc = append([]float64(nil), og.VarAcc...)
+				og = &cp
 			}
-			r.groups[k] = cp
+			r.groups[k] = og
 			continue
 		}
 		for i := range g.Vals {
@@ -159,7 +170,6 @@ func (r *Result) Merge(other *Result) error {
 	}
 	r.RowsScanned += other.RowsScanned
 	r.RowsMatched += other.RowsMatched
-	return nil
 }
 
 // String renders the result as a small fixed-width table, for examples and

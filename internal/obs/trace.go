@@ -126,6 +126,9 @@ func (t *Trace) unlock() { t.mu.Unlock() }
 //	... work ...
 //	end()
 func (t *Trace) StartStage(name string) (end func()) {
+	if t == nil { // untraced context: obs.TraceFrom(ctx).StartStage is a no-op
+		return func() {}
+	}
 	begin := time.Now()
 	return func() {
 		st := Stage{

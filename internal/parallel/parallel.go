@@ -24,10 +24,10 @@ import (
 func DefaultWorkers() int { return runtime.NumCPU() }
 
 // Normalize clamps a worker budget for n units of work. Non-positive budgets
-// mean serial (1 worker) — throughout this repository, 0 workers selects the
-// legacy serial path, and callers that want hardware parallelism pass
-// DefaultWorkers explicitly (as the -workers flags do by default). The result
-// never exceeds n: spawning more goroutines than units is pure overhead.
+// mean 1 worker (inline on the calling goroutine); callers that want
+// hardware parallelism pass DefaultWorkers explicitly (as the -workers flags
+// do by default). The result never exceeds n: spawning more goroutines than
+// units is pure overhead.
 func Normalize(workers, n int) int {
 	if workers < 1 {
 		workers = 1

@@ -8,8 +8,8 @@ import (
 
 func TestNormalize(t *testing.T) {
 	cases := []struct{ workers, n, want int }{
-		{0, 10, 1},   // 0 means serial
-		{-3, 10, 1},  // negative means serial
+		{0, 10, 1},   // 0 means 1 worker
+		{-3, 10, 1},  // so does a negative budget
 		{4, 10, 4},   // budget below n passes through
 		{16, 10, 10}, // capped at n
 		{4, 0, 4},    // n == 0: nothing to cap against

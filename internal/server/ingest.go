@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"dynsample/internal/engine"
@@ -111,16 +110,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			Drift:             st.Drift,
 		})
 	case errors.Is(err, ingest.ErrOverloaded):
-		secs := retryAfterSecs(s.cfg.RetryAfter, time.Second)
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeErrorRetry(w, http.StatusServiceUnavailable, CodeOverloaded, int64(secs)*1000, err)
+		s.pipe.fail(w, r, &UnavailableError{Code: CodeOverloaded, Err: err})
 	case errors.Is(err, ingest.ErrDegraded):
 		// A disk fault put ingest into read-only mode. Queries still serve
 		// and the coordinator is re-probing the disk on its own, so this is
 		// a retryable 503, not a 500: keep the batch and try again.
-		secs := retryAfterSecs(s.cfg.RetryAfter, 5*time.Second)
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeErrorRetry(w, http.StatusServiceUnavailable, CodeIngestDegraded, int64(secs)*1000, err)
+		s.pipe.fail(w, r, &UnavailableError{Code: CodeIngestDegraded, After: 5 * time.Second, Err: err})
 	case errors.Is(err, ingest.ErrUnavailable):
 		// A server-side failure (WAL write/fsync, or a durably logged batch
 		// that did not apply) — not the client's fault, so never 400: a

@@ -57,7 +57,7 @@ func parseProm(t *testing.T, body []byte) map[string]float64 {
 func TestMetricsExposition(t *testing.T) {
 	srv := testServer(t)
 	// Serve at least one query so the request-path series exist.
-	if resp, body := post(t, srv, "/query", QueryRequest{SQL: obsTestSQL}); resp.StatusCode != http.StatusOK {
+	if resp, body := post(t, srv, "/v1/query", QueryRequest{SQL: obsTestSQL}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("query status %d: %s", resp.StatusCode, body)
 	}
 
@@ -111,7 +111,7 @@ func TestMetricsExposition(t *testing.T) {
 
 	// Counters are monotonic: another query strictly increases the request
 	// counter and the rows-scanned totals.
-	post(t, srv, "/query", QueryRequest{SQL: obsTestSQL})
+	post(t, srv, "/v1/query", QueryRequest{SQL: obsTestSQL})
 	_, body2 := get(t, srv, "/metrics")
 	samples2 := parseProm(t, body2)
 	for _, c := range []string{
@@ -132,7 +132,7 @@ func TestMetricsExposition(t *testing.T) {
 
 func TestExplainTraceAccounting(t *testing.T) {
 	srv := testServer(t)
-	resp, body := post(t, srv, "/query", QueryRequest{SQL: obsTestSQL, Explain: true})
+	resp, body := post(t, srv, "/v1/query", QueryRequest{SQL: obsTestSQL, Explain: true})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -206,7 +206,7 @@ func TestExplainTraceAccounting(t *testing.T) {
 	}
 
 	// Without explain the response stays lean.
-	_, body = post(t, srv, "/query", QueryRequest{SQL: obsTestSQL})
+	_, body = post(t, srv, "/v1/query", QueryRequest{SQL: obsTestSQL})
 	var lean QueryResponse
 	if err := json.Unmarshal(body, &lean); err != nil {
 		t.Fatal(err)
@@ -219,7 +219,7 @@ func TestExplainTraceAccounting(t *testing.T) {
 func TestSlowlogRetainsSlowest(t *testing.T) {
 	srv := testServer(t)
 	for i := 0; i < 5; i++ {
-		if resp, body := post(t, srv, "/query", QueryRequest{SQL: obsTestSQL}); resp.StatusCode != http.StatusOK {
+		if resp, body := post(t, srv, "/v1/query", QueryRequest{SQL: obsTestSQL}); resp.StatusCode != http.StatusOK {
 			t.Fatalf("query status %d: %s", resp.StatusCode, body)
 		}
 	}
@@ -255,7 +255,7 @@ func TestSlowlogBounded(t *testing.T) {
 	srv := httptest.NewServer(New(sys, Config{SlowLogSize: 2}).Handler())
 	t.Cleanup(srv.Close)
 	for i := 0; i < 6; i++ {
-		post(t, srv, "/query", QueryRequest{SQL: obsTestSQL})
+		post(t, srv, "/v1/query", QueryRequest{SQL: obsTestSQL})
 	}
 	_, body := get(t, srv, "/debug/slowlog")
 	var sl SlowLogResponse
@@ -271,7 +271,7 @@ func TestRequestIDHeader(t *testing.T) {
 	srv := testServer(t)
 
 	// Client-supplied IDs are echoed verbatim.
-	req, _ := http.NewRequest("POST", srv.URL+"/query",
+	req, _ := http.NewRequest("POST", srv.URL+"/v1/query",
 		strings.NewReader(fmt.Sprintf(`{"sql":%q}`, obsTestSQL)))
 	req.Header.Set("X-Request-ID", "client-abc-123")
 	resp, err := http.DefaultClient.Do(req)
@@ -284,13 +284,13 @@ func TestRequestIDHeader(t *testing.T) {
 	}
 
 	// Missing IDs are generated, even on non-query routes.
-	resp2, _ := get(t, srv, "/columns")
+	resp2, _ := get(t, srv, "/v1/columns")
 	if resp2.Header.Get("X-Request-ID") == "" {
 		t.Error("no X-Request-ID generated for /columns")
 	}
 
 	// Oversized IDs are truncated rather than echoed whole.
-	req3, _ := http.NewRequest("GET", srv.URL+"/strategies", nil)
+	req3, _ := http.NewRequest("GET", srv.URL+"/v1/strategies", nil)
 	req3.Header.Set("X-Request-ID", strings.Repeat("a", 300))
 	resp3, err := http.DefaultClient.Do(req3)
 	if err != nil {
@@ -308,35 +308,6 @@ func TestRequestIDHeader(t *testing.T) {
 	}
 }
 
-func TestV1Aliases(t *testing.T) {
-	srv := testServer(t)
-	// Metadata endpoints answer identically on both surfaces.
-	for _, path := range []string{"/columns", "/strategies"} {
-		_, legacy := get(t, srv, path)
-		_, v1 := get(t, srv, "/v1"+path)
-		if string(legacy) != string(v1) {
-			t.Errorf("%s and /v1%s differ:\n%s\n%s", path, path, legacy, v1)
-		}
-	}
-	// Query endpoints accept the same body on both.
-	for _, path := range []string{"/query", "/v1/query", "/exact", "/v1/exact"} {
-		resp, body := post(t, srv, path, QueryRequest{SQL: obsTestSQL})
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s status %d: %s", path, resp.StatusCode, body)
-		}
-	}
-	// Admin surface: both rebuild paths report the same not-configured error.
-	for _, path := range []string{"/admin/rebuild", "/v1/admin/rebuild"} {
-		resp, body := post(t, srv, path, nil)
-		if resp.StatusCode != http.StatusNotImplemented {
-			t.Errorf("%s status %d, want 501: %s", path, resp.StatusCode, body)
-		}
-		if er := decodeErr(t, body); er.Error.Code != CodeUnimplemented {
-			t.Errorf("%s code %q, want %q", path, er.Error.Code, CodeUnimplemented)
-		}
-	}
-}
-
 func TestErrorEnvelope(t *testing.T) {
 	srv := testServer(t)
 	cases := []struct {
@@ -347,11 +318,13 @@ func TestErrorEnvelope(t *testing.T) {
 		wantStatus int
 		wantCode   string
 	}{
-		{"bad sql", "POST", "/query", `{"sql":"NOT SQL"}`, http.StatusBadRequest, CodeBadRequest},
+		{"bad sql", "POST", "/v1/query", `{"sql":"NOT SQL"}`, http.StatusBadRequest, CodeBadRequest},
 		{"bad json", "POST", "/v1/query", `{`, http.StatusBadRequest, CodeBadRequest},
 		{"unknown path", "GET", "/nope", "", http.StatusNotFound, CodeNotFound},
+		{"un-versioned query", "POST", "/query", `{"sql":"SELECT COUNT(*) FROM T"}`, http.StatusNotFound, CodeNotFound},
+		{"un-versioned columns", "GET", "/columns", "", http.StatusNotFound, CodeNotFound},
 		{"unknown v2 path", "POST", "/v2/query", `{"sql":"x"}`, http.StatusNotFound, CodeNotFound},
-		{"wrong method", "GET", "/query", "", http.StatusNotFound, CodeNotFound},
+		{"wrong method", "GET", "/v1/query", "", http.StatusNotFound, CodeNotFound},
 	}
 	for _, tc := range cases {
 		req, _ := http.NewRequest(tc.method, srv.URL+tc.path, strings.NewReader(tc.body))

@@ -73,7 +73,7 @@ func TestRebuildUnderLoadZeroFailures(t *testing.T) {
 					return
 				default:
 				}
-				resp, body := post(t, hs, "/query", q)
+				resp, body := post(t, hs, "/v1/query", q)
 				total.Add(1)
 				if resp.StatusCode != http.StatusOK {
 					failures.Add(1)
@@ -86,7 +86,7 @@ func TestRebuildUnderLoadZeroFailures(t *testing.T) {
 
 	// Several rebuilds while the hammering goes on.
 	for i := 1; i <= 3; i++ {
-		resp, body := post(t, hs, "/admin/rebuild", struct{}{})
+		resp, body := post(t, hs, "/v1/admin/rebuild", struct{}{})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("rebuild %d: %d %s", i, resp.StatusCode, body)
 		}
@@ -118,8 +118,8 @@ func TestRebuildUnderLoadZeroFailures(t *testing.T) {
 	}
 	coldSrv := httptest.NewServer(New(coldSys, Config{}).Handler())
 	defer coldSrv.Close()
-	_, hotBody := post(t, hs, "/query", q)
-	_, coldBody := post(t, coldSrv, "/query", q)
+	_, hotBody := post(t, hs, "/v1/query", q)
+	_, coldBody := post(t, coldSrv, "/v1/query", q)
 	hot, cold := normalizeResponse(t, hotBody), normalizeResponse(t, coldBody)
 	if !reflect.DeepEqual(hot, cold) {
 		t.Fatalf("rebuilt answers diverge from cold build:\nhot:  %+v\ncold: %+v", hot, cold)
@@ -135,7 +135,7 @@ func TestRebuildSingleFlight(t *testing.T) {
 	if !srv.health.rebuilding.CompareAndSwap(false, true) {
 		t.Fatal("fixture already rebuilding")
 	}
-	resp, body := post(t, hs, "/admin/rebuild", struct{}{})
+	resp, body := post(t, hs, "/v1/admin/rebuild", struct{}{})
 	srv.health.rebuilding.Store(false)
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("concurrent rebuild: %d %s", resp.StatusCode, body)
@@ -145,7 +145,7 @@ func TestRebuildSingleFlight(t *testing.T) {
 		t.Fatalf("error body = %s", body)
 	}
 	// Slot released: the next rebuild succeeds.
-	resp, body = post(t, hs, "/admin/rebuild", struct{}{})
+	resp, body = post(t, hs, "/v1/admin/rebuild", struct{}{})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("rebuild after release: %d %s", resp.StatusCode, body)
 	}
@@ -155,7 +155,7 @@ func TestRebuildSingleFlight(t *testing.T) {
 // instead of crashing.
 func TestRebuildNotConfigured(t *testing.T) {
 	hs := testServer(t)
-	resp, body := post(t, hs, "/admin/rebuild", struct{}{})
+	resp, body := post(t, hs, "/v1/admin/rebuild", struct{}{})
 	if resp.StatusCode != http.StatusNotImplemented {
 		t.Fatalf("unconfigured rebuild: %d %s", resp.StatusCode, body)
 	}
@@ -165,7 +165,7 @@ func TestRebuildNotConfigured(t *testing.T) {
 // is loadable by catalog recovery and answers like the serving state.
 func TestRebuildPersistedSnapshotRoundTrips(t *testing.T) {
 	_, hs, cat, _ := rebuildFixture(t)
-	if resp, body := post(t, hs, "/admin/rebuild", struct{}{}); resp.StatusCode != http.StatusOK {
+	if resp, body := post(t, hs, "/v1/admin/rebuild", struct{}{}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("rebuild: %d %s", resp.StatusCode, body)
 	}
 	var p core.Prepared
@@ -215,7 +215,7 @@ func TestHealthzReadyzEndpoints(t *testing.T) {
 	}
 
 	// After a rebuild, healthz reflects the new generation and source.
-	if resp, body := post(t, hs, "/admin/rebuild", struct{}{}); resp.StatusCode != http.StatusOK {
+	if resp, body := post(t, hs, "/v1/admin/rebuild", struct{}{}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("rebuild: %d %s", resp.StatusCode, body)
 	}
 	resp, _ = http.Get(hs.URL + "/healthz")
@@ -278,7 +278,7 @@ func TestAutoRebuildTicks(t *testing.T) {
 		t.Fatalf("auto rebuild reached generation %d, want >= 2", g)
 	}
 	// Server still healthy afterwards.
-	if resp, body := post(t, hs, "/query", QueryRequest{SQL: "SELECT region, COUNT(*) FROM T GROUP BY region"}); resp.StatusCode != http.StatusOK {
+	if resp, body := post(t, hs, "/v1/query", QueryRequest{SQL: "SELECT region, COUNT(*) FROM T GROUP BY region"}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("query after auto rebuilds: %d %s", resp.StatusCode, body)
 	}
 }

@@ -40,7 +40,7 @@ func decodeErr(t *testing.T, body []byte) ErrorResponse {
 
 func TestMalformedBodyRejected(t *testing.T) {
 	srv := testServer(t)
-	resp, err := http.Post(srv.URL+"/query", "application/json", strings.NewReader("{not json"))
+	resp, err := http.Post(srv.URL+"/v1/query", "application/json", strings.NewReader("{not json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestBadRequestErrorPaths(t *testing.T) {
 		{"negative timeout", QueryRequest{SQL: testSQL, TimeoutMS: ms(-5)}, "timeout_ms"},
 	}
 	for _, tc := range cases {
-		for _, path := range []string{"/query", "/exact"} {
+		for _, path := range []string{"/v1/query", "/v1/exact"} {
 			resp, body := post(t, srv, path, tc.req)
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("%s %s: status %d, want 400 (%s)", tc.name, path, resp.StatusCode, body)
@@ -85,7 +85,7 @@ func TestDeadlineExceededReturns504(t *testing.T) {
 	faults.Set(faults.PointScanShard, faults.SleepHook(stall))
 
 	start := time.Now()
-	resp, body := post(t, srv, "/query", QueryRequest{SQL: testSQL, TimeoutMS: ms(50)})
+	resp, body := post(t, srv, "/v1/query", QueryRequest{SQL: testSQL, TimeoutMS: ms(50)})
 	elapsed := time.Since(start)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504 (%s)", resp.StatusCode, body)
@@ -99,7 +99,7 @@ func TestDeadlineExceededReturns504(t *testing.T) {
 
 	// Same stalled backend on /exact: the base-table scan observes the
 	// deadline at shard boundaries too.
-	resp, body = post(t, srv, "/exact", QueryRequest{SQL: testSQL, TimeoutMS: ms(50)})
+	resp, body = post(t, srv, "/v1/exact", QueryRequest{SQL: testSQL, TimeoutMS: ms(50)})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("/exact status %d, want 504 (%s)", resp.StatusCode, body)
 	}
@@ -112,7 +112,7 @@ func TestServerDefaultTimeout(t *testing.T) {
 	srv := robustServer(t, core.SmallGroupConfig{Workers: 4}, Config{DefaultTimeout: 50 * time.Millisecond})
 	faults.Set(faults.PointScanShard, faults.SleepHook(30*time.Second))
 	start := time.Now()
-	resp, body := post(t, srv, "/query", QueryRequest{SQL: testSQL})
+	resp, body := post(t, srv, "/v1/query", QueryRequest{SQL: testSQL})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504 (%s)", resp.StatusCode, body)
 	}
@@ -137,7 +137,7 @@ func TestOverloadShed503(t *testing.T) {
 
 	firstDone := make(chan int, 1)
 	go func() {
-		resp, _ := post(t, srv, "/query", QueryRequest{SQL: testSQL})
+		resp, _ := post(t, srv, "/v1/query", QueryRequest{SQL: testSQL})
 		firstDone <- resp.StatusCode
 	}()
 	select {
@@ -146,7 +146,7 @@ func TestOverloadShed503(t *testing.T) {
 		t.Fatal("first query never reached its scan")
 	}
 
-	resp, body := post(t, srv, "/query", QueryRequest{SQL: testSQL})
+	resp, body := post(t, srv, "/v1/query", QueryRequest{SQL: testSQL})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("second query: status %d, want 503 (%s)", resp.StatusCode, body)
 	}
@@ -164,7 +164,7 @@ func TestOverloadShed503(t *testing.T) {
 	}
 	// Capacity is back: a fresh query succeeds.
 	faults.Reset()
-	if resp, body := post(t, srv, "/query", QueryRequest{SQL: testSQL}); resp.StatusCode != http.StatusOK {
+	if resp, body := post(t, srv, "/v1/query", QueryRequest{SQL: testSQL}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-release query: status %d (%s)", resp.StatusCode, body)
 	}
 }
@@ -175,7 +175,7 @@ func TestHandlerPanicRecoveredTo500(t *testing.T) {
 	t.Cleanup(faults.Reset)
 	srv := testServer(t)
 	faults.Set(faults.PointHandler, faults.PanicHook("handler exploded"))
-	resp, body := post(t, srv, "/query", QueryRequest{SQL: testSQL})
+	resp, body := post(t, srv, "/v1/query", QueryRequest{SQL: testSQL})
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("status %d, want 500 (%s)", resp.StatusCode, body)
 	}
@@ -184,7 +184,7 @@ func TestHandlerPanicRecoveredTo500(t *testing.T) {
 	}
 	// The process survived: the next request succeeds.
 	faults.Reset()
-	if resp, body := post(t, srv, "/query", QueryRequest{SQL: testSQL}); resp.StatusCode != http.StatusOK {
+	if resp, body := post(t, srv, "/v1/query", QueryRequest{SQL: testSQL}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-panic query: status %d (%s)", resp.StatusCode, body)
 	}
 }
@@ -196,7 +196,7 @@ func TestQueryDegradesUnderDeadline(t *testing.T) {
 	srv := robustServer(t, core.SmallGroupConfig{Workers: 4, ScanRowsPerSecond: 1}, Config{})
 
 	// Without a deadline: full plan, not degraded.
-	resp, body := post(t, srv, "/query", QueryRequest{SQL: testSQL, Explain: true})
+	resp, body := post(t, srv, "/v1/query", QueryRequest{SQL: testSQL, Explain: true})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d (%s)", resp.StatusCode, body)
 	}
@@ -212,7 +212,7 @@ func TestQueryDegradesUnderDeadline(t *testing.T) {
 	}
 
 	// With a deadline: overall sample only, degraded flag set, still 200.
-	resp, body = post(t, srv, "/query", QueryRequest{SQL: testSQL, Explain: true, TimeoutMS: ms(30000)})
+	resp, body = post(t, srv, "/v1/query", QueryRequest{SQL: testSQL, Explain: true, TimeoutMS: ms(30000)})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d (%s)", resp.StatusCode, body)
 	}
@@ -244,7 +244,7 @@ func TestQueryDegradesUnderDeadline(t *testing.T) {
 // engine execution, exactly like /query.
 func TestExactParityWithQuery(t *testing.T) {
 	srv := testServer(t)
-	resp, body := post(t, srv, "/exact", QueryRequest{SQL: testSQL})
+	resp, body := post(t, srv, "/v1/exact", QueryRequest{SQL: testSQL})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d (%s)", resp.StatusCode, body)
 	}
@@ -300,7 +300,7 @@ func TestGracefulDrain(t *testing.T) {
 	url := "http://" + ln.Addr().String()
 	status := make(chan int, 1)
 	go func() {
-		resp, err := http.Post(url+"/query", "application/json",
+		resp, err := http.Post(url+"/v1/query", "application/json",
 			strings.NewReader(`{"sql":"`+testSQL+`"}`))
 		if err != nil {
 			status <- -1

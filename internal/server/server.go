@@ -6,12 +6,15 @@
 //
 // # API surface
 //
-// The stable client API is versioned under /v1 (POST /v1/query, POST
-// /v1/exact, GET /v1/columns, GET /v1/strategies, POST /v1/admin/rebuild);
-// the original unversioned paths remain as aliases answering identically.
-// Probes (GET /healthz, /readyz), telemetry (GET /metrics in Prometheus
-// text format, GET /debug/slowlog) and the error envelope are shared by
-// both. Every non-2xx response carries one JSON shape:
+// The client API lives under /v1 and only there (POST /v1/query, POST
+// /v1/exact, GET /v1/columns, GET /v1/strategies, POST /v1/admin/rebuild,
+// POST /v1/ingest); probes (GET /healthz, /readyz) and telemetry (GET
+// /metrics in Prometheus text format, GET /debug/slowlog) are un-versioned.
+// /v1/query and /v1/exact run through one request pipeline (pipeline.go):
+// decode → compile → execute on a Backend → present, with one presenter and
+// one error mapping. This package's Server is that pipeline over
+// core.System; internal/cluster's coordinator is the same pipeline over its
+// shard fan-out. Every non-2xx response carries one JSON shape:
 //
 //	{"error": {"code": "...", "message": "...", "retry_after_ms": 1000}}
 //
@@ -22,7 +25,7 @@
 //
 // # Bounded queries
 //
-// POST /query accepts error_bound (maximum mean per-group relative error at
+// POST /v1/query accepts error_bound (maximum mean per-group relative error at
 // a confidence level) and/or time_bound_ms (maximum predicted execution
 // latency). The core planner enumerates candidate sample plans, predicts
 // each one's error and latency, and executes the cheapest plan satisfying
@@ -33,7 +36,7 @@
 //
 // # Concurrency
 //
-// The handler serves any number of /query, /exact and metadata requests in
+// The handler serves any number of query, exact and metadata requests in
 // parallel (net/http runs each request on its own goroutine). This is safe
 // because shared state is either immutable, swapped atomically, or
 // internally synchronised: the base database and every pre-built sample
@@ -42,7 +45,7 @@
 // buffers, the query trace — lives on the request's own goroutine (rewrite
 // steps record into the trace under its lock), and the registered Prepared
 // set sits behind an atomic pointer in core.System. A rebuild (POST
-// /admin/rebuild, or AutoRebuild on a timer) pre-processes a fresh sample
+// /v1/admin/rebuild, or AutoRebuild on a timer) pre-processes a fresh sample
 // generation in the background, swaps it in with core.SwapPrepared, and
 // persists it to the sample catalog; queries in flight during the swap
 // finish on the generation they started with. Set worker budgets
@@ -78,14 +81,8 @@ package server
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
 	"log"
-	"math/rand"
 	"net/http"
-	"strconv"
-	"strings"
 	"time"
 
 	"dynsample/internal/core"
@@ -93,7 +90,6 @@ import (
 	"dynsample/internal/faults"
 	"dynsample/internal/ingest"
 	"dynsample/internal/obs"
-	"dynsample/internal/sqlparse"
 )
 
 // DefaultStrategy is the strategy a zero-value Config serves.
@@ -145,8 +141,7 @@ type Server struct {
 	sys      *core.System
 	strategy string
 	cfg      Config
-	inflight chan struct{} // admission semaphore; nil = unlimited
-	slowlog  *obs.SlowLog
+	pipe     *Pipeline // the request pipeline, with this server as its back end
 	health   healthState
 	shard    shardSummary // generation-keyed GET /shard cache (shard mode)
 }
@@ -159,15 +154,9 @@ func New(sys *core.System, cfg Config) *Server {
 	if cfg.Strategy == "" {
 		cfg.Strategy = DefaultStrategy
 	}
-	s := &Server{
-		sys:      sys,
-		strategy: cfg.Strategy,
-		cfg:      cfg,
-		slowlog:  obs.NewSlowLog(cfg.SlowLogSize),
-	}
-	if cfg.MaxInflight > 0 {
-		s.inflight = make(chan struct{}, cfg.MaxInflight)
-	}
+	s := &Server{sys: sys, strategy: cfg.Strategy, cfg: cfg}
+	s.pipe = NewPipeline(local{s}, cfg)
+	s.routes()
 	if cfg.Ingest != nil && cfg.Rebuild.Strategy != nil {
 		// Drift past the bound means some rare value has outgrown its exact
 		// small-group answer; rebuild in the background while ingest and
@@ -184,7 +173,7 @@ func New(sys *core.System, cfg Config) *Server {
 
 // SlowLog exposes the server's slow-query log (the store behind GET
 // /debug/slowlog), so an operator CLI can mount it elsewhere.
-func (s *Server) SlowLog() *obs.SlowLog { return s.slowlog }
+func (s *Server) SlowLog() *obs.SlowLog { return s.pipe.slowlog }
 
 // QueryRequest is the body of POST /query and POST /exact. See docs/API.md
 // for the full field reference.
@@ -221,11 +210,6 @@ type QueryRequest struct {
 	// the coordinator needs every additive accumulator to re-merge shard
 	// partials with Result.Merge, which the presented groups do not carry.
 	Raw bool `json:"raw,omitempty"`
-}
-
-// bounded reports whether the request asks for planner bounds.
-func (q *QueryRequest) bounded() bool {
-	return q.ErrorBound != 0 || q.TimeBoundMS != 0 || q.Confidence != 0
 }
 
 // GroupJSON is one group of an answer.
@@ -310,530 +294,76 @@ const (
 	CodeIngestDegraded = "ingest_degraded"
 )
 
-// Handler returns the HTTP routes — the /v1 surface plus the legacy
-// unversioned aliases — wrapped in the request-ID and panic-recovery
-// middleware; /query and /exact additionally pass through admission
-// control.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	// Versioned + legacy alias registration: both paths share one handler,
-	// so the pairs cannot drift apart.
-	versioned := func(pattern string, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, h)
-		method, path, _ := strings.Cut(pattern, " ")
-		mux.HandleFunc(method+" /v1"+path, h)
-	}
-	versioned("POST /query", s.admit("query", s.handleQuery))
-	versioned("POST /exact", s.admit("exact", s.handleExact))
-	versioned("GET /columns", s.handleColumns)
-	versioned("GET /strategies", s.handleStrategies)
-	versioned("POST /admin/rebuild", s.handleRebuild)
-	versioned("POST /ingest", s.handleIngest)
+// Handler returns the HTTP routes: the shared pipeline's (/v1/query,
+// /v1/exact, /v1/columns, /metrics, /debug/slowlog) plus this tier's own,
+// behind the request-ID and panic-recovery middleware.
+func (s *Server) Handler() http.Handler { return s.pipe.Handler() }
+
+// routes registers the single-node routes beside the pipeline's.
+func (s *Server) routes() {
+	s.pipe.Handle("GET /v1/strategies", func(*http.Request) (any, error) {
+		return map[string]any{"strategies": s.sys.Strategies(), "active": s.strategy}, nil
+	})
+	s.pipe.mux.HandleFunc("POST /v1/admin/rebuild", s.handleRebuild)
+	s.pipe.mux.HandleFunc("POST /v1/ingest", s.handleIngest)
 	if s.cfg.Shards > 0 {
-		versioned("GET /shard", s.handleShard)
+		s.pipe.mux.HandleFunc("GET /v1/shard", s.handleShard)
 	}
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	mux.Handle("GET /metrics", obs.Handler(obs.Default()))
-	mux.HandleFunc("GET /debug/slowlog", s.handleSlowlog)
-	// Catch-all so unknown paths get the error envelope, not a plain-text
-	// 404.
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, http.StatusNotFound, CodeNotFound,
-			fmt.Errorf("no route for %s %s", r.Method, r.URL.Path))
-	})
-	return requestID(recoverPanics(mux))
+	s.pipe.mux.HandleFunc("GET /healthz", s.handleHealthz)
+	s.pipe.mux.HandleFunc("GET /readyz", s.handleReadyz)
 }
 
-// requestID accepts the client's X-Request-ID (or generates one), echoes it
-// on the response, and threads it through the context so traces, slow-log
-// entries and panic logs can correlate with client-side logs.
-func requestID(h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := sanitizeRequestID(r.Header.Get("X-Request-ID"))
-		if id == "" {
-			id = obs.NewRequestID()
-		}
-		w.Header().Set("X-Request-ID", id)
-		h.ServeHTTP(w, r.WithContext(obs.WithRequestID(r.Context(), id)))
-	})
+// local is the pipeline's single-node back end: core.System answering with
+// the configured strategy.
+type local struct{ s *Server }
+
+func (l local) Schema() (*engine.Database, int64, error) {
+	db := l.s.sys.DB()
+	return db, int64(db.NumRows()), nil
 }
 
-// sanitizeRequestID bounds a client-supplied identifier: printable ASCII
-// only, at most 128 bytes, so a hostile header cannot inject into logs or
-// response headers.
-func sanitizeRequestID(id string) string {
-	if len(id) > 128 {
-		id = id[:128]
-	}
-	for i := 0; i < len(id); i++ {
-		if id[i] < 0x20 || id[i] > 0x7e {
-			return ""
-		}
-	}
-	return id
-}
+func (l local) RawWire() bool { return true }
 
-// recoverPanics converts a panic on the request goroutine into a 500 so one
-// poisoned request cannot take down the process; the panic is counted and
-// logged with the request ID. If the handler had already written a response
-// prefix the error body is appended to it — the client sees a malformed
-// payload, which is the best that can be done post-commit.
-func recoverPanics(h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if v := recover(); v != nil {
-				obsPanics.Inc()
-				log.Printf("server: recovered panic (request_id=%s %s %s): %v",
-					obs.RequestIDFrom(r.Context()), r.Method, r.URL.Path, v)
-				writeError(w, http.StatusInternalServerError, CodeInternal,
-					fmt.Errorf("internal error: recovered panic: %v", v))
-			}
-		}()
-		h.ServeHTTP(w, r)
-	})
-}
-
-// admit applies the MaxInflight admission semaphore: requests beyond the cap
-// are shed immediately with 503 + Retry-After (load shedding beats unbounded
-// queueing — queued requests would miss their deadlines anyway and drag down
-// admitted ones). Admitted requests are counted by the in-flight gauge.
-func (s *Server) admit(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.inflight != nil {
-			select {
-			case s.inflight <- struct{}{}:
-				defer func() { <-s.inflight }()
-			default:
-				s.shed(w, endpoint)
-				return
-			}
-		}
-		obsInflight.Add(1)
-		defer obsInflight.Add(-1)
-		h(w, r)
-	}
-}
-
-// shed rejects one request at the admission gate with 503 + Retry-After.
-func (s *Server) shed(w http.ResponseWriter, endpoint string) {
-	obsShed.Inc()
-	obsQueries.With(endpoint, s.strategy, "shed").Inc()
-	secs := retryAfterSecs(s.cfg.RetryAfter, time.Second)
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeErrorRetry(w, http.StatusServiceUnavailable, CodeOverloaded, int64(secs)*1000,
-		fmt.Errorf("server at max in-flight queries (%d); retry after %ds", s.cfg.MaxInflight, secs))
-}
-
-// retryAfterSecs converts a configured Retry-After hint (falling back when
-// unset) to whole seconds and adds jitter in [secs, 2·secs]. Without jitter
-// every client rejected in the same overload spike retries in the same
-// second and re-creates the spike; the spread halves the synchronized
-// retry rate at the cost of at most doubling one client's wait.
-func retryAfterSecs(configured, fallback time.Duration) int {
-	retry := configured
-	if retry <= 0 {
-		retry = fallback
-	}
-	secs := int(retry.Round(time.Second) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs + rand.Intn(secs+1)
-}
-
-// reqTrack carries the observability record of one /query or /exact request
-// from first byte to response: the pipeline trace plus the terminal status
-// and row accounting the metrics and slow log need.
-type reqTrack struct {
-	s        *Server
-	endpoint string
-	start    time.Time
-	trace    *obs.Trace
-	status   string
-	rowsRead int64
-}
-
-// begin starts tracking one request. The trace is attached to the execution
-// context by the handler so every pipeline layer below records into it.
-func (s *Server) begin(r *http.Request, endpoint string) *reqTrack {
-	rt := &reqTrack{
-		s:        s,
-		endpoint: endpoint,
-		start:    time.Now(),
-		trace:    obs.NewTrace(obs.RequestIDFrom(r.Context()), ""),
-		status:   "internal",
-	}
-	return rt
-}
-
-// finish closes the trace with the terminal status, records the request's
-// metrics, offers the query to the slow log, and returns the completed
-// trace snapshot for an explain response. Call exactly once per request.
-func (rt *reqTrack) finish() obs.TraceData {
-	data := rt.trace.Finish(rt.status)
-	elapsed := time.Since(rt.start)
-	obsQueries.With(rt.endpoint, rt.s.strategy, rt.status).Inc()
-	obsLatency.With(rt.endpoint).Observe(elapsed.Seconds())
-	if rt.rowsRead > 0 {
-		obsRowsScanned.With(rt.endpoint).Add(uint64(rt.rowsRead))
-	}
-	if rt.status == "timeout" {
-		obsTimeouts.Inc()
-	}
-	if data.SQL != "" { // never log requests that failed before decoding
-		rt.s.slowlog.Observe(obs.SlowLogEntry{
-			Time:      rt.start,
-			RequestID: data.RequestID,
-			SQL:       data.SQL,
-			Status:    rt.status,
-			Micros:    data.TotalMicros,
-			Trace:     data,
-		})
-	}
-	return data
-}
-
-func (s *Server) compile(rt *reqTrack, w http.ResponseWriter, r *http.Request) (*sqlparse.Compiled, *QueryRequest, bool) {
-	endStage := rt.trace.StartStage("parse")
-	defer endStage()
-	bad := func(err error) (*sqlparse.Compiled, *QueryRequest, bool) {
-		rt.status = "bad_request"
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
-		return nil, nil, false
-	}
-	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return bad(fmt.Errorf("bad request body: %w", err))
-	}
-	rt.trace.SetSQL(req.SQL)
-	if req.TimeoutMS != nil && *req.TimeoutMS <= 0 {
-		return bad(fmt.Errorf("invalid timeout_ms %d: must be > 0", *req.TimeoutMS))
-	}
-	if req.ErrorBound < 0 || req.ErrorBound >= 1 {
-		return bad(fmt.Errorf("invalid error_bound %g: must be in (0, 1)", req.ErrorBound))
-	}
-	if req.TimeBoundMS < 0 {
-		return bad(fmt.Errorf("invalid time_bound_ms %d: must be > 0", req.TimeBoundMS))
-	}
-	if req.Confidence < 0 || req.Confidence >= 1 {
-		return bad(fmt.Errorf("invalid confidence %g: must be in (0, 1)", req.Confidence))
-	}
-	if req.Confidence != 0 && req.ErrorBound == 0 && req.TimeBoundMS == 0 {
-		return bad(fmt.Errorf("confidence requires error_bound or time_bound_ms"))
-	}
-	if strings.TrimSpace(req.SQL) == "" {
-		return bad(fmt.Errorf("empty sql"))
-	}
-	stmt, err := sqlparse.Parse(strings.TrimSuffix(strings.TrimSpace(req.SQL), ";"))
-	if err != nil {
-		return bad(err)
-	}
-	compiled, err := sqlparse.Compile(stmt, s.sys.DB())
-	if err != nil {
-		return bad(err)
-	}
-	return compiled, &req, true
-}
-
-// queryContext derives the execution context for one request: the request's
-// own context (cancelled when the client disconnects) bounded by timeout_ms
-// if given, else by the server default.
-func (s *Server) queryContext(r *http.Request, req *QueryRequest) (context.Context, context.CancelFunc) {
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS != nil {
-		timeout = time.Duration(*req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > 0 {
-		return context.WithTimeout(r.Context(), timeout)
-	}
-	return r.Context(), func() {}
-}
-
-// writeExecErr maps an execution error to a status: 504 for a missed
-// deadline, nothing at all for a vanished client (the connection is gone;
-// any body would be discarded), 500 otherwise. It returns the terminal
-// status label for the request's metrics.
-func writeExecErr(w http.ResponseWriter, r *http.Request, err error) (status string) {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded,
-			fmt.Errorf("query deadline exceeded: %w", err))
-		return "timeout"
-	case errors.Is(err, context.Canceled) && r.Context().Err() != nil:
-		// Client went away; nothing useful to write.
-		return "canceled"
-	default:
-		writeError(w, http.StatusInternalServerError, CodeInternal, err)
-		return "error"
-	}
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	faults.Fire(r.Context(), faults.PointHandler, 0)
+func (l local) Query(ctx context.Context, q *engine.Query, req *QueryRequest) (*Outcome, error) {
+	s := l.s
 	if s.cfg.Shards > 0 {
-		faults.Fire(r.Context(), faults.PointShardRequest, s.cfg.ShardID)
+		faults.Fire(ctx, faults.PointShardRequest, s.cfg.ShardID)
 	}
-	rt := s.begin(r, "query")
-	rt.trace.SetStrategy(s.strategy)
-	compiled, req, ok := s.compile(rt, w, r)
-	if !ok {
-		rt.finish()
-		return
-	}
-	ctx, cancel := s.queryContext(r, req)
-	defer cancel()
 	// Read the generation before executing: the answer is then guaranteed to
 	// include at least every batch up to it.
 	gen := s.sys.DataGeneration()
-	bounds := core.Bounds{
+	ans, err := s.sys.ApproxBoundsCtx(ctx, s.strategy, q, core.Bounds{
 		ErrorBound: req.ErrorBound,
 		TimeBound:  time.Duration(req.TimeBoundMS) * time.Millisecond,
 		Confidence: req.Confidence,
-	}
-	ans, err := s.sys.ApproxBoundsCtx(obs.WithTrace(ctx, rt.trace), s.strategy, compiled.Query, bounds)
+	})
 	if err != nil {
-		var unsat *core.UnsatisfiableBoundsError
-		if errors.As(err, &unsat) {
-			rt.status = "unsatisfiable"
-			writeUnsatisfiable(w, unsat)
-		} else {
-			rt.status = writeExecErr(w, r, err)
-		}
-		rt.finish()
-		return
+		return nil, err
 	}
-	if req.Raw {
-		raw := RawQueryResponse{
-			Result:     ans.Result.Wire(),
-			RowsRead:   ans.RowsRead,
-			ElapsedUS:  ans.Elapsed.Microseconds(),
-			Generation: gen,
-			Degraded:   ans.Degraded,
-		}
-		if d := ans.Plan; d != nil {
-			predicted, achieved := d.Chosen.PredictedError, d.AchievedError
-			raw.Plan = d.Chosen.Name
-			raw.Predicted, raw.Achieved = &predicted, &achieved
-		}
-		rt.status, rt.rowsRead = "ok", ans.RowsRead
-		rt.finish()
-		s.writeShardJSON(w, raw)
-		return
-	}
-	endStage := rt.trace.StartStage("present")
-	resp := QueryResponse{
-		Columns:    outputNames(compiled),
+	out := &Outcome{
+		Result:     ans.Result,
+		Intervals:  ans.Intervals,
 		RowsRead:   ans.RowsRead,
-		ElapsedUS:  ans.Elapsed.Microseconds(),
+		Elapsed:    ans.Elapsed,
 		Generation: gen,
 		Degraded:   ans.Degraded,
-	}
-	for _, g := range compiled.Present(ans.Result) {
-		key := engine.EncodeKey(g.Key)
-		gj := GroupJSON{Exact: g.Exact}
-		for _, v := range g.Key {
-			gj.Key = append(gj.Key, strings.Trim(v.String(), "'"))
-		}
-		for _, o := range compiled.Outputs {
-			switch o.Kind {
-			case sqlparse.OutAgg:
-				gj.Values = append(gj.Values, g.Vals[o.AggIndex])
-				iv := ans.Interval(key, o.AggIndex)
-				gj.CI = append(gj.CI, [2]float64{iv.Lo, iv.Hi})
-			case sqlparse.OutAvg:
-				avg := 0.0
-				if g.Vals[o.DenIndex] != 0 {
-					avg = g.Vals[o.NumIndex] / g.Vals[o.DenIndex]
-				}
-				gj.Values = append(gj.Values, avg)
-				gj.CI = append(gj.CI, [2]float64{avg, avg})
-			}
-		}
-		resp.Groups = append(resp.Groups, gj)
+		Rewrite:    ans.Rewrite,
 	}
 	if d := ans.Plan; d != nil {
-		resp.Plan = d.Chosen.Name
-		predicted, achieved := d.Chosen.PredictedError, d.AchievedError
-		resp.Predicted, resp.Achieved = &predicted, &achieved
+		out.Plan, out.Predicted, out.Achieved = d.Chosen.Name, &d.Chosen.PredictedError, &d.AchievedError
 	}
-	endStage()
-	rt.status, rt.rowsRead = "ok", ans.RowsRead
-	trace := rt.finish()
-	if req.Explain {
-		if ans.Rewrite != nil {
-			resp.Rewrite = ans.Rewrite.SQL()
-		}
-		resp.Trace = &trace
-	}
-	writeJSON(w, resp)
+	return out, nil
 }
 
-// writeUnsatisfiable emits the 422 envelope for bounds no plan can satisfy,
-// carrying the best achievable figures so the client can retry realistically.
-func writeUnsatisfiable(w http.ResponseWriter, unsat *core.UnsatisfiableBoundsError) {
-	bestErr := unsat.BestError
-	bestMS := (unsat.BestLatency + time.Millisecond - 1) / time.Millisecond
-	bestMSv := int64(bestMS)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusUnprocessableEntity)
-	json.NewEncoder(w).Encode(ErrorResponse{Error: ErrorDetail{
-		Code:            CodeBoundUnsatisfiable,
-		Message:         unsat.Error(),
-		BestErrorBound:  &bestErr,
-		BestTimeBoundMS: &bestMSv,
-	}})
-}
-
-func (s *Server) handleExact(w http.ResponseWriter, r *http.Request) {
-	rt := s.begin(r, "exact")
-	rt.trace.SetStrategy("exact")
-	compiled, req, ok := s.compile(rt, w, r)
-	if !ok {
-		rt.finish()
-		return
-	}
-	if req.bounded() {
-		rt.status = "bad_request"
-		writeError(w, http.StatusBadRequest, CodeBadRequest,
-			fmt.Errorf("error_bound/time_bound_ms/confidence apply to /query only; /exact always scans the base table"))
-		rt.finish()
-		return
-	}
-	ctx, cancel := s.queryContext(r, req)
-	defer cancel()
-	gen := s.sys.DataGeneration()
-	endStage := rt.trace.StartStage("execute")
-	res, elapsed, err := s.sys.ExactCtx(ctx, compiled.Query)
-	endStage()
+// Exact mirrors Query: RowsRead from the engine result and elapsed measured
+// around engine execution only, so the two endpoints' numbers are directly
+// comparable in speedup tables.
+func (l local) Exact(ctx context.Context, q *engine.Query, _ *QueryRequest) (*Outcome, error) {
+	defer obs.TraceFrom(ctx).StartStage("execute")()
+	gen := l.s.sys.DataGeneration()
+	res, elapsed, err := l.s.sys.ExactCtx(ctx, q)
 	if err != nil {
-		rt.status = writeExecErr(w, r, err)
-		rt.finish()
-		return
+		return nil, err
 	}
-	if req.Raw {
-		raw := RawQueryResponse{
-			Result:     res.Wire(),
-			RowsRead:   res.RowsScanned,
-			ElapsedUS:  elapsed.Microseconds(),
-			Generation: gen,
-		}
-		rt.status, rt.rowsRead = "ok", res.RowsScanned
-		rt.trace.SetRowsRead(res.RowsScanned)
-		rt.finish()
-		s.writeShardJSON(w, raw)
-		return
-	}
-	// Mirror /query: RowsRead from the engine result and elapsed measured
-	// around engine execution only, so the two endpoints' numbers are
-	// directly comparable in speedup tables.
-	endStage = rt.trace.StartStage("present")
-	resp := QueryResponse{
-		Columns:    outputNames(compiled),
-		RowsRead:   res.RowsScanned,
-		ElapsedUS:  elapsed.Microseconds(),
-		Generation: gen,
-	}
-	for _, g := range compiled.Present(res) {
-		gj := GroupJSON{Exact: true}
-		for _, v := range g.Key {
-			gj.Key = append(gj.Key, strings.Trim(v.String(), "'"))
-		}
-		for _, o := range compiled.Outputs {
-			switch o.Kind {
-			case sqlparse.OutAgg:
-				gj.Values = append(gj.Values, g.Vals[o.AggIndex])
-			case sqlparse.OutAvg:
-				avg := 0.0
-				if g.Vals[o.DenIndex] != 0 {
-					avg = g.Vals[o.NumIndex] / g.Vals[o.DenIndex]
-				}
-				gj.Values = append(gj.Values, avg)
-			}
-		}
-		resp.Groups = append(resp.Groups, gj)
-	}
-	endStage()
-	rt.status, rt.rowsRead = "ok", res.RowsScanned
-	rt.trace.SetRowsRead(res.RowsScanned)
-	trace := rt.finish()
-	if req.Explain {
-		resp.Trace = &trace
-	}
-	writeJSON(w, resp)
-}
-
-func (s *Server) handleColumns(w http.ResponseWriter, _ *http.Request) {
-	db := s.sys.DB()
-	// Types let ingest clients (aqpcli ingest) encode CSV cells correctly
-	// without guessing whether "123" is a string or a number.
-	types := map[string]string{}
-	for _, name := range db.Columns() {
-		if t, err := db.ColumnType(name); err == nil {
-			types[name] = t.String()
-		}
-	}
-	writeJSON(w, map[string]any{
-		"database": db.Name,
-		"rows":     db.NumRows(),
-		"columns":  db.Columns(),
-		"types":    types,
-	})
-}
-
-func (s *Server) handleStrategies(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, map[string]any{"strategies": s.sys.Strategies(), "active": s.strategy})
-}
-
-// SlowLogResponse is the body of GET /debug/slowlog.
-type SlowLogResponse struct {
-	// Capacity is how many entries the log retains.
-	Capacity int `json:"capacity"`
-	// Entries are the slowest queries seen so far, slowest first, each with
-	// its full pipeline trace.
-	Entries []obs.SlowLogEntry `json:"entries"`
-}
-
-func (s *Server) handleSlowlog(w http.ResponseWriter, _ *http.Request) {
-	entries := s.slowlog.Slowest()
-	if entries == nil {
-		entries = []obs.SlowLogEntry{}
-	}
-	writeJSON(w, SlowLogResponse{Capacity: s.slowlog.Size(), Entries: entries})
-}
-
-func outputNames(c *sqlparse.Compiled) []string {
-	var names []string
-	for _, o := range c.Outputs {
-		names = append(names, o.Name)
-	}
-	return names
-}
-
-// writeJSON encodes v fully before touching the ResponseWriter, so an encode
-// failure yields a clean 500 instead of a half-written 200 body with error
-// text appended.
-func writeJSON(w http.ResponseWriter, v any) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(b, '\n'))
-}
-
-// writeError emits the error envelope with the given status and code.
-func writeError(w http.ResponseWriter, status int, code string, err error) {
-	writeErrorRetry(w, status, code, 0, err)
-}
-
-func writeErrorRetry(w http.ResponseWriter, status int, code string, retryAfterMS int64, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(ErrorResponse{Error: ErrorDetail{
-		Code:         code,
-		Message:      err.Error(),
-		RetryAfterMS: retryAfterMS,
-	}})
+	return &Outcome{Result: res, RowsRead: res.RowsScanned, Elapsed: elapsed, Generation: gen}, nil
 }

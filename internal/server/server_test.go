@@ -64,7 +64,7 @@ func post(t *testing.T, srv *httptest.Server, path string, body any) (*http.Resp
 
 func TestQueryEndpoint(t *testing.T) {
 	srv := testServer(t)
-	resp, body := post(t, srv, "/query", QueryRequest{
+	resp, body := post(t, srv, "/v1/query", QueryRequest{
 		SQL:     "SELECT region, COUNT(*), AVG(amount) FROM T GROUP BY region",
 		Explain: true,
 	})
@@ -110,8 +110,8 @@ func TestQueryEndpoint(t *testing.T) {
 func TestExactEndpointAgreesOnExactGroups(t *testing.T) {
 	srv := testServer(t)
 	q := QueryRequest{SQL: "SELECT region, COUNT(*) FROM T GROUP BY region"}
-	_, approxBody := post(t, srv, "/query", q)
-	_, exactBody := post(t, srv, "/exact", q)
+	_, approxBody := post(t, srv, "/v1/query", q)
+	_, exactBody := post(t, srv, "/v1/exact", q)
 	var approx, exact QueryResponse
 	json.Unmarshal(approxBody, &approx)
 	json.Unmarshal(exactBody, &exact)
@@ -132,11 +132,11 @@ func TestBadRequests(t *testing.T) {
 		path string
 		body string
 	}{
-		{"/query", `{`},
-		{"/query", `{"sql": ""}`},
-		{"/query", `{"sql": "SELEC nonsense"}`},
-		{"/query", `{"sql": "SELECT COUNT(*) FROM T WHERE missing = 1"}`},
-		{"/exact", `{"sql": "not sql"}`},
+		{"/v1/query", `{`},
+		{"/v1/query", `{"sql": ""}`},
+		{"/v1/query", `{"sql": "SELEC nonsense"}`},
+		{"/v1/query", `{"sql": "SELECT COUNT(*) FROM T WHERE missing = 1"}`},
+		{"/v1/exact", `{"sql": "not sql"}`},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(srv.URL+c.path, "application/json", strings.NewReader(c.body))
@@ -152,7 +152,7 @@ func TestBadRequests(t *testing.T) {
 
 func TestMetaEndpoints(t *testing.T) {
 	srv := testServer(t)
-	resp, err := http.Get(srv.URL + "/columns")
+	resp, err := http.Get(srv.URL + "/v1/columns")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestMetaEndpoints(t *testing.T) {
 		t.Errorf("columns response: %+v", cols)
 	}
 
-	resp, err = http.Get(srv.URL + "/strategies")
+	resp, err = http.Get(srv.URL + "/v1/strategies")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestMetaEndpoints(t *testing.T) {
 
 func TestMethodRouting(t *testing.T) {
 	srv := testServer(t)
-	resp, err := http.Get(srv.URL + "/query")
+	resp, err := http.Get(srv.URL + "/v1/query")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestMethodRouting(t *testing.T) {
 
 func TestQueryOrderByAndLimit(t *testing.T) {
 	srv := testServer(t)
-	resp, body := post(t, srv, "/query", QueryRequest{
+	resp, body := post(t, srv, "/v1/query", QueryRequest{
 		SQL: "SELECT region, COUNT(*) AS cnt FROM T GROUP BY region ORDER BY cnt DESC LIMIT 3",
 	})
 	if resp.StatusCode != http.StatusOK {

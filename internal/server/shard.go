@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"time"
 
 	"dynsample/internal/core"
 	"dynsample/internal/engine"
@@ -65,50 +64,34 @@ func (s *Server) handleShard(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, st)
 }
 
-// writeShardJSON writes a raw shard response, honoring the PointShardBody
-// cut hook: a registered CutHook can truncate the body mid-stream, which —
-// because Content-Length is set to the full length first — surfaces on the
-// coordinator side as an unexpected EOF, exactly like a connection dying
-// under the response.
-func (s *Server) writeShardJSON(w http.ResponseWriter, v any) {
+// writeRaw writes the raw wire form of an outcome, honoring the
+// PointShardBody cut hook: a registered CutHook can truncate the body
+// mid-stream, which — because Content-Length is set to the full length first
+// — surfaces on the coordinator side as an unexpected EOF, exactly like a
+// connection dying under the response.
+func (p *Pipeline) writeRaw(w http.ResponseWriter, out *Outcome) {
+	raw := RawQueryResponse{
+		Result:     out.Result.Wire(),
+		RowsRead:   out.RowsRead,
+		ElapsedUS:  out.Elapsed.Microseconds(),
+		Generation: out.Generation,
+		Degraded:   out.Degraded,
+		Plan:       out.Plan,
+		Predicted:  out.Predicted,
+		Achieved:   out.Achieved,
+	}
 	if !faults.Active() {
-		writeJSON(w, v)
+		writeJSON(w, raw)
 		return
 	}
-	b, err := json.Marshal(v)
+	b, err := json.Marshal(raw)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, CodeInternal, err)
 		return
 	}
 	b = append(b, '\n')
-	n := faults.FireCut(faults.PointShardBody, s.cfg.ShardID, len(b))
+	n := faults.FireCut(faults.PointShardBody, p.cfg.ShardID, len(b))
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
 	w.Write(b[:n])
-}
-
-// Wrap applies the server's outer middleware — request-ID echo and panic
-// recovery — to any handler. The cluster coordinator wraps its own routes
-// with it so both tiers present one envelope discipline.
-func Wrap(h http.Handler) http.Handler { return requestID(recoverPanics(h)) }
-
-// WriteJSON writes v as a JSON 200 exactly like the server's own handlers
-// (body fully encoded before the first byte is committed).
-func WriteJSON(w http.ResponseWriter, v any) { writeJSON(w, v) }
-
-// WriteError writes the standard error envelope.
-func WriteError(w http.ResponseWriter, status int, code string, err error) {
-	writeError(w, status, code, err)
-}
-
-// WriteErrorRetry writes the standard error envelope with a retry hint in
-// the body (the caller sets the Retry-After header itself).
-func WriteErrorRetry(w http.ResponseWriter, status int, code string, retryAfterMS int64, err error) {
-	writeErrorRetry(w, status, code, retryAfterMS, err)
-}
-
-// RetryAfterSecs exposes the jittered Retry-After computation so the
-// coordinator's 503s spread client retries the same way shard 503s do.
-func RetryAfterSecs(configured, fallback time.Duration) int {
-	return retryAfterSecs(configured, fallback)
 }

@@ -191,15 +191,15 @@ func TestShedRetryAfterHeaderJittered(t *testing.T) {
 	release := make(chan struct{})
 	t.Cleanup(func() { close(release) })
 	held := make(chan struct{})
-	go blocked.admit("query", func(w http.ResponseWriter, r *http.Request) {
+	go blocked.pipe.admit("query", func(w http.ResponseWriter, r *http.Request) {
 		close(held)
 		<-release
-	})(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/query", nil))
+	})(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/query", nil))
 	<-held
 	rec := httptest.NewRecorder()
-	blocked.admit("query", func(http.ResponseWriter, *http.Request) {
+	blocked.pipe.admit("query", func(http.ResponseWriter, *http.Request) {
 		t.Error("shed request reached the handler")
-	})(rec, httptest.NewRequest(http.MethodPost, "/query", nil))
+	})(rec, httptest.NewRequest(http.MethodPost, "/v1/query", nil))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", rec.Code)
 	}

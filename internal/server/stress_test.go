@@ -30,9 +30,9 @@ func TestConcurrentQueryStress(t *testing.T) {
 	}
 
 	queries := []struct{ path, sql string }{
-		{"/query", "SELECT region, COUNT(*) FROM T GROUP BY region"},
-		{"/query", "SELECT region, SUM(amount) FROM T GROUP BY region"},
-		{"/exact", "SELECT region, COUNT(*) FROM T GROUP BY region"},
+		{"/v1/query", "SELECT region, COUNT(*) FROM T GROUP BY region"},
+		{"/v1/query", "SELECT region, SUM(amount) FROM T GROUP BY region"},
+		{"/v1/exact", "SELECT region, COUNT(*) FROM T GROUP BY region"},
 	}
 
 	// Reference responses, fetched serially first. Groups and values are

@@ -1,87 +1,43 @@
-// Benchmarks for the parallel execution layer: the partitioned scan kernel
-// against the serial one, and query throughput under concurrent clients.
+// Benchmark for the parallel execution layer: the partitioned scan kernel
+// at increasing worker counts. Query throughput under concurrent clients is
+// BenchmarkConcurrentQuery in ./internal/server.
 // See EXPERIMENTS.md ("Parallel execution") for how to interpret the numbers;
 // speedups require real cores (compare `nproc` against the workers suffix).
 package dynsample
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
-	"dynsample/internal/core"
 	"dynsample/internal/datagen"
 	"dynsample/internal/engine"
 	"dynsample/internal/parallel"
 )
 
-// parallelBenchDB is the 200k-row TPC-H config from the README quick start,
-// built once and shared by the parallel benchmarks (read-only).
-var (
-	parallelBenchOnce sync.Once
-	parallelBenchDB   *engine.Database
-	parallelBenchSys  *core.System
-)
-
-func parallelBench(b *testing.B) (*engine.Database, *core.System) {
-	b.Helper()
-	parallelBenchOnce.Do(func() {
-		db, err := datagen.TPCH(datagen.TPCHConfig{ScaleFactor: 1, Zipf: 2.0, RowsPerSF: 200000, Seed: 42})
-		if err != nil {
-			panic(err)
-		}
-		parallelBenchDB = db
-		parallelBenchSys = core.NewSystem(db)
-		if err := parallelBenchSys.AddStrategy(core.NewSmallGroup(core.SmallGroupConfig{
-			BaseRate: 0.01, Seed: 42, Workers: parallel.DefaultWorkers(),
-		})); err != nil {
-			panic(err)
-		}
-	})
-	return parallelBenchDB, parallelBenchSys
-}
-
-var parallelBenchQuery = &engine.Query{
-	GroupBy: []string{"p_brand"},
-	Aggs:    []engine.Aggregate{{Kind: engine.Count}, {Kind: engine.Sum, Col: "l_extendedprice"}},
-}
-
-// BenchmarkParallelScan compares the serial scan kernel (workers=0) with the
-// partitioned kernel at increasing worker counts, on a full scan of the
-// 200k-row TPC-H base view. The serial/workers=1 pair measures the sharding
-// overhead; workers=NumCPU measures the speedup the hardware allows.
+// BenchmarkParallelScan runs the partitioned scan kernel at increasing worker
+// counts on a full scan of the 200k-row TPC-H base view (the README quick
+// start config). workers=1 runs inline on the calling goroutine;
+// workers=NumCPU measures the speedup the hardware allows.
 func BenchmarkParallelScan(b *testing.B) {
-	db, _ := parallelBench(b)
-	counts := []int{0, 1, 2}
+	db, err := datagen.TPCH(datagen.TPCHConfig{ScaleFactor: 1, Zipf: 2.0, RowsPerSF: 200000, Seed: 42})
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := &engine.Query{
+		GroupBy: []string{"p_brand"},
+		Aggs:    []engine.Aggregate{{Kind: engine.Count}, {Kind: engine.Sum, Col: "l_extendedprice"}},
+	}
+	counts := []int{1, 2}
 	if n := parallel.DefaultWorkers(); n > 2 {
 		counts = append(counts, n)
 	}
 	for _, workers := range counts {
-		name := fmt.Sprintf("workers=%d", workers)
-		if workers == 0 {
-			name = "serial"
-		}
-		b.Run(name, func(b *testing.B) {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := engine.Execute(db, parallelBenchQuery, engine.ExecOptions{Workers: workers}); err != nil {
+				if _, err := engine.Execute(db, q, engine.ExecOptions{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
-}
-
-// BenchmarkConcurrentQuery measures approximate-query throughput with many
-// concurrent clients sharing one pre-processed sample set, the server's
-// steady-state shape. Run with -cpu to vary client parallelism, e.g.
-// `go test -bench ConcurrentQuery -cpu 1,4,8 .`
-func BenchmarkConcurrentQuery(b *testing.B) {
-	_, sys := parallelBench(b)
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := sys.Approx("smallgroup", parallelBenchQuery); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

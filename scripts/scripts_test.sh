@@ -2,7 +2,8 @@
 # Fixture-driven tests for the shell tooling in scripts/: the bench output
 # -> JSON converter (scientific notation, name escaping) and the benchdiff
 # regression guard (including the required failures on a synthetic 2x
-# ns_per_op regression and a synthetic 2x allocs_per_op regression). Run by `make check`. Needs only bash, awk, diff.
+# ns_per_op regression and a synthetic 2x allocs_per_op regression), and the
+# loc.sh code-line counter. Run by `make check`. Needs only bash, awk, diff.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -56,6 +57,12 @@ t "benchdiff honours a custom threshold (2x allowed at 150%)" 0 \
   bash scripts/benchdiff.sh scripts/testdata/baseline.json scripts/testdata/regress2x.json 150
 t "benchdiff rejects a missing file" 2 \
   bash scripts/benchdiff.sh scripts/testdata/baseline.json /tmp/does_not_exist_$$.json
+
+# --- loc.sh --------------------------------------------------------------
+# Golden test: comment-only lines, /* */ blocks, blank lines and _test.go
+# files do not count; nested package directories are listed separately.
+t "loc counts the fixture tree (comments, blocks, tests excluded)" 0 \
+  bash -c 'bash scripts/loc.sh scripts/testdata/loc | diff -u scripts/testdata/loc/golden.txt -'
 
 if [ "$fails" -ne 0 ]; then
   echo "scripts_test: $fails failure(s)"

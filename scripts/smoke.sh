@@ -50,9 +50,9 @@ echo "$RESP" | grep -q '"samples"'           || fail "trace has no sample set: $
 echo "$RESP" | grep -q '"name":"execute"'    || fail "trace has no execute stage: $RESP"
 grep -qi 'x-request-id: smoke-run-1' /tmp/smoke-headers || fail "request id not echoed"
 
-echo "smoke: legacy alias answers..."
-curl -fsS "$BASE/query" -d "{\"sql\":\"$SQL\"}" | grep -q '"groups"' \
-  || fail "legacy /query alias broken"
+echo "smoke: un-versioned query path is gone..."
+curl -sS "$BASE/query" -d "{\"sql\":\"$SQL\"}" | grep -q '"error":{"code":"not_found"' \
+  || fail "un-versioned /query does not answer the 404 envelope"
 
 echo "smoke: error envelope..."
 curl -sS "$BASE/v1/query" -d '{"sql":"NOT SQL"}' | grep -q '"error":{"code":"bad_request"' \
