@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test vet cover bench bench-json bench-guard scenarios scenario-smoke experiments experiments-quick examples faults smoke fuzz fuzz-smoke loc clean
+.PHONY: all check build test vet cover bench bench-json bench-guard scenarios scenario-smoke experiments experiments-quick examples faults smoke fuzz fuzz-smoke loc loc-diff clean
 
 all: build vet test
 
@@ -121,9 +121,14 @@ fuzz-smoke:
 
 # Non-test, non-blank, non-comment Go lines per package under internal/ and
 # cmd/, plus a total: the ledger ROADMAP's "One path per job" shrink is
-# measured on. Compare against another checkout with `scripts/loc.sh DIR`.
+# measured on. Count another checkout with `scripts/loc.sh DIR`.
 loc:
 	@bash scripts/loc.sh
+
+# The same ledger as a diff: per-package code-line deltas of this checkout
+# against a git ref, e.g. `make loc-diff BASE=HEAD~1`.
+loc-diff:
+	@bash scripts/locdiff.sh $(BASE)
 
 clean:
 	$(GO) clean ./...

@@ -124,9 +124,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if wc, ok := p.(core.WorkerConfigurable); ok {
-			wc.SetWorkers(*workers)
-		}
+		core.SetWorkers(p, *workers)
 		sys.AddPrepared("smallgroup", p)
 	} else {
 		fmt.Fprintf(os.Stderr, "pre-processing (%s, r=%g)...\n", *strategy, *rate)

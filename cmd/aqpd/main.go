@@ -7,11 +7,11 @@
 // Usage:
 //
 //	aqpd -db tpch -z 2.0 -rows 200000 -rate 0.01 -workers 8 -addr :8080
-//	curl -s localhost:8080/query -d '{"sql":"SELECT s_region, COUNT(*) FROM T GROUP BY s_region"}'
-//	curl -s localhost:8080/query -d '{"sql":"SELECT s_region, COUNT(*) FROM T GROUP BY s_region","timeout_ms":50}'
-//	curl -s localhost:8080/query -d '{"sql":"SELECT s_region, COUNT(*) FROM T GROUP BY s_region","error_bound":0.05}'
-//	curl -s localhost:8080/exact -d '{"sql":"SELECT s_region, COUNT(*) FROM T GROUP BY s_region"}'
-//	curl -s localhost:8080/columns
+//	curl -s localhost:8080/v1/query -d '{"sql":"SELECT s_region, COUNT(*) FROM T GROUP BY s_region"}'
+//	curl -s localhost:8080/v1/query -d '{"sql":"SELECT s_region, COUNT(*) FROM T GROUP BY s_region","timeout_ms":50}'
+//	curl -s localhost:8080/v1/query -d '{"sql":"SELECT s_region, COUNT(*) FROM T GROUP BY s_region","error_bound":0.05}'
+//	curl -s localhost:8080/v1/exact -d '{"sql":"SELECT s_region, COUNT(*) FROM T GROUP BY s_region"}'
+//	curl -s localhost:8080/v1/columns
 //
 // Robustness: every query runs under a deadline (-query-timeout, overridable
 // per request via timeout_ms; missed deadlines return 504), concurrent query
@@ -19,20 +19,22 @@
 // SIGTERM drains in-flight requests (up to -drain-timeout) before exiting.
 //
 // Durability: with -catalog-dir the server keeps its pre-processed samples in
-// a crash-safe snapshot catalog. At startup it recovers the newest generation
-// that verifies (falling back to older ones, then to a fresh rebuild — the
-// catalog self-heals); POST /admin/rebuild (or -rebuild-interval) re-runs
-// pre-processing in the background and swaps the new generation in without
-// dropping a single query.
+// a crash-safe snapshot catalog, and POST /v1/admin/rebuild (or
+// -rebuild-interval) re-runs pre-processing in the background and swaps the
+// new generation in without dropping a single query.
 //
 // Live ingestion: with -wal-dir the server accepts POST /v1/ingest (batched
 // row appends). Each batch is fsynced to a checksummed write-ahead log before
 // it is acknowledged, then folded into the serving samples online (continued
 // reservoir sampling plus direct small-group inserts), so answers stay
-// statistically valid without a rebuild per batch. On restart the WAL is
-// replayed over the regenerated base data before the listener opens. When the
-// common-set drift gauge crosses -drift-bound, a background rebuild re-derives
-// the sample family and swaps it in without downtime.
+// statistically valid without a rebuild per batch. When the common-set drift
+// gauge crosses -drift-bound, a background rebuild re-derives the sample
+// family and swaps it in without downtime.
+//
+// Start-up is flags → generate (or stripe) the base data → ingest.Recover →
+// log → serve: Recover owns the order in which the catalog, pre-processing
+// and the WAL are consulted (ARCHITECTURE.md §7), the same function the crash
+// simulator restarts with.
 //
 // Flags are validated before the database is generated, so a bad value fails
 // in milliseconds instead of after minutes of data generation.
@@ -40,10 +42,8 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -158,18 +158,9 @@ func main() {
 		}
 	}
 
-	// Startup recovery order: an explicit -restore file wins; otherwise the
-	// catalog's newest verifying generation; otherwise pre-process from
-	// scratch (and, with a catalog, persist the fresh build as generation 1 —
-	// a catalog whose snapshots all fail verification self-heals this way).
-	// Catalog snapshots may be checkpointed (they carry the ingested-row
-	// delta, the idempotency window, and the WAL position they cover) or
-	// legacy bare sample sets; DecodeSnapshot handles both.
-	var gen uint64
-	var snap *ingest.Snapshot
-	source := "preprocess"
-	switch {
-	case *restore != "":
+	// An explicit -restore file pre-registers the samples; ingest.Recover
+	// owns everything after that (catalog, pre-processing, WAL replay).
+	if *restore != "" {
 		f, err := os.Open(*restore)
 		if err != nil {
 			fatal(err)
@@ -179,118 +170,27 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if wc, ok := p.(core.WorkerConfigurable); ok {
-			wc.SetWorkers(*workers)
-		}
 		sys.AddPrepared("smallgroup", p)
-		source = "snapshot"
 		fmt.Fprintf(os.Stderr, "restored sample set from %s\n", *restore)
-	case cat != nil:
-		res, err := cat.LoadLatest(func(r io.Reader) error {
-			s, derr := ingest.DecodeSnapshot(r)
-			if derr != nil {
-				return derr
-			}
-			// A checkpointed delta splices onto the regenerated base at a
-			// fixed row offset; a different base (changed -rows/-db/-seed)
-			// makes this generation unusable, so fail the decode and let
-			// LoadLatest fall back to an older one.
-			if s.Checkpoint != nil && s.Checkpoint.BaseRows != uint64(db.NumRows()) {
-				return fmt.Errorf("checkpoint covers %d base rows but the regenerated base has %d (changed -rows, -db, or -seed?)",
-					s.Checkpoint.BaseRows, db.NumRows())
-			}
-			snap = s
-			return nil
-		})
-		for _, sk := range res.Skipped {
-			fmt.Fprintf(os.Stderr, "aqpd: skipping catalog generation %d: %v\n", sk.Generation, sk.Err)
-		}
-		switch {
-		case err == nil:
-			if wc, ok := snap.Prepared.(core.WorkerConfigurable); ok {
-				wc.SetWorkers(*workers)
-			}
-			if err := snap.Restore(sys, "smallgroup"); err != nil {
-				fatal(err)
-			}
-			gen, source = res.Generation, "snapshot"
-			if ck := snap.Checkpoint; ck != nil {
-				fmt.Fprintf(os.Stderr, "recovered sample generation %d from %s (checkpoint: %d ingest batches, wal position %d/%d)\n",
-					res.Generation, *catalogDir, ck.DataGen, ck.Seg, ck.Off)
-			} else {
-				fmt.Fprintf(os.Stderr, "recovered sample generation %d from %s\n", res.Generation, *catalogDir)
-			}
-		case errors.Is(err, catalog.ErrNoSnapshot):
-			fmt.Fprintf(os.Stderr, "no usable snapshot in %s; pre-processing from scratch...\n", *catalogDir)
-			preprocess(sys, strategy)
-			if g, err := cat.Save(func(w io.Writer) error {
-				p, _ := sys.Prepared("smallgroup")
-				return core.SaveSmallGroup(w, p)
-			}); err != nil {
-				fmt.Fprintf(os.Stderr, "aqpd: warning: samples built but not persisted: %v\n", err)
-			} else {
-				gen = g
-				fmt.Fprintf(os.Stderr, "saved sample generation %d to %s\n", g, *catalogDir)
-			}
-		default:
-			fatal(err)
-		}
-	default:
-		preprocess(sys, strategy)
 	}
-
-	// Live ingestion: open the WAL, attach the coordinator to the prepared
-	// samples, and replay every durable batch onto the regenerated base
-	// before the listener accepts a single request. The reservoir seed must
-	// be stable across restarts so replay reproduces the sample family
-	// bit-identically; SmallGroupFraction is supplied explicitly because
-	// snapshot-restored states do not carry it.
-	var coord *ingest.Coordinator
+	var wal *ingest.WAL
 	if *walDir != "" {
-		w, err := ingest.OpenWAL(*walDir)
-		if err != nil {
+		if wal, err = ingest.OpenWAL(*walDir); err != nil {
 			fatal(err)
-		}
-		baseRows := 0
-		if snap != nil && snap.Checkpoint != nil {
-			baseRows = int(snap.Checkpoint.BaseRows)
-			// Finish any segment GC a crash interrupted: everything below the
-			// restored checkpoint's position is fully covered by the snapshot.
-			if removed, err := w.RemoveSegmentsBelow(snap.Checkpoint.Seg); err != nil {
-				fmt.Fprintf(os.Stderr, "aqpd: warning: wal segment gc: %v\n", err)
-			} else if removed > 0 {
-				fmt.Fprintf(os.Stderr, "aqpd: removed %d checkpoint-covered wal segments\n", removed)
-			}
-		}
-		coord, err = ingest.New(sys, w, ingest.Config{
-			Online: core.OnlineConfig{
-				Seed:               *seed,
-				SmallGroupFraction: 0.5 * *rate,
-			},
-			MaxPending: *maxPending,
-			DriftBound: *driftBound,
-			BaseRows:   baseRows,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		if snap != nil && len(snap.IDs) > 0 {
-			coord.SeedIdempotency(snap.IDs)
-		}
-		rs, err := coord.ReplayWAL()
-		if err != nil {
-			fatal(fmt.Errorf("wal replay: %w", err))
-		}
-		// OpenWAL truncates a torn tail before Replay sees the segment, so
-		// the crash signature usually surfaces via w.Torn(), not rs.Torn.
-		if rs.Torn || w.Torn() {
-			fmt.Fprintf(os.Stderr, "aqpd: wal had a torn tail (crash mid-append); it was discarded\n")
-		}
-		if rs.Batches > 0 || rs.Covered > 0 {
-			fmt.Fprintf(os.Stderr, "aqpd: replayed %d ingest batches from %s in %v (%d segments, %d bytes scanned, %d checkpoint-covered batches skipped; generation %d)\n",
-				rs.Batches, *walDir, rs.Elapsed.Round(time.Millisecond), rs.Segments, rs.Bytes, rs.Covered, coord.Generation())
 		}
 	}
+	// The reservoir seed must be stable across restarts so replay reproduces
+	// the sample family bit-identically; SmallGroupFraction is supplied
+	// explicitly because snapshot-restored states do not carry it.
+	rec, err := ingest.Recover(sys, cat, wal, strategy, *workers, ingest.Config{
+		Online:     core.OnlineConfig{Seed: *seed, SmallGroupFraction: 0.5 * *rate},
+		MaxPending: *maxPending,
+		DriftBound: *driftBound,
+	})
+	if err != nil {
+		fatal(err)
+	}
+	logRecovery(rec, wal, sys.PreprocessTime("smallgroup"), *catalogDir, *walDir)
 
 	websrv := server.New(sys, server.Config{
 		Strategy:       "smallgroup",
@@ -304,9 +204,9 @@ func main() {
 			Catalog:  cat,
 			Workers:  *workers,
 		},
-		Ingest: coord,
+		Ingest: rec.Coordinator,
 	})
-	websrv.MarkGeneration(gen, source)
+	websrv.MarkGeneration(rec.Generation, rec.Source)
 	srv := &http.Server{
 		Addr:    *addr,
 		Handler: websrv.Handler(),
@@ -349,14 +249,43 @@ func main() {
 	fmt.Fprintln(os.Stderr, "aqpd: shutdown complete")
 }
 
-// preprocess runs the strategy's pre-processing phase, reporting its wall
-// time like every aqpd start always has.
-func preprocess(sys *core.System, strategy core.Strategy) {
-	start := time.Now()
-	if err := sys.AddStrategy(strategy); err != nil {
-		fatal(err)
+// logRecovery narrates what ingest.Recover found and did.
+func logRecovery(rec *ingest.Recovery, wal *ingest.WAL, preprocess time.Duration, catalogDir, walDir string) {
+	for _, sk := range rec.Skipped {
+		fmt.Fprintf(os.Stderr, "aqpd: skipping catalog generation %d: %v\n", sk.Generation, sk.Err)
 	}
-	fmt.Fprintf(os.Stderr, "pre-processing done in %v\n", time.Since(start).Round(time.Millisecond))
+	switch ck := rec.Checkpoint; {
+	case rec.Source == "preprocess":
+		if catalogDir != "" {
+			fmt.Fprintf(os.Stderr, "no usable snapshot in %s; pre-processed from scratch\n", catalogDir)
+		}
+		fmt.Fprintf(os.Stderr, "pre-processing done in %v\n", preprocess.Round(time.Millisecond))
+		if rec.SaveErr != nil {
+			fmt.Fprintf(os.Stderr, "aqpd: warning: samples built but not persisted: %v\n", rec.SaveErr)
+		} else if rec.Generation > 0 {
+			fmt.Fprintf(os.Stderr, "saved sample generation %d to %s\n", rec.Generation, catalogDir)
+		}
+	case ck != nil:
+		fmt.Fprintf(os.Stderr, "recovered sample generation %d from %s (checkpoint: %d ingest batches, wal position %d/%d)\n",
+			rec.Generation, catalogDir, ck.DataGen, ck.Seg, ck.Off)
+	case rec.Generation > 0:
+		fmt.Fprintf(os.Stderr, "recovered sample generation %d from %s\n", rec.Generation, catalogDir)
+	}
+	if rec.GCErr != nil {
+		fmt.Fprintf(os.Stderr, "aqpd: warning: wal segment gc: %v\n", rec.GCErr)
+	} else if rec.GCRemoved > 0 {
+		fmt.Fprintf(os.Stderr, "aqpd: removed %d checkpoint-covered wal segments\n", rec.GCRemoved)
+	}
+	// OpenWAL truncates a torn tail before Replay sees the segment, so the
+	// crash signature usually surfaces via wal.Torn(), not rs.Torn.
+	rs := rec.Replay
+	if rs.Torn || (wal != nil && wal.Torn()) {
+		fmt.Fprintf(os.Stderr, "aqpd: wal had a torn tail (crash mid-append); it was discarded\n")
+	}
+	if rs.Batches > 0 || rs.Covered > 0 {
+		fmt.Fprintf(os.Stderr, "aqpd: replayed %d ingest batches from %s in %v (%d segments, %d bytes scanned, %d checkpoint-covered batches skipped; generation %d)\n",
+			rs.Batches, walDir, rs.Elapsed.Round(time.Millisecond), rs.Segments, rs.Bytes, rs.Covered, rec.Coordinator.Generation())
+	}
 }
 
 // writeTimeoutFor sizes the connection write timeout around the query

@@ -79,6 +79,7 @@ func WriteSnapshot(w io.Writer, payload func(io.Writer) error) error {
 type chunkWriter struct {
 	w          io.Writer
 	buf        []byte
+	frame      []byte // the encoded chunk, reused from chunk to chunk
 	chunkIndex int
 	totalLen   uint64
 	payloadCRC uint32
@@ -106,9 +107,12 @@ func (cw *chunkWriter) flushChunk() error {
 	if err := faults.FireErr(faults.PointSnapshotWrite, cw.chunkIndex); err != nil {
 		return fmt.Errorf("catalog: writing snapshot chunk %d: %w", cw.chunkIndex, err)
 	}
-	frame := make([]byte, 8+len(cw.buf))
+	// One frame buffer serves every chunk: a fresh one per chunk would
+	// allocate the snapshot's whole size again while it is being saved.
+	frame := append(cw.frame[:0], make([]byte, 8)...)
+	frame = append(frame, cw.buf...)
+	cw.frame = frame
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(cw.buf)))
-	copy(frame[8:], cw.buf)
 	crc := crc32.Update(0, castagnoli, frame[0:4])
 	crc = crc32.Update(crc, castagnoli, cw.buf)
 	binary.LittleEndian.PutUint32(frame[4:8], crc)
@@ -188,6 +192,7 @@ func ReadSnapshot(r io.Reader, decode func(io.Reader) error) error {
 type chunkReader struct {
 	r          *bufio.Reader
 	chunk      []byte // verified bytes not yet consumed
+	data       []byte // chunk's backing buffer, reused from chunk to chunk
 	chunkIndex int
 	totalLen   uint64
 	payloadCRC uint32
@@ -228,7 +233,12 @@ func (cr *chunkReader) nextChunk() error {
 	if length > maxChunkSize {
 		return corruptf("chunk %d length %d exceeds %d", cr.chunkIndex, length, maxChunkSize)
 	}
-	data := make([]byte, length)
+	// The previous chunk is fully consumed by now (Read only asks for the
+	// next one then), so its buffer takes this chunk's bytes.
+	if cap(cr.data) < int(length) {
+		cr.data = make([]byte, length)
+	}
+	data := cr.data[:length]
 	if _, err := io.ReadFull(cr.r, data); err != nil {
 		return corruptf("chunk %d body: %v", cr.chunkIndex, err)
 	}

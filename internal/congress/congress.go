@@ -14,7 +14,6 @@ package congress
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"dynsample/internal/core"
 	"dynsample/internal/engine"
@@ -186,7 +185,7 @@ func (s *Strategy) Preprocess(db *engine.Database) (core.Prepared, error) {
 	}
 
 	tbl := db.Flatten("congress_sample", sortedRows, nil, sortedWeights)
-	return &prepared{table: tbl, level: cfg.ConfidenceLevel, strataCount: len(sizes)}, nil
+	return &prepared{core.SingleSample{Table: tbl, Scale: 1, Level: cfg.ConfidenceLevel}, len(sizes)}, nil
 }
 
 func candidateColumns(db *engine.Database, cfg Config) ([]string, error) {
@@ -288,37 +287,11 @@ func fullCongressRates(db *engine.Database, cols []string, rowStratum []int32, s
 	return rates, nil
 }
 
+// prepared is the single-sample runtime plus the allocation's stratum count.
 type prepared struct {
-	table       *engine.Table
-	level       float64
+	core.SingleSample
 	strataCount int
 }
-
-// Answer implements core.Prepared.
-func (p *prepared) Answer(q *engine.Query) (*core.Answer, error) {
-	start := time.Now()
-	plan := &core.RewritePlan{
-		Query: q,
-		Steps: []core.RewriteStep{core.StepFor(p.table, 1)},
-	}
-	res, rows, err := core.ExecutePlan(plan)
-	if err != nil {
-		return nil, err
-	}
-	return &core.Answer{
-		Result:    res,
-		Intervals: core.ConfidenceIntervals(res, p.level),
-		RowsRead:  rows,
-		Elapsed:   time.Since(start),
-		Rewrite:   plan,
-	}, nil
-}
-
-// SampleRows implements core.Prepared.
-func (p *prepared) SampleRows() int64 { return int64(p.table.NumRows()) }
-
-// SampleBytes implements core.Prepared.
-func (p *prepared) SampleBytes() int64 { return p.table.ApproxBytes() }
 
 // StrataCount reports how many strata the allocation produced (§5.3.2 notes
 // basic congress built ~166,000 tiny strata on the SALES schema).

@@ -79,6 +79,14 @@ type WorkerConfigurable interface {
 	SetWorkers(n int)
 }
 
+// SetWorkers applies a worker budget to p when p is WorkerConfigurable and
+// n is positive; otherwise it does nothing.
+func SetWorkers(p Prepared, n int) {
+	if wc, ok := p.(WorkerConfigurable); ok && n > 0 {
+		wc.SetWorkers(n)
+	}
+}
+
 // Answer is an approximate query answer: estimated (or exact) per-group
 // aggregate values plus confidence intervals.
 type Answer struct {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -136,5 +137,56 @@ func TestPreprocessEmptyDatabase(t *testing.T) {
 	db := engine.MustNewDatabase("empty", engine.NewTable("f", engine.NewColumn("a", engine.Int)))
 	if _, err := NewSmallGroup(SmallGroupConfig{BaseRate: 0.1}).Preprocess(db); err == nil {
 		t.Error("empty database not rejected")
+	}
+}
+
+// TestExactFloatSumIntervalsCoverShardOrder: an exact group's float SUM
+// added up in two shard orders lands on two different float64s; each
+// answer's interval must contain the other, and both must be as tight as
+// the arithmetic allows. Integer sums and COUNTs stay zero-width.
+func TestExactFloatSumIntervalsCoverShardOrder(t *testing.T) {
+	shard := func(lo, hi int) *engine.Table {
+		x, k := engine.NewColumn("x", engine.Float), engine.NewColumn("k", engine.Int)
+		tbl := engine.NewTable(fmt.Sprintf("shard_%d", lo), x, k)
+		for i := lo; i < hi; i++ {
+			x.AppendFloat(0.1*float64(i%97) + 1e5/float64(i+1))
+			k.AppendInt(int64(i%31) + 1)
+			tbl.EndRow()
+		}
+		return tbl
+	}
+	q := &engine.Query{Aggs: []engine.Aggregate{{Kind: engine.Sum, Col: "x"}, {Kind: engine.Sum, Col: "k"}, {Kind: engine.Count}}}
+	shards := []*engine.Table{shard(0, 700), shard(700, 1900), shard(1900, 3000)}
+	sum := func(order ...int) (*engine.Group, []stats.Interval) {
+		res := engine.NewResult(q.GroupBy, q.Aggs)
+		for _, i := range order {
+			part, err := engine.Execute(shards[i], q, engine.ExecOptions{Scale: 1, MarkExact: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := res.Merge(part); err != nil {
+				t.Fatal(err)
+			}
+		}
+		key := engine.EncodeKey(nil)
+		return res.Group(key), ConfidenceIntervals(res, 0)[key]
+	}
+	a, aiv := sum(0, 1, 2)
+	b, biv := sum(1, 2, 0)
+	if a.Vals[0] == b.Vals[0] {
+		t.Fatal("both shard orders produced the same float sum; the test data no longer exercises rounding")
+	}
+	if !aiv[0].Contains(b.Vals[0]) || !biv[0].Contains(a.Vals[0]) {
+		t.Errorf("float sums %v and %v (apart by %g) are outside each other's intervals %+v, %+v",
+			a.Vals[0], b.Vals[0], a.Vals[0]-b.Vals[0], aiv[0], biv[0])
+	}
+	if w := aiv[0].Width(); w <= 0 || w > 1e-6*a.Vals[0] {
+		t.Errorf("float sum interval width %g on a sum of %g: want positive and negligible", w, a.Vals[0])
+	}
+	for i := 1; i <= 2; i++ {
+		if a.Vals[i] != b.Vals[i] || aiv[i].Width() != 0 || biv[i].Width() != 0 {
+			t.Errorf("aggregate %d (integer-valued): sums %v / %v, widths %g / %g; want equal sums and lo == hi",
+				i, a.Vals[i], b.Vals[i], aiv[i].Width(), biv[i].Width())
+		}
 	}
 }

@@ -424,7 +424,7 @@ func (o *Online) Apply(seq uint64, rows [][]engine.Value) (BatchStats, error) {
 	}
 
 	o.rng = randx.New(batchSeed(o.seed, seq))
-	masks, perTable, victims := o.classify(rows)
+	masks, perTable, victims := o.classify(rows, true)
 
 	np := *o.p
 	np.db = newDB
@@ -471,10 +471,15 @@ type reservoirHit struct {
 	ri   int
 }
 
-// classify computes each batch row's membership bitmask, bumps the
-// rare-value frequency counts, and draws the reservoir decisions. It
-// mutates only tracking state (freqs, seen, rng), never sample tables.
-func (o *Online) classify(rows [][]engine.Value) ([]bitmask.Mask, map[int][]int, []reservoirHit) {
+// classify computes each batch row's membership bitmask, tracks values of
+// still-dropped columns, and draws the reservoir decisions; with bumpFreqs
+// it also bumps the rare-value frequency counts. Apply bumps; Rebase's tail
+// replay does not, because rebased counts were seeded from the full current
+// database, tail rows included (the missing-column value sets were seeded
+// from the pinned rebuild database, which excludes the tail, so that
+// tracking runs either way). It mutates only tracking state (freqs, seen,
+// rng), never sample tables.
+func (o *Online) classify(rows [][]engine.Value, bumpFreqs bool) ([]bitmask.Mask, map[int][]int, []reservoirHit) {
 	meta := o.p.meta
 	width := meta.Width()
 	cols := meta.Columns()
@@ -489,7 +494,9 @@ func (o *Online) classify(rows [][]engine.Value) ([]bitmask.Mask, map[int][]int,
 			if _, common := cm.Common[v]; common {
 				continue
 			}
-			o.bumpFreq(ci, v)
+			if bumpFreqs {
+				o.bumpFreq(ci, v)
+			}
 			m.Set(cm.Index)
 			perTable[cm.Index] = append(perTable[cm.Index], ri)
 		}
@@ -618,7 +625,7 @@ func (o *Online) Rebase(p Prepared, rebuiltAt uint64, tail []TailBatch) error {
 	// Missing-column value sets, unlike the frequency counts, are seeded
 	// from the pinned rebuild database: a new value a tail row introduces
 	// into a still-dropped column must keep the drift gauge floored, and
-	// classifyForRebase bumps it during the tail replay below.
+	// classify bumps it during the tail replay below.
 	o.missingPos, o.missingVals = nil, nil
 	if err := o.seedMissing(np.meta, sgp.db); err != nil {
 		restore()
@@ -634,7 +641,7 @@ func (o *Online) Rebase(p Prepared, rebuiltAt uint64, tail []TailBatch) error {
 			return fmt.Errorf("core: rebase tail batch %d beyond data generation %d", b.Seq, o.gen)
 		}
 		o.rng = randx.New(batchSeed(o.seed, b.Seq))
-		masks, perTable, victims := o.classifyForRebase(b.Rows)
+		masks, perTable, victims := o.classify(b.Rows, false)
 		var st BatchStats
 		o.applySampleUpdates(&np, b.Rows, masks, perTable, victims, &st)
 		o.sampleGen = b.Seq
@@ -647,44 +654,4 @@ func (o *Online) Rebase(p Prepared, rebuiltAt uint64, tail []TailBatch) error {
 	np.dataGen = o.sampleGen
 	o.sys.SwapPrepared(o.strategy, &np)
 	return nil
-}
-
-// classifyForRebase is classify without frequency bumps: rebased frequency
-// counts were seeded from the full current database, tail rows included.
-// Missing-column tracking DOES run here — its value sets come from the
-// pinned rebuild database, which excludes the tail.
-func (o *Online) classifyForRebase(rows [][]engine.Value) ([]bitmask.Mask, map[int][]int, []reservoirHit) {
-	meta := o.p.meta
-	width := meta.Width()
-	cols := meta.Columns()
-	masks := make([]bitmask.Mask, len(rows))
-	perTable := make(map[int][]int)
-	var victims []reservoirHit
-	o.trackMissing(rows)
-	for ri, row := range rows {
-		m := bitmask.New(width)
-		for ci, cm := range cols {
-			if _, common := cm.Common[row[o.colPos[ci]]]; !common {
-				m.Set(cm.Index)
-				perTable[cm.Index] = append(perTable[cm.Index], ri)
-			}
-		}
-		for pi, pm := range meta.Pairs() {
-			v0 := row[o.pairPos[pi][0]]
-			v1 := row[o.pairPos[pi][1]]
-			if !o.pairColCommon[pi][0](v0) || !o.pairColCommon[pi][1](v1) {
-				continue
-			}
-			if _, rare := pm.Rare[engine.EncodeKey([]engine.Value{v0, v1})]; rare {
-				m.Set(pm.Index)
-				perTable[pm.Index] = append(perTable[pm.Index], ri)
-			}
-		}
-		masks[ri] = m
-		o.seen++
-		if j := o.rng.Int63n(o.seen); j < int64(o.cap) {
-			victims = append(victims, reservoirHit{slot: int(j), ri: ri})
-		}
-	}
-	return masks, perTable, victims
 }

@@ -437,11 +437,13 @@ func ExecutePlanCtx(ctx context.Context, plan *RewritePlan) (*engine.Result, int
 }
 
 // ConfidenceIntervals derives per-group, per-aggregate intervals from the
-// Horvitz-Thompson variance accumulators. Exact groups get zero-width
-// intervals; COUNT intervals are clamped at zero. This is the simple
-// single-stratum computation the paper highlights (§4.2.2): "confidence
-// interval calculation is very simple when using small group sampling
-// because the source of inaccuracy can be restricted to a single stratum".
+// Horvitz-Thompson variance accumulators. Exact groups carry no sampling
+// error: their COUNTs and integer sums get zero-width intervals, their float
+// sums the width of floating-point summation itself (exactSum). COUNT
+// intervals are clamped at zero. This is the simple single-stratum
+// computation the paper highlights (§4.2.2): "confidence interval
+// calculation is very simple when using small group sampling because the
+// source of inaccuracy can be restricted to a single stratum".
 func ConfidenceIntervals(res *engine.Result, level float64) map[engine.GroupKey][]stats.Interval {
 	if level == 0 {
 		level = DefaultConfidenceLevel
@@ -453,7 +455,7 @@ func ConfidenceIntervals(res *engine.Result, level float64) map[engine.GroupKey]
 		ivs := make([]stats.Interval, len(res.Aggs))
 		for i := range res.Aggs {
 			if g.Exact {
-				ivs[i] = stats.Exact(g.Vals[i])
+				ivs[i] = exactSum(g, i)
 				continue
 			}
 			sd := math.Sqrt(math.Max(g.VarAcc[i], 0))
@@ -466,4 +468,26 @@ func ConfidenceIntervals(res *engine.Result, level float64) map[engine.GroupKey]
 		out[k] = ivs
 	}
 	return out
+}
+
+// exactSum is the interval of an exact group's aggregate i. Every row was
+// read, so the only error left is float64 addition's: the same n values
+// summed in another order — /v1/exact adds in shard order, a plan in step
+// order — can land an ulp or more apart, and a zero-width interval would
+// claim a precision the arithmetic does not deliver. Any summation order is
+// within (n−1)·u·Σ|x| of the true sum (u = 2⁻⁵³, first order), so two
+// orders are within 2(n−1)·u·Σ|x| of each other; Σ|x| ≤ √(n·Σx²) by
+// Cauchy–Schwarz, both of which the group already accumulates. The half-width
+// is n·2⁻⁵²·√(n·Σx²): n for n−1 absorbs the second-order terms.
+//
+// Integers below 2⁵³ add exactly in any order, so a COUNT, and a SUM whose
+// raw sum and raw sum of squares are whole numbers with √(n·Σx²) < 2⁵³ —
+// every integer measure of that magnitude — keep lo == hi.
+func exactSum(g *engine.Group, i int) stats.Interval {
+	v, n, sumSq := g.Vals[i], float64(g.RawRows), g.RawSumSq[i]
+	if n < 2 || (v == math.Trunc(v) && sumSq == math.Trunc(sumSq) && n*sumSq < 1<<106) {
+		return stats.Exact(v)
+	}
+	e := n * math.Sqrt(n*sumSq) / (1 << 52)
+	return stats.Interval{Lo: v - e, Hi: v + e, Level: 1}
 }

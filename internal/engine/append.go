@@ -27,6 +27,26 @@ func (c *Column) cloneForAppend() *Column {
 	return &cc
 }
 
+// reserve makes room for n more rows. A table's columns have one length, so
+// left to append's own growth they would all re-allocate in the same batch —
+// a burst the size of the whole table while the previous version's arrays
+// are still published, which set the ingest path's peak memory by where the
+// collector happened to be. Each column therefore grows by a different
+// share, an eighth to a quarter by slot, and later growths fall in different
+// batches, one column's array at a time.
+func (c *Column) reserve(n, slot int) {
+	l := c.Len()
+	grown := l + n + l/8 + slot%16*(l/128)
+	switch {
+	case c.Type == Int && l+n > cap(c.ints):
+		c.ints = append(make([]int64, 0, grown), c.ints...)
+	case c.Type == Float && l+n > cap(c.floats):
+		c.floats = append(make([]float64, 0, grown), c.floats...)
+	case c.Type == String && l+n > cap(c.codes):
+		c.codes = append(make([]int32, 0, grown), c.codes...)
+	}
+}
+
 // setValue overwrites row i in place. It must only be called on columns whose
 // row storage is private (see CopyForUpdate); overwriting shared storage
 // would tear published versions.
@@ -235,6 +255,9 @@ func (a *Appender) Append(rows [][]Value) (*Database, error) {
 	}
 
 	newFact := a.db.Fact.CloneForAppend()
+	for ci, col := range newFact.cols {
+		col.reserve(len(rows), ci)
+	}
 	dimTables := make([]*Table, len(a.db.Dims))
 	cloned := make([]bool, len(a.db.Dims))
 	for i, d := range a.db.Dims {

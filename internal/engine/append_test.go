@@ -148,3 +148,45 @@ func TestCopyForUpdateIsolatesOverwrites(t *testing.T) {
 		t.Fatal("string overwrite did not apply")
 	}
 }
+
+// TestAppendStaggersColumnGrowth: the first batch onto a freshly generated
+// table (cap == len everywhere) has to grow every column, but from then on
+// no batch may re-allocate more than one column's array — lock-step growth
+// is a burst the size of the whole table.
+func TestAppendStaggersColumnGrowth(t *testing.T) {
+	const n, ncols = 2000, 8
+	cols := make([]*Column, ncols)
+	for ci := range cols {
+		c := NewColumn(string(rune('a'+ci)), Int)
+		c.ints = make([]int64, n)
+		cols[ci] = c
+	}
+	app, err := NewAppender(MustNewDatabase("DB", NewTable("fact", cols...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := make([]Value, ncols)
+	for i := range row {
+		row[i] = IntVal(int64(i))
+	}
+	caps := make([]int, ncols)
+	for batch := 0; batch < 3*n; batch++ {
+		db, err := app.Append([][]Value{row})
+		if err != nil {
+			t.Fatal(err)
+		}
+		grew := 0
+		for ci, c := range db.Fact.cols {
+			if cap(c.ints) != caps[ci] {
+				grew++
+				caps[ci] = cap(c.ints)
+			}
+		}
+		if batch > 0 && grew > 1 {
+			t.Fatalf("batch %d (row %d) re-allocated %d columns at once", batch, n+batch, grew)
+		}
+	}
+	if got := app.db.NumRows(); got != 4*n {
+		t.Fatalf("%d rows after the appends, want %d", got, 4*n)
+	}
+}

@@ -234,16 +234,15 @@ func ReadBinary(r io.Reader) (*Table, error) {
 	return t, nil
 }
 
+// The fixed-width writers run once per stored value, so they encode into the
+// writer's own buffer: a local array passed to Write escapes, and a heap
+// allocation per value made saving a checkpoint allocate twice its size.
 func writeU32(w *bufio.Writer, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	w.Write(b[:])
+	w.Write(binary.LittleEndian.AppendUint32(w.AvailableBuffer(), v))
 }
 
 func writeU64(w *bufio.Writer, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.Write(b[:])
+	w.Write(binary.LittleEndian.AppendUint64(w.AvailableBuffer(), v))
 }
 
 func writeString(w *bufio.Writer, s string) {

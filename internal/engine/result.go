@@ -22,7 +22,7 @@ type Group struct {
 	// VarAcc accumulates, per aggregate, the Horvitz-Thompson variance
 	// estimate Σ w·(w−1)·x² where w is the row's total weight (per-row
 	// weight × scale). Rows stored at rate 100% (w=1) contribute zero, so
-	// exact groups automatically get zero-width confidence intervals.
+	// exact groups automatically carry zero sampling variance.
 	VarAcc []float64
 	// Exact marks groups whose aggregate is known exactly (answered entirely
 	// from small group tables); see §4.2.2: "Answers for groups that result

@@ -94,8 +94,9 @@ func TestCrashBetweenSnapshotSaveAndManifestWrite(t *testing.T) {
 	faults.SetErr(faults.PointManifestWrite, faults.FailNth(0, boom))
 	res, err := h.Checkpoint()
 	faults.Reset()
-	if res.Generation != 1 || !errors.Is(err, boom) {
-		t.Fatalf("Checkpoint = (gen %d, %v), want generation 1 plus the manifest failure", res.Generation, err)
+	// Generation 1 is the first Start's save of its from-scratch build.
+	if res.Generation != 2 || !errors.Is(err, boom) {
+		t.Fatalf("Checkpoint = (gen %d, %v), want generation 2 plus the manifest failure", res.Generation, err)
 	}
 
 	h.Crash()
@@ -107,19 +108,19 @@ func TestCrashBetweenSnapshotSaveAndManifestWrite(t *testing.T) {
 	if got := h.Answers(); got != want {
 		t.Error("recovered answers differ from the uncrashed reference")
 	}
-	// Self-heal: the next checkpoint writes a manifest naming both
+	// Self-heal: the next checkpoint writes a manifest naming all three
 	// generations.
 	h.Rebuild()
 	res, err = h.Checkpoint()
-	if err != nil || res.Generation != 2 {
+	if err != nil || res.Generation != 3 {
 		t.Fatalf("second checkpoint = (gen %d, %v)", res.Generation, err)
 	}
 	m, err := h.Catalog().ReadManifest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Current != 2 || len(m.Generations) != 2 {
-		t.Fatalf("self-healed manifest = current %d with %d generations, want 2 and 2", m.Current, len(m.Generations))
+	if m.Current != 3 || len(m.Generations) != 3 {
+		t.Fatalf("self-healed manifest = current %d with %d generations, want 3 and 3", m.Current, len(m.Generations))
 	}
 }
 
@@ -140,8 +141,8 @@ func TestCrashBetweenCheckpointAndSegmentGC(t *testing.T) {
 	if err != nil {
 		t.Fatalf("checkpoint failed outright on a GC fault: %v", err)
 	}
-	if res.Generation != 1 || res.Removed != 0 || !errors.Is(res.GCErr, boom) {
-		t.Fatalf("Checkpoint = gen %d removed %d gcErr %v, want gen 1, nothing removed, the injected failure", res.Generation, res.Removed, res.GCErr)
+	if res.Generation != 2 || res.Removed != 0 || !errors.Is(res.GCErr, boom) {
+		t.Fatalf("Checkpoint = gen %d removed %d gcErr %v, want gen 2, nothing removed, the injected failure", res.Generation, res.Removed, res.GCErr)
 	}
 	before := h.WALSegments()
 	if len(before) < 2 {
@@ -194,8 +195,9 @@ func TestCrashMidSegmentGC(t *testing.T) {
 
 // TestCrashMidSnapshotSave dies partway through writing the checkpoint
 // snapshot itself: no generation commits, no WAL segment may be deleted,
-// and the restarted process falls back to preprocess-from-scratch plus a
-// full, idempotent replay.
+// and the restarted process falls back to generation 1 (the first Start's
+// save of its from-scratch build, which covers nothing) plus a full,
+// idempotent replay.
 func TestCrashMidSnapshotSave(t *testing.T) {
 	t.Cleanup(faults.Reset)
 	// The crashed run's rebuild dies with the process (its snapshot never
@@ -314,8 +316,8 @@ func TestBoundedRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Generation != 1 || res.Removed < 1 || res.GCErr != nil {
-		t.Fatalf("Checkpoint = %+v, want generation 1 with at least one segment deleted", res)
+	if res.Generation != 2 || res.Removed < 1 || res.GCErr != nil {
+		t.Fatalf("Checkpoint = %+v, want generation 2 with at least one segment deleted", res)
 	}
 	segsAfterCk := h.WALSegments()
 	h.MustIngest(N, N+M-1)
@@ -338,7 +340,7 @@ func TestBoundedRecovery(t *testing.T) {
 	if err := h.Ingest(1); !errors.Is(err, ingest.ErrDuplicate) {
 		t.Fatalf("retry of a checkpoint-covered batch: err = %v, want ErrDuplicate", err)
 	}
-	if err := h.Ingest(N+1); !errors.Is(err, ingest.ErrDuplicate) {
+	if err := h.Ingest(N + 1); !errors.Is(err, ingest.ErrDuplicate) {
 		t.Fatalf("retry of a replayed batch: err = %v, want ErrDuplicate", err)
 	}
 }

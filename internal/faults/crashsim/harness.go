@@ -8,9 +8,9 @@
 // after the checkpoint but before segment deletion, and partway through GC.
 //
 // Crash() abandons every in-memory handle, exactly as a kill -9 would leave
-// things, and Start() re-runs the same recovery procedure cmd/aqpd uses
-// (newest verifying snapshot, startup segment GC, idempotency seeding, WAL
-// tail replay). The invariants every scenario checks:
+// things, and Start() recovers with ingest.Recover, the very function
+// cmd/aqpd starts with; Rebuild() is ingest.Rebuild, the server's. The
+// invariants every scenario checks:
 //
 //   - no acknowledged batch is lost (its rows count exactly once after
 //     recovery),
@@ -24,9 +24,7 @@ package crashsim
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -146,13 +144,12 @@ func BatchRows(k int) [][]engine.Value {
 	return rows
 }
 
-// Start runs the recovery procedure cmd/aqpd uses and leaves the harness
-// with a live coordinator: regenerate the base, restore the newest
-// verifying catalog snapshot (checkpointed or legacy; preprocess from
-// scratch when there is none), finish any interrupted segment GC below the
-// checkpoint, seed the idempotency window, and replay the WAL tail. It
-// fails the test on any recovery error and returns the replay stats so
-// scenarios can assert recovery work was bounded.
+// Start recovers a process from the durable directories with ingest.Recover
+// — the function cmd/aqpd runs — over a regenerated base, and leaves the
+// harness with a live coordinator. It fails the test on any recovery error,
+// including the startup segment GC and the empty-catalog save that Recover
+// itself only reports, and returns the replay stats so scenarios can assert
+// recovery work was bounded.
 func (h *Harness) Start() ingest.ReplayStats {
 	h.t.Helper()
 	if h.coord != nil {
@@ -163,42 +160,11 @@ func (h *Harness) Start() ingest.ReplayStats {
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	var snap *ingest.Snapshot
-	_, err = cat.LoadLatest(func(r io.Reader) error {
-		s, derr := ingest.DecodeSnapshot(r)
-		if derr != nil {
-			return derr
-		}
-		if s.Checkpoint != nil && s.Checkpoint.BaseRows != uint64(baseRowsN) {
-			return fmt.Errorf("checkpoint covers %d base rows, base has %d", s.Checkpoint.BaseRows, baseRowsN)
-		}
-		snap = s
-		return nil
-	})
-	switch {
-	case err == nil:
-		if err := snap.Restore(sys, "smallgroup"); err != nil {
-			h.t.Fatal(err)
-		}
-	case errors.Is(err, catalog.ErrNoSnapshot):
-		if err := sys.AddStrategy(core.NewSmallGroup(sgCfg)); err != nil {
-			h.t.Fatal(err)
-		}
-	default:
-		h.t.Fatal(err)
-	}
 	w, err := ingest.OpenWALWith(h.walDir, ingest.WALOptions{SegmentBytes: segBytes})
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	baseRows := 0
-	if snap != nil && snap.Checkpoint != nil {
-		baseRows = int(snap.Checkpoint.BaseRows)
-		if _, err := w.RemoveSegmentsBelow(snap.Checkpoint.Seg); err != nil {
-			h.t.Fatalf("crashsim: startup segment gc: %v", err)
-		}
-	}
-	coord, err := ingest.New(sys, w, ingest.Config{
+	rec, err := ingest.Recover(sys, cat, w, core.NewSmallGroup(sgCfg), 0, ingest.Config{
 		Online: core.OnlineConfig{
 			Seed: onlineSeed,
 			// Snapshot-restored prepared state does not carry the
@@ -206,23 +172,19 @@ func (h *Harness) Start() ingest.ReplayStats {
 			// (as cmd/aqpd does) and matches the fresh-preprocess value.
 			SmallGroupFraction: sgCfg.SmallGroupFraction,
 		},
-		BaseRows: baseRows,
 		// Scenarios drive recovery deterministically via ProbeNow; park the
 		// background prober out of the way.
 		ProbeBackoff: time.Hour,
 	})
 	if err != nil {
-		h.t.Fatal(err)
+		w.Close()
+		h.t.Fatalf("crashsim: recovery: %v", err)
 	}
-	if snap != nil && len(snap.IDs) > 0 {
-		coord.SeedIdempotency(snap.IDs)
+	if rec.GCErr != nil || rec.SaveErr != nil {
+		h.t.Fatalf("crashsim: recovery: startup segment gc: %v, first save: %v", rec.GCErr, rec.SaveErr)
 	}
-	rs, err := coord.ReplayWAL()
-	if err != nil {
-		h.t.Fatalf("crashsim: wal replay: %v", err)
-	}
-	h.sys, h.coord, h.wal, h.cat = sys, coord, w, cat
-	return rs
+	h.sys, h.coord, h.wal, h.cat = sys, rec.Coordinator, w, cat
+	return rec.Replay
 }
 
 // Crash ends the running process the way kill -9 would leave the disk: all
@@ -269,20 +231,12 @@ func (h *Harness) MustIngest(first, last int) {
 	}
 }
 
-// Rebuild runs the full rebuild handshake synchronously, as the server's
-// background rebuild would: pin, preprocess outside the lock, publish.
+// Rebuild runs ingest.Rebuild — the function the server's background
+// rebuild runs — synchronously and without persisting; scenarios checkpoint
+// as a separate step so faults can land between the two.
 func (h *Harness) Rebuild() {
 	h.t.Helper()
-	db, pinned, err := h.coord.BeginRebuild()
-	if err != nil {
-		h.t.Fatal(err)
-	}
-	p, err := core.NewSmallGroup(sgCfg).Preprocess(db)
-	if err != nil {
-		h.coord.AbortRebuild()
-		h.t.Fatal(err)
-	}
-	if err := h.coord.CompleteRebuild(p, pinned); err != nil {
+	if _, err := ingest.Rebuild(h.sys, h.coord, nil, core.NewSmallGroup(sgCfg), "smallgroup", 0); err != nil {
 		h.t.Fatal(err)
 	}
 }

@@ -23,7 +23,6 @@ package icicles
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"dynsample/internal/core"
 	"dynsample/internal/engine"
@@ -152,38 +151,19 @@ func (ic *Icicle) Tunes() int {
 	return ic.tunes
 }
 
-// Answer implements core.Prepared.
-func (ic *Icicle) Answer(q *engine.Query) (*core.Answer, error) {
+// current snapshots the serving table as the shared single-sample runtime;
+// the callers then execute lock-free.
+func (ic *Icicle) current() *core.SingleSample {
 	ic.mu.Lock()
-	tbl := ic.table
-	level := ic.cfg.ConfidenceLevel
-	ic.mu.Unlock()
-
-	start := time.Now()
-	plan := &core.RewritePlan{Query: q, Steps: []core.RewriteStep{core.StepFor(tbl, 1)}}
-	res, rows, err := core.ExecutePlan(plan)
-	if err != nil {
-		return nil, err
-	}
-	return &core.Answer{
-		Result:    res,
-		Intervals: core.ConfidenceIntervals(res, level),
-		RowsRead:  rows,
-		Elapsed:   time.Since(start),
-		Rewrite:   plan,
-	}, nil
+	defer ic.mu.Unlock()
+	return &core.SingleSample{Table: ic.table, Scale: 1, Level: ic.cfg.ConfidenceLevel}
 }
+
+// Answer implements core.Prepared.
+func (ic *Icicle) Answer(q *engine.Query) (*core.Answer, error) { return ic.current().Answer(q) }
 
 // SampleRows implements core.Prepared.
-func (ic *Icicle) SampleRows() int64 {
-	ic.mu.Lock()
-	defer ic.mu.Unlock()
-	return int64(ic.table.NumRows())
-}
+func (ic *Icicle) SampleRows() int64 { return ic.current().SampleRows() }
 
 // SampleBytes implements core.Prepared.
-func (ic *Icicle) SampleBytes() int64 {
-	ic.mu.Lock()
-	defer ic.mu.Unlock()
-	return ic.table.ApproxBytes()
-}
+func (ic *Icicle) SampleBytes() int64 { return ic.current().SampleBytes() }

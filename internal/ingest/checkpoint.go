@@ -146,84 +146,44 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	if string(magic) != ckMagic {
 		return nil, fmt.Errorf("ingest: unsupported checkpoint version %q", magic)
 	}
-	readU64 := func() (uint64, error) {
-		var b [8]byte
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			return 0, err
+	// Reads latch the first error, so the fixed-width fields decode without
+	// a check per field; every loop and allocation below is bounded by a
+	// checked count or by err.
+	var b [8]byte
+	read := func(n int) []byte {
+		if err == nil {
+			_, err = io.ReadFull(br, b[:n])
 		}
-		return binary.LittleEndian.Uint64(b[:]), nil
+		return b[:n]
 	}
-	readU32 := func() (uint32, error) {
-		var b [4]byte
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(b[:]), nil
-	}
-	ck := &Checkpoint{}
-	if ck.DataGen, err = readU64(); err != nil {
-		return nil, err
-	}
-	if ck.BaseRows, err = readU64(); err != nil {
-		return nil, err
-	}
-	if ck.Seg, err = readU64(); err != nil {
-		return nil, err
-	}
-	off, err := readU64()
+	u64 := func() uint64 { return binary.LittleEndian.Uint64(read(8)) }
+	u32 := func() uint32 { return binary.LittleEndian.Uint32(read(4)) }
+	s := &Snapshot{Checkpoint: &Checkpoint{DataGen: u64(), BaseRows: u64(), Seg: u64(), Off: int64(u64())}}
+	nIDs := u32()
 	if err != nil {
-		return nil, err
-	}
-	ck.Off = int64(off)
-	nIDs, err := readU32()
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ingest: reading checkpoint header: %w", err)
 	}
 	if nIDs > maxCheckpointIDs {
 		return nil, fmt.Errorf("ingest: checkpoint id count %d exceeds %d", nIDs, maxCheckpointIDs)
 	}
-	s := &Snapshot{Checkpoint: ck}
 	for i := uint32(0); i < nIDs; i++ {
-		var b2 [2]byte
-		if _, err := io.ReadFull(br, b2[:]); err != nil {
-			return nil, err
-		}
-		idLen := binary.LittleEndian.Uint16(b2[:])
-		if int(idLen) > maxBatchID {
+		idLen := int(binary.LittleEndian.Uint16(read(2)))
+		if err == nil && idLen > maxBatchID {
 			return nil, fmt.Errorf("ingest: checkpoint id length %d exceeds %d", idLen, maxBatchID)
 		}
-		idb := make([]byte, idLen)
-		if _, err := io.ReadFull(br, idb); err != nil {
-			return nil, err
+		id := make([]byte, idLen)
+		if err == nil {
+			_, err = io.ReadFull(br, id)
 		}
-		var e IdentEntry
-		e.ID = string(idb)
-		rows, err := readU32()
+		e := IdentEntry{ID: string(id), Stats: core.BatchStats{
+			Rows:              int(u32()),
+			ReservoirSwaps:    int(u32()),
+			SmallGroupInserts: int(u32()),
+			Drift:             math.Float64frombits(u64()),
+			DataGeneration:    u64(),
+		}}
 		if err != nil {
-			return nil, err
-		}
-		swaps, err := readU32()
-		if err != nil {
-			return nil, err
-		}
-		sg, err := readU32()
-		if err != nil {
-			return nil, err
-		}
-		driftBits, err := readU64()
-		if err != nil {
-			return nil, err
-		}
-		gen, err := readU64()
-		if err != nil {
-			return nil, err
-		}
-		e.Stats = core.BatchStats{
-			Rows:              int(rows),
-			ReservoirSwaps:    int(swaps),
-			SmallGroupInserts: int(sg),
-			Drift:             math.Float64frombits(driftBits),
-			DataGeneration:    gen,
+			return nil, fmt.Errorf("ingest: reading checkpoint id %d of %d: %w", i, nIDs, err)
 		}
 		s.IDs = append(s.IDs, e)
 	}

@@ -1,9 +1,9 @@
 package ingest
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -38,22 +38,39 @@ func newCheckpointSystem(t testing.TB, n int, dir string, cfg Config) (*core.Sys
 	return sys, c, w
 }
 
-// rebuildNow runs the full rebuild handshake synchronously, as the server's
-// background rebuild would: pin, preprocess outside the lock, publish.
+// rebuildNow runs Rebuild synchronously without persisting; the tests
+// checkpoint as a separate step.
 func rebuildNow(t testing.TB, c *Coordinator) {
 	t.Helper()
-	db, pinned, err := c.BeginRebuild()
+	if _, err := Rebuild(c.sys, c, nil, core.NewSmallGroup(ingestSGCfg), "smallgroup", 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// recoverNow restarts onto a regenerated n-row base the way cmd/aqpd does:
+// Recover over the surviving catalog and WAL directories. The small-group
+// fraction is supplied explicitly because snapshot-restored state does not
+// carry the preprocessing config.
+func recoverNow(t testing.TB, n int, cat *catalog.Catalog, walDir string, cfg Config) (*core.System, *Recovery) {
+	t.Helper()
+	var w *WAL
+	if walDir != "" {
+		var err error
+		if w, err = OpenWALWith(walDir, WALOptions{SegmentBytes: ckSegBytes}); err != nil {
+			t.Fatalf("reopening the wal: %v", err)
+		}
+		t.Cleanup(func() { w.Close() })
+	}
+	cfg.Online.SmallGroupFraction = ingestSGCfg.SmallGroupFraction
+	sys := core.NewSystem(ingestDB(t, n))
+	rec, err := Recover(sys, cat, w, core.NewSmallGroup(ingestSGCfg), 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := core.NewSmallGroup(ingestSGCfg).Preprocess(db)
-	if err != nil {
-		c.AbortRebuild()
-		t.Fatal(err)
+	if rec.GCErr != nil || rec.SaveErr != nil {
+		t.Fatalf("recovery: startup gc: %v, first save: %v", rec.GCErr, rec.SaveErr)
 	}
-	if err := c.CompleteRebuild(p, pinned); err != nil {
-		t.Fatal(err)
-	}
+	return sys, rec
 }
 
 // walSegIndexes lists the WAL segment indexes present in dir, ascending.
@@ -147,65 +164,29 @@ func TestCheckpointBoundedRestart(t *testing.T) {
 	}
 	w1.Close()
 
-	// Restart, mirroring cmd/aqpd recovery: regenerate the base, restore the
-	// newest snapshot (samples + delta + idempotency window), finish any
-	// interrupted GC, and replay only the tail past the checkpoint.
-	sys2 := core.NewSystem(ingestDB(t, n))
-	var snap *Snapshot
-	lr, err := cat.LoadLatest(func(r io.Reader) error {
-		s, derr := DecodeSnapshot(r)
-		if derr != nil {
-			return derr
-		}
-		snap = s
-		return nil
-	})
-	if err != nil || lr.Generation != 1 {
-		t.Fatalf("LoadLatest = gen %d err %v, want generation 1", lr.Generation, err)
-	}
-	ck := snap.Checkpoint
-	if ck == nil {
-		t.Fatal("restored snapshot has no checkpoint")
+	// Restart: restore the newest snapshot (samples + delta + idempotency
+	// window), find no interrupted GC to finish, and replay only the tail
+	// past the checkpoint.
+	sys2, rec := recoverNow(t, n, cat, walDir, cfg)
+	ck := rec.Checkpoint
+	if rec.Generation != 1 || rec.Source != "snapshot" || ck == nil {
+		t.Fatalf("recovered generation %d from %q (checkpoint %v), want checkpointed generation 1 from the snapshot", rec.Generation, rec.Source, ck)
 	}
 	if ck.BaseRows != uint64(n) {
 		t.Fatalf("checkpoint base rows = %d, want %d", ck.BaseRows, n)
 	}
-	if err := snap.Restore(sys2, "smallgroup"); err != nil {
-		t.Fatal(err)
-	}
-	if got := sys2.DB().NumRows(); got != n+N*40 {
-		t.Fatalf("restored base+delta has %d rows, want %d", got, n+N*40)
+	if got := sys2.DB().NumRows(); got != n+(N+M)*40 {
+		t.Fatalf("restored base+delta+tail has %d rows, want %d", got, n+(N+M)*40)
 	}
 	for _, idx := range walSegIndexes(t, walDir) {
 		if idx < ck.Seg {
 			t.Fatalf("segment %d survives below the checkpoint position %d", idx, ck.Seg)
 		}
 	}
-	w2, err := OpenWALWith(walDir, WALOptions{SegmentBytes: ckSegBytes})
-	if err != nil {
-		t.Fatal(err)
+	if rec.GCRemoved != 0 {
+		t.Fatalf("startup GC removed %d segments, want nothing left to do", rec.GCRemoved)
 	}
-	t.Cleanup(func() { w2.Close() })
-	if removed, err := w2.RemoveSegmentsBelow(ck.Seg); err != nil || removed != 0 {
-		t.Fatalf("startup GC = (%d, %v), want nothing left to do", removed, err)
-	}
-	// Snapshot-restored prepared state does not carry the preprocessing
-	// config, so the small-group fraction must be supplied explicitly (as
-	// cmd/aqpd does) and must match what the pre-restart run derived.
-	online2 := cfg.Online
-	online2.SmallGroupFraction = ingestSGCfg.SmallGroupFraction
-	c2, err := New(sys2, w2, Config{
-		Online:   online2,
-		BaseRows: int(ck.BaseRows),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2.SeedIdempotency(snap.IDs)
-	rs, err := c2.ReplayWAL()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c2, rs := rec.Coordinator, rec.Replay
 	if rs.Batches != M || rs.Torn {
 		t.Fatalf("replayed %d batches (torn=%v), want exactly the %d post-checkpoint batches", rs.Batches, rs.Torn, M)
 	}
@@ -260,36 +241,21 @@ func TestCheckpointGCCrashMidwayRecovers(t *testing.T) {
 	w1.Close()
 
 	// The partial deletion removed the lowest segment first, so what's on
-	// disk is a contiguous suffix and reopen must succeed.
-	w2, err := OpenWALWith(walDir, WALOptions{SegmentBytes: ckSegBytes})
-	if err != nil {
-		t.Fatalf("reopen after interrupted GC: %v", err)
-	}
-	t.Cleanup(func() { w2.Close() })
-
-	var snap *Snapshot
-	if _, err := cat.LoadLatest(func(r io.Reader) error {
-		s, derr := DecodeSnapshot(r)
-		if derr == nil {
-			snap = s
-		}
-		return derr
-	}); err != nil {
-		t.Fatal(err)
-	}
-	removed, err := w2.RemoveSegmentsBelow(snap.Checkpoint.Seg)
-	if err != nil || removed < 1 {
-		t.Fatalf("startup GC = (%d, %v), want it to finish the interrupted deletion", removed, err)
+	// disk is a contiguous suffix: reopen must succeed and recovery's startup
+	// GC must finish the interrupted deletion.
+	_, rec := recoverNow(t, n, cat, walDir, cfg)
+	if rec.GCRemoved < 1 {
+		t.Fatalf("startup GC removed %d segments, want it to finish the interrupted deletion", rec.GCRemoved)
 	}
 	for _, idx := range walSegIndexes(t, walDir) {
-		if idx < snap.Checkpoint.Seg {
-			t.Fatalf("segment %d survives below checkpoint position %d after startup GC", idx, snap.Checkpoint.Seg)
+		if idx < rec.Checkpoint.Seg {
+			t.Fatalf("segment %d survives below checkpoint position %d after startup GC", idx, rec.Checkpoint.Seg)
 		}
 	}
 }
 
 // TestCheckpointVerifyFailureRetainsWAL: if the just-written snapshot does
-// not read back and decode from disk, no WAL segment may be deleted — replay
+// not read back and verify from disk, no WAL segment may be deleted — replay
 // from the full log is the only copy of the data at that point.
 func TestCheckpointVerifyFailureRetainsWAL(t *testing.T) {
 	t.Cleanup(faults.Reset)
@@ -340,13 +306,13 @@ func TestCheckpointRefusedDuringRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, c, _ := newCheckpointSystem(t, n, t.TempDir(), Config{Online: core.OnlineConfig{Seed: 94}})
-	if _, _, err := c.BeginRebuild(); err != nil {
+	if _, _, err := c.beginRebuild(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.SaveCheckpoint(cat); err == nil {
 		t.Fatal("SaveCheckpoint succeeded during a rebuild")
 	}
-	c.AbortRebuild()
+	c.abortRebuild()
 }
 
 // TestWALTornSegmentCreationRepaired: a crash between creating the next
@@ -420,5 +386,34 @@ func TestWALProbeAppendsNoopAndReplaySkipsIt(t *testing.T) {
 	}
 	if string(payloads[0]) != "payload" || string(payloads[2]) != "after" {
 		t.Fatalf("payloads = %q", payloads)
+	}
+}
+
+// TestDecodeSnapshotTruncated: every proper prefix of a checkpoint stream —
+// header, idempotency entries, delta, samples — must fail to decode with an
+// error, never panic or yield a snapshot.
+func TestDecodeSnapshotTruncated(t *testing.T) {
+	sys, c, _ := newCheckpointSystem(t, 500, t.TempDir(), Config{Online: core.OnlineConfig{Seed: 96}})
+	rng := randx.New(81)
+	for i := 0; i < 3; i++ {
+		if _, err := c.Ingest(fmt.Sprintf("b-%d", i), ingestRows(rng, 5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, _ := sys.Prepared("smallgroup")
+	delta := sys.DB().Flatten("ingest-delta", []int{500, 501, 502}, nil, nil)
+	var buf bytes.Buffer
+	if err := WriteCheckpoint(&buf, p, Checkpoint{DataGen: 3, BaseRows: 500, Seg: 1, Off: 64}, delta, c.identEntries()); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	s, err := DecodeSnapshot(bytes.NewReader(full))
+	if err != nil || len(s.IDs) != 3 || s.IDs[2].ID != "b-2" || s.IDs[2].Stats.DataGeneration != 3 || s.Checkpoint.Off != 64 {
+		t.Fatalf("round trip = %+v, %v", s, err)
+	}
+	for n := 0; n < len(full); n++ {
+		if s, err := DecodeSnapshot(bytes.NewReader(full[:n])); err == nil {
+			t.Fatalf("a %d-byte prefix of the %d-byte stream decoded: %+v", n, len(full), s)
+		}
 	}
 }

@@ -548,11 +548,11 @@ func (c *Coordinator) Drift() float64 {
 	return c.online.Drift()
 }
 
-// BeginRebuild pins the current database version for a background rebuild
+// beginRebuild pins the current database version for a background rebuild
 // and starts buffering subsequent batches as the tail. Exactly one rebuild
-// may be in flight; a second call fails until CompleteRebuild or
-// AbortRebuild.
-func (c *Coordinator) BeginRebuild() (*engine.Database, uint64, error) {
+// may be in flight; a second call fails until completeRebuild or
+// abortRebuild.
+func (c *Coordinator) beginRebuild() (*engine.Database, uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.rebuilding {
@@ -564,12 +564,12 @@ func (c *Coordinator) BeginRebuild() (*engine.Database, uint64, error) {
 	return db, gen, nil
 }
 
-// CompleteRebuild installs the freshly pre-processed state (built from the
-// database version BeginRebuild pinned at generation rebuiltAt), re-applies
+// completeRebuild installs the freshly pre-processed state (built from the
+// database version beginRebuild pinned at generation rebuiltAt), re-applies
 // the buffered tail sample-side, publishes the result, and re-arms the
 // drift trigger. Ingest is paused for the duration of the rebase only — the
 // expensive Preprocess ran outside the lock.
-func (c *Coordinator) CompleteRebuild(p core.Prepared, rebuiltAt uint64) error {
+func (c *Coordinator) completeRebuild(p core.Prepared, rebuiltAt uint64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.rebuilding {
@@ -588,9 +588,9 @@ func (c *Coordinator) CompleteRebuild(p core.Prepared, rebuiltAt uint64) error {
 	return nil
 }
 
-// AbortRebuild abandons an in-flight rebuild, discarding the buffered tail
+// abortRebuild abandons an in-flight rebuild, discarding the buffered tail
 // and re-arming the drift trigger.
-func (c *Coordinator) AbortRebuild() {
+func (c *Coordinator) abortRebuild() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.rebuilding = false
@@ -628,7 +628,7 @@ type CheckpointResult struct {
 // ingested-row delta, and idempotency window all describe the same paused
 // instant); the snapshot bytes are written outside the lock so ingest stalls
 // only for the capture. Segments are deleted only after the snapshot file on
-// disk re-reads and decodes — never on the strength of a write that merely
+// disk re-reads and verifies — never on the strength of a write that merely
 // returned nil. A manifest-update failure is reported in err with a non-zero
 // Generation, mirroring catalog.Save: the snapshot is durable and GC has
 // already run.
@@ -685,17 +685,20 @@ func (c *Coordinator) SaveCheckpoint(cat *catalog.Catalog) (CheckpointResult, er
 	return res, manifestErr
 }
 
-// verifyCheckpointFile re-reads a just-written snapshot from disk and fully
-// decodes it. WAL segments may only be deleted on the strength of bytes that
-// verify on disk, not a write call that returned nil.
+// verifyCheckpointFile re-reads a just-written snapshot from disk through
+// the catalog container: every chunk checksum, the payload length and
+// checksum, and the trailer. WAL segments may only be deleted on the strength
+// of bytes that verify on disk, not a write call that returned nil. The
+// payload is not decoded a second time — that the encoder's bytes decode is a
+// property of the code (the round-trip tests), not of the disk, and
+// materialising a second copy of the samples and the delta beside the
+// serving one made a rebuild's peak memory depend on where the collector
+// happened to be.
 func verifyCheckpointFile(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	return catalog.ReadSnapshot(f, func(r io.Reader) error {
-		_, derr := DecodeSnapshot(r)
-		return derr
-	})
+	return catalog.ReadSnapshot(f, func(io.Reader) error { return nil })
 }

@@ -543,7 +543,7 @@ func TestCoordinatorDriftTriggersOneRebuild(t *testing.T) {
 	}
 
 	// Rebuild handshake, with one batch arriving while the rebuild runs.
-	db, gen, err := c.BeginRebuild()
+	db, gen, err := c.beginRebuild()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,7 +555,7 @@ func TestCoordinatorDriftTriggersOneRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	obsRebaseSeconds.Set(0)
-	if err := c.CompleteRebuild(rebuilt, gen); err != nil {
+	if err := c.completeRebuild(rebuilt, gen); err != nil {
 		t.Fatal(err)
 	}
 	if s := obsRebaseSeconds.Value(); s <= 0 {

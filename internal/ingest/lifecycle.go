@@ -1,0 +1,205 @@
+package ingest
+
+import (
+	"errors"
+	"fmt"
+	"io"
+	"time"
+
+	"dynsample/internal/catalog"
+	"dynsample/internal/core"
+)
+
+// The sample lifecycle — everything that happens to pre-processing's output
+// after it exists — is written once, here: Recover brings a process up from
+// whatever the catalog and WAL directories hold, Rebuild replaces the serving
+// sample family without downtime, and persist saves it as the next catalog
+// generation. cmd/aqpd, internal/server and the crash simulator all drive
+// these functions (ARCHITECTURE.md §7 and §9 state the order and why).
+
+// Recovery reports what Recover found and did, for the caller to log and
+// serve.
+type Recovery struct {
+	// Coordinator is the live ingest coordinator, WAL replayed; nil when
+	// Recover was given no WAL.
+	Coordinator *Coordinator
+	// Generation is the catalog generation being served: the one restored, or
+	// the one a from-scratch build was saved as; 0 when nothing is persisted.
+	Generation uint64
+	// Source is "snapshot" when the samples were restored (catalog generation
+	// or a state the caller pre-registered) and "preprocess" when they were
+	// built from the base data.
+	Source string
+	// Checkpoint is the restored snapshot's checkpoint; nil for a bare sample
+	// set or when nothing was restored.
+	Checkpoint *Checkpoint
+	// Skipped lists the newer catalog generations that failed verification or
+	// were cut over a different base.
+	Skipped []catalog.SkippedSnapshot
+	// Replay is the WAL replay's work; zero without a WAL.
+	Replay ReplayStats
+	// GCRemoved and GCErr report the startup segment GC below the restored
+	// checkpoint. GCErr is non-fatal: leftover segments only cost disk and
+	// are retried at the next checkpoint or startup.
+	GCRemoved int
+	GCErr     error
+	// SaveErr is a non-fatal failure to persist a from-scratch build: the
+	// samples serve, but the next start pre-processes again.
+	SaveErr error
+}
+
+// Recover establishes the serving state of one process. In order:
+//
+//  1. Samples. A state the caller already registered under the strategy's
+//     name wins (aqpd -restore). Otherwise the newest catalog generation
+//     that verifies and was cut over this base-row count is restored
+//     (samples, ingested-row delta, data generation); older generations are
+//     the fall-back, reported in Skipped. With no usable generation — or no
+//     catalog — the strategy pre-processes the base data, and a catalog
+//     gets the result as its next generation, so it self-heals.
+//  2. The worker budget is applied to whichever state now serves.
+//  3. With a WAL: segments wholly below the restored checkpoint are deleted
+//     (finishing a GC a crash interrupted), the coordinator attaches with
+//     the checkpoint's BaseRows, the idempotency window is seeded from the
+//     snapshot, and the log's tail replays.
+//
+// cat and wal may each be nil. cfg.BaseRows is overwritten from the restored
+// checkpoint. Errors are fatal to start-up; everything survivable is in the
+// Recovery.
+func Recover(sys *core.System, cat *catalog.Catalog, wal *WAL, strategy core.Strategy, workers int, cfg Config) (*Recovery, error) {
+	if cfg.Strategy == "" {
+		cfg.Strategy = strategy.Name()
+	}
+	rec := &Recovery{Source: "snapshot"}
+	var snap *Snapshot
+	if _, ok := sys.Prepared(cfg.Strategy); !ok {
+		err := catalog.ErrNoSnapshot
+		if cat != nil {
+			var res catalog.LoadResult
+			res, err = cat.LoadLatest(func(r io.Reader) error {
+				s, derr := DecodeSnapshot(r)
+				if derr != nil {
+					return derr
+				}
+				// The delta splices onto the regenerated base at a fixed row
+				// offset, so a generation cut over a different base is as
+				// unusable as a corrupt one.
+				if ck := s.Checkpoint; ck != nil && ck.BaseRows != uint64(sys.DB().NumRows()) {
+					return fmt.Errorf("checkpoint covers %d base rows but the regenerated base has %d (changed -rows, -db, or -seed?)",
+						ck.BaseRows, sys.DB().NumRows())
+				}
+				snap = s
+				return nil
+			})
+			rec.Generation, rec.Skipped = res.Generation, res.Skipped
+		}
+		switch {
+		case err == nil:
+			if err := snap.Restore(sys, cfg.Strategy); err != nil {
+				return nil, err
+			}
+			rec.Checkpoint = snap.Checkpoint
+		case errors.Is(err, catalog.ErrNoSnapshot):
+			snap, rec.Source = nil, "preprocess"
+			if err := sys.AddStrategy(strategy); err != nil {
+				return nil, err
+			}
+			if cat != nil {
+				var saved CheckpointResult
+				saved, rec.SaveErr = persist(sys, nil, cat, cfg.Strategy)
+				rec.Generation = saved.Generation
+			}
+		default:
+			return nil, err
+		}
+	}
+	p, _ := sys.Prepared(cfg.Strategy)
+	core.SetWorkers(p, workers)
+	if wal == nil {
+		return rec, nil
+	}
+
+	if ck := rec.Checkpoint; ck != nil {
+		cfg.BaseRows = int(ck.BaseRows)
+		rec.GCRemoved, rec.GCErr = wal.RemoveSegmentsBelow(ck.Seg)
+	}
+	c, err := New(sys, wal, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if snap != nil {
+		c.SeedIdempotency(snap.IDs)
+	}
+	if rec.Replay, err = c.ReplayWAL(); err != nil {
+		return nil, fmt.Errorf("wal replay: %w", err)
+	}
+	rec.Coordinator = c
+	return rec, nil
+}
+
+// RebuildResult reports one Rebuild: the pre-processing cost and what
+// persisting the new family did (the zero CheckpointResult without a
+// catalog).
+type RebuildResult struct {
+	CheckpointResult
+	// Preprocess is the wall time of the strategy's pre-processing phase.
+	Preprocess time.Duration
+	// PersistErr is a non-fatal save failure: the new samples serve, but the
+	// generation is not durable (or, with a non-zero Generation, durable
+	// with a stale advisory manifest).
+	PersistErr error
+}
+
+// Rebuild replaces the sample family registered under name while queries
+// (and, with a coordinator, ingest) keep running: pin a database version,
+// pre-process it outside every lock, swap the result in, then persist it to
+// cat when one is given.
+//
+// With a coordinator the pin starts buffering ingested batches as the tail,
+// and the swap is a rebase — the tail is re-applied sample-side onto the
+// fresh family before it is published, so the checkpoint persisted afterwards
+// carries the full data generation and a restart replays exactly the batches
+// past it. Without one the data is immutable and the swap is a pointer store.
+// An error means the serving family is unchanged (or, from the rebase, that
+// ingest state must be rebuilt again); save failures are in the result.
+func Rebuild(sys *core.System, c *Coordinator, cat *catalog.Catalog, strategy core.Strategy, name string, workers int) (RebuildResult, error) {
+	var res RebuildResult
+	db, pinned := sys.Data()
+	if c != nil {
+		var err error
+		if db, pinned, err = c.beginRebuild(); err != nil {
+			return res, err
+		}
+	}
+	start := time.Now()
+	p, err := strategy.Preprocess(db)
+	if err != nil {
+		if c != nil {
+			c.abortRebuild()
+		}
+		return res, fmt.Errorf("rebuild preprocess: %w", err)
+	}
+	core.SetWorkers(p, workers)
+	res.Preprocess = time.Since(start)
+	if c == nil {
+		sys.SwapPrepared(name, p)
+	} else if err := c.completeRebuild(p, pinned); err != nil {
+		return res, fmt.Errorf("rebuild rebase: %w", err)
+	}
+	if cat != nil {
+		res.CheckpointResult, res.PersistErr = persist(sys, c, cat, name)
+	}
+	return res, nil
+}
+
+// persist saves the serving sample family as the next catalog generation:
+// through the coordinator as a checkpoint (samples + ingested delta + WAL
+// position, then segment GC), or without one as the bare sample set.
+func persist(sys *core.System, c *Coordinator, cat *catalog.Catalog, name string) (CheckpointResult, error) {
+	if c != nil {
+		return c.SaveCheckpoint(cat)
+	}
+	p, _ := sys.Prepared(name)
+	gen, err := cat.Save(func(w io.Writer) error { return core.SaveSmallGroup(w, p) })
+	return CheckpointResult{Generation: gen}, err
+}

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"dynsample/internal/core"
 	"dynsample/internal/engine"
@@ -193,42 +192,12 @@ func (s *Strategy) Preprocess(db *engine.Database) (core.Prepared, error) {
 		return nil, err
 	}
 	tbl := db.Flatten("outlier_sample", rows, nil, weights)
-	return &prepared{table: tbl, level: cfg.ConfidenceLevel}, nil
+	// Outlier rows carry weight 1 and remainder rows their inverse sampling
+	// rate, so a single weighted execution yields the stratified estimate
+	// (exact outlier contribution + scaled sample estimate) for both COUNT
+	// and SUM.
+	return &core.SingleSample{Table: tbl, Scale: 1, Level: cfg.ConfidenceLevel}, nil
 }
-
-type prepared struct {
-	table *engine.Table
-	level float64
-}
-
-// Answer implements core.Prepared. Outlier rows carry weight 1 and remainder
-// rows their inverse sampling rate, so a single weighted execution yields the
-// stratified estimate (exact outlier contribution + scaled sample estimate)
-// for both COUNT and SUM.
-func (p *prepared) Answer(q *engine.Query) (*core.Answer, error) {
-	start := time.Now()
-	plan := &core.RewritePlan{
-		Query: q,
-		Steps: []core.RewriteStep{core.StepFor(p.table, 1)},
-	}
-	res, rows, err := core.ExecutePlan(plan)
-	if err != nil {
-		return nil, err
-	}
-	return &core.Answer{
-		Result:    res,
-		Intervals: core.ConfidenceIntervals(res, p.level),
-		RowsRead:  rows,
-		Elapsed:   time.Since(start),
-		Rewrite:   plan,
-	}, nil
-}
-
-// SampleRows implements core.Prepared.
-func (p *prepared) SampleRows() int64 { return int64(p.table.NumRows()) }
-
-// SampleBytes implements core.Prepared.
-func (p *prepared) SampleBytes() int64 { return p.table.ApproxBytes() }
 
 // OverallBuilder adapts outlier indexing as the overall sample of small
 // group sampling (§4.2.1's "small group sampling enhanced with outlier

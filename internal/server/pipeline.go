@@ -368,6 +368,11 @@ func present(c *sqlparse.Compiled, out *Outcome) QueryResponse {
 			ci := [2]float64{v, v}
 			if agg >= 0 && agg < len(ivs) {
 				ci = [2]float64{ivs[agg].Lo, ivs[agg].Hi}
+			} else if o.Kind == sqlparse.OutAvg && g.Exact && o.NumIndex < len(ivs) && g.Vals[o.DenIndex] != 0 {
+				// An exact group's count is exact, so its AVG carries the
+				// SUM's float-rounding interval over that count.
+				den := g.Vals[o.DenIndex]
+				ci = [2]float64{ivs[o.NumIndex].Lo / den, ivs[o.NumIndex].Hi / den}
 			}
 			gj.CI = append(gj.CI, ci)
 		}

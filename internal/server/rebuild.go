@@ -5,13 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync/atomic"
 	"time"
 
 	"dynsample/internal/catalog"
 	"dynsample/internal/core"
+	"dynsample/internal/ingest"
 	"dynsample/internal/obs"
 )
 
@@ -49,8 +49,6 @@ type RebuildConfig struct {
 	// (mirrors what the CLIs do after LoadSmallGroup).
 	Workers int
 }
-
-func ptrOf(s string) *string { return &s }
 
 // ErrRebuildInProgress is returned when a rebuild is requested while
 // another one is still running; rebuilds are single-flight.
@@ -103,11 +101,11 @@ type RebuildStatus struct {
 	WALGCError string `json:"walGCError,omitempty"`
 }
 
-// Rebuild runs one zero-downtime rebuild: pre-process the base data with
-// the configured strategy (queries keep being served from the current
-// generation meanwhile), swap the result in atomically, and persist it to
-// the catalog when one is configured. Rebuilds are single-flight; a
-// concurrent call fails fast with ErrRebuildInProgress.
+// Rebuild runs one zero-downtime rebuild through ingest.Rebuild —
+// pre-process, swap in atomically, persist to the catalog when one is
+// configured — while queries keep being served from the current generation.
+// What stays here is the single-flight latch (a concurrent call fails fast
+// with ErrRebuildInProgress) and the health/metrics bookkeeping.
 func (s *Server) Rebuild() (RebuildStatus, error) {
 	var st RebuildStatus
 	rb := s.cfg.Rebuild
@@ -120,89 +118,33 @@ func (s *Server) Rebuild() (RebuildStatus, error) {
 	}
 	defer s.health.rebuilding.Store(false)
 
-	// With an ingest coordinator the rebuild pins a database version and
-	// batches keep landing meanwhile; without one the base data is immutable
-	// and s.sys.DB() is the same thing.
-	db := s.sys.DB()
-	var pinnedGen uint64
-	if ing := s.cfg.Ingest; ing != nil {
-		var err error
-		db, pinnedGen, err = ing.BeginRebuild()
-		if err != nil {
-			obsRebuilds.With("conflict").Inc()
-			return st, fmt.Errorf("server: %w", err)
-		}
-	}
-	start := time.Now()
-	p, err := rb.Strategy.Preprocess(db)
+	res, err := ingest.Rebuild(s.sys, s.cfg.Ingest, rb.Catalog, rb.Strategy, s.strategy, rb.Workers)
 	if err != nil {
-		if s.cfg.Ingest != nil {
-			s.cfg.Ingest.AbortRebuild()
-		}
 		msg := err.Error()
 		s.health.lastErr.Store(&msg)
 		obsRebuilds.With("error").Inc()
-		return st, fmt.Errorf("server: rebuild preprocess: %w", err)
+		return st, fmt.Errorf("server: %w", err)
 	}
-	if wc, ok := p.(core.WorkerConfigurable); ok && rb.Workers > 0 {
-		wc.SetWorkers(rb.Workers)
+	// Without a durable generation the number still advances, so /healthz
+	// and aqp_sample_generation show the swap.
+	st = RebuildStatus{
+		Generation:         s.health.generation.Load() + 1,
+		ElapsedMS:          res.Preprocess.Milliseconds(),
+		WALSegmentsRemoved: res.Removed,
 	}
-	st.ElapsedMS = time.Since(start).Milliseconds()
-
-	st.Generation = s.health.generation.Load() + 1
-	if ing := s.cfg.Ingest; ing != nil {
-		// Swap through the coordinator's handshake: it re-applies the batches
-		// that landed during pre-processing (the tail) and publishes the
-		// result, so the snapshot persisted below carries the full data
-		// generation and replay after a restart skips exactly the covered
-		// batches.
-		if err := ing.CompleteRebuild(p, pinnedGen); err != nil {
-			s.health.lastErr.Store(ptrOf(err.Error()))
-			obsRebuilds.With("error").Inc()
-			return st, fmt.Errorf("server: rebuild rebase: %w", err)
-		}
-		if rb.Catalog != nil {
-			// SaveCheckpoint persists the rebuilt samples together with the
-			// WAL position they cover, then deletes the fully-covered
-			// segments — this is what bounds restart replay and WAL disk
-			// usage to ingest-since-last-rebuild.
-			res, err := ing.SaveCheckpoint(rb.Catalog)
-			if res.Generation > 0 {
-				st.Generation = res.Generation
-				st.Persisted = true
-			}
-			if err != nil {
-				st.PersistError = err.Error()
-			}
-			st.WALSegmentsRemoved = res.Removed
-			if res.GCErr != nil {
-				st.WALGCError = res.GCErr.Error()
-			}
-		}
-	} else {
-		// Persist first, then swap: if the save fails we still swap (fresh
-		// samples beat stale ones) but report the durability gap.
-		if rb.Catalog != nil {
-			gen, err := rb.Catalog.Save(func(w io.Writer) error {
-				return core.SaveSmallGroup(w, p)
-			})
-			if err != nil {
-				st.PersistError = err.Error()
-			} else {
-				st.Generation = gen
-				st.Persisted = true
-			}
-		}
-		s.sys.SwapPrepared(s.strategy, p)
+	if res.Generation > 0 {
+		st.Generation, st.Persisted = res.Generation, true
 	}
-	s.health.generation.Store(st.Generation)
-	src := "rebuild"
-	s.health.source.Store(&src)
-	s.health.lastRebuild.Store(time.Now().UnixNano())
+	if res.PersistErr != nil {
+		st.PersistError = res.PersistErr.Error()
+	}
+	if res.GCErr != nil {
+		st.WALGCError = res.GCErr.Error()
+	}
+	s.MarkGeneration(st.Generation, "rebuild")
 	s.health.lastErr.Store(nil)
 	obsRebuilds.With("ok").Inc()
-	obsRebuildDuration.Observe(time.Duration(st.ElapsedMS * int64(time.Millisecond)).Seconds())
-	obsGeneration.Set(float64(st.Generation))
+	obsRebuildDuration.Observe(res.Preprocess.Seconds())
 	return st, nil
 }
 

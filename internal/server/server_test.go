@@ -126,6 +126,39 @@ func TestExactEndpointAgreesOnExactGroups(t *testing.T) {
 	}
 }
 
+// TestExactGroupFloatIntervalsCoverTruth: an exact-flagged group's float SUM
+// and AVG are added up in a different order than /v1/exact's, so they may
+// sit an ulp away from it; their intervals must still contain the truth and
+// stay negligibly narrow.
+func TestExactGroupFloatIntervalsCoverTruth(t *testing.T) {
+	srv := testServer(t)
+	q := QueryRequest{SQL: "SELECT region, SUM(amount), AVG(amount) FROM T GROUP BY region"}
+	_, approxBody := post(t, srv, "/v1/query", q)
+	_, exactBody := post(t, srv, "/v1/exact", q)
+	var approx, exact QueryResponse
+	json.Unmarshal(approxBody, &approx)
+	json.Unmarshal(exactBody, &exact)
+	truth := map[string][]float64{}
+	for _, g := range exact.Groups {
+		truth[g.Key[0]] = g.Values
+	}
+	checked := 0
+	for _, g := range approx.Groups {
+		if !g.Exact {
+			continue
+		}
+		for j, ci := range g.CI {
+			checked++
+			if want := truth[g.Key[0]][j]; want < ci[0] || want > ci[1] || ci[1]-ci[0] > 1e-9*want {
+				t.Errorf("exact group %s output %d: truth %v, interval %v", g.Key[0], j, want, ci)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no exact groups on skewed data")
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	srv := testServer(t)
 	cases := []struct {

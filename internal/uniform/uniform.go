@@ -7,7 +7,6 @@ package uniform
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"dynsample/internal/core"
 	"dynsample/internal/engine"
@@ -65,41 +64,5 @@ func (s *Strategy) Preprocess(db *engine.Database) (core.Prepared, error) {
 	rows := append([]int(nil), res.Items()...)
 	sort.Ints(rows)
 	tbl := db.Flatten("u_sample", rows, nil, nil)
-	return &prepared{
-		table: tbl,
-		scale: float64(n) / float64(len(rows)),
-		level: s.cfg.ConfidenceLevel,
-	}, nil
+	return &core.SingleSample{Table: tbl, Scale: float64(n) / float64(len(rows)), Level: s.cfg.ConfidenceLevel}, nil
 }
-
-type prepared struct {
-	table *engine.Table
-	scale float64
-	level float64
-}
-
-// Answer implements core.Prepared.
-func (p *prepared) Answer(q *engine.Query) (*core.Answer, error) {
-	start := time.Now()
-	plan := &core.RewritePlan{
-		Query: q,
-		Steps: []core.RewriteStep{core.StepFor(p.table, p.scale)},
-	}
-	res, rows, err := core.ExecutePlan(plan)
-	if err != nil {
-		return nil, err
-	}
-	return &core.Answer{
-		Result:    res,
-		Intervals: core.ConfidenceIntervals(res, p.level),
-		RowsRead:  rows,
-		Elapsed:   time.Since(start),
-		Rewrite:   plan,
-	}, nil
-}
-
-// SampleRows implements core.Prepared.
-func (p *prepared) SampleRows() int64 { return int64(p.table.NumRows()) }
-
-// SampleBytes implements core.Prepared.
-func (p *prepared) SampleBytes() int64 { return p.table.ApproxBytes() }

@@ -19,7 +19,6 @@ package weighted
 
 import (
 	"fmt"
-	"time"
 
 	"dynsample/internal/core"
 	"dynsample/internal/engine"
@@ -123,36 +122,5 @@ func (s *Strategy) Preprocess(db *engine.Database) (core.Prepared, error) {
 	}
 
 	tbl := db.Flatten("weighted_sample", rows, nil, weights)
-	return &prepared{table: tbl, level: cfg.ConfidenceLevel}, nil
+	return &core.SingleSample{Table: tbl, Scale: 1, Level: cfg.ConfidenceLevel}, nil
 }
-
-type prepared struct {
-	table *engine.Table
-	level float64
-}
-
-// Answer implements core.Prepared.
-func (p *prepared) Answer(q *engine.Query) (*core.Answer, error) {
-	start := time.Now()
-	plan := &core.RewritePlan{
-		Query: q,
-		Steps: []core.RewriteStep{core.StepFor(p.table, 1)},
-	}
-	res, rows, err := core.ExecutePlan(plan)
-	if err != nil {
-		return nil, err
-	}
-	return &core.Answer{
-		Result:    res,
-		Intervals: core.ConfidenceIntervals(res, p.level),
-		RowsRead:  rows,
-		Elapsed:   time.Since(start),
-		Rewrite:   plan,
-	}, nil
-}
-
-// SampleRows implements core.Prepared.
-func (p *prepared) SampleRows() int64 { return int64(p.table.NumRows()) }
-
-// SampleBytes implements core.Prepared.
-func (p *prepared) SampleBytes() int64 { return p.table.ApproxBytes() }

@@ -3,7 +3,7 @@
 # -> JSON converter (scientific notation, name escaping) and the benchdiff
 # regression guard (including the required failures on a synthetic 2x
 # ns_per_op regression and a synthetic 2x allocs_per_op regression), and the
-# loc.sh code-line counter. Run by `make check`. Needs only bash, awk, diff.
+# loc.sh code-line counter with its locdiff.sh diff. Run by `make check`. Needs only bash, awk, diff.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -63,6 +63,13 @@ t "benchdiff rejects a missing file" 2 \
 # files do not count; nested package directories are listed separately.
 t "loc counts the fixture tree (comments, blocks, tests excluded)" 0 \
   bash -c 'bash scripts/loc.sh scripts/testdata/loc | diff -u scripts/testdata/loc/golden.txt -'
+
+# --- locdiff.sh ----------------------------------------------------------
+# Golden test against a second fixture tree: a package that shrank, one that
+# appeared, one that is gone, and the total.
+t "locdiff prints per-package deltas between two fixture trees" 0 \
+  bash -c 'bash scripts/locdiff.sh scripts/testdata/loc_base scripts/testdata/loc | diff -u scripts/testdata/loc_base/golden_diff.txt -'
+t "locdiff rejects a missing base" 2 bash scripts/locdiff.sh
 
 if [ "$fails" -ne 0 ]; then
   echo "scripts_test: $fails failure(s)"
