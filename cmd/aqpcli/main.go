@@ -119,7 +119,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		p, err := core.LoadSmallGroupAny(f)
+		p, err := core.LoadSmallGroupSnapshot(f)
 		f.Close()
 		if err != nil {
 			fatal(err)
@@ -143,7 +143,7 @@ func main() {
 	if *save != "" {
 		// Atomic + checksummed: the file appears under its final name only
 		// after a successful write and fsync, in the snapshot container that
-		// LoadSmallGroupAny verifies on the way back in. A crash mid-save
+		// -restore verifies on the way back in. A crash mid-save
 		// leaves any previous file untouched.
 		p, _ := sys.Prepared("smallgroup")
 		err := catalog.WriteFileAtomic(*save, func(w io.Writer) error {

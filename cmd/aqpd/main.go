@@ -165,7 +165,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		p, err := core.LoadSmallGroupAny(f)
+		p, err := core.LoadSmallGroupSnapshot(f)
 		f.Close()
 		if err != nil {
 			fatal(err)

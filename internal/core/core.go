@@ -278,55 +278,42 @@ func (s *System) Approx(strategy string, q *engine.Query) (*Answer, error) {
 	return s.ApproxCtx(context.Background(), strategy, q)
 }
 
-// ApproxCtx answers the query with the named strategy under a context. If
-// the strategy's runtime state implements ContextAnswerer, cancellation and
-// deadlines propagate into its shard scans; otherwise the query runs to
-// completion and the context is ignored.
+// ApproxCtx answers the query with the named strategy under a context: it
+// is ApproxBoundsCtx with no bounds.
 func (s *System) ApproxCtx(ctx context.Context, strategy string, q *engine.Query) (*Answer, error) {
+	return s.ApproxBoundsCtx(ctx, strategy, q, Bounds{})
+}
+
+// ApproxBoundsCtx answers the query with the named strategy under a context
+// and per-request accuracy/latency bounds. Non-zero bounds need runtime
+// state that implements BoundedAnswerer; strategies that cannot plan toward
+// bounds return an error rather than silently ignoring them. Cancellation
+// and deadlines propagate into the shard scans of a BoundedAnswerer or
+// ContextAnswerer; any other state runs to completion and ignores the
+// context.
+func (s *System) ApproxBoundsCtx(ctx context.Context, strategy string, q *engine.Query, b Bounds) (*Answer, error) {
 	// One atomic load pins this query to the current generation; a
 	// concurrent SwapPrepared cannot change the state p points to.
 	p, ok := s.set.Load().prepared[strategy]
 	if !ok {
 		return nil, fmt.Errorf("core: strategy %q not registered", strategy)
 	}
-	if err := q.Validate(s.DB()); err != nil {
-		return nil, err
-	}
-	var ans *Answer
-	var err error
-	if ca, ok := p.(ContextAnswerer); ok {
-		ans, err = ca.AnswerCtx(ctx, q)
-	} else {
-		ans, err = p.Answer(q)
-	}
-	if err == nil {
-		obsAnswers.With(strategy).Inc()
-		obsSampleRows.Add(uint64(max(ans.RowsRead, 0)))
-	}
-	return ans, err
-}
-
-// ApproxBoundsCtx answers the query with the named strategy under
-// per-request accuracy/latency bounds. The strategy's runtime state must
-// implement BoundedAnswerer; strategies that cannot plan toward bounds
-// return an error rather than silently ignoring them. With zero Bounds it
-// behaves exactly like ApproxCtx.
-func (s *System) ApproxBoundsCtx(ctx context.Context, strategy string, q *engine.Query, b Bounds) (*Answer, error) {
-	if b.IsZero() {
-		return s.ApproxCtx(ctx, strategy, q)
-	}
-	p, ok := s.set.Load().prepared[strategy]
-	if !ok {
-		return nil, fmt.Errorf("core: strategy %q not registered", strategy)
-	}
-	ba, ok := p.(BoundedAnswerer)
-	if !ok {
+	ba, bounded := p.(BoundedAnswerer)
+	if !bounded && !b.IsZero() {
 		return nil, fmt.Errorf("core: strategy %q does not support error/time bounds", strategy)
 	}
 	if err := q.Validate(s.DB()); err != nil {
 		return nil, err
 	}
-	ans, err := ba.AnswerBounds(ctx, q, b)
+	var ans *Answer
+	var err error
+	if bounded {
+		ans, err = ba.AnswerBounds(ctx, q, b)
+	} else if ca, ok := p.(ContextAnswerer); ok {
+		ans, err = ca.AnswerCtx(ctx, q)
+	} else {
+		ans, err = p.Answer(q)
+	}
 	if err == nil {
 		obsAnswers.With(strategy).Inc()
 		obsSampleRows.Add(uint64(max(ans.RowsRead, 0)))

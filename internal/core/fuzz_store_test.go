@@ -29,6 +29,11 @@ func FuzzLoadSmallGroup(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("DSSG"))
 	f.Add([]byte("DSSG\x01\x00\x00\x00"))
+	var snap bytes.Buffer
+	if err := SaveSmallGroupSnapshot(&snap, p); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(snap.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Must never panic; errors are the expected outcome for junk.
@@ -36,9 +41,9 @@ func FuzzLoadSmallGroup(f *testing.F) {
 		if err == nil && p == nil {
 			t.Fatal("nil Prepared with nil error")
 		}
-		// The sniffing wrapper shares the guarantee.
-		if p2, err2 := LoadSmallGroupAny(bytes.NewReader(data)); err2 == nil && p2 == nil {
-			t.Fatal("LoadSmallGroupAny: nil Prepared with nil error")
+		// The checksummed container around it shares the guarantee.
+		if p2, err2 := LoadSmallGroupSnapshot(bytes.NewReader(data)); err2 == nil && p2 == nil {
+			t.Fatal("LoadSmallGroupSnapshot: nil Prepared with nil error")
 		}
 	})
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -314,21 +313,15 @@ func TestOnlineDriftGauge(t *testing.T) {
 	}
 }
 
-// tableBytes serialises every sample table of a prepared state; used to
-// compare two states bit-for-bit.
+// preparedBytes is a prepared state's saved form — every sample table, the
+// metadata, scale and generation; saving is deterministic, so two states are
+// the same sample family exactly when these bytes are equal.
 func preparedBytes(t *testing.T, p Prepared) []byte {
 	t.Helper()
-	sgp := p.(*smallGroupPrepared)
 	var buf bytes.Buffer
-	for _, tbl := range sgp.Tables() {
-		if err := engine.WriteBinary(tbl, &buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := engine.WriteBinary(sgp.Overall(), &buf); err != nil {
+	if err := SaveSmallGroup(&buf, p); err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintf(&buf, "scale=%v gen=%d", sgp.overallScale, sgp.dataGen)
 	return buf.Bytes()
 }
 

@@ -398,10 +398,16 @@ func collapseTwoPoint(buckets []comboBucket) []comboBucket {
 	return out
 }
 
-// planChoice pairs a candidate with its executable plan.
-type planChoice struct {
-	cand PlanCandidate
-	plan *RewritePlan
+// candidate describes one point of the selection space without building it:
+// the small group tables that answer (in index order, the order the
+// exclude-mask chain is laid in), how many leading rows of the overall sample
+// are scanned, or the exact base scan. The embedded PlanCandidate names it and
+// carries its row count and predictions. Only the chosen candidate is ever
+// turned into steps (build).
+type candidate struct {
+	PlanCandidate
+	refs        []TableRef
+	overallRows int64
 }
 
 // defaultFractions are the overall-sample prefix fractions the planner
@@ -417,212 +423,195 @@ func (p *smallGroupPrepared) scanRate() float64 {
 	if r := p.cfg.ScanRowsPerSecond; r > 0 {
 		return r
 	}
-	if p.pstats != nil {
-		if r, ok := p.pstats.rate.estimate(); ok {
-			return r
-		}
+	if r, ok := p.pstats.rate.estimate(); ok {
+		return r
 	}
 	return DefaultScanRowsPerSecond
 }
 
-// stats returns the lazily built planner statistics. A prepared state
-// assembled without pstats (only possible through test struct literals)
-// gets a throwaway build.
+// stats returns the planner statistics, built on first use.
 func (p *smallGroupPrepared) stats() *plannerStats {
-	ps := p.pstats
-	if ps == nil {
-		ps = &plannerStats{}
-	}
-	ps.once.Do(func() { ps.build(p) })
-	return ps
+	p.pstats.once.Do(func() { p.pstats.build(p) })
+	return p.pstats
 }
 
-// relevantCapped is the table set Plan would use: the relevant tables under
-// the MaxTablesPerQuery heuristic, in index order.
-func (p *smallGroupPrepared) relevantCapped(q *engine.Query) []TableRef {
+// confidence resolves the level an error bound and the answer's intervals
+// are stated at: the request's, then the configured one, then the default.
+func (p *smallGroupPrepared) confidence(b Bounds) float64 {
+	if b.Confidence != 0 {
+		return b.Confidence
+	}
+	if p.cfg.ConfidenceLevel != 0 {
+		return p.cfg.ConfidenceLevel
+	}
+	return DefaultConfidenceLevel
+}
+
+// full is the descriptor of the default rewrite (§4.2.2): every relevant
+// small group table, in index order, plus the whole overall sample. Under
+// the MaxTablesPerQuery heuristic of §4.2.3 the tables covering the most
+// rows (largest rare mass) are kept. It predicts nothing, so the default
+// path pays for no planner statistics.
+func (p *smallGroupPrepared) full(q *engine.Query) *candidate {
 	relevant := p.meta.RelevantTables(q.GroupBy)
-	if max := p.cfg.MaxTablesPerQuery; max > 0 && len(relevant) > max {
+	if limit := p.cfg.MaxTablesPerQuery; limit > 0 && len(relevant) > limit {
 		sort.Slice(relevant, func(i, j int) bool { return relevant[i].RareRows > relevant[j].RareRows })
-		relevant = relevant[:max]
+		relevant = relevant[:limit]
 		sort.Slice(relevant, func(i, j int) bool { return relevant[i].Index < relevant[j].Index })
 	}
-	return relevant
+	return &candidate{refs: relevant, overallRows: p.overall.rows()}
 }
 
-// enumerate builds the candidate plans for q: every prefix (by descending
-// rare-row mass, §4.2.3's preference order) of the relevant small group
-// tables × each overall-sample fraction, plus the exact fallback when the
-// base data is attached. Candidates are predicted but not executed.
-func (p *smallGroupPrepared) enumerate(q *engine.Query, z float64, withFractions, includeExact bool) ([]*planChoice, []string) {
+// enumerate lists the candidates for q, predicted but neither built nor
+// executed: every prefix (by descending rare-row mass, §4.2.3's preference
+// order) of the full descriptor's tables, and the full descriptor itself at
+// index full. With explore — the opt-in a stated bound gives — each prefix is
+// also tried over every trimmed fraction of a uniform overall sample, and the
+// exact fallback is appended when the base data is attached. Selection
+// breaks ties by first seen, so the order is part of the contract.
+func (p *smallGroupPrepared) enumerate(q *engine.Query, conf float64, explore bool) (cands []candidate, full int, caveats []string) {
 	ps := p.stats()
-	relevant := p.relevantCapped(q)
-	// Inclusion priority: largest rare mass first.
-	pri := append([]TableRef(nil), relevant...)
+	z := stats.NormalQuantile(0.5 + conf/2)
+	pri := p.full(q).refs
 	sort.Slice(pri, func(i, j int) bool { return pri[i].RareRows > pri[j].RareRows })
-
 	fractions := defaultFractions
-	if !withFractions || !ps.uniform {
+	if !explore || !ps.uniform {
 		fractions = []float64{1}
 	}
-	overallRows := ps.overallRows
-
-	var caveats []string
-	var choices []*planChoice
 	for k := 0; k <= len(pri); k++ {
-		subset := append([]TableRef(nil), pri[:k]...)
-		sort.Slice(subset, func(i, j int) bool { return subset[i].Index < subset[j].Index })
-		used := make(map[string]bool, k)
-		var tableNames []string
+		refs := append([]TableRef(nil), pri[:k]...)
+		sort.Slice(refs, func(i, j int) bool { return refs[i].Index < refs[j].Index })
+		used := make(map[string]bool, k) // columns whose own table answers their rare values
+		var names []string
 		var tableRows int64
-		for _, ref := range subset {
-			for _, col := range ref.Columns {
-				if len(ref.Columns) == 1 {
-					used[col] = true
-				}
+		for _, ref := range refs {
+			if len(ref.Columns) == 1 {
+				used[ref.Columns[0]] = true
 			}
-			tableNames = append(tableNames, p.tables[ref.Index].name)
+			names = append(names, p.tables[ref.Index].name)
 			tableRows += p.tables[ref.Index].rows()
+		}
+		name := p.overall.name
+		if k > 0 {
+			name = strings.Join(names, "+") + "+" + name
 		}
 		seen := map[int64]bool{}
 		for _, f := range fractions {
-			m := int64(math.Ceil(f * float64(overallRows)))
-			if m < 1 {
-				m = 1
-			}
-			if m >= overallRows {
-				m, f = overallRows, 1
+			m := max(1, int64(math.Ceil(f*float64(ps.overallRows))))
+			if m >= ps.overallRows {
+				m, f = ps.overallRows, 1
 			}
 			if seen[m] {
 				continue
 			}
 			seen[m] = true
-
-			plan := &RewritePlan{Query: q, Workers: p.cfg.Workers}
-			usedMask := bitmask.New(p.meta.Width())
-			for _, ref := range subset {
-				plan.Steps = append(plan.Steps, RewriteStep{
-					Source:  p.tables[ref.Index].src,
-					Name:    p.tables[ref.Index].name,
-					Exclude: usedMask.Clone(),
-					Scale:   1,
-				})
-				usedMask.Set(ref.Index)
-			}
-			scale := p.overallScale
-			var maxRows int
+			c := candidate{refs: refs, overallRows: m, PlanCandidate: PlanCandidate{
+				Name: name, Tables: names, OverallFraction: f, Rows: tableRows + m,
+			}}
+			var cavs []string
+			c.PredictedError, cavs = ps.predictError(q, used, float64(m), z)
 			if f < 1 {
-				maxRows = int(m)
-				scale = p.overallScale * float64(overallRows) / float64(m)
+				c.Name += fmt.Sprintf("/%g", f)
 			}
-			plan.Steps = append(plan.Steps, RewriteStep{
-				Source:  p.overall.src,
-				Name:    p.overall.name,
-				Exclude: usedMask,
-				Scale:   scale,
-				MaxRows: maxRows,
-			})
-
-			predErr, cavs := ps.predictError(q, used, float64(m), z)
 			if k == len(pri) && f == 1 {
-				caveats = cavs // report the full plan's caveats once
+				full, caveats = len(cands), cavs // report the full plan's caveats once
 			}
-			rows := tableRows + m
-			name := strings.Join(append(append([]string(nil), tableNames...), p.overall.name), "+")
-			if f < 1 {
-				name += fmt.Sprintf("/%g", f)
-			}
-			choices = append(choices, &planChoice{
-				cand: PlanCandidate{
-					Name:            name,
-					Tables:          tableNames,
-					OverallFraction: f,
-					Rows:            rows,
-					PredictedError:  predErr,
-				},
-				plan: plan,
-			})
+			cands = append(cands, c)
 		}
 	}
-	if includeExact && p.db != nil {
-		choices = append(choices, &planChoice{
-			cand: PlanCandidate{Name: "exact", Rows: int64(p.db.NumRows()), Exact: true},
-			plan: &RewritePlan{Query: q, Workers: p.cfg.Workers, Steps: []RewriteStep{{
-				Source: p.db, Name: p.db.Name, Scale: 1, MarkExact: true,
-			}}},
-		})
+	if explore && p.db != nil {
+		cands = append(cands, candidate{PlanCandidate: PlanCandidate{Name: "exact", Rows: int64(p.db.NumRows()), Exact: true}})
 	}
 	rate := p.scanRate()
-	for _, c := range choices {
-		c.cand.PredictedLatency = time.Duration(float64(c.cand.Rows) / rate * float64(time.Second))
-		c.cand.PredictedLatencyMicros = c.cand.PredictedLatency.Microseconds()
+	for i := range cands {
+		c := &cands[i].PlanCandidate
+		c.PredictedLatency = time.Duration(float64(c.Rows) / rate * float64(time.Second))
+		c.PredictedLatencyMicros = c.PredictedLatency.Microseconds()
 	}
-	return choices, caveats
+	return cands, full, caveats
+}
+
+// build turns a descriptor into the rewritten query of §4.2.2: one step per
+// small group table, each excluding the rows an earlier step already read
+// (the chained bitmask filters that avoid double counting), plus the overall
+// sample scaled by the inverse sampling rate. A descriptor that scans only a
+// prefix of the overall sample caps the step there and scales it up by the
+// trimmed share. The exact descriptor is one unscaled scan of the base data.
+func (p *smallGroupPrepared) build(q *engine.Query, c *candidate) *RewritePlan {
+	plan := &RewritePlan{Query: q, Workers: p.cfg.Workers}
+	if c.Exact {
+		plan.Steps = []RewriteStep{{Source: p.db, Name: p.db.Name, Scale: 1, MarkExact: true}}
+		return plan
+	}
+	used := bitmask.New(p.meta.Width())
+	for _, ref := range c.refs {
+		t := p.tables[ref.Index]
+		plan.Steps = append(plan.Steps, RewriteStep{Source: t.src, Name: t.name, Exclude: used.Clone(), Scale: 1})
+		used.Set(ref.Index)
+	}
+	overall := RewriteStep{Source: p.overall.src, Name: p.overall.name, Exclude: used, Scale: p.overallScale}
+	if total := p.overall.rows(); c.overallRows < total {
+		overall.MaxRows = int(c.overallRows)
+		overall.Scale = p.overallScale * float64(total) / float64(c.overallRows)
+	}
+	plan.Steps = append(plan.Steps, overall)
+	return plan
+}
+
+// admits is the feasibility predicate: c is predicted to satisfy every bound
+// b states.
+func (b Bounds) admits(c *PlanCandidate) bool {
+	return (b.ErrorBound == 0 || c.PredictedError <= b.ErrorBound) &&
+		(b.TimeBound == 0 || c.PredictedLatency <= b.TimeBound)
+}
+
+// cheapestFirst is the candidate table a decision and a preview report.
+func cheapestFirst(cands []candidate) []PlanCandidate {
+	out := make([]PlanCandidate, len(cands))
+	for i := range cands {
+		out[i] = cands[i].PlanCandidate
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Rows < out[j].Rows })
+	return out
 }
 
 // selectBounded picks the plan for explicit bounds: the cheapest (minimum
 // predicted latency) candidate predicted to satisfy every given bound; with
 // only a time bound, the most accurate candidate within it. softBudget — the
 // request deadline's remaining time, when one applies — prefers candidates
-// that also fit the deadline but never causes a 422 by itself. Returns an
-// *UnsatisfiableBoundsError when no candidate satisfies the bounds.
-func selectBounded(choices []*planChoice, b Bounds, softBudget time.Duration) (*planChoice, error) {
-	var feasible []*planChoice
-	for _, c := range choices {
-		ok := (b.ErrorBound == 0 || c.cand.PredictedError <= b.ErrorBound) &&
-			(b.TimeBound == 0 || c.cand.PredictedLatency <= b.TimeBound)
-		c.cand.Feasible = ok
-		if ok {
-			feasible = append(feasible, c)
+// that also fit the deadline but never causes a 422 by itself. It marks every
+// candidate's Feasible flag, and returns an *UnsatisfiableBoundsError when no
+// candidate satisfies the bounds.
+func selectBounded(cands []candidate, b Bounds, softBudget time.Duration) (*candidate, error) {
+	var pool, fitting []*candidate
+	for i := range cands {
+		c := &cands[i]
+		if c.Feasible = b.admits(&c.PlanCandidate); !c.Feasible {
+			continue
+		}
+		pool = append(pool, c)
+		if softBudget > 0 && c.PredictedLatency <= softBudget {
+			fitting = append(fitting, c)
 		}
 	}
-	if len(feasible) == 0 {
-		unsat := &UnsatisfiableBoundsError{Bounds: b, BestError: math.Inf(1), BestLatency: time.Duration(math.MaxInt64)}
-		for _, c := range choices {
-			if (b.TimeBound == 0 || c.cand.PredictedLatency <= b.TimeBound) && c.cand.PredictedError < unsat.BestError {
-				unsat.BestError = c.cand.PredictedError
-			}
-			if (b.ErrorBound == 0 || c.cand.PredictedError <= b.ErrorBound) && c.cand.PredictedLatency < unsat.BestLatency {
-				unsat.BestLatency = c.cand.PredictedLatency
-			}
-		}
-		if math.IsInf(unsat.BestError, 1) { // nothing fits the time bound at all
-			for _, c := range choices {
-				unsat.BestError = math.Min(unsat.BestError, c.cand.PredictedError)
-			}
-		}
-		if unsat.BestLatency == time.Duration(math.MaxInt64) {
-			for _, c := range choices {
-				if c.cand.PredictedLatency < unsat.BestLatency {
-					unsat.BestLatency = c.cand.PredictedLatency
-				}
-			}
-		}
-		return nil, unsat
+	if len(pool) == 0 {
+		return nil, unsatisfiable(cands, b)
 	}
-	pool := feasible
-	if softBudget > 0 {
-		var fitting []*planChoice
-		for _, c := range pool {
-			if c.cand.PredictedLatency <= softBudget {
-				fitting = append(fitting, c)
-			}
-		}
-		if len(fitting) > 0 {
-			pool = fitting
-		}
+	if len(fitting) > 0 {
+		pool = fitting
 	}
 	best := pool[0]
 	for _, c := range pool[1:] {
 		if b.ErrorBound > 0 {
 			// Cheapest plan meeting the bounds; accuracy breaks ties.
-			if c.cand.PredictedLatency < best.cand.PredictedLatency ||
-				(c.cand.PredictedLatency == best.cand.PredictedLatency && c.cand.PredictedError < best.cand.PredictedError) {
+			if c.PredictedLatency < best.PredictedLatency ||
+				(c.PredictedLatency == best.PredictedLatency && c.PredictedError < best.PredictedError) {
 				best = c
 			}
 		} else {
 			// Time bound only: most accurate plan within it; cost breaks ties.
-			if c.cand.PredictedError < best.cand.PredictedError ||
-				(c.cand.PredictedError == best.cand.PredictedError && c.cand.PredictedLatency < best.cand.PredictedLatency) {
+			if c.PredictedError < best.PredictedError ||
+				(c.PredictedError == best.PredictedError && c.PredictedLatency < best.PredictedLatency) {
 				best = c
 			}
 		}
@@ -630,42 +619,69 @@ func selectBounded(choices []*planChoice, b Bounds, softBudget time.Duration) (*
 	return best, nil
 }
 
+// unsatisfiable reports the best achievable figures when nothing satisfies b:
+// the smallest predicted error among the candidates within the time bound and
+// the smallest latency among those within the error bound — each over all
+// candidates when its bound alone already admits none.
+func unsatisfiable(cands []candidate, b Bounds) *UnsatisfiableBoundsError {
+	best := func(within Bounds) (float64, time.Duration) {
+		e, l := math.Inf(1), time.Duration(math.MaxInt64)
+		for i := range cands {
+			c := &cands[i].PlanCandidate
+			if !within.admits(c) {
+				continue
+			}
+			if c.PredictedError < e {
+				e = c.PredictedError
+			}
+			if c.PredictedLatency < l {
+				l = c.PredictedLatency
+			}
+		}
+		return e, l
+	}
+	e, l := best(Bounds{})
+	unsat := &UnsatisfiableBoundsError{Bounds: b, BestError: e, BestLatency: l}
+	if e, _ := best(Bounds{TimeBound: b.TimeBound}); !math.IsInf(e, 1) {
+		unsat.BestError = e
+	}
+	if _, l := best(Bounds{ErrorBound: b.ErrorBound}); l != math.MaxInt64 {
+		unsat.BestLatency = l
+	}
+	return unsat
+}
+
 // selectForDeadline picks the plan for the implicit-deadline path (a request
 // deadline with no explicit bounds): the most accurate candidate whose
 // predicted latency fits the remaining budget, falling back to the cheapest
 // candidate when nothing fits — degradation always produces an answer. The
-// second return reports whether the choice degraded below the full plan.
-func selectForDeadline(choices []*planChoice, budget time.Duration) (*planChoice, bool) {
-	full := choices[0]
-	for _, c := range choices[1:] {
-		if len(c.cand.Tables) > len(full.cand.Tables) ||
-			(len(c.cand.Tables) == len(full.cand.Tables) && c.cand.Rows > full.cand.Rows) {
-			full = c
-		}
-	}
-	var best *planChoice
-	for _, c := range choices {
-		if c.cand.PredictedLatency > budget {
+// second return reports whether the choice degraded below the full plan,
+// cands[full].
+func selectForDeadline(cands []candidate, full int, budget time.Duration) (*candidate, bool) {
+	var best *candidate
+	for i := range cands {
+		c := &cands[i]
+		if c.PredictedLatency > budget {
 			continue
 		}
 		if best == nil ||
-			c.cand.PredictedError < best.cand.PredictedError ||
-			(c.cand.PredictedError == best.cand.PredictedError && len(c.cand.Tables) > len(best.cand.Tables)) ||
-			(c.cand.PredictedError == best.cand.PredictedError && len(c.cand.Tables) == len(best.cand.Tables) && c.cand.Rows < best.cand.Rows) {
+			c.PredictedError < best.PredictedError ||
+			(c.PredictedError == best.PredictedError && len(c.Tables) > len(best.Tables)) ||
+			(c.PredictedError == best.PredictedError && len(c.Tables) == len(best.Tables) && c.Rows < best.Rows) {
 			best = c
 		}
 	}
 	if best == nil {
 		// Nothing fits: cheapest candidate, flagged degraded.
-		best = choices[0]
-		for _, c := range choices[1:] {
-			if c.cand.Rows < best.cand.Rows {
-				best = c
+		best = &cands[0]
+		for i := 1; i < len(cands); i++ {
+			if cands[i].Rows < best.Rows {
+				best = &cands[i]
 			}
 		}
 		return best, true
 	}
-	return best, best != full
+	return best, best != &cands[full]
 }
 
 // achievedError estimates the answer's realized mean per-group relative

@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"dynsample/internal/engine"
-	"dynsample/internal/stats"
 )
 
 // PlanPreviewer is implemented by Prepared states that can enumerate their
@@ -22,26 +20,14 @@ type PlanPreviewer interface {
 }
 
 // PreviewPlans enumerates the candidate plans for q exactly as AnswerBounds
-// would, but performs no execution. Confidence resolves like a bounded query:
-// the request level, then the configured level, then the default.
+// would — same descriptors, same confidence resolution, same feasibility
+// predicate — but selects, builds and executes nothing.
 func (p *smallGroupPrepared) PreviewPlans(q *engine.Query, b Bounds) ([]PlanCandidate, []string, error) {
-	conf := b.Confidence
-	if conf == 0 {
-		conf = p.cfg.ConfidenceLevel
+	cands, _, caveats := p.enumerate(q, p.confidence(b), true)
+	for i := range cands {
+		cands[i].Feasible = b.admits(&cands[i].PlanCandidate)
 	}
-	if conf == 0 {
-		conf = DefaultConfidenceLevel
-	}
-	z := stats.NormalQuantile(0.5 + conf/2)
-	choices, caveats := p.enumerate(q, z, true, true)
-	cands := make([]PlanCandidate, len(choices))
-	for i, c := range choices {
-		c.cand.Feasible = (b.ErrorBound == 0 || c.cand.PredictedError <= b.ErrorBound) &&
-			(b.TimeBound == 0 || c.cand.PredictedLatency <= b.TimeBound)
-		cands[i] = c.cand
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].Rows < cands[j].Rows })
-	return cands, caveats, nil
+	return cheapestFirst(cands), caveats, nil
 }
 
 // PreviewPlans exposes the named strategy's plan enumeration without running

@@ -3,10 +3,8 @@ package core
 import (
 	"context"
 	"math"
-	"sort"
 	"time"
 
-	"dynsample/internal/bitmask"
 	"dynsample/internal/engine"
 	"dynsample/internal/faults"
 	"dynsample/internal/obs"
@@ -52,9 +50,9 @@ type smallGroupPrepared struct {
 	// tables (nil for flat join synopses).
 	sharedDims []*engine.Table
 	// pstats holds the lazily built planner statistics (per-column marginal
-	// distributions, calibrated scan rate). It is shared by pointer across
-	// the copy-on-write clones the online ingest path publishes, so the scan
-	// calibration survives sample maintenance.
+	// distributions, calibrated scan rate); every constructor sets it. It is
+	// shared by pointer across the copy-on-write clones the online ingest
+	// path publishes, so the scan calibration survives sample maintenance.
 	pstats *plannerStats
 }
 
@@ -83,51 +81,10 @@ func (p *smallGroupPrepared) Tables() []*engine.Table {
 // Overall exposes the overall sample table (flat storage only).
 func (p *smallGroupPrepared) Overall() *engine.Table { return p.overall.src.(*engine.Table) }
 
-// Plan builds the rewritten query: one step per relevant small group table
-// (chained bitmask filters avoid double counting) plus the scaled overall
-// sample step (§4.2.2).
-func (p *smallGroupPrepared) Plan(q *engine.Query) *RewritePlan {
-	relevant := p.meta.RelevantTables(q.GroupBy)
-	if max := p.cfg.MaxTablesPerQuery; max > 0 && len(relevant) > max {
-		// Runtime heuristic from §4.2.3: prefer the tables covering the most
-		// rows (largest rare mass), then restore index order for chaining.
-		sort.Slice(relevant, func(i, j int) bool { return relevant[i].RareRows > relevant[j].RareRows })
-		relevant = relevant[:max]
-		sort.Slice(relevant, func(i, j int) bool { return relevant[i].Index < relevant[j].Index })
-	}
-
-	plan := &RewritePlan{Query: q, Workers: p.cfg.Workers}
-	used := bitmask.New(p.meta.Width())
-	for _, ref := range relevant {
-		plan.Steps = append(plan.Steps, RewriteStep{
-			Source:  p.tables[ref.Index].src,
-			Name:    p.tables[ref.Index].name,
-			Exclude: used.Clone(),
-			Scale:   1,
-		})
-		used.Set(ref.Index)
-	}
-	plan.Steps = append(plan.Steps, RewriteStep{
-		Source:  p.overall.src,
-		Name:    p.overall.name,
-		Exclude: used,
-		Scale:   p.overallScale,
-	})
-	return plan
-}
-
-// usedTables reports which small group table indices a plan reads.
-func (p *smallGroupPrepared) usedTables(plan *RewritePlan) map[int]bool {
-	used := make(map[int]bool, len(plan.Steps))
-	for _, st := range plan.Steps[:len(plan.Steps)-1] {
-		for i, s := range p.tables {
-			if s.src == st.Source {
-				used[i] = true
-			}
-		}
-	}
-	return used
-}
+// Plan builds the default rewritten query (§4.2.2): the full descriptor —
+// every relevant small group table plus the whole overall sample — built
+// without consulting the planner.
+func (p *smallGroupPrepared) Plan(q *engine.Query) *RewritePlan { return p.build(q, p.full(q)) }
 
 // Answer implements Prepared. It is AnswerCtx with a background context.
 func (p *smallGroupPrepared) Answer(q *engine.Query) (*Answer, error) {
@@ -139,100 +96,74 @@ func (p *smallGroupPrepared) Answer(q *engine.Query) (*Answer, error) {
 // the most accurate plan predicted to fit the remaining budget (falling
 // back to the cheapest plan, flagged Answer.Degraded, when nothing fits).
 func (p *smallGroupPrepared) AnswerCtx(ctx context.Context, q *engine.Query) (*Answer, error) {
-	return p.answer(ctx, q, Bounds{})
+	return p.AnswerBounds(ctx, q, Bounds{})
 }
 
-// AnswerBounds implements BoundedAnswerer: it plans toward the requested
-// error/time bounds (see planner.go), executes the chosen plan, and reports
-// the decision — predicted vs achieved error, every candidate considered —
-// in Answer.Plan. When no candidate satisfies the bounds it returns an
-// *UnsatisfiableBoundsError without executing anything.
-func (p *smallGroupPrepared) AnswerBounds(ctx context.Context, q *engine.Query, b Bounds) (*Answer, error) {
-	return p.answer(ctx, q, b)
-}
-
-// answer is the shared runtime path: select a plan (three regimes: explicit
-// bounds, implicit request deadline, or the full default rewrite), execute
-// it, mark exactness, and attach intervals.
-func (p *smallGroupPrepared) answer(ctx context.Context, q *engine.Query, b Bounds) (*Answer, error) {
-	start := time.Now()
-	tr := obs.TraceFrom(ctx)
-	var endStage func()
-	if tr != nil {
-		endStage = tr.StartStage("select")
-	}
-	conf := b.Confidence
-	if conf == 0 {
-		conf = p.cfg.ConfidenceLevel
-	}
-	if conf == 0 {
-		conf = DefaultConfidenceLevel
-	}
-
-	var plan *RewritePlan
-	var decision *PlanDecision
-	var chosenExact, degraded bool
+// choose is sample selection (§3.2's "compare the query with the metadata"):
+// three regimes, each one selector over the same candidate descriptors.
+// Explicit bounds explore the whole space (table prefixes × overall-sample
+// fractions × the exact fallback) and select strictly, recording the
+// decision; a request deadline without stated bounds is the degradation
+// path — the most accurate table prefix fitting the budget; anything else is
+// the full descriptor, with no prediction run at all.
+func (p *smallGroupPrepared) choose(ctx context.Context, q *engine.Query, b Bounds, conf float64) (chosen *candidate, decision *PlanDecision, degraded bool, err error) {
 	deadline, hasDeadline := ctx.Deadline()
-
 	switch {
 	case !b.IsZero():
-		// Explicit bounds: full candidate space (table subsets × overall
-		// fractions × exact fallback), strict selection.
-		z := stats.NormalQuantile(0.5 + conf/2)
-		choices, caveats := p.enumerate(q, z, true, true)
-		obsPlannerCandidates.Observe(float64(len(choices)))
+		cands, _, caveats := p.enumerate(q, conf, true)
+		obsPlannerCandidates.Observe(float64(len(cands)))
 		var soft time.Duration
 		if hasDeadline {
 			soft = time.Until(deadline)
 		}
-		chosen, err := selectBounded(choices, b, soft)
-		if err != nil {
+		if chosen, err = selectBounded(cands, b, soft); err != nil {
 			obsPlannerUnsat.Inc()
-			if tr != nil {
-				endStage()
-			}
-			return nil, err
+			return nil, nil, false, err
 		}
-		plan = chosen.plan
-		chosenExact = chosen.cand.Exact
-		cands := make([]PlanCandidate, len(choices))
-		for i, c := range choices {
-			cands[i] = c.cand
-		}
-		sort.Slice(cands, func(i, j int) bool { return cands[i].Rows < cands[j].Rows })
 		decision = &PlanDecision{
 			Bounds:     Bounds{ErrorBound: b.ErrorBound, TimeBound: b.TimeBound, Confidence: conf},
-			Chosen:     chosen.cand,
-			Candidates: cands,
+			Chosen:     chosen.PlanCandidate,
+			Candidates: cheapestFirst(cands),
 			Caveats:    caveats,
 		}
 	case hasDeadline:
-		// Implicit deadline, no stated bounds: the degradation path, now
-		// planner-chosen — most accurate table subset fitting the budget
-		// (fractions and the exact fallback stay opt-in via Bounds).
-		z := stats.NormalQuantile(0.5 + conf/2)
-		choices, _ := p.enumerate(q, z, false, false)
-		var chosen *planChoice
-		chosen, degraded = selectForDeadline(choices, time.Until(deadline))
-		plan = chosen.plan
+		cands, full, _ := p.enumerate(q, conf, false)
+		chosen, degraded = selectForDeadline(cands, full, time.Until(deadline))
 	default:
-		plan = p.Plan(q)
+		chosen = p.full(q)
 	}
+	return chosen, decision, degraded, nil
+}
 
+// AnswerBounds implements BoundedAnswerer, and is the runtime phase as one
+// pipeline for every kind of query: enumerate → choose (both in choose) →
+// build → execute → mark exactness → intervals. Given bounds, it plans toward
+// them (see planner.go) and reports the decision — predicted vs achieved
+// error, every candidate considered — in Answer.Plan; when no candidate
+// satisfies them it returns an *UnsatisfiableBoundsError without executing
+// anything.
+func (p *smallGroupPrepared) AnswerBounds(ctx context.Context, q *engine.Query, b Bounds) (*Answer, error) {
+	start := time.Now()
+	tr := obs.TraceFrom(ctx)
+	endStage := tr.StartStage("select")
+	conf := p.confidence(b)
+	chosen, decision, degraded, err := p.choose(ctx, q, b, conf)
+	if err != nil {
+		endStage()
+		return nil, err
+	}
+	plan := p.build(q, chosen)
+	scanRows := planRows(plan)
 	obsPlanSteps.Observe(float64(len(plan.Steps)))
 	if degraded {
 		obsDegraded.Inc()
 	}
-	if tr != nil {
-		endStage()
-		tr.SetDegraded(degraded)
-		// States restored from disk have no base data attached (p.db nil);
-		// they report rows read but no sampling fraction.
-		if p.db != nil {
-			if n := p.db.NumRows(); n > 0 {
-				tr.SetSamplingFraction(float64(planRows(plan)) / float64(n))
-			}
-		}
+	endStage()
+	tr.SetDegraded(degraded)
+	// States restored from disk have no base data attached (p.db nil);
+	// they report rows read but no sampling fraction.
+	if p.db != nil && p.db.NumRows() > 0 {
+		tr.SetSamplingFraction(float64(scanRows) / float64(p.db.NumRows()))
 	}
 	execStart := time.Now()
 	combined, rowsRead, err := ExecutePlanCtx(ctx, plan)
@@ -241,21 +172,20 @@ func (p *smallGroupPrepared) answer(ctx context.Context, q *engine.Query, b Boun
 	}
 	// Feed the scan-throughput calibration from every executed plan, so
 	// latency predictions track the machine the server actually runs on.
-	if p.pstats != nil {
-		p.pstats.rate.observe(planRows(plan), time.Since(execStart))
-	}
-	if tr != nil {
-		endStage = tr.StartStage("finalize")
-	}
-	if !chosenExact {
+	p.pstats.rate.observe(scanRows, time.Since(execStart))
+	endStage = tr.StartStage("finalize")
+	if !chosen.Exact {
 		// Mark exactness from the metadata: a group is exact when one of the
-		// used tables stores all of its rows undownsampled (§4.2.2: "answers
+		// chosen tables stores all of its rows undownsampled (§4.2.2: "answers
 		// for groups that result from querying small group tables are marked
 		// as being exact"). Under the multi-level extension, medium-band
 		// groups are estimated from their subsampled rows and stay inexact.
 		// The exact-fallback plan skips this: the engine already marked every
 		// group exact.
-		used := p.usedTables(plan)
+		used := make(map[int]bool, len(chosen.refs))
+		for _, ref := range chosen.refs {
+			used[ref.Index] = true
+		}
 		for _, g := range combined.Groups() {
 			g.Exact = p.meta.GroupIsExact(q.GroupBy, g.Key, used)
 		}
@@ -276,14 +206,10 @@ func (p *smallGroupPrepared) answer(ctx context.Context, q *engine.Query, b Boun
 		if b.ErrorBound > 0 && decision.AchievedError > b.ErrorBound {
 			obsPlannerBoundMiss.Inc()
 		}
-		if tr != nil {
-			tr.SetPlanner(plannerTrace(decision))
-		}
+		tr.SetPlanner(plannerTrace(decision))
 	}
-	if tr != nil {
-		endStage()
-		tr.SetRowsRead(rowsRead)
-	}
+	endStage()
+	tr.SetRowsRead(rowsRead)
 	return ans, nil
 }
 
@@ -377,14 +303,11 @@ func ExecutePlan(plan *RewritePlan) (*engine.Result, int64, error) {
 // pool and surfaces as an error, not a process crash.
 func ExecutePlanCtx(ctx context.Context, plan *RewritePlan) (*engine.Result, int64, error) {
 	tr := obs.TraceFrom(ctx)
-	var endStage func()
-	var stepObs []obs.SampleExec
-	if tr != nil {
-		endStage = tr.StartStage("execute")
-		// Each step writes its own slot, so the concurrent fan-out records
-		// without sharing; the slots are appended to the trace afterwards.
-		stepObs = make([]obs.SampleExec, len(plan.Steps))
-	}
+	endStage := tr.StartStage("execute")
+	// Each step writes its own slot, so the concurrent fan-out records
+	// without sharing; the slots are appended to the trace afterwards, in
+	// step order.
+	stepObs := make([]obs.SampleExec, len(plan.Steps))
 	partials := make([]*engine.Result, len(plan.Steps))
 	err := parallel.ForEachCtx(ctx, plan.Workers, len(plan.Steps), func(i int) error {
 		faults.Fire(ctx, faults.PointPlanStep, i)
@@ -400,14 +323,12 @@ func ExecutePlanCtx(ctx context.Context, plan *RewritePlan) (*engine.Result, int
 		if err != nil {
 			return err
 		}
-		if tr != nil {
-			stepObs[i] = obs.SampleExec{
-				Table:  st.Name,
-				Rows:   res.RowsScanned,
-				Shards: engine.ShardsFor(int(stepRows(st))),
-				Scale:  st.Scale,
-				Micros: time.Since(stepStart).Microseconds(),
-			}
+		stepObs[i] = obs.SampleExec{
+			Table:  st.Name,
+			Rows:   res.RowsScanned,
+			Shards: engine.ShardsFor(int(stepRows(st))),
+			Scale:  st.Scale,
+			Micros: time.Since(stepStart).Microseconds(),
 		}
 		partials[i] = res
 		return nil
@@ -415,13 +336,11 @@ func ExecutePlanCtx(ctx context.Context, plan *RewritePlan) (*engine.Result, int
 	if err != nil {
 		return nil, 0, err
 	}
-	if tr != nil {
-		endStage()
-		for _, s := range stepObs {
-			tr.AddSample(s)
-		}
-		endStage = tr.StartStage("combine")
+	endStage()
+	for _, s := range stepObs {
+		tr.AddSample(s)
 	}
+	endStage = tr.StartStage("combine")
 	combined := engine.NewResult(plan.Query.GroupBy, plan.Query.Aggs)
 	var rowsRead int64
 	for _, res := range partials {
@@ -430,9 +349,7 @@ func ExecutePlanCtx(ctx context.Context, plan *RewritePlan) (*engine.Result, int
 			return nil, 0, err
 		}
 	}
-	if tr != nil {
-		endStage()
-	}
+	endStage()
 	return combined, rowsRead, nil
 }
 

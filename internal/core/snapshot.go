@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 
@@ -12,8 +11,7 @@ import (
 // the catalog container (magic header, per-chunk CRC32, checksummed
 // trailer), so truncation and bit rot are detected with a precise error
 // instead of being decoded into garbage sample tables. This is the format
-// aqpcli -save writes and the sample catalog stores; LoadSmallGroupAny
-// still accepts the legacy raw format for files written by older builds.
+// aqpcli -save writes and -restore (aqpcli, aqpd) reads.
 
 // SaveSmallGroupSnapshot writes p in the checksummed snapshot container.
 func SaveSmallGroupSnapshot(w io.Writer, p Prepared) error {
@@ -24,37 +22,16 @@ func SaveSmallGroupSnapshot(w io.Writer, p Prepared) error {
 
 // LoadSmallGroupSnapshot reads state written by SaveSmallGroupSnapshot,
 // verifying every checksum (including unread tail sections) before the
-// result is trusted.
+// result is trusted. Anything else — a bare SaveSmallGroup stream included —
+// is an error that names the container it expected.
 func LoadSmallGroupSnapshot(r io.Reader) (Prepared, error) {
 	var p Prepared
-	err := catalog.ReadSnapshot(r, func(pr io.Reader) error {
-		var derr error
+	err := catalog.ReadSnapshot(r, func(pr io.Reader) (derr error) {
 		p, derr = LoadSmallGroup(pr)
 		return derr
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: reading sample snapshot (the checksummed container aqpcli -save writes): %w", err)
 	}
 	return p, nil
-}
-
-// LoadSmallGroupAny sniffs the stream's magic and loads either a
-// checksummed snapshot (SaveSmallGroupSnapshot) or a legacy raw store
-// (SaveSmallGroup). Legacy files carry no integrity protection; loading
-// them still works but re-saving through the snapshot writer is
-// recommended.
-func LoadSmallGroupAny(r io.Reader) (Prepared, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(4)
-	if err != nil {
-		return nil, fmt.Errorf("core: reading store header: %w", err)
-	}
-	switch string(head) {
-	case "DSSN": // catalog snapshot container ("DSSNAP01")
-		return LoadSmallGroupSnapshot(br)
-	case storeMagic:
-		return LoadSmallGroup(br)
-	default:
-		return nil, fmt.Errorf("core: unrecognised sample store magic %q", head)
-	}
 }

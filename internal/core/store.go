@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
 
 	"dynsample/internal/engine"
 )
@@ -19,8 +20,8 @@ import (
 
 const storeMagic = "DSSG"
 
-// storeVersion 2 adds the ingest data generation (a u64 after the runtime
-// configuration block); version-1 stores load with generation 0.
+// storeVersion 2 carries the ingest data generation (a u64 after the runtime
+// configuration block). It is the only version read: nothing writes another.
 const storeVersion = 2
 
 // Sanity caps on length prefixes. A truncated or corrupted header must
@@ -81,10 +82,11 @@ func SaveSmallGroup(w io.Writer, p Prepared) error {
 		putString(bw, pm.Cols[0])
 		putString(bw, pm.Cols[1])
 		putU64(bw, uint64(pm.RareRows))
-		putU32(bw, uint32(len(pm.Rare)))
+		keys := make([]string, 0, len(pm.Rare))
 		for k := range pm.Rare {
-			putString(bw, string(k))
+			keys = append(keys, string(k))
 		}
+		putSortedStrings(bw, keys)
 	}
 	if err := bw.Flush(); err != nil {
 		return err
@@ -123,7 +125,7 @@ func LoadSmallGroup(r io.Reader) (Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version != 1 && version != storeVersion {
+	if version != storeVersion {
 		return nil, fmt.Errorf("core: unsupported store version %d", version)
 	}
 
@@ -143,11 +145,9 @@ func LoadSmallGroup(r io.Reader) (Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	var dataGen uint64
-	if version >= 2 {
-		if dataGen, err = getU64(br); err != nil {
-			return nil, err
-		}
+	dataGen, err := getU64(br)
+	if err != nil {
+		return nil, err
 	}
 
 	baseRows, err := getU64(br)
@@ -266,9 +266,21 @@ func putString(w *bufio.Writer, s string) {
 }
 
 func putValueSet(w *bufio.Writer, set map[engine.Value]struct{}) {
-	putU32(w, uint32(len(set)))
+	keys := make([]string, 0, len(set))
 	for v := range set {
-		putString(w, string(engine.EncodeKey([]engine.Value{v})))
+		keys = append(keys, string(engine.EncodeKey([]engine.Value{v})))
+	}
+	putSortedStrings(w, keys)
+}
+
+// putSortedStrings writes a counted set of strings in sorted order. The sets
+// live in maps, and map iteration order must not reach the file: one sample
+// family always saves to the same bytes.
+func putSortedStrings(w *bufio.Writer, keys []string) {
+	sort.Strings(keys)
+	putU32(w, uint32(len(keys)))
+	for _, k := range keys {
+		putString(w, k)
 	}
 }
 

@@ -94,6 +94,12 @@ func TestLoadSmallGroupHostileLengthPrefixes(t *testing.T) {
 			stream:  nil,
 			wantErr: "reading store header",
 		},
+		{
+			// Version 1 (no data generation field) is no longer read.
+			name:    "superseded version",
+			stream:  append([]byte(storeMagic+"\x01\x00\x00\x00"), craftStore(3, 0, nil)[8:]...),
+			wantErr: "unsupported store version 1",
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -109,7 +115,8 @@ func TestLoadSmallGroupHostileLengthPrefixes(t *testing.T) {
 }
 
 // TestSnapshotStoreRoundTrip covers the checksummed container around the
-// raw store, and LoadSmallGroupAny's format sniffing for both formats.
+// raw store: each loader reads its own format, and the container loader
+// refuses a bare store with an error that says what it wanted.
 func TestSnapshotStoreRoundTrip(t *testing.T) {
 	db := skewedDB(t, 3000)
 	orig := prep(t, db, SmallGroupConfig{BaseRate: 0.05, DistinctLimit: 100, Seed: 3})
@@ -123,8 +130,11 @@ func TestSnapshotStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for name, b := range map[string][]byte{"snapshot": snap.Bytes(), "legacy raw": raw.Bytes()} {
-		loaded, err := LoadSmallGroupAny(bytes.NewReader(b))
+	for name, load := range map[string]func() (Prepared, error){
+		"snapshot": func() (Prepared, error) { return LoadSmallGroupSnapshot(bytes.NewReader(snap.Bytes())) },
+		"raw":      func() (Prepared, error) { return LoadSmallGroup(bytes.NewReader(raw.Bytes())) },
+	} {
+		loaded, err := load()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -132,9 +142,14 @@ func TestSnapshotStoreRoundTrip(t *testing.T) {
 			t.Errorf("%s: sample rows %d vs %d", name, loaded.SampleRows(), orig.SampleRows())
 		}
 	}
-	if _, err := LoadSmallGroupAny(bytes.NewReader([]byte("GARBAGE!"))); err == nil ||
-		!strings.Contains(err.Error(), "unrecognised") {
-		t.Fatalf("garbage magic: err = %v", err)
+	for name, b := range map[string][]byte{"raw store": raw.Bytes(), "garbage": []byte("GARBAGE!")} {
+		if _, err := LoadSmallGroupSnapshot(bytes.NewReader(b)); err == nil ||
+			!strings.Contains(err.Error(), "checksummed container") {
+			t.Fatalf("%s through the snapshot loader: err = %v", name, err)
+		}
+	}
+	if _, err := LoadSmallGroup(bytes.NewReader(snap.Bytes())); err == nil || !strings.Contains(err.Error(), "bad store magic") {
+		t.Fatalf("snapshot through the raw loader: err = %v", err)
 	}
 
 	// The container must reject corruption anywhere, including in table data

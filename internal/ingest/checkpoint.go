@@ -29,9 +29,10 @@ import (
 // The idempotency entries let a restart keep answering duplicate batch ids
 // whose WAL records were garbage-collected.
 //
-// Legacy snapshots (a bare SaveSmallGroup stream, magic "DSSG") still decode:
-// DecodeSnapshot sniffs the magic and returns them with a nil Checkpoint,
-// which recovery treats as "covers nothing — replay the whole WAL".
+// A bare SaveSmallGroup stream (magic "DSSG", what a coordinator-less rebuild
+// persists) also decodes: DecodeSnapshot sniffs the magic and returns it with
+// a nil Checkpoint, which recovery treats as "covers nothing — replay the
+// whole WAL".
 const (
 	ckMagic = "DSCP0001"
 
@@ -60,7 +61,7 @@ type IdentEntry struct {
 
 // Snapshot is a decoded catalog snapshot in either format.
 type Snapshot struct {
-	// Checkpoint is nil for legacy (pre-checkpoint) snapshots.
+	// Checkpoint is nil for a bare sample-set payload.
 	Checkpoint *Checkpoint
 	// Prepared is the sample family (always present).
 	Prepared core.Prepared
@@ -124,8 +125,9 @@ func WriteCheckpoint(w io.Writer, p core.Prepared, ck Checkpoint, delta *engine.
 	return core.SaveSmallGroup(w, p)
 }
 
-// DecodeSnapshot reads a snapshot in either format, sniffing the magic. A
-// legacy SaveSmallGroup stream decodes to a Snapshot with a nil Checkpoint.
+// DecodeSnapshot reads a catalog payload in either form, sniffing the magic:
+// a checkpoint, or the bare SaveSmallGroup stream a coordinator-less rebuild
+// persists, which decodes to a Snapshot with a nil Checkpoint.
 func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	br := bufio.NewReader(r)
 	head, err := br.Peek(4)
@@ -133,7 +135,7 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("ingest: reading snapshot header: %w", err)
 	}
 	if string(head) != "DSCP" {
-		p, err := core.LoadSmallGroupAny(br)
+		p, err := core.LoadSmallGroup(br)
 		if err != nil {
 			return nil, err
 		}

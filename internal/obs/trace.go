@@ -98,9 +98,11 @@ type TraceData struct {
 
 // Trace accumulates the observability record of one query as it moves
 // through the pipeline. It is carried by the request context (WithTrace /
-// TraceFrom); instrumentation sites that find no trace pay one context
-// lookup and nothing else. Methods are safe for concurrent use — rewrite
-// steps fan out across goroutines and record their SampleExec concurrently.
+// TraceFrom). Every recorder method (StartStage, AddSample, the setters) is
+// a no-op on a nil *Trace, so instrumentation sites call
+// obs.TraceFrom(ctx).X(...) unguarded and an untraced query pays one context
+// lookup and a nil check. Methods are safe for concurrent use — rewrite
+// steps fan out across goroutines and may record concurrently.
 type Trace struct {
 	start time.Time
 	mu    sync.Mutex
@@ -116,8 +118,16 @@ func NewTrace(requestID, sql string) *Trace {
 	return t
 }
 
-func (t *Trace) lock()   { t.mu.Lock() }
-func (t *Trace) unlock() { t.mu.Unlock() }
+// record applies one mutation to the trace under its lock; on a nil trace
+// (an untraced query) it does nothing.
+func (t *Trace) record(mutate func(*TraceData)) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	mutate(&t.data)
+	t.mu.Unlock()
+}
 
 // StartStage begins a named stage and returns the function that ends it.
 // The usual shape is:
@@ -126,7 +136,7 @@ func (t *Trace) unlock() { t.mu.Unlock() }
 //	... work ...
 //	end()
 func (t *Trace) StartStage(name string) (end func()) {
-	if t == nil { // untraced context: obs.TraceFrom(ctx).StartStage is a no-op
+	if t == nil { // skip the clock reads, not just the record
 		return func() {}
 	}
 	begin := time.Now()
@@ -136,78 +146,50 @@ func (t *Trace) StartStage(name string) (end func()) {
 			OffsetMicros: begin.Sub(t.start).Microseconds(),
 			Micros:       time.Since(begin).Microseconds(),
 		}
-		t.lock()
-		t.data.Stages = append(t.data.Stages, st)
-		t.unlock()
+		t.record(func(d *TraceData) { d.Stages = append(d.Stages, st) })
 	}
 }
 
 // AddSample records one rewrite step's execution.
 func (t *Trace) AddSample(s SampleExec) {
-	t.lock()
-	t.data.Samples = append(t.data.Samples, s)
-	t.unlock()
+	t.record(func(d *TraceData) { d.Samples = append(d.Samples, s) })
 }
 
 // SetSQL records the query text once it is known (after request decode).
-func (t *Trace) SetSQL(sql string) {
-	t.lock()
-	t.data.SQL = sql
-	t.unlock()
-}
+func (t *Trace) SetSQL(sql string) { t.record(func(d *TraceData) { d.SQL = sql }) }
 
 // SetStrategy records which strategy answered.
-func (t *Trace) SetStrategy(name string) {
-	t.lock()
-	t.data.Strategy = name
-	t.unlock()
-}
+func (t *Trace) SetStrategy(name string) { t.record(func(d *TraceData) { d.Strategy = name }) }
 
 // SetSamplingFraction records the selected plan's scan fraction.
 func (t *Trace) SetSamplingFraction(f float64) {
-	t.lock()
-	t.data.SamplingFraction = f
-	t.unlock()
+	t.record(func(d *TraceData) { d.SamplingFraction = f })
 }
 
 // SetDegraded flags the deadline-pressure fallback.
-func (t *Trace) SetDegraded(d bool) {
-	t.lock()
-	t.data.Degraded = d
-	t.unlock()
-}
+func (t *Trace) SetDegraded(degraded bool) { t.record(func(d *TraceData) { d.Degraded = degraded }) }
 
 // SetPlanner records the bounded-query planner's decision.
-func (t *Trace) SetPlanner(p *PlannerData) {
-	t.lock()
-	t.data.Planner = p
-	t.unlock()
-}
+func (t *Trace) SetPlanner(p *PlannerData) { t.record(func(d *TraceData) { d.Planner = p }) }
 
 // SetRowsRead records the total rows the query scanned.
-func (t *Trace) SetRowsRead(n int64) {
-	t.lock()
-	t.data.RowsRead = n
-	t.unlock()
-}
+func (t *Trace) SetRowsRead(n int64) { t.record(func(d *TraceData) { d.RowsRead = n }) }
 
 // Finish stamps the terminal status and total duration and returns the
 // completed snapshot. Call it once, after the last stage ended.
 func (t *Trace) Finish(status string) TraceData {
-	t.lock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.data.Status = status
 	t.data.TotalMicros = time.Since(t.start).Microseconds()
-	d := t.snapshotLocked()
-	t.unlock()
-	return d
+	return t.snapshotLocked()
 }
 
 // Snapshot returns a copy of the trace so far.
 func (t *Trace) Snapshot() TraceData {
-	t.lock()
-	d := t.snapshotLocked()
-	t.unlock()
-	return d
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.snapshotLocked()
 }
 
 func (t *Trace) snapshotLocked() TraceData {

@@ -36,6 +36,21 @@ func TestTraceStagesAndSamples(t *testing.T) {
 	}
 }
 
+// TestNilTraceAcceptsEveryRecorderCall: instrumentation sites call the trace
+// they got from the context unguarded, so an untraced query's nil *Trace must
+// take every recorder method.
+func TestNilTraceAcceptsEveryRecorderCall(t *testing.T) {
+	tr := TraceFrom(context.Background())
+	tr.StartStage("select")()
+	tr.AddSample(SampleExec{Table: "sg_a"})
+	tr.SetSQL("SELECT 1")
+	tr.SetStrategy("smallgroup")
+	tr.SetSamplingFraction(0.05)
+	tr.SetDegraded(true)
+	tr.SetPlanner(&PlannerData{})
+	tr.SetRowsRead(10)
+}
+
 func TestTraceConcurrentRecording(t *testing.T) {
 	tr := NewTrace("", "")
 	var wg sync.WaitGroup

@@ -11,10 +11,6 @@ import (
 	"dynsample/internal/ingest"
 )
 
-// maxIngestBody bounds one POST /ingest request body; a batch larger than
-// this should be split client-side (the WAL caps records at 16 MiB anyway).
-const maxIngestBody = 8 << 20
-
 // IngestRequest is the body of POST /ingest: rows in the base view's column
 // order (see GET /columns). BatchID (or, when absent, the client's
 // X-Request-ID header) makes the request idempotent: retrying the same id
@@ -55,82 +51,66 @@ type IngestResponse struct {
 	Drift float64 `json:"drift"`
 }
 
-// handleIngest implements POST /ingest: decode + type-check the rows against
+// ingest implements POST /v1/ingest: decode + type-check the rows against
 // the view schema, hand them to the coordinator (WAL append + online sample
 // maintenance), and report the batch's effect. Overload maps to 503 +
 // Retry-After like query shedding; duplicates are a 200 with the original
 // stats so retries are safe; WAL and apply failures are 500s so clients
 // don't mistake a server fault for a bad batch.
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
+func (s *Server) ingest(r *http.Request) (any, error) {
 	ing := s.cfg.Ingest
 	if ing == nil {
-		writeError(w, http.StatusNotImplemented, CodeUnimplemented,
-			errors.New("ingestion not configured (start the server with -wal-dir)"))
-		return
+		return nil, unimplementedError{errors.New("ingestion not configured (start the server with -wal-dir)")}
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxIngestBody)
 	var req IngestRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
+		return nil, badRequestf("bad request body: %w", err)
 	}
 	cols := s.sys.DB().Columns()
 	if req.Columns != nil {
 		if len(req.Columns) != len(cols) {
-			writeError(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Errorf("columns has %d names, view has %d (%v)", len(req.Columns), len(cols), cols))
-			return
+			return nil, badRequestf("columns has %d names, view has %d (%v)", len(req.Columns), len(cols), cols)
 		}
 		for i, name := range req.Columns {
 			if name != cols[i] {
-				writeError(w, http.StatusBadRequest, CodeBadRequest,
-					fmt.Errorf("columns[%d] = %q, view order is %v", i, name, cols))
-				return
+				return nil, badRequestf("columns[%d] = %q, view order is %v", i, name, cols)
 			}
 		}
 	}
 	rows, err := s.decodeIngestRows(cols, req.Rows)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
-		return
+		return nil, badRequestError{err}
 	}
 	id := req.BatchID
 	if id == "" {
 		id = sanitizeRequestID(r.Header.Get("X-Request-ID"))
 	}
 	st, err := ing.Ingest(id, rows)
+	resp := IngestResponse{
+		Rows:              st.Rows,
+		Generation:        st.DataGeneration,
+		Duplicate:         errors.Is(err, ingest.ErrDuplicate),
+		ReservoirSwaps:    st.ReservoirSwaps,
+		SmallGroupInserts: st.SmallGroupInserts,
+		Drift:             st.Drift,
+	}
 	switch {
-	case errors.Is(err, ingest.ErrDuplicate):
-		writeJSON(w, IngestResponse{
-			Rows:              st.Rows,
-			Generation:        st.DataGeneration,
-			Duplicate:         true,
-			ReservoirSwaps:    st.ReservoirSwaps,
-			SmallGroupInserts: st.SmallGroupInserts,
-			Drift:             st.Drift,
-		})
+	case err == nil, resp.Duplicate:
+		return resp, nil
 	case errors.Is(err, ingest.ErrOverloaded):
-		s.pipe.fail(w, r, &UnavailableError{Code: CodeOverloaded, Err: err})
+		return nil, &UnavailableError{Code: CodeOverloaded, Err: err}
 	case errors.Is(err, ingest.ErrDegraded):
 		// A disk fault put ingest into read-only mode. Queries still serve
 		// and the coordinator is re-probing the disk on its own, so this is
 		// a retryable 503, not a 500: keep the batch and try again.
-		s.pipe.fail(w, r, &UnavailableError{Code: CodeIngestDegraded, After: 5 * time.Second, Err: err})
+		return nil, &UnavailableError{Code: CodeIngestDegraded, After: 5 * time.Second, Err: err}
 	case errors.Is(err, ingest.ErrUnavailable):
 		// A server-side failure (WAL write/fsync, or a durably logged batch
 		// that did not apply) — not the client's fault, so never 400: a
 		// well-behaved client should keep the batch and retry later.
-		writeError(w, http.StatusInternalServerError, CodeInternal, err)
-	case err != nil:
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
+		return nil, err
 	default:
-		writeJSON(w, IngestResponse{
-			Rows:              st.Rows,
-			Generation:        st.DataGeneration,
-			ReservoirSwaps:    st.ReservoirSwaps,
-			SmallGroupInserts: st.SmallGroupInserts,
-			Drift:             st.Drift,
-		})
+		return nil, badRequestError{err}
 	}
 }
 

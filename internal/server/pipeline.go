@@ -89,6 +89,15 @@ func (e *UnavailableError) Unwrap() error { return e.Err }
 // badRequestError marks an error as the client's: 400 bad_request.
 type badRequestError struct{ error }
 
+// unimplementedError marks a route whose feature this server was started
+// without: 501 unimplemented.
+type unimplementedError struct{ error }
+
+// maxBody bounds the request body of every route registered with Handle. An
+// ingest batch larger than this should be split client-side (the WAL caps
+// records at 16 MiB anyway).
+const maxBody = 8 << 20
+
 func badRequestf(format string, args ...any) error {
 	return badRequestError{fmt.Errorf(format, args...)}
 }
@@ -127,9 +136,11 @@ func NewPipeline(b Backend, cfg Config) *Pipeline {
 }
 
 // Handle registers a route answering with fn's value as JSON, or with the
-// envelope for its error: the pipeline does all the writing.
+// envelope for its error: the pipeline does all the writing. The body fn
+// reads is capped at maxBody.
 func (p *Pipeline) Handle(pattern string, fn func(*http.Request) (any, error)) {
 	p.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		r.Body = http.MaxBytesReader(w, r.Body, maxBody)
 		v, err := fn(r)
 		if err != nil {
 			p.fail(w, r, err)
@@ -462,9 +473,10 @@ func (rt *reqTrack) finish(status string, rowsRead int64) obs.TraceData {
 // fail is the one mapping from an error to the JSON envelope: 400 for the
 // client's own mistakes, a relayed envelope verbatim, 503 + Retry-After for
 // a retryable refusal, 422 with the best achievable figures for bounds no
-// plan can satisfy, 504 for a missed deadline, nothing at all for a vanished
-// client (the connection is gone; any body would be discarded), 500
-// otherwise. It returns the terminal status label for the request's metrics.
+// plan can satisfy, 501 for a feature the server runs without, 409 for a
+// rebuild requested while one runs, 504 for a missed deadline, nothing at
+// all for a vanished client (the connection is gone; any body would be
+// discarded), 500 otherwise. It returns the terminal status label for the request's metrics.
 func (p *Pipeline) fail(w http.ResponseWriter, r *http.Request, err error) (label string) {
 	status, label := http.StatusInternalServerError, "error"
 	detail := ErrorDetail{Code: CodeInternal, Message: err.Error()}
@@ -473,6 +485,7 @@ func (p *Pipeline) fail(w http.ResponseWriter, r *http.Request, err error) (labe
 		relay   *RelayError
 		unavail *UnavailableError
 		unsat   *core.UnsatisfiableBoundsError
+		unimpl  unimplementedError
 	)
 	switch {
 	case errors.As(err, &bad):
@@ -494,6 +507,10 @@ func (p *Pipeline) fail(w http.ResponseWriter, r *http.Request, err error) (labe
 		bestMS := int64((unsat.BestLatency + time.Millisecond - 1) / time.Millisecond)
 		status, label, detail.Code = http.StatusUnprocessableEntity, "unsatisfiable", CodeBoundUnsatisfiable
 		detail.BestErrorBound, detail.BestTimeBoundMS = &unsat.BestError, &bestMS
+	case errors.As(err, &unimpl):
+		status, label, detail.Code = http.StatusNotImplemented, "unimplemented", CodeUnimplemented
+	case errors.Is(err, ErrRebuildInProgress):
+		status, label, detail.Code = http.StatusConflict, "conflict", CodeRebuildInProgress
 	case errors.Is(err, context.DeadlineExceeded):
 		status, label, detail.Code = http.StatusGatewayTimeout, "timeout", CodeDeadlineExceeded
 		detail.Message = "query deadline exceeded: " + detail.Message

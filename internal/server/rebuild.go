@@ -164,21 +164,12 @@ func (s *Server) AutoRebuild(ctx context.Context, interval time.Duration) {
 	}
 }
 
-func (s *Server) handleRebuild(w http.ResponseWriter, _ *http.Request) {
+// rebuild implements POST /v1/admin/rebuild.
+func (s *Server) rebuild(*http.Request) (any, error) {
 	if s.cfg.Rebuild.Strategy == nil {
-		writeError(w, http.StatusNotImplemented, CodeUnimplemented,
-			errors.New("rebuild not configured (start the server with a strategy and catalog)"))
-		return
+		return nil, unimplementedError{errors.New("rebuild not configured (start the server with a strategy and catalog)")}
 	}
-	st, err := s.Rebuild()
-	switch {
-	case errors.Is(err, ErrRebuildInProgress):
-		writeError(w, http.StatusConflict, CodeRebuildInProgress, err)
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, CodeInternal, err)
-	default:
-		writeJSON(w, st)
-	}
+	return s.Rebuild()
 }
 
 // HealthResponse is the body of GET /healthz.

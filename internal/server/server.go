@@ -304,10 +304,10 @@ func (s *Server) routes() {
 	s.pipe.Handle("GET /v1/strategies", func(*http.Request) (any, error) {
 		return map[string]any{"strategies": s.sys.Strategies(), "active": s.strategy}, nil
 	})
-	s.pipe.mux.HandleFunc("POST /v1/admin/rebuild", s.handleRebuild)
-	s.pipe.mux.HandleFunc("POST /v1/ingest", s.handleIngest)
+	s.pipe.Handle("POST /v1/admin/rebuild", s.rebuild)
+	s.pipe.Handle("POST /v1/ingest", s.ingest)
 	if s.cfg.Shards > 0 {
-		s.pipe.mux.HandleFunc("GET /v1/shard", s.handleShard)
+		s.pipe.Handle("GET /v1/shard", s.shardStats)
 	}
 	s.pipe.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.pipe.mux.HandleFunc("GET /readyz", s.handleReadyz)

@@ -44,24 +44,22 @@ type shardSummary struct {
 	stats *core.ShardStats
 }
 
-// handleShard implements GET /shard: the summary statistics the coordinator
-// registers at shard join (row counts, sample size, rare mass, scan rate,
-// per-column value sets). Recomputed only when the data generation moved.
-func (s *Server) handleShard(w http.ResponseWriter, _ *http.Request) {
+// shardStats implements GET /v1/shard: the summary statistics the
+// coordinator registers at shard join (row counts, sample size, rare mass,
+// scan rate, per-column value sets). Recomputed only when the data
+// generation moved.
+func (s *Server) shardStats(*http.Request) (any, error) {
 	gen := s.sys.DataGeneration()
 	s.shard.mu.Lock()
+	defer s.shard.mu.Unlock()
 	if s.shard.stats == nil || s.shard.gen != gen {
 		st, err := core.ComputeShardStats(s.sys, s.strategy, s.cfg.ShardID, s.cfg.Shards)
 		if err != nil {
-			s.shard.mu.Unlock()
-			writeError(w, http.StatusInternalServerError, CodeInternal, err)
-			return
+			return nil, err
 		}
 		s.shard.stats, s.shard.gen = st, gen
 	}
-	st := s.shard.stats
-	s.shard.mu.Unlock()
-	writeJSON(w, st)
+	return s.shard.stats, nil
 }
 
 // writeRaw writes the raw wire form of an outcome, honoring the
