@@ -24,9 +24,12 @@ const DefaultConfidenceLevel = 0.95
 // DefaultScanRowsPerSecond is the conservative scan-throughput estimate the
 // deadline degradation rule uses when SmallGroupConfig.ScanRowsPerSecond is
 // unset (including sample sets restored from disk, whose serialised form
-// does not carry this machine-local figure). The in-memory kernel scans
-// tens of millions of rows per second per core; erring low only makes
-// degradation slightly more eager, never an answer slower.
+// does not carry this machine-local figure). It sits below what the block
+// kernel measures on the repo benchmark at one worker — 19–24 ns per sample
+// row, 10–20 ns per base row, i.e. 40–100 million rows per second — so it
+// errs low: degradation is slightly more eager, never an answer slower.
+// (Against the row-at-a-time kernel it replaced, 97–139 ns per row, the
+// same figure was 2–3x optimistic.)
 const DefaultScanRowsPerSecond = 25e6
 
 // OverallBuilder selects the rows of the overall sample. The default is a

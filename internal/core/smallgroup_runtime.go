@@ -345,7 +345,7 @@ func ExecutePlanCtx(ctx context.Context, plan *RewritePlan) (*engine.Result, int
 	var rowsRead int64
 	for _, res := range partials {
 		rowsRead += res.RowsScanned
-		if err := combined.Merge(res); err != nil {
+		if err := combined.Consume(res); err != nil {
 			return nil, 0, err
 		}
 	}

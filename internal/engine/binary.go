@@ -167,6 +167,10 @@ func ReadBinary(r io.Reader) (*Table, error) {
 				if err != nil {
 					return nil, err
 				}
+				// One code per string: the scan kernel groups by code.
+				if _, dup := c.dictIx[s]; dup {
+					return nil, fmt.Errorf("engine: dictionary entry %q repeated", s)
+				}
 				c.dict = append(c.dict, s)
 				c.dictIx[s] = int32(i)
 			}

@@ -116,6 +116,17 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
+	// A dictionary that lists one string under two codes would split a group.
+	dup := binaryFixture()
+	a := dup.MustColumn("a")
+	a.dict = append(a.dict, a.dict[0])
+	var dupBuf bytes.Buffer
+	if err := WriteBinary(dup, &dupBuf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadBinary(&dupBuf); err == nil {
+		t.Error("repeated dictionary entry accepted")
+	}
 	// Loaded tables must be queryable.
 	got, err := ReadBinary(bytes.NewReader(full))
 	if err != nil {

@@ -102,3 +102,28 @@ func TestExecuteExactCtxCancelled(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
+
+// TestExecuteCtxCancelBetweenShards: the block kernel observes cancellation
+// at shard boundaries only. A context cancelled as shard 2 is handed out
+// stops the scan there — shards 0 and 1 ran whole, shard 3 never starts —
+// and no partial result comes back.
+func TestExecuteCtxCancelBetweenShards(t *testing.T) {
+	t.Cleanup(faults.Reset)
+	tbl := randomScanTable(13, 4*ScanShardRows)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var fired []int
+	faults.Set(faults.PointScanShard, func(_ context.Context, i int) {
+		fired = append(fired, i)
+		if i == 2 {
+			cancel()
+		}
+	})
+	res, err := ExecuteCtx(ctx, tbl, scanQuery(), ExecOptions{Workers: 1})
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("res = %v, err = %v; want nil, context.Canceled", res, err)
+	}
+	if len(fired) != 3 || fired[2] != 2 {
+		t.Fatalf("shards handed out: %v, want [0 1 2]", fired)
+	}
+}

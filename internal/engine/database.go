@@ -138,6 +138,8 @@ func (db *Database) RowMask(row int) (bitmask.Mask, bool) { return db.Fact.RowMa
 // RowWeight implements Source, delegating to the fact table.
 func (db *Database) RowWeight(row int) float64 { return db.Fact.RowWeight(row) }
 
+func (db *Database) rowArrays() ([]bitmask.Mask, []float64) { return db.Fact.rowArrays() }
+
 // fkAccessor reads a dimension column through a fact FK column.
 type fkAccessor struct {
 	fk  *Column

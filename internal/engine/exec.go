@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"dynsample/internal/bitmask"
@@ -45,52 +44,6 @@ type ExecOptions struct {
 // function of the source — the determinism guarantee of ExecOptions.Workers.
 const ScanShardRows = 16384
 
-// boundQuery holds a query's columns resolved against one source: group-by
-// and aggregate accessors plus predicate bindings. Accessors are read-only
-// and therefore shared freely across scan workers.
-type boundQuery struct {
-	groupAccs []ColumnAccessor
-	aggAccs   []ColumnAccessor
-	preds     []boundPred
-}
-
-type boundPred struct {
-	acc ColumnAccessor
-	p   Predicate
-}
-
-func bindQuery(src Source, q *Query) (*boundQuery, error) {
-	b := &boundQuery{
-		groupAccs: make([]ColumnAccessor, len(q.GroupBy)),
-		aggAccs:   make([]ColumnAccessor, len(q.Aggs)),
-		preds:     make([]boundPred, len(q.Where)),
-	}
-	for i, g := range q.GroupBy {
-		acc, err := src.Accessor(g)
-		if err != nil {
-			return nil, fmt.Errorf("group-by column: %w", err)
-		}
-		b.groupAccs[i] = acc
-	}
-	for i, a := range q.Aggs {
-		if a.Kind == Sum {
-			acc, err := src.Accessor(a.Col)
-			if err != nil {
-				return nil, fmt.Errorf("aggregate column: %w", err)
-			}
-			b.aggAccs[i] = acc
-		}
-	}
-	for i, p := range q.Where {
-		acc, err := src.Accessor(p.Column())
-		if err != nil {
-			return nil, fmt.Errorf("predicate column: %w", err)
-		}
-		b.preds[i] = boundPred{acc: acc, p: p}
-	}
-	return b, nil
-}
-
 // Execute runs a group-by aggregation query against a source. Per-row
 // weights (for weighted samples) are always honoured; uniform sources have
 // weight 1. The result's group values are sums of weight*Scale*x where x is
@@ -124,101 +77,50 @@ func ExecuteCtx(ctx context.Context, src Source, q *Query, opt ExecOptions) (*Re
 		n = opt.MaxRows
 	}
 	shards := parallel.Shards(n, ScanShardRows)
-	// Merge in shard order: per-group accumulation order is then a pure
+	// Fold in shard order: per-group accumulation order is then a pure
 	// function of the shard boundaries, independent of the worker count. A
-	// partial is folded in as soon as every earlier shard is, so only the
-	// out-of-order ones stay live, not one per shard.
+	// shard's table is folded in as soon as every earlier shard is, so only
+	// the out-of-order ones stay live, and a folded one goes back to idle for
+	// the next shard: a worker's state is allocated once per scan.
 	var (
-		mu       sync.Mutex
-		res      *Result
-		next     int
-		partials = make([]*Result, len(shards))
+		mu    sync.Mutex
+		total = bound.newTable()
+		next  int
+		done  = make([]*shardScan, len(shards))
+		idle  []*shardScan
 	)
 	err = parallel.ForEachCtx(ctx, opt.Workers, len(shards), func(i int) error {
 		faults.Fire(ctx, faults.PointScanShard, i)
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		p := executeRange(src, q, bound, opt, scale, shards[i].Lo, shards[i].Hi)
+		var s *shardScan
+		mu.Lock()
+		if k := len(idle) - 1; k >= 0 {
+			s, idle = idle[k], idle[:k]
+		}
+		mu.Unlock()
+		if s == nil {
+			s = bound.newShardScan()
+		}
+		s.scan(bound, opt, scale, shards[i].Lo, shards[i].Hi)
 		mu.Lock()
 		defer mu.Unlock()
-		for partials[i] = p; next < len(partials) && partials[next] != nil; next++ {
-			if res == nil {
-				res = partials[next]
-			} else {
-				res.merge(partials[next], true)
-			}
-			partials[next] = nil
+		for done[i] = s; next < len(done) && done[next] != nil; next++ {
+			p := done[next]
+			p.to = total.fold(p.groups, p.to)
+			p.groups.reset()
+			idle = append(idle, p)
+			done[next] = nil
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	if res == nil { // empty source
-		res = NewResult(q.GroupBy, q.Aggs)
-	}
+	res := bound.result(total, opt.MarkExact)
 	observeScan(res.RowsScanned, len(shards))
 	return res, nil
-}
-
-// executeRange is the scan kernel: it evaluates the query over source rows
-// [lo, hi) into a fresh Result. It allocates its own key buffers, reads the
-// source and predicates but mutates nothing shared, and is therefore safe to
-// run concurrently with other ranges of the same source.
-func executeRange(src Source, q *Query, bound *boundQuery, opt ExecOptions, scale float64, lo, hi int) *Result {
-	res := NewResult(q.GroupBy, q.Aggs)
-	scanRange(res, src, q, bound, opt, scale, lo, hi)
-	return res
-}
-
-// scanRange evaluates source rows [lo, hi) into res, which must have been
-// built for the same query shape.
-func scanRange(res *Result, src Source, q *Query, bound *boundQuery, opt ExecOptions, scale float64, lo, hi int) {
-	keyVals := make([]Value, len(q.GroupBy))
-	keyBuf := make([]byte, 0, 64)
-	filtering := opt.ExcludeMask.Width() > 0
-
-rows:
-	for row := lo; row < hi; row++ {
-		if filtering {
-			if m, ok := src.RowMask(row); ok && m.Intersects(opt.ExcludeMask) {
-				continue
-			}
-		}
-		res.RowsScanned++
-		for _, bp := range bound.preds {
-			if !bp.p.Matches(bp.acc.Value(row)) {
-				continue rows
-			}
-		}
-		res.RowsMatched++
-
-		for i, acc := range bound.groupAccs {
-			keyVals[i] = acc.Value(row)
-		}
-		keyBuf = AppendKey(keyBuf[:0], keyVals)
-		g, ok := res.lookup(keyBuf)
-		if !ok {
-			g = res.insert(string(keyBuf), append([]Value(nil), keyVals...))
-		}
-
-		w := src.RowWeight(row) * scale
-		for i := range q.Aggs {
-			x := 1.0
-			if q.Aggs[i].Kind == Sum {
-				x = bound.aggAccs[i].Float(row)
-			}
-			g.Vals[i] += w * x
-			g.RawSum[i] += x
-			g.RawSumSq[i] += x * x
-			g.VarAcc[i] += w * (w - 1) * x * x
-		}
-		g.RawRows++
-		if opt.MarkExact {
-			g.Exact = true
-		}
-	}
 }
 
 // ExecuteExact runs a query against the base database with no sampling; the
@@ -234,12 +136,5 @@ func ExecuteExactCtx(ctx context.Context, db *Database, q *Query) (*Result, erro
 	if err := q.Validate(db); err != nil {
 		return nil, err
 	}
-	res, err := ExecuteCtx(ctx, db, q, ExecOptions{})
-	if err != nil {
-		return nil, err
-	}
-	for _, g := range res.Groups() {
-		g.Exact = true
-	}
-	return res, nil
+	return ExecuteCtx(ctx, db, q, ExecOptions{MarkExact: true})
 }

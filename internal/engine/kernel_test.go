@@ -1,0 +1,512 @@
+package engine
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"strings"
+	"testing"
+
+	"dynsample/internal/bitmask"
+	"dynsample/internal/randx"
+)
+
+// The differential test of the block kernel against referenceScanRange: every
+// accumulator, key Value, flag and counter must agree bit for bit.
+
+// kernelFloats are the float group/predicate values worth meeting: both
+// zeros, two NaN payloads, infinities and ordinary values.
+var kernelFloats = []float64{
+	0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff8000000000abc),
+	math.Inf(1), math.Inf(-1), 1.5, -2.25, 3, 1e9,
+}
+
+// kernelColumns appends a column set under the given name prefix: strings of
+// low and high cardinality (two high ones together leave the dense regime),
+// ints, and floats drawn from kernelFloats.
+func kernelColumns(rng *rand.Rand, prefix string, n int) []*Column {
+	sLow := NewColumn(prefix+"s_low", String)
+	sMid := NewColumn(prefix+"s_mid", String)
+	sHigh := NewColumn(prefix+"s_high", String)
+	iLow := NewColumn(prefix+"i_low", Int)
+	iWide := NewColumn(prefix+"i_wide", Int)
+	f := NewColumn(prefix+"f", Float)
+	for r := 0; r < n; r++ {
+		sLow.AppendString(fmt.Sprintf("l%d", rng.Intn(5)))
+		sMid.AppendString(fmt.Sprintf("m%d", rng.Intn(300)))
+		sHigh.AppendString(fmt.Sprintf("h%d", rng.Intn(400)))
+		iLow.AppendInt(int64(rng.Intn(7)) - 3)
+		iWide.AppendInt(rng.Int63() - rng.Int63())
+		f.AppendFloat(kernelFloats[rng.Intn(len(kernelFloats))])
+	}
+	return []*Column{sLow, sMid, sHigh, iLow, iWide, f}
+}
+
+func kernelSideArrays(rng *rand.Rand, n int) ([]bitmask.Mask, []float64) {
+	masks := make([]bitmask.Mask, n)
+	weights := make([]float64, n)
+	for r := range masks {
+		masks[r] = bitmask.New(70) // two words
+		for _, bit := range []int{0, 3, 69} {
+			if rng.Intn(4) == 0 {
+				masks[r].Set(bit)
+			}
+		}
+		weights[r] = 1 + rng.Float64()*9
+	}
+	return masks, weights
+}
+
+type kernelSource struct {
+	name    string
+	src     Source
+	columns []string // group/predicate columns
+	sums    []string // SUM columns: float, int and (summing as zero) string
+}
+
+// kernelSources builds the three source shapes: a flat table with masks and
+// weights, a star database read through foreign keys, and a renormalized
+// sample of it — each longer than three shards, the last shard ragged.
+func kernelSources(t *testing.T, seed int64) []kernelSource {
+	rng := rand.New(rand.NewSource(seed))
+	n := 3*ScanShardRows + 1000 + rng.Intn(3000)
+
+	measures := func(prefix string, n int) []*Column {
+		mf := NewColumn(prefix+"m_f", Float)
+		mi := NewColumn(prefix+"m_i", Int)
+		for r := 0; r < n; r++ {
+			mf.AppendFloat(rng.NormFloat64() * 100)
+			mi.AppendInt(int64(rng.Intn(2000)) - 1000)
+		}
+		return []*Column{mf, mi}
+	}
+	names := func(cols []*Column) []string {
+		out := make([]string, len(cols))
+		for i, c := range cols {
+			out[i] = c.Name
+		}
+		return out
+	}
+
+	flatCols := kernelColumns(rng, "", n)
+	flat := NewTable("flat", append(flatCols, measures("", n)...)...)
+	flat.Masks, flat.Weights = kernelSideArrays(rng, n)
+
+	factCols := kernelColumns(rng, "f_", n)
+	d1Cols := kernelColumns(rng, "d1_", 700)
+	d2Cols := kernelColumns(rng, "d2_", 5000)
+	fk1, fk2 := NewColumn("fk1", Int), NewColumn("fk2", Int)
+	for r := 0; r < n; r++ {
+		fk1.AppendInt(int64(rng.Intn(700)))
+		fk2.AppendInt(int64(rng.Intn(5000)))
+	}
+	fact := NewTable("fact", append(append(factCols, measures("f_", n)...), fk1, fk2)...)
+	d1 := NewTable("d1", append(d1Cols, measures("d1_", 700)...)...)
+	d2 := NewTable("d2", d2Cols...)
+	db := MustNewDatabase("star", fact, DimJoin{Table: d1, FK: "fk1"}, DimJoin{Table: d2, FK: "fk2"})
+	starCols := append(append(names(factCols), names(d1Cols)...), names(d2Cols)...)
+
+	rows := make([]int, 0, n)
+	for r := 0; r < n; r++ {
+		if rng.Intn(10) != 0 {
+			rows = append(rows, r)
+		}
+	}
+	masks, weights := kernelSideArrays(rng, len(rows))
+	sample, err := NewRenormalizer(db, rows).Build("sample", rows, masks, weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	return []kernelSource{
+		{"flat", flat, names(flatCols), []string{"m_f", "m_i", "s_low"}},
+		{"star", db, starCols, []string{"f_m_f", "f_m_i", "d1_m_f", "d1_m_i", "d2_s_mid"}},
+		{"renormalized", sample, starCols, []string{"f_m_f", "d1_m_i"}},
+	}
+}
+
+// kernelLiteral draws a predicate literal for a column of type typ: usually a
+// value the column can hold, sometimes one of another type.
+func kernelLiteral(rng *rand.Rand, typ Type) Value {
+	if rng.Intn(6) == 0 {
+		typ = Type(rng.Intn(3))
+	}
+	switch typ {
+	case String:
+		return StringVal(string("lmh"[rng.Intn(3)]) + fmt.Sprint(rng.Intn(12)))
+	case Int:
+		return IntVal(int64(rng.Intn(9)) - 4)
+	default:
+		return FloatVal(kernelFloats[rng.Intn(len(kernelFloats))])
+	}
+}
+
+func kernelPredicate(rng *rand.Rand, src Source, col string) Predicate {
+	v, _ := src.View(col)
+	lit := func() Value { return kernelLiteral(rng, v.Type) }
+	switch rng.Intn(4) {
+	case 0:
+		vals := make([]Value, rng.Intn(5)) // sometimes an empty IN
+		for i := range vals {
+			vals[i] = lit()
+		}
+		return NewIn(col, vals...)
+	case 1:
+		return NewRange(col, lit(), lit())
+	default:
+		return NewCmp(col, CmpOp(rng.Intn(6)), lit())
+	}
+}
+
+func kernelQuery(rng *rand.Rand, ks kernelSource) *Query {
+	q := &Query{}
+	for _, i := range rng.Perm(len(ks.columns))[:rng.Intn(5)] { // zero to four group columns
+		q.GroupBy = append(q.GroupBy, ks.columns[i])
+	}
+	if rng.Intn(5) == 0 {
+		// Two wide string columns: one key word, too many keys to index.
+		q.GroupBy = nil
+		for _, c := range ks.columns {
+			if strings.HasSuffix(c, "s_mid") || strings.HasSuffix(c, "s_high") {
+				q.GroupBy = append(q.GroupBy, c)
+			}
+		}
+		rng.Shuffle(len(q.GroupBy), func(i, j int) { q.GroupBy[i], q.GroupBy[j] = q.GroupBy[j], q.GroupBy[i] })
+		q.GroupBy = q.GroupBy[:2]
+	}
+	q.Aggs = []Aggregate{{Kind: Count}}
+	for _, i := range rng.Perm(len(ks.sums))[:rng.Intn(3)] {
+		q.Aggs = append(q.Aggs, Aggregate{Kind: Sum, Col: ks.sums[i]})
+	}
+	if rng.Intn(3) == 0 { // a SUM first, so COUNT is not always aggregate 0
+		q.Aggs[0], q.Aggs[len(q.Aggs)-1] = q.Aggs[len(q.Aggs)-1], q.Aggs[0]
+	}
+	for p := rng.Intn(3); p > 0; p-- {
+		q.Where = append(q.Where, kernelPredicate(rng, ks.src, ks.columns[rng.Intn(len(ks.columns))]))
+	}
+	return q
+}
+
+func kernelOptions(rng *rand.Rand, n int) ExecOptions {
+	opt := ExecOptions{MarkExact: rng.Intn(2) == 0, Workers: []int{1, 2, 7}[rng.Intn(3)]}
+	if rng.Intn(2) == 0 {
+		opt.Scale = 0.5 + rng.Float64()*40
+	}
+	switch rng.Intn(3) {
+	case 0:
+		opt.ExcludeMask = bitmask.FromBits(70, 3)
+	case 1:
+		opt.ExcludeMask = bitmask.FromBits(70, 0, 69)
+	}
+	switch rng.Intn(4) {
+	case 0:
+		opt.MaxRows = 1 + rng.Intn(n) // mid-shard and mid-block
+	case 1:
+		opt.MaxRows = ScanShardRows + scanBlockRows*rng.Intn(4)
+	}
+	return opt
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// requireSameResult fails unless got equals want in every group, key Value,
+// accumulator, flag and counter, floats compared by bit pattern.
+func requireSameResult(t *testing.T, label string, want, got *Result) {
+	t.Helper()
+	if want.NumGroups() != got.NumGroups() {
+		t.Fatalf("%s: %d groups, want %d", label, got.NumGroups(), want.NumGroups())
+	}
+	if want.RowsScanned != got.RowsScanned || want.RowsMatched != got.RowsMatched {
+		t.Fatalf("%s: scanned/matched (%d,%d), want (%d,%d)", label,
+			got.RowsScanned, got.RowsMatched, want.RowsScanned, want.RowsMatched)
+	}
+	for _, k := range want.Keys() {
+		wg, gg := want.Group(k), got.Group(k)
+		if gg == nil {
+			t.Fatalf("%s: group %q missing", label, k)
+		}
+		if len(wg.Key) != len(gg.Key) {
+			t.Fatalf("%s: group %q: key has %d values, want %d", label, k, len(gg.Key), len(wg.Key))
+		}
+		for i, wv := range wg.Key {
+			if gv := gg.Key[i]; wv.T != gv.T || wv.I != gv.I || wv.S != gv.S || !sameBits(wv.F, gv.F) {
+				t.Fatalf("%s: group %q: key value %d is %#v, want %#v", label, k, i, gv, wv)
+			}
+		}
+		if wg.Exact != gg.Exact || wg.RawRows != gg.RawRows {
+			t.Fatalf("%s: group %q: Exact/RawRows (%v,%d), want (%v,%d)", label, k, gg.Exact, gg.RawRows, wg.Exact, wg.RawRows)
+		}
+		for i := range wg.Vals {
+			if !sameBits(wg.Vals[i], gg.Vals[i]) || !sameBits(wg.RawSum[i], gg.RawSum[i]) ||
+				!sameBits(wg.RawSumSq[i], gg.RawSumSq[i]) || !sameBits(wg.VarAcc[i], gg.VarAcc[i]) {
+				t.Fatalf("%s: group %q aggregate %d: %+v, want %+v", label, k, i, gg, wg)
+			}
+		}
+	}
+}
+
+func TestKernelMatchesReferenceScan(t *testing.T) {
+	seeds, perSource := []int64{1, 2}, 60
+	if testing.Short() {
+		seeds, perSource = seeds[:1], 30
+	}
+	var dense, hashed, multiWord, maskedOut int
+	for _, seed := range seeds {
+		for _, ks := range kernelSources(t, seed) {
+			rng := rand.New(rand.NewSource(seed*1000 + int64(len(ks.name))))
+			for i := 0; i < perSource; i++ {
+				q := kernelQuery(rng, ks)
+				opt := kernelOptions(rng, ks.src.NumRows())
+				label := fmt.Sprintf("seed %d %s #%d: %s %+v", seed, ks.name, i, q, opt)
+
+				got, err := ExecuteCtx(context.Background(), ks.src, q, opt)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				want := referenceExecute(t, ks.src, q, opt)
+				requireSameResult(t, label, want, got)
+
+				b, err := bindQuery(ks.src, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				switch {
+				case b.dense > 0:
+					dense++
+				case b.words > 1:
+					multiWord++
+				default:
+					hashed++
+				}
+				if got.RowsScanned < int64(ks.src.NumRows()) && opt.MaxRows == 0 {
+					maskedOut++
+				}
+			}
+		}
+	}
+	// The generator must have exercised both regimes (and multi-word keys),
+	// or the agreement above says less than it seems to.
+	if dense < 10 || hashed < 10 || multiWord < 10 || maskedOut < 10 {
+		t.Fatalf("coverage: %d dense, %d hashed, %d multi-word, %d mask-filtered scans", dense, hashed, multiWord, maskedOut)
+	}
+}
+
+// TestKernelEdgeSources: the shapes a random draw rarely produces.
+func TestKernelEdgeSources(t *testing.T) {
+	check := func(label string, src Source, q *Query, opt ExecOptions) *Result {
+		t.Helper()
+		got, err := Execute(src, q, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		requireSameResult(t, label, referenceExecute(t, src, q, opt), got)
+		return got
+	}
+
+	// Zero rows, with and without group columns.
+	empty := NewTable("empty", NewColumn("s", String), NewColumn("x", Float))
+	check("zero rows", empty, &Query{GroupBy: []string{"s"}, Aggs: []Aggregate{{Kind: Sum, Col: "x"}}}, ExecOptions{})
+	check("zero rows, no group-by", empty, &Query{Aggs: []Aggregate{{Kind: Count}}}, ExecOptions{MarkExact: true})
+
+	// No group-by over rows no predicate admits: no group at all, not an
+	// empty one.
+	rng := rand.New(rand.NewSource(5))
+	n := ScanShardRows + 77
+	cols := kernelColumns(rng, "", n)
+	tbl := NewTable("t", cols...)
+	res := check("nothing matches", tbl, &Query{Aggs: []Aggregate{{Kind: Count}}, Where: []Predicate{NewIn("i_low")}}, ExecOptions{})
+	if res.NumGroups() != 0 || res.RowsScanned != int64(n) || res.RowsMatched != 0 {
+		t.Fatalf("nothing matches: %d groups, scanned %d, matched %d", res.NumGroups(), res.RowsScanned, res.RowsMatched)
+	}
+
+	// An ExcludeMask against a source without masks filters nothing.
+	check("no masks", tbl, &Query{GroupBy: []string{"s_low"}, Aggs: []Aggregate{{Kind: Count}}},
+		ExecOptions{ExcludeMask: bitmask.FromBits(3, 1)})
+
+	// Five string columns whose dictionary sizes multiply past 2^64: the key
+	// spills into a second word.
+	wide := make([]*Column, 5)
+	for c := range wide {
+		wide[c] = NewColumn(fmt.Sprintf("w%d", c), String)
+		for r := 0; r < 3*ScanShardRows; r++ {
+			wide[c].AppendString(fmt.Sprint(rng.Intn(12000)))
+		}
+	}
+	wideTbl := NewTable("wide", wide...)
+	q := &Query{GroupBy: wideTbl.ColumnNames(), Aggs: []Aggregate{{Kind: Count}}}
+	b, err := bindQuery(wideTbl, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.words != 2 || b.dense != 0 {
+		t.Fatalf("five wide string columns: %d key words, dense %d; want 2 words, hashed", b.words, b.dense)
+	}
+	check("two-word string key", wideTbl, q, ExecOptions{Workers: 2})
+}
+
+// unknownPredicate is a Predicate implementation the kernel has no typed
+// form for.
+type unknownPredicate struct{ col string }
+
+func (p unknownPredicate) Column() string { return p.col }
+func (p unknownPredicate) String() string { return p.col + " IS ODD" }
+func (p unknownPredicate) Matches(v Value) bool {
+	switch v.T {
+	case Int:
+		return v.I%2 != 0
+	case Float:
+		return v.F != v.F || math.Mod(v.F, 2) != 0
+	default:
+		return len(v.S)%2 != 0
+	}
+}
+
+func TestKernelUnknownPredicateImplementation(t *testing.T) {
+	for _, ks := range kernelSources(t, 9)[:2] {
+		for _, col := range ks.columns {
+			q := &Query{GroupBy: ks.columns[:1], Aggs: []Aggregate{{Kind: Count}}, Where: []Predicate{unknownPredicate{col}}}
+			got, err := Execute(ks.src, q, ExecOptions{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResult(t, ks.name+" "+col, referenceExecute(t, ks.src, q, ExecOptions{}), got)
+		}
+	}
+}
+
+// scanBenchData is a TPC-H-shaped star schema — fact columns, a small and a
+// large dimension, strings and ints of the benchmark's cardinalities, zipf
+// skew — and a flat weighted sample of it whose rows carry membership masks.
+func scanBenchData(n int) (*Database, *Table) {
+	rng := rand.New(rand.NewSource(17))
+	zipf := func(card int) func() int {
+		z := randx.NewZipf(2, card)
+		return func() int { return z.Draw(rng) }
+	}
+	dim := func(name string, rows int, sCol string, sCard int, iCol string, iCard int) *Table {
+		s, i := NewColumn(sCol, String), NewColumn(iCol, Int)
+		ds, di := zipf(sCard), zipf(iCard)
+		for r := 0; r < rows; r++ {
+			s.AppendString(fmt.Sprintf("%s#%d", sCol, ds()))
+			i.AppendInt(int64(di()))
+		}
+		return NewTable(name, s, i)
+	}
+	part := dim("part", 2000, "p_type", 150, "p_bucket", 30)
+	orders := dim("orders", n/4, "o_clerk", 1000, "o_month", 12)
+
+	mode, qty, price := NewColumn("l_mode", String), NewColumn("l_qty", Int), NewColumn("l_price", Float)
+	fkP, fkO := NewColumn("part_fk", Int), NewColumn("ord_fk", Int)
+	dm, dq := zipf(7), zipf(50)
+	for r := 0; r < n; r++ {
+		mode.AppendString(fmt.Sprintf("mode#%d", dm()))
+		qty.AppendInt(int64(dq()))
+		price.AppendFloat(math.Exp(7 + 0.8*rng.NormFloat64()))
+		fkP.AppendInt(int64(rng.Intn(part.NumRows())))
+		fkO.AppendInt(int64(rng.Intn(orders.NumRows())))
+	}
+	db := MustNewDatabase("bench", NewTable("lineitem", mode, qty, price, fkP, fkO),
+		DimJoin{Table: part, FK: "part_fk"}, DimJoin{Table: orders, FK: "ord_fk"})
+
+	rows := rng.Perm(n)[:n/4]
+	masks, weights := make([]bitmask.Mask, len(rows)), make([]float64, len(rows))
+	for r := range rows {
+		masks[r] = bitmask.New(9)
+		if rng.Intn(4) == 0 {
+			masks[r].Set(rng.Intn(9))
+		}
+		weights[r] = 1 + rng.Float64()*99
+	}
+	return db, db.Flatten("sample", rows, masks, weights)
+}
+
+var scanBenchGroupBys = [][]string{
+	{"p_type"},
+	{"p_type", "l_qty", "o_month"},
+	{"p_type", "l_qty", "o_month", "o_clerk"},
+}
+
+func scanBenchQuery(groupBy []string) *Query {
+	return &Query{
+		GroupBy: groupBy,
+		Aggs:    []Aggregate{{Kind: Count}, {Kind: Sum, Col: "l_price"}},
+		Where:   []Predicate{NewIn("l_mode", StringVal("mode#0"), StringVal("mode#1"), StringVal("mode#3"))},
+	}
+}
+
+// BenchmarkScanKernel measures the scan layer alone, one worker: the base
+// database read through its foreign keys (the /v1/exact path) and a flat
+// sample table with masks, weights and an ExcludeMask (one step of a rewrite
+// plan), for one, three and four group-by columns.
+func BenchmarkScanKernel(b *testing.B) {
+	db, sample := scanBenchData(1 << 18)
+	sources := []struct {
+		name string
+		src  Source
+		opt  ExecOptions
+	}{
+		{"base", db, ExecOptions{MarkExact: true}},
+		{"sample", sample, ExecOptions{Scale: 4, ExcludeMask: bitmask.FromBits(9, 2, 5)}},
+	}
+	for _, s := range sources {
+		for _, groupBy := range scanBenchGroupBys {
+			q := scanBenchQuery(groupBy)
+			b.Run(fmt.Sprintf("%s/groupcols=%d", s.name, len(groupBy)), func(b *testing.B) {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := Execute(s.src, q, s.opt); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				rows := float64(b.N) * float64(s.src.NumRows())
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rows, "ns/row")
+				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/rows, "allocs/row")
+			})
+		}
+	}
+}
+
+// TestScanAllocatesPerGroupNotPerRow: what a scan allocates is bounded by its
+// groups, never by the rows it reads. The table is the same 16k rows four
+// times over, so the whole scan meets exactly the groups its first quarter
+// does.
+func TestScanAllocatesPerGroupNotPerRow(t *testing.T) {
+	db, _ := scanBenchData(ScanShardRows)
+	rows := make([]int, 4*ScanShardRows)
+	for i := range rows {
+		rows[i] = i % ScanShardRows
+	}
+	tbl := db.Flatten("x4", rows, nil, nil)
+	q := scanBenchQuery(scanBenchGroupBys[2])
+	allocs := func(maxRows int) (perRun float64, groups int) {
+		var res *Result
+		perRun = testing.AllocsPerRun(5, func() {
+			var err error
+			if res, err = Execute(tbl, q, ExecOptions{MaxRows: maxRows}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return perRun, res.NumGroups()
+	}
+	quarter, quarterGroups := allocs(ScanShardRows)
+	full, groups := allocs(0)
+	t.Logf("16k rows: %.0f allocations; 64k rows: %.0f allocations; %d groups", quarter, full, groups)
+	if groups != quarterGroups || groups < 1000 {
+		t.Fatalf("fixture: %d groups in the first quarter, %d overall", quarterGroups, groups)
+	}
+	// A few dozen per scan — bound query, worker state, result slabs, the
+	// logarithmically many regrowths of group storage — and far fewer than
+	// one per group.
+	if limit := 64 + float64(groups)/8; full > limit {
+		t.Fatalf("64k-row scan made %.0f allocations for %d groups; want <= %.0f", full, groups, limit)
+	}
+	if full > quarter+4 {
+		t.Fatalf("allocations grew with the rows scanned: %.0f at 16k rows, %.0f at 64k", quarter, full)
+	}
+}

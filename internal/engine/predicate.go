@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -164,4 +165,192 @@ func (p *RangePredicate) Matches(v Value) bool {
 // String implements Predicate.
 func (p *RangePredicate) String() string {
 	return fmt.Sprintf("%s BETWEEN %s AND %s", p.Col, p.Lo, p.Hi)
+}
+
+// boundPred is a predicate bound to one column of a source for the scan
+// kernel. A string column's verdict is worked out once per dictionary entry;
+// a numeric column is tested by a typed compare (numPred); only a Predicate
+// implementation this package does not know is handed boxed values, row by
+// row, on a numeric column.
+type boundPred struct {
+	view   ColumnView
+	pass   []uint8 // String: 1 where Matches, by dictionary code
+	ints   *numPred[int64]
+	floats *numPred[float64]
+	boxed  Predicate
+}
+
+func bindPredicate(p Predicate, v ColumnView) boundPred {
+	bp := boundPred{view: v}
+	switch v.Type {
+	case String:
+		bp.pass = make([]uint8, len(v.Dict))
+		for code, s := range v.Dict {
+			if p.Matches(StringVal(s)) {
+				bp.pass[code] = 1
+			}
+		}
+	case Int:
+		if bp.ints = compileNumeric(p, Int, func(v Value) int64 { return v.I }, math.MinInt64, math.MaxInt64); bp.ints == nil {
+			bp.boxed = p
+		}
+	default:
+		if bp.floats = compileNumeric(p, Float, func(v Value) float64 { return v.F }, math.Inf(-1), math.Inf(1)); bp.floats == nil {
+			bp.boxed = p
+		}
+	}
+	return bp
+}
+
+// keep narrows sel, in place, to the rows of the block at lo that satisfy
+// the predicate.
+func (p *boundPred) keep(sel []int32, lo int, buf []int32) []int32 {
+	at, base := p.view.locate(sel, lo, buf)
+	switch {
+	case p.view.Type == String:
+		codes, k := p.view.Codes[base:], 0
+		for j, a := range at {
+			sel[k] = sel[j] // branch-free: kept only if k moves on
+			k += int(p.pass[codes[a]])
+		}
+		return sel[:k]
+	case p.ints != nil:
+		return p.ints.keep(sel, at, p.view.Ints[base:])
+	case p.floats != nil:
+		return p.floats.keep(sel, at, p.view.Floats[base:])
+	}
+	k := 0
+	for j, a := range at {
+		var x Value
+		if p.view.Type == Int {
+			x = IntVal(p.view.Ints[base+int(a)])
+		} else {
+			x = FloatVal(p.view.Floats[base+int(a)])
+		}
+		if p.boxed.Matches(x) {
+			sel[k] = sel[j]
+			k++
+		}
+	}
+	return sel[:k]
+}
+
+// numPred is In, Cmp or Range on a numeric column, compiled so that a row's
+// verdict is Matches' to the bit without boxing the value: x passes when
+// (x is in set) != neg for a set test, (!(x < lo) && !(hi < x)) != neg
+// otherwise. Written with < and == only, the two forms give NaN and ±0
+// exactly what Value.Less and Value == give them: NaN is below and above
+// nothing and equal to nothing, the zeros are equal.
+type numPred[T int64 | float64] struct {
+	isSet  bool
+	set    []T // ascending
+	lo, hi T
+	neg    bool
+}
+
+// compileNumeric compiles p for a column of type typ whose values Value
+// holds in the given field; min and max are the bounds every x lies within.
+// It returns nil for a Predicate implementation it does not know.
+func compileNumeric[T int64 | float64](p Predicate, typ Type, field func(Value) T, min, max T) *numPred[T] {
+	// A column value is Value{T: typ} with only its own field set, so a
+	// literal carrying anything else equals no row.
+	member := func(set []T, v Value) []T {
+		own := v.T == typ && v.S == "" && (typ == Int && v.F == 0 || typ == Float && v.I == 0)
+		if x := field(v); own && x == x {
+			set = append(set, x)
+		}
+		return set
+	}
+	none := &numPred[T]{isSet: true}
+	// Value.Less orders by type before value: against a literal of another
+	// type, one side of a range admits every row or none.
+	atLeast := func(np *numPred[T], lit Value) *numPred[T] { // !v.Less(lit)
+		switch {
+		case lit.T == typ:
+			np.lo = field(lit)
+		case typ < lit.T:
+			return none
+		}
+		return np
+	}
+	atMost := func(np *numPred[T], lit Value) *numPred[T] { // !lit.Less(v)
+		switch {
+		case lit.T == typ:
+			np.hi = field(lit)
+		case lit.T < typ:
+			return none
+		}
+		return np
+	}
+	all := func() *numPred[T] { return &numPred[T]{lo: min, hi: max} }
+	negate := func(np *numPred[T]) *numPred[T] {
+		cp := *np
+		cp.neg = !cp.neg
+		return &cp
+	}
+
+	switch p := p.(type) {
+	case *InPredicate:
+		np := &numPred[T]{isSet: true}
+		for v := range p.Set {
+			np.set = member(np.set, v)
+		}
+		sort.Slice(np.set, func(i, j int) bool { return np.set[i] < np.set[j] })
+		return np
+	case *RangePredicate:
+		np := atLeast(all(), p.Lo)
+		if np.isSet {
+			return np
+		}
+		return atMost(np, p.Hi)
+	case *CmpPredicate:
+		switch p.Op {
+		case Eq:
+			return &numPred[T]{isSet: true, set: member(nil, p.Val)}
+		case Ne:
+			return &numPred[T]{isSet: true, set: member(nil, p.Val), neg: true}
+		case Ge:
+			return atLeast(all(), p.Val)
+		case Lt:
+			return negate(atLeast(all(), p.Val))
+		case Le:
+			return atMost(all(), p.Val)
+		case Gt:
+			return negate(atMost(all(), p.Val))
+		default:
+			panic(fmt.Sprintf("engine: bad CmpOp %d", p.Op))
+		}
+	}
+	return nil
+}
+
+func (p *numPred[T]) keep(sel, at []int32, vals []T) []int32 {
+	k := 0
+	if p.isSet {
+		for j, a := range at {
+			x := vals[a]
+			// Binary search with <, then ==: a NaN finds nothing, −0 finds +0.
+			lo, hi := 0, len(p.set)
+			for lo < hi {
+				if m := int(uint(lo+hi) >> 1); p.set[m] < x {
+					lo = m + 1
+				} else {
+					hi = m
+				}
+			}
+			if (lo < len(p.set) && p.set[lo] == x) != p.neg {
+				sel[k] = sel[j]
+				k++
+			}
+		}
+		return sel[:k]
+	}
+	lo, hi, neg := p.lo, p.hi, p.neg
+	for j, a := range at {
+		if x := vals[a]; (!(x < lo) && !(hi < x)) != neg {
+			sel[k] = sel[j]
+			k++
+		}
+	}
+	return sel[:k]
 }

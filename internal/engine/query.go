@@ -12,12 +12,19 @@ import (
 type Source interface {
 	NumRows() int
 	Accessor(col string) (ColumnAccessor, error)
+	// View returns the typed window onto a column that the scan kernel
+	// reads in place.
+	View(col string) (ColumnView, error)
 	// RowMask returns the sample-membership mask for a row; ok is false when
 	// the source carries no masks.
 	RowMask(row int) (m bitmask.Mask, ok bool)
 	// RowWeight returns the inverse-sampling-rate weight of a row (1 for
 	// unweighted sources).
 	RowWeight(row int) float64
+	// rowArrays returns the storage behind RowMask and RowWeight, nil where
+	// the source has none. Unexported: *Table and *Database are the only
+	// sources.
+	rowArrays() (masks []bitmask.Mask, weights []float64)
 }
 
 // ColumnAccessor provides random access to one column of a Source.
@@ -48,6 +55,17 @@ func (t *Table) Accessor(col string) (ColumnAccessor, error) {
 	}
 	return c, nil
 }
+
+// View implements Source for flat tables.
+func (t *Table) View(col string) (ColumnView, error) {
+	c := t.Column(col)
+	if c == nil {
+		return ColumnView{}, fmt.Errorf("engine: table %q has no column %q", t.Name, col)
+	}
+	return c.View(), nil
+}
+
+func (t *Table) rowArrays() ([]bitmask.Mask, []float64) { return t.Masks, t.Weights }
 
 // RowMask implements Source.
 func (t *Table) RowMask(row int) (bitmask.Mask, bool) {

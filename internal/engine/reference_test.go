@@ -156,3 +156,132 @@ func TestExecuteMatchesNaiveReference(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// referenceBound and referenceScanRange are the row-at-a-time scan the block
+// kernel replaced, kept verbatim as its oracle: per-row accessor calls, boxed
+// values, an encoded key and a string-keyed map probe per row.
+type referenceBound struct {
+	groupAccs []ColumnAccessor
+	aggAccs   []ColumnAccessor
+	preds     []referencePred
+}
+
+type referencePred struct {
+	acc ColumnAccessor
+	p   Predicate
+}
+
+func referenceBind(t testing.TB, src Source, q *Query) *referenceBound {
+	t.Helper()
+	b := &referenceBound{
+		groupAccs: make([]ColumnAccessor, len(q.GroupBy)),
+		aggAccs:   make([]ColumnAccessor, len(q.Aggs)),
+		preds:     make([]referencePred, len(q.Where)),
+	}
+	accessor := func(col string) ColumnAccessor {
+		acc, err := src.Accessor(col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return acc
+	}
+	for i, g := range q.GroupBy {
+		b.groupAccs[i] = accessor(g)
+	}
+	for i, a := range q.Aggs {
+		if a.Kind == Sum {
+			b.aggAccs[i] = accessor(a.Col)
+		}
+	}
+	for i, p := range q.Where {
+		b.preds[i] = referencePred{acc: accessor(p.Column()), p: p}
+	}
+	return b
+}
+
+// referenceScanRange evaluates source rows [lo, hi) into res, which must have
+// been built for the same query shape.
+func referenceScanRange(res *Result, src Source, q *Query, bound *referenceBound, opt ExecOptions, scale float64, lo, hi int) {
+	keyVals := make([]Value, len(q.GroupBy))
+	keyBuf := make([]byte, 0, 64)
+	filtering := opt.ExcludeMask.Width() > 0
+
+rows:
+	for row := lo; row < hi; row++ {
+		if filtering {
+			if m, ok := src.RowMask(row); ok && m.Intersects(opt.ExcludeMask) {
+				continue
+			}
+		}
+		res.RowsScanned++
+		for _, bp := range bound.preds {
+			if !bp.p.Matches(bp.acc.Value(row)) {
+				continue rows
+			}
+		}
+		res.RowsMatched++
+
+		for i, acc := range bound.groupAccs {
+			keyVals[i] = acc.Value(row)
+		}
+		keyBuf = AppendKey(keyBuf[:0], keyVals)
+		g, ok := res.groups[string(keyBuf)]
+		if !ok {
+			g = res.insert(string(keyBuf), append([]Value(nil), keyVals...))
+		}
+
+		w := src.RowWeight(row) * scale
+		for i := range q.Aggs {
+			x := 1.0
+			if q.Aggs[i].Kind == Sum {
+				x = bound.aggAccs[i].Float(row)
+			}
+			g.Vals[i] += w * x
+			g.RawSum[i] += x
+			g.RawSumSq[i] += x * x
+			g.VarAcc[i] += w * (w - 1) * x * x
+		}
+		g.RawRows++
+		if opt.MarkExact {
+			g.Exact = true
+		}
+	}
+}
+
+// referenceExecute is ExecuteCtx as it was over referenceScanRange: one
+// partial Result per ScanShardRows shard, folded in shard order.
+func referenceExecute(t testing.TB, src Source, q *Query, opt ExecOptions) *Result {
+	t.Helper()
+	scale := opt.Scale
+	if scale == 0 {
+		scale = 1
+	}
+	bound := referenceBind(t, src, q)
+	n := src.NumRows()
+	if opt.MaxRows > 0 && opt.MaxRows < n {
+		n = opt.MaxRows
+	}
+	var res *Result
+	for lo := 0; lo < n; lo += ScanShardRows {
+		part := NewResult(q.GroupBy, q.Aggs)
+		referenceScanRange(part, src, q, bound, opt, scale, lo, min(lo+ScanShardRows, n))
+		if res == nil {
+			res = part
+		} else {
+			res.merge(part, true)
+		}
+	}
+	if res == nil {
+		res = NewResult(q.GroupBy, q.Aggs)
+	}
+	return res
+}
+
+// executeRange runs the kernel over source rows [lo, hi) alone and
+// materialises that range's groups — a shard partial as a Result, for the
+// tests that merge ranges by hand.
+func executeRange(src Source, q *Query, bound *boundQuery, opt ExecOptions, scale float64, lo, hi int) *Result {
+	s := bound.newShardScan()
+	s.scan(bound, opt, scale, lo, hi)
+	return bound.result(s.groups, opt.MarkExact)
+}

@@ -35,8 +35,7 @@ type Result struct {
 	GroupBy []string
 	Aggs    []Aggregate
 
-	groups map[string]*Group // keyed by GroupKey bytes; string-keyed for the
-	// compiler's zero-copy []byte lookup optimisation
+	groups map[string]*Group // keyed by GroupKey bytes
 
 	// RowsScanned counts source rows that survived the bitmask filter;
 	// RowsMatched additionally satisfied the predicates. RowsScanned is the
@@ -66,16 +65,8 @@ func (r *Result) Upsert(key GroupKey, keyVals func() []Value) *Group {
 	return g
 }
 
-// lookup is the allocation-free probe used by the executor: buf holds the
-// encoded key bytes.
-func (r *Result) lookup(buf []byte) (*Group, bool) {
-	g, ok := r.groups[string(buf)]
-	return g, ok
-}
-
 func (r *Result) insert(key string, keyVals []Value) *Group {
-	// One backing array for the four per-aggregate accumulators: a scan that
-	// meets many groups allocates per group, and this is most of it.
+	// One backing array for the four per-aggregate accumulators.
 	n := len(r.Aggs)
 	acc := make([]float64, 4*n)
 	g := &Group{
@@ -126,6 +117,25 @@ func (r *Result) Groups() []*Group {
 // Merge mutates r only; callers parallelising execution must merge on a
 // single goroutine (or otherwise serialise calls).
 func (r *Result) Merge(other *Result) error {
+	if err := r.sameShape(other); err != nil {
+		return err
+	}
+	r.merge(other, false)
+	return nil
+}
+
+// Consume is Merge for a partial the caller owns and is done with: groups
+// new to r move over instead of being copied, so other must not be used
+// afterwards. The sums, and the order they are added in, are Merge's.
+func (r *Result) Consume(other *Result) error {
+	if err := r.sameShape(other); err != nil {
+		return err
+	}
+	r.merge(other, true)
+	return nil
+}
+
+func (r *Result) sameShape(other *Result) error {
 	if len(r.Aggs) != len(other.Aggs) {
 		return fmt.Errorf("engine: merging results with %d vs %d aggregates", len(r.Aggs), len(other.Aggs))
 	}
@@ -137,13 +147,10 @@ func (r *Result) Merge(other *Result) error {
 			return fmt.Errorf("engine: merging results grouped by %v vs %v", r.GroupBy, other.GroupBy)
 		}
 	}
-	r.merge(other, false)
 	return nil
 }
 
-// merge is Merge without the shape checks. With adopt set, groups new to r
-// move over instead of being copied: for a partial the caller owns and drops,
-// such as one shard of a scan.
+// merge is Merge without the shape checks; adopt is Consume's move.
 func (r *Result) merge(other *Result, adopt bool) {
 	for k, og := range other.groups {
 		g, ok := r.groups[k]
