@@ -38,7 +38,7 @@ import (
 //     background (see ingest.Coordinator).
 //
 // Every mutation is copy-on-write over the published state (engine
-// CloneForAppend / CopyForUpdate plus a fresh smallGroupPrepared per batch),
+// CloneForAppend / SetRow plus a fresh smallGroupPrepared per batch),
 // so concurrent queries keep scanning the version they pinned; Online itself
 // is a single-writer object whose calls the caller must serialise.
 type Online struct {
@@ -555,7 +555,11 @@ func (o *Online) applySampleUpdates(np *smallGroupPrepared, rows [][]engine.Valu
 		}
 	}
 	if len(victims) > 0 {
-		ot := o.p.overall.src.(*engine.Table).CopyForUpdate()
+		// A swap copies the chunk its slot sits in; the rest of the sample's
+		// rows stay shared with the published version. The masks are one
+		// array, copied whole.
+		ot := o.p.overall.src.(*engine.Table).CloneForAppend()
+		ot.Masks = append([]bitmask.Mask(nil), ot.Masks...)
 		for _, v := range victims {
 			// A slot replaced twice in one batch keeps the later row, exactly
 			// as sequential per-row reservoir updates would.

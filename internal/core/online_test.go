@@ -2,8 +2,13 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"dynsample/internal/engine"
@@ -576,5 +581,206 @@ func TestOnlineNewValueInDroppedColumn(t *testing.T) {
 	g := ans.Result.Group(engine.EncodeKey([]engine.Value{engine.StringVal("B9")}))
 	if g == nil || !g.Exact || g.Vals[0] != 1 {
 		t.Fatalf("B9 group after rebuild = %+v, want exact count 1", g)
+	}
+}
+
+// applyBytesPerBatch attaches online maintenance to a gathered copy of
+// skewedDB(n) — no spare capacity, as a restored base has none — with an
+// overall sample of sampleRows rows, and returns the mean bytes one 200-row
+// Apply allocated over the first batches.
+func applyBytesPerBatch(t *testing.T, n, sampleRows int) float64 {
+	t.Helper()
+	const batches, batch = 20, 200
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	sys := NewSystem(engine.MustNewDatabase("skewed", skewedDB(t, n).Flatten("fact", all, nil, nil)))
+	cfg := SmallGroupConfig{BaseRate: float64(sampleRows) / float64(n), SmallGroupFraction: 0.08, DistinctLimit: 100, Seed: 5}
+	if err := sys.AddStrategy(NewSmallGroup(cfg)); err != nil {
+		t.Fatal(err)
+	}
+	o, err := NewOnline(sys, "smallgroup", OnlineConfig{Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := randx.New(31)
+	input := make([][][]engine.Value, batches)
+	for b := range input {
+		input[b] = onlineRows(rng, n+b*batch, batch)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for b, rows := range input {
+		if _, err := o.Apply(uint64(b+1), rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / batches
+}
+
+// TestOnlineApplyAllocatesPerBatchNotPerTable: with the overall sample held
+// at one size, applying a batch costs the same on a base table ten times as
+// long — no column of the base data is copied to make room.
+func TestOnlineApplyAllocatesPerBatchNotPerTable(t *testing.T) {
+	small, large := applyBytesPerBatch(t, 50_000, 5000), applyBytesPerBatch(t, 500_000, 5000)
+	t.Logf("bytes per 200-row Apply: %.0f over 50k rows, %.0f over 500k rows", small, large)
+	if large > 2*small {
+		t.Fatalf("Apply allocates %.0f B a batch over 500k rows against %.0f B over 50k: it grows with the table", large, small)
+	}
+}
+
+// resultDigest renders every group's key, row count and accumulator bits.
+func resultDigest(res *engine.Result) string {
+	keys := res.Keys()
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	var sb strings.Builder
+	for _, k := range keys {
+		g := res.Group(k)
+		fmt.Fprintf(&sb, "%q %d %v", k, g.RawRows, g.Exact)
+		for i := range g.Vals {
+			fmt.Fprintf(&sb, " %x/%x/%x", math.Float64bits(g.Vals[i]), math.Float64bits(g.RawSum[i]), math.Float64bits(g.VarAcc[i]))
+		}
+		sb.WriteByte(';')
+	}
+	return sb.String()
+}
+
+// TestPinnedVersionsUnchangedByIngest: readers holding the last four
+// published versions re-run one query, exact and approximate, while the
+// writer appends batches, inserts into small group tables and swaps reservoir
+// slots. Every answer equals the one taken when the version was published;
+// under -race, a write into storage a pinned version reads is a failure too.
+func TestPinnedVersionsUnchangedByIngest(t *testing.T) {
+	const n0, readers, checksPerReader, minBatches = 5000, 3, 40, 8
+	// A half-rate sample: the reservoir spans three chunks and most batches
+	// swap slots in each.
+	sys, o := onlineSystem(t, n0, SmallGroupConfig{BaseRate: 0.5, SmallGroupFraction: 0.08, DistinctLimit: 100, Seed: 3}, 11)
+	q := &engine.Query{GroupBy: []string{"a", "b"}, Aggs: []engine.Aggregate{{Kind: engine.Count}, {Kind: engine.Sum, Col: "m"}}}
+
+	type pin struct {
+		db            *engine.Database
+		p             Prepared
+		exact, approx string
+	}
+	answers := func(db *engine.Database, p Prepared) (exact, approx string, err error) {
+		ex, err := engine.ExecuteExact(db, q)
+		if err != nil {
+			return "", "", err
+		}
+		ans, err := p.Answer(q)
+		if err != nil {
+			return "", "", err
+		}
+		return resultDigest(ex), resultDigest(ans.Result), nil
+	}
+	take := func() pin {
+		p, _ := sys.Prepared("smallgroup")
+		pn := pin{db: sys.DB(), p: p}
+		var err error
+		if pn.exact, pn.approx, err = answers(pn.db, pn.p); err != nil {
+			t.Fatal(err)
+		}
+		return pn
+	}
+
+	var mu sync.Mutex
+	window := []pin{take()}
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < checksPerReader; i++ {
+				mu.Lock()
+				pn := window[(i+r)%len(window)]
+				mu.Unlock()
+				exact, approx, err := answers(pn.db, pn.p)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if exact != pn.exact || approx != pn.approx {
+					t.Errorf("reader %d: the version pinned at %d rows answers differently now", r, pn.db.NumRows())
+					return
+				}
+			}
+		}(r)
+	}
+	readersDone := make(chan struct{})
+	go func() { wg.Wait(); close(readersDone) }()
+
+	rng := randx.New(41)
+	var swaps, inserts int
+	seq := uint64(0)
+	for running := true; running || seq < minBatches; {
+		seq++
+		st, err := o.Apply(seq, onlineRows(rng, n0+int(seq-1)*200, 200))
+		if err != nil {
+			t.Fatal(err)
+		}
+		swaps, inserts = swaps+st.ReservoirSwaps, inserts+st.SmallGroupInserts
+		pn := take()
+		mu.Lock()
+		if window = append(window, pn); len(window) > 4 {
+			window = window[1:]
+		}
+		mu.Unlock()
+		select {
+		case <-readersDone:
+			running = false
+		default:
+		}
+	}
+	<-readersDone
+	if swaps == 0 || inserts == 0 {
+		t.Fatalf("%d batches made %d reservoir swaps and %d small group inserts: the writer did not exercise both", seq, swaps, inserts)
+	}
+}
+
+// TestSecondWriterFailsInsteadOfCorrupting: two Onlines over one System are
+// two writer lineages over one base. The one that falls behind is refused —
+// before it touches a dictionary or a tail chunk — and the published state
+// keeps answering; a new Online over the newest version takes over cleanly.
+func TestSecondWriterFailsInsteadOfCorrupting(t *testing.T) {
+	const n0 = 3000
+	sys, first := onlineSystem(t, n0, SmallGroupConfig{BaseRate: 0.1, SmallGroupFraction: 0.08, DistinctLimit: 100, Seed: 2}, 5)
+	second, err := NewOnline(sys, "smallgroup", OnlineConfig{Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := randx.New(8)
+	if _, err := first.Apply(1, onlineRows(rng, n0, 300)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := second.Apply(1, onlineRows(rng, n0, 300)); err == nil || !strings.Contains(err.Error(), "one writer lineage") {
+		t.Fatalf("Apply from the overtaken writer: err = %v, want the lineage rule", err)
+	}
+	q := &engine.Query{GroupBy: []string{"a", "b"}, Aggs: []engine.Aggregate{{Kind: engine.Count}}}
+	before, err := sys.Approx("smallgroup", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.DB().NumRows(); got != n0+300 {
+		t.Fatalf("%d rows published after the refused batch, want %d", got, n0+300)
+	}
+	// Hand-off: a writer built over what the first one published carries on.
+	third, err := NewOnline(sys, "smallgroup", OnlineConfig{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := third.Apply(2, onlineRows(rng, n0+300, 300)); err != nil {
+		t.Fatalf("Apply after a hand-off: %v", err)
+	}
+	if _, err := first.Apply(2, onlineRows(rng, n0+300, 300)); err == nil {
+		t.Fatal("the writer that was handed off from applied another batch")
+	}
+	after, err := sys.Approx("smallgroup", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.Result.NumGroups() == 0 || after.Result.NumGroups() < before.Result.NumGroups() {
+		t.Fatalf("groups: %d before the hand-off, %d after", before.Result.NumGroups(), after.Result.NumGroups())
 	}
 }

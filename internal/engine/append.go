@@ -1,19 +1,24 @@
 package engine
 
-import (
-	"fmt"
-
-	"dynsample/internal/bitmask"
-)
+import "fmt"
 
 // Live append support. The ingest subsystem extends a database while queries
 // are being served from it, which the engine makes safe with copy-on-write
 // structural sharing: an append never mutates storage visible to a published
-// version. CloneForAppend copies a table's slice headers (sharing the backing
-// arrays) and every subsequent append lands at indices at or beyond the old
-// length — addresses no reader of the old version ever touches — so a single
-// serial writer can grow the newest version while arbitrarily many readers
-// scan older ones without locks or data races.
+// version. CloneForAppend copies a table's column headers, sharing every
+// chunk and the chunk lists, and every subsequent append lands at row indices
+// at or beyond the old length — in the open tail chunk or in a new one,
+// addresses no reader of the old version ever touches — so a single serial
+// writer can grow the newest version while arbitrarily many readers scan
+// older ones without locks or data races. A version therefore costs its
+// headers, not its rows: every sealed chunk has one copy however many
+// versions are pinned.
+//
+// That holds for one writer lineage only. A second writer starting from an
+// older version would fill the same tail slots the first already published,
+// so every column keeps the number of rows written into its chunks beside
+// them (Column.written) and an append from any version but the longest fails
+// before it writes.
 //
 // Dictionary state is shared across versions on purpose: new strings get
 // codes >= the old dictionary length, which only rows of the new version
@@ -27,98 +32,86 @@ func (c *Column) cloneForAppend() *Column {
 	return &cc
 }
 
-// reserve makes room for n more rows. A table's columns have one length, so
-// left to append's own growth they would all re-allocate in the same batch —
-// a burst the size of the whole table while the previous version's arrays
-// are still published, which set the ingest path's peak memory by where the
-// collector happened to be. Each column therefore grows by a different
-// share, an eighth to a quarter by slot, and later growths fall in different
-// batches, one column's array at a time.
-func (c *Column) reserve(n, slot int) {
-	l := c.Len()
-	grown := l + n + l/8 + slot%16*(l/128)
-	switch {
-	case c.Type == Int && l+n > cap(c.ints):
-		c.ints = append(make([]int64, 0, grown), c.ints...)
-	case c.Type == Float && l+n > cap(c.floats):
-		c.floats = append(make([]float64, 0, grown), c.floats...)
-	case c.Type == String && l+n > cap(c.codes):
-		c.codes = append(make([]int32, 0, grown), c.codes...)
+// ownList makes the column's chunk list this version's own, so that entries
+// can be replaced without an older version seeing it.
+func (c *Column) ownList() {
+	c.ints = append(chunked[int64](nil), c.ints...)
+	c.floats = append(chunked[float64](nil), c.floats...)
+	c.codes = append(chunked[int32](nil), c.codes...)
+}
+
+// ownChunk replaces chunk k by a copy this version may overwrite.
+func (c *Column) ownChunk(k int) {
+	switch c.Type {
+	case Int:
+		c.ints.own(k)
+	case Float:
+		c.floats.own(k)
+	default:
+		c.codes.own(k)
 	}
 }
 
-// setValue overwrites row i in place. It must only be called on columns whose
-// row storage is private (see CopyForUpdate); overwriting shared storage
-// would tear published versions.
+// setValue overwrites row i in place. The chunk holding it must be this
+// version's own (see Table.SetRow); overwriting a shared chunk would tear
+// published versions.
 func (c *Column) setValue(i int, v Value) {
 	if v.T != c.Type {
 		panic(fmt.Sprintf("engine: set %s value in %s column %q", v.T, c.Type, c.Name))
 	}
+	k, o := i>>chunkShift, i&(chunkRows-1)
 	switch c.Type {
 	case Int:
-		c.ints[i] = v.I
+		c.ints[k][o] = v.I
 	case Float:
-		c.floats[i] = v.F
+		c.floats[k][o] = v.F
 	default:
-		code, ok := c.dictIx[v.S]
-		if !ok {
-			code = int32(len(c.dict))
-			c.dict = append(c.dict, v.S)
-			c.dictIx[v.S] = code
-		}
-		c.codes[i] = code
+		c.codes[k][o] = c.code(v.S)
 	}
 }
 
-// CloneForAppend returns a table copy sharing all row storage with the
-// receiver. Appending rows (AppendRow, or direct column pushes plus EndRow)
-// and appending to Masks/Weights is safe while readers scan the original:
-// new data lands only at indices beyond the original's length. The clone and
+// CloneForAppend returns a new version of the table sharing all row storage
+// with the receiver. Appending rows (AppendRow, or direct column pushes plus
+// EndRow), appending to Masks/Weights and overwriting rows with SetRow are
+// safe while readers scan the original: appended data lands only at indices
+// beyond the original's length, and SetRow writes to copies. The clone and
 // the original share dictionaries and the byName index; do not AddColumn to
-// either afterwards, and keep all mutation on one goroutine.
+// either afterwards, and keep all mutation on one goroutine. Only the newest
+// version of a table may be appended to.
 func (t *Table) CloneForAppend() *Table {
 	nt := *t
 	nt.cols = make([]*Column, len(t.cols))
 	for i, c := range t.cols {
 		nt.cols[i] = c.cloneForAppend()
 	}
+	nt.owned = nil
 	return &nt
 }
 
-// CopyForUpdate returns a table copy whose row storage (values, masks,
-// weights) is private, so rows can be overwritten with SetRow without
-// disturbing published versions. Dictionaries are still shared
-// copy-on-write: replacement strings append new codes, never rewrite old
-// entries.
-func (t *Table) CopyForUpdate() *Table {
-	nt := t.CloneForAppend()
-	for _, c := range nt.cols {
-		switch c.Type {
-		case Int:
-			c.ints = append([]int64(nil), c.ints...)
-		case Float:
-			c.floats = append([]float64(nil), c.floats...)
-		default:
-			c.codes = append([]int32(nil), c.codes...)
-		}
-	}
-	if t.Masks != nil {
-		nt.Masks = append([]bitmask.Mask(nil), t.Masks...)
-	}
-	if t.Weights != nil {
-		nt.Weights = append([]float64(nil), t.Weights...)
-	}
-	return nt
-}
-
-// SetRow overwrites row i with vals (schema order). The table must have
-// private row storage (CopyForUpdate).
+// SetRow overwrites row i with vals (schema order), copy-on-write: the first
+// overwrite a version makes in a chunk copies that chunk of every column, so
+// versions this one was cloned from keep their rows and every other chunk
+// stays shared. Dictionaries are shared too: replacement strings append new
+// codes, never rewrite old entries. Masks and Weights are the caller's to
+// copy before it writes to them.
 func (t *Table) SetRow(i int, vals ...Value) {
 	if len(vals) != len(t.cols) {
 		panic(fmt.Sprintf("engine: row has %d values, table %q has %d columns", len(vals), t.Name, len(t.cols)))
 	}
 	if i < 0 || i >= t.rows {
 		panic(fmt.Sprintf("engine: SetRow index %d out of range [0,%d)", i, t.rows))
+	}
+	if t.owned == nil {
+		t.owned = make(map[int]bool)
+		for _, c := range t.cols {
+			c.ownList()
+		}
+	}
+	if k := i >> chunkShift; !t.owned[k] {
+		t.owned[k] = true
+		for _, c := range t.cols {
+			c.ownChunk(k)
+		}
 	}
 	for j, v := range vals {
 		t.cols[j].setValue(i, v)
@@ -158,9 +151,14 @@ type factInput struct {
 	dim     int // -1 for regular columns
 }
 
-// NewAppender returns an appender over db. Building it scans every dimension
-// table once to index existing dimension tuples.
+// NewAppender returns an appender over db, which must be the newest version
+// of its tables: handing a database on from one appender to the next is fine,
+// a second appender beside a live one is not. Building it scans every
+// dimension table once to index existing dimension tuples.
 func NewAppender(db *Database) (*Appender, error) {
+	if err := db.newest(); err != nil {
+		return nil, err
+	}
 	a := &Appender{db: db}
 	pos := make(map[string]int, len(db.colNames))
 	for i, n := range db.colNames {
@@ -223,6 +221,24 @@ func indexDimRows(t *Table) map[string]int {
 // DB returns the newest database version.
 func (a *Appender) DB() *Database { return a.db }
 
+// newest reports, as an error, a table of db that a writer has grown past
+// the version db holds.
+func (db *Database) newest() error {
+	tables := []*Table{db.Fact}
+	for _, d := range db.Dims {
+		tables = append(tables, d.Table)
+	}
+	for _, t := range tables {
+		for _, c := range t.cols {
+			if c.stale() {
+				return fmt.Errorf("engine: database %q holds table %q at %d rows but %d are written: %s",
+					db.Name, t.Name, c.n, *c.written, lineageRule)
+			}
+		}
+	}
+	return nil
+}
+
 // Validate checks that every row matches the view schema (arity and value
 // types) without appending anything. The ingest pipeline calls it before
 // acknowledging a batch to its write-ahead log, so a record that reaches
@@ -245,7 +261,8 @@ func (a *Appender) Validate(rows [][]Value) error {
 // Append validates and appends rows (view column order) and returns the new
 // database version. The batch is atomic: on any validation error nothing is
 // appended. The returned database shares all pre-existing row storage with
-// prior versions.
+// prior versions. An appender whose database another writer has since grown
+// appends nothing and returns an error.
 func (a *Appender) Append(rows [][]Value) (*Database, error) {
 	if len(rows) == 0 {
 		return a.db, nil
@@ -253,11 +270,11 @@ func (a *Appender) Append(rows [][]Value) (*Database, error) {
 	if err := a.Validate(rows); err != nil {
 		return nil, err
 	}
+	if err := a.db.newest(); err != nil {
+		return nil, err
+	}
 
 	newFact := a.db.Fact.CloneForAppend()
-	for ci, col := range newFact.cols {
-		col.reserve(len(rows), ci)
-	}
 	dimTables := make([]*Table, len(a.db.Dims))
 	cloned := make([]bool, len(a.db.Dims))
 	for i, d := range a.db.Dims {

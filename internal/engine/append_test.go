@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -133,10 +135,10 @@ func TestCloneForAppendSharesPrefix(t *testing.T) {
 	}
 }
 
-func TestCopyForUpdateIsolatesOverwrites(t *testing.T) {
+func TestSetRowCopiesOnWrite(t *testing.T) {
 	db := appendTestDB(t)
 	fact := db.Fact
-	cp := fact.CopyForUpdate()
+	cp := fact.CloneForAppend()
 	cp.SetRow(0, IntVal(1), FloatVal(99), StringVal("replaced"))
 	if fact.MustColumn("amount").Float(0) != 0 {
 		t.Fatal("SetRow leaked into the original")
@@ -147,46 +149,153 @@ func TestCopyForUpdateIsolatesOverwrites(t *testing.T) {
 	if cp.MustColumn("tag").Value(0).S != "replaced" {
 		t.Fatal("string overwrite did not apply")
 	}
+	// A version cloned from the overwritten one copies again before it writes.
+	cp2 := cp.CloneForAppend()
+	cp2.SetRow(0, IntVal(0), FloatVal(7), StringVal("t0"))
+	if cp.MustColumn("amount").Float(0) != 99 || cp2.MustColumn("amount").Float(0) != 7 {
+		t.Fatal("a second version's SetRow wrote into the first's chunk")
+	}
 }
 
-// TestAppendStaggersColumnGrowth: the first batch onto a freshly generated
-// table (cap == len everywhere) has to grow every column, but from then on
-// no batch may re-allocate more than one column's array — lock-step growth
-// is a burst the size of the whole table.
-func TestAppendStaggersColumnGrowth(t *testing.T) {
-	const n, ncols = 2000, 8
-	cols := make([]*Column, ncols)
-	for ci := range cols {
-		c := NewColumn(string(rune('a'+ci)), Int)
-		c.ints = make([]int64, n)
-		cols[ci] = c
+// chunkedTestDB is a flat database of n rows: an int, a float and a string
+// column whose values are functions of the row number.
+func chunkedTestDB(n int) *Database {
+	id, x, s := NewColumn("id", Int), NewColumn("x", Float), NewColumn("s", String)
+	t := NewTable("fact", id, x, s)
+	for i := 0; i < n; i++ {
+		t.AppendRow(chunkedTestRow(i)...)
 	}
-	app, err := NewAppender(MustNewDatabase("DB", NewTable("fact", cols...)))
+	return MustNewDatabase("DB", t)
+}
+
+func chunkedTestRow(i int) []Value {
+	return []Value{IntVal(int64(i)), FloatVal(float64(i) / 4), StringVal(fmt.Sprint("s", i%7))}
+}
+
+// TestVersionsShareSealedChunks: however many versions an appender and SetRow
+// make of a table, a sealed chunk has one backing array; a version owns only
+// the chunk list, the open tail's rows past the version before it, and the
+// chunks it overwrote.
+func TestVersionsShareSealedChunks(t *testing.T) {
+	const base, batch, batches = 2*chunkRows + 100, 300, 12
+	app, err := NewAppender(chunkedTestDB(base))
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := make([]Value, ncols)
-	for i := range row {
-		row[i] = IntVal(int64(i))
-	}
-	caps := make([]int, ncols)
-	for batch := 0; batch < 3*n; batch++ {
-		db, err := app.Append([][]Value{row})
+	versions := []*Database{app.DB()}
+	next := base
+	for b := 0; b < batches; b++ {
+		rows := make([][]Value, batch)
+		for i := range rows {
+			rows[i] = chunkedTestRow(next)
+			next++
+		}
+		db, err := app.Append(rows)
 		if err != nil {
 			t.Fatal(err)
 		}
-		grew := 0
-		for ci, c := range db.Fact.cols {
-			if cap(c.ints) != caps[ci] {
-				grew++
-				caps[ci] = cap(c.ints)
+		versions = append(versions, db)
+	}
+	for k := 0; k+1 < len(versions); k++ {
+		old, new := versions[k].Fact, versions[k+1].Fact
+		for ci, c := range old.cols {
+			nc := new.cols[ci]
+			for ch := 0; ch < old.NumRows()/chunkRows; ch++ { // the sealed chunks of version k
+				var same bool
+				switch c.Type {
+				case Int:
+					same = &c.ints[ch][0] == &nc.ints[ch][0]
+				case Float:
+					same = &c.floats[ch][0] == &nc.floats[ch][0]
+				default:
+					same = &c.codes[ch][0] == &nc.codes[ch][0]
+				}
+				if !same {
+					t.Fatalf("version %d -> %d: column %q chunk %d was copied", k, k+1, c.Name, ch)
+				}
 			}
 		}
-		if batch > 0 && grew > 1 {
-			t.Fatalf("batch %d (row %d) re-allocated %d columns at once", batch, n+batch, grew)
+	}
+	// Every version still reads exactly the rows it was published with.
+	for k, db := range versions {
+		if want := base + k*batch; db.NumRows() != want {
+			t.Fatalf("version %d has %d rows, want %d", k, db.NumRows(), want)
+		}
+		for _, r := range []int{0, chunkRows - 1, chunkRows, db.NumRows() - 1} {
+			got, want := db.Fact.RowValues(r), chunkedTestRow(r)
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("version %d row %d = %v, want %v", k, r, got, want)
+				}
+			}
 		}
 	}
-	if got := app.db.NumRows(); got != 4*n {
-		t.Fatalf("%d rows after the appends, want %d", got, 4*n)
+
+	// SetRow copies the chunk it writes into and shares the rest.
+	last := versions[len(versions)-1].Fact
+	upd := last.CloneForAppend()
+	upd.SetRow(chunkRows+5, chunkedTestRow(-1)...)
+	upd.SetRow(chunkRows+6, chunkedTestRow(-2)...)
+	for ch := range last.cols[0].ints {
+		shared := &last.cols[0].ints[ch][0] == &upd.cols[0].ints[ch][0]
+		if shared != (ch != 1) {
+			t.Fatalf("after SetRow in chunk 1, chunk %d shared = %v", ch, shared)
+		}
+	}
+	if last.MustColumn("id").Int(chunkRows+5) != chunkRows+5 || upd.MustColumn("id").Int(chunkRows+5) != -1 {
+		t.Fatal("SetRow tore the version it was cloned from")
+	}
+}
+
+// TestStaleWriterFails: a table has one writer lineage. A second appender
+// beside a live one, or an appender another has overtaken, fails with an error
+// instead of writing over published rows; handing the newest version on to a
+// new appender (recovery's replay, then the coordinator's) works.
+func TestStaleWriterFails(t *testing.T) {
+	rows := func(lo, n int) [][]Value {
+		out := make([][]Value, n)
+		for i := range out {
+			out[i] = chunkedTestRow(lo + i)
+		}
+		return out
+	}
+	base := chunkedTestDB(10)
+	first, err := NewAppender(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	beside, err := NewAppender(base) // both over the newest version: fine so far
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, err := first.Append(rows(10, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := beside.Append(rows(10, 5)); err == nil || !strings.Contains(err.Error(), "one writer lineage") {
+		t.Fatalf("append from an overtaken appender: err = %v, want the lineage rule", err)
+	}
+	if _, err := NewAppender(base); err == nil || !strings.Contains(err.Error(), "one writer lineage") {
+		t.Fatalf("NewAppender over a version shorter than what is written: err = %v, want the lineage rule", err)
+	}
+	// Sequential hand-off.
+	second, err := NewAppender(v1)
+	if err != nil {
+		t.Fatalf("hand-off to a new appender over the newest version: %v", err)
+	}
+	v2, err := second.Append(rows(15, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.Append(rows(15, 5)); err == nil {
+		t.Fatal("the appender that handed off appended again")
+	}
+	for r := 0; r < v2.NumRows(); r++ {
+		if got := v2.Fact.MustColumn("id").Int(r); got != int64(r) {
+			t.Fatalf("row %d = %d after the refused appends", r, got)
+		}
+	}
+	if v1.NumRows() != 15 || base.NumRows() != 10 {
+		t.Fatalf("older versions changed length: %d, %d", v1.NumRows(), base.NumRows())
 	}
 }

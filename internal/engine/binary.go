@@ -20,43 +20,62 @@ const tableMagic = "DSTB"
 // WriteBinary writes the table in the binary sample-table format, including
 // any bitmask and weight side arrays.
 func WriteBinary(t *Table, w io.Writer) error {
+	views := make([]ColumnView, t.NumCols())
+	for i, c := range t.Columns() {
+		views[i] = c.View()
+	}
+	return writeRows(w, t.Name, views, 0, t.NumRows(), false, t.Masks, t.Weights)
+}
+
+// WriteRowsBinary writes rows [lo, hi) of the joined view in the binary
+// table format: the bytes WriteBinary makes of the table Flatten builds from
+// those rows, without building it. Values go from the column chunks to w
+// through one block-sized buffer, a column at a time.
+func (db *Database) WriteRowsBinary(w io.Writer, name string, lo, hi int) error {
+	views := make([]ColumnView, len(db.colNames))
+	for i, cn := range db.colNames {
+		views[i], _ = db.View(cn) // a name from colNames is bound
+	}
+	return writeRows(w, name, views, lo, hi, true, nil, nil)
+}
+
+// writeRows writes rows [lo, hi) of the given columns as one table. compact
+// writes each string column's dictionary as gather would rebuild it — the
+// strings the rows use, in order of first appearance — instead of whole.
+func writeRows(w io.Writer, name string, views []ColumnView, lo, hi int, compact bool, masks []bitmask.Mask, weights []float64) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(tableMagic); err != nil {
 		return err
 	}
-	writeString(bw, t.Name)
-	writeU32(bw, uint32(t.NumRows()))
-	writeU32(bw, uint32(t.NumCols()))
-	for _, c := range t.Columns() {
-		writeString(bw, c.Name)
-		bw.WriteByte(byte(c.Type))
-		switch c.Type {
-		case Int:
-			for _, v := range c.ints {
-				writeU64(bw, uint64(v))
+	writeString(bw, name)
+	writeU32(bw, uint32(hi-lo))
+	writeU32(bw, uint32(len(views)))
+	e := blockEncoder{w: bw, buf: make([]byte, 0, 8*scanBlockRows), vals: newBlockBuf()}
+	for i := range views {
+		v := &views[i]
+		writeString(bw, v.Name)
+		bw.WriteByte(byte(v.Type))
+		var remap []int32
+		if v.Type == String {
+			dict := v.Dict
+			if compact {
+				dict, remap = e.usedDict(v, lo, hi)
 			}
-		case Float:
-			for _, v := range c.floats {
-				writeU64(bw, math.Float64bits(v))
-			}
-		default:
-			writeU32(bw, uint32(len(c.dict)))
-			for _, s := range c.dict {
+			writeU32(bw, uint32(len(dict)))
+			for _, s := range dict {
 				writeString(bw, s)
 			}
-			for _, code := range c.codes {
-				writeU32(bw, uint32(code))
-			}
 		}
+		e.column(v, lo, hi, remap)
 	}
-	if t.Masks != nil {
+	if masks != nil {
 		bw.WriteByte(1)
 		width := 0
-		if len(t.Masks) > 0 {
-			width = t.Masks[0].Width()
+		if len(masks) > 0 {
+			width = masks[0].Width()
 		}
 		writeU32(bw, uint32(width))
-		for _, m := range t.Masks {
+		for _, m := range masks {
 			for _, b := range m.Bits() {
 				writeU32(bw, uint32(b))
 			}
@@ -65,15 +84,113 @@ func WriteBinary(t *Table, w io.Writer) error {
 	} else {
 		bw.WriteByte(0)
 	}
-	if t.Weights != nil {
+	if weights != nil {
 		bw.WriteByte(1)
-		for _, v := range t.Weights {
-			writeU64(bw, math.Float64bits(v))
+		for ; len(weights) > 0; weights = weights[min(len(weights), scanBlockRows):] {
+			e.floats(weights[:min(len(weights), scanBlockRows)])
 		}
 	} else {
 		bw.WriteByte(0)
 	}
 	return bw.Flush()
+}
+
+// blockEncoder writes column values a block at a time: a block is encoded
+// into buf and handed to w in one Write, not a call per value.
+type blockEncoder struct {
+	w    *bufio.Writer
+	buf  []byte
+	vals blockBuf
+}
+
+// block returns the values of view rows [lo, lo+n) of one column, which must
+// not cross a scan block edge: see window.
+func block[T any](s chunked[T], fk chunked[int64], lo, n int, buf []T) []T {
+	vals, _ := window(s, fk, identity[:n], lo, buf)
+	return vals[:n]
+}
+
+// column writes the values of view rows [lo, hi); a string column's codes
+// are translated through remap when it is not nil.
+func (e *blockEncoder) column(v *ColumnView, lo, hi int, remap []int32) {
+	for n := 0; lo < hi; lo += n {
+		n = blockLen(lo, hi)
+		switch v.Type {
+		case Int:
+			b := e.buf
+			for _, x := range block(v.ints, v.fk, lo, n, e.vals.ints) {
+				b = binary.LittleEndian.AppendUint64(b, uint64(x))
+			}
+			e.w.Write(b)
+		case Float:
+			e.floats(block(v.floats, v.fk, lo, n, e.vals.floats))
+		default:
+			b := e.buf
+			for _, code := range block(v.codes, v.fk, lo, n, e.vals.codes) {
+				if remap != nil {
+					code = remap[code]
+				}
+				b = binary.LittleEndian.AppendUint32(b, uint32(code))
+			}
+			e.w.Write(b)
+		}
+	}
+}
+
+func (e *blockEncoder) floats(vals []float64) {
+	b := e.buf
+	for _, x := range vals {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+	}
+	e.w.Write(b)
+}
+
+// usedDict returns the dictionary entries view rows [lo, hi) of a string
+// column use, in order of first appearance, and the old code -> new code
+// table.
+func (e *blockEncoder) usedDict(v *ColumnView, lo, hi int) (dict []string, remap []int32) {
+	remap = make([]int32, len(v.Dict))
+	for k := range remap {
+		remap[k] = -1
+	}
+	for n := 0; lo < hi; lo += n {
+		n = blockLen(lo, hi)
+		for _, code := range block(v.codes, v.fk, lo, n, e.vals.codes) {
+			if remap[code] < 0 {
+				remap[code] = int32(len(dict))
+				dict = append(dict, v.Dict[code])
+			}
+		}
+	}
+	return dict, remap
+}
+
+// readChunks reads rows values of the given width into chunks, one ReadFull
+// and one decode call per chunk. A chunk is allocated once its bytes have
+// arrived: the header's row count is never trusted for an allocation size,
+// since a corrupted or hostile stream could claim billions of rows.
+func readChunks[T any](r io.Reader, rows uint32, width int, buf []byte, decode func(dst []T, src []byte) error) (chunked[T], error) {
+	var s chunked[T]
+	for left := int(rows); left > 0; left -= chunkRows {
+		n := min(left, chunkRows)
+		src := buf[:n*width]
+		if _, err := io.ReadFull(r, src); err != nil {
+			return nil, err
+		}
+		chunk := make([]T, n)
+		if err := decode(chunk, src); err != nil {
+			return nil, err
+		}
+		s = append(s, chunk)
+	}
+	return s, nil
+}
+
+func decodeFloats(dst []float64, src []byte) error {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+	return nil
 }
 
 // ReadBinary reads a table written by WriteBinary. When r is already a
@@ -109,13 +226,7 @@ func ReadBinary(r io.Reader) (*Table, error) {
 	if ncols == 0 && rows > 0 {
 		return nil, fmt.Errorf("engine: %d rows with no columns", rows)
 	}
-	// Never trust the header for allocation sizes: a corrupted or hostile
-	// stream could claim billions of rows. Capacity starts bounded and the
-	// slices grow only as data actually arrives.
-	capHint := int(rows)
-	if capHint > 1<<16 {
-		capHint = 1 << 16
-	}
+	buf := make([]byte, 8*chunkRows)
 	cols := make([]*Column, ncols)
 	seen := make(map[string]bool, ncols)
 	for j := range cols {
@@ -137,27 +248,18 @@ func ReadBinary(r io.Reader) (*Table, error) {
 		c := NewColumn(cname, Type(tb))
 		switch c.Type {
 		case Int:
-			c.ints = make([]int64, 0, capHint)
-			for i := uint32(0); i < rows; i++ {
-				v, err := readU64(br)
-				if err != nil {
-					return nil, err
+			c.ints, err = readChunks(br, rows, 8, buf, func(dst []int64, src []byte) error {
+				for i := range dst {
+					dst[i] = int64(binary.LittleEndian.Uint64(src[8*i:]))
 				}
-				c.ints = append(c.ints, int64(v))
-			}
+				return nil
+			})
 		case Float:
-			c.floats = make([]float64, 0, capHint)
-			for i := uint32(0); i < rows; i++ {
-				v, err := readU64(br)
-				if err != nil {
-					return nil, err
-				}
-				c.floats = append(c.floats, math.Float64frombits(v))
-			}
+			c.floats, err = readChunks(br, rows, 8, buf, decodeFloats)
 		default:
-			dn, err := readU32(br)
-			if err != nil {
-				return nil, err
+			dn, derr := readU32(br)
+			if derr != nil {
+				return nil, derr
 			}
 			if dn > rows && dn > 1<<16 {
 				return nil, fmt.Errorf("engine: unreasonable dictionary size %d", dn)
@@ -174,18 +276,21 @@ func ReadBinary(r io.Reader) (*Table, error) {
 				c.dict = append(c.dict, s)
 				c.dictIx[s] = int32(i)
 			}
-			c.codes = make([]int32, 0, capHint)
-			for i := uint32(0); i < rows; i++ {
-				v, err := readU32(br)
-				if err != nil {
-					return nil, err
+			c.codes, err = readChunks(br, rows, 4, buf, func(dst []int32, src []byte) error {
+				for i := range dst {
+					v := binary.LittleEndian.Uint32(src[4*i:])
+					if v >= dn {
+						return fmt.Errorf("engine: dictionary code %d out of range", v)
+					}
+					dst[i] = int32(v)
 				}
-				if v >= dn {
-					return nil, fmt.Errorf("engine: dictionary code %d out of range", v)
-				}
-				c.codes = append(c.codes, int32(v))
-			}
+				return nil
+			})
 		}
+		if err != nil {
+			return nil, err
+		}
+		c.n, *c.written = int(rows), int(rows)
 		cols[j] = c
 	}
 	t := NewTable(name, cols...)
@@ -202,7 +307,7 @@ func ReadBinary(r io.Reader) (*Table, error) {
 		if width > 1<<20 {
 			return nil, fmt.Errorf("engine: unreasonable mask width %d", width)
 		}
-		t.Masks = make([]bitmask.Mask, 0, capHint)
+		t.Masks = []bitmask.Mask{}
 		for i := uint32(0); i < rows; i++ {
 			m := bitmask.New(int(width))
 			for {
@@ -226,27 +331,22 @@ func ReadBinary(r io.Reader) (*Table, error) {
 		return nil, err
 	}
 	if hasWeights == 1 {
-		t.Weights = make([]float64, 0, capHint)
-		for i := uint32(0); i < rows; i++ {
-			v, err := readU64(br)
-			if err != nil {
-				return nil, err
-			}
-			t.Weights = append(t.Weights, math.Float64frombits(v))
+		chunks, err := readChunks(br, rows, 8, buf, decodeFloats)
+		if err != nil {
+			return nil, err
+		}
+		t.Weights = make([]float64, 0, rows)
+		for _, chunk := range chunks {
+			t.Weights = append(t.Weights, chunk...)
 		}
 	}
 	return t, nil
 }
 
-// The fixed-width writers run once per stored value, so they encode into the
-// writer's own buffer: a local array passed to Write escapes, and a heap
-// allocation per value made saving a checkpoint allocate twice its size.
+// writeU32 encodes into the writer's own buffer: a local array passed to
+// Write escapes, one heap allocation per call.
 func writeU32(w *bufio.Writer, v uint32) {
 	w.Write(binary.LittleEndian.AppendUint32(w.AvailableBuffer(), v))
-}
-
-func writeU64(w *bufio.Writer, v uint64) {
-	w.Write(binary.LittleEndian.AppendUint64(w.AvailableBuffer(), v))
 }
 
 func writeString(w *bufio.Writer, s string) {
@@ -260,14 +360,6 @@ func readU32(r *bufio.Reader) (uint32, error) {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint32(b[:]), nil
-}
-
-func readU64(r *bufio.Reader) (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
 func readString(r *bufio.Reader) (string, error) {

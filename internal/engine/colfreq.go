@@ -14,7 +14,7 @@ import (
 // them answer it here, over typed storage and through the star join instead
 // of row by row through ColumnAccessor.Value:
 //
-//   - a fact column is tallied by a typed loop over its own slice: densely by
+//   - a fact column is tallied by a typed loop over its own chunks: densely by
 //     dictionary code for strings, in an int64- or float64-keyed map (with
 //     the τ early exit) for numerics;
 //   - a dimension column is never scanned at fact-table length. One pass over
@@ -27,31 +27,32 @@ import (
 // result is the same for every worker count.
 
 // ColumnView is a typed, read-only window onto one column of a table or of a
-// database's joined view: the storage slice for its type and, for a
-// dimension column, the fact table's foreign-key slice. The value of view
-// row r lives at index r of the typed slice when FK is nil and at index
-// FK[r] otherwise, so hot loops index slices instead of boxing every cell
-// into a Value.
+// database's joined view: the chunks for its type and, for a dimension
+// column, the fact table's foreign-key chunks. The value of view row r is row
+// r of the typed storage when fk is nil and row fk.at(r) otherwise, so hot
+// loops read a block of rows as a slice (chunked.run) or a row by chunk and
+// offset (chunked.at) instead of boxing every cell into a Value.
 //
-// The slices are the column's own storage, cut at the length of the version
-// the view was taken from. They must not be modified, and they stay valid
-// while an Appender grows later versions: appends land beyond these lengths.
+// The chunks are the column's own storage, and rows is the length of the
+// version the view was taken from. They must not be modified, and they stay
+// valid while an Appender grows later versions: appends land beyond rows.
 type ColumnView struct {
 	Name string
 	Type Type
 
-	Ints   []int64   // Type == Int
-	Floats []float64 // Type == Float
-	Codes  []int32   // Type == String: one dictionary code per row
-	Dict   []string  // Type == String: code -> string
+	ints   chunked[int64]   // Type == Int
+	floats chunked[float64] // Type == Float
+	codes  chunked[int32]   // Type == String: one dictionary code per row
+	Dict   []string         // Type == String: code -> string
+	rows   int              // rows of the table that stores the column
 
-	FK  []int64 // fact row -> row of the owning dimension; nil for fact columns
-	Dim int     // index into Database.Dims; -1 when FK is nil
+	fk  chunked[int64] // fact row -> row of the owning dimension; nil for fact columns
+	Dim int            // index into Database.Dims; -1 when fk is nil
 }
 
 // View returns the typed view of a flat table's column.
 func (c *Column) View() ColumnView {
-	return ColumnView{Name: c.Name, Type: c.Type, Ints: c.ints, Floats: c.floats, Codes: c.codes, Dict: c.dict, Dim: -1}
+	return ColumnView{Name: c.Name, Type: c.Type, ints: c.ints, floats: c.floats, codes: c.codes, Dict: c.dict, rows: c.n, Dim: -1}
 }
 
 // View returns the typed view of a column of the joined view.
@@ -62,7 +63,7 @@ func (db *Database) View(name string) (ColumnView, error) {
 	}
 	v := b.col.View()
 	if b.fk != nil {
-		v.FK, v.Dim = b.fk.ints, b.dim
+		v.fk, v.Dim = b.fk.ints, b.dim
 	}
 	return v, nil
 }
@@ -115,14 +116,14 @@ func (db *Database) ColumnFrequencies(names []string, limit, workers int) ([]*Co
 			return nil, err
 		}
 		out[i] = &ColumnFreq{View: v}
-		if v.FK == nil {
+		if v.fk == nil {
 			passOf[i] = len(passes)
 			passes = append(passes, pass{v: v})
 			continue
 		}
 		if _, ok := fkPass[v.Dim]; !ok {
 			fkPass[v.Dim] = len(passes)
-			passes = append(passes, pass{v: ColumnView{Type: Int, Ints: v.FK}, dimRows: db.Dims[v.Dim].Table.NumRows()})
+			passes = append(passes, pass{v: ColumnView{Type: Int, ints: v.fk}, dimRows: db.Dims[v.Dim].Table.NumRows()})
 		}
 		passOf[i] = fkPass[v.Dim]
 	}
@@ -146,7 +147,7 @@ func (db *Database) ColumnFrequencies(names []string, limit, workers int) ([]*Co
 	parallel.ForEach(workers, len(out), func(i int) {
 		f := out[i]
 		f.t = merged[passOf[i]]
-		if f.View.FK != nil {
+		if f.View.fk != nil {
 			f.t = foldDimension(f.View, f.t.dense, limit)
 		}
 		f.Over = f.t.over
@@ -179,33 +180,44 @@ func (p pass) tally(lo, hi, limit int) tally {
 	var t tally
 	switch {
 	case p.v.Type == String:
-		t.dense = make([]int64, len(p.v.Dict))
-		for _, code := range p.v.Codes[lo:hi] {
-			t.dense[code]++
-		}
+		t.dense = tallyDense(p.v.codes, lo, hi, len(p.v.Dict))
 	case p.dimRows > 0:
-		t.dense = make([]int64, p.dimRows)
-		for _, id := range p.v.Ints[lo:hi] {
-			t.dense[id]++
-		}
+		t.dense = tallyDense(p.v.ints, lo, hi, p.dimRows)
 	case p.v.Type == Int:
-		t.ints = make(map[int64]int64)
-		for _, x := range p.v.Ints[lo:hi] {
-			t.ints[x]++
-			if len(t.ints) > limit {
-				return tally{over: true}
-			}
-		}
+		t.ints, t.over = tallyMap(p.v.ints, lo, hi, limit)
 	default:
-		t.floats = make(map[float64]int64)
-		for _, x := range p.v.Floats[lo:hi] {
-			t.floats[x]++
-			if len(t.floats) > limit {
-				return tally{over: true}
-			}
-		}
+		t.floats, t.over = tallyMap(p.v.floats, lo, hi, limit)
 	}
 	return t
+}
+
+// tallyDense counts rows [lo,hi) of s, whose values index an array of the
+// given size, a chunk's share at a time.
+func tallyDense[T int32 | int64](s chunked[T], lo, hi, size int) []int64 {
+	dense := make([]int64, size)
+	for w := s.run(lo, hi); len(w) > 0; w = s.run(lo, hi) {
+		for _, x := range w {
+			dense[x]++
+		}
+		lo += len(w)
+	}
+	return dense
+}
+
+// tallyMap counts rows [lo,hi) of s by value and stops, reporting over, at
+// the first row that takes it past limit distinct values.
+func tallyMap[T int64 | float64](s chunked[T], lo, hi, limit int) (counts map[T]int64, over bool) {
+	counts = make(map[T]int64)
+	for w := s.run(lo, hi); len(w) > 0; w = s.run(lo, hi) {
+		for _, x := range w {
+			counts[x]++
+			if len(counts) > limit {
+				return nil, true
+			}
+		}
+		lo += len(w)
+	}
+	return counts, false
 }
 
 // mergeTallies adds the row-shard tallies of one column into the first.
@@ -239,7 +251,7 @@ func foldDimension(v ColumnView, refs []int64, limit int) tally {
 	case String:
 		t.dense = make([]int64, len(v.Dict))
 		for d, c := range refs {
-			t.dense[v.Codes[d]] += c
+			t.dense[v.codes.at(d)] += c
 		}
 	case Int:
 		t.ints = make(map[int64]int64)
@@ -247,7 +259,7 @@ func foldDimension(v ColumnView, refs []int64, limit int) tally {
 			if c == 0 {
 				continue
 			}
-			t.ints[v.Ints[d]] += c
+			t.ints[v.ints.at(d)] += c
 			if len(t.ints) > limit {
 				return tally{over: true}
 			}
@@ -255,7 +267,7 @@ func foldDimension(v ColumnView, refs []int64, limit int) tally {
 	default:
 		t.floats = make(map[float64]int64)
 		for d, c := range refs {
-			x := v.Floats[d]
+			x := v.floats.at(d)
 			if x != x {
 				// NaN equals nothing: each referencing fact row holds a
 				// value of its own, as a per-row count would find.
@@ -336,8 +348,8 @@ func (f *ColumnFreq) Classify(class func(Value) int8) *ColumnClasses {
 			}
 		}
 	}
-	if f.View.FK != nil {
-		byDimRow := make([]int8, f.View.ownLen())
+	if f.View.fk != nil {
+		byDimRow := make([]int8, f.View.rows)
 		for d := range byDimRow {
 			byDimRow[d] = c.own(d)
 		}
@@ -346,30 +358,18 @@ func (f *ColumnFreq) Classify(class func(Value) int8) *ColumnClasses {
 	return c
 }
 
-// ownLen is the number of rows of the table that stores the column.
-func (v ColumnView) ownLen() int {
-	switch v.Type {
-	case Int:
-		return len(v.Ints)
-	case Float:
-		return len(v.Floats)
-	default:
-		return len(v.Codes)
-	}
-}
-
 // own returns the class of the value at row p of the table that stores the
 // column (the fact table, or the column's dimension).
 func (c *ColumnClasses) own(p int) int8 {
 	switch c.view.Type {
 	case String:
-		return c.byCode[c.view.Codes[p]]
+		return c.byCode[c.view.codes.at(p)]
 	case Int:
-		if k, ok := c.byInt[c.view.Ints[p]]; ok {
+		if k, ok := c.byInt[c.view.ints.at(p)]; ok {
 			return k
 		}
 	default:
-		if k, ok := c.byFloat[c.view.Floats[p]]; ok {
+		if k, ok := c.byFloat[c.view.floats.at(p)]; ok {
 			return k
 		}
 	}
@@ -379,7 +379,7 @@ func (c *ColumnClasses) own(p int) int8 {
 // Class returns the class of view row r's value.
 func (c *ColumnClasses) Class(row int) int8 {
 	if c.byDimRow != nil {
-		return c.byDimRow[c.view.FK[row]]
+		return c.byDimRow[c.view.fk.at(row)]
 	}
 	return c.own(row)
 }
@@ -398,7 +398,7 @@ type RowClassifier struct {
 // dimBits holds, for one dimension, the bits its columns contribute per
 // dimension row: words uint64s per row.
 type dimBits struct {
-	fk   []int64
+	fk   chunked[int64]
 	bits []uint64
 }
 
@@ -415,7 +415,7 @@ func NewRowClassifier(cols []*ColumnClasses) *RowClassifier {
 		if !ok {
 			k = len(rc.dims)
 			slot[c.view.Dim] = k
-			rc.dims = append(rc.dims, dimBits{fk: c.view.FK, bits: make([]uint64, len(c.byDimRow)*rc.words)})
+			rc.dims = append(rc.dims, dimBits{fk: c.view.fk, bits: make([]uint64, len(c.byDimRow)*rc.words)})
 		}
 		bits := rc.dims[k].bits
 		for d, class := range c.byDimRow {
@@ -439,7 +439,7 @@ func (rc *RowClassifier) Bits(row int, dst []uint64) bool {
 	}
 	for i := range rc.dims {
 		d := &rc.dims[i]
-		for w, b := range d.bits[int(d.fk[row])*rc.words:][:rc.words] {
+		for w, b := range d.bits[int(d.fk.at(row))*rc.words:][:rc.words] {
 			dst[w] |= b
 		}
 	}
@@ -461,33 +461,38 @@ func (rc *RowClassifier) Bits(row int, dst []uint64) bool {
 // dictionary is rebuilt in order of first appearance, translating codes
 // instead of re-hashing strings.
 func (v ColumnView) gather(at []int) *Column {
-	nc := NewColumn(v.Name, v.Type)
+	nc := newColumn(v.Name, v.Type, len(at))
 	switch v.Type {
 	case Int:
-		nc.ints = make([]int64, len(at))
-		for i, p := range at {
-			nc.ints[i] = v.Ints[p]
-		}
+		gatherRows(nc.ints, v.ints, at)
 	case Float:
-		nc.floats = make([]float64, len(at))
-		for i, p := range at {
-			nc.floats[i] = v.Floats[p]
-		}
+		gatherRows(nc.floats, v.floats, at)
 	default:
+		gatherRows(nc.codes, v.codes, at)
 		codeMap := make([]int32, len(v.Dict))
 		for k := range codeMap {
 			codeMap[k] = -1
 		}
-		nc.codes = make([]int32, len(at))
-		for i, p := range at {
-			code := v.Codes[p]
-			if codeMap[code] < 0 {
-				codeMap[code] = int32(len(nc.dict))
-				nc.dict = append(nc.dict, v.Dict[code])
-				nc.dictIx[v.Dict[code]] = codeMap[code]
+		for _, chunk := range nc.codes {
+			for i, code := range chunk {
+				if codeMap[code] < 0 {
+					codeMap[code] = int32(len(nc.dict))
+					nc.dict = append(nc.dict, v.Dict[code])
+					nc.dictIx[v.Dict[code]] = codeMap[code]
+				}
+				chunk[i] = codeMap[code]
 			}
-			nc.codes[i] = codeMap[code]
 		}
 	}
 	return nc
+}
+
+// gatherRows fills dst, made for len(at) rows, with src's rows at.
+func gatherRows[T any](dst, src chunked[T], at []int) {
+	for _, chunk := range dst {
+		for i := range chunk {
+			chunk[i] = src.at(at[i])
+		}
+		at = at[len(chunk):]
+	}
 }

@@ -180,11 +180,11 @@ func (db *Database) Flatten(name string, rows []int, masks []bitmask.Mask, weigh
 			panic(err)
 		}
 		at := rows
-		if v.FK != nil {
+		if v.fk != nil {
 			if dimRows[v.Dim] == nil {
 				dimRows[v.Dim] = make([]int, len(rows))
 				for j, r := range rows {
-					dimRows[v.Dim][j] = int(v.FK[r])
+					dimRows[v.Dim][j] = int(v.fk.at(r))
 				}
 			}
 			at = dimRows[v.Dim]

@@ -16,6 +16,7 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add(seed.Bytes())
 	f.Add([]byte("DSTB"))
 	f.Add([]byte{})
+	f.Add(overclaimingStream(f)) // the header claims more rows than arrive
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tbl, err := ReadBinary(bytes.NewReader(data))

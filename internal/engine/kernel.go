@@ -22,7 +22,8 @@ import (
 // Shard tables are folded into the scan's table in shard order, and Groups —
 // boxed key Values, the encoded key string — are built from that one table
 // when the scan ends (boundQuery.result). Nothing the kernel allocates grows
-// with the number of source rows: columns are read in place.
+// with the number of source rows: columns are read in place, a block being
+// one window onto the storage chunk it sits in (column.go).
 
 const (
 	// scanBlockRows is how many rows go through the kernel's stages at a
@@ -45,6 +46,7 @@ type boundQuery struct {
 	aggs    []ColumnView // the measure of each SUM; unused for COUNT
 	words   int          // 64-bit words in a row's key
 	dense   int          // size of the direct-indexed table; 0 when keys are hashed
+	joined  bool         // some column is read through a foreign key
 }
 
 // groupCol is one group-by column's share of the key. A string column
@@ -66,24 +68,32 @@ func bindQuery(src Source, q *Query) (*boundQuery, error) {
 		aggs:   make([]ColumnView, len(q.Aggs)),
 	}
 	b.masks, b.weights = src.rowArrays()
+	view := func(name, role string) (ColumnView, error) {
+		v, err := src.View(name)
+		if err != nil {
+			return v, fmt.Errorf("%s column: %w", role, err)
+		}
+		b.joined = b.joined || v.fk != nil
+		return v, nil
+	}
 	var err error
 	for i, g := range q.GroupBy {
-		if b.groups[i].view, err = src.View(g); err != nil {
-			return nil, fmt.Errorf("group-by column: %w", err)
+		if b.groups[i].view, err = view(g, "group-by"); err != nil {
+			return nil, err
 		}
 	}
 	for i, a := range q.Aggs {
 		if a.Kind != Sum {
 			continue
 		}
-		if b.aggs[i], err = src.View(a.Col); err != nil {
-			return nil, fmt.Errorf("aggregate column: %w", err)
+		if b.aggs[i], err = view(a.Col, "aggregate"); err != nil {
+			return nil, err
 		}
 	}
 	for i, p := range q.Where {
-		v, err := src.View(p.Column())
+		v, err := view(p.Column(), "predicate")
 		if err != nil {
-			return nil, fmt.Errorf("predicate column: %w", err)
+			return nil, err
 		}
 		b.preds[i] = bindPredicate(p, v)
 	}
@@ -130,40 +140,64 @@ func (g *groupCol) value(key []uint64) Value {
 	}
 }
 
-// locate returns where the selected rows' values sit in the column's own
-// storage: vals[base:][at[j]] is the value of the block's j-th selected row.
-// sel holds row offsets into the block starting at source row lo. A fact
-// column is read in place (at is sel itself); a dimension column goes through
-// the foreign key, gathered into buf.
-func (v *ColumnView) locate(sel []int32, lo int, buf []int32) (at []int32, base int) {
-	if v.FK == nil {
-		return sel, lo
-	}
-	fk := v.FK[lo:]
-	at = buf[:len(sel)]
-	for j, o := range sel {
-		at[j] = int32(fk[o])
-	}
-	return at, 0
+// blockBuf is the scratch a block's values of a dimension column are gathered
+// into, one slice of scanBlockRows per storage type.
+type blockBuf struct {
+	ints   []int64
+	floats []float64
+	codes  []int32
 }
 
+func newBlockBuf() blockBuf {
+	const n = scanBlockRows
+	return blockBuf{ints: make([]int64, n), floats: make([]float64, n), codes: make([]int32, n)}
+}
+
+// identity[j] == j: the selection over values gathered in selection order.
+var identity = func() (id [scanBlockRows]int32) {
+	for j := range id {
+		id[j] = int32(j)
+	}
+	return id
+}()
+
+// window returns the selected rows' values of one column: vals[at[j]] is the
+// value of the block's j-th selected row. sel holds row offsets into the
+// block starting at source row lo. A fact column is read in place, from the
+// chunk the block sits in (at is sel itself); a dimension column's values are
+// gathered through the foreign key into buf.
+func window[T any](s chunked[T], fk chunked[int64], sel []int32, lo int, buf []T) (vals []T, at []int32) {
+	if fk == nil {
+		return s.from(lo), sel
+	}
+	ids := fk.from(lo)
+	for j, o := range sel {
+		buf[j] = s.at(int(ids[o]))
+	}
+	return buf, identity[:len(sel)]
+}
+
+// blockLen is how many of rows [lo, hi) sit in lo's scan block. Shards start
+// on a block edge, so a scan's blocks are whole ones and a last partial one.
+func blockLen(lo, hi int) int { return min(hi-lo, scanBlockRows-lo%scanBlockRows) }
+
 // addKeys writes the column's share of each selected row's key.
-func (g *groupCol) addKeys(keys []uint64, words int, sel []int32, lo int, buf []int32) {
-	at, base := g.view.locate(sel, lo, buf)
+func (g *groupCol) addKeys(keys []uint64, words int, sel []int32, lo int, buf *blockBuf) {
+	v := &g.view
 	keys = keys[g.word:]
-	switch g.view.Type {
+	switch v.Type {
 	case String:
-		codes := g.view.Codes[base:]
+		codes, at := window(v.codes, v.fk, sel, lo, buf.codes)
 		for j, a := range at {
 			keys[j*words] += uint64(codes[a]) * g.mul
 		}
 	case Int:
-		ints := g.view.Ints[base:]
+		ints, at := window(v.ints, v.fk, sel, lo, buf.ints)
 		for j, a := range at {
 			keys[j*words] = uint64(ints[a])
 		}
 	default:
-		floats := g.view.Floats[base:]
+		floats, at := window(v.floats, v.fk, sel, lo, buf.floats)
 		for j, a := range at {
 			keys[j*words] = math.Float64bits(floats[a])
 		}
@@ -172,16 +206,15 @@ func (g *groupCol) addKeys(keys []uint64, words int, sel []int32, lo int, buf []
 
 // measure fills xs with the selected rows' values of a SUM column, as
 // ColumnAccessor.Float reads them: a string column sums as zero.
-func measure(v *ColumnView, xs []float64, sel []int32, lo int, buf []int32) {
-	at, base := v.locate(sel, lo, buf)
+func measure(v *ColumnView, xs []float64, sel []int32, lo int, buf *blockBuf) {
 	switch v.Type {
 	case Int:
-		ints := v.Ints[base:]
+		ints, at := window(v.ints, v.fk, sel, lo, buf.ints)
 		for j, a := range at {
 			xs[j] = float64(ints[a])
 		}
 	case Float:
-		floats := v.Floats[base:]
+		floats, at := window(v.floats, v.fk, sel, lo, buf.floats)
 		for j, a := range at {
 			xs[j] = floats[a]
 		}
@@ -327,7 +360,7 @@ type shardScan struct {
 	to     []int32
 
 	sel  []int32   // offsets of the block's surviving rows
-	at   []int32   // locate's buffer
+	buf  blockBuf  // window's buffers; made only for a joined query
 	gids []int32   // group number per surviving row
 	keys []uint64  // key per surviving row
 	ws   []float64 // weight·scale per surviving row
@@ -336,17 +369,20 @@ type shardScan struct {
 
 func (b *boundQuery) newShardScan() *shardScan {
 	const n = scanBlockRows
-	i32, f64 := make([]int32, 3*n), make([]float64, 2*n)
-	return &shardScan{
+	i32, f64 := make([]int32, 2*n), make([]float64, 2*n)
+	s := &shardScan{
 		groups: b.newTable(),
 
 		sel:  i32[:n:n],
-		at:   i32[n : 2*n : 2*n],
-		gids: i32[2*n:],
+		gids: i32[n:],
 		keys: make([]uint64, n*b.words),
 		ws:   f64[:n:n],
 		xs:   f64[n:],
 	}
+	if b.joined {
+		s.buf = newBlockBuf()
+	}
+	return s
 }
 
 // scan evaluates source rows [lo, hi) into s.groups. It reads the source and
@@ -356,8 +392,8 @@ func (s *shardScan) scan(b *boundQuery, opt ExecOptions, scale float64, lo, hi i
 	t := s.groups
 	filtering := b.masks != nil && opt.ExcludeMask.Width() > 0
 	na := len(b.q.Aggs)
-	for ; lo < hi; lo += scanBlockRows {
-		n := min(scanBlockRows, hi-lo)
+	for n := 0; lo < hi; lo += n {
+		n = blockLen(lo, hi)
 
 		// Select.
 		sel := s.sel[:0]
@@ -375,7 +411,7 @@ func (s *shardScan) scan(b *boundQuery, opt ExecOptions, scale float64, lo, hi i
 		}
 		t.scanned += int64(len(sel))
 		for i := range b.preds {
-			sel = b.preds[i].keep(sel, lo, s.at)
+			sel = b.preds[i].keep(sel, lo, &s.buf)
 		}
 		t.matched += int64(len(sel))
 		if len(sel) == 0 {
@@ -386,7 +422,7 @@ func (s *shardScan) scan(b *boundQuery, opt ExecOptions, scale float64, lo, hi i
 		keys := s.keys[:len(sel)*b.words]
 		clear(keys)
 		for i := range b.groups {
-			b.groups[i].addKeys(keys, b.words, sel, lo, s.at)
+			b.groups[i].addKeys(keys, b.words, sel, lo, &s.buf)
 		}
 		gids := s.gids[:len(sel)]
 		for j := range gids {
@@ -424,7 +460,7 @@ func (s *shardScan) scan(b *boundQuery, opt ExecOptions, scale float64, lo, hi i
 				continue
 			}
 			xs := s.xs[:len(sel)]
-			measure(&b.aggs[i], xs, sel, lo, s.at)
+			measure(&b.aggs[i], xs, sel, lo, &s.buf)
 			for j, g := range gids {
 				w, x := ws[j], xs[j]
 				p := t.acc[int(g)*t.stride+i:]

@@ -204,30 +204,38 @@ func bindPredicate(p Predicate, v ColumnView) boundPred {
 
 // keep narrows sel, in place, to the rows of the block at lo that satisfy
 // the predicate.
-func (p *boundPred) keep(sel []int32, lo int, buf []int32) []int32 {
-	at, base := p.view.locate(sel, lo, buf)
+func (p *boundPred) keep(sel []int32, lo int, buf *blockBuf) []int32 {
+	v := &p.view
 	switch {
-	case p.view.Type == String:
-		codes, k := p.view.Codes[base:], 0
+	case v.Type == String:
+		codes, at := window(v.codes, v.fk, sel, lo, buf.codes)
+		k := 0
 		for j, a := range at {
 			sel[k] = sel[j] // branch-free: kept only if k moves on
 			k += int(p.pass[codes[a]])
 		}
 		return sel[:k]
-	case p.ints != nil:
-		return p.ints.keep(sel, at, p.view.Ints[base:])
-	case p.floats != nil:
-		return p.floats.keep(sel, at, p.view.Floats[base:])
+	case v.Type == Int:
+		ints, at := window(v.ints, v.fk, sel, lo, buf.ints)
+		if p.ints != nil {
+			return p.ints.keep(sel, at, ints)
+		}
+		return keepBoxed(p.boxed, sel, at, ints, IntVal)
+	default:
+		floats, at := window(v.floats, v.fk, sel, lo, buf.floats)
+		if p.floats != nil {
+			return p.floats.keep(sel, at, floats)
+		}
+		return keepBoxed(p.boxed, sel, at, floats, FloatVal)
 	}
+}
+
+// keepBoxed hands a Predicate implementation this package does not know each
+// row's boxed value.
+func keepBoxed[T any](p Predicate, sel, at []int32, vals []T, box func(T) Value) []int32 {
 	k := 0
 	for j, a := range at {
-		var x Value
-		if p.view.Type == Int {
-			x = IntVal(p.view.Ints[base+int(a)])
-		} else {
-			x = FloatVal(p.view.Floats[base+int(a)])
-		}
-		if p.boxed.Matches(x) {
+		if p.Matches(box(vals[a])) {
 			sel[k] = sel[j]
 			k++
 		}

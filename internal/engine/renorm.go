@@ -72,13 +72,14 @@ func (r *Renormalizer) Build(name string, rows []int, masks []bitmask.Mask, weig
 	fact := subsetTable(r.db.Fact, name, rows)
 	// Remap FK columns into the reduced dimensions.
 	for d, dj := range r.db.Dims {
-		fk := fact.MustColumn(dj.FK)
-		for i := range fk.ints {
-			nr := r.remap[d][fk.ints[i]]
-			if nr < 0 {
-				return nil, fmt.Errorf("engine: row set for %q not covered by renormalizer", name)
+		for _, chunk := range fact.MustColumn(dj.FK).ints {
+			for i, old := range chunk {
+				nr := r.remap[d][old]
+				if nr < 0 {
+					return nil, fmt.Errorf("engine: row set for %q not covered by renormalizer", name)
+				}
+				chunk[i] = int64(nr)
 			}
-			fk.ints[i] = int64(nr)
 		}
 	}
 	fact.Masks = masks

@@ -20,6 +20,9 @@ type Table struct {
 	Masks []bitmask.Mask
 	// Weights, when non-nil, holds one inverse-sampling-rate weight per row.
 	Weights []float64
+
+	// owned holds the chunk numbers SetRow has copied for this version.
+	owned map[int]bool
 }
 
 // NewTable returns an empty table with the given column definitions.
@@ -121,16 +124,13 @@ func (t *Table) ColumnNames() []string {
 func (t *Table) ApproxBytes() int64 {
 	var b int64
 	for _, c := range t.cols {
-		switch c.Type {
-		case Int:
-			b += int64(len(c.ints)) * 8
-		case Float:
-			b += int64(len(c.floats)) * 8
-		default:
-			b += int64(len(c.codes)) * 4
-			for _, s := range c.dict {
-				b += int64(len(s))
-			}
+		if c.Type != String {
+			b += int64(c.n) * 8
+			continue
+		}
+		b += int64(c.n) * 4
+		for _, s := range c.dict {
+			b += int64(len(s))
 		}
 	}
 	if t.Masks != nil && t.rows > 0 {

@@ -72,9 +72,12 @@ type Snapshot struct {
 	IDs []IdentEntry
 }
 
-// WriteCheckpoint serialises a checkpointed snapshot. delta may be nil when
-// no rows were ingested since the base data was generated.
-func WriteCheckpoint(w io.Writer, p core.Prepared, ck Checkpoint, delta *engine.Table, ids []IdentEntry) error {
+// WriteCheckpoint serialises a checkpointed snapshot of db and the sample
+// family p: the delta is db's rows past ck.BaseRows, streamed from the column
+// chunks without a flattened copy, and absent when nothing was ingested since
+// the base data was generated.
+func WriteCheckpoint(w io.Writer, p core.Prepared, ck Checkpoint, db *engine.Database, ids []IdentEntry) error {
+	hasDelta := uint64(db.NumRows()) > ck.BaseRows
 	if len(ids) > maxCheckpointIDs {
 		// Persist the newest entries; dropping the oldest only narrows the
 		// duplicate-detection window, it cannot corrupt state.
@@ -109,16 +112,16 @@ func WriteCheckpoint(w io.Writer, p core.Prepared, ck Checkpoint, delta *engine.
 		putCkU64(math.Float64bits(e.Stats.Drift))
 		putCkU64(e.Stats.DataGeneration)
 	}
-	if delta == nil {
-		bw.WriteByte(0)
-	} else {
+	if hasDelta {
 		bw.WriteByte(1)
+	} else {
+		bw.WriteByte(0)
 	}
 	if err := bw.Flush(); err != nil {
 		return err
 	}
-	if delta != nil {
-		if err := engine.WriteBinary(delta, w); err != nil {
+	if hasDelta {
+		if err := db.WriteRowsBinary(w, "ingest-delta", int(ck.BaseRows), db.NumRows()); err != nil {
 			return fmt.Errorf("ingest: writing checkpoint delta: %w", err)
 		}
 	}

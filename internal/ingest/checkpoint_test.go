@@ -401,9 +401,8 @@ func TestDecodeSnapshotTruncated(t *testing.T) {
 		}
 	}
 	p, _ := sys.Prepared("smallgroup")
-	delta := sys.DB().Flatten("ingest-delta", []int{500, 501, 502}, nil, nil)
 	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, p, Checkpoint{DataGen: 3, BaseRows: 500, Seg: 1, Off: 64}, delta, c.identEntries()); err != nil {
+	if err := WriteCheckpoint(&buf, p, Checkpoint{DataGen: 3, BaseRows: 500, Seg: 1, Off: 64}, sys.DB(), c.identEntries()); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()

@@ -654,17 +654,9 @@ func (c *Coordinator) SaveCheckpoint(cat *catalog.Catalog) (CheckpointResult, er
 	c.mu.Unlock()
 
 	// Both the database version and the prepared state are immutable
-	// snapshots, so flattening the delta and writing the file race nothing.
-	var delta *engine.Table
-	if n := db.NumRows(); uint64(n) > ck.BaseRows {
-		rows := make([]int, 0, uint64(n)-ck.BaseRows)
-		for i := int(ck.BaseRows); i < n; i++ {
-			rows = append(rows, i)
-		}
-		delta = db.Flatten("ingest-delta", rows, nil, nil)
-	}
+	// snapshots, so writing the file races nothing.
 	cgen, err := cat.SaveWithCheckpoint(func(w io.Writer) error {
-		return WriteCheckpoint(w, p, ck, delta, ids)
+		return WriteCheckpoint(w, p, ck, db, ids)
 	}, &catalog.CheckpointInfo{DataGeneration: ck.DataGen, WALSegment: ck.Seg, WALOffset: ck.Off})
 	if err != nil && cgen == 0 {
 		obsCheckpoints.With("error").Inc()

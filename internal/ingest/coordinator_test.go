@@ -594,20 +594,29 @@ func TestCoordinatorDriftTriggersOneRebuild(t *testing.T) {
 }
 
 func BenchmarkIngest(b *testing.B) {
-	dir := b.TempDir()
-	_, c, _ := newIngestSystem(b, 20000, dir, Config{Online: core.OnlineConfig{Seed: 23}})
-	rng := randx.New(29)
 	const batchRows = 100
+	rng := randx.New(29)
 	batches := make([][][]engine.Value, 0, 64)
 	for i := 0; i < 64; i++ {
 		batches = append(batches, ingestRows(rng, batchRows))
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Ingest("", batches[i%len(batches)]); err != nil {
-			b.Fatal(err)
-		}
+	// B/op at the longer tables is what shows a cost that grows with the
+	// base data or the sample family instead of with the batch.
+	for _, base := range []struct {
+		name string
+		rows int
+	}{{"rows=20k", 20_000}, {"rows=100k", 100_000}, {"rows=1M", 1_000_000}} {
+		b.Run(base.name, func(b *testing.B) {
+			_, c, _ := newIngestSystem(b, base.rows, b.TempDir(), Config{Online: core.OnlineConfig{Seed: 23}})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Ingest("", batches[i%len(batches)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.N*batchRows)/b.Elapsed().Seconds(), "rows/sec")
+		})
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N*batchRows)/b.Elapsed().Seconds(), "rows/sec")
 }

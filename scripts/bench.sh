@@ -18,7 +18,7 @@ bench_json() {
   bash scripts/bench_json.sh "$1" "$2"
 }
 
-echo "bench: ingest path (WAL append + fsync + online maintenance)..." >&2
+echo "bench: ingest path (WAL append + fsync + online maintenance; base tables of 20k, 100k and 1M rows)..." >&2
 go test ./internal/ingest -run '^$' -bench 'BenchmarkIngest' \
   -benchtime "$BENCHTIME" -benchmem | tee /tmp/bench_ingest.txt
 bench_json "$OUTDIR/BENCH_ingest.json" /tmp/bench_ingest.txt
@@ -30,9 +30,11 @@ go test ./internal/engine -run '^$' -bench 'BenchmarkScanKernel' \
   -benchtime "$BENCHTIME" -benchmem | tee -a /tmp/bench_query.txt
 bench_json "$OUTDIR/BENCH_query.json" /tmp/bench_query.txt
 
-echo "bench: pre-processing layers (count, classify, materialise, online seeding; tpch spec, 200k rows)..." >&2
+echo "bench: pre-processing layers (count, classify, materialise, online seeding; tpch spec, 200k rows) and base-data generation (tpch spec, 1M rows)..." >&2
 go test ./internal/core -run '^$' -bench 'BenchmarkPreprocessLayers' \
   -benchtime "$BENCHTIME" -benchmem | tee /tmp/bench_preprocess.txt
+go test ./internal/scenario -run '^$' -bench 'BenchmarkGenerate' \
+  -benchtime "$BENCHTIME" -benchmem | tee -a /tmp/bench_preprocess.txt
 bench_json "$OUTDIR/BENCH_preprocess.json" /tmp/bench_preprocess.txt
 
 echo "bench: wrote $OUTDIR/BENCH_ingest.json, $OUTDIR/BENCH_query.json and $OUTDIR/BENCH_preprocess.json" >&2
