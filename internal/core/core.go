@@ -163,6 +163,7 @@ type preparedSet struct {
 func NewSystem(db *engine.Database) *System {
 	s := &System{}
 	s.data.Store(&dataState{db: db})
+	engine.ObserveBytes("base", db.TotalBytes(), db.StoredBytes())
 	s.set.Store(&preparedSet{
 		prepared: map[string]Prepared{},
 		prepTime: map[string]time.Duration{},
@@ -192,6 +193,7 @@ func (s *System) SwapData(db *engine.Database, gen uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.data.Store(&dataState{db: db, gen: gen})
+	engine.ObserveBytes("base", db.TotalBytes(), db.StoredBytes())
 }
 
 // update installs a copy-on-write modification of the prepared set.
@@ -211,6 +213,14 @@ func (s *System) update(mutate func(*preparedSet)) {
 	}
 	mutate(next)
 	s.set.Store(next)
+	var logical, stored int64
+	for _, p := range next.prepared {
+		logical += p.SampleBytes()
+		if sp, ok := p.(interface{ StoredBytes() int64 }); ok {
+			stored += sp.StoredBytes()
+		}
+	}
+	engine.ObserveBytes("samples", logical, stored)
 }
 
 // AddStrategy runs a strategy's pre-processing phase and registers the

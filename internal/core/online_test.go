@@ -588,9 +588,9 @@ func TestOnlineNewValueInDroppedColumn(t *testing.T) {
 // skewedDB(n) — no spare capacity, as a restored base has none — with an
 // overall sample of sampleRows rows, and returns the mean bytes one 200-row
 // Apply allocated over the first batches.
-func applyBytesPerBatch(t *testing.T, n, sampleRows int) float64 {
+func applyBytesPerBatch(t *testing.T, n, sampleRows, batches int) float64 {
 	t.Helper()
-	const batches, batch = 20, 200
+	const batch = 200
 	all := make([]int, n)
 	for i := range all {
 		all[i] = i
@@ -617,17 +617,21 @@ func applyBytesPerBatch(t *testing.T, n, sampleRows int) float64 {
 		}
 	}
 	runtime.ReadMemStats(&after)
-	return float64(after.TotalAlloc-before.TotalAlloc) / batches
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(batches)
 }
 
 // TestOnlineApplyAllocatesPerBatchNotPerTable: with the overall sample held
 // at one size, applying a batch costs the same on a base table ten times as
-// long — no column of the base data is copied to make room.
+// long — no column of the base data is copied to make room — over the first
+// 20 batches and over 120, in which every base column fills and seals 23
+// chunks.
 func TestOnlineApplyAllocatesPerBatchNotPerTable(t *testing.T) {
-	small, large := applyBytesPerBatch(t, 50_000, 5000), applyBytesPerBatch(t, 500_000, 5000)
-	t.Logf("bytes per 200-row Apply: %.0f over 50k rows, %.0f over 500k rows", small, large)
-	if large > 2*small {
-		t.Fatalf("Apply allocates %.0f B a batch over 500k rows against %.0f B over 50k: it grows with the table", large, small)
+	for _, batches := range []int{20, 120} {
+		small, large := applyBytesPerBatch(t, 50_000, 5000, batches), applyBytesPerBatch(t, 500_000, 5000, batches)
+		t.Logf("bytes per 200-row Apply over %d batches: %.0f over 50k rows, %.0f over 500k rows", batches, small, large)
+		if large > 2*small {
+			t.Fatalf("Apply allocates %.0f B a batch over 500k rows against %.0f B over 50k: it grows with the table", large, small)
+		}
 	}
 }
 

@@ -46,3 +46,6 @@ func (s *SingleSample) SampleRows() int64 { return int64(s.Table.NumRows()) }
 
 // SampleBytes implements Prepared.
 func (s *SingleSample) SampleBytes() int64 { return s.Table.ApproxBytes() }
+
+// StoredBytes is what the sample table holds in memory.
+func (s *SingleSample) StoredBytes() int64 { return s.Table.StoredBytes() }

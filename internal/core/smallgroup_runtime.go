@@ -21,12 +21,12 @@ type sampleSource struct {
 
 func (s sampleSource) rows() int64 { return int64(s.src.NumRows()) }
 
-func (s sampleSource) bytes() int64 {
+func (s sampleSource) bytes(size func(*engine.Table) int64) int64 {
 	switch v := s.src.(type) {
 	case *engine.Table:
-		return v.ApproxBytes()
+		return size(v)
 	case *engine.Database:
-		return v.Fact.ApproxBytes() // shared reduced dimensions counted once, separately
+		return size(v.Fact) // shared reduced dimensions counted once, separately
 	default:
 		return 0
 	}
@@ -267,15 +267,21 @@ func (p *smallGroupPrepared) SampleRows() int64 {
 	return n
 }
 
-// SampleBytes implements Prepared. For renormalized storage the shared
-// reduced dimension tables are counted once.
-func (p *smallGroupPrepared) SampleBytes() int64 {
-	b := p.overall.bytes()
+// SampleBytes implements Prepared: the logical size the space budgets count.
+func (p *smallGroupPrepared) SampleBytes() int64 { return p.bytes((*engine.Table).ApproxBytes) }
+
+// StoredBytes is what the sample tables hold in memory.
+func (p *smallGroupPrepared) StoredBytes() int64 { return p.bytes((*engine.Table).StoredBytes) }
+
+// bytes sums a size over the sample tables. For renormalized storage the
+// shared reduced dimension tables are counted once.
+func (p *smallGroupPrepared) bytes(size func(*engine.Table) int64) int64 {
+	b := p.overall.bytes(size)
 	for _, t := range p.tables {
-		b += t.bytes()
+		b += t.bytes(size)
 	}
 	for _, d := range p.sharedDims {
-		b += d.ApproxBytes()
+		b += size(d)
 	}
 	return b
 }

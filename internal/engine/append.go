@@ -6,13 +6,16 @@ import "fmt"
 // are being served from it, which the engine makes safe with copy-on-write
 // structural sharing: an append never mutates storage visible to a published
 // version. CloneForAppend copies a table's column headers, sharing every
-// chunk and the chunk lists, and every subsequent append lands at row indices
-// at or beyond the old length — in the open tail chunk or in a new one,
-// addresses no reader of the old version ever touches — so a single serial
+// chunk, the chunk lists and the open tail, and every subsequent append lands
+// at row indices at or beyond the old length — in the tail, or in a new one
+// once the full tail has been sealed onto the end of the chunk list: slots
+// no reader of the old version ever touches — so a single serial
 // writer can grow the newest version while arbitrarily many readers scan
-// older ones without locks or data races. A version therefore costs its
-// headers, not its rows: every sealed chunk has one copy however many
-// versions are pinned.
+// older ones without locks or data races. Sealing replaces nothing: a version
+// that was published with half a tail keeps reading that tail, and only
+// versions published after the seal see the packed chunk. A version therefore
+// costs its headers, not its rows: every sealed chunk has one copy however
+// many versions are pinned.
 //
 // That holds for one writer lineage only. A second writer starting from an
 // older version would fill the same tail slots the first already published,
@@ -28,6 +31,7 @@ import "fmt"
 // cloneForAppend returns a column copy sharing all row storage. Appends to
 // the clone are invisible to the original.
 func (c *Column) cloneForAppend() *Column {
+	c.tailShared = true
 	cc := *c
 	return &cc
 }
@@ -35,9 +39,9 @@ func (c *Column) cloneForAppend() *Column {
 // ownList makes the column's chunk list this version's own, so that entries
 // can be replaced without an older version seeing it.
 func (c *Column) ownList() {
-	c.ints = append(chunked[int64](nil), c.ints...)
-	c.floats = append(chunked[float64](nil), c.floats...)
-	c.codes = append(chunked[int32](nil), c.codes...)
+	c.ints.sealed = append([]chunk[int64](nil), c.ints.sealed...)
+	c.floats.sealed = append([]chunk[float64](nil), c.floats.sealed...)
+	c.codes.sealed = append([]chunk[int32](nil), c.codes.sealed...)
 }
 
 // ownChunk replaces chunk k by a copy this version may overwrite.
@@ -52,21 +56,20 @@ func (c *Column) ownChunk(k int) {
 	}
 }
 
-// setValue overwrites row i in place. The chunk holding it must be this
-// version's own (see Table.SetRow); overwriting a shared chunk would tear
-// published versions.
+// setValue overwrites row i. The chunk holding it must be this version's own
+// (see Table.SetRow); overwriting a shared chunk would tear published
+// versions.
 func (c *Column) setValue(i int, v Value) {
 	if v.T != c.Type {
 		panic(fmt.Sprintf("engine: set %s value in %s column %q", v.T, c.Type, c.Name))
 	}
-	k, o := i>>chunkShift, i&(chunkRows-1)
 	switch c.Type {
 	case Int:
-		c.ints[k][o] = v.I
+		c.ints.set(i, v.I)
 	case Float:
-		c.floats[k][o] = v.F
+		c.floats.set(i, v.F)
 	default:
-		c.codes[k][o] = c.code(v.S)
+		c.codes.set(i, c.code(v.S))
 	}
 }
 
@@ -89,10 +92,11 @@ func (t *Table) CloneForAppend() *Table {
 }
 
 // SetRow overwrites row i with vals (schema order), copy-on-write: the first
-// overwrite a version makes in a chunk copies that chunk of every column, so
-// versions this one was cloned from keep their rows and every other chunk
-// stays shared. Dictionaries are shared too: replacement strings append new
-// codes, never rewrite old entries. Masks and Weights are the caller's to
+// overwrite a version makes in a chunk copies that chunk of every column, as
+// it is stored, so versions this one was cloned from keep their rows and
+// every other chunk stays shared; a value outside a packed copy's span has it
+// sealed again, wider. Dictionaries are shared too: replacement strings append
+// new codes, never rewrite old entries. Masks and Weights are the caller's to
 // copy before it writes to them.
 func (t *Table) SetRow(i int, vals ...Value) {
 	if len(vals) != len(t.cols) {
@@ -232,7 +236,7 @@ func (db *Database) newest() error {
 		for _, c := range t.cols {
 			if c.stale() {
 				return fmt.Errorf("engine: database %q holds table %q at %d rows but %d are written: %s",
-					db.Name, t.Name, c.n, *c.written, lineageRule)
+					db.Name, t.Name, c.n, c.written, lineageRule)
 			}
 		}
 	}

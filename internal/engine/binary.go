@@ -35,6 +35,7 @@ func (db *Database) WriteRowsBinary(w io.Writer, name string, lo, hi int) error 
 	views := make([]ColumnView, len(db.colNames))
 	for i, cn := range db.colNames {
 		views[i], _ = db.View(cn) // a name from colNames is bound
+		views[i].sealLast()
 	}
 	return writeRows(w, name, views, lo, hi, true, nil, nil)
 }
@@ -103,13 +104,6 @@ type blockEncoder struct {
 	vals blockBuf
 }
 
-// block returns the values of view rows [lo, lo+n) of one column, which must
-// not cross a scan block edge: see window.
-func block[T any](s chunked[T], fk chunked[int64], lo, n int, buf []T) []T {
-	vals, _ := window(s, fk, identity[:n], lo, buf)
-	return vals[:n]
-}
-
 // column writes the values of view rows [lo, hi); a string column's codes
 // are translated through remap when it is not nil.
 func (e *blockEncoder) column(v *ColumnView, lo, hi int, remap []int32) {
@@ -118,15 +112,15 @@ func (e *blockEncoder) column(v *ColumnView, lo, hi int, remap []int32) {
 		switch v.Type {
 		case Int:
 			b := e.buf
-			for _, x := range block(v.ints, v.fk, lo, n, e.vals.ints) {
+			for _, x := range block(&v.ints, v.join(), lo, n, e.vals.ints, e.vals.ids) {
 				b = binary.LittleEndian.AppendUint64(b, uint64(x))
 			}
 			e.w.Write(b)
 		case Float:
-			e.floats(block(v.floats, v.fk, lo, n, e.vals.floats))
+			e.floats(block(&v.floats, v.join(), lo, n, e.vals.floats, e.vals.ids))
 		default:
 			b := e.buf
-			for _, code := range block(v.codes, v.fk, lo, n, e.vals.codes) {
+			for _, code := range block(&v.codes, v.join(), lo, n, e.vals.codes, e.vals.ids) {
 				if remap != nil {
 					code = remap[code]
 				}
@@ -155,7 +149,7 @@ func (e *blockEncoder) usedDict(v *ColumnView, lo, hi int) (dict []string, remap
 	}
 	for n := 0; lo < hi; lo += n {
 		n = blockLen(lo, hi)
-		for _, code := range block(v.codes, v.fk, lo, n, e.vals.codes) {
+		for _, code := range block(&v.codes, v.join(), lo, n, e.vals.codes, e.vals.ids) {
 			if remap[code] < 0 {
 				remap[code] = int32(len(dict))
 				dict = append(dict, v.Dict[code])
@@ -166,22 +160,25 @@ func (e *blockEncoder) usedDict(v *ColumnView, lo, hi int) (dict []string, remap
 }
 
 // readChunks reads rows values of the given width into chunks, one ReadFull
-// and one decode call per chunk. A chunk is allocated once its bytes have
-// arrived: the header's row count is never trusted for an allocation size,
-// since a corrupted or hostile stream could claim billions of rows.
-func readChunks[T any](r io.Reader, rows uint32, width int, buf []byte, decode func(dst []T, src []byte) error) (chunked[T], error) {
-	var s chunked[T]
+// and one decode call per chunk, each sealed as it arrives. A chunk is
+// allocated once its bytes have arrived: the header's row count is never
+// trusted for an allocation size, since a corrupted or hostile stream could
+// claim billions of rows.
+func readChunks[T stored](r io.Reader, rows uint32, width int, buf []byte, decode func(dst []T, src []byte) error) (s chunked[T], err error) {
+	var vals []T
 	for left := int(rows); left > 0; left -= chunkRows {
 		n := min(left, chunkRows)
 		src := buf[:n*width]
 		if _, err := io.ReadFull(r, src); err != nil {
-			return nil, err
+			return s, err
 		}
-		chunk := make([]T, n)
-		if err := decode(chunk, src); err != nil {
-			return nil, err
+		if len(vals) != n {
+			vals = make([]T, n)
 		}
-		s = append(s, chunk)
+		if err := decode(vals, src); err != nil {
+			return s, err
+		}
+		vals = s.add(vals)
 	}
 	return s, nil
 }
@@ -273,8 +270,7 @@ func ReadBinary(r io.Reader) (*Table, error) {
 				if _, dup := c.dictIx[s]; dup {
 					return nil, fmt.Errorf("engine: dictionary entry %q repeated", s)
 				}
-				c.dict = append(c.dict, s)
-				c.dictIx[s] = int32(i)
+				c.addDict(s)
 			}
 			c.codes, err = readChunks(br, rows, 4, buf, func(dst []int32, src []byte) error {
 				for i := range dst {
@@ -290,7 +286,7 @@ func ReadBinary(r io.Reader) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.n, *c.written = int(rows), int(rows)
+		c.n, c.written = int(rows), int(rows)
 		cols[j] = c
 	}
 	t := NewTable(name, cols...)
@@ -336,8 +332,8 @@ func ReadBinary(r io.Reader) (*Table, error) {
 			return nil, err
 		}
 		t.Weights = make([]float64, 0, rows)
-		for _, chunk := range chunks {
-			t.Weights = append(t.Weights, chunk...)
+		for k := 0; len(t.Weights) < int(rows); k++ {
+			t.Weights = append(t.Weights, chunks.chunk(k).wide...)
 		}
 	}
 	return t, nil

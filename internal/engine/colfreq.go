@@ -14,7 +14,7 @@ import (
 // them answer it here, over typed storage and through the star join instead
 // of row by row through ColumnAccessor.Value:
 //
-//   - a fact column is tallied by a typed loop over its own chunks: densely by
+//   - a fact column is tallied by a typed loop over its own blocks: densely by
 //     dictionary code for strings, in an int64- or float64-keyed map (with
 //     the τ early exit) for numerics;
 //   - a dimension column is never scanned at fact-table length. One pass over
@@ -29,13 +29,16 @@ import (
 // ColumnView is a typed, read-only window onto one column of a table or of a
 // database's joined view: the chunks for its type and, for a dimension
 // column, the fact table's foreign-key chunks. The value of view row r is row
-// r of the typed storage when fk is nil and row fk.at(r) otherwise, so hot
-// loops read a block of rows as a slice (chunked.run) or a row by chunk and
+// r of the typed storage for a fact column and row fk.at(r) of it otherwise,
+// so hot loops read a block of rows as a slice (block) or a row by chunk and
 // offset (chunked.at) instead of boxing every cell into a Value.
 //
 // The chunks are the column's own storage, and rows is the length of the
 // version the view was taken from. They must not be modified, and they stay
-// valid while an Appender grows later versions: appends land beyond rows.
+// valid while later versions of the table grow (CloneForAppend, an Appender):
+// appends land beyond rows. Appending to the very version a view was taken
+// from ends the view: a table built by one version fills one tail again and
+// again.
 type ColumnView struct {
 	Name string
 	Type Type
@@ -46,8 +49,34 @@ type ColumnView struct {
 	Dict   []string         // Type == String: code -> string
 	rows   int              // rows of the table that stores the column
 
-	fk  chunked[int64] // fact row -> row of the owning dimension; nil for fact columns
-	Dim int            // index into Database.Dims; -1 when fk is nil
+	fk  chunked[int64] // fact row -> row of the owning dimension; unset for fact columns
+	Dim int            // index into Database.Dims; -1 for fact columns
+}
+
+// sealLast gives the view of a dimension column every row in the sealed
+// list. Rows read through a join come in no order, and a dimension of a chunk
+// or two has half of them in its open tail: read row by row in two forms,
+// they cost a mispredicted branch each. A view whose rows are gathered
+// (window) is therefore bound with a sealed copy of the tail.
+func (v *ColumnView) sealLast() {
+	switch {
+	case v.Dim < 0:
+	case v.Type == Int:
+		v.ints.sealLast(v.rows)
+	case v.Type == Float:
+		v.floats.sealLast(v.rows)
+	default:
+		v.codes.sealLast(v.rows)
+	}
+}
+
+// join returns the foreign keys a dimension column is read through, nil for
+// a fact column.
+func (v *ColumnView) join() *chunked[int64] {
+	if v.Dim < 0 {
+		return nil
+	}
+	return &v.fk
 }
 
 // View returns the typed view of a flat table's column.
@@ -116,14 +145,14 @@ func (db *Database) ColumnFrequencies(names []string, limit, workers int) ([]*Co
 			return nil, err
 		}
 		out[i] = &ColumnFreq{View: v}
-		if v.fk == nil {
+		if v.Dim < 0 {
 			passOf[i] = len(passes)
 			passes = append(passes, pass{v: v})
 			continue
 		}
 		if _, ok := fkPass[v.Dim]; !ok {
 			fkPass[v.Dim] = len(passes)
-			passes = append(passes, pass{v: ColumnView{Type: Int, ints: v.fk}, dimRows: db.Dims[v.Dim].Table.NumRows()})
+			passes = append(passes, pass{v: ColumnView{Type: Int, ints: v.fk, Dim: -1}, dimRows: db.Dims[v.Dim].Table.NumRows()})
 		}
 		passOf[i] = fkPass[v.Dim]
 	}
@@ -147,7 +176,7 @@ func (db *Database) ColumnFrequencies(names []string, limit, workers int) ([]*Co
 	parallel.ForEach(workers, len(out), func(i int) {
 		f := out[i]
 		f.t = merged[passOf[i]]
-		if f.View.fk != nil {
+		if f.View.Dim >= 0 {
 			f.t = foldDimension(f.View, f.t.dense, limit)
 		}
 		f.Over = f.t.over
@@ -180,42 +209,44 @@ func (p pass) tally(lo, hi, limit int) tally {
 	var t tally
 	switch {
 	case p.v.Type == String:
-		t.dense = tallyDense(p.v.codes, lo, hi, len(p.v.Dict))
+		t.dense = tallyDense(&p.v.codes, lo, hi, len(p.v.Dict))
 	case p.dimRows > 0:
-		t.dense = tallyDense(p.v.ints, lo, hi, p.dimRows)
+		t.dense = tallyDense(&p.v.ints, lo, hi, p.dimRows)
 	case p.v.Type == Int:
-		t.ints, t.over = tallyMap(p.v.ints, lo, hi, limit)
+		t.ints, t.over = tallyMap(&p.v.ints, lo, hi, limit)
 	default:
-		t.floats, t.over = tallyMap(p.v.floats, lo, hi, limit)
+		t.floats, t.over = tallyMap(&p.v.floats, lo, hi, limit)
 	}
 	return t
 }
 
 // tallyDense counts rows [lo,hi) of s, whose values index an array of the
-// given size, a chunk's share at a time.
-func tallyDense[T int32 | int64](s chunked[T], lo, hi, size int) []int64 {
+// given size, a block at a time.
+func tallyDense[T int32 | int64](s *chunked[T], lo, hi, size int) []int64 {
 	dense := make([]int64, size)
-	for w := s.run(lo, hi); len(w) > 0; w = s.run(lo, hi) {
-		for _, x := range w {
+	var buf [scanBlockRows]T
+	for n := 0; lo < hi; lo += n {
+		n = blockLen(lo, hi)
+		for _, x := range block(s, nil, lo, n, buf[:], nil) {
 			dense[x]++
 		}
-		lo += len(w)
 	}
 	return dense
 }
 
 // tallyMap counts rows [lo,hi) of s by value and stops, reporting over, at
 // the first row that takes it past limit distinct values.
-func tallyMap[T int64 | float64](s chunked[T], lo, hi, limit int) (counts map[T]int64, over bool) {
+func tallyMap[T int64 | float64](s *chunked[T], lo, hi, limit int) (counts map[T]int64, over bool) {
 	counts = make(map[T]int64)
-	for w := s.run(lo, hi); len(w) > 0; w = s.run(lo, hi) {
-		for _, x := range w {
+	var buf [scanBlockRows]T
+	for n := 0; lo < hi; lo += n {
+		n = blockLen(lo, hi)
+		for _, x := range block(s, nil, lo, n, buf[:], nil) {
 			counts[x]++
 			if len(counts) > limit {
 				return nil, true
 			}
 		}
-		lo += len(w)
 	}
 	return counts, false
 }
@@ -348,7 +379,7 @@ func (f *ColumnFreq) Classify(class func(Value) int8) *ColumnClasses {
 			}
 		}
 	}
-	if f.View.fk != nil {
+	if f.View.Dim >= 0 {
 		byDimRow := make([]int8, f.View.rows)
 		for d := range byDimRow {
 			byDimRow[d] = c.own(d)
@@ -457,42 +488,49 @@ func (rc *RowClassifier) Bits(row int, dst []uint64) bool {
 
 // gather copies the values at the given positions of the column's own
 // storage (fact rows for a fact column, dimension rows for a dimension
-// column) into a new column, one typed loop per column. A string column's
+// column) into a new column, sealed chunk by chunk. A string column's
 // dictionary is rebuilt in order of first appearance, translating codes
 // instead of re-hashing strings.
 func (v ColumnView) gather(at []int) *Column {
 	nc := newColumn(v.Name, v.Type, len(at))
 	switch v.Type {
 	case Int:
-		gatherRows(nc.ints, v.ints, at)
+		nc.ints = gatherRows(&v.ints, at, nil)
 	case Float:
-		gatherRows(nc.floats, v.floats, at)
+		nc.floats = gatherRows(&v.floats, at, nil)
 	default:
-		gatherRows(nc.codes, v.codes, at)
 		codeMap := make([]int32, len(v.Dict))
 		for k := range codeMap {
 			codeMap[k] = -1
 		}
-		for _, chunk := range nc.codes {
-			for i, code := range chunk {
+		nc.codes = gatherRows(&v.codes, at, func(codes []int32) {
+			for i, code := range codes {
 				if codeMap[code] < 0 {
-					codeMap[code] = int32(len(nc.dict))
-					nc.dict = append(nc.dict, v.Dict[code])
-					nc.dictIx[v.Dict[code]] = codeMap[code]
+					codeMap[code] = nc.addDict(v.Dict[code])
 				}
-				chunk[i] = codeMap[code]
+				codes[i] = codeMap[code]
 			}
-		}
+		})
 	}
 	return nc
 }
 
-// gatherRows fills dst, made for len(at) rows, with src's rows at.
-func gatherRows[T any](dst, src chunked[T], at []int) {
-	for _, chunk := range dst {
-		for i := range chunk {
-			chunk[i] = src.at(at[i])
+// gatherRows returns src's rows at as storage built in one go: every chunk
+// sealed, the last one short. translate, when not nil, rewrites each chunk's
+// values before they are sealed.
+func gatherRows[T stored](src *chunked[T], at []int, translate func([]T)) (dst chunked[T]) {
+	var vals []T
+	for n := 0; len(at) > 0; at = at[n:] {
+		if n = min(len(at), chunkRows); len(vals) != n {
+			vals = make([]T, n)
 		}
-		at = at[len(chunk):]
+		for i := range vals {
+			vals[i] = src.at(at[i])
+		}
+		if translate != nil {
+			translate(vals)
+		}
+		vals = dst.add(vals)
 	}
+	return dst
 }

@@ -1,14 +1,18 @@
 package engine
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"unsafe"
+)
 
 // chunkRows is how many rows one storage chunk holds. A column's values live
 // in a list of chunks, every chunk but the last full. It is a power of two,
 // a multiple of scanBlockRows and a divisor of ScanShardRows, so a scan block
-// never crosses a chunk edge and the kernel reads a block as one plain slice.
-// One scan block per chunk is also an exact allocator size class (8 KiB of
-// int64/float64, 4 KiB of codes), so a chunk carries no slack. Measured
-// against 4 096 on ingest_only: ARCHITECTURE.md §5.
+// never crosses a chunk edge and the kernel reads a block from one chunk.
+// One scan block per chunk is also an exact allocator size class at every
+// width (1 to 8 KiB), so a chunk carries no slack. Measured against 4 096 on
+// ingest_only: ARCHITECTURE.md §5.
 const (
 	chunkShift = 10
 	chunkRows  = 1 << chunkShift
@@ -21,69 +25,253 @@ var (
 	_ [0]struct{} = [ScanShardRows % chunkRows]struct{}{}
 )
 
-// chunked is the row storage of one column: row i is s[i/chunkRows][i%chunkRows].
-//
-// A chunk whose rows are all written is sealed: nothing writes to it again,
-// and every version of the table holds the same backing array. The last
-// chunk is the open tail. The writer fills it in place, beyond the length any
-// published version reads, and the list of chunks grows the same way; both
-// are the copy-on-write rule of append.go. Every entry has len == cap, so
-// growing a version never rewrites a slice header an older version reads.
-type chunked[T any] [][]T
+// stored is what a column keeps per row: dictionary codes, integers or floats.
+type stored interface{ int32 | int64 | float64 }
 
-// makeChunked returns storage for exactly n rows: full chunks and a tail cut
-// to length, as a table that is built once (gather, ReadBinary) wants it.
-func makeChunked[T any](n int) chunked[T] {
-	s := make(chunked[T], 0, (n+chunkRows-1)/chunkRows)
-	for ; n > 0; n -= chunkRows {
-		s = append(s, make([]T, min(n, chunkRows)))
-	}
-	return s
+// chunk is the stored form of up to chunkRows consecutive rows, immutable
+// once made: frame-of-reference packed — min plus one unsigned little-endian
+// offset of width bytes per row — when the chunk's integers span less than
+// their type holds, and the values themselves (wide) otherwise, floats always.
+type chunk[T stored] struct {
+	wide  []T
+	b     []byte
+	min   T
+	width uint8 // bytes per offset in b: 1, 2 or 4; 0 when wide
 }
 
-func (s chunked[T]) at(i int) T { return s[i>>chunkShift][i&(chunkRows-1)] }
+// seal returns the stored form of vals at the narrowest width that holds
+// them. A chunk that cannot be narrowed keeps vals itself.
+func seal[T stored](vals []T) chunk[T] {
+	full := 0 // bytes of an unpacked value; floats are not packed
+	switch any(vals).(type) {
+	case []int32:
+		full = 4
+	case []int64:
+		full = 8
+	}
+	if full == 0 || len(vals) == 0 {
+		return chunk[T]{wide: vals}
+	}
+	lo, hi := vals[0], vals[0]
+	for _, v := range vals[1:] {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	// Taken in uint64, the span of MinInt64..MaxInt64 does not wrap.
+	span, w := uint64(hi)-uint64(lo), 1
+	for w < full && span>>(8*w) != 0 {
+		w *= 2
+	}
+	if w == full {
+		return chunk[T]{wide: vals}
+	}
+	c := chunk[T]{b: make([]byte, w*len(vals)), min: lo, width: uint8(w)}
+	switch w {
+	case 1:
+		for i, v := range vals {
+			c.b[i] = byte(v - lo)
+		}
+	case 2:
+		for i, v := range vals {
+			binary.LittleEndian.PutUint16(c.b[2*i:], uint16(v-lo))
+		}
+	default:
+		for i, v := range vals {
+			binary.LittleEndian.PutUint32(c.b[4*i:], uint32(v-lo))
+		}
+	}
+	return c
+}
 
-// from returns row lo and the rows after it in its chunk. A scan block never
-// crosses a chunk edge, so the kernel reads a block through this one slice.
-func (s chunked[T]) from(lo int) []T { return s[lo>>chunkShift][lo&(chunkRows-1):] }
+// bytes is what the chunk holds, its list entry included.
+func (c *chunk[T]) bytes() int64 {
+	return int64(unsafe.Sizeof(*c)) + int64(len(c.b)) + int64(len(c.wide))*int64(unsafe.Sizeof(c.min))
+}
 
-// run returns the rows of [lo, hi) that sit in lo's chunk; walking a range
-// that crosses chunk edges is
+func (c *chunk[T]) rows() int {
+	if c.width == 0 {
+		return len(c.wide)
+	}
+	return len(c.b) / int(c.width)
+}
+
+func (c *chunk[T]) at(o int) T {
+	switch c.width {
+	case 1:
+		return c.min + T(c.b[o])
+	case 2:
+		return c.min + T(binary.LittleEndian.Uint16(c.b[2*o:]))
+	case 4:
+		return c.min + T(binary.LittleEndian.Uint32(c.b[4*o:]))
+	}
+	return c.wide[o]
+}
+
+// decode sets dst[j] to the chunk's row lo+sel[j], or, when sel is nil, to
+// row lo+j for all of dst: the rows in order, read without a selection.
+func (c *chunk[T]) decode(dst []T, sel []int32, lo int) {
+	if sel != nil {
+		dst = dst[:len(sel)]
+	}
+	switch b := c.b[int(c.width)*lo:]; {
+	case c.width == 0: // read in place by whoever selects (window): only copied whole
+		copy(dst, c.wide[lo:])
+	case c.width == 1 && sel == nil:
+		for j, x := range b[:len(dst)] {
+			dst[j] = c.min + T(x)
+		}
+	case c.width == 1:
+		for j, o := range sel {
+			dst[j] = c.min + T(b[o])
+		}
+	case c.width == 2 && sel == nil:
+		for j := range dst {
+			dst[j] = c.min + T(binary.LittleEndian.Uint16(b[2*j:]))
+		}
+	case c.width == 2:
+		for j, o := range sel {
+			dst[j] = c.min + T(binary.LittleEndian.Uint16(b[2*o:]))
+		}
+	case sel == nil:
+		for j := range dst {
+			dst[j] = c.min + T(binary.LittleEndian.Uint32(b[4*j:]))
+		}
+	default:
+		for j, o := range sel {
+			dst[j] = c.min + T(binary.LittleEndian.Uint32(b[4*o:]))
+		}
+	}
+}
+
+// chunked is the row storage of one column: a list of sealed chunks of
+// chunkRows rows each and, after them, the last chunk — the open tail of a
+// table that is appended to, or the short sealed end of one built in one go
+// (gather, ReadBinary).
 //
-//	for w := s.run(lo, hi); len(w) > 0; w = s.run(lo, hi) { ...; lo += len(w) }
-func (s chunked[T]) run(lo, hi int) []T {
-	if lo >= hi {
+// A sealed chunk is never written again, and every version of the table holds
+// the same one. The open tail holds its values themselves, in an array as
+// long as its capacity. The writer fills it in place, beyond the length any
+// published version reads, and seals it when it is full: the packed chunk
+// goes on the end of the list — again beyond what an older version reads —
+// and this version starts a new tail, while older versions keep reading the
+// rows they have from the old one. Both are the copy-on-write rule of
+// append.go; sealing replaces nothing an older version holds.
+type chunked[T stored] struct {
+	sealed []chunk[T]
+	last   chunk[T]
+	held   int64 // bytes the sealed list holds, entries included
+}
+
+// chunk returns chunk k.
+func (s *chunked[T]) chunk(k int) *chunk[T] {
+	if k < len(s.sealed) {
+		return &s.sealed[k]
+	}
+	return &s.last
+}
+
+func (s *chunked[T]) at(i int) T { return s.chunk(i >> chunkShift).at(i & (chunkRows - 1)) }
+
+// bytes is what the storage holds: nothing for a column of another type.
+func (s *chunked[T]) bytes() int64 {
+	if s.sealed == nil && s.last.rows() == 0 {
+		return 0
+	}
+	return s.held + s.last.bytes()
+}
+
+// add seals vals as the next chunk, the last one if they are fewer than
+// chunkRows. It returns vals for the caller to fill again, or nil when the
+// chunk kept them.
+func (s *chunked[T]) add(vals []T) []T {
+	c := seal(vals)
+	if len(vals) == chunkRows {
+		s.sealed = append(s.sealed, c)
+		s.held += c.bytes()
+	} else {
+		s.last = c
+	}
+	if c.width == 0 {
 		return nil
 	}
-	w := s.from(lo)
-	return w[:min(len(w), hi-lo)]
+	return vals
 }
 
-// push writes v as row n, the row after the last one written.
-func (s *chunked[T]) push(n int, v T) {
-	k, o := n>>chunkShift, n&(chunkRows-1)
-	switch {
-	case k == len(*s):
-		*s = append(*s, make([]T, chunkRows))
-	case o == len((*s)[k]):
-		// A tail that was cut to length. Older versions read its entry, so
-		// the grown copy goes into a list of this version's own.
-		grown := make([]T, min(chunkRows, max(2*o, 16)))
-		copy(grown, (*s)[k])
-		*s = append(chunked[T](nil), *s...)
-		(*s)[k] = grown
+// push writes v as row n, the row after the last one written. *shared says
+// that an older version may hold the open tail too.
+func (s *chunked[T]) push(n int, v T, shared *bool) {
+	o, t := n&(chunkRows-1), &s.last
+	if t.width != 0 || o == len(t.wide) {
+		// No room: the tail was sealed, or the table ends in a short chunk,
+		// packed or not, or in a tail that grows by doubling from one. Older
+		// versions read that chunk, so this one goes on in a copy.
+		size := chunkRows
+		if o > 0 {
+			size = min(chunkRows, max(2*o, 16))
+		}
+		wide := make([]T, size)
+		t.decode(wide[:o], nil, 0)
+		*t, *shared = chunk[T]{wide: wide}, false
 	}
-	(*s)[k][o] = v
+	t.wide[o] = v
+	if o == chunkRows-1 && (s.add(t.wide) == nil || *shared) {
+		// The chunk kept the values themselves, or an older version reads
+		// its rows from this tail: the next row starts another. Otherwise
+		// the tail is filled again, and a table that is built by one
+		// version allocates one per column, not one per chunk.
+		*t = chunk[T]{}
+	}
 }
 
-// own replaces chunk k by a copy, for SetRow to write into. The list must
-// already be this version's own.
-func (s chunked[T]) own(k int) { s[k] = append([]T(nil), s[k]...) }
+// own replaces chunk k by a copy for set to write into. The list must be this
+// version's own (see Table.SetRow).
+func (s *chunked[T]) own(k int) {
+	c := s.chunk(k)
+	c.wide, c.b = append([]T(nil), c.wide...), append([]byte(nil), c.b...)
+}
+
+// set overwrites row i, whose chunk must be this version's own: in place when
+// the chunk holds the values themselves or v is within its span, and else by
+// sealing the chunk again, at the width v needs.
+func (s *chunked[T]) set(i int, v T) {
+	k, o := i>>chunkShift, i&(chunkRows-1)
+	c := s.chunk(k)
+	switch off := uint64(v) - uint64(c.min); {
+	case c.width == 0:
+		c.wide[o] = v
+	case v >= c.min && off>>(8*c.width) == 0:
+		for j := 0; j < int(c.width); j++ {
+			c.b[int(c.width)*o+j] = byte(off >> (8 * j))
+		}
+	default:
+		vals := make([]T, c.rows())
+		c.decode(vals, nil, 0)
+		vals[o] = v
+		was := c.bytes()
+		*c = seal(vals)
+		if k < len(s.sealed) {
+			s.held += c.bytes() - was
+		}
+	}
+}
+
+// sealLast gives this copy of the header — a view's — its last chunk sealed
+// and in the list, the open tail's rows (the column holds rows in all) in a
+// copy: then every row of the column is in the list, in one form.
+func (s *chunked[T]) sealLast(rows int) {
+	if k := len(s.sealed); rows > k<<chunkShift {
+		c := s.last
+		if c.width == 0 {
+			c = seal(append([]T(nil), c.wide[:rows-k<<chunkShift]...))
+		}
+		s.sealed, s.last = append(s.sealed[:k:k], c), chunk[T]{}
+	}
+}
 
 // Column is a typed column of values, stored in chunks (see chunked). String
 // columns are dictionary-encoded: distinct strings are stored once and rows
-// hold int32 codes, which keeps wide categorical schemas (like the 245-column
-// SALES database in the paper) compact.
+// hold codes, a byte each while the chunk's codes span under 256, which keeps
+// wide categorical schemas (like the 245-column SALES database in the paper)
+// compact.
 type Column struct {
 	Name string
 	Type Type
@@ -94,11 +282,22 @@ type Column struct {
 	codes  chunked[int32]
 	dict   []string
 	dictIx map[string]int32
+	// dictBytes is the length of the dictionary's strings, kept as it grows
+	// so that the table's size is read off, not summed.
+	dictBytes int64
 
-	// written is how many rows the chunks hold, shared by every version of
-	// the column (see CloneForAppend). Only the longest version may append:
-	// a shorter one would write over rows a newer version already published.
-	written *int
+	*lineage
+}
+
+// lineage is what every version of a column shares (see CloneForAppend), and
+// only a writer looks at.
+type lineage struct {
+	// written is how many rows the chunks hold. Only the longest version may
+	// append: a shorter one would write over rows a newer version already
+	// published.
+	written int
+	// tailShared says the open tail may be held by more than one version.
+	tailShared bool
 }
 
 // lineageRule is what a stale writer is told.
@@ -109,17 +308,10 @@ func NewColumn(name string, t Type) *Column {
 	return newColumn(name, t, 0)
 }
 
-// newColumn returns a column whose n rows the caller fills in directly.
+// newColumn returns a column of n rows whose storage the caller sets.
 func newColumn(name string, t Type, n int) *Column {
-	written := n
-	c := &Column{Name: name, Type: t, n: n, written: &written}
-	switch t {
-	case Int:
-		c.ints = makeChunked[int64](n)
-	case Float:
-		c.floats = makeChunked[float64](n)
-	default:
-		c.codes = makeChunked[int32](n)
+	c := &Column{Name: name, Type: t, n: n, lineage: &lineage{written: n}}
+	if t == String {
 		c.dictIx = make(map[string]int32)
 	}
 	return c
@@ -130,15 +322,15 @@ func (c *Column) Len() int { return c.n }
 
 // stale reports whether a newer version of the column has rows this one
 // lacks.
-func (c *Column) stale() bool { return c.n != *c.written }
+func (c *Column) stale() bool { return c.n != c.written }
 
 // next claims the row after the last one for an append and returns its index.
 func (c *Column) next() int {
 	if c.stale() {
-		panic(fmt.Sprintf("engine: append to column %q at %d rows, %d written: %s", c.Name, c.n, *c.written, lineageRule))
+		panic(fmt.Sprintf("engine: append to column %q at %d rows, %d written: %s", c.Name, c.n, c.written, lineageRule))
 	}
 	c.n++
-	*c.written = c.n
+	c.written = c.n
 	return c.n - 1
 }
 
@@ -149,11 +341,11 @@ func (c *Column) Append(v Value) {
 	}
 	switch c.Type {
 	case Int:
-		c.ints.push(c.next(), v.I)
+		c.ints.push(c.next(), v.I, &c.tailShared)
 	case Float:
-		c.floats.push(c.next(), v.F)
+		c.floats.push(c.next(), v.F, &c.tailShared)
 	default:
-		c.codes.push(c.next(), c.code(v.S))
+		c.codes.push(c.next(), c.code(v.S), &c.tailShared)
 	}
 }
 
@@ -162,7 +354,7 @@ func (c *Column) AppendInt(v int64) {
 	if c.Type != Int {
 		panic(fmt.Sprintf("engine: AppendInt on %s column %q", c.Type, c.Name))
 	}
-	c.ints.push(c.next(), v)
+	c.ints.push(c.next(), v, &c.tailShared)
 }
 
 // AppendFloat adds a float64 without boxing. The column must be Float-typed.
@@ -170,7 +362,7 @@ func (c *Column) AppendFloat(v float64) {
 	if c.Type != Float {
 		panic(fmt.Sprintf("engine: AppendFloat on %s column %q", c.Type, c.Name))
 	}
-	c.floats.push(c.next(), v)
+	c.floats.push(c.next(), v, &c.tailShared)
 }
 
 // AppendString adds a string without boxing. The column must be String-typed.
@@ -178,7 +370,7 @@ func (c *Column) AppendString(v string) {
 	if c.Type != String {
 		panic(fmt.Sprintf("engine: AppendString on %s column %q", c.Type, c.Name))
 	}
-	c.codes.push(c.next(), c.code(v))
+	c.codes.push(c.next(), c.code(v), &c.tailShared)
 }
 
 // code returns the dictionary code of s, adding s to the dictionary when it
@@ -186,10 +378,17 @@ func (c *Column) AppendString(v string) {
 func (c *Column) code(s string) int32 {
 	code, ok := c.dictIx[s]
 	if !ok {
-		code = int32(len(c.dict))
-		c.dict = append(c.dict, s)
-		c.dictIx[s] = code
+		code = c.addDict(s)
 	}
+	return code
+}
+
+// addDict gives s, which the dictionary must not hold, the next code.
+func (c *Column) addDict(s string) int32 {
+	code := int32(len(c.dict))
+	c.dict = append(c.dict, s)
+	c.dictIx[s] = code
+	c.dictBytes += int64(len(s))
 	return code
 }
 

@@ -180,7 +180,7 @@ func (db *Database) Flatten(name string, rows []int, masks []bitmask.Mask, weigh
 			panic(err)
 		}
 		at := rows
-		if v.fk != nil {
+		if v.Dim >= 0 {
 			if dimRows[v.Dim] == nil {
 				dimRows[v.Dim] = make([]int, len(rows))
 				for j, r := range rows {
@@ -197,11 +197,21 @@ func (db *Database) Flatten(name string, rows []int, masks []bitmask.Mask, weigh
 	return out
 }
 
-// TotalBytes estimates the size of the base data (fact + dimensions).
+// TotalBytes is the logical size of the base data (fact + dimensions): see
+// Table.ApproxBytes.
 func (db *Database) TotalBytes() int64 {
 	b := db.Fact.ApproxBytes()
 	for _, d := range db.Dims {
 		b += d.Table.ApproxBytes()
+	}
+	return b
+}
+
+// StoredBytes is what the base data holds in memory: see Table.StoredBytes.
+func (db *Database) StoredBytes() int64 {
+	b := db.Fact.StoredBytes()
+	for _, d := range db.Dims {
+		b += d.Table.StoredBytes()
 	}
 	return b
 }

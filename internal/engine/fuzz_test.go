@@ -2,8 +2,31 @@ package engine
 
 import (
 	"bytes"
+	"strconv"
 	"testing"
 )
+
+// widthSeedTables are small tables that decode into chunks of every stored
+// width: integers at 1, 2, 4 and 8 bytes and codes at 1 and 2 in the first,
+// and in the second a dictionary long enough for codes at 4 and, at its end,
+// rows whose codes span it.
+func widthSeedTables() []*Table {
+	i1, i2, i4, i8 := NewColumn("i1", Int), NewColumn("i2", Int), NewColumn("i4", Int), NewColumn("i8", Int)
+	s1, s2, s4 := NewColumn("s1", String), NewColumn("s2", String), NewColumn("s4", String)
+	small := NewTable("small", i1, i2, i4, i8, s1, s2)
+	for r := 0; r < 300; r++ {
+		small.AppendRow(IntVal(int64(r%256)-128), IntVal(int64(r)<<7), IntVal(int64(r)<<23), IntVal(int64(r)<<55),
+			StringVal(strconv.Itoa(r%256)), StringVal(strconv.Itoa(r)))
+	}
+	for r := 0; r <= 1<<16+300; r++ {
+		v := r
+		if r > 1<<16 {
+			v = r & 1 << 16 // the first string and the last by turns
+		}
+		s4.AppendString(strconv.FormatInt(int64(v), 36))
+	}
+	return []*Table{small, NewTable("long", s4)}
+}
 
 // FuzzReadBinary asserts the sample-table decoder never panics and never
 // accepts a corrupted stream that then breaks invariants: a successfully
@@ -17,6 +40,13 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add([]byte("DSTB"))
 	f.Add([]byte{})
 	f.Add(overclaimingStream(f)) // the header claims more rows than arrive
+	for _, tbl := range widthSeedTables() {
+		var seed bytes.Buffer
+		if err := WriteBinary(tbl, &seed); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed.Bytes())
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tbl, err := ReadBinary(bytes.NewReader(data))

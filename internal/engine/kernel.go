@@ -22,8 +22,8 @@ import (
 // Shard tables are folded into the scan's table in shard order, and Groups —
 // boxed key Values, the encoded key string — are built from that one table
 // when the scan ends (boundQuery.result). Nothing the kernel allocates grows
-// with the number of source rows: columns are read in place, a block being
-// one window onto the storage chunk it sits in (column.go).
+// with the number of source rows: a block is read from the one storage chunk
+// it sits in (column.go), in place or decoded into a block-sized buffer.
 
 const (
 	// scanBlockRows is how many rows go through the kernel's stages at a
@@ -46,7 +46,6 @@ type boundQuery struct {
 	aggs    []ColumnView // the measure of each SUM; unused for COUNT
 	words   int          // 64-bit words in a row's key
 	dense   int          // size of the direct-indexed table; 0 when keys are hashed
-	joined  bool         // some column is read through a foreign key
 }
 
 // groupCol is one group-by column's share of the key. A string column
@@ -73,7 +72,7 @@ func bindQuery(src Source, q *Query) (*boundQuery, error) {
 		if err != nil {
 			return v, fmt.Errorf("%s column: %w", role, err)
 		}
-		b.joined = b.joined || v.fk != nil
+		v.sealLast()
 		return v, nil
 	}
 	var err error
@@ -140,17 +139,19 @@ func (g *groupCol) value(key []uint64) Value {
 	}
 }
 
-// blockBuf is the scratch a block's values of a dimension column are gathered
-// into, one slice of scanBlockRows per storage type.
+// blockBuf is the scratch a block's values are decoded or gathered into, one
+// slice of scanBlockRows per storage type and one for foreign keys.
 type blockBuf struct {
 	ints   []int64
 	floats []float64
 	codes  []int32
+	ids    []int64
 }
 
 func newBlockBuf() blockBuf {
 	const n = scanBlockRows
-	return blockBuf{ints: make([]int64, n), floats: make([]float64, n), codes: make([]int32, n)}
+	i64 := make([]int64, 2*n)
+	return blockBuf{ints: i64[:n:n], floats: make([]float64, n), codes: make([]int32, n), ids: i64[n:]}
 }
 
 // identity[j] == j: the selection over values gathered in selection order.
@@ -163,18 +164,40 @@ var identity = func() (id [scanBlockRows]int32) {
 
 // window returns the selected rows' values of one column: vals[at[j]] is the
 // value of the block's j-th selected row. sel holds row offsets into the
-// block starting at source row lo. A fact column is read in place, from the
-// chunk the block sits in (at is sel itself); a dimension column's values are
-// gathered through the foreign key into buf.
-func window[T any](s chunked[T], fk chunked[int64], sel []int32, lo int, buf []T) (vals []T, at []int32) {
-	if fk == nil {
-		return s.from(lo), sel
+// block starting at source row lo. There are three ways to read a block. A
+// fact column's chunk that holds the values themselves (floats, integers
+// that need their whole width, the open tail) is read in place: at is sel
+// itself. A packed chunk is decoded, the selected rows only, into vals (in
+// order, without looking at sel, while every row is still selected). A
+// dimension column (fk not nil, and see ColumnView.sealLast) is gathered
+// into vals through the block's foreign keys, themselves read in one of the
+// first two ways into ids.
+func window[T stored](s *chunked[T], fk *chunked[int64], sel []int32, lo int, vals []T, ids []int64) ([]T, []int32) {
+	if fk != nil {
+		rows, at := window(fk, nil, sel, lo, ids, nil)
+		for j, a := range at {
+			r := int(rows[a])
+			vals[j] = s.sealed[r>>chunkShift].at(r & (chunkRows - 1))
+		}
+		return vals, identity[:len(sel)]
 	}
-	ids := fk.from(lo)
-	for j, o := range sel {
-		buf[j] = s.at(int(ids[o]))
+	c, o := s.chunk(lo>>chunkShift), lo&(chunkRows-1)
+	if c.width == 0 {
+		return c.wide[o:], sel
 	}
-	return buf, identity[:len(sel)]
+	if len(sel) == c.rows()-o { // every row from o on: sel counts them off
+		c.decode(vals[:len(sel)], nil, o)
+		return vals, sel
+	}
+	c.decode(vals, sel, o)
+	return vals, identity[:len(sel)]
+}
+
+// block returns the values of view rows [lo, lo+n) of one column, which must
+// not cross a scan block edge.
+func block[T stored](s *chunked[T], fk *chunked[int64], lo, n int, vals []T, ids []int64) []T {
+	vals, _ = window(s, fk, identity[:n], lo, vals, ids)
+	return vals[:n]
 }
 
 // blockLen is how many of rows [lo, hi) sit in lo's scan block. Shards start
@@ -187,17 +210,17 @@ func (g *groupCol) addKeys(keys []uint64, words int, sel []int32, lo int, buf *b
 	keys = keys[g.word:]
 	switch v.Type {
 	case String:
-		codes, at := window(v.codes, v.fk, sel, lo, buf.codes)
+		codes, at := window(&v.codes, v.join(), sel, lo, buf.codes, buf.ids)
 		for j, a := range at {
 			keys[j*words] += uint64(codes[a]) * g.mul
 		}
 	case Int:
-		ints, at := window(v.ints, v.fk, sel, lo, buf.ints)
+		ints, at := window(&v.ints, v.join(), sel, lo, buf.ints, buf.ids)
 		for j, a := range at {
 			keys[j*words] = uint64(ints[a])
 		}
 	default:
-		floats, at := window(v.floats, v.fk, sel, lo, buf.floats)
+		floats, at := window(&v.floats, v.join(), sel, lo, buf.floats, buf.ids)
 		for j, a := range at {
 			keys[j*words] = math.Float64bits(floats[a])
 		}
@@ -209,12 +232,12 @@ func (g *groupCol) addKeys(keys []uint64, words int, sel []int32, lo int, buf *b
 func measure(v *ColumnView, xs []float64, sel []int32, lo int, buf *blockBuf) {
 	switch v.Type {
 	case Int:
-		ints, at := window(v.ints, v.fk, sel, lo, buf.ints)
+		ints, at := window(&v.ints, v.join(), sel, lo, buf.ints, buf.ids)
 		for j, a := range at {
 			xs[j] = float64(ints[a])
 		}
 	case Float:
-		floats, at := window(v.floats, v.fk, sel, lo, buf.floats)
+		floats, at := window(&v.floats, v.join(), sel, lo, buf.floats, buf.ids)
 		for j, a := range at {
 			xs[j] = floats[a]
 		}
@@ -360,7 +383,7 @@ type shardScan struct {
 	to     []int32
 
 	sel  []int32   // offsets of the block's surviving rows
-	buf  blockBuf  // window's buffers; made only for a joined query
+	buf  blockBuf  // window's buffers
 	gids []int32   // group number per surviving row
 	keys []uint64  // key per surviving row
 	ws   []float64 // weight·scale per surviving row
@@ -378,9 +401,7 @@ func (b *boundQuery) newShardScan() *shardScan {
 		keys: make([]uint64, n*b.words),
 		ws:   f64[:n:n],
 		xs:   f64[n:],
-	}
-	if b.joined {
-		s.buf = newBlockBuf()
+		buf:  newBlockBuf(),
 	}
 	return s
 }

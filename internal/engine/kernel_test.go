@@ -25,13 +25,15 @@ var kernelFloats = []float64{
 
 // kernelColumns appends a column set under the given name prefix: strings of
 // low and high cardinality (two high ones together leave the dense regime),
-// ints, and floats drawn from kernelFloats.
+// ints — one of them walking the width edges chunk by chunk (width_test.go)
+// — and floats drawn from kernelFloats.
 func kernelColumns(rng *rand.Rand, prefix string, n int) []*Column {
 	sLow := NewColumn(prefix+"s_low", String)
 	sMid := NewColumn(prefix+"s_mid", String)
 	sHigh := NewColumn(prefix+"s_high", String)
 	iLow := NewColumn(prefix+"i_low", Int)
 	iWide := NewColumn(prefix+"i_wide", Int)
+	iEdge := NewColumn(prefix+"i_edge", Int)
 	f := NewColumn(prefix+"f", Float)
 	for r := 0; r < n; r++ {
 		sLow.AppendString(fmt.Sprintf("l%d", rng.Intn(5)))
@@ -39,9 +41,10 @@ func kernelColumns(rng *rand.Rand, prefix string, n int) []*Column {
 		sHigh.AppendString(fmt.Sprintf("h%d", rng.Intn(400)))
 		iLow.AppendInt(int64(rng.Intn(7)) - 3)
 		iWide.AppendInt(rng.Int63() - rng.Int63())
+		iEdge.AppendInt(widthEdgeInt(rng, r))
 		f.AppendFloat(kernelFloats[rng.Intn(len(kernelFloats))])
 	}
-	return []*Column{sLow, sMid, sHigh, iLow, iWide, f}
+	return []*Column{sLow, sMid, sHigh, iLow, iWide, iEdge, f}
 }
 
 func kernelSideArrays(rng *rand.Rand, n int) ([]bitmask.Mask, []float64) {

@@ -12,7 +12,17 @@ var (
 		"Rows scanned across all source scans.")
 	obsScanShards = obs.Default().Counter("aqp_engine_scan_shards_total",
 		"Partitioned-scan shards processed across all source scans.")
+	obsLogicalBytes = obs.Default().GaugeVec("aqp_engine_logical_bytes",
+		"Size of a set of tables (base, samples) at 8 bytes a numeric value and 4 a dictionary code: what the space budgets count.", "set")
+	obsStoredBytes = obs.Default().GaugeVec("aqp_engine_stored_bytes",
+		"Bytes a set of tables (base, samples) holds in memory, each chunk at the width it was sealed at.", "set")
 )
+
+// ObserveBytes publishes the size of one set of tables, "base" or "samples".
+func ObserveBytes(set string, logical, stored int64) {
+	obsLogicalBytes.With(set).Set(float64(logical))
+	obsStoredBytes.With(set).Set(float64(stored))
+}
 
 // observeScan records one completed scan.
 func observeScan(rows int64, shards int) {

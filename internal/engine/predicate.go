@@ -208,7 +208,7 @@ func (p *boundPred) keep(sel []int32, lo int, buf *blockBuf) []int32 {
 	v := &p.view
 	switch {
 	case v.Type == String:
-		codes, at := window(v.codes, v.fk, sel, lo, buf.codes)
+		codes, at := window(&v.codes, v.join(), sel, lo, buf.codes, buf.ids)
 		k := 0
 		for j, a := range at {
 			sel[k] = sel[j] // branch-free: kept only if k moves on
@@ -216,13 +216,13 @@ func (p *boundPred) keep(sel []int32, lo int, buf *blockBuf) []int32 {
 		}
 		return sel[:k]
 	case v.Type == Int:
-		ints, at := window(v.ints, v.fk, sel, lo, buf.ints)
+		ints, at := window(&v.ints, v.join(), sel, lo, buf.ints, buf.ids)
 		if p.ints != nil {
 			return p.ints.keep(sel, at, ints)
 		}
 		return keepBoxed(p.boxed, sel, at, ints, IntVal)
 	default:
-		floats, at := window(v.floats, v.fk, sel, lo, buf.floats)
+		floats, at := window(&v.floats, v.join(), sel, lo, buf.floats, buf.ids)
 		if p.floats != nil {
 			return p.floats.keep(sel, at, floats)
 		}

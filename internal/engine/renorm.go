@@ -69,19 +69,32 @@ func (r *Renormalizer) Build(name string, rows []int, masks []bitmask.Mask, weig
 	if weights != nil && len(weights) != len(rows) {
 		return nil, fmt.Errorf("engine: renormalize weights length mismatch")
 	}
-	fact := subsetTable(r.db.Fact, name, rows)
-	// Remap FK columns into the reduced dimensions.
+	// Foreign keys are remapped into the reduced dimensions on their way
+	// into the new column: a sealed chunk is not rewritten.
+	fkDim := make(map[string]int, len(r.db.Dims))
 	for d, dj := range r.db.Dims {
-		for _, chunk := range fact.MustColumn(dj.FK).ints {
-			for i, old := range chunk {
-				nr := r.remap[d][old]
-				if nr < 0 {
-					return nil, fmt.Errorf("engine: row set for %q not covered by renormalizer", name)
-				}
-				chunk[i] = int64(nr)
-			}
-		}
+		fkDim[dj.FK] = d
 	}
+	covered := true
+	cols := make([]*Column, r.db.Fact.NumCols())
+	for j, c := range r.db.Fact.Columns() {
+		d, isFK := fkDim[c.Name]
+		if !isFK {
+			cols[j] = c.View().gather(rows)
+			continue
+		}
+		cols[j] = newColumn(c.Name, Int, len(rows))
+		cols[j].ints = gatherRows(&c.ints, rows, func(fks []int64) {
+			for i, old := range fks {
+				covered = covered && r.remap[d][old] >= 0
+				fks[i] = int64(r.remap[d][old])
+			}
+		})
+	}
+	if !covered {
+		return nil, fmt.Errorf("engine: row set for %q not covered by renormalizer", name)
+	}
+	fact := NewTable(name, cols...)
 	fact.Masks = masks
 	fact.Weights = weights
 	dims := make([]DimJoin, len(r.db.Dims))

@@ -119,19 +119,40 @@ func (t *Table) ColumnNames() []string {
 	return names
 }
 
-// ApproxBytes estimates the in-memory size of the table's data, used for the
-// space-overhead experiment (§5.4.2).
+// ApproxBytes is the logical size of the table's data — 8 bytes a numeric
+// value, 4 a dictionary code, whatever width the chunks store them at — which
+// is what the space-overhead experiment (§5.4.2) and the sample budgets count:
+// values, not encodings. StoredBytes is what is held.
 func (t *Table) ApproxBytes() int64 {
+	b := t.sideBytes()
+	for _, c := range t.cols {
+		if c.Type == String {
+			b += int64(c.n) * 4
+		} else {
+			b += int64(c.n) * 8
+		}
+	}
+	return b
+}
+
+// StoredBytes is what the table's data holds in memory: the chunks at the
+// widths they were sealed at, their list entries, the open tails at their
+// capacity, and the dictionaries, masks and weights as ApproxBytes counts
+// them.
+func (t *Table) StoredBytes() int64 {
+	b := t.sideBytes()
+	for _, c := range t.cols {
+		b += c.ints.bytes() + c.floats.bytes() + c.codes.bytes()
+	}
+	return b
+}
+
+// sideBytes counts what a table holds besides its rows' values: dictionary
+// strings, masks and weights.
+func (t *Table) sideBytes() int64 {
 	var b int64
 	for _, c := range t.cols {
-		if c.Type != String {
-			b += int64(c.n) * 8
-			continue
-		}
-		b += int64(c.n) * 4
-		for _, s := range c.dict {
-			b += int64(len(s))
-		}
+		b += c.dictBytes
 	}
 	if t.Masks != nil && t.rows > 0 {
 		b += int64(t.rows) * int64(8*((t.Masks[0].Width()+63)/64))

@@ -167,3 +167,6 @@ func (ic *Icicle) SampleRows() int64 { return ic.current().SampleRows() }
 
 // SampleBytes implements core.Prepared.
 func (ic *Icicle) SampleBytes() int64 { return ic.current().SampleBytes() }
+
+// StoredBytes is what the sample table holds in memory.
+func (ic *Icicle) StoredBytes() int64 { return ic.current().StoredBytes() }

@@ -3,7 +3,8 @@
 # -> JSON converter (scientific notation, name escaping) and the benchdiff
 # regression guard (including the required failures on a synthetic 2x
 # ns_per_op regression and a synthetic 2x allocs_per_op regression), and the
-# loc.sh code-line counter with its locdiff.sh diff. Run by `make check`. Needs only bash, awk, diff.
+# loc.sh code-line counter with its locdiff.sh diff, and smoke.sh's body
+# matcher. Run by `make check`. Needs only bash, awk, diff.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -70,6 +71,16 @@ t "loc counts the fixture tree (comments, blocks, tests excluded)" 0 \
 t "locdiff prints per-package deltas between two fixture trees" 0 \
   bash -c 'bash scripts/locdiff.sh scripts/testdata/loc_base scripts/testdata/loc | diff -u scripts/testdata/loc_base/golden_diff.txt -'
 t "locdiff rejects a missing base" 2 bash scripts/locdiff.sh
+
+# --- match.sh ------------------------------------------------------------
+# The body is larger than a pipe's 64 KB buffer and matches on its first
+# line: through `echo "$BODY" | grep -q` under pipefail that is exit 141
+# whenever grep leaves first.
+big_body='BODY=$(echo needle; head -c 300000 /dev/zero | tr "\0" x)'
+t "body_has matches line 1 of a 300 KB body under pipefail" 0 \
+  bash -c "set -euo pipefail; . scripts/match.sh; $big_body; body_has needle \"\$BODY\""
+t "body_has fails when no line of a 300 KB body matches" 1 \
+  bash -c "set -euo pipefail; . scripts/match.sh; $big_body; body_has thimble \"\$BODY\""
 
 if [ "$fails" -ne 0 ]; then
   echo "scripts_test: $fails failure(s)"

@@ -13,6 +13,7 @@ SQL='SELECT store_region, COUNT(*) FROM T GROUP BY store_region'
 WALDIR=$(mktemp -d /tmp/smoke-wal.XXXXXX)
 
 fail() { echo "smoke: FAIL: $*" >&2; exit 1; }
+. "$(dirname "$0")/match.sh" # body_has
 
 echo "smoke: building aqpd and aqpcli..."
 go build -o /tmp/aqpd-smoke ./cmd/aqpd
@@ -44,18 +45,20 @@ wait_ready
 echo "smoke: explain query via /v1..."
 RESP=$(curl -fsS -H 'X-Request-ID: smoke-run-1' -D /tmp/smoke-headers \
   "$BASE/v1/query" -d "{\"sql\":\"$SQL\",\"explain\":true}")
-echo "$RESP" | grep -q '"groups"'            || fail "no groups in response: $RESP"
-echo "$RESP" | grep -q '"trace"'             || fail "explain returned no trace: $RESP"
-echo "$RESP" | grep -q '"samples"'           || fail "trace has no sample set: $RESP"
-echo "$RESP" | grep -q '"name":"execute"'    || fail "trace has no execute stage: $RESP"
+body_has '"groups"' "$RESP"            || fail "no groups in response: $RESP"
+body_has '"trace"' "$RESP"             || fail "explain returned no trace: $RESP"
+body_has '"samples"' "$RESP"           || fail "trace has no sample set: $RESP"
+body_has '"name":"execute"' "$RESP"    || fail "trace has no execute stage: $RESP"
 grep -qi 'x-request-id: smoke-run-1' /tmp/smoke-headers || fail "request id not echoed"
 
 echo "smoke: un-versioned query path is gone..."
-curl -sS "$BASE/query" -d "{\"sql\":\"$SQL\"}" | grep -q '"error":{"code":"not_found"' \
+BODY=$(curl -sS "$BASE/query" -d "{\"sql\":\"$SQL\"}")
+body_has '"error":{"code":"not_found"' "$BODY" \
   || fail "un-versioned /query does not answer the 404 envelope"
 
 echo "smoke: error envelope..."
-curl -sS "$BASE/v1/query" -d '{"sql":"NOT SQL"}' | grep -q '"error":{"code":"bad_request"' \
+BODY=$(curl -sS "$BASE/v1/query" -d '{"sql":"NOT SQL"}')
+body_has '"error":{"code":"bad_request"' "$BODY" \
   || fail "400 does not carry the error envelope"
 
 echo "smoke: bounded queries..."
@@ -64,28 +67,31 @@ echo "smoke: bounded queries..."
 # (near-zero error within 1ms at the pinned scan rate) must 422 with the
 # best achievable bounds rather than answer out of bound.
 RESP=$(curl -fsS "$BASE/v1/query" -d "{\"sql\":\"$SQL\",\"error_bound\":0.5}")
-echo "$RESP" | grep -q '"plan":'            || fail "bounded answer has no plan: $RESP"
-echo "$RESP" | grep -q '"plan":"exact"'     && fail "loose bound escalated to exact: $RESP"
-echo "$RESP" | grep -q '"predicted":'       || fail "bounded answer has no predicted error: $RESP"
+body_has '"plan":' "$RESP"            || fail "bounded answer has no plan: $RESP"
+body_has '"plan":"exact"' "$RESP"     && fail "loose bound escalated to exact: $RESP"
+body_has '"predicted":' "$RESP"       || fail "bounded answer has no predicted error: $RESP"
 RESP=$(curl -fsS "$BASE/v1/query" -d "{\"sql\":\"$SQL\",\"error_bound\":0.0001}")
-echo "$RESP" | grep -q '"plan":"exact"'     || fail "tight bound did not escalate to exact: $RESP"
+body_has '"plan":"exact"' "$RESP"     || fail "tight bound did not escalate to exact: $RESP"
 RESP=$(curl -sS "$BASE/v1/query" -d "{\"sql\":\"$SQL\",\"error_bound\":0.000001,\"time_bound_ms\":1}")
-echo "$RESP" | grep -q '"code":"bound_unsatisfiable"' || fail "impossible bound not rejected: $RESP"
-echo "$RESP" | grep -q '"best_error_bound":'          || fail "422 lacks best achievable bound: $RESP"
-curl -sS "$BASE/v1/query" -d "{\"sql\":\"$SQL\",\"timeout_ms\":0}" \
-  | grep -q '"code":"bad_request"' || fail "timeout_ms 0 not rejected"
+body_has '"code":"bound_unsatisfiable"' "$RESP" || fail "impossible bound not rejected: $RESP"
+body_has '"best_error_bound":' "$RESP"          || fail "422 lacks best achievable bound: $RESP"
+BODY=$(curl -sS "$BASE/v1/query" -d "{\"sql\":\"$SQL\",\"timeout_ms\":0}")
+body_has '"code":"bad_request"' "$BODY" || fail "timeout_ms 0 not rejected"
 
 echo "smoke: scraping /metrics..."
 METRICS=$(curl -fsS "$BASE/metrics")
-SERIES=$(echo "$METRICS" | grep -c '^# TYPE ')
+SERIES=$(grep -c '^# TYPE ' <<<"$METRICS")
 [ "$SERIES" -ge 12 ] || fail "only $SERIES metric families, want >= 12"
-echo "$METRICS" | grep -q 'aqp_queries_total{endpoint="query",strategy="smallgroup",status="ok"}' \
+body_has 'aqp_queries_total{endpoint="query",strategy="smallgroup",status="ok"}' "$METRICS" \
   || fail "query counter missing from /metrics"
-echo "$METRICS" | grep -q 'aqp_engine_rows_scanned_total' \
+body_has 'aqp_engine_rows_scanned_total' "$METRICS" \
   || fail "engine rows counter missing from /metrics"
+body_has '^aqp_engine_stored_bytes{set="base"} [1-9]' "$METRICS" \
+  || fail "stored-bytes gauge missing from /metrics"
 
 echo "smoke: /debug/slowlog..."
-curl -fsS "$BASE/debug/slowlog" | grep -q '"entries":\[{' \
+BODY=$(curl -fsS "$BASE/debug/slowlog")
+body_has '"entries":\[{' "$BODY" \
   || fail "slow log has no entries"
 
 echo "smoke: ingesting sentinel rows via aqpcli..."
@@ -114,14 +120,14 @@ printf '%s\n%s\n%s\n%s\n%s\n' "$CSVROW" "$CSVROW" "$CSVROW" "$CSVROW" "$CSVROW" 
 
 INGEST_SQL="SELECT COUNT(*) FROM T WHERE store_region = 'zz-smoke'"
 RESP=$(curl -fsS "$BASE/v1/exact" -d "{\"sql\":\"$INGEST_SQL\"}")
-echo "$RESP" | grep -q '"values":\[5\]'   || fail "ingested rows not queryable: $RESP"
-echo "$RESP" | grep -q '"generation":1'   || fail "exact answer missing generation: $RESP"
+body_has '"values":\[5\]' "$RESP"   || fail "ingested rows not queryable: $RESP"
+body_has '"generation":1' "$RESP"   || fail "exact answer missing generation: $RESP"
 # The approximate path serves new rare values from the online-maintained
 # small group table — the GROUP BY answer must list the sentinel exactly.
 RESP=$(curl -fsS "$BASE/v1/query" -d "{\"sql\":\"$SQL\"}")
-echo "$RESP" | grep -q 'zz-smoke' || fail "approximate answer misses the new small group: $RESP"
+body_has 'zz-smoke' "$RESP" || fail "approximate answer misses the new small group: $RESP"
 INGMETRICS=$(curl -fsS "$BASE/metrics")
-echo "$INGMETRICS" | grep -q 'aqp_ingest_rows_total 5' \
+body_has 'aqp_ingest_rows_total 5' "$INGMETRICS" \
   || fail "ingest metrics missing from /metrics"
 
 echo "smoke: kill -9 and WAL replay..."
@@ -130,16 +136,17 @@ wait "$PID" 2>/dev/null || true
 start_server
 wait_ready
 RESP=$(curl -fsS "$BASE/v1/exact" -d "{\"sql\":\"$INGEST_SQL\"}")
-echo "$RESP" | grep -q '"values":\[5\]' || fail "rows lost across crash+restart: $RESP"
+body_has '"values":\[5\]' "$RESP" || fail "rows lost across crash+restart: $RESP"
 INGMETRICS=$(curl -fsS "$BASE/metrics")
-echo "$INGMETRICS" | grep -q 'aqp_ingest_replayed_batches_total 1' \
+body_has 'aqp_ingest_replayed_batches_total 1' "$INGMETRICS" \
   || fail "WAL replay counter not set after restart"
 # Re-sending a pre-crash batch id must be deduplicated (idempotency window
 # is rebuilt from the WAL on replay).
 printf '%s\n' "$CSVROW" \
   | /tmp/aqpcli-smoke ingest -addr "$BASE" -file - -batch-size 1 -id-prefix smoke \
   || fail "pre-crash batch id retry failed"
-curl -fsS "$BASE/v1/exact" -d "{\"sql\":\"$INGEST_SQL\"}" | grep -q '"values":\[5\]' \
+BODY=$(curl -fsS "$BASE/v1/exact" -d "{\"sql\":\"$INGEST_SQL\"}")
+body_has '"values":\[5\]' "$BODY" \
   || fail "batch id replayed twice after restart"
 
 echo "smoke: checkpointed restart (bounded WAL replay)..."
@@ -149,10 +156,11 @@ kill -9 "$PID" 2>/dev/null || true
 wait "$PID" 2>/dev/null || true
 start_server -catalog-dir "$CATDIR"
 wait_ready
-curl -fsS "$BASE/v1/exact" -d "{\"sql\":\"$INGEST_SQL\"}" | grep -q '"values":\[5\]' \
+BODY=$(curl -fsS "$BASE/v1/exact" -d "{\"sql\":\"$INGEST_SQL\"}")
+body_has '"values":\[5\]' "$BODY" \
   || fail "rows lost when the catalog was attached"
 RESP=$(curl -fsS -X POST "$BASE/v1/admin/rebuild")
-echo "$RESP" | grep -q '"persisted":true' || fail "rebuild did not persist a checkpoint: $RESP"
+body_has '"persisted":true' "$RESP" || fail "rebuild did not persist a checkpoint: $RESP"
 
 # Kill -9 after the checkpoint: the restart must recover the rows from the
 # snapshot delta and replay nothing — the checkpoint covers the whole log.
@@ -160,19 +168,21 @@ kill -9 "$PID" 2>/dev/null || true
 wait "$PID" 2>/dev/null || true
 start_server -catalog-dir "$CATDIR"
 wait_ready
-curl -fsS "$BASE/v1/exact" -d "{\"sql\":\"$INGEST_SQL\"}" | grep -q '"values":\[5\]' \
+BODY=$(curl -fsS "$BASE/v1/exact" -d "{\"sql\":\"$INGEST_SQL\"}")
+body_has '"values":\[5\]' "$BODY" \
   || fail "rows lost across checkpointed restart"
 CKMETRICS=$(curl -fsS "$BASE/metrics")
-echo "$CKMETRICS" | grep -q '^aqp_ingest_replayed_batches_total 0$' \
+body_has '^aqp_ingest_replayed_batches_total 0$' "$CKMETRICS" \
   || fail "checkpoint-covered batch was replayed instead of skipped"
-echo "$CKMETRICS" | grep -q '^aqp_ingest_replay_segments_total' \
+body_has '^aqp_ingest_replay_segments_total' "$CKMETRICS" \
   || fail "replay metrics missing from /metrics"
 # The idempotency window rides in the checkpoint: a retry of the original
 # pre-checkpoint batch id must dedupe even though the WAL no longer replays it.
 printf '%s\n' "$CSVROW" \
   | /tmp/aqpcli-smoke ingest -addr "$BASE" -file - -batch-size 1 -id-prefix smoke \
   || fail "checkpoint-covered batch id retry failed"
-curl -fsS "$BASE/v1/exact" -d "{\"sql\":\"$INGEST_SQL\"}" | grep -q '"values":\[5\]' \
+BODY=$(curl -fsS "$BASE/v1/exact" -d "{\"sql\":\"$INGEST_SQL\"}")
+body_has '"values":\[5\]' "$BODY" \
   || fail "checkpoint-covered batch id applied twice"
 
 # Ingest one post-checkpoint row, kill -9 again: only that tail batch may
@@ -184,9 +194,11 @@ kill -9 "$PID" 2>/dev/null || true
 wait "$PID" 2>/dev/null || true
 start_server -catalog-dir "$CATDIR"
 wait_ready
-curl -fsS "$BASE/v1/exact" -d "{\"sql\":\"$INGEST_SQL\"}" | grep -q '"values":\[6\]' \
+BODY=$(curl -fsS "$BASE/v1/exact" -d "{\"sql\":\"$INGEST_SQL\"}")
+body_has '"values":\[6\]' "$BODY" \
   || fail "post-checkpoint tail lost across restart"
-curl -fsS "$BASE/metrics" | grep -q '^aqp_ingest_replayed_batches_total 1$' \
+BODY=$(curl -fsS "$BASE/metrics")
+body_has '^aqp_ingest_replayed_batches_total 1$' "$BODY" \
   || fail "restart replayed more than the post-checkpoint tail"
 
 echo "smoke: OK ($SERIES metric families)"
