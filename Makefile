@@ -112,12 +112,13 @@ examples:
 fuzz:
 	$(GO) test ./internal/sqlparse -fuzz FuzzParse -fuzztime 30s
 
-# Quick fuzz pass over the sample-store loader and the WAL record decoder:
-# arbitrary bytes (including bit-flipped valid inputs) must produce errors,
-# never panics.
+# Quick fuzz pass over the sample-store loader, the WAL record decoder and the
+# table format reader: arbitrary bytes (including bit-flipped valid inputs)
+# must produce errors, never panics.
 fuzz-smoke:
 	$(GO) test ./internal/core -run FuzzLoadSmallGroup -fuzz FuzzLoadSmallGroup -fuzztime 15s
 	$(GO) test ./internal/ingest -run FuzzWALDecode -fuzz FuzzWALDecode -fuzztime 15s
+	$(GO) test ./internal/engine -run FuzzReadBinary -fuzz FuzzReadBinary -fuzztime 15s
 
 # Non-test, non-blank, non-comment Go lines per package under internal/ and
 # cmd/, plus a total: the ledger ROADMAP's "One path per job" shrink is

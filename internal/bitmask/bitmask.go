@@ -6,6 +6,11 @@
 // added", where S is the set of columns with small group tables. |S| routinely
 // exceeds 64 (the SALES schema has 120–245 candidate columns), so a single
 // machine word is not enough; masks here are backed by a []uint64.
+//
+// A Mask is a plan-time value: a query's plan holds a few (the tables it has
+// used so far, one exclude mask per step). Sample rows do not hold Masks: a
+// row stores its membership as one 64-bit integer column per word (see
+// engine.MaskColumn), and the scan filters on those words.
 package bitmask
 
 import (
@@ -38,6 +43,19 @@ func FromBits(width int, bits ...int) Mask {
 	}
 	return m
 }
+
+// FromWords returns the mask of the given width over words, which it keeps:
+// bit i of the mask is bit i%64 of words[i/64].
+func FromWords(width int, words []uint64) Mask {
+	if len(words) != (width+wordBits-1)/wordBits {
+		panic(fmt.Sprintf("bitmask: %d words for width %d", len(words), width))
+	}
+	return Mask{words: words, width: width}
+}
+
+// Words returns the mask's words, low bits first. The slice is the mask's
+// own storage; callers must not modify it.
+func (m Mask) Words() []uint64 { return m.words }
 
 // Width reports the number of addressable bits in the mask.
 func (m Mask) Width() int { return m.width }

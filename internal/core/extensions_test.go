@@ -169,7 +169,7 @@ func TestMultiLevelHierarchy(t *testing.T) {
 	// The table must carry weights (medium rows are subsampled).
 	ix, _ := meta.Index("a")
 	tbl := p.Tables()[ix]
-	if tbl.Weights == nil {
+	if tbl.Column(engine.WeightColumn) == nil {
 		t.Fatal("multi-level table has no weights")
 	}
 	sawWeighted := false

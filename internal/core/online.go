@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 
-	"dynsample/internal/bitmask"
 	"dynsample/internal/engine"
 	"dynsample/internal/randx"
 )
@@ -46,27 +45,37 @@ type Online struct {
 	strategy string
 
 	app *engine.Appender
-	p   *smallGroupPrepared
 
-	// seed is the configured reservoir seed; rng is re-derived from it (and
-	// the batch sequence number) at the start of every applied batch, so the
+	// seed is the configured reservoir seed; a batch's generator is derived
+	// from it and the batch sequence number when the batch is applied, so the
 	// draws for batch k depend only on (seed, k, seen-before-batch, cap) —
 	// never on how many earlier batches this process replayed. That makes
 	// Apply idempotent across a checkpoint: a restart that recovers batches
 	// 1..k from a snapshot (without replaying them) still burns exactly the
 	// draws for batch k+1 that an uninterrupted run would.
 	seed int64
-	rng  *rand.Rand
+
+	gen uint64  // data generation: ingest batches applied to the base db
+	t   float64 // small-group fraction (the t in the t·N threshold)
+
+	// The maintenance state of the family being served. Rebase builds the
+	// next family's aside and replaces this one whole.
+	*family
+}
+
+// family is what online maintenance keeps for one sample family: the newest
+// version of the family, the reservoir's position in the stream, and the
+// value tracking seeded from the family's metadata.
+type family struct {
+	p *smallGroupPrepared
 
 	// Reservoir continuation state for the overall sample.
 	cap  int   // reservoir capacity = overall sample rows (fixed until rebuild)
 	seen int64 // stream length offered so far (= base rows)
 
-	gen       uint64 // data generation: ingest batches applied to the base db
 	sampleGen uint64 // batches whose rows are represented in the sample family
 
-	t          float64 // small-group fraction (the t in the t·N threshold)
-	maxTracked int     // per-column cap on tracked rare values
+	maxTracked int // per-column cap on tracked rare values
 
 	colPos  []int    // per meta column: position in the view column order
 	pairPos [][2]int // per pair: view positions of both columns
@@ -153,31 +162,6 @@ func NewOnline(sys *System, strategy string, cfg OnlineConfig) (*Online, error) 
 	if !ok {
 		return nil, fmt.Errorf("core: online maintenance needs small group sampling state, got %T", prep)
 	}
-	if len(sgp.sharedDims) > 0 {
-		return nil, fmt.Errorf("core: online maintenance does not support renormalized sample storage")
-	}
-	if len(sgp.cfg.Levels) > 1 {
-		return nil, fmt.Errorf("core: online maintenance does not support the multi-level hierarchy")
-	}
-	for _, s := range sgp.tables {
-		tbl, ok := s.src.(*engine.Table)
-		if !ok {
-			return nil, fmt.Errorf("core: online maintenance does not support renormalized sample storage")
-		}
-		if tbl.Weights != nil {
-			return nil, fmt.Errorf("core: online maintenance does not support weighted small group table %q", s.name)
-		}
-	}
-	otbl, ok := sgp.overall.src.(*engine.Table)
-	if !ok {
-		return nil, fmt.Errorf("core: online maintenance does not support renormalized sample storage")
-	}
-	if otbl.Weights != nil {
-		return nil, fmt.Errorf("core: online maintenance does not support a weighted overall sample")
-	}
-	if otbl.NumRows() == 0 {
-		return nil, fmt.Errorf("core: empty overall sample")
-	}
 	t := cfg.SmallGroupFraction
 	if t <= 0 {
 		t = sgp.cfg.SmallGroupFraction
@@ -191,53 +175,72 @@ func NewOnline(sys *System, strategy string, cfg OnlineConfig) (*Online, error) 
 	}
 
 	db, gen := sys.Data()
+	fam, err := newFamily(sgp, db, db, sgp.dataGen, maxTracked)
+	if err != nil {
+		return nil, err
+	}
 	app, err := engine.NewAppender(db)
 	if err != nil {
 		return nil, err
 	}
-	o := &Online{
-		sys:        sys,
-		strategy:   strategy,
-		app:        app,
-		p:          sgp,
-		seed:       cfg.Seed,
-		rng:        randx.New(cfg.Seed),
-		cap:        otbl.NumRows(),
-		seen:       int64(db.NumRows()),
-		gen:        gen,
-		sampleGen:  sgp.dataGen,
-		t:          t,
-		maxTracked: maxTracked,
+	return &Online{sys: sys, strategy: strategy, app: app, seed: cfg.Seed, gen: gen, t: t, family: fam}, nil
+}
+
+// newFamily checks that p is a family online maintenance supports — flat
+// join synopses, the two-level hierarchy, a uniform reservoir overall sample,
+// every sample row the view's columns and then its mask words — and builds
+// its maintenance state at sample generation sampleGen. live is the newest
+// database: columns are bound and the rare-value counts seeded against it.
+// pinned is the database p was pre-processed from (live itself unless
+// batches arrived since): it gives the reservoir's stream length and the
+// value sets of the columns left out of S.
+func newFamily(p *smallGroupPrepared, live, pinned *engine.Database, sampleGen uint64, maxTracked int) (*family, error) {
+	if len(p.cfg.Levels) > 1 {
+		return nil, fmt.Errorf("core: online maintenance does not support the multi-level hierarchy")
 	}
-	if err := o.bindMeta(sgp.meta, db); err != nil {
+	arity := len(live.Columns()) + maskWords(p.meta.Width())
+	for _, s := range append(p.tables[:len(p.tables):len(p.tables)], p.overall) {
+		tbl, ok := s.src.(*engine.Table)
+		switch {
+		case !ok:
+			return nil, fmt.Errorf("core: online maintenance does not support renormalized sample storage")
+		case tbl.Column(engine.WeightColumn) != nil:
+			return nil, fmt.Errorf("core: online maintenance does not support weighted sample table %q", s.name)
+		case tbl.NumCols() != arity:
+			return nil, fmt.Errorf("core: sample table %q has %d columns, the view and the mask words make %d", s.name, tbl.NumCols(), arity)
+		}
+	}
+	if p.overall.rows() == 0 {
+		return nil, fmt.Errorf("core: empty overall sample")
+	}
+	f := &family{p: p, cap: int(p.overall.rows()), seen: int64(pinned.NumRows()), sampleGen: sampleGen, maxTracked: maxTracked}
+	if err := f.bindMeta(live); err != nil {
 		return nil, err
 	}
-	if err := o.seedFrequencies(sgp.meta, db); err != nil {
+	if err := f.seedFrequencies(live); err != nil {
 		return nil, err
 	}
-	if err := o.seedMissing(sgp.meta, db); err != nil {
+	if err := f.seedMissing(pinned); err != nil {
 		return nil, err
 	}
-	return o, nil
+	return f, nil
 }
 
 // bindMeta resolves the metadata's columns against the view column order.
-func (o *Online) bindMeta(meta *Metadata, db *engine.Database) error {
+func (f *family) bindMeta(db *engine.Database) error {
+	meta := f.p.meta
 	view := db.Columns()
 	pos := make(map[string]int, len(view))
 	for i, n := range view {
 		pos[n] = i
 	}
-	o.colPos = o.colPos[:0]
 	for _, cm := range meta.Columns() {
 		p, ok := pos[cm.Column]
 		if !ok {
 			return fmt.Errorf("core: metadata column %q missing from database view", cm.Column)
 		}
-		o.colPos = append(o.colPos, p)
+		f.colPos = append(f.colPos, p)
 	}
-	o.pairPos = o.pairPos[:0]
-	o.pairColCommon = o.pairColCommon[:0]
 	for _, pm := range meta.Pairs() {
 		var pp [2]int
 		var commons [2]func(engine.Value) bool
@@ -254,16 +257,16 @@ func (o *Online) bindMeta(meta *Metadata, db *engine.Database) error {
 				commons[side] = func(engine.Value) bool { return true }
 			}
 		}
-		o.pairPos = append(o.pairPos, pp)
-		o.pairColCommon = append(o.pairColCommon, commons)
+		f.pairPos = append(f.pairPos, pp)
+		f.pairColCommon = append(f.pairColCommon, commons)
 	}
 	return nil
 }
 
 // seedFrequencies counts, per column of S, the occurrences of every value
 // outside the frozen L(C) in db.
-func (o *Online) seedFrequencies(meta *Metadata, db *engine.Database) error {
-	cols := meta.Columns()
+func (f *family) seedFrequencies(db *engine.Database) error {
+	cols := f.p.meta.Columns()
 	names := make([]string, len(cols))
 	// A column with more than maxTracked + |L(C)| distinct values has more
 	// than maxTracked outside L(C): it saturates whatever the counts are.
@@ -274,28 +277,27 @@ func (o *Online) seedFrequencies(meta *Metadata, db *engine.Database) error {
 			maxCommon = len(cm.Common)
 		}
 	}
-	freqs, err := db.ColumnFrequencies(names, o.maxTracked+maxCommon, o.p.cfg.Workers)
+	freqs, err := db.ColumnFrequencies(names, f.maxTracked+maxCommon, f.p.cfg.Workers)
 	if err != nil {
 		return err
 	}
-	o.freqs = make([]map[engine.Value]int64, len(cols))
-	o.saturated = make([]bool, len(cols))
-	o.maxRareCount = 0
-	for i, f := range freqs {
+	f.freqs = make([]map[engine.Value]int64, len(cols))
+	f.saturated = make([]bool, len(cols))
+	for i, cf := range freqs {
 		freq := make(map[engine.Value]int64)
-		for _, vc := range f.Counts() {
+		for _, vc := range cf.Counts() {
 			if _, ok := cols[i].Common[vc.Value]; !ok {
 				freq[vc.Value] = vc.Count
 			}
 		}
-		if f.Over || len(freq) > o.maxTracked {
-			o.saturated[i] = true
+		if cf.Over || len(freq) > f.maxTracked {
+			f.saturated[i] = true
 			continue
 		}
-		o.freqs[i] = freq
+		f.freqs[i] = freq
 		for _, c := range freq {
-			if c > o.maxRareCount {
-				o.maxRareCount = c
+			if c > f.maxRareCount {
+				f.maxRareCount = c
 			}
 		}
 	}
@@ -308,8 +310,9 @@ func (o *Online) seedFrequencies(meta *Metadata, db *engine.Database) error {
 // never seen in one of them is a small group the frozen family cannot
 // represent (there is no table to insert into), so trackMissing floors the
 // drift gauge at 1 the moment one arrives.
-func (o *Online) seedMissing(meta *Metadata, db *engine.Database) error {
-	lim := o.p.cfg.DistinctLimit
+func (f *family) seedMissing(db *engine.Database) error {
+	meta := f.p.meta
+	lim := f.p.cfg.DistinctLimit
 	if lim <= 0 {
 		lim = DefaultDistinctLimit
 	}
@@ -321,35 +324,32 @@ func (o *Online) seedMissing(meta *Metadata, db *engine.Database) error {
 			names = append(names, name)
 		}
 	}
-	freqs, err := db.ColumnFrequencies(names, lim, o.p.cfg.Workers)
+	freqs, err := db.ColumnFrequencies(names, lim, f.p.cfg.Workers)
 	if err != nil {
 		return err
 	}
-	o.missingPos = o.missingPos[:0]
-	o.missingVals = o.missingVals[:0]
-	for i, f := range freqs {
-		if f.Over {
+	for i, cf := range freqs {
+		if cf.Over {
 			continue // τ-excluded: a rebuild would drop this column too
 		}
 		set := make(map[engine.Value]struct{})
-		for _, vc := range f.Counts() {
+		for _, vc := range cf.Counts() {
 			set[vc.Value] = struct{}{}
 		}
-		o.missingPos = append(o.missingPos, pos[i])
-		o.missingVals = append(o.missingVals, set)
+		f.missingPos = append(f.missingPos, pos[i])
+		f.missingVals = append(f.missingVals, set)
 	}
-	o.missingNew = 0
 	return nil
 }
 
 // trackMissing counts batch rows whose value in a tracked no-small-groups
 // column was never seen at pre-processing time.
-func (o *Online) trackMissing(rows [][]engine.Value) {
-	for i, p := range o.missingPos {
-		set := o.missingVals[i]
+func (f *family) trackMissing(rows [][]engine.Value) {
+	for i, p := range f.missingPos {
+		set := f.missingVals[i]
 		for _, row := range rows {
 			if _, ok := set[row[p]]; !ok {
-				o.missingNew++
+				f.missingNew++
 			}
 		}
 	}
@@ -423,13 +423,12 @@ func (o *Online) Apply(seq uint64, rows [][]engine.Value) (BatchStats, error) {
 		return st, err
 	}
 
-	o.rng = randx.New(batchSeed(o.seed, seq))
-	masks, perTable, victims := o.classify(rows, true)
+	words, perTable, victims := o.classify(rows, randx.New(batchSeed(o.seed, seq)), true)
 
 	np := *o.p
 	np.db = newDB
 	if updateSamples {
-		o.applySampleUpdates(&np, rows, masks, perTable, victims, &st)
+		o.applySampleUpdates(&np, rows, words, perTable, victims, &st)
 		np.overallScale = float64(newDB.NumRows()) / float64(o.cap)
 		o.sampleGen = seq
 	}
@@ -471,103 +470,108 @@ type reservoirHit struct {
 	ri   int
 }
 
-// classify computes each batch row's membership bitmask, tracks values of
-// still-dropped columns, and draws the reservoir decisions; with bumpFreqs
-// it also bumps the rare-value frequency counts. Apply bumps; Rebase's tail
-// replay does not, because rebased counts were seeded from the full current
+// classify computes each batch row's membership mask (row ri's words are
+// words[ri*w:][:w], w words to a row), tracks values of still-dropped
+// columns, and draws the reservoir decisions from rng; with bumpFreqs it also
+// bumps the rare-value frequency counts. Apply bumps; Rebase's tail replay
+// does not, because rebased counts were seeded from the full current
 // database, tail rows included (the missing-column value sets were seeded
 // from the pinned rebuild database, which excludes the tail, so that
-// tracking runs either way). It mutates only tracking state (freqs, seen,
-// rng), never sample tables.
-func (o *Online) classify(rows [][]engine.Value, bumpFreqs bool) ([]bitmask.Mask, map[int][]int, []reservoirHit) {
-	meta := o.p.meta
-	width := meta.Width()
+// tracking runs either way). It mutates only tracking state (freqs, seen),
+// never sample tables.
+func (f *family) classify(rows [][]engine.Value, rng *rand.Rand, bumpFreqs bool) (words []uint64, perTable map[int][]int, victims []reservoirHit) {
+	meta := f.p.meta
+	w := maskWords(meta.Width())
 	cols := meta.Columns()
-	masks := make([]bitmask.Mask, len(rows))
-	perTable := make(map[int][]int)
-	var victims []reservoirHit
-	o.trackMissing(rows)
+	words = make([]uint64, len(rows)*w)
+	perTable = make(map[int][]int)
+	f.trackMissing(rows)
 	for ri, row := range rows {
-		m := bitmask.New(width)
+		m := words[ri*w:][:w]
 		for ci, cm := range cols {
-			v := row[o.colPos[ci]]
+			v := row[f.colPos[ci]]
 			if _, common := cm.Common[v]; common {
 				continue
 			}
 			if bumpFreqs {
-				o.bumpFreq(ci, v)
+				f.bumpFreq(ci, v)
 			}
-			m.Set(cm.Index)
+			setBit(m, cm.Index)
 			perTable[cm.Index] = append(perTable[cm.Index], ri)
 		}
 		for pi, pm := range meta.Pairs() {
-			v0 := row[o.pairPos[pi][0]]
-			v1 := row[o.pairPos[pi][1]]
-			if !o.pairColCommon[pi][0](v0) || !o.pairColCommon[pi][1](v1) {
+			v0 := row[f.pairPos[pi][0]]
+			v1 := row[f.pairPos[pi][1]]
+			if !f.pairColCommon[pi][0](v0) || !f.pairColCommon[pi][1](v1) {
 				continue
 			}
 			tuple := engine.EncodeKey([]engine.Value{v0, v1})
 			if _, rare := pm.Rare[tuple]; rare {
-				m.Set(pm.Index)
+				setBit(m, pm.Index)
 				perTable[pm.Index] = append(perTable[pm.Index], ri)
 			}
 		}
-		masks[ri] = m
 		// Continued Algorithm R: replace slot j with probability cap/seen.
-		o.seen++
-		if j := o.rng.Int63n(o.seen); j < int64(o.cap) {
+		f.seen++
+		if j := rng.Int63n(f.seen); j < int64(f.cap) {
 			victims = append(victims, reservoirHit{slot: int(j), ri: ri})
 		}
 	}
-	return masks, perTable, victims
+	return words, perTable, victims
 }
 
-func (o *Online) bumpFreq(ci int, v engine.Value) {
-	if o.saturated[ci] {
+func (f *family) bumpFreq(ci int, v engine.Value) {
+	if f.saturated[ci] {
 		return
 	}
-	freq := o.freqs[ci]
+	freq := f.freqs[ci]
 	c := freq[v] + 1
-	if c == 1 && len(freq) >= o.maxTracked {
-		o.saturated[ci] = true
-		o.freqs[ci] = nil
+	if c == 1 && len(freq) >= f.maxTracked {
+		f.saturated[ci] = true
+		f.freqs[ci] = nil
 		return
 	}
 	freq[v] = c
-	if c > o.maxRareCount {
-		o.maxRareCount = c
+	if c > f.maxRareCount {
+		f.maxRareCount = c
 	}
 }
 
 // applySampleUpdates materialises the classified batch into copy-on-write
-// versions of the affected sample tables.
-func (o *Online) applySampleUpdates(np *smallGroupPrepared, rows [][]engine.Value, masks []bitmask.Mask, perTable map[int][]int, victims []reservoirHit, st *BatchStats) {
+// versions of the affected sample tables. An insert is a row appended, a swap
+// a row overwritten: the row a sample table stores is the batch row's values
+// and then its mask words, so either touches the chunks the row sits in and
+// shares every other with the published version.
+func (f *family) applySampleUpdates(np *smallGroupPrepared, rows [][]engine.Value, words []uint64, perTable map[int][]int, victims []reservoirHit, st *BatchStats) {
+	w := maskWords(f.p.meta.Width())
+	var buf []engine.Value
+	sampleRow := func(ri int) []engine.Value {
+		buf = append(buf[:0], rows[ri]...)
+		for _, word := range words[ri*w:][:w] {
+			buf = append(buf, engine.IntVal(int64(word)))
+		}
+		return buf
+	}
 	if len(perTable) > 0 {
-		np.tables = append([]sampleSource(nil), o.p.tables...)
+		np.tables = append([]sampleSource(nil), f.p.tables...)
 		for ix, list := range perTable {
 			tbl := np.tables[ix].src.(*engine.Table).CloneForAppend()
 			for _, ri := range list {
-				tbl.AppendRow(rows[ri]...)
-				tbl.Masks = append(tbl.Masks, masks[ri])
+				tbl.AppendRow(sampleRow(ri)...)
 				st.SmallGroupInserts++
 			}
 			np.tables[ix] = sampleSource{src: tbl, name: np.tables[ix].name}
 		}
 	}
 	if len(victims) > 0 {
-		// A swap copies the chunk its slot sits in; the rest of the sample's
-		// rows stay shared with the published version. The masks are one
-		// array, copied whole.
-		ot := o.p.overall.src.(*engine.Table).CloneForAppend()
-		ot.Masks = append([]bitmask.Mask(nil), ot.Masks...)
+		ot := f.p.overall.src.(*engine.Table).CloneForAppend()
 		for _, v := range victims {
 			// A slot replaced twice in one batch keeps the later row, exactly
 			// as sequential per-row reservoir updates would.
-			ot.SetRow(v.slot, rows[v.ri]...)
-			ot.Masks[v.slot] = masks[v.ri]
+			ot.SetRow(v.slot, sampleRow(v.ri)...)
 			st.ReservoirSwaps++
 		}
-		np.overall = sampleSource{src: ot, name: o.p.overall.name}
+		np.overall = sampleSource{src: ot, name: f.p.overall.name}
 	}
 }
 
@@ -580,82 +584,46 @@ func (o *Online) applySampleUpdates(np *smallGroupPrepared, rows [][]engine.Valu
 // new metadata. Frequency tracking is re-seeded from the current database
 // with the new common sets, which resets the drift gauge. The rebased state
 // is published before Rebase returns.
+//
+// The rebased family's state is built aside and replaces the served one's
+// only when the whole tail has replayed onto it: a Rebase that fails leaves
+// the Online exactly as it was, still maintaining the published family.
 func (o *Online) Rebase(p Prepared, rebuiltAt uint64, tail []TailBatch) error {
 	sgp, ok := p.(*smallGroupPrepared)
 	if !ok {
 		return fmt.Errorf("core: online rebase needs small group sampling state, got %T", p)
 	}
-	// Snapshot every field the rebase mutates so a failure at any point
-	// rolls back to a state consistent with the still-published family.
-	// bindMeta and seedMissing truncate-and-append over the existing slices,
-	// so they must start from nil here — otherwise they would scribble over
-	// the snapshotted backing arrays and make the restore a no-op.
-	prev := o.p
-	prevCap, prevSeen, prevSampleGen := o.cap, o.seen, o.sampleGen
-	prevColPos, prevPairPos, prevPairColCommon := o.colPos, o.pairPos, o.pairColCommon
-	prevFreqs, prevSaturated, prevMaxRareCount := o.freqs, o.saturated, o.maxRareCount
-	prevMissingPos, prevMissingVals, prevMissingNew := o.missingPos, o.missingVals, o.missingNew
-	restore := func() {
-		o.p = prev
-		o.cap, o.seen, o.sampleGen = prevCap, prevSeen, prevSampleGen
-		o.colPos, o.pairPos, o.pairColCommon = prevColPos, prevPairPos, prevPairColCommon
-		o.freqs, o.saturated, o.maxRareCount = prevFreqs, prevSaturated, prevMaxRareCount
-		o.missingPos, o.missingVals, o.missingNew = prevMissingPos, prevMissingVals, prevMissingNew
-	}
-	o.colPos, o.pairPos, o.pairColCommon = nil, nil, nil
-
-	otbl, ok := sgp.overall.src.(*engine.Table)
-	if !ok || otbl.Weights != nil || otbl.NumRows() == 0 || len(sgp.sharedDims) > 0 {
-		return fmt.Errorf("core: online rebase needs a flat uniform-overall sample family")
+	if sgp.db == nil {
+		return fmt.Errorf("core: online rebase needs state pre-processed from live data")
 	}
 	np := *sgp
 	np.db = o.app.DB()
-	o.p = &np
-	o.cap = otbl.NumRows()
-	if sgp.db == nil {
-		restore()
-		return fmt.Errorf("core: online rebase needs state pre-processed from live data")
-	}
-	o.seen = int64(sgp.db.NumRows())
-	o.sampleGen = rebuiltAt
-	if err := o.bindMeta(np.meta, np.db); err != nil {
-		restore()
-		return err
-	}
-	if err := o.seedFrequencies(np.meta, np.db); err != nil {
-		restore()
-		return err
-	}
 	// Missing-column value sets, unlike the frequency counts, are seeded
 	// from the pinned rebuild database: a new value a tail row introduces
 	// into a still-dropped column must keep the drift gauge floored, and
 	// classify bumps it during the tail replay below.
-	o.missingPos, o.missingVals = nil, nil
-	if err := o.seedMissing(np.meta, sgp.db); err != nil {
-		restore()
-		return err
+	f, err := newFamily(&np, np.db, sgp.db, rebuiltAt, o.maxTracked)
+	if err != nil {
+		return fmt.Errorf("core: online rebase: %w", err)
 	}
 	for _, b := range tail {
-		if b.Seq != o.sampleGen+1 {
-			restore()
-			return fmt.Errorf("core: rebase tail out of order: batch %d after sample generation %d", b.Seq, o.sampleGen)
+		if b.Seq != f.sampleGen+1 {
+			return fmt.Errorf("core: rebase tail out of order: batch %d after sample generation %d", b.Seq, f.sampleGen)
 		}
 		if b.Seq > o.gen {
-			restore()
 			return fmt.Errorf("core: rebase tail batch %d beyond data generation %d", b.Seq, o.gen)
 		}
-		o.rng = randx.New(batchSeed(o.seed, b.Seq))
-		masks, perTable, victims := o.classify(b.Rows, false)
+		words, perTable, victims := f.classify(b.Rows, randx.New(batchSeed(o.seed, b.Seq)), false)
 		var st BatchStats
-		o.applySampleUpdates(&np, b.Rows, masks, perTable, victims, &st)
-		o.sampleGen = b.Seq
+		f.applySampleUpdates(&np, b.Rows, words, perTable, victims, &st)
+		f.sampleGen = b.Seq
 	}
-	if o.sampleGen != o.gen {
-		restore()
-		return fmt.Errorf("core: rebase tail ends at batch %d, data generation is %d", o.sampleGen, o.gen)
+	if f.sampleGen != o.gen {
+		return fmt.Errorf("core: rebase tail ends at batch %d, data generation is %d", f.sampleGen, o.gen)
 	}
-	np.overallScale = float64(np.db.NumRows()) / float64(o.cap)
-	np.dataGen = o.sampleGen
+	np.overallScale = float64(np.db.NumRows()) / float64(f.cap)
+	np.dataGen = f.sampleGen
+	o.family = f
 	o.sys.SwapPrepared(o.strategy, &np)
 	return nil
 }

@@ -181,7 +181,7 @@ func TestOnlineSmallGroupMembership(t *testing.T) {
 	}
 	gotRare := map[engine.GroupKey]int{}
 	for r := 0; r < sg.NumRows(); r++ {
-		vals := sg.RowValues(r)
+		vals := sg.RowValues(r)[:len(view)] // the mask words follow the view's columns
 		gotRare[engine.EncodeKey(vals)]++
 		bits := expectedMask(meta, colPos, vals)
 		mask, okm := sg.RowMask(r)
@@ -203,7 +203,7 @@ func TestOnlineSmallGroupMembership(t *testing.T) {
 	// Overall sample masks must match the membership rule too.
 	ot := p.Overall()
 	for r := 0; r < ot.NumRows(); r++ {
-		vals := ot.RowValues(r)
+		vals := ot.RowValues(r)[:len(view)]
 		bits := expectedMask(meta, colPos, vals)
 		mask, okm := ot.RowMask(r)
 		if !okm {
@@ -493,7 +493,7 @@ func TestOnlineRebaseFailureRestoresTracking(t *testing.T) {
 	wantBytes := preparedBytes(t, ref.Prepared())
 	wantDrift := ref.Drift()
 
-	_, o := onlineSystem(t, n0, cfg, 77)
+	sys, o := onlineSystem(t, n0, cfg, 77)
 	if _, err := o.Apply(1, mkBatch(n0)); err != nil {
 		t.Fatal(err)
 	}
@@ -510,6 +510,22 @@ func TestOnlineRebaseFailureRestoresTracking(t *testing.T) {
 	if d := o.Drift(); d != refDrift1 {
 		t.Fatalf("drift after failed rebase = %g, want %g (tracking not restored)", d, refDrift1)
 	}
+	// A family online maintenance does not support — a weighted overall
+	// sample — is refused too, with the served family's state as it was and
+	// nothing new published.
+	wcfg := cfg
+	wcfg.Overall = everyOtherRow{}
+	weighted, err := NewSmallGroup(wcfg).Preprocess(o.DB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	published := o.Prepared()
+	if err := o.Rebase(weighted, 1, nil); err == nil {
+		t.Fatal("rebase onto a weighted-overall family should fail")
+	}
+	if now, _ := sys.Prepared("smallgroup"); now != published || o.Prepared() != published {
+		t.Fatal("a refused rebase changed the published family")
+	}
 	if _, err := o.Apply(2, mkBatch(n0+600)); err != nil {
 		t.Fatal(err)
 	}
@@ -519,6 +535,16 @@ func TestOnlineRebaseFailureRestoresTracking(t *testing.T) {
 	if d := o.Drift(); d != wantDrift {
 		t.Fatalf("drift after failed rebase + apply = %g, want %g", d, wantDrift)
 	}
+}
+
+// everyOtherRow is a weighted overall builder: every second row, at weight 2.
+type everyOtherRow struct{}
+
+func (everyOtherRow) BuildOverall(db *engine.Database, target int, seed int64) (rows []int, weights []float64, err error) {
+	for r := 0; r < db.NumRows(); r += 2 {
+		rows, weights = append(rows, r), append(weights, 2)
+	}
+	return rows, weights, nil
 }
 
 // TestOnlineNewValueInDroppedColumn covers the §4.2.1 corner pre-processing
@@ -586,11 +612,10 @@ func TestOnlineNewValueInDroppedColumn(t *testing.T) {
 
 // applyBytesPerBatch attaches online maintenance to a gathered copy of
 // skewedDB(n) — no spare capacity, as a restored base has none — with an
-// overall sample of sampleRows rows, and returns the mean bytes one 200-row
-// Apply allocated over the first batches.
-func applyBytesPerBatch(t *testing.T, n, sampleRows, batches int) float64 {
+// overall sample of sampleRows rows, and returns the mean bytes one Apply of
+// batch rows allocated over the first batches.
+func applyBytesPerBatch(t *testing.T, n, sampleRows, batch, batches int) float64 {
 	t.Helper()
-	const batch = 200
 	all := make([]int, n)
 	for i := range all {
 		all[i] = i
@@ -624,10 +649,20 @@ func applyBytesPerBatch(t *testing.T, n, sampleRows, batches int) float64 {
 // at one size, applying a batch costs the same on a base table ten times as
 // long — no column of the base data is copied to make room — over the first
 // 20 batches and over 120, in which every base column fills and seals 23
-// chunks.
+// chunks. Nor is any per-row array of the overall sample copied to swap a
+// slot: at one sample row in ten base rows a ten-row batch makes a swap, more
+// or less, and a sample ten times as long pays for it what the short one
+// does plus the chunk lists the swapping version takes for its own, 64 B per
+// 1 024 rows and column — a third of a byte per sample row, where copying an
+// array of masks cost 32.
 func TestOnlineApplyAllocatesPerBatchNotPerTable(t *testing.T) {
+	short, long := applyBytesPerBatch(t, 50_000, 5000, 10, 200), applyBytesPerBatch(t, 500_000, 50_000, 10, 200)
+	t.Logf("bytes per 10-row Apply over 200 batches: %.0f with a 5k-row sample, %.0f with a 50k-row one", short, long)
+	if perRow := (long - short) / 45_000; perRow > 1 {
+		t.Fatalf("a swap into a 50k-row sample allocates %.0f B, into a 5k-row one %.0f: %.1f B per sample row added", long, short, perRow)
+	}
 	for _, batches := range []int{20, 120} {
-		small, large := applyBytesPerBatch(t, 50_000, 5000, batches), applyBytesPerBatch(t, 500_000, 5000, batches)
+		small, large := applyBytesPerBatch(t, 50_000, 5000, 200, batches), applyBytesPerBatch(t, 500_000, 5000, 200, batches)
 		t.Logf("bytes per 200-row Apply over %d batches: %.0f over 50k rows, %.0f over 500k rows", batches, small, large)
 		if large > 2*small {
 			t.Fatalf("Apply allocates %.0f B a batch over 500k rows against %.0f B over 50k: it grows with the table", large, small)
@@ -651,11 +686,25 @@ func resultDigest(res *engine.Result) string {
 	return sb.String()
 }
 
+// maskDigest renders RowMask and RowWeight of every row the family stores.
+func maskDigest(p Prepared) string {
+	sgp := p.(*smallGroupPrepared)
+	var sb strings.Builder
+	for _, tbl := range append(sgp.Tables(), sgp.Overall()) {
+		for r := 0; r < tbl.NumRows(); r++ {
+			m, _ := tbl.RowMask(r)
+			fmt.Fprintf(&sb, "%x/%g;", m.Words(), tbl.RowWeight(r))
+		}
+	}
+	return sb.String()
+}
+
 // TestPinnedVersionsUnchangedByIngest: readers holding the last four
 // published versions re-run one query, exact and approximate, while the
 // writer appends batches, inserts into small group tables and swaps reservoir
-// slots. Every answer equals the one taken when the version was published;
-// under -race, a write into storage a pinned version reads is a failure too.
+// slots. Every answer, and every stored mask and weight, equals the one taken
+// when the version was published; under -race, a write into storage a pinned
+// version reads is a failure too.
 func TestPinnedVersionsUnchangedByIngest(t *testing.T) {
 	const n0, readers, checksPerReader, minBatches = 5000, 3, 40, 8
 	// A half-rate sample: the reservoir spans three chunks and most batches
@@ -677,7 +726,9 @@ func TestPinnedVersionsUnchangedByIngest(t *testing.T) {
 		if err != nil {
 			return "", "", err
 		}
-		return resultDigest(ex), resultDigest(ans.Result), nil
+		// The approximate answer reads the mask words through the scan; the
+		// stored masks and weights are read row by row beside it.
+		return resultDigest(ex), resultDigest(ans.Result) + maskDigest(p), nil
 	}
 	take := func() pin {
 		p, _ := sys.Prepared("smallgroup")

@@ -197,7 +197,11 @@ func (ps *plannerStats) build(p *smallGroupPrepared) {
 	src := p.overall.src
 	ps.overallRows = int64(src.NumRows())
 	otbl, flat := src.(*engine.Table)
-	ps.uniform = flat && otbl.Weights == nil && p.overallScale > 0
+	fact := otbl // the table that stores the sample rows' weights
+	if rdb, ok := src.(*engine.Database); ok {
+		fact = rdb.Fact
+	}
+	ps.uniform = flat && otbl.Column(engine.WeightColumn) == nil && p.overallScale > 0
 	ps.baseRows = float64(p.meta.BaseRows)
 	if ps.uniform {
 		// The live row count: overallScale is maintained across ingest.
@@ -216,7 +220,7 @@ func (ps *plannerStats) build(p *smallGroupPrepared) {
 		for row := 0; row < int(ps.overallRows); row++ {
 			v := acc.Value(row)
 			if _, common := cm.Common[v]; common {
-				est[v] += src.RowWeight(row) * scale
+				est[v] += fact.RowWeight(row) * scale
 			}
 		}
 		// Common values the sample missed still exist; credit them one
@@ -242,7 +246,7 @@ func (ps *plannerStats) build(p *smallGroupPrepared) {
 		return
 	}
 	for _, col := range otbl.ColumnNames() {
-		if _, done := ps.cols[col]; done {
+		if _, done := ps.cols[col]; done || strings.HasPrefix(col, engine.ReservedPrefix) {
 			continue
 		}
 		acc, err := src.Accessor(col)
@@ -251,7 +255,7 @@ func (ps *plannerStats) build(p *smallGroupPrepared) {
 		}
 		est := make(map[engine.Value]float64)
 		for row := 0; row < int(ps.overallRows); row++ {
-			est[acc.Value(row)] += src.RowWeight(row) * scale
+			est[acc.Value(row)] += otbl.RowWeight(row) * scale
 		}
 		ps.cols[col] = colDist{common: bucketize(est), outsideS: true}
 	}

@@ -175,7 +175,9 @@ func naivePreprocess(cfg SmallGroupConfig, db *engine.Database) (*smallGroupPrep
 }
 
 // naiveFlatten materialises the joined view for rows one cell at a time
-// through Accessor.Value and Column.Append.
+// through Accessor.Value and Column.Append. Only the engine adds columns under
+// reserved names, so the masks and weights go on through its Flatten, over
+// every row of the copy.
 func naiveFlatten(db *engine.Database, name string, rows []int, masks []bitmask.Mask, weights []float64) *engine.Table {
 	var cols []*engine.Column
 	var accs []engine.ColumnAccessor
@@ -186,14 +188,15 @@ func naiveFlatten(db *engine.Database, name string, rows []int, masks []bitmask.
 		accs = append(accs, acc)
 	}
 	out := engine.NewTable(name, cols...)
-	for _, r := range rows {
+	all := make([]int, len(rows))
+	for j, r := range rows {
 		for i, acc := range accs {
 			cols[i].Append(acc.Value(r))
 		}
 		out.EndRow()
+		all[j] = j
 	}
-	out.Masks, out.Weights = masks, weights
-	return out
+	return engine.MustNewDatabase(name, out).Flatten(name, all, masks, weights)
 }
 
 type naivePairTester struct {

@@ -375,18 +375,18 @@ func (split *bandSplit) materialise(db *engine.Database, cfg SmallGroupConfig, r
 		if i < width {
 			src.name, list, w = names[i], rows.tables[i], rows.weights[i]
 		}
-		masks := make([]bitmask.Mask, len(list))
-		rowBits := make([]uint64, split.rare.Words())
+		// One slab of words for the table: a row's mask is a window onto it.
+		masks, words := make([]bitmask.Mask, len(list)), maskWords(width)
+		slab := make([]uint64, len(list)*words)
 		for j, r := range list {
-			m := bitmask.New(width)
+			rowBits := slab[j*words : (j+1)*words : (j+1)*words]
 			split.rare.Bits(r, rowBits)
-			eachBit(rowBits, m.Set)
 			for _, pt := range split.pairs {
 				if pt.test(r, rowBits) {
-					m.Set(pt.index)
+					setBit(rowBits, pt.index)
 				}
 			}
-			masks[j] = m
+			masks[j] = bitmask.FromWords(width, rowBits)
 		}
 		if renorm != nil {
 			rdb, err := renorm.Build(src.name, list, masks, w)
@@ -438,6 +438,12 @@ func (pt *pairTester) candidate(rowBits []uint64) bool {
 func bitSet(words []uint64, i int) bool {
 	return i >= 0 && words[i/64]&(1<<(uint(i)%64)) != 0
 }
+
+func setBit(words []uint64, i int) { words[i/64] |= 1 << (uint(i) % 64) }
+
+// maskWords is how many 64-bit words, and so how many mask columns, a sample
+// row's membership mask takes when |S| is width.
+func maskWords(width int) int { return (width + 63) / 64 }
 
 // key appends the row's encoded value tuple to buf.
 func (pt *pairTester) key(buf []byte, row int) []byte {

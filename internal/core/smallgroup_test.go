@@ -2,9 +2,11 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
+	"dynsample/internal/datagen"
 	"dynsample/internal/engine"
 	"dynsample/internal/randx"
 )
@@ -446,5 +448,38 @@ func TestSampleAccounting(t *testing.T) {
 	}
 	if p.SampleBytes() <= 0 {
 		t.Error("SampleBytes not positive")
+	}
+}
+
+// TestSampleFamilyHeldBytesMatchStoredBytes: StoredBytes — the figure behind
+// aqp_engine_stored_bytes{set="samples"} — is what the family's tables hold.
+// The live heap is measured with the family alive and again with it dropped;
+// the difference, which also carries the metadata's value sets, must be
+// within 15 % of the reported size.
+func TestSampleFamilyHeldBytesMatchStoredBytes(t *testing.T) {
+	db, err := datagen.TPCH(datagen.TPCHConfig{ScaleFactor: 2, Zipf: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewSmallGroup(SmallGroupConfig{BaseRate: 0.01, Seed: 1}).Preprocess(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sgp := p.(*smallGroupPrepared)
+	stored, rows := sgp.StoredBytes(), sgp.SampleRows()
+	liveHeap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	with := liveHeap()
+	runtime.KeepAlive(p) // the family's last use: the second reading is without it
+	held := int64(with - liveHeap())
+	runtime.KeepAlive(db)
+	t.Logf("%d sample rows: StoredBytes %d (%.1f B/row), live heap %d (%.1f B/row)",
+		rows, stored, float64(stored)/float64(rows), held, float64(held)/float64(rows))
+	if diff := math.Abs(float64(held-stored)) / float64(stored); diff > 0.15 {
+		t.Fatalf("the family holds %d B of live heap and reports %d B stored: %.0f %% apart, want within 15 %%", held, stored, 100*diff)
 	}
 }

@@ -75,9 +75,10 @@ func (c *Column) setValue(i int, v Value) {
 
 // CloneForAppend returns a new version of the table sharing all row storage
 // with the receiver. Appending rows (AppendRow, or direct column pushes plus
-// EndRow), appending to Masks/Weights and overwriting rows with SetRow are
-// safe while readers scan the original: appended data lands only at indices
-// beyond the original's length, and SetRow writes to copies. The clone and
+// EndRow) and overwriting rows with SetRow are safe while readers scan the
+// original: appended data lands only at indices beyond the original's length,
+// and SetRow writes to copies. A sample row's mask words and weight are
+// columns, so they are covered like the rest of the row. The clone and
 // the original share dictionaries and the byName index; do not AddColumn to
 // either afterwards, and keep all mutation on one goroutine. Only the newest
 // version of a table may be appended to.
@@ -96,8 +97,7 @@ func (t *Table) CloneForAppend() *Table {
 // it is stored, so versions this one was cloned from keep their rows and
 // every other chunk stays shared; a value outside a packed copy's span has it
 // sealed again, wider. Dictionaries are shared too: replacement strings append
-// new codes, never rewrite old entries. Masks and Weights are the caller's to
-// copy before it writes to them.
+// new codes, never rewrite old entries.
 func (t *Table) SetRow(i int, vals ...Value) {
 	if len(vals) != len(t.cols) {
 		panic(fmt.Sprintf("engine: row has %d values, table %q has %d columns", len(vals), t.Name, len(t.cols)))

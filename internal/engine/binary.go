@@ -6,8 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"dynsample/internal/bitmask"
+	"strings"
 )
 
 // Binary table serialization: sample tables are "stored in the database
@@ -15,16 +14,19 @@ import (
 // is a compact little-endian binary format, so pre-processed sample sets can
 // be saved once and reloaded by later sessions (see core.SaveSmallGroup).
 
-const tableMagic = "DSTB"
+// tableMagic names the one table format: a header and the columns, a sample
+// table's mask words and weights among them. ("DSTB" files kept those in two
+// sections after the columns; nothing reads them any more.)
+const tableMagic = "DST2"
 
-// WriteBinary writes the table in the binary sample-table format, including
-// any bitmask and weight side arrays.
+// WriteBinary writes the table, every column of it, in the binary table
+// format.
 func WriteBinary(t *Table, w io.Writer) error {
 	views := make([]ColumnView, t.NumCols())
 	for i, c := range t.Columns() {
 		views[i] = c.View()
 	}
-	return writeRows(w, t.Name, views, 0, t.NumRows(), false, t.Masks, t.Weights)
+	return writeRows(w, t.Name, views, 0, t.NumRows(), false)
 }
 
 // WriteRowsBinary writes rows [lo, hi) of the joined view in the binary
@@ -37,13 +39,13 @@ func (db *Database) WriteRowsBinary(w io.Writer, name string, lo, hi int) error 
 		views[i], _ = db.View(cn) // a name from colNames is bound
 		views[i].sealLast()
 	}
-	return writeRows(w, name, views, lo, hi, true, nil, nil)
+	return writeRows(w, name, views, lo, hi, true)
 }
 
 // writeRows writes rows [lo, hi) of the given columns as one table. compact
 // writes each string column's dictionary as gather would rebuild it — the
 // strings the rows use, in order of first appearance — instead of whole.
-func writeRows(w io.Writer, name string, views []ColumnView, lo, hi int, compact bool, masks []bitmask.Mask, weights []float64) error {
+func writeRows(w io.Writer, name string, views []ColumnView, lo, hi int, compact bool) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(tableMagic); err != nil {
 		return err
@@ -69,30 +71,6 @@ func writeRows(w io.Writer, name string, views []ColumnView, lo, hi int, compact
 		}
 		e.column(v, lo, hi, remap)
 	}
-	if masks != nil {
-		bw.WriteByte(1)
-		width := 0
-		if len(masks) > 0 {
-			width = masks[0].Width()
-		}
-		writeU32(bw, uint32(width))
-		for _, m := range masks {
-			for _, b := range m.Bits() {
-				writeU32(bw, uint32(b))
-			}
-			writeU32(bw, ^uint32(0)) // row terminator
-		}
-	} else {
-		bw.WriteByte(0)
-	}
-	if weights != nil {
-		bw.WriteByte(1)
-		for ; len(weights) > 0; weights = weights[min(len(weights), scanBlockRows):] {
-			e.floats(weights[:min(len(weights), scanBlockRows)])
-		}
-	} else {
-		bw.WriteByte(0)
-	}
 	return bw.Flush()
 }
 
@@ -117,7 +95,11 @@ func (e *blockEncoder) column(v *ColumnView, lo, hi int, remap []int32) {
 			}
 			e.w.Write(b)
 		case Float:
-			e.floats(block(&v.floats, v.join(), lo, n, e.vals.floats, e.vals.ids))
+			b := e.buf
+			for _, x := range block(&v.floats, v.join(), lo, n, e.vals.floats, e.vals.ids) {
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+			}
+			e.w.Write(b)
 		default:
 			b := e.buf
 			for _, code := range block(&v.codes, v.join(), lo, n, e.vals.codes, e.vals.ids) {
@@ -129,14 +111,6 @@ func (e *blockEncoder) column(v *ColumnView, lo, hi int, remap []int32) {
 			e.w.Write(b)
 		}
 	}
-}
-
-func (e *blockEncoder) floats(vals []float64) {
-	b := e.buf
-	for _, x := range vals {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
-	}
-	e.w.Write(b)
 }
 
 // usedDict returns the dictionary entries view rows [lo, hi) of a string
@@ -183,13 +157,6 @@ func readChunks[T stored](r io.Reader, rows uint32, width int, buf []byte, decod
 	return s, nil
 }
 
-func decodeFloats(dst []float64, src []byte) error {
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
-	}
-	return nil
-}
-
 // ReadBinary reads a table written by WriteBinary. When r is already a
 // *bufio.Reader it is used directly, so multiple tables can be read back to
 // back from one stream without losing buffered bytes.
@@ -203,7 +170,7 @@ func ReadBinary(r io.Reader) (*Table, error) {
 		return nil, fmt.Errorf("engine: reading table header: %w", err)
 	}
 	if string(magic) != tableMagic {
-		return nil, fmt.Errorf("engine: bad table magic %q", magic)
+		return nil, fmt.Errorf("engine: table format %q: this build reads %q only", magic, tableMagic)
 	}
 	name, err := readString(br)
 	if err != nil {
@@ -224,9 +191,9 @@ func ReadBinary(r io.Reader) (*Table, error) {
 		return nil, fmt.Errorf("engine: %d rows with no columns", rows)
 	}
 	buf := make([]byte, 8*chunkRows)
-	cols := make([]*Column, ncols)
+	t := newTable(name, int(ncols))
 	seen := make(map[string]bool, ncols)
-	for j := range cols {
+	for j := uint32(0); j < ncols; j++ {
 		cname, err := readString(br)
 		if err != nil {
 			return nil, err
@@ -242,6 +209,9 @@ func ReadBinary(r io.Reader) (*Table, error) {
 		if tb > byte(String) {
 			return nil, fmt.Errorf("engine: bad column type %d", tb)
 		}
+		if want := reservedType(cname); strings.HasPrefix(cname, ReservedPrefix) && Type(tb) != want {
+			return nil, fmt.Errorf("engine: reserved column %q must be %s", cname, want)
+		}
 		c := NewColumn(cname, Type(tb))
 		switch c.Type {
 		case Int:
@@ -252,7 +222,12 @@ func ReadBinary(r io.Reader) (*Table, error) {
 				return nil
 			})
 		case Float:
-			c.floats, err = readChunks(br, rows, 8, buf, decodeFloats)
+			c.floats, err = readChunks(br, rows, 8, buf, func(dst []float64, src []byte) error {
+				for i := range dst {
+					dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+				}
+				return nil
+			})
 		default:
 			dn, derr := readU32(br)
 			if derr != nil {
@@ -287,54 +262,7 @@ func ReadBinary(r io.Reader) (*Table, error) {
 			return nil, err
 		}
 		c.n, c.written = int(rows), int(rows)
-		cols[j] = c
-	}
-	t := NewTable(name, cols...)
-
-	hasMasks, err := br.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	if hasMasks == 1 {
-		width, err := readU32(br)
-		if err != nil {
-			return nil, err
-		}
-		if width > 1<<20 {
-			return nil, fmt.Errorf("engine: unreasonable mask width %d", width)
-		}
-		t.Masks = []bitmask.Mask{}
-		for i := uint32(0); i < rows; i++ {
-			m := bitmask.New(int(width))
-			for {
-				b, err := readU32(br)
-				if err != nil {
-					return nil, err
-				}
-				if b == ^uint32(0) {
-					break
-				}
-				if b >= width {
-					return nil, fmt.Errorf("engine: mask bit %d out of width %d", b, width)
-				}
-				m.Set(int(b))
-			}
-			t.Masks = append(t.Masks, m)
-		}
-	}
-	hasWeights, err := br.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	if hasWeights == 1 {
-		chunks, err := readChunks(br, rows, 8, buf, decodeFloats)
-		if err != nil {
-			return nil, err
-		}
-		t.Weights = make([]float64, 0, rows)
-		for k := 0; len(t.Weights) < int(rows); k++ {
-			t.Weights = append(t.Weights, chunks.chunk(k).wide...)
-		}
+		t.addColumn(c)
 	}
 	return t, nil
 }

@@ -3,12 +3,22 @@ package engine
 import (
 	"bufio"
 	"bytes"
+	"reflect"
+	"strings"
 	"testing"
 
 	"dynsample/internal/bitmask"
 )
 
-func binaryFixture() *Table {
+var (
+	fixtureWeights = []float64{1, 2.5, 100}
+	fixtureBits    = func(width int) [][]int { return [][]int{{0, width - 1}, nil, {width / 2}} }
+)
+
+func binaryFixture() *Table { return maskedFixture(70) }
+
+// maskedFixture is a three-row sample table whose masks are width bits wide.
+func maskedFixture(width int) *Table {
 	a := NewColumn("a", String)
 	b := NewColumn("b", Int)
 	c := NewColumn("c", Float)
@@ -16,17 +26,25 @@ func binaryFixture() *Table {
 	t.AppendRow(StringVal("x"), IntVal(-7), FloatVal(1.5))
 	t.AppendRow(StringVal("y"), IntVal(1<<50), FloatVal(-0.25))
 	t.AppendRow(StringVal("x"), IntVal(0), FloatVal(0))
-	t.Masks = []bitmask.Mask{
-		bitmask.FromBits(70, 0, 69),
-		bitmask.New(70),
-		bitmask.FromBits(70, 33),
+	var masks []bitmask.Mask
+	for _, bits := range fixtureBits(width) {
+		masks = append(masks, bitmask.FromBits(width, bits...))
 	}
-	t.Weights = []float64{1, 2.5, 100}
+	t.addSampleColumns(masks, fixtureWeights)
 	return t
 }
 
 func TestBinaryRoundTrip(t *testing.T) {
-	orig := binaryFixture()
+	for _, width := range []int{2, 64, 70, 146, 245} {
+		testBinaryRoundTrip(t, width)
+	}
+}
+
+func testBinaryRoundTrip(t *testing.T, width int) {
+	orig := maskedFixture(width)
+	if want := 3 + (width+63)/64 + 1; orig.NumCols() != want {
+		t.Fatalf("width %d: %d columns, want %d", width, orig.NumCols(), want)
+	}
 	var buf bytes.Buffer
 	if err := WriteBinary(orig, &buf); err != nil {
 		t.Fatal(err)
@@ -49,14 +67,12 @@ func TestBinaryRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	for i := range orig.Masks {
-		if !got.Masks[i].Equal(orig.Masks[i]) {
-			t.Errorf("mask %d: %v vs %v", i, got.Masks[i], orig.Masks[i])
+	for i, bits := range fixtureBits(width) {
+		if m, ok := got.RowMask(i); !ok || !reflect.DeepEqual(m.Bits(), bits) {
+			t.Errorf("width %d mask %d: %v (%v), want bits %v", width, i, m, ok, bits)
 		}
-	}
-	for i, w := range orig.Weights {
-		if got.Weights[i] != w {
-			t.Errorf("weight %d: %g vs %g", i, got.Weights[i], w)
+		if w := got.RowWeight(i); w != fixtureWeights[i] {
+			t.Errorf("weight %d: %g vs %g", i, w, fixtureWeights[i])
 		}
 	}
 }
@@ -73,8 +89,8 @@ func TestBinaryRoundTripNoSideArrays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Masks != nil || got.Weights != nil {
-		t.Error("side arrays materialised from nothing")
+	if _, masked := got.RowMask(0); masked || got.NumCols() != 1 || got.RowWeight(0) != 1 {
+		t.Error("mask or weight columns materialised from nothing")
 	}
 }
 
@@ -110,6 +126,21 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 	full := buf.Bytes()
 	if _, err := ReadBinary(bytes.NewReader([]byte("NOPE"))); err == nil {
 		t.Error("bad magic accepted")
+	}
+	// The format before mask words and weights were columns: refused by name.
+	old := append([]byte("DSTB"), full[len(tableMagic):]...)
+	if _, err := ReadBinary(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), `"DSTB"`) || !strings.Contains(err.Error(), tableMagic) {
+		t.Errorf("old-format file: %v, want an error naming both formats", err)
+	}
+	// A reserved column of the wrong type would be read as mask words.
+	bad := maskedFixture(70)
+	bad.cols[3].Name, bad.cols[5].Name = bad.cols[5].Name, bad.cols[3].Name // @weight names an Int column
+	var badBuf bytes.Buffer
+	if err := WriteBinary(bad, &badBuf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadBinary(&badBuf); err == nil || !strings.Contains(err.Error(), "reserved column") {
+		t.Errorf("mistyped reserved column: %v", err)
 	}
 	for _, cut := range []int{3, 8, len(full) / 2, len(full) - 1} {
 		if _, err := ReadBinary(bytes.NewReader(full[:cut])); err == nil {

@@ -94,7 +94,6 @@ func TestExecuteCtxDeadlineAbortsSlowScan(t *testing.T) {
 // TestExecuteExactCtxCancelled: the exact path observes cancellation too.
 func TestExecuteExactCtxCancelled(t *testing.T) {
 	tbl := randomScanTable(9, ScanShardRows*2)
-	tbl.Masks, tbl.Weights = nil, nil
 	db := MustNewDatabase("d", tbl)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -25,7 +25,7 @@ func chunkEdgeSources(rng *rand.Rand, n int) (flat kernelSource, star kernelSour
 	}
 	flatCols := kernelColumns(rng, "", n)
 	tbl := NewTable("flat", flatCols...)
-	tbl.Masks, tbl.Weights = kernelSideArrays(rng, n)
+	tbl.addSampleColumns(kernelSideArrays(rng, n, masks65))
 
 	const d1Rows, d2Rows = 40, chunkRows + 300
 	factCols, d1Cols, d2Cols := kernelColumns(rng, "f_", n), kernelColumns(rng, "d1_", d1Rows), kernelColumns(rng, "d2_", d2Rows)
@@ -37,8 +37,8 @@ func chunkEdgeSources(rng *rand.Rand, n int) (flat kernelSource, star kernelSour
 	db := MustNewDatabase("star", NewTable("fact", append(factCols, fk1, fk2)...),
 		DimJoin{Table: NewTable("d1", d1Cols...), FK: "fk1"}, DimJoin{Table: NewTable("d2", d2Cols...), FK: "fk2"})
 	starCols := append(append(names(factCols), names(d1Cols)...), names(d2Cols)...)
-	return kernelSource{"flat", tbl, names(flatCols), []string{"f", "i_low", "s_low"}},
-		kernelSource{"star", db, starCols, []string{"f_f", "d1_i_wide", "d2_f"}}
+	return kernelSource{"flat", tbl, names(flatCols), []string{"f", "i_low", "s_low"}, masks65},
+		kernelSource{"star", db, starCols, []string{"f_f", "d1_i_wide", "d2_f"}, masks65}
 }
 
 // TestChunkEdgeRowCounts: at every length where the storage changes shape the
@@ -105,7 +105,7 @@ func TestChunkEdgeRowCounts(t *testing.T) {
 		for _, ks := range []kernelSource{flat, star} {
 			for i := 0; i < 12; i++ {
 				q := kernelQuery(rng, ks)
-				opt := kernelOptions(rng, max(n, 1))
+				opt := kernelOptions(rng, max(n, 1), ks.masks)
 				label := fmt.Sprintf("n=%d %s #%d: %s %+v", n, ks.name, i, q, opt)
 				got, err := Execute(ks.src, q, opt)
 				if err != nil {
@@ -118,7 +118,7 @@ func TestChunkEdgeRowCounts(t *testing.T) {
 				if scale == 0 {
 					scale = 1
 				}
-				bound, err := bindQuery(ks.src, q)
+				bound, err := bindQuery(ks.src, q, opt.ExcludeMask)
 				if err != nil {
 					t.Fatal(err)
 				}

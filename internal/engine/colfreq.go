@@ -515,21 +515,28 @@ func (v ColumnView) gather(at []int) *Column {
 	return nc
 }
 
-// gatherRows returns src's rows at as storage built in one go: every chunk
-// sealed, the last one short. translate, when not nil, rewrites each chunk's
-// values before they are sealed.
-func gatherRows[T stored](src *chunked[T], at []int, translate func([]T)) (dst chunked[T]) {
-	var vals []T
-	for n := 0; len(at) > 0; at = at[n:] {
-		if n = min(len(at), chunkRows); len(vals) != n {
-			vals = make([]T, n)
-		}
+// gatherRows returns src's rows at as storage built in one go. translate,
+// when not nil, rewrites each chunk's values before they are sealed.
+func gatherRows[T stored](src *chunked[T], at []int, translate func([]T)) chunked[T] {
+	return fillRows(len(at), func(vals []T, lo int) {
 		for i := range vals {
-			vals[i] = src.at(at[i])
+			vals[i] = src.at(at[lo+i])
 		}
 		if translate != nil {
 			translate(vals)
 		}
+	})
+}
+
+// fillRows returns storage of n rows built in one go: every chunk sealed, the
+// last one short. fill sets vals to the rows from lo on.
+func fillRows[T stored](n int, fill func(vals []T, lo int)) (dst chunked[T]) {
+	var vals []T
+	for lo := 0; lo < n; lo += chunkRows {
+		if k := min(n-lo, chunkRows); len(vals) != k {
+			vals = make([]T, k)
+		}
+		fill(vals, lo)
 		vals = dst.add(vals)
 	}
 	return dst

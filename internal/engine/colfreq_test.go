@@ -336,7 +336,7 @@ func TestFlattenMatchesRowAtATime(t *testing.T) {
 			}
 			want.EndRow()
 		}
-		want.Masks, want.Weights = masks, weights
+		want.addSampleColumns(masks, weights)
 		got := db.Flatten("flat", rows, masks, weights)
 		if !bytes.Equal(tableBytes(t, got), tableBytes(t, want)) {
 			t.Fatalf("seed %d: Flatten differs from the row-at-a-time copy", seed)

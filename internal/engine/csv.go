@@ -45,6 +45,11 @@ func ReadCSV(name string, r io.Reader) (*Table, error) {
 		return nil, fmt.Errorf("engine: reading CSV header: %w", err)
 	}
 	names := append([]string(nil), header...)
+	for _, n := range names {
+		if err := CheckColumnName(n); err != nil {
+			return nil, err
+		}
+	}
 
 	var rows [][]string
 	for {

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"dynsample/internal/bitmask"
 )
@@ -40,7 +41,8 @@ type binding struct {
 }
 
 // NewDatabase assembles a star schema and validates it. FK columns are
-// physical only: they do not appear among the view's logical columns.
+// physical only: they do not appear among the view's logical columns. Nor do
+// a sample fact table's reserved columns, which are bound for View.
 func NewDatabase(name string, fact *Table, dims ...DimJoin) (*Database, error) {
 	db := &Database{Name: name, Fact: fact, Dims: dims, bindings: make(map[string]binding)}
 	fkCols := make(map[string]bool, len(dims))
@@ -87,7 +89,9 @@ func (db *Database) bind(name string, b binding) error {
 		return fmt.Errorf("engine: duplicate column name %q across star schema", name)
 	}
 	db.bindings[name] = b
-	db.colNames = append(db.colNames, name)
+	if !strings.HasPrefix(name, ReservedPrefix) {
+		db.colNames = append(db.colNames, name)
+	}
 	return nil
 }
 
@@ -131,15 +135,6 @@ func (db *Database) Accessor(name string) (ColumnAccessor, error) {
 	return &fkAccessor{fk: b.fk, col: b.col}, nil
 }
 
-// RowMask implements Source, delegating to the fact table (renormalized
-// sample databases carry masks there; base databases have none).
-func (db *Database) RowMask(row int) (bitmask.Mask, bool) { return db.Fact.RowMask(row) }
-
-// RowWeight implements Source, delegating to the fact table.
-func (db *Database) RowWeight(row int) float64 { return db.Fact.RowWeight(row) }
-
-func (db *Database) rowArrays() ([]bitmask.Mask, []float64) { return db.Fact.rowArrays() }
-
 // fkAccessor reads a dimension column through a fact FK column.
 type fkAccessor struct {
 	fk  *Column
@@ -162,15 +157,9 @@ func (a *fkCodeAccessor) DictValue(code int32) string { return a.col.DictValue(c
 // construction from [3] that the paper applies to sample tables (§5.2.2): each
 // sample table is stored pre-joined so runtime queries scan it directly.
 //
-// masks and weights, when non-nil, are attached per emitted row and must have
-// len(rows) entries.
+// masks and weights, when non-nil, hold one entry per emitted row and become
+// the table's mask word and weight columns.
 func (db *Database) Flatten(name string, rows []int, masks []bitmask.Mask, weights []float64) *Table {
-	if masks != nil && len(masks) != len(rows) {
-		panic("engine: Flatten masks length mismatch")
-	}
-	if weights != nil && len(weights) != len(rows) {
-		panic("engine: Flatten weights length mismatch")
-	}
 	// Resolve the join once per dimension, then gather column-at-a-time.
 	dimRows := make([][]int, len(db.Dims))
 	cols := make([]*Column, len(db.colNames))
@@ -192,8 +181,7 @@ func (db *Database) Flatten(name string, rows []int, masks []bitmask.Mask, weigh
 		cols[i] = v.gather(at)
 	}
 	out := NewTable(name, cols...)
-	out.Masks = masks
-	out.Weights = weights
+	out.addSampleColumns(masks, weights)
 	return out
 }
 

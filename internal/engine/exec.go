@@ -68,7 +68,7 @@ func ExecuteCtx(ctx context.Context, src Source, q *Query, opt ExecOptions) (*Re
 	if scale == 0 {
 		scale = 1
 	}
-	bound, err := bindQuery(src, q)
+	bound, err := bindQuery(src, q, opt.ExcludeMask)
 	if err != nil {
 		return nil, err
 	}
@@ -103,7 +103,7 @@ func ExecuteCtx(ctx context.Context, src Source, q *Query, opt ExecOptions) (*Re
 		if s == nil {
 			s = bound.newShardScan()
 		}
-		s.scan(bound, opt, scale, shards[i].Lo, shards[i].Hi)
+		s.scan(bound, scale, shards[i].Lo, shards[i].Hi)
 		mu.Lock()
 		defer mu.Unlock()
 		for done[i] = s; next < len(done) && done[next] != nil; next++ {

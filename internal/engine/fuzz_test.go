@@ -37,10 +37,12 @@ func FuzzReadBinary(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed.Bytes())
-	f.Add([]byte("DSTB"))
+	f.Add([]byte(tableMagic))
+	f.Add([]byte("DSTB")) // the format before this one
 	f.Add([]byte{})
 	f.Add(overclaimingStream(f)) // the header claims more rows than arrive
-	for _, tbl := range widthSeedTables() {
+	// One sample table per mask word count, one to four.
+	for _, tbl := range append(widthSeedTables(), maskedFixture(16), maskedFixture(128), maskedFixture(146), maskedFixture(245)) {
 		var seed bytes.Buffer
 		if err := WriteBinary(tbl, &seed); err != nil {
 			f.Fatal(err)
@@ -54,19 +56,16 @@ func FuzzReadBinary(f *testing.F) {
 			return
 		}
 		// Decoded tables must be consistent: every column has NumRows rows,
-		// side arrays (if present) match, and a scan succeeds.
+		// the mask and weight columns (if present) read as such, and every
+		// cell decodes.
 		for _, c := range tbl.Columns() {
 			if c.Len() != tbl.NumRows() {
 				t.Fatalf("column %q has %d rows, table %d", c.Name, c.Len(), tbl.NumRows())
 			}
 		}
-		if tbl.Masks != nil && len(tbl.Masks) != tbl.NumRows() {
-			t.Fatalf("masks %d vs rows %d", len(tbl.Masks), tbl.NumRows())
-		}
-		if tbl.Weights != nil && len(tbl.Weights) != tbl.NumRows() {
-			t.Fatalf("weights %d vs rows %d", len(tbl.Weights), tbl.NumRows())
-		}
 		for i := 0; i < tbl.NumRows(); i++ {
+			tbl.RowMask(i)
+			tbl.RowWeight(i)
 			for _, c := range tbl.Columns() {
 				_ = c.Value(i)
 			}

@@ -14,7 +14,9 @@ import (
 // integer key per row. Each row-range shard is then taken through the same
 // stages a block of scanBlockRows rows at a time (shardScan.scan):
 //
-//	select      the ExcludeMask and each predicate narrow a selection vector
+//	select      the exclude filter, one (word & m) == 0 test per mask word
+//	            column the ExcludeMask has a bit in, then each predicate
+//	            narrow a selection vector
 //	group id    the group columns' codes are packed into the row's key and
 //	            the key is looked up in the shard's groupTable
 //	accumulate  the five accumulators are updated in row order
@@ -39,13 +41,32 @@ const (
 // bindQuery and shared by every scan worker.
 type boundQuery struct {
 	q       *Query
-	masks   []bitmask.Mask // nil when the source carries none
-	weights []float64      // nil for an unweighted source
+	exclude []excludeWord // "WHERE bitmask & m = 0", a word column at a time
+	weight  *ColumnView   // nil for an unweighted source
 	preds   []boundPred
 	groups  []groupCol
 	aggs    []ColumnView // the measure of each SUM; unused for COUNT
 	words   int          // 64-bit words in a row's key
 	dense   int          // size of the direct-indexed table; 0 when keys are hashed
+}
+
+// excludeWord is the exclude filter on one mask word column: a row passes
+// when it has none of bits set.
+type excludeWord struct {
+	view ColumnView
+	bits int64
+}
+
+// keep narrows sel, in place, to the rows of the block at lo that pass.
+func (e *excludeWord) keep(sel []int32, lo int, buf *blockBuf) []int32 {
+	words, at := window(&e.view.ints, e.view.join(), sel, lo, buf.ints, buf.ids)
+	k := 0
+	for j, a := range at {
+		sel[k] = sel[j] // branch-free: kept only if k moves on
+		hit := uint64(words[a] & e.bits)
+		k += int((hit|-hit)>>63 ^ 1)
+	}
+	return sel[:k]
 }
 
 // groupCol is one group-by column's share of the key. A string column
@@ -59,14 +80,27 @@ type groupCol struct {
 	card uint64
 }
 
-func bindQuery(src Source, q *Query) (*boundQuery, error) {
+// bindQuery resolves q, and the exclude filter of a scan that has one, against
+// src. A word of exclude the source has no column for filters nothing: rows
+// without a mask belong to no small group table.
+func bindQuery(src Source, q *Query, exclude bitmask.Mask) (*boundQuery, error) {
 	b := &boundQuery{
 		q:      q,
 		preds:  make([]boundPred, len(q.Where)),
 		groups: make([]groupCol, len(q.GroupBy)),
 		aggs:   make([]ColumnView, len(q.Aggs)),
 	}
-	b.masks, b.weights = src.rowArrays()
+	for w, bits := range exclude.Words() {
+		if bits == 0 {
+			continue
+		}
+		if v, err := src.View(MaskColumn(w)); err == nil {
+			b.exclude = append(b.exclude, excludeWord{view: v, bits: int64(bits)})
+		}
+	}
+	if v, err := src.View(WeightColumn); err == nil {
+		b.weight = &v
+	}
 	view := func(name, role string) (ColumnView, error) {
 		v, err := src.View(name)
 		if err != nil {
@@ -409,26 +443,18 @@ func (b *boundQuery) newShardScan() *shardScan {
 // scan evaluates source rows [lo, hi) into s.groups. It reads the source and
 // the bound query but mutates nothing shared, so ranges of one source scan
 // concurrently.
-func (s *shardScan) scan(b *boundQuery, opt ExecOptions, scale float64, lo, hi int) {
+func (s *shardScan) scan(b *boundQuery, scale float64, lo, hi int) {
 	t := s.groups
-	filtering := b.masks != nil && opt.ExcludeMask.Width() > 0
 	na := len(b.q.Aggs)
 	for n := 0; lo < hi; lo += n {
 		n = blockLen(lo, hi)
 
-		// Select.
-		sel := s.sel[:0]
-		if filtering {
-			for o, m := range b.masks[lo : lo+n] {
-				if !m.Intersects(opt.ExcludeMask) {
-					sel = append(sel, int32(o))
-				}
-			}
-		} else {
-			sel = s.sel[:n]
-			for o := range sel {
-				sel[o] = int32(o)
-			}
+		// Select. The exclude filter narrows first: RowsScanned counts the
+		// rows it lets through.
+		sel := s.sel[:n]
+		copy(sel, identity[:])
+		for i := range b.exclude {
+			sel = b.exclude[i].keep(sel, lo, &s.buf)
 		}
 		t.scanned += int64(len(sel))
 		for i := range b.preds {
@@ -453,14 +479,14 @@ func (s *shardScan) scan(b *boundQuery, opt ExecOptions, scale float64, lo, hi i
 		// Accumulate, aggregate by aggregate; within one group and aggregate
 		// the additions happen in row order.
 		ws := s.ws[:len(sel)]
-		if b.weights == nil {
+		if b.weight == nil {
 			for j := range ws {
 				ws[j] = 1 * scale
 			}
 		} else {
-			weights := b.weights[lo:]
-			for j, o := range sel {
-				ws[j] = weights[o] * scale
+			measure(b.weight, ws, sel, lo, &s.buf)
+			for j := range ws {
+				ws[j] *= scale
 			}
 		}
 		for _, g := range gids {

@@ -47,12 +47,26 @@ func kernelColumns(rng *rand.Rand, prefix string, n int) []*Column {
 	return []*Column{sLow, sMid, sHigh, iLow, iWide, iEdge, f}
 }
 
-func kernelSideArrays(rng *rand.Rand, n int) ([]bitmask.Mask, []float64) {
+// kernelMasks is the mask shape of one source: |S| and the bits a row may
+// have set. The three shapes take two, two and four word columns; the second
+// leaves word 0 and the third word 2 without a set bit in any row.
+type kernelMasks struct {
+	width int
+	hot   []int
+}
+
+var (
+	masks65  = kernelMasks{65, []int{0, 3, 64}}
+	masks128 = kernelMasks{128, []int{64, 100, 127}}
+	masks245 = kernelMasks{245, []int{0, 3, 69, 200, 244}}
+)
+
+func kernelSideArrays(rng *rand.Rand, n int, km kernelMasks) ([]bitmask.Mask, []float64) {
 	masks := make([]bitmask.Mask, n)
 	weights := make([]float64, n)
 	for r := range masks {
-		masks[r] = bitmask.New(70) // two words
-		for _, bit := range []int{0, 3, 69} {
+		masks[r] = bitmask.New(km.width)
+		for _, bit := range km.hot {
 			if rng.Intn(4) == 0 {
 				masks[r].Set(bit)
 			}
@@ -67,11 +81,13 @@ type kernelSource struct {
 	src     Source
 	columns []string // group/predicate columns
 	sums    []string // SUM columns: float, int and (summing as zero) string
+	masks   kernelMasks
 }
 
 // kernelSources builds the three source shapes: a flat table with masks and
-// weights, a star database read through foreign keys, and a renormalized
-// sample of it — each longer than three shards, the last shard ragged.
+// weights (twice over the same columns, at two mask widths), a star database
+// read through foreign keys, and a renormalized sample of it — each longer
+// than three shards, the last shard ragged.
 func kernelSources(t *testing.T, seed int64) []kernelSource {
 	rng := rand.New(rand.NewSource(seed))
 	n := 3*ScanShardRows + 1000 + rng.Intn(3000)
@@ -95,7 +111,9 @@ func kernelSources(t *testing.T, seed int64) []kernelSource {
 
 	flatCols := kernelColumns(rng, "", n)
 	flat := NewTable("flat", append(flatCols, measures("", n)...)...)
-	flat.Masks, flat.Weights = kernelSideArrays(rng, n)
+	flat65 := NewTable("flat65", flat.Columns()...)
+	flat.addSampleColumns(kernelSideArrays(rng, n, masks245))
+	flat65.addSampleColumns(kernelSideArrays(rng, n, masks65))
 
 	factCols := kernelColumns(rng, "f_", n)
 	d1Cols := kernelColumns(rng, "d1_", 700)
@@ -117,16 +135,17 @@ func kernelSources(t *testing.T, seed int64) []kernelSource {
 			rows = append(rows, r)
 		}
 	}
-	masks, weights := kernelSideArrays(rng, len(rows))
+	masks, weights := kernelSideArrays(rng, len(rows), masks128)
 	sample, err := NewRenormalizer(db, rows).Build("sample", rows, masks, weights)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	return []kernelSource{
-		{"flat", flat, names(flatCols), []string{"m_f", "m_i", "s_low"}},
-		{"star", db, starCols, []string{"f_m_f", "f_m_i", "d1_m_f", "d1_m_i", "d2_s_mid"}},
-		{"renormalized", sample, starCols, []string{"f_m_f", "d1_m_i"}},
+		{"flat", flat, names(flatCols), []string{"m_f", "m_i", "s_low"}, masks245},
+		{"flat65", flat65, names(flatCols), []string{"m_f", "m_i", "s_low"}, masks65},
+		{"star", db, starCols, []string{"f_m_f", "f_m_i", "d1_m_f", "d1_m_i", "d2_s_mid"}, masks65}, // stores none
+		{"renormalized", sample, starCols, []string{"f_m_f", "d1_m_i"}, masks128},
 	}
 }
 
@@ -192,16 +211,29 @@ func kernelQuery(rng *rand.Rand, ks kernelSource) *Query {
 	return q
 }
 
-func kernelOptions(rng *rand.Rand, n int) ExecOptions {
+// kernelOptions draws scan options for a source of n rows whose masks have
+// shape km. Half the exclude masks have their only bits in word 1 or above,
+// in words (or at bits) no row has set, or in every word.
+func kernelOptions(rng *rand.Rand, n int, km kernelMasks) ExecOptions {
 	opt := ExecOptions{MarkExact: rng.Intn(2) == 0, Workers: []int{1, 2, 7}[rng.Intn(3)]}
 	if rng.Intn(2) == 0 {
 		opt.Scale = 0.5 + rng.Float64()*40
 	}
-	switch rng.Intn(3) {
-	case 0:
-		opt.ExcludeMask = bitmask.FromBits(70, 3)
-	case 1:
-		opt.ExcludeMask = bitmask.FromBits(70, 0, 69)
+	switch rng.Intn(6) {
+	case 0: // the last hot bit: word 1 or above
+		opt.ExcludeMask = bitmask.FromBits(km.width, km.hot[len(km.hot)-1])
+	case 1: // a bit of each word beside the hot ones: filters nothing
+		opt.ExcludeMask = bitmask.New(km.width)
+		for b := 1; b < km.width; b += 64 {
+			opt.ExcludeMask.Set(b)
+		}
+	case 2: // every word
+		opt.ExcludeMask = bitmask.FromBits(km.width, km.hot...)
+		for b := 1; b < km.width; b += 64 {
+			opt.ExcludeMask.Set(b)
+		}
+	case 3:
+		opt.ExcludeMask = bitmask.FromBits(km.width, km.hot[0], km.hot[1])
 	}
 	switch rng.Intn(4) {
 	case 0:
@@ -261,7 +293,7 @@ func TestKernelMatchesReferenceScan(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed*1000 + int64(len(ks.name))))
 			for i := 0; i < perSource; i++ {
 				q := kernelQuery(rng, ks)
-				opt := kernelOptions(rng, ks.src.NumRows())
+				opt := kernelOptions(rng, ks.src.NumRows(), ks.masks)
 				label := fmt.Sprintf("seed %d %s #%d: %s %+v", seed, ks.name, i, q, opt)
 
 				got, err := ExecuteCtx(context.Background(), ks.src, q, opt)
@@ -271,7 +303,7 @@ func TestKernelMatchesReferenceScan(t *testing.T) {
 				want := referenceExecute(t, ks.src, q, opt)
 				requireSameResult(t, label, want, got)
 
-				b, err := bindQuery(ks.src, q)
+				b, err := bindQuery(ks.src, q, opt.ExcludeMask)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -339,7 +371,7 @@ func TestKernelEdgeSources(t *testing.T) {
 	}
 	wideTbl := NewTable("wide", wide...)
 	q := &Query{GroupBy: wideTbl.ColumnNames(), Aggs: []Aggregate{{Kind: Count}}}
-	b, err := bindQuery(wideTbl, q)
+	b, err := bindQuery(wideTbl, q, bitmask.Mask{})
 	if err != nil {
 		t.Fatal(err)
 	}

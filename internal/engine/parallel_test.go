@@ -31,8 +31,7 @@ func randomScanTable(seed int64, n int) *Table {
 		masks[i] = mk
 		weights[i] = 1 + rng.Float64()*10
 	}
-	t.Masks = masks
-	t.Weights = weights
+	t.addSampleColumns(masks, weights)
 	return t
 }
 
@@ -123,7 +122,7 @@ func TestMergeShardPartialsProperty(t *testing.T) {
 				cuts[j], cuts[j-1] = cuts[j-1], cuts[j]
 			}
 		}
-		bound, err := bindQuery(src, q)
+		bound, err := bindQuery(src, q, opt.ExcludeMask)
 		if err != nil {
 			t.Fatal(err)
 		}

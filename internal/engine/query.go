@@ -3,28 +3,17 @@ package engine
 import (
 	"fmt"
 	"strings"
-
-	"dynsample/internal/bitmask"
 )
 
 // Source is anything the executor can scan: the joined base view (*Database)
-// or a flat (sample) table (*Table).
+// or a flat (sample) table (*Table). A sample source's mask words and weights
+// are columns of it (MaskColumn, WeightColumn).
 type Source interface {
 	NumRows() int
 	Accessor(col string) (ColumnAccessor, error)
 	// View returns the typed window onto a column that the scan kernel
 	// reads in place.
 	View(col string) (ColumnView, error)
-	// RowMask returns the sample-membership mask for a row; ok is false when
-	// the source carries no masks.
-	RowMask(row int) (m bitmask.Mask, ok bool)
-	// RowWeight returns the inverse-sampling-rate weight of a row (1 for
-	// unweighted sources).
-	RowWeight(row int) float64
-	// rowArrays returns the storage behind RowMask and RowWeight, nil where
-	// the source has none. Unexported: *Table and *Database are the only
-	// sources.
-	rowArrays() (masks []bitmask.Mask, weights []float64)
 }
 
 // ColumnAccessor provides random access to one column of a Source.
@@ -63,24 +52,6 @@ func (t *Table) View(col string) (ColumnView, error) {
 		return ColumnView{}, fmt.Errorf("engine: table %q has no column %q", t.Name, col)
 	}
 	return c.View(), nil
-}
-
-func (t *Table) rowArrays() ([]bitmask.Mask, []float64) { return t.Masks, t.Weights }
-
-// RowMask implements Source.
-func (t *Table) RowMask(row int) (bitmask.Mask, bool) {
-	if t.Masks == nil {
-		return bitmask.Mask{}, false
-	}
-	return t.Masks[row], true
-}
-
-// RowWeight implements Source.
-func (t *Table) RowWeight(row int) float64 {
-	if t.Weights == nil {
-		return 1
-	}
-	return t.Weights[row]
 }
 
 // AggKind identifies an aggregation function. Following the paper, the

@@ -9,6 +9,29 @@ import (
 	"dynsample/internal/randx"
 )
 
+// sampleFact is the table whose columns hold src's mask words and weights.
+func sampleFact(src Source) *Table {
+	if db, ok := src.(*Database); ok {
+		return db.Fact
+	}
+	return src.(*Table)
+}
+
+// rowExcluded is the reference reading of "bitmask & m != 0": bit by bit
+// through the row's RowMask, sharing nothing with the kernel's word test.
+func rowExcluded(src Source, row int, m bitmask.Mask) bool {
+	rm, ok := sampleFact(src).RowMask(row)
+	if !ok {
+		return false
+	}
+	for _, b := range m.Bits() {
+		if b < rm.Width() && rm.Bit(b) {
+			return true
+		}
+	}
+	return false
+}
+
 // naiveExecute is an independent, obviously-correct evaluator used as a
 // reference: it materialises every row as values and aggregates with plain
 // maps, sharing no code with the production executor.
@@ -20,10 +43,8 @@ func naiveExecute(src Source, allCols []string, q *Query, opt ExecOptions) map[s
 	out := make(map[string][]float64)
 	n := src.NumRows()
 	for row := 0; row < n; row++ {
-		if opt.ExcludeMask.Width() > 0 {
-			if m, ok := src.RowMask(row); ok && m.Intersects(opt.ExcludeMask) {
-				continue
-			}
+		if rowExcluded(src, row, opt.ExcludeMask) {
+			continue
 		}
 		ok := true
 		for _, p := range q.Where {
@@ -48,7 +69,7 @@ func naiveExecute(src Source, allCols []string, q *Query, opt ExecOptions) map[s
 		if !exists {
 			vals = make([]float64, len(q.Aggs))
 		}
-		w := src.RowWeight(row) * scale
+		w := sampleFact(src).RowWeight(row) * scale
 		for i, a := range q.Aggs {
 			x := 1.0
 			if a.Kind == Sum {
@@ -81,25 +102,28 @@ func TestExecuteMatchesNaiveReference(t *testing.T) {
 			c.AppendFloat(rng.NormFloat64() * 10)
 			tbl.EndRow()
 		}
-		// Random side arrays.
+		// Random masks and weights.
+		var masks []bitmask.Mask
+		var weights []float64
 		if rng.Intn(2) == 0 {
-			tbl.Masks = make([]bitmask.Mask, n)
-			for i := range tbl.Masks {
+			masks = make([]bitmask.Mask, n)
+			for i := range masks {
 				m := bitmask.New(5)
 				for bit := 0; bit < 5; bit++ {
 					if rng.Intn(4) == 0 {
 						m.Set(bit)
 					}
 				}
-				tbl.Masks[i] = m
+				masks[i] = m
 			}
 		}
 		if rng.Intn(2) == 0 {
-			tbl.Weights = make([]float64, n)
-			for i := range tbl.Weights {
-				tbl.Weights[i] = 1 + rng.Float64()*9
+			weights = make([]float64, n)
+			for i := range weights {
+				weights[i] = 1 + rng.Float64()*9
 			}
 		}
+		tbl.addSampleColumns(masks, weights)
 
 		// Random query.
 		q := &Query{Aggs: []Aggregate{{Kind: Count}, {Kind: Sum, Col: "c"}}}
@@ -119,7 +143,7 @@ func TestExecuteMatchesNaiveReference(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			opt.Scale = 1 + rng.Float64()*99
 		}
-		if tbl.Masks != nil && rng.Intn(2) == 0 {
+		if masks != nil && rng.Intn(2) == 0 {
 			opt.ExcludeMask = bitmask.FromBits(5, rng.Intn(5), rng.Intn(5))
 		}
 
@@ -204,14 +228,11 @@ func referenceBind(t testing.TB, src Source, q *Query) *referenceBound {
 func referenceScanRange(res *Result, src Source, q *Query, bound *referenceBound, opt ExecOptions, scale float64, lo, hi int) {
 	keyVals := make([]Value, len(q.GroupBy))
 	keyBuf := make([]byte, 0, 64)
-	filtering := opt.ExcludeMask.Width() > 0
 
 rows:
 	for row := lo; row < hi; row++ {
-		if filtering {
-			if m, ok := src.RowMask(row); ok && m.Intersects(opt.ExcludeMask) {
-				continue
-			}
+		if rowExcluded(src, row, opt.ExcludeMask) {
+			continue
 		}
 		res.RowsScanned++
 		for _, bp := range bound.preds {
@@ -230,7 +251,7 @@ rows:
 			g = res.insert(string(keyBuf), append([]Value(nil), keyVals...))
 		}
 
-		w := src.RowWeight(row) * scale
+		w := sampleFact(src).RowWeight(row) * scale
 		for i := range q.Aggs {
 			x := 1.0
 			if q.Aggs[i].Kind == Sum {
@@ -282,6 +303,6 @@ func referenceExecute(t testing.TB, src Source, q *Query, opt ExecOptions) *Resu
 // tests that merge ranges by hand.
 func executeRange(src Source, q *Query, bound *boundQuery, opt ExecOptions, scale float64, lo, hi int) *Result {
 	s := bound.newShardScan()
-	s.scan(bound, opt, scale, lo, hi)
+	s.scan(bound, scale, lo, hi)
 	return bound.result(s.groups, opt.MarkExact)
 }

@@ -60,15 +60,9 @@ func (r *Renormalizer) ReducedDims() []*Table { return r.reducedDims }
 
 // Build materialises one sample as a renormalized star schema: a fact slice
 // with remapped foreign keys joined to the shared reduced dimensions. The
-// returned Database is a Source whose rows carry the given masks and
-// weights.
+// returned Database is a Source whose fact rows carry the given masks and
+// weights, one per row, as Flatten's do.
 func (r *Renormalizer) Build(name string, rows []int, masks []bitmask.Mask, weights []float64) (*Database, error) {
-	if masks != nil && len(masks) != len(rows) {
-		return nil, fmt.Errorf("engine: renormalize masks length mismatch")
-	}
-	if weights != nil && len(weights) != len(rows) {
-		return nil, fmt.Errorf("engine: renormalize weights length mismatch")
-	}
 	// Foreign keys are remapped into the reduced dimensions on their way
 	// into the new column: a sealed chunk is not rewritten.
 	fkDim := make(map[string]int, len(r.db.Dims))
@@ -95,8 +89,7 @@ func (r *Renormalizer) Build(name string, rows []int, masks []bitmask.Mask, weig
 		return nil, fmt.Errorf("engine: row set for %q not covered by renormalizer", name)
 	}
 	fact := NewTable(name, cols...)
-	fact.Masks = masks
-	fact.Weights = weights
+	fact.addSampleColumns(masks, weights)
 	dims := make([]DimJoin, len(r.db.Dims))
 	for d, dj := range r.db.Dims {
 		dims[d] = DimJoin{Table: r.reducedDims[d], FK: dj.FK}

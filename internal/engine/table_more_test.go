@@ -3,6 +3,8 @@ package engine
 import (
 	"strings"
 	"testing"
+
+	"dynsample/internal/bitmask"
 )
 
 func TestAddColumnAndRowValues(t *testing.T) {
@@ -79,11 +81,24 @@ func TestColumnTypeLookup(t *testing.T) {
 
 func TestDatabaseRowMaskAndWeight(t *testing.T) {
 	db := testDB(t)
-	if _, ok := db.RowMask(0); ok {
+	if _, ok := db.Fact.RowMask(0); ok {
 		t.Error("base database should carry no masks")
 	}
-	if w := db.RowWeight(0); w != 1 {
+	if w := db.Fact.RowWeight(0); w != 1 {
 		t.Errorf("base row weight = %g", w)
+	}
+	// A renormalized sample's fact rows carry both, as columns the view binds
+	// and does not list.
+	rows := []int{0, 1}
+	s, err := NewRenormalizer(db, rows).Build("s", rows, []bitmask.Mask{bitmask.FromBits(3, 1), bitmask.New(3)}, []float64{2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := s.Fact.RowMask(0); !ok || !m.Bit(1) || s.Fact.RowWeight(1) != 3 {
+		t.Errorf("sample row mask %v (%v), weight %g", m, ok, s.Fact.RowWeight(1))
+	}
+	if _, err := s.View(MaskColumn(0)); err != nil || s.HasColumn("nope") || len(s.Columns()) != len(db.Columns()) {
+		t.Errorf("reserved columns: view %v, logical columns %v", err, s.Columns())
 	}
 }
 

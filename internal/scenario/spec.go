@@ -23,6 +23,8 @@ import (
 	"os"
 	"sort"
 	"strings"
+
+	"dynsample/internal/engine"
 )
 
 // Spec is a declarative database schema: one fact table plus any number of
@@ -242,6 +244,9 @@ func (s *Spec) Validate() error {
 		if _, dup := tables[t.Name]; dup {
 			return fmt.Errorf("scenario: duplicate table %q", t.Name)
 		}
+		if err := engine.CheckColumnName(t.Name); err != nil { // a table's name starts its padding columns'
+			return fmt.Errorf("scenario: table %d: %w", i, err)
+		}
 		tables[t.Name] = t
 		if t.Fact {
 			factCount++
@@ -266,6 +271,9 @@ func (s *Spec) Validate() error {
 			c := &t.Columns[j]
 			if c.Name == "" {
 				return fmt.Errorf("scenario: table %q column %d has no name", t.Name, j)
+			}
+			if err := engine.CheckColumnName(c.Name); err != nil {
+				return fmt.Errorf("scenario: table %q: %w", t.Name, err)
 			}
 			if prev, dup := seenCols[c.Name]; dup {
 				return fmt.Errorf("scenario: column %q declared in both %q and %q (names must be unique across the spec)", c.Name, prev, t.Name)
@@ -311,6 +319,9 @@ func (s *Spec) Validate() error {
 			if t.Fact {
 				if fk.Column == "" {
 					return fmt.Errorf("scenario: fact table %q FK to %q needs a column name", t.Name, fk.References)
+				}
+				if err := engine.CheckColumnName(fk.Column); err != nil {
+					return fmt.Errorf("scenario: table %q: %w", t.Name, err)
 				}
 				if prev, dup := seenCols[fk.Column]; dup {
 					return fmt.Errorf("scenario: FK column %q collides with column of %q", fk.Column, prev)

@@ -1,8 +1,18 @@
 package scenario
 
 import (
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"dynsample/internal/core"
+	"dynsample/internal/engine"
+	"dynsample/internal/ingest"
+	"dynsample/internal/server"
 )
 
 // minimalSpec returns a small valid spec the error tests mutate.
@@ -186,5 +196,87 @@ func TestTopoOrderSnowflake(t *testing.T) {
 			names = append(names, tt.Name)
 		}
 		t.Fatalf("topo order %v; want region before city before fact", names)
+	}
+}
+
+// TestReservedColumnNamesRefused: a name under engine.ReservedPrefix is a
+// sample table's mask word or weight column, so each of the four places a
+// column name arrives from outside the program refuses one, saying why.
+func TestReservedColumnNamesRefused(t *testing.T) {
+	const name = engine.ReservedPrefix + "mask0"
+
+	region, amount := engine.NewColumn("region", engine.String), engine.NewColumn("amount", engine.Float)
+	fact := engine.NewTable("f", region, amount)
+	for i := 0; i < 200; i++ {
+		fact.AppendRow(engine.StringVal(fmt.Sprint("r", i%7)), engine.FloatVal(float64(i)))
+	}
+	sys := core.NewSystem(engine.MustNewDatabase("d", fact))
+	if err := sys.AddStrategy(core.NewSmallGroup(core.SmallGroupConfig{BaseRate: 0.1, SmallGroupFraction: 0.05, Seed: 1})); err != nil {
+		t.Fatal(err)
+	}
+	wal, err := ingest.OpenWAL(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	coord, err := ingest.New(sys, wal, ingest.Config{Online: core.OnlineConfig{SmallGroupFraction: 0.05}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(server.New(sys, server.Config{Ingest: coord}).Handler())
+	defer srv.Close()
+
+	panicked := func(f func()) (err error) {
+		defer func() { err, _ = recover().(error) }()
+		f()
+		return nil
+	}
+	for _, tc := range []struct {
+		entry string
+		try   func() error
+	}{
+		{"engine.NewTable", func() error {
+			return panicked(func() { engine.NewTable("t", engine.NewColumn(name, engine.Int)) })
+		}},
+		{"Table.AddColumn", func() error {
+			return panicked(func() { engine.NewTable("t").AddColumn(engine.NewColumn(name, engine.Int)) })
+		}},
+		{"the CSV header of aqpcli -load", func() error {
+			_, err := engine.ReadCSV("t", strings.NewReader("a,"+name+"\n1,2\n"))
+			return err
+		}},
+		{"scenario.Spec.Validate, a column", func() error {
+			s := minimalSpec()
+			s.Tables[0].Columns[0].Name = name
+			return s.Validate()
+		}},
+		{"scenario.Spec.Validate, a fact FK column", func() error {
+			s := minimalSpec()
+			s.Tables = append(s.Tables, TableSpec{Name: "dim", Rows: 5, Columns: []ColumnSpec{{Name: "d", Type: TypeString, Dist: DistSpec{Kind: DistZipf, Card: 3, Z: 1}}}})
+			s.Tables[0].FKs = []FKSpec{{Column: name, References: "dim"}}
+			return s.Validate()
+		}},
+		{"scenario.Spec.Validate, a padded table", func() error {
+			s := minimalSpec()
+			s.Tables[0].Name, s.Tables[0].Padding = name, &PaddingSpec{Count: 2}
+			return s.Validate()
+		}},
+		{"POST /v1/ingest columns", func() error {
+			resp, err := http.Post(srv.URL+"/v1/ingest", "application/json",
+				strings.NewReader(`{"columns":["region","`+name+`"],"rows":[["r1",2.5]]}`))
+			if err != nil {
+				return err
+			}
+			defer resp.Body.Close()
+			body, _ := io.ReadAll(resp.Body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("POST /v1/ingest with a reserved column name: status %d, want 400", resp.StatusCode)
+			}
+			return errors.New(string(body))
+		}},
+	} {
+		if err := tc.try(); err == nil || !strings.Contains(err.Error(), "reserved") || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: error %v, want one naming %q as reserved", tc.entry, err, name)
+		}
 	}
 }

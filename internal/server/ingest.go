@@ -72,6 +72,9 @@ func (s *Server) ingest(r *http.Request) (any, error) {
 			return nil, badRequestf("columns has %d names, view has %d (%v)", len(req.Columns), len(cols), cols)
 		}
 		for i, name := range req.Columns {
+			if err := engine.CheckColumnName(name); err != nil {
+				return nil, badRequestError{err}
+			}
 			if name != cols[i] {
 				return nil, badRequestf("columns[%d] = %q, view order is %v", i, name, cols)
 			}

@@ -98,6 +98,13 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("parse succeeded for %q", s)
 		}
 	}
+	// A sample table's mask word and weight columns are out of SQL's reach:
+	// the reserved prefix starts no identifier, so the lexer stops at it.
+	for _, name := range []string{engine.MaskColumn(0), engine.WeightColumn} {
+		if toks, err := lex("SELECT COUNT(*) FROM T WHERE " + name + " = 0"); err == nil || !strings.Contains(err.Error(), "unexpected character") {
+			t.Errorf("lexing %q: tokens %v, error %v", name, toks, err)
+		}
+	}
 }
 
 func TestRoundTripProperty(t *testing.T) {
