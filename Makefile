@@ -73,7 +73,7 @@ bench-json:
 	bash scripts/bench.sh
 
 # Benchmark regression guard: reruns the benchmarks into a scratch dir and
-# fails if any ns_per_op or allocs_per_op regressed >25% versus the committed
+# fails if any ns_per_op, allocs_per_op or B_per_op regressed >25% versus the committed
 # baseline JSON.
 # Also runs as part of `make check BENCH_GUARD=1`. Override BENCHTIME for a
 # longer, less noisy run; refresh baselines with `make bench-json`.
@@ -114,11 +114,13 @@ fuzz:
 
 # Quick fuzz pass over the sample-store loader, the WAL record decoder and the
 # table format reader: arbitrary bytes (including bit-flipped valid inputs)
-# must produce errors, never panics.
+# must produce errors, never panics. And over the ingest cell parser, held to
+# what encoding/json makes of the same cell.
 fuzz-smoke:
 	$(GO) test ./internal/core -run FuzzLoadSmallGroup -fuzz FuzzLoadSmallGroup -fuzztime 15s
 	$(GO) test ./internal/ingest -run FuzzWALDecode -fuzz FuzzWALDecode -fuzztime 15s
 	$(GO) test ./internal/engine -run FuzzReadBinary -fuzz FuzzReadBinary -fuzztime 15s
+	$(GO) test ./internal/server -run FuzzDecodeCell -fuzz FuzzDecodeCell -fuzztime 15s
 
 # Non-test, non-blank, non-comment Go lines per package under internal/ and
 # cmd/, plus a total: the ledger ROADMAP's "One path per job" shrink is

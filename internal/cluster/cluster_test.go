@@ -22,14 +22,16 @@ import (
 // integer measure (so exact cross-shard merges are bit-identical) and one
 // region, "westonly", that lives entirely in shard 0's stripe of a 4-way
 // split — the pruning test relies on that locality.
-func buildClusterDB(t testing.TB) *engine.Database {
+func buildClusterDB(t testing.TB) *engine.Database { return buildClusterDBRows(t, 6000) }
+
+func buildClusterDBRows(t testing.TB, rows int) *engine.Database {
 	t.Helper()
 	region := engine.NewColumn("region", engine.String)
 	amount := engine.NewColumn("amount", engine.Int)
 	fact := engine.NewTable("sales", region, amount)
 	rng := randx.New(17)
 	zi := randx.NewZipf(1.3, 10)
-	for i := 0; i < 6000; i++ {
+	for i := 0; i < rows; i++ {
 		r := "r" + string(rune('a'+zi.Draw(rng)))
 		if i < 1500 && rng.Intn(20) == 0 {
 			r = "westonly"
@@ -41,13 +43,15 @@ func buildClusterDB(t testing.TB) *engine.Database {
 	return engine.MustNewDatabase("salesdb", fact)
 }
 
-func newSystem(t testing.TB, db *engine.Database) *core.System {
+func newSystem(t testing.TB, db *engine.Database) *core.System { return newSystemWorkers(t, db, 2) }
+
+func newSystemWorkers(t testing.TB, db *engine.Database, workers int) *core.System {
 	t.Helper()
 	sys := core.NewSystem(db)
 	if err := sys.AddStrategy(core.NewSmallGroup(core.SmallGroupConfig{
 		BaseRate: 0.1,
 		Seed:     1,
-		Workers:  2,
+		Workers:  workers,
 	})); err != nil {
 		t.Fatal(err)
 	}

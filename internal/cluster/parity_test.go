@@ -122,6 +122,26 @@ func TestSurfaceParity(t *testing.T) {
 			t.Errorf("%s: groups differ\nsingle:      %+v\ncoordinator: %+v", c.name, want.groups, got.groups)
 		}
 	}
+
+	// The worker budget is not part of the surface: over a base table of
+	// several scan shards, /v1/exact — which scans on the strategy's budget —
+	// and /v1/query answer the same at every budget.
+	big := buildClusterDBRows(t, 3*engine.ScanShardRows+500)
+	const avg = "SELECT region, COUNT(*), AVG(amount) FROM T GROUP BY region"
+	var want [2]surfaceAnswer
+	for _, workers := range []int{1, 2, 5} {
+		srv := httptest.NewServer(server.New(newSystemWorkers(t, big, workers), server.Config{}).Handler())
+		for i, path := range []string{"/v1/exact", "/v1/query"} {
+			got := surface(t, srv.URL, "POST", path, `{"sql":"`+avg+`"}`)
+			if workers == 1 {
+				want[i] = got
+			}
+			if got.status != 200 || !reflect.DeepEqual(got, want[i]) {
+				t.Errorf("%s at %d workers: %+v, want the one-worker answer %+v", path, workers, got, want[i])
+			}
+		}
+		srv.Close()
+	}
 }
 
 // TestQuotedKeysSurviveEveryPresenter: a string key that itself starts or

@@ -340,8 +340,21 @@ func (s *System) Exact(q *engine.Query) (*engine.Result, time.Duration, error) {
 // ExactCtx computes the exact answer under a context; the base-table scan
 // observes cancellation at shard boundaries. The returned duration covers
 // only the engine execution, so /exact and /query latencies are comparable.
+//
+// The scan runs on the largest worker budget a registered strategy was given
+// (SmallGroupConfig.Workers, SetWorkers) — the one its plans' own scans use;
+// the answer is the same for every budget.
 func (s *System) ExactCtx(ctx context.Context, q *engine.Query) (*engine.Result, time.Duration, error) {
 	start := time.Now()
-	res, err := engine.ExecuteExactCtx(ctx, s.DB(), q)
+	db, workers := s.DB(), 1
+	for _, p := range s.set.Load().prepared {
+		if b, ok := p.(interface{ workers() int }); ok {
+			workers = max(workers, b.workers())
+		}
+	}
+	if err := q.Validate(db); err != nil {
+		return nil, time.Since(start), err
+	}
+	res, err := engine.ExecuteCtx(ctx, db, q, engine.ExecOptions{MarkExact: true, Workers: workers})
 	return res, time.Since(start), err
 }

@@ -68,6 +68,9 @@ func (p *smallGroupPrepared) DataGeneration() uint64 { return p.dataGen }
 // Answer calls.
 func (p *smallGroupPrepared) SetWorkers(n int) { p.cfg.Workers = n }
 
+// workers is the budget System.ExactCtx scans the base data with.
+func (p *smallGroupPrepared) workers() int { return p.cfg.Workers }
+
 // Tables exposes the flat small group tables in index order. It panics for
 // renormalized storage; use Sources then.
 func (p *smallGroupPrepared) Tables() []*engine.Table {

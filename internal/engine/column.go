@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"unsafe"
 )
 
@@ -171,6 +172,31 @@ func (s *chunked[T]) chunk(k int) *chunk[T] {
 
 func (s *chunked[T]) at(i int) T { return s.chunk(i >> chunkShift).at(i & (chunkRows - 1)) }
 
+// intBounds returns a range that holds the first rows values of s: for a
+// packed chunk its minimum and the most its width can add to it, for the open
+// tail (or a short last chunk) the values it has — and all of int64 once a
+// full chunk could not be packed, its span alone being 2³² or more.
+func intBounds(s *chunked[int64], rows int) (lo, hi int64) {
+	lo, hi = math.MaxInt64, math.MinInt64
+	for k := 0; k<<chunkShift < rows; k++ {
+		switch c := s.chunk(k); {
+		case c.width != 0:
+			top := c.min + 1<<(8*c.width) - 1
+			if top < c.min {
+				top = math.MaxInt64
+			}
+			lo, hi = min(lo, c.min), max(hi, top)
+		case k < len(s.sealed):
+			return math.MinInt64, math.MaxInt64
+		default:
+			for _, v := range c.wide[:rows-k<<chunkShift] {
+				lo, hi = min(lo, v), max(hi, v)
+			}
+		}
+	}
+	return lo, hi
+}
+
 // bytes is what the storage holds: nothing for a column of another type.
 func (s *chunked[T]) bytes() int64 {
 	if s.sealed == nil && s.last.rows() == 0 {
@@ -200,6 +226,16 @@ func (s *chunked[T]) add(vals []T) []T {
 // that an older version may hold the open tail too.
 func (s *chunked[T]) push(n int, v T, shared *bool) {
 	o, t := n&(chunkRows-1), &s.last
+	if o < len(t.wide)-1 { // room in an open tail (a sealed one has no wide), and not its last row
+		t.wide[o] = v
+		return
+	}
+	s.pushSlow(o, v, shared)
+}
+
+// pushSlow is push where the tail must be made, grown, or sealed after the row.
+func (s *chunked[T]) pushSlow(o int, v T, shared *bool) {
+	t := &s.last
 	if t.width != 0 || o == len(t.wide) {
 		// No room: the tail was sealed, or the table ends in a short chunk,
 		// packed or not, or in a tail that grows by doubling from one. Older
@@ -371,6 +407,16 @@ func (c *Column) AppendString(v string) {
 		panic(fmt.Sprintf("engine: AppendString on %s column %q", c.Type, c.Name))
 	}
 	c.codes.push(c.next(), c.code(v), &c.tailShared)
+}
+
+// AppendCode adds a string the dictionary already holds, by its code: the
+// append of a caller that kept the code (Code) of an earlier AppendString and
+// so need not hash the string again. The column must be String-typed.
+func (c *Column) AppendCode(code int32) {
+	if c.Type != String || code < 0 || int(code) >= len(c.dict) {
+		panic(fmt.Sprintf("engine: AppendCode(%d) on %s column %q with %d dictionary entries", code, c.Type, c.Name, len(c.dict)))
+	}
+	c.codes.push(c.next(), code, &c.tailShared)
 }
 
 // code returns the dictionary code of s, adding s to the dictionary when it

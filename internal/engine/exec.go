@@ -109,7 +109,6 @@ func ExecuteCtx(ctx context.Context, src Source, q *Query, opt ExecOptions) (*Re
 		for done[i] = s; next < len(done) && done[next] != nil; next++ {
 			p := done[next]
 			p.to = total.fold(p.groups, p.to)
-			p.groups.reset()
 			idle = append(idle, p)
 			done[next] = nil
 		}
@@ -117,6 +116,9 @@ func ExecuteCtx(ctx context.Context, src Source, q *Query, opt ExecOptions) (*Re
 	})
 	if err != nil {
 		return nil, err
+	}
+	for _, s := range idle {
+		s.release()
 	}
 	res := bound.result(total, opt.MarkExact)
 	observeScan(res.RowsScanned, len(shards))

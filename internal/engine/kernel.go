@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
+	"sync"
 
 	"dynsample/internal/bitmask"
 )
@@ -21,9 +23,10 @@ import (
 //	            the key is looked up in the shard's groupTable
 //	accumulate  the five accumulators are updated in row order
 //
-// Shard tables are folded into the scan's table in shard order, and Groups —
-// boxed key Values, the encoded key string — are built from that one table
-// when the scan ends (boundQuery.result). Nothing the kernel allocates grows
+// Shard tables are folded into the scan's table in shard order, and that one
+// table is the Result's storage as it stands (boundQuery.result): Groups —
+// boxed key Values, the encoded key string — are built from it when a
+// consumer asks for them (Result.index). Nothing the kernel allocates grows
 // with the number of source rows: a block is read from the one storage chunk
 // it sits in (column.go), in place or decoded into a block-sized buffer.
 
@@ -32,9 +35,13 @@ const (
 	// time: small enough that a block's scratch stays in the L1/L2 cache.
 	scanBlockRows = 1024
 	// denseGroupLimit bounds the direct-indexed regime. When every group
-	// column is dictionary-coded and the product of the dictionary sizes is
-	// at most this, a row's key indexes an array; otherwise it is hashed.
-	denseGroupLimit = 1 << 16
+	// column has a bounded code (groupCol) and the product of the bounds is at
+	// most this, a row's key indexes an array; otherwise it is hashed. The
+	// array is 16 KB: it stays in the L1 cache beside the block's scratch,
+	// and a scan whose workers run far apart — every finished shard holds its
+	// table until the shards before it are folded — parks little. (At 65 536
+	// entries, exact scans at two workers read +4 % on rss_peak_mb.)
+	denseGroupLimit = 1 << 12
 )
 
 // boundQuery is a query resolved against one source. It is read-only after
@@ -69,15 +76,19 @@ func (e *excludeWord) keep(sel []int32, lo int, buf *blockBuf) []int32 {
 	return sel[:k]
 }
 
-// groupCol is one group-by column's share of the key. A string column
-// contributes code·mul to its word — consecutive string columns share a word
-// in mixed radix while the product of their dictionary sizes fits — and a
-// numeric column owns a word holding the bit pattern AppendKey encodes.
+// groupCol is one group-by column's share of the key. A column whose values
+// have a bounded code — a string's dictionary code, an integer's distance
+// from the least value its chunks can hold — contributes code·mul to a word
+// it shares, in mixed radix, with the bounded columns before it while the
+// product of their bounds (card) fits. Floats, integers spanning 2³² or more
+// within a chunk, and a product past 2⁶⁴ take a word of their own (mul 0),
+// holding the bit pattern AppendKey encodes.
 type groupCol struct {
 	view ColumnView
 	word int
 	mul  uint64
 	card uint64
+	base int64 // Int: the value of code 0
 }
 
 // bindQuery resolves q, and the exclude filter of a scan that has one, against
@@ -136,21 +147,28 @@ func bindQuery(src Source, q *Query, exclude bitmask.Mask) (*boundQuery, error) 
 
 // packKeys lays the group columns out in the key and picks the regime.
 func (b *boundQuery) packKeys() {
-	strWord, place, coded := -1, uint64(1), true
+	radix, place, coded := -1, uint64(1), true
 	for i := range b.groups {
 		g := &b.groups[i]
-		if g.view.Type != String {
-			coded = false
+		switch g.view.Type {
+		case String:
+			g.card = uint64(max(len(g.view.Dict), 1))
+		case Int:
+			var hi int64
+			g.base, hi = intBounds(&g.view.ints, g.view.rows)
+			g.card = uint64(hi) - uint64(g.base) + 1 // 0: unbounded, or all of int64
+		}
+		if g.card == 0 {
+			coded, g.base = false, 0
 			g.word = b.words
 			b.words++
 			continue
 		}
-		g.card = uint64(max(len(g.view.Dict), 1))
-		if over, _ := bits.Mul64(place, g.card); strWord < 0 || over != 0 {
-			strWord, place = b.words, 1
+		if over, _ := bits.Mul64(place, g.card); radix < 0 || over != 0 {
+			radix, place = b.words, 1
 			b.words++
 		}
-		g.word, g.mul = strWord, place
+		g.word, g.mul = radix, place
 		place *= g.card
 	}
 	if b.words == 0 {
@@ -161,15 +179,24 @@ func (b *boundQuery) packKeys() {
 	}
 }
 
-// value decodes the column's boxed value from a group's key.
-func (g *groupCol) value(key []uint64) Value {
+// value boxes the column's value in a group's key. rem carries what is left
+// of a shared word from one of its columns to the next, the first of which
+// has mul 1: a column's code costs one division, not two.
+func (g *groupCol) value(key []uint64, rem *uint64) Value {
+	k := key[g.word]
+	if g.mul != 0 {
+		if g.mul == 1 {
+			*rem = k
+		}
+		k, *rem = *rem%g.card, *rem/g.card
+	}
 	switch g.view.Type {
 	case String:
-		return StringVal(g.view.Dict[key[g.word]/g.mul%g.card])
+		return StringVal(g.view.Dict[k])
 	case Int:
-		return IntVal(int64(key[g.word]))
+		return IntVal(g.base + int64(k))
 	default:
-		return FloatVal(math.Float64frombits(key[g.word]))
+		return FloatVal(math.Float64frombits(k))
 	}
 }
 
@@ -250,8 +277,9 @@ func (g *groupCol) addKeys(keys []uint64, words int, sel []int32, lo int, buf *b
 		}
 	case Int:
 		ints, at := window(&v.ints, v.join(), sel, lo, buf.ints, buf.ids)
+		mul := max(g.mul, 1) // mul 0: the value itself, base being 0
 		for j, a := range at {
-			keys[j*words] = uint64(ints[a])
+			keys[j*words] += uint64(ints[a]-g.base) * mul
 		}
 	default:
 		floats, at := window(&v.floats, v.join(), sel, lo, buf.floats, buf.ids)
@@ -280,34 +308,80 @@ func measure(v *ColumnView, xs []float64, sel []int32, lo int, buf *blockBuf) {
 	}
 }
 
-// groupTable holds the groups of one shard, or of the whole scan, under their
-// integer keys, in order of first appearance. Group g's key is
-// keys[g*words:][:words]; its accumulators are acc[g*stride:][:stride], laid
-// out as Group's four slices one after the other (Vals, RawSum, RawSumSq,
-// VarAcc, one float per aggregate each).
+// groupTable holds the groups of one shard, of a whole scan or — handed over
+// as it stands — of the scan's Result, under their integer keys, in order of
+// first appearance. Storage grows a slab of slabGroups groups at a time and
+// nothing in it moves: group g's key, and after it the group's RawRows, is the
+// g%slabGroups'th run of words+1 words in keys[g/slabGroups], its
+// accumulators the like run of stride floats in acc — Group's four slices one
+// after the other (Vals, RawSum, RawSumSq, VarAcc, one float per aggregate
+// each).
 type groupTable struct {
+	cols          []groupCol // decode a key (Result.absorb)
 	words, stride int
-	// slots maps a key to its group number plus one, zero meaning absent:
-	// indexed by the key itself in the dense regime, open-addressed by the
-	// key's hash otherwise.
-	slots []int32
-	dense bool
+	n             int // groups
+	keys          [][]uint64
+	acc           [][]float64
 
-	keys    []uint64
-	acc     []float64
-	rawRows []int64
+	// A key finds its group's number plus one, zero meaning absent, in dense —
+	// indexed by the key itself — or in slots, open-addressed by its hash.
+	dense *[denseGroupLimit]int32
+	slots []slot
 
+	exact            bool  // Group.Exact of every group, set at hand-over
 	scanned, matched int64 // Result.RowsScanned / RowsMatched
 }
 
+const (
+	slabShift  = 6
+	slabGroups = 1 << slabShift
+)
+
+// slot is one entry of the hash table: the key's hash beside the group, so a
+// probe that hits reads one cache line. hashKey is a bijection on one word,
+// and only a key of several is compared with the stored one.
+type slot struct {
+	tag uint64
+	g   int32
+}
+
+// denseSlots recycles the direct-indexed arrays: a table takes one all zero
+// and, done, zeroes the entries of the groups it met (release), so neither
+// costs what clearing denseGroupLimit entries would. Their size is fixed;
+// nothing that grows with a scan's groups outlives the scan.
+var denseSlots = sync.Pool{New: func() any { return new([denseGroupLimit]int32) }}
+
 func (b *boundQuery) newTable() *groupTable {
-	const room = 64 // groups before the first regrowth
-	t := &groupTable{words: b.words, stride: 4 * len(b.q.Aggs), dense: b.dense > 0}
-	t.slots = make([]int32, max(b.dense, 4*room))
-	t.keys = make([]uint64, 0, room*t.words)
-	t.acc = make([]float64, 0, room*t.stride)
-	t.rawRows = make([]int64, 0, room)
+	t := &groupTable{cols: b.groups, words: b.words, stride: 4 * len(b.q.Aggs)}
+	if b.dense > 0 {
+		t.dense = denseSlots.Get().(*[denseGroupLimit]int32)
+	} else {
+		t.slots = make([]slot, 4*slabGroups)
+	}
 	return t
+}
+
+// release gives up what only finding a key needs; the groups stay.
+func (t *groupTable) release() {
+	if t.dense != nil {
+		for g := 0; g < t.n; g++ {
+			t.dense[t.key(g)[0]] = 0
+		}
+		denseSlots.Put(t.dense)
+	}
+	t.dense, t.slots = nil, nil
+}
+
+func (t *groupTable) key(g int) []uint64 {
+	return t.keys[g>>slabShift][g&(slabGroups-1)*(t.words+1):][:t.words]
+}
+
+func (t *groupTable) rawRows(g int) *uint64 {
+	return &t.keys[g>>slabShift][g&(slabGroups-1)*(t.words+1)+t.words]
+}
+
+func (t *groupTable) sums(g int) []float64 {
+	return t.acc[g>>slabShift][g&(slabGroups-1)*t.stride:][:t.stride]
 }
 
 func hashKey(key []uint64) uint64 {
@@ -319,103 +393,134 @@ func hashKey(key []uint64) uint64 {
 	return h
 }
 
-// find returns the number of the group with the given key, adding the group
-// (zeroed) when it is new.
-func (t *groupTable) find(key []uint64) int32 {
-	if t.dense {
-		s := &t.slots[key[0]]
-		if *s == 0 {
-			*s = t.add(key)
+// find sets gids[j] to the number of the group with the j'th of keys, adding
+// the groups (zeroed) that are new.
+func (t *groupTable) find(keys []uint64, gids []int32) {
+	if t.dense != nil {
+		for j, k := range keys {
+			s := &t.dense[k]
+			if *s == 0 {
+				*s = t.add(keys[j : j+1])
+			}
+			gids[j] = *s - 1
 		}
-		return *s - 1
+		return
 	}
-	mask := uint64(len(t.slots) - 1)
-probe:
-	for i := hashKey(key) & mask; ; i = (i + 1) & mask {
-		g := t.slots[i]
-		if g == 0 {
-			if 2*len(t.rawRows) >= len(t.slots) {
-				t.grow()
-				return t.find(key)
+	w := t.words
+	for j := range gids {
+		key := keys[j*w:][:w]
+		tag := hashKey(key)
+		mask := uint64(len(t.slots) - 1)
+		for i := tag & mask; ; i = (i + 1) & mask {
+			s := t.slots[i]
+			if s.g == 0 {
+				gids[j] = t.insert(i, tag, key)
+				break
 			}
-			t.slots[i] = t.add(key)
-			return t.slots[i] - 1
-		}
-		for w, k := range t.keys[int(g-1)*t.words:][:t.words] {
-			if k != key[w] {
-				continue probe
+			if s.tag == tag && (w == 1 || slices.Equal(t.key(int(s.g-1)), key)) {
+				gids[j] = s.g - 1
+				break
 			}
 		}
-		return g - 1
 	}
 }
 
-func (t *groupTable) add(key []uint64) int32 {
-	t.keys = append(t.keys, key[:t.words]...)
-	for i := 0; i < t.stride; i++ {
-		t.acc = append(t.acc, 0)
+// insert adds key's group at the empty slot i its probe ended on, in a table
+// grown first when that would leave it more than half full.
+func (t *groupTable) insert(i, tag uint64, key []uint64) int32 {
+	if 2*t.n >= len(t.slots) {
+		t.rehash(2 * len(t.slots))
+		mask := uint64(len(t.slots) - 1)
+		for i = tag & mask; t.slots[i].g != 0; i = (i + 1) & mask {
+		}
 	}
-	t.rawRows = append(t.rawRows, 0)
-	return int32(len(t.rawRows))
+	t.slots[i] = slot{tag, t.add(key)}
+	return t.slots[i].g - 1
 }
 
-// grow doubles the hash table and re-seats every group.
-func (t *groupTable) grow() {
-	t.slots = make([]int32, 2*len(t.slots))
-	mask := uint64(len(t.slots) - 1)
-	for g := range t.rawRows {
-		i := hashKey(t.keys[g*t.words:][:t.words]) & mask
-		for t.slots[i] != 0 {
+// rehash re-seats every group in a table of size slots, from the slots alone.
+func (t *groupTable) rehash(size int) {
+	old := t.slots
+	t.slots = make([]slot, size)
+	mask := uint64(size - 1)
+	for _, s := range old {
+		if s.g == 0 {
+			continue
+		}
+		i := s.tag & mask
+		for t.slots[i].g != 0 {
 			i = (i + 1) & mask
 		}
-		t.slots[i] = int32(g + 1)
+		t.slots[i] = s
 	}
 }
 
-// fold adds the groups a worker's table met in the shard it just scanned
-// into t, as Result.Merge adds a partial. (A group new to t is added to
-// zeroes, which leaves the shard's sums as they are: a sum that started at +0
-// is never −0.) to remembers, per group of p, its number in t plus one, so a
-// group is looked up once per worker and scan, not once per shard.
+// add appends a zeroed group and returns its number plus one.
+func (t *groupTable) add(key []uint64) int32 {
+	if t.n&(slabGroups-1) == 0 {
+		t.keys = append(t.keys, make([]uint64, slabGroups*(t.words+1)))
+		t.acc = append(t.acc, make([]float64, slabGroups*t.stride))
+	}
+	t.n++
+	copy(t.key(t.n-1), key)
+	return int32(t.n)
+}
+
+// fold moves the sums of the groups a worker's table met in the shard it just
+// scanned into t, as Result.Merge adds a partial, and leaves them zero for
+// the worker's next shard. (A group new to t is added to zeroes, which leaves
+// the shard's sums as they are: a sum that started at +0 is never −0.) The
+// groups themselves stay in p: most of a shard's groups were met in the
+// shards before it, and a group already in the table costs a lookup, not an
+// insert. to remembers, per group of p, its number in t plus one, so a group
+// is looked up once per worker and scan, not once per shard. The first shard
+// folded tells how many groups to make room for.
 func (t *groupTable) fold(p *groupTable, to []int32) []int32 {
-	if more := len(p.rawRows) - len(to); more > 0 {
+	if more := p.n - len(to); more > 0 {
 		to = append(to, make([]int32, more)...)
 	}
-	for g, rows := range p.rawRows {
-		if rows == 0 {
+	if size := 1 << bits.Len(uint(2*p.n)); t.n == 0 && size > len(t.slots) && t.dense == nil {
+		t.rehash(size)
+	}
+	for g := 0; g < p.n; g++ {
+		rows := p.rawRows(g)
+		if *rows == 0 {
 			continue // met in an earlier shard only
 		}
 		if to[g] == 0 {
-			to[g] = t.find(p.keys[g*t.words:][:t.words]) + 1
+			t.find(p.key(g), to[g:g+1])
+			to[g]++
 		}
 		k := int(to[g] - 1)
-		dst := t.acc[k*t.stride:][:t.stride]
-		for i, x := range p.acc[g*t.stride:][:t.stride] {
+		*t.rawRows(k) += *rows
+		*rows = 0
+		dst, src := t.sums(k), p.sums(g)
+		for i, x := range src {
 			dst[i] += x
+			src[i] = 0
 		}
-		t.rawRows[k] += rows
 	}
 	t.scanned += p.scanned
 	t.matched += p.matched
+	p.scanned, p.matched = 0, 0
 	return to
-}
-
-// reset zeroes the table's accumulators for the worker's next shard. The
-// groups themselves stay: most of a shard's groups were met in the shards
-// before it, and a group already in the table costs a lookup, not an insert.
-func (t *groupTable) reset() {
-	clear(t.acc)
-	clear(t.rawRows)
-	t.scanned, t.matched = 0, 0
 }
 
 // shardScan is one worker's state, reused from shard to shard: the table the
 // shard is scanned into, where its groups sit in the scan's table (see fold),
-// and the block scratch, of a fixed size.
+// and the block scratch.
 type shardScan struct {
 	groups *groupTable
 	to     []int32
+	*blockScratch
+}
 
+// blockScratch is what the stages of a block hand one another. It is of a
+// fixed size (but for keys: a word or more a row) and recycled from scan to
+// scan: it is 60 KB a worker, several times what the scan of a small table
+// allocates beside it. Every stage writes what the next one reads; nothing
+// is cleared.
+type blockScratch struct {
 	sel  []int32   // offsets of the block's surviving rows
 	buf  blockBuf  // window's buffers
 	gids []int32   // group number per surviving row
@@ -424,20 +529,24 @@ type shardScan struct {
 	xs   []float64 // measure per surviving row
 }
 
-func (b *boundQuery) newShardScan() *shardScan {
+var blockScratches = sync.Pool{New: func() any {
 	const n = scanBlockRows
 	i32, f64 := make([]int32, 2*n), make([]float64, 2*n)
-	s := &shardScan{
-		groups: b.newTable(),
+	return &blockScratch{sel: i32[:n:n], gids: i32[n:], ws: f64[:n:n], xs: f64[n:], buf: newBlockBuf()}
+}}
 
-		sel:  i32[:n:n],
-		gids: i32[n:],
-		keys: make([]uint64, n*b.words),
-		ws:   f64[:n:n],
-		xs:   f64[n:],
-		buf:  newBlockBuf(),
+func (b *boundQuery) newShardScan() *shardScan {
+	s := &shardScan{groups: b.newTable(), blockScratch: blockScratches.Get().(*blockScratch)}
+	if need := scanBlockRows * b.words; cap(s.keys) < need {
+		s.keys = make([]uint64, need)
 	}
 	return s
+}
+
+// release ends the worker's use of its state.
+func (s *shardScan) release() {
+	s.groups.release()
+	blockScratches.Put(s.blockScratch)
 }
 
 // scan evaluates source rows [lo, hi) into s.groups. It reads the source and
@@ -472,9 +581,7 @@ func (s *shardScan) scan(b *boundQuery, scale float64, lo, hi int) {
 			b.groups[i].addKeys(keys, b.words, sel, lo, &s.buf)
 		}
 		gids := s.gids[:len(sel)]
-		for j := range gids {
-			gids[j] = t.find(keys[j*b.words:][:b.words])
-		}
+		t.find(keys, gids)
 
 		// Accumulate, aggregate by aggregate; within one group and aggregate
 		// the additions happen in row order.
@@ -490,7 +597,7 @@ func (s *shardScan) scan(b *boundQuery, scale float64, lo, hi int) {
 			}
 		}
 		for _, g := range gids {
-			t.rawRows[g]++
+			*t.rawRows(int(g))++
 		}
 		for i, a := range b.q.Aggs {
 			if a.Kind != Sum {
@@ -498,7 +605,7 @@ func (s *shardScan) scan(b *boundQuery, scale float64, lo, hi int) {
 				// the bit.
 				for j, g := range gids {
 					w := ws[j]
-					p := t.acc[int(g)*t.stride+i:]
+					p := t.sums(int(g))[i:]
 					p[0] += w
 					p[na]++
 					p[2*na]++
@@ -510,7 +617,7 @@ func (s *shardScan) scan(b *boundQuery, scale float64, lo, hi int) {
 			measure(&b.aggs[i], xs, sel, lo, &s.buf)
 			for j, g := range gids {
 				w, x := ws[j], xs[j]
-				p := t.acc[int(g)*t.stride+i:]
+				p := t.sums(int(g))[i:]
 				p[0] += w * x
 				p[na] += x
 				p[2*na] += x * x
@@ -520,47 +627,10 @@ func (s *shardScan) scan(b *boundQuery, scale float64, lo, hi int) {
 	}
 }
 
-// result materialises the scan's groups: the only place a scan boxes key
-// values, encodes key strings and builds Groups. The Groups' accumulator
-// slices are windows onto the table's storage, which the Result takes over.
+// result hands the scan's table over as the Result's storage: no key is
+// boxed or encoded and no Group built until a consumer asks (Result.index).
 func (b *boundQuery) result(t *groupTable, markExact bool) *Result {
-	n, k, na := len(t.rawRows), len(b.groups), len(b.q.Aggs)
-	res := &Result{
-		GroupBy:     b.q.GroupBy,
-		Aggs:        b.q.Aggs,
-		groups:      make(map[string]*Group, n),
-		RowsScanned: t.scanned,
-		RowsMatched: t.matched,
-	}
-	groups := make([]Group, n)
-	vals := make([]Value, n*k)
-	ends := make([]int, n)
-	enc := make([]byte, 0, n*16*max(k, 1))
-	for g := range groups {
-		var key []Value
-		if k > 0 {
-			key = vals[g*k : (g+1)*k : (g+1)*k]
-			for i := range b.groups {
-				key[i] = b.groups[i].value(t.keys[g*t.words:])
-			}
-		}
-		enc = AppendKey(enc, key)
-		ends[g] = len(enc)
-		acc := t.acc[g*t.stride:]
-		groups[g] = Group{
-			Key:      key,
-			Vals:     acc[0:na:na],
-			RawSum:   acc[na : 2*na : 2*na],
-			RawSumSq: acc[2*na : 3*na : 3*na],
-			VarAcc:   acc[3*na : 4*na : 4*na],
-			RawRows:  t.rawRows[g],
-			Exact:    markExact,
-		}
-	}
-	all, start := string(enc), 0
-	for g, end := range ends {
-		res.groups[all[start:end]] = &groups[g]
-		start = end
-	}
-	return res
+	t.release()
+	t.exact = markExact
+	return &Result{GroupBy: b.q.GroupBy, Aggs: b.q.Aggs, tbl: t, n: t.n, RowsScanned: t.scanned, RowsMatched: t.matched}
 }

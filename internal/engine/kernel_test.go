@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"dynsample/internal/bitmask"
@@ -379,6 +380,221 @@ func TestKernelEdgeSources(t *testing.T) {
 		t.Fatalf("five wide string columns: %d key words, dense %d; want 2 words, hashed", b.words, b.dense)
 	}
 	check("two-word string key", wideTbl, q, ExecOptions{Workers: 2})
+
+	// layout binds the group-by and reports the key's shape: words, the size
+	// of the direct-indexed table (0: hashed) and, per column, whether it
+	// shares a mixed-radix word (true) or owns one.
+	layout := func(src Source, groupBy ...string) (words, dense int, shared []bool) {
+		t.Helper()
+		b, err := bindQuery(src, &Query{GroupBy: groupBy, Aggs: []Aggregate{{Kind: Count}}}, bitmask.Mask{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range b.groups {
+			shared = append(shared, g.mul != 0)
+		}
+		return b.words, b.dense, shared
+	}
+	// intTable holds, beside a five-value string and a measure, an integer
+	// column drawn from [lo, lo+span], both ends included in every chunk.
+	intTable := func(rows int, lo int64, span uint64) *Table {
+		x, s, m := NewColumn("x", Int), NewColumn("s", String), NewColumn("m", Float)
+		for r := 0; r < rows; r++ {
+			off := uint64(rng.Int63()) % (span/2 + 1) * 2 // even offsets: half the range has no group
+			switch r & (chunkRows - 1) {
+			case 0:
+				off = 0
+			case 1:
+				off = span
+			}
+			x.AppendInt(int64(uint64(lo) + off))
+			s.AppendString(fmt.Sprint("s", rng.Intn(5)))
+			m.AppendFloat(rng.NormFloat64())
+		}
+		return NewTable("ints", x, s, m)
+	}
+	sumBy := func(groupBy ...string) *Query {
+		return &Query{GroupBy: groupBy, Aggs: []Aggregate{{Kind: Sum, Col: "m"}, {Kind: Count}}}
+	}
+
+	// Integer group columns at the packing edges, from a negative and from a
+	// large minimum: a span a chunk can pack joins the word as v − min; one of
+	// 2³² (the chunk keeps its values) or all of int64 keeps its own.
+	for _, c := range []struct {
+		span   uint64
+		shared bool
+	}{{1<<8 - 1, true}, {1<<16 - 1, true}, {1 << 16, true}, {1<<32 - 1, true}, {1 << 32, false}, {math.MaxUint64, false}} {
+		for _, lo := range []int64{math.MinInt64, -int64(c.span/2) - 7, math.MaxInt64 - int64(min(c.span, math.MaxInt64))} {
+			if lo == math.MinInt64 && c.span != math.MaxUint64 {
+				lo = math.MinInt64 + 3
+			}
+			tbl := intTable(2*chunkRows+300, lo, c.span)
+			label := fmt.Sprintf("int span %d from %d", c.span, lo)
+			if words, _, shared := layout(tbl, "s", "x"); words != map[bool]int{true: 1, false: 2}[c.shared] || shared[1] != c.shared {
+				t.Fatalf("%s: %d key words, x shares one: %v; want shared %v", label, words, shared[1], c.shared)
+			}
+			check(label, tbl, sumBy("s", "x"), ExecOptions{Workers: 2})
+			check(label+", alone", tbl, sumBy("x"), ExecOptions{})
+		}
+	}
+
+	// Two integers of 2³² codes each fill a word exactly: the second starts
+	// another.
+	two := intTable(chunkRows+50, -5, 1<<32-1)
+	y := NewColumn("y", Int)
+	for r := 0; r < two.NumRows(); r++ {
+		y.AppendInt(two.MustColumn("x").Int(r)/3 + int64(r&1)<<31)
+	}
+	two.AddColumn(y)
+	if words, dense, shared := layout(two, "x", "y"); words != 2 || dense != 0 || !shared[0] || !shared[1] {
+		t.Fatalf("two 2^32-code integers: %d words, dense %d, shared %v; want 2 radix words", words, dense, shared)
+	}
+	check("second radix word", two, sumBy("x", "y", "s"), ExecOptions{Workers: 2})
+
+	// The product of the bounds at denseGroupLimit and one past it. A table of
+	// under a chunk holds its integers in the open tail, whose bounds are the
+	// values' own.
+	for _, span := range []uint64{denseGroupLimit - 1, denseGroupLimit} {
+		tbl := intTable(900, -40, span)
+		want := 0
+		if span < denseGroupLimit {
+			want = denseGroupLimit
+		}
+		if _, dense, _ := layout(tbl, "x"); dense != want {
+			t.Fatalf("%d integer codes: dense %d, want %d", span+1, dense, want)
+		}
+		check(fmt.Sprintf("%d integer codes", span+1), tbl, sumBy("x"), ExecOptions{})
+	}
+
+	// A query bound to an older version, whose open tail a newer version then
+	// widens: the bound range is the older version's, and so is every row the
+	// scan reads.
+	older := intTable(chunkRows+100, 10, 9)
+	q = sumBy("x", "s")
+	bound, err := bindQuery(older, q, bitmask.Mask{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newer := older.CloneForAppend()
+	for r := 0; r < 50; r++ {
+		newer.AppendRow(IntVal(int64(-1e12)*int64(r+1)), StringVal("wide"), FloatVal(1))
+	}
+	requireSameResult(t, "older version, bound before the append", referenceExecute(t, older, q, ExecOptions{}),
+		executeRange(older, q, bound, ExecOptions{}, 1, 0, older.NumRows()))
+	check("older version", older, q, ExecOptions{})
+	check("newer version", newer, q, ExecOptions{Workers: 2})
+
+	// Group counts on either side of a slab edge and of the first rehash, in
+	// a hashed table (float keys), with NaNs and both zeros among the keys;
+	// and row counts on either side of a block.
+	for _, groups := range []int{slabGroups - 1, slabGroups, slabGroups + 1, 2*slabGroups - 1, 2 * slabGroups, 2*slabGroups + 1} {
+		for _, rows := range []int{scanBlockRows - 1, scanBlockRows, scanBlockRows + 1, ScanShardRows + scanBlockRows + 1} {
+			f, m := NewColumn("f", Float), NewColumn("m", Float)
+			for r := 0; r < rows; r++ {
+				if k := r % groups; k < len(kernelFloats) {
+					f.AppendFloat(kernelFloats[k])
+				} else {
+					f.AppendFloat(float64(k) + 0.25)
+				}
+				m.AppendFloat(rng.NormFloat64())
+			}
+			res := check(fmt.Sprintf("%d float groups over %d rows", groups, rows), NewTable("f", f, m), sumBy("f"), ExecOptions{Workers: 2})
+			if res.NumGroups() != groups {
+				t.Fatalf("%d float groups over %d rows: %d groups", groups, rows, res.NumGroups())
+			}
+		}
+	}
+}
+
+// TestResultIndexedOnDemand: a scan's Result is its table until a consumer
+// asks for a Group. Whatever is done to it before that — counted, consumed,
+// merged into, merged from, sent through the wire — and after, it reads as
+// the reference's Results put through the same steps.
+func TestResultIndexedOnDemand(t *testing.T) {
+	ks := kernelSources(t, 3)[0]
+	q := &Query{GroupBy: []string{"s_mid", "i_low", "f"}, Aggs: []Aggregate{{Kind: Count}, {Kind: Sum, Col: "m_f"}}}
+	opts := []ExecOptions{
+		{MarkExact: true, MaxRows: 5000},
+		{Scale: 3, ExcludeMask: bitmask.FromBits(ks.masks.width, ks.masks.hot[0])},
+		{Scale: 1.5, Workers: 2},
+	}
+	scan := func(i int) *Result {
+		res, err := Execute(ks.src, q, opts[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := func(order ...int) *Result {
+		res := NewResult(q.GroupBy, q.Aggs)
+		for _, i := range order {
+			res.merge(referenceExecute(t, ks.src, q, opts[i]), false)
+		}
+		return res
+	}
+	throughWire := func(r *Result) *Result {
+		back, err := ResultFromWire(r.Wire())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return back
+	}
+	indexed := func(r *Result) *Result { r.Keys(); return r }
+	plain := func(r *Result) *Result { return r }
+
+	// Readers may share a Result nobody has read yet: the first of them
+	// builds the index, under the others' feet.
+	shared, n := scan(2), want(2).NumGroups()
+	var wg sync.WaitGroup
+	for reader := 0; reader < 4; reader++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if shared.NumGroups() != n || len(shared.Keys()) != n || len(shared.Groups()) != n {
+				t.Errorf("a shared Result read %d groups, want %d", shared.NumGroups(), n)
+			}
+		}()
+	}
+	wg.Wait()
+
+	for _, first := range []struct {
+		name string
+		prep func(*Result) *Result
+	}{{"table", plain}, {"indexed", indexed}} {
+		for _, rest := range []struct {
+			name string
+			prep func(*Result) *Result
+		}{{"table", plain}, {"indexed", indexed}} {
+			label := first.name + " <- " + rest.name
+
+			// Consumed into an empty Result (the first is adopted), as
+			// ExecutePlanCtx combines a plan's steps.
+			combined := NewResult(q.GroupBy, q.Aggs)
+			for i := range opts {
+				prep := rest.prep
+				if i == 0 {
+					prep = first.prep
+				}
+				if err := combined.Consume(prep(scan(i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := want(0, 1, 2).NumGroups(); combined.NumGroups() != n {
+				t.Fatalf("%s: %d groups before any is read, want %d", label, combined.NumGroups(), n)
+			}
+			requireSameResult(t, label+": consumed, over the wire", want(0, 1, 2), throughWire(combined))
+			requireSameResult(t, label+": consumed", want(0, 1, 2), combined)
+
+			// Merged into a scan's own Result; the source stays what it was.
+			into, from := first.prep(scan(1)), rest.prep(scan(2))
+			if err := into.Merge(from); err != nil {
+				t.Fatal(err)
+			}
+			requireSameResult(t, label+": merged into", want(1, 2), into)
+			requireSameResult(t, label+": merged from, afterwards", want(2), from)
+			requireSameResult(t, label+": over the wire twice", want(1, 2), throughWire(throughWire(into)))
+		}
+	}
 }
 
 // unknownPredicate is a Predicate implementation the kernel has no typed
@@ -535,13 +751,30 @@ func TestScanAllocatesPerGroupNotPerRow(t *testing.T) {
 	if groups != quarterGroups || groups < 1000 {
 		t.Fatalf("fixture: %d groups in the first quarter, %d overall", quarterGroups, groups)
 	}
-	// A few dozen per scan — bound query, worker state, result slabs, the
-	// logarithmically many regrowths of group storage — and far fewer than
-	// one per group.
+	// A few dozen per scan — bound query, worker state, the doublings of the
+	// hash slots — and two per slab of groups in each of the two tables: far
+	// fewer than one per group.
 	if limit := 64 + float64(groups)/8; full > limit {
 		t.Fatalf("64k-row scan made %.0f allocations for %d groups; want <= %.0f", full, groups, limit)
 	}
 	if full > quarter+4 {
 		t.Fatalf("allocations grew with the rows scanned: %.0f at 16k rows, %.0f at 64k", quarter, full)
+	}
+
+	// In bytes: a group is its key word, its row count and eight sums in the
+	// worker's table and again in the scan's, plus at most four 16-byte slots
+	// in each hash and the doublings that led there — about 420 bytes. The
+	// worker's fixed scratch is some 80 KB. Materialising the groups (the
+	// index a consumer asks for) is not the scan's to pay.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Execute(tbl, q, ExecOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perGroup := (float64(after.TotalAlloc-before.TotalAlloc) - 100e3) / float64(groups)
+	t.Logf("%.0f bytes per group", perGroup)
+	if perGroup > 450 {
+		t.Fatalf("the scan allocated %.0f bytes per group, want <= 450", perGroup)
 	}
 }

@@ -416,3 +416,95 @@ func TestDecodeSnapshotTruncated(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoreDeltaInSlicesMatchesOneAppend: Restore re-appends the delta a
+// slice at a time; the database it publishes must be, table by table and byte
+// by byte, the one a single Append of the whole delta builds — with the delta
+// spanning several slices and new dimension rows arriving in more than one.
+func TestRestoreDeltaInSlicesMatchesOneAppend(t *testing.T) {
+	const baseRows, deltaRows = 3000, 2*restoreSliceRows + 700
+	starDB := func() *engine.Database {
+		city, tier := engine.NewColumn("city", engine.String), engine.NewColumn("tier", engine.Int)
+		dim := engine.NewTable("stores", city, tier)
+		for i := 0; i < 20; i++ {
+			dim.AppendRow(engine.StringVal(fmt.Sprintf("c%02d", i)), engine.IntVal(int64(i%3)))
+		}
+		kind, amount, fk := engine.NewColumn("kind", engine.String), engine.NewColumn("amount", engine.Float), engine.NewColumn("store_fk", engine.Int)
+		fact := engine.NewTable("sales", kind, amount, fk)
+		rng := randx.New(11)
+		for i := 0; i < baseRows; i++ {
+			fact.AppendRow(engine.StringVal(fmt.Sprintf("k%d", rng.Intn(6))), engine.FloatVal(rng.Float64()*100), engine.IntVal(int64(rng.Intn(20))))
+		}
+		return engine.MustNewDatabase("star", fact, engine.DimJoin{Table: dim, FK: "store_fk"})
+	}
+	db := starDB()
+	delta := engine.NewTable("ingest-delta")
+	for _, name := range db.Columns() {
+		typ, _ := db.ColumnType(name)
+		delta.AddColumn(engine.NewColumn(name, typ))
+	}
+	rng := randx.New(12)
+	rows := make([][]engine.Value, deltaRows)
+	newStores := map[int]bool{}
+	for i := range rows {
+		store := rng.Intn(20)
+		if i%400 == 399 { // a store the dimension has not seen: one every 400 rows, so in every slice
+			store = 100 + i
+			newStores[i/restoreSliceRows] = true
+		}
+		row := make([]engine.Value, 0, 4)
+		for _, name := range db.Columns() {
+			switch name {
+			case "kind":
+				row = append(row, engine.StringVal(fmt.Sprintf("k%d", rng.Intn(9))))
+			case "amount":
+				row = append(row, engine.FloatVal(rng.Float64()*100))
+			case "city":
+				row = append(row, engine.StringVal(fmt.Sprintf("c%02d", store)))
+			case "tier":
+				row = append(row, engine.IntVal(int64(store%3)))
+			}
+		}
+		rows[i] = row
+		delta.AppendRow(row...)
+	}
+	if len(newStores) < 3 {
+		t.Fatalf("fixture: new dimension rows in %d slices, want 3", len(newStores))
+	}
+
+	sys := core.NewSystem(db)
+	if err := sys.AddStrategy(core.NewSmallGroup(ingestSGCfg)); err != nil {
+		t.Fatal(err)
+	}
+	p, _ := sys.Prepared("smallgroup")
+	snap := &Snapshot{Checkpoint: &Checkpoint{DataGen: 9, BaseRows: baseRows}, Prepared: p, Delta: delta}
+	if err := snap.Restore(sys, "smallgroup"); err != nil {
+		t.Fatal(err)
+	}
+
+	app, err := engine.NewAppender(starDB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := app.Append(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := sys.DB()
+	if got.NumRows() != baseRows+deltaRows || got.Dims[0].Table.NumRows() != want.Dims[0].Table.NumRows() {
+		t.Fatalf("restored %d fact and %d dimension rows, want %d and %d",
+			got.NumRows(), got.Dims[0].Table.NumRows(), baseRows+deltaRows, want.Dims[0].Table.NumRows())
+	}
+	for i, pair := range [][2]*engine.Table{{got.Fact, want.Fact}, {got.Dims[0].Table, want.Dims[0].Table}} {
+		var g, w bytes.Buffer
+		if err := engine.WriteBinary(pair[0], &g); err != nil {
+			t.Fatal(err)
+		}
+		if err := engine.WriteBinary(pair[1], &w); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g.Bytes(), w.Bytes()) {
+			t.Errorf("table %d: the sliced restore and the single append differ (%d vs %d bytes)", i, g.Len(), w.Len())
+		}
+	}
+}

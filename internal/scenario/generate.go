@@ -53,6 +53,7 @@ func generateTable(t *TableSpec, built map[string]*engine.Table, rng *rand.Rand)
 	type inline struct {
 		parent *engine.Table
 		cols   []*engine.Column // destination columns, aligned with parent's
+		codes  []interned       // by the parent column's dictionary code
 	}
 	var inlines []inline
 	// Fact FKs: a physical int column of row ids into the dimension.
@@ -76,6 +77,7 @@ func generateTable(t *TableSpec, built map[string]*engine.Table, rng *rand.Rand)
 		in := inline{parent: parent}
 		for _, pc := range parent.Columns() {
 			in.cols = append(in.cols, engine.NewColumn(pc.Name, pc.Type))
+			in.codes = append(in.codes, make(interned, max(pc.DistinctApprox(), 0)))
 		}
 		inlines = append(inlines, in)
 	}
@@ -94,7 +96,15 @@ func generateTable(t *TableSpec, built map[string]*engine.Table, rng *rand.Rand)
 		for _, in := range inlines {
 			pr := rng.Intn(in.parent.NumRows())
 			for i, pc := range in.parent.Columns() {
-				in.cols[i].Append(pc.Value(pr))
+				switch pc.Type {
+				case engine.Int:
+					in.cols[i].AppendInt(pc.Int(pr))
+				case engine.Float:
+					in.cols[i].AppendFloat(pc.Float(pr))
+				default:
+					code := pc.Code(pr)
+					in.codes[i].append(in.cols[i], int(code), pc.DictValue(code))
+				}
 			}
 		}
 		for _, f := range factFKs {
@@ -116,27 +126,70 @@ func generateTable(t *TableSpec, built map[string]*engine.Table, rng *rand.Rand)
 	return engine.NewTable(t.Name, all...), joins, nil
 }
 
-// drawer generates one column's values. Grouped columns read the value their
-// correlated group resolved for the current row.
+// interned appends strings that are known by an index — a position in a
+// column's domain, a parent column's dictionary code — without hashing one
+// twice: the first appearance of index i is appended as a string, which gives
+// it the next dictionary code as a boxed append would, and kept here as that
+// code plus one; every later one is appended by code.
+type interned []int32
+
+func (n interned) append(col *engine.Column, i int, s string) {
+	if n[i] == 0 {
+		col.AppendString(s)
+		n[i] = col.Code(col.Len()-1) + 1
+		return
+	}
+	col.AppendCode(n[i] - 1)
+}
+
+// domain is a categorical column's values, appended by index and unboxed.
+type domain struct {
+	vals  []engine.Value
+	codes interned
+}
+
+func newDomain(vals []engine.Value) *domain {
+	return &domain{vals: vals, codes: make(interned, len(vals))}
+}
+
+func (d *domain) append(col *engine.Column, i int) {
+	switch v := &d.vals[i]; v.T {
+	case engine.Int:
+		col.AppendInt(v.I)
+	case engine.Float:
+		col.AppendFloat(v.F)
+	default:
+		d.codes.append(col, i, v.S)
+	}
+}
+
+// drawer generates one column's values: a categorical column appends the
+// value at an index into its domain — drawn by index, or resolved for the row
+// by its correlated group — and any other column draws and appends in draw.
 type drawer struct {
 	col   *engine.Column
-	draw  func(rng *rand.Rand) engine.Value // independent columns
-	group *groupDrawer                      // non-nil for grouped columns
-	slot  int                               // index into group.current
+	dom   *domain
+	index func(rng *rand.Rand) int // independent categorical columns
+	draw  func(rng *rand.Rand)     // independent numeric columns
+	group *groupDrawer             // non-nil for grouped columns
+	slot  int                      // index into group.current
 }
 
 func (d *drawer) appendRow(rng *rand.Rand) {
-	if d.group != nil {
-		d.col.Append(d.group.current[d.slot])
-		return
+	switch {
+	case d.group != nil:
+		d.dom.append(d.col, d.group.current[d.slot])
+	case d.dom != nil:
+		d.dom.append(d.col, d.index(rng))
+	default:
+		d.draw(rng)
 	}
-	d.col.Append(d.draw(rng))
 }
 
-// groupDrawer resolves one correlated group per row into current (aligned
-// with the group's column order).
+// groupDrawer resolves one correlated group per row into current: per column
+// of the group, in its order, the row's index into that column's domain.
 type groupDrawer struct {
-	current []engine.Value
+	current []int
 	drawRow func(rng *rand.Rand)
 }
 
@@ -164,31 +217,28 @@ func newDrawers(t *TableSpec, setupRng *rand.Rand) ([]*drawer, []*groupDrawer, e
 		c := &specs[i]
 		byName[c.Name] = c
 		index[c.Name] = i
-		draw, err := newDraw(c)
-		if err != nil {
+		drawers[i] = &drawer{col: engine.NewColumn(c.Name, colType(c.Type))}
+		if err := drawers[i].compile(c); err != nil {
 			return nil, nil, err
 		}
-		drawers[i] = &drawer{col: engine.NewColumn(c.Name, colType(c.Type)), draw: draw}
 	}
 
 	var groups []*groupDrawer
 	for gi := range t.Correlated {
 		g := &t.Correlated[gi]
-		gd := &groupDrawer{current: make([]engine.Value, len(g.Columns))}
+		gd := &groupDrawer{current: make([]int, len(g.Columns))}
+		members := make([]*drawer, len(g.Columns))
 		for slot, cn := range g.Columns {
 			d := drawers[index[cn]]
 			d.group = gd
 			d.slot = slot
+			members[slot] = d
 		}
 		switch g.Kind {
 		case CorrFD:
-			fd, err := newFDDraw(g, byName, gd, setupRng)
-			if err != nil {
-				return nil, nil, err
-			}
-			gd.drawRow = fd
+			gd.drawRow = newFDDraw(g, byName, gd, setupRng)
 		case CorrJoint:
-			joint, err := newJointDraw(g, byName, gd)
+			joint, err := newJointDraw(g, byName, gd, members)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -199,40 +249,32 @@ func newDrawers(t *TableSpec, setupRng *rand.Rand) ([]*drawer, []*groupDrawer, e
 	return drawers, groups, nil
 }
 
-// newDraw compiles an independent column distribution into a sampler.
-func newDraw(c *ColumnSpec) (func(*rand.Rand) engine.Value, error) {
-	d := &c.Dist
+// compile sets the drawer up for the column's own distribution.
+func (dr *drawer) compile(c *ColumnSpec) error {
+	d, col := &c.Dist, dr.col
 	switch d.Kind {
 	case DistZipf, DistUniform:
-		domain := categoricalDomain(c)
-		idx := newIndexDraw(d)
-		return func(rng *rand.Rand) engine.Value { return domain[idx(rng)] }, nil
+		dr.dom, dr.index = newDomain(categoricalDomain(c)), newIndexDraw(d)
 	case DistWeighted:
-		domain := categoricalDomain(c)
-		cat := randx.NewCategorical(d.Weights)
-		return func(rng *rand.Rand) engine.Value { return domain[cat.Draw(rng)] }, nil
+		dr.dom, dr.index = newDomain(categoricalDomain(c)), randx.NewCategorical(d.Weights).Draw
 	case DistNormal:
 		mean, sd := d.Mean, d.Stddev
 		if c.Type == TypeInt {
-			return func(rng *rand.Rand) engine.Value {
-				return engine.IntVal(int64(math.Round(mean + sd*rng.NormFloat64())))
-			}, nil
+			dr.draw = func(rng *rand.Rand) { col.AppendInt(int64(math.Round(mean + sd*rng.NormFloat64()))) }
+		} else {
+			dr.draw = func(rng *rand.Rand) { col.AppendFloat(mean + sd*rng.NormFloat64()) }
 		}
-		return func(rng *rand.Rand) engine.Value {
-			return engine.FloatVal(mean + sd*rng.NormFloat64())
-		}, nil
 	case DistLogNormal:
 		mu, sigma := d.Mu, d.Sigma
 		if c.Type == TypeInt {
-			return func(rng *rand.Rand) engine.Value {
-				return engine.IntVal(int64(math.Round(randx.LogNormal(rng, mu, sigma))))
-			}, nil
+			dr.draw = func(rng *rand.Rand) { col.AppendInt(int64(math.Round(randx.LogNormal(rng, mu, sigma)))) }
+		} else {
+			dr.draw = func(rng *rand.Rand) { col.AppendFloat(randx.LogNormal(rng, mu, sigma)) }
 		}
-		return func(rng *rand.Rand) engine.Value {
-			return engine.FloatVal(randx.LogNormal(rng, mu, sigma))
-		}, nil
+	default:
+		return fmt.Errorf("scenario: column %q: unknown distribution %q", c.Name, d.Kind)
 	}
-	return nil, fmt.Errorf("scenario: column %q: unknown distribution %q", c.Name, d.Kind)
+	return nil
 }
 
 // newIndexDraw compiles a zipf/uniform spec into an index sampler over
@@ -294,20 +336,19 @@ func categoricalDomain(c *ColumnSpec) []engine.Value {
 // newFDDraw compiles a functional-dependency group: the determinant draws
 // from its own distribution and every dependent column's value is a fixed
 // seeded mapping of the determinant's value index (softened by Noise).
-func newFDDraw(g *CorrelatedSpec, byName map[string]*ColumnSpec, gd *groupDrawer, setupRng *rand.Rand) (func(*rand.Rand), error) {
+func newFDDraw(g *CorrelatedSpec, byName map[string]*ColumnSpec, gd *groupDrawer, setupRng *rand.Rand) func(*rand.Rand) {
+	indexDraw := func(c *ColumnSpec) func(*rand.Rand) int {
+		if c.Dist.Kind == DistWeighted {
+			return randx.NewCategorical(c.Dist.Weights).Draw
+		}
+		return newIndexDraw(&c.Dist)
+	}
 	det := byName[g.Determinant]
 	detCard := det.Dist.cardinality()
-	detDomain := categoricalDomain(det)
-	var detIdx func(*rand.Rand) int
-	if det.Dist.Kind == DistWeighted {
-		detIdx = randx.NewCategorical(det.Dist.Weights).Draw
-	} else {
-		detIdx = newIndexDraw(&det.Dist)
-	}
+	detIdx := indexDraw(det)
 
 	type dep struct {
 		slot    int
-		domain  []engine.Value
 		mapping []int // determinant index -> dependent index
 		indep   func(*rand.Rand) int
 	}
@@ -319,17 +360,12 @@ func newFDDraw(g *CorrelatedSpec, byName map[string]*ColumnSpec, gd *groupDrawer
 			continue
 		}
 		c := byName[cn]
-		dp := dep{slot: slot, domain: categoricalDomain(c), mapping: make([]int, detCard)}
-		if c.Dist.Kind == DistWeighted {
-			dp.indep = randx.NewCategorical(c.Dist.Weights).Draw
-		} else {
-			dp.indep = newIndexDraw(&c.Dist)
-		}
+		dp := dep{slot: slot, mapping: make([]int, detCard), indep: indexDraw(c)}
 		// The dependency mapping is fixed up front from the setup stream:
 		// dependent values are assigned round-robin over a shuffled domain so
 		// every dependent value is reachable, then the map never changes —
 		// that is what makes it a functional dependency.
-		perm := setupRng.Perm(len(dp.domain))
+		perm := setupRng.Perm(c.Dist.cardinality())
 		for i := 0; i < detCard; i++ {
 			dp.mapping[i] = perm[i%len(perm)]
 		}
@@ -338,36 +374,42 @@ func newFDDraw(g *CorrelatedSpec, byName map[string]*ColumnSpec, gd *groupDrawer
 	noise := g.Noise
 	return func(rng *rand.Rand) {
 		i := detIdx(rng)
-		gd.current[detSlot] = detDomain[i]
+		gd.current[detSlot] = i
 		for _, dp := range deps {
 			if noise > 0 && rng.Float64() < noise {
-				gd.current[dp.slot] = dp.domain[dp.indep(rng)]
+				gd.current[dp.slot] = dp.indep(rng)
 				continue
 			}
-			gd.current[dp.slot] = dp.domain[dp.mapping[i]]
+			gd.current[dp.slot] = dp.mapping[i]
 		}
-	}, nil
+	}
 }
 
 // newJointDraw compiles an explicit joint distribution: each row draws a
-// state and every grouped column takes that state's value.
-func newJointDraw(g *CorrelatedSpec, byName map[string]*ColumnSpec, gd *groupDrawer) (func(*rand.Rand), error) {
+// state and every grouped column takes that state's value — its domain is
+// the states' values for it, indexed by state.
+func newJointDraw(g *CorrelatedSpec, byName map[string]*ColumnSpec, gd *groupDrawer, members []*drawer) (func(*rand.Rand), error) {
 	weights := make([]float64, len(g.States))
-	vals := make([][]engine.Value, len(g.States))
+	vals := make([][]engine.Value, len(g.Columns))
 	for si, st := range g.States {
 		weights[si] = st.Weight
-		vals[si] = make([]engine.Value, len(st.Values))
 		for vi, v := range st.Values {
 			cv, err := coerce(v, byName[g.Columns[vi]].Type)
 			if err != nil {
 				return nil, fmt.Errorf("scenario: joint state %d: %v", si, err)
 			}
-			vals[si][vi] = cv
+			vals[vi] = append(vals[vi], cv)
 		}
+	}
+	for vi, d := range members {
+		d.dom = newDomain(vals[vi])
 	}
 	cat := randx.NewCategorical(weights)
 	return func(rng *rand.Rand) {
-		copy(gd.current, vals[cat.Draw(rng)])
+		state := cat.Draw(rng)
+		for slot := range gd.current {
+			gd.current[slot] = state
+		}
 	}, nil
 }
 

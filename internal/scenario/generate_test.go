@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"runtime"
 	"testing"
@@ -283,4 +285,59 @@ func TestGeneratePacksAsItGoes(t *testing.T) {
 	if allocated >= 90e6 {
 		t.Errorf("Generate allocated %d bytes in total, want under the 90 MB of unpacked columns", allocated)
 	}
+}
+
+// TestGenerateGolden pins the generated bytes: the SHA-256 of WriteBinary over
+// the fact table and then each dimension, recorded before Generate appended
+// typed values instead of boxed ones. Same spec and seed, same database —
+// dictionary order (first appearance) included.
+func TestGenerateGolden(t *testing.T) {
+	tpch, err := BuiltinSpec("tpch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tpch.FactTable().Rows = 10_000
+	_, geo, err := LoadCase("../../scenarios/cases/geo_correlated")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, snow, err := LoadCase("../../scenarios/cases/snowflake_inline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snow.FactTable().Rows = 10_000
+	noisy := geoSpec(5000) // a noisy functional dependency, a joint pair, an inlined parent
+	noisy.Tables[0].Correlated[0].Noise = 0.2
+	for _, tc := range []struct {
+		name string
+		spec *Spec
+		want string
+	}{
+		{"tpch", tpch, "42ef38c49101923c9f6cf88b233d32c776107a630e07f3254285a86de5df5080"},
+		{"geo_correlated", geo, "6d38436e58f703e845b28afcc53bc3ecd4d0c82a5113e68bbb88ae8aea10383e"},
+		{"snowflake_inline", snow, "f9607469cd8b87b508609da5d79007ee4a9aaf6acec5ce153808d096f4805c19"},
+		{"noisy_fd", noisy, "b44f09e517744b6b63960970f9845b52725af32ddbbe590ae9e7061b255543d5"},
+	} {
+		db, err := Generate(tc.spec)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		h := sha256.New()
+		for _, tbl := range append([]*engine.Table{db.Fact}, dimTables(db)...) {
+			if err := engine.WriteBinary(tbl, h); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+			t.Errorf("%s: generated database hashes to %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+func dimTables(db *engine.Database) []*engine.Table {
+	out := make([]*engine.Table, len(db.Dims))
+	for i, d := range db.Dims {
+		out[i] = d.Table
+	}
+	return out
 }

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"dynsample/internal/engine"
 	"dynsample/internal/ingest"
@@ -118,8 +120,7 @@ func (s *Server) ingest(r *http.Request) (any, error) {
 }
 
 // decodeIngestRows converts JSON cells to typed engine values against the
-// view schema. Numbers are parsed via json.Number so int columns reject both
-// strings and non-integral numbers instead of silently truncating.
+// view schema (decodeCell).
 func (s *Server) decodeIngestRows(cols []string, raw [][]json.RawMessage) ([][]engine.Value, error) {
 	if len(raw) == 0 {
 		return nil, errors.New("empty batch: rows is required")
@@ -150,7 +151,56 @@ func (s *Server) decodeIngestRows(cols []string, raw [][]json.RawMessage) ([][]e
 	return rows, nil
 }
 
+// decodeCell converts one cell — a JSON value as the body's decoder split it
+// off, valid and without space around it — to the column's type. The usual
+// forms are parsed where they lie: a number literal for a numeric column, a
+// string without escapes for a string column. Anything else (an escape, null,
+// a number in quotes, a value of the wrong kind) goes through decodeCellJSON,
+// whose answers and error texts these are.
 func decodeCell(t engine.Type, cell json.RawMessage) (engine.Value, error) {
+	if len(cell) == 0 {
+		return decodeCellJSON(t, cell)
+	}
+	digit := func(c byte) bool { return '0' <= c && c <= '9' }
+	number := (cell[0] == '-' || digit(cell[0])) && digit(cell[len(cell)-1]) // else space follows it
+	switch {
+	case t == engine.String && plainString(cell):
+		return engine.StringVal(string(cell[1 : len(cell)-1])), nil
+	case t == engine.Int && number:
+		i, err := strconv.ParseInt(string(cell), 10, 64)
+		if err != nil {
+			return engine.Value{}, fmt.Errorf("want an integer, got %s", cell)
+		}
+		return engine.IntVal(i), nil
+	case t == engine.Float && number:
+		f, err := strconv.ParseFloat(string(cell), 64)
+		if err != nil {
+			return engine.Value{}, err
+		}
+		return engine.FloatVal(f), nil
+	}
+	return decodeCellJSON(t, cell)
+}
+
+// plainString reports whether cell is a JSON string that stands for its own
+// bytes: no escape, and no invalid UTF-8 for the decoder to replace.
+func plainString(cell []byte) bool {
+	n := len(cell)
+	if n < 2 || cell[0] != '"' || cell[n-1] != '"' {
+		return false
+	}
+	for _, c := range cell[1 : n-1] {
+		if c == '\\' || c == '"' || c < ' ' {
+			return false
+		}
+	}
+	return utf8.Valid(cell[1 : n-1])
+}
+
+// decodeCellJSON is decodeCell by encoding/json alone: one Unmarshal per cell.
+// Numbers go through json.Number, so an int column rejects a non-integral
+// number instead of truncating it.
+func decodeCellJSON(t engine.Type, cell json.RawMessage) (engine.Value, error) {
 	switch t {
 	case engine.String:
 		var s string

@@ -2,9 +2,9 @@
 # benchdiff.sh <baseline.json> <fresh.json> [max_regression_pct]
 #
 # Compares two BENCH_*.json files (as produced by scripts/bench_json.sh)
-# and fails if any benchmark's ns_per_op or allocs_per_op regressed by more
-# than max_regression_pct (default 25) relative to the baseline (a metric
-# missing on either side is not compared). Benchmarks
+# and fails if any benchmark's ns_per_op, allocs_per_op or B_per_op regressed
+# by more than max_regression_pct (default 25) relative to the baseline (a
+# metric missing on either side is not compared). Benchmarks
 # present in only one file are reported but never fail the diff, so adding
 # or retiring a benchmark does not require touching the guard.
 #
@@ -27,7 +27,10 @@ for f in "$base" "$fresh"; do
 done
 
 awk -v pct="$pct" '
-  BEGIN { metric[1] = "ns_per_op"; unit[1] = "ns/op"; metric[2] = "allocs_per_op"; unit[2] = "allocs/op" }
+  BEGIN {
+    metric[1] = "ns_per_op"; unit[1] = "ns/op"; metric[2] = "allocs_per_op"; unit[2] = "allocs/op"
+    metric[3] = "B_per_op"; unit[3] = "B/op"; metrics = 3
+  }
   FNR == 1 { pass++ }
   # bench_json.sh emits exactly one benchmark object per line, so a
   # line-oriented extraction of "name" and the guarded metrics is exact here.
@@ -36,7 +39,7 @@ awk -v pct="$pct" '
     if (i == 0) next
     rest = substr($0, i + 9)
     name = substr(rest, 1, index(rest, "\"") - 1)
-    for (m = 1; m <= 2; m++) {
+    for (m = 1; m <= metrics; m++) {
       key = "\"" metric[m] "\": "
       j = index($0, key)
       if (j == 0) continue
@@ -53,13 +56,13 @@ awk -v pct="$pct" '
         printf "benchdiff: NEW       %-50s %12.0f ns/op (no baseline)\n", name, fresh[1, name]
         continue
       }
-      for (m = 1; m <= 2; m++) {
+      for (m = 1; m <= metrics; m++) {
         if (!((m, name) in base) || !((m, name) in fresh)) continue
         b = base[m, name]; f = fresh[m, name]
         delta = (b > 0) ? (f - b) / b * 100 : 0
-        # A zero ns/op baseline is a broken run, not a bar to clear; a
-        # zero allocs/op baseline is a real bar: any allocation regresses it.
-        if (f > b * (1 + pct / 100) && (b > 0 || m == 2)) {
+        # A zero ns/op baseline is a broken run, not a bar to clear; a zero
+        # allocs/op or B/op baseline is a real bar: any allocation regresses it.
+        if (f > b * (1 + pct / 100) && (b > 0 || m >= 2)) {
           printf "benchdiff: REGRESSED %-50s %12.0f -> %12.0f %s (%+.1f%%, limit +%g%%)\n", name, b, f, unit[m], delta, pct
           fail = 1
         } else {

@@ -2,7 +2,8 @@
 # Fixture-driven tests for the shell tooling in scripts/: the bench output
 # -> JSON converter (scientific notation, name escaping) and the benchdiff
 # regression guard (including the required failures on a synthetic 2x
-# ns_per_op regression and a synthetic 2x allocs_per_op regression), and the
+# ns_per_op regression, a synthetic 2x allocs_per_op regression and a
+# synthetic 2x B_per_op regression), and the
 # loc.sh code-line counter with its locdiff.sh diff, and smoke.sh's body
 # matcher. Run by `make check`. Needs only bash, awk, diff.
 set -u
@@ -52,6 +53,8 @@ t "benchdiff fails on synthetic 2x ns_per_op regression" 1 \
   bash scripts/benchdiff.sh scripts/testdata/baseline.json scripts/testdata/regress2x.json
 t "benchdiff fails on synthetic 2x allocs_per_op regression at equal ns_per_op" 1 \
   bash scripts/benchdiff.sh scripts/testdata/baseline.json scripts/testdata/regress_allocs.json
+t "benchdiff fails on synthetic 2x B_per_op regression at equal ns_per_op and allocs_per_op" 1 \
+  bash scripts/benchdiff.sh scripts/testdata/baseline.json scripts/testdata/regress_bytes.json
 t "benchdiff passes on improvement (new benchmark is informational)" 0 \
   bash scripts/benchdiff.sh scripts/testdata/baseline.json scripts/testdata/improved.json
 t "benchdiff honours a custom threshold (2x allowed at 150%)" 0 \
