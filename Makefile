@@ -115,11 +115,13 @@ fuzz:
 # Quick fuzz pass over the sample-store loader, the WAL record decoder and the
 # table format reader: arbitrary bytes (including bit-flipped valid inputs)
 # must produce errors, never panics. And over the ingest cell parser, held to
-# what encoding/json makes of the same cell.
+# what encoding/json makes of the same cell, and the chunk codec, held to a
+# plain slice.
 fuzz-smoke:
 	$(GO) test ./internal/core -run FuzzLoadSmallGroup -fuzz FuzzLoadSmallGroup -fuzztime 15s
 	$(GO) test ./internal/ingest -run FuzzWALDecode -fuzz FuzzWALDecode -fuzztime 15s
 	$(GO) test ./internal/engine -run FuzzReadBinary -fuzz FuzzReadBinary -fuzztime 15s
+	$(GO) test ./internal/engine -run FuzzChunkCodec -fuzz FuzzChunkCodec -fuzztime 15s
 	$(GO) test ./internal/server -run FuzzDecodeCell -fuzz FuzzDecodeCell -fuzztime 15s
 
 # Non-test, non-blank, non-comment Go lines per package under internal/ and

@@ -455,7 +455,8 @@ func TestSampleAccounting(t *testing.T) {
 // aqp_engine_stored_bytes{set="samples"} — is what the family's tables hold.
 // The live heap is measured with the family alive and again with it dropped;
 // the difference, which also carries the metadata's value sets, must be
-// within 15 % of the reported size.
+// within 3 % of the reported size (1.9 % as measured: at a bit or two a row a
+// chunk's list entry is a good part of what it holds, and is counted).
 func TestSampleFamilyHeldBytesMatchStoredBytes(t *testing.T) {
 	db, err := datagen.TPCH(datagen.TPCHConfig{ScaleFactor: 2, Zipf: 2, Seed: 1})
 	if err != nil {
@@ -479,7 +480,7 @@ func TestSampleFamilyHeldBytesMatchStoredBytes(t *testing.T) {
 	runtime.KeepAlive(db)
 	t.Logf("%d sample rows: StoredBytes %d (%.1f B/row), live heap %d (%.1f B/row)",
 		rows, stored, float64(stored)/float64(rows), held, float64(held)/float64(rows))
-	if diff := math.Abs(float64(held-stored)) / float64(stored); diff > 0.15 {
-		t.Fatalf("the family holds %d B of live heap and reports %d B stored: %.0f %% apart, want within 15 %%", held, stored, 100*diff)
+	if diff := math.Abs(float64(held-stored)) / float64(stored); diff > 0.03 {
+		t.Fatalf("the family holds %d B of live heap and reports %d B stored: %.1f %% apart, want within 3 %%", held, stored, 100*diff)
 	}
 }

@@ -90,19 +90,19 @@ func (e *blockEncoder) column(v *ColumnView, lo, hi int, remap []int32) {
 		switch v.Type {
 		case Int:
 			b := e.buf
-			for _, x := range block(&v.ints, v.join(), lo, n, e.vals.ints, e.vals.ids) {
+			for _, x := range block(&v.ints, v, lo, n, e.vals.ints, &e.vals) {
 				b = binary.LittleEndian.AppendUint64(b, uint64(x))
 			}
 			e.w.Write(b)
 		case Float:
 			b := e.buf
-			for _, x := range block(&v.floats, v.join(), lo, n, e.vals.floats, e.vals.ids) {
+			for _, x := range block(&v.floats, v, lo, n, e.vals.floats, &e.vals) {
 				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
 			}
 			e.w.Write(b)
 		default:
 			b := e.buf
-			for _, code := range block(&v.codes, v.join(), lo, n, e.vals.codes, e.vals.ids) {
+			for _, code := range block(&v.codes, v, lo, n, e.vals.codes, &e.vals) {
 				if remap != nil {
 					code = remap[code]
 				}
@@ -123,7 +123,7 @@ func (e *blockEncoder) usedDict(v *ColumnView, lo, hi int) (dict []string, remap
 	}
 	for n := 0; lo < hi; lo += n {
 		n = blockLen(lo, hi)
-		for _, code := range block(&v.codes, v.join(), lo, n, e.vals.codes, e.vals.ids) {
+		for _, code := range block(&v.codes, v, lo, n, e.vals.codes, &e.vals) {
 			if remap[code] < 0 {
 				remap[code] = int32(len(dict))
 				dict = append(dict, v.Dict[code])

@@ -70,15 +70,6 @@ func (v *ColumnView) sealLast() {
 	}
 }
 
-// join returns the foreign keys a dimension column is read through, nil for
-// a fact column.
-func (v *ColumnView) join() *chunked[int64] {
-	if v.Dim < 0 {
-		return nil
-	}
-	return &v.fk
-}
-
 // View returns the typed view of a flat table's column.
 func (c *Column) View() ColumnView {
 	return ColumnView{Name: c.Name, Type: c.Type, ints: c.ints, floats: c.floats, codes: c.codes, Dict: c.dict, rows: c.n, Dim: -1}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"unsafe"
 )
 
@@ -11,9 +12,9 @@ import (
 // in a list of chunks, every chunk but the last full. It is a power of two,
 // a multiple of scanBlockRows and a divisor of ScanShardRows, so a scan block
 // never crosses a chunk edge and the kernel reads a block from one chunk.
-// One scan block per chunk is also an exact allocator size class at every
-// width (1 to 8 KiB), so a chunk carries no slack. Measured against 4 096 on
-// ingest_only: ARCHITECTURE.md §5.
+// A packed chunk is 128 bytes a bit of width, an exact allocator size class
+// at most widths (and 8 KiB unpacked), so a chunk carries little slack.
+// Measured against 4 096 on ingest_only: ARCHITECTURE.md §5.
 const (
 	chunkShift = 10
 	chunkRows  = 1 << chunkShift
@@ -30,25 +31,30 @@ var (
 type stored interface{ int32 | int64 | float64 }
 
 // chunk is the stored form of up to chunkRows consecutive rows, immutable
-// once made: frame-of-reference packed — min plus one unsigned little-endian
-// offset of width bytes per row — when the chunk's integers span less than
-// their type holds, and the values themselves (wide) otherwise, floats always.
+// once made: frame-of-reference packed — min plus one unsigned offset of width
+// bits per row, row o's in bits [o·width, (o+1)·width) of b read as one
+// little-endian number — when the chunk's integers span 2³² or less and less
+// than their type holds, and the values themselves (wide) otherwise, floats
+// always. b ends with its last offset's last byte (and is eight bytes at
+// least): a full chunk is 128·width bytes, an allocator size class for most
+// widths, which a pad to read past would leave.
 type chunk[T stored] struct {
 	wide  []T
 	b     []byte
 	min   T
-	width uint8 // bytes per offset in b: 1, 2 or 4; 0 when wide
+	width uint8  // bits per offset in b, 1 to 32; 0 when wide
+	n     uint16 // rows in b
 }
 
 // seal returns the stored form of vals at the narrowest width that holds
 // them. A chunk that cannot be narrowed keeps vals itself.
 func seal[T stored](vals []T) chunk[T] {
-	full := 0 // bytes of an unpacked value; floats are not packed
+	full := 0 // bits of an unpacked value; floats are not packed
 	switch any(vals).(type) {
 	case []int32:
-		full = 4
+		full = 32
 	case []int64:
-		full = 8
+		full = 64
 	}
 	if full == 0 || len(vals) == 0 {
 		return chunk[T]{wide: vals}
@@ -58,27 +64,24 @@ func seal[T stored](vals []T) chunk[T] {
 		lo, hi = min(lo, v), max(hi, v)
 	}
 	// Taken in uint64, the span of MinInt64..MaxInt64 does not wrap.
-	span, w := uint64(hi)-uint64(lo), 1
-	for w < full && span>>(8*w) != 0 {
-		w *= 2
-	}
-	if w == full {
+	w := max(bits.Len64(uint64(hi)-uint64(lo)), 1)
+	if w > 32 || w == full {
 		return chunk[T]{wide: vals}
 	}
-	c := chunk[T]{b: make([]byte, w*len(vals)), min: lo, width: uint8(w)}
-	switch w {
-	case 1:
-		for i, v := range vals {
-			c.b[i] = byte(v - lo)
+	// Eight bytes, the least the allocator hands out, are the least a load reads.
+	c := chunk[T]{b: make([]byte, max((w*len(vals)+7)/8, 8)), min: lo, width: uint8(w), n: uint16(len(vals))}
+	// Offsets gather in acc, low bits first, and leave it four bytes at a time.
+	var acc uint64
+	have, p := 0, 0
+	for _, v := range vals {
+		acc |= uint64(v-lo) << have
+		if have += w; have >= 32 {
+			binary.LittleEndian.PutUint32(c.b[p:], uint32(acc))
+			acc, have, p = acc>>32, have-32, p+4
 		}
-	case 2:
-		for i, v := range vals {
-			binary.LittleEndian.PutUint16(c.b[2*i:], uint16(v-lo))
-		}
-	default:
-		for i, v := range vals {
-			binary.LittleEndian.PutUint32(c.b[4*i:], uint32(v-lo))
-		}
+	}
+	for ; have > 0; acc, have, p = acc>>8, have-8, p+1 {
+		c.b[p] = byte(acc)
 	}
 	return c
 }
@@ -92,54 +95,107 @@ func (c *chunk[T]) rows() int {
 	if c.width == 0 {
 		return len(c.wide)
 	}
-	return len(c.b) / int(c.width)
+	return int(c.n)
 }
 
 func (c *chunk[T]) at(o int) T {
-	switch c.width {
-	case 1:
-		return c.min + T(c.b[o])
-	case 2:
-		return c.min + T(binary.LittleEndian.Uint16(c.b[2*o:]))
-	case 4:
-		return c.min + T(binary.LittleEndian.Uint32(c.b[4*o:]))
+	if c.width == 0 {
+		return c.wide[o]
 	}
-	return c.wide[o]
+	// A load is eight bytes, and the last ones of a chunk end where b does
+	// instead of starting at the offset's byte.
+	w, b := int(c.width), c.b
+	p := min(o*w>>3, len(b)-8)
+	return c.min + T(binary.LittleEndian.Uint64(b[p:p+8])>>((o*w-8*p)&63)&lowBits[w&63])
 }
 
 // decode sets dst[j] to the chunk's row lo+sel[j], or, when sel is nil, to
-// row lo+j for all of dst: the rows in order, read without a selection.
+// row lo+j for all of dst: the rows in order, read without a selection. A
+// byte an offset is read as bytes; any other width is shifted out of
+// eight-byte loads (unpack8, unpack, pick).
 func (c *chunk[T]) decode(dst []T, sel []int32, lo int) {
 	if sel != nil {
 		dst = dst[:len(sel)]
 	}
-	switch b := c.b[int(c.width)*lo:]; {
-	case c.width == 0: // read in place by whoever selects (window): only copied whole
+	switch w, b, base := int(c.width), c.b, c.min; {
+	case w == 0: // read in place by whoever selects (window): only copied whole
 		copy(dst, c.wide[lo:])
-	case c.width == 1 && sel == nil:
-		for j, x := range b[:len(dst)] {
-			dst[j] = c.min + T(x)
+	case w == 8 && sel == nil:
+		for j, x := range b[lo:][:len(dst)] {
+			dst[j] = base + T(x)
 		}
-	case c.width == 1:
+	case w == 8:
+		b = b[lo:]
 		for j, o := range sel {
-			dst[j] = c.min + T(b[o])
+			dst[j] = base + T(b[o])
 		}
-	case c.width == 2 && sel == nil:
-		for j := range dst {
-			dst[j] = c.min + T(binary.LittleEndian.Uint16(b[2*j:]))
-		}
-	case c.width == 2:
-		for j, o := range sel {
-			dst[j] = c.min + T(binary.LittleEndian.Uint16(b[2*o:]))
-		}
-	case sel == nil:
-		for j := range dst {
-			dst[j] = c.min + T(binary.LittleEndian.Uint32(b[4*j:]))
-		}
+	case sel != nil:
+		pick(dst, b, base, w, sel, lo*w)
 	default:
-		for j, o := range sel {
-			dst[j] = c.min + T(binary.LittleEndian.Uint32(b[4*o:]))
+		// Eight rows at a time while they start a byte and are narrow enough,
+		// one at a time after that, and the chunk's last few by at.
+		j := 0
+		if w <= 16 && lo&7 == 0 {
+			j = unpack8(dst, b[lo>>3*w:], base, w)
 		}
+		for j += unpack(dst[j:], b, base, w, lo+j); j < len(dst); j++ {
+			dst[j] = c.at(lo + j)
+		}
+	}
+}
+
+// unpack8 is decode of rows in order, eight at a time, at a width of 16 bits
+// at most: the eight offsets are w bytes from b's first on, the first four in
+// its first eight bytes and the last four in its last eight. It returns short
+// of the rows that are not eight together, or fill less than eight bytes.
+func unpack8[T stored](dst []T, b []byte, base T, w int) int {
+	mask, q := uint64(1)<<w-1, max(w-8, 0)
+	n := 0
+	for ; n+8 <= len(dst) && len(b) >= q+8; n, b = n+8, b[w:] {
+		x, y := binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint64(b[q:])>>((4*w-8*q)&63)
+		d := dst[n : n+8 : n+8]
+		d[0], d[4] = base+T(x&mask), base+T(y&mask)
+		x, y = x>>(w&63), y>>(w&63)
+		d[1], d[5] = base+T(x&mask), base+T(y&mask)
+		x, y = x>>(w&63), y>>(w&63)
+		d[2], d[6] = base+T(x&mask), base+T(y&mask)
+		x, y = x>>(w&63), y>>(w&63)
+		d[3], d[7] = base+T(x&mask), base+T(y&mask)
+	}
+	return n
+}
+
+// unpack is decode of rows in order at any width: the offsets are shifted out
+// of acc, which is topped up four bytes at a time. It returns short of the
+// rows whose top-up would read past b's end.
+func unpack[T stored](dst []T, b []byte, base T, w, lo int) int {
+	mask, bit := uint64(1)<<w-1, lo*w
+	p := min(bit>>3, len(b)-8)
+	acc, have := binary.LittleEndian.Uint64(b[p:])>>((bit-8*p)&63), 64-(bit-8*p)
+	b = b[p+8:]
+	for j := range dst {
+		if have < w { // under 32 bits: room for 32 more
+			if len(b) < 4 {
+				return j
+			}
+			acc |= uint64(binary.LittleEndian.Uint32(b)) << (have & 63)
+			have, b = have+32, b[4:]
+		}
+		dst[j] = base + T(acc&mask)
+		acc, have = acc>>(w&63), have-w
+	}
+	return len(dst)
+}
+
+// pick is decode through a selection at any width, from the given bit on. A load is eight bytes, and the last ones of a chunk end
+// where b does instead of starting at the offset's byte.
+func pick[T stored](dst []T, b []byte, base T, w int, sel []int32, from int) {
+	mask, last := uint64(1)<<w-1, len(b)-8
+	dst = dst[:len(sel)]
+	for j, o := range sel {
+		bit := from + int(o)*w
+		p := min(bit>>3, last)
+		dst[j] = base + T(binary.LittleEndian.Uint64(b[p:p+8])>>((bit-8*p)&63)&mask)
 	}
 }
 
@@ -172,6 +228,14 @@ func (s *chunked[T]) chunk(k int) *chunk[T] {
 
 func (s *chunked[T]) at(i int) T { return s.chunk(i >> chunkShift).at(i & (chunkRows - 1)) }
 
+// lowBits[w] has the low w bits set.
+var lowBits = func() (m [64]uint64) {
+	for w := range m {
+		m[w] = 1<<w - 1
+	}
+	return m
+}()
+
 // intBounds returns a range that holds the first rows values of s: for a
 // packed chunk its minimum and the most its width can add to it, for the open
 // tail (or a short last chunk) the values it has — and all of int64 once a
@@ -181,7 +245,7 @@ func intBounds(s *chunked[int64], rows int) (lo, hi int64) {
 	for k := 0; k<<chunkShift < rows; k++ {
 		switch c := s.chunk(k); {
 		case c.width != 0:
-			top := c.min + 1<<(8*c.width) - 1
+			top := c.min + 1<<c.width - 1
 			if top < c.min {
 				top = math.MaxInt64
 			}
@@ -274,10 +338,12 @@ func (s *chunked[T]) set(i int, v T) {
 	switch off := uint64(v) - uint64(c.min); {
 	case c.width == 0:
 		c.wide[o] = v
-	case v >= c.min && off>>(8*c.width) == 0:
-		for j := 0; j < int(c.width); j++ {
-			c.b[int(c.width)*o+j] = byte(off >> (8 * j))
-		}
+	case v >= c.min && off>>c.width == 0:
+		// The eight bytes at reads, with the row's bits replaced.
+		w, b := int(c.width), c.b
+		p := min(o*w>>3, len(b)-8)
+		at := o*w - 8*p
+		binary.LittleEndian.PutUint64(b[p:], binary.LittleEndian.Uint64(b[p:])&^(lowBits[w]<<at)|off<<at)
 	default:
 		vals := make([]T, c.rows())
 		c.decode(vals, nil, 0)
@@ -305,9 +371,9 @@ func (s *chunked[T]) sealLast(rows int) {
 
 // Column is a typed column of values, stored in chunks (see chunked). String
 // columns are dictionary-encoded: distinct strings are stored once and rows
-// hold codes, a byte each while the chunk's codes span under 256, which keeps
-// wide categorical schemas (like the 245-column SALES database in the paper)
-// compact.
+// hold codes, at as many bits each as the span of the chunk's codes needs,
+// which keeps wide categorical schemas (like the 245-column SALES database in
+// the paper) compact.
 type Column struct {
 	Name string
 	Type Type

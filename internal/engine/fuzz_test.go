@@ -6,16 +6,21 @@ import (
 	"testing"
 )
 
-// widthSeedTables are small tables that decode into chunks of every stored
-// width: integers at 1, 2, 4 and 8 bytes and codes at 1 and 2 in the first,
-// and in the second a dictionary long enough for codes at 4 and, at its end,
-// rows whose codes span it.
+// widthSeedTables are small tables that decode into chunks of every kind of
+// stored width — narrow (1, 3), a byte, straddling bytes (11), 16 and 32 bits
+// and the values themselves for integers, 8 and 9 bits for codes in the
+// first, and in the second a dictionary long enough for codes at 17 and, at
+// its end, rows whose codes span it.
 func widthSeedTables() []*Table {
-	i1, i2, i4, i8 := NewColumn("i1", Int), NewColumn("i2", Int), NewColumn("i4", Int), NewColumn("i8", Int)
-	s1, s2, s4 := NewColumn("s1", String), NewColumn("s2", String), NewColumn("s4", String)
-	small := NewTable("small", i1, i2, i4, i8, s1, s2)
+	var ints []*Column
+	for _, name := range []string{"i1", "i3", "i8", "i11", "i16", "i32", "i64"} {
+		ints = append(ints, NewColumn(name, Int))
+	}
+	s8, s9, s17 := NewColumn("s8", String), NewColumn("s9", String), NewColumn("s17", String)
+	small := NewTable("small", append(ints, s8, s9)...)
 	for r := 0; r < 300; r++ {
-		small.AppendRow(IntVal(int64(r%256)-128), IntVal(int64(r)<<7), IntVal(int64(r)<<23), IntVal(int64(r)<<55),
+		small.AppendRow(IntVal(int64(r%2)), IntVal(int64(r%7)-3), IntVal(int64(r%256)-128), IntVal(int64(r)*6),
+			IntVal(int64(r)<<7), IntVal(int64(r)<<23), IntVal(int64(r)<<55),
 			StringVal(strconv.Itoa(r%256)), StringVal(strconv.Itoa(r)))
 	}
 	for r := 0; r <= 1<<16+300; r++ {
@@ -23,9 +28,9 @@ func widthSeedTables() []*Table {
 		if r > 1<<16 {
 			v = r & 1 << 16 // the first string and the last by turns
 		}
-		s4.AppendString(strconv.FormatInt(int64(v), 36))
+		s17.AppendString(strconv.FormatInt(int64(v), 36))
 	}
-	return []*Table{small, NewTable("long", s4)}
+	return []*Table{small, NewTable("long", s17)}
 }
 
 // FuzzReadBinary asserts the sample-table decoder never panics and never

@@ -66,7 +66,7 @@ type excludeWord struct {
 
 // keep narrows sel, in place, to the rows of the block at lo that pass.
 func (e *excludeWord) keep(sel []int32, lo int, buf *blockBuf) []int32 {
-	words, at := window(&e.view.ints, e.view.join(), sel, lo, buf.ints, buf.ids)
+	words, at := window(&e.view.ints, &e.view, sel, lo, buf.ints, buf)
 	k := 0
 	for j, a := range at {
 		sel[k] = sel[j] // branch-free: kept only if k moves on
@@ -201,18 +201,50 @@ func (g *groupCol) value(key []uint64, rem *uint64) Value {
 }
 
 // blockBuf is the scratch a block's values are decoded or gathered into, one
-// slice of scanBlockRows per storage type and one for foreign keys.
+// slice of scanBlockRows per storage type, and the block's foreign keys, a
+// dimension at a time.
 type blockBuf struct {
 	ints   []int64
 	floats []float64
 	codes  []int32
-	ids    []int64
+	fks    []fkRows // by ColumnView.Dim
+}
+
+// fkRows is one dimension's foreign keys of the n selected rows of the block
+// at lo, as window read them: every column of the dimension is gathered
+// through the one reading. A selection over a block only ever narrows, so lo
+// and n tell it from every other the buffer has met since forget.
+type fkRows struct {
+	lo, n int
+	rows  []int64
+	at    []int32
+	ids   []int64 // what rows is decoded into
 }
 
 func newBlockBuf() blockBuf {
 	const n = scanBlockRows
-	i64 := make([]int64, 2*n)
-	return blockBuf{ints: i64[:n:n], floats: make([]float64, n), codes: make([]int32, n), ids: i64[n:]}
+	return blockBuf{ints: make([]int64, n), floats: make([]float64, n), codes: make([]int32, n)}
+}
+
+// forget drops the foreign keys read so far, before another scan's blocks.
+func (buf *blockBuf) forget() {
+	for i := range buf.fks {
+		buf.fks[i].lo = -1
+	}
+}
+
+// join returns the dimension rows the selected rows of the block at lo refer
+// to through v's foreign key: row rows[at[j]] for the j'th of them.
+func (buf *blockBuf) join(v *ColumnView, sel []int32, lo int) ([]int64, []int32) {
+	for len(buf.fks) <= v.Dim {
+		buf.fks = append(buf.fks, fkRows{lo: -1, ids: make([]int64, scanBlockRows)})
+	}
+	f := &buf.fks[v.Dim]
+	if f.lo != lo || f.n != len(sel) {
+		f.lo, f.n = lo, len(sel)
+		f.rows, f.at = window(&v.fk, nil, sel, lo, f.ids, nil)
+	}
+	return f.rows, f.at
 }
 
 // identity[j] == j: the selection over values gathered in selection order.
@@ -223,19 +255,20 @@ var identity = func() (id [scanBlockRows]int32) {
 	return id
 }()
 
-// window returns the selected rows' values of one column: vals[at[j]] is the
-// value of the block's j-th selected row. sel holds row offsets into the
-// block starting at source row lo. There are three ways to read a block. A
-// fact column's chunk that holds the values themselves (floats, integers
-// that need their whole width, the open tail) is read in place: at is sel
-// itself. A packed chunk is decoded, the selected rows only, into vals (in
-// order, without looking at sel, while every row is still selected). A
-// dimension column (fk not nil, and see ColumnView.sealLast) is gathered
-// into vals through the block's foreign keys, themselves read in one of the
-// first two ways into ids.
-func window[T stored](s *chunked[T], fk *chunked[int64], sel []int32, lo int, vals []T, ids []int64) ([]T, []int32) {
-	if fk != nil {
-		rows, at := window(fk, nil, sel, lo, ids, nil)
+// window returns the selected rows' values of one column, s of the view v:
+// vals[at[j]] is the value of the block's j-th selected row. sel holds row
+// offsets into the block starting at source row lo. There are three ways to
+// read a block. A fact column's chunk that holds the values themselves
+// (floats, integers that need their whole width, the open tail) is read in
+// place: at is sel itself. A packed chunk is decoded, the selected rows only,
+// into vals (in order, without looking at sel, while every row is still
+// selected). A dimension column (see ColumnView.sealLast) is gathered into
+// vals through the block's foreign keys, themselves read in one of the first
+// two ways, once for all the columns of the dimension (blockBuf.join). A nil
+// v is a fact column.
+func window[T stored](s *chunked[T], v *ColumnView, sel []int32, lo int, vals []T, buf *blockBuf) ([]T, []int32) {
+	if v != nil && v.Dim >= 0 {
+		rows, at := buf.join(v, sel, lo)
 		for j, a := range at {
 			r := int(rows[a])
 			vals[j] = s.sealed[r>>chunkShift].at(r & (chunkRows - 1))
@@ -246,8 +279,8 @@ func window[T stored](s *chunked[T], fk *chunked[int64], sel []int32, lo int, va
 	if c.width == 0 {
 		return c.wide[o:], sel
 	}
-	if len(sel) == c.rows()-o { // every row from o on: sel counts them off
-		c.decode(vals[:len(sel)], nil, o)
+	if n := len(sel); n > 0 && 3*n > int(sel[n-1]) { // a row in three: in order is cheaper than picked
+		c.decode(vals[:sel[n-1]+1], nil, o)
 		return vals, sel
 	}
 	c.decode(vals, sel, o)
@@ -256,8 +289,8 @@ func window[T stored](s *chunked[T], fk *chunked[int64], sel []int32, lo int, va
 
 // block returns the values of view rows [lo, lo+n) of one column, which must
 // not cross a scan block edge.
-func block[T stored](s *chunked[T], fk *chunked[int64], lo, n int, vals []T, ids []int64) []T {
-	vals, _ = window(s, fk, identity[:n], lo, vals, ids)
+func block[T stored](s *chunked[T], v *ColumnView, lo, n int, vals []T, buf *blockBuf) []T {
+	vals, _ = window(s, v, identity[:n], lo, vals, buf)
 	return vals[:n]
 }
 
@@ -271,18 +304,18 @@ func (g *groupCol) addKeys(keys []uint64, words int, sel []int32, lo int, buf *b
 	keys = keys[g.word:]
 	switch v.Type {
 	case String:
-		codes, at := window(&v.codes, v.join(), sel, lo, buf.codes, buf.ids)
+		codes, at := window(&v.codes, v, sel, lo, buf.codes, buf)
 		for j, a := range at {
 			keys[j*words] += uint64(codes[a]) * g.mul
 		}
 	case Int:
-		ints, at := window(&v.ints, v.join(), sel, lo, buf.ints, buf.ids)
+		ints, at := window(&v.ints, v, sel, lo, buf.ints, buf)
 		mul := max(g.mul, 1) // mul 0: the value itself, base being 0
 		for j, a := range at {
 			keys[j*words] += uint64(ints[a]-g.base) * mul
 		}
 	default:
-		floats, at := window(&v.floats, v.join(), sel, lo, buf.floats, buf.ids)
+		floats, at := window(&v.floats, v, sel, lo, buf.floats, buf)
 		for j, a := range at {
 			keys[j*words] = math.Float64bits(floats[a])
 		}
@@ -294,12 +327,12 @@ func (g *groupCol) addKeys(keys []uint64, words int, sel []int32, lo int, buf *b
 func measure(v *ColumnView, xs []float64, sel []int32, lo int, buf *blockBuf) {
 	switch v.Type {
 	case Int:
-		ints, at := window(&v.ints, v.join(), sel, lo, buf.ints, buf.ids)
+		ints, at := window(&v.ints, v, sel, lo, buf.ints, buf)
 		for j, a := range at {
 			xs[j] = float64(ints[a])
 		}
 	case Float:
-		floats, at := window(&v.floats, v.join(), sel, lo, buf.floats, buf.ids)
+		floats, at := window(&v.floats, v, sel, lo, buf.floats, buf)
 		for j, a := range at {
 			xs[j] = floats[a]
 		}
@@ -516,9 +549,9 @@ type shardScan struct {
 }
 
 // blockScratch is what the stages of a block hand one another. It is of a
-// fixed size (but for keys: a word or more a row) and recycled from scan to
-// scan: it is 60 KB a worker, several times what the scan of a small table
-// allocates beside it. Every stage writes what the next one reads; nothing
+// fixed size (but for keys, a word or more a row, and the foreign keys, 8 KB
+// a dimension read through) and recycled from scan to scan: it is 52 KB a
+// worker, several times what the scan of a small table allocates beside it. Every stage writes what the next one reads; nothing
 // is cleared.
 type blockScratch struct {
 	sel  []int32   // offsets of the block's surviving rows
@@ -537,6 +570,7 @@ var blockScratches = sync.Pool{New: func() any {
 
 func (b *boundQuery) newShardScan() *shardScan {
 	s := &shardScan{groups: b.newTable(), blockScratch: blockScratches.Get().(*blockScratch)}
+	s.buf.forget()
 	if need := scanBlockRows * b.words; cap(s.keys) < need {
 		s.keys = make([]uint64, need)
 	}

@@ -466,6 +466,51 @@ func TestKernelEdgeSources(t *testing.T) {
 		check(fmt.Sprintf("%d integer codes", span+1), tbl, sumBy("x"), ExecOptions{})
 	}
 
+	// Two integer columns of 50 and 11 values, as l_quantity and l_discount
+	// are: a chunk's width bounds them at 64 and 16 codes, and the pair is
+	// direct-indexed where a byte a column (256 codes each) had it hashed.
+	// Answers and group order are the row-at-a-time reference's all the same.
+	qty, disc, m := NewColumn("qty", Int), NewColumn("disc", Int), NewColumn("m", Float)
+	for r := 0; r < 2*chunkRows+300; r++ {
+		qty.AppendInt(1 + int64(r*7%50))
+		disc.AppendInt(int64(rng.Intn(11)))
+		m.AppendFloat(rng.NormFloat64())
+	}
+	pair := NewTable("pair", qty, disc, m)
+	if words, dense, _ := layout(pair, "qty", "disc"); words != 1 || dense != 64*16 {
+		t.Fatalf("50 x 11 integer values: %d words, dense %d; want one word, direct-indexed at 64*16", words, dense)
+	}
+	check("two narrow integers", pair, sumBy("qty", "disc"), ExecOptions{Workers: 2})
+	res, err = Execute(pair, sumBy("qty", "disc"), ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[[2]int64]bool{}
+	for r := 0; r < pair.NumRows(); r++ { // one shard: groups in order of first appearance
+		k := [2]int64{qty.Int(r), disc.Int(r)}
+		if seen[k] {
+			continue
+		}
+		var rem uint64
+		g := len(seen)
+		if got := [2]int64{res.tbl.cols[0].value(res.tbl.key(g), &rem).I, res.tbl.cols[1].value(res.tbl.key(g), &rem).I}; got != k {
+			t.Fatalf("two narrow integers: group %d is %v, want %v, the %d'th pair to appear", g, got, k, g)
+		}
+		seen[k] = true
+	}
+
+	// And a predicate on either is a table of verdicts by value, like a
+	// string's by code, where an integer of any range is compared row by row.
+	if bp := bindPredicate(NewIn("qty", IntVal(3), IntVal(64)), qty.View()); len(bp.pass) != 64 || bp.base != 1 || bp.pass[2] != 1 || bp.pass[0] != 0 {
+		t.Fatalf("IN on 50 integer values: %d verdicts from %d", len(bp.pass), bp.base)
+	}
+	if bp := bindPredicate(NewIn("x", IntVal(3)), two.MustColumn("x").View()); bp.pass != nil || bp.ints == nil {
+		t.Fatal("IN on an integer column of 2^32 values: want a typed compare")
+	}
+	narrow := sumBy("disc")
+	narrow.Where = []Predicate{NewIn("qty", IntVal(3), IntVal(17), IntVal(50), IntVal(51), FloatVal(3)), NewCmp("disc", Gt, IntVal(4))}
+	check("predicates on two narrow integers", pair, narrow, ExecOptions{Workers: 2})
+
 	// A query bound to an older version, whose open tail a newer version then
 	// widens: the bound range is the older version's, and so is every row the
 	// scan reads.

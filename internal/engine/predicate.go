@@ -168,17 +168,24 @@ func (p *RangePredicate) String() string {
 }
 
 // boundPred is a predicate bound to one column of a source for the scan
-// kernel. A string column's verdict is worked out once per dictionary entry;
-// a numeric column is tested by a typed compare (numPred); only a Predicate
-// implementation this package does not know is handed boxed values, row by
-// row, on a numeric column.
+// kernel. A string column's verdict is worked out once per dictionary entry,
+// and an integer column's once per value when its chunks bound it to
+// passLimit values (intBounds); any other numeric column is tested by a
+// typed compare (numPred); only a Predicate implementation this package does
+// not know is handed boxed values, row by row, on such a column.
 type boundPred struct {
 	view   ColumnView
-	pass   []uint8 // String: 1 where Matches, by dictionary code
+	pass   []uint8 // 1 where Matches: by dictionary code, or by v − base
+	base   int64
 	ints   *numPred[int64]
 	floats *numPred[float64]
 	boxed  Predicate
 }
+
+// passLimit is how many values an integer column may be bounded to for a
+// predicate to be evaluated once per value: a table of a byte's worth of
+// codes costs a bind a few microseconds.
+const passLimit = 256
 
 func bindPredicate(p Predicate, v ColumnView) boundPred {
 	bp := boundPred{view: v}
@@ -191,7 +198,14 @@ func bindPredicate(p Predicate, v ColumnView) boundPred {
 			}
 		}
 	case Int:
-		if bp.ints = compileNumeric(p, Int, func(v Value) int64 { return v.I }, math.MinInt64, math.MaxInt64); bp.ints == nil {
+		if lo, hi := intBounds(&v.ints, v.rows); v.rows > 0 && uint64(hi)-uint64(lo) < passLimit {
+			bp.pass, bp.base = make([]uint8, hi-lo+1), lo
+			for i := range bp.pass {
+				if p.Matches(IntVal(lo + int64(i))) {
+					bp.pass[i] = 1
+				}
+			}
+		} else if bp.ints = compileNumeric(p, Int, func(v Value) int64 { return v.I }, math.MinInt64, math.MaxInt64); bp.ints == nil {
 			bp.boxed = p
 		}
 	default:
@@ -208,7 +222,7 @@ func (p *boundPred) keep(sel []int32, lo int, buf *blockBuf) []int32 {
 	v := &p.view
 	switch {
 	case v.Type == String:
-		codes, at := window(&v.codes, v.join(), sel, lo, buf.codes, buf.ids)
+		codes, at := window(&v.codes, v, sel, lo, buf.codes, buf)
 		k := 0
 		for j, a := range at {
 			sel[k] = sel[j] // branch-free: kept only if k moves on
@@ -216,13 +230,21 @@ func (p *boundPred) keep(sel []int32, lo int, buf *blockBuf) []int32 {
 		}
 		return sel[:k]
 	case v.Type == Int:
-		ints, at := window(&v.ints, v.join(), sel, lo, buf.ints, buf.ids)
+		ints, at := window(&v.ints, v, sel, lo, buf.ints, buf)
+		if p.pass != nil {
+			k := 0
+			for j, a := range at {
+				sel[k] = sel[j]
+				k += int(p.pass[ints[a]-p.base])
+			}
+			return sel[:k]
+		}
 		if p.ints != nil {
 			return p.ints.keep(sel, at, ints)
 		}
 		return keepBoxed(p.boxed, sel, at, ints, IntVal)
 	default:
-		floats, at := window(&v.floats, v.join(), sel, lo, buf.floats, buf.ids)
+		floats, at := window(&v.floats, v, sel, lo, buf.floats, buf)
 		if p.floats != nil {
 			return p.floats.keep(sel, at, floats)
 		}

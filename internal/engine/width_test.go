@@ -11,7 +11,7 @@ import (
 
 // widthEdgeChunks are integer chunks at the edges of the stored widths: each
 // holds min and min+span (the sum taken in uint64), so its span is exactly
-// span, and must be sealed at width bytes an offset, 0 meaning the values
+// span, and must be sealed at width bits an offset, 0 meaning the values
 // themselves.
 var widthEdgeChunks = []struct {
 	name  string
@@ -20,15 +20,22 @@ var widthEdgeChunks = []struct {
 	width uint8
 }{
 	{"all equal", 42, 0, 1},
-	{"span 255", -100, 255, 1},
-	{"span 256", -100, 256, 2},
-	{"span 65535", 1 << 40, 65535, 2},
-	{"span 65536", -(1 << 40), 65536, 4},
-	{"span 2^32-1", -7, 1<<32 - 1, 4},
+	{"span 1", -1, 1, 1},
+	{"span 2", 1 << 50, 2, 2},
+	{"span 7", -3, 7, 3},
+	{"span 8", -3, 8, 4},
+	{"span 255", -100, 255, 8},
+	{"span 256", -100, 256, 9},
+	{"span 2047", 5, 2047, 11},
+	{"span 65535", 1 << 40, 65535, 16},
+	{"span 65536", -(1 << 40), 65536, 17},
+	{"span 2^31-1", 9, 1<<31 - 1, 31},
+	{"span 2^31", 9, 1 << 31, 32},
+	{"span 2^32-1", -7, 1<<32 - 1, 32},
 	{"span 2^32", -7, 1 << 32, 0},
-	{"from MinInt64", math.MinInt64, 1000, 2},
+	{"from MinInt64", math.MinInt64, 1000, 10},
 	{"MinInt64 to MaxInt64", math.MinInt64, math.MaxUint64, 0}, // the span overflows int64
-	{"up to MaxInt64", math.MaxInt64 - 200, 200, 1},
+	{"up to MaxInt64", math.MaxInt64 - 200, 200, 8},
 }
 
 // widthEdgeInt is the value at row r of a column whose chunk k is case
@@ -44,7 +51,7 @@ func widthEdgeInt(rng *rand.Rand, r int) int64 {
 }
 
 // widthEdgeTable is a flat table whose integer column walks widthEdgeChunks
-// twice over, whose string column's dictionary grows by a string a row from
+// over and over, whose string column's dictionary grows by a string a row from
 // the third chunk on — every chunk also holds code 0, so the codes' span
 // crosses 256 and then 65 536 mid-table — and whose floats are kernelFloats,
 // beside a measure to sum (a sum over two NaN payloads has whichever the
@@ -105,8 +112,8 @@ func TestWidthEdges(t *testing.T) {
 	for k := range grow.codes.sealed {
 		widths[grow.codes.sealed[k].width]++
 	}
-	if grow.DictSize() <= 1<<16 || widths[1] != 2 || widths[2] == 0 || widths[0] == 0 || widths[4] != 0 {
-		t.Errorf("%d strings, code chunks by width %v: want two at 1 byte, then 2 bytes, the last few the codes themselves", grow.DictSize(), widths)
+	if grow.DictSize() <= 1<<16 || widths[8] != 2 || widths[16] == 0 || widths[17] == 0 || widths[0] != 0 {
+		t.Errorf("%d strings, code chunks by width %v: want two at 8 bits, then one more bit as the dictionary doubles, up to 17", grow.DictSize(), widths)
 	}
 	for k, c := range tbl.MustColumn("f").floats.sealed {
 		if c.width != 0 {
@@ -234,13 +241,13 @@ func TestSetRowRepacksUnderPinnedReaders(t *testing.T) {
 		upd.SetRow(i, v...)
 		want[i] = v
 	}
-	set(chunkRows+5, IntVal(7), FloatVal(math.Copysign(0, -1)), StringVal("s3")) // fits the chunk's byte
-	if w := upd.cols[0].ints.sealed[1].width; w != 1 {
+	set(chunkRows+5, IntVal(7), FloatVal(math.Copysign(0, -1)), StringVal("s3")) // fits the chunk's 8 bits
+	if w := upd.cols[0].ints.sealed[1].width; w != 8 {
 		t.Errorf("a value inside the chunk's span re-packed it at width %d", w)
 	}
-	set(chunkRows+6, IntVal(1<<20), FloatVal(math.NaN()), StringVal("new string")) // needs 4 bytes
+	set(chunkRows+6, IntVal(1<<20), FloatVal(math.NaN()), StringVal("new string")) // needs 21 bits
 	set(chunkRows+7, IntVal(-3), FloatVal(1), StringVal("s0"))                     // a new minimum
-	if c := upd.cols[0].ints.sealed[1]; c.width != 4 || c.min != -3 {
+	if c := upd.cols[0].ints.sealed[1]; c.width != 21 || c.min != -3 {
 		t.Errorf("after 1<<20 and -3 the chunk has width %d, min %d", c.width, c.min)
 	}
 	set(2*chunkRows, IntVal(math.MinInt64), FloatVal(2), StringVal("s1"))
@@ -269,7 +276,7 @@ func TestSetRowRepacksUnderPinnedReaders(t *testing.T) {
 // TestWidthSeedsCoverEveryWidth: the fuzz seeds decode into what they are
 // there for.
 func TestWidthSeedsCoverEveryWidth(t *testing.T) {
-	want := map[string]uint8{"i1": 1, "i2": 2, "i4": 4, "i8": 0, "s1": 1, "s2": 2, "s4": 0}
+	want := map[string]uint8{"i1": 1, "i3": 3, "i8": 8, "i11": 11, "i16": 16, "i32": 32, "i64": 0, "s8": 8, "s9": 9, "s17": 17}
 	for _, tbl := range widthSeedTables() {
 		back, err := ReadBinary(bytes.NewReader(tableBytes(t, tbl)))
 		if err != nil {

@@ -255,7 +255,7 @@ func BenchmarkGenerate(b *testing.B) {
 }
 
 // TestGeneratePacksAsItGoes: a generated table is stored packed — the tpch
-// fact and dimensions in under 30 bytes a fact row, where unpacked columns
+// fact and dimensions in under 20 bytes a fact row, where unpacked columns
 // take 88 — and was never held unpacked on the way: generating 1 M rows
 // allocates less in total than the unpacked columns alone would (the 90 MB
 // an unpacked generator allocates), which a pack-afterwards pass cannot do.
@@ -279,8 +279,8 @@ func TestGeneratePacksAsItGoes(t *testing.T) {
 	stored, logical, allocated := db.StoredBytes(), db.TotalBytes(), after.TotalAlloc-before.TotalAlloc
 	t.Logf("%d rows: %.1f B/row stored, %.1f logical, %.1f allocated while generating",
 		rows, float64(stored)/rows, float64(logical)/rows, float64(allocated)/rows)
-	if stored > 30*rows {
-		t.Errorf("the base data holds %.1f bytes a row, want <= 30", float64(stored)/rows)
+	if stored > 20*rows {
+		t.Errorf("the base data holds %.1f bytes a row, want <= 20", float64(stored)/rows)
 	}
 	if allocated >= 90e6 {
 		t.Errorf("Generate allocated %d bytes in total, want under the 90 MB of unpacked columns", allocated)
