@@ -6,13 +6,16 @@ GO ?= go
 
 all: build vet test
 
-# The CI gate: build + vet + full test suite under the race detector,
-# plus the dead-link check over the markdown docs and a known-vulnerability
+# The CI gate: build + vet + full test suite under the race detector, the
+# schedule-dependent build paths (generation's fills, pre-processing's
+# sharded scan 2) pinned at 1, 2 and 8 cores whatever the runner has, plus
+# the dead-link check over the markdown docs and a known-vulnerability
 # scan (skipped quietly where govulncheck is not installed; CI installs it).
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	$(GO) test -cpu 1,2,8 -run 'Determinism|Golden|PacksAsItGoes' ./internal/core ./internal/scenario
 	bash scripts/doclinks.sh
 	bash scripts/scripts_test.sh
 	@if command -v govulncheck >/dev/null 2>&1; then \

@@ -38,9 +38,9 @@ var (
 )
 
 // Pre-processing instrumentation: where the last SmallGroup.Preprocess run
-// spent its time — "count" (scan 1 and band derivation), "classify" (the
-// serial, generator-owning scan 2) and "materialise" (masks and sample
-// tables).
+// spent its time — "count" (scan 1 and band derivation), "classify" (scan
+// 2: the sharded mask pass, then the generator-owning replay) and
+// "materialise" (masks and sample tables).
 var obsPreprocessSeconds = obs.Default().GaugeVec("aqp_core_preprocess_seconds",
 	"Duration of the last small group pre-processing run, by phase.", "phase")
 

@@ -1,17 +1,17 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 
 	"dynsample/internal/engine"
 	"dynsample/internal/randx"
 )
 
-// determinismDB is big enough that the partitioned scan kernel actually
-// shards it (> engine.ScanShardRows rows).
-func determinismDB(t *testing.T) *engine.Database {
-	t.Helper()
+// ZipfDB is a fact-only database of the given rows: two zipf string columns
+// and a normal measure. TestAnswerWorkerCountDeterminism takes more rows than
+// two scan shards, so that the partitioned scan kernel splits it;
+// TestPreprocessWorkerCountDeterminism takes it at a shard's edges.
+func ZipfDB(rows int) *engine.Database {
 	g := engine.NewColumn("g", engine.String)
 	h := engine.NewColumn("h", engine.String)
 	m := engine.NewColumn("m", engine.Float)
@@ -19,7 +19,7 @@ func determinismDB(t *testing.T) *engine.Database {
 	rng := randx.New(17)
 	zg := randx.NewZipf(1.8, 120)
 	zh := randx.NewZipf(1.2, 40)
-	for i := 0; i < 2*engine.ScanShardRows+999; i++ {
+	for i := 0; i < rows; i++ {
 		g.AppendString("g" + itoa(zg.Draw(rng)))
 		h.AppendString("h" + itoa(zh.Draw(rng)))
 		m.AppendFloat(rng.NormFloat64() * 50)
@@ -37,46 +37,11 @@ func prepare(t *testing.T, db *engine.Database, workers int) *smallGroupPrepared
 	return p.(*smallGroupPrepared)
 }
 
-func tableBytes(t *testing.T, tbl *engine.Table) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := engine.WriteBinary(tbl, &buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// Pre-processing must build byte-identical sample sets for any worker count:
-// the parallel paths (row-sharded counts, per-table materialisation) only
-// partition work whose outputs never depend on completion order, and all
-// randomness stays in the single-threaded second scan.
-func TestPreprocessWorkerCountDeterminism(t *testing.T) {
-	db := determinismDB(t)
-	serial := prepare(t, db, 0)
-	for _, workers := range []int{1, 4, 16} {
-		par := prepare(t, db, workers)
-		if got, want := par.meta.String(), serial.meta.String(); got != want {
-			t.Fatalf("workers=%d: metadata diverged:\n%s\nvs\n%s", workers, got, want)
-		}
-		if len(par.tables) != len(serial.tables) {
-			t.Fatalf("workers=%d: table count %d vs %d", workers, len(par.tables), len(serial.tables))
-		}
-		for i := range serial.tables {
-			if !bytes.Equal(tableBytes(t, par.Tables()[i]), tableBytes(t, serial.Tables()[i])) {
-				t.Fatalf("workers=%d: small group table %d differs", workers, i)
-			}
-		}
-		if !bytes.Equal(tableBytes(t, par.Overall()), tableBytes(t, serial.Overall())) {
-			t.Fatalf("workers=%d: overall sample differs", workers)
-		}
-	}
-}
-
 // Runtime answers must be bit-identical between workers=1 and workers=N for
 // a fixed seed: same groups, same float accumulators, same intervals, same
 // exactness flags.
 func TestAnswerWorkerCountDeterminism(t *testing.T) {
-	db := determinismDB(t)
+	db := ZipfDB(2*engine.ScanShardRows + 999)
 	p1 := prepare(t, db, 1)
 	queries := []*engine.Query{
 		{GroupBy: []string{"g"}, Aggs: []engine.Aggregate{{Kind: engine.Count}, {Kind: engine.Sum, Col: "m"}}},

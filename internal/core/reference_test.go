@@ -609,7 +609,8 @@ func AssertOnlineSeedMatchesNaive(t *testing.T, db *engine.Database, cfg SmallGr
 // reference_specs_test.go, which can import the scenario specs): one
 // sub-benchmark per pre-processing phase, each fed the previous phase's
 // output, plus the online seeding that follows pre-processing on an
-// ingest-enabled server.
+// ingest-enabled server. Every phase runs at one worker; Classify, whose
+// mask pass is sharded, at two as well.
 func RunPreprocessLayers(b *testing.B, db *engine.Database) {
 	cfg := SmallGroupConfig{BaseRate: 0.01, Seed: 1, Workers: 1}.withDefaults()
 	split, err := countBands(db, cfg)
@@ -635,7 +636,11 @@ func RunPreprocessLayers(b *testing.B, db *engine.Database) {
 		})
 	}
 	phase("Count", func() error { _, err := countBands(db, cfg); return err })
-	phase("Classify", func() error { _, err := split.classify(db, cfg); return err })
+	for _, workers := range []int{1, 2} {
+		wcfg := cfg
+		wcfg.Workers = workers
+		phase(fmt.Sprintf("Classify/workers=%d", workers), func() error { _, err := split.classify(db, wcfg); return err })
+	}
 	phase("Materialise", func() error { _, err := split.materialise(db, cfg, rows); return err })
 	phase("OnlineSeed", func() error {
 		_, err := NewOnline(sys, "smallgroup", OnlineConfig{Seed: 1})

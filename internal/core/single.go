@@ -8,7 +8,7 @@ import (
 )
 
 // SingleSample is the runtime the paper's single-table baselines share
-// (uniform, weighted, congress, outlier, icicles): one flat sample table
+// (uniform, weighted, congress, outlier): one flat sample table
 // answers every query in a single step. Each row counts as its stored weight
 // times Scale — the inverse sampling rate for an unweighted sample, 1 when
 // the weights already are inverse inclusion probabilities — and intervals

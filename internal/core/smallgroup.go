@@ -120,13 +120,14 @@ type SmallGroupConfig struct {
 	// star schemas at a small runtime join cost.
 	Renormalize bool
 	// Workers is the worker budget for both phases. Pre-processing fans out
-	// the row-sharded frequency counts of scan 1 and the materialisation of
-	// the small group tables across Workers goroutines; at runtime the
-	// rewritten query's steps execute as parallel tasks over partitioned
-	// scans (RewritePlan.Workers). Values below 1 mean 1 (everything inline).
-	// Outputs are identical for every value: parallel pre-processing
-	// partitions work whose results never depend on completion order, and
-	// all randomness stays in the single-threaded second scan.
+	// the row-sharded frequency counts of scan 1, scan 2's row-sharded mask
+	// pass and the materialisation of the small group tables across Workers
+	// goroutines; at runtime the rewritten query's steps execute as parallel
+	// tasks over partitioned scans (RewritePlan.Workers). Values below 1 mean
+	// 1 (everything inline). Outputs are identical for every value: parallel
+	// pre-processing partitions work whose results never depend on
+	// completion order, and the one seeded generator is read on one
+	// goroutine, in row order, by scan 2's replay of the masks.
 	Workers int
 	// Seed drives all randomness in pre-processing.
 	Seed int64
@@ -285,11 +286,22 @@ type sampleRows struct {
 	overallScale   float64
 }
 
-// classify is scan 2. It owns the one seeded generator, so it stays on one
-// goroutine and keeps the draw order fixed: per row, one coin per
-// medium-band column in index order, then the reservoir offer.
+// classify is scan 2, a window of row shards at a time, in two parts. First
+// a pass on the worker budget finds each row's mask and keeps, per shard, the
+// rows that have a bit set, with their masks. Then this goroutine, the one
+// seeded generator's only reader, walks the window's rows in order, so the
+// draw order stays fixed: per row, one coin per medium-band bit in index
+// order, then the reservoir offer. A window is 4·Workers shards, and its
+// slots' buffers are reused by the next window, so what is kept between the
+// parts is bounded by the window, never by the table.
 func (split *bandSplit) classify(db *engine.Database, cfg SmallGroupConfig) (*sampleRows, error) {
-	n, width := db.NumRows(), split.meta.Width()
+	n, width, words := db.NumRows(), split.meta.Width(), maskWords(split.meta.Width())
+	shards := parallel.Shards(n, engine.ScanShardRows)
+	window := make([]struct {
+		rows  []int
+		masks []uint64 // words per kept row
+	}, min(len(shards), 4*max(cfg.Workers, 1)))
+
 	rng := randx.New(cfg.Seed)
 	target := int(cfg.BaseRate * float64(n))
 	if target < 1 {
@@ -298,29 +310,45 @@ func (split *bandSplit) classify(db *engine.Database, cfg SmallGroupConfig) (*sa
 	res := sample.NewReservoir(target, rng)
 	out := &sampleRows{tables: make([][]int, width), weights: make([][]float64, width)}
 	weighted := make([]bool, width)
-	rowBits := make([]uint64, split.rare.Words())
-	for row := 0; row < n; row++ {
-		if split.rare.Bits(row, rowBits) {
-			eachBit(rowBits, func(i int) {
-				rate := cfg.Levels[split.bands[i].Class(row)].Rate
-				if rate < 1 {
-					// Medium band: subsample at the level's rate; the bitmask
-					// still marks the row so the overall sample filters it out.
-					if rng.Float64() >= rate {
+	next := 0 // the next row to offer: every row before a kept one is offered before its coins
+	for lo := 0; lo < len(shards); lo += len(window) {
+		slots := window[:min(len(window), len(shards)-lo)]
+		parallel.ForEach(cfg.Workers, len(slots), func(s int) {
+			k, mask := &slots[s], make([]uint64, words)
+			k.rows, k.masks = k.rows[:0], k.masks[:0]
+			for row := shards[lo+s].Lo; row < shards[lo+s].Hi; row++ {
+				if split.mask(row, mask) {
+					k.rows, k.masks = append(k.rows, row), append(k.masks, mask...)
+				}
+			}
+		})
+		for _, k := range slots {
+			for j, row := range k.rows {
+				for ; next < row; next++ {
+					res.Offer(next)
+				}
+				eachBit(k.masks[j*words:(j+1)*words], func(i int) {
+					if i >= len(split.bands) { // a pair table
+						out.tables[i] = append(out.tables[i], row)
 						return
 					}
-					weighted[i] = true
-				}
-				out.tables[i] = append(out.tables[i], row)
-				out.weights[i] = append(out.weights[i], 1/rate)
-			})
-		}
-		for _, pt := range split.pairs {
-			if pt.test(row, rowBits) {
-				out.tables[pt.index] = append(out.tables[pt.index], row)
+					rate := cfg.Levels[split.bands[i].Class(row)].Rate
+					if rate < 1 {
+						// Medium band: subsample at the level's rate; the bitmask
+						// still marks the row so the overall sample filters it out.
+						if rng.Float64() >= rate {
+							return
+						}
+						weighted[i] = true
+					}
+					out.tables[i] = append(out.tables[i], row)
+					out.weights[i] = append(out.weights[i], 1/rate)
+				})
 			}
 		}
-		res.Offer(row)
+	}
+	for ; next < n; next++ {
+		res.Offer(next)
 	}
 	for i := range out.weights {
 		if !weighted[i] {
@@ -380,12 +408,7 @@ func (split *bandSplit) materialise(db *engine.Database, cfg SmallGroupConfig, r
 		slab := make([]uint64, len(list)*words)
 		for j, r := range list {
 			rowBits := slab[j*words : (j+1)*words : (j+1)*words]
-			split.rare.Bits(r, rowBits)
-			for _, pt := range split.pairs {
-				if pt.test(r, rowBits) {
-					setBit(rowBits, pt.index)
-				}
-			}
+			split.mask(r, rowBits)
 			masks[j] = bitmask.FromWords(width, rowBits)
 		}
 		if renorm != nil {
@@ -408,6 +431,21 @@ func (split *bandSplit) materialise(db *engine.Database, cfg SmallGroupConfig, r
 		return nil, err
 	}
 	return p, nil
+}
+
+// mask overwrites dst, maskWords(|S|) words, with the row's membership mask —
+// bit i: the row belongs to small group table i, single-column or pair — and
+// reports whether any bit is set. It only reads, so any goroutine may call it.
+func (split *bandSplit) mask(row int, dst []uint64) bool {
+	any := split.rare.Bits(row, dst)
+	clear(dst[split.rare.Words():])
+	for _, pt := range split.pairs {
+		if pt.test(row, dst) {
+			setBit(dst, pt.index)
+			any = true
+		}
+	}
+	return any
 }
 
 // eachBit calls fn with the position of every set bit, ascending.

@@ -19,13 +19,13 @@ const AllocationRatio = 0.5
 // defaults below.
 type Scale struct {
 	// TPCHSF1Rows is the fact-row count standing in for the paper's 1 GB
-	// TPC-H databases (default 100,000: the benchmark's 6M rows per SF,
-	// scaled 60x down).
+	// TPC-H databases (default 1,200,000: the benchmark's 6M rows per SF,
+	// scaled 5x down).
 	TPCHSF1Rows int
 	// TPCHSF5Rows stands in for the 5 GB databases used by the performance
-	// experiments (default 500,000).
+	// experiments (default 2,400,000 for the paper's ~30M).
 	TPCHSF5Rows int
-	// SalesRows is the SALES fact size (default 80,000 for the paper's 800k).
+	// SalesRows is the SALES fact size (default 400,000 for the paper's 800k).
 	SalesRows int
 	// QueriesPerConfig is the number of random queries per parameter setting
 	// (default 20, as in §5.2.3).

@@ -65,10 +65,11 @@ func (z *Zipf) Prob(i int) float64 { return z.probs[i] }
 func (z *Zipf) Probs() []float64 { return z.probs }
 
 // Draw samples a value index in [0, N()) using rng.
-func (z *Zipf) Draw(rng *rand.Rand) int {
-	u := rng.Float64()
-	return sort.SearchFloat64s(z.cdf, u)
-}
+func (z *Zipf) Draw(rng *rand.Rand) int { return z.Index(rng.Float64()) }
+
+// Index is the inverse CDF: the value index Draw returns when rng.Float64()
+// returns u. It reads no generator, so it may run anywhere.
+func (z *Zipf) Index(u float64) int { return sort.SearchFloat64s(z.cdf, u) }
 
 // Categorical draws from an arbitrary finite distribution.
 type Categorical struct {
@@ -102,9 +103,10 @@ func NewCategorical(weights []float64) *Categorical {
 }
 
 // Draw samples an index using rng.
-func (c *Categorical) Draw(rng *rand.Rand) int {
-	return sort.SearchFloat64s(c.cdf, rng.Float64())
-}
+func (c *Categorical) Draw(rng *rand.Rand) int { return c.Index(rng.Float64()) }
+
+// Index is the inverse CDF, as Zipf.Index.
+func (c *Categorical) Index(u float64) int { return sort.SearchFloat64s(c.cdf, u) }
 
 // N returns the number of categories.
 func (c *Categorical) N() int { return len(c.cdf) }

@@ -6,9 +6,10 @@
 //
 // Samplers are deliberately not safe for concurrent use: each one owns a
 // seeded *rand.Rand, and reproducibility requires a single, fixed draw
-// order. All sampling therefore happens on the single-threaded second scan
-// of pre-processing; the parallel pre-processing paths (internal/parallel)
-// fan out only the deterministic work around it.
+// order. Pre-processing's second scan therefore runs in two parts: a
+// row-sharded pass (internal/parallel) finds which rows belong to a small
+// group table, then one goroutine replays every row in order and does all
+// the sampling — the medium-band coins and the reservoir offers.
 package sample
 
 import (

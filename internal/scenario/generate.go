@@ -1,18 +1,23 @@
 package scenario
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 
 	"dynsample/internal/engine"
+	"dynsample/internal/parallel"
 	"dynsample/internal/randx"
 )
 
 // Generate materialises the spec into an engine star schema. Tables are
 // seeded in topological FK order (referenced tables first), all randomness
 // flows from one generator seeded with Spec.Seed, and the same spec+seed
-// yields a bit-identical database on every run.
+// yields a bit-identical database on every run, on any number of cores: the
+// calling goroutine alone reads the generator, in a fixed order, and the
+// columns are filled from what it drew on the others (see generateRows).
 func Generate(s *Spec) (*engine.Database, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -47,83 +52,135 @@ func generateTable(t *TableSpec, built map[string]*engine.Table, rng *rand.Rand)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	// Inlined parents (dimension FKs): each row draws a parent row and copies
-	// the parent's columns, so the parent's columns ride along correlated.
-	type inline struct {
-		parent *engine.Table
-		cols   []*engine.Column // destination columns, aligned with parent's
-		codes  []interned       // by the parent column's dictionary code
+	// One lane of variates per column, then one per FK: the parent row each
+	// row draws. Every lane is filled by the columns that read it.
+	var draws []func(*rand.Rand) float64
+	var fills []func(lanes [][]float64)
+	var all []*engine.Column
+	for l, c := range cols {
+		draws, all = append(draws, c.draw), append(all, c.col)
+		fills = append(fills, func(lanes [][]float64) { c.fill(lanes[l]) })
 	}
-	var inlines []inline
-	// Fact FKs: a physical int column of row ids into the dimension.
-	type factFK struct {
-		col *engine.Column
-		dim *engine.Table
-	}
-	var factFKs []factFK
 	var joins []engine.DimJoin
 	for _, fk := range t.FKs {
 		parent := built[fk.References]
 		if parent == nil {
 			return nil, nil, fmt.Errorf("scenario: internal: table %q generated before its reference %q", t.Name, fk.References)
 		}
+		l, parentRows := len(draws), parent.NumRows()
+		draws = append(draws, func(rng *rand.Rand) float64 { return float64(rng.Intn(parentRows)) })
 		if t.Fact {
+			// A fact FK is a physical int column of row ids into the dimension.
 			c := engine.NewColumn(fk.Column, engine.Int)
-			factFKs = append(factFKs, factFK{col: c, dim: parent})
+			all = append(all, c)
+			fills = append(fills, func(lanes [][]float64) {
+				for _, v := range lanes[l] {
+					c.AppendInt(int64(v))
+				}
+			})
 			joins = append(joins, engine.DimJoin{Table: parent, FK: fk.Column})
 			continue
 		}
-		in := inline{parent: parent}
+		// A dimension FK inlines the parent: each row copies its parent row's
+		// columns, so they ride along correlated.
 		for _, pc := range parent.Columns() {
-			in.cols = append(in.cols, engine.NewColumn(pc.Name, pc.Type))
-			in.codes = append(in.codes, make(interned, max(pc.DistinctApprox(), 0)))
-		}
-		inlines = append(inlines, in)
-	}
-
-	for row := 0; row < t.Rows; row++ {
-		// Correlated groups first (declaration order), then every column in
-		// declared order — grouped columns take their resolved value,
-		// independent columns draw inline. One rng, fixed order: the stream
-		// is reproducible.
-		for _, g := range groups {
-			g.drawRow(rng)
-		}
-		for _, c := range cols {
-			c.appendRow(rng)
-		}
-		for _, in := range inlines {
-			pr := rng.Intn(in.parent.NumRows())
-			for i, pc := range in.parent.Columns() {
-				switch pc.Type {
-				case engine.Int:
-					in.cols[i].AppendInt(pc.Int(pr))
-				case engine.Float:
-					in.cols[i].AppendFloat(pc.Float(pr))
-				default:
-					code := pc.Code(pr)
-					in.codes[i].append(in.cols[i], int(code), pc.DictValue(code))
-				}
-			}
-		}
-		for _, f := range factFKs {
-			f.col.AppendInt(int64(rng.Intn(f.dim.NumRows())))
+			dst := engine.NewColumn(pc.Name, pc.Type)
+			all = append(all, dst)
+			fills = append(fills, inlineFill(pc, dst, l))
 		}
 	}
-
-	var all []*engine.Column
-	for _, c := range cols {
-		all = append(all, c.col)
-	}
-	for _, in := range inlines {
-		all = append(all, in.cols...)
-	}
-	for _, f := range factFKs {
-		all = append(all, f.col)
+	if err := generateRows(t.Rows, rng, groups, draws, fills); err != nil {
+		return nil, nil, err
 	}
 	// NewTable adopts the row count from the pre-filled columns.
 	return engine.NewTable(t.Name, all...), joins, nil
+}
+
+// inlineFill copies into dst, for every parent row lane l names, that row's
+// value of the parent column pc.
+func inlineFill(pc, dst *engine.Column, l int) func(lanes [][]float64) {
+	codes := make(interned, max(pc.DistinctApprox(), 0)) // by pc's dictionary code
+	return func(lanes [][]float64) {
+		for _, v := range lanes[l] {
+			switch pr := int(v); pc.Type {
+			case engine.Int:
+				dst.AppendInt(pc.Int(pr))
+			case engine.Float:
+				dst.AppendFloat(pc.Float(pr))
+			default:
+				code := pc.Code(pr)
+				codes.append(dst, int(code), pc.DictValue(code))
+			}
+		}
+	}
+}
+
+// blockRows is how many rows' variates a block holds: a sealed chunk's.
+const blockRows = 1024
+
+// ringBlocks is how many blocks exist: one being drawn into while the others
+// wait to be filled or are being filled.
+const ringBlocks = 4
+
+// generateRows generates a table's rows. This goroutine, the only reader of
+// rng, draws each row's variates in the stream's fixed order — the correlated
+// groups in declaration order, then every lane in turn (the independent
+// columns in declared order, then the FKs) — into a block. Another goroutine
+// hands each full block to the fills, one per column, on up to GOMAXPROCS
+// goroutines, while the next block is drawn; they append and seal, and apply
+// whatever is a pure function of a variate (an inverse CDF, exp). Columns
+// are independent, so which goroutine fills one changes nothing in it, and a
+// column's blocks are filled in order. Whatever reads the stream a data-dependent
+// number of times — Intn's rejection, a noise coin, a joint state — stays in
+// the draws. A fill's panic is returned as the error, and stops the drawing.
+func generateRows(rows int, rng *rand.Rand, groups []*groupDrawer, draws []func(*rand.Rand) float64, fills []func([][]float64)) error {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	free, full, done := make(chan [][]float64, ringBlocks), make(chan [][]float64, ringBlocks), make(chan error, 1)
+	for range ringBlocks {
+		lanes := make([][]float64, len(draws))
+		for l := range lanes {
+			lanes[l] = make([]float64, blockRows)
+		}
+		free <- lanes
+	}
+	workers := runtime.GOMAXPROCS(0)
+	go func() {
+		var err error
+		for lanes := range full {
+			if err == nil {
+				if err = parallel.ForEachCtx(ctx, workers, len(fills), func(i int) error { fills[i](lanes); return nil }); err != nil {
+					cancel()
+				}
+			}
+			free <- lanes
+		}
+		done <- err
+	}()
+	func() {
+		defer close(full)
+		for lo := 0; lo < rows && ctx.Err() == nil; lo += blockRows {
+			lanes, n := <-free, min(blockRows, rows-lo)
+			for l := range lanes {
+				lanes[l] = lanes[l][:n]
+			}
+			for r := range n {
+				for _, g := range groups {
+					g.drawRow(rng)
+					for slot, l := range g.lanes {
+						lanes[l][r] = float64(g.current[slot])
+					}
+				}
+				for l, draw := range draws {
+					if draw != nil {
+						lanes[l][r] = draw(rng)
+					}
+				}
+			}
+			full <- lanes
+		}
+	}()
+	return <-done
 }
 
 // interned appends strings that are known by an index — a position in a
@@ -163,33 +220,41 @@ func (d *domain) append(col *engine.Column, i int) {
 	}
 }
 
-// drawer generates one column's values: a categorical column appends the
-// value at an index into its domain — drawn by index, or resolved for the row
-// by its correlated group — and any other column draws and appends in draw.
+// drawer generates one column in two halves. draw takes a row's variate from
+// the seeded stream; it is nil for a grouped column, whose group draws the
+// row's index into its domain instead. fill appends the values a run of
+// variates stand for, and reads no stream, so it may run on any goroutine.
 type drawer struct {
 	col   *engine.Column
 	dom   *domain
-	index func(rng *rand.Rand) int // independent categorical columns
-	draw  func(rng *rand.Rand)     // independent numeric columns
-	group *groupDrawer             // non-nil for grouped columns
-	slot  int                      // index into group.current
+	draw  func(rng *rand.Rand) float64
+	index func(u float64) int // an independent categorical column's inverse CDF
+	put   func(x float64)     // a numeric column's append of the value x stands for
 }
 
-func (d *drawer) appendRow(rng *rand.Rand) {
+func (d *drawer) fill(vs []float64) {
 	switch {
-	case d.group != nil:
-		d.dom.append(d.col, d.group.current[d.slot])
-	case d.dom != nil:
-		d.dom.append(d.col, d.index(rng))
+	case d.draw == nil:
+		for _, v := range vs {
+			d.dom.append(d.col, int(v))
+		}
+	case d.put != nil:
+		for _, x := range vs {
+			d.put(x)
+		}
 	default:
-		d.draw(rng)
+		for _, u := range vs {
+			d.dom.append(d.col, d.index(u))
+		}
 	}
 }
 
 // groupDrawer resolves one correlated group per row into current: per column
-// of the group, in its order, the row's index into that column's domain.
+// of the group, in its order, the row's index into that column's domain,
+// which is that column's variate (lanes, by slot).
 type groupDrawer struct {
 	current []int
+	lanes   []int
 	drawRow func(rng *rand.Rand)
 }
 
@@ -226,13 +291,12 @@ func newDrawers(t *TableSpec, setupRng *rand.Rand) ([]*drawer, []*groupDrawer, e
 	var groups []*groupDrawer
 	for gi := range t.Correlated {
 		g := &t.Correlated[gi]
-		gd := &groupDrawer{current: make([]int, len(g.Columns))}
+		gd := &groupDrawer{current: make([]int, len(g.Columns)), lanes: make([]int, len(g.Columns))}
 		members := make([]*drawer, len(g.Columns))
 		for slot, cn := range g.Columns {
-			d := drawers[index[cn]]
-			d.group = gd
-			d.slot = slot
-			members[slot] = d
+			gd.lanes[slot] = index[cn]
+			members[slot] = drawers[index[cn]]
+			members[slot].draw = nil
 		}
 		switch g.Kind {
 		case CorrFD:
@@ -252,24 +316,30 @@ func newDrawers(t *TableSpec, setupRng *rand.Rand) ([]*drawer, []*groupDrawer, e
 // compile sets the drawer up for the column's own distribution.
 func (dr *drawer) compile(c *ColumnSpec) error {
 	d, col := &c.Dist, dr.col
+	dr.draw = (*rand.Rand).Float64
 	switch d.Kind {
 	case DistZipf, DistUniform:
-		dr.dom, dr.index = newDomain(categoricalDomain(c)), newIndexDraw(d)
+		dr.dom, dr.index = newDomain(categoricalDomain(c)), newInverseCDF(d)
 	case DistWeighted:
-		dr.dom, dr.index = newDomain(categoricalDomain(c)), randx.NewCategorical(d.Weights).Draw
-	case DistNormal:
-		mean, sd := d.Mean, d.Stddev
-		if c.Type == TypeInt {
-			dr.draw = func(rng *rand.Rand) { col.AppendInt(int64(math.Round(mean + sd*rng.NormFloat64()))) }
-		} else {
-			dr.draw = func(rng *rand.Rand) { col.AppendFloat(mean + sd*rng.NormFloat64()) }
+		dr.dom, dr.index = newDomain(categoricalDomain(c)), randx.NewCategorical(d.Weights).Index
+	case DistNormal, DistLogNormal:
+		// x is a standard normal variate; the value is mean + sd·x, or its
+		// exp for a log-normal (randx.LogNormal).
+		dr.draw = (*rand.Rand).NormFloat64
+		mean, sd, exp, isInt := d.Mean, d.Stddev, d.Kind == DistLogNormal, c.Type == TypeInt
+		if exp {
+			mean, sd = d.Mu, d.Sigma
 		}
-	case DistLogNormal:
-		mu, sigma := d.Mu, d.Sigma
-		if c.Type == TypeInt {
-			dr.draw = func(rng *rand.Rand) { col.AppendInt(int64(math.Round(randx.LogNormal(rng, mu, sigma)))) }
-		} else {
-			dr.draw = func(rng *rand.Rand) { col.AppendFloat(randx.LogNormal(rng, mu, sigma)) }
+		dr.put = func(x float64) {
+			v := mean + sd*x
+			if exp {
+				v = math.Exp(v)
+			}
+			if isInt {
+				col.AppendInt(int64(math.Round(v)))
+			} else {
+				col.AppendFloat(v)
+			}
 		}
 	default:
 		return fmt.Errorf("scenario: column %q: unknown distribution %q", c.Name, d.Kind)
@@ -277,10 +347,10 @@ func (dr *drawer) compile(c *ColumnSpec) error {
 	return nil
 }
 
-// newIndexDraw compiles a zipf/uniform spec into an index sampler over
-// [0, card). TailMass switches zipf to the head-and-tail mixture shape of
-// real operational categoricals.
-func newIndexDraw(d *DistSpec) func(*rand.Rand) int {
+// newInverseCDF compiles a zipf/uniform spec into the inverse CDF of an index
+// over [0, card): the index a uniform variate maps to. TailMass switches zipf
+// to the head-and-tail mixture shape of real operational categoricals.
+func newInverseCDF(d *DistSpec) func(u float64) int {
 	card := d.Card
 	z := d.Z
 	if d.Kind == DistUniform {
@@ -304,12 +374,10 @@ func newIndexDraw(d *DistSpec) func(*rand.Rand) int {
 			for i := head; i < card; i++ {
 				weights[i] = d.TailMass * tailZ.Prob(i-head)
 			}
-			cat := randx.NewCategorical(weights)
-			return cat.Draw
+			return randx.NewCategorical(weights).Index
 		}
 	}
-	zipf := randx.NewZipf(z, card)
-	return zipf.Draw
+	return randx.NewZipf(z, card).Index
 }
 
 // categoricalDomain materialises a categorical column's value domain: the
@@ -338,10 +406,13 @@ func categoricalDomain(c *ColumnSpec) []engine.Value {
 // seeded mapping of the determinant's value index (softened by Noise).
 func newFDDraw(g *CorrelatedSpec, byName map[string]*ColumnSpec, gd *groupDrawer, setupRng *rand.Rand) func(*rand.Rand) {
 	indexDraw := func(c *ColumnSpec) func(*rand.Rand) int {
+		var index func(float64) int
 		if c.Dist.Kind == DistWeighted {
-			return randx.NewCategorical(c.Dist.Weights).Draw
+			index = randx.NewCategorical(c.Dist.Weights).Index
+		} else {
+			index = newInverseCDF(&c.Dist)
 		}
-		return newIndexDraw(&c.Dist)
+		return func(rng *rand.Rand) int { return index(rng.Float64()) }
 	}
 	det := byName[g.Determinant]
 	detCard := det.Dist.cardinality()

@@ -4,10 +4,13 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"math"
+	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"dynsample/internal/engine"
+	"dynsample/internal/randx"
 )
 
 // geoSpec is the canonical correlated-schema fixture: a snowflake
@@ -230,6 +233,26 @@ func TestGenerateNumericDistributions(t *testing.T) {
 	mean := sum / float64(db.NumRows())
 	if math.Abs(mean-(-2)) > 0.05 {
 		t.Errorf("normal mean %.3f, want ~-2", mean)
+	}
+}
+
+// A fill's panic comes back from generateRows as the error, and stops the
+// drawing within a few blocks.
+func TestGenerateRowsFillPanicIsError(t *testing.T) {
+	const rows = 100 * blockRows
+	drawn, filled := 0, 0
+	draws := []func(*rand.Rand) float64{func(rng *rand.Rand) float64 { drawn++; return rng.Float64() }}
+	fills := []func([][]float64){func([][]float64) {
+		if filled++; filled == 2 {
+			panic("fill failed")
+		}
+	}}
+	err := generateRows(rows, randx.New(1), nil, draws, fills)
+	if err == nil || !strings.Contains(err.Error(), "fill failed") {
+		t.Fatalf("generateRows returned %v, want the fill's panic", err)
+	}
+	if drawn > (ringBlocks+2)*blockRows {
+		t.Errorf("drew %d rows after a fill failed in the second block", drawn)
 	}
 }
 
