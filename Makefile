@@ -119,7 +119,10 @@ fuzz:
 # table format reader: arbitrary bytes (including bit-flipped valid inputs)
 # must produce errors, never panics. And over the ingest cell parser, held to
 # what encoding/json makes of the same cell, the chunk codec, held to a plain
-# slice, and the scenario spec parser: a spec it accepts must generate.
+# slice, and the scenario spec parser: a spec it accepts must generate. And
+# over the column-frequency kernel, held to a naive per-row count on random
+# star schemas (integer columns counted densely and in a map), and the
+# inverse CDFs, held to a bisection of the whole CDF.
 fuzz-smoke:
 	$(GO) test ./internal/core -run FuzzLoadSmallGroup -fuzz FuzzLoadSmallGroup -fuzztime 15s
 	$(GO) test ./internal/ingest -run FuzzWALDecode -fuzz FuzzWALDecode -fuzztime 15s
@@ -127,6 +130,8 @@ fuzz-smoke:
 	$(GO) test ./internal/engine -run FuzzChunkCodec -fuzz FuzzChunkCodec -fuzztime 15s
 	$(GO) test ./internal/server -run FuzzDecodeCell -fuzz FuzzDecodeCell -fuzztime 15s
 	$(GO) test ./internal/scenario -run FuzzParseSpec -fuzz FuzzParseSpec -fuzztime 15s
+	$(GO) test ./internal/engine -run FuzzColumnFrequencies -fuzz FuzzColumnFrequencies -fuzztime 15s
+	$(GO) test ./internal/randx -run FuzzInverseCDF -fuzz FuzzInverseCDF -fuzztime 15s
 
 # Non-test, non-blank, non-comment Go lines per package under internal/ and
 # cmd/, plus a total: the ledger ROADMAP's "One path per job" shrink is

@@ -27,6 +27,9 @@ func TestSampleFamilyHeldBytesMatchStoredBytes(t *testing.T) {
 	stored, rows := p.(interface{ StoredBytes() int64 }).StoredBytes(), p.SampleRows()
 	liveHeap := func() uint64 {
 		var m runtime.MemStats
+		// Twice: scratch a sync.Pool holds (scan 2's block buffers) outlives
+		// one collection, and is not the family's.
+		runtime.GC()
 		runtime.GC()
 		runtime.ReadMemStats(&m)
 		return m.HeapAlloc

@@ -314,11 +314,15 @@ func (split *bandSplit) classify(db *engine.Database, cfg SmallGroupConfig) (*sa
 	for lo := 0; lo < len(shards); lo += len(window) {
 		slots := window[:min(len(window), len(shards)-lo)]
 		parallel.ForEach(cfg.Workers, len(slots), func(s int) {
-			k, mask := &slots[s], make([]uint64, words)
+			k, masks := &slots[s], make([]uint64, maskRows*words)
 			k.rows, k.masks = k.rows[:0], k.masks[:0]
-			for row := shards[lo+s].Lo; row < shards[lo+s].Hi; row++ {
-				if split.mask(row, mask) {
-					k.rows, k.masks = append(k.rows, row), append(k.masks, mask...)
+			for b, hi := shards[lo+s].Lo, shards[lo+s].Hi; b < hi; b += maskRows {
+				n := min(maskRows, hi-b)
+				split.masks(b, n, masks)
+				for j := range n {
+					if mask := masks[j*words : (j+1)*words]; !bitmask.FromWords(width, mask).IsZero() {
+						k.rows, k.masks = append(k.rows, b+j), append(k.masks, mask...)
+					}
 				}
 			}
 		})
@@ -408,7 +412,7 @@ func (split *bandSplit) materialise(db *engine.Database, cfg SmallGroupConfig, r
 		slab := make([]uint64, len(list)*words)
 		for j, r := range list {
 			rowBits := slab[j*words : (j+1)*words : (j+1)*words]
-			split.mask(r, rowBits)
+			split.masks(r, 1, rowBits)
 			masks[j] = bitmask.FromWords(width, rowBits)
 		}
 		if renorm != nil {
@@ -433,19 +437,31 @@ func (split *bandSplit) materialise(db *engine.Database, cfg SmallGroupConfig, r
 	return p, nil
 }
 
-// mask overwrites dst, maskWords(|S|) words, with the row's membership mask —
-// bit i: the row belongs to small group table i, single-column or pair — and
-// reports whether any bit is set. It only reads, so any goroutine may call it.
-func (split *bandSplit) mask(row int, dst []uint64) bool {
-	any := split.rare.Bits(row, dst)
-	clear(dst[split.rare.Words():])
-	for _, pt := range split.pairs {
-		if pt.test(row, dst) {
-			setBit(dst, pt.index)
-			any = true
+// maskRows is how many rows' masks scan 2 finds in one call: a scan block's.
+const maskRows = 1024
+
+// masks overwrites dst with the membership masks of rows [lo, lo+n),
+// maskWords(|S|) words a row, row lo+j's at dst[j·words:] — bit i: the row
+// belongs to small group table i, single-column or pair. It only reads, so
+// any goroutine may call it.
+func (split *bandSplit) masks(lo, n int, dst []uint64) {
+	split.rare.BlockBits(lo, n, dst)
+	if len(split.pairs) == 0 {
+		return // a mask is the single-column bits
+	}
+	// Spread the rows out from the single-column bits' stride to the mask's,
+	// the last row first, so that none is written over before it is read.
+	rw, words := split.rare.Words(), maskWords(split.meta.Width())
+	for j := n - 1; j >= 0; j-- {
+		row := dst[j*words : (j+1)*words]
+		copy(row, dst[j*rw:(j+1)*rw])
+		clear(row[rw:])
+		for _, pt := range split.pairs {
+			if pt.test(lo+j, row) {
+				setBit(row, pt.index)
+			}
 		}
 	}
-	return any
 }
 
 // eachBit calls fn with the position of every set bit, ascending.
@@ -505,8 +521,8 @@ func (pt *pairTester) test(row int, rowBits []uint64) bool {
 // mass at most t·N.
 func buildPairs(db *engine.Database, meta *Metadata, cfg SmallGroupConfig, rare *engine.RowClassifier) ([]*pairTester, error) {
 	var testers []*pairTester
-	n := db.NumRows()
-	rowBits := make([]uint64, rare.Words())
+	n, w := db.NumRows(), rare.Words()
+	rowBits := make([]uint64, maskRows*w)
 	for _, pair := range cfg.Pairs {
 		pt := &pairTester{s0: -1, s1: -1}
 		var err error
@@ -525,11 +541,14 @@ func buildPairs(db *engine.Database, meta *Metadata, cfg SmallGroupConfig, rare 
 
 		counts := make(map[engine.GroupKey]int64)
 		var buf []byte
-		for row := 0; row < n; row++ {
-			rare.Bits(row, rowBits)
-			if pt.candidate(rowBits) {
-				buf = pt.key(buf[:0], row)
-				counts[engine.GroupKey(buf)]++
+		for lo := 0; lo < n; lo += maskRows {
+			m := min(maskRows, n-lo)
+			rare.BlockBits(lo, m, rowBits)
+			for j := range m {
+				if pt.candidate(rowBits[j*w : (j+1)*w]) {
+					buf = pt.key(buf[:0], lo+j)
+					counts[engine.GroupKey(buf)]++
+				}
 			}
 		}
 

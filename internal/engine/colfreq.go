@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"dynsample/internal/parallel"
 )
@@ -14,9 +15,12 @@ import (
 // them answer it here, over typed storage and through the star join instead
 // of row by row through ColumnAccessor.Value:
 //
-//   - a fact column is tallied by a typed loop over its own blocks: densely by
-//     dictionary code for strings, in an int64- or float64-keyed map (with
-//     the τ early exit) for numerics;
+//   - a fact column is tallied by a typed loop over its own blocks, densely
+//     into an array wherever its values index one: a string by dictionary
+//     code, an integer by its distance from the column's least value when
+//     the chunks' bounds (intBounds) span no more than denseIntSpan values and
+//     no more than the column has rows. Floats and wider integer spans go to
+//     a float64- or int64-keyed map, with the τ early exit;
 //   - a dimension column is never scanned at fact-table length. One pass over
 //     the dimension's foreign-key column counts how many fact rows reference
 //     each dimension row, and every column of that dimension is then a fold
@@ -89,15 +93,20 @@ func (db *Database) View(name string) (ColumnView, error) {
 }
 
 // tally holds value counts in the representation of the column's type:
-// dense (by dictionary code, or by dimension row id for a foreign-key pass)
-// or a typed map for numerics. over marks a map that crossed the distinct
-// limit and was dropped.
+// dense (by dictionary code, by dimension row id for a foreign-key pass, or
+// by an integer's distance from base) or a typed map for numerics. over
+// marks a map that crossed the distinct limit and was dropped.
 type tally struct {
 	dense  []int64
+	base   int64 // an integer column's value at dense[0]
 	ints   map[int64]int64
 	floats map[float64]int64
 	over   bool
 }
+
+// denseIntSpan is the most values an integer column may span and still be
+// counted into an array: 64 Ki counts, half a megabyte a row shard.
+const denseIntSpan = 1 << 16
 
 // ColumnFreq is the exact value-frequency table of one view column over the
 // fact rows of one database version.
@@ -113,7 +122,7 @@ type ColumnFreq struct {
 
 // ColumnFrequencies counts every distinct value of each named view column.
 // A positive limit is the distinct-value cutoff: a column exceeding it comes
-// back with Over set and no counts, and its numeric tally stops at the first
+// back with Over set and no counts, and a tally into a map stops at the first
 // row that crosses the limit. Row ranges are tallied on up to workers
 // goroutines; the counts do not depend on workers.
 //
@@ -138,12 +147,16 @@ func (db *Database) ColumnFrequencies(names []string, limit, workers int) ([]*Co
 		out[i] = &ColumnFreq{View: v}
 		if v.Dim < 0 {
 			passOf[i] = len(passes)
-			passes = append(passes, pass{v: v})
+			p := pass{v: v, size: len(v.Dict)}
+			if v.Type == Int {
+				p.base, p.size = denseInts(&v.ints, v.rows)
+			}
+			passes = append(passes, p)
 			continue
 		}
 		if _, ok := fkPass[v.Dim]; !ok {
 			fkPass[v.Dim] = len(passes)
-			passes = append(passes, pass{v: ColumnView{Type: Int, ints: v.fk, Dim: -1}, dimRows: db.Dims[v.Dim].Table.NumRows()})
+			passes = append(passes, pass{v: ColumnView{Type: Int, ints: v.fk, Dim: -1}, size: db.Dims[v.Dim].Table.NumRows()})
 		}
 		passOf[i] = fkPass[v.Dim]
 	}
@@ -187,22 +200,36 @@ func (db *Database) ColumnFrequencies(names []string, limit, workers int) ([]*Co
 	return out, nil
 }
 
-// pass is one scan of a physical fact-table column: a requested fact column,
-// or (dimRows > 0) a dimension's foreign-key column, which is counted densely
-// by dimension row id.
+// pass is one scan of a physical fact-table column: a requested fact column
+// or a dimension's foreign-key column. A string column, a foreign key (by
+// dimension row id) and an integer column of size values from base on are
+// counted densely; any other into a map.
 type pass struct {
-	v       ColumnView
-	dimRows int
+	v    ColumnView
+	base int64
+	size int
+}
+
+// denseInts returns the array an integer column's first rows values are
+// counted in: from the least value intBounds finds, size long when the
+// bounds span no more than denseIntSpan values and no more than rows; size is
+// 0 otherwise. (The span of all of int64 is 2⁶⁴−1 in uint64, and never fits.)
+func denseInts(s *chunked[int64], rows int) (base int64, size int) {
+	lo, hi := intBounds(s, rows)
+	if span := uint64(hi) - uint64(lo); span < uint64(min(denseIntSpan, rows)) {
+		return lo, int(span) + 1
+	}
+	return 0, 0
 }
 
 // tally counts rows [lo,hi) of the pass's column.
 func (p pass) tally(lo, hi, limit int) tally {
-	var t tally
+	t := tally{base: p.base}
 	switch {
 	case p.v.Type == String:
-		t.dense = tallyDense(&p.v.codes, lo, hi, len(p.v.Dict))
-	case p.dimRows > 0:
-		t.dense = tallyDense(&p.v.ints, lo, hi, p.dimRows)
+		t.dense = tallyDense(&p.v.codes, lo, hi, p.size, 0)
+	case p.size > 0:
+		t.dense = tallyDense(&p.v.ints, lo, hi, p.size, p.base)
 	case p.v.Type == Int:
 		t.ints, t.over = tallyMap(&p.v.ints, lo, hi, limit)
 	default:
@@ -211,15 +238,15 @@ func (p pass) tally(lo, hi, limit int) tally {
 	return t
 }
 
-// tallyDense counts rows [lo,hi) of s, whose values index an array of the
-// given size, a block at a time.
-func tallyDense[T int32 | int64](s *chunked[T], lo, hi, size int) []int64 {
+// tallyDense counts rows [lo,hi) of s, whose values less base index an array
+// of the given size, a block at a time.
+func tallyDense[T int32 | int64](s *chunked[T], lo, hi, size int, base T) []int64 {
 	dense := make([]int64, size)
 	var buf [scanBlockRows]T
 	for n := 0; lo < hi; lo += n {
 		n = blockLen(lo, hi)
 		for _, x := range block(s, nil, lo, n, buf[:], nil) {
-			dense[x]++
+			dense[x-base]++
 		}
 	}
 	return dense
@@ -311,9 +338,9 @@ func foldDimension(v ColumnView, refs []int64, limit int) tally {
 // in no particular order; nil when Over.
 func (f *ColumnFreq) Counts() []ValueCount {
 	var out []ValueCount
-	for code, c := range f.t.dense {
+	for i, c := range f.t.dense {
 		if c > 0 {
-			out = append(out, ValueCount{Value: StringVal(f.View.Dict[code]), Count: c})
+			out = append(out, ValueCount{Value: f.denseValue(i), Count: c})
 		}
 	}
 	for x, c := range f.t.ints {
@@ -325,15 +352,25 @@ func (f *ColumnFreq) Counts() []ValueCount {
 	return out
 }
 
+// denseValue is the value a dense tally counts at i.
+func (f *ColumnFreq) denseValue(i int) Value {
+	if f.View.Type == String {
+		return StringVal(f.View.Dict[i])
+	}
+	return IntVal(f.t.base + int64(i))
+}
+
 // ColumnClasses maps every row of a counted column to a small class number
 // chosen per distinct value — for small group sampling, the hierarchy band
 // of the row's value. A negative class means "none".
 type ColumnClasses struct {
 	view ColumnView
 
-	// Class per value, in the representation the values were counted in.
-	// Numeric maps hold only the non-negative classes.
+	// Class per value, in the representation the values were counted in:
+	// an array for a dense tally, by code or by an integer's distance from
+	// base, and maps holding only the non-negative classes otherwise.
 	byCode  []int8
+	base    int64
 	byInt   map[int64]int8
 	byFloat map[float64]int8
 	// byDimRow, for a dimension column, is the class of each dimension
@@ -345,17 +382,17 @@ type ColumnClasses struct {
 // Classify evaluates class once per distinct counted value and returns the
 // per-row lookup. The column must not be Over.
 func (f *ColumnFreq) Classify(class func(Value) int8) *ColumnClasses {
-	c := &ColumnClasses{view: f.View}
-	switch f.View.Type {
-	case String:
+	c := &ColumnClasses{view: f.View, base: f.t.base}
+	switch {
+	case f.t.dense != nil:
 		c.byCode = make([]int8, len(f.t.dense))
-		for code, n := range f.t.dense {
-			c.byCode[code] = -1
+		for i, n := range f.t.dense {
+			c.byCode[i] = -1
 			if n > 0 {
-				c.byCode[code] = class(StringVal(f.View.Dict[code]))
+				c.byCode[i] = class(f.denseValue(i))
 			}
 		}
-	case Int:
+	case f.View.Type == Int:
 		c.byInt = make(map[int64]int8)
 		for x := range f.t.ints {
 			if k := class(IntVal(x)); k >= 0 {
@@ -385,17 +422,53 @@ func (f *ColumnFreq) Classify(class func(Value) int8) *ColumnClasses {
 func (c *ColumnClasses) own(p int) int8 {
 	switch c.view.Type {
 	case String:
-		return c.byCode[c.view.codes.at(p)]
+		return c.ofInt(int64(c.view.codes.at(p)))
 	case Int:
-		if k, ok := c.byInt[c.view.ints.at(p)]; ok {
-			return k
-		}
+		return c.ofInt(c.view.ints.at(p))
 	default:
-		if k, ok := c.byFloat[c.view.floats.at(p)]; ok {
+		return c.ofFloat(c.view.floats.at(p))
+	}
+}
+
+// ofInt is the class of integer x, or of dictionary code x: -1 for a value
+// that was not counted, outside the array's span included.
+func (c *ColumnClasses) ofInt(x int64) int8 {
+	if c.byInt != nil {
+		if k, ok := c.byInt[x]; ok {
 			return k
 		}
+		return -1
+	}
+	if i := uint64(x) - uint64(c.base); i < uint64(len(c.byCode)) {
+		return c.byCode[i]
 	}
 	return -1
+}
+
+func (c *ColumnClasses) ofFloat(x float64) int8 {
+	if k, ok := c.byFloat[x]; ok {
+		return k
+	}
+	return -1
+}
+
+// classes sets out[j] to the class of fact row lo+j, for rows that sit in
+// one scan block, read a block at a time.
+func (c *ColumnClasses) classes(lo int, out []int8, buf *blockBuf) {
+	switch v, n := &c.view, len(out); v.Type {
+	case String:
+		for j, x := range block(&v.codes, nil, lo, n, buf.codes, nil) {
+			out[j] = c.ofInt(int64(x))
+		}
+	case Int:
+		for j, x := range block(&v.ints, nil, lo, n, buf.ints, nil) {
+			out[j] = c.ofInt(x)
+		}
+	default:
+		for j, x := range block(&v.floats, nil, lo, n, buf.floats, nil) {
+			out[j] = c.ofFloat(x)
+		}
+	}
 }
 
 // Class returns the class of view row r's value.
@@ -449,32 +522,64 @@ func NewRowClassifier(cols []*ColumnClasses) *RowClassifier {
 	return rc
 }
 
-// Words is the length of the bit vector Bits fills: ceil(columns/64).
+// Words is the length of a row's bit vector: ceil(columns/64).
 func (rc *RowClassifier) Words() int { return rc.words }
 
-// Bits overwrites dst[:Words()] with the row's bit vector and reports
-// whether any bit is set.
-func (rc *RowClassifier) Bits(row int, dst []uint64) bool {
-	dst = dst[:rc.words]
-	for w := range dst {
-		dst[w] = 0
+// classifyBuf is BlockBits' scratch: a scan block's values, foreign keys and
+// classes.
+type classifyBuf struct {
+	blockBuf
+	classes [scanBlockRows]int8
+}
+
+var classifyBufs = sync.Pool{New: func() any { return &classifyBuf{blockBuf: newBlockBuf()} }}
+
+// BlockBits overwrites dst[:n·Words()] with the bit vectors of rows [lo,
+// lo+n), row lo+j's at dst[j·Words():]. A scan block at a time, it reads each
+// dimension's foreign keys and each fact column once for all the block's
+// rows, then sets the rows' bits. A lone row (materialise asks for its sampled
+// rows' masks one at a time) is read by at, into no block scratch. It only
+// reads, so any goroutine may call it.
+func (rc *RowClassifier) BlockBits(lo, n int, dst []uint64) {
+	w := rc.words
+	dst = dst[:n*w]
+	clear(dst)
+	var buf *classifyBuf
+	if n > 1 {
+		buf = classifyBufs.Get().(*classifyBuf)
+		defer classifyBufs.Put(buf)
 	}
-	for i := range rc.dims {
-		d := &rc.dims[i]
-		for w, b := range d.bits[int(d.fk.at(row))*rc.words:][:rc.words] {
-			dst[w] |= b
+	var loneFK [1]int64
+	var loneClass [1]int8
+	for m := 0; n > 0; lo, n, dst = lo+m, n-m, dst[m*w:] {
+		m = blockLen(lo, lo+n)
+		for i := range rc.dims {
+			d, fks := &rc.dims[i], loneFK[:]
+			if m == 1 {
+				loneFK[0] = d.fk.at(lo)
+			} else {
+				fks = block(&d.fk, nil, lo, m, buf.ints, nil)
+			}
+			for j, r := range fks {
+				for k, b := range d.bits[int(r)*w:][:w] {
+					dst[j*w+k] |= b
+				}
+			}
+		}
+		for _, i := range rc.fact {
+			classes := loneClass[:]
+			if m == 1 {
+				loneClass[0] = rc.cols[i].own(lo)
+			} else {
+				classes = buf.classes[:m]
+				rc.cols[i].classes(lo, classes, &buf.blockBuf)
+			}
+			word, bit := i/64, uint64(1)<<(i%64)
+			for j, k := range classes {
+				dst[j*w+word] |= bit &^ uint64(k>>7) // none for a negative class
+			}
 		}
 	}
-	for _, i := range rc.fact {
-		if rc.cols[i].own(row) >= 0 {
-			dst[i/64] |= 1 << (uint(i) % 64)
-		}
-	}
-	var any uint64
-	for _, b := range dst {
-		any |= b
-	}
-	return any != 0
 }
 
 // gather copies the values at the given positions of the column's own

@@ -23,21 +23,55 @@ const ghost = "ghost"
 // starGen draws random star schemas whose corner cases are dense: all three
 // types, NaN and both zeros among the floats, duplicate dimension tuples,
 // unreferenced dimension rows, and numeric domains wide enough to cross a
-// small distinct limit in the middle of a scan.
+// small distinct limit in the middle of a scan. With huge set, an integer
+// column may also span more than an array of counts may (denseIntSpan), or
+// sit at either end of int64, so that it is counted in a map, or densely
+// from a base the chunks' bounds reach by overflowing.
 type starGen struct {
 	rng   *rand.Rand
+	huge  bool
 	types []Type // view column types, in view order
 }
 
-func (g *starGen) value(t Type, wide bool) Value {
+// A column's values are drawn in one of these modes: a string or a float
+// column takes every mode past narrow as wide.
+const (
+	narrow = iota
+	wide
+	spread  // integers over 10·denseIntSpan
+	nearMax // integers at the top of int64
+	extreme // integers at both ends of int64
+)
+
+// mode draws a column's mode.
+func (g *starGen) mode() int {
+	if g.huge {
+		return g.rng.Intn(extreme + 1)
+	}
+	if g.rng.Intn(2) == 0 {
+		return wide
+	}
+	return narrow
+}
+
+func (g *starGen) value(t Type, mode int) Value {
 	switch t {
 	case Int:
-		if wide {
-			return IntVal(int64(g.rng.Intn(40)) - 5)
+		if mode == narrow {
+			return IntVal(int64(g.rng.Intn(4)))
 		}
-		return IntVal(int64(g.rng.Intn(4)))
+		switch k := int64(g.rng.Intn(40)); mode {
+		case spread:
+			return IntVal((k - 5) * denseIntSpan / 4)
+		case nearMax:
+			return IntVal(math.MaxInt64 - k%6)
+		case extreme:
+			return IntVal([]int64{math.MinInt64, math.MinInt64 + 1, math.MaxInt64}[k%3])
+		default:
+			return IntVal(k - 5)
+		}
 	case Float:
-		if !wide {
+		if mode == narrow {
 			return FloatVal([]float64{math.NaN(), 0, math.Copysign(0, -1), 1.5}[g.rng.Intn(4)])
 		}
 		return FloatVal(float64(g.rng.Intn(40)) / 4)
@@ -59,17 +93,17 @@ func (g *starGen) columns(prefix string, n int) []*Column {
 func (g *starGen) build(nRows int) *Database {
 	var dims []DimJoin
 	var fks []*Column
-	wide := map[*Column]bool{}
+	modes := map[*Column]int{}
 	for d := 0; d < 1+g.rng.Intn(3); d++ {
 		cols := g.columns(fmt.Sprintf("d%d_", d), 1+g.rng.Intn(3))
 		tbl := NewTable(fmt.Sprintf("dim%d", d), cols...)
 		rows := 1 + g.rng.Intn(12)
 		for _, c := range cols {
-			wide[c] = g.rng.Intn(2) == 0
+			modes[c] = g.mode()
 		}
 		for r := 0; r < rows; r++ {
 			for _, c := range cols {
-				c.Append(g.value(c.Type, wide[c]))
+				c.Append(g.value(c.Type, modes[c]))
 			}
 			tbl.EndRow()
 		}
@@ -77,7 +111,7 @@ func (g *starGen) build(nRows int) *Database {
 			if c.Type == String {
 				c.AppendString(ghost)
 			} else {
-				c.Append(g.value(c.Type, true))
+				c.Append(g.value(c.Type, wide))
 			}
 		}
 		tbl.EndRow()
@@ -92,9 +126,9 @@ func (g *starGen) build(nRows int) *Database {
 	}
 	factCols := g.columns("f", 1+g.rng.Intn(3))
 	for _, c := range factCols {
-		w := g.rng.Intn(2) == 0
+		m := g.mode()
 		for r := 0; r < nRows; r++ {
-			c.Append(g.value(c.Type, w))
+			c.Append(g.value(c.Type, m))
 		}
 	}
 	db := MustNewDatabase("fuzz", NewTable("fact", append(factCols, fks...)...), dims...)
@@ -109,7 +143,11 @@ func (g *starGen) build(nRows int) *Database {
 func (g *starGen) viewRow() []Value {
 	row := make([]Value, len(g.types))
 	for i, t := range g.types {
-		row[i] = g.value(t, true)
+		mode := wide
+		if g.huge {
+			mode = g.mode()
+		}
+		row[i] = g.value(t, mode)
 	}
 	return row
 }
@@ -224,13 +262,18 @@ func checkKernel(t *testing.T, db *Database, limit, workers int) {
 		}
 	}
 
-	// Classification: per column and as row bits, against the class of the
+	// Classification: per column and as row bits — of every row in one call,
+	// across block edges, and of each row alone — against the class of the
 	// row's boxed value.
 	rc := NewRowClassifier(classes)
-	bits := make([]uint64, rc.Words())
+	w := rc.Words()
+	all, one := make([]uint64, db.NumRows()*w), make([]uint64, w)
+	rc.BlockBits(0, db.NumRows(), all)
 	for r := 0; r < db.NumRows(); r++ {
-		any := rc.Bits(r, bits)
-		wantAny := false
+		bits := all[r*w : (r+1)*w]
+		if rc.BlockBits(r, 1, one); fmt.Sprint(one) != fmt.Sprint(bits) {
+			t.Fatalf("row %d: bits %x alone, %x in the table's block", r, one, bits)
+		}
 		for i, name := range classed {
 			acc, _ := db.Accessor(name)
 			want := testClass(acc.Value(r))
@@ -240,16 +283,12 @@ func checkKernel(t *testing.T, db *Database, limit, workers int) {
 			if set := bits[i/64]&(1<<(uint(i)%64)) != 0; set != (want >= 0) {
 				t.Fatalf("%s row %d: bit %v for class %d", name, r, set, want)
 			}
-			wantAny = wantAny || want >= 0
-		}
-		if any != wantAny {
-			t.Fatalf("row %d: Bits reported %v, want %v", r, any, wantAny)
 		}
 	}
 }
 
-func fuzzColumnFrequencies(t *testing.T, seed int64, nRows uint16, limit uint8) {
-	g := &starGen{rng: rand.New(rand.NewSource(seed))}
+func fuzzColumnFrequencies(t *testing.T, seed int64, nRows uint16, limit uint8, huge bool) {
+	g := &starGen{rng: rand.New(rand.NewSource(seed)), huge: huge}
 	rows := int(nRows)%300 + 1
 	db := g.build(rows)
 	for _, workers := range []int{0, 3} {
@@ -275,30 +314,40 @@ func fuzzColumnFrequencies(t *testing.T, seed int64, nRows uint16, limit uint8) 
 
 // FuzzColumnFrequencies: through-the-join counts, the distinct limit,
 // DistinctValues order and per-row classes equal the naive per-row
-// evaluation on random star schemas.
+// evaluation on random star schemas — with huge, over integer columns counted
+// in a map as well as densely.
 func FuzzColumnFrequencies(f *testing.F) {
-	for seed := int64(0); seed < 8; seed++ {
-		f.Add(seed, uint16(37*seed+5), uint8(seed))
+	for seed := int64(0); seed < 16; seed++ {
+		f.Add(seed, uint16(37*seed+5), uint8(seed), seed >= 8)
 	}
 	f.Fuzz(fuzzColumnFrequencies)
 }
 
 // TestColumnFrequenciesShardedRows covers what the small fuzz schemas do
-// not: a fact table long enough to be row-sharded, with a numeric column
-// whose shards stay under the limit individually but cross it merged.
+// not: a fact table long enough to be row-sharded, with numeric columns
+// whose shards stay under the limit individually but cross it merged — one
+// counted densely, one spread past denseIntSpan into a map.
 func TestColumnFrequenciesShardedRows(t *testing.T) {
 	const n = 3*ScanShardRows + 17
-	a, b := NewColumn("a", Int), NewColumn("b", String)
-	fact := NewTable("fact", a, b)
+	a, b, c := NewColumn("a", Int), NewColumn("b", String), NewColumn("c", Int)
+	fact := NewTable("fact", a, b, c)
 	for r := 0; r < n; r++ {
 		a.AppendInt(int64(r / ScanShardRows * 10)) // one value per shard
 		b.AppendString(fmt.Sprintf("v%d", r%7))
+		c.AppendInt(int64(r/ScanShardRows) << 40)
 		fact.EndRow()
 	}
 	db := MustNewDatabase("sharded", fact)
+	freqs, err := db.ColumnFrequencies([]string{"a", "c"}, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if freqs[0].t.dense == nil || freqs[1].t.ints == nil {
+		t.Fatal("a should be counted densely and c in a map")
+	}
 	for _, workers := range []int{0, 1, 4} {
 		checkKernel(t, db, 0, workers)
-		checkKernel(t, db, 3, workers) // a has 4 distinct values, ≤ 2 per shard at 4 workers
+		checkKernel(t, db, 3, workers) // a and c have 4 distinct values, ≤ 2 per shard at 4 workers
 	}
 }
 

@@ -313,12 +313,29 @@ func (s *chunked[T]) pushSlow(o int, v T, shared *bool) {
 		*t, *shared = chunk[T]{wide: wide}, false
 	}
 	t.wide[o] = v
-	if o == chunkRows-1 && (s.add(t.wide) == nil || *shared) {
+	if o == chunkRows-1 {
+		s.sealTail(*shared)
+	}
+}
+
+// pushChunk writes vals, a whole chunk's rows, from a chunk edge on: what
+// push does row by row, in one copy into the tail and one seal.
+func (s *chunked[T]) pushChunk(vals []T, shared *bool) {
+	if len(s.last.wide) == 0 { // no tail at an edge, or a sealed one: as pushSlow at row 0
+		s.last, *shared = chunk[T]{wide: make([]T, chunkRows)}, false
+	}
+	copy(s.last.wide, vals)
+	s.sealTail(*shared)
+}
+
+// sealTail seals the full open tail onto the end of the list.
+func (s *chunked[T]) sealTail(shared bool) {
+	if s.add(s.last.wide) == nil || shared {
 		// The chunk kept the values themselves, or an older version reads
 		// its rows from this tail: the next row starts another. Otherwise
 		// the tail is filled again, and a table that is built by one
 		// version allocates one per column, not one per chunk.
-		*t = chunk[T]{}
+		s.last = chunk[T]{}
 	}
 }
 
@@ -426,14 +443,32 @@ func (c *Column) Len() int { return c.n }
 // lacks.
 func (c *Column) stale() bool { return c.n != c.written }
 
-// next claims the row after the last one for an append and returns its index.
-func (c *Column) next() int {
+// next claims the k rows after the last one for an append and returns the
+// first one's index.
+func (c *Column) next(k int) int {
 	if c.stale() {
 		panic(fmt.Sprintf("engine: append to column %q at %d rows, %d written: %s", c.Name, c.n, c.written, lineageRule))
 	}
-	c.n++
+	c.n += k
 	c.written = c.n
-	return c.n - 1
+	return c.n - k
+}
+
+// appendAll appends vals to s, the storage of column c, which must be of type
+// t, as push would one by one. A whole chunk's worth that starts on a chunk
+// edge is sealed as the next chunk in one go.
+func appendAll[T stored](c *Column, t Type, s *chunked[T], vals []T) {
+	if c.Type != t {
+		panic(fmt.Sprintf("engine: append of %s values to %s column %q", t, c.Type, c.Name))
+	}
+	if len(vals) == chunkRows && c.n&(chunkRows-1) == 0 {
+		c.next(chunkRows)
+		s.pushChunk(vals, &c.tailShared)
+		return
+	}
+	for _, v := range vals {
+		s.push(c.next(1), v, &c.tailShared)
+	}
 }
 
 // Append adds a value to the column. The value type must match.
@@ -443,11 +478,11 @@ func (c *Column) Append(v Value) {
 	}
 	switch c.Type {
 	case Int:
-		c.ints.push(c.next(), v.I, &c.tailShared)
+		c.ints.push(c.next(1), v.I, &c.tailShared)
 	case Float:
-		c.floats.push(c.next(), v.F, &c.tailShared)
+		c.floats.push(c.next(1), v.F, &c.tailShared)
 	default:
-		c.codes.push(c.next(), c.code(v.S), &c.tailShared)
+		c.codes.push(c.next(1), c.code(v.S), &c.tailShared)
 	}
 }
 
@@ -456,7 +491,7 @@ func (c *Column) AppendInt(v int64) {
 	if c.Type != Int {
 		panic(fmt.Sprintf("engine: AppendInt on %s column %q", c.Type, c.Name))
 	}
-	c.ints.push(c.next(), v, &c.tailShared)
+	c.ints.push(c.next(1), v, &c.tailShared)
 }
 
 // AppendFloat adds a float64 without boxing. The column must be Float-typed.
@@ -464,7 +499,7 @@ func (c *Column) AppendFloat(v float64) {
 	if c.Type != Float {
 		panic(fmt.Sprintf("engine: AppendFloat on %s column %q", c.Type, c.Name))
 	}
-	c.floats.push(c.next(), v, &c.tailShared)
+	c.floats.push(c.next(1), v, &c.tailShared)
 }
 
 // AppendString adds a string without boxing. The column must be String-typed.
@@ -472,7 +507,7 @@ func (c *Column) AppendString(v string) {
 	if c.Type != String {
 		panic(fmt.Sprintf("engine: AppendString on %s column %q", c.Type, c.Name))
 	}
-	c.codes.push(c.next(), c.code(v), &c.tailShared)
+	c.codes.push(c.next(1), c.code(v), &c.tailShared)
 }
 
 // AppendCode adds a string the dictionary already holds, by its code: the
@@ -482,8 +517,33 @@ func (c *Column) AppendCode(code int32) {
 	if c.Type != String || code < 0 || int(code) >= len(c.dict) {
 		panic(fmt.Sprintf("engine: AppendCode(%d) on %s column %q with %d dictionary entries", code, c.Type, c.Name, len(c.dict)))
 	}
-	c.codes.push(c.next(), code, &c.tailShared)
+	c.codes.push(c.next(1), code, &c.tailShared)
 }
+
+// AppendInts adds vals in order, as AppendInt does one at a time. The column
+// must be Int-typed.
+func (c *Column) AppendInts(vals []int64) { appendAll(c, Int, &c.ints, vals) }
+
+// AppendFloats adds vals in order, as AppendFloat does one at a time. The
+// column must be Float-typed.
+func (c *Column) AppendFloats(vals []float64) { appendAll(c, Float, &c.floats, vals) }
+
+// AppendCodes adds strings the dictionary already holds (Intern), by code,
+// in order, as AppendCode does one at a time. The column must be
+// String-typed.
+func (c *Column) AppendCodes(codes []int32) {
+	for _, code := range codes {
+		if code < 0 || int(code) >= len(c.dict) {
+			panic(fmt.Sprintf("engine: AppendCodes(%d) on %s column %q with %d dictionary entries", code, c.Type, c.Name, len(c.dict)))
+		}
+	}
+	appendAll(c, String, &c.codes, codes)
+}
+
+// Intern returns the dictionary code of s, adding s to the dictionary when it
+// is new, without appending a row: the code of a string a caller is about to
+// append by code. The column must be String-typed.
+func (c *Column) Intern(s string) int32 { return c.code(s) }
 
 // code returns the dictionary code of s, adding s to the dictionary when it
 // is new.

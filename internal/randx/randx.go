@@ -69,7 +69,24 @@ func (z *Zipf) Draw(rng *rand.Rand) int { return z.Index(rng.Float64()) }
 
 // Index is the inverse CDF: the value index Draw returns when rng.Float64()
 // returns u. It reads no generator, so it may run anywhere.
-func (z *Zipf) Index(u float64) int { return sort.SearchFloat64s(z.cdf, u) }
+func (z *Zipf) Index(u float64) int { return inverse(z.cdf, u) }
+
+// headProbe is how many CDF entries inverse tries in order before it bisects:
+// a skewed distribution puts most of its mass there (93 % in the first eight
+// values of a zipf at z = 2), where a probe in order costs one predictable
+// branch a value and a bisection costs a mispredicted one per halving.
+const headProbe = 8
+
+// inverse returns the least i with cdf[i] >= u, as sort.SearchFloat64s does.
+func inverse(cdf []float64, u float64) int {
+	h := min(headProbe, len(cdf))
+	for i, c := range cdf[:h] {
+		if u <= c {
+			return i
+		}
+	}
+	return h + sort.SearchFloat64s(cdf[h:], u)
+}
 
 // Categorical draws from an arbitrary finite distribution.
 type Categorical struct {
@@ -106,7 +123,7 @@ func NewCategorical(weights []float64) *Categorical {
 func (c *Categorical) Draw(rng *rand.Rand) int { return c.Index(rng.Float64()) }
 
 // Index is the inverse CDF, as Zipf.Index.
-func (c *Categorical) Index(u float64) int { return sort.SearchFloat64s(c.cdf, u) }
+func (c *Categorical) Index(u float64) int { return inverse(c.cdf, u) }
 
 // N returns the number of categories.
 func (c *Categorical) N() int { return len(c.cdf) }

@@ -130,6 +130,54 @@ func TestCategoricalPanics(t *testing.T) {
 	}
 }
 
+// FuzzInverseCDF: Zipf.Index and Categorical.Index, which try the head of the
+// CDF in order before they bisect, return what sort.SearchFloat64s returns
+// over the whole CDF — at u = 0, at u exactly equal to a CDF entry or just
+// either side of one, and at whatever u in [0, 1] the fuzzer picks.
+func FuzzInverseCDF(f *testing.F) {
+	f.Add(int64(1), uint8(3), 2.0, 0.5)
+	f.Add(int64(2), uint8(8), 0.0, 0.0)
+	f.Add(int64(3), uint8(9), 1.2, 0.999)
+	f.Add(int64(4), uint8(40), 3.5, 1.0)
+	f.Fuzz(func(t *testing.T, seed int64, n uint8, z, u float64) {
+		c := int(n)%40 + 1
+		rng := New(seed)
+		weights := make([]float64, c)
+		for i := range weights {
+			if rng.Intn(3) > 0 { // zero weights make repeated CDF entries
+				weights[i] = rng.ExpFloat64()
+			}
+		}
+		weights[rng.Intn(c)] = 1
+		if z = math.Abs(z); !(z <= 6) {
+			z = 2
+		}
+		for name, d := range map[string]struct {
+			cdf   []float64
+			index func(float64) int
+		}{
+			"zipf":        {NewZipf(z, c).cdf, NewZipf(z, c).Index},
+			"categorical": {NewCategorical(weights).cdf, NewCategorical(weights).Index},
+		} {
+			us := []float64{u, 0, 1}
+			for _, x := range d.cdf {
+				us = append(us, x, math.Nextafter(x, 0), math.Nextafter(x, 2))
+			}
+			for _, x := range us {
+				if !(x >= 0 && x <= 1) {
+					// A variate is in [0, 1). Past 1, float drift can leave CDF
+					// entries above the last one, which is set to 1, and a
+					// search over an unsorted array has no one answer.
+					continue
+				}
+				if got, want := d.index(x), sort.SearchFloat64s(d.cdf, x); got != want {
+					t.Fatalf("%s over %d values: Index(%v) = %d, sort.SearchFloat64s %d", name, c, x, got, want)
+				}
+			}
+		}
+	})
+}
+
 func TestSampleWithoutReplacement(t *testing.T) {
 	rng := New(3)
 	for _, tc := range []struct{ n, k int }{{10, 0}, {10, 1}, {10, 10}, {100, 17}} {

@@ -57,9 +57,13 @@ func generateTable(t *TableSpec, built map[string]*engine.Table, rng *rand.Rand)
 	var draws []func(*rand.Rand) float64
 	var fills []func(lanes [][]float64)
 	var all []*engine.Column
+	fillFrom := func(d *drawer, l int) {
+		all = append(all, d.col)
+		fills = append(fills, func(lanes [][]float64) { d.fill(lanes[l]) })
+	}
 	for l, c := range cols {
-		draws, all = append(draws, c.draw), append(all, c.col)
-		fills = append(fills, func(lanes [][]float64) { c.fill(lanes[l]) })
+		draws = append(draws, c.draw)
+		fillFrom(c, l)
 	}
 	var joins []engine.DimJoin
 	for _, fk := range t.FKs {
@@ -71,22 +75,19 @@ func generateTable(t *TableSpec, built map[string]*engine.Table, rng *rand.Rand)
 		draws = append(draws, func(rng *rand.Rand) float64 { return float64(rng.Intn(parentRows)) })
 		if t.Fact {
 			// A fact FK is a physical int column of row ids into the dimension.
-			c := engine.NewColumn(fk.Column, engine.Int)
-			all = append(all, c)
-			fills = append(fills, func(lanes [][]float64) {
-				for _, v := range lanes[l] {
-					c.AppendInt(int64(v))
-				}
-			})
+			fillFrom(&drawer{col: engine.NewColumn(fk.Column, engine.Int), value: func(x float64) float64 { return x }}, l)
 			joins = append(joins, engine.DimJoin{Table: parent, FK: fk.Column})
 			continue
 		}
 		// A dimension FK inlines the parent: each row copies its parent row's
-		// columns, so they ride along correlated.
+		// columns, so they ride along correlated. A parent column is a domain
+		// indexed by parent row.
 		for _, pc := range parent.Columns() {
-			dst := engine.NewColumn(pc.Name, pc.Type)
-			all = append(all, dst)
-			fills = append(fills, inlineFill(pc, dst, l))
+			vals := make([]engine.Value, parentRows)
+			for r := range vals {
+				vals[r] = pc.Value(r)
+			}
+			fillFrom(&drawer{col: engine.NewColumn(pc.Name, pc.Type), dom: newDomain(vals), index: laneIndex}, l)
 		}
 	}
 	if err := generateRows(t.Rows, rng, groups, draws, fills); err != nil {
@@ -96,24 +97,9 @@ func generateTable(t *TableSpec, built map[string]*engine.Table, rng *rand.Rand)
 	return engine.NewTable(t.Name, all...), joins, nil
 }
 
-// inlineFill copies into dst, for every parent row lane l names, that row's
-// value of the parent column pc.
-func inlineFill(pc, dst *engine.Column, l int) func(lanes [][]float64) {
-	codes := make(interned, max(pc.DistinctApprox(), 0)) // by pc's dictionary code
-	return func(lanes [][]float64) {
-		for _, v := range lanes[l] {
-			switch pr := int(v); pc.Type {
-			case engine.Int:
-				dst.AppendInt(pc.Int(pr))
-			case engine.Float:
-				dst.AppendFloat(pc.Float(pr))
-			default:
-				code := pc.Code(pr)
-				codes.append(dst, int(code), pc.DictValue(code))
-			}
-		}
-	}
-}
+// laneIndex is the index of a lane that holds indices itself: a correlated
+// group's draws, a parent row.
+func laneIndex(v float64) int { return int(v) }
 
 // blockRows is how many rows' variates a block holds: a sealed chunk's.
 const blockRows = 1024
@@ -183,70 +169,82 @@ func generateRows(rows int, rng *rand.Rand, groups []*groupDrawer, draws []func(
 	return <-done
 }
 
-// interned appends strings that are known by an index — a position in a
-// column's domain, a parent column's dictionary code — without hashing one
-// twice: the first appearance of index i is appended as a string, which gives
-// it the next dictionary code as a boxed append would, and kept here as that
-// code plus one; every later one is appended by code.
-type interned []int32
-
-func (n interned) append(col *engine.Column, i int, s string) {
-	if n[i] == 0 {
-		col.AppendString(s)
-		n[i] = col.Code(col.Len()-1) + 1
-		return
-	}
-	col.AppendCode(n[i] - 1)
-}
-
-// domain is a categorical column's values, appended by index and unboxed.
+// domain is a categorical column's values, by index, and for strings each
+// one's dictionary code plus one, once the value has been interned.
 type domain struct {
 	vals  []engine.Value
-	codes interned
+	codes []int32
 }
 
 func newDomain(vals []engine.Value) *domain {
-	return &domain{vals: vals, codes: make(interned, len(vals))}
+	return &domain{vals: vals, codes: make([]int32, len(vals))}
 }
 
-func (d *domain) append(col *engine.Column, i int) {
-	switch v := &d.vals[i]; v.T {
-	case engine.Int:
-		col.AppendInt(v.I)
-	case engine.Float:
-		col.AppendFloat(v.F)
-	default:
-		d.codes.append(col, i, v.S)
+// code returns the dictionary code of string value i in col. A value is
+// interned on first sight, in row order, so codes are given in order of first
+// appearance, as appending the strings one by one would give them.
+func (d *domain) code(col *engine.Column, i int) int32 {
+	if d.codes[i] == 0 {
+		d.codes[i] = col.Intern(d.vals[i].S) + 1
 	}
+	return d.codes[i] - 1
 }
 
 // drawer generates one column in two halves. draw takes a row's variate from
-// the seeded stream; it is nil for a grouped column, whose group draws the
-// row's index into its domain instead. fill appends the values a run of
-// variates stand for, and reads no stream, so it may run on any goroutine.
+// the seeded stream; it is nil for a column whose lane another draws: a
+// correlated group's, an FK's. fill turns a block of variates into the typed
+// values they stand for and appends them in one call, which seals them as
+// one chunk; it reads no stream, so it may run on any goroutine.
 type drawer struct {
 	col   *engine.Column
-	dom   *domain
 	draw  func(rng *rand.Rand) float64
-	index func(u float64) int // an independent categorical column's inverse CDF
-	put   func(x float64)     // a numeric column's append of the value x stands for
+	dom   *domain
+	index func(v float64) int     // a categorical column's index into dom
+	value func(x float64) float64 // a numeric column's value (rounded for Int)
+	block struct {                // the typed block fill appends; one is used
+		codes  []int32
+		ints   []int64
+		floats []float64
+	}
 }
 
 func (d *drawer) fill(vs []float64) {
-	switch {
-	case d.draw == nil:
-		for _, v := range vs {
-			d.dom.append(d.col, int(v))
+	switch b := &d.block; d.col.Type {
+	case engine.String:
+		codes := blockOf(&b.codes, len(vs))
+		for j, v := range vs {
+			codes[j] = d.dom.code(d.col, d.index(v))
 		}
-	case d.put != nil:
-		for _, x := range vs {
-			d.put(x)
+		d.col.AppendCodes(codes)
+	case engine.Int:
+		ints := blockOf(&b.ints, len(vs))
+		for j, v := range vs {
+			if d.dom != nil {
+				ints[j] = d.dom.vals[d.index(v)].I
+			} else {
+				ints[j] = int64(math.Round(d.value(v)))
+			}
 		}
+		d.col.AppendInts(ints)
 	default:
-		for _, u := range vs {
-			d.dom.append(d.col, d.index(u))
+		floats := blockOf(&b.floats, len(vs))
+		for j, v := range vs {
+			if d.dom != nil {
+				floats[j] = d.dom.vals[d.index(v)].F
+			} else {
+				floats[j] = d.value(v)
+			}
 		}
+		d.col.AppendFloats(floats)
 	}
+}
+
+// blockOf returns the first n of *b, which it makes a block long on first use.
+func blockOf[T any](b *[]T, n int) []T {
+	if *b == nil {
+		*b = make([]T, blockRows)
+	}
+	return (*b)[:n]
 }
 
 // groupDrawer resolves one correlated group per row into current: per column
@@ -296,7 +294,7 @@ func newDrawers(t *TableSpec, setupRng *rand.Rand) ([]*drawer, []*groupDrawer, e
 		for slot, cn := range g.Columns {
 			gd.lanes[slot] = index[cn]
 			members[slot] = drawers[index[cn]]
-			members[slot].draw = nil
+			members[slot].draw, members[slot].index = nil, laneIndex
 		}
 		switch g.Kind {
 		case CorrFD:
@@ -315,7 +313,7 @@ func newDrawers(t *TableSpec, setupRng *rand.Rand) ([]*drawer, []*groupDrawer, e
 
 // compile sets the drawer up for the column's own distribution.
 func (dr *drawer) compile(c *ColumnSpec) error {
-	d, col := &c.Dist, dr.col
+	d := &c.Dist
 	dr.draw = (*rand.Rand).Float64
 	switch d.Kind {
 	case DistZipf, DistUniform:
@@ -326,20 +324,16 @@ func (dr *drawer) compile(c *ColumnSpec) error {
 		// x is a standard normal variate; the value is mean + sd·x, or its
 		// exp for a log-normal (randx.LogNormal).
 		dr.draw = (*rand.Rand).NormFloat64
-		mean, sd, exp, isInt := d.Mean, d.Stddev, d.Kind == DistLogNormal, c.Type == TypeInt
+		mean, sd, exp := d.Mean, d.Stddev, d.Kind == DistLogNormal
 		if exp {
 			mean, sd = d.Mu, d.Sigma
 		}
-		dr.put = func(x float64) {
+		dr.value = func(x float64) float64 {
 			v := mean + sd*x
 			if exp {
 				v = math.Exp(v)
 			}
-			if isInt {
-				col.AppendInt(int64(math.Round(v)))
-			} else {
-				col.AppendFloat(v)
-			}
+			return v
 		}
 	default:
 		return fmt.Errorf("scenario: column %q: unknown distribution %q", c.Name, d.Kind)
