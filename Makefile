@@ -115,9 +115,11 @@ examples:
 fuzz:
 	$(GO) test ./internal/sqlparse -fuzz FuzzParse -fuzztime 30s
 
-# Quick fuzz pass over the sample-store loader, the WAL record decoder and the
-# table format reader: arbitrary bytes (including bit-flipped valid inputs)
-# must produce errors, never panics. And over the ingest cell parser, held to
+# Quick fuzz pass over the sample-store loader, the catalog payload decoder
+# (checkpoint or bare stream: an error or a snapshot with its checkpoint and
+# samples), the WAL record decoder and the table format reader: arbitrary
+# bytes (including bit-flipped valid inputs) must produce errors, never
+# panics. And over the ingest cell parser, held to
 # what encoding/json makes of the same cell, the chunk codec, held to a plain
 # slice, and the scenario spec parser: a spec it accepts must generate. And
 # over the column-frequency kernel, held to a naive per-row count on random
@@ -125,6 +127,7 @@ fuzz:
 # inverse CDFs, held to a bisection of the whole CDF.
 fuzz-smoke:
 	$(GO) test ./internal/core -run FuzzLoadSmallGroup -fuzz FuzzLoadSmallGroup -fuzztime 15s
+	$(GO) test ./internal/ingest -run FuzzDecodeSnapshot -fuzz FuzzDecodeSnapshot -fuzztime 15s
 	$(GO) test ./internal/ingest -run FuzzWALDecode -fuzz FuzzWALDecode -fuzztime 15s
 	$(GO) test ./internal/engine -run FuzzReadBinary -fuzz FuzzReadBinary -fuzztime 15s
 	$(GO) test ./internal/engine -run FuzzChunkCodec -fuzz FuzzChunkCodec -fuzztime 15s

@@ -185,6 +185,5 @@ func BenchmarkZipfDraw(b *testing.B) {
 // BenchmarkBaselines regenerates the beyond-paper all-strategies comparison.
 func BenchmarkBaselines(b *testing.B) { benchFigure(b, "baselines") }
 
-// BenchmarkLevels regenerates the multi-level hierarchy / Bernoulli-overall
-// variant ablation.
+// BenchmarkLevels regenerates the multi-level hierarchy ablation.
 func BenchmarkLevels(b *testing.B) { benchFigure(b, "levels") }

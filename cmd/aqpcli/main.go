@@ -1,13 +1,15 @@
-// Command aqpcli is an interactive approximate-query shell: it generates (or
-// loads the parameters of) a synthetic database, runs a strategy's
-// pre-processing phase, and then answers SQL aggregation queries
-// approximately, showing per-group confidence intervals, exactness flags and
-// the rewritten UNION ALL sample query.
+// Command aqpcli is an interactive approximate-query shell: it generates a
+// synthetic database (or loads one from CSV), runs a strategy's
+// pre-processing phase — or, with -catalog-dir, restores its output the way
+// aqpd starts up — and then answers SQL aggregation queries approximately,
+// showing per-group confidence intervals, exactness flags and the rewritten
+// UNION ALL sample query.
 //
 // Usage:
 //
 //	aqpcli -db tpch -z 2.0 -rows 200000 -rate 0.01
 //	aqpcli -db sales -error-bound 0.05 -query "SELECT s_region, COUNT(*) FROM T GROUP BY s_region"
+//	aqpcli -db sales -catalog-dir samples/ -query "SELECT store_region, COUNT(*) FROM T GROUP BY store_region"
 //	> SELECT s_region, COUNT(*) FROM T GROUP BY s_region;
 //	> \explain SELECT o_clerk, COUNT(*) FROM T GROUP BY o_clerk;
 //	> \exact   SELECT p_brand, SUM(l_extendedprice) FROM T GROUP BY p_brand;
@@ -24,7 +26,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -34,6 +35,7 @@ import (
 	"dynsample/internal/catalog"
 	"dynsample/internal/core"
 	"dynsample/internal/engine"
+	"dynsample/internal/ingest"
 	"dynsample/internal/metrics"
 	"dynsample/internal/parallel"
 	"dynsample/internal/scenario"
@@ -60,8 +62,7 @@ func main() {
 		timeout  = flag.Duration("timeout", 0, "per-query deadline; 0 disables. Queries that would overrun degrade to the overall sample, then abort with an error")
 		errBound = flag.Float64("error-bound", 0, "ask the planner for answers within this mean relative error, in (0, 1); 0 disables")
 		tBound   = flag.Duration("time-bound", 0, "ask the planner for the most accurate plan predicted to finish within this duration; 0 disables")
-		save     = flag.String("save", "", "write the pre-processed sample set to this file after building it")
-		restore  = flag.String("restore", "", "load a pre-processed sample set instead of re-running pre-processing")
+		catDir   = flag.String("catalog-dir", "", "sample catalog directory, as aqpd's: restore its newest generation cut over this base, or pre-process and save generation 1")
 	)
 	flag.Parse()
 	// Fail fast on invalid parameters — before paying for data generation.
@@ -81,6 +82,18 @@ func main() {
 		fatal(fmt.Errorf("invalid -time-bound %v: must be >= 0 (0 disables)", *tBound))
 	}
 	bounds := core.Bounds{ErrorBound: *errBound, TimeBound: *tBound}
+	var strat core.Strategy
+	switch *strategy {
+	case "smallgroup":
+		strat = core.NewSmallGroup(core.SmallGroupConfig{BaseRate: *rate, Seed: *seed, Workers: *workers})
+	case "uniform":
+		if *catDir != "" {
+			fatal(fmt.Errorf("-catalog-dir holds small group sample families; it needs -strategy smallgroup"))
+		}
+		strat = uniform.New(uniform.Config{Label: "smallgroup", Rate: *rate, Seed: *seed}) // registered under the same key for simplicity
+	default:
+		fatal(fmt.Errorf("unknown strategy %q", *strategy))
+	}
 	if *load == "" {
 		if err := scenario.CheckBuiltin(*dbKind, *rows, *z); err != nil {
 			fatal(fmt.Errorf("invalid -db/-rows/-z: %w", err))
@@ -102,47 +115,31 @@ func main() {
 		fatal(err)
 	}
 
+	// Start-up is aqpd's: ingest.Recover restores the newest usable catalog
+	// generation, or pre-processes and saves the result as the next one.
 	sys := core.NewSystem(db)
-	if *restore != "" {
-		fmt.Fprintf(os.Stderr, "restoring sample set from %s...\n", *restore)
-		f, err := os.Open(*restore)
-		if err != nil {
-			fatal(err)
-		}
-		p, err := core.LoadSmallGroupSnapshot(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		core.SetWorkers(p, *workers)
-		sys.AddPrepared("smallgroup", p)
-	} else {
-		fmt.Fprintf(os.Stderr, "pre-processing (%s, r=%g)...\n", *strategy, *rate)
-		switch *strategy {
-		case "smallgroup":
-			err = sys.AddStrategy(core.NewSmallGroup(core.SmallGroupConfig{BaseRate: *rate, Seed: *seed, Workers: *workers}))
-		case "uniform":
-			err = sys.AddStrategy(uniform.New(uniform.Config{Label: "smallgroup", Rate: *rate, Seed: *seed})) // registered under the same key for simplicity
-		default:
-			err = fmt.Errorf("unknown strategy %q", *strategy)
-		}
-		if err != nil {
+	var cat *catalog.Catalog
+	if *catDir != "" {
+		if cat, err = catalog.Open(*catDir, catalog.Options{}); err != nil {
 			fatal(err)
 		}
 	}
-	if *save != "" {
-		// Atomic + checksummed: the file appears under its final name only
-		// after a successful write and fsync, in the snapshot container that
-		// -restore verifies on the way back in. A crash mid-save
-		// leaves any previous file untouched.
-		p, _ := sys.Prepared("smallgroup")
-		err := catalog.WriteFileAtomic(*save, func(w io.Writer) error {
-			return core.SaveSmallGroupSnapshot(w, p)
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "sample set saved to %s\n", *save)
+	rec, err := ingest.Recover(sys, cat, nil, strat, *workers, ingest.Config{})
+	if err != nil {
+		fatal(err)
+	}
+	for _, sk := range rec.Skipped {
+		fmt.Fprintf(os.Stderr, "aqpcli: skipping catalog generation %d: %v\n", sk.Generation, sk.Err)
+	}
+	switch {
+	case rec.Source == "snapshot":
+		fmt.Fprintf(os.Stderr, "restored sample generation %d from %s\n", rec.Generation, *catDir)
+	case rec.SaveErr != nil:
+		fmt.Fprintf(os.Stderr, "aqpcli: warning: samples built but not saved: %v\n", rec.SaveErr)
+	case rec.Generation > 0:
+		fmt.Fprintf(os.Stderr, "pre-processed (%s, r=%g); saved sample generation %d to %s\n", *strategy, *rate, rec.Generation, *catDir)
+	default:
+		fmt.Fprintf(os.Stderr, "pre-processed (%s, r=%g)\n", *strategy, *rate)
 	}
 	p, _ := sys.Prepared("smallgroup")
 	fmt.Fprintf(os.Stderr, "ready: %d base rows, %d sample rows, pre-processing took %v\n",

@@ -1,8 +1,8 @@
-// Command aqpd serves the AQP middleware over HTTP: generate (or restore) a
-// database, run pre-processing once, then answer SQL aggregation queries
-// from the samples. The server handles concurrent /query requests; -workers
-// additionally parallelises each query's rewritten UNION ALL over
-// partitioned scans (and pre-processing itself).
+// Command aqpd serves the AQP middleware over HTTP: generate a database, run
+// pre-processing once (or restore its output from -catalog-dir), then answer
+// SQL aggregation queries from the samples. The server handles concurrent
+// /query requests; -workers additionally parallelises each query's rewritten
+// UNION ALL over partitioned scans (and pre-processing itself).
 //
 // Usage:
 //
@@ -70,7 +70,6 @@ func main() {
 		rate         = flag.Float64("rate", 0.01, "base sampling rate r, in (0, 1]")
 		workers      = flag.Int("workers", parallel.DefaultWorkers(), "worker goroutines per query and for pre-processing (>= 1); 1 disables parallelism")
 		seed         = flag.Int64("seed", 42, "random seed")
-		restore      = flag.String("restore", "", "load a pre-processed sample set (see aqpcli -save)")
 		queryTimeout = flag.Duration("query-timeout", 30*time.Second, "default per-query deadline; 0 disables (clients may override per request via timeout_ms)")
 		maxInflight  = flag.Int("max-inflight", 0, "max concurrent /query + /exact requests; excess is shed with 503 + Retry-After (0 = unlimited)")
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "how long graceful shutdown waits for in-flight requests after SIGINT/SIGTERM")
@@ -149,21 +148,6 @@ func main() {
 		}
 	}
 
-	// An explicit -restore file pre-registers the samples; ingest.Recover
-	// owns everything after that (catalog, pre-processing, WAL replay).
-	if *restore != "" {
-		f, err := os.Open(*restore)
-		if err != nil {
-			fatal(err)
-		}
-		p, err := core.LoadSmallGroupSnapshot(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		sys.AddPrepared("smallgroup", p)
-		fmt.Fprintf(os.Stderr, "restored sample set from %s\n", *restore)
-	}
 	var wal *ingest.WAL
 	if *walDir != "" {
 		if wal, err = ingest.OpenWAL(*walDir); err != nil {
@@ -245,8 +229,7 @@ func logRecovery(rec *ingest.Recovery, wal *ingest.WAL, preprocess time.Duration
 	for _, sk := range rec.Skipped {
 		fmt.Fprintf(os.Stderr, "aqpd: skipping catalog generation %d: %v\n", sk.Generation, sk.Err)
 	}
-	switch ck := rec.Checkpoint; {
-	case rec.Source == "preprocess":
+	if rec.Source == "preprocess" {
 		if catalogDir != "" {
 			fmt.Fprintf(os.Stderr, "no usable snapshot in %s; pre-processed from scratch\n", catalogDir)
 		}
@@ -256,11 +239,10 @@ func logRecovery(rec *ingest.Recovery, wal *ingest.WAL, preprocess time.Duration
 		} else if rec.Generation > 0 {
 			fmt.Fprintf(os.Stderr, "saved sample generation %d to %s\n", rec.Generation, catalogDir)
 		}
-	case ck != nil:
+	} else {
+		ck := rec.Checkpoint
 		fmt.Fprintf(os.Stderr, "recovered sample generation %d from %s (checkpoint: %d ingest batches, wal position %d/%d)\n",
 			rec.Generation, catalogDir, ck.DataGen, ck.Seg, ck.Off)
-	case rec.Generation > 0:
-		fmt.Fprintf(os.Stderr, "recovered sample generation %d from %s\n", rec.Generation, catalogDir)
 	}
 	if rec.GCErr != nil {
 		fmt.Fprintf(os.Stderr, "aqpd: warning: wal segment gc: %v\n", rec.GCErr)

@@ -14,8 +14,9 @@
 //
 // BlinkDB and VerdictDB both treat the sample store as a rebuildable catalog
 // managed by the system; this package gives the reproduction the same
-// property. The container is payload-agnostic: core.SaveSmallGroup writes
-// through it unchanged (see core.SaveSmallGroupSnapshot).
+// property. The container is payload-agnostic; the one payload this program
+// writes into it is an ingest checkpoint (ingest.WriteCheckpoint), and
+// ingest.DecodeSnapshot is the one reader.
 package catalog
 
 import (

@@ -6,6 +6,7 @@ import (
 
 	"dynsample/internal/core"
 	"dynsample/internal/engine"
+	"dynsample/internal/randx"
 	"dynsample/internal/scenario"
 )
 
@@ -60,7 +61,7 @@ func referenceCases(t *testing.T, db *engine.Database, subset []string, pair [2]
 		}), false},
 		{"pairs", with(func(c *core.SmallGroupConfig) { c.Pairs = [][2]string{pair} }), true},
 		{"renormalize", with(func(c *core.SmallGroupConfig) { c.Renormalize = true }), false},
-		{"bernoulli", with(func(c *core.SmallGroupConfig) { c.Overall = core.BernoulliOverall{} }), false},
+		{"bernoulli", with(func(c *core.SmallGroupConfig) { c.Overall = bernoulliOverall{} }), false},
 		{"columns", with(func(c *core.SmallGroupConfig) { c.Columns = subset }), true},
 	}
 	for _, col := range tau {
@@ -77,6 +78,25 @@ func referenceCases(t *testing.T, db *engine.Database, subset []string, pair [2]
 		}
 	}
 	return cases
+}
+
+// bernoulliOverall is a weighted overall builder: a coin per row at rate
+// target/N, every kept row at the realised inverse rate. It holds the
+// cfg.Overall branch of pre-processing, which outlier indexing uses, to the
+// naive algorithm.
+type bernoulliOverall struct{}
+
+func (bernoulliOverall) BuildOverall(db *engine.Database, target int, seed int64) (rows []int, weights []float64, err error) {
+	n, rng := db.NumRows(), randx.New(seed)
+	for r := 0; r < n; r++ {
+		if rng.Float64()*float64(n) < float64(target) {
+			rows = append(rows, r)
+		}
+	}
+	for range rows {
+		weights = append(weights, float64(n)/float64(len(rows)))
+	}
+	return rows, weights, nil
 }
 
 // TestKernelMatchesNaiveOnSpecs is the oracle for the typed, join-aware

@@ -58,32 +58,6 @@ type HierarchyLevel struct {
 	Rate float64
 }
 
-// BernoulliOverall draws the overall sample by independent per-row coin
-// flips instead of the default fixed-size reservoir — the sampling model the
-// paper's analysis assumes (§4.4: "we make the simplifying assumption that
-// Bernoulli sampling is performed"). The realised sample size varies around
-// the target; the runtime scales by the realised size, so estimates stay
-// unbiased.
-type BernoulliOverall struct{}
-
-// BuildOverall implements OverallBuilder.
-func (BernoulliOverall) BuildOverall(db *engine.Database, target int, seed int64) ([]int, []float64, error) {
-	n := db.NumRows()
-	rng := randx.New(seed)
-	rows := sample.Bernoulli(rng, n, float64(target)/float64(n))
-	if len(rows) == 0 {
-		rows = []int{rng.Intn(n)}
-	}
-	// Nil weights: the runtime would scale by N/len(rows), but weights make
-	// the realised inverse rate explicit per row.
-	w := float64(n) / float64(len(rows))
-	weights := make([]float64, len(rows))
-	for i := range weights {
-		weights[i] = w
-	}
-	return rows, weights, nil
-}
-
 // SmallGroupConfig parameterises small group sampling pre-processing.
 type SmallGroupConfig struct {
 	// BaseRate is r, the overall sample size as a fraction of the database.

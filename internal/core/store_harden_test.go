@@ -113,58 +113,3 @@ func TestLoadSmallGroupHostileLengthPrefixes(t *testing.T) {
 		})
 	}
 }
-
-// TestSnapshotStoreRoundTrip covers the checksummed container around the
-// raw store: each loader reads its own format, and the container loader
-// refuses a bare store with an error that says what it wanted.
-func TestSnapshotStoreRoundTrip(t *testing.T) {
-	db := skewedDB(t, 3000)
-	orig := prep(t, db, SmallGroupConfig{BaseRate: 0.05, DistinctLimit: 100, Seed: 3})
-
-	var snap bytes.Buffer
-	if err := SaveSmallGroupSnapshot(&snap, orig); err != nil {
-		t.Fatal(err)
-	}
-	var raw bytes.Buffer
-	if err := SaveSmallGroup(&raw, orig); err != nil {
-		t.Fatal(err)
-	}
-
-	for name, load := range map[string]func() (Prepared, error){
-		"snapshot": func() (Prepared, error) { return LoadSmallGroupSnapshot(bytes.NewReader(snap.Bytes())) },
-		"raw":      func() (Prepared, error) { return LoadSmallGroup(bytes.NewReader(raw.Bytes())) },
-	} {
-		loaded, err := load()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if loaded.SampleRows() != orig.SampleRows() {
-			t.Errorf("%s: sample rows %d vs %d", name, loaded.SampleRows(), orig.SampleRows())
-		}
-	}
-	for name, b := range map[string][]byte{"raw store": raw.Bytes(), "garbage": []byte("GARBAGE!")} {
-		if _, err := LoadSmallGroupSnapshot(bytes.NewReader(b)); err == nil ||
-			!strings.Contains(err.Error(), "checksummed container") {
-			t.Fatalf("%s through the snapshot loader: err = %v", name, err)
-		}
-	}
-	if _, err := LoadSmallGroup(bytes.NewReader(snap.Bytes())); err == nil || !strings.Contains(err.Error(), "bad store magic") {
-		t.Fatalf("snapshot through the raw loader: err = %v", err)
-	}
-
-	// The container must reject corruption anywhere, including in table data
-	// the raw loader would happily decode.
-	enc := snap.Bytes()
-	for _, off := range []int{10, len(enc) / 2, len(enc) - 10} {
-		mut := append([]byte(nil), enc...)
-		mut[off] ^= 0x20
-		if _, err := LoadSmallGroupSnapshot(bytes.NewReader(mut)); err == nil {
-			t.Errorf("bit flip at %d accepted", off)
-		}
-	}
-	for _, cut := range []int{0, 7, len(enc) / 2, len(enc) - 1} {
-		if _, err := LoadSmallGroupSnapshot(bytes.NewReader(enc[:cut])); err == nil {
-			t.Errorf("truncation at %d accepted", cut)
-		}
-	}
-}

@@ -231,7 +231,7 @@ func TestLevelsStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkFinite(t, fig)
-	if len(fig.Labels) != 3 || len(fig.Series) != 3 {
+	if len(fig.Labels) != 2 || len(fig.Series) != 3 {
 		t.Fatalf("shape: %d labels, %d series", len(fig.Labels), len(fig.Series))
 	}
 	rows := fig.Series[2].Y

@@ -8,8 +8,7 @@ import (
 
 // Levels is the ablation DESIGN.md commits to for the §4.2.3 multi-level
 // hierarchy: the default two-level scheme against a three-level scheme
-// (100% of small groups, 25% of medium groups) and against the Bernoulli
-// overall-sample variant the analysis assumes, all at the same base rate.
+// (100% of small groups, 25% of medium groups) at the same base rate.
 func (r *Runner) Levels() (*Figure, error) {
 	db, err := r.database("tpch", 2.0, r.Scale.TPCHSF1Rows)
 	if err != nil {
@@ -36,10 +35,6 @@ func (r *Runner) Levels() (*Figure, error) {
 				{MaxFraction: 3 * AllocationRatio * rate, Rate: 0.25},
 			},
 		}},
-		{"bernoulli overall", core.SmallGroupConfig{
-			BaseRate: rate, SmallGroupFraction: AllocationRatio * rate, Seed: r.Scale.Seed + 1,
-			Overall: core.BernoulliOverall{},
-		}},
 	}
 
 	fig := &Figure{
@@ -47,7 +42,6 @@ func (r *Runner) Levels() (*Figure, error) {
 		XLabel: "variant", YLabel: "RelErr / PctGroups / rows",
 		Notes: []string{
 			"three-level adds a 25%-sampled medium band (§4.2.3 extension); its extra rows are reported",
-			"bernoulli overall replaces the reservoir with the §4.4 analysis' sampling model",
 		},
 	}
 	var relY, pctY, rowsY []float64

@@ -29,10 +29,9 @@ import (
 // The idempotency entries let a restart keep answering duplicate batch ids
 // whose WAL records were garbage-collected.
 //
-// A bare SaveSmallGroup stream (magic "DSSG", what a coordinator-less rebuild
-// persists) also decodes: DecodeSnapshot sniffs the magic and returns it with
-// a nil Checkpoint, which recovery treats as "covers nothing — replay the
-// whole WAL".
+// This is the one payload the program writes into a catalog. Without a
+// coordinator the checkpoint covers nothing: data generation 0, WAL position
+// 0/0, no ids, no delta.
 const (
 	ckMagic = "DSCP0001"
 
@@ -59,9 +58,9 @@ type IdentEntry struct {
 	Stats core.BatchStats
 }
 
-// Snapshot is a decoded catalog snapshot in either format.
+// Snapshot is a decoded catalog snapshot.
 type Snapshot struct {
-	// Checkpoint is nil for a bare sample-set payload.
+	// Checkpoint is the WAL position and base the snapshot covers; never nil.
 	Checkpoint *Checkpoint
 	// Prepared is the sample family (always present).
 	Prepared core.Prepared
@@ -128,9 +127,10 @@ func WriteCheckpoint(w io.Writer, p core.Prepared, ck Checkpoint, db *engine.Dat
 	return core.SaveSmallGroup(w, p)
 }
 
-// DecodeSnapshot reads a catalog payload in either form, sniffing the magic:
-// a checkpoint, or the bare SaveSmallGroup stream a coordinator-less rebuild
-// persists, which decodes to a Snapshot with a nil Checkpoint.
+// DecodeSnapshot reads a catalog payload, sniffing the magic: a checkpoint,
+// or a bare SaveSmallGroup stream (the benchmark harness still saves one),
+// which decodes to the checkpoint that covers nothing over the base its
+// family was built on.
 func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	br := bufio.NewReader(r)
 	head, err := br.Peek(4)
@@ -142,7 +142,8 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Snapshot{Prepared: p}, nil
+		baseRows := p.(interface{ Meta() *core.Metadata }).Meta().BaseRows
+		return &Snapshot{Checkpoint: &Checkpoint{BaseRows: uint64(baseRows)}, Prepared: p}, nil
 	}
 	magic := make([]byte, len(ckMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
@@ -215,22 +216,25 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 // storage chunk.
 const restoreSliceRows = 1024
 
-// Restore installs a checkpointed snapshot into the system: it re-appends
-// the delta rows onto the regenerated base data, publishes the resulting
-// database at the checkpoint's data generation, and registers the prepared
-// sample family under strategy. The caller (startup recovery) must verify
-// sys currently holds exactly Checkpoint.BaseRows base rows — the delta was
-// cut past that point, so a different base would splice it at the wrong
-// offset. Legacy snapshots (nil Checkpoint) only register the Prepared.
+// checkBase refuses a base of any row count but the one the checkpoint was
+// cut over: the delta splices on at that offset, and the samples describe
+// that base.
+func (s *Snapshot) checkBase(rows int) error {
+	if uint64(rows) != s.Checkpoint.BaseRows {
+		return fmt.Errorf("checkpoint covers %d base rows but the regenerated base has %d (changed -rows, -db, or -seed?)",
+			s.Checkpoint.BaseRows, rows)
+	}
+	return nil
+}
+
+// Restore installs a snapshot into the system: it re-appends the delta rows
+// onto the regenerated base data, publishes the resulting database at the
+// checkpoint's data generation, and registers the prepared sample family
+// under strategy. sys must hold exactly Checkpoint.BaseRows base rows.
 func (s *Snapshot) Restore(sys *core.System, strategy string) error {
 	ck := s.Checkpoint
-	if ck == nil {
-		sys.AddPrepared(strategy, s.Prepared)
-		return nil
-	}
-	if got := sys.DB().NumRows(); uint64(got) != ck.BaseRows {
-		return fmt.Errorf("ingest: checkpoint was cut over %d base rows but the regenerated base has %d (changed -rows?); discard the snapshot or regenerate the original base",
-			ck.BaseRows, got)
+	if err := s.checkBase(sys.DB().NumRows()); err != nil {
+		return fmt.Errorf("ingest: %w", err)
 	}
 	if s.Delta != nil && s.Delta.NumRows() > 0 {
 		app, err := engine.NewAppender(sys.DB())

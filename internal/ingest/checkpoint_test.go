@@ -169,7 +169,7 @@ func TestCheckpointBoundedRestart(t *testing.T) {
 	// past the checkpoint.
 	sys2, rec := recoverNow(t, n, cat, walDir, cfg)
 	ck := rec.Checkpoint
-	if rec.Generation != 1 || rec.Source != "snapshot" || ck == nil {
+	if rec.Generation != 1 || rec.Source != "snapshot" {
 		t.Fatalf("recovered generation %d from %q (checkpoint %v), want checkpointed generation 1 from the snapshot", rec.Generation, rec.Source, ck)
 	}
 	if ck.BaseRows != uint64(n) {
@@ -393,19 +393,7 @@ func TestWALProbeAppendsNoopAndReplaySkipsIt(t *testing.T) {
 // header, idempotency entries, delta, samples — must fail to decode with an
 // error, never panic or yield a snapshot.
 func TestDecodeSnapshotTruncated(t *testing.T) {
-	sys, c, _ := newCheckpointSystem(t, 500, t.TempDir(), Config{Online: core.OnlineConfig{Seed: 96}})
-	rng := randx.New(81)
-	for i := 0; i < 3; i++ {
-		if _, err := c.Ingest(fmt.Sprintf("b-%d", i), ingestRows(rng, 5)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p, _ := sys.Prepared("smallgroup")
-	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, p, Checkpoint{DataGen: 3, BaseRows: 500, Seg: 1, Off: 64}, sys.DB(), c.identEntries()); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full, _ := snapshotStreams(t)
 	s, err := DecodeSnapshot(bytes.NewReader(full))
 	if err != nil || len(s.IDs) != 3 || s.IDs[2].ID != "b-2" || s.IDs[2].Stats.DataGeneration != 3 || s.Checkpoint.Off != 64 {
 		t.Fatalf("round trip = %+v, %v", s, err)
@@ -413,6 +401,50 @@ func TestDecodeSnapshotTruncated(t *testing.T) {
 	for n := 0; n < len(full); n++ {
 		if s, err := DecodeSnapshot(bytes.NewReader(full[:n])); err == nil {
 			t.Fatalf("a %d-byte prefix of the %d-byte stream decoded: %+v", n, len(full), s)
+		}
+	}
+}
+
+// TestSnapshotStoreRoundTrip covers the one door a catalog payload comes back
+// through, catalog.ReadSnapshot around DecodeSnapshot. Both payloads decode —
+// the bare stream as the checkpoint that covers nothing over its family's
+// base — and the container refuses a payload outside it, garbage, and any
+// bit flip or truncation, including in table data the decoder would read.
+func TestSnapshotStoreRoundTrip(t *testing.T) {
+	ck, bare := snapshotStreams(t)
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		want    Checkpoint
+		delta   bool
+	}{
+		{"checkpoint", ck, Checkpoint{DataGen: 3, BaseRows: 500, Seg: 1, Off: 64}, true},
+		{"bare", bare, Checkpoint{BaseRows: 500}, false},
+	} {
+		s, err := readGeneration(wrapGeneration(t, tc.payload))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if *s.Checkpoint != tc.want || (s.Delta != nil) != tc.delta || s.Prepared.SampleRows() == 0 {
+			t.Errorf("%s: checkpoint %+v, delta %v, %d sample rows; want %+v", tc.name, *s.Checkpoint, s.Delta != nil, s.Prepared.SampleRows(), tc.want)
+		}
+	}
+	for name, b := range map[string][]byte{"bare payload": bare, "garbage": []byte("GARBAGE!")} {
+		if _, err := readGeneration(b); !errors.Is(err, catalog.ErrCorrupt) {
+			t.Errorf("%s outside the container: err = %v, want catalog.ErrCorrupt", name, err)
+		}
+	}
+	enc := wrapGeneration(t, ck)
+	for _, off := range []int{10, len(enc) / 2, len(enc) - 10} {
+		mut := append([]byte(nil), enc...)
+		mut[off] ^= 0x20
+		if _, err := readGeneration(mut); err == nil {
+			t.Errorf("bit flip at %d accepted", off)
+		}
+	}
+	for _, cut := range []int{0, 7, len(enc) / 2, len(enc) - 1} {
+		if _, err := readGeneration(enc[:cut]); err == nil {
+			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
 }

@@ -655,9 +655,7 @@ func (c *Coordinator) SaveCheckpoint(cat *catalog.Catalog) (CheckpointResult, er
 
 	// Both the database version and the prepared state are immutable
 	// snapshots, so writing the file races nothing.
-	cgen, err := cat.SaveWithCheckpoint(func(w io.Writer) error {
-		return WriteCheckpoint(w, p, ck, db, ids)
-	}, &catalog.CheckpointInfo{DataGeneration: ck.DataGen, WALSegment: ck.Seg, WALOffset: ck.Off})
+	cgen, err := saveGeneration(cat, p, ck, db, ids)
 	if err != nil && cgen == 0 {
 		obsCheckpoints.With("error").Inc()
 		return res, err

@@ -2,9 +2,14 @@ package ingest
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"testing"
 
+	"dynsample/internal/catalog"
+	"dynsample/internal/core"
 	"dynsample/internal/engine"
+	"dynsample/internal/randx"
 )
 
 // FuzzWALDecode proves the batch decoder never panics and never
@@ -59,4 +64,81 @@ func FuzzWALDecode(f *testing.F) {
 			t.Fatalf("round trip changed bytes: %d in, %d out", len(data), len(re))
 		}
 	})
+}
+
+// snapshotStreams returns the two payloads DecodeSnapshot reads, over one
+// 500-row base: a checkpoint carrying three idempotency ids and a delta of
+// ingested rows, and the bare SaveSmallGroup stream of the family as
+// pre-processing built it.
+func snapshotStreams(t testing.TB) (checkpoint, bare []byte) {
+	t.Helper()
+	sys, c, _ := newCheckpointSystem(t, 500, t.TempDir(), Config{Online: core.OnlineConfig{Seed: 96}})
+	p, _ := sys.Prepared("smallgroup")
+	var ck, raw bytes.Buffer
+	if err := core.SaveSmallGroup(&raw, p); err != nil {
+		t.Fatal(err)
+	}
+	rng := randx.New(81)
+	for i := 0; i < 3; i++ {
+		if _, err := c.Ingest(fmt.Sprintf("b-%d", i), ingestRows(rng, 5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, _ = sys.Prepared("smallgroup")
+	if err := WriteCheckpoint(&ck, p, Checkpoint{DataGen: 3, BaseRows: 500, Seg: 1, Off: 64}, sys.DB(), c.identEntries()); err != nil {
+		t.Fatal(err)
+	}
+	return ck.Bytes(), raw.Bytes()
+}
+
+// FuzzDecodeSnapshot holds the one reader of catalog payloads to its
+// contract on arbitrary bytes, alone and behind the catalog container as
+// recovery reads a generation: an error, or a Snapshot with both a
+// Checkpoint and a Prepared — never a panic, never a nil Checkpoint.
+func FuzzDecodeSnapshot(f *testing.F) {
+	ck, bare := snapshotStreams(f)
+	for _, valid := range [][]byte{ck, bare} {
+		f.Add(valid)
+		f.Add(valid[:len(valid)/2]) // truncated
+		f.Add(valid[:41])           // dies inside the header
+		for _, off := range []int{3, 9, 44, len(valid) / 3, len(valid) - 8} {
+			mut := append([]byte(nil), valid...)
+			mut[off] ^= 1 << (off % 8) // bit-flipped mutants
+			f.Add(mut)
+		}
+	}
+	f.Add([]byte{})
+	f.Add([]byte(ckMagic))
+	f.Add(wrapGeneration(f, ck))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		check := func(s *Snapshot, err error) {
+			if err == nil && (s == nil || s.Checkpoint == nil || s.Prepared == nil) {
+				t.Fatalf("decoded %+v with nil error", s)
+			}
+		}
+		check(DecodeSnapshot(bytes.NewReader(data)))
+		check(readGeneration(data))
+	})
+}
+
+// wrapGeneration puts a payload in the catalog container, as a catalog
+// generation file holds it.
+func wrapGeneration(t testing.TB, payload []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := catalog.WriteSnapshot(&buf, func(w io.Writer) error { _, err := w.Write(payload); return err }); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// readGeneration reads b as recovery reads a catalog generation: the
+// container's checks around DecodeSnapshot.
+func readGeneration(b []byte) (s *Snapshot, err error) {
+	err = catalog.ReadSnapshot(bytes.NewReader(b), func(r io.Reader) (derr error) {
+		s, derr = DecodeSnapshot(r)
+		return derr
+	})
+	return s, err
 }

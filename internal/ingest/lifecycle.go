@@ -8,6 +8,7 @@ import (
 
 	"dynsample/internal/catalog"
 	"dynsample/internal/core"
+	"dynsample/internal/engine"
 )
 
 // The sample lifecycle — everything that happens to pre-processing's output
@@ -26,12 +27,12 @@ type Recovery struct {
 	// Generation is the catalog generation being served: the one restored, or
 	// the one a from-scratch build was saved as; 0 when nothing is persisted.
 	Generation uint64
-	// Source is "snapshot" when the samples were restored (catalog generation
-	// or a state the caller pre-registered) and "preprocess" when they were
-	// built from the base data.
+	// Source is "snapshot" when the samples were restored from a catalog
+	// generation and "preprocess" when they were built from the base data.
 	Source string
-	// Checkpoint is the restored snapshot's checkpoint; nil for a bare sample
-	// set or when nothing was restored.
+	// Checkpoint is the restored generation's checkpoint, or for a
+	// from-scratch build the one its first save wrote (covering nothing over
+	// the current base); never nil.
 	Checkpoint *Checkpoint
 	// Skipped lists the newer catalog generations that failed verification or
 	// were cut over a different base.
@@ -50,20 +51,19 @@ type Recovery struct {
 
 // Recover establishes the serving state of one process. In order:
 //
-//  1. Samples. A state the caller already registered under the strategy's
-//     name wins (aqpd -restore). Otherwise the newest catalog generation
-//     that verifies and was cut over this base-row count is restored
-//     (samples, ingested-row delta, data generation); older generations are
-//     the fall-back, reported in Skipped. With no usable generation — or no
-//     catalog — the strategy pre-processes the base data, and a catalog
-//     gets the result as its next generation, so it self-heals.
+//  1. Samples. The newest catalog generation that verifies and was cut over
+//     this base-row count is restored (samples, ingested-row delta, data
+//     generation); older generations are the fall-back, reported in Skipped.
+//     With no usable generation — or no catalog — the strategy pre-processes
+//     the base data, and a catalog gets the result as its next generation,
+//     so it self-heals.
 //  2. The worker budget is applied to whichever state now serves.
-//  3. With a WAL: segments wholly below the restored checkpoint are deleted
+//  3. With a WAL: segments wholly below the checkpoint are deleted
 //     (finishing a GC a crash interrupted), the coordinator attaches with
 //     the checkpoint's BaseRows, the idempotency window is seeded from the
 //     snapshot, and the log's tail replays.
 //
-// cat and wal may each be nil. cfg.BaseRows is overwritten from the restored
+// cat and wal may each be nil. cfg.BaseRows is overwritten from the
 // checkpoint. Errors are fatal to start-up; everything survivable is in the
 // Recovery.
 func Recover(sys *core.System, cat *catalog.Catalog, wal *WAL, strategy core.Strategy, workers int, cfg Config) (*Recovery, error) {
@@ -72,64 +72,54 @@ func Recover(sys *core.System, cat *catalog.Catalog, wal *WAL, strategy core.Str
 	}
 	rec := &Recovery{Source: "snapshot"}
 	var snap *Snapshot
-	if _, ok := sys.Prepared(cfg.Strategy); !ok {
-		err := catalog.ErrNoSnapshot
-		if cat != nil {
-			var res catalog.LoadResult
-			res, err = cat.LoadLatest(func(r io.Reader) error {
-				s, derr := DecodeSnapshot(r)
-				if derr != nil {
-					return derr
-				}
-				// The delta splices onto the regenerated base at a fixed row
-				// offset, so a generation cut over a different base is as
-				// unusable as a corrupt one.
-				if ck := s.Checkpoint; ck != nil && ck.BaseRows != uint64(sys.DB().NumRows()) {
-					return fmt.Errorf("checkpoint covers %d base rows but the regenerated base has %d (changed -rows, -db, or -seed?)",
-						ck.BaseRows, sys.DB().NumRows())
-				}
+	err := catalog.ErrNoSnapshot
+	if cat != nil {
+		var res catalog.LoadResult
+		res, err = cat.LoadLatest(func(r io.Reader) error {
+			s, derr := DecodeSnapshot(r)
+			if derr != nil {
+				return derr
+			}
+			// A generation cut over a different base is as unusable as a
+			// corrupt one.
+			if derr = s.checkBase(sys.DB().NumRows()); derr == nil {
 				snap = s
-				return nil
-			})
-			rec.Generation, rec.Skipped = res.Generation, res.Skipped
-		}
-		switch {
-		case err == nil:
-			if err := snap.Restore(sys, cfg.Strategy); err != nil {
-				return nil, err
 			}
-			rec.Checkpoint = snap.Checkpoint
-		case errors.Is(err, catalog.ErrNoSnapshot):
-			snap, rec.Source = nil, "preprocess"
-			if err := sys.AddStrategy(strategy); err != nil {
-				return nil, err
-			}
-			if cat != nil {
-				var saved CheckpointResult
-				saved, rec.SaveErr = persist(sys, nil, cat, cfg.Strategy)
-				rec.Generation = saved.Generation
-			}
-		default:
+			return derr
+		})
+		rec.Generation, rec.Skipped = res.Generation, res.Skipped
+	}
+	switch {
+	case err == nil:
+		if err := snap.Restore(sys, cfg.Strategy); err != nil {
 			return nil, err
 		}
+	case errors.Is(err, catalog.ErrNoSnapshot):
+		rec.Source = "preprocess"
+		if err := sys.AddStrategy(strategy); err != nil {
+			return nil, err
+		}
+		p, _ := sys.Prepared(cfg.Strategy)
+		snap = &Snapshot{Checkpoint: &Checkpoint{BaseRows: uint64(sys.DB().NumRows())}, Prepared: p}
+		if cat != nil {
+			rec.Generation, rec.SaveErr = saveGeneration(cat, p, *snap.Checkpoint, sys.DB(), nil)
+		}
+	default:
+		return nil, err
 	}
-	p, _ := sys.Prepared(cfg.Strategy)
-	core.SetWorkers(p, workers)
+	rec.Checkpoint = snap.Checkpoint
+	core.SetWorkers(snap.Prepared, workers)
 	if wal == nil {
 		return rec, nil
 	}
 
-	if ck := rec.Checkpoint; ck != nil {
-		cfg.BaseRows = int(ck.BaseRows)
-		rec.GCRemoved, rec.GCErr = wal.RemoveSegmentsBelow(ck.Seg)
-	}
+	cfg.BaseRows = int(rec.Checkpoint.BaseRows)
+	rec.GCRemoved, rec.GCErr = wal.RemoveSegmentsBelow(rec.Checkpoint.Seg)
 	c, err := New(sys, wal, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if snap != nil {
-		c.SeedIdempotency(snap.IDs)
-	}
+	c.SeedIdempotency(snap.IDs)
 	if rec.Replay, err = c.ReplayWAL(); err != nil {
 		return nil, fmt.Errorf("wal replay: %w", err)
 	}
@@ -194,12 +184,22 @@ func Rebuild(sys *core.System, c *Coordinator, cat *catalog.Catalog, strategy co
 
 // persist saves the serving sample family as the next catalog generation:
 // through the coordinator as a checkpoint (samples + ingested delta + WAL
-// position, then segment GC), or without one as the bare sample set.
+// position, then segment GC), or without one as the checkpoint that covers
+// nothing over the current base.
 func persist(sys *core.System, c *Coordinator, cat *catalog.Catalog, name string) (CheckpointResult, error) {
 	if c != nil {
 		return c.SaveCheckpoint(cat)
 	}
 	p, _ := sys.Prepared(name)
-	gen, err := cat.Save(func(w io.Writer) error { return core.SaveSmallGroup(w, p) })
+	db := sys.DB()
+	gen, err := saveGeneration(cat, p, Checkpoint{BaseRows: uint64(db.NumRows())}, db, nil)
 	return CheckpointResult{Generation: gen}, err
+}
+
+// saveGeneration writes one checkpoint as the catalog's next generation: the
+// only way this program writes into a catalog.
+func saveGeneration(cat *catalog.Catalog, p core.Prepared, ck Checkpoint, db *engine.Database, ids []IdentEntry) (uint64, error) {
+	return cat.SaveWithCheckpoint(func(w io.Writer) error {
+		return WriteCheckpoint(w, p, ck, db, ids)
+	}, &catalog.CheckpointInfo{DataGeneration: ck.DataGen, WALSegment: ck.Seg, WALOffset: ck.Off})
 }

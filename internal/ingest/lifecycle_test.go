@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"dynsample/internal/catalog"
@@ -62,6 +63,7 @@ func TestRecover(t *testing.T) {
 	cases := []struct {
 		name  string
 		noWAL bool
+		rows  int // the restart's base rows; 0 means n
 		setup func(t *testing.T, cat *catalog.Catalog, walDir string)
 		check func(t *testing.T, cat *catalog.Catalog, sys *core.System, rec *Recovery)
 	}{
@@ -88,9 +90,9 @@ func TestRecover(t *testing.T) {
 				corrupt(t, cat, 2)
 			},
 			check: func(t *testing.T, cat *catalog.Catalog, sys *core.System, rec *Recovery) {
-				if rec.Source != "preprocess" || rec.Generation != 3 || len(rec.Skipped) != 2 || rec.Checkpoint != nil {
-					t.Fatalf("recovery = %q generation %d with %d skipped, want a fresh build saved as generation 3 past 2 corrupt ones",
-						rec.Source, rec.Generation, len(rec.Skipped))
+				if rec.Source != "preprocess" || rec.Generation != 3 || len(rec.Skipped) != 2 || *rec.Checkpoint != (Checkpoint{BaseRows: n}) {
+					t.Fatalf("recovery = %q generation %d with %d skipped, checkpoint %+v; want a fresh build saved as generation 3 past 2 corrupt ones, covering nothing",
+						rec.Source, rec.Generation, len(rec.Skipped), rec.Checkpoint)
 				}
 				// Nothing covers the log any more, so all of it replays.
 				if rec.Replay.Batches != 2 || rec.Replay.Covered != 0 || sys.DB().NumRows() != n+2*40 {
@@ -102,15 +104,30 @@ func TestRecover(t *testing.T) {
 			name: "newest checkpoint cut over a different base: older generation chosen",
 			setup: func(t *testing.T, cat *catalog.Catalog, walDir string) {
 				live(t, n, cat, t.TempDir(), 0, 0, false)    // generation 1, n-row base
-				live(t, n+500, cat, t.TempDir(), 0, 1, true) // generation 2, another base
+				live(t, n+500, cat, t.TempDir(), 0, 1, true) // generations 2 (from scratch) and 3 (checkpoint), another base
 			},
 			check: func(t *testing.T, _ *catalog.Catalog, sys *core.System, rec *Recovery) {
-				if rec.Source != "snapshot" || rec.Generation != 1 || len(rec.Skipped) != 1 || rec.Skipped[0].Generation != 2 {
-					t.Fatalf("recovery = %q generation %d, skipped %+v; want generation 1 with generation 2 reported skipped",
+				if rec.Source != "snapshot" || rec.Generation != 1 || len(rec.Skipped) != 2 || rec.Skipped[1].Generation != 2 {
+					t.Fatalf("recovery = %q generation %d, skipped %+v; want generation 1 with generations 3 and 2 reported skipped",
 						rec.Source, rec.Generation, rec.Skipped)
 				}
 				if sys.DB().NumRows() != n {
 					t.Fatalf("base has %d rows after recovery, want the %d regenerated ones and no foreign delta", sys.DB().NumRows(), n)
+				}
+			},
+		},
+		{
+			name:  "from-scratch generation over another base: skipped, pre-process and save generation 2",
+			rows:  n + 500,
+			setup: func(t *testing.T, cat *catalog.Catalog, walDir string) { live(t, n, cat, walDir, 0, 0, false) },
+			check: func(t *testing.T, cat *catalog.Catalog, sys *core.System, rec *Recovery) {
+				if len(rec.Skipped) != 1 || rec.Skipped[0].Generation != 1 ||
+					!strings.Contains(rec.Skipped[0].Err.Error(), fmt.Sprintf("covers %d base rows", n)) {
+					t.Fatalf("skipped %+v, want generation 1 refused as cut over %d base rows", rec.Skipped, n)
+				}
+				if rec.Source != "preprocess" || rec.Generation != 2 || cat.Generation() != 2 || sys.DB().NumRows() != n+500 {
+					t.Fatalf("recovery = %q generation %d (catalog at %d) over %d rows, want a fresh build over %d rows saved as generation 2",
+						rec.Source, rec.Generation, cat.Generation(), sys.DB().NumRows(), n+500)
 				}
 			},
 		},
@@ -121,7 +138,7 @@ func TestRecover(t *testing.T) {
 				live(t, n, cat, walDir, 3, 5, false) // b-3, b-4 only in the log
 			},
 			check: func(t *testing.T, _ *catalog.Catalog, sys *core.System, rec *Recovery) {
-				if rec.Generation != 2 || rec.Checkpoint == nil || rec.Checkpoint.DataGen != 3 {
+				if rec.Generation != 2 || rec.Checkpoint.DataGen != 3 {
 					t.Fatalf("recovered generation %d checkpoint %+v, want generation 2 covering 3 batches", rec.Generation, rec.Checkpoint)
 				}
 				if rec.Replay.Batches != 2 || rec.Replay.Covered != 3 || sys.DB().NumRows() != n+5*40 {
@@ -160,7 +177,11 @@ func TestRecover(t *testing.T) {
 			if tc.noWAL {
 				walDir = ""
 			}
-			sys, rec := recoverNow(t, n, cat, walDir, cfg)
+			rows := n
+			if tc.rows != 0 {
+				rows = tc.rows
+			}
+			sys, rec := recoverNow(t, rows, cat, walDir, cfg)
 			tc.check(t, cat, sys, rec)
 		})
 	}

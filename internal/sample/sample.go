@@ -1,8 +1,8 @@
 // Package sample implements the random sampling primitives the AQP
 // strategies are built from: Vitter's reservoir sampling (used by small group
 // sampling's second pass to build the overall sample in one scan, §4.2.1),
-// Bernoulli sampling (the model used in the paper's analysis, §4.4), and
-// stratified allocation helpers used by the congressional baseline.
+// fixed-size and Poisson draws, and stratified allocation helpers used by
+// the congressional baseline.
 //
 // Samplers are deliberately not safe for concurrent use: each one owns a
 // seeded *rand.Rand, and reproducibility requires a single, fixed draw
@@ -52,21 +52,6 @@ func (r *Reservoir) Seen() int64 { return r.seen }
 
 // Items returns the current sample. The slice is owned by the reservoir.
 func (r *Reservoir) Items() []int { return r.items }
-
-// Bernoulli returns the indices in [0, n) that survive independent coin flips
-// with probability p — the sampling model assumed by Theorem 4.1.
-func Bernoulli(rng *rand.Rand, n int, p float64) []int {
-	if p < 0 || p > 1 {
-		panic(fmt.Sprintf("sample: Bernoulli p=%g out of [0,1]", p))
-	}
-	var out []int
-	for i := 0; i < n; i++ {
-		if rng.Float64() < p {
-			out = append(out, i)
-		}
-	}
-	return out
-}
 
 // FixedSize draws exactly k of the n indices uniformly without replacement
 // (k > n yields all n). The result is in increasing order.

@@ -88,39 +88,6 @@ func TestReservoirNegativeCapacityPanics(t *testing.T) {
 	NewReservoir(-1, randx.New(1))
 }
 
-func TestBernoulliRate(t *testing.T) {
-	rng := randx.New(4)
-	got := Bernoulli(rng, 100000, 0.1)
-	rate := float64(len(got)) / 100000
-	if math.Abs(rate-0.1) > 0.01 {
-		t.Errorf("empirical rate %g, want ~0.1", rate)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i] <= got[i-1] {
-			t.Fatal("Bernoulli output not strictly increasing")
-		}
-	}
-}
-
-func TestBernoulliEdges(t *testing.T) {
-	rng := randx.New(5)
-	if got := Bernoulli(rng, 1000, 0); len(got) != 0 {
-		t.Errorf("p=0 sampled %d", len(got))
-	}
-	if got := Bernoulli(rng, 1000, 1); len(got) != 1000 {
-		t.Errorf("p=1 sampled %d", len(got))
-	}
-}
-
-func TestBernoulliPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Bernoulli(randx.New(1), 10, 1.5)
-}
-
 func TestFixedSize(t *testing.T) {
 	rng := randx.New(6)
 	got := FixedSize(rng, 1000, 100)

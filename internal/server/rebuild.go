@@ -46,7 +46,7 @@ type RebuildConfig struct {
 	// crash-safe snapshot (and is the authority for generation numbers).
 	Catalog *catalog.Catalog
 	// Workers is applied to the rebuilt state when it is worker-configurable
-	// (mirrors what the CLIs do after LoadSmallGroup).
+	// (as ingest.Recover does for the family it restores or builds).
 	Workers int
 }
 

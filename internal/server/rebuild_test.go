@@ -15,6 +15,7 @@ import (
 	"dynsample/internal/catalog"
 	"dynsample/internal/core"
 	"dynsample/internal/engine"
+	"dynsample/internal/ingest"
 	"dynsample/internal/randx"
 )
 
@@ -168,17 +169,16 @@ func TestRebuildPersistedSnapshotRoundTrips(t *testing.T) {
 	if resp, body := post(t, hs, "/v1/admin/rebuild", struct{}{}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("rebuild: %d %s", resp.StatusCode, body)
 	}
-	var p core.Prepared
-	res, err := cat.LoadLatest(func(r io.Reader) error {
-		var derr error
-		p, derr = core.LoadSmallGroup(r)
+	var s *ingest.Snapshot
+	res, err := cat.LoadLatest(func(r io.Reader) (derr error) {
+		s, derr = ingest.DecodeSnapshot(r)
 		return derr
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Generation != 1 || p == nil || p.SampleRows() == 0 {
-		t.Fatalf("recovered gen %d, rows %v", res.Generation, p)
+	if res.Generation != 1 || s.Prepared.SampleRows() == 0 || s.Checkpoint.DataGen != 0 {
+		t.Fatalf("recovered gen %d, snapshot %+v", res.Generation, s)
 	}
 }
 

@@ -3,8 +3,9 @@
 # query through the /v1 surface, verify the observability endpoints
 # (/metrics exposition, /debug/slowlog, X-Request-ID echo), then exercise
 # live ingestion: stream rows in via `aqpcli ingest`, query them, kill the
-# server hard, and check the restart replays the WAL. Used by CI after the
-# unit suites; needs only bash, curl, awk and the go toolchain.
+# server hard, and check the restart replays the WAL. Last, a catalog that
+# `aqpcli -catalog-dir` saved must start aqpd and answer the same. Used by
+# CI after the unit suites; needs only bash, curl, awk and the go toolchain.
 set -euo pipefail
 
 ADDR="${SMOKE_ADDR:-127.0.0.1:18080}"
@@ -29,7 +30,8 @@ start_server() {
 }
 start_server
 CATDIR=$(mktemp -d /tmp/smoke-cat.XXXXXX)
-trap 'kill "$PID" 2>/dev/null || true; rm -rf "$WALDIR" "$CATDIR"' EXIT
+HANDDIR=$(mktemp -d /tmp/smoke-hand.XXXXXX)
+trap 'kill "$PID" 2>/dev/null || true; rm -rf "$WALDIR" "$CATDIR" "$HANDDIR"' EXIT
 
 wait_ready() {
   for i in $(seq 1 50); do
@@ -200,5 +202,33 @@ body_has '"values":\[6\]' "$BODY" \
 BODY=$(curl -fsS "$BASE/metrics")
 body_has '^aqp_ingest_replayed_batches_total 1$' "$BODY" \
   || fail "restart replayed more than the post-checkpoint tail"
+
+echo "smoke: aqpcli -catalog-dir hands its samples to aqpd..."
+# One persisted form: the generation aqpcli's first run saves is what aqpd
+# restores, and a second aqpcli run restores it too instead of pre-processing.
+kill -9 "$PID" 2>/dev/null || true
+wait "$PID" 2>/dev/null || true
+HSQL='SELECT s_region, COUNT(*) FROM T GROUP BY s_region'
+HFLAGS=(-db tpch -rows 20000 -rate 0.02 -seed 7 -catalog-dir "$HANDDIR")
+cli_rows() { sed -n "s/^'\([^']*\)' *\([0-9.]*\).*/\1 \2/p" <<<"$1" | sort; }
+CLI1=$(/tmp/aqpcli-smoke "${HFLAGS[@]}" -query "$HSQL" 2>/tmp/smoke-cli.err) \
+  || fail "aqpcli -catalog-dir failed: $(cat /tmp/smoke-cli.err)"
+grep -q 'saved sample generation 1' /tmp/smoke-cli.err || fail "first aqpcli run did not save generation 1"
+/tmp/aqpd-smoke "${HFLAGS[@]}" -addr "$ADDR" &
+PID=$!
+wait_ready
+BODY=$(curl -fsS "$BASE/healthz")
+body_has '"source":"snapshot"' "$BODY" && body_has '"generation":1,' "$BODY" \
+  || fail "aqpd did not restore aqpcli's generation 1: $BODY"
+RESP=$(curl -fsS "$BASE/v1/query" -d "{\"sql\":\"$HSQL\"}")
+SERVED=$(grep -o '"key":\["[^"]*"\],"values":\[[^],]*' <<<"$RESP" \
+  | sed 's/"key":\["\([^"]*\)"\],"values":\[/\1 /' | awk '{printf "%s %.2f\n", $1, $2}' | sort)
+[ -n "$SERVED" ] && [ "$SERVED" = "$(cli_rows "$CLI1")" ] \
+  || fail "aqpd answers differ from aqpcli's: $RESP vs $CLI1"
+CLI2=$(/tmp/aqpcli-smoke "${HFLAGS[@]}" -query "$HSQL" 2>/tmp/smoke-cli.err) \
+  || fail "second aqpcli -catalog-dir run failed: $(cat /tmp/smoke-cli.err)"
+grep -q 'restored sample generation 1' /tmp/smoke-cli.err && ! grep -q 'pre-processed' /tmp/smoke-cli.err \
+  || fail "second aqpcli run did not restore: $(cat /tmp/smoke-cli.err)"
+[ "$(cli_rows "$CLI2")" = "$(cli_rows "$CLI1")" ] || fail "restored aqpcli answers differ from the built ones"
 
 echo "smoke: OK ($SERIES metric families)"
