@@ -88,9 +88,9 @@ func main() {
 		strat = core.NewSmallGroup(core.SmallGroupConfig{BaseRate: *rate, Seed: *seed, Workers: *workers})
 	case "uniform":
 		if *catDir != "" {
-			fatal(fmt.Errorf("-catalog-dir holds small group sample families; it needs -strategy smallgroup"))
+			fatal(fmt.Errorf("-catalog-dir needs -strategy smallgroup: a catalog generation does not record which strategy built it, so a restore could not tell a uniform family from a small group one"))
 		}
-		strat = uniform.New(uniform.Config{Label: "smallgroup", Rate: *rate, Seed: *seed}) // registered under the same key for simplicity
+		strat = uniform.New(uniform.Config{Rate: *rate, Seed: *seed})
 	default:
 		fatal(fmt.Errorf("unknown strategy %q", *strategy))
 	}
@@ -141,13 +141,13 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "pre-processed (%s, r=%g)\n", *strategy, *rate)
 	}
-	p, _ := sys.Prepared("smallgroup")
+	p, _ := sys.Prepared(strat.Name())
 	fmt.Fprintf(os.Stderr, "ready: %d base rows, %d sample rows, pre-processing took %v\n",
-		db.NumRows(), p.SampleRows(), sys.PreprocessTime("smallgroup").Round(time.Millisecond))
+		db.NumRows(), p.SampleRows(), sys.PreprocessTime(strat.Name()).Round(time.Millisecond))
 	fmt.Fprintf(os.Stderr, "columns: %s\n", strings.Join(firstN(db.Columns(), 12), ", ")+", ...")
 
 	if *query != "" {
-		if err := runQuery(sys, db, *query, *timeout, bounds, false, false); err != nil {
+		if err := runQuery(sys, db, strat.Name(), *query, *timeout, bounds, false, false); err != nil {
 			fatal(err)
 		}
 		return
@@ -165,15 +165,15 @@ func main() {
 		case line == `\columns`:
 			fmt.Println(strings.Join(db.Columns(), ", "))
 		case strings.HasPrefix(line, `\explain `):
-			if err := runQuery(sys, db, strings.TrimPrefix(line, `\explain `), *timeout, bounds, true, false); err != nil {
+			if err := runQuery(sys, db, strat.Name(), strings.TrimPrefix(line, `\explain `), *timeout, bounds, true, false); err != nil {
 				fmt.Println("error:", err)
 			}
 		case strings.HasPrefix(line, `\exact `):
-			if err := runQuery(sys, db, strings.TrimPrefix(line, `\exact `), *timeout, bounds, false, true); err != nil {
+			if err := runQuery(sys, db, strat.Name(), strings.TrimPrefix(line, `\exact `), *timeout, bounds, false, true); err != nil {
 				fmt.Println("error:", err)
 			}
 		default:
-			if err := runQuery(sys, db, line, *timeout, bounds, false, false); err != nil {
+			if err := runQuery(sys, db, strat.Name(), line, *timeout, bounds, false, false); err != nil {
 				fmt.Println("error:", err)
 			}
 		}
@@ -181,7 +181,7 @@ func main() {
 	}
 }
 
-func runQuery(sys *core.System, db *engine.Database, sql string, timeout time.Duration, bounds core.Bounds, explain, compareExact bool) error {
+func runQuery(sys *core.System, db *engine.Database, strategy, sql string, timeout time.Duration, bounds core.Bounds, explain, compareExact bool) error {
 	stmt, err := sqlparse.Parse(strings.TrimSuffix(sql, ";"))
 	if err != nil {
 		return err
@@ -196,7 +196,7 @@ func runQuery(sys *core.System, db *engine.Database, sql string, timeout time.Du
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	ans, err := sys.ApproxBoundsCtx(ctx, "smallgroup", compiled.Query, bounds)
+	ans, err := sys.ApproxBoundsCtx(ctx, strategy, compiled.Query, bounds)
 	if err != nil {
 		return err
 	}

@@ -50,27 +50,25 @@ type Config struct {
 	DistinctLimit int
 	// Variant selects Basic (default) or Full congress.
 	Variant Variant
-	// ConfidenceLevel is the nominal CI coverage; zero means 0.95.
-	ConfidenceLevel float64
-	// Label overrides the strategy name.
-	Label string
 	// Seed drives stratum-level sampling.
 	Seed int64
 }
 
 // Strategy is the congressional sampling baseline.
 type Strategy struct {
-	cfg Config
+	cfg    Config
+	strata int
 }
 
 // New returns the strategy.
 func New(cfg Config) *Strategy { return &Strategy{cfg: cfg} }
 
+// StrataCount reports how many strata the last Preprocess allocated (§5.3.2
+// notes basic congress built ~166,000 tiny strata on the SALES schema).
+func (s *Strategy) StrataCount() int { return s.strata }
+
 // Name implements core.Strategy.
 func (s *Strategy) Name() string {
-	if s.cfg.Label != "" {
-		return s.cfg.Label
-	}
 	if s.cfg.Variant == Full {
 		return "congress-full"
 	}
@@ -184,8 +182,8 @@ func (s *Strategy) Preprocess(db *engine.Database) (core.Prepared, error) {
 		sortedWeights[i] = weights[o]
 	}
 
-	tbl := db.Flatten("congress_sample", sortedRows, nil, sortedWeights)
-	return &prepared{core.SingleSample{Table: tbl, Scale: 1, Level: cfg.ConfidenceLevel}, len(sizes)}, nil
+	s.strata = len(sizes)
+	return core.OverallOnly(db, "congress_sample", sortedRows, sortedWeights), nil
 }
 
 func candidateColumns(db *engine.Database, cfg Config) ([]string, error) {
@@ -286,13 +284,3 @@ func fullCongressRates(db *engine.Database, cols []string, rowStratum []int32, s
 	}
 	return rates, nil
 }
-
-// prepared is the single-sample runtime plus the allocation's stratum count.
-type prepared struct {
-	core.SingleSample
-	strataCount int
-}
-
-// StrataCount reports how many strata the allocation produced (§5.3.2 notes
-// basic congress built ~166,000 tiny strata on the SALES schema).
-func (p *prepared) StrataCount() int { return p.strataCount }

@@ -182,19 +182,16 @@ func TestNames(t *testing.T) {
 	if got := New(Config{Variant: Full}).Name(); got != "congress-full" {
 		t.Errorf("full Name = %q", got)
 	}
-	if got := New(Config{Label: "bc"}).Name(); got != "bc" {
-		t.Errorf("labelled Name = %q", got)
-	}
 }
 
 func TestStrataCount(t *testing.T) {
 	db := skewDB(5000)
-	p, err := New(Config{Rate: 0.05, Columns: []string{"g", "h"}, Seed: 6}).Preprocess(db)
-	if err != nil {
+	s := New(Config{Rate: 0.05, Columns: []string{"g", "h"}, Seed: 6})
+	if _, err := s.Preprocess(db); err != nil {
 		t.Fatal(err)
 	}
 	// 10 g-values x 3 h-values = up to 30 strata.
-	sc := p.(*prepared).StrataCount()
+	sc := s.StrataCount()
 	if sc < 10 || sc > 30 {
 		t.Errorf("strata count = %d, want within (10,30]", sc)
 	}

@@ -23,8 +23,10 @@ import (
 )
 
 // Strategy builds sample structures for a database during the pre-processing
-// phase. Implementations include small group sampling (this package) and the
-// baselines: uniform sampling, basic congress, and outlier indexing.
+// phase. Implementations are small group sampling (this package) and the
+// baselines — uniform sampling, outlier indexing, congress and workload-
+// weighted sampling — each of which builds the degenerate family OverallOnly
+// returns.
 type Strategy interface {
 	// Name identifies the strategy in reports and the CLI.
 	Name() string
@@ -32,59 +34,56 @@ type Strategy interface {
 	Preprocess(db *engine.Database) (Prepared, error)
 }
 
-// Prepared answers queries approximately using the sample tables built by a
-// Strategy's pre-processing phase.
+// Prepared is a sample family — sample tables plus the metadata that
+// describes them — and the one runtime that answers queries from it (§3).
+// Every strategy's pre-processing returns one; it has a single
+// implementation in this package.
 //
-// Implementations must be safe for concurrent Answer calls: all state built
-// by pre-processing (sample tables, metadata) is immutable afterwards, and
-// Answer keeps every per-query allocation (plan, partial results, buffers)
-// on its own stack. The HTTP server relies on this to serve /query requests
-// in parallel from one shared Prepared.
+// It is safe for concurrent Answer calls: all state built by pre-processing
+// (sample tables, metadata) is immutable afterwards, and Answer keeps every
+// per-query allocation (plan, partial results, buffers) on its own stack.
+// The HTTP server relies on this to serve /query requests in parallel from
+// one shared Prepared.
 type Prepared interface {
-	// Answer runs the query against the strategy's sample tables.
+	// Answer runs the query against the family's default plan.
 	Answer(q *engine.Query) (*Answer, error)
+	// AnswerBounds is the runtime phase under a context and per-request
+	// accuracy/latency bounds (see Bounds). Cancellation or a passed deadline
+	// aborts in-flight shard scans at the next shard boundary and returns
+	// ctx.Err(); a deadline without bounds degrades to a cheaper plan (see
+	// Answer.Degraded). Given bounds, it chooses the cheapest plan predicted
+	// to satisfy them and reports the decision in Answer.Plan; when none can,
+	// the error is an *UnsatisfiableBoundsError carrying the best achievable
+	// figures.
+	AnswerBounds(ctx context.Context, q *engine.Query, b Bounds) (*Answer, error)
+	// PreviewPlans returns every candidate the planner would consider for q
+	// under b (cheapest first), with Feasible set per the bounds, plus the
+	// prediction caveats for the full plan — without executing anything.
+	PreviewPlans(q *engine.Query, b Bounds) ([]PlanCandidate, []string, error)
 	// SampleBytes estimates the storage consumed by the sample tables, for
 	// the space-overhead experiment (§5.4.2).
 	SampleBytes() int64
+	// StoredBytes is what the sample tables hold in memory.
+	StoredBytes() int64
 	// SampleRows returns the total number of rows across all sample tables.
 	SampleRows() int64
+	// Meta is the metadata catalog: the members of S and their common sets.
+	Meta() *Metadata
+	// DataGeneration is the ingest data generation baked into the samples:
+	// the number of ingest batches whose rows they represent.
+	DataGeneration() uint64
+	WorkerConfigurable
+
+	workers() int      // the runtime worker budget
+	scanRate() float64 // the calibrated scan throughput, rows per second
 }
 
-// ContextAnswerer is implemented by Prepared states whose Answer honours a
-// context: cancellation or a passed deadline aborts in-flight shard scans at
-// the next shard boundary and returns ctx.Err(). Implementations may also
-// degrade gracefully under deadline pressure (see Answer.Degraded). The
-// System routes context-carrying queries through this interface when
-// available; strategies that only implement Prepared still work but run to
-// completion regardless of the context.
-type ContextAnswerer interface {
-	AnswerCtx(ctx context.Context, q *engine.Query) (*Answer, error)
-}
-
-// BoundedAnswerer is implemented by Prepared states that can plan toward
-// per-request accuracy/latency bounds (see Bounds): given an error bound
-// and/or a time bound, the implementation chooses the cheapest sample plan
-// predicted to satisfy them and reports the prediction and the realized
-// error in Answer.Plan. When no plan can satisfy the bounds the error is an
-// *UnsatisfiableBoundsError carrying the best achievable figures.
-type BoundedAnswerer interface {
-	AnswerBounds(ctx context.Context, q *engine.Query, b Bounds) (*Answer, error)
-}
-
-// WorkerConfigurable is implemented by Prepared states whose runtime worker
-// budget can be adjusted after construction — in particular sample sets
-// loaded from disk, whose serialised form does not store the (machine-local)
-// worker count. Call SetWorkers before serving queries.
+// WorkerConfigurable sets a Prepared's runtime worker budget after
+// construction — in particular a family loaded from disk, whose serialised
+// form does not store the (machine-local) worker count. Call SetWorkers
+// before serving queries; n below 1 leaves the budget as it is.
 type WorkerConfigurable interface {
 	SetWorkers(n int)
-}
-
-// SetWorkers applies a worker budget to p when p is WorkerConfigurable and
-// n is positive; otherwise it does nothing.
-func SetWorkers(p Prepared, n int) {
-	if wc, ok := p.(WorkerConfigurable); ok && n > 0 {
-		wc.SetWorkers(n)
-	}
 }
 
 // Answer is an approximate query answer: estimated (or exact) per-group
@@ -216,9 +215,7 @@ func (s *System) update(mutate func(*preparedSet)) {
 	var logical, stored int64
 	for _, p := range next.prepared {
 		logical += p.SampleBytes()
-		if sp, ok := p.(interface{ StoredBytes() int64 }); ok {
-			stored += sp.StoredBytes()
-		}
+		stored += p.StoredBytes()
 	}
 	engine.ObserveBytes("samples", logical, stored)
 }
@@ -295,12 +292,7 @@ func (s *System) ApproxCtx(ctx context.Context, strategy string, q *engine.Query
 }
 
 // ApproxBoundsCtx answers the query with the named strategy under a context
-// and per-request accuracy/latency bounds. Non-zero bounds need runtime
-// state that implements BoundedAnswerer; strategies that cannot plan toward
-// bounds return an error rather than silently ignoring them. Cancellation
-// and deadlines propagate into the shard scans of a BoundedAnswerer or
-// ContextAnswerer; any other state runs to completion and ignores the
-// context.
+// and per-request accuracy/latency bounds (Prepared.AnswerBounds).
 func (s *System) ApproxBoundsCtx(ctx context.Context, strategy string, q *engine.Query, b Bounds) (*Answer, error) {
 	// One atomic load pins this query to the current generation; a
 	// concurrent SwapPrepared cannot change the state p points to.
@@ -308,22 +300,10 @@ func (s *System) ApproxBoundsCtx(ctx context.Context, strategy string, q *engine
 	if !ok {
 		return nil, fmt.Errorf("core: strategy %q not registered", strategy)
 	}
-	ba, bounded := p.(BoundedAnswerer)
-	if !bounded && !b.IsZero() {
-		return nil, fmt.Errorf("core: strategy %q does not support error/time bounds", strategy)
-	}
 	if err := q.Validate(s.DB()); err != nil {
 		return nil, err
 	}
-	var ans *Answer
-	var err error
-	if bounded {
-		ans, err = ba.AnswerBounds(ctx, q, b)
-	} else if ca, ok := p.(ContextAnswerer); ok {
-		ans, err = ca.AnswerCtx(ctx, q)
-	} else {
-		ans, err = p.Answer(q)
-	}
+	ans, err := p.AnswerBounds(ctx, q, b)
 	if err == nil {
 		obsAnswers.With(strategy).Inc()
 		obsSampleRows.Add(uint64(max(ans.RowsRead, 0)))
@@ -348,9 +328,7 @@ func (s *System) ExactCtx(ctx context.Context, q *engine.Query) (*engine.Result,
 	start := time.Now()
 	db, workers := s.DB(), 1
 	for _, p := range s.set.Load().prepared {
-		if b, ok := p.(interface{ workers() int }); ok {
-			workers = max(workers, b.workers())
-		}
+		workers = max(workers, p.workers())
 	}
 	if err := q.Validate(db); err != nil {
 		return nil, time.Since(start), err

@@ -53,13 +53,9 @@ func TestPreprocessWorkerCountDeterminism(t *testing.T) {
 				}
 				h := sha256.New()
 				for _, db := range sized {
-					fam := prepare(t, db, cfg).(interface {
-						Meta() *core.Metadata
-						Tables() []*engine.Table
-						Overall() *engine.Table
-					})
+					fam := prepare(t, db, cfg)
 					h.Write([]byte(fam.Meta().String()))
-					for _, tbl := range append(fam.Tables(), fam.Overall()) {
+					for _, tbl := range core.FamilyTables(fam) {
 						if err := engine.WriteBinary(tbl, h); err != nil {
 							t.Fatal(err)
 						}

@@ -24,7 +24,7 @@ func TestSampleFamilyHeldBytesMatchStoredBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored, rows := p.(interface{ StoredBytes() int64 }).StoredBytes(), p.SampleRows()
+	stored, rows := p.StoredBytes(), p.SampleRows()
 	liveHeap := func() uint64 {
 		var m runtime.MemStats
 		// Twice: scratch a sync.Pool holds (scan 2's block buffers) outlives

@@ -158,10 +158,7 @@ func NewOnline(sys *System, strategy string, cfg OnlineConfig) (*Online, error) 
 	if !ok {
 		return nil, fmt.Errorf("core: strategy %q not registered", strategy)
 	}
-	sgp, ok := prep.(*smallGroupPrepared)
-	if !ok {
-		return nil, fmt.Errorf("core: online maintenance needs small group sampling state, got %T", prep)
-	}
+	sgp := prep.(*smallGroupPrepared)
 	t := cfg.SmallGroupFraction
 	if t <= 0 {
 		t = sgp.cfg.SmallGroupFraction
@@ -353,15 +350,6 @@ func (f *family) trackMissing(rows [][]engine.Value) {
 			}
 		}
 	}
-}
-
-// DataGenerationOf returns the ingest data generation recorded in a prepared
-// state (SaveSmallGroup persists it), or 0 when the state doesn't track one.
-func DataGenerationOf(p Prepared) uint64 {
-	if g, ok := p.(interface{ DataGeneration() uint64 }); ok {
-		return g.DataGeneration()
-	}
-	return 0
 }
 
 // DataGeneration returns the data generation of the newest applied batch.
@@ -589,10 +577,7 @@ func (f *family) applySampleUpdates(np *smallGroupPrepared, rows [][]engine.Valu
 // only when the whole tail has replayed onto it: a Rebase that fails leaves
 // the Online exactly as it was, still maintaining the published family.
 func (o *Online) Rebase(p Prepared, rebuiltAt uint64, tail []TailBatch) error {
-	sgp, ok := p.(*smallGroupPrepared)
-	if !ok {
-		return fmt.Errorf("core: online rebase needs small group sampling state, got %T", p)
-	}
+	sgp := p.(*smallGroupPrepared)
 	if sgp.db == nil {
 		return fmt.Errorf("core: online rebase needs state pre-processed from live data")
 	}

@@ -372,8 +372,8 @@ func TestOnlineReplayDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if DataGenerationOf(restored) != 2 {
-		t.Fatalf("snapshot generation = %d, want 2", DataGenerationOf(restored))
+	if restored.DataGeneration() != 2 {
+		t.Fatalf("snapshot generation = %d, want 2", restored.DataGeneration())
 	}
 	sys3 := NewSystem(skewedDB(t, n0))
 	sys3.AddPrepared("smallgroup", restored)
@@ -425,7 +425,7 @@ func TestOnlineRebase(t *testing.T) {
 	if err := o.Rebase(rebuilt, pinnedGen, tail); err != nil {
 		t.Fatal(err)
 	}
-	if g := DataGenerationOf(o.Prepared()); g != 3 {
+	if g := o.Prepared().DataGeneration(); g != 3 {
 		t.Fatalf("rebased generation = %d, want 3", g)
 	}
 	// The rebased family must still answer rare groups exactly.

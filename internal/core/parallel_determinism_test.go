@@ -28,6 +28,13 @@ func ZipfDB(rows int) *engine.Database {
 	return engine.MustNewDatabase("det", fact)
 }
 
+// FamilyTables is a flat family's small group tables in index order, then
+// its overall sample.
+func FamilyTables(p Prepared) []*engine.Table {
+	sgp := p.(*smallGroupPrepared)
+	return append(sgp.Tables(), sgp.Overall())
+}
+
 func prepare(t *testing.T, db *engine.Database, workers int) *smallGroupPrepared {
 	t.Helper()
 	p, err := NewSmallGroup(SmallGroupConfig{BaseRate: 0.02, Seed: 5, Workers: workers}).Preprocess(db)

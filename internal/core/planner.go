@@ -34,8 +34,7 @@ type Bounds struct {
 	// means unbounded time.
 	TimeBound time.Duration
 	// Confidence is the confidence level the error bound (and the answer's
-	// intervals) are stated at. Zero means the prepared state's configured
-	// level (default 0.95).
+	// intervals) are stated at. Zero means DefaultConfidenceLevel.
 	Confidence float64
 }
 
@@ -440,13 +439,10 @@ func (p *smallGroupPrepared) stats() *plannerStats {
 }
 
 // confidence resolves the level an error bound and the answer's intervals
-// are stated at: the request's, then the configured one, then the default.
+// are stated at: the request's, else the default.
 func (p *smallGroupPrepared) confidence(b Bounds) float64 {
 	if b.Confidence != 0 {
 		return b.Confidence
-	}
-	if p.cfg.ConfidenceLevel != 0 {
-		return p.cfg.ConfidenceLevel
 	}
 	return DefaultConfidenceLevel
 }

@@ -132,10 +132,12 @@ func naivePreprocess(cfg SmallGroupConfig, db *engine.Database) (*smallGroupPrep
 		if err != nil {
 			return nil, err
 		}
-		p.overallScale = 1
 	} else {
 		overallRows = append([]int(nil), res.Items()...)
 		sort.Ints(overallRows)
+	}
+	p.overallScale = 1 // weighted rows count for their weight
+	if overallWeights == nil {
 		p.overallScale = float64(n) / float64(len(overallRows))
 	}
 

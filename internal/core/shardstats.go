@@ -61,23 +61,6 @@ type ShardStats struct {
 	Columns map[string]ShardColumnStats `json:"columns,omitempty"`
 }
 
-// scanRater is the unexported surface prepared states expose for throughput
-// estimates; smallGroupPrepared implements it via its planner statistics.
-type scanRater interface{ scanRate() float64 }
-
-// ScanRateOf returns a Prepared's calibrated scan throughput in rows per
-// second, falling back to the conservative default for states that do not
-// track one.
-func ScanRateOf(p Prepared) float64 {
-	if sr, ok := p.(scanRater); ok {
-		return sr.scanRate()
-	}
-	return DefaultScanRowsPerSecond
-}
-
-// metaHolder is implemented by prepared states that expose their catalog.
-type metaHolder interface{ Meta() *Metadata }
-
 // ComputeShardStats builds the join summary for this process's partition:
 // row counts and sample sizes from the named strategy's prepared state, the
 // rare-row mass from its catalog, and per-column value sets from the base
@@ -95,16 +78,13 @@ func ComputeShardStats(sys *System, strategy string, shardID, shards int) (*Shar
 		Rows:              int64(db.NumRows()),
 		SampleRows:        p.SampleRows(),
 		Generation:        gen,
-		ScanRowsPerSecond: ScanRateOf(p),
+		ScanRowsPerSecond: p.scanRate(),
 		Columns:           make(map[string]ShardColumnStats),
 	}
-	if mh, ok := p.(metaHolder); ok {
-		meta := mh.Meta()
-		if meta.BaseRows > 0 {
-			for _, cm := range meta.Columns() {
-				if mass := float64(cm.RareRows) / float64(meta.BaseRows); mass > st.RareMass {
-					st.RareMass = mass
-				}
+	if meta := p.Meta(); meta.BaseRows > 0 {
+		for _, cm := range meta.Columns() {
+			if mass := float64(cm.RareRows) / float64(meta.BaseRows); mass > st.RareMass {
+				st.RareMass = mass
 			}
 		}
 	}

@@ -38,7 +38,7 @@ const DefaultScanRowsPerSecond = 25e6
 // example, we use outlier indexing to construct the overall sample". A
 // non-uniform builder returns per-row weights (inverse sampling rates);
 // weights may be nil for a uniform sample, in which case the runtime scales
-// by N/len(rows).
+// by N/len(rows) (overallScale).
 type OverallBuilder interface {
 	BuildOverall(db *engine.Database, target int, seed int64) (rows []int, weights []float64, err error)
 }
@@ -71,8 +71,6 @@ type SmallGroupConfig struct {
 	// Columns restricts the candidate column set S (workload-based trimming,
 	// §4.2.3). Nil means all view columns.
 	Columns []string
-	// ConfidenceLevel is the nominal CI coverage; zero means 0.95.
-	ConfidenceLevel float64
 	// MaxTablesPerQuery, when positive, caps how many small group tables a
 	// single query may read (the runtime heuristic suggested in §4.2.3).
 	// Tables covering the most rare rows are preferred.
@@ -119,9 +117,6 @@ func (c SmallGroupConfig) withDefaults() SmallGroupConfig {
 	}
 	if c.DistinctLimit == 0 {
 		c.DistinctLimit = DefaultDistinctLimit
-	}
-	if c.ConfidenceLevel == 0 {
-		c.ConfidenceLevel = DefaultConfidenceLevel
 	}
 	if c.Levels == nil {
 		c.Levels = []HierarchyLevel{{MaxFraction: c.SmallGroupFraction, Rate: 1}}
@@ -255,9 +250,8 @@ type sampleRows struct {
 	weights [][]float64 // per table; nil when every row is stored at rate 1
 	overall []int
 	// overallWeights is nil for the uniform reservoir sample, which scales
-	// by overallScale instead.
+	// by N/len(overall) instead.
 	overallWeights []float64
-	overallScale   float64
 }
 
 // classify is scan 2, a window of row shards at a time, in two parts. First
@@ -340,13 +334,33 @@ func (split *bandSplit) classify(db *engine.Database, cfg SmallGroupConfig) (*sa
 		if err != nil {
 			return nil, fmt.Errorf("smallgroup: overall builder: %w", err)
 		}
-		out.overallScale = 1
 	} else {
 		out.overall = append([]int(nil), res.Items()...)
 		sort.Ints(out.overall)
-		out.overallScale = float64(n) / float64(len(out.overall))
 	}
 	return out, nil
+}
+
+// OverallOnly is the sample family a single-table baseline builds — uniform
+// sampling, outlier indexing, congress, workload-weighted sampling: rows of
+// db, stored with their weights as the overall sample table name, and
+// nothing in S (width-0 metadata, no small group tables). It answers through
+// the one runtime, so bounded plans, deadline degradation, plan preview, the
+// worker budget and catalog save and restore all apply to it.
+func OverallOnly(db *engine.Database, name string, rows []int, weights []float64) Prepared {
+	return &smallGroupPrepared{db: db, meta: NewMetadata(int64(db.NumRows()), nil),
+		overall:      sampleSource{src: db.Flatten(name, rows, nil, weights), name: name},
+		overallScale: overallScale(db.NumRows(), rows, weights), pstats: &plannerStats{}}
+}
+
+// overallScale is the factor the overall sample's rows count for: N/len(rows)
+// for an unweighted sample, 1 when every row carries its own weight (its
+// inverse inclusion probability).
+func overallScale(n int, rows []int, weights []float64) float64 {
+	if weights == nil {
+		return float64(n) / float64(len(rows))
+	}
+	return 1
 }
 
 // materialise stores each row list as a sample table: flat join synopses by
@@ -354,7 +368,7 @@ func (split *bandSplit) classify(db *engine.Database, cfg SmallGroupConfig) (*sa
 func (split *bandSplit) materialise(db *engine.Database, cfg SmallGroupConfig, rows *sampleRows) (*smallGroupPrepared, error) {
 	meta, width := split.meta, split.meta.Width()
 	p := &smallGroupPrepared{db: db, meta: meta, cfg: cfg, tables: make([]sampleSource, width),
-		overallScale: rows.overallScale, pstats: &plannerStats{}}
+		overallScale: overallScale(db.NumRows(), rows.overall, rows.overallWeights), pstats: &plannerStats{}}
 	names := make([]string, width)
 	for _, cm := range meta.Columns() {
 		names[cm.Index] = "sg_" + cm.Column

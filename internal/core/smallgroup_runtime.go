@@ -32,9 +32,10 @@ func (s sampleSource) bytes(size func(*engine.Table) int64) int64 {
 	}
 }
 
-// smallGroupPrepared is the runtime state of small group sampling: the
-// small group tables (one per column of S), the overall sample, and the
-// metadata catalog used for sample selection.
+// smallGroupPrepared is Prepared's one implementation: the small group tables
+// (one per column of S), the overall sample, and the metadata catalog used
+// for sample selection. A single-table baseline is the family with S empty
+// (OverallOnly).
 type smallGroupPrepared struct {
 	db           *engine.Database
 	meta         *Metadata
@@ -56,17 +57,21 @@ type smallGroupPrepared struct {
 	pstats *plannerStats
 }
 
-// Meta exposes the metadata catalog (used by experiments and the CLI).
+// Meta implements Prepared.
 func (p *smallGroupPrepared) Meta() *Metadata { return p.meta }
 
-// DataGeneration returns the ingest data generation baked into the samples.
+// DataGeneration implements Prepared.
 func (p *smallGroupPrepared) DataGeneration() uint64 { return p.dataGen }
 
 // SetWorkers implements WorkerConfigurable: it sets the runtime worker
 // budget used by every subsequent Answer call (see SmallGroupConfig.Workers).
 // Call it before serving queries; it is not synchronised with concurrent
 // Answer calls.
-func (p *smallGroupPrepared) SetWorkers(n int) { p.cfg.Workers = n }
+func (p *smallGroupPrepared) SetWorkers(n int) {
+	if n > 0 {
+		p.cfg.Workers = n
+	}
+}
 
 // workers is the budget System.ExactCtx scans the base data with.
 func (p *smallGroupPrepared) workers() int { return p.cfg.Workers }
@@ -94,10 +99,11 @@ func (p *smallGroupPrepared) Answer(q *engine.Query) (*Answer, error) {
 	return p.AnswerCtx(context.Background(), q)
 }
 
-// AnswerCtx implements ContextAnswerer. Cancellation propagates into every
-// step's sharded scan; when ctx also carries a deadline, the planner picks
-// the most accurate plan predicted to fit the remaining budget (falling
-// back to the cheapest plan, flagged Answer.Degraded, when nothing fits).
+// AnswerCtx is AnswerBounds with no bounds. Cancellation propagates into
+// every step's sharded scan; when ctx also carries a deadline, the planner
+// picks the most accurate plan predicted to fit the remaining budget
+// (falling back to the cheapest plan, flagged Answer.Degraded, when nothing
+// fits).
 func (p *smallGroupPrepared) AnswerCtx(ctx context.Context, q *engine.Query) (*Answer, error) {
 	return p.AnswerBounds(ctx, q, Bounds{})
 }
@@ -138,7 +144,7 @@ func (p *smallGroupPrepared) choose(ctx context.Context, q *engine.Query, b Boun
 	return chosen, decision, degraded, nil
 }
 
-// AnswerBounds implements BoundedAnswerer, and is the runtime phase as one
+// AnswerBounds implements Prepared, and is the runtime phase as one
 // pipeline for every kind of query: enumerate → choose (both in choose) →
 // build → execute → mark exactness → intervals. Given bounds, it plans toward
 // them (see planner.go) and reports the decision — predicted vs achieved
@@ -273,7 +279,7 @@ func (p *smallGroupPrepared) SampleRows() int64 {
 // SampleBytes implements Prepared: the logical size the space budgets count.
 func (p *smallGroupPrepared) SampleBytes() int64 { return p.bytes((*engine.Table).ApproxBytes) }
 
-// StoredBytes is what the sample tables hold in memory.
+// StoredBytes implements Prepared.
 func (p *smallGroupPrepared) StoredBytes() int64 { return p.bytes((*engine.Table).StoredBytes) }
 
 // bytes sums a size over the sample tables. For renormalized storage the

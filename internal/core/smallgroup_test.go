@@ -156,6 +156,35 @@ func TestOverallSampleSizeAndScale(t *testing.T) {
 	}
 }
 
+// TestUnweightedOverallBuilderScales: an OverallBuilder that returns nil
+// weights drew an unweighted sample, so each of its rows counts for
+// N/len(rows) base rows — COUNT(*) over the whole table is N, and the planner
+// sees a uniform sample of N base rows, not of len(rows).
+func TestUnweightedOverallBuilderScales(t *testing.T) {
+	const n = 20000
+	p := prep(t, skewedDB(t, n), SmallGroupConfig{BaseRate: 0.02, DistinctLimit: 100, Seed: 1, Overall: everyOtherUnweighted{}})
+	ans, err := p.Answer(&engine.Query{Aggs: []engine.Aggregate{{Kind: engine.Count}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ans.Result.Group(engine.EncodeKey(nil)).Vals[0]; got != n {
+		t.Errorf("COUNT(*) = %g, want %d", got, n)
+	}
+	if got := p.stats().baseRows; got != n {
+		t.Errorf("planner base rows = %g, want %d", got, n)
+	}
+}
+
+// everyOtherUnweighted is an unweighted overall builder: every second row.
+type everyOtherUnweighted struct{}
+
+func (everyOtherUnweighted) BuildOverall(db *engine.Database, _ int, _ int64) (rows []int, weights []float64, err error) {
+	for r := 0; r < db.NumRows(); r += 2 {
+		rows = append(rows, r)
+	}
+	return rows, nil, nil
+}
+
 func TestRareGroupsAnsweredExactly(t *testing.T) {
 	db := skewedDB(t, 20000)
 	p := prep(t, db, SmallGroupConfig{BaseRate: 0.01, SmallGroupFraction: 0.08, DistinctLimit: 100, Seed: 2})

@@ -11,18 +11,19 @@ import (
 	"dynsample/internal/engine"
 )
 
-// Persistence for pre-processed small group sampling state. The paper's
-// pre-processing phase stores sample tables and the metadata table "in the
-// database" (§3.1) so the runtime phase can use them across sessions;
-// SaveSmallGroup and LoadSmallGroup provide the same durability for this
-// implementation. A loaded Prepared answers queries without access to the
-// base data.
+// Persistence for a pre-processed sample family — small group sampling's, or
+// a baseline's with nothing in S. The paper's pre-processing phase stores
+// sample tables and the metadata table "in the database" (§3.1) so the
+// runtime phase can use them across sessions; SaveSmallGroup and
+// LoadSmallGroup provide the same durability for this implementation. A
+// loaded Prepared answers queries without access to the base data.
 
 const storeMagic = "DSSG"
 
-// storeVersion 2 carries the ingest data generation (a u64 after the runtime
-// configuration block). It is the only version read: nothing writes another.
-const storeVersion = 2
+// storeVersion 3 dropped version 2's confidence level from the runtime
+// configuration block (a request states its own). It is the only version
+// read: nothing writes another.
+const storeVersion = 3
 
 // Sanity caps on length prefixes. A truncated or corrupted header must
 // produce a descriptive error, not a multi-gigabyte allocation: every count
@@ -44,19 +45,18 @@ func capHint(n uint32) int {
 	return int(n)
 }
 
-// SaveSmallGroup serialises a small group sampling Prepared (as returned by
-// SmallGroup.Preprocess or a previous LoadSmallGroup).
+// SaveSmallGroup serialises a sample family (as returned by any strategy's
+// Preprocess or a previous LoadSmallGroup).
 func SaveSmallGroup(w io.Writer, p Prepared) error {
 	sgp, ok := p.(*smallGroupPrepared)
 	if !ok {
-		return fmt.Errorf("core: %T is not small group sampling state", p)
+		return fmt.Errorf("core: %T is not a sample family", p)
 	}
 	bw := bufio.NewWriter(w)
 	bw.WriteString(storeMagic)
 	putU32(bw, storeVersion)
 
 	// Runtime configuration.
-	putF64(bw, sgp.cfg.ConfidenceLevel)
 	putU32(bw, uint32(sgp.cfg.MaxTablesPerQuery))
 	putF64(bw, sgp.overallScale)
 	putU64(bw, sgp.dataGen)
@@ -125,14 +125,14 @@ func LoadSmallGroup(r io.Reader) (Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
+	if version == 2 {
+		return nil, fmt.Errorf("core: store version 2 carries a confidence level this build no longer reads; it reads version %d only", storeVersion)
+	}
 	if version != storeVersion {
 		return nil, fmt.Errorf("core: unsupported store version %d", version)
 	}
 
 	var cfg SmallGroupConfig
-	if cfg.ConfidenceLevel, err = getF64(br); err != nil {
-		return nil, err
-	}
 	maxTables, err := getU32(br)
 	if err != nil {
 		return nil, err

@@ -16,10 +16,9 @@ func craftStore(maxTables, ncols uint32, build func(w *bufio.Writer)) []byte {
 	w := bufio.NewWriter(&buf)
 	w.WriteString(storeMagic)
 	putU32(w, storeVersion)
-	putF64(w, 0.95)      // confidence level
 	putU32(w, maxTables) // MaxTablesPerQuery
 	putF64(w, 1)         // overall scale
-	putU64(w, 0)         // data generation (v2)
+	putU64(w, 0)         // data generation
 	putU64(w, 1000)      // base rows
 	putU32(w, ncols)
 	if build != nil {
@@ -99,6 +98,12 @@ func TestLoadSmallGroupHostileLengthPrefixes(t *testing.T) {
 			name:    "superseded version",
 			stream:  append([]byte(storeMagic+"\x01\x00\x00\x00"), craftStore(3, 0, nil)[8:]...),
 			wantErr: "unsupported store version 1",
+		},
+		{
+			// Version 2 (a confidence level in the header) is refused by name.
+			name:    "confidence-level version",
+			stream:  append([]byte(storeMagic+"\x02\x00\x00\x00"), craftStore(3, 0, nil)[8:]...),
+			wantErr: "store version 2 carries a confidence level",
 		},
 	}
 	for _, c := range cases {

@@ -32,7 +32,7 @@ func TestSaveIsDeterministic(t *testing.T) {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	db := skewedDB(t, 10000)
 	orig := prep(t, db, SmallGroupConfig{
-		BaseRate: 0.02, DistinctLimit: 100, Seed: 1, MaxTablesPerQuery: 3, ConfidenceLevel: 0.9,
+		BaseRate: 0.02, DistinctLimit: 100, Seed: 1, MaxTablesPerQuery: 3,
 	})
 
 	var buf bytes.Buffer
@@ -144,11 +144,8 @@ func TestSaveRejectsForeignPrepared(t *testing.T) {
 	}
 }
 
-type fakePrepared struct{}
-
-func (fakePrepared) Answer(*engine.Query) (*Answer, error) { return nil, nil }
-func (fakePrepared) SampleBytes() int64                    { return 0 }
-func (fakePrepared) SampleRows() int64                     { return 0 }
+// fakePrepared satisfies Prepared by embedding it; any call panics.
+type fakePrepared struct{ Prepared }
 
 func TestTruncatedStreamRejected(t *testing.T) {
 	db := skewedDB(t, 3000)

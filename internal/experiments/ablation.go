@@ -98,8 +98,7 @@ func (r *Runner) TauAblation() (*Figure, error) {
 		}
 		fig.Labels = append(fig.Labels, fmt.Sprintf("%d", tau))
 		relY = append(relY, accs["SmGroup"].RelErr)
-		sp := p.(interface{ Meta() *core.Metadata })
-		sY = append(sY, float64(sp.Meta().Width()))
+		sY = append(sY, float64(p.Meta().Width()))
 		rowsY = append(rowsY, float64(p.SampleRows()))
 	}
 	fig.Series = []Series{

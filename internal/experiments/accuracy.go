@@ -262,11 +262,12 @@ func (r *Runner) Fig8() ([]*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	bc, err := r.prepared(db, "congress-basic", congress.New(congress.Config{
+	cs := congress.New(congress.Config{
 		Rate:    r.Scale.BaseRate * (1 + AllocationRatio*2.5), // mid-g matched space
 		Columns: grpCols,
 		Seed:    r.Scale.Seed + 3,
-	}))
+	})
+	bc, err := r.prepared(db, "congress-basic", cs)
 	if err != nil {
 		return nil, err
 	}
@@ -280,8 +281,8 @@ func (r *Runner) Fig8() ([]*Figure, error) {
 			"paper: congress degenerated into ~166,000 tiny strata on the 120-column SALES subset",
 		},
 	}
-	if sc, ok := bc.(interface{ StrataCount() int }); ok {
-		rel.Notes = append(rel.Notes, fmt.Sprintf("measured: basic congress stratified %d rows into %d strata", db.NumRows(), sc.StrataCount()))
+	if n := cs.StrataCount(); n > 0 { // zero when the family came from the cache
+		rel.Notes = append(rel.Notes, fmt.Sprintf("measured: basic congress stratified %d rows into %d strata", db.NumRows(), n))
 	}
 	series := newSeriesPair("SmGroup", "BasicCongress", "Uniform")
 	for g := 1; g <= 4; g++ {

@@ -49,9 +49,9 @@ func (r *Runner) Baselines() (*Figure, error) {
 			BaseRate: rate, SmallGroupFraction: AllocationRatio * rate, Columns: cols, Seed: r.Scale.Seed + 1,
 		})},
 		{"Uniform", nil}, // matched per query by uniformMethod (shares the cache)
-		{"BasicCongress", congress.New(congress.Config{Rate: matched, Columns: cols, Seed: r.Scale.Seed + 2, Label: "bl-basic"})},
-		{"FullCongress", congress.New(congress.Config{Rate: matched, Columns: cols, Variant: congress.Full, Seed: r.Scale.Seed + 3, Label: "bl-full"})},
-		{"Weighted", weighted.New(weighted.Config{Rate: matched, Workload: train, Seed: r.Scale.Seed + 4, Label: "bl-weighted"})},
+		{"BasicCongress", congress.New(congress.Config{Rate: matched, Columns: cols, Seed: r.Scale.Seed + 2})},
+		{"FullCongress", congress.New(congress.Config{Rate: matched, Columns: cols, Variant: congress.Full, Seed: r.Scale.Seed + 3})},
+		{"Weighted", weighted.New(weighted.Config{Rate: matched, Workload: train, Seed: r.Scale.Seed + 4})},
 	}
 
 	fig := &Figure{

@@ -47,10 +47,6 @@ func (r *Runner) boundsOn(db *engine.Database) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	ba, ok := prep.(core.BoundedAnswerer)
-	if !ok {
-		return nil, fmt.Errorf("prepared state for %s does not answer bounded queries", db.Name)
-	}
 	// Predicate-free GROUP BY queries: the accuracy contract
 	// (docs/ACCURACY.md) promises calibrated predictions only there, so the
 	// calibration study measures exactly that regime.
@@ -87,7 +83,7 @@ func (r *Runner) boundsOn(db *engine.Database) (*Figure, error) {
 			if exact.NumGroups() == 0 {
 				continue
 			}
-			ans, err := ba.AnswerBounds(context.Background(), q, core.Bounds{ErrorBound: bound})
+			ans, err := prep.AnswerBounds(context.Background(), q, core.Bounds{ErrorBound: bound})
 			if err != nil {
 				return nil, err
 			}

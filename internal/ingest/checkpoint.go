@@ -142,8 +142,7 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		baseRows := p.(interface{ Meta() *core.Metadata }).Meta().BaseRows
-		return &Snapshot{Checkpoint: &Checkpoint{BaseRows: uint64(baseRows)}, Prepared: p}, nil
+		return &Snapshot{Checkpoint: &Checkpoint{BaseRows: uint64(p.Meta().BaseRows)}, Prepared: p}, nil
 	}
 	magic := make([]byte, len(ckMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {

@@ -645,7 +645,7 @@ func (c *Coordinator) SaveCheckpoint(cat *catalog.Catalog) (CheckpointResult, er
 		c.mu.Unlock()
 		return res, fmt.Errorf("ingest: no prepared state for strategy %q", c.cfg.Strategy)
 	}
-	if got := core.DataGenerationOf(p); got != gen {
+	if got := p.DataGeneration(); got != gen {
 		c.mu.Unlock()
 		return res, fmt.Errorf("ingest: prepared samples are at generation %d but data is at %d", got, gen)
 	}

@@ -232,7 +232,7 @@ func TestCoordinatorSnapshotRestoreReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys2.AddPrepared("smallgroup", restored)
-	if g := core.DataGenerationOf(restored); g != 2 {
+	if g := restored.DataGeneration(); g != 2 {
 		t.Fatalf("snapshot generation = %d, want 2", g)
 	}
 	w2, err := OpenWAL(dir)
@@ -566,7 +566,7 @@ func TestCoordinatorDriftTriggersOneRebuild(t *testing.T) {
 	}
 	// HOT must now be answerable and the sample generation caught up.
 	p, _ := sys.Prepared("smallgroup")
-	if g := core.DataGenerationOf(p); g != c.Generation() {
+	if g := p.DataGeneration(); g != c.Generation() {
 		t.Fatalf("sample generation %d != data generation %d after rebase", g, c.Generation())
 	}
 	// The trigger is re-armed: drive drift up again with another new value.

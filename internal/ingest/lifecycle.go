@@ -108,7 +108,7 @@ func Recover(sys *core.System, cat *catalog.Catalog, wal *WAL, strategy core.Str
 		return nil, err
 	}
 	rec.Checkpoint = snap.Checkpoint
-	core.SetWorkers(snap.Prepared, workers)
+	snap.Prepared.SetWorkers(workers)
 	if wal == nil {
 		return rec, nil
 	}
@@ -169,7 +169,7 @@ func Rebuild(sys *core.System, c *Coordinator, cat *catalog.Catalog, strategy co
 		}
 		return res, fmt.Errorf("rebuild preprocess: %w", err)
 	}
-	core.SetWorkers(p, workers)
+	p.SetWorkers(workers)
 	res.Preprocess = time.Since(start)
 	if c == nil {
 		sys.SwapPrepared(name, p)

@@ -33,10 +33,6 @@ type Config struct {
 	// OutlierShare is the fraction of the budget devoted to outlier rows
 	// (zero means 0.5).
 	OutlierShare float64
-	// ConfidenceLevel is the nominal CI coverage; zero means 0.95.
-	ConfidenceLevel float64
-	// Label overrides the strategy name.
-	Label string
 	// Seed drives the remainder sampling.
 	Seed int64
 }
@@ -57,12 +53,7 @@ type Strategy struct {
 func New(cfg Config) *Strategy { return &Strategy{cfg: cfg} }
 
 // Name implements core.Strategy.
-func (s *Strategy) Name() string {
-	if s.cfg.Label != "" {
-		return s.cfg.Label
-	}
-	return "outlier"
-}
+func (s *Strategy) Name() string { return "outlier" }
 
 // SelectOutliers returns the indices (into values) of the k elements whose
 // removal minimises the variance of the remaining values. The optimal set is
@@ -191,12 +182,11 @@ func (s *Strategy) Preprocess(db *engine.Database) (core.Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	tbl := db.Flatten("outlier_sample", rows, nil, weights)
 	// Outlier rows carry weight 1 and remainder rows their inverse sampling
 	// rate, so a single weighted execution yields the stratified estimate
 	// (exact outlier contribution + scaled sample estimate) for both COUNT
 	// and SUM.
-	return &core.SingleSample{Table: tbl, Scale: 1, Level: cfg.ConfidenceLevel}, nil
+	return core.OverallOnly(db, "outlier_sample", rows, weights), nil
 }
 
 // OverallBuilder adapts outlier indexing as the overall sample of small

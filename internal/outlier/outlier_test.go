@@ -270,7 +270,4 @@ func TestName(t *testing.T) {
 	if got := New(Config{}).Name(); got != "outlier" {
 		t.Errorf("Name = %q", got)
 	}
-	if got := New(Config{Label: "oi"}).Name(); got != "oi" {
-		t.Errorf("labelled Name = %q", got)
-	}
 }

@@ -1,7 +1,8 @@
 // Package uniform implements the plain uniform-random-sampling AQP baseline
 // the paper compares against throughout §5: one reservoir sample of the
 // database stored as a flat join synopsis, with aggregates scaled by the
-// inverse sampling rate.
+// inverse sampling rate — the sample family with nothing in S
+// (core.OverallOnly).
 package uniform
 
 import (
@@ -22,10 +23,6 @@ type Config struct {
 	Rate float64
 	// Seed drives the reservoir.
 	Seed int64
-	// ConfidenceLevel is the nominal CI coverage; zero means 0.95.
-	ConfidenceLevel float64
-	// Label overrides the strategy name (to register several rates at once).
-	Label string
 }
 
 // Strategy is the uniform sampling baseline.
@@ -37,12 +34,7 @@ type Strategy struct {
 func New(cfg Config) *Strategy { return &Strategy{cfg: cfg} }
 
 // Name implements core.Strategy.
-func (s *Strategy) Name() string {
-	if s.cfg.Label != "" {
-		return s.cfg.Label
-	}
-	return "uniform"
-}
+func (s *Strategy) Name() string { return "uniform" }
 
 // Preprocess implements core.Strategy.
 func (s *Strategy) Preprocess(db *engine.Database) (core.Prepared, error) {
@@ -63,6 +55,5 @@ func (s *Strategy) Preprocess(db *engine.Database) (core.Prepared, error) {
 	}
 	rows := append([]int(nil), res.Items()...)
 	sort.Ints(rows)
-	tbl := db.Flatten("u_sample", rows, nil, nil)
-	return &core.SingleSample{Table: tbl, Scale: float64(n) / float64(len(rows)), Level: s.cfg.ConfidenceLevel}, nil
+	return core.OverallOnly(db, "u_sample", rows, nil), nil
 }

@@ -127,9 +127,6 @@ func TestNameAndLabel(t *testing.T) {
 	if got := New(Config{}).Name(); got != "uniform" {
 		t.Errorf("Name = %q", got)
 	}
-	if got := New(Config{Label: "uniform@2%"}).Name(); got != "uniform@2%" {
-		t.Errorf("labelled Name = %q", got)
-	}
 }
 
 func TestTinyRateStillSamples(t *testing.T) {

@@ -35,10 +35,6 @@ type Config struct {
 	// Smoothing is added to every tuple's usage count so tuples outside the
 	// workload footprint keep non-zero inclusion probability (zero means 0.1).
 	Smoothing float64
-	// ConfidenceLevel is the nominal CI coverage; zero means 0.95.
-	ConfidenceLevel float64
-	// Label overrides the strategy name.
-	Label string
 	// Seed drives the Poisson sampling.
 	Seed int64
 }
@@ -59,12 +55,7 @@ type Strategy struct {
 func New(cfg Config) *Strategy { return &Strategy{cfg: cfg} }
 
 // Name implements core.Strategy.
-func (s *Strategy) Name() string {
-	if s.cfg.Label != "" {
-		return s.cfg.Label
-	}
-	return "weighted"
-}
+func (s *Strategy) Name() string { return "weighted" }
 
 // Preprocess implements core.Strategy.
 func (s *Strategy) Preprocess(db *engine.Database) (core.Prepared, error) {
@@ -120,7 +111,5 @@ func (s *Strategy) Preprocess(db *engine.Database) (core.Prepared, error) {
 		rows = []int{rng.Intn(n)}
 		weights = []float64{float64(n)}
 	}
-
-	tbl := db.Flatten("weighted_sample", rows, nil, weights)
-	return &core.SingleSample{Table: tbl, Scale: 1, Level: cfg.ConfidenceLevel}, nil
+	return core.OverallOnly(db, "weighted_sample", rows, weights), nil
 }

@@ -151,7 +151,4 @@ func TestName(t *testing.T) {
 	if New(Config{}).Name() != "weighted" {
 		t.Error("Name wrong")
 	}
-	if New(Config{Label: "w2"}).Name() != "w2" {
-		t.Error("labelled Name wrong")
-	}
 }
