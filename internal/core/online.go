@@ -1,9 +1,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 
 	"dynsample/internal/engine"
 	"dynsample/internal/randx"
@@ -15,16 +18,20 @@ import (
 // keeping the family statistically valid as rows stream in, WITHOUT touching
 // the frozen pre-processing decisions:
 //
+//   - A batch is appended to the base data first, and its rows' membership
+//     masks come from the mask path scan 2 and materialise use
+//     (bandSplit.masks), over classes built from the family's metadata and
+//     grown to each version a batch appends (metaSplit, RowClassifier.Grow).
+//     So one rule serves build and ingest: a row whose value in column C lies
+//     outside the frozen common set L(C) is appended, completely, to C's
+//     small group table with the correct membership bitmask, and rare groups
+//     keep their exact answers. Values never seen before are outside L(C) by
+//     definition and therefore captured exactly from their first occurrence.
 //   - The uniform overall sample continues as a reservoir (Vitter's
 //     Algorithm R) of fixed capacity k over the growing stream: each new row
 //     replaces a random slot with probability k/N, so after any number of
 //     appends the overall sample is still a uniform k-of-N sample, and the
 //     runtime scale factor N/k is updated per batch.
-//   - A new row whose value in column C lies outside the frozen common set
-//     L(C) is appended, completely, to C's small group table with the
-//     correct membership bitmask, so rare groups keep their exact answers.
-//     Values never seen before are outside L(C) by definition and therefore
-//     captured exactly from their first occurrence.
 //   - Per-column frequency counts over the values outside L(C) detect
 //     common-set drift: when some rare value's total count approaches the
 //     t·N small-group threshold, the frozen decision "this value is rare" is
@@ -64,8 +71,8 @@ type Online struct {
 }
 
 // family is what online maintenance keeps for one sample family: the newest
-// version of the family, the reservoir's position in the stream, and the
-// value tracking seeded from the family's metadata.
+// version of the family, the reservoir's position in the stream, its mask
+// source, and the value tracking seeded from the family's metadata.
 type family struct {
 	p *smallGroupPrepared
 
@@ -75,31 +82,34 @@ type family struct {
 
 	sampleGen uint64 // batches whose rows are represented in the sample family
 
-	maxTracked int // per-column cap on tracked rare values
-
-	colPos  []int    // per meta column: position in the view column order
-	pairPos [][2]int // per pair: view positions of both columns
-	// pairColCommon tests, per pair side, whether a value is common in that
-	// column (a pair column outside S has every value common).
-	pairColCommon [][2]func(engine.Value) bool
+	// split finds a row's membership mask, bound to the newest version.
+	split *bandSplit
 
 	// freqs counts, per meta column, total occurrences of each value outside
 	// the frozen L(C); maxRareCount is the running maximum over all of them.
+	// A column with more than maxTracked such values saturates.
+	maxTracked   int
 	freqs        []map[engine.Value]int64
 	saturated    []bool
 	maxRareCount int64
 
-	// Columns pre-processing removed from S for having NO small groups
-	// (§4.2.1: every value common) are tracked by value set: a brand-new
-	// value in one of them IS a small group, but no table exists to insert
-	// it into, so the only correct response is a rebuild that re-admits the
-	// column to S. missingNew counts batch rows carrying such a value;
-	// any makes Drift report at least 1. τ-excluded columns (distinct count
-	// beyond DistinctLimit) are not tracked — a rebuild would drop them too.
-	missingPos  []int
-	missingVals []map[engine.Value]struct{}
-	missingNew  int64
+	// missing watches the columns pre-processing removed from S for having
+	// NO small groups (§4.2.1: every value common): bit i of a row is set when
+	// its value in the i'th of them is one the column never held when the
+	// family was built. Such a value IS a small group, but no table exists to
+	// insert it into, so the only correct response is a rebuild that
+	// re-admits the column to S. missingNew counts the bits set; any makes
+	// Drift report at least 1. τ-excluded columns (distinct count beyond
+	// DistinctLimit) are not watched — a rebuild would drop them too.
+	missing    *engine.RowClassifier
+	missingNew int64
 }
+
+// maxTrackedPerColumn caps each column's rare-value frequency map. When a
+// column exceeds it (a flood of brand-new distinct values), tracking
+// saturates and Drift reports +Inf: the right response is a rebuild, whose
+// scan 1 either re-splits the column or drops it from S via the τ cutoff.
+const maxTrackedPerColumn = 4 * DefaultDistinctLimit
 
 // OnlineConfig parameterises online maintenance.
 type OnlineConfig struct {
@@ -113,12 +123,6 @@ type OnlineConfig struct {
 	// checkpointed replay of the tail — reproduces the sample family
 	// bit-identically.
 	Seed int64
-	// MaxTrackedPerColumn caps each column's rare-value frequency map. When
-	// a column exceeds it (a flood of brand-new distinct values), tracking
-	// saturates and Drift reports +Inf: the right response is a rebuild,
-	// whose scan-1 either re-splits the column or drops it from S via the
-	// τ cutoff. Zero means 4·DefaultDistinctLimit.
-	MaxTrackedPerColumn int
 }
 
 // BatchStats reports what one applied batch changed.
@@ -143,11 +147,12 @@ type TailBatch struct {
 }
 
 // NewOnline attaches online maintenance to the prepared state registered
-// under strategy. The system's current database must be the base data the
-// samples were built from (for snapshot-restored states: the regenerated
-// base, with the WAL replayed on top via Apply). Construction scans the base
-// once to seed the rare-value frequency counts and the value sets of the
-// columns pre-processing removed from S for having no small groups.
+// under strategy. The system's current database must hold every row the
+// samples were built from (for snapshot-restored states: the regenerated base
+// and the checkpoint's delta, with the WAL replayed on top via Apply).
+// Construction scans the base once to seed the rare-value frequency counts
+// and the watch on the columns pre-processing removed from S for having no
+// small groups.
 //
 // Online maintenance supports the paper's default configuration: flat join
 // synopses, the two-level hierarchy, and the uniform reservoir overall
@@ -166,13 +171,8 @@ func NewOnline(sys *System, strategy string, cfg OnlineConfig) (*Online, error) 
 	if t <= 0 || t > 1 {
 		return nil, fmt.Errorf("core: online maintenance needs a small group fraction in (0,1], got %g", t)
 	}
-	maxTracked := cfg.MaxTrackedPerColumn
-	if maxTracked <= 0 {
-		maxTracked = 4 * DefaultDistinctLimit
-	}
-
 	db, gen := sys.Data()
-	fam, err := newFamily(sgp, db, db, sgp.dataGen, maxTracked)
+	fam, err := newFamily(sgp, db, db, sgp.dataGen, maxTrackedPerColumn)
 	if err != nil {
 		return nil, err
 	}
@@ -187,13 +187,16 @@ func NewOnline(sys *System, strategy string, cfg OnlineConfig) (*Online, error) 
 // join synopses, the two-level hierarchy, a uniform reservoir overall sample,
 // every sample row the view's columns and then its mask words — and builds
 // its maintenance state at sample generation sampleGen. live is the newest
-// database: columns are bound and the rare-value counts seeded against it.
-// pinned is the database p was pre-processed from (live itself unless
-// batches arrived since): it gives the reservoir's stream length and the
-// value sets of the columns left out of S.
+// database: the mask source is bound and the rare-value counts seeded
+// against it. pinned is the database p was pre-processed from (live itself
+// unless batches arrived since): it gives the reservoir's stream length and
+// the values the columns left out of S held.
 func newFamily(p *smallGroupPrepared, live, pinned *engine.Database, sampleGen uint64, maxTracked int) (*family, error) {
 	if len(p.cfg.Levels) > 1 {
 		return nil, fmt.Errorf("core: online maintenance does not support the multi-level hierarchy")
+	}
+	if live.NumRows() < int(p.meta.BaseRows) {
+		return nil, fmt.Errorf("core: the family was built over %d rows, the database holds %d", p.meta.BaseRows, live.NumRows())
 	}
 	arity := len(live.Columns()) + maskWords(p.meta.Width())
 	for _, s := range append(p.tables[:len(p.tables):len(p.tables)], p.overall) {
@@ -211,7 +214,8 @@ func newFamily(p *smallGroupPrepared, live, pinned *engine.Database, sampleGen u
 		return nil, fmt.Errorf("core: empty overall sample")
 	}
 	f := &family{p: p, cap: int(p.overall.rows()), seen: int64(pinned.NumRows()), sampleGen: sampleGen, maxTracked: maxTracked}
-	if err := f.bindMeta(live); err != nil {
+	var err error
+	if f.split, err = metaSplit(p.meta, live); err != nil {
 		return nil, err
 	}
 	if err := f.seedFrequencies(live); err != nil {
@@ -220,44 +224,7 @@ func newFamily(p *smallGroupPrepared, live, pinned *engine.Database, sampleGen u
 	if err := f.seedMissing(pinned); err != nil {
 		return nil, err
 	}
-	return f, nil
-}
-
-// bindMeta resolves the metadata's columns against the view column order.
-func (f *family) bindMeta(db *engine.Database) error {
-	meta := f.p.meta
-	view := db.Columns()
-	pos := make(map[string]int, len(view))
-	for i, n := range view {
-		pos[n] = i
-	}
-	for _, cm := range meta.Columns() {
-		p, ok := pos[cm.Column]
-		if !ok {
-			return fmt.Errorf("core: metadata column %q missing from database view", cm.Column)
-		}
-		f.colPos = append(f.colPos, p)
-	}
-	for _, pm := range meta.Pairs() {
-		var pp [2]int
-		var commons [2]func(engine.Value) bool
-		for side, col := range pm.Cols {
-			p, ok := pos[col]
-			if !ok {
-				return fmt.Errorf("core: pair column %q missing from database view", col)
-			}
-			pp[side] = p
-			if cm, inS := meta.Column(col); inS {
-				common := cm.Common
-				commons[side] = func(v engine.Value) bool { _, ok := common[v]; return ok }
-			} else {
-				commons[side] = func(engine.Value) bool { return true }
-			}
-		}
-		f.pairPos = append(f.pairPos, pp)
-		f.pairColCommon = append(f.pairColCommon, commons)
-	}
-	return nil
+	return f, f.missing.Grow(live)
 }
 
 // seedFrequencies counts, per column of S, the occurrences of every value
@@ -269,87 +236,54 @@ func (f *family) seedFrequencies(db *engine.Database) error {
 	// than maxTracked outside L(C): it saturates whatever the counts are.
 	maxCommon := 0
 	for i, cm := range cols {
-		names[i] = cm.Column
-		if len(cm.Common) > maxCommon {
-			maxCommon = len(cm.Common)
-		}
+		names[i], maxCommon = cm.Column, max(maxCommon, len(cm.Common))
 	}
 	freqs, err := db.ColumnFrequencies(names, f.maxTracked+maxCommon, f.p.cfg.Workers)
 	if err != nil {
 		return err
 	}
-	f.freqs = make([]map[engine.Value]int64, len(cols))
-	f.saturated = make([]bool, len(cols))
+	f.freqs, f.saturated = make([]map[engine.Value]int64, len(cols)), make([]bool, len(cols))
 	for i, cf := range freqs {
-		freq := make(map[engine.Value]int64)
-		for _, vc := range cf.Counts() {
+		counts := cf.Counts()
+		freq := make(map[engine.Value]int64, max(len(counts)-len(cols[i].Common), 0))
+		for _, vc := range counts {
 			if _, ok := cols[i].Common[vc.Value]; !ok {
 				freq[vc.Value] = vc.Count
 			}
 		}
-		if cf.Over || len(freq) > f.maxTracked {
-			f.saturated[i] = true
-			continue
-		}
-		f.freqs[i] = freq
-		for _, c := range freq {
-			if c > f.maxRareCount {
-				f.maxRareCount = c
+		if f.saturated[i] = cf.Over || len(freq) > f.maxTracked; !f.saturated[i] {
+			f.freqs[i] = freq
+			for _, c := range freq {
+				f.maxRareCount = max(f.maxRareCount, c)
 			}
 		}
 	}
 	return nil
 }
 
-// seedMissing builds, for every view column outside S whose distinct count
-// is within the τ cutoff, the set of values present in db. These are the
-// columns pre-processing removed from S for having no small groups; a value
-// never seen in one of them is a small group the frozen family cannot
-// represent (there is no table to insert into), so trackMissing floors the
-// drift gauge at 1 the moment one arrives.
+// seedMissing builds the watch on every view column outside S whose distinct
+// count in db, the database the family was pre-processed from, is within the
+// family's τ: a value such a column never held in db is in the unseen class,
+// the only one with a bit.
 func (f *family) seedMissing(db *engine.Database) error {
-	meta := f.p.meta
-	lim := f.p.cfg.DistinctLimit
-	if lim <= 0 {
-		lim = DefaultDistinctLimit
-	}
-	var pos []int
 	var names []string
-	for i, name := range db.Columns() {
-		if _, inS := meta.Column(name); !inS {
-			pos = append(pos, i)
+	for _, name := range db.Columns() {
+		if _, inS := f.p.meta.Column(name); !inS {
 			names = append(names, name)
 		}
 	}
-	freqs, err := db.ColumnFrequencies(names, lim, f.p.cfg.Workers)
+	freqs, err := db.ColumnFrequencies(names, f.p.cfg.DistinctLimit, f.p.cfg.Workers)
 	if err != nil {
 		return err
 	}
-	for i, cf := range freqs {
-		if cf.Over {
-			continue // τ-excluded: a rebuild would drop this column too
+	var watched []*engine.ColumnClasses
+	for _, cf := range freqs {
+		if !cf.Over { // else τ-excluded: a rebuild would drop this column too
+			watched = append(watched, cf.Classify(func(engine.Value) int8 { return -1 }, 0))
 		}
-		set := make(map[engine.Value]struct{})
-		for _, vc := range cf.Counts() {
-			set[vc.Value] = struct{}{}
-		}
-		f.missingPos = append(f.missingPos, pos[i])
-		f.missingVals = append(f.missingVals, set)
 	}
+	f.missing = engine.NewRowClassifier(watched, false)
 	return nil
-}
-
-// trackMissing counts batch rows whose value in a tracked no-small-groups
-// column was never seen at pre-processing time.
-func (f *family) trackMissing(rows [][]engine.Value) {
-	for i, p := range f.missingPos {
-		set := f.missingVals[i]
-		for _, row := range rows {
-			if _, ok := set[row[p]]; !ok {
-				f.missingNew++
-			}
-		}
-	}
 }
 
 // DataGeneration returns the data generation of the newest applied batch.
@@ -375,19 +309,14 @@ func (o *Online) Validate(rows [][]engine.Value) error { return o.app.Validate(r
 // floors at 1 once a brand-new value arrives in a column pre-processing
 // removed from S for having no small groups: that group cannot be captured
 // without a rebuild re-admitting the column. +Inf when value tracking
-// saturated (see OnlineConfig.MaxTrackedPerColumn).
+// saturated (see maxTrackedPerColumn).
 func (o *Online) Drift() float64 {
-	for _, s := range o.saturated {
-		if s {
-			return math.Inf(1)
-		}
+	if slices.Contains(o.saturated, true) {
+		return math.Inf(1)
 	}
-	var d float64
-	if n := o.app.DB().NumRows(); n > 0 && o.maxRareCount > 0 {
-		d = float64(o.maxRareCount) / (o.t * float64(n))
-	}
-	if o.missingNew > 0 && d < 1 {
-		d = 1
+	d := float64(o.maxRareCount) / (o.t * float64(o.app.DB().NumRows()))
+	if o.missingNew > 0 {
+		d = max(d, 1)
 	}
 	return d
 }
@@ -405,17 +334,18 @@ func (o *Online) Apply(seq uint64, rows [][]engine.Value) (BatchStats, error) {
 	if seq != o.gen+1 {
 		return st, fmt.Errorf("core: online apply out of order: batch %d after generation %d", seq, o.gen)
 	}
-	updateSamples := seq > o.sampleGen
 	newDB, err := o.app.Append(rows)
 	if err != nil {
 		return st, err
 	}
-
-	words, perTable, victims := o.classify(rows, randx.New(batchSeed(o.seed, seq)), true)
+	if err := errors.Join(o.split.grow(newDB), o.missing.Grow(newDB)); err != nil {
+		return st, err
+	}
+	words, perTable, victims := o.classify(newDB, len(rows), randx.New(batchSeed(o.seed, seq)), true)
 
 	np := *o.p
 	np.db = newDB
-	if updateSamples {
+	if seq > o.sampleGen {
 		o.applySampleUpdates(&np, rows, words, perTable, victims, &st)
 		np.overallScale = float64(newDB.NumRows()) / float64(o.cap)
 		o.sampleGen = seq
@@ -430,9 +360,7 @@ func (o *Online) Apply(seq uint64, rows [][]engine.Value) (BatchStats, error) {
 	o.sys.SwapPrepared(o.strategy, &np)
 	o.sys.SwapData(newDB, o.gen)
 
-	st.Rows = len(rows)
-	st.Drift = o.Drift()
-	st.DataGeneration = o.gen
+	st.Rows, st.Drift, st.DataGeneration = len(rows), o.Drift(), o.gen
 	return st, nil
 }
 
@@ -458,47 +386,48 @@ type reservoirHit struct {
 	ri   int
 }
 
-// classify computes each batch row's membership mask (row ri's words are
-// words[ri*w:][:w], w words to a row), tracks values of still-dropped
-// columns, and draws the reservoir decisions from rng; with bumpFreqs it also
-// bumps the rare-value frequency counts. Apply bumps; Rebase's tail replay
-// does not, because rebased counts were seeded from the full current
-// database, tail rows included (the missing-column value sets were seeded
-// from the pinned rebuild database, which excludes the tail, so that
-// tracking runs either way). It mutates only tracking state (freqs, seen),
-// never sample tables.
-func (f *family) classify(rows [][]engine.Value, rng *rand.Rand, bumpFreqs bool) (words []uint64, perTable map[int][]int, victims []reservoirHit) {
-	meta := f.p.meta
-	w := maskWords(meta.Width())
-	cols := meta.Columns()
-	words = make([]uint64, len(rows)*w)
+// classify finds the masks of a batch's n rows, rows [seen, seen+n) of db
+// (row ri's words are words[ri*w:][:w], w words to a row), counts the new
+// values of still-dropped columns, and draws the reservoir decisions from
+// rng; with bumpFreqs it also bumps the rare-value frequency counts, row by
+// row. Apply bumps; Rebase's tail replay does not, because rebased counts
+// were seeded from the full current database, tail rows included (the
+// missing-column watch was seeded from the pinned rebuild database, which
+// excludes the tail, so it counts either way). The family's classifiers must
+// be bound to db or a later version. It mutates only tracking state (freqs,
+// seen, missingNew), never sample tables.
+func (f *family) classify(db *engine.Database, n int, rng *rand.Rand, bumpFreqs bool) (words []uint64, perTable map[int][]int, victims []reservoirHit) {
+	lo, w, mw, cols := int(f.seen), maskWords(f.p.meta.Width()), f.missing.Words(), f.p.meta.Columns()
+	words = make([]uint64, n*max(w, mw)) // the watch's verdicts, then the masks
+	f.missing.BlockBits(lo, n, words)
+	for _, word := range words[:n*mw] {
+		f.missingNew += int64(bits.OnesCount64(word))
+	}
+	words = words[:n*w]
+	f.split.masks(lo, n, words)
+	// A column's reader is made at its first rare value in the batch; small
+	// keeps up to 16 of them off the heap.
+	var small [16]engine.ColumnAccessor
+	vals := append(small[:0], make([]engine.ColumnAccessor, len(cols))...)
 	perTable = make(map[int][]int)
-	f.trackMissing(rows)
-	for ri, row := range rows {
+	for ri := range n {
 		m := words[ri*w:][:w]
 		for ci, cm := range cols {
-			v := row[f.colPos[ci]]
-			if _, common := cm.Common[v]; common {
+			if !bumpFreqs || f.saturated[ci] || !bitSet(m, cm.Index) {
 				continue
 			}
-			if bumpFreqs {
-				f.bumpFreq(ci, v)
+			if vals[ci] == nil {
+				vals[ci], _ = db.Accessor(cm.Column) // metaSplit bound the column
 			}
-			setBit(m, cm.Index)
-			perTable[cm.Index] = append(perTable[cm.Index], ri)
-		}
-		for pi, pm := range meta.Pairs() {
-			v0 := row[f.pairPos[pi][0]]
-			v1 := row[f.pairPos[pi][1]]
-			if !f.pairColCommon[pi][0](v0) || !f.pairColCommon[pi][1](v1) {
-				continue
-			}
-			tuple := engine.EncodeKey([]engine.Value{v0, v1})
-			if _, rare := pm.Rare[tuple]; rare {
-				setBit(m, pm.Index)
-				perTable[pm.Index] = append(perTable[pm.Index], ri)
+			// A value new to a column that tracks maxTracked saturates it.
+			v, freq := vals[ci].Value(lo+ri), f.freqs[ci]
+			if c := freq[v] + 1; c > 1 || len(freq) < f.maxTracked {
+				freq[v], f.maxRareCount = c, max(f.maxRareCount, c)
+			} else {
+				f.saturated[ci], f.freqs[ci] = true, nil
 			}
 		}
+		eachBit(m, func(i int) { perTable[i] = append(perTable[i], ri) })
 		// Continued Algorithm R: replace slot j with probability cap/seen.
 		f.seen++
 		if j := rng.Int63n(f.seen); j < int64(f.cap) {
@@ -506,23 +435,6 @@ func (f *family) classify(rows [][]engine.Value, rng *rand.Rand, bumpFreqs bool)
 		}
 	}
 	return words, perTable, victims
-}
-
-func (f *family) bumpFreq(ci int, v engine.Value) {
-	if f.saturated[ci] {
-		return
-	}
-	freq := f.freqs[ci]
-	c := freq[v] + 1
-	if c == 1 && len(freq) >= f.maxTracked {
-		f.saturated[ci] = true
-		f.freqs[ci] = nil
-		return
-	}
-	freq[v] = c
-	if c > f.maxRareCount {
-		f.maxRareCount = c
-	}
 }
 
 // applySampleUpdates materialises the classified batch into copy-on-write
@@ -583,28 +495,24 @@ func (o *Online) Rebase(p Prepared, rebuiltAt uint64, tail []TailBatch) error {
 	}
 	np := *sgp
 	np.db = o.app.DB()
-	// Missing-column value sets, unlike the frequency counts, are seeded
-	// from the pinned rebuild database: a new value a tail row introduces
-	// into a still-dropped column must keep the drift gauge floored, and
-	// classify bumps it during the tail replay below.
+	// The missing-column watch, unlike the frequency counts, is seeded from
+	// the pinned rebuild database: a new value a tail row introduces into a
+	// still-dropped column must keep the drift gauge floored, and classify
+	// counts it during the tail replay below.
 	f, err := newFamily(&np, np.db, sgp.db, rebuiltAt, o.maxTracked)
 	if err != nil {
 		return fmt.Errorf("core: online rebase: %w", err)
+	}
+	if end := rebuiltAt + uint64(len(tail)); end != o.gen {
+		return fmt.Errorf("core: rebase tail ends at batch %d, data generation is %d", end, o.gen)
 	}
 	for _, b := range tail {
 		if b.Seq != f.sampleGen+1 {
 			return fmt.Errorf("core: rebase tail out of order: batch %d after sample generation %d", b.Seq, f.sampleGen)
 		}
-		if b.Seq > o.gen {
-			return fmt.Errorf("core: rebase tail batch %d beyond data generation %d", b.Seq, o.gen)
-		}
-		words, perTable, victims := f.classify(b.Rows, randx.New(batchSeed(o.seed, b.Seq)), false)
-		var st BatchStats
-		f.applySampleUpdates(&np, b.Rows, words, perTable, victims, &st)
+		words, perTable, victims := f.classify(np.db, len(b.Rows), randx.New(batchSeed(o.seed, b.Seq)), false)
+		f.applySampleUpdates(&np, b.Rows, words, perTable, victims, new(BatchStats))
 		f.sampleGen = b.Seq
-	}
-	if f.sampleGen != o.gen {
-		return fmt.Errorf("core: rebase tail ends at batch %d, data generation is %d", f.sampleGen, o.gen)
 	}
 	np.overallScale = float64(np.db.NumRows()) / float64(f.cap)
 	np.dataGen = f.sampleGen

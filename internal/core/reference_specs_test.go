@@ -138,6 +138,39 @@ func TestKernelMatchesNaiveOnSpecs(t *testing.T) {
 	}
 }
 
+// TestOnlineClassifierMatchesNaiveOnSpecs is the oracle for online
+// maintenance's classifier, scan 2's mask path grown with the data: over the
+// embedded specs × the configurations online maintenance supports × a fresh
+// and a saved-and-loaded family, ingesting through Apply and a Rebase must
+// give the mask words, sample family and tracking state of the per-row loop
+// it replaced. Each run ingests into a database of its own.
+func TestOnlineClassifierMatchesNaiveOnSpecs(t *testing.T) {
+	dbs := []struct {
+		name   string
+		rows   int
+		subset []string
+		pair   [2]string
+		tau    []string
+	}{
+		{"tpch", 12000, []string{"l_shipdate", "p_brand", "o_clerk", "l_extendedprice", "s_acctbal_bucket"},
+			[2]string{"l_shipmode", "p_brand"}, []string{"l_shipdate", "o_clerk"}},
+		{"sales", 3000, []string{"units", "product_brand", "store_state", "sale_amount", "order_type"},
+			[2]string{"order_type", "store_region"}, []string{"units", "product_brand"}},
+	}
+	for _, d := range dbs {
+		for _, rc := range referenceCases(t, specDB(t, d.name, d.rows), d.subset, d.pair, d.tau) {
+			if !rc.online {
+				continue
+			}
+			for _, restored := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%s/restored=%v", d.name, rc.name, restored), func(t *testing.T) {
+					core.AssertOnlineClassifyMatchesNaive(t, specDB(t, d.name, d.rows), rc.cfg, restored)
+				})
+			}
+		}
+	}
+}
+
 // BenchmarkPreprocessLayers times the pre-processing phases and the online
 // seeding one by one on the embedded tpch spec at 200k fact rows (fixed
 // seeds). scripts/bench.sh records it in BENCH_preprocess.json.

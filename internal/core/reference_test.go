@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"dynsample/internal/bitmask"
@@ -485,6 +487,149 @@ func naiveSeedMissing(meta *Metadata, db *engine.Database, lim int) (pos []int, 
 	return pos, vals
 }
 
+// naiveFamily is Online's tracking state as it was before classification
+// moved to scan 2's mask path: view positions per column and pair, and
+// value-keyed maps for the rare-value counts and the dropped columns' values.
+type naiveFamily struct {
+	meta        *Metadata
+	cap         int
+	seen        int64
+	maxTracked  int
+	colPos      []int    // per meta column: position in the view column order
+	pairPos     [][2]int // per pair: view positions of both columns
+	freqs       []map[engine.Value]int64
+	saturated   []bool
+	maxRare     int64
+	missingPos  []int
+	missingVals []map[engine.Value]struct{}
+	missingNew  int64
+}
+
+// newNaiveFamily seeds the naive tracking state of family p: the counts from
+// live, the dropped columns' values from pinned at distinct limit lim.
+func newNaiveFamily(p *smallGroupPrepared, live, pinned *engine.Database, lim, maxTracked int) *naiveFamily {
+	nf := &naiveFamily{meta: p.meta, cap: int(p.overall.rows()), seen: int64(pinned.NumRows()), maxTracked: maxTracked}
+	pos := make(map[string]int)
+	for i, name := range live.Columns() {
+		pos[name] = i
+	}
+	for _, cm := range p.meta.Columns() {
+		nf.colPos = append(nf.colPos, pos[cm.Column])
+	}
+	for _, pm := range p.meta.Pairs() {
+		nf.pairPos = append(nf.pairPos, [2]int{pos[pm.Cols[0]], pos[pm.Cols[1]]})
+	}
+	nf.freqs, nf.saturated, nf.maxRare = naiveSeedFrequencies(p.meta, live, maxTracked)
+	nf.missingPos, nf.missingVals = naiveSeedMissing(p.meta, pinned, lim)
+	return nf
+}
+
+// naiveClassifyBatch is family.classify as it was: per row, a boxed value
+// map probe per column of S, an EncodeKey per pair, and a map probe per
+// watched dropped column.
+func naiveClassifyBatch(nf *naiveFamily, rows [][]engine.Value, rng *rand.Rand, bumpFreqs bool) (words []uint64, perTable map[int][]int, victims []reservoirHit) {
+	meta := nf.meta
+	w := maskWords(meta.Width())
+	words = make([]uint64, len(rows)*w)
+	perTable = make(map[int][]int)
+	for i, p := range nf.missingPos {
+		for _, row := range rows {
+			if _, ok := nf.missingVals[i][row[p]]; !ok {
+				nf.missingNew++
+			}
+		}
+	}
+	for ri, row := range rows {
+		m := words[ri*w:][:w]
+		for ci, cm := range meta.Columns() {
+			v := row[nf.colPos[ci]]
+			if _, common := cm.Common[v]; common {
+				continue
+			}
+			if bumpFreqs && !nf.saturated[ci] {
+				if c := nf.freqs[ci][v] + 1; c == 1 && len(nf.freqs[ci]) >= nf.maxTracked {
+					nf.saturated[ci], nf.freqs[ci] = true, nil
+				} else {
+					nf.freqs[ci][v] = c
+					nf.maxRare = max(nf.maxRare, c)
+				}
+			}
+			setBit(m, cm.Index)
+			perTable[cm.Index] = append(perTable[cm.Index], ri)
+		}
+		for pi, pm := range meta.Pairs() {
+			v0, v1 := row[nf.pairPos[pi][0]], row[nf.pairPos[pi][1]]
+			if !meta.IsCommon(pm.Cols[0], v0) || !meta.IsCommon(pm.Cols[1], v1) {
+				continue
+			}
+			if _, rare := pm.Rare[engine.EncodeKey([]engine.Value{v0, v1})]; rare {
+				setBit(m, pm.Index)
+				perTable[pm.Index] = append(perTable[pm.Index], ri)
+			}
+		}
+		nf.seen++
+		if j := rng.Int63n(nf.seen); j < int64(nf.cap) {
+			victims = append(victims, reservoirHit{slot: int(j), ri: ri})
+		}
+	}
+	return words, perTable, victims
+}
+
+// drift is Online.Drift over the naive state.
+func (nf *naiveFamily) drift(t float64, n int) float64 {
+	for _, s := range nf.saturated {
+		if s {
+			return math.Inf(1)
+		}
+	}
+	d := float64(nf.maxRare) / (t * float64(n))
+	if nf.missingNew > 0 && d < 1 {
+		d = 1
+	}
+	return d
+}
+
+// freqsDigest renders rare-value counts sorted, each column's on a line, both
+// zeros as one: reflect.DeepEqual tells no two maps with a NaN key equal, and
+// which zero a map keeps is whichever came first.
+func freqsDigest(freqs []map[engine.Value]int64) string {
+	var sb strings.Builder
+	for _, freq := range freqs {
+		var line []string
+		for v, c := range freq {
+			if v.T == engine.Float && v.F == 0 {
+				v.F = 0
+			}
+			line = append(line, fmt.Sprintf("%s:%d", v, c))
+		}
+		sort.Strings(line)
+		fmt.Fprintf(&sb, "%v %v\n", freq == nil, line)
+	}
+	return sb.String()
+}
+
+// assertSameTracking compares the online family's tracking state with the
+// naive one's: the counts, the saturation flags, the dropped columns' new
+// values and the drift gauge.
+func assertSameTracking(t *testing.T, o *Online, nf *naiveFamily) {
+	t.Helper()
+	if got, want := freqsDigest(o.freqs), freqsDigest(nf.freqs); got != want {
+		t.Fatalf("rare-frequency maps diverged from the naive tracking:\n%s\nnaive\n%s", got, want)
+	}
+	if !reflect.DeepEqual(o.saturated, nf.saturated) {
+		t.Fatalf("saturated flags %v, naive %v", o.saturated, nf.saturated)
+	}
+	if o.maxRareCount != nf.maxRare {
+		t.Fatalf("max rare count %d, naive %d", o.maxRareCount, nf.maxRare)
+	}
+	if o.missingNew != nf.missingNew {
+		t.Fatalf("%d new values in dropped columns, naive %d", o.missingNew, nf.missingNew)
+	}
+	if d, want := o.Drift(), nf.drift(o.t, o.DB().NumRows()); d != want {
+		t.Fatalf("drift %v, naive %v", d, want)
+	}
+}
+
 // familyBytes serialises everything SaveSmallGroup would write after the
 // metadata header — every sample table in index order, then the overall
 // sample — and, unlike SaveSmallGroup, also renormalized storage (fact slice
@@ -565,45 +710,270 @@ func assertSameFamily(t *testing.T, got, want *smallGroupPrepared) {
 }
 
 // AssertOnlineSeedMatchesNaive attaches online maintenance to a freshly
-// pre-processed db and compares the seeded tracking state with the old
-// loops'. maxTracked 0 means the default cap.
+// pre-processed db, with a rare-value cap of maxTracked (0 means the default
+// cap), and compares the seeded tracking state with the old loops'. The
+// dropped-column watch is held to them by its verdicts: on every row of db
+// the watch sees no new value.
 func AssertOnlineSeedMatchesNaive(t *testing.T, db *engine.Database, cfg SmallGroupConfig, maxTracked int) {
 	t.Helper()
+	if maxTracked == 0 {
+		maxTracked = maxTrackedPerColumn
+	}
 	sys := NewSystem(db)
 	if err := sys.AddStrategy(NewSmallGroup(cfg)); err != nil {
 		t.Fatal(err)
 	}
-	o, err := NewOnline(sys, "smallgroup", OnlineConfig{Seed: 1, MaxTrackedPerColumn: maxTracked})
+	o, err := NewOnline(sys, "smallgroup", OnlineConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := o.p.meta
-	freqs, saturated, maxRare := naiveSeedFrequencies(meta, db, o.maxTracked)
-	if !reflect.DeepEqual(o.freqs, freqs) {
-		t.Fatalf("rare-frequency maps diverged from the naive seeding")
+	if o.family, err = newFamily(o.p, db, db, 0, maxTracked); err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(o.saturated, saturated) {
-		t.Fatalf("saturated flags %v, naive %v", o.saturated, saturated)
-	}
-	if o.maxRareCount != maxRare {
-		t.Fatalf("max rare count %d, naive %d", o.maxRareCount, maxRare)
-	}
-	wantDrift := float64(maxRare) / (o.t * float64(db.NumRows()))
-	for _, s := range saturated {
-		if s {
-			wantDrift = math.Inf(1)
+	assertSameTracking(t, o, newNaiveFamily(o.p, db, db, o.p.cfg.DistinctLimit, maxTracked))
+	verdicts := make([]uint64, db.NumRows()*o.missing.Words())
+	o.missing.BlockBits(0, db.NumRows(), verdicts)
+	for i, word := range verdicts {
+		if word != 0 {
+			t.Fatalf("the dropped-column watch finds a new value in row %d of the database it was seeded from", i/o.missing.Words())
 		}
 	}
-	if o.Drift() != wantDrift {
-		t.Fatalf("drift %v, naive %v", o.Drift(), wantDrift)
+}
+
+// probeBatches draws, in view column order, the ingest batches the online
+// oracle compares on: copies of existing rows; rows that carry a common and a
+// rare value of each dimension column of S into a new dimension row (another
+// column of the dimension takes a new value); a new string in every string
+// column; integers outside any dense span and both int64 extremes in every
+// integer column; NaN, both zeros and a new value in every float column — so
+// every dropped column gets a new value too; and last, flood distinct new
+// values in the first column of S.
+func probeBatches(t *testing.T, db *engine.Database, meta *Metadata, rng *rand.Rand, flood int) [][][]engine.Value {
+	t.Helper()
+	names := db.Columns()
+	accs := make([]engine.ColumnAccessor, len(names))
+	views := make([]engine.ColumnView, len(names))
+	pos := make(map[string]int)
+	for j, name := range names {
+		var err error
+		if accs[j], err = db.Accessor(name); err != nil {
+			t.Fatal(err)
+		}
+		if views[j], err = db.View(name); err != nil {
+			t.Fatal(err)
+		}
+		pos[name] = j
 	}
-	lim := o.p.cfg.DistinctLimit
-	pos, vals := naiveSeedMissing(meta, db, lim)
-	if fmt.Sprint(o.missingPos) != fmt.Sprint(pos) {
-		t.Fatalf("missing-value columns %v, naive %v", o.missingPos, pos)
+	row := func() []engine.Value {
+		r, out := rng.Intn(db.NumRows()), make([]engine.Value, len(names))
+		for j, acc := range accs {
+			out[j] = acc.Value(r)
+		}
+		return out
 	}
-	if !reflect.DeepEqual(o.missingVals, vals) {
-		t.Fatalf("missing-value sets diverged from the naive seeding")
+	fresh := func(j, k int) engine.Value {
+		switch views[j].Type {
+		case engine.String:
+			return engine.StringVal(fmt.Sprintf("%s~new%d", names[j], k))
+		case engine.Int:
+			return engine.IntVal(1<<40 + int64(k))
+		default:
+			return engine.FloatVal(-1e9 - float64(k))
+		}
+	}
+	with := func(j int, v engine.Value) []engine.Value {
+		r := row()
+		r[j] = v
+		return r
+	}
+	var copies, dims, values [][]engine.Value
+	for range 24 {
+		copies = append(copies, row())
+	}
+	for _, cm := range meta.Columns() {
+		j := pos[cm.Column]
+		if views[j].Dim < 0 {
+			continue
+		}
+		vcs, err := db.DistinctValues(cm.Column)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Most frequent first: the first value is common, the last rare.
+		for _, vc := range []engine.ValueCount{vcs[0], vcs[len(vcs)-1]} {
+			r := with(j, vc.Value)
+			for d, v := range views {
+				if d != j && v.Dim == views[j].Dim {
+					r[d] = fresh(d, len(dims))
+					break
+				}
+			}
+			dims = append(dims, r)
+		}
+	}
+	for j, v := range views {
+		switch v.Type {
+		case engine.String:
+			values = append(values, with(j, fresh(j, 0)), with(j, fresh(j, 1)))
+		case engine.Int:
+			values = append(values, with(j, fresh(j, 0)), with(j, engine.IntVal(math.MaxInt64)), with(j, engine.IntVal(math.MinInt64)))
+		default:
+			values = append(values, with(j, fresh(j, 0)), with(j, engine.FloatVal(math.NaN())),
+				with(j, engine.FloatVal(0)), with(j, engine.FloatVal(math.Copysign(0, -1))))
+		}
+	}
+	var flooded [][]engine.Value
+	if cols := meta.Columns(); len(cols) > 0 {
+		j := pos[cols[0].Column]
+		for k := range flood {
+			flooded = append(flooded, with(j, fresh(j, 100+k)))
+		}
+	}
+	return [][][]engine.Value{copies, dims, values, flooded}
+}
+
+// detached returns a copy of family p whose tables are read back from their
+// table format: a writer lineage of their own, which a second copy of a
+// batch's updates may append to.
+func detached(t *testing.T, p *smallGroupPrepared) *smallGroupPrepared {
+	t.Helper()
+	copyOf := func(s sampleSource) sampleSource {
+		var buf bytes.Buffer
+		if err := engine.WriteBinary(s.src.(*engine.Table), &buf); err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := engine.ReadBinary(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sampleSource{src: tbl, name: s.name}
+	}
+	cp := *p
+	cp.tables = make([]sampleSource, len(p.tables))
+	for i, s := range p.tables {
+		cp.tables[i] = copyOf(s)
+	}
+	cp.overall = copyOf(p.overall)
+	return &cp
+}
+
+// AssertOnlineClassifyMatchesNaive pre-processes db with cfg — and, with
+// restored, saves and loads the family — attaches online maintenance, and
+// ingests probeBatches through Apply, then through a Rebase onto the family
+// pre-processed mid-stream with the last batches as its tail, and one more
+// Apply. After every step the mask words of the batch's rows, the sample
+// family (so the per-table row lists and the reservoir victims), the insert
+// and swap counts, and the tracking state must equal what the loop classify
+// replaced (naiveClassifyBatch) makes of the same batches. db must be a
+// database no other writer grows.
+func AssertOnlineClassifyMatchesNaive(t *testing.T, db *engine.Database, cfg SmallGroupConfig, restored bool) {
+	t.Helper()
+	const seed = 7
+	cfg = cfg.withDefaults()
+	p, err := NewSmallGroup(cfg).Preprocess(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored {
+		var buf bytes.Buffer
+		if err := SaveSmallGroup(&buf, p); err != nil {
+			t.Fatal(err)
+		}
+		if p, err = LoadSmallGroup(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys := NewSystem(db)
+	sys.AddPrepared("smallgroup", p)
+	o, err := NewOnline(sys, "smallgroup", OnlineConfig{Seed: seed, SmallGroupFraction: cfg.SmallGroupFraction})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A cap just past the most rare values any column holds, so that the last
+	// batch's flood saturates the column it floods.
+	maxTracked := 8
+	free, _, _ := naiveSeedFrequencies(o.p.meta, db, math.MaxInt)
+	for _, freq := range free {
+		maxTracked = max(maxTracked, len(freq)+8)
+	}
+	if o.family, err = newFamily(o.p, db, db, o.p.dataGen, maxTracked); err != nil {
+		t.Fatal(err)
+	}
+	nf := newNaiveFamily(o.p, db, db, cfg.DistinctLimit, maxTracked)
+	assertSameTracking(t, o, nf)
+
+	// compare holds the batch o just applied, or replayed as seq, at rows
+	// [lo, lo+len(rows)), to the naive classification onto the family before.
+	compare := func(seq uint64, rows [][]engine.Value, lo int, before *smallGroupPrepared, st BatchStats, nf *naiveFamily, bump bool) {
+		t.Helper()
+		words, perTable, victims := naiveClassifyBatch(nf, rows, randx.New(batchSeed(seed, seq)), bump)
+		got := make([]uint64, len(words))
+		o.split.masks(lo, len(rows), got)
+		if !reflect.DeepEqual(got, words) {
+			t.Fatalf("batch %d: mask words differ from the naive classification", seq)
+		}
+		want := detached(t, before)
+		var wst BatchStats
+		(&family{p: want}).applySampleUpdates(want, rows, words, perTable, victims, &wst)
+		if st.SmallGroupInserts != wst.SmallGroupInserts || st.ReservoirSwaps != wst.ReservoirSwaps {
+			t.Fatalf("batch %d: %d inserts and %d swaps, naive %d and %d", seq, st.SmallGroupInserts, st.ReservoirSwaps, wst.SmallGroupInserts, wst.ReservoirSwaps)
+		}
+		if !bytes.Equal(familyBytes(t, o.p), familyBytes(t, want)) {
+			t.Fatalf("batch %d: sample family differs from the naive classification's", seq)
+		}
+		assertSameTracking(t, o, nf)
+	}
+	apply := func(seq uint64, rows [][]engine.Value) {
+		t.Helper()
+		before, lo := o.p, o.DB().NumRows()
+		st, err := o.Apply(seq, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compare(seq, rows, lo, before, st, nf, true)
+	}
+
+	meta := o.p.meta
+	batches := probeBatches(t, db, meta, randx.New(seed), maxTracked+8)
+	apply(1, batches[0])
+	apply(2, batches[1])
+	pinned, pinnedGen := sys.Data()
+	rebuilt, err := NewSmallGroup(cfg).Preprocess(pinned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	apply(3, batches[2])
+	tail := []TailBatch{{Seq: 3, Rows: batches[2]}}
+	if err := o.Rebase(rebuilt, pinnedGen, tail); err != nil {
+		t.Fatal(err)
+	}
+	// The naive rebase: tracking seeded from the rebuilt family, the tail
+	// replayed without bumps onto it.
+	live := o.DB()
+	rp := *rebuilt.(*smallGroupPrepared)
+	rp.db = live
+	nf = newNaiveFamily(&rp, live, pinned, cfg.DistinctLimit, maxTracked)
+	replayed, lo := detached(t, &rp), pinned.NumRows()
+	for _, b := range tail {
+		var st BatchStats
+		words, perTable, victims := naiveClassifyBatch(nf, b.Rows, randx.New(batchSeed(seed, b.Seq)), false)
+		(&family{p: replayed}).applySampleUpdates(replayed, b.Rows, words, perTable, victims, &st)
+		got := make([]uint64, len(words))
+		o.split.masks(lo, len(b.Rows), got)
+		if !reflect.DeepEqual(got, words) {
+			t.Fatalf("rebase tail batch %d: mask words differ from the naive classification", b.Seq)
+		}
+		lo += len(b.Rows)
+	}
+	if !bytes.Equal(familyBytes(t, o.p), familyBytes(t, replayed)) {
+		t.Fatal("rebased sample family differs from the naive replay's")
+	}
+	assertSameTracking(t, o, nf)
+	apply(4, batches[3])
+	if cols := meta.Columns(); len(cols) > 0 {
+		if ci, ok := o.p.meta.Index(cols[0].Column); ok && !o.saturated[ci] {
+			t.Fatalf("a flood of %d new values left %s unsaturated at cap %d", len(batches[3]), cols[0].Column, maxTracked)
+		}
 	}
 }
 

@@ -203,7 +203,8 @@ func (s *SmallGroup) Preprocess(db *engine.Database) (Prepared, error) {
 }
 
 // bandSplit is the outcome of scan 1: the metadata catalog and the per-row
-// band lookups derived from the same frequencies.
+// band lookups derived from the same frequencies. Online maintenance builds
+// one from the metadata alone (metaSplit) and grows it with the data.
 type bandSplit struct {
 	meta  *Metadata
 	bands []*engine.ColumnClasses // per column of S: the row's hierarchy level, -1 when common
@@ -236,11 +237,46 @@ func countBands(db *engine.Database, cfg SmallGroupConfig) (*bandSplit, error) {
 		}
 	}
 	split.meta = NewMetadata(n, metas)
-	split.rare = engine.NewRowClassifier(split.bands)
+	split.rare = engine.NewRowClassifier(split.bands, true)
 	// Pair tables (§4.2.3 variation): tuple frequencies over rows where both
 	// columns are individually common.
 	split.pairs, err = buildPairs(db, split.meta, cfg, split.rare)
 	return split, err
+}
+
+// metaSplit is the mask source of a family, built from its metadata over db
+// and not from a count: a restored family was never counted in this process,
+// and a column whose rare values outgrew their tracking has no complete
+// count. A column's band is 0 (rare) for every value outside L(C), one db
+// gains later included, and -1 for the values of L(C); a pair tests its rare
+// tuples. db must hold every value of L(C).
+func metaSplit(meta *Metadata, db *engine.Database) (*bandSplit, error) {
+	split := &bandSplit{meta: meta}
+	for _, cm := range meta.Columns() {
+		v, err := db.View(cm.Column)
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		split.bands = append(split.bands, v.Classes(cm.Common, -1, 0))
+	}
+	split.rare = engine.NewRowClassifier(split.bands, false)
+	for _, pm := range meta.Pairs() {
+		pt := newPairTester(meta, pm.Cols)
+		pt.index, pt.rare = pm.Index, pm.Rare
+		split.pairs = append(split.pairs, pt)
+	}
+	return split, split.grow(db)
+}
+
+// grow binds the split to db, the database its classes were built over or a
+// later version of it.
+func (split *bandSplit) grow(db *engine.Database) error {
+	for _, pt := range split.pairs {
+		if err := pt.bind(db); err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+	}
+	return split.rare.Grow(db)
 }
 
 // sampleRows is the outcome of scan 2: the base rows each sample table
@@ -348,7 +384,7 @@ func (split *bandSplit) classify(db *engine.Database, cfg SmallGroupConfig) (*sa
 // the one runtime, so bounded plans, deadline degradation, plan preview, the
 // worker budget and catalog save and restore all apply to it.
 func OverallOnly(db *engine.Database, name string, rows []int, weights []float64) Prepared {
-	return &smallGroupPrepared{db: db, meta: NewMetadata(int64(db.NumRows()), nil),
+	return &smallGroupPrepared{db: db, meta: NewMetadata(int64(db.NumRows()), nil), cfg: SmallGroupConfig{DistinctLimit: DefaultDistinctLimit},
 		overall:      sampleSource{src: db.Flatten(name, rows, nil, weights), name: name},
 		overallScale: overallScale(db.NumRows(), rows, weights), pstats: &plannerStats{}}
 }
@@ -464,11 +500,33 @@ func eachBit(words []uint64, fn func(i int)) {
 // pairTester tests pair-table membership for one configured column pair.
 type pairTester struct {
 	index  int
+	cols   [2]string
 	a0, a1 engine.ColumnAccessor
 	// s0, s1 are the pair columns' bit positions in S, or -1 for a column
 	// outside S (every value common).
 	s0, s1 int
 	rare   map[engine.GroupKey]struct{}
+}
+
+// newPairTester returns the tester of a pair of columns, its bit positions
+// in S taken from meta; the caller sets index and rare, and binds it.
+func newPairTester(meta *Metadata, pair [2]string) *pairTester {
+	pt := &pairTester{cols: pair, s0: -1, s1: -1}
+	if i, ok := meta.Index(pair[0]); ok {
+		pt.s0 = i
+	}
+	if i, ok := meta.Index(pair[1]); ok {
+		pt.s1 = i
+	}
+	return pt
+}
+
+// bind reads the pair's values from db.
+func (pt *pairTester) bind(db *engine.Database) (err error) {
+	if pt.a0, err = db.Accessor(pt.cols[0]); err == nil {
+		pt.a1, err = db.Accessor(pt.cols[1])
+	}
+	return err
 }
 
 // candidate reports whether both values of the row are individually common,
@@ -512,19 +570,9 @@ func buildPairs(db *engine.Database, meta *Metadata, cfg SmallGroupConfig, rare 
 	n, w := db.NumRows(), rare.Words()
 	rowBits := make([]uint64, maskRows*w)
 	for _, pair := range cfg.Pairs {
-		pt := &pairTester{s0: -1, s1: -1}
-		var err error
-		if pt.a0, err = db.Accessor(pair[0]); err != nil {
+		pt := newPairTester(meta, pair)
+		if err := pt.bind(db); err != nil {
 			return nil, fmt.Errorf("smallgroup: %w", err)
-		}
-		if pt.a1, err = db.Accessor(pair[1]); err != nil {
-			return nil, fmt.Errorf("smallgroup: %w", err)
-		}
-		if i, ok := meta.Index(pair[0]); ok {
-			pt.s0 = i
-		}
-		if i, ok := meta.Index(pair[1]); ok {
-			pt.s1 = i
 		}
 
 		counts := make(map[engine.GroupKey]int64)
@@ -666,6 +714,6 @@ func deriveBands(f *engine.ColumnFreq, n int64, levels []HierarchyLevel) (Column
 			return lvl
 		}
 		return -1
-	})
+	}, -1)
 	return cm, band, true
 }

@@ -20,10 +20,12 @@ import (
 
 const storeMagic = "DSSG"
 
-// storeVersion 3 dropped version 2's confidence level from the runtime
-// configuration block (a request states its own). It is the only version
-// read: nothing writes another.
-const storeVersion = 3
+// storeVersion 4 added the distinct-value cutoff τ to the runtime
+// configuration block: online maintenance watches the columns outside S
+// within the τ the family was built with. Version 3 had dropped version 2's
+// confidence level (a request states its own). It is the only version read:
+// nothing writes another.
+const storeVersion = 4
 
 // Sanity caps on length prefixes. A truncated or corrupted header must
 // produce a descriptive error, not a multi-gigabyte allocation: every count
@@ -58,6 +60,7 @@ func SaveSmallGroup(w io.Writer, p Prepared) error {
 
 	// Runtime configuration.
 	putU32(bw, uint32(sgp.cfg.MaxTablesPerQuery))
+	putU32(bw, uint32(sgp.cfg.DistinctLimit))
 	putF64(bw, sgp.overallScale)
 	putU64(bw, sgp.dataGen)
 
@@ -125,8 +128,11 @@ func LoadSmallGroup(r io.Reader) (Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version == 2 {
+	switch version {
+	case 2:
 		return nil, fmt.Errorf("core: store version 2 carries a confidence level this build no longer reads; it reads version %d only", storeVersion)
+	case 3:
+		return nil, fmt.Errorf("core: store version 3 does not record the distinct-value cutoff τ; this build reads version %d only", storeVersion)
 	}
 	if version != storeVersion {
 		return nil, fmt.Errorf("core: unsupported store version %d", version)
@@ -141,6 +147,11 @@ func LoadSmallGroup(r io.Reader) (Prepared, error) {
 		return nil, fmt.Errorf("core: unreasonable max tables per query %d", maxTables)
 	}
 	cfg.MaxTablesPerQuery = int(maxTables)
+	tau, err := getU32(br)
+	if err != nil {
+		return nil, err
+	}
+	cfg.DistinctLimit = int(tau)
 	overallScale, err := getF64(br)
 	if err != nil {
 		return nil, err

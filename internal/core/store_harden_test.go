@@ -17,6 +17,7 @@ func craftStore(maxTables, ncols uint32, build func(w *bufio.Writer)) []byte {
 	w.WriteString(storeMagic)
 	putU32(w, storeVersion)
 	putU32(w, maxTables) // MaxTablesPerQuery
+	putU32(w, 100)       // DistinctLimit
 	putF64(w, 1)         // overall scale
 	putU64(w, 0)         // data generation
 	putU64(w, 1000)      // base rows
@@ -104,6 +105,13 @@ func TestLoadSmallGroupHostileLengthPrefixes(t *testing.T) {
 			name:    "confidence-level version",
 			stream:  append([]byte(storeMagic+"\x02\x00\x00\x00"), craftStore(3, 0, nil)[8:]...),
 			wantErr: "store version 2 carries a confidence level",
+		},
+		{
+			// Version 3 (no distinct-value cutoff in the header) is refused
+			// by name.
+			name:    "no-distinct-limit version",
+			stream:  append([]byte(storeMagic+"\x03\x00\x00\x00"), craftStore(3, 0, nil)[8:]...),
+			wantErr: "store version 3 does not record the distinct-value cutoff",
 		},
 	}
 	for _, c := range cases {

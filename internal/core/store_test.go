@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dynsample/internal/engine"
+	"dynsample/internal/randx"
 )
 
 // TestSaveIsDeterministic: one sample family saves to one byte string — the
@@ -168,5 +169,41 @@ func TestRenormalizedSaveRejected(t *testing.T) {
 	var buf bytes.Buffer
 	if err := SaveSmallGroup(&buf, p); err == nil {
 		t.Error("saving renormalized storage should be rejected")
+	}
+}
+
+// TestRestoredFamilyWatchesItsOwnDistinctLimit: a family saved and loaded
+// keeps the τ it was built with, so online maintenance of the restored family
+// watches the columns a fresh one does. At DistinctLimit 100 skewedDB's
+// unique column u is τ-excluded and not watched; a restored family that fell
+// back to the default τ would watch it, and the first batch of new ids would
+// floor the drift gauge at 1 and force a rebuild.
+func TestRestoredFamilyWatchesItsOwnDistinctLimit(t *testing.T) {
+	const n0 = 3000
+	cfg := SmallGroupConfig{BaseRate: 0.04, SmallGroupFraction: 0.08, DistinctLimit: 100, Seed: 9}
+	rows := onlineRows(randx.New(77), n0, 200)
+	_, fresh := onlineSystem(t, n0, cfg, 31)
+	if _, err := fresh.Apply(1, rows); err != nil {
+		t.Fatal(err)
+	}
+
+	loaded, err := LoadSmallGroup(bytes.NewReader(preparedBytes(t, prep(t, skewedDB(t, n0), cfg))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := NewSystem(skewedDB(t, n0))
+	sys.AddPrepared("smallgroup", loaded)
+	restored, err := NewOnline(sys, "smallgroup", OnlineConfig{Seed: 31, SmallGroupFraction: cfg.SmallGroupFraction})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := restored.Apply(1, rows); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := restored.Drift(), fresh.Drift(); got != want || got >= 1 {
+		t.Fatalf("drift after a batch of new ids: %g restored, %g fresh", got, want)
+	}
+	if !bytes.Equal(preparedBytes(t, restored.Prepared()), preparedBytes(t, fresh.Prepared())) {
+		t.Fatal("the restored family maintained one batch differs from the fresh one")
 	}
 }

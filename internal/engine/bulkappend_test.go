@@ -159,8 +159,8 @@ func TestAppendCodesRefusesUnknownCodes(t *testing.T) {
 
 // TestClassOfAppendedValueOutsideSpan: an integer column counted densely
 // holds classes for the span its chunks' bounds gave when it was counted. A
-// row appended after classification whose value falls outside that span has
-// class −1, as a value a map never counted has.
+// row appended after classification whose value falls outside that span is in
+// the unseen class (here −1), as a value a map never counted is.
 func TestClassOfAppendedValueOutsideSpan(t *testing.T) {
 	a := NewColumn("a", Int)
 	fact := NewTable("fact", a)
@@ -176,7 +176,7 @@ func TestClassOfAppendedValueOutsideSpan(t *testing.T) {
 	if freqs[0].t.dense == nil {
 		t.Fatal("a column of ten values in a thousand rows was not counted densely")
 	}
-	classes := freqs[0].Classify(func(Value) int8 { return 1 })
+	classes := freqs[0].Classify(func(Value) int8 { return 1 }, -1)
 	// The clone writes its rows into the open tail the classes' view reads.
 	next := fact.CloneForAppend()
 	for _, v := range []int64{3, 10, -1, math.MaxInt64, math.MinInt64} {

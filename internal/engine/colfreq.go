@@ -9,7 +9,8 @@ import (
 )
 
 // The column-frequency and classification kernel. Pre-processing (scan 1 and
-// the band test of scan 2), online seeding and DistinctValues all ask the
+// the band test of scan 2), online maintenance (whose classes grow with each
+// ingested version: RowClassifier.Grow) and DistinctValues all ask the
 // same two questions of the joined view — how often does each value of a
 // column occur, and which class does each row's value fall in — and all of
 // them answer it here, over typed storage and through the star join instead
@@ -368,26 +369,26 @@ type ColumnClasses struct {
 
 	// Class per value, in the representation the values were counted in:
 	// an array for a dense tally, by code or by an integer's distance from
-	// base, and maps holding only the non-negative classes otherwise.
+	// base, and maps holding only the classes other than unseen otherwise.
 	byCode  []int8
 	base    int64
 	byInt   map[int64]int8
 	byFloat map[float64]int8
-	// byDimRow, for a dimension column, is the class of each dimension
-	// row's value: the per-value table folded through the join once, so a
-	// fact row costs one foreign-key load and one array load.
-	byDimRow []int8
+	// unseen is the class of a value the count never saw: one no counted
+	// row held, or one appended since.
+	unseen int8
 }
 
 // Classify evaluates class once per distinct counted value and returns the
-// per-row lookup. The column must not be Over.
-func (f *ColumnFreq) Classify(class func(Value) int8) *ColumnClasses {
-	c := &ColumnClasses{view: f.View, base: f.t.base}
+// per-row lookup, in which a value the count never saw is in class unseen.
+// The column must not be Over.
+func (f *ColumnFreq) Classify(class func(Value) int8, unseen int8) *ColumnClasses {
+	c := &ColumnClasses{view: f.View, base: f.t.base, unseen: unseen}
 	switch {
 	case f.t.dense != nil:
 		c.byCode = make([]int8, len(f.t.dense))
 		for i, n := range f.t.dense {
-			c.byCode[i] = -1
+			c.byCode[i] = unseen
 			if n > 0 {
 				c.byCode[i] = class(f.denseValue(i))
 			}
@@ -395,24 +396,46 @@ func (f *ColumnFreq) Classify(class func(Value) int8) *ColumnClasses {
 	case f.View.Type == Int:
 		c.byInt = make(map[int64]int8)
 		for x := range f.t.ints {
-			if k := class(IntVal(x)); k >= 0 {
+			if k := class(IntVal(x)); k != unseen {
 				c.byInt[x] = k
 			}
 		}
 	default:
 		c.byFloat = make(map[float64]int8)
 		for x := range f.t.floats {
-			if k := class(FloatVal(x)); k >= 0 {
+			if k := class(FloatVal(x)); k != unseen {
 				c.byFloat[x] = k
 			}
 		}
 	}
-	if f.View.Dim >= 0 {
-		byDimRow := make([]int8, f.View.rows)
-		for d := range byDimRow {
-			byDimRow[d] = c.own(d)
+	return c
+}
+
+// Classes returns the per-row lookup of the column that puts every value of
+// known in class in and every other value in class unseen: what Classify
+// returns over a count that saw exactly the values of known. The column must
+// hold every string of known; one its dictionary gains later is unseen.
+func (v ColumnView) Classes(known map[Value]struct{}, in, unseen int8) *ColumnClasses {
+	c := &ColumnClasses{view: v, unseen: unseen}
+	switch v.Type {
+	case String:
+		c.byCode = make([]int8, len(v.Dict))
+		for i, s := range v.Dict {
+			c.byCode[i] = unseen
+			if _, ok := known[StringVal(s)]; ok {
+				c.byCode[i] = in
+			}
 		}
-		c.byDimRow = byDimRow
+	case Int:
+		c.byInt = make(map[int64]int8, len(known))
+		for x := range known {
+			c.byInt[x.I] = in
+		}
+	default:
+		c.byFloat = make(map[float64]int8, len(known))
+		for x := range known {
+			c.byFloat[x.F] = in
+		}
 	}
 	return c
 }
@@ -430,37 +453,42 @@ func (c *ColumnClasses) own(p int) int8 {
 	}
 }
 
-// ofInt is the class of integer x, or of dictionary code x: -1 for a value
-// that was not counted, outside the array's span included.
+// ofInt is the class of integer x, or of dictionary code x: unseen for a
+// value that was not counted, outside the array's span included.
 func (c *ColumnClasses) ofInt(x int64) int8 {
 	if c.byInt != nil {
 		if k, ok := c.byInt[x]; ok {
 			return k
 		}
-		return -1
+		return c.unseen
 	}
 	if i := uint64(x) - uint64(c.base); i < uint64(len(c.byCode)) {
 		return c.byCode[i]
 	}
-	return -1
+	return c.unseen
 }
 
 func (c *ColumnClasses) ofFloat(x float64) int8 {
 	if k, ok := c.byFloat[x]; ok {
 		return k
 	}
-	return -1
+	return c.unseen
 }
 
 // classes sets out[j] to the class of fact row lo+j, for rows that sit in
-// one scan block, read a block at a time.
+// one scan block, read a block at a time: a dimension column's row by row
+// through the join.
 func (c *ColumnClasses) classes(lo int, out []int8, buf *blockBuf) {
-	switch v, n := &c.view, len(out); v.Type {
-	case String:
+	switch v, n := &c.view, len(out); {
+	case v.Dim >= 0:
+		for j := range out {
+			out[j] = c.Class(lo + j)
+		}
+	case v.Type == String:
 		for j, x := range block(&v.codes, nil, lo, n, buf.codes, nil) {
 			out[j] = c.ofInt(int64(x))
 		}
-	case Int:
+	case v.Type == Int:
 		for j, x := range block(&v.ints, nil, lo, n, buf.ints, nil) {
 			out[j] = c.ofInt(x)
 		}
@@ -473,20 +501,25 @@ func (c *ColumnClasses) classes(lo int, out []int8, buf *blockBuf) {
 
 // Class returns the class of view row r's value.
 func (c *ColumnClasses) Class(row int) int8 {
-	if c.byDimRow != nil {
-		return c.byDimRow[c.view.fk.at(row)]
+	if c.view.Dim >= 0 {
+		row = int(c.view.fk.at(row))
 	}
 	return c.own(row)
 }
 
 // RowClassifier answers, for one fact row, which of a set of classified
 // columns hold a classified (non-negative) value: bit i of the result stands
-// for column i. Dimension columns cost one lookup per dimension, not per
-// column — each dimension row's bits are precomputed.
+// for column i. Folded, it costs one lookup per dimension, not per column:
+// each dimension row's bits are precomputed, the per-value classes folded
+// through the join once, so a fact row costs one foreign-key load and one
+// array load — the form for a classifier asked about every row. Unfolded, a
+// dimension column is classified row by row through the join, as a fact
+// column is, and costs nothing per dimension row — the form for one asked
+// about a few rows of each version it grows to (Grow).
 type RowClassifier struct {
 	cols  []*ColumnClasses
 	words int
-	fact  []int // positions in cols of the fact-table columns
+	fact  []int // positions in cols of the columns classified row by row
 	dims  []dimBits
 }
 
@@ -497,12 +530,13 @@ type dimBits struct {
 	bits []uint64
 }
 
-// NewRowClassifier combines per-column classes into one row classifier.
-func NewRowClassifier(cols []*ColumnClasses) *RowClassifier {
+// NewRowClassifier combines per-column classes into one row classifier,
+// folded or not.
+func NewRowClassifier(cols []*ColumnClasses, fold bool) *RowClassifier {
 	rc := &RowClassifier{cols: cols, words: (len(cols) + 63) / 64}
 	slot := make(map[int]int) // Database.Dims index -> position in rc.dims
 	for i, c := range cols {
-		if c.byDimRow == nil {
+		if c.view.Dim < 0 || !fold {
 			rc.fact = append(rc.fact, i)
 			continue
 		}
@@ -510,16 +544,30 @@ func NewRowClassifier(cols []*ColumnClasses) *RowClassifier {
 		if !ok {
 			k = len(rc.dims)
 			slot[c.view.Dim] = k
-			rc.dims = append(rc.dims, dimBits{fk: c.view.fk, bits: make([]uint64, len(c.byDimRow)*rc.words)})
+			rc.dims = append(rc.dims, dimBits{fk: c.view.fk, bits: make([]uint64, c.view.rows*rc.words)})
 		}
 		bits := rc.dims[k].bits
-		for d, class := range c.byDimRow {
-			if class >= 0 {
+		for d := range c.view.rows {
+			if c.own(d) >= 0 {
 				bits[d*rc.words+i/64] |= 1 << (uint(i) % 64)
 			}
 		}
 	}
 	return rc
+}
+
+// Grow rebinds an unfolded classifier to db, a later version of the database
+// its classes were taken from (a folded one's bits cover only the dimension
+// rows it was built with). A value new to a column is in its unseen class.
+func (rc *RowClassifier) Grow(db *Database) error {
+	for _, c := range rc.cols {
+		v, err := db.View(c.view.Name)
+		if err != nil {
+			return err
+		}
+		c.view = v
+	}
+	return nil
 }
 
 // Words is the length of a row's bit vector: ceil(columns/64).
@@ -569,7 +617,7 @@ func (rc *RowClassifier) BlockBits(lo, n int, dst []uint64) {
 		for _, i := range rc.fact {
 			classes := loneClass[:]
 			if m == 1 {
-				loneClass[0] = rc.cols[i].own(lo)
+				loneClass[0] = rc.cols[i].Class(lo)
 			} else {
 				classes = buf.classes[:m]
 				rc.cols[i].classes(lo, classes, &buf.blockBuf)

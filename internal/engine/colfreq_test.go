@@ -239,7 +239,7 @@ func checkKernel(t *testing.T, db *Database, limit, workers int) {
 				t.Fatalf("%s: unreferenced dimension value counted %d times", name, vc.Count)
 			}
 		}
-		classes = append(classes, freqs[i].Classify(testClass))
+		classes = append(classes, freqs[i].Classify(testClass, -1))
 		classed = append(classed, name)
 
 		// DistinctValues: same multiset, most frequent first, ties by value.
@@ -265,7 +265,7 @@ func checkKernel(t *testing.T, db *Database, limit, workers int) {
 	// Classification: per column and as row bits — of every row in one call,
 	// across block edges, and of each row alone — against the class of the
 	// row's boxed value.
-	rc := NewRowClassifier(classes)
+	rc := NewRowClassifier(classes, true)
 	w := rc.Words()
 	all, one := make([]uint64, db.NumRows()*w), make([]uint64, w)
 	rc.BlockBits(0, db.NumRows(), all)
@@ -310,6 +310,66 @@ func fuzzColumnFrequencies(t *testing.T, seed int64, nRows uint16, limit uint8, 
 	}
 	checkKernel(t, db, int(limit)%16, 2)
 	checkKernel(t, next, int(limit)%16, 2)
+	checkGrown(t, db, next, int(limit)%16)
+}
+
+// checkGrown classifies db's counted columns, grows the classifier to next, a
+// later version, and holds the bits of the appended rows, and every row's
+// class, to the class of the row's boxed value under the never-counted rule:
+// a value db's count did not see is in the unseen class. Classes over the set
+// of counted values (ColumnView.Classes) hold to the same rule.
+func checkGrown(t *testing.T, db, next *Database, limit int) {
+	t.Helper()
+	const unseen = 1
+	freqs, err := db.ColumnFrequencies(db.Columns(), limit, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	var counted []map[Value]struct{}
+	var byCount, byKnown []*ColumnClasses
+	for _, f := range freqs {
+		if f.Over {
+			continue
+		}
+		set := make(map[Value]struct{})
+		for _, vc := range f.Counts() {
+			set[vc.Value] = struct{}{}
+		}
+		names, counted = append(names, f.View.Name), append(counted, set)
+		byCount = append(byCount, f.Classify(testClass, unseen))
+		byKnown = append(byKnown, f.View.Classes(set, -1, unseen))
+	}
+	for _, variant := range []struct {
+		cols  []*ColumnClasses
+		class func(Value) int8
+	}{{byCount, testClass}, {byKnown, func(Value) int8 { return -1 }}} {
+		rc := NewRowClassifier(variant.cols, false)
+		if err := rc.Grow(next); err != nil {
+			t.Fatal(err)
+		}
+		w, lo := rc.Words(), db.NumRows()
+		bits := make([]uint64, (next.NumRows()-lo)*w)
+		rc.BlockBits(lo, next.NumRows()-lo, bits)
+		for r := 0; r < next.NumRows(); r++ {
+			for i, name := range names {
+				acc, _ := next.Accessor(name)
+				v, want := acc.Value(r), int8(unseen)
+				if _, ok := counted[i][v]; ok {
+					want = variant.class(v)
+				}
+				if got := variant.cols[i].Class(r); got != want {
+					t.Fatalf("%s row %d (%s): class %d grown, %d by the rule", name, r, canon(v), got, want)
+				}
+				if r < lo {
+					continue
+				}
+				if set := bits[(r-lo)*w+i/64]&(1<<(uint(i)%64)) != 0; set != (want >= 0) {
+					t.Fatalf("%s appended row %d (%s): bit %v for class %d", name, r, canon(v), set, want)
+				}
+			}
+		}
+	}
 }
 
 // FuzzColumnFrequencies: through-the-join counts, the distinct limit,
