@@ -119,8 +119,10 @@ fuzz:
 # (checkpoint or bare stream: an error or a snapshot with its checkpoint and
 # samples), the WAL record decoder and the table format reader: arbitrary
 # bytes (including bit-flipped valid inputs) must produce errors, never
-# panics. And over the ingest cell parser, held to
-# what encoding/json makes of the same cell, the chunk codec, held to a plain
+# panics. And over the checksummed frame the WAL and the catalog container
+# share: a payload or an error, never an allocation past the cap, the stream
+# read and the byte-slice check agreeing. And over the ingest cell parser,
+# held to what encoding/json makes of the same cell, the chunk codec, held to a plain
 # slice, and the scenario spec parser: a spec it accepts must generate. And
 # over the column-frequency kernel, held to a naive per-row count on random
 # star schemas (integer columns counted densely and in a map), and the
@@ -132,6 +134,7 @@ fuzz-smoke:
 	$(GO) test ./internal/ingest -run FuzzDecodeSnapshot -fuzz FuzzDecodeSnapshot -fuzztime 15s -fuzzminimizetime 1s
 	$(GO) test ./internal/ingest -run FuzzWALDecode -fuzz FuzzWALDecode -fuzztime 15s -fuzzminimizetime 1s
 	$(GO) test ./internal/engine -run FuzzReadBinary -fuzz FuzzReadBinary -fuzztime 15s -fuzzminimizetime 1s
+	$(GO) test ./internal/binio -run FuzzFrame -fuzz FuzzFrame -fuzztime 15s -fuzzminimizetime 1s
 	$(GO) test ./internal/engine -run FuzzChunkCodec -fuzz FuzzChunkCodec -fuzztime 15s -fuzzminimizetime 1s
 	$(GO) test ./internal/server -run FuzzDecodeCell -fuzz FuzzDecodeCell -fuzztime 15s -fuzzminimizetime 1s
 	$(GO) test ./internal/scenario -run FuzzParseSpec -fuzz FuzzParseSpec -fuzztime 15s -fuzzminimizetime 1s

@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -145,19 +146,22 @@ func fetchSchema(addr string) ([]string, map[string]string, error) {
 }
 
 // encodeCSVCell turns one CSV cell into the JSON value the ingest endpoint
-// expects for the column's type.
+// expects for the column's type. A number is sent as the value it parses to,
+// not as its text: Go accepts forms JSON does not (".5", "+5", "007").
 func encodeCSVCell(typ, cell string) (json.RawMessage, error) {
 	switch typ {
 	case "INT":
-		if _, err := strconv.ParseInt(strings.TrimSpace(cell), 10, 64); err != nil {
+		i, err := strconv.ParseInt(strings.TrimSpace(cell), 10, 64)
+		if err != nil {
 			return nil, fmt.Errorf("want an integer, got %q", cell)
 		}
-		return json.RawMessage(strings.TrimSpace(cell)), nil
+		return json.RawMessage(strconv.FormatInt(i, 10)), nil
 	case "FLOAT":
-		if _, err := strconv.ParseFloat(strings.TrimSpace(cell), 64); err != nil {
-			return nil, fmt.Errorf("want a number, got %q", cell)
+		f, err := strconv.ParseFloat(strings.TrimSpace(cell), 64)
+		if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
+			return nil, fmt.Errorf("want a finite number, got %q", cell)
 		}
-		return json.RawMessage(strings.TrimSpace(cell)), nil
+		return json.RawMessage(strconv.FormatFloat(f, 'g', -1, 64)), nil
 	default: // VARCHAR, or unknown types default to string
 		return json.Marshal(cell)
 	}

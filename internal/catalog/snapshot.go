@@ -2,7 +2,7 @@
 // artifact instead of a one-shot file. It has three layers:
 //
 //   - snapshot.go: a self-verifying container format — a magic header, the
-//     payload split into CRC32-checksummed chunks, and a checksummed trailer
+//     payload split into checksummed binio frames, and a checksummed trailer
 //     recording the total length and whole-payload checksum. Truncation at
 //     any byte offset and any flipped bit are detected with a precise error
 //     instead of being decoded into garbage sample tables.
@@ -24,9 +24,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
+	"dynsample/internal/binio"
 	"dynsample/internal/faults"
 )
 
@@ -35,16 +35,11 @@ import (
 // corrupt length prefix: a reader never allocates more than maxChunkSize on
 // the word of an unverified header.
 const (
-	snapshotMagic  = "DSSNAP01" // 8 bytes; the version is part of the magic
-	trailerMagic   = "DSTR"
-	chunkSize      = 64 << 10
-	maxChunkSize   = 1 << 20
-	endFrameMarker = 0 // length of the frame that terminates the chunk stream
+	snapshotMagic = "DSSNAP01" // 8 bytes; the version is part of the magic
+	trailerMagic  = "DSTR"
+	chunkSize     = 64 << 10
+	maxChunkSize  = 1 << 20
 )
-
-// castagnoli is the CRC32 polynomial used throughout (hardware-accelerated
-// on amd64/arm64).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorrupt wraps every integrity failure detected while reading a
 // snapshot, so callers can distinguish "this file is damaged" (try an older
@@ -74,9 +69,9 @@ func WriteSnapshot(w io.Writer, payload func(io.Writer) error) error {
 	return cw.finish()
 }
 
-// chunkWriter buffers payload bytes and emits one framed chunk per
-// chunkSize: [len u32][crc32 of (len||data) u32][data]. finish flushes the
-// final partial chunk, the end marker, and the trailer.
+// chunkWriter buffers payload bytes and emits one binio frame per chunkSize
+// bytes. finish flushes the final partial chunk, the empty frame that ends
+// the chunks, and the trailer.
 type chunkWriter struct {
 	w          io.Writer
 	buf        []byte
@@ -110,27 +105,21 @@ func (cw *chunkWriter) flushChunk() error {
 	}
 	// One frame buffer serves every chunk: a fresh one per chunk would
 	// allocate the snapshot's whole size again while it is being saved.
-	frame := append(cw.frame[:0], make([]byte, 8)...)
-	frame = append(frame, cw.buf...)
-	cw.frame = frame
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(cw.buf)))
-	crc := crc32.Update(0, castagnoli, frame[0:4])
-	crc = crc32.Update(crc, castagnoli, cw.buf)
-	binary.LittleEndian.PutUint32(frame[4:8], crc)
+	cw.frame = binio.AppendFrame(cw.frame[:0], cw.buf)
 	cw.totalLen += uint64(len(cw.buf))
-	cw.payloadCRC = crc32.Update(cw.payloadCRC, castagnoli, cw.buf)
-	faults.FireData(faults.PointSnapshotChunk, cw.chunkIndex, frame)
+	cw.payloadCRC = binio.Checksum(cw.payloadCRC, cw.buf)
+	faults.FireData(faults.PointSnapshotChunk, cw.chunkIndex, cw.frame)
 	cw.chunkIndex++
 	cw.buf = cw.buf[:0]
-	if _, err := cw.w.Write(frame); err != nil {
+	if _, err := cw.w.Write(cw.frame); err != nil {
 		return fmt.Errorf("catalog: writing snapshot chunk: %w", err)
 	}
 	return nil
 }
 
-// finish writes any buffered partial chunk, the zero-length end frame, and
-// the trailer: [magic][payload len u64][payload crc u32][chunk count
-// u32][crc u32 over the preceding trailer bytes].
+// finish writes any buffered partial chunk, the empty end frame, and the
+// trailer: [magic][payload len u64][payload crc u32][chunk count u32][crc u32
+// over the preceding trailer bytes].
 func (cw *chunkWriter) finish() error {
 	if len(cw.buf) > 0 {
 		if err := cw.flushChunk(); err != nil {
@@ -140,16 +129,11 @@ func (cw *chunkWriter) finish() error {
 	if err := faults.FireErr(faults.PointSnapshotWrite, cw.chunkIndex); err != nil {
 		return fmt.Errorf("catalog: writing snapshot end frame: %w", err)
 	}
-	var end [8]byte
-	binary.LittleEndian.PutUint32(end[0:4], endFrameMarker)
-	binary.LittleEndian.PutUint32(end[4:8], crc32.Checksum(end[0:4], castagnoli))
-	trailer := make([]byte, 0, len(trailerMagic)+8+4+4+4)
-	trailer = append(trailer, trailerMagic...)
-	trailer = binary.LittleEndian.AppendUint64(trailer, cw.totalLen)
-	trailer = binary.LittleEndian.AppendUint32(trailer, cw.payloadCRC)
-	trailer = binary.LittleEndian.AppendUint32(trailer, uint32(cw.chunkIndex))
-	trailer = binary.LittleEndian.AppendUint32(trailer, crc32.Checksum(trailer, castagnoli))
-	frame := append(end[:], trailer...)
+	frame := append(binio.AppendFrame(nil, nil), trailerMagic...)
+	frame = binary.LittleEndian.AppendUint64(frame, cw.totalLen)
+	frame = binary.LittleEndian.AppendUint32(frame, cw.payloadCRC)
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(cw.chunkIndex))
+	frame = binary.LittleEndian.AppendUint32(frame, binio.Checksum(0, frame[binio.FrameHeader:]))
 	faults.FireData(faults.PointSnapshotChunk, cw.chunkIndex, frame)
 	if _, err := cw.w.Write(frame); err != nil {
 		return fmt.Errorf("catalog: writing snapshot trailer: %w", err)
@@ -218,40 +202,20 @@ func (cr *chunkReader) nextChunk() error {
 	if err := faults.FireErr(faults.PointSnapshotRead, cr.chunkIndex); err != nil {
 		return fmt.Errorf("catalog: reading snapshot chunk %d: %w", cr.chunkIndex, err)
 	}
-	var hdr [8]byte
-	if _, err := io.ReadFull(cr.r, hdr[:]); err != nil {
-		return corruptf("chunk %d header: %v", cr.chunkIndex, err)
+	// The previous chunk is fully consumed by now (Read only asks for the
+	// next one then), so its buffer takes this chunk's bytes.
+	data, err := binio.ReadFrame(cr.r, cr.data, maxChunkSize)
+	if err != nil {
+		return corruptf("chunk %d: %v", cr.chunkIndex, err)
 	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
-	crc := binary.LittleEndian.Uint32(hdr[4:8])
-	if length == endFrameMarker {
-		if want := crc32.Checksum(hdr[0:4], castagnoli); crc != want {
-			return corruptf("end frame checksum %08x, want %08x", crc, want)
-		}
+	if len(data) == 0 {
 		cr.atEnd = true
 		return nil
 	}
-	if length > maxChunkSize {
-		return corruptf("chunk %d length %d exceeds %d", cr.chunkIndex, length, maxChunkSize)
-	}
-	// The previous chunk is fully consumed by now (Read only asks for the
-	// next one then), so its buffer takes this chunk's bytes.
-	if cap(cr.data) < int(length) {
-		cr.data = make([]byte, length)
-	}
-	data := cr.data[:length]
-	if _, err := io.ReadFull(cr.r, data); err != nil {
-		return corruptf("chunk %d body: %v", cr.chunkIndex, err)
-	}
-	want := crc32.Update(0, castagnoli, hdr[0:4])
-	want = crc32.Update(want, castagnoli, data)
-	if crc != want {
-		return corruptf("chunk %d checksum %08x, want %08x", cr.chunkIndex, crc, want)
-	}
-	cr.chunk = data
+	cr.data, cr.chunk = data, data
 	cr.chunkIndex++
-	cr.totalLen += uint64(length)
-	cr.payloadCRC = crc32.Update(cr.payloadCRC, castagnoli, data)
+	cr.totalLen += uint64(len(data))
+	cr.payloadCRC = binio.Checksum(cr.payloadCRC, data)
 	return nil
 }
 
@@ -270,7 +234,7 @@ func (cr *chunkReader) verifyTrailer() error {
 		return corruptf("reading trailer: %v", err)
 	}
 	body, sum := trailer[:tlen-4], binary.LittleEndian.Uint32(trailer[tlen-4:])
-	if want := crc32.Checksum(body, castagnoli); sum != want {
+	if want := binio.Checksum(0, body); sum != want {
 		return corruptf("trailer checksum %08x, want %08x", sum, want)
 	}
 	if string(body[:len(trailerMagic)]) != trailerMagic {

@@ -684,11 +684,12 @@ func selectForDeadline(cands []candidate, full int, budget time.Duration) (*cand
 	return best, best != &cands[full]
 }
 
-// achievedError estimates the answer's realized mean per-group relative
+// AchievedError estimates the answer's realized mean per-group relative
 // error from its confidence intervals: half-width over |estimate|, capped at
 // 1, worst aggregate per group, 0 for exact groups. This is the cheap online
-// error estimate reported back as "achieved" — see docs/ACCURACY.md.
-func achievedError(res *engine.Result, ivs map[engine.GroupKey][]stats.Interval) float64 {
+// error estimate reported back as "achieved" — see docs/ACCURACY.md — and
+// the cluster coordinator recomputes it over a merged partial result.
+func AchievedError(res *engine.Result, ivs map[engine.GroupKey][]stats.Interval) float64 {
 	if res.NumGroups() == 0 {
 		return 0
 	}

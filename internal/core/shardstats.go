@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"dynsample/internal/engine"
-	"dynsample/internal/stats"
 )
 
 // This file implements per-shard summary statistics for the scatter-gather
@@ -150,11 +149,4 @@ func WidenError(e, f float64) float64 {
 		return 1
 	}
 	return w
-}
-
-// AchievedError is the exported form of the planner's cheap online error
-// estimate (mean per-group relative half-width; see docs/ACCURACY.md), so
-// the cluster coordinator can recompute it over a merged partial result.
-func AchievedError(res *engine.Result, ivs map[engine.GroupKey][]stats.Interval) float64 {
-	return achievedError(res, ivs)
 }

@@ -210,7 +210,7 @@ func (p *smallGroupPrepared) AnswerBounds(ctx context.Context, q *engine.Query, 
 		Plan:      decision,
 	}
 	if decision != nil {
-		decision.AchievedError = achievedError(combined, ivs)
+		decision.AchievedError = AchievedError(combined, ivs)
 		obsPlannerGap.Observe(math.Abs(decision.AchievedError - decision.Chosen.PredictedError))
 		if b.ErrorBound > 0 && decision.AchievedError > b.ErrorBound {
 			obsPlannerBoundMiss.Inc()

@@ -6,6 +6,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"dynsample/internal/binio"
 )
 
 // craftStore builds a raw store stream header-by-header so tests can plant
@@ -15,13 +17,13 @@ func craftStore(maxTables, ncols uint32, build func(w *bufio.Writer)) []byte {
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
 	w.WriteString(storeMagic)
-	putU32(w, storeVersion)
-	putU32(w, maxTables) // MaxTablesPerQuery
-	putU32(w, 100)       // DistinctLimit
-	putF64(w, 1)         // overall scale
-	putU64(w, 0)         // data generation
-	putU64(w, 1000)      // base rows
-	putU32(w, ncols)
+	binio.PutU32(w, storeVersion)
+	binio.PutU32(w, maxTables) // MaxTablesPerQuery
+	binio.PutU32(w, 100)       // DistinctLimit
+	binio.PutF64(w, 1)         // overall scale
+	binio.PutU64(w, 0)         // data generation
+	binio.PutU64(w, 1000)      // base rows
+	binio.PutU32(w, ncols)
 	if build != nil {
 		build(w)
 	}
@@ -52,35 +54,35 @@ func TestLoadSmallGroupHostileLengthPrefixes(t *testing.T) {
 		{
 			name: "oversized value set",
 			stream: craftStore(3, 1, func(w *bufio.Writer) {
-				putString(w, "col")
-				putU32(w, 10)   // distinct
-				putU64(w, 5)    // rare rows
-				putU32(w, huge) // common set size — hostile
+				binio.PutString(w, "col")
+				binio.PutU32(w, 10)   // distinct
+				binio.PutU64(w, 5)    // rare rows
+				binio.PutU32(w, huge) // common set size — hostile
 			}),
 			wantErr: "unreasonable value set size",
 		},
 		{
 			name: "oversized pair count",
 			stream: craftStore(3, 0, func(w *bufio.Writer) {
-				putU32(w, huge) // npairs
+				binio.PutU32(w, huge) // npairs
 			}),
 			wantErr: "unreasonable pair count",
 		},
 		{
 			name: "oversized rare key count",
 			stream: craftStore(3, 0, func(w *bufio.Writer) {
-				putU32(w, 1) // npairs
-				putString(w, "a")
-				putString(w, "b")
-				putU64(w, 7)    // rare rows
-				putU32(w, huge) // nk — hostile
+				binio.PutU32(w, 1) // npairs
+				binio.PutString(w, "a")
+				binio.PutString(w, "b")
+				binio.PutU64(w, 7)    // rare rows
+				binio.PutU32(w, huge) // nk — hostile
 			}),
 			wantErr: "unreasonable rare key count",
 		},
 		{
 			name: "oversized string length",
 			stream: craftStore(3, 1, func(w *bufio.Writer) {
-				putU32(w, huge) // column name length — hostile
+				binio.PutU32(w, huge) // column name length — hostile
 			}),
 			wantErr: "unreasonable string length",
 		},

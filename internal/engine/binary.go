@@ -7,6 +7,8 @@ import (
 	"io"
 	"math"
 	"strings"
+
+	"dynsample/internal/binio"
 )
 
 // Binary table serialization: sample tables are "stored in the database
@@ -16,8 +18,17 @@ import (
 
 // tableMagic names the one table format: a header and the columns, a sample
 // table's mask words and weights among them. ("DSTB" files kept those in two
-// sections after the columns; nothing reads them any more.)
+// sections after the columns; nothing reads them any more.) The header,
+// column names and dictionaries are in binio's field layout; values are
+// fixed-width little-endian cells, a column at a time.
 const tableMagic = "DST2"
+
+// Caps on the header's counts and strings, which binio refuses past.
+const (
+	maxTableColumns = 1 << 16
+	maxTableString  = 1 << 24 // bytes per table or column name or dictionary entry
+	minDictCap      = 1 << 16 // a dictionary may always hold this many entries, however few rows
+)
 
 // WriteBinary writes the table, every column of it, in the binary table
 // format.
@@ -50,13 +61,13 @@ func writeRows(w io.Writer, name string, views []ColumnView, lo, hi int, compact
 	if _, err := bw.WriteString(tableMagic); err != nil {
 		return err
 	}
-	writeString(bw, name)
-	writeU32(bw, uint32(hi-lo))
-	writeU32(bw, uint32(len(views)))
+	binio.PutString(bw, name)
+	binio.PutU32(bw, uint32(hi-lo))
+	binio.PutU32(bw, uint32(len(views)))
 	e := blockEncoder{w: bw, buf: make([]byte, 0, 8*scanBlockRows), vals: newBlockBuf()}
 	for i := range views {
 		v := &views[i]
-		writeString(bw, v.Name)
+		binio.PutString(bw, v.Name)
 		bw.WriteByte(byte(v.Type))
 		var remap []int32
 		if v.Type == String {
@@ -64,9 +75,9 @@ func writeRows(w io.Writer, name string, views []ColumnView, lo, hi int, compact
 			if compact {
 				dict, remap = e.usedDict(v, lo, hi)
 			}
-			writeU32(bw, uint32(len(dict)))
+			binio.PutU32(bw, uint32(len(dict)))
 			for _, s := range dict {
-				writeString(bw, s)
+				binio.PutString(bw, s)
 			}
 		}
 		e.column(v, lo, hi, remap)
@@ -172,40 +183,26 @@ func ReadBinary(r io.Reader) (*Table, error) {
 	if string(magic) != tableMagic {
 		return nil, fmt.Errorf("engine: table format %q: this build reads %q only", magic, tableMagic)
 	}
-	name, err := readString(br)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := readU32(br)
-	if err != nil {
-		return nil, err
-	}
-	ncols, err := readU32(br)
-	if err != nil {
-		return nil, err
-	}
-	if ncols > 1<<16 {
-		return nil, fmt.Errorf("engine: unreasonable column count %d", ncols)
+	in := binio.NewReader(br)
+	name, rows, ncols := in.String(maxTableString), in.U32(), in.Count(maxTableColumns, "column count")
+	if err := in.Err(); err != nil {
+		return nil, fmt.Errorf("engine: reading table header: %w", err)
 	}
 	if ncols == 0 && rows > 0 {
 		return nil, fmt.Errorf("engine: %d rows with no columns", rows)
 	}
 	buf := make([]byte, 8*chunkRows)
-	t := newTable(name, int(ncols))
+	t := newTable(name, ncols)
 	seen := make(map[string]bool, ncols)
-	for j := uint32(0); j < ncols; j++ {
-		cname, err := readString(br)
-		if err != nil {
-			return nil, err
+	for j := 0; j < ncols; j++ {
+		cname, tb := in.String(maxTableString), in.U8()
+		if err := in.Err(); err != nil {
+			return nil, fmt.Errorf("engine: reading column %d: %w", j, err)
 		}
 		if seen[cname] {
 			return nil, fmt.Errorf("engine: duplicate column %q in stream", cname)
 		}
 		seen[cname] = true
-		tb, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
 		if tb > byte(String) {
 			return nil, fmt.Errorf("engine: bad column type %d", tb)
 		}
@@ -213,6 +210,7 @@ func ReadBinary(r io.Reader) (*Table, error) {
 			return nil, fmt.Errorf("engine: reserved column %q must be %s", cname, want)
 		}
 		c := NewColumn(cname, Type(tb))
+		var err error
 		switch c.Type {
 		case Int:
 			c.ints, err = readChunks(br, rows, 8, buf, func(dst []int64, src []byte) error {
@@ -229,24 +227,18 @@ func ReadBinary(r io.Reader) (*Table, error) {
 				return nil
 			})
 		default:
-			dn, derr := readU32(br)
-			if derr != nil {
-				return nil, derr
+			dict := in.Strings(max(int(rows), minDictCap), maxTableString, "dictionary size")
+			if err := in.Err(); err != nil {
+				return nil, fmt.Errorf("engine: reading column %q: %w", cname, err)
 			}
-			if dn > rows && dn > 1<<16 {
-				return nil, fmt.Errorf("engine: unreasonable dictionary size %d", dn)
-			}
-			for i := uint32(0); i < dn; i++ {
-				s, err := readString(br)
-				if err != nil {
-					return nil, err
-				}
+			for _, s := range dict {
 				// One code per string: the scan kernel groups by code.
 				if _, dup := c.dictIx[s]; dup {
 					return nil, fmt.Errorf("engine: dictionary entry %q repeated", s)
 				}
 				c.addDict(s)
 			}
+			dn := uint32(len(dict))
 			c.codes, err = readChunks(br, rows, 4, buf, func(dst []int32, src []byte) error {
 				for i := range dst {
 					v := binary.LittleEndian.Uint32(src[4*i:])
@@ -265,38 +257,4 @@ func ReadBinary(r io.Reader) (*Table, error) {
 		t.addColumn(c)
 	}
 	return t, nil
-}
-
-// writeU32 encodes into the writer's own buffer: a local array passed to
-// Write escapes, one heap allocation per call.
-func writeU32(w *bufio.Writer, v uint32) {
-	w.Write(binary.LittleEndian.AppendUint32(w.AvailableBuffer(), v))
-}
-
-func writeString(w *bufio.Writer, s string) {
-	writeU32(w, uint32(len(s)))
-	w.WriteString(s)
-}
-
-func readU32(r *bufio.Reader) (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
-}
-
-func readString(r *bufio.Reader) (string, error) {
-	n, err := readU32(r)
-	if err != nil {
-		return "", err
-	}
-	if n > 1<<24 {
-		return "", fmt.Errorf("engine: unreasonable string length %d", n)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
 }

@@ -591,16 +591,6 @@ func (c *Column) Float(i int) float64 {
 	}
 }
 
-// DistinctApprox returns the number of distinct values seen so far for
-// dictionary-encoded columns, or -1 for numeric columns (unknown without a
-// scan).
-func (c *Column) DistinctApprox() int {
-	if c.Type == String {
-		return len(c.dict)
-	}
-	return -1
-}
-
 // Code returns the dictionary code at row i. The column must be String-typed.
 func (c *Column) Code(i int) int32 { return c.codes.at(i) }
 

@@ -458,8 +458,8 @@ func TestDictionaryEncoding(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		c.AppendString("v" + string(rune('a'+i%3)))
 	}
-	if c.DistinctApprox() != 3 {
-		t.Errorf("distinct = %d, want 3", c.DistinctApprox())
+	if c.DictSize() != 3 {
+		t.Errorf("distinct = %d, want 3", c.DictSize())
 	}
 	if c.Len() != 1000 {
 		t.Errorf("len = %d", c.Len())

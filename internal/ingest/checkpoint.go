@@ -2,23 +2,22 @@ package ingest
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
+	"dynsample/internal/binio"
 	"dynsample/internal/core"
 	"dynsample/internal/engine"
 )
 
 // A checkpointed snapshot ties a saved sample family to the WAL position it
 // covers, which is what lets the WAL be garbage-collected and restart replay
-// be bounded. The container is:
+// be bounded. The container is, in binio's field layout:
 //
 //	[magic "DSCP0001"]
 //	[dataGen u64][baseRows u64][walSeg u64][walOff u64]
 //	[nIDs u32] then per id (oldest first):
-//	    [idlen u16][id][rows u32][swaps u32][sgInserts u32][drift f64][gen u64]
+//	    [id: short string][rows u32][swaps u32][sgInserts u32][drift f64][gen u64]
 //	[hasDelta u8] [engine table binary, if 1]
 //	[core.SaveSmallGroup stream]
 //
@@ -84,32 +83,20 @@ func WriteCheckpoint(w io.Writer, p core.Prepared, ck Checkpoint, db *engine.Dat
 	}
 	bw := bufio.NewWriter(w)
 	bw.WriteString(ckMagic)
-	var b8 [8]byte
-	putCkU64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(b8[:], v)
-		bw.Write(b8[:])
+	for _, v := range []uint64{ck.DataGen, ck.BaseRows, ck.Seg, uint64(ck.Off)} {
+		binio.PutU64(bw, v)
 	}
-	putCkU32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(b8[:4], v)
-		bw.Write(b8[:4])
-	}
-	putCkU64(ck.DataGen)
-	putCkU64(ck.BaseRows)
-	putCkU64(ck.Seg)
-	putCkU64(uint64(ck.Off))
-	putCkU32(uint32(len(ids)))
+	binio.PutU32(bw, uint32(len(ids)))
 	for _, e := range ids {
 		if len(e.ID) > maxBatchID {
 			return fmt.Errorf("ingest: checkpoint id is %d bytes, max %d", len(e.ID), maxBatchID)
 		}
-		binary.LittleEndian.PutUint16(b8[:2], uint16(len(e.ID)))
-		bw.Write(b8[:2])
-		bw.WriteString(e.ID)
-		putCkU32(uint32(e.Stats.Rows))
-		putCkU32(uint32(e.Stats.ReservoirSwaps))
-		putCkU32(uint32(e.Stats.SmallGroupInserts))
-		putCkU64(math.Float64bits(e.Stats.Drift))
-		putCkU64(e.Stats.DataGeneration)
+		binio.PutShortString(bw, e.ID)
+		binio.PutU32(bw, uint32(e.Stats.Rows))
+		binio.PutU32(bw, uint32(e.Stats.ReservoirSwaps))
+		binio.PutU32(bw, uint32(e.Stats.SmallGroupInserts))
+		binio.PutF64(bw, e.Stats.Drift)
+		binio.PutU64(bw, e.Stats.DataGeneration)
 	}
 	if hasDelta {
 		bw.WriteByte(1)
@@ -151,50 +138,22 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	if string(magic) != ckMagic {
 		return nil, fmt.Errorf("ingest: unsupported checkpoint version %q", magic)
 	}
-	// Reads latch the first error, so the fixed-width fields decode without
-	// a check per field; every loop and allocation below is bounded by a
-	// checked count or by err.
-	var b [8]byte
-	read := func(n int) []byte {
-		if err == nil {
-			_, err = io.ReadFull(br, b[:n])
-		}
-		return b[:n]
+	// Every loop and allocation below is bounded by a checked count or by the
+	// reader's latched error.
+	in := binio.NewReader(br)
+	s := &Snapshot{Checkpoint: &Checkpoint{DataGen: in.U64(), BaseRows: in.U64(), Seg: in.U64(), Off: int64(in.U64())}}
+	for n := in.Count(maxCheckpointIDs, "checkpoint id count"); n > 0 && in.Err() == nil; n-- {
+		s.IDs = append(s.IDs, IdentEntry{ID: in.ShortString(maxBatchID), Stats: core.BatchStats{
+			Rows:              int(in.U32()),
+			ReservoirSwaps:    int(in.U32()),
+			SmallGroupInserts: int(in.U32()),
+			Drift:             in.F64(),
+			DataGeneration:    in.U64(),
+		}})
 	}
-	u64 := func() uint64 { return binary.LittleEndian.Uint64(read(8)) }
-	u32 := func() uint32 { return binary.LittleEndian.Uint32(read(4)) }
-	s := &Snapshot{Checkpoint: &Checkpoint{DataGen: u64(), BaseRows: u64(), Seg: u64(), Off: int64(u64())}}
-	nIDs := u32()
-	if err != nil {
+	hasDelta := in.U8()
+	if err := in.Err(); err != nil {
 		return nil, fmt.Errorf("ingest: reading checkpoint header: %w", err)
-	}
-	if nIDs > maxCheckpointIDs {
-		return nil, fmt.Errorf("ingest: checkpoint id count %d exceeds %d", nIDs, maxCheckpointIDs)
-	}
-	for i := uint32(0); i < nIDs; i++ {
-		idLen := int(binary.LittleEndian.Uint16(read(2)))
-		if err == nil && idLen > maxBatchID {
-			return nil, fmt.Errorf("ingest: checkpoint id length %d exceeds %d", idLen, maxBatchID)
-		}
-		id := make([]byte, idLen)
-		if err == nil {
-			_, err = io.ReadFull(br, id)
-		}
-		e := IdentEntry{ID: string(id), Stats: core.BatchStats{
-			Rows:              int(u32()),
-			ReservoirSwaps:    int(u32()),
-			SmallGroupInserts: int(u32()),
-			Drift:             math.Float64frombits(u64()),
-			DataGeneration:    u64(),
-		}}
-		if err != nil {
-			return nil, fmt.Errorf("ingest: reading checkpoint id %d of %d: %w", i, nIDs, err)
-		}
-		s.IDs = append(s.IDs, e)
-	}
-	hasDelta, err := br.ReadByte()
-	if err != nil {
-		return nil, err
 	}
 	switch hasDelta {
 	case 0:

@@ -2,23 +2,29 @@ package ingest
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
+	"dynsample/internal/binio"
 	"dynsample/internal/engine"
 )
 
-// Batch record format (the payload inside one WAL record):
+// Batch record format (the payload inside one WAL record), in binio's field
+// layout:
 //
-//	[version u8][seq u64][id len u16][id][nrows u32][ncols u32]
+//	[version u8][seq u64][id: short string][nrows u32][ncols u32]
 //	then nrows*ncols values, row-major, each
-//	[type u8][int64 | float64 bits | len u32 + bytes]
+//	[type u8][int64 | float64 bits | string]
 //
 // Values are in the database's view column order (engine.Database.Columns),
 // the same order the Appender consumes. Every count is capped before it
 // sizes an allocation: the decoder sees bytes that already passed the WAL
 // checksum, but the caps keep a logic bug — or a hostile file dropped into
-// the wal dir — from turning into a multi-gigabyte allocation.
+// the wal dir — from turning into a multi-gigabyte allocation. EncodeBatch
+// refuses every value DecodeBatch refuses: checkValue is the encoder's test
+// and the decoder's for floats and types, and it holds strings to the cap
+// the decoder reads them under. So an acknowledged record always replays.
 const (
 	batchVersion = 1
 
@@ -65,8 +71,7 @@ func EncodeBatch(b *Batch) ([]byte, error) {
 	out := make([]byte, 0, 32+len(b.Rows)*ncols*9)
 	out = append(out, batchVersion)
 	out = binary.LittleEndian.AppendUint64(out, b.Seq)
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(b.ID)))
-	out = append(out, b.ID...)
+	out = binio.AppendShortString(out, b.ID)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(b.Rows)))
 	out = binary.LittleEndian.AppendUint32(out, uint32(ncols))
 	for _, row := range b.Rows {
@@ -74,176 +79,79 @@ func EncodeBatch(b *Batch) ([]byte, error) {
 			return nil, fmt.Errorf("ingest: ragged batch: row has %d values, want %d", len(row), ncols)
 		}
 		for _, v := range row {
+			if err := checkValue(v); err != nil {
+				return nil, fmt.Errorf("ingest: %w", err)
+			}
 			out = append(out, byte(v.T))
 			switch v.T {
 			case engine.Int:
 				out = binary.LittleEndian.AppendUint64(out, uint64(v.I))
 			case engine.Float:
 				out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v.F))
-			case engine.String:
-				if len(v.S) > maxValueLen {
-					return nil, fmt.Errorf("ingest: string value is %d bytes, max %d", len(v.S), maxValueLen)
-				}
-				out = binary.LittleEndian.AppendUint32(out, uint32(len(v.S)))
-				out = append(out, v.S...)
 			default:
-				return nil, fmt.Errorf("ingest: unsupported value type %d", v.T)
+				out = binio.AppendString(out, v.S)
 			}
 		}
 	}
 	return out, nil
 }
 
-// DecodeBatch parses a WAL record payload. Every length is validated
-// against both its cap and the remaining input before it is trusted.
-func DecodeBatch(p []byte) (*Batch, error) {
-	d := decoder{buf: p}
-	ver, err := d.u8()
-	if err != nil {
-		return nil, err
-	}
-	if ver != batchVersion {
-		return nil, fmt.Errorf("ingest: unsupported batch version %d", ver)
-	}
-	b := &Batch{}
-	if b.Seq, err = d.u64(); err != nil {
-		return nil, err
-	}
-	idLen, err := d.u16()
-	if err != nil {
-		return nil, err
-	}
-	if int(idLen) > maxBatchID {
-		return nil, fmt.Errorf("ingest: batch id length %d exceeds %d", idLen, maxBatchID)
-	}
-	id, err := d.bytes(int(idLen))
-	if err != nil {
-		return nil, err
-	}
-	b.ID = string(id)
-	nrows, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	if nrows == 0 || nrows > maxBatchRows {
-		return nil, fmt.Errorf("ingest: batch row count %d out of range (1..%d)", nrows, maxBatchRows)
-	}
-	ncols, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	if ncols == 0 || ncols > maxBatchCols {
-		return nil, fmt.Errorf("ingest: batch column count %d out of range (1..%d)", ncols, maxBatchCols)
-	}
-	// Each value is at least 2 bytes on the wire; reject impossible counts
-	// before allocating row storage proportional to them.
-	if uint64(nrows)*uint64(ncols)*2 > uint64(len(d.buf)-d.off) {
-		return nil, fmt.Errorf("ingest: batch declares %d values but only %d bytes remain", uint64(nrows)*uint64(ncols), len(d.buf)-d.off)
-	}
-	b.Rows = make([][]engine.Value, nrows)
-	for r := range b.Rows {
-		row := make([]engine.Value, ncols)
-		for c := range row {
-			t, err := d.u8()
-			if err != nil {
-				return nil, err
-			}
-			switch engine.Type(t) {
-			case engine.Int:
-				u, err := d.u64()
-				if err != nil {
-					return nil, err
-				}
-				row[c] = engine.IntVal(int64(u))
-			case engine.Float:
-				u, err := d.u64()
-				if err != nil {
-					return nil, err
-				}
-				f := math.Float64frombits(u)
-				if math.IsNaN(f) || math.IsInf(f, 0) {
-					return nil, fmt.Errorf("ingest: non-finite float value in batch")
-				}
-				row[c] = engine.FloatVal(f)
-			case engine.String:
-				n, err := d.u32()
-				if err != nil {
-					return nil, err
-				}
-				if n > maxValueLen {
-					return nil, fmt.Errorf("ingest: string value length %d exceeds %d", n, maxValueLen)
-				}
-				s, err := d.bytes(int(n))
-				if err != nil {
-					return nil, err
-				}
-				row[c] = engine.StringVal(string(s))
-			default:
-				return nil, fmt.Errorf("ingest: unsupported value type %d", t)
-			}
-		}
-		b.Rows[r] = row
-	}
-	if d.off != len(d.buf) {
-		return nil, fmt.Errorf("ingest: %d trailing bytes after batch", len(d.buf)-d.off)
-	}
-	return b, nil
-}
-
-// decoder is a bounds-checked cursor over a record payload.
-type decoder struct {
-	buf []byte
-	off int
-}
-
-func (d *decoder) need(n int) error {
-	if len(d.buf)-d.off < n {
-		return fmt.Errorf("ingest: truncated batch record (need %d bytes, have %d)", n, len(d.buf)-d.off)
+// checkValue is the test EncodeBatch puts every value to. DecodeBatch puts
+// floats and unknown types to it, and reads strings under the same cap.
+func checkValue(v engine.Value) error {
+	switch {
+	case v.T > engine.String:
+		return fmt.Errorf("unsupported value type %d", v.T)
+	case v.T == engine.Float && (math.IsNaN(v.F) || math.IsInf(v.F, 0)):
+		return errors.New("non-finite float value in batch")
+	case len(v.S) > maxValueLen:
+		return fmt.Errorf("string value is %d bytes, max %d", len(v.S), maxValueLen)
 	}
 	return nil
 }
 
-func (d *decoder) u8() (byte, error) {
-	if err := d.need(1); err != nil {
-		return 0, err
+// DecodeBatch parses a WAL record payload. Every length is validated
+// against both its cap and the remaining input before it is trusted.
+func DecodeBatch(p []byte) (*Batch, error) {
+	in := binio.NewBytesReader(p)
+	if ver := in.U8(); in.Err() == nil && ver != batchVersion {
+		return nil, fmt.Errorf("ingest: unsupported batch version %d", ver)
 	}
-	v := d.buf[d.off]
-	d.off++
-	return v, nil
-}
-
-func (d *decoder) u16() (uint16, error) {
-	if err := d.need(2); err != nil {
-		return 0, err
+	b := &Batch{Seq: in.U64(), ID: in.ShortString(maxBatchID)}
+	nrows, ncols := in.Count(maxBatchRows, "batch row count"), in.Count(maxBatchCols, "batch column count")
+	// Each value is at least 2 bytes on the wire; refuse impossible counts
+	// before allocating row storage proportional to them.
+	switch left := in.Len(); {
+	case in.Err() != nil:
+	case nrows == 0 || ncols == 0:
+		in.Fail(fmt.Errorf("empty batch: %d rows of %d columns", nrows, ncols))
+	case nrows*ncols*2 > left:
+		in.Fail(fmt.Errorf("batch declares %d values but only %d bytes remain", nrows*ncols, left))
+	default:
+		b.Rows = make([][]engine.Value, nrows)
 	}
-	v := binary.LittleEndian.Uint16(d.buf[d.off:])
-	d.off += 2
-	return v, nil
-}
-
-func (d *decoder) u32() (uint32, error) {
-	if err := d.need(4); err != nil {
-		return 0, err
+	for r := 0; r < len(b.Rows) && in.Err() == nil; r++ {
+		row := make([]engine.Value, ncols)
+		for c := range row {
+			switch t := engine.Type(in.U8()); t {
+			case engine.Int:
+				row[c] = engine.IntVal(int64(in.U64()))
+			case engine.String:
+				row[c] = engine.StringVal(in.String(maxValueLen))
+			default: // a float, or a type checkValue refuses
+				row[c] = engine.Value{T: t, F: in.F64()}
+				if err := checkValue(row[c]); err != nil {
+					in.Fail(err)
+				}
+			}
+		}
+		b.Rows[r] = row
 	}
-	v := binary.LittleEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v, nil
-}
-
-func (d *decoder) u64() (uint64, error) {
-	if err := d.need(8); err != nil {
-		return 0, err
+	if left := in.Len(); in.Err() == nil && left != 0 {
+		return nil, fmt.Errorf("ingest: %d trailing bytes after batch", left)
 	}
-	v := binary.LittleEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v, nil
-}
-
-func (d *decoder) bytes(n int) ([]byte, error) {
-	if err := d.need(n); err != nil {
-		return nil, err
+	if err := in.Err(); err != nil {
+		return nil, fmt.Errorf("ingest: decoding batch: %w", err)
 	}
-	v := d.buf[d.off : d.off+n]
-	d.off += n
-	return v, nil
+	return b, nil
 }

@@ -4,14 +4,14 @@
 //
 // It has three layers:
 //
-//   - wal.go: a durable write-ahead log in the catalog's checksummed
-//     container style. Every acknowledged batch is one CRC32C-framed record,
-//     fsynced before the append is applied in memory; segments rotate at a
-//     size bound. On startup the log is replayed in order: a torn tail (a
-//     crash mid-append) in the final segment is detected by checksum and
-//     truncated, while corruption in any earlier segment is a hard error —
-//     an acknowledged batch that went missing is data loss, not a crash
-//     artifact.
+//   - wal.go: a durable write-ahead log of binio frames, the checksummed
+//     frame the catalog container is made of. Every acknowledged batch is
+//     one frame, fsynced before the append is applied in memory; segments
+//     rotate at a size bound. On startup the log is replayed in order: a
+//     torn tail (a crash mid-append) in the final segment is detected by
+//     checksum and truncated, while corruption in any earlier segment is a
+//     hard error — an acknowledged batch that went missing is data loss, not
+//     a crash artifact.
 //   - codec.go: the batch record format — sequence number, client batch id,
 //     and typed row values, with hostile-length caps on every count so a
 //     corrupt record yields an error, not a multi-gigabyte allocation.
@@ -31,21 +31,21 @@
 package ingest
 
 import (
-	"encoding/binary"
+	"bufio"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"time"
 
+	"dynsample/internal/binio"
 	"dynsample/internal/faults"
 )
 
-// WAL format constants. Each segment is the 8-byte magic followed by framed
-// records [len u32][crc32c over (len||payload) u32][payload]. The magic is
+// WAL format constants. Each segment is the 8-byte magic followed by one
+// binio frame per record (an empty payload is never a record). The magic is
 // versioned; a future format bump changes the trailing digits.
 const (
 	segMagic   = "DSWAL001"
@@ -59,8 +59,6 @@ const (
 	// confined to a bounded final file.
 	defaultSegBytes = 64 << 20
 )
-
-var walCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorrupt wraps every integrity failure found while reading the WAL that
 // is not an ignorable torn tail: a bad magic, a checksum mismatch or
@@ -236,12 +234,7 @@ func (w *WAL) Append(payload []byte) error {
 	if len(payload) == 0 || len(payload) > maxRecordSize {
 		return fmt.Errorf("ingest: wal record size %d out of range (1..%d)", len(payload), maxRecordSize)
 	}
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	copy(frame[8:], payload)
-	crc := crc32.Update(0, walCRC, frame[0:4])
-	crc = crc32.Update(crc, walCRC, payload)
-	binary.LittleEndian.PutUint32(frame[4:8], crc)
+	frame := binio.AppendFrame(make([]byte, 0, binio.FrameHeader+len(payload)), payload)
 	faults.FireData(faults.PointWALRecord, w.recIndex, frame)
 	if err := faults.FireErr(faults.PointWALAppend, w.recIndex); err != nil {
 		w.repairTail()
@@ -512,39 +505,29 @@ func scanSegment(path string, fn func(payload []byte) error) (valid int64, ok bo
 		return 0, false, walCorruptf("%s: bad segment magic %q", filepath.Base(path), magic)
 	}
 	valid = int64(len(segMagic))
-	var hdr [8]byte
+	r := bufio.NewReaderSize(f, 64<<10)
+	var buf []byte
 	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			if err == io.EOF {
-				return valid, true, nil
-			}
-			return valid, false, nil // torn header
+		payload, err := binio.ReadFrame(r, buf, maxRecordSize)
+		if err == io.EOF {
+			return valid, true, nil
 		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		crc := binary.LittleEndian.Uint32(hdr[4:8])
-		if length == 0 || length > maxRecordSize {
-			return valid, false, nil // corrupt length prefix
+		if err != nil || len(payload) == 0 {
+			return valid, false, nil // torn or corrupt frame
 		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return valid, false, nil // torn body
-		}
-		want := crc32.Update(0, walCRC, hdr[0:4])
-		want = crc32.Update(want, walCRC, payload)
-		if crc != want {
-			return valid, false, nil // flipped bits
-		}
+		buf = payload
 		if fn != nil {
 			if err := fn(payload); err != nil {
 				return valid, false, err
 			}
 		}
-		valid += int64(8 + length)
+		valid += int64(binio.FrameHeader + len(payload))
 	}
 }
 
 // Replay reads every durable record in dir in append order and hands its
-// payload to fn. A torn or corrupt tail is tolerated only in the final
+// payload to fn, which must not keep it: the next record is read into the
+// same storage. A torn or corrupt tail is tolerated only in the final
 // segment (the only place a crash mid-append can leave one) and reported
 // via the returned torn flag; the same damage in an earlier segment returns
 // an error wrapping ErrCorrupt. An error from fn aborts the replay.
@@ -607,15 +590,8 @@ func validRecordAfter(path string, off int64) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("ingest: reading wal segment: %w", err)
 	}
-	for i := off; i+8 <= int64(len(data)); i++ {
-		length := int64(binary.LittleEndian.Uint32(data[i : i+4]))
-		if length == 0 || length > maxRecordSize || i+8+length > int64(len(data)) {
-			continue
-		}
-		crc := binary.LittleEndian.Uint32(data[i+4 : i+8])
-		want := crc32.Update(0, walCRC, data[i:i+4])
-		want = crc32.Update(want, walCRC, data[i+8:i+8+length])
-		if crc == want {
+	for i := off; i < int64(len(data)); i++ {
+		if p, ok := binio.ParseFrame(data[i:], maxRecordSize); ok && len(p) > 0 {
 			return true, nil
 		}
 	}
