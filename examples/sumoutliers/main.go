@@ -54,7 +54,7 @@ func main() {
 			return core.NewSmallGroup(core.SmallGroupConfig{
 				BaseRate: rate,
 				Seed:     12,
-				Overall:  outlier.OverallBuilder{Measure: measure},
+				Overall:  outlier.Config{Measure: measure, Seed: 13},
 			}).Preprocess(db)
 		}},
 	}

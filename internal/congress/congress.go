@@ -13,7 +13,6 @@ package congress
 
 import (
 	"fmt"
-	"sort"
 
 	"dynsample/internal/core"
 	"dynsample/internal/engine"
@@ -41,6 +40,8 @@ const MaxFullColumns = 12
 // Config parameterises congressional sampling.
 type Config struct {
 	// Rate is the total expected sample size as a fraction of the database.
+	// As an OverallBuilder the size is the family's base rate, and a non-zero
+	// Rate that differs from it is refused.
 	Rate float64
 	// Columns is the candidate grouping-column set T. Nil means every view
 	// column with at most DistinctLimit distinct values.
@@ -48,7 +49,8 @@ type Config struct {
 	// DistinctLimit drops high-cardinality columns from the default
 	// candidate set; zero means core.DefaultDistinctLimit.
 	DistinctLimit int
-	// Variant selects Basic (default) or Full congress.
+	// Variant selects Basic (default) or Full congress; pre-processing
+	// refuses any other value.
 	Variant Variant
 	// Seed drives stratum-level sampling.
 	Seed int64
@@ -77,32 +79,39 @@ func (s *Strategy) Name() string {
 
 // Preprocess implements core.Strategy.
 func (s *Strategy) Preprocess(db *engine.Database) (core.Prepared, error) {
+	return core.NewSmallGroup(core.SmallGroupConfig{BaseRate: s.cfg.Rate, Columns: []string{}, Overall: s}).Preprocess(db)
+}
+
+// BuildOverall implements core.OverallBuilder: a stratified sample of
+// expected size rate·N, each row weighted by its stratum's inverse sampling
+// rate. It records the strata count for StrataCount.
+func (s *Strategy) BuildOverall(db *engine.Database, rate float64) ([]int, []float64, error) {
 	cfg := s.cfg
-	if cfg.Rate <= 0 || cfg.Rate > 1 {
-		return nil, fmt.Errorf("congress: rate %g out of (0,1]", cfg.Rate)
+	if cfg.Rate != 0 && cfg.Rate != rate {
+		return nil, nil, fmt.Errorf("congress: rate %g differs from the base rate %g", cfg.Rate, rate)
 	}
-	if db.NumRows() == 0 {
-		return nil, fmt.Errorf("congress: database %q is empty", db.Name)
+	if cfg.Variant != Basic && cfg.Variant != Full {
+		return nil, nil, fmt.Errorf("congress: unknown variant %d", cfg.Variant)
 	}
 	if cfg.DistinctLimit == 0 {
 		cfg.DistinctLimit = core.DefaultDistinctLimit
 	}
 	cols, err := candidateColumns(db, cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if cfg.Variant == Full && len(cols) > MaxFullColumns {
-		return nil, fmt.Errorf("congress: full congress over %d columns needs 2^%d groupings; limit is %d columns", len(cols), len(cols), MaxFullColumns)
+		return nil, nil, fmt.Errorf("congress: full congress over %d columns needs 2^%d groupings; limit is %d columns", len(cols), len(cols), MaxFullColumns)
 	}
 
 	n := db.NumRows()
-	budget := cfg.Rate * float64(n)
+	budget := rate * float64(n)
 
 	accs := make([]engine.ColumnAccessor, len(cols))
 	for i, c := range cols {
 		acc, err := db.Accessor(c)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		accs[i] = acc
 	}
@@ -133,7 +142,7 @@ func (s *Strategy) Preprocess(db *engine.Database) (core.Prepared, error) {
 	} else {
 		rates, err = fullCongressRates(db, cols, rowStratum, sizes, budget)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 
@@ -170,20 +179,8 @@ func (s *Strategy) Preprocess(db *engine.Database) (core.Prepared, error) {
 			weights = append(weights, w)
 		}
 	}
-	order := make([]int, len(rows))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return rows[order[a]] < rows[order[b]] })
-	sortedRows := make([]int, len(rows))
-	sortedWeights := make([]float64, len(rows))
-	for i, o := range order {
-		sortedRows[i] = rows[o]
-		sortedWeights[i] = weights[o]
-	}
-
 	s.strata = len(sizes)
-	return core.OverallOnly(db, "congress_sample", sortedRows, sortedWeights), nil
+	return rows, weights, nil
 }
 
 func candidateColumns(db *engine.Database, cfg Config) ([]string, error) {

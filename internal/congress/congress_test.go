@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"dynsample/internal/core"
 	"dynsample/internal/engine"
 	"dynsample/internal/randx"
 )
@@ -172,6 +173,24 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Rate: 0.1, Columns: []string{"nope"}}).Preprocess(db); err == nil {
 		t.Error("unknown column not rejected")
+	}
+	if _, err := New(Config{Rate: 0.1, Variant: Variant(2)}).Preprocess(db); err == nil {
+		t.Error("unknown variant not rejected")
+	}
+}
+
+// TestSelectorRefusesAnotherRate: plugged into small group sampling, the
+// selector draws at the base rate, so a Rate that says otherwise is refused
+// rather than ignored.
+func TestSelectorRefusesAnotherRate(t *testing.T) {
+	db := skewDB(1000)
+	for _, rate := range []float64{0, 0.02} {
+		if _, err := core.NewSmallGroup(core.SmallGroupConfig{BaseRate: 0.02, Overall: New(Config{Rate: rate})}).Preprocess(db); err != nil {
+			t.Errorf("rate %g: %v", rate, err)
+		}
+	}
+	if _, err := core.NewSmallGroup(core.SmallGroupConfig{BaseRate: 0.02, Overall: New(Config{Rate: 0.1})}).Preprocess(db); err == nil {
+		t.Error("rate 0.1 at base rate 0.02 not refused")
 	}
 }
 

@@ -25,8 +25,8 @@ import (
 // Strategy builds sample structures for a database during the pre-processing
 // phase. Implementations are small group sampling (this package) and the
 // baselines — uniform sampling, outlier indexing, congress and workload-
-// weighted sampling — each of which builds the degenerate family OverallOnly
-// returns.
+// weighted sampling — each of which is small group sampling with S empty and,
+// but for uniform sampling, its own OverallBuilder.
 type Strategy interface {
 	// Name identifies the strategy in reports and the CLI.
 	Name() string

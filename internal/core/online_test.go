@@ -540,7 +540,7 @@ func TestOnlineRebaseFailureRestoresTracking(t *testing.T) {
 // everyOtherRow is a weighted overall builder: every second row, at weight 2.
 type everyOtherRow struct{}
 
-func (everyOtherRow) BuildOverall(db *engine.Database, target int, seed int64) (rows []int, weights []float64, err error) {
+func (everyOtherRow) BuildOverall(db *engine.Database, _ float64) (rows []int, weights []float64, err error) {
 	for r := 0; r < db.NumRows(); r += 2 {
 		rows, weights = append(rows, r), append(weights, 2)
 	}

@@ -414,9 +414,12 @@ type candidate struct {
 }
 
 // defaultFractions are the overall-sample prefix fractions the planner
-// explores. A prefix of the uniform reservoir sample is itself a uniform
-// sample (reservoir slots are exchangeable), so trimming trades error for
-// rows with no statistical bias.
+// explores. The overall sample is stored in base-row order, so a prefix is
+// the sample of the leading base rows, not a uniform subsample of the
+// sample: trimming trades error for rows with no statistical bias only when
+// base-row order is independent of the data. A table clustered by time or
+// by a grouping value breaks that condition, and a trimmed plan over it
+// misses or misweights the groups laid out last.
 var defaultFractions = []float64{1, 0.5, 0.25, 0.1}
 
 // scanRate resolves the throughput estimate for latency predictions: the

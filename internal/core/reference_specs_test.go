@@ -80,21 +80,20 @@ func referenceCases(t *testing.T, db *engine.Database, subset []string, pair [2]
 	return cases
 }
 
-// bernoulliOverall is a weighted overall builder: a coin per row at rate
-// target/N, every kept row at the realised inverse rate. It holds the
-// cfg.Overall branch of pre-processing, which outlier indexing uses, to the
-// naive algorithm.
-type bernoulliOverall struct{}
+// bernoulliOverall is a weighted overall builder drawn with its own seed: a
+// coin per row at the base rate for even rows and half of it for odd ones,
+// every kept row at its coin's inverse rate. It emits the last row first, so
+// pre-processing has to sort the selection, each weight with its row. It
+// holds the cfg.Overall branch of pre-processing, which every baseline but
+// uniform sampling uses, to the naive algorithm.
+type bernoulliOverall struct{ seed int64 }
 
-func (bernoulliOverall) BuildOverall(db *engine.Database, target int, seed int64) (rows []int, weights []float64, err error) {
-	n, rng := db.NumRows(), randx.New(seed)
-	for r := 0; r < n; r++ {
-		if rng.Float64()*float64(n) < float64(target) {
-			rows = append(rows, r)
+func (b bernoulliOverall) BuildOverall(db *engine.Database, rate float64) (rows []int, weights []float64, err error) {
+	rng := randx.New(b.seed)
+	for r := db.NumRows() - 1; r >= 0; r-- {
+		if p := rate / float64(1+r%2); rng.Float64() < p {
+			rows, weights = append(rows, r), append(weights, 1/p)
 		}
-	}
-	for range rows {
-		weights = append(weights, float64(n)/float64(len(rows)))
 	}
 	return rows, weights, nil
 }
@@ -123,6 +122,9 @@ func TestKernelMatchesNaiveOnSpecs(t *testing.T) {
 			for _, seed := range []int64{1, 2, 3} {
 				cfg := rc.cfg
 				cfg.Seed = seed
+				if cfg.Overall != nil {
+					cfg.Overall = bernoulliOverall{seed: seed + 1} // one selection per seed
+				}
 				t.Run(fmt.Sprintf("%s/%s/seed=%d", d.name, rc.name, seed), func(t *testing.T) {
 					core.AssertPreprocessMatchesNaive(t, db, cfg, 0, 1, 4)
 				})

@@ -116,7 +116,9 @@ func naivePreprocess(cfg SmallGroupConfig, db *engine.Database) (*smallGroupPrep
 				tableWeights[pt.index] = append(tableWeights[pt.index], 1)
 			}
 		}
-		res.Offer(row)
+		if cfg.Overall == nil {
+			res.Offer(row)
+		}
 	}
 
 	p := &smallGroupPrepared{db: db, meta: meta, cfg: cfg, tables: make([]sampleSource, width), pstats: &plannerStats{}}
@@ -130,9 +132,22 @@ func naivePreprocess(cfg SmallGroupConfig, db *engine.Database) (*smallGroupPrep
 	var overallRows []int
 	var overallWeights []float64
 	if cfg.Overall != nil {
-		overallRows, overallWeights, err = cfg.Overall.BuildOverall(db, target, cfg.Seed+1)
+		rows, weights, err := cfg.Overall.BuildOverall(db, cfg.BaseRate)
 		if err != nil {
 			return nil, err
+		}
+		// The selection in base-row order, each weight with its row.
+		at := make(map[int]int, len(rows))
+		for i, r := range rows {
+			at[r] = i
+		}
+		for r := 0; r < n; r++ {
+			if i, ok := at[r]; ok {
+				overallRows = append(overallRows, r)
+				if weights != nil {
+					overallWeights = append(overallWeights, weights[i])
+				}
+			}
 		}
 	} else {
 		overallRows = append([]int(nil), res.Items()...)

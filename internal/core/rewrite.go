@@ -26,8 +26,10 @@ type RewriteStep struct {
 	// MarkExact tags produced groups as exact.
 	MarkExact bool
 	// MaxRows, when > 0, caps the scan at the source's first MaxRows rows —
-	// the planner's sampling-fraction knob over the (exchangeable) reservoir
-	// overall sample. Scale is expected to carry the compensating factor.
+	// the planner's sampling-fraction knob over the overall sample. That
+	// sample is stored in base-row order, so the capped scan is a uniform
+	// subsample of it only when base-row order is independent of the data.
+	// Scale is expected to carry the compensating factor.
 	MaxRows int
 }
 

@@ -35,12 +35,15 @@ const DefaultScanRowsPerSecond = 25e6
 // OverallBuilder selects the rows of the overall sample. The default is a
 // uniform reservoir sample, but §4.2.1 notes the overall sample is pluggable:
 // "it is also possible to use a non-uniform sampling technique ... for
-// example, we use outlier indexing to construct the overall sample". A
-// non-uniform builder returns per-row weights (inverse sampling rates);
-// weights may be nil for a uniform sample, in which case the runtime scales
-// by N/len(rows) (overallScale).
+// example, we use outlier indexing to construct the overall sample". Every
+// baseline is such a selector plugged into a family with S empty. A builder
+// gets the unrounded base rate, draws with its own seed, and may return its
+// rows in any order: pre-processing puts them, with their weights, into
+// base-row order. A non-uniform builder returns per-row weights (inverse
+// sampling rates); weights may be nil for a uniform sample, in which case
+// the runtime scales by N/len(rows) (overallScale).
 type OverallBuilder interface {
-	BuildOverall(db *engine.Database, target int, seed int64) (rows []int, weights []float64, err error)
+	BuildOverall(db *engine.Database, rate float64) (rows []int, weights []float64, err error)
 }
 
 // HierarchyLevel is one band of the multi-level group-size hierarchy
@@ -69,7 +72,8 @@ type SmallGroupConfig struct {
 	// DistinctLimit is τ; zero means DefaultDistinctLimit.
 	DistinctLimit int
 	// Columns restricts the candidate column set S (workload-based trimming,
-	// §4.2.3). Nil means all view columns.
+	// §4.2.3). Nil means every view column; an empty list means none, the
+	// family a baseline builds: its overall sample alone.
 	Columns []string
 	// MaxTablesPerQuery, when positive, caps how many small group tables a
 	// single query may read (the runtime heuristic suggested in §4.2.3).
@@ -83,8 +87,8 @@ type SmallGroupConfig struct {
 	// (§4.2.3 variation). A pair table stores, completely, the rows whose
 	// value combination is rare while each value is individually common.
 	Pairs [][2]string
-	// Overall overrides how the overall sample is drawn; nil means a uniform
-	// reservoir sample.
+	// Overall selects the overall sample's rows; nil means a uniform
+	// reservoir sample drawn with Seed.
 	Overall OverallBuilder
 	// Renormalize stores samples as renormalized join synopses (§5.2.2):
 	// fact slices joined to reduced dimension tables shared across all
@@ -297,7 +301,9 @@ type sampleRows struct {
 // draw order stays fixed: per row, one coin per medium-band bit in index
 // order, then the reservoir offer. A window is 4·Workers shards, and its
 // slots' buffers are reused by the next window, so what is kept between the
-// parts is bounded by the window, never by the table.
+// parts is bounded by the window, never by the table. With cfg.Overall set
+// there is no reservoir: the selection, sorted into base-row order, is the
+// overall sample.
 func (split *bandSplit) classify(db *engine.Database, cfg SmallGroupConfig) (*sampleRows, error) {
 	n, width, words := db.NumRows(), split.meta.Width(), maskWords(split.meta.Width())
 	shards := parallel.Shards(n, engine.ScanShardRows)
@@ -307,15 +313,15 @@ func (split *bandSplit) classify(db *engine.Database, cfg SmallGroupConfig) (*sa
 	}, min(len(shards), 4*max(cfg.Workers, 1)))
 
 	rng := randx.New(cfg.Seed)
-	target := int(cfg.BaseRate * float64(n))
-	if target < 1 {
-		target = 1
+	var res *sample.Reservoir // the default overall sample; a cfg.Overall selection draws none
+	if cfg.Overall == nil {
+		res = sample.NewReservoir(max(1, int(cfg.BaseRate*float64(n))), rng)
 	}
-	res := sample.NewReservoir(target, rng)
 	out := &sampleRows{tables: make([][]int, width), weights: make([][]float64, width)}
 	weighted := make([]bool, width)
 	next := 0 // the next row to offer: every row before a kept one is offered before its coins
-	for lo := 0; lo < len(shards); lo += len(window) {
+	// With S empty no row has a bit: the window pass is skipped.
+	for lo := 0; width > 0 && lo < len(shards); lo += len(window) {
 		slots := window[:min(len(window), len(shards)-lo)]
 		parallel.ForEach(cfg.Workers, len(slots), func(s int) {
 			k, masks := &slots[s], make([]uint64, maskRows*words)
@@ -332,7 +338,7 @@ func (split *bandSplit) classify(db *engine.Database, cfg SmallGroupConfig) (*sa
 		})
 		for _, k := range slots {
 			for j, row := range k.rows {
-				for ; next < row; next++ {
+				for ; res != nil && next < row; next++ {
 					res.Offer(next)
 				}
 				eachBit(k.masks[j*words:(j+1)*words], func(i int) {
@@ -355,7 +361,7 @@ func (split *bandSplit) classify(db *engine.Database, cfg SmallGroupConfig) (*sa
 			}
 		}
 	}
-	for ; next < n; next++ {
+	for ; res != nil && next < n; next++ {
 		res.Offer(next)
 	}
 	for i := range out.weights {
@@ -364,29 +370,32 @@ func (split *bandSplit) classify(db *engine.Database, cfg SmallGroupConfig) (*sa
 		}
 	}
 
-	if cfg.Overall != nil {
-		var err error
-		out.overall, out.overallWeights, err = cfg.Overall.BuildOverall(db, target, cfg.Seed+1)
-		if err != nil {
-			return nil, fmt.Errorf("smallgroup: overall builder: %w", err)
-		}
-	} else {
+	if cfg.Overall == nil {
 		out.overall = append([]int(nil), res.Items()...)
 		sort.Ints(out.overall)
+		return out, nil
 	}
+	var err error
+	if out.overall, out.overallWeights, err = cfg.Overall.BuildOverall(db, cfg.BaseRate); err != nil {
+		return nil, err
+	}
+	sort.Sort(rowOrder{out.overall, out.overallWeights})
 	return out, nil
 }
 
-// OverallOnly is the sample family a single-table baseline builds — uniform
-// sampling, outlier indexing, congress, workload-weighted sampling: rows of
-// db, stored with their weights as the overall sample table name, and
-// nothing in S (width-0 metadata, no small group tables). It answers through
-// the one runtime, so bounded plans, deadline degradation, plan preview, the
-// worker budget and catalog save and restore all apply to it.
-func OverallOnly(db *engine.Database, name string, rows []int, weights []float64) Prepared {
-	return &smallGroupPrepared{db: db, meta: NewMetadata(int64(db.NumRows()), nil), cfg: SmallGroupConfig{DistinctLimit: DefaultDistinctLimit},
-		overall:      sampleSource{src: db.Flatten(name, rows, nil, weights), name: name},
-		overallScale: overallScale(db.NumRows(), rows, weights), pstats: &plannerStats{}}
+// rowOrder sorts a selection into base-row order, each weight with its row.
+type rowOrder struct {
+	rows    []int
+	weights []float64 // nil, or one per row
+}
+
+func (o rowOrder) Len() int           { return len(o.rows) }
+func (o rowOrder) Less(i, j int) bool { return o.rows[i] < o.rows[j] }
+func (o rowOrder) Swap(i, j int) {
+	o.rows[i], o.rows[j] = o.rows[j], o.rows[i]
+	if o.weights != nil {
+		o.weights[i], o.weights[j] = o.weights[j], o.weights[i]
+	}
 }
 
 // overallScale is the factor the overall sample's rows count for: N/len(rows)

@@ -35,7 +35,7 @@ func (s sampleSource) bytes(size func(*engine.Table) int64) int64 {
 // smallGroupPrepared is Prepared's one implementation: the small group tables
 // (one per column of S), the overall sample, and the metadata catalog used
 // for sample selection. A single-table baseline is the family with S empty
-// (OverallOnly).
+// (SmallGroupConfig.Columns).
 type smallGroupPrepared struct {
 	db           *engine.Database
 	meta         *Metadata

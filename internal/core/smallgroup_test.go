@@ -178,7 +178,7 @@ func TestUnweightedOverallBuilderScales(t *testing.T) {
 // everyOtherUnweighted is an unweighted overall builder: every second row.
 type everyOtherUnweighted struct{}
 
-func (everyOtherUnweighted) BuildOverall(db *engine.Database, _ int, _ int64) (rows []int, weights []float64, err error) {
+func (everyOtherUnweighted) BuildOverall(db *engine.Database, _ float64) (rows []int, weights []float64, err error) {
 	for r := 0; r < db.NumRows(); r += 2 {
 		rows = append(rows, r)
 	}

@@ -23,10 +23,10 @@ type ExecOptions struct {
 	// MarkExact marks every produced group as exact (used for small group
 	// tables, which are not downsampled).
 	MarkExact bool
-	// MaxRows, when > 0, scans only the first MaxRows rows of the source.
-	// Over a reservoir sample — whose slots are exchangeable — the prefix is
-	// itself a uniform sample, so this is the planner's sampling-fraction
-	// knob; the caller compensates by raising Scale.
+	// MaxRows, when > 0, scans only the first MaxRows rows of the source:
+	// the planner's sampling-fraction knob over an overall sample, which is
+	// a uniform subsample of it only when the sample's row order is
+	// independent of the data. The caller compensates by raising Scale.
 	MaxRows int
 	// Workers is how many goroutines scan concurrently; values below 1
 	// (including the zero value) mean 1, which runs inline on the calling

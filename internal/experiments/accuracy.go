@@ -313,7 +313,7 @@ func (r *Runner) SumOutlier() (*Figure, error) {
 		BaseRate:           r.Scale.BaseRate,
 		SmallGroupFraction: AllocationRatio * r.Scale.BaseRate,
 		Seed:               r.Scale.Seed + 4,
-		Overall:            outlier.OverallBuilder{Measure: measure},
+		Overall:            outlier.Config{Measure: measure, Seed: r.Scale.Seed + 5},
 	}))
 	if err != nil {
 		return nil, err

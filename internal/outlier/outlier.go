@@ -1,7 +1,8 @@
 // Package outlier implements outlier indexing [Chaudhuri, Das, Datar,
 // Motwani, Narasayya — ICDE 2001], the baseline of §5.3.3 for SUM queries
-// over skewed measure attributes, and the OverallBuilder that plugs it into
-// small group sampling ("small group sampling enhanced with outlier
+// over skewed measure attributes. Its Config is the row selector for both
+// uses: the overall sample of a family with S empty, and the overall sample
+// of small group sampling ("small group sampling enhanced with outlier
 // indexing", §4.2.1).
 //
 // The technique splits the database into an outlier set — the rows whose
@@ -23,10 +24,14 @@ import (
 	"dynsample/internal/sample"
 )
 
-// Config parameterises outlier indexing.
+// Config parameterises outlier indexing. It is a core.OverallBuilder: set as
+// SmallGroupConfig.Overall, it enhances small group sampling with outlier
+// indexing at the base rate.
 type Config struct {
 	// Rate is the total sample budget as a fraction of the database,
-	// covering both the outlier set and the remainder sample.
+	// covering both the outlier set and the remainder sample. As an
+	// OverallBuilder the budget is the family's base rate, and a non-zero
+	// Rate that differs from it is refused.
 	Rate float64
 	// Measure is the aggregate column the outlier index is built for.
 	Measure string
@@ -103,15 +108,22 @@ func SelectOutliers(values []float64, k int) []int {
 	return out
 }
 
-// build selects outlier rows and a remainder sample over db, returning row
-// indices with per-row weights. Shared by the standalone strategy and the
-// OverallBuilder.
-func build(db *engine.Database, cfg Config, target int, seed int64) ([]int, []float64, error) {
+// BuildOverall implements core.OverallBuilder: the outlier rows at weight 1
+// and a remainder sample at its inverse sampling rate, max(1, ⌊rate·N⌋) rows
+// in all, so a single weighted execution yields the stratified estimate
+// (exact outlier contribution + scaled sample estimate) for both COUNT and
+// SUM.
+func (c Config) BuildOverall(db *engine.Database, rate float64) ([]int, []float64, error) {
+	cfg := c.withDefaults()
+	if cfg.Rate != 0 && cfg.Rate != rate {
+		return nil, nil, fmt.Errorf("outlier: rate %g differs from the base rate %g", cfg.Rate, rate)
+	}
 	acc, err := db.Accessor(cfg.Measure)
 	if err != nil {
 		return nil, nil, fmt.Errorf("outlier: %w", err)
 	}
 	n := db.NumRows()
+	target := max(1, int(rate*float64(n)))
 	values := make([]float64, n)
 	for i := 0; i < n; i++ {
 		values[i] = acc.Float(i)
@@ -135,7 +147,7 @@ func build(db *engine.Database, cfg Config, target int, seed int64) ([]int, []fl
 	if sampleSize < 1 && len(remainder) > 0 {
 		sampleSize = 1
 	}
-	rng := randx.New(seed)
+	rng := randx.New(cfg.Seed)
 	var rows []int
 	var weights []float64
 	for _, ix := range outliers {
@@ -150,57 +162,10 @@ func build(db *engine.Database, cfg Config, target int, seed int64) ([]int, []fl
 			weights = append(weights, w)
 		}
 	}
-	// Restore base-row order for scan locality.
-	order := make([]int, len(rows))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return rows[order[a]] < rows[order[b]] })
-	sr := make([]int, len(rows))
-	sw := make([]float64, len(rows))
-	for i, o := range order {
-		sr[i] = rows[o]
-		sw[i] = weights[o]
-	}
-	return sr, sw, nil
+	return rows, weights, nil
 }
 
 // Preprocess implements core.Strategy.
 func (s *Strategy) Preprocess(db *engine.Database) (core.Prepared, error) {
-	cfg := s.cfg.withDefaults()
-	if cfg.Rate <= 0 || cfg.Rate > 1 {
-		return nil, fmt.Errorf("outlier: rate %g out of (0,1]", cfg.Rate)
-	}
-	if db.NumRows() == 0 {
-		return nil, fmt.Errorf("outlier: database %q is empty", db.Name)
-	}
-	target := int(cfg.Rate * float64(db.NumRows()))
-	if target < 1 {
-		target = 1
-	}
-	rows, weights, err := build(db, cfg, target, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	// Outlier rows carry weight 1 and remainder rows their inverse sampling
-	// rate, so a single weighted execution yields the stratified estimate
-	// (exact outlier contribution + scaled sample estimate) for both COUNT
-	// and SUM.
-	return core.OverallOnly(db, "outlier_sample", rows, weights), nil
-}
-
-// OverallBuilder adapts outlier indexing as the overall sample of small
-// group sampling (§4.2.1's "small group sampling enhanced with outlier
-// indexing").
-type OverallBuilder struct {
-	// Measure is the aggregate column to build the index for.
-	Measure string
-	// OutlierShare is the budget fraction for outlier rows (zero means 0.5).
-	OutlierShare float64
-}
-
-// BuildOverall implements core.OverallBuilder.
-func (b OverallBuilder) BuildOverall(db *engine.Database, target int, seed int64) ([]int, []float64, error) {
-	cfg := Config{Measure: b.Measure, OutlierShare: b.OutlierShare}.withDefaults()
-	return build(db, cfg, target, seed)
+	return core.NewSmallGroup(core.SmallGroupConfig{BaseRate: s.cfg.Rate, Columns: []string{}, Overall: s.cfg}).Preprocess(db)
 }

@@ -231,7 +231,7 @@ func TestOverallBuilderPlugsIntoSmallGroup(t *testing.T) {
 		BaseRate:      0.02,
 		DistinctLimit: 100,
 		Seed:          7,
-		Overall:       OverallBuilder{Measure: "rev"},
+		Overall:       Config{Measure: "rev", Seed: 8},
 	})
 	p, err := sg.Preprocess(db)
 	if err != nil {
@@ -253,6 +253,21 @@ func TestOverallBuilderPlugsIntoSmallGroup(t *testing.T) {
 		if rel > 0.5 {
 			t.Errorf("group %v rel err %.3f", eg.Key, rel)
 		}
+	}
+}
+
+// TestSelectorRefusesAnotherRate: plugged into small group sampling, the
+// selector draws at the base rate, so a Rate that says otherwise is refused
+// rather than ignored.
+func TestSelectorRefusesAnotherRate(t *testing.T) {
+	db := heavyTailDB(1000)
+	for _, rate := range []float64{0, 0.02} {
+		if _, err := core.NewSmallGroup(core.SmallGroupConfig{BaseRate: 0.02, Overall: Config{Rate: rate, Measure: "rev"}}).Preprocess(db); err != nil {
+			t.Errorf("rate %g: %v", rate, err)
+		}
+	}
+	if _, err := core.NewSmallGroup(core.SmallGroupConfig{BaseRate: 0.02, Overall: Config{Rate: 0.1, Measure: "rev"}}).Preprocess(db); err == nil {
+		t.Error("rate 0.1 at base rate 0.02 not refused")
 	}
 }
 

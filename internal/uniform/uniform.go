@@ -1,18 +1,13 @@
 // Package uniform implements the plain uniform-random-sampling AQP baseline
 // the paper compares against throughout §5: one reservoir sample of the
 // database stored as a flat join synopsis, with aggregates scaled by the
-// inverse sampling rate — the sample family with nothing in S
-// (core.OverallOnly).
+// inverse sampling rate — small group sampling with S empty, whose default
+// overall sample is exactly that reservoir.
 package uniform
 
 import (
-	"fmt"
-	"sort"
-
 	"dynsample/internal/core"
 	"dynsample/internal/engine"
-	"dynsample/internal/randx"
-	"dynsample/internal/sample"
 )
 
 // Config parameterises the uniform baseline.
@@ -38,22 +33,5 @@ func (s *Strategy) Name() string { return "uniform" }
 
 // Preprocess implements core.Strategy.
 func (s *Strategy) Preprocess(db *engine.Database) (core.Prepared, error) {
-	if s.cfg.Rate <= 0 || s.cfg.Rate > 1 {
-		return nil, fmt.Errorf("uniform: rate %g out of (0,1]", s.cfg.Rate)
-	}
-	if db.NumRows() == 0 {
-		return nil, fmt.Errorf("uniform: database %q is empty", db.Name)
-	}
-	n := db.NumRows()
-	target := int(s.cfg.Rate * float64(n))
-	if target < 1 {
-		target = 1
-	}
-	res := sample.NewReservoir(target, randx.New(s.cfg.Seed))
-	for i := 0; i < n; i++ {
-		res.Offer(i)
-	}
-	rows := append([]int(nil), res.Items()...)
-	sort.Ints(rows)
-	return core.OverallOnly(db, "u_sample", rows, nil), nil
+	return core.NewSmallGroup(core.SmallGroupConfig{BaseRate: s.cfg.Rate, Columns: []string{}, Seed: s.cfg.Seed}).Preprocess(db)
 }

@@ -28,12 +28,15 @@ import (
 
 // Config parameterises workload-weighted sampling.
 type Config struct {
-	// Rate is the expected sample size as a fraction of the database.
+	// Rate is the expected sample size as a fraction of the database. As an
+	// OverallBuilder the size is the family's base rate, and a non-zero Rate
+	// that differs from it is refused.
 	Rate float64
 	// Workload is the training query set whose footprint biases the sample.
 	Workload []*engine.Query
 	// Smoothing is added to every tuple's usage count so tuples outside the
-	// workload footprint keep non-zero inclusion probability (zero means 0.1).
+	// workload footprint keep non-zero inclusion probability (zero means 0.1;
+	// a negative value, which would leave them out, and NaN are refused).
 	Smoothing float64
 	// Seed drives the Poisson sampling.
 	Seed int64
@@ -59,15 +62,22 @@ func (s *Strategy) Name() string { return "weighted" }
 
 // Preprocess implements core.Strategy.
 func (s *Strategy) Preprocess(db *engine.Database) (core.Prepared, error) {
-	cfg := s.cfg.withDefaults()
-	if cfg.Rate <= 0 || cfg.Rate > 1 {
-		return nil, fmt.Errorf("weighted: rate %g out of (0,1]", cfg.Rate)
+	return core.NewSmallGroup(core.SmallGroupConfig{BaseRate: s.cfg.Rate, Columns: []string{}, Overall: s.cfg}).Preprocess(db)
+}
+
+// BuildOverall implements core.OverallBuilder: a Poisson sample of expected
+// size rate·N biased toward the workload's footprint, each row weighted by
+// its inverse inclusion probability.
+func (c Config) BuildOverall(db *engine.Database, rate float64) ([]int, []float64, error) {
+	cfg := c.withDefaults()
+	if cfg.Rate != 0 && cfg.Rate != rate {
+		return nil, nil, fmt.Errorf("weighted: rate %g differs from the base rate %g", cfg.Rate, rate)
 	}
-	if db.NumRows() == 0 {
-		return nil, fmt.Errorf("weighted: database %q is empty", db.Name)
+	if !(cfg.Smoothing >= 0) {
+		return nil, nil, fmt.Errorf("weighted: smoothing %g is negative or NaN", cfg.Smoothing)
 	}
 	if len(cfg.Workload) == 0 {
-		return nil, fmt.Errorf("weighted: empty training workload")
+		return nil, nil, fmt.Errorf("weighted: empty training workload")
 	}
 	n := db.NumRows()
 
@@ -75,7 +85,7 @@ func (s *Strategy) Preprocess(db *engine.Database) (core.Prepared, error) {
 	usage := make([]float64, n)
 	for qi, q := range cfg.Workload {
 		if err := q.Validate(db); err != nil {
-			return nil, fmt.Errorf("weighted: workload query %d: %w", qi, err)
+			return nil, nil, fmt.Errorf("weighted: workload query %d: %w", qi, err)
 		}
 		type boundPred struct {
 			acc engine.ColumnAccessor
@@ -85,7 +95,7 @@ func (s *Strategy) Preprocess(db *engine.Database) (core.Prepared, error) {
 		for i, p := range q.Where {
 			acc, err := db.Accessor(p.Column())
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			preds[i] = boundPred{acc, p}
 		}
@@ -105,11 +115,11 @@ func (s *Strategy) Preprocess(db *engine.Database) (core.Prepared, error) {
 
 	// Poisson sampling with inclusion probability proportional to usage.
 	rng := randx.New(cfg.Seed)
-	rows, weights := sample.PoissonByWeight(rng, usage, cfg.Rate*float64(n))
+	rows, weights := sample.PoissonByWeight(rng, usage, rate*float64(n))
 	if len(rows) == 0 {
 		// Degenerate budget: fall back to one uniform row.
 		rows = []int{rng.Intn(n)}
 		weights = []float64{float64(n)}
 	}
-	return core.OverallOnly(db, "weighted_sample", rows, weights), nil
+	return rows, weights, nil
 }

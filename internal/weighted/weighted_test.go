@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"dynsample/internal/core"
 	"dynsample/internal/engine"
 	"dynsample/internal/metrics"
 	"dynsample/internal/randx"
@@ -141,9 +142,29 @@ func TestValidation(t *testing.T) {
 	if _, err := New(Config{Rate: 0.1, Workload: bad}).Preprocess(db); err == nil {
 		t.Error("invalid workload query not rejected")
 	}
+	for _, smoothing := range []float64{-0.5, math.NaN()} {
+		if _, err := New(Config{Rate: 0.1, Workload: trainingWorkload(), Smoothing: smoothing}).Preprocess(db); err == nil {
+			t.Errorf("smoothing %g not rejected", smoothing)
+		}
+	}
 	empty := engine.MustNewDatabase("e", engine.NewTable("f", engine.NewColumn("region", engine.String)))
 	if _, err := New(Config{Rate: 0.1, Workload: trainingWorkload()}).Preprocess(empty); err == nil {
 		t.Error("empty database not rejected")
+	}
+}
+
+// TestSelectorRefusesAnotherRate: plugged into small group sampling, the
+// selector draws at the base rate, so a Rate that says otherwise is refused
+// rather than ignored.
+func TestSelectorRefusesAnotherRate(t *testing.T) {
+	db := regionsDB(1000)
+	for _, rate := range []float64{0, 0.02} {
+		if _, err := core.NewSmallGroup(core.SmallGroupConfig{BaseRate: 0.02, Overall: Config{Rate: rate, Workload: trainingWorkload()}}).Preprocess(db); err != nil {
+			t.Errorf("rate %g: %v", rate, err)
+		}
+	}
+	if _, err := core.NewSmallGroup(core.SmallGroupConfig{BaseRate: 0.02, Overall: Config{Rate: 0.1, Workload: trainingWorkload()}}).Preprocess(db); err == nil {
+		t.Error("rate 0.1 at base rate 0.02 not refused")
 	}
 }
 
