@@ -9,7 +9,8 @@ all: build vet test
 # The CI gate: build + vet + full test suite under the race detector, the
 # schedule-dependent build paths (generation's fills, pre-processing's
 # sharded scan 2) pinned at 1, 2 and 8 cores whatever the runner has, plus
-# the dead-link check over the markdown docs and a known-vulnerability
+# the dead-link and ARCHITECTURE.md § reference check over the docs and
+# the scripts' fixture tests, and a known-vulnerability
 # scan (skipped quietly where govulncheck is not installed; CI installs it).
 check:
 	$(GO) build ./...

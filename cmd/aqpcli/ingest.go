@@ -16,6 +16,18 @@ import (
 	"time"
 )
 
+// The ingest subcommand's flags, declared at package level so that a test
+// can list them.
+var (
+	ingestFlags     = flag.NewFlagSet("ingest", flag.ExitOnError)
+	ingestAddr      = ingestFlags.String("addr", "http://localhost:8080", "aqpd base URL")
+	ingestFile      = ingestFlags.String("file", "-", "CSV file of rows to append (\"-\" = stdin); columns in the view's order, no header unless -header")
+	ingestHeader    = ingestFlags.Bool("header", false, "skip the first CSV line (a header row)")
+	ingestBatchSize = ingestFlags.Int("batch-size", 500, "rows per ingest batch")
+	ingestIDPrefix  = ingestFlags.String("id-prefix", "", "idempotency id prefix for batches (default: derived from the file name and start time)")
+	ingestRetries   = ingestFlags.Int("retries", 10, "retries per batch on transient failures (503 backpressure, 5xx, transport errors); each retry reuses the batch's idempotency id")
+)
+
 // runIngest is the `aqpcli ingest` subcommand: stream CSV rows (a file or
 // stdin) to a running aqpd's POST /v1/ingest in batches. The server's
 // /v1/columns metadata supplies the column order and types, so plain CSV
@@ -23,49 +35,40 @@ import (
 // idempotency id, and 503 backpressure is retried with the same id — safe to
 // re-run after a partial failure.
 func runIngest(args []string) {
-	fs := flag.NewFlagSet("ingest", flag.ExitOnError)
-	var (
-		addr      = fs.String("addr", "http://localhost:8080", "aqpd base URL")
-		file      = fs.String("file", "-", "CSV file of rows to append (\"-\" = stdin); columns in the view's order, no header unless -header")
-		header    = fs.Bool("header", false, "skip the first CSV line (a header row)")
-		batchSize = fs.Int("batch-size", 500, "rows per ingest batch")
-		idPrefix  = fs.String("id-prefix", "", "idempotency id prefix for batches (default: derived from the file name and start time)")
-		retries   = fs.Int("retries", 10, "retries per batch on transient failures (503 backpressure, 5xx, transport errors); each retry reuses the batch's idempotency id")
-	)
-	fs.Usage = func() {
+	ingestFlags.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: aqpcli ingest [-addr URL] [-file rows.csv] [-header] [-batch-size N]")
-		fs.PrintDefaults()
+		ingestFlags.PrintDefaults()
 	}
-	fs.Parse(args)
-	if *batchSize < 1 {
-		fatal(fmt.Errorf("invalid -batch-size %d: need at least 1 row per batch", *batchSize))
+	ingestFlags.Parse(args)
+	if *ingestBatchSize < 1 {
+		fatal(fmt.Errorf("invalid -batch-size %d: need at least 1 row per batch", *ingestBatchSize))
 	}
-	if *retries < 0 {
-		fatal(fmt.Errorf("invalid -retries %d: must be >= 0", *retries))
+	if *ingestRetries < 0 {
+		fatal(fmt.Errorf("invalid -retries %d: must be >= 0", *ingestRetries))
 	}
 
-	cols, types, err := fetchSchema(*addr)
+	cols, types, err := fetchSchema(*ingestAddr)
 	if err != nil {
 		fatal(err)
 	}
 
 	var in io.Reader = os.Stdin
 	name := "stdin"
-	if *file != "-" {
-		f, err := os.Open(*file)
+	if *ingestFile != "-" {
+		f, err := os.Open(*ingestFile)
 		if err != nil {
 			fatal(err)
 		}
 		defer f.Close()
-		in, name = f, *file
+		in, name = f, *ingestFile
 	}
-	if *idPrefix == "" {
-		*idPrefix = fmt.Sprintf("%s-%d", name, time.Now().UnixNano())
+	if *ingestIDPrefix == "" {
+		*ingestIDPrefix = fmt.Sprintf("%s-%d", name, time.Now().UnixNano())
 	}
 
 	r := csv.NewReader(in)
 	r.FieldsPerRecord = len(cols)
-	if *header {
+	if *ingestHeader {
 		if _, err := r.Read(); err != nil {
 			fatal(fmt.Errorf("reading header: %w", err))
 		}
@@ -81,8 +84,8 @@ func runIngest(args []string) {
 		if len(batch) == 0 {
 			return nil
 		}
-		id := fmt.Sprintf("%s-%d", *idPrefix, batchNo)
-		if err := postBatch(*addr, id, cols, batch, *retries); err != nil {
+		id := fmt.Sprintf("%s-%d", *ingestIDPrefix, batchNo)
+		if err := postBatch(*ingestAddr, id, cols, batch, *ingestRetries); err != nil {
 			return err
 		}
 		total += len(batch)
@@ -107,7 +110,7 @@ func runIngest(args []string) {
 			row[i] = enc
 		}
 		batch = append(batch, row)
-		if len(batch) >= *batchSize {
+		if len(batch) >= *ingestBatchSize {
 			if err := flush(); err != nil {
 				fatal(err)
 			}

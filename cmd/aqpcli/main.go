@@ -43,27 +43,30 @@ import (
 	"dynsample/internal/uniform"
 )
 
+// The flags, declared at package level so that a test can list them; the
+// ingest subcommand's are in ingest.go.
+var (
+	dbKind   = flag.String("db", "tpch", "builtin database: "+strings.Join(scenario.BuiltinSpecs(), " or "))
+	load     = flag.String("load", "", "load a single-table database from a CSV file instead of generating one")
+	z        = flag.Float64("z", 2.0, "Zipf skew of every zipf column (>= 0)")
+	rows     = flag.Int("rows", 200000, "fact rows (>= 1); the dimension tables scale with them")
+	rate     = flag.Float64("rate", 0.01, "base sampling rate r, in (0, 1]")
+	workers  = flag.Int("workers", parallel.DefaultWorkers(), "worker goroutines per query and for pre-processing (>= 1); 1 disables parallelism")
+	strategy = flag.String("strategy", "smallgroup", "strategy: smallgroup or uniform")
+	seed     = flag.Int64("seed", 42, "random seed")
+	query    = flag.String("query", "", "run one query and exit")
+	timeout  = flag.Duration("timeout", 0, "per-query deadline; 0 disables. Queries that would overrun degrade to the overall sample, then abort with an error")
+	errBound = flag.Float64("error-bound", 0, "ask the planner for answers within this mean relative error, in (0, 1); 0 disables")
+	tBound   = flag.Duration("time-bound", 0, "ask the planner for the most accurate plan predicted to finish within this duration; 0 disables")
+	catDir   = flag.String("catalog-dir", "", "sample catalog directory, as aqpd's: restore its newest generation cut over this base, or pre-process and save generation 1")
+)
+
 func main() {
 	// Subcommands run against a live aqpd instead of building a local system.
 	if len(os.Args) > 1 && os.Args[1] == "ingest" {
 		runIngest(os.Args[2:])
 		return
 	}
-	var (
-		dbKind   = flag.String("db", "tpch", "builtin database: "+strings.Join(scenario.BuiltinSpecs(), " or "))
-		load     = flag.String("load", "", "load a single-table database from a CSV file instead of generating one")
-		z        = flag.Float64("z", 2.0, "Zipf skew of every zipf column (>= 0)")
-		rows     = flag.Int("rows", 200000, "fact rows (>= 1); the dimension tables scale with them")
-		rate     = flag.Float64("rate", 0.01, "base sampling rate r, in (0, 1]")
-		workers  = flag.Int("workers", parallel.DefaultWorkers(), "worker goroutines per query and for pre-processing (>= 1); 1 disables parallelism")
-		strategy = flag.String("strategy", "smallgroup", "strategy: smallgroup or uniform")
-		seed     = flag.Int64("seed", 42, "random seed")
-		query    = flag.String("query", "", "run one query and exit")
-		timeout  = flag.Duration("timeout", 0, "per-query deadline; 0 disables. Queries that would overrun degrade to the overall sample, then abort with an error")
-		errBound = flag.Float64("error-bound", 0, "ask the planner for answers within this mean relative error, in (0, 1); 0 disables")
-		tBound   = flag.Duration("time-bound", 0, "ask the planner for the most accurate plan predicted to finish within this duration; 0 disables")
-		catDir   = flag.String("catalog-dir", "", "sample catalog directory, as aqpd's: restore its newest generation cut over this base, or pre-process and save generation 1")
-	)
 	flag.Parse()
 	// Fail fast on invalid parameters — before paying for data generation.
 	if *rate <= 0 || *rate > 1 {

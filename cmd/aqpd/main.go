@@ -1,7 +1,7 @@
 // Command aqpd serves the AQP middleware over HTTP: generate a database, run
 // pre-processing once (or restore its output from -catalog-dir), then answer
 // SQL aggregation queries from the samples. The server handles concurrent
-// /query requests; -workers additionally parallelises each query's rewritten
+// /v1/query requests; -workers additionally parallelises each query's rewritten
 // UNION ALL over partitioned scans (and pre-processing itself).
 //
 // Usage:
@@ -56,44 +56,47 @@ import (
 	"dynsample/internal/cluster"
 	"dynsample/internal/core"
 	"dynsample/internal/ingest"
+	"dynsample/internal/obs"
 	"dynsample/internal/parallel"
 	"dynsample/internal/scenario"
 	"dynsample/internal/server"
 )
 
-func main() {
-	var (
-		addr         = flag.String("addr", ":8080", "listen address")
-		dbKind       = flag.String("db", "tpch", "builtin database: "+strings.Join(scenario.BuiltinSpecs(), " or "))
-		z            = flag.Float64("z", 2.0, "Zipf skew of every zipf column (>= 0)")
-		rows         = flag.Int("rows", 200000, "fact rows (>= 1); the dimension tables scale with them")
-		rate         = flag.Float64("rate", 0.01, "base sampling rate r, in (0, 1]")
-		workers      = flag.Int("workers", parallel.DefaultWorkers(), "worker goroutines per query and for pre-processing (>= 1); 1 disables parallelism")
-		seed         = flag.Int64("seed", 42, "random seed")
-		queryTimeout = flag.Duration("query-timeout", 30*time.Second, "default per-query deadline; 0 disables (clients may override per request via timeout_ms)")
-		maxInflight  = flag.Int("max-inflight", 0, "max concurrent /query + /exact requests; excess is shed with 503 + Retry-After (0 = unlimited)")
-		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "how long graceful shutdown waits for in-flight requests after SIGINT/SIGTERM")
-		catalogDir   = flag.String("catalog-dir", "", "directory for the crash-safe snapshot catalog; samples are recovered from it at startup and every rebuild persists a new generation")
-		rebuildEvery = flag.Duration("rebuild-interval", 0, "rebuild the samples periodically, swapping each new generation in without downtime (0 disables; rebuilds are also available on demand via POST /admin/rebuild)")
-		debugAddr    = flag.String("debug-addr", "", "listen address for the debug server (pprof, /metrics, /debug/slowlog); empty disables it")
-		slowlogSize  = flag.Int("slowlog-size", 0, "how many of the slowest queries /debug/slowlog retains (0 = default)")
-		walDir       = flag.String("wal-dir", "", "directory for the ingestion write-ahead log; enables POST /v1/ingest, and durable batches found there are replayed at startup")
-		driftBound   = flag.Float64("drift-bound", 1.0, "common-set drift level that triggers a background sample rebuild (negative disables the trigger)")
-		maxPending   = flag.Int("max-pending", 0, "max concurrently admitted ingest batches; excess is rejected with 503 + Retry-After (0 = default 64)")
-		scanRate     = flag.Float64("scan-rate", 0, "pin the bounded-query planner's latency model to this scan rate in rows/second; 0 learns the rate online from observed executions")
+// The flags, declared at package level so that a test can list them.
+var (
+	addr         = flag.String("addr", ":8080", "listen address")
+	dbKind       = flag.String("db", "tpch", "builtin database: "+strings.Join(scenario.BuiltinSpecs(), " or "))
+	z            = flag.Float64("z", 2.0, "Zipf skew of every zipf column (>= 0)")
+	rows         = flag.Int("rows", 200000, "fact rows (>= 1); the dimension tables scale with them")
+	rate         = flag.Float64("rate", 0.01, "base sampling rate r, in (0, 1]")
+	workers      = flag.Int("workers", parallel.DefaultWorkers(), "worker goroutines per query and for pre-processing (>= 1); 1 disables parallelism")
+	seed         = flag.Int64("seed", 42, "random seed")
+	queryTimeout = flag.Duration("query-timeout", 30*time.Second, "default per-query deadline; 0 disables (clients may override per request via timeout_ms)")
+	maxInflight  = flag.Int("max-inflight", 0, "max concurrent /v1/query + /v1/exact requests; excess is shed with 503 + Retry-After (0 = unlimited)")
+	drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "how long graceful shutdown waits for in-flight requests after SIGINT/SIGTERM")
+	catalogDir   = flag.String("catalog-dir", "", "directory for the crash-safe snapshot catalog; samples are recovered from it at startup and every rebuild persists a new generation")
+	rebuildEvery = flag.Duration("rebuild-interval", 0, "rebuild the samples periodically, swapping each new generation in without downtime (0 disables; rebuilds are also available on demand via POST /v1/admin/rebuild)")
+	debugAddr    = flag.String("debug-addr", "", "listen address for the debug server (pprof, /metrics, /debug/slowlog); empty disables it")
+	slowlogSize  = flag.Int("slowlog-size", obs.DefaultSlowLogSize, "how many of the slowest queries /debug/slowlog retains (0 = the default)")
+	walDir       = flag.String("wal-dir", "", "directory for the ingestion write-ahead log; enables POST /v1/ingest, and durable batches found there are replayed at startup")
+	driftBound   = flag.Float64("drift-bound", 1.0, "common-set drift level that triggers a background sample rebuild (negative disables the trigger)")
+	maxPending   = flag.Int("max-pending", ingest.DefaultMaxPending, "max concurrently admitted ingest batches; excess is rejected with 503 + Retry-After (0 = the default)")
+	scanRate     = flag.Float64("scan-rate", 0, "pin the bounded-query planner's latency model to this scan rate in rows/second; 0 learns the rate online from observed executions")
 
-		// Cluster topology. A shard is a normal aqpd that serves one stripe of
-		// the fact table; a coordinator holds no data and fans out to shards.
-		shardID          = flag.Int("shard-id", -1, "serve only stripe N of the fact table (requires -shards; shard mode)")
-		shards           = flag.Int("shards", 0, "total shard count the fact table is striped into (0 = not sharded)")
-		coordinator      = flag.Bool("coordinator", false, "run as a cluster coordinator over -shard-addrs instead of serving local data")
-		shardAddrs       = flag.String("shard-addrs", "", "comma-separated shard base URLs in shard-id order (coordinator mode)")
-		shardTimeout     = flag.Duration("shard-timeout", 10*time.Second, "coordinator: default whole-request deadline, retries and hedges included")
-		shardRetries     = flag.Int("shard-retries", 2, "coordinator: retries per shard sub-request on transient failures")
-		hedgeAfter       = flag.Duration("hedge-after", 10*time.Millisecond, "coordinator: minimum delay before hedging a slow shard (the p95 latency raises it)")
-		breakerThreshold = flag.Int("breaker-threshold", 3, "coordinator: consecutive shard failures that trip its circuit breaker")
-		breakerCooldown  = flag.Duration("breaker-cooldown", 500*time.Millisecond, "coordinator: initial backoff before a tripped breaker's first half-open probe")
-	)
+	// Cluster topology. A shard is a normal aqpd that serves one stripe of
+	// the fact table; a coordinator holds no data and fans out to shards.
+	shardID          = flag.Int("shard-id", -1, "serve only stripe N of the fact table (requires -shards; shard mode)")
+	shards           = flag.Int("shards", 0, "total shard count the fact table is striped into (0 = not sharded)")
+	coordinator      = flag.Bool("coordinator", false, "run as a cluster coordinator over -shard-addrs instead of serving local data")
+	shardAddrs       = flag.String("shard-addrs", "", "comma-separated shard base URLs in shard-id order (coordinator mode)")
+	shardTimeout     = flag.Duration("shard-timeout", 10*time.Second, "coordinator: default whole-request deadline, retries and hedges included")
+	shardRetries     = flag.Int("shard-retries", 2, "coordinator: retries per shard sub-request on transient failures")
+	hedgeAfter       = flag.Duration("hedge-after", 10*time.Millisecond, "coordinator: minimum delay before hedging a slow shard (the p95 latency raises it)")
+	breakerThreshold = flag.Int("breaker-threshold", 3, "coordinator: consecutive shard failures that trip its circuit breaker")
+	breakerCooldown  = flag.Duration("breaker-cooldown", 500*time.Millisecond, "coordinator: initial backoff before a tripped breaker's first half-open probe")
+)
+
+func main() {
 	flag.Parse()
 	if *coordinator {
 		if *shards != 0 || *shardID != -1 {

@@ -211,7 +211,7 @@ func (c *Coordinator) ensureSchema(ctx context.Context, sh *shard) error {
 		return err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("shard %d: GET /columns: HTTP %d", sh.id, resp.StatusCode)
+		return fmt.Errorf("shard %d: GET /v1/columns: HTTP %d", sh.id, resp.StatusCode)
 	}
 	var cols struct {
 		Database string            `json:"database"`

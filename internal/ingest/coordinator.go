@@ -67,6 +67,10 @@ func (e *PoisonedError) Error() string {
 
 func (e *PoisonedError) Unwrap() error { return e.Cause }
 
+// DefaultMaxPending is the ingest backpressure bound a zero
+// Config.MaxPending means.
+const DefaultMaxPending = 64
+
 // Config tunes a Coordinator. The zero value is usable given a Strategy
 // registered on the System.
 type Config struct {
@@ -78,7 +82,7 @@ type Config struct {
 	Online core.OnlineConfig
 	// MaxPending bounds ingest requests admitted concurrently (applying plus
 	// waiting on the writer lock); excess requests fail fast with
-	// ErrOverloaded. Zero means 64.
+	// ErrOverloaded. Zero means DefaultMaxPending.
 	MaxPending int
 	// DriftBound is the drift-gauge level at which OnDrift fires (serve
 	// slightly-stale-but-correct answers below it, rebuild above). Zero means
@@ -169,7 +173,7 @@ func New(sys *core.System, wal *WAL, cfg Config) (*Coordinator, error) {
 		cfg.Strategy = "smallgroup"
 	}
 	if cfg.MaxPending <= 0 {
-		cfg.MaxPending = 64
+		cfg.MaxPending = DefaultMaxPending
 	}
 	if cfg.DriftBound == 0 {
 		cfg.DriftBound = 1.0

@@ -1,12 +1,20 @@
 #!/usr/bin/env bash
-# Fails on dead relative links in the repository's markdown files: every
-# [text](relative/path) must point at a file or directory that exists
-# (anchors are stripped; absolute URLs and mailto: are ignored). Run by
-# `make check` so documentation reorganisations cannot silently orphan
+# Fails on dead cross-references in the repository's documentation:
+#
+#   - every [text](relative/path) in a markdown file must point at a file or
+#     directory that exists (anchors are stripped; absolute URLs and mailto:
+#     are ignored);
+#   - every "ARCHITECTURE.md §N" (or "ARCHITECTURE §N", "... §N and §M") in a
+#     markdown or Go file must name a "## N." heading of ARCHITECTURE.md.
+#
+# Run by `make check` so documentation reorganisations cannot silently orphan
 # cross-references like README -> docs/API.md -> docs/ACCURACY.md.
+#
+# Usage: scripts/doclinks.sh [DIR]   (default: the repository root). DIR must
+# lie inside a git work tree; scripts/testdata is skipped unless it is DIR.
 set -uo pipefail
 
-cd "$(dirname "$0")/.."
+cd "${1:-$(dirname "$0")/..}" || exit 2
 
 bad=0
 while IFS= read -r md; do
@@ -23,8 +31,19 @@ while IFS= read -r md; do
       echo "doclinks: $md: dead link -> $target" >&2
       bad=1
     fi
-  done < <(grep -o '\[[^][]*\]([^()[:space:]]*)' "$md" | sed 's/.*(\(.*\))/\1/')
-done < <(git ls-files -co --exclude-standard '*.md')
+  done < <(grep -so '\[[^][]*\]([^()[:space:]]*)' "$md" | sed 's/.*(\(.*\))/\1/')
+done < <(git ls-files -co --exclude-standard -- '*.md' ':!:scripts/testdata/*')
+
+while IFS=: read -r file line ref; do
+  for m in $(grep -o '§[0-9]*' <<<"$ref"); do
+    n=${m#§}
+    if ! grep -q "^## $n\. " ARCHITECTURE.md 2>/dev/null; then
+      echo "doclinks: $file:$line: $ref names no '## $n.' heading of ARCHITECTURE.md" >&2
+      bad=1
+    fi
+  done
+done < <(git ls-files -co --exclude-standard -- '*.md' '*.go' ':!:scripts/testdata/*' |
+  xargs -r -d '\n' grep -sHnoE 'ARCHITECTURE(\.md)? §[0-9]+( and §[0-9]+)*')
 
 if [ "$bad" -ne 0 ]; then
   echo "doclinks: FAIL" >&2

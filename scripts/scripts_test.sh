@@ -5,7 +5,9 @@
 # ns_per_op regression, a synthetic 2x allocs_per_op regression and a
 # synthetic 2x B_per_op regression), and the
 # loc.sh code-line counter with its locdiff.sh diff, and smoke.sh's body
-# matcher. Run by `make check`. Needs only bash, awk, diff.
+# matcher, and doclinks.sh on fixture trees (a dead link and a dead
+# "ARCHITECTURE.md §N" reference must each fail). Run by `make check`. Needs
+# only bash, awk, diff, git.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -84,6 +86,14 @@ t "body_has matches line 1 of a 300 KB body under pipefail" 0 \
   bash -c "set -euo pipefail; . scripts/match.sh; $big_body; body_has needle \"\$BODY\""
 t "body_has fails when no line of a 300 KB body matches" 1 \
   bash -c "set -euo pipefail; . scripts/match.sh; $big_body; body_has thimble \"\$BODY\""
+
+# --- doclinks.sh ----------------------------------------------------------
+t "doclinks passes on a tree whose links and § references resolve" 0 \
+  bash scripts/doclinks.sh scripts/testdata/doclinks/ok
+t "doclinks fails on a dead relative link" 1 \
+  bash scripts/doclinks.sh scripts/testdata/doclinks/dead_link
+t "doclinks fails on a § reference to a missing ARCHITECTURE.md section" 1 \
+  bash scripts/doclinks.sh scripts/testdata/doclinks/dead_section
 
 if [ "$fails" -ne 0 ]; then
   echo "scripts_test: $fails failure(s)"
