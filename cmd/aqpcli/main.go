@@ -40,7 +40,6 @@ import (
 	"dynsample/internal/parallel"
 	"dynsample/internal/scenario"
 	"dynsample/internal/sqlparse"
-	"dynsample/internal/uniform"
 )
 
 // The flags, declared at package level so that a test can list them; the
@@ -85,18 +84,15 @@ func main() {
 		fatal(fmt.Errorf("invalid -time-bound %v: must be >= 0 (0 disables)", *tBound))
 	}
 	bounds := core.Bounds{ErrorBound: *errBound, TimeBound: *tBound}
-	var strat core.Strategy
+	cfg := core.SmallGroupConfig{BaseRate: *rate, Seed: *seed, Workers: *workers}
 	switch *strategy {
 	case "smallgroup":
-		strat = core.NewSmallGroup(core.SmallGroupConfig{BaseRate: *rate, Seed: *seed, Workers: *workers})
 	case "uniform":
-		if *catDir != "" {
-			fatal(fmt.Errorf("-catalog-dir needs -strategy smallgroup: a catalog generation does not record which strategy built it, so a restore could not tell a uniform family from a small group one"))
-		}
-		strat = uniform.New(uniform.Config{Rate: *rate, Seed: *seed})
+		cfg.Columns = []string{}
 	default:
 		fatal(fmt.Errorf("unknown strategy %q", *strategy))
 	}
+	strat := core.NewSmallGroup(cfg)
 	if *load == "" {
 		if err := scenario.CheckBuiltin(*dbKind, *rows, *z); err != nil {
 			fatal(fmt.Errorf("invalid -db/-rows/-z: %w", err))

@@ -158,10 +158,10 @@ func main() {
 		}
 	}
 	// The reservoir seed must be stable across restarts so replay reproduces
-	// the sample family bit-identically; SmallGroupFraction is supplied
-	// explicitly because snapshot-restored states do not carry it.
+	// the sample family bit-identically; the drift threshold's fraction is
+	// the family's own, restored or built.
 	rec, err := ingest.Recover(sys, cat, wal, strategy, *workers, ingest.Config{
-		Online:     core.OnlineConfig{Seed: *seed, SmallGroupFraction: 0.5 * *rate},
+		Online:     core.OnlineConfig{Seed: *seed},
 		MaxPending: *maxPending,
 		DriftBound: *driftBound,
 	})
@@ -233,7 +233,9 @@ func logRecovery(rec *ingest.Recovery, wal *ingest.WAL, preprocess time.Duration
 		fmt.Fprintf(os.Stderr, "aqpd: skipping catalog generation %d: %v\n", sk.Generation, sk.Err)
 	}
 	if rec.Source == "preprocess" {
-		if catalogDir != "" {
+		if ck := rec.Checkpoint; catalogDir != "" && ck.DataGen > 0 {
+			fmt.Fprintf(os.Stderr, "pre-processed the configured family over %s's checkpoint (%d ingest batches)\n", catalogDir, ck.DataGen)
+		} else if catalogDir != "" {
 			fmt.Fprintf(os.Stderr, "no usable snapshot in %s; pre-processed from scratch\n", catalogDir)
 		}
 		fmt.Fprintf(os.Stderr, "pre-processing done in %v\n", preprocess.Round(time.Millisecond))

@@ -13,7 +13,6 @@ import (
 	"dynsample/internal/engine"
 	"dynsample/internal/metrics"
 	"dynsample/internal/scenario"
-	"dynsample/internal/uniform"
 	"dynsample/internal/workload"
 )
 
@@ -39,7 +38,7 @@ func main() {
 			log.Fatal(err)
 		}
 		// Matched sample space: uniform gets (1 + gamma*g) * r.
-		uni, err := uniform.New(uniform.Config{Rate: baseRate * (1 + gamma*groupBys), Seed: 5}).Preprocess(db)
+		uni, err := core.NewSmallGroup(core.SmallGroupConfig{BaseRate: baseRate * (1 + gamma*groupBys), Columns: []string{}, Seed: 5}).Preprocess(db)
 		if err != nil {
 			log.Fatal(err)
 		}

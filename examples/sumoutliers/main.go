@@ -16,7 +16,6 @@ import (
 	"dynsample/internal/metrics"
 	"dynsample/internal/outlier"
 	"dynsample/internal/scenario"
-	"dynsample/internal/uniform"
 	"dynsample/internal/workload"
 )
 
@@ -45,10 +44,14 @@ func main() {
 		prep func() (core.Prepared, error)
 	}{
 		{"uniform", func() (core.Prepared, error) {
-			return uniform.New(uniform.Config{Rate: rate * 2, Seed: 12}).Preprocess(db)
+			return core.NewSmallGroup(core.SmallGroupConfig{BaseRate: rate * 2, Columns: []string{}, Seed: 12}).Preprocess(db)
 		}},
 		{"outlier indexing", func() (core.Prepared, error) {
-			return outlier.New(outlier.Config{Rate: rate * 2, Measure: measure, Seed: 12}).Preprocess(db)
+			return core.NewSmallGroup(core.SmallGroupConfig{
+				BaseRate: rate * 2,
+				Columns:  []string{},
+				Overall:  outlier.Config{Measure: measure, Seed: 12},
+			}).Preprocess(db)
 		}},
 		{"small group + outlier", func() (core.Prepared, error) {
 			return core.NewSmallGroup(core.SmallGroupConfig{

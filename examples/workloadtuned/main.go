@@ -64,7 +64,11 @@ func main() {
 	fmt.Println()
 
 	// 3. The workload-weighted baseline trained on the same workload.
-	wtd, err := weighted.New(weighted.Config{Rate: 0.015, Workload: recorded, Seed: 24}).Preprocess(db)
+	wtd, err := core.NewSmallGroup(core.SmallGroupConfig{
+		BaseRate: 0.015,
+		Columns:  []string{},
+		Overall:  weighted.Config{Workload: weighted.SQL(recorded), Seed: 24},
+	}).Preprocess(db)
 	if err != nil {
 		log.Fatal(err)
 	}

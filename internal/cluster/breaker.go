@@ -36,7 +36,7 @@ func (s breakerState) String() string {
 // the ingest coordinator's degraded-disk probe loop). Each probe moves the
 // breaker half-open for its duration: a successful probe closes it, a failed
 // one re-opens it and doubles the wait. ProbeNow is exposed so an operator
-// action (POST /admin/probe) or a test can re-admit a recovered shard
+// action (POST /v1/admin/probe) or a test can re-admit a recovered shard
 // deterministically instead of waiting out the backoff.
 type breaker struct {
 	threshold  int

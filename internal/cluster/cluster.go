@@ -255,7 +255,7 @@ func parseType(s string) (engine.Type, error) {
 
 // ProbeAll probes every non-closed breaker now, concurrently, and returns
 // the resulting state per shard id. This is the deterministic re-admission
-// path (POST /admin/probe): an operator who just restarted a shard need not
+// path (POST /v1/admin/probe): an operator who just restarted a shard need not
 // wait out the probe backoff.
 func (c *Coordinator) ProbeAll() map[int]string {
 	var wg sync.WaitGroup

@@ -14,7 +14,6 @@ package congress
 import (
 	"fmt"
 
-	"dynsample/internal/core"
 	"dynsample/internal/engine"
 	"dynsample/internal/randx"
 	"dynsample/internal/sample"
@@ -37,17 +36,20 @@ const (
 // MaxFullColumns bounds the candidate set for the Full variant (2^m subsets).
 const MaxFullColumns = 12
 
-// Config parameterises congressional sampling.
+// Config parameterises congressional sampling. It is a core.OverallBuilder:
+// set as core.SmallGroupConfig.Overall of a family with nothing in S, it is
+// the congress baseline.
 type Config struct {
 	// Rate is the total expected sample size as a fraction of the database.
-	// As an OverallBuilder the size is the family's base rate, and a non-zero
-	// Rate that differs from it is refused.
+	// The size is the family's base rate: zero means it, and another value
+	// is refused.
 	Rate float64
 	// Columns is the candidate grouping-column set T. Nil means every view
 	// column with at most DistinctLimit distinct values.
 	Columns []string
 	// DistinctLimit drops high-cardinality columns from the default
-	// candidate set; zero means core.DefaultDistinctLimit.
+	// candidate set; a family resolves zero to its τ,
+	// core.DefaultDistinctLimit.
 	DistinctLimit int
 	// Variant selects Basic (default) or Full congress; pre-processing
 	// refuses any other value.
@@ -56,88 +58,33 @@ type Config struct {
 	Seed int64
 }
 
-// Strategy is the congressional sampling baseline.
-type Strategy struct {
-	cfg    Config
-	strata int
-}
-
-// New returns the strategy.
-func New(cfg Config) *Strategy { return &Strategy{cfg: cfg} }
-
-// StrataCount reports how many strata the last Preprocess allocated (§5.3.2
-// notes basic congress built ~166,000 tiny strata on the SALES schema).
-func (s *Strategy) StrataCount() int { return s.strata }
-
-// Name implements core.Strategy.
-func (s *Strategy) Name() string {
-	if s.cfg.Variant == Full {
-		return "congress-full"
-	}
-	return "congress-basic"
-}
-
-// Preprocess implements core.Strategy.
-func (s *Strategy) Preprocess(db *engine.Database) (core.Prepared, error) {
-	return core.NewSmallGroup(core.SmallGroupConfig{BaseRate: s.cfg.Rate, Columns: []string{}, Overall: s}).Preprocess(db)
+// StrataCount reports how many strata BuildOverall allocates over db
+// (§5.3.2 notes basic congress built ~166,000 tiny strata on the SALES
+// schema).
+func (c Config) StrataCount(db *engine.Database) (int, error) {
+	_, _, sizes, err := c.stratify(db)
+	return len(sizes), err
 }
 
 // BuildOverall implements core.OverallBuilder: a stratified sample of
 // expected size rate·N, each row weighted by its stratum's inverse sampling
-// rate. It records the strata count for StrataCount.
-func (s *Strategy) BuildOverall(db *engine.Database, rate float64) ([]int, []float64, error) {
-	cfg := s.cfg
-	if cfg.Rate != 0 && cfg.Rate != rate {
-		return nil, nil, fmt.Errorf("congress: rate %g differs from the base rate %g", cfg.Rate, rate)
+// rate.
+func (c Config) BuildOverall(db *engine.Database, rate float64) ([]int, []float64, error) {
+	if c.Rate != 0 && c.Rate != rate {
+		return nil, nil, fmt.Errorf("congress: rate %g differs from the base rate %g", c.Rate, rate)
 	}
-	if cfg.Variant != Basic && cfg.Variant != Full {
-		return nil, nil, fmt.Errorf("congress: unknown variant %d", cfg.Variant)
+	if c.Variant != Basic && c.Variant != Full {
+		return nil, nil, fmt.Errorf("congress: unknown variant %d", c.Variant)
 	}
-	if cfg.DistinctLimit == 0 {
-		cfg.DistinctLimit = core.DefaultDistinctLimit
-	}
-	cols, err := candidateColumns(db, cfg)
+	cols, rowStratum, sizes, err := c.stratify(db)
 	if err != nil {
 		return nil, nil, err
 	}
-	if cfg.Variant == Full && len(cols) > MaxFullColumns {
-		return nil, nil, fmt.Errorf("congress: full congress over %d columns needs 2^%d groupings; limit is %d columns", len(cols), len(cols), MaxFullColumns)
-	}
-
 	n := db.NumRows()
 	budget := rate * float64(n)
 
-	accs := make([]engine.ColumnAccessor, len(cols))
-	for i, c := range cols {
-		acc, err := db.Accessor(c)
-		if err != nil {
-			return nil, nil, err
-		}
-		accs[i] = acc
-	}
-
-	// Stratify on the finest grouping (all candidate columns at once).
-	strata := make(map[engine.GroupKey]int)
-	rowStratum := make([]int32, n)
-	var sizes []int64
-	keyVals := make([]engine.Value, len(cols))
-	for row := 0; row < n; row++ {
-		for i, acc := range accs {
-			keyVals[i] = acc.Value(row)
-		}
-		k := engine.EncodeKey(keyVals)
-		id, ok := strata[k]
-		if !ok {
-			id = len(sizes)
-			strata[k] = id
-			sizes = append(sizes, 0)
-		}
-		rowStratum[row] = int32(id)
-		sizes[id]++
-	}
-
 	var rates []float64
-	if cfg.Variant == Basic {
+	if c.Variant == Basic {
 		rates = sample.CongressAllocation(sizes, budget).Rates
 	} else {
 		rates, err = fullCongressRates(db, cols, rowStratum, sizes, budget)
@@ -147,7 +94,7 @@ func (s *Strategy) BuildOverall(db *engine.Database, rate float64) ([]int, []flo
 	}
 
 	// Draw a fixed-size uniform sample inside every stratum.
-	rng := randx.New(cfg.Seed)
+	rng := randx.New(c.Seed)
 	byStratum := make([][]int, len(sizes))
 	for row := 0; row < n; row++ {
 		id := rowStratum[row]
@@ -179,8 +126,45 @@ func (s *Strategy) BuildOverall(db *engine.Database, rate float64) ([]int, []flo
 			weights = append(weights, w)
 		}
 	}
-	s.strata = len(sizes)
 	return rows, weights, nil
+}
+
+// stratify finds the candidate columns and stratifies db on their finest
+// grouping (all of them at once): each row's stratum and each stratum's size.
+func (c Config) stratify(db *engine.Database) (cols []string, rowStratum []int32, sizes []int64, err error) {
+	if cols, err = candidateColumns(db, c); err != nil {
+		return nil, nil, nil, err
+	}
+	if c.Variant == Full && len(cols) > MaxFullColumns {
+		return nil, nil, nil, fmt.Errorf("congress: full congress over %d columns needs 2^%d groupings; limit is %d columns", len(cols), len(cols), MaxFullColumns)
+	}
+	n := db.NumRows()
+	accs := make([]engine.ColumnAccessor, len(cols))
+	for i, col := range cols {
+		acc, err := db.Accessor(col)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		accs[i] = acc
+	}
+	strata := make(map[engine.GroupKey]int)
+	rowStratum = make([]int32, n)
+	keyVals := make([]engine.Value, len(cols))
+	for row := 0; row < n; row++ {
+		for i, acc := range accs {
+			keyVals[i] = acc.Value(row)
+		}
+		k := engine.EncodeKey(keyVals)
+		id, ok := strata[k]
+		if !ok {
+			id = len(sizes)
+			strata[k] = id
+			sizes = append(sizes, 0)
+		}
+		rowStratum[row] = int32(id)
+		sizes[id]++
+	}
+	return cols, rowStratum, sizes, nil
 }
 
 func candidateColumns(db *engine.Database, cfg Config) ([]string, error) {

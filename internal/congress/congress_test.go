@@ -1,9 +1,10 @@
-package congress
+package congress_test
 
 import (
 	"math"
 	"testing"
 
+	"dynsample/internal/congress"
 	"dynsample/internal/core"
 	"dynsample/internal/engine"
 	"dynsample/internal/randx"
@@ -28,9 +29,15 @@ func skewDB(n int) *engine.Database {
 	return engine.MustNewDatabase("skew", fact)
 }
 
+// preprocess builds the congress baseline: a family with nothing in S over
+// the congress selector, at the selector's rate.
+func preprocess(db *engine.Database, cfg congress.Config) (core.Prepared, error) {
+	return core.NewSmallGroup(core.SmallGroupConfig{BaseRate: cfg.Rate, Columns: []string{}, Overall: cfg}).Preprocess(db)
+}
+
 func TestBasicCongressCoversSmallGroups(t *testing.T) {
 	db := skewDB(20000)
-	p, err := New(Config{Rate: 0.02, Columns: []string{"g"}, Seed: 1}).Preprocess(db)
+	p, err := preprocess(db, congress.Config{Rate: 0.02, Columns: []string{"g"}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +58,7 @@ func TestBasicCongressCoversSmallGroups(t *testing.T) {
 
 func TestWeightsReconstructTotal(t *testing.T) {
 	db := skewDB(20000)
-	p, err := New(Config{Rate: 0.02, Columns: []string{"g"}, Seed: 2}).Preprocess(db)
+	p, err := preprocess(db, congress.Config{Rate: 0.02, Columns: []string{"g"}, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +75,7 @@ func TestWeightsReconstructTotal(t *testing.T) {
 
 func TestPerStratumEstimatesExactForFullySampledStrata(t *testing.T) {
 	db := skewDB(20000)
-	p, err := New(Config{Rate: 0.02, Columns: []string{"g"}, Seed: 3}).Preprocess(db)
+	p, err := preprocess(db, congress.Config{Rate: 0.02, Columns: []string{"g"}, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +104,7 @@ func TestPerStratumEstimatesExactForFullySampledStrata(t *testing.T) {
 
 func TestRateOneIsExact(t *testing.T) {
 	db := skewDB(2000)
-	p, err := New(Config{Rate: 1, Columns: []string{"g", "h"}, Seed: 4}).Preprocess(db)
+	p, err := preprocess(db, congress.Config{Rate: 1, Columns: []string{"g", "h"}, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,18 +124,18 @@ func TestRateOneIsExact(t *testing.T) {
 
 func TestFullCongressGuard(t *testing.T) {
 	db := skewDB(100)
-	cols := make([]string, 0, MaxFullColumns+1)
-	for i := 0; i <= MaxFullColumns; i++ {
+	cols := make([]string, 0, congress.MaxFullColumns+1)
+	for i := 0; i <= congress.MaxFullColumns; i++ {
 		cols = append(cols, "g")
 	}
-	if _, err := New(Config{Rate: 0.1, Columns: cols, Variant: Full}).Preprocess(db); err == nil {
+	if _, err := preprocess(db, congress.Config{Rate: 0.1, Columns: cols, Variant: congress.Full}); err == nil {
 		t.Error("full congress over too many columns not rejected")
 	}
 }
 
 func TestFullCongressRuns(t *testing.T) {
 	db := skewDB(5000)
-	p, err := New(Config{Rate: 0.05, Columns: []string{"g", "h"}, Variant: Full, Seed: 5}).Preprocess(db)
+	p, err := preprocess(db, congress.Config{Rate: 0.05, Columns: []string{"g", "h"}, Variant: congress.Full, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,36 +152,15 @@ func TestFullCongressRuns(t *testing.T) {
 	}
 }
 
-func TestCandidateColumnDefaults(t *testing.T) {
-	// u has too many distinct values and must be excluded from the default
-	// candidate set.
-	g := engine.NewColumn("g", engine.Int)
-	u := engine.NewColumn("u", engine.Int)
-	fact := engine.NewTable("fact", g, u)
-	for i := 0; i < 500; i++ {
-		g.AppendInt(int64(i % 3))
-		u.AppendInt(int64(i))
-		fact.EndRow()
-	}
-	db := engine.MustNewDatabase("d", fact)
-	cols, err := candidateColumns(db, Config{DistinctLimit: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cols) != 1 || cols[0] != "g" {
-		t.Errorf("candidates = %v, want [g]", cols)
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	db := skewDB(100)
-	if _, err := New(Config{Rate: 0}).Preprocess(db); err == nil {
+	if _, err := preprocess(db, congress.Config{Rate: 0}); err == nil {
 		t.Error("rate 0 not rejected")
 	}
-	if _, err := New(Config{Rate: 0.1, Columns: []string{"nope"}}).Preprocess(db); err == nil {
+	if _, err := preprocess(db, congress.Config{Rate: 0.1, Columns: []string{"nope"}}); err == nil {
 		t.Error("unknown column not rejected")
 	}
-	if _, err := New(Config{Rate: 0.1, Variant: Variant(2)}).Preprocess(db); err == nil {
+	if _, err := preprocess(db, congress.Config{Rate: 0.1, Variant: congress.Variant(2)}); err == nil {
 		t.Error("unknown variant not rejected")
 	}
 }
@@ -185,32 +171,31 @@ func TestConfigValidation(t *testing.T) {
 func TestSelectorRefusesAnotherRate(t *testing.T) {
 	db := skewDB(1000)
 	for _, rate := range []float64{0, 0.02} {
-		if _, err := core.NewSmallGroup(core.SmallGroupConfig{BaseRate: 0.02, Overall: New(Config{Rate: rate})}).Preprocess(db); err != nil {
+		if _, err := core.NewSmallGroup(core.SmallGroupConfig{BaseRate: 0.02, Overall: congress.Config{Rate: rate}}).Preprocess(db); err != nil {
 			t.Errorf("rate %g: %v", rate, err)
 		}
 	}
-	if _, err := core.NewSmallGroup(core.SmallGroupConfig{BaseRate: 0.02, Overall: New(Config{Rate: 0.1})}).Preprocess(db); err == nil {
+	if _, err := core.NewSmallGroup(core.SmallGroupConfig{BaseRate: 0.02, Overall: congress.Config{Rate: 0.1}}).Preprocess(db); err == nil {
 		t.Error("rate 0.1 at base rate 0.02 not refused")
 	}
 }
 
 func TestNames(t *testing.T) {
-	if got := New(Config{}).Name(); got != "congress-basic" {
+	if got := core.NewSmallGroup(core.SmallGroupConfig{Columns: []string{}, Overall: congress.Config{}}).Name(); got != "congress-basic" {
 		t.Errorf("Name = %q", got)
 	}
-	if got := New(Config{Variant: Full}).Name(); got != "congress-full" {
+	if got := core.NewSmallGroup(core.SmallGroupConfig{Columns: []string{}, Overall: congress.Config{Variant: congress.Full}}).Name(); got != "congress-full" {
 		t.Errorf("full Name = %q", got)
 	}
 }
 
 func TestStrataCount(t *testing.T) {
 	db := skewDB(5000)
-	s := New(Config{Rate: 0.05, Columns: []string{"g", "h"}, Seed: 6})
-	if _, err := s.Preprocess(db); err != nil {
+	sc, err := congress.Config{Rate: 0.05, Columns: []string{"g", "h"}, Seed: 6}.StrataCount(db)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// 10 g-values x 3 h-values = up to 30 strata.
-	sc := s.StrataCount()
 	if sc < 10 || sc > 30 {
 		t.Errorf("strata count = %d, want within (10,30]", sc)
 	}

@@ -11,7 +11,6 @@ import (
 	"dynsample/internal/engine"
 	"dynsample/internal/outlier"
 	"dynsample/internal/scenario"
-	"dynsample/internal/uniform"
 	"dynsample/internal/weighted"
 )
 
@@ -26,20 +25,23 @@ func TestBaselineFamiliesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	cols := []string{"l_returnflag", "l_shipmode", "s_region"}
-	train := []*engine.Query{
-		{Aggs: []engine.Aggregate{{Kind: engine.Count}}, Where: []engine.Predicate{engine.NewIn("l_shipmode", engine.StringVal("l_shipmode_003"), engine.StringVal("l_shipmode_005"))}},
-		{Aggs: []engine.Aggregate{{Kind: engine.Count}}, Where: []engine.Predicate{engine.NewCmp("l_quantity", engine.Ge, engine.IntVal(20))}},
+	train := []string{
+		"SELECT COUNT(*) FROM T WHERE l_shipmode IN ('l_shipmode_003', 'l_shipmode_005')",
+		"SELECT COUNT(*) FROM T WHERE l_quantity >= 20",
+	}
+	baseline := func(sel core.OverallBuilder, seed int64) core.Strategy {
+		return core.NewSmallGroup(core.SmallGroupConfig{BaseRate: 0.02, Columns: []string{}, Overall: sel, Seed: seed})
 	}
 	cases := []struct {
 		name string
 		st   core.Strategy
 		want string
 	}{
-		{"uniform", uniform.New(uniform.Config{Rate: 0.02, Seed: 1}), "1e63c1a99474d85d00f93f2d75c5e748a17a2e916b9b643b961bbb5b215e0ef4"},
-		{"outlier", outlier.New(outlier.Config{Rate: 0.02, Measure: "l_extendedprice", Seed: 2}), "0e5826bcaf03f0ec2631ea5d38e54f1971d3949fabcb9d1212a90fd121054015"},
-		{"congress-basic", congress.New(congress.Config{Rate: 0.02, Columns: cols, Seed: 3}), "884fe8806d54910b74940a5181c33e81ff2beb391f50f82ee9e7c7dd06b7d45a"},
-		{"congress-full", congress.New(congress.Config{Rate: 0.02, Columns: cols, Variant: congress.Full, Seed: 4}), "e980e9a1bdde395aaa25f2087f8c3b1b1ceb4fc3c524f47aa750ef141b52a5f5"},
-		{"weighted", weighted.New(weighted.Config{Rate: 0.02, Workload: train, Seed: 5}), "2de502b440ed4892988ce4aaeff955c5415683f5e1494362e0a1bc3b06a8f7a1"},
+		{"uniform", baseline(nil, 1), "1e63c1a99474d85d00f93f2d75c5e748a17a2e916b9b643b961bbb5b215e0ef4"},
+		{"outlier", baseline(outlier.Config{Measure: "l_extendedprice", Seed: 2}, 0), "0e5826bcaf03f0ec2631ea5d38e54f1971d3949fabcb9d1212a90fd121054015"},
+		{"congress-basic", baseline(congress.Config{Columns: cols, Seed: 3}, 0), "884fe8806d54910b74940a5181c33e81ff2beb391f50f82ee9e7c7dd06b7d45a"},
+		{"congress-full", baseline(congress.Config{Columns: cols, Variant: congress.Full, Seed: 4}, 0), "e980e9a1bdde395aaa25f2087f8c3b1b1ceb4fc3c524f47aa750ef141b52a5f5"},
+		{"weighted", baseline(weighted.Config{Workload: train, Seed: 5}, 0), "2de502b440ed4892988ce4aaeff955c5415683f5e1494362e0a1bc3b06a8f7a1"},
 		{"sg+outlier", core.NewSmallGroup(core.SmallGroupConfig{BaseRate: 0.02, Seed: 6,
 			Overall: outlier.Config{Measure: "l_extendedprice", Seed: 7}}), "db90f0382bad9588e81641876513686dcd0ce49648bdd86a24972c890d2a5c38"},
 	}

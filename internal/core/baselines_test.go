@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"dynsample/internal/congress"
@@ -13,7 +14,6 @@ import (
 	"dynsample/internal/outlier"
 	"dynsample/internal/scenario"
 	"dynsample/internal/stats"
-	"dynsample/internal/uniform"
 	"dynsample/internal/weighted"
 	"dynsample/internal/workload"
 )
@@ -25,7 +25,9 @@ import (
 // ConfidenceIntervals at the default level. Over a generated workload the
 // answers must be bit-identical — groups, values, intervals, exact flags — at
 // 1 and 4 workers and after a save/load round trip, all through
-// System.ApproxCtx; and the uniform family must plan toward an error bound.
+// System.ApproxCtx. The restored family saves back to the bytes it was
+// loaded from and records the config that built it; and the uniform family
+// must plan toward an error bound.
 func TestBaselinesThroughEveryPath(t *testing.T) {
 	db, err := scenario.Builtin("tpch", 30000, 2.0, 3)
 	if err != nil {
@@ -44,14 +46,19 @@ func TestBaselinesThroughEveryPath(t *testing.T) {
 	queries = append(queries, &engine.Query{Aggs: []engine.Aggregate{{Kind: engine.Count}, {Kind: engine.Sum, Col: "l_extendedprice"}}})
 	train := gen(workload.Config{GroupingColumns: 1, Aggregate: engine.Count, Seed: 3}, 10)
 
+	baseline := func(sel core.OverallBuilder) *core.SmallGroup {
+		return core.NewSmallGroup(core.SmallGroupConfig{BaseRate: 0.02, Columns: []string{}, Overall: sel, Seed: 1})
+	}
+	congressCols := []string{"l_returnflag", "l_shipmode", "s_region"}
 	cases := []struct {
-		st       core.Strategy
+		st       *core.SmallGroup
 		weighted bool
 	}{
-		{uniform.New(uniform.Config{Rate: 0.02, Seed: 1}), false},
-		{outlier.New(outlier.Config{Rate: 0.02, Measure: "l_extendedprice", Seed: 1}), true},
-		{congress.New(congress.Config{Rate: 0.02, Columns: []string{"l_returnflag", "l_shipmode", "s_region"}, Seed: 1}), true},
-		{weighted.New(weighted.Config{Rate: 0.02, Workload: train, Seed: 1}), true},
+		{baseline(nil), false},
+		{baseline(outlier.Config{Measure: "l_extendedprice", Seed: 1}), true},
+		{baseline(congress.Config{Columns: congressCols, Seed: 1}), true},
+		{baseline(congress.Config{Columns: congressCols, Variant: congress.Full, Seed: 1}), true},
+		{baseline(weighted.Config{Workload: weighted.SQL(train), Seed: 1}), true},
 	}
 	for _, c := range cases {
 		t.Run(c.st.Name(), func(t *testing.T) {
@@ -71,9 +78,19 @@ func TestBaselinesThroughEveryPath(t *testing.T) {
 			if err := core.SaveSmallGroup(&saved, p); err != nil {
 				t.Fatal(err)
 			}
-			restored, err := core.LoadSmallGroup(&saved)
+			restored, err := core.LoadSmallGroup(bytes.NewReader(saved.Bytes()))
 			if err != nil {
 				t.Fatal(err)
+			}
+			var resaved bytes.Buffer
+			if err := core.SaveSmallGroup(&resaved, restored); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(resaved.Bytes(), saved.Bytes()) {
+				t.Fatalf("the restored family saves to %d bytes that differ from the %d it was loaded from", resaved.Len(), saved.Len())
+			}
+			if err := c.st.CheckFamily(restored); err != nil {
+				t.Fatalf("the restored family does not record its config: %v", err)
 			}
 			paths := []struct {
 				name    string
@@ -145,4 +162,93 @@ func sameAnswer(got *core.Answer, want *engine.Result, ivs map[engine.GroupKey][
 		}
 	}
 	return nil
+}
+
+// TestEveryFamilyRoundTrips saves each kind of sample family, loads it and
+// saves it again. The second save is byte-identical to the first; the loaded
+// family records the config that built it, so that config's CheckFamily
+// accepts it and another's does not; and it answers a workload bit for bit
+// as the fresh build does — groups, values, intervals and exact flags. Each
+// config's name is the one its kind had before names were derived.
+func TestEveryFamilyRoundTrips(t *testing.T) {
+	db, err := scenario.Builtin("tpch", 30000, 2.0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := workload.NewGenerator(db, workload.Config{GroupingColumns: 2, Predicates: 1, Aggregate: engine.Sum,
+		Measures: []string{"l_extendedprice"}, MassSelectivity: true, MaxDistinct: core.DefaultDistinctLimit, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := g.Queries(8)
+	cols := []string{"l_returnflag", "l_shipmode", "s_region"}
+	train := []string{"SELECT COUNT(*) FROM T WHERE l_shipmode IN ('l_shipmode_003', 'l_shipmode_005')"}
+	baseline := func(sel core.OverallBuilder) core.SmallGroupConfig {
+		return core.SmallGroupConfig{BaseRate: 0.02, Columns: []string{}, Overall: sel, Seed: 1}
+	}
+	cases := []struct {
+		name string
+		cfg  core.SmallGroupConfig
+	}{
+		{"smallgroup", core.SmallGroupConfig{BaseRate: 0.02, SmallGroupFraction: 0.02, Seed: 1,
+			Pairs:  [][2]string{{"l_returnflag", "l_shipmode"}},
+			Levels: []core.HierarchyLevel{{MaxFraction: 0.01, Rate: 1}, {MaxFraction: 0.02, Rate: 0.5}}}},
+		{"smallgroup", core.SmallGroupConfig{BaseRate: 0.02, Seed: 1, Overall: outlier.Config{Measure: "l_extendedprice", Seed: 2}}},
+		{"uniform", baseline(nil)},
+		{"outlier", baseline(outlier.Config{Measure: "l_extendedprice", Seed: 2})},
+		{"congress-basic", baseline(congress.Config{Columns: cols, Seed: 3})},
+		{"congress-full", baseline(congress.Config{Columns: cols, Variant: congress.Full, Seed: 4})},
+		{"weighted", baseline(weighted.Config{Workload: train, Seed: 5})},
+	}
+	for _, c := range cases {
+		st := core.NewSmallGroup(c.cfg)
+		if st.Name() != c.name {
+			t.Errorf("%+v is named %q, want %q", c.cfg, st.Name(), c.name)
+		}
+		fresh, err := st.Preprocess(db)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var saved, resaved bytes.Buffer
+		if err := core.SaveSmallGroup(&saved, fresh); err != nil {
+			t.Fatal(err)
+		}
+		restored, err := core.LoadSmallGroup(bytes.NewReader(saved.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := core.SaveSmallGroup(&resaved, restored); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(resaved.Bytes(), saved.Bytes()) {
+			t.Errorf("%s: the restored family saves to %d bytes that differ from the %d it was loaded from", c.name, resaved.Len(), saved.Len())
+		}
+		if err := st.CheckFamily(restored); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+		other := c.cfg
+		other.Seed++
+		if err := core.NewSmallGroup(other).CheckFamily(restored); err == nil || !strings.Contains(err.Error(), "Seed") {
+			t.Errorf("%s: a config with another Seed accepted the family: %v", c.name, err)
+		}
+		for qi, q := range queries {
+			want, err := fresh.Answer(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := restored.Answer(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ivs := make(map[engine.GroupKey][]stats.Interval)
+			for _, k := range want.Result.Keys() {
+				for i := range q.Aggs {
+					ivs[k] = append(ivs[k], want.Interval(k, i))
+				}
+			}
+			if err := sameAnswer(got, want.Result, ivs); err != nil {
+				t.Errorf("%s query %d (%s): %v", c.name, qi, q, err)
+			}
+		}
+	}
 }

@@ -23,7 +23,7 @@ import (
 )
 
 // Strategy builds sample structures for a database during the pre-processing
-// phase. Implementations are small group sampling (this package) and the
+// phase. Its one implementation is SmallGroup: small group sampling, and the
 // baselines — uniform sampling, outlier indexing, congress and workload-
 // weighted sampling — each of which is small group sampling with S empty and,
 // but for uniform sampling, its own OverallBuilder.
@@ -223,13 +223,16 @@ func (s *System) update(mutate func(*preparedSet)) {
 // AddStrategy runs a strategy's pre-processing phase and registers the
 // result under the strategy's name. Pre-processing runs outside the swap:
 // queries keep being answered from the current generation until the new
-// state is installed atomically.
+// state is installed atomically. The samples cover every ingest batch the
+// current database version holds.
 func (s *System) AddStrategy(st Strategy) error {
 	start := time.Now()
-	p, err := st.Preprocess(s.DB())
+	db, gen := s.Data()
+	p, err := st.Preprocess(db)
 	if err != nil {
 		return fmt.Errorf("preprocess %s: %w", st.Name(), err)
 	}
+	p.(*smallGroupPrepared).dataGen = gen
 	elapsed := time.Since(start)
 	s.update(func(set *preparedSet) {
 		set.prepared[st.Name()] = p

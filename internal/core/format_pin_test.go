@@ -3,12 +3,22 @@ package core
 import (
 	"bytes"
 	"os"
+	"strings"
 	"testing"
 )
 
+// fixtureFamilyConfig built testdata/family.dssg over pairDB(2000): a pair
+// table and two levels.
+var fixtureFamilyConfig = SmallGroupConfig{
+	BaseRate: 0.05, SmallGroupFraction: 0.02, Seed: 2,
+	Levels: []HierarchyLevel{{MaxFraction: 0.01, Rate: 1}, {MaxFraction: 0.02, Rate: 0.5}},
+	Pairs:  [][2]string{{"a", "b"}},
+}
+
 // TestFamilyFixtureReencodes holds the DSSG store to the bytes an earlier
 // build wrote: testdata/family.dssg, a family with a pair table and two
-// levels, loads and saves back to the identical stream.
+// levels, loads, records the config that built it, and saves back to the
+// identical stream.
 func TestFamilyFixtureReencodes(t *testing.T) {
 	want, err := os.ReadFile("testdata/family.dssg")
 	if err != nil {
@@ -21,7 +31,23 @@ func TestFamilyFixtureReencodes(t *testing.T) {
 	if len(p.Meta().Pairs()) == 0 {
 		t.Fatal("fixture holds no pair metadata")
 	}
+	if err := NewSmallGroup(fixtureFamilyConfig).CheckFamily(p); err != nil {
+		t.Fatal(err)
+	}
 	if got := preparedBytes(t, p); !bytes.Equal(got, want) {
 		t.Fatalf("re-encoded family differs: %d bytes, fixture %d", len(got), len(want))
+	}
+}
+
+// TestFamilyFixtureV4Refused: testdata/family-v4.dssg, the same kind of
+// family as version 4 wrote it, does not record its config, and a load
+// refuses it by its version.
+func TestFamilyFixtureV4Refused(t *testing.T) {
+	old, err := os.ReadFile("testdata/family-v4.dssg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSmallGroup(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), "store version 4") {
+		t.Fatalf("loading a version 4 store: %v, want it refused by version", err)
 	}
 }

@@ -3,20 +3,35 @@ package core
 import (
 	"bytes"
 	"testing"
+
+	"dynsample/internal/congress"
+	"dynsample/internal/outlier"
+	"dynsample/internal/weighted"
 )
 
 // FuzzLoadSmallGroup proves the store loader never panics (and never
 // over-allocates its way to an OOM kill) on arbitrary bytes. Seeds include
 // a fully valid snapshot and targeted mutants, so the fuzzer starts deep
-// inside the format instead of bouncing off the magic check.
+// inside the format instead of bouncing off the magic check, and a valid
+// store of each overall sample selector kind the config record holds.
 func FuzzLoadSmallGroup(f *testing.F) {
 	db := skewedDB(f, 2000)
-	p := prep(f, db, SmallGroupConfig{BaseRate: 0.05, DistinctLimit: 50, Seed: 7})
-	var buf bytes.Buffer
-	if err := SaveSmallGroup(&buf, p); err != nil {
-		f.Fatal(err)
+	save := func(cfg SmallGroupConfig) []byte {
+		var buf bytes.Buffer
+		if err := SaveSmallGroup(&buf, prep(f, db, cfg)); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	valid := buf.Bytes()
+	valid := save(SmallGroupConfig{BaseRate: 0.05, DistinctLimit: 50, Seed: 7})
+	for _, sel := range []OverallBuilder{
+		nil,
+		outlier.Config{Measure: "m", Seed: 8},
+		congress.Config{Columns: []string{"a", "b"}, Variant: congress.Full, Seed: 9},
+		weighted.Config{Workload: []string{"SELECT a, COUNT(*) FROM T WHERE a IN ('A2', 'A3') GROUP BY a"}, Seed: 10},
+	} {
+		f.Add(save(SmallGroupConfig{BaseRate: 0.05, Columns: []string{}, Overall: sel, Seed: 7}))
+	}
 
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2]) // truncated

@@ -114,8 +114,8 @@ const maxTrackedPerColumn = 4 * DefaultDistinctLimit
 // OnlineConfig parameterises online maintenance.
 type OnlineConfig struct {
 	// SmallGroupFraction is t for the drift threshold t·N. Zero falls back
-	// to the prepared state's configured fraction; states restored from disk
-	// do not carry it, so the caller must supply it then.
+	// to the fraction the family was built with, which a family restored
+	// from disk records too.
 	SmallGroupFraction float64
 	// Seed drives the continued reservoir. Each batch's draws are derived
 	// from (Seed, batch sequence), so replaying any suffix of the batch

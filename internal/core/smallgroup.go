@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dynsample/internal/bitmask"
+	"dynsample/internal/congress"
 	"dynsample/internal/engine"
 	"dynsample/internal/parallel"
 	"dynsample/internal/randx"
@@ -41,7 +42,10 @@ const DefaultScanRowsPerSecond = 25e6
 // rows in any order: pre-processing puts them, with their weights, into
 // base-row order. A non-uniform builder returns per-row weights (inverse
 // sampling rates); weights may be nil for a uniform sample, in which case
-// the runtime scales by N/len(rows) (overallScale).
+// the runtime scales by N/len(rows) (overallScale). A saved family records
+// its builder (familySpec), so only outlier.Config, congress.Config and
+// weighted.Config can be saved; any other builds but is refused by
+// SaveSmallGroup.
 type OverallBuilder interface {
 	BuildOverall(db *engine.Database, rate float64) (rows []int, weights []float64, err error)
 }
@@ -88,8 +92,9 @@ type SmallGroupConfig struct {
 	// value combination is rare while each value is individually common.
 	Pairs [][2]string
 	// Overall selects the overall sample's rows; nil means a uniform
-	// reservoir sample drawn with Seed.
-	Overall OverallBuilder
+	// reservoir sample drawn with Seed. A saved family records it as its
+	// kind's field of familySpec.
+	Overall OverallBuilder `json:"-"`
 	// Renormalize stores samples as renormalized join synopses (§5.2.2):
 	// fact slices joined to reduced dimension tables shared across all
 	// sample tables, instead of fully flattened tables. Saves space on wide
@@ -104,7 +109,7 @@ type SmallGroupConfig struct {
 	// pre-processing partitions work whose results never depend on
 	// completion order, and the one seeded generator is read on one
 	// goroutine, in row order, by scan 2's replay of the masks.
-	Workers int
+	Workers int `json:"-"`
 	// Seed drives all randomness in pre-processing.
 	Seed int64
 	// ScanRowsPerSecond estimates runtime scan throughput for the deadline
@@ -112,7 +117,7 @@ type SmallGroupConfig struct {
 	// remaining-budget × ScanRowsPerSecond falls back to the overall sample.
 	// Zero means DefaultScanRowsPerSecond. Tests set it very low (force
 	// degradation) or very high (forbid it) to make the rule deterministic.
-	ScanRowsPerSecond float64
+	ScanRowsPerSecond float64 `json:"-"`
 }
 
 func (c SmallGroupConfig) withDefaults() SmallGroupConfig {
@@ -121,6 +126,10 @@ func (c SmallGroupConfig) withDefaults() SmallGroupConfig {
 	}
 	if c.DistinctLimit == 0 {
 		c.DistinctLimit = DefaultDistinctLimit
+	}
+	if cc, ok := c.Overall.(congress.Config); ok && cc.DistinctLimit == 0 {
+		cc.DistinctLimit = DefaultDistinctLimit
+		c.Overall = cc
 	}
 	if c.Levels == nil {
 		c.Levels = []HierarchyLevel{{MaxFraction: c.SmallGroupFraction, Rate: 1}}
@@ -164,9 +173,6 @@ type SmallGroup struct {
 
 // NewSmallGroup returns the strategy with the given configuration.
 func NewSmallGroup(cfg SmallGroupConfig) *SmallGroup { return &SmallGroup{cfg: cfg} }
-
-// Name implements Strategy.
-func (s *SmallGroup) Name() string { return "smallgroup" }
 
 // Preprocess implements the two-scan pre-processing algorithm of §4.2.1.
 //

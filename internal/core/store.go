@@ -2,12 +2,19 @@ package core
 
 import (
 	"bufio"
+	"bytes"
+	"cmp"
+	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
 	"sort"
 
 	"dynsample/internal/binio"
+	"dynsample/internal/congress"
 	"dynsample/internal/engine"
+	"dynsample/internal/outlier"
+	"dynsample/internal/weighted"
 )
 
 // Persistence for a pre-processed sample family — small group sampling's, or
@@ -19,12 +26,10 @@ import (
 
 const storeMagic = "DSSG"
 
-// storeVersion 4 added the distinct-value cutoff τ to the runtime
-// configuration block: online maintenance watches the columns outside S
-// within the τ the family was built with. Version 3 had dropped version 2's
-// confidence level (a request states its own). It is the only version read:
-// nothing writes another.
-const storeVersion = 4
+// storeVersion 5 records the whole configuration that built the family
+// (familySpec) where version 4 kept only MaxTablesPerQuery and τ. It is the
+// only version read: nothing writes another.
+const storeVersion = 5
 
 // Caps on the lengths and counts read back (binio refuses one over its cap):
 // a truncated or corrupted header must produce a descriptive error, not a
@@ -45,13 +50,18 @@ func SaveSmallGroup(w io.Writer, p Prepared) error {
 	if !ok {
 		return fmt.Errorf("core: %T is not a sample family", p)
 	}
+	spec, err := sgp.cfg.spec()
+	if err != nil {
+		return err
+	}
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		return fmt.Errorf("core: recording the family config: %w", err)
+	}
 	bw := bufio.NewWriter(w)
 	bw.WriteString(storeMagic)
 	binio.PutU32(bw, storeVersion)
-
-	// Runtime configuration.
-	binio.PutU32(bw, uint32(sgp.cfg.MaxTablesPerQuery))
-	binio.PutU32(bw, uint32(sgp.cfg.DistinctLimit))
+	binio.PutString(bw, string(specJSON))
 	binio.PutF64(bw, sgp.overallScale)
 	binio.PutU64(bw, sgp.dataGen)
 
@@ -89,7 +99,7 @@ func SaveSmallGroup(w io.Writer, p Prepared) error {
 	// Tables (small group tables in index order, then the overall sample).
 	// Only flat join-synopsis storage is serialisable; renormalized sample
 	// sets must be rebuilt from the base data.
-	for _, t := range sgp.tables {
+	for _, t := range append(sgp.tables[:len(sgp.tables):len(sgp.tables)], sgp.overall) {
 		tbl, ok := t.src.(*engine.Table)
 		if !ok {
 			return fmt.Errorf("core: cannot save renormalized sample storage")
@@ -98,11 +108,7 @@ func SaveSmallGroup(w io.Writer, p Prepared) error {
 			return err
 		}
 	}
-	otbl, ok := sgp.overall.src.(*engine.Table)
-	if !ok {
-		return fmt.Errorf("core: cannot save renormalized sample storage")
-	}
-	return engine.WriteBinary(otbl, w)
+	return nil
 }
 
 // LoadSmallGroup reads state written by SaveSmallGroup.
@@ -123,11 +129,16 @@ func LoadSmallGroup(r io.Reader) (Prepared, error) {
 		return nil, fmt.Errorf("core: store version 2 carries a confidence level this build no longer reads; it reads version %d only", storeVersion)
 	case version == 3:
 		return nil, fmt.Errorf("core: store version 3 does not record the distinct-value cutoff τ; this build reads version %d only", storeVersion)
+	case version == 4:
+		return nil, fmt.Errorf("core: store version 4 does not record the configuration that built the family; this build reads version %d only", storeVersion)
 	case version != storeVersion:
 		return nil, fmt.Errorf("core: unsupported store version %d", version)
 	}
 
-	cfg := SmallGroupConfig{MaxTablesPerQuery: in.Count(maxStoreTables, "max tables per query"), DistinctLimit: int(in.U32())}
+	cfg, err := parseSpec([]byte(in.String(maxStoreString)))
+	if in.Err() == nil && err != nil {
+		in.Fail(err)
+	}
 	overallScale, dataGen, baseRows := in.F64(), in.U64(), in.U64()
 	metas := make([]ColumnMeta, in.Count(maxStoreColumns, "column count"))
 	for i := 0; i < len(metas) && in.Err() == nil; i++ {
@@ -206,4 +217,94 @@ func getValueSet(in *binio.Reader) map[engine.Value]struct{} {
 		set[vals[0]] = struct{}{}
 	}
 	return set
+}
+
+// familySpec is the record of the config that built a family, which store
+// version 5 keeps with it as JSON: every SmallGroupConfig field a rebuild
+// reads, after defaults (Workers and ScanRowsPerSecond are the process's,
+// not the family's), and the overall sample's selector as the one field its
+// kind names. From the record a loaded family knows its config and its
+// name, and a restore can tell whether the configured strategy would build
+// it.
+type familySpec struct {
+	SmallGroupConfig
+	Outlier  *outlier.Config  `json:",omitempty"`
+	Congress *congress.Config `json:",omitempty"`
+	Weighted *weighted.Config `json:",omitempty"`
+	// name is the family kind the config builds: small group sampling, or,
+	// with nothing in S, the baseline its selector makes.
+	name string
+}
+
+// spec is c's record. A selector it cannot record is refused by its type.
+func (c SmallGroupConfig) spec() (familySpec, error) {
+	s := familySpec{SmallGroupConfig: c, name: "uniform"}
+	switch o := c.Overall.(type) {
+	case nil:
+	case outlier.Config:
+		s.Outlier, s.name = &o, "outlier"
+	case congress.Config:
+		s.Congress, s.name = &o, "congress-basic"
+		if o.Variant == congress.Full {
+			s.name = "congress-full"
+		}
+	case weighted.Config:
+		s.Weighted, s.name = &o, "weighted"
+	default:
+		return familySpec{}, fmt.Errorf("core: cannot record overall sample selector %T", o)
+	}
+	if c.Columns == nil || len(c.Columns) > 0 {
+		s.name = "smallgroup"
+	}
+	return s, nil
+}
+
+// Name implements Strategy: "smallgroup", or, with nothing in S, the
+// baseline the overall sample selector makes — "uniform" (the reservoir),
+// "outlier", "congress-basic", "congress-full" or "weighted".
+func (s *SmallGroup) Name() string {
+	spec, _ := s.cfg.spec() // a selector the record cannot hold leaves "smallgroup"
+	return cmp.Or(spec.name, "smallgroup")
+}
+
+// parseSpec reads a record strictly, refusing any field it does not know,
+// into the configuration it describes.
+func parseSpec(b []byte) (SmallGroupConfig, error) {
+	var s familySpec
+	d := json.NewDecoder(bytes.NewReader(b))
+	d.DisallowUnknownFields()
+	if err := d.Decode(&s); err != nil {
+		return s.SmallGroupConfig, fmt.Errorf("family config: %w", err)
+	}
+	c := s.SmallGroupConfig
+	switch {
+	case s.MaxTablesPerQuery > maxStoreTables:
+		return c, fmt.Errorf("unreasonable max tables per query %d", s.MaxTablesPerQuery)
+	case s.Outlier != nil:
+		c.Overall = *s.Outlier
+	case s.Congress != nil:
+		c.Overall = *s.Congress
+	case s.Weighted != nil:
+		c.Overall = *s.Weighted
+	}
+	return c, c.validate()
+}
+
+// CheckFamily reports whether p was built from this strategy's
+// configuration, after defaults: nil when it was, else an error naming the
+// first recorded field that differs.
+func (s *SmallGroup) CheckFamily(p Prepared) error {
+	want, err := s.cfg.withDefaults().spec()
+	got, gerr := p.(*smallGroupPrepared).cfg.spec()
+	if err = cmp.Or(err, gerr); err != nil {
+		return err
+	}
+	wv, gv := reflect.ValueOf(want), reflect.ValueOf(got)
+	for _, f := range reflect.VisibleFields(wv.Type()) {
+		if f.IsExported() && !f.Anonymous && f.Tag.Get("json") != "-" &&
+			!reflect.DeepEqual(wv.FieldByIndex(f.Index).Interface(), gv.FieldByIndex(f.Index).Interface()) {
+			return fmt.Errorf("the family was built with another %s than the configured one", f.Name)
+		}
+	}
+	return nil
 }

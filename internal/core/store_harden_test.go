@@ -3,6 +3,7 @@ package core
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -18,11 +19,14 @@ func craftStore(maxTables, ncols uint32, build func(w *bufio.Writer)) []byte {
 	w := bufio.NewWriter(&buf)
 	w.WriteString(storeMagic)
 	binio.PutU32(w, storeVersion)
-	binio.PutU32(w, maxTables) // MaxTablesPerQuery
-	binio.PutU32(w, 100)       // DistinctLimit
-	binio.PutF64(w, 1)         // overall scale
-	binio.PutU64(w, 0)         // data generation
-	binio.PutU64(w, 1000)      // base rows
+	spec, err := json.Marshal(familySpec{SmallGroupConfig: SmallGroupConfig{BaseRate: 0.1, DistinctLimit: 100, MaxTablesPerQuery: int(maxTables)}.withDefaults()})
+	if err != nil {
+		panic(err)
+	}
+	binio.PutString(w, string(spec)) // the family config
+	binio.PutF64(w, 1)               // overall scale
+	binio.PutU64(w, 0)               // data generation
+	binio.PutU64(w, 1000)            // base rows
 	binio.PutU32(w, ncols)
 	if build != nil {
 		build(w)
@@ -114,6 +118,13 @@ func TestLoadSmallGroupHostileLengthPrefixes(t *testing.T) {
 			name:    "no-distinct-limit version",
 			stream:  append([]byte(storeMagic+"\x03\x00\x00\x00"), craftStore(3, 0, nil)[8:]...),
 			wantErr: "store version 3 does not record the distinct-value cutoff",
+		},
+		{
+			// Version 4 (τ and the table cap its only record of the
+			// config) is refused by name.
+			name:    "no-config version",
+			stream:  append([]byte(storeMagic+"\x04\x00\x00\x00"), craftStore(3, 0, nil)[8:]...),
+			wantErr: "store version 4 does not record the configuration",
 		},
 	}
 	for _, c := range cases {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dynsample/internal/core"
-	"dynsample/internal/uniform"
 )
 
 // GammaAblation measures the empirical counterpart of Figure 3(a): RelErr of
@@ -50,7 +49,7 @@ func (r *Runner) GammaAblation() (*Figure, error) {
 		y = append(y, accs["SmGroup"].RelErr)
 	}
 	// γ=0 reference: a plain uniform sample of the whole budget.
-	up, err := r.prepared(db, fmt.Sprintf("uni/r=%g", totalRate), uniform.New(uniform.Config{Rate: totalRate, Seed: r.Scale.Seed + 2}))
+	up, err := r.prepared(db, fmt.Sprintf("uni/r=%g", totalRate), core.NewSmallGroup(core.SmallGroupConfig{BaseRate: totalRate, Columns: []string{}, Seed: r.Scale.Seed + 2}))
 	if err != nil {
 		return nil, err
 	}

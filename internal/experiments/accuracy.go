@@ -262,12 +262,12 @@ func (r *Runner) Fig8() ([]*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	cs := congress.New(congress.Config{
-		Rate:    r.Scale.BaseRate * (1 + AllocationRatio*2.5), // mid-g matched space
-		Columns: grpCols,
-		Seed:    r.Scale.Seed + 3,
-	})
-	bc, err := r.prepared(db, "congress-basic", cs)
+	cs := congress.Config{Columns: grpCols, Seed: r.Scale.Seed + 3}
+	bc, err := r.prepared(db, "congress-basic", core.NewSmallGroup(core.SmallGroupConfig{
+		BaseRate: r.Scale.BaseRate * (1 + AllocationRatio*2.5), // mid-g matched space
+		Columns:  []string{},
+		Overall:  cs,
+	}))
 	if err != nil {
 		return nil, err
 	}
@@ -281,9 +281,11 @@ func (r *Runner) Fig8() ([]*Figure, error) {
 			"paper: congress degenerated into ~166,000 tiny strata on the 120-column SALES subset",
 		},
 	}
-	if n := cs.StrataCount(); n > 0 { // zero when the family came from the cache
-		rel.Notes = append(rel.Notes, fmt.Sprintf("measured: basic congress stratified %d rows into %d strata", db.NumRows(), n))
+	n, err := cs.StrataCount(db)
+	if err != nil {
+		return nil, err
 	}
+	rel.Notes = append(rel.Notes, fmt.Sprintf("measured: basic congress stratified %d rows into %d strata", db.NumRows(), n))
 	series := newSeriesPair("SmGroup", "BasicCongress", "Uniform")
 	for g := 1; g <= 4; g++ {
 		queries, err := r.sweepWorkload(db, g, 800+g, workload.Config{Aggregate: engine.Count, Columns: grpCols})
@@ -322,8 +324,8 @@ func (r *Runner) SumOutlier() (*Figure, error) {
 		prepMethod("SmGroup+Outlier", sgo),
 		{name: "Outlier", answer: func(q *engine.Query, g int) (*core.Answer, error) {
 			rate := r.Scale.BaseRate * (1 + AllocationRatio*float64(g))
-			p, err := r.prepared(db, fmt.Sprintf("outlier/r=%g", rate), outlier.New(outlier.Config{
-				Rate: rate, Measure: measure, Seed: r.Scale.Seed + 5,
+			p, err := r.prepared(db, fmt.Sprintf("outlier/r=%g", rate), core.NewSmallGroup(core.SmallGroupConfig{
+				BaseRate: rate, Columns: []string{}, Overall: outlier.Config{Measure: measure, Seed: r.Scale.Seed + 5},
 			}))
 			if err != nil {
 				return nil, err

@@ -39,6 +39,10 @@ func (r *Runner) Baselines() (*Figure, error) {
 	}
 	queries := gen.Queries(2 * r.Scale.QueriesPerConfig)
 	train, eval := queries[:len(queries)/2], queries[len(queries)/2:]
+	// A baseline is a family with nothing in S over its own row selector.
+	baseline := func(sel core.OverallBuilder) core.Strategy {
+		return core.NewSmallGroup(core.SmallGroupConfig{BaseRate: matched, Columns: []string{}, Overall: sel})
+	}
 
 	type entry struct {
 		label string
@@ -49,9 +53,9 @@ func (r *Runner) Baselines() (*Figure, error) {
 			BaseRate: rate, SmallGroupFraction: AllocationRatio * rate, Columns: cols, Seed: r.Scale.Seed + 1,
 		})},
 		{"Uniform", nil}, // matched per query by uniformMethod (shares the cache)
-		{"BasicCongress", congress.New(congress.Config{Rate: matched, Columns: cols, Seed: r.Scale.Seed + 2})},
-		{"FullCongress", congress.New(congress.Config{Rate: matched, Columns: cols, Variant: congress.Full, Seed: r.Scale.Seed + 3})},
-		{"Weighted", weighted.New(weighted.Config{Rate: matched, Workload: train, Seed: r.Scale.Seed + 4})},
+		{"BasicCongress", baseline(congress.Config{Columns: cols, Seed: r.Scale.Seed + 2})},
+		{"FullCongress", baseline(congress.Config{Columns: cols, Variant: congress.Full, Seed: r.Scale.Seed + 3})},
+		{"Weighted", baseline(weighted.Config{Workload: weighted.SQL(train), Seed: r.Scale.Seed + 4})},
 	}
 
 	fig := &Figure{

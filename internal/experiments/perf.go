@@ -8,7 +8,6 @@ import (
 	"dynsample/internal/core"
 	"dynsample/internal/engine"
 	"dynsample/internal/outlier"
-	"dynsample/internal/uniform"
 )
 
 // Fig9 reproduces Figure 9: the speedup of small group sampling over exact
@@ -94,9 +93,10 @@ func (r *Runner) Preprocess() (*Figure, error) {
 		st    core.Strategy
 	}
 	entries := []entry{
-		{"uniform", uniform.New(uniform.Config{Rate: rate, Seed: 1})},
-		{"outlier", outlier.New(outlier.Config{Rate: rate, Measure: "l_extendedprice", Seed: 1})},
-		{"congress-basic", congress.New(congress.Config{Rate: rate, Columns: []string{"l_returnflag", "l_shipmode", "s_region", "o_orderpriority", "p_brand"}, Seed: 1})},
+		{"uniform", core.NewSmallGroup(core.SmallGroupConfig{BaseRate: rate, Columns: []string{}, Seed: 1})},
+		{"outlier", core.NewSmallGroup(core.SmallGroupConfig{BaseRate: rate, Columns: []string{}, Overall: outlier.Config{Measure: "l_extendedprice", Seed: 1}})},
+		{"congress-basic", core.NewSmallGroup(core.SmallGroupConfig{BaseRate: rate, Columns: []string{},
+			Overall: congress.Config{Columns: []string{"l_returnflag", "l_shipmode", "s_region", "o_orderpriority", "p_brand"}, Seed: 1}})},
 		{"smallgroup", core.NewSmallGroup(core.SmallGroupConfig{BaseRate: rate, Seed: 1})},
 		{"smallgroup@0.25%", core.NewSmallGroup(core.SmallGroupConfig{BaseRate: rate / 4, Seed: 1})},
 		{"smallgroup-renorm", core.NewSmallGroup(core.SmallGroupConfig{BaseRate: rate, Seed: 1, Renormalize: true})},

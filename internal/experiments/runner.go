@@ -7,7 +7,6 @@ import (
 	"dynsample/internal/engine"
 	"dynsample/internal/metrics"
 	"dynsample/internal/scenario"
-	"dynsample/internal/uniform"
 	"dynsample/internal/workload"
 )
 
@@ -151,7 +150,7 @@ func (r *Runner) uniformMatched(db *engine.Database, rate float64, g int) (core.
 		u = 1
 	}
 	key := fmt.Sprintf("uni/r=%g", u)
-	return r.prepared(db, key, uniform.New(uniform.Config{Rate: u, Seed: r.Scale.Seed + 2}))
+	return r.prepared(db, key, core.NewSmallGroup(core.SmallGroupConfig{BaseRate: u, Columns: []string{}, Seed: r.Scale.Seed + 2}))
 }
 
 // method is one named way of answering a query with g grouping columns.

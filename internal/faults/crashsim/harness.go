@@ -165,13 +165,7 @@ func (h *Harness) Start() ingest.ReplayStats {
 		h.t.Fatal(err)
 	}
 	rec, err := ingest.Recover(sys, cat, w, core.NewSmallGroup(sgCfg), 0, ingest.Config{
-		Online: core.OnlineConfig{
-			Seed: onlineSeed,
-			// Snapshot-restored prepared state does not carry the
-			// preprocessing config, so the fraction is supplied explicitly
-			// (as cmd/aqpd does) and matches the fresh-preprocess value.
-			SmallGroupFraction: sgCfg.SmallGroupFraction,
-		},
+		Online: core.OnlineConfig{Seed: onlineSeed},
 		// Scenarios drive recovery deterministically via ProbeNow; park the
 		// background prober out of the way.
 		ProbeBackoff: time.Hour,

@@ -48,9 +48,7 @@ func rebuildNow(t testing.TB, c *Coordinator) {
 }
 
 // recoverNow restarts onto a regenerated n-row base the way cmd/aqpd does:
-// Recover over the surviving catalog and WAL directories. The small-group
-// fraction is supplied explicitly because snapshot-restored state does not
-// carry the preprocessing config.
+// Recover over the surviving catalog and WAL directories.
 func recoverNow(t testing.TB, n int, cat *catalog.Catalog, walDir string, cfg Config) (*core.System, *Recovery) {
 	t.Helper()
 	var w *WAL
@@ -61,7 +59,6 @@ func recoverNow(t testing.TB, n int, cat *catalog.Catalog, walDir string, cfg Co
 		}
 		t.Cleanup(func() { w.Close() })
 	}
-	cfg.Online.SmallGroupFraction = ingestSGCfg.SmallGroupFraction
 	sys := core.NewSystem(ingestDB(t, n))
 	rec, err := Recover(sys, cat, w, core.NewSmallGroup(ingestSGCfg), 0, cfg)
 	if err != nil {

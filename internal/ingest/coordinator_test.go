@@ -240,10 +240,7 @@ func TestCoordinatorSnapshotRestoreReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	// Restored states don't carry the small-group fraction; supply it.
-	cfg2 := cfg
-	cfg2.Online.SmallGroupFraction = ingestSGCfg.SmallGroupFraction
-	c2, err := New(sys2, w2, cfg2)
+	c2, err := New(sys2, w2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dynsample/internal/core"
@@ -11,8 +12,9 @@ import (
 
 // TestCheckpointFixtureReencodes holds the DSCP0001 checkpoint to the bytes
 // an earlier build wrote: testdata/checkpoint.dscp (three idempotency ids and
-// a delta over a 500-row base) decodes, restores onto the regenerated base,
-// and writes back to the identical bytes.
+// a delta over a 500-row base, its family built with ingestSGCfg) decodes,
+// records the config that built its family, restores onto the regenerated
+// base, and writes back to the identical bytes.
 func TestCheckpointFixtureReencodes(t *testing.T) {
 	want, err := os.ReadFile("testdata/checkpoint.dscp")
 	if err != nil {
@@ -25,6 +27,9 @@ func TestCheckpointFixtureReencodes(t *testing.T) {
 	if len(s.IDs) != 3 || s.Delta == nil || s.Delta.NumRows() == 0 {
 		t.Fatalf("fixture has %d ids and delta %v, want 3 and some rows", len(s.IDs), s.Delta)
 	}
+	if err := core.NewSmallGroup(ingestSGCfg).CheckFamily(s.Prepared); err != nil {
+		t.Fatal(err)
+	}
 	sys := core.NewSystem(ingestDB(t, int(s.Checkpoint.BaseRows)))
 	if err := s.Restore(sys, "smallgroup"); err != nil {
 		t.Fatal(err)
@@ -35,6 +40,19 @@ func TestCheckpointFixtureReencodes(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("re-encoded checkpoint differs: %d bytes, fixture %d", got.Len(), len(want))
+	}
+}
+
+// TestCheckpointFixtureV4Refused: testdata/checkpoint-v4.dscp embeds a
+// version 4 store, which does not record the config that built its family;
+// decoding refuses it by the store's version.
+func TestCheckpointFixtureV4Refused(t *testing.T) {
+	old, err := os.ReadFile("testdata/checkpoint-v4.dscp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeSnapshot(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), "store version 4") {
+		t.Fatalf("decoding a checkpoint over a version 4 store: %v, want it refused by the store's version", err)
 	}
 }
 

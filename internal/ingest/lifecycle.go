@@ -34,8 +34,9 @@ type Recovery struct {
 	// from-scratch build the one its first save wrote (covering nothing over
 	// the current base); never nil.
 	Checkpoint *Checkpoint
-	// Skipped lists the newer catalog generations that failed verification or
-	// were cut over a different base.
+	// Skipped lists the newer catalog generations that failed verification
+	// or were cut over a different base, and last the restored one when its
+	// family was built from another configuration.
 	Skipped []catalog.SkippedSnapshot
 	// Replay is the WAL replay's work; zero without a WAL.
 	Replay ReplayStats
@@ -54,22 +55,24 @@ type Recovery struct {
 //  1. Samples. The newest catalog generation that verifies and was cut over
 //     this base-row count is restored (samples, ingested-row delta, data
 //     generation); older generations are the fall-back, reported in Skipped.
-//     With no usable generation — or no catalog — the strategy pre-processes
-//     the base data, and a catalog gets the result as its next generation,
-//     so it self-heals.
+//     When its family records another configuration than strategy's (after
+//     defaults), the family is reported in Skipped too and strategy
+//     pre-processes the restored data in its place. With no usable
+//     generation — or no catalog — the strategy pre-processes the base data.
+//     Either way a catalog gets the new family as its next generation, so it
+//     self-heals.
 //  2. The worker budget is applied to whichever state now serves.
 //  3. With a WAL: segments wholly below the checkpoint are deleted
 //     (finishing a GC a crash interrupted), the coordinator attaches with
 //     the checkpoint's BaseRows, the idempotency window is seeded from the
 //     snapshot, and the log's tail replays.
 //
-// cat and wal may each be nil. cfg.BaseRows is overwritten from the
+// cat and wal may each be nil. cfg.Strategy is overwritten with strategy's
+// name, the one the family serves under, and cfg.BaseRows from the
 // checkpoint. Errors are fatal to start-up; everything survivable is in the
 // Recovery.
-func Recover(sys *core.System, cat *catalog.Catalog, wal *WAL, strategy core.Strategy, workers int, cfg Config) (*Recovery, error) {
-	if cfg.Strategy == "" {
-		cfg.Strategy = strategy.Name()
-	}
+func Recover(sys *core.System, cat *catalog.Catalog, wal *WAL, strategy *core.SmallGroup, workers int, cfg Config) (*Recovery, error) {
+	cfg.Strategy = strategy.Name()
 	rec := &Recovery{Source: "snapshot"}
 	var snap *Snapshot
 	err := catalog.ErrNoSnapshot
@@ -77,12 +80,12 @@ func Recover(sys *core.System, cat *catalog.Catalog, wal *WAL, strategy core.Str
 		var res catalog.LoadResult
 		res, err = cat.LoadLatest(func(r io.Reader) error {
 			s, derr := DecodeSnapshot(r)
-			if derr != nil {
-				return derr
+			if derr == nil {
+				// A generation cut over a different base is as unusable as a
+				// corrupt one.
+				derr = s.checkBase(sys.DB().NumRows())
 			}
-			// A generation cut over a different base is as unusable as a
-			// corrupt one.
-			if derr = s.checkBase(sys.DB().NumRows()); derr == nil {
+			if derr == nil {
 				snap = s
 			}
 			return derr
@@ -91,21 +94,29 @@ func Recover(sys *core.System, cat *catalog.Catalog, wal *WAL, strategy core.Str
 	}
 	switch {
 	case err == nil:
-		if err := snap.Restore(sys, cfg.Strategy); err != nil {
+		if err = snap.Restore(sys, cfg.Strategy); err != nil {
 			return nil, err
 		}
+		// A family built from another configuration is skipped, but not its
+		// data: the delta, ids and data generation stay, and the configured
+		// strategy pre-processes them as a rebuild would.
+		if err = strategy.CheckFamily(snap.Prepared); err != nil {
+			rec.Skipped = append(rec.Skipped, catalog.SkippedSnapshot{Generation: rec.Generation, Path: cat.Path(rec.Generation), Err: err})
+		}
 	case errors.Is(err, catalog.ErrNoSnapshot):
+		snap = &Snapshot{Checkpoint: &Checkpoint{BaseRows: uint64(sys.DB().NumRows())}}
+	default:
+		return nil, err
+	}
+	if err != nil {
 		rec.Source = "preprocess"
 		if err := sys.AddStrategy(strategy); err != nil {
 			return nil, err
 		}
-		p, _ := sys.Prepared(cfg.Strategy)
-		snap = &Snapshot{Checkpoint: &Checkpoint{BaseRows: uint64(sys.DB().NumRows())}, Prepared: p}
+		snap.Prepared, _ = sys.Prepared(cfg.Strategy)
 		if cat != nil {
-			rec.Generation, rec.SaveErr = saveGeneration(cat, p, *snap.Checkpoint, sys.DB(), nil)
+			rec.Generation, rec.SaveErr = saveGeneration(cat, snap.Prepared, *snap.Checkpoint, sys.DB(), snap.IDs)
 		}
-	default:
-		return nil, err
 	}
 	rec.Checkpoint = snap.Checkpoint
 	snap.Prepared.SetWorkers(workers)

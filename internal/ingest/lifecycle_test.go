@@ -3,6 +3,7 @@ package ingest
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -29,9 +30,7 @@ func TestRecover(t *testing.T) {
 		}
 		defer w.Close()
 		sys := core.NewSystem(ingestDB(t, rows))
-		lcfg := cfg
-		lcfg.Online.SmallGroupFraction = ingestSGCfg.SmallGroupFraction
-		rec, err := Recover(sys, cat, w, core.NewSmallGroup(ingestSGCfg), 0, lcfg)
+		rec, err := Recover(sys, cat, w, core.NewSmallGroup(ingestSGCfg), 0, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,5 +183,142 @@ func TestRecover(t *testing.T) {
 			sys, rec := recoverNow(t, rows, cat, walDir, cfg)
 			tc.check(t, cat, sys, rec)
 		})
+	}
+}
+
+// TestRecoverRefusesAnotherConfig restarts over a generation built at base
+// rate 0.01 with 0.02 configured. The generation records the config that
+// built it, so Recover skips it with a reason naming BaseRate, pre-processes
+// at the configured rate and saves the result as generation 2, which the
+// next start with that config restores. A uniform family (nothing in S) is
+// refused the same way, by its Columns.
+func TestRecoverRefusesAnotherConfig(t *testing.T) {
+	const n = 20000
+	cat, err := catalog.Open(t.TempDir(), catalog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := func(cfg core.SmallGroupConfig) (core.Prepared, *Recovery) {
+		t.Helper()
+		st := core.NewSmallGroup(cfg)
+		sys := core.NewSystem(ingestDB(t, n))
+		rec, err := Recover(sys, cat, nil, st, 0, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, _ := sys.Prepared(st.Name())
+		return p, rec
+	}
+	r01 := core.SmallGroupConfig{BaseRate: 0.01, Seed: 3}
+	r02 := core.SmallGroupConfig{BaseRate: 0.02, Seed: 3}
+	if _, rec := at(r01); rec.Source != "preprocess" || rec.Generation != 1 {
+		t.Fatalf("first start = %q generation %d, want a fresh build saved as generation 1", rec.Source, rec.Generation)
+	}
+	p, rec := at(r02)
+	if len(rec.Skipped) != 1 || rec.Skipped[0].Generation != 1 || !strings.Contains(rec.Skipped[0].Err.Error(), "BaseRate") {
+		t.Fatalf("skipped %+v, want generation 1 refused for its BaseRate", rec.Skipped)
+	}
+	if rec.Source != "preprocess" || rec.Generation != 2 {
+		t.Fatalf("restart at r = 0.02 = %q generation %d, want a fresh build saved as generation 2", rec.Source, rec.Generation)
+	}
+	fresh, err := core.NewSmallGroup(r02).Preprocess(ingestDB(t, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.SampleRows() != fresh.SampleRows() {
+		t.Fatalf("serving %d sample rows, a build at r = 0.02 draws %d", p.SampleRows(), fresh.SampleRows())
+	}
+	if _, rec := at(r02); rec.Source != "snapshot" || rec.Generation != 2 || len(rec.Skipped) != 0 {
+		t.Fatalf("second restart at r = 0.02 = %q generation %d (%d skipped), want generation 2 restored", rec.Source, rec.Generation, len(rec.Skipped))
+	}
+	uniform := core.SmallGroupConfig{BaseRate: 0.02, Columns: []string{}, Seed: 3}
+	if _, rec := at(uniform); rec.Source != "preprocess" || len(rec.Skipped) != 1 || !strings.Contains(rec.Skipped[0].Err.Error(), "Columns") {
+		t.Fatalf("uniform start = %q, skipped %+v; want the small group generation refused for its Columns", rec.Source, rec.Skipped)
+	}
+}
+
+// TestRecoverAnotherConfigKeepsTheData restarts at another base rate over a
+// checkpoint whose batches the WAL no longer holds: their rows, ids and data
+// generation live only in the checkpoint. Recover must keep them, build the
+// configured family over base plus delta, save it as the next generation and
+// replay the WAL's tail on top.
+func TestRecoverAnotherConfigKeepsTheData(t *testing.T) {
+	const n = 3000
+	cfg := Config{Online: core.OnlineConfig{Seed: 95}}
+	cat, err := catalog.Open(t.TempDir(), catalog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	walDir := t.TempDir()
+	w, err := OpenWALWith(walDir, WALOptions{SegmentBytes: ckSegBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := core.NewSystem(ingestDB(t, n))
+	rec, err := Recover(sys, cat, w, core.NewSmallGroup(ingestSGCfg), 0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := randx.New(7)
+	for i := 0; i < 7; i++ {
+		if i == 6 { // b-0..b-5 inside checkpoint generation 2, b-6 only in the log
+			res, err := Rebuild(sys, rec.Coordinator, cat, core.NewSmallGroup(ingestSGCfg), "smallgroup", 0)
+			if err != nil || res.PersistErr != nil || res.Generation != 2 || res.Removed == 0 {
+				t.Fatalf("rebuild + checkpoint = %+v, %v; want generation 2 with WAL segments removed", res, err)
+			}
+		}
+		if _, err := rec.Coordinator.Ingest(fmt.Sprintf("b-%d", i), ingestRows(rng, 40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Close()
+
+	other := ingestSGCfg
+	other.BaseRate = 0.1
+	restart := func() (*core.System, *Recovery) {
+		t.Helper()
+		w, err := OpenWALWith(walDir, WALOptions{SegmentBytes: ckSegBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { w.Close() })
+		sys := core.NewSystem(ingestDB(t, n))
+		rec, err := Recover(sys, cat, w, core.NewSmallGroup(other), 0, cfg)
+		if err != nil {
+			t.Fatalf("restart at another base rate: %v", err)
+		}
+		return sys, rec
+	}
+	sys, rec = restart()
+	if len(rec.Skipped) != 1 || rec.Skipped[0].Generation != 2 || !strings.Contains(rec.Skipped[0].Err.Error(), "BaseRate") {
+		t.Fatalf("skipped %+v, want generation 2 refused for its BaseRate", rec.Skipped)
+	}
+	if rec.Source != "preprocess" || rec.Generation != 3 || rec.SaveErr != nil || rec.Checkpoint.DataGen != 6 {
+		t.Fatalf("recovery = %q generation %d (save: %v), checkpoint %+v; want a build over the checkpoint's data saved as generation 3",
+			rec.Source, rec.Generation, rec.SaveErr, rec.Checkpoint)
+	}
+	if rec.Replay.Batches != 1 || sys.DB().NumRows() != n+7*40 || sys.DataGeneration() != 7 {
+		t.Fatalf("replay = %+v, %d rows at data generation %d; want b-6 re-applied over all %d rows", rec.Replay, sys.DB().NumRows(), sys.DataGeneration(), n+7*40)
+	}
+	if _, err := rec.Coordinator.Ingest("b-1", ingestRows(rng, 40)); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("re-ingesting b-1: err = %v, want ErrDuplicate", err)
+	}
+	// Generation 3's family covers the checkpoint's batches, as its header says.
+	res, err := cat.LoadLatest(func(r io.Reader) error {
+		s, err := DecodeSnapshot(r)
+		if err == nil && s.Prepared.DataGeneration() != s.Checkpoint.DataGen {
+			err = fmt.Errorf("family at data generation %d, checkpoint at %d", s.Prepared.DataGeneration(), s.Checkpoint.DataGen)
+		}
+		return err
+	})
+	if err != nil || res.Generation != 3 || len(res.Skipped) != 0 {
+		t.Fatalf("loading generation 3: %+v, %v", res, err)
+	}
+	p, _ := sys.Prepared("smallgroup")
+	if err := core.NewSmallGroup(other).CheckFamily(p); err != nil || p.DataGeneration() != 7 {
+		t.Fatalf("serving family: %v at data generation %d, want the configured one at 7", err, p.DataGeneration())
+	}
+	if sys, rec := restart(); rec.Source != "snapshot" || rec.Generation != 3 || len(rec.Skipped) != 0 || sys.DB().NumRows() != n+7*40 {
+		t.Fatalf("second restart = %q generation %d (%d skipped) over %d rows, want generation 3 restored", rec.Source, rec.Generation, len(rec.Skipped), sys.DB().NumRows())
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"math"
 	"sort"
 
-	"dynsample/internal/core"
 	"dynsample/internal/engine"
 	"dynsample/internal/randx"
 	"dynsample/internal/sample"
@@ -29,9 +28,8 @@ import (
 // indexing at the base rate.
 type Config struct {
 	// Rate is the total sample budget as a fraction of the database,
-	// covering both the outlier set and the remainder sample. As an
-	// OverallBuilder the budget is the family's base rate, and a non-zero
-	// Rate that differs from it is refused.
+	// covering both the outlier set and the remainder sample. The budget is
+	// the family's base rate: zero means it, and another value is refused.
 	Rate float64
 	// Measure is the aggregate column the outlier index is built for.
 	Measure string
@@ -48,17 +46,6 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// Strategy is the outlier indexing baseline.
-type Strategy struct {
-	cfg Config
-}
-
-// New returns the strategy.
-func New(cfg Config) *Strategy { return &Strategy{cfg: cfg} }
-
-// Name implements core.Strategy.
-func (s *Strategy) Name() string { return "outlier" }
 
 // SelectOutliers returns the indices (into values) of the k elements whose
 // removal minimises the variance of the remaining values. The optimal set is
@@ -163,9 +150,4 @@ func (c Config) BuildOverall(db *engine.Database, rate float64) ([]int, []float6
 		}
 	}
 	return rows, weights, nil
-}
-
-// Preprocess implements core.Strategy.
-func (s *Strategy) Preprocess(db *engine.Database) (core.Prepared, error) {
-	return core.NewSmallGroup(core.SmallGroupConfig{BaseRate: s.cfg.Rate, Columns: []string{}, Overall: s.cfg}).Preprocess(db)
 }

@@ -1,4 +1,4 @@
-package outlier
+package outlier_test
 
 import (
 	"math"
@@ -7,8 +7,15 @@ import (
 
 	"dynsample/internal/core"
 	"dynsample/internal/engine"
+	"dynsample/internal/outlier"
 	"dynsample/internal/randx"
 )
+
+// preprocess builds the outlier indexing baseline: a family with nothing in
+// S over the outlier selector, at the selector's rate.
+func preprocess(db *engine.Database, cfg outlier.Config) (core.Prepared, error) {
+	return core.NewSmallGroup(core.SmallGroupConfig{BaseRate: cfg.Rate, Columns: []string{}, Overall: cfg}).Preprocess(db)
+}
 
 // heavyTailDB builds a table whose measure column is mostly small with a few
 // huge outliers — the skewed-aggregate scenario outlier indexing targets.
@@ -51,7 +58,7 @@ func TestSelectOutliersOptimalBruteForce(t *testing.T) {
 	// Compare against exhaustive search over all k-subsets on tiny inputs.
 	values := []float64{1, 2, 100, 3, 4, -50, 5}
 	const k = 2
-	got := SelectOutliers(values, k)
+	got := outlier.SelectOutliers(values, k)
 	if len(got) != k {
 		t.Fatalf("selected %d outliers, want %d", len(got), k)
 	}
@@ -84,7 +91,7 @@ func TestSelectOutliersWindowOptimalProperty(t *testing.T) {
 			values[i] = rng.NormFloat64() * 100
 		}
 		const k = 4
-		sel := SelectOutliers(values, k)
+		sel := outlier.SelectOutliers(values, k)
 		removed := make(map[int]bool, k)
 		for _, ix := range sel {
 			removed[ix] = true
@@ -141,13 +148,13 @@ func TestSelectOutliersWindowOptimalProperty(t *testing.T) {
 }
 
 func TestSelectOutliersEdges(t *testing.T) {
-	if got := SelectOutliers([]float64{1, 2, 3}, 0); got != nil {
+	if got := outlier.SelectOutliers([]float64{1, 2, 3}, 0); got != nil {
 		t.Errorf("k=0 gave %v", got)
 	}
-	if got := SelectOutliers([]float64{1, 2, 3}, 5); len(got) != 3 {
+	if got := outlier.SelectOutliers([]float64{1, 2, 3}, 5); len(got) != 3 {
 		t.Errorf("k>n gave %v", got)
 	}
-	if got := SelectOutliers(nil, 2); len(got) != 0 {
+	if got := outlier.SelectOutliers(nil, 2); len(got) != 0 {
 		t.Errorf("empty input gave %v", got)
 	}
 }
@@ -163,7 +170,7 @@ func TestOutlierBeatsUniformOnSkewedSum(t *testing.T) {
 	var outErr, uniErr float64
 	const trials = 30
 	for seed := int64(0); seed < trials; seed++ {
-		p, err := New(Config{Rate: 0.02, Measure: "rev", Seed: seed}).Preprocess(db)
+		p, err := preprocess(db, outlier.Config{Rate: 0.02, Measure: "rev", Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +214,7 @@ func TestOutlierCountsUnbiased(t *testing.T) {
 	var sum float64
 	const trials = 40
 	for seed := int64(0); seed < trials; seed++ {
-		p, err := New(Config{Rate: 0.05, Measure: "rev", Seed: seed}).Preprocess(db)
+		p, err := preprocess(db, outlier.Config{Rate: 0.05, Measure: "rev", Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +238,7 @@ func TestOverallBuilderPlugsIntoSmallGroup(t *testing.T) {
 		BaseRate:      0.02,
 		DistinctLimit: 100,
 		Seed:          7,
-		Overall:       Config{Measure: "rev", Seed: 8},
+		Overall:       outlier.Config{Measure: "rev", Seed: 8},
 	})
 	p, err := sg.Preprocess(db)
 	if err != nil {
@@ -262,27 +269,27 @@ func TestOverallBuilderPlugsIntoSmallGroup(t *testing.T) {
 func TestSelectorRefusesAnotherRate(t *testing.T) {
 	db := heavyTailDB(1000)
 	for _, rate := range []float64{0, 0.02} {
-		if _, err := core.NewSmallGroup(core.SmallGroupConfig{BaseRate: 0.02, Overall: Config{Rate: rate, Measure: "rev"}}).Preprocess(db); err != nil {
+		if _, err := core.NewSmallGroup(core.SmallGroupConfig{BaseRate: 0.02, Overall: outlier.Config{Rate: rate, Measure: "rev"}}).Preprocess(db); err != nil {
 			t.Errorf("rate %g: %v", rate, err)
 		}
 	}
-	if _, err := core.NewSmallGroup(core.SmallGroupConfig{BaseRate: 0.02, Overall: Config{Rate: 0.1, Measure: "rev"}}).Preprocess(db); err == nil {
+	if _, err := core.NewSmallGroup(core.SmallGroupConfig{BaseRate: 0.02, Overall: outlier.Config{Rate: 0.1, Measure: "rev"}}).Preprocess(db); err == nil {
 		t.Error("rate 0.1 at base rate 0.02 not refused")
 	}
 }
 
 func TestConfigValidation(t *testing.T) {
 	db := heavyTailDB(100)
-	if _, err := New(Config{Rate: 0, Measure: "rev"}).Preprocess(db); err == nil {
+	if _, err := preprocess(db, outlier.Config{Rate: 0, Measure: "rev"}); err == nil {
 		t.Error("rate 0 not rejected")
 	}
-	if _, err := New(Config{Rate: 0.1, Measure: "nope"}).Preprocess(db); err == nil {
+	if _, err := preprocess(db, outlier.Config{Rate: 0.1, Measure: "nope"}); err == nil {
 		t.Error("unknown measure not rejected")
 	}
 }
 
 func TestName(t *testing.T) {
-	if got := New(Config{}).Name(); got != "outlier" {
+	if got := core.NewSmallGroup(core.SmallGroupConfig{Columns: []string{}, Overall: outlier.Config{}}).Name(); got != "outlier" {
 		t.Errorf("Name = %q", got)
 	}
 }

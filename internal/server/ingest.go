@@ -13,8 +13,8 @@ import (
 	"dynsample/internal/ingest"
 )
 
-// IngestRequest is the body of POST /ingest: rows in the base view's column
-// order (see GET /columns). BatchID (or, when absent, the client's
+// IngestRequest is the body of POST /v1/ingest: rows in the base view's
+// column order (see GET /v1/columns). BatchID (or, when absent, the client's
 // X-Request-ID header) makes the request idempotent: retrying the same id
 // within the server's idempotency window returns the original outcome
 // instead of appending the rows twice.
@@ -32,7 +32,7 @@ type IngestRequest struct {
 	BatchID string `json:"batch_id,omitempty"`
 }
 
-// IngestResponse is the body of POST /ingest.
+// IngestResponse is the body of POST /v1/ingest.
 type IngestResponse struct {
 	// Rows is how many rows the acknowledged batch appended.
 	Rows int `json:"rows"`

@@ -312,7 +312,7 @@ func (p *Pipeline) compile(trace *obs.Trace, r *http.Request, exact bool) (*sqlp
 	case req.Confidence != 0 && req.ErrorBound == 0 && req.TimeBoundMS == 0:
 		return nil, nil, badRequestf("confidence requires error_bound or time_bound_ms")
 	case exact && (req.ErrorBound != 0 || req.TimeBoundMS != 0):
-		return nil, nil, badRequestf("error_bound/time_bound_ms/confidence apply to /query only; /exact always scans the base table")
+		return nil, nil, badRequestf("error_bound/time_bound_ms/confidence apply to /v1/query only; /v1/exact always scans the base table")
 	case req.Raw && !p.backend.RawWire():
 		return nil, nil, badRequestf("raw responses are shard-internal; this endpoint returns presented groups")
 	case strings.TrimSpace(req.SQL) == "":
@@ -434,7 +434,7 @@ func (p *Pipeline) slowest(*http.Request) (any, error) {
 	return SlowLogResponse{Capacity: p.slowlog.Size(), Entries: entries}, nil
 }
 
-// reqTrack carries the observability record of one /query or /exact request
+// reqTrack carries the observability record of one /v1/query or /v1/exact request
 // from first byte to response: the pipeline trace, which serve attaches to
 // the execution context so every layer below records into it.
 type reqTrack struct {

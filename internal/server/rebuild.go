@@ -29,7 +29,7 @@ var (
 )
 
 // Zero-downtime rebuild and health reporting. The sample family a server
-// answers from is not frozen at startup: POST /admin/rebuild (or the
+// answers from is not frozen at startup: POST /v1/admin/rebuild (or the
 // periodic AutoRebuild loop) re-runs the strategy's pre-processing phase
 // against the base data while queries keep being answered from the current
 // generation, then swaps the new state in atomically (core.SwapPrepared)
@@ -40,7 +40,7 @@ var (
 // RebuildConfig enables zero-downtime sample rebuilds.
 type RebuildConfig struct {
 	// Strategy is re-run against the base database on every rebuild. Nil
-	// disables /admin/rebuild and AutoRebuild.
+	// disables POST /v1/admin/rebuild and AutoRebuild.
 	Strategy core.Strategy
 	// Catalog, when non-nil, persists each rebuilt generation as a
 	// crash-safe snapshot (and is the authority for generation numbers).

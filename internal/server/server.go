@@ -59,7 +59,7 @@
 //
 // # Deadlines and overload
 //
-// Every /query and /exact runs under a context derived from the request: a
+// Every /v1/query and /v1/exact runs under a context derived from the request: a
 // client disconnect, the server's Config.DefaultTimeout, or the request's
 // own timeout_ms field cancels in-flight shard scans at the next shard
 // boundary. A missed deadline returns 504 with a structured error; under
@@ -99,13 +99,13 @@ const DefaultStrategy = "smallgroup"
 // permissive robustness defaults: no deadline, no admission limit, a
 // DefaultSlowLogSize slow-query log.
 type Config struct {
-	// Strategy is the registered strategy name /query answers with. Empty
+	// Strategy is the registered strategy name /v1/query answers with. Empty
 	// means DefaultStrategy.
 	Strategy string
-	// DefaultTimeout bounds each /query and /exact unless the request
+	// DefaultTimeout bounds each /v1/query and /v1/exact unless the request
 	// carries its own timeout_ms. Zero means no default deadline.
 	DefaultTimeout time.Duration
-	// MaxInflight caps concurrently executing /query + /exact requests;
+	// MaxInflight caps concurrently executing /v1/query + /v1/exact requests;
 	// excess requests are shed with 503 and a Retry-After header instead of
 	// queueing. Zero means unlimited.
 	MaxInflight int
@@ -114,10 +114,10 @@ type Config struct {
 	// SlowLogSize is how many of the slowest queries GET /debug/slowlog
 	// retains. Zero means obs.DefaultSlowLogSize.
 	SlowLogSize int
-	// Rebuild enables zero-downtime sample rebuilds (/admin/rebuild and
+	// Rebuild enables zero-downtime sample rebuilds (POST /v1/admin/rebuild and
 	// AutoRebuild); the zero value disables them. See RebuildConfig.
 	Rebuild RebuildConfig
-	// Ingest, when non-nil, enables POST /ingest (live row appends backed by
+	// Ingest, when non-nil, enables POST /v1/ingest (live row appends backed by
 	// the coordinator's WAL + online sample maintenance) and makes Rebuild go
 	// through the coordinator's pin/tail handshake. When Rebuild is also
 	// configured, the coordinator's drift trigger is pointed at this server's
@@ -175,7 +175,7 @@ func New(sys *core.System, cfg Config) *Server {
 // /debug/slowlog), so an operator CLI can mount it elsewhere.
 func (s *Server) SlowLog() *obs.SlowLog { return s.pipe.slowlog }
 
-// QueryRequest is the body of POST /query and POST /exact. See docs/API.md
+// QueryRequest is the body of POST /v1/query and POST /v1/exact. See docs/API.md
 // for the full field reference.
 type QueryRequest struct {
 	SQL string `json:"sql"`
@@ -190,14 +190,14 @@ type QueryRequest struct {
 	TimeoutMS *int64 `json:"timeout_ms,omitempty"`
 	// ErrorBound, when set, asks the planner for the cheapest plan whose
 	// predicted mean per-group relative error (at the confidence level) is
-	// at most this value, in (0, 1). /query only. When no plan qualifies the
+	// at most this value, in (0, 1). /v1/query only. When no plan qualifies the
 	// request fails with 422 and the best achievable bound in the error
 	// body. See docs/ACCURACY.md for what the prediction guarantees.
 	ErrorBound float64 `json:"error_bound,omitempty"`
 	// TimeBoundMS, when set, bounds the plan's predicted execution latency
 	// in milliseconds; the planner picks the most accurate plan predicted to
 	// fit (the cheapest satisfying plan when error_bound is also set).
-	// /query only. Unlike timeout_ms it shapes the plan rather than
+	// /v1/query only. Unlike timeout_ms it shapes the plan rather than
 	// cancelling the request.
 	TimeBoundMS int64 `json:"time_bound_ms,omitempty"`
 	// Confidence is the confidence level error_bound and the returned
@@ -221,7 +221,7 @@ type GroupJSON struct {
 	CI [][2]float64 `json:"ci,omitempty"`
 }
 
-// QueryResponse is the body returned by /query and /exact.
+// QueryResponse is the body returned by /v1/query and /v1/exact.
 type QueryResponse struct {
 	Columns   []string    `json:"columns"`
 	Groups    []GroupJSON `json:"groups"`

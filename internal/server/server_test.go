@@ -232,7 +232,7 @@ func TestMethodRouting(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed && resp.StatusCode != http.StatusNotFound {
-		t.Errorf("GET /query status %d", resp.StatusCode)
+		t.Errorf("GET /v1/query status %d", resp.StatusCode)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // package, never the reverse — so a shard is just a normal aqpd process
 // whose responses can also be had in raw form.
 
-// RawQueryResponse is the body of POST /query and /exact when the request
+// RawQueryResponse is the body of POST /v1/query and /v1/exact when the request
 // sets "raw": true: the full accumulator state of the answer, suitable for
 // engine.ResultFromWire + Result.Merge on the coordinator, plus the scalar
 // answer metadata. Confidence intervals are deliberately absent — they are

@@ -1,12 +1,24 @@
+// Package uniform holds the tests of the plain uniform-random-sampling AQP
+// baseline the paper compares against throughout §5: one reservoir sample of
+// the database stored as a flat join synopsis, with aggregates scaled by the
+// inverse sampling rate. The baseline is small group sampling with S empty
+// (core.SmallGroupConfig.Columns an empty list), whose default overall sample
+// is exactly that reservoir.
 package uniform
 
 import (
 	"math"
 	"testing"
 
+	"dynsample/internal/core"
 	"dynsample/internal/engine"
 	"dynsample/internal/randx"
 )
+
+// uniform returns the baseline at rate, its reservoir drawn with seed.
+func uniform(rate float64, seed int64) *core.SmallGroup {
+	return core.NewSmallGroup(core.SmallGroupConfig{BaseRate: rate, Columns: []string{}, Seed: seed})
+}
 
 // testDB returns a single-table database: column g uniform over 10 values,
 // column m = 1 for every row (so SUM(m) == COUNT).
@@ -25,7 +37,7 @@ func testDB(n int) *engine.Database {
 
 func TestPreprocessSizeAndScale(t *testing.T) {
 	db := testDB(10000)
-	p, err := New(Config{Rate: 0.02, Seed: 1}).Preprocess(db)
+	p, err := uniform(0.02, 1).Preprocess(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +61,7 @@ func TestAnswerUnbiased(t *testing.T) {
 	var sum float64
 	const trials = 50
 	for seed := int64(0); seed < trials; seed++ {
-		p, err := New(Config{Rate: 0.05, Seed: seed}).Preprocess(db)
+		p, err := uniform(0.05, seed).Preprocess(db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +81,7 @@ func TestAnswerUnbiased(t *testing.T) {
 
 func TestRateOneIsExact(t *testing.T) {
 	db := testDB(3000)
-	p, err := New(Config{Rate: 1, Seed: 2}).Preprocess(db)
+	p, err := uniform(1, 2).Preprocess(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +106,7 @@ func TestRateOneIsExact(t *testing.T) {
 
 func TestIntervalsPresent(t *testing.T) {
 	db := testDB(10000)
-	p, err := New(Config{Rate: 0.05, Seed: 3}).Preprocess(db)
+	p, err := uniform(0.05, 3).Preprocess(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,21 +129,21 @@ func TestIntervalsPresent(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	db := testDB(100)
 	for _, rate := range []float64{0, -0.5, 1.1} {
-		if _, err := New(Config{Rate: rate}).Preprocess(db); err == nil {
+		if _, err := uniform(rate, 0).Preprocess(db); err == nil {
 			t.Errorf("rate %g not rejected", rate)
 		}
 	}
 }
 
 func TestNameAndLabel(t *testing.T) {
-	if got := New(Config{}).Name(); got != "uniform" {
+	if got := uniform(0, 0).Name(); got != "uniform" {
 		t.Errorf("Name = %q", got)
 	}
 }
 
 func TestTinyRateStillSamples(t *testing.T) {
 	db := testDB(100)
-	p, err := New(Config{Rate: 0.001, Seed: 4}).Preprocess(db)
+	p, err := uniform(0.001, 4).Preprocess(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +154,7 @@ func TestTinyRateStillSamples(t *testing.T) {
 
 func TestEmptyDatabaseRejected(t *testing.T) {
 	db := engine.MustNewDatabase("empty", engine.NewTable("f", engine.NewColumn("g", engine.Int)))
-	if _, err := New(Config{Rate: 0.1}).Preprocess(db); err == nil {
+	if _, err := uniform(0.1, 0).Preprocess(db); err == nil {
 		t.Error("empty database not rejected")
 	}
 }

@@ -20,20 +20,23 @@ package weighted
 import (
 	"fmt"
 
-	"dynsample/internal/core"
 	"dynsample/internal/engine"
 	"dynsample/internal/randx"
 	"dynsample/internal/sample"
+	"dynsample/internal/sqlparse"
 )
 
-// Config parameterises workload-weighted sampling.
+// Config parameterises workload-weighted sampling. It is a
+// core.OverallBuilder: set as SmallGroupConfig.Overall of a family with
+// nothing in S, it is the weighted baseline.
 type Config struct {
-	// Rate is the expected sample size as a fraction of the database. As an
-	// OverallBuilder the size is the family's base rate, and a non-zero Rate
-	// that differs from it is refused.
+	// Rate is the expected sample size as a fraction of the database. The
+	// size is the family's base rate: zero means it, and another value is
+	// refused.
 	Rate float64
-	// Workload is the training query set whose footprint biases the sample.
-	Workload []*engine.Query
+	// Workload is the training query set whose footprint biases the sample,
+	// as SQL over the view T (SQL renders queries so).
+	Workload []string
 	// Smoothing is added to every tuple's usage count so tuples outside the
 	// workload footprint keep non-zero inclusion probability (zero means 0.1;
 	// a negative value, which would leave them out, and NaN are refused).
@@ -49,20 +52,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Strategy is the workload-weighted sampling baseline.
-type Strategy struct {
-	cfg Config
-}
-
-// New returns the strategy.
-func New(cfg Config) *Strategy { return &Strategy{cfg: cfg} }
-
-// Name implements core.Strategy.
-func (s *Strategy) Name() string { return "weighted" }
-
-// Preprocess implements core.Strategy.
-func (s *Strategy) Preprocess(db *engine.Database) (core.Prepared, error) {
-	return core.NewSmallGroup(core.SmallGroupConfig{BaseRate: s.cfg.Rate, Columns: []string{}, Overall: s.cfg}).Preprocess(db)
+// SQL renders queries as the training workload a Config holds.
+func SQL(queries []*engine.Query) []string {
+	sql := make([]string, len(queries))
+	for i, q := range queries {
+		sql[i] = q.String()
+	}
+	return sql
 }
 
 // BuildOverall implements core.OverallBuilder: a Poisson sample of expected
@@ -83,10 +79,16 @@ func (c Config) BuildOverall(db *engine.Database, rate float64) ([]int, []float6
 
 	// Usage counts: how many workload queries select each tuple.
 	usage := make([]float64, n)
-	for qi, q := range cfg.Workload {
-		if err := q.Validate(db); err != nil {
+	for qi, sql := range cfg.Workload {
+		stmt, err := sqlparse.Parse(sql)
+		var c *sqlparse.Compiled
+		if err == nil {
+			c, err = sqlparse.Compile(stmt, db)
+		}
+		if err != nil {
 			return nil, nil, fmt.Errorf("weighted: workload query %d: %w", qi, err)
 		}
+		q := c.Query
 		type boundPred struct {
 			acc engine.ColumnAccessor
 			p   engine.Predicate

@@ -1,4 +1,4 @@
-package weighted
+package weighted_test
 
 import (
 	"math"
@@ -8,7 +8,8 @@ import (
 	"dynsample/internal/engine"
 	"dynsample/internal/metrics"
 	"dynsample/internal/randx"
-	"dynsample/internal/uniform"
+	"dynsample/internal/sqlparse"
+	"dynsample/internal/weighted"
 )
 
 // regionsDB: column region with one huge region and several small ones, and
@@ -35,23 +36,28 @@ func regionsDB(n int) *engine.Database {
 }
 
 // trainingWorkload focuses on the small north-west regions.
-func trainingWorkload() []*engine.Query {
-	var w []*engine.Query
+func trainingWorkload() []string {
+	var w []string
 	for i := 0; i < 4; i++ {
-		w = append(w, &engine.Query{
-			GroupBy: []string{"region"},
-			Aggs:    []engine.Aggregate{{Kind: engine.Count}},
-			Where: []engine.Predicate{engine.NewIn("region",
-				engine.StringVal("nw0"), engine.StringVal("nw1"),
-				engine.StringVal("nw2"), engine.StringVal("nw3"))},
-		})
+		w = append(w, "SELECT region, COUNT(*) FROM T WHERE region IN ('nw0', 'nw1', 'nw2', 'nw3') GROUP BY region")
 	}
 	return w
 }
 
+// preprocess builds the weighted baseline: a family with nothing in S over
+// the weighted selector, at the selector's rate.
+func preprocess(db *engine.Database, cfg weighted.Config) (core.Prepared, error) {
+	return core.NewSmallGroup(core.SmallGroupConfig{BaseRate: cfg.Rate, Columns: []string{}, Overall: cfg}).Preprocess(db)
+}
+
+// uniform builds the uniform baseline at rate, its reservoir drawn with seed.
+func uniform(db *engine.Database, rate float64, seed int64) (core.Prepared, error) {
+	return core.NewSmallGroup(core.SmallGroupConfig{BaseRate: rate, Columns: []string{}, Seed: seed}).Preprocess(db)
+}
+
 func TestExpectedSampleSizeMatchesBudget(t *testing.T) {
 	db := regionsDB(30000)
-	p, err := New(Config{Rate: 0.02, Workload: trainingWorkload(), Seed: 1}).Preprocess(db)
+	p, err := preprocess(db, weighted.Config{Rate: 0.02, Workload: trainingWorkload(), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,25 +71,33 @@ func TestExpectedSampleSizeMatchesBudget(t *testing.T) {
 func TestWorkloadFootprintBeatsUniform(t *testing.T) {
 	db := regionsDB(30000)
 	workload := trainingWorkload()
-	wp, err := New(Config{Rate: 0.01, Workload: workload, Seed: 2}).Preprocess(db)
+	wp, err := preprocess(db, weighted.Config{Rate: 0.01, Workload: workload, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	up, err := uniform.New(uniform.Config{Rate: 0.01, Seed: 2}).Preprocess(db)
+	up, err := uniform(db, 0.01, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Evaluate on a query drawn from the workload distribution.
-	q := workload[0]
+	stmt, err := sqlparse.Parse(workload[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := sqlparse.Compile(stmt, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := c.Query
 	exact, _ := engine.ExecuteExact(db, q)
 	var wErr, uErr float64
 	const trials = 25
 	for seed := int64(0); seed < trials; seed++ {
-		wpS, err := New(Config{Rate: 0.01, Workload: workload, Seed: seed}).Preprocess(db)
+		wpS, err := preprocess(db, weighted.Config{Rate: 0.01, Workload: workload, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		upS, err := uniform.New(uniform.Config{Rate: 0.01, Seed: seed}).Preprocess(db)
+		upS, err := uniform(db, 0.01, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +126,7 @@ func TestEstimatesUnbiasedOffWorkload(t *testing.T) {
 	var sum float64
 	const trials = 50
 	for seed := int64(0); seed < trials; seed++ {
-		p, err := New(Config{Rate: 0.03, Workload: trainingWorkload(), Seed: seed}).Preprocess(db)
+		p, err := preprocess(db, weighted.Config{Rate: 0.03, Workload: trainingWorkload(), Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,23 +146,23 @@ func TestEstimatesUnbiasedOffWorkload(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	db := regionsDB(100)
-	if _, err := New(Config{Rate: 0, Workload: trainingWorkload()}).Preprocess(db); err == nil {
+	if _, err := preprocess(db, weighted.Config{Rate: 0, Workload: trainingWorkload()}); err == nil {
 		t.Error("rate 0 not rejected")
 	}
-	if _, err := New(Config{Rate: 0.1}).Preprocess(db); err == nil {
+	if _, err := preprocess(db, weighted.Config{Rate: 0.1}); err == nil {
 		t.Error("empty workload not rejected")
 	}
-	bad := []*engine.Query{{GroupBy: []string{"zzz"}, Aggs: []engine.Aggregate{{Kind: engine.Count}}}}
-	if _, err := New(Config{Rate: 0.1, Workload: bad}).Preprocess(db); err == nil {
+	bad := []string{"SELECT zzz, COUNT(*) FROM T GROUP BY zzz"}
+	if _, err := preprocess(db, weighted.Config{Rate: 0.1, Workload: bad}); err == nil {
 		t.Error("invalid workload query not rejected")
 	}
 	for _, smoothing := range []float64{-0.5, math.NaN()} {
-		if _, err := New(Config{Rate: 0.1, Workload: trainingWorkload(), Smoothing: smoothing}).Preprocess(db); err == nil {
+		if _, err := preprocess(db, weighted.Config{Rate: 0.1, Workload: trainingWorkload(), Smoothing: smoothing}); err == nil {
 			t.Errorf("smoothing %g not rejected", smoothing)
 		}
 	}
 	empty := engine.MustNewDatabase("e", engine.NewTable("f", engine.NewColumn("region", engine.String)))
-	if _, err := New(Config{Rate: 0.1, Workload: trainingWorkload()}).Preprocess(empty); err == nil {
+	if _, err := preprocess(empty, weighted.Config{Rate: 0.1, Workload: trainingWorkload()}); err == nil {
 		t.Error("empty database not rejected")
 	}
 }
@@ -159,17 +173,17 @@ func TestValidation(t *testing.T) {
 func TestSelectorRefusesAnotherRate(t *testing.T) {
 	db := regionsDB(1000)
 	for _, rate := range []float64{0, 0.02} {
-		if _, err := core.NewSmallGroup(core.SmallGroupConfig{BaseRate: 0.02, Overall: Config{Rate: rate, Workload: trainingWorkload()}}).Preprocess(db); err != nil {
+		if _, err := core.NewSmallGroup(core.SmallGroupConfig{BaseRate: 0.02, Overall: weighted.Config{Rate: rate, Workload: trainingWorkload()}}).Preprocess(db); err != nil {
 			t.Errorf("rate %g: %v", rate, err)
 		}
 	}
-	if _, err := core.NewSmallGroup(core.SmallGroupConfig{BaseRate: 0.02, Overall: Config{Rate: 0.1, Workload: trainingWorkload()}}).Preprocess(db); err == nil {
+	if _, err := core.NewSmallGroup(core.SmallGroupConfig{BaseRate: 0.02, Overall: weighted.Config{Rate: 0.1, Workload: trainingWorkload()}}).Preprocess(db); err == nil {
 		t.Error("rate 0.1 at base rate 0.02 not refused")
 	}
 }
 
 func TestName(t *testing.T) {
-	if New(Config{}).Name() != "weighted" {
+	if core.NewSmallGroup(core.SmallGroupConfig{Columns: []string{}, Overall: weighted.Config{}}).Name() != "weighted" {
 		t.Error("Name wrong")
 	}
 }

@@ -5,7 +5,9 @@
 #     directory that exists (anchors are stripped; absolute URLs and mailto:
 #     are ignored);
 #   - every "ARCHITECTURE.md §N" (or "ARCHITECTURE §N", "... §N and §M") in a
-#     markdown or Go file must name a "## N." heading of ARCHITECTURE.md.
+#     markdown or Go file must name a "## N." heading of ARCHITECTURE.md;
+#   - no Go file may name a route from before /v1 ("POST /query", "GET
+#     /admin/..."): those routes answer 404.
 #
 # Run by `make check` so documentation reorganisations cannot silently orphan
 # cross-references like README -> docs/API.md -> docs/ACCURACY.md.
@@ -44,6 +46,12 @@ while IFS=: read -r file line ref; do
   done
 done < <(git ls-files -co --exclude-standard -- '*.md' '*.go' ':!:scripts/testdata/*' |
   xargs -r -d '\n' grep -sHnoE 'ARCHITECTURE(\.md)? §[0-9]+( and §[0-9]+)*')
+
+while IFS= read -r hit; do
+  echo "doclinks: $hit: names a route from before /v1" >&2
+  bad=1
+done < <(git ls-files -co --exclude-standard -- '*.go' ':!:scripts/testdata/*' |
+  xargs -r -d '\n' grep -sHnE '(POST|GET) /(query|exact|ingest|admin)')
 
 if [ "$bad" -ne 0 ]; then
   echo "doclinks: FAIL" >&2

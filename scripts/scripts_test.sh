@@ -5,8 +5,9 @@
 # ns_per_op regression, a synthetic 2x allocs_per_op regression and a
 # synthetic 2x B_per_op regression), and the
 # loc.sh code-line counter with its locdiff.sh diff, and smoke.sh's body
-# matcher, and doclinks.sh on fixture trees (a dead link and a dead
-# "ARCHITECTURE.md §N" reference must each fail). Run by `make check`. Needs
+# matcher, and doclinks.sh on fixture trees (a dead link, a dead
+# "ARCHITECTURE.md §N" reference and a route from before /v1 must each
+# fail). Run by `make check`. Needs
 # only bash, awk, diff, git.
 set -u
 cd "$(dirname "$0")/.."
@@ -94,6 +95,8 @@ t "doclinks fails on a dead relative link" 1 \
   bash scripts/doclinks.sh scripts/testdata/doclinks/dead_link
 t "doclinks fails on a § reference to a missing ARCHITECTURE.md section" 1 \
   bash scripts/doclinks.sh scripts/testdata/doclinks/dead_section
+t "doclinks fails on a Go comment naming a route from before /v1" 1 \
+  bash scripts/doclinks.sh scripts/testdata/doclinks/old_route
 
 if [ "$fails" -ne 0 ]; then
   echo "scripts_test: $fails failure(s)"

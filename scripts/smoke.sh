@@ -4,7 +4,8 @@
 # (/metrics exposition, /debug/slowlog, X-Request-ID echo), then exercise
 # live ingestion: stream rows in via `aqpcli ingest`, query them, kill the
 # server hard, and check the restart replays the WAL. Last, a catalog that
-# `aqpcli -catalog-dir` saved must start aqpd and answer the same. Used by
+# `aqpcli -catalog-dir` saved must start aqpd and answer the same, and a
+# uniform family must restore from its own catalog. Used by
 # CI after the unit suites; needs only bash, curl, awk and the go toolchain.
 set -euo pipefail
 
@@ -31,7 +32,8 @@ start_server() {
 start_server
 CATDIR=$(mktemp -d /tmp/smoke-cat.XXXXXX)
 HANDDIR=$(mktemp -d /tmp/smoke-hand.XXXXXX)
-trap 'kill "$PID" 2>/dev/null || true; rm -rf "$WALDIR" "$CATDIR" "$HANDDIR"' EXIT
+UNIDIR=$(mktemp -d /tmp/smoke-uni.XXXXXX)
+trap 'kill "$PID" 2>/dev/null || true; rm -rf "$WALDIR" "$CATDIR" "$HANDDIR" "$UNIDIR"' EXIT
 
 wait_ready() {
   for i in $(seq 1 50); do
@@ -230,5 +232,18 @@ CLI2=$(/tmp/aqpcli-smoke "${HFLAGS[@]}" -query "$HSQL" 2>/tmp/smoke-cli.err) \
 grep -q 'restored sample generation 1' /tmp/smoke-cli.err && ! grep -q 'pre-processed' /tmp/smoke-cli.err \
   || fail "second aqpcli run did not restore: $(cat /tmp/smoke-cli.err)"
 [ "$(cli_rows "$CLI2")" = "$(cli_rows "$CLI1")" ] || fail "restored aqpcli answers differ from the built ones"
+
+echo "smoke: aqpcli -strategy uniform restores its own generation..."
+# A generation records the config that built it, so a uniform family
+# round-trips through a catalog like a small group one.
+UFLAGS=(-db tpch -rows 20000 -rate 0.02 -seed 7 -strategy uniform -catalog-dir "$UNIDIR")
+UNI1=$(/tmp/aqpcli-smoke "${UFLAGS[@]}" -query "$HSQL" 2>/tmp/smoke-cli.err) \
+  || fail "aqpcli -strategy uniform -catalog-dir failed: $(cat /tmp/smoke-cli.err)"
+grep -q 'saved sample generation 1' /tmp/smoke-cli.err || fail "first uniform run did not save generation 1"
+UNI2=$(/tmp/aqpcli-smoke "${UFLAGS[@]}" -query "$HSQL" 2>/tmp/smoke-cli.err) \
+  || fail "second uniform run failed: $(cat /tmp/smoke-cli.err)"
+grep -q 'restored sample generation 1' /tmp/smoke-cli.err && ! grep -q 'pre-processed' /tmp/smoke-cli.err \
+  || fail "second uniform run did not restore: $(cat /tmp/smoke-cli.err)"
+[ "$(cli_rows "$UNI2")" = "$(cli_rows "$UNI1")" ] || fail "restored uniform answers differ from the built ones"
 
 echo "smoke: OK ($SERIES metric families)"
