@@ -120,6 +120,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// A loaded family's small group tables join the base's dimension tables
+	// once a system registers it.
+	if err := core.NewSystem(db).AddPrepared("tuned", restored); err != nil {
+		log.Fatal(err)
+	}
 	q := eval[0]
 	a1, _ := tuned.Answer(q)
 	a2, _ := restored.Answer(q)

@@ -27,7 +27,8 @@ import (
 // 1 and 4 workers and after a save/load round trip, all through
 // System.ApproxCtx. The restored family saves back to the bytes it was
 // loaded from and records the config that built it; and the uniform family
-// must plan toward an error bound.
+// must plan toward an error bound. Each then goes through every path
+// (throughEveryPath), the online ones for the uniform family.
 func TestBaselinesThroughEveryPath(t *testing.T) {
 	db, err := scenario.Builtin("tpch", 30000, 2.0, 3)
 	if err != nil {
@@ -100,7 +101,9 @@ func TestBaselinesThroughEveryPath(t *testing.T) {
 			for _, path := range paths {
 				path.p.SetWorkers(path.workers)
 				sys := core.NewSystem(db)
-				sys.AddPrepared(c.st.Name(), path.p)
+				if err := sys.AddPrepared(c.st.Name(), path.p); err != nil {
+					t.Fatal(err)
+				}
 				for qi, q := range queries {
 					got, err := sys.ApproxCtx(context.Background(), c.st.Name(), q)
 					if err != nil {
@@ -112,11 +115,14 @@ func TestBaselinesThroughEveryPath(t *testing.T) {
 					}
 				}
 			}
+			throughEveryPath(t, c.st, c.st.Name() == "uniform", queries)
 			if c.st.Name() != "uniform" {
 				return
 			}
 			sys := core.NewSystem(db)
-			sys.AddPrepared("uniform", p)
+			if err := sys.AddPrepared("uniform", p); err != nil {
+				t.Fatal(err)
+			}
 			ans, err := sys.ApproxBoundsCtx(context.Background(), "uniform", queries[0], core.Bounds{ErrorBound: 0.1})
 			if err != nil {
 				t.Fatal(err)
@@ -167,9 +173,11 @@ func sameAnswer(got *core.Answer, want *engine.Result, ivs map[engine.GroupKey][
 // TestEveryFamilyRoundTrips saves each kind of sample family, loads it and
 // saves it again. The second save is byte-identical to the first; the loaded
 // family records the config that built it, so that config's CheckFamily
-// accepts it and another's does not; and it answers a workload bit for bit
-// as the fresh build does — groups, values, intervals and exact flags. Each
-// config's name is the one its kind had before names were derived.
+// accepts it and another's does not; and, bound to a system over the base,
+// it answers a workload bit for bit as the fresh build does — groups,
+// values, intervals and exact flags. Each config's name is the one its kind
+// had before names were derived. Each family then goes through every path
+// (throughEveryPath), the online ones where online maintenance supports it.
 func TestEveryFamilyRoundTrips(t *testing.T) {
 	db, err := scenario.Builtin("tpch", 30000, 2.0, 3)
 	if err != nil {
@@ -194,13 +202,14 @@ func TestEveryFamilyRoundTrips(t *testing.T) {
 			Pairs:  [][2]string{{"l_returnflag", "l_shipmode"}},
 			Levels: []core.HierarchyLevel{{MaxFraction: 0.01, Rate: 1}, {MaxFraction: 0.02, Rate: 0.5}}}},
 		{"smallgroup", core.SmallGroupConfig{BaseRate: 0.02, Seed: 1, Overall: outlier.Config{Measure: "l_extendedprice", Seed: 2}}},
+		{"smallgroup", core.SmallGroupConfig{BaseRate: 0.02, Seed: 1, Pairs: [][2]string{{"l_returnflag", "l_shipmode"}}}},
 		{"uniform", baseline(nil)},
 		{"outlier", baseline(outlier.Config{Measure: "l_extendedprice", Seed: 2})},
 		{"congress-basic", baseline(congress.Config{Columns: cols, Seed: 3})},
 		{"congress-full", baseline(congress.Config{Columns: cols, Variant: congress.Full, Seed: 4})},
 		{"weighted", baseline(weighted.Config{Workload: train, Seed: 5})},
 	}
-	for _, c := range cases {
+	for ci, c := range cases {
 		st := core.NewSmallGroup(c.cfg)
 		if st.Name() != c.name {
 			t.Errorf("%+v is named %q, want %q", c.cfg, st.Name(), c.name)
@@ -231,6 +240,9 @@ func TestEveryFamilyRoundTrips(t *testing.T) {
 		if err := core.NewSmallGroup(other).CheckFamily(restored); err == nil || !strings.Contains(err.Error(), "Seed") {
 			t.Errorf("%s: a config with another Seed accepted the family: %v", c.name, err)
 		}
+		if err := core.NewSystem(db).AddPrepared(c.name, restored); err != nil {
+			t.Fatal(err)
+		}
 		for qi, q := range queries {
 			want, err := fresh.Answer(q)
 			if err != nil {
@@ -250,5 +262,8 @@ func TestEveryFamilyRoundTrips(t *testing.T) {
 				t.Errorf("%s query %d (%s): %v", c.name, qi, q, err)
 			}
 		}
+		t.Run(fmt.Sprintf("%s/paths/case=%d", c.name, ci), func(t *testing.T) {
+			throughEveryPath(t, st, len(c.cfg.Levels) <= 1 && c.cfg.Overall == nil, queries)
+		})
 	}
 }

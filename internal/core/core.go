@@ -63,7 +63,8 @@ type Prepared interface {
 	// SampleBytes estimates the storage consumed by the sample tables, for
 	// the space-overhead experiment (§5.4.2).
 	SampleBytes() int64
-	// StoredBytes is what the sample tables hold in memory.
+	// StoredBytes is what the sample family holds in memory: its tables,
+	// their joins and the metadata.
 	StoredBytes() int64
 	// SampleRows returns the total number of rows across all sample tables.
 	SampleRows() int64
@@ -242,22 +243,31 @@ func (s *System) AddStrategy(st Strategy) error {
 }
 
 // AddPrepared registers already-built runtime state (e.g. loaded from disk
-// via LoadSmallGroup) under a name, skipping pre-processing.
-func (s *System) AddPrepared(name string, p Prepared) {
-	s.update(func(set *preparedSet) { set.prepared[name] = p })
+// via LoadSmallGroup) under a name, skipping pre-processing. A family loaded
+// from disk is first joined to the system's dimension tables; when they are
+// not the ones it was saved over, the error (wrapping ErrOtherDimensions)
+// names the dimension and nothing is registered.
+func (s *System) AddPrepared(name string, p Prepared) error {
+	_, err := s.SwapPrepared(name, p)
+	return err
 }
 
 // SwapPrepared atomically replaces the runtime state registered under name
 // and returns the previous state (nil if none). In-flight queries that
 // already resolved the old state finish on it; queries arriving after the
 // swap see only the new state. This is the zero-downtime rebuild primitive:
-// build the new generation in the background, then SwapPrepared.
-func (s *System) SwapPrepared(name string, p Prepared) (prev Prepared) {
+// build the new generation in the background, then SwapPrepared. A family
+// loaded from disk is joined to the system's dimension tables first, as
+// AddPrepared does.
+func (s *System) SwapPrepared(name string, p Prepared) (prev Prepared, err error) {
+	if err := p.(*smallGroupPrepared).bind(s.DB()); err != nil {
+		return nil, err
+	}
 	s.update(func(set *preparedSet) {
 		prev = set.prepared[name]
 		set.prepared[name] = p
 	})
-	return prev
+	return prev, nil
 }
 
 // Strategies lists the registered strategy names, sorted.

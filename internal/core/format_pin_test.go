@@ -15,10 +15,10 @@ var fixtureFamilyConfig = SmallGroupConfig{
 	Pairs:  [][2]string{{"a", "b"}},
 }
 
-// TestFamilyFixtureReencodes holds the DSSG store to the bytes an earlier
-// build wrote: testdata/family.dssg, a family with a pair table and two
-// levels, loads, records the config that built it, and saves back to the
-// identical stream.
+// TestFamilyFixtureReencodes holds the DSSG store, version 6, to the bytes
+// an earlier build wrote: testdata/family.dssg, a family with a pair table
+// and two levels, loads, records the config that built it, and saves back to
+// the identical stream.
 func TestFamilyFixtureReencodes(t *testing.T) {
 	want, err := os.ReadFile("testdata/family.dssg")
 	if err != nil {
@@ -49,5 +49,18 @@ func TestFamilyFixtureV4Refused(t *testing.T) {
 	}
 	if _, err := LoadSmallGroup(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), "store version 4") {
 		t.Fatalf("loading a version 4 store: %v, want it refused by version", err)
+	}
+}
+
+// TestFamilyFixtureV5Refused: testdata/family-v5.dssg, the family
+// testdata/family.dssg holds as version 5 wrote it, stores its small group
+// tables flattened, and a load refuses it by its version.
+func TestFamilyFixtureV5Refused(t *testing.T) {
+	old, err := os.ReadFile("testdata/family-v5.dssg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSmallGroup(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), "store version 5") {
+		t.Fatalf("loading a version 5 store: %v, want it refused by version", err)
 	}
 }

@@ -12,8 +12,9 @@ import (
 // FuzzLoadSmallGroup proves the store loader never panics (and never
 // over-allocates its way to an OOM kill) on arbitrary bytes. Seeds include
 // a fully valid snapshot and targeted mutants, so the fuzzer starts deep
-// inside the format instead of bouncing off the magic check, and a valid
-// store of each overall sample selector kind the config record holds.
+// inside the format instead of bouncing off the magic check, a valid store
+// of each overall sample selector kind the config record holds, and one over
+// a star schema, whose fact slices record the dimension table they join.
 func FuzzLoadSmallGroup(f *testing.F) {
 	db := skewedDB(f, 2000)
 	save := func(cfg SmallGroupConfig) []byte {
@@ -34,6 +35,7 @@ func FuzzLoadSmallGroup(f *testing.F) {
 	}
 
 	f.Add(valid)
+	f.Add(preparedBytes(f, prep(f, starDB(f, 2000, 5), SmallGroupConfig{BaseRate: 0.05, SmallGroupFraction: 0.1, Seed: 9})))
 	f.Add(valid[:len(valid)/2]) // truncated
 	f.Add(valid[:37])           // dies inside the metadata header
 	for _, off := range []int{5, 17, 36, len(valid) / 3, len(valid) - 8} {

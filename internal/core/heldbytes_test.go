@@ -10,11 +10,12 @@ import (
 )
 
 // TestSampleFamilyHeldBytesMatchStoredBytes: StoredBytes — the figure behind
-// aqp_engine_stored_bytes{set="samples"} — is what the family's tables hold.
-// The live heap is measured with the family alive and again with it dropped;
-// the difference, which also carries the metadata's value sets, must be
-// within 3 % of the reported size (2.1 % as measured: at a bit or two a row a
-// chunk's list entry is a good part of what it holds, and is counted).
+// aqp_engine_stored_bytes{set="samples"} — is what the family holds: its
+// tables, the joins of its fact slices and the metadata's value sets. The
+// live heap is measured with the family alive and again with it dropped; the
+// difference must be within 3 % of the reported size (1.2 % as measured: at
+// a bit or two a row a chunk's list entry is a good part of what it holds,
+// and is counted).
 func TestSampleFamilyHeldBytesMatchStoredBytes(t *testing.T) {
 	db, err := scenario.Builtin("tpch", 200000, 2, 1)
 	if err != nil {

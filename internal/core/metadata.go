@@ -69,6 +69,31 @@ func NewMetadata(baseRows int64, cols []ColumnMeta) *Metadata {
 	return m
 }
 
+// setEntryBytes is what one entry of a value set holds: its slot in the
+// map, with the room growing by doubling leaves. Measured, go1.24: 80 to 90.
+const setEntryBytes = 80
+
+// heldBytes is what the catalog's value sets hold in memory: an entry each,
+// and the bytes of every string value or pair key.
+func (m *Metadata) heldBytes() int64 {
+	var b int64
+	add := func(set map[engine.Value]struct{}) {
+		for v := range set {
+			b += setEntryBytes + int64(len(v.S))
+		}
+	}
+	for _, cm := range m.columns {
+		add(cm.Common)
+		add(cm.Exact)
+	}
+	for _, pm := range m.pairs {
+		for k := range pm.Rare {
+			b += setEntryBytes + int64(len(k))
+		}
+	}
+	return b
+}
+
 // AddPair registers a column-pair table, assigning it the next index after
 // all single-column tables. Must be called before the bitmask width is used.
 func (m *Metadata) AddPair(p PairMeta) int {

@@ -154,10 +154,9 @@ type TailBatch struct {
 // and the watch on the columns pre-processing removed from S for having no
 // small groups.
 //
-// Online maintenance supports the paper's default configuration: flat join
-// synopses, the two-level hierarchy, and the uniform reservoir overall
-// sample. Renormalized storage, multi-level bands and weighted overall
-// builders must use full rebuilds instead.
+// Online maintenance supports the paper's default configuration: the
+// two-level hierarchy and the uniform reservoir overall sample. Multi-level
+// bands and weighted overall builders must use full rebuilds instead.
 func NewOnline(sys *System, strategy string, cfg OnlineConfig) (*Online, error) {
 	prep, ok := sys.Prepared(strategy)
 	if !ok {
@@ -183,9 +182,10 @@ func NewOnline(sys *System, strategy string, cfg OnlineConfig) (*Online, error) 
 	return &Online{sys: sys, strategy: strategy, app: app, seed: cfg.Seed, gen: gen, t: t, family: fam}, nil
 }
 
-// newFamily checks that p is a family online maintenance supports — flat
-// join synopses, the two-level hierarchy, a uniform reservoir overall sample,
-// every sample row the view's columns and then its mask words — and builds
+// newFamily checks that p is a family online maintenance supports — the
+// two-level hierarchy, a uniform reservoir overall sample, every overall
+// sample row the view's columns and every small group table row the fact
+// table's, each then its mask words — and builds
 // its maintenance state at sample generation sampleGen. live is the newest
 // database: the mask source is bound and the rare-value counts seeded
 // against it. pinned is the database p was pre-processed from (live itself
@@ -198,17 +198,23 @@ func newFamily(p *smallGroupPrepared, live, pinned *engine.Database, sampleGen u
 	if live.NumRows() < int(p.meta.BaseRows) {
 		return nil, fmt.Errorf("core: the family was built over %d rows, the database holds %d", p.meta.BaseRows, live.NumRows())
 	}
-	arity := len(live.Columns()) + maskWords(p.meta.Width())
-	for _, s := range append(p.tables[:len(p.tables):len(p.tables)], p.overall) {
-		tbl, ok := s.src.(*engine.Table)
+	words := maskWords(p.meta.Width())
+	check := func(tbl *engine.Table, arity int, of string) error {
 		switch {
-		case !ok:
-			return nil, fmt.Errorf("core: online maintenance does not support renormalized sample storage")
 		case tbl.Column(engine.WeightColumn) != nil:
-			return nil, fmt.Errorf("core: online maintenance does not support weighted sample table %q", s.name)
-		case tbl.NumCols() != arity:
-			return nil, fmt.Errorf("core: sample table %q has %d columns, the view and the mask words make %d", s.name, tbl.NumCols(), arity)
+			return fmt.Errorf("core: online maintenance does not support weighted sample table %q", tbl.Name)
+		case tbl.NumCols() != arity+words:
+			return fmt.Errorf("core: sample table %q has %d columns, %s and the mask words make %d", tbl.Name, tbl.NumCols(), of, arity+words)
 		}
+		return nil
+	}
+	for _, s := range p.tables {
+		if err := check(s.src.(*engine.Database).Fact, live.Fact.NumCols(), "the fact table"); err != nil {
+			return nil, err
+		}
+	}
+	if err := check(p.overall.src.(*engine.Table), len(live.Columns()), "the view"); err != nil {
+		return nil, err
 	}
 	if p.overall.rows() == 0 {
 		return nil, fmt.Errorf("core: empty overall sample")
@@ -341,12 +347,13 @@ func (o *Online) Apply(seq uint64, rows [][]engine.Value) (BatchStats, error) {
 	if err := errors.Join(o.split.grow(newDB), o.missing.Grow(newDB)); err != nil {
 		return st, err
 	}
+	lo := int(o.seen)
 	words, perTable, victims := o.classify(newDB, len(rows), randx.New(batchSeed(o.seed, seq)), true)
 
 	np := *o.p
-	np.db = newDB
+	np.db, np.dims = newDB, newDB.Dims
 	if seq > o.sampleGen {
-		o.applySampleUpdates(&np, rows, words, perTable, victims, &st)
+		o.applySampleUpdates(&np, lo, rows, words, perTable, victims, &st)
 		np.overallScale = float64(newDB.NumRows()) / float64(o.cap)
 		o.sampleGen = seq
 	}
@@ -356,8 +363,10 @@ func (o *Online) Apply(seq uint64, rows [][]engine.Value) (BatchStats, error) {
 	// Prepared state first, data generation second: handleQuery reads the
 	// generation before answering and promises the answer covers at least
 	// every batch up to it, so the state that answers must never lag the
-	// generation a concurrent reader can observe.
-	o.sys.SwapPrepared(o.strategy, &np)
+	// generation a concurrent reader can observe. np is a version of a
+	// registered family, bound already: the swap binds nothing, so it cannot
+	// fail.
+	_, _ = o.sys.SwapPrepared(o.strategy, &np)
 	o.sys.SwapData(newDB, o.gen)
 
 	st.Rows, st.Drift, st.DataGeneration = len(rows), o.Drift(), o.gen
@@ -437,16 +446,19 @@ func (f *family) classify(db *engine.Database, n int, rng *rand.Rand, bumpFreqs 
 	return words, perTable, victims
 }
 
-// applySampleUpdates materialises the classified batch into copy-on-write
-// versions of the affected sample tables. An insert is a row appended, a swap
-// a row overwritten: the row a sample table stores is the batch row's values
-// and then its mask words, so either touches the chunks the row sits in and
-// shares every other with the published version.
-func (f *family) applySampleUpdates(np *smallGroupPrepared, rows [][]engine.Value, words []uint64, perTable map[int][]int, victims []reservoirHit, st *BatchStats) {
+// applySampleUpdates materialises the classified batch, rows [lo, lo+n) of
+// np.db, into copy-on-write versions of the affected sample tables. An insert
+// is a row appended to a small group table's fact slice: the base row's fact
+// values, foreign keys included (the appender resolved them), then its mask
+// words; the slice is joined again to np.db's dimension tables, which may
+// have grown, and every slice the batch did not touch keeps its join. A swap
+// is an overall sample row overwritten with the batch row's view values and
+// mask words. Either touches the chunks the row sits in and shares every
+// other with the published version.
+func (f *family) applySampleUpdates(np *smallGroupPrepared, lo int, rows [][]engine.Value, words []uint64, perTable map[int][]int, victims []reservoirHit, st *BatchStats) {
 	w := maskWords(f.p.meta.Width())
 	var buf []engine.Value
-	sampleRow := func(ri int) []engine.Value {
-		buf = append(buf[:0], rows[ri]...)
+	withMask := func(ri int) []engine.Value {
 		for _, word := range words[ri*w:][:w] {
 			buf = append(buf, engine.IntVal(int64(word)))
 		}
@@ -455,12 +467,17 @@ func (f *family) applySampleUpdates(np *smallGroupPrepared, rows [][]engine.Valu
 	if len(perTable) > 0 {
 		np.tables = append([]sampleSource(nil), f.p.tables...)
 		for ix, list := range perTable {
-			tbl := np.tables[ix].src.(*engine.Table).CloneForAppend()
+			t := np.tables[ix]
+			fact := t.src.(*engine.Database).Fact.CloneForAppend()
 			for _, ri := range list {
-				tbl.AppendRow(sampleRow(ri)...)
+				buf = buf[:0]
+				for _, c := range np.db.Fact.Columns() {
+					buf = append(buf, c.Value(lo+ri))
+				}
+				fact.AppendRow(withMask(ri)...)
 				st.SmallGroupInserts++
 			}
-			np.tables[ix] = sampleSource{src: tbl, name: np.tables[ix].name}
+			np.tables[ix] = sampleSource{src: t.src.(*engine.Database).Rejoin(fact, np.db.Dims...), name: t.name}
 		}
 	}
 	if len(victims) > 0 {
@@ -468,7 +485,8 @@ func (f *family) applySampleUpdates(np *smallGroupPrepared, rows [][]engine.Valu
 		for _, v := range victims {
 			// A slot replaced twice in one batch keeps the later row, exactly
 			// as sequential per-row reservoir updates would.
-			ot.SetRow(v.slot, sampleRow(v.ri)...)
+			buf = append(buf[:0], rows[v.ri]...)
+			ot.SetRow(v.slot, withMask(v.ri)...)
 			st.ReservoirSwaps++
 		}
 		np.overall = sampleSource{src: ot, name: f.p.overall.name}
@@ -495,6 +513,7 @@ func (o *Online) Rebase(p Prepared, rebuiltAt uint64, tail []TailBatch) error {
 	}
 	np := *sgp
 	np.db = o.app.DB()
+	np.dims = np.db.Dims
 	// The missing-column watch, unlike the frequency counts, is seeded from
 	// the pinned rebuild database: a new value a tail row introduces into a
 	// still-dropped column must keep the drift gauge floored, and classify
@@ -510,13 +529,14 @@ func (o *Online) Rebase(p Prepared, rebuiltAt uint64, tail []TailBatch) error {
 		if b.Seq != f.sampleGen+1 {
 			return fmt.Errorf("core: rebase tail out of order: batch %d after sample generation %d", b.Seq, f.sampleGen)
 		}
+		lo := int(f.seen)
 		words, perTable, victims := f.classify(np.db, len(b.Rows), randx.New(batchSeed(o.seed, b.Seq)), false)
-		f.applySampleUpdates(&np, b.Rows, words, perTable, victims, new(BatchStats))
+		f.applySampleUpdates(&np, lo, b.Rows, words, perTable, victims, new(BatchStats))
 		f.sampleGen = b.Seq
 	}
 	np.overallScale = float64(np.db.NumRows()) / float64(f.cap)
 	np.dataGen = f.sampleGen
 	o.family = f
-	o.sys.SwapPrepared(o.strategy, &np)
+	_, _ = o.sys.SwapPrepared(o.strategy, &np) // built over live data: bound, as in Apply
 	return nil
 }

@@ -321,7 +321,7 @@ func TestOnlineDriftGauge(t *testing.T) {
 // preparedBytes is a prepared state's saved form — every sample table, the
 // metadata, scale and generation; saving is deterministic, so two states are
 // the same sample family exactly when these bytes are equal.
-func preparedBytes(t *testing.T, p Prepared) []byte {
+func preparedBytes(t testing.TB, p Prepared) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := SaveSmallGroup(&buf, p); err != nil {

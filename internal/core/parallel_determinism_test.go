@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"dynsample/internal/bitmask"
 	"dynsample/internal/engine"
 	"dynsample/internal/randx"
 )
@@ -28,11 +29,34 @@ func ZipfDB(rows int) *engine.Database {
 	return engine.MustNewDatabase("det", fact)
 }
 
-// FamilyTables is a flat family's small group tables in index order, then
-// its overall sample.
+// FamilyTables is a family's small group tables in index order, each fact
+// slice flattened through its join, then its overall sample: the flat join
+// synopses the family's rows make.
 func FamilyTables(p Prepared) []*engine.Table {
 	sgp := p.(*smallGroupPrepared)
-	return append(sgp.Tables(), sgp.Overall())
+	var out []*engine.Table
+	for _, t := range append(sgp.tables[:len(sgp.tables):len(sgp.tables)], sgp.overall) {
+		switch src := t.src.(type) {
+		case *engine.Table:
+			out = append(out, src)
+		case *engine.Database:
+			out = append(out, src.Flat(t.name))
+		}
+	}
+	return out
+}
+
+// FlatFamily is a copy of p that stores its small group tables as flat join
+// synopses, the layout before fact slices: the same rows, answered without a
+// join.
+func FlatFamily(p Prepared) Prepared {
+	cp := *p.(*smallGroupPrepared)
+	flat := FamilyTables(p)
+	cp.tables = make([]sampleSource, len(cp.tables))
+	for i := range cp.tables {
+		cp.tables[i] = sampleSource{src: flat[i], name: flat[i].Name}
+	}
+	return &cp
 }
 
 func prepare(t *testing.T, db *engine.Database, workers int) *smallGroupPrepared {
@@ -88,6 +112,61 @@ func TestAnswerWorkerCountDeterminism(t *testing.T) {
 				iv1, ivn := a1.Interval(k, 0), an.Interval(k, 0)
 				if iv1 != ivn {
 					t.Fatalf("query %d workers=%d group %q: interval diverged", qi, workers, k)
+				}
+			}
+		}
+	}
+}
+
+// AssertSlicesHoldBaseRows fails unless every small group table of p, read
+// through its join, is db.Flatten of the base rows it holds, each with its
+// mask: under the two-level hierarchy every row of db whose mask has the
+// table's bit, with more levels the rows scan 2 draws over db (p must then
+// be a build over db, or a copy of one).
+func AssertSlicesHoldBaseRows(t *testing.T, p Prepared, db *engine.Database) {
+	t.Helper()
+	sgp := p.(*smallGroupPrepared)
+	split, err := metaSplit(sgp.meta, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, width, words := db.NumRows(), sgp.meta.Width(), maskWords(sgp.meta.Width())
+	masks := make([]uint64, n*words)
+	split.masks(0, n, masks)
+	rows := make([][]int, width)
+	if len(sgp.cfg.Levels) > 1 {
+		counted, err := countBands(db, sgp.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drawn, err := counted.classify(db, sgp.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = drawn.tables
+	} else {
+		for r := range n {
+			eachBit(masks[r*words:(r+1)*words], func(i int) { rows[i] = append(rows[i], r) })
+		}
+	}
+	for i, s := range sgp.tables {
+		rowMasks := make([]bitmask.Mask, len(rows[i]))
+		for j, r := range rows[i] {
+			rowMasks[j] = bitmask.FromWords(width, masks[r*words:(r+1)*words])
+		}
+		want := db.Flatten(s.name, rows[i], rowMasks, nil)
+		got := s.src.(*engine.Database).Flat(s.name)
+		if got.NumRows() != want.NumRows() {
+			t.Fatalf("%s holds %d rows, the base %d", s.name, got.NumRows(), want.NumRows())
+		}
+		for _, wc := range want.Columns() {
+			gc := got.Column(wc.Name)
+			if gc == nil {
+				t.Fatalf("%s has no column %s", s.name, wc.Name)
+			}
+			for r := range want.NumRows() {
+				if gc.Value(r) != wc.Value(r) {
+					t.Fatalf("%s row %d column %s: %v, the base row %d holds %v", s.name, r, wc.Name, gc.Value(r), rows[i][r], wc.Value(r))
 				}
 			}
 		}

@@ -186,21 +186,16 @@ type plannerStats struct {
 	cols        map[string]colDist
 	baseRows    float64
 	overallRows int64
-	uniform     bool // overall sample is flat, unweighted, uniformly drawn
+	uniform     bool // overall sample is unweighted, uniformly drawn
 }
 
 // build derives the per-column marginal distributions by one pass over the
 // overall sample per column of S.
 func (ps *plannerStats) build(p *smallGroupPrepared) {
 	ps.cols = make(map[string]colDist, len(p.meta.Columns()))
-	src := p.overall.src
-	ps.overallRows = int64(src.NumRows())
-	otbl, flat := src.(*engine.Table)
-	fact := otbl // the table that stores the sample rows' weights
-	if rdb, ok := src.(*engine.Database); ok {
-		fact = rdb.Fact
-	}
-	ps.uniform = flat && otbl.Column(engine.WeightColumn) == nil && p.overallScale > 0
+	otbl := p.overall.src.(*engine.Table)
+	ps.overallRows = int64(otbl.NumRows())
+	ps.uniform = otbl.Column(engine.WeightColumn) == nil && p.overallScale > 0
 	ps.baseRows = float64(p.meta.BaseRows)
 	if ps.uniform {
 		// The live row count: overallScale is maintained across ingest.
@@ -211,15 +206,15 @@ func (ps *plannerStats) build(p *smallGroupPrepared) {
 		scale = 1
 	}
 	for _, cm := range p.meta.Columns() {
-		acc, err := src.Accessor(cm.Column)
+		acc, err := otbl.Accessor(cm.Column)
 		if err != nil {
-			continue // renormalized layouts may not expose every column here
+			continue
 		}
 		est := make(map[engine.Value]float64, len(cm.Common))
 		for row := 0; row < int(ps.overallRows); row++ {
 			v := acc.Value(row)
 			if _, common := cm.Common[v]; common {
-				est[v] += fact.RowWeight(row) * scale
+				est[v] += otbl.RowWeight(row) * scale
 			}
 		}
 		// Common values the sample missed still exist; credit them one
@@ -238,17 +233,14 @@ func (ps *plannerStats) build(p *smallGroupPrepared) {
 		ps.cols[cm.Column] = d
 	}
 	// Columns outside S (no rare values worth a table, or too many distinct
-	// values) still split group-bys. When the overall sample is a flat table
-	// we can estimate their whole marginal from the sample — values it missed
-	// stay invisible, which predictError surfaces as a caveat.
-	if !flat {
-		return
-	}
+	// values) still split group-bys. The overall sample is a flat table, so
+	// their whole marginal is estimated from it — values it missed stay
+	// invisible, which predictError surfaces as a caveat.
 	for _, col := range otbl.ColumnNames() {
 		if _, done := ps.cols[col]; done || strings.HasPrefix(col, engine.ReservedPrefix) {
 			continue
 		}
-		acc, err := src.Accessor(col)
+		acc, err := otbl.Accessor(col)
 		if err != nil {
 			continue
 		}

@@ -35,11 +35,14 @@ func specDB(t testing.TB, name string, rows int) *engine.Database {
 }
 
 // referenceCase is one pre-processing configuration of the oracle matrix.
-// online marks the configurations online maintenance supports.
+// online marks the configurations online maintenance supports; flat compares
+// the family, flattened through its joins, with the naive flat join
+// synopses instead of the naive fact slices.
 type referenceCase struct {
 	name   string
 	cfg    core.SmallGroupConfig
 	online bool
+	flat   bool
 }
 
 // referenceCases builds the configuration matrix for one database. tau names
@@ -55,14 +58,16 @@ func referenceCases(t *testing.T, db *engine.Database, subset []string, pair [2]
 		return c
 	}
 	cases := []referenceCase{
-		{"default", base, true},
+		{"default", base, true, false},
 		{"levels", with(func(c *core.SmallGroupConfig) {
 			c.Levels = []core.HierarchyLevel{{MaxFraction: 0.01, Rate: 1}, {MaxFraction: 0.08, Rate: 0.25}, {MaxFraction: 0.2, Rate: 0.05}}
-		}), false},
-		{"pairs", with(func(c *core.SmallGroupConfig) { c.Pairs = [][2]string{pair} }), true},
-		{"renormalize", with(func(c *core.SmallGroupConfig) { c.Renormalize = true }), false},
-		{"bernoulli", with(func(c *core.SmallGroupConfig) { c.Overall = bernoulliOverall{} }), false},
-		{"columns", with(func(c *core.SmallGroupConfig) { c.Columns = subset }), true},
+		}), false, false},
+		{"pairs", with(func(c *core.SmallGroupConfig) { c.Pairs = [][2]string{pair} }), true, false},
+		// The fact slices are the renormalized join synopses of §5.2.2: read
+		// through their joins they are the flat ones.
+		{"renormalize", base, false, true},
+		{"bernoulli", with(func(c *core.SmallGroupConfig) { c.Overall = bernoulliOverall{} }), false, false},
+		{"columns", with(func(c *core.SmallGroupConfig) { c.Columns = subset }), true, false},
 	}
 	for _, col := range tau {
 		vcs, err := db.DistinctValues(col)
@@ -73,7 +78,7 @@ func referenceCases(t *testing.T, db *engine.Database, subset []string, pair [2]
 			limit := len(vcs) - below
 			cases = append(cases, referenceCase{
 				fmt.Sprintf("tau=%s-%d", col, below),
-				with(func(c *core.SmallGroupConfig) { c.DistinctLimit = limit }), true,
+				with(func(c *core.SmallGroupConfig) { c.DistinctLimit = limit }), true, false,
 			})
 		}
 	}
@@ -126,7 +131,7 @@ func TestKernelMatchesNaiveOnSpecs(t *testing.T) {
 					cfg.Overall = bernoulliOverall{seed: seed + 1} // one selection per seed
 				}
 				t.Run(fmt.Sprintf("%s/%s/seed=%d", d.name, rc.name, seed), func(t *testing.T) {
-					core.AssertPreprocessMatchesNaive(t, db, cfg, 0, 1, 4)
+					core.AssertPreprocessMatchesNaive(t, db, cfg, rc.flat, 0, 1, 4)
 				})
 			}
 			if rc.online {

@@ -20,13 +20,15 @@ import (
 // join-aware kernel replaced, kept as independent oracles (the naiveExecute
 // pattern of internal/engine): every cell goes through ColumnAccessor.Value,
 // every frequency through a map[engine.Value]int64, every band test through a
-// per-row closure, and sample tables are flattened one row at a time through
+// per-row closure, and sample tables are copied one row at a time through
 // the public append API. The kernel path must reproduce their output byte
 // for byte. reference_specs_test.go drives the comparison over the embedded
 // scenario specs (an external test package: scenario imports core).
 
-// naivePreprocess is SmallGroup.Preprocess as it was before the kernel.
-func naivePreprocess(cfg SmallGroupConfig, db *engine.Database) (*smallGroupPrepared, error) {
+// naivePreprocess is SmallGroup.Preprocess as it was before the kernel. With
+// flat it stores the small group tables as flat join synopses, the layout
+// before fact slices.
+func naivePreprocess(cfg SmallGroupConfig, db *engine.Database, flat bool) (*smallGroupPrepared, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -121,7 +123,7 @@ func naivePreprocess(cfg SmallGroupConfig, db *engine.Database) (*smallGroupPrep
 		}
 	}
 
-	p := &smallGroupPrepared{db: db, meta: meta, cfg: cfg, tables: make([]sampleSource, width), pstats: &plannerStats{}}
+	p := &smallGroupPrepared{db: db, dims: db.Dims, meta: meta, cfg: cfg, tables: make([]sampleSource, width), pstats: &plannerStats{}}
 	names := make([]string, width)
 	for _, cm := range meta.Columns() {
 		names[cm.Index] = "sg_" + cm.Column
@@ -158,12 +160,6 @@ func naivePreprocess(cfg SmallGroupConfig, db *engine.Database) (*smallGroupPrep
 		p.overallScale = float64(n) / float64(len(overallRows))
 	}
 
-	var renorm *engine.Renormalizer
-	if cfg.Renormalize {
-		all := append(append([][]int{}, tableRows...), overallRows)
-		renorm = engine.NewRenormalizer(db, all...)
-		p.sharedDims = renorm.ReducedDims()
-	}
 	for i := 0; i <= width; i++ {
 		rows, name, w := overallRows, "sg_overall", overallWeights
 		if i < width {
@@ -176,13 +172,9 @@ func naivePreprocess(cfg SmallGroupConfig, db *engine.Database) (*smallGroupPrep
 		for j, r := range rows {
 			masks[j] = maskOf(r)
 		}
-		src := sampleSource{name: name}
-		if renorm != nil {
-			if src.src, err = renorm.Build(name, rows, masks, w); err != nil {
-				return nil, err
-			}
-		} else {
-			src.src = naiveFlatten(db, name, rows, masks, w)
+		src := sampleSource{name: name, src: naiveFlatten(db, name, rows, masks, w)}
+		if i < width && !flat {
+			src.src = naiveSlice(db, name, rows, masks, w)
 		}
 		if i < width {
 			p.tables[i] = src
@@ -216,6 +208,27 @@ func naiveFlatten(db *engine.Database, name string, rows []int, masks []bitmask.
 		all[j] = j
 	}
 	return engine.MustNewDatabase(name, out).Flatten(name, all, masks, weights)
+}
+
+// naiveSlice copies the fact table's columns, foreign keys included, for
+// rows one cell at a time, and joins the copy to db's dimension tables; the
+// masks and weights go on through the engine as in naiveFlatten.
+func naiveSlice(db *engine.Database, name string, rows []int, masks []bitmask.Mask, weights []float64) *engine.Database {
+	var cols []*engine.Column
+	for _, c := range db.Fact.Columns() {
+		cols = append(cols, engine.NewColumn(c.Name, c.Type))
+	}
+	out := engine.NewTable(name, cols...)
+	all := make([]int, len(rows))
+	for j, r := range rows {
+		for i, c := range db.Fact.Columns() {
+			cols[i].Append(c.Value(r))
+		}
+		out.EndRow()
+		all[j] = j
+	}
+	slice := engine.MustNewDatabase(name, out).FactSlice(name, all, masks, weights)
+	return engine.MustNewDatabase(name, slice.Fact, db.Dims...)
 }
 
 type naivePairTester struct {
@@ -645,10 +658,9 @@ func assertSameTracking(t *testing.T, o *Online, nf *naiveFamily) {
 	}
 }
 
-// familyBytes serialises everything SaveSmallGroup would write after the
-// metadata header — every sample table in index order, then the overall
-// sample — and, unlike SaveSmallGroup, also renormalized storage (fact slice
-// plus shared reduced dimensions).
+// familyBytes serialises everything SaveSmallGroup writes after the header:
+// every small group table's fact slice in index order, then the overall
+// sample.
 func familyBytes(t *testing.T, p *smallGroupPrepared) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -665,20 +677,19 @@ func familyBytes(t *testing.T, p *smallGroupPrepared) []byte {
 			write(src.Fact)
 		}
 	}
-	for _, d := range p.sharedDims {
-		write(d)
-	}
 	return buf.Bytes()
 }
 
 // AssertPreprocessMatchesNaive pre-processes db with the naive algorithm and,
 // for every worker count, with the kernel, and fails unless the sample
 // families are byte-identical: the serialised tables (values, dictionaries
-// in first-appearance order, masks, weights), the metadata catalog, and —
-// for flat storage — the SaveSmallGroup stream itself.
-func AssertPreprocessMatchesNaive(t *testing.T, db *engine.Database, cfg SmallGroupConfig, workers ...int) {
+// in first-appearance order, masks, weights), the metadata catalog, and the
+// SaveSmallGroup stream itself. With flat the naive family stores flat join
+// synopses, the layout before fact slices, and the kernel's fact slices must
+// flatten through their joins (Database.Flat) to them byte for byte.
+func AssertPreprocessMatchesNaive(t *testing.T, db *engine.Database, cfg SmallGroupConfig, flat bool, workers ...int) {
 	t.Helper()
-	want, err := naivePreprocess(cfg, db)
+	want, err := naivePreprocess(cfg, db, flat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -689,7 +700,22 @@ func AssertPreprocessMatchesNaive(t *testing.T, db *engine.Database, cfg SmallGr
 			t.Fatal(err)
 		}
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-			assertSameFamily(t, prep.(*smallGroupPrepared), want)
+			if !flat {
+				assertSameFamily(t, prep.(*smallGroupPrepared), want)
+				return
+			}
+			var got, flatWant bytes.Buffer
+			for i, tbl := range FamilyTables(prep) {
+				if err := engine.WriteBinary(tbl, &got); err != nil {
+					t.Fatal(err)
+				}
+				if err := engine.WriteBinary(FamilyTables(want)[i], &flatWant); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(got.Bytes(), flatWant.Bytes()) {
+				t.Fatalf("the flattened family differs from the naive flat join synopses (%d vs %d bytes)", got.Len(), flatWant.Len())
+			}
 		})
 	}
 }
@@ -706,8 +732,8 @@ func assertSameFamily(t *testing.T, got, want *smallGroupPrepared) {
 	if !bytes.Equal(gotTables, wantTables) {
 		t.Fatalf("sample tables differ from the naive family (%d vs %d bytes)", len(gotTables), len(wantTables))
 	}
-	if _, err := want.cfg.spec(); want.cfg.Renormalize || err != nil {
-		return // not serialisable: renormalized storage, or a test selector the store cannot record
+	if _, err := want.cfg.spec(); err != nil {
+		return // not serialisable: a test selector the store cannot record
 	}
 	// SaveSmallGroup writes the value sets of the metadata header in map
 	// order, so two saves of one state already differ there; the header is
@@ -853,15 +879,22 @@ func probeBatches(t *testing.T, db *engine.Database, meta *Metadata, rng *rand.R
 func detached(t *testing.T, p *smallGroupPrepared) *smallGroupPrepared {
 	t.Helper()
 	copyOf := func(s sampleSource) sampleSource {
+		tbl, flat := s.src.(*engine.Table)
+		if !flat {
+			tbl = s.src.(*engine.Database).Fact
+		}
 		var buf bytes.Buffer
-		if err := engine.WriteBinary(s.src.(*engine.Table), &buf); err != nil {
+		if err := engine.WriteBinary(tbl, &buf); err != nil {
 			t.Fatal(err)
 		}
-		tbl, err := engine.ReadBinary(&buf)
+		cp, err := engine.ReadBinary(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sampleSource{src: tbl, name: s.name}
+		if !flat {
+			return sampleSource{src: engine.MustNewDatabase(s.name, cp, s.src.(*engine.Database).Dims...), name: s.name}
+		}
+		return sampleSource{src: cp, name: s.name}
 	}
 	cp := *p
 	cp.tables = make([]sampleSource, len(p.tables))
@@ -928,8 +961,9 @@ func AssertOnlineClassifyMatchesNaive(t *testing.T, db *engine.Database, cfg Sma
 			t.Fatalf("batch %d: mask words differ from the naive classification", seq)
 		}
 		want := detached(t, before)
+		want.db = o.DB()
 		var wst BatchStats
-		(&family{p: want}).applySampleUpdates(want, rows, words, perTable, victims, &wst)
+		(&family{p: want}).applySampleUpdates(want, lo, rows, words, perTable, victims, &wst)
 		if st.SmallGroupInserts != wst.SmallGroupInserts || st.ReservoirSwaps != wst.ReservoirSwaps {
 			t.Fatalf("batch %d: %d inserts and %d swaps, naive %d and %d", seq, st.SmallGroupInserts, st.ReservoirSwaps, wst.SmallGroupInserts, wst.ReservoirSwaps)
 		}
@@ -972,7 +1006,7 @@ func AssertOnlineClassifyMatchesNaive(t *testing.T, db *engine.Database, cfg Sma
 	for _, b := range tail {
 		var st BatchStats
 		words, perTable, victims := naiveClassifyBatch(nf, b.Rows, randx.New(batchSeed(seed, b.Seq)), false)
-		(&family{p: replayed}).applySampleUpdates(replayed, b.Rows, words, perTable, victims, &st)
+		(&family{p: replayed}).applySampleUpdates(replayed, lo, b.Rows, words, perTable, victims, &st)
 		got := make([]uint64, len(words))
 		o.split.masks(lo, len(b.Rows), got)
 		if !reflect.DeepEqual(got, words) {
@@ -1028,7 +1062,7 @@ func RunPreprocessLayers(b *testing.B, db *engine.Database) {
 		wcfg.Workers = workers
 		phase(fmt.Sprintf("Classify/workers=%d", workers), func() error { _, err := split.classify(db, wcfg); return err })
 	}
-	phase("Materialise", func() error { _, err := split.materialise(db, cfg, rows); return err })
+	phase("Materialise", func() error { split.materialise(db, cfg, rows); return nil })
 	phase("OnlineSeed", func() error {
 		_, err := NewOnline(sys, "smallgroup", OnlineConfig{Seed: 1})
 		return err

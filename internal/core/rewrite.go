@@ -10,8 +10,9 @@ import (
 )
 
 // RewriteStep is one branch of a rewritten query: an execution of the
-// original query shape against a single sample source — a flat join-synopsis
-// table, or a renormalized sample star schema (§5.2.2) — with an optional
+// original query shape against a single sample source — the overall
+// sample's flat table, a small group table's fact slice joined to the
+// dimension tables (§5.2.2), or the base data itself — with an optional
 // bitmask anti-double-counting filter and aggregate scale factor.
 type RewriteStep struct {
 	Source engine.Source

@@ -95,11 +95,6 @@ type SmallGroupConfig struct {
 	// reservoir sample drawn with Seed. A saved family records it as its
 	// kind's field of familySpec.
 	Overall OverallBuilder `json:"-"`
-	// Renormalize stores samples as renormalized join synopses (§5.2.2):
-	// fact slices joined to reduced dimension tables shared across all
-	// sample tables, instead of fully flattened tables. Saves space on wide
-	// star schemas at a small runtime join cost.
-	Renormalize bool
 	// Workers is the worker budget for both phases. Pre-processing fans out
 	// the row-sharded frequency counts of scan 1, scan 2's row-sharded mask
 	// pass and the materialisation of the small group tables across Workers
@@ -204,10 +199,7 @@ func (s *SmallGroup) Preprocess(db *engine.Database) (Prepared, error) {
 		return nil, err
 	}
 	phase = observePhase("classify", phase)
-	p, err := split.materialise(db, cfg, rows)
-	if err != nil {
-		return nil, err
-	}
+	p := split.materialise(db, cfg, rows)
 	observePhase("materialise", phase)
 	return p, nil
 }
@@ -414,11 +406,15 @@ func overallScale(n int, rows []int, weights []float64) float64 {
 	return 1
 }
 
-// materialise stores each row list as a sample table: flat join synopses by
-// default, renormalized (§5.2.2 space optimisation) on request.
-func (split *bandSplit) materialise(db *engine.Database, cfg SmallGroupConfig, rows *sampleRows) (*smallGroupPrepared, error) {
+// materialise stores each row list as a sample table. The overall sample is
+// a flat join synopsis, every view column copied in, because every plan
+// scans it. Each small group table is a fact slice (engine.FactSlice): its
+// rows' fact-table columns and foreign keys joined to db's own dimension
+// tables, the renormalized join synopsis of §5.2.2 with the base's dimensions
+// for the reduced ones. Its dimension columns cost no sample space.
+func (split *bandSplit) materialise(db *engine.Database, cfg SmallGroupConfig, rows *sampleRows) *smallGroupPrepared {
 	meta, width := split.meta, split.meta.Width()
-	p := &smallGroupPrepared{db: db, meta: meta, cfg: cfg, tables: make([]sampleSource, width),
+	p := &smallGroupPrepared{db: db, dims: db.Dims, meta: meta, cfg: cfg, tables: make([]sampleSource, width),
 		overallScale: overallScale(db.NumRows(), rows.overall, rows.overallWeights), pstats: &plannerStats{}}
 	names := make([]string, width)
 	for _, cm := range meta.Columns() {
@@ -427,24 +423,17 @@ func (split *bandSplit) materialise(db *engine.Database, cfg SmallGroupConfig, r
 	for _, pm := range meta.Pairs() {
 		names[pm.Index] = "sg_" + pm.Cols[0] + "__" + pm.Cols[1]
 	}
-	var renorm *engine.Renormalizer
-	if cfg.Renormalize {
-		all := append(append([][]int{}, rows.tables...), rows.overall)
-		renorm = engine.NewRenormalizer(db, all...)
-		p.sharedDims = renorm.ReducedDims()
-	}
 
 	// Fan the per-table builds (bitmask computation + materialisation) out
 	// across workers: task i builds small group table i, the last task builds
 	// the overall sample. Every input (row lists, the classifier, the base
-	// data, the renormalizer's remap) is read-only by now, and each task
-	// writes only its own slot, so the built tables are identical for any
-	// worker count. Masks are computed for the sampled rows only.
-	buildOne := func(i int) error {
-		src := sampleSource{name: "sg_overall"}
+	// data) is read-only by now, and each task writes only its own slot, so
+	// the built tables are identical for any worker count. Masks are computed
+	// for the sampled rows only.
+	parallel.ForEach(cfg.Workers, width+1, func(i int) {
 		list, w := rows.overall, rows.overallWeights
 		if i < width {
-			src.name, list, w = names[i], rows.tables[i], rows.weights[i]
+			list, w = rows.tables[i], rows.weights[i]
 		}
 		// One slab of words for the table: a row's mask is a window onto it.
 		masks, words := make([]bitmask.Mask, len(list)), maskWords(width)
@@ -454,26 +443,13 @@ func (split *bandSplit) materialise(db *engine.Database, cfg SmallGroupConfig, r
 			split.masks(r, 1, rowBits)
 			masks[j] = bitmask.FromWords(width, rowBits)
 		}
-		if renorm != nil {
-			rdb, err := renorm.Build(src.name, list, masks, w)
-			if err != nil {
-				return err
-			}
-			src.src = rdb
-		} else {
-			src.src = db.Flatten(src.name, list, masks, w)
-		}
 		if i < width {
-			p.tables[i] = src
+			p.tables[i] = sampleSource{src: db.FactSlice(names[i], list, masks, w), name: names[i]}
 		} else {
-			p.overall = src
+			p.overall = sampleSource{src: db.Flatten("sg_overall", list, masks, w), name: "sg_overall"}
 		}
-		return nil
-	}
-	if err := parallel.ForEachErr(cfg.Workers, width+1, buildOne); err != nil {
-		return nil, err
-	}
-	return p, nil
+	})
+	return p
 }
 
 // maskRows is how many rows' masks scan 2 finds in one call: a scan block's.

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"time"
 
@@ -12,8 +14,9 @@ import (
 	"dynsample/internal/stats"
 )
 
-// sampleSource is one stored sample: a flat join-synopsis table or a
-// renormalized star schema.
+// sampleSource is one stored sample: the overall sample's flat table, or a
+// small group table's fact slice joined to the dimension tables
+// (engine.Database.FactSlice).
 type sampleSource struct {
 	src  engine.Source
 	name string
@@ -21,15 +24,13 @@ type sampleSource struct {
 
 func (s sampleSource) rows() int64 { return int64(s.src.NumRows()) }
 
+// bytes is size of the table s stores: a fact slice's dimension tables are
+// the base data's, not the sample's.
 func (s sampleSource) bytes(size func(*engine.Table) int64) int64 {
-	switch v := s.src.(type) {
-	case *engine.Table:
-		return size(v)
-	case *engine.Database:
-		return size(v.Fact) // shared reduced dimensions counted once, separately
-	default:
-		return 0
+	if slice, ok := s.src.(*engine.Database); ok {
+		return size(slice.Fact)
 	}
+	return size(s.src.(*engine.Table))
 }
 
 // smallGroupPrepared is Prepared's one implementation: the small group tables
@@ -40,16 +41,20 @@ type smallGroupPrepared struct {
 	db           *engine.Database
 	meta         *Metadata
 	cfg          SmallGroupConfig
-	tables       []sampleSource // indexed by ColumnMeta.Index
+	tables       []sampleSource // fact slices, indexed by ColumnMeta.Index
 	overall      sampleSource
 	overallScale float64 // 1 when the overall sample carries per-row weights
 	// dataGen is the ingest data generation the samples reflect: the number
 	// of ingest batches whose rows are represented in the sample family.
 	// Zero for freshly pre-processed or pre-ingest state.
 	dataGen uint64
-	// sharedDims holds the renormalized storage's shared reduced dimension
-	// tables (nil for flat join synopses).
-	sharedDims []*engine.Table
+	// dims are the dimension tables of the newest database the family
+	// serves: each fact slice is joined to them or to an earlier version,
+	// the one it was last appended under (appends only add dimension rows).
+	// A family loaded from disk has none until a System binds it (bind);
+	// until then stamps records the dimensions it was saved over.
+	dims   []engine.DimJoin
+	stamps []dimStamp
 	// pstats holds the lazily built planner statistics (per-column marginal
 	// distributions, calibrated scan rate); every constructor sets it. It is
 	// shared by pointer across the copy-on-write clones the online ingest
@@ -76,18 +81,68 @@ func (p *smallGroupPrepared) SetWorkers(n int) {
 // workers is the budget System.ExactCtx scans the base data with.
 func (p *smallGroupPrepared) workers() int { return p.cfg.Workers }
 
-// Tables exposes the flat small group tables in index order. It panics for
-// renormalized storage; use Sources then.
+// Tables returns the small group tables in index order, each fact slice
+// flattened through its join: the flat join synopses the family's rows make.
 func (p *smallGroupPrepared) Tables() []*engine.Table {
 	out := make([]*engine.Table, len(p.tables))
 	for i, s := range p.tables {
-		out[i] = s.src.(*engine.Table)
+		out[i] = s.src.(*engine.Database).Flat(s.name)
 	}
 	return out
 }
 
-// Overall exposes the overall sample table (flat storage only).
+// Overall exposes the overall sample table.
 func (p *smallGroupPrepared) Overall() *engine.Table { return p.overall.src.(*engine.Table) }
+
+// ErrOtherDimensions is wrapped by the error binding a family loaded from
+// disk to a database returns when the database's dimension tables are not
+// the ones the family was saved over.
+var ErrOtherDimensions = errors.New("the family was saved over other dimension tables")
+
+// bind joins the fact slices of a family loaded from disk to db's dimension
+// tables, once and in place, so bind a family before it serves. Each
+// dimension must be the table the family was saved over, grown or not: the
+// same name and foreign key, and at least the rows recorded, which must hold
+// what they held (the same Checksum). A family that is bound already, or
+// was built in this process, is left as it is.
+func (p *smallGroupPrepared) bind(db *engine.Database) error {
+	if p.stamps == nil {
+		return nil
+	}
+	if len(db.Dims) != len(p.stamps) {
+		return fmt.Errorf("core: %w: it joins %d, the database has %d", ErrOtherDimensions, len(p.stamps), len(db.Dims))
+	}
+	for d, st := range p.stamps {
+		switch t := db.Dims[d].Table; {
+		case t.Name != st.name || db.Dims[d].FK != st.fk:
+			return fmt.Errorf("core: %w: dimension %d is %q through %q, the family joins %q through %q", ErrOtherDimensions, d, t.Name, db.Dims[d].FK, st.name, st.fk)
+		case t.NumRows() < st.rows:
+			return fmt.Errorf("core: %w: dimension %q has %d rows, the family was saved over %d", ErrOtherDimensions, st.name, t.NumRows(), st.rows)
+		case t.Checksum(st.rows) != st.sum:
+			return fmt.Errorf("core: %w: dimension %q holds other rows than the family was saved over", ErrOtherDimensions, st.name)
+		}
+	}
+	for i, t := range p.tables {
+		fact := t.src.(*engine.Database).Fact
+		slice, err := engine.NewDatabase(t.name, fact, db.Dims...)
+		if err != nil {
+			return fmt.Errorf("core: binding %s: %w", t.name, err)
+		}
+		// The slice was read from disk: a key past the rows the family was
+		// saved over would send a scan out of the dimension's storage.
+		for _, st := range p.stamps {
+			fk := fact.Column(st.fk)
+			for r := range fact.NumRows() {
+				if k := fk.Int(r); k < 0 || k >= int64(st.rows) {
+					return fmt.Errorf("core: binding %s: row %d refers to row %d of dimension %q, which was saved with %d", t.name, r, k, st.name, st.rows)
+				}
+			}
+		}
+		p.tables[i].src = slice
+	}
+	p.dims, p.stamps = db.Dims, nil
+	return nil
+}
 
 // Plan builds the default rewritten query (§4.2.2): the full descriptor —
 // every relevant small group table plus the whole overall sample — built
@@ -152,6 +207,9 @@ func (p *smallGroupPrepared) choose(ctx context.Context, q *engine.Query, b Boun
 // satisfies them it returns an *UnsatisfiableBoundsError without executing
 // anything.
 func (p *smallGroupPrepared) AnswerBounds(ctx context.Context, q *engine.Query, b Bounds) (*Answer, error) {
+	if p.stamps != nil { // loaded and not bound: its slices cannot read a dimension column
+		return nil, errors.New("core: the family is not joined to its dimension tables yet: register it with System.AddPrepared first")
+	}
 	start := time.Now()
 	tr := obs.TraceFrom(ctx)
 	endStage := tr.StartStage("select")
@@ -279,18 +337,23 @@ func (p *smallGroupPrepared) SampleRows() int64 {
 // SampleBytes implements Prepared: the logical size the space budgets count.
 func (p *smallGroupPrepared) SampleBytes() int64 { return p.bytes((*engine.Table).ApproxBytes) }
 
-// StoredBytes implements Prepared.
-func (p *smallGroupPrepared) StoredBytes() int64 { return p.bytes((*engine.Table).StoredBytes) }
+// StoredBytes implements Prepared: what the tables hold, each fact slice's
+// join (engine.Database.ViewBytes) and the metadata's value sets.
+func (p *smallGroupPrepared) StoredBytes() int64 {
+	b := p.bytes((*engine.Table).StoredBytes) + p.meta.heldBytes()
+	for _, t := range p.tables {
+		if slice, ok := t.src.(*engine.Database); ok {
+			b += slice.ViewBytes()
+		}
+	}
+	return b
+}
 
-// bytes sums a size over the sample tables. For renormalized storage the
-// shared reduced dimension tables are counted once.
+// bytes sums a size over the sample tables.
 func (p *smallGroupPrepared) bytes(size func(*engine.Table) int64) int64 {
 	b := p.overall.bytes(size)
 	for _, t := range p.tables {
 		b += t.bytes(size)
-	}
-	for _, d := range p.sharedDims {
-		b += size(d)
 	}
 	return b
 }

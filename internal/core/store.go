@@ -26,16 +26,18 @@ import (
 
 const storeMagic = "DSSG"
 
-// storeVersion 5 records the whole configuration that built the family
-// (familySpec) where version 4 kept only MaxTablesPerQuery and τ. It is the
-// only version read: nothing writes another.
-const storeVersion = 5
+// storeVersion 6 stores each small group table as a fact slice and records
+// the dimension tables the slices join (dimStamp), where version 5 stored
+// every table flattened; version 5 recorded the whole configuration that
+// built the family (familySpec) where version 4 kept only MaxTablesPerQuery
+// and τ. It is the only version read: nothing writes another.
+const storeVersion = 6
 
 // Caps on the lengths and counts read back (binio refuses one over its cap):
 // a truncated or corrupted header must produce a descriptive error, not a
 // multi-gigabyte allocation.
 const (
-	maxStoreColumns = 1 << 16 // columns in the metadata table
+	maxStoreColumns = 1 << 16 // columns in the metadata table, dimension tables
 	maxStorePairs   = 1 << 20 // column-pair metadata entries
 	maxStoreSetSize = 1 << 26 // values per common/exact/rare set
 	maxStoreTables  = 1 << 20 // MaxTablesPerQuery upper bound
@@ -43,8 +45,10 @@ const (
 )
 
 // SaveSmallGroup serialises a sample family (as returned by any strategy's
-// Preprocess or a previous LoadSmallGroup): the header and metadata in
-// binio's field layout, then the tables in the engine table format.
+// Preprocess or a previous LoadSmallGroup): the header, the metadata and the
+// dimension tables the small group tables join in binio's field layout, then
+// the tables in the engine table format — each small group table's fact
+// slice, then the flat overall sample.
 func SaveSmallGroup(w io.Writer, p Prepared) error {
 	sgp, ok := p.(*smallGroupPrepared)
 	if !ok {
@@ -92,23 +96,45 @@ func SaveSmallGroup(w io.Writer, p Prepared) error {
 		}
 		putSortedStrings(bw, keys)
 	}
+	stamps := sgp.stamps
+	if stamps == nil {
+		stamps = stampDims(sgp.dims)
+	}
+	binio.PutU32(bw, uint32(len(stamps)))
+	for _, st := range stamps {
+		binio.PutString(bw, st.name)
+		binio.PutString(bw, st.fk)
+		binio.PutU64(bw, uint64(st.rows))
+		binio.PutU32(bw, st.sum)
+	}
 	if err := bw.Flush(); err != nil {
 		return err
 	}
 
-	// Tables (small group tables in index order, then the overall sample).
-	// Only flat join-synopsis storage is serialisable; renormalized sample
-	// sets must be rebuilt from the base data.
-	for _, t := range append(sgp.tables[:len(sgp.tables):len(sgp.tables)], sgp.overall) {
-		tbl, ok := t.src.(*engine.Table)
-		if !ok {
-			return fmt.Errorf("core: cannot save renormalized sample storage")
-		}
-		if err := engine.WriteBinary(tbl, w); err != nil {
+	// Tables: small group tables in index order, then the overall sample.
+	for _, t := range sgp.tables {
+		if err := engine.WriteBinary(t.src.(*engine.Database).Fact, w); err != nil {
 			return err
 		}
 	}
-	return nil
+	return engine.WriteBinary(sgp.overall.src.(*engine.Table), w)
+}
+
+// dimStamp records one dimension table a family's fact slices join: its
+// name, the fact column referencing it, its row count and the Checksum of
+// those rows. A loaded family binds only to a dimension its stamp matches.
+type dimStamp struct {
+	name, fk string
+	rows     int
+	sum      uint32
+}
+
+func stampDims(dims []engine.DimJoin) []dimStamp {
+	out := make([]dimStamp, len(dims))
+	for d, dj := range dims {
+		out[d] = dimStamp{name: dj.Table.Name, fk: dj.FK, rows: dj.Table.NumRows(), sum: dj.Table.Checksum(dj.Table.NumRows())}
+	}
+	return out
 }
 
 // LoadSmallGroup reads state written by SaveSmallGroup.
@@ -131,6 +157,8 @@ func LoadSmallGroup(r io.Reader) (Prepared, error) {
 		return nil, fmt.Errorf("core: store version 3 does not record the distinct-value cutoff τ; this build reads version %d only", storeVersion)
 	case version == 4:
 		return nil, fmt.Errorf("core: store version 4 does not record the configuration that built the family; this build reads version %d only", storeVersion)
+	case version == 5:
+		return nil, fmt.Errorf("core: store version 5 stores its small group tables flattened, not as fact slices; this build reads version %d only", storeVersion)
 	case version != storeVersion:
 		return nil, fmt.Errorf("core: unsupported store version %d", version)
 	}
@@ -162,17 +190,31 @@ func LoadSmallGroup(r io.Reader) (Prepared, error) {
 		}
 		meta.AddPair(pm)
 	}
+	stamps := make([]dimStamp, in.Count(maxStoreColumns, "dimension count"))
+	for i := 0; i < len(stamps) && in.Err() == nil; i++ {
+		stamps[i] = dimStamp{name: in.String(maxStoreString), fk: in.String(maxStoreString), rows: int(in.U64()), sum: in.U32()}
+		if stamps[i].rows < 0 {
+			in.Fail(fmt.Errorf("dimension %q has %d rows", stamps[i].name, stamps[i].rows))
+		}
+	}
 	if err := in.Err(); err != nil {
 		return nil, fmt.Errorf("core: reading store metadata: %w", err)
 	}
 
 	p := &smallGroupPrepared{meta: meta, cfg: cfg, overallScale: overallScale, dataGen: dataGen, pstats: &plannerStats{}}
+	if len(stamps) > 0 {
+		p.stamps = stamps // the slices join their dimensions once a System binds them
+	}
 	for i := 0; i < meta.Width(); i++ {
 		t, err := engine.ReadBinary(br)
 		if err != nil {
 			return nil, fmt.Errorf("core: reading sample table %d: %w", i, err)
 		}
-		p.tables = append(p.tables, sampleSource{src: t, name: t.Name})
+		slice, err := engine.NewDatabase(t.Name, t)
+		if err != nil {
+			return nil, fmt.Errorf("core: reading sample table %d: %w", i, err)
+		}
+		p.tables = append(p.tables, sampleSource{src: slice, name: t.Name})
 	}
 	ot, err := engine.ReadBinary(br)
 	if err != nil {
@@ -219,8 +261,8 @@ func getValueSet(in *binio.Reader) map[engine.Value]struct{} {
 	return set
 }
 
-// familySpec is the record of the config that built a family, which store
-// version 5 keeps with it as JSON: every SmallGroupConfig field a rebuild
+// familySpec is the record of the config that built a family, which the
+// store keeps with it as JSON: every SmallGroupConfig field a rebuild
 // reads, after defaults (Workers and ScanRowsPerSecond are the process's,
 // not the family's), and the overall sample's selector as the one field its
 // kind names. From the record a loaded family knows its config and its
@@ -288,6 +330,16 @@ func parseSpec(b []byte) (SmallGroupConfig, error) {
 		c.Overall = *s.Weighted
 	}
 	return c, c.validate()
+}
+
+// Configure gives p the settings of this strategy's config that belong to
+// the process, not to the family, as a family it pre-processes has them:
+// ScanRowsPerSecond, and Workers when positive. A family loaded from disk
+// records neither (familySpec).
+func (s *SmallGroup) Configure(p Prepared) {
+	sgp := p.(*smallGroupPrepared)
+	sgp.cfg.ScanRowsPerSecond = s.cfg.ScanRowsPerSecond
+	sgp.SetWorkers(s.cfg.Workers)
 }
 
 // CheckFamily reports whether p was built from this strategy's

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"dynsample/internal/engine"
@@ -163,12 +165,71 @@ func TestTruncatedStreamRejected(t *testing.T) {
 	}
 }
 
+// starDB is a star schema of n fact rows: a skewed fact column a, a measure
+// m, and a foreign key into a 40-row dimension whose columns d_region
+// (skewed, a small group of its own) and d_size are drawn from seed.
+func starDB(t testing.TB, n int, seed int64) *engine.Database {
+	t.Helper()
+	rng := randx.New(seed)
+	region, size := engine.NewColumn("d_region", engine.String), engine.NewColumn("d_size", engine.Int)
+	dim := engine.NewTable("dim", region, size)
+	for i := 0; i < 40; i++ {
+		region.AppendString("R" + string(rune('0'+min(i/30*(1+rng.Intn(5)), 9))))
+		size.AppendInt(int64(rng.Intn(7)))
+		dim.EndRow()
+	}
+	a, m, fk := engine.NewColumn("a", engine.String), engine.NewColumn("m", engine.Int), engine.NewColumn("dim_fk", engine.Int)
+	fact := engine.NewTable("fact", a, m, fk)
+	for i := 0; i < n; i++ {
+		a.AppendString("A" + string(rune('0'+min(rng.Intn(40), 9))))
+		m.AppendInt(int64(i%97) + 1)
+		fk.AppendInt(int64(rng.Intn(40)))
+		fact.EndRow()
+	}
+	return engine.MustNewDatabase("star", fact, engine.DimJoin{Table: dim, FK: "dim_fk"})
+}
+
+// TestRenormalizedSaveRejected: a family over a star schema, whose small
+// group tables are fact slices — the renormalized join synopses of §5.2.2,
+// which the store once refused — round-trips: it saves, loads unjoined and
+// refuses to answer until a System binds it to the database's dimension
+// tables, then answers as the fresh family does and saves back to the bytes
+// it was loaded from. Bound to a base with another dimension table it is
+// refused, by the dimension's name.
 func TestRenormalizedSaveRejected(t *testing.T) {
-	db := skewedDB(t, 2000)
-	p := prep(t, db, SmallGroupConfig{BaseRate: 0.05, DistinctLimit: 100, Seed: 9, Renormalize: true})
-	var buf bytes.Buffer
-	if err := SaveSmallGroup(&buf, p); err == nil {
-		t.Error("saving renormalized storage should be rejected")
+	db := starDB(t, 4000, 5)
+	p := prep(t, db, SmallGroupConfig{BaseRate: 0.05, SmallGroupFraction: 0.1, Seed: 9})
+	if _, ok := p.meta.Index("d_region"); !ok {
+		t.Fatal("fixture: the dimension column d_region has no small group table")
+	}
+	saved := preparedBytes(t, p)
+	loaded, err := LoadSmallGroup(bytes.NewReader(saved))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := &engine.Query{GroupBy: []string{"d_region", "a"}, Aggs: []engine.Aggregate{{Kind: engine.Count}, {Kind: engine.Sum, Col: "m"}}}
+	if _, err := loaded.Answer(q); err == nil {
+		t.Fatal("a loaded family answered before it was joined to its dimension tables")
+	}
+	if err := NewSystem(starDB(t, 4000, 6)).AddPrepared("smallgroup", loaded); !errors.Is(err, ErrOtherDimensions) || !strings.Contains(err.Error(), `"dim"`) {
+		t.Fatalf("binding to another base: %v, want it refused naming dimension \"dim\"", err)
+	}
+	if err := NewSystem(db).AddPrepared("smallgroup", loaded); err != nil {
+		t.Fatal(err)
+	}
+	want, err := p.Answer(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := loaded.Answer(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameAnswer(got, want) {
+		t.Fatal("the bound family answers otherwise than the fresh one")
+	}
+	if !bytes.Equal(preparedBytes(t, loaded), saved) {
+		t.Fatal("the bound family saves to other bytes than it was loaded from")
 	}
 }
 
@@ -205,5 +266,27 @@ func TestRestoredFamilyWatchesItsOwnDistinctLimit(t *testing.T) {
 	}
 	if !bytes.Equal(preparedBytes(t, restored.Prepared()), preparedBytes(t, fresh.Prepared())) {
 		t.Fatal("the restored family maintained one batch differs from the fresh one")
+	}
+}
+
+// TestBindRefusesKeysPastTheDimension: a loaded fact slice whose foreign key
+// points past the rows its dimension was saved with is refused when a
+// System binds it, not read out of range by a scan.
+func TestBindRefusesKeysPastTheDimension(t *testing.T) {
+	db := starDB(t, 4000, 5)
+	loaded, err := LoadSmallGroup(bytes.NewReader(preparedBytes(t, prep(t, db, SmallGroupConfig{BaseRate: 0.05, SmallGroupFraction: 0.1, Seed: 9}))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fact := loaded.(*smallGroupPrepared).tables[0].src.(*engine.Database).Fact
+	row := fact.RowValues(0)
+	for j, name := range fact.ColumnNames() {
+		if name == "dim_fk" {
+			row[j] = engine.IntVal(40) // the dimension has rows 0..39
+		}
+	}
+	fact.SetRow(0, row...)
+	if err := NewSystem(db).AddPrepared("smallgroup", loaded); err == nil || !strings.Contains(err.Error(), "refers to row 40") {
+		t.Fatalf("binding a slice with a key past its dimension: %v", err)
 	}
 }

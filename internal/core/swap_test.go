@@ -84,8 +84,8 @@ func TestSwapPreparedConcurrentQueries(t *testing.T) {
 	if gen1Hits.Load() == 0 || gen2Hits.Load() == 0 {
 		t.Logf("generation coverage: %d/%d hits (timing-dependent)", gen1Hits.Load(), gen2Hits.Load())
 	}
-	if prev := sys.SwapPrepared("smallgroup", p2); prev != p1 {
-		t.Fatalf("SwapPrepared returned %v, want the previous state", prev)
+	if prev, err := sys.SwapPrepared("smallgroup", p2); err != nil || prev != p1 {
+		t.Fatalf("SwapPrepared returned %v (%v), want the previous state", prev, err)
 	}
 }
 
@@ -115,8 +115,8 @@ func sameAnswer(a, b *Answer) bool {
 func TestSwapPreparedRegistration(t *testing.T) {
 	db := skewedDB(t, 2000)
 	sys := NewSystem(db)
-	if prev := sys.SwapPrepared("smallgroup", prep(t, db, SmallGroupConfig{BaseRate: 0.05, Seed: 1})); prev != nil {
-		t.Fatalf("first swap returned %v, want nil", prev)
+	if prev, err := sys.SwapPrepared("smallgroup", prep(t, db, SmallGroupConfig{BaseRate: 0.05, Seed: 1})); err != nil || prev != nil {
+		t.Fatalf("first swap returned %v (%v), want nil", prev, err)
 	}
 	if names := sys.Strategies(); len(names) != 1 || names[0] != "smallgroup" {
 		t.Fatalf("strategies = %v", names)

@@ -253,7 +253,7 @@ func (a *Appender) Validate(rows [][]Value) error {
 			return fmt.Errorf("engine: append row %d has %d values, view has %d columns", ri, len(row), len(a.db.colNames))
 		}
 		for i, v := range row {
-			want := a.db.bindings[a.db.colNames[i]].col.Type
+			want, _ := a.db.ColumnType(a.db.colNames[i]) // a view column: bound
 			if v.T != want {
 				return fmt.Errorf("engine: append row %d column %q: got %s, want %s", ri, a.db.colNames[i], v.T, want)
 			}
@@ -319,10 +319,6 @@ func (a *Appender) Append(rows [][]Value) (*Database, error) {
 	for i, d := range a.db.Dims {
 		dims[i] = DimJoin{Table: dimTables[i], FK: d.FK}
 	}
-	ndb, err := NewDatabase(a.db.Name, newFact, dims...)
-	if err != nil {
-		return nil, fmt.Errorf("engine: rebuilding view after append: %w", err)
-	}
-	a.db = ndb
-	return ndb, nil
+	a.db = a.db.Rejoin(newFact, dims...)
+	return a.db, nil
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"math"
 	"sync"
 
@@ -82,13 +81,13 @@ func (c *Column) View() ColumnView {
 
 // View returns the typed view of a column of the joined view.
 func (db *Database) View(name string) (ColumnView, error) {
-	b, ok := db.bindings[name]
-	if !ok {
-		return ColumnView{}, fmt.Errorf("engine: unknown column %q", name)
+	col, fk, b, err := db.column(name)
+	if err != nil {
+		return ColumnView{}, err
 	}
-	v := b.col.View()
-	if b.fk != nil {
-		v.fk, v.Dim = b.fk.ints, b.dim
+	v := col.View()
+	if fk != nil {
+		v.fk, v.Dim = fk.ints, b.dim
 	}
 	return v, nil
 }

@@ -411,10 +411,10 @@ func TestColumnFrequenciesShardedRows(t *testing.T) {
 	}
 }
 
-// TestFlattenMatchesRowAtATime: the column-at-a-time gather (Flatten, and
-// the renormalizer's fact and dimension subsets) serialises to the same
-// bytes as appending the sampled rows cell by cell — same values, same
-// dictionary first-appearance order.
+// TestFlattenMatchesRowAtATime: the column-at-a-time gather (Flatten, and a
+// fact slice's fact columns and Flat) serialises to the same bytes as
+// appending the sampled rows cell by cell — same values, same dictionary
+// first-appearance order.
 func TestFlattenMatchesRowAtATime(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		g := &starGen{rng: rand.New(rand.NewSource(seed))}
@@ -451,18 +451,19 @@ func TestFlattenMatchesRowAtATime(t *testing.T) {
 			t.Fatalf("seed %d: Flatten differs from the row-at-a-time copy", seed)
 		}
 
-		// Renormalized storage answers every cell like the flat copy.
-		rdb, err := NewRenormalizer(db, rows).Build("flat", rows, masks, weights)
-		if err != nil {
-			t.Fatal(err)
-		}
+		// A fact slice answers every cell like the flat copy, and flattens
+		// back to Flatten's table byte for byte.
+		rdb := db.FactSlice("flat", rows, masks, weights)
 		for _, c := range cols {
 			acc, _ := rdb.Accessor(c.Name)
 			for i := range rows {
 				if g, w := canon(acc.Value(i)), canon(c.Value(i)); g != w {
-					t.Fatalf("seed %d: renormalized %s row %d = %s, flat %s", seed, c.Name, i, g, w)
+					t.Fatalf("seed %d: fact slice %s row %d = %s, flat %s", seed, c.Name, i, g, w)
 				}
 			}
+		}
+		if !bytes.Equal(tableBytes(t, rdb.Flat("flat")), tableBytes(t, got)) {
+			t.Fatalf("seed %d: the flattened fact slice differs from Flatten's table", seed)
 		}
 	}
 }

@@ -87,7 +87,7 @@ type kernelSource struct {
 
 // kernelSources builds the three source shapes: a flat table with masks and
 // weights (twice over the same columns, at two mask widths), a star database
-// read through foreign keys, and a renormalized sample of it — each longer
+// read through foreign keys, and a fact slice sample of it — each longer
 // than three shards, the last shard ragged.
 func kernelSources(t *testing.T, seed int64) []kernelSource {
 	rng := rand.New(rand.NewSource(seed))
@@ -137,16 +137,13 @@ func kernelSources(t *testing.T, seed int64) []kernelSource {
 		}
 	}
 	masks, weights := kernelSideArrays(rng, len(rows), masks128)
-	sample, err := NewRenormalizer(db, rows).Build("sample", rows, masks, weights)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sample := db.FactSlice("sample", rows, masks, weights)
 
 	return []kernelSource{
 		{"flat", flat, names(flatCols), []string{"m_f", "m_i", "s_low"}, masks245},
 		{"flat65", flat65, names(flatCols), []string{"m_f", "m_i", "s_low"}, masks65},
 		{"star", db, starCols, []string{"f_m_f", "f_m_i", "d1_m_f", "d1_m_i", "d2_s_mid"}, masks65}, // stores none
-		{"renormalized", sample, starCols, []string{"f_m_f", "d1_m_i"}, masks128},
+		{"fact slice", sample, starCols, []string{"f_m_f", "d1_m_i"}, masks128},
 	}
 }
 

@@ -1,11 +1,14 @@
 package engine
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"unsafe"
 
+	"dynsample/internal/binio"
 	"dynsample/internal/bitmask"
 )
 
@@ -197,6 +200,34 @@ func (t *Table) ColumnNames() []string {
 		names[i] = c.Name
 	}
 	return names
+}
+
+// Checksum is a CRC-32C over the first rows rows of the table: each column's
+// name and type, then its values in row order — an integer or a float as its
+// eight bytes, a string as its length and bytes. Two tables agree on it when
+// they hold the same values in those rows under the same schema, however
+// their chunks or dictionaries are laid out.
+func (t *Table) Checksum(rows int) uint32 {
+	var crc uint32
+	buf := make([]byte, 0, 4096)
+	for _, c := range t.cols {
+		buf = binio.AppendString(append(buf[:0], byte(c.Type)), c.Name)
+		for i := range min(rows, c.n) {
+			if len(buf) >= 4000 {
+				crc, buf = binio.Checksum(crc, buf), buf[:0]
+			}
+			switch c.Type {
+			case Int:
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(c.Int(i)))
+			case Float:
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.floats.at(i)))
+			default:
+				buf = binio.AppendString(buf, c.dict[c.Code(i)])
+			}
+		}
+		crc = binio.Checksum(crc, buf)
+	}
+	return crc
 }
 
 // ApproxBytes is the logical size of the table's data — 8 bytes a numeric

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -87,13 +88,9 @@ func TestDatabaseRowMaskAndWeight(t *testing.T) {
 	if w := db.Fact.RowWeight(0); w != 1 {
 		t.Errorf("base row weight = %g", w)
 	}
-	// A renormalized sample's fact rows carry both, as columns the view binds
-	// and does not list.
-	rows := []int{0, 1}
-	s, err := NewRenormalizer(db, rows).Build("s", rows, []bitmask.Mask{bitmask.FromBits(3, 1), bitmask.New(3)}, []float64{2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A fact slice's rows carry both, as columns the view binds and does not
+	// list.
+	s := db.FactSlice("s", []int{0, 1}, []bitmask.Mask{bitmask.FromBits(3, 1), bitmask.New(3)}, []float64{2, 3})
 	if m, ok := s.Fact.RowMask(0); !ok || !m.Bit(1) || s.Fact.RowWeight(1) != 3 {
 		t.Errorf("sample row mask %v (%v), weight %g", m, ok, s.Fact.RowWeight(1))
 	}
@@ -181,5 +178,58 @@ func TestApproxBytesWithMasksAndWeights(t *testing.T) {
 	weighted := db.Flatten("w", []int{0, 1}, nil, []float64{1, 2})
 	if weighted.ApproxBytes() <= plain.ApproxBytes() {
 		t.Error("weights not accounted in ApproxBytes")
+	}
+}
+
+// TestChecksumFollowsTheValues: a table's Checksum over its first rows is
+// the same for a copy stored otherwise (read back from its binary form,
+// every chunk sealed and every dictionary rebuilt), does not see rows past
+// them, and changes with any value in them.
+func TestChecksumFollowsTheValues(t *testing.T) {
+	dim := testDB(t).Dims[0].Table
+	var buf bytes.Buffer
+	if err := WriteBinary(dim, &buf); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := ReadBinary(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := dim.Checksum(dim.NumRows())
+	if cp.Checksum(cp.NumRows()) != all {
+		t.Fatal("a binary round trip changed the checksum")
+	}
+	grown := cp.CloneForAppend()
+	grown.AppendRow(StringVal("Tacoma"), StringVal("WA"))
+	if grown.Checksum(dim.NumRows()) != all || grown.Checksum(grown.NumRows()) == all {
+		t.Fatal("the checksum of the first rows saw an appended row, or that of all rows did not")
+	}
+	other := cp.CloneForAppend()
+	other.SetRow(1, StringVal("Portland"), StringVal("ME"))
+	if other.Checksum(other.NumRows()) == all {
+		t.Fatal("a changed value left the checksum as it was")
+	}
+}
+
+// TestRejoinSharesTheBindings: a database rejoined over later versions of
+// its tables reads every view column as one built from them afresh.
+func TestRejoinSharesTheBindings(t *testing.T) {
+	db := testDB(t)
+	fact, dim := db.Fact.CloneForAppend(), db.Dims[0].Table.CloneForAppend()
+	dim.AppendRow(StringVal("Tacoma"), StringVal("WA"))
+	fact.AppendRow(StringVal("Radio"), IntVal(4), IntVal(3))
+	got := db.Rejoin(fact, DimJoin{Table: dim, FK: "store_fk"})
+	want := MustNewDatabase(db.Name, fact, DimJoin{Table: dim, FK: "store_fk"})
+	for _, name := range want.Columns() {
+		g, _ := got.Accessor(name)
+		w, _ := want.Accessor(name)
+		for r := range want.NumRows() {
+			if g.Value(r) != w.Value(r) {
+				t.Fatalf("%s row %d: %v, want %v", name, r, g.Value(r), w.Value(r))
+			}
+		}
+	}
+	if db.NumRows() != 6 || got.NumRows() != 7 {
+		t.Fatalf("rows: the old version %d, the new %d", db.NumRows(), got.NumRows())
 	}
 }

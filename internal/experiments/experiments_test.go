@@ -149,20 +149,17 @@ func TestPreprocessTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fig.Labels) != 6 {
+	if len(fig.Labels) != 5 {
 		t.Fatalf("labels = %v", fig.Labels)
 	}
 	space := fig.Series[1].Y
 	// Small group needs more space than uniform; the 0.25% variant less than
-	// the 1% variant; renormalized storage less than flat.
+	// the 1% variant.
 	if space[3] <= space[0] {
 		t.Errorf("smallgroup space %g not above uniform %g", space[3], space[0])
 	}
 	if space[4] >= space[3] {
 		t.Errorf("low-rate smallgroup space %g not below full %g", space[4], space[3])
-	}
-	if space[5] >= space[3] {
-		t.Errorf("renormalized space %g not below flat %g", space[5], space[3])
 	}
 }
 

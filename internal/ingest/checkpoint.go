@@ -188,7 +188,10 @@ func (s *Snapshot) checkBase(rows int) error {
 // Restore installs a snapshot into the system: it re-appends the delta rows
 // onto the regenerated base data, publishes the resulting database at the
 // checkpoint's data generation, and registers the prepared sample family
-// under strategy. sys must hold exactly Checkpoint.BaseRows base rows.
+// under strategy, joining its small group tables to the dimension tables the
+// delta has grown. sys must hold exactly Checkpoint.BaseRows base rows. When
+// its dimension tables are not the ones the family was saved over, the data
+// stays published and the error wraps core.ErrOtherDimensions.
 func (s *Snapshot) Restore(sys *core.System, strategy string) error {
 	ck := s.Checkpoint
 	if err := s.checkBase(sys.DB().NumRows()); err != nil {
@@ -224,6 +227,8 @@ func (s *Snapshot) Restore(sys *core.System, strategy string) error {
 	} else {
 		sys.SwapData(sys.DB(), ck.DataGen)
 	}
-	sys.AddPrepared(strategy, s.Prepared)
+	if err := sys.AddPrepared(strategy, s.Prepared); err != nil {
+		return fmt.Errorf("ingest: restoring the sample family: %w", err)
+	}
 	return nil
 }

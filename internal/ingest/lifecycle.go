@@ -61,7 +61,9 @@ type Recovery struct {
 //     generation — or no catalog — the strategy pre-processes the base data.
 //     Either way a catalog gets the new family as its next generation, so it
 //     self-heals.
-//  2. The worker budget is applied to whichever state now serves.
+//  2. The runtime settings a saved family does not record — strategy's
+//     scan rate (SmallGroupConfig.ScanRowsPerSecond) and the worker budget —
+//     are applied to whichever state now serves.
 //  3. With a WAL: segments wholly below the checkpoint are deleted
 //     (finishing a GC a crash interrupted), the coordinator attaches with
 //     the checkpoint's BaseRows, the idempotency window is seeded from the
@@ -94,13 +96,17 @@ func Recover(sys *core.System, cat *catalog.Catalog, wal *WAL, strategy *core.Sm
 	}
 	switch {
 	case err == nil:
-		if err = snap.Restore(sys, cfg.Strategy); err != nil {
+		// A family built from another configuration, or saved over other
+		// dimension tables, is skipped, but not its data: the delta, ids and
+		// data generation stay, and the configured strategy pre-processes
+		// them as a rebuild would.
+		if err = snap.Restore(sys, cfg.Strategy); err != nil && !errors.Is(err, core.ErrOtherDimensions) {
 			return nil, err
 		}
-		// A family built from another configuration is skipped, but not its
-		// data: the delta, ids and data generation stay, and the configured
-		// strategy pre-processes them as a rebuild would.
-		if err = strategy.CheckFamily(snap.Prepared); err != nil {
+		if err == nil {
+			err = strategy.CheckFamily(snap.Prepared)
+		}
+		if err != nil {
 			rec.Skipped = append(rec.Skipped, catalog.SkippedSnapshot{Generation: rec.Generation, Path: cat.Path(rec.Generation), Err: err})
 		}
 	case errors.Is(err, catalog.ErrNoSnapshot):
@@ -119,6 +125,7 @@ func Recover(sys *core.System, cat *catalog.Catalog, wal *WAL, strategy *core.Sm
 		}
 	}
 	rec.Checkpoint = snap.Checkpoint
+	strategy.Configure(snap.Prepared)
 	snap.Prepared.SetWorkers(workers)
 	if wal == nil {
 		return rec, nil
@@ -183,7 +190,9 @@ func Rebuild(sys *core.System, c *Coordinator, cat *catalog.Catalog, strategy co
 	p.SetWorkers(workers)
 	res.Preprocess = time.Since(start)
 	if c == nil {
-		sys.SwapPrepared(name, p)
+		if _, err := sys.SwapPrepared(name, p); err != nil {
+			return res, fmt.Errorf("rebuild swap: %w", err)
+		}
 	} else if err := c.completeRebuild(p, pinned); err != nil {
 		return res, fmt.Errorf("rebuild rebase: %w", err)
 	}

@@ -1,15 +1,18 @@
 package ingest
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"dynsample/internal/catalog"
 	"dynsample/internal/core"
+	"dynsample/internal/engine"
 	"dynsample/internal/randx"
 )
 
@@ -320,5 +323,44 @@ func TestRecoverAnotherConfigKeepsTheData(t *testing.T) {
 	}
 	if sys, rec := restart(); rec.Source != "snapshot" || rec.Generation != 3 || len(rec.Skipped) != 0 || sys.DB().NumRows() != n+7*40 {
 		t.Fatalf("second restart = %q generation %d (%d skipped) over %d rows, want generation 3 restored", rec.Source, rec.Generation, len(rec.Skipped), sys.DB().NumRows())
+	}
+}
+
+// TestRecoverAppliesScanRate: a saved family records neither runtime setting
+// of its strategy, so Recover applies both to the family it restores — the
+// scan rate as well as the worker budget. Pinned at one row a second, a
+// query with a deadline falls back to the overall sample on the restored
+// family as on the fresh build.
+func TestRecoverAppliesScanRate(t *testing.T) {
+	cfg := ingestSGCfg
+	cfg.ScanRowsPerSecond = 1
+	cat, err := catalog.Open(t.TempDir(), catalog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := &engine.Query{GroupBy: []string{"a"}, Aggs: []engine.Aggregate{{Kind: engine.Count}}}
+	for _, source := range []string{"preprocess", "snapshot"} {
+		sys := core.NewSystem(ingestDB(t, 3000))
+		rec, err := Recover(sys, cat, nil, core.NewSmallGroup(cfg), 2, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Source != source {
+			t.Fatalf("start from %q, want %q", rec.Source, source)
+		}
+		full, err := sys.Approx("smallgroup", q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		ans, err := sys.ApproxCtx(ctx, "smallgroup", q)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(full.Rewrite.Steps) < 2 || !ans.Degraded || len(ans.Rewrite.Steps) != 1 {
+			t.Fatalf("%s: the full plan has %d steps, the deadline plan %d (degraded %v); want the overall sample alone",
+				source, len(full.Rewrite.Steps), len(ans.Rewrite.Steps), ans.Degraded)
+		}
 	}
 }

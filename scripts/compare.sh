@@ -1,0 +1,93 @@
+#!/usr/bin/env bash
+# Paired benchmark comparison of a parent commit and a change.
+#
+#   scripts/compare.sh <parent-ref> [workloads]        run, then summarise
+#   scripts/compare.sh --summary <parent> <change>     summarise saved results
+#
+# A run `git archive`s the parent ref and the change (CHANGE, default HEAD)
+# into a scratch directory (under TMPDIR) and runs `bench/run.sh --trace 0`
+# in PAIRS (default 10) pairs per workload (default: all four). Pair i runs
+# both trees on seed i, the parent first in odd pairs and the change first in
+# even ones, so a slow spell of the host hits both sides. Each run's gated
+# metrics, its failed-op count and every timing of its #diag line (keys
+# ending in _s or _ms, and ops_per_s) go to parent.txt and change.txt in OUT
+# (default: the scratch directory), one "<workload> <pair> <metric> <value>"
+# line each. The summary prints, per workload and metric, each side's median
+# and interquartile range (linear interpolation between order statistics),
+# the ratio of the medians, and the pairs the change wins: strictly lower, or
+# strictly higher for ci_cover_share and ops_per_s.
+set -euo pipefail
+
+summary() {
+  awk '
+    function qs(a, n, q,   h, i) { h = (n - 1) * q; i = int(h); return i + 1 < n ? a[i] + (h - i) * (a[i + 1] - a[i]) : a[i] }
+    function stats(side, k,   n, a, p, i, j, t) {
+      n = 0
+      for (p = 1; p <= maxpair; p++) if ((side, k, p) in v) a[n++] = v[side, k, p]
+      for (i = 1; i < n; i++) for (j = i; j > 0 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
+      med[side] = qs(a, n, 0.5); iqr[side] = qs(a, n, 0.75) - qs(a, n, 0.25)
+    }
+    FNR == 1 { side = FILENAME == ARGV[1] ? "p" : "c" }
+    NF == 4 {
+      k = $1 " " $3; v[side, k, $2] = $4; keys[k] = 1
+      if ($2 + 0 > maxpair) maxpair = $2 + 0
+    }
+    END {
+      for (k in keys) {
+        stats("p", k); stats("c", k)
+        split(k, km, " "); higher = km[2] == "ci_cover_share" || km[2] == "ops_per_s"
+        wins = 0; n = 0
+        for (p = 1; p <= maxpair; p++) {
+          if (!(("p", k, p) in v) || !(("c", k, p) in v)) continue
+          n++; d = v["c", k, p] - v["p", k, p]
+          if ((higher && d > 0) || (!higher && d < 0)) wins++
+        }
+        ratio = med["p"] != 0 ? sprintf("%.3f", med["c"] / med["p"]) : "-"
+        printf "%-13s %-22s %12.6g %10.4g %12.6g %10.4g %7s %5s\n", km[1], km[2], med["p"], iqr["p"], med["c"], iqr["c"], ratio, wins "/" n
+      }
+    }' "$1" "$2" | LC_ALL=C sort -k1,1 -k2,2 |
+    { printf "%-13s %-22s %12s %10s %12s %10s %7s %5s\n" workload metric parent_med parent_iqr change_med change_iqr ratio wins; cat; }
+}
+
+# extract <workload> <pair>: the metrics of one run's output, one line each.
+extract() {
+  awk -v w="$1" -v p="$2" '
+    /^#diag / {
+      s = substr($0, 8); gsub(/[{}"]/, "", s); n = split(s, kv, ",")
+      for (i = 1; i <= n; i++) { split(kv[i], f, ":"); if (f[1] ~ /(_s|_ms)$/ || f[1] == "ops_per_s") print w, p, f[1], f[2] }
+      next
+    }
+    /^attempted / { print w, p, "failed", $4; next }
+    NF == 3 && $1 ~ /^[a-z_]+$/ && $2 ~ /^[0-9.eE+-]+$/ { print w, p, $1, $2 }'
+}
+
+if [ "${1:-}" = "--summary" ]; then
+  [ $# -eq 3 ] || { echo "usage: $0 --summary <parent-results> <change-results>" >&2; exit 2; }
+  summary "$2" "$3"
+  exit 0
+fi
+[ $# -ge 1 ] || { echo "usage: $0 <parent-ref> [workloads]" >&2; exit 2; }
+parent="$1"
+workloads="${2:-dash_point groupby_scan ingest_only ingest_mixed}"
+root="$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
+work="$(mktemp -d "${TMPDIR:-/tmp}/compare.XXXXXX")"
+out="${OUT:-$work}"
+mkdir -p "$out" "$work/parent" "$work/change"
+git -C "$root" archive "$parent" | tar -x -C "$work/parent"
+git -C "$root" archive "${CHANGE:-HEAD}" | tar -x -C "$work/change"
+: >"$out/parent.txt"
+: >"$out/change.txt"
+for pair in $(seq 1 "${PAIRS:-10}"); do
+  order="parent change"
+  [ $((pair % 2)) -eq 0 ] && order="change parent"
+  for w in $workloads; do
+    for side in $order; do
+      echo "pair $pair $w $side" >&2
+      (cd "$work/$side" && bash bench/run.sh --workload "$w" --seed "$pair" --seconds 8 --trace 0) |
+        extract "$w" "$pair" >>"$out/$side.txt"
+    done
+  done
+done
+rm -rf "$work/parent" "$work/change"
+summary "$out/parent.txt" "$out/change.txt"
+echo "results: $out" >&2

@@ -7,7 +7,8 @@
 # loc.sh code-line counter with its locdiff.sh diff, and smoke.sh's body
 # matcher, and doclinks.sh on fixture trees (a dead link, a dead
 # "ARCHITECTURE.md §N" reference and a route from before /v1 must each
-# fail). Run by `make check`. Needs
+# fail), and compare.sh's summary of two canned result files. Run by
+# `make check`. Needs
 # only bash, awk, diff, git.
 set -u
 cd "$(dirname "$0")/.."
@@ -97,6 +98,16 @@ t "doclinks fails on a § reference to a missing ARCHITECTURE.md section" 1 \
   bash scripts/doclinks.sh scripts/testdata/doclinks/dead_section
 t "doclinks fails on a Go comment naming a route from before /v1" 1 \
   bash scripts/doclinks.sh scripts/testdata/doclinks/old_route
+
+# --- compare.sh ----------------------------------------------------------
+# Golden test of the summary over two canned result files: medians and IQRs
+# by linear interpolation, wins per pair (lower is better, but higher for
+# ci_cover_share and ops_per_s; a tie is no win), and a pair the change
+# lacks left out of its count.
+t "compare summarises two canned result files" 0 \
+  bash -c 'bash scripts/compare.sh --summary scripts/testdata/compare/parent.txt scripts/testdata/compare/change.txt | diff -u scripts/testdata/compare/golden.txt -'
+t "compare --summary rejects a missing file argument" 2 \
+  bash scripts/compare.sh --summary scripts/testdata/compare/parent.txt
 
 if [ "$fails" -ne 0 ]; then
   echo "scripts_test: $fails failure(s)"
