@@ -15,7 +15,7 @@ var fixtureFamilyConfig = SmallGroupConfig{
 	Pairs:  [][2]string{{"a", "b"}},
 }
 
-// TestFamilyFixtureReencodes holds the DSSG store, version 6, to the bytes
+// TestFamilyFixtureReencodes holds the DSSG store, version 7, to the bytes
 // an earlier build wrote: testdata/family.dssg, a family with a pair table
 // and two levels, loads, records the config that built it, and saves back to
 // the identical stream.
@@ -62,5 +62,18 @@ func TestFamilyFixtureV5Refused(t *testing.T) {
 	}
 	if _, err := LoadSmallGroup(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), "store version 5") {
 		t.Fatalf("loading a version 5 store: %v, want it refused by version", err)
+	}
+}
+
+// TestFamilyFixtureV6Refused: testdata/family-v6.dssg, the family
+// testdata/family.dssg holds as version 6 wrote it, stores its overall sample
+// flattened, and a load refuses it by its version.
+func TestFamilyFixtureV6Refused(t *testing.T) {
+	old, err := os.ReadFile("testdata/family-v6.dssg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSmallGroup(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), "stores its overall sample flattened") {
+		t.Fatalf("loading a version 6 store: %v, want it refused by version", err)
 	}
 }

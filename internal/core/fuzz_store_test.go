@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"os"
 	"testing"
 
 	"dynsample/internal/congress"
@@ -13,8 +14,10 @@ import (
 // over-allocates its way to an OOM kill) on arbitrary bytes. Seeds include
 // a fully valid snapshot and targeted mutants, so the fuzzer starts deep
 // inside the format instead of bouncing off the magic check, a valid store
-// of each overall sample selector kind the config record holds, and one over
-// a star schema, whose fact slices record the dimension table they join.
+// of each overall sample selector kind the config record holds, one over a
+// star schema, whose fact slices record the dimension table they join, and
+// the version 7 fixture (a pair table and two levels) beside the version 6
+// one a load refuses.
 func FuzzLoadSmallGroup(f *testing.F) {
 	db := skewedDB(f, 2000)
 	save := func(cfg SmallGroupConfig) []byte {
@@ -35,6 +38,13 @@ func FuzzLoadSmallGroup(f *testing.F) {
 	}
 
 	f.Add(valid)
+	for _, fixture := range []string{"testdata/family.dssg", "testdata/family-v6.dssg"} {
+		b, err := os.ReadFile(fixture)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
 	f.Add(preparedBytes(f, prep(f, starDB(f, 2000, 5), SmallGroupConfig{BaseRate: 0.05, SmallGroupFraction: 0.1, Seed: 9})))
 	f.Add(valid[:len(valid)/2]) // truncated
 	f.Add(valid[:37])           // dies inside the metadata header

@@ -183,14 +183,13 @@ func NewOnline(sys *System, strategy string, cfg OnlineConfig) (*Online, error) 
 }
 
 // newFamily checks that p is a family online maintenance supports — the
-// two-level hierarchy, a uniform reservoir overall sample, every overall
-// sample row the view's columns and every small group table row the fact
-// table's, each then its mask words — and builds
-// its maintenance state at sample generation sampleGen. live is the newest
-// database: the mask source is bound and the rare-value counts seeded
-// against it. pinned is the database p was pre-processed from (live itself
-// unless batches arrived since): it gives the reservoir's stream length and
-// the values the columns left out of S held.
+// two-level hierarchy, a uniform reservoir overall sample, every sample row
+// the fact table's columns, then its mask words — and builds its maintenance
+// state at sample generation sampleGen. live is the newest database: the
+// mask source is bound and the rare-value counts seeded against it. pinned
+// is the database p was pre-processed from (live itself unless batches
+// arrived since): it gives the reservoir's stream length and the values the
+// columns left out of S held.
 func newFamily(p *smallGroupPrepared, live, pinned *engine.Database, sampleGen uint64, maxTracked int) (*family, error) {
 	if len(p.cfg.Levels) > 1 {
 		return nil, fmt.Errorf("core: online maintenance does not support the multi-level hierarchy")
@@ -199,22 +198,13 @@ func newFamily(p *smallGroupPrepared, live, pinned *engine.Database, sampleGen u
 		return nil, fmt.Errorf("core: the family was built over %d rows, the database holds %d", p.meta.BaseRows, live.NumRows())
 	}
 	words := maskWords(p.meta.Width())
-	check := func(tbl *engine.Table, arity int, of string) error {
-		switch {
+	for _, s := range p.samples() {
+		switch tbl := s.src.Fact; {
 		case tbl.Column(engine.WeightColumn) != nil:
-			return fmt.Errorf("core: online maintenance does not support weighted sample table %q", tbl.Name)
-		case tbl.NumCols() != arity+words:
-			return fmt.Errorf("core: sample table %q has %d columns, %s and the mask words make %d", tbl.Name, tbl.NumCols(), of, arity+words)
+			return nil, fmt.Errorf("core: online maintenance does not support weighted sample table %q", tbl.Name)
+		case tbl.NumCols() != live.Fact.NumCols()+words:
+			return nil, fmt.Errorf("core: sample table %q has %d columns, the fact table and the mask words make %d", tbl.Name, tbl.NumCols(), live.Fact.NumCols()+words)
 		}
-		return nil
-	}
-	for _, s := range p.tables {
-		if err := check(s.src.(*engine.Database).Fact, live.Fact.NumCols(), "the fact table"); err != nil {
-			return nil, err
-		}
-	}
-	if err := check(p.overall.src.(*engine.Table), len(live.Columns()), "the view"); err != nil {
-		return nil, err
 	}
 	if p.overall.rows() == 0 {
 		return nil, fmt.Errorf("core: empty overall sample")
@@ -353,7 +343,7 @@ func (o *Online) Apply(seq uint64, rows [][]engine.Value) (BatchStats, error) {
 	np := *o.p
 	np.db, np.dims = newDB, newDB.Dims
 	if seq > o.sampleGen {
-		o.applySampleUpdates(&np, lo, rows, words, perTable, victims, &st)
+		o.applySampleUpdates(&np, lo, words, perTable, victims, &st)
 		np.overallScale = float64(newDB.NumRows()) / float64(o.cap)
 		o.sampleGen = seq
 	}
@@ -447,49 +437,50 @@ func (f *family) classify(db *engine.Database, n int, rng *rand.Rand, bumpFreqs 
 }
 
 // applySampleUpdates materialises the classified batch, rows [lo, lo+n) of
-// np.db, into copy-on-write versions of the affected sample tables. An insert
-// is a row appended to a small group table's fact slice: the base row's fact
-// values, foreign keys included (the appender resolved them), then its mask
-// words; the slice is joined again to np.db's dimension tables, which may
-// have grown, and every slice the batch did not touch keeps its join. A swap
-// is an overall sample row overwritten with the batch row's view values and
-// mask words. Either touches the chunks the row sits in and shares every
-// other with the published version.
-func (f *family) applySampleUpdates(np *smallGroupPrepared, lo int, rows [][]engine.Value, words []uint64, perTable map[int][]int, victims []reservoirHit, st *BatchStats) {
+// np.db, into copy-on-write versions of the affected sample tables. A sample
+// row is the base row's fact values, foreign keys included (the appender
+// resolved them), then its mask words. An insert appends one to a small
+// group table's fact slice; a swap overwrites an overall sample slot with
+// one. Each slice changed is joined again to np.db's dimension tables, which
+// may have grown, and every slice the batch did not touch keeps its join.
+// Either touches the chunks the row sits in and shares every other with the
+// published version.
+func (f *family) applySampleUpdates(np *smallGroupPrepared, lo int, words []uint64, perTable map[int][]int, victims []reservoirHit, st *BatchStats) {
 	w := maskWords(f.p.meta.Width())
 	var buf []engine.Value
-	withMask := func(ri int) []engine.Value {
+	row := func(ri int) []engine.Value {
+		buf = buf[:0]
+		for _, c := range np.db.Fact.Columns() {
+			buf = append(buf, c.Value(lo+ri))
+		}
 		for _, word := range words[ri*w:][:w] {
 			buf = append(buf, engine.IntVal(int64(word)))
 		}
 		return buf
 	}
+	rejoin := func(s sampleSource, fact *engine.Table) sampleSource {
+		return sampleSource{src: s.src.Rejoin(fact, np.db.Dims...), name: s.name}
+	}
 	if len(perTable) > 0 {
 		np.tables = append([]sampleSource(nil), f.p.tables...)
 		for ix, list := range perTable {
-			t := np.tables[ix]
-			fact := t.src.(*engine.Database).Fact.CloneForAppend()
+			fact := np.tables[ix].src.Fact.CloneForAppend()
 			for _, ri := range list {
-				buf = buf[:0]
-				for _, c := range np.db.Fact.Columns() {
-					buf = append(buf, c.Value(lo+ri))
-				}
-				fact.AppendRow(withMask(ri)...)
+				fact.AppendRow(row(ri)...)
 				st.SmallGroupInserts++
 			}
-			np.tables[ix] = sampleSource{src: t.src.(*engine.Database).Rejoin(fact, np.db.Dims...), name: t.name}
+			np.tables[ix] = rejoin(np.tables[ix], fact)
 		}
 	}
 	if len(victims) > 0 {
-		ot := f.p.overall.src.(*engine.Table).CloneForAppend()
+		fact := f.p.overall.src.Fact.CloneForAppend()
 		for _, v := range victims {
 			// A slot replaced twice in one batch keeps the later row, exactly
 			// as sequential per-row reservoir updates would.
-			buf = append(buf[:0], rows[v.ri]...)
-			ot.SetRow(v.slot, withMask(v.ri)...)
+			fact.SetRow(v.slot, row(v.ri)...)
 			st.ReservoirSwaps++
 		}
-		np.overall = sampleSource{src: ot, name: f.p.overall.name}
+		np.overall = rejoin(f.p.overall, fact)
 	}
 }
 
@@ -531,7 +522,7 @@ func (o *Online) Rebase(p Prepared, rebuiltAt uint64, tail []TailBatch) error {
 		}
 		lo := int(f.seen)
 		words, perTable, victims := f.classify(np.db, len(b.Rows), randx.New(batchSeed(o.seed, b.Seq)), false)
-		f.applySampleUpdates(&np, lo, b.Rows, words, perTable, victims, new(BatchStats))
+		f.applySampleUpdates(&np, lo, words, perTable, victims, new(BatchStats))
 		f.sampleGen = b.Seq
 	}
 	np.overallScale = float64(np.db.NumRows()) / float64(f.cap)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"dynsample/internal/bitmask"
@@ -29,32 +30,26 @@ func ZipfDB(rows int) *engine.Database {
 	return engine.MustNewDatabase("det", fact)
 }
 
-// FamilyTables is a family's small group tables in index order, each fact
-// slice flattened through its join, then its overall sample: the flat join
+// FamilyTables is a family's small group tables in index order, then its
+// overall sample, each fact slice flattened through its join: the flat join
 // synopses the family's rows make.
 func FamilyTables(p Prepared) []*engine.Table {
-	sgp := p.(*smallGroupPrepared)
 	var out []*engine.Table
-	for _, t := range append(sgp.tables[:len(sgp.tables):len(sgp.tables)], sgp.overall) {
-		switch src := t.src.(type) {
-		case *engine.Table:
-			out = append(out, src)
-		case *engine.Database:
-			out = append(out, src.Flat(t.name))
-		}
+	for _, s := range p.(*smallGroupPrepared).samples() {
+		out = append(out, s.src.Flat(s.name))
 	}
 	return out
 }
 
-// FlatFamily is a copy of p that stores its small group tables as flat join
-// synopses, the layout before fact slices: the same rows, answered without a
+// FlatFamily is a copy of p that stores every sample table as a flat join
+// synopsis, the layout before fact slices: the same rows, answered without a
 // join.
 func FlatFamily(p Prepared) Prepared {
 	cp := *p.(*smallGroupPrepared)
 	flat := FamilyTables(p)
 	cp.tables = make([]sampleSource, len(cp.tables))
-	for i := range cp.tables {
-		cp.tables[i] = sampleSource{src: flat[i], name: flat[i].Name}
+	for i, s := range cp.samples() {
+		*s = sampleSource{src: engine.MustNewDatabase(flat[i].Name, flat[i]), name: flat[i].Name}
 	}
 	return &cp
 }
@@ -122,7 +117,9 @@ func TestAnswerWorkerCountDeterminism(t *testing.T) {
 // through its join, is db.Flatten of the base rows it holds, each with its
 // mask: under the two-level hierarchy every row of db whose mask has the
 // table's bit, with more levels the rows scan 2 draws over db (p must then
-// be a build over db, or a copy of one).
+// be a build over db, or a copy of one). The overall sample is a draw: each
+// of its rows, read through its join, must be a row of db with that row's
+// mask.
 func AssertSlicesHoldBaseRows(t *testing.T, p Prepared, db *engine.Database) {
 	t.Helper()
 	sgp := p.(*smallGroupPrepared)
@@ -155,7 +152,7 @@ func AssertSlicesHoldBaseRows(t *testing.T, p Prepared, db *engine.Database) {
 			rowMasks[j] = bitmask.FromWords(width, masks[r*words:(r+1)*words])
 		}
 		want := db.Flatten(s.name, rows[i], rowMasks, nil)
-		got := s.src.(*engine.Database).Flat(s.name)
+		got := s.src.Flat(s.name)
 		if got.NumRows() != want.NumRows() {
 			t.Fatalf("%s holds %d rows, the base %d", s.name, got.NumRows(), want.NumRows())
 		}
@@ -169,6 +166,37 @@ func AssertSlicesHoldBaseRows(t *testing.T, p Prepared, db *engine.Database) {
 					t.Fatalf("%s row %d column %s: %v, the base row %d holds %v", s.name, r, wc.Name, gc.Value(r), rows[i][r], wc.Value(r))
 				}
 			}
+		}
+	}
+
+	cols := db.Columns()
+	rowKey := func(src engine.Source, r int, accs []engine.ColumnAccessor) string {
+		vals := make([]engine.Value, len(cols))
+		for j, c := range cols {
+			if accs[j] == nil {
+				var err error
+				if accs[j], err = src.Accessor(c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			vals[j] = accs[j].Value(r)
+		}
+		return string(engine.EncodeKey(vals))
+	}
+	maskOf := make(map[string][]uint64, n) // a view row's values -> its mask
+	baseAccs := make([]engine.ColumnAccessor, len(cols))
+	for r := range n {
+		maskOf[rowKey(db, r, baseAccs)] = masks[r*words : (r+1)*words]
+	}
+	o := sgp.overall
+	got, accs := o.src.Flat(o.name), make([]engine.ColumnAccessor, len(cols))
+	for r := range got.NumRows() {
+		want, ok := maskOf[rowKey(got, r, accs)]
+		if !ok {
+			t.Fatalf("%s row %d, read through its join, is no row of the base", o.name, r)
+		}
+		if m, _ := got.RowMask(r); width > 0 && !slices.Equal(m.Words(), want) {
+			t.Fatalf("%s row %d has mask %x, its base row %x", o.name, r, m.Words(), want)
 		}
 	}
 }

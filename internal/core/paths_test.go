@@ -96,9 +96,9 @@ func savedBytes(t *testing.T, p core.Prepared) []byte {
 // re-save, to the same bytes; online batches; a Rebase with a tail; and
 // ingest.Snapshot.Restore over the base plus the checkpoint's delta — the
 // online ones when online maintenance supports the family. After each, every
-// small group table read through its join holds the base rows it should
-// (core.AssertSlicesHoldBaseRows), and two paths to one family answer the
-// queries bit for bit alike. A save restored over another base of the same
+// sample table, the overall sample's too, read through its join holds the base
+// rows it should (core.AssertSlicesHoldBaseRows), and two paths to one family
+// answer the queries bit for bit alike. A save restored over another base of the same
 // row count is refused, by the dimension's name.
 func throughEveryPath(t *testing.T, st *core.SmallGroup, online bool, queries []*engine.Query) {
 	t.Helper()
@@ -149,12 +149,18 @@ func throughEveryPath(t *testing.T, st *core.SmallGroup, online bool, queries []
 		if err != nil {
 			t.Fatal(err)
 		}
+		swaps := 0
 		for i, b := range batches[:3] {
 			for _, o := range []*core.Online{onA, onB} {
-				if _, err := o.Apply(uint64(i+1), b); err != nil {
+				st, err := o.Apply(uint64(i+1), b)
+				if err != nil {
 					t.Fatal(err)
 				}
+				swaps += st.ReservoirSwaps
 			}
+		}
+		if swaps == 0 {
+			t.Fatal("online batches: no reservoir swap reached the overall sample")
 		}
 		core.AssertSlicesHoldBaseRows(t, onA.Prepared(), onA.DB())
 		if !bytes.Equal(savedBytes(t, onA.Prepared()), savedBytes(t, onB.Prepared())) {

@@ -193,9 +193,9 @@ type plannerStats struct {
 // overall sample per column of S.
 func (ps *plannerStats) build(p *smallGroupPrepared) {
 	ps.cols = make(map[string]colDist, len(p.meta.Columns()))
-	otbl := p.overall.src.(*engine.Table)
-	ps.overallRows = int64(otbl.NumRows())
-	ps.uniform = otbl.Column(engine.WeightColumn) == nil && p.overallScale > 0
+	sample := p.overall.src
+	ps.overallRows = int64(sample.NumRows())
+	ps.uniform = sample.Fact.Column(engine.WeightColumn) == nil && p.overallScale > 0
 	ps.baseRows = float64(p.meta.BaseRows)
 	if ps.uniform {
 		// The live row count: overallScale is maintained across ingest.
@@ -206,7 +206,7 @@ func (ps *plannerStats) build(p *smallGroupPrepared) {
 		scale = 1
 	}
 	for _, cm := range p.meta.Columns() {
-		acc, err := otbl.Accessor(cm.Column)
+		acc, err := sample.Accessor(cm.Column)
 		if err != nil {
 			continue
 		}
@@ -214,7 +214,7 @@ func (ps *plannerStats) build(p *smallGroupPrepared) {
 		for row := 0; row < int(ps.overallRows); row++ {
 			v := acc.Value(row)
 			if _, common := cm.Common[v]; common {
-				est[v] += otbl.RowWeight(row) * scale
+				est[v] += sample.Fact.RowWeight(row) * scale
 			}
 		}
 		// Common values the sample missed still exist; credit them one
@@ -233,20 +233,20 @@ func (ps *plannerStats) build(p *smallGroupPrepared) {
 		ps.cols[cm.Column] = d
 	}
 	// Columns outside S (no rare values worth a table, or too many distinct
-	// values) still split group-bys. The overall sample is a flat table, so
-	// their whole marginal is estimated from it — values it missed stay
-	// invisible, which predictError surfaces as a caveat.
-	for _, col := range otbl.ColumnNames() {
-		if _, done := ps.cols[col]; done || strings.HasPrefix(col, engine.ReservedPrefix) {
+	// values) still split group-bys. The overall sample answers every view
+	// column, so their whole marginal is estimated from it — values it missed
+	// stay invisible, which predictError surfaces as a caveat.
+	for _, col := range sample.Columns() {
+		if _, done := ps.cols[col]; done {
 			continue
 		}
-		acc, err := otbl.Accessor(col)
+		acc, err := sample.Accessor(col)
 		if err != nil {
 			continue
 		}
 		est := make(map[engine.Value]float64)
 		for row := 0; row < int(ps.overallRows); row++ {
-			est[acc.Value(row)] += otbl.RowWeight(row) * scale
+			est[acc.Value(row)] += sample.Fact.RowWeight(row) * scale
 		}
 		ps.cols[col] = colDist{common: bucketize(est), outsideS: true}
 	}

@@ -172,9 +172,9 @@ func naivePreprocess(cfg SmallGroupConfig, db *engine.Database, flat bool) (*sma
 		for j, r := range rows {
 			masks[j] = maskOf(r)
 		}
-		src := sampleSource{name: name, src: naiveFlatten(db, name, rows, masks, w)}
-		if i < width && !flat {
-			src.src = naiveSlice(db, name, rows, masks, w)
+		src := sampleSource{name: name, src: naiveSlice(db, name, rows, masks, w)}
+		if flat {
+			src.src = engine.MustNewDatabase(name, naiveFlatten(db, name, rows, masks, w))
 		}
 		if i < width {
 			p.tables[i] = src
@@ -669,13 +669,8 @@ func familyBytes(t *testing.T, p *smallGroupPrepared) []byte {
 			t.Fatal(err)
 		}
 	}
-	for _, s := range append(append([]sampleSource{}, p.tables...), p.overall) {
-		switch src := s.src.(type) {
-		case *engine.Table:
-			write(src)
-		case *engine.Database:
-			write(src.Fact)
-		}
+	for _, s := range p.samples() {
+		write(s.src.Fact)
 	}
 	return buf.Bytes()
 }
@@ -879,22 +874,15 @@ func probeBatches(t *testing.T, db *engine.Database, meta *Metadata, rng *rand.R
 func detached(t *testing.T, p *smallGroupPrepared) *smallGroupPrepared {
 	t.Helper()
 	copyOf := func(s sampleSource) sampleSource {
-		tbl, flat := s.src.(*engine.Table)
-		if !flat {
-			tbl = s.src.(*engine.Database).Fact
-		}
 		var buf bytes.Buffer
-		if err := engine.WriteBinary(tbl, &buf); err != nil {
+		if err := engine.WriteBinary(s.src.Fact, &buf); err != nil {
 			t.Fatal(err)
 		}
 		cp, err := engine.ReadBinary(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !flat {
-			return sampleSource{src: engine.MustNewDatabase(s.name, cp, s.src.(*engine.Database).Dims...), name: s.name}
-		}
-		return sampleSource{src: cp, name: s.name}
+		return sampleSource{src: engine.MustNewDatabase(s.name, cp, s.src.Dims...), name: s.name}
 	}
 	cp := *p
 	cp.tables = make([]sampleSource, len(p.tables))
@@ -963,7 +951,7 @@ func AssertOnlineClassifyMatchesNaive(t *testing.T, db *engine.Database, cfg Sma
 		want := detached(t, before)
 		want.db = o.DB()
 		var wst BatchStats
-		(&family{p: want}).applySampleUpdates(want, lo, rows, words, perTable, victims, &wst)
+		(&family{p: want}).applySampleUpdates(want, lo, words, perTable, victims, &wst)
 		if st.SmallGroupInserts != wst.SmallGroupInserts || st.ReservoirSwaps != wst.ReservoirSwaps {
 			t.Fatalf("batch %d: %d inserts and %d swaps, naive %d and %d", seq, st.SmallGroupInserts, st.ReservoirSwaps, wst.SmallGroupInserts, wst.ReservoirSwaps)
 		}
@@ -1006,7 +994,7 @@ func AssertOnlineClassifyMatchesNaive(t *testing.T, db *engine.Database, cfg Sma
 	for _, b := range tail {
 		var st BatchStats
 		words, perTable, victims := naiveClassifyBatch(nf, b.Rows, randx.New(batchSeed(seed, b.Seq)), false)
-		(&family{p: replayed}).applySampleUpdates(replayed, lo, b.Rows, words, perTable, victims, &st)
+		(&family{p: replayed}).applySampleUpdates(replayed, lo, words, perTable, victims, &st)
 		got := make([]uint64, len(words))
 		o.split.masks(lo, len(b.Rows), got)
 		if !reflect.DeepEqual(got, words) {

@@ -406,12 +406,11 @@ func overallScale(n int, rows []int, weights []float64) float64 {
 	return 1
 }
 
-// materialise stores each row list as a sample table. The overall sample is
-// a flat join synopsis, every view column copied in, because every plan
-// scans it. Each small group table is a fact slice (engine.FactSlice): its
-// rows' fact-table columns and foreign keys joined to db's own dimension
-// tables, the renormalized join synopsis of §5.2.2 with the base's dimensions
-// for the reduced ones. Its dimension columns cost no sample space.
+// materialise stores each row list as a sample table, a fact slice
+// (engine.FactSlice): its rows' fact-table columns and foreign keys joined to
+// db's own dimension tables, the renormalized join synopsis of §5.2.2 with
+// the base's dimensions for the reduced ones. Its dimension columns cost no
+// sample space.
 func (split *bandSplit) materialise(db *engine.Database, cfg SmallGroupConfig, rows *sampleRows) *smallGroupPrepared {
 	meta, width := split.meta, split.meta.Width()
 	p := &smallGroupPrepared{db: db, dims: db.Dims, meta: meta, cfg: cfg, tables: make([]sampleSource, width),
@@ -446,7 +445,7 @@ func (split *bandSplit) materialise(db *engine.Database, cfg SmallGroupConfig, r
 		if i < width {
 			p.tables[i] = sampleSource{src: db.FactSlice(names[i], list, masks, w), name: names[i]}
 		} else {
-			p.overall = sampleSource{src: db.Flatten("sg_overall", list, masks, w), name: "sg_overall"}
+			p.overall = sampleSource{src: db.FactSlice("sg_overall", list, masks, w), name: "sg_overall"}
 		}
 	})
 	return p

@@ -14,24 +14,15 @@ import (
 	"dynsample/internal/stats"
 )
 
-// sampleSource is one stored sample: the overall sample's flat table, or a
-// small group table's fact slice joined to the dimension tables
+// sampleSource is one stored sample, the overall sample or a small group
+// table: a fact slice joined to the dimension tables
 // (engine.Database.FactSlice).
 type sampleSource struct {
-	src  engine.Source
+	src  *engine.Database
 	name string
 }
 
 func (s sampleSource) rows() int64 { return int64(s.src.NumRows()) }
-
-// bytes is size of the table s stores: a fact slice's dimension tables are
-// the base data's, not the sample's.
-func (s sampleSource) bytes(size func(*engine.Table) int64) int64 {
-	if slice, ok := s.src.(*engine.Database); ok {
-		return size(slice.Fact)
-	}
-	return size(s.src.(*engine.Table))
-}
 
 // smallGroupPrepared is Prepared's one implementation: the small group tables
 // (one per column of S), the overall sample, and the metadata catalog used
@@ -86,13 +77,24 @@ func (p *smallGroupPrepared) workers() int { return p.cfg.Workers }
 func (p *smallGroupPrepared) Tables() []*engine.Table {
 	out := make([]*engine.Table, len(p.tables))
 	for i, s := range p.tables {
-		out[i] = s.src.(*engine.Database).Flat(s.name)
+		out[i] = s.src.Flat(s.name)
 	}
 	return out
 }
 
-// Overall exposes the overall sample table.
-func (p *smallGroupPrepared) Overall() *engine.Table { return p.overall.src.(*engine.Table) }
+// Overall returns the overall sample flattened through its join, as Tables
+// does the small group tables.
+func (p *smallGroupPrepared) Overall() *engine.Table { return p.overall.src.Flat(p.overall.name) }
+
+// samples returns every sample the family stores: the small group tables in
+// index order, then the overall sample.
+func (p *smallGroupPrepared) samples() []*sampleSource {
+	out := make([]*sampleSource, 0, len(p.tables)+1)
+	for i := range p.tables {
+		out = append(out, &p.tables[i])
+	}
+	return append(out, &p.overall)
+}
 
 // ErrOtherDimensions is wrapped by the error binding a family loaded from
 // disk to a database returns when the database's dimension tables are not
@@ -122,8 +124,8 @@ func (p *smallGroupPrepared) bind(db *engine.Database) error {
 			return fmt.Errorf("core: %w: dimension %q holds other rows than the family was saved over", ErrOtherDimensions, st.name)
 		}
 	}
-	for i, t := range p.tables {
-		fact := t.src.(*engine.Database).Fact
+	for _, t := range p.samples() {
+		fact := t.src.Fact
 		slice, err := engine.NewDatabase(t.name, fact, db.Dims...)
 		if err != nil {
 			return fmt.Errorf("core: binding %s: %w", t.name, err)
@@ -138,7 +140,7 @@ func (p *smallGroupPrepared) bind(db *engine.Database) error {
 				}
 			}
 		}
-		p.tables[i].src = slice
+		t.src = slice
 	}
 	p.dims, p.stamps = db.Dims, nil
 	return nil
@@ -327,33 +329,29 @@ func stepRows(st RewriteStep) int64 {
 
 // SampleRows implements Prepared.
 func (p *smallGroupPrepared) SampleRows() int64 {
-	n := p.overall.rows()
-	for _, t := range p.tables {
-		n += t.rows()
+	var n int64
+	for _, s := range p.samples() {
+		n += s.rows()
 	}
 	return n
 }
 
-// SampleBytes implements Prepared: the logical size the space budgets count.
-func (p *smallGroupPrepared) SampleBytes() int64 { return p.bytes((*engine.Table).ApproxBytes) }
-
-// StoredBytes implements Prepared: what the tables hold, each fact slice's
-// join (engine.Database.ViewBytes) and the metadata's value sets.
-func (p *smallGroupPrepared) StoredBytes() int64 {
-	b := p.bytes((*engine.Table).StoredBytes) + p.meta.heldBytes()
-	for _, t := range p.tables {
-		if slice, ok := t.src.(*engine.Database); ok {
-			b += slice.ViewBytes()
-		}
+// SampleBytes implements Prepared: the logical size the space budgets count,
+// the samples' fact tables. Their dimension tables are the base data's.
+func (p *smallGroupPrepared) SampleBytes() int64 {
+	var b int64
+	for _, s := range p.samples() {
+		b += s.src.Fact.ApproxBytes()
 	}
 	return b
 }
 
-// bytes sums a size over the sample tables.
-func (p *smallGroupPrepared) bytes(size func(*engine.Table) int64) int64 {
-	b := p.overall.bytes(size)
-	for _, t := range p.tables {
-		b += t.bytes(size)
+// StoredBytes implements Prepared: what the samples' fact tables and joins
+// (engine.Database.ViewBytes) hold, and the metadata's value sets.
+func (p *smallGroupPrepared) StoredBytes() int64 {
+	b := p.meta.heldBytes()
+	for _, s := range p.samples() {
+		b += s.src.Fact.StoredBytes() + s.src.ViewBytes()
 	}
 	return b
 }

@@ -26,12 +26,14 @@ import (
 
 const storeMagic = "DSSG"
 
-// storeVersion 6 stores each small group table as a fact slice and records
-// the dimension tables the slices join (dimStamp), where version 5 stored
-// every table flattened; version 5 recorded the whole configuration that
-// built the family (familySpec) where version 4 kept only MaxTablesPerQuery
-// and τ. It is the only version read: nothing writes another.
-const storeVersion = 6
+// storeVersion 7 stores every sample table, the overall sample too, as a
+// fact slice, where version 6 stored the overall sample flattened; version 6
+// recorded the dimension tables the slices join (dimStamp), where version 5
+// stored every table flattened; version 5 recorded the whole configuration
+// that built the family (familySpec) where version 4 kept only
+// MaxTablesPerQuery and τ. It is the only version read: nothing writes
+// another.
+const storeVersion = 7
 
 // Caps on the lengths and counts read back (binio refuses one over its cap):
 // a truncated or corrupted header must produce a descriptive error, not a
@@ -46,9 +48,9 @@ const (
 
 // SaveSmallGroup serialises a sample family (as returned by any strategy's
 // Preprocess or a previous LoadSmallGroup): the header, the metadata and the
-// dimension tables the small group tables join in binio's field layout, then
-// the tables in the engine table format — each small group table's fact
-// slice, then the flat overall sample.
+// dimension tables the sample tables join in binio's field layout, then the
+// tables in the engine table format: each sample's fact table, the small group
+// tables' in index order, then the overall sample's.
 func SaveSmallGroup(w io.Writer, p Prepared) error {
 	sgp, ok := p.(*smallGroupPrepared)
 	if !ok {
@@ -111,13 +113,12 @@ func SaveSmallGroup(w io.Writer, p Prepared) error {
 		return err
 	}
 
-	// Tables: small group tables in index order, then the overall sample.
-	for _, t := range sgp.tables {
-		if err := engine.WriteBinary(t.src.(*engine.Database).Fact, w); err != nil {
+	for _, t := range sgp.samples() {
+		if err := engine.WriteBinary(t.src.Fact, w); err != nil {
 			return err
 		}
 	}
-	return engine.WriteBinary(sgp.overall.src.(*engine.Table), w)
+	return nil
 }
 
 // dimStamp records one dimension table a family's fact slices join: its
@@ -159,6 +160,8 @@ func LoadSmallGroup(r io.Reader) (Prepared, error) {
 		return nil, fmt.Errorf("core: store version 4 does not record the configuration that built the family; this build reads version %d only", storeVersion)
 	case version == 5:
 		return nil, fmt.Errorf("core: store version 5 stores its small group tables flattened, not as fact slices; this build reads version %d only", storeVersion)
+	case version == 6:
+		return nil, fmt.Errorf("core: store version 6 stores its overall sample flattened, not as a fact slice; this build reads version %d only", storeVersion)
 	case version != storeVersion:
 		return nil, fmt.Errorf("core: unsupported store version %d", version)
 	}
@@ -205,22 +208,20 @@ func LoadSmallGroup(r io.Reader) (Prepared, error) {
 	if len(stamps) > 0 {
 		p.stamps = stamps // the slices join their dimensions once a System binds them
 	}
-	for i := 0; i < meta.Width(); i++ {
+	// The sample tables: the small group tables in index order, then the
+	// overall sample.
+	for i := 0; i <= meta.Width(); i++ {
 		t, err := engine.ReadBinary(br)
-		if err != nil {
-			return nil, fmt.Errorf("core: reading sample table %d: %w", i, err)
+		var slice *engine.Database
+		if err == nil {
+			slice, err = engine.NewDatabase(t.Name, t)
 		}
-		slice, err := engine.NewDatabase(t.Name, t)
 		if err != nil {
-			return nil, fmt.Errorf("core: reading sample table %d: %w", i, err)
+			return nil, fmt.Errorf("core: reading sample table %d of %d: %w", i+1, meta.Width()+1, err)
 		}
 		p.tables = append(p.tables, sampleSource{src: slice, name: t.Name})
 	}
-	ot, err := engine.ReadBinary(br)
-	if err != nil {
-		return nil, fmt.Errorf("core: reading overall sample: %w", err)
-	}
-	p.overall = sampleSource{src: ot, name: ot.Name}
+	p.tables, p.overall = p.tables[:meta.Width()], p.tables[meta.Width()]
 	return p, nil
 }
 

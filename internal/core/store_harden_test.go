@@ -12,8 +12,9 @@ import (
 )
 
 // craftStore builds a raw store stream header-by-header so tests can plant
-// hostile length prefixes at exact positions. build writes everything after
-// the fixed header fields.
+// hostile length prefixes at exact positions: the header of store version 7,
+// up to the metadata's column count. build writes everything after it — the
+// rest of the metadata, the dimension stamps, then every sample's fact table.
 func craftStore(maxTables, ncols uint32, build func(w *bufio.Writer)) []byte {
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)

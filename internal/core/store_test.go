@@ -269,24 +269,33 @@ func TestRestoredFamilyWatchesItsOwnDistinctLimit(t *testing.T) {
 	}
 }
 
-// TestBindRefusesKeysPastTheDimension: a loaded fact slice whose foreign key
-// points past the rows its dimension was saved with is refused when a
-// System binds it, not read out of range by a scan.
+// TestBindRefusesKeysPastTheDimension: a loaded fact slice, a small group
+// table's or the overall sample's, whose foreign key points past the rows its
+// dimension was saved with is refused when a System binds it, not read out of
+// range by a scan.
 func TestBindRefusesKeysPastTheDimension(t *testing.T) {
 	db := starDB(t, 4000, 5)
-	loaded, err := LoadSmallGroup(bytes.NewReader(preparedBytes(t, prep(t, db, SmallGroupConfig{BaseRate: 0.05, SmallGroupFraction: 0.1, Seed: 9}))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fact := loaded.(*smallGroupPrepared).tables[0].src.(*engine.Database).Fact
-	row := fact.RowValues(0)
-	for j, name := range fact.ColumnNames() {
-		if name == "dim_fk" {
-			row[j] = engine.IntVal(40) // the dimension has rows 0..39
+	saved := preparedBytes(t, prep(t, db, SmallGroupConfig{BaseRate: 0.05, SmallGroupFraction: 0.1, Seed: 9}))
+	for _, which := range []string{"small group table", "overall sample"} {
+		loaded, err := LoadSmallGroup(bytes.NewReader(saved))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	fact.SetRow(0, row...)
-	if err := NewSystem(db).AddPrepared("smallgroup", loaded); err == nil || !strings.Contains(err.Error(), "refers to row 40") {
-		t.Fatalf("binding a slice with a key past its dimension: %v", err)
+		sgp := loaded.(*smallGroupPrepared)
+		fact := sgp.tables[0].src.Fact
+		if which == "overall sample" {
+			fact = sgp.overall.src.Fact
+		}
+		row := fact.RowValues(0)
+		for j, name := range fact.ColumnNames() {
+			if name == "dim_fk" {
+				row[j] = engine.IntVal(40) // the dimension has rows 0..39
+			}
+		}
+		fact.SetRow(0, row...)
+		err = NewSystem(db).AddPrepared("smallgroup", loaded)
+		if err == nil || !strings.Contains(err.Error(), "binding "+fact.Name) || !strings.Contains(err.Error(), "refers to row 40") {
+			t.Fatalf("binding a %s with a key past its dimension: %v", which, err)
+		}
 	}
 }

@@ -88,7 +88,7 @@ func (t *Table) CloneForAppend() *Table {
 	for i, c := range t.cols {
 		nt.cols[i] = c.cloneForAppend()
 	}
-	nt.owned = nil
+	nt.owned, nt.arrays = nil, new(columnArrays)
 	return &nt
 }
 
@@ -97,7 +97,8 @@ func (t *Table) CloneForAppend() *Table {
 // it is stored, so versions this one was cloned from keep their rows and
 // every other chunk stays shared; a value outside a packed copy's span has it
 // sealed again, wider. Dictionaries are shared too: replacement strings append
-// new codes, never rewrite old entries.
+// new codes, never rewrite old entries. The version's unpacked columns are
+// dropped: a join reads the written row from arrays built after it.
 func (t *Table) SetRow(i int, vals ...Value) {
 	if len(vals) != len(t.cols) {
 		panic(fmt.Sprintf("engine: row has %d values, table %q has %d columns", len(vals), t.Name, len(t.cols)))
@@ -120,6 +121,7 @@ func (t *Table) SetRow(i int, vals ...Value) {
 	for j, v := range vals {
 		t.cols[j].setValue(i, v)
 	}
+	t.arrays = new(columnArrays)
 }
 
 // Appender grows a star-schema database with streamed row appends. Each

@@ -48,7 +48,7 @@ func (db *Database) WriteRowsBinary(w io.Writer, name string, lo, hi int) error 
 	views := make([]ColumnView, len(db.colNames))
 	for i, cn := range db.colNames {
 		views[i], _ = db.View(cn) // a name from colNames is bound
-		views[i].sealLast()
+		views[i].unpack()
 	}
 	return writeRows(w, name, views, lo, hi, true)
 }

@@ -14,7 +14,7 @@ import (
 
 // The storage differential test: chunked[T] against a plain slice. Everything
 // the storage offers — push across seals, set inside and outside a chunk's
-// span, versions, sealLast, gather, the binary format — is driven through the
+// span, versions, unpacking, gather, the binary format — is driven through the
 // Table calls that reach it, and after every step each row, each chunk's
 // decode in order, from an odd offset and through a selection, the column's
 // bounds and its byte count are held to the slice.
@@ -284,14 +284,14 @@ func TestChunkedMatchesSliceModel(t *testing.T) {
 					}
 					flat := MustNewDatabase("db", cur.tbl).Flatten("flat", at, nil, nil)
 					codecTable{flat, rows, map[int]bool{}}.check(t, what+", flattened", rng)
-				case 7: // as a dimension's view: the tail sealed into the list, rows gathered
+				case 7: // as a dimension's view: the rows unpacked, then gathered
 					v := cur.tbl.cols[0].View()
 					fk := NewColumn("fk", Int)
 					for j := 0; j < 300; j++ {
 						fk.AppendInt(int64(rng.Intn(len(cur.rows))))
 					}
-					v.fk, v.Dim = fk.ints, 0
-					v.sealLast()
+					v.fk, v.Dim, v.dim = fk.ints, 0, cur.tbl
+					v.unpack()
 					buf := newBlockBuf()
 					got, at := window(&v.ints, &v, identity[:fk.Len()], 0, buf.ints, &buf)
 					for j, a := range at {

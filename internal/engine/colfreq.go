@@ -55,22 +55,19 @@ type ColumnView struct {
 
 	fk  chunked[int64] // fact row -> row of the owning dimension; unset for fact columns
 	Dim int            // index into Database.Dims; -1 for fact columns
+	dim *Table         // the dimension table version; nil for fact columns
+	// joined is a dimension column's rows as one array ([]int64, []float64
+	// or []int32 by Type), once unpack has run: what window gathers from.
+	joined any
 }
 
-// sealLast gives the view of a dimension column every row in the sealed
-// list. Rows read through a join come in no order, and a dimension of a chunk
-// or two has half of them in its open tail: read row by row in two forms,
-// they cost a mispredicted branch each. A view whose rows are gathered
-// (window) is therefore bound with a sealed copy of the tail.
-func (v *ColumnView) sealLast() {
-	switch {
-	case v.Dim < 0:
-	case v.Type == Int:
-		v.ints.sealLast(v.rows)
-	case v.Type == Float:
-		v.floats.sealLast(v.rows)
-	default:
-		v.codes.sealLast(v.rows)
+// unpack gives the view of a dimension column every row of the column in
+// one array, which window indexes by the block's foreign keys
+// (Table.unpacked). A view is unpacked by the readers that gather rows
+// through the join: the scan kernel, WriteRowsBinary and the accessors.
+func (v *ColumnView) unpack() {
+	if v.dim != nil {
+		v.joined = v.dim.unpacked(v.dim.byName[v.Name])
 	}
 }
 
@@ -87,7 +84,7 @@ func (db *Database) View(name string) (ColumnView, error) {
 	}
 	v := col.View()
 	if fk != nil {
-		v.fk, v.Dim = fk.ints, b.dim
+		v.fk, v.Dim, v.dim = fk.ints, b.dim, db.Dims[b.dim].Table
 	}
 	return v, nil
 }

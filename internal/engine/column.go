@@ -373,19 +373,6 @@ func (s *chunked[T]) set(i int, v T) {
 	}
 }
 
-// sealLast gives this copy of the header — a view's — its last chunk sealed
-// and in the list, the open tail's rows (the column holds rows in all) in a
-// copy: then every row of the column is in the list, in one form.
-func (s *chunked[T]) sealLast(rows int) {
-	if k := len(s.sealed); rows > k<<chunkShift {
-		c := s.last
-		if c.width == 0 {
-			c = seal(append([]T(nil), c.wide[:rows-k<<chunkShift]...))
-		}
-		s.sealed, s.last = append(s.sealed[:k:k], c), chunk[T]{}
-	}
-}
-
 // Column is a typed column of values, stored in chunks (see chunked). String
 // columns are dictionary-encoded: distinct strings are stored once and rows
 // hold codes, at as many bits each as the span of the chunk's codes needs,

@@ -148,32 +148,52 @@ func (db *Database) ColumnType(name string) (Type, error) {
 
 // Accessor implements Source.
 func (db *Database) Accessor(name string) (ColumnAccessor, error) {
-	col, fk, _, err := db.column(name)
+	col, fk, b, err := db.column(name)
 	switch {
 	case err != nil:
 		return nil, err
 	case fk == nil:
 		return col, nil
-	case col.Type == String:
-		return &fkCodeAccessor{fkAccessor{fk: fk, col: col}}, nil
 	}
-	return &fkAccessor{fk: fk, col: col}, nil
+	a := fkAccessor{fk: fk, col: col}
+	switch vals := db.Dims[b.dim].Table.unpacked(b.col).(type) {
+	case []int64:
+		a.ints = vals
+	case []float64:
+		a.floats = vals
+	case []int32:
+		a.codes = vals
+		return &fkCodeAccessor{a}, nil
+	}
+	return &a, nil
 }
 
-// fkAccessor reads a dimension column through a fact FK column.
+// fkAccessor reads a dimension column through a fact FK column, from the
+// column's unpacked rows (Table.unpacked): ints, floats or codes by its type.
 type fkAccessor struct {
-	fk  *Column
-	col *Column
+	fk, col *Column
+	ints    []int64
+	floats  []float64
+	codes   []int32
 }
 
-func (a *fkAccessor) Value(row int) Value   { return a.col.Value(int(a.fk.Int(row))) }
-func (a *fkAccessor) Float(row int) float64 { return a.col.Float(int(a.fk.Int(row))) }
-func (a *fkAccessor) Type() Type            { return a.col.Type }
+func (a *fkAccessor) Value(row int) Value {
+	switch r := a.fk.Int(row); a.col.Type {
+	case Int:
+		return IntVal(a.ints[r])
+	case Float:
+		return FloatVal(a.floats[r])
+	default:
+		return StringVal(a.col.dict[a.codes[r]])
+	}
+}
+
+func (a *fkAccessor) Float(row int) float64 { return a.Value(row).Float() }
 
 // fkCodeAccessor adds dictionary-code access for string dimension columns.
 type fkCodeAccessor struct{ fkAccessor }
 
-func (a *fkCodeAccessor) Code(row int) int32          { return a.col.Code(int(a.fk.Int(row))) }
+func (a *fkCodeAccessor) Code(row int) int32          { return a.codes[a.fk.Int(row)] }
 func (a *fkCodeAccessor) DictSize() int               { return a.col.DictSize() }
 func (a *fkCodeAccessor) DictValue(code int32) string { return a.col.DictValue(code) }
 

@@ -117,7 +117,7 @@ func bindQuery(src Source, q *Query, exclude bitmask.Mask) (*boundQuery, error) 
 		if err != nil {
 			return v, fmt.Errorf("%s column: %w", role, err)
 		}
-		v.sealLast()
+		v.unpack()
 		return v, nil
 	}
 	var err error
@@ -262,16 +262,16 @@ var identity = func() (id [scanBlockRows]int32) {
 // (floats, integers that need their whole width, the open tail) is read in
 // place: at is sel itself. A packed chunk is decoded, the selected rows only,
 // into vals (in order, without looking at sel, while every row is still
-// selected). A dimension column (see ColumnView.sealLast) is gathered into
-// vals through the block's foreign keys, themselves read in one of the first
-// two ways, once for all the columns of the dimension (blockBuf.join). A nil
-// v is a fact column.
+// selected). A dimension column is gathered into vals from its unpacked rows
+// (ColumnView.unpack) by the block's foreign keys, themselves read in one of
+// the first two ways, once for all the columns of the dimension
+// (blockBuf.join). A nil v is a fact column.
 func window[T stored](s *chunked[T], v *ColumnView, sel []int32, lo int, vals []T, buf *blockBuf) ([]T, []int32) {
 	if v != nil && v.Dim >= 0 {
 		rows, at := buf.join(v, sel, lo)
+		dim := v.joined.([]T)
 		for j, a := range at {
-			r := int(rows[a])
-			vals[j] = s.sealed[r>>chunkShift].at(r & (chunkRows - 1))
+			vals[j] = dim[rows[a]]
 		}
 		return vals, identity[:len(sel)]
 	}

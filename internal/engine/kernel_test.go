@@ -671,8 +671,9 @@ func TestKernelUnknownPredicateImplementation(t *testing.T) {
 
 // scanBenchData is a TPC-H-shaped star schema — fact columns, a small and a
 // large dimension, strings and ints of the benchmark's cardinalities, zipf
-// skew — and a flat weighted sample of it whose rows carry membership masks.
-func scanBenchData(n int) (*Database, *Table) {
+// skew — and a weighted sample of it whose rows carry membership masks, as a
+// flat table and as a fact slice.
+func scanBenchData(n int) (*Database, *Table, *Database) {
 	rng := rand.New(rand.NewSource(17))
 	zipf := func(card int) func() int {
 		z := randx.NewZipf(2, card)
@@ -712,7 +713,7 @@ func scanBenchData(n int) (*Database, *Table) {
 		}
 		weights[r] = 1 + rng.Float64()*99
 	}
-	return db, db.Flatten("sample", rows, masks, weights)
+	return db, db.Flatten("sample", rows, masks, weights), db.FactSlice("sample", rows, masks, weights)
 }
 
 var scanBenchGroupBys = [][]string{
@@ -730,11 +731,13 @@ func scanBenchQuery(groupBy []string) *Query {
 }
 
 // BenchmarkScanKernel measures the scan layer alone, one worker: the base
-// database read through its foreign keys (the /v1/exact path) and a flat
-// sample table with masks, weights and an ExcludeMask (one step of a rewrite
-// plan), for one, three and four group-by columns.
+// database read through its foreign keys (the /v1/exact path), a flat sample
+// table with masks, weights and an ExcludeMask (one step of a rewrite plan),
+// and the same sample rows as a fact slice joined to the base's dimensions
+// (the form a sample family serves), for one, three and four group-by
+// columns.
 func BenchmarkScanKernel(b *testing.B) {
-	db, sample := scanBenchData(1 << 18)
+	db, sample, slice := scanBenchData(1 << 18)
 	sources := []struct {
 		name string
 		src  Source
@@ -742,6 +745,7 @@ func BenchmarkScanKernel(b *testing.B) {
 	}{
 		{"base", db, ExecOptions{MarkExact: true}},
 		{"sample", sample, ExecOptions{Scale: 4, ExcludeMask: bitmask.FromBits(9, 2, 5)}},
+		{"slice", slice, ExecOptions{Scale: 4, ExcludeMask: bitmask.FromBits(9, 2, 5)}},
 	}
 	for _, s := range sources {
 		for _, groupBy := range scanBenchGroupBys {
@@ -770,7 +774,7 @@ func BenchmarkScanKernel(b *testing.B) {
 // times over, so the whole scan meets exactly the groups its first quarter
 // does.
 func TestScanAllocatesPerGroupNotPerRow(t *testing.T) {
-	db, _ := scanBenchData(ScanShardRows)
+	db, _, _ := scanBenchData(ScanShardRows)
 	rows := make([]int, 4*ScanShardRows)
 	for i := range rows {
 		rows[i] = i % ScanShardRows

@@ -6,6 +6,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
 	"unsafe"
 
 	"dynsample/internal/binio"
@@ -25,6 +26,55 @@ type Table struct {
 
 	// owned holds the chunk numbers SetRow has copied for this version.
 	owned map[int]bool
+	// arrays is this version's columns unpacked, for a join to read.
+	arrays *columnArrays
+}
+
+// columnArrays holds, per column of one table version, every row of the
+// column in one array ([]int64, []float64 or []int32 by its type), which a
+// star join reads by index: a dimension's rows are read in the order of the
+// fact rows that refer to them, and a packed chunk read row by row costs a
+// branch and a shift each. A column's array is built on its first read
+// through a join (ColumnView.unpack) and shared by every database version
+// and fact slice that holds the table. A version the Appender grows
+// (CloneForAppend) or SetRow writes to starts a new holder, so no version
+// reads an array of rows that are not its own.
+type columnArrays struct {
+	mu   sync.Mutex
+	rows int   // the table's rows when cols was made
+	cols []any // by column position; nil until read
+}
+
+// unpacked returns every row of column j as one array, building it on the
+// first call. Readers of one version may call it at once; they share one
+// array.
+func (t *Table) unpacked(j int) any {
+	u := t.arrays
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	if u.rows != t.rows || len(u.cols) != len(t.cols) { // this version grew in place
+		u.rows, u.cols = t.rows, make([]any, len(t.cols))
+	}
+	if u.cols[j] == nil {
+		switch c := t.cols[j]; c.Type {
+		case Int:
+			u.cols[j] = unpackRows(&c.ints, c.n)
+		case Float:
+			u.cols[j] = unpackRows(&c.floats, c.n)
+		default:
+			u.cols[j] = unpackRows(&c.codes, c.n)
+		}
+	}
+	return u.cols[j]
+}
+
+// unpackRows decodes the first n rows of s into one array.
+func unpackRows[T stored](s *chunked[T], n int) []T {
+	out := make([]T, n)
+	for lo := 0; lo < n; lo += chunkRows {
+		s.chunk(lo>>chunkShift).decode(out[lo:min(n, lo+chunkRows)], nil, 0)
+	}
+	return out
 }
 
 // Names under ReservedPrefix belong to the columns a sample row keeps beside
@@ -69,7 +119,7 @@ func NewTable(name string, cols ...*Column) *Table {
 }
 
 func newTable(name string, ncols int) *Table {
-	return &Table{Name: name, byName: make(map[string]int, ncols)}
+	return &Table{Name: name, byName: make(map[string]int, ncols), arrays: new(columnArrays)}
 }
 
 func (t *Table) addColumn(c *Column) {

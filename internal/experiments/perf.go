@@ -106,7 +106,7 @@ func (r *Runner) Preprocess() (*Figure, error) {
 		Notes: []string{
 			"paper: uniform and outlier build within minutes; congress and small group are slower but not exorbitant",
 			"paper: small group space overhead ~6% of the TPC-H database at r=1%, ~1.8% at r=0.25%",
-			"small group tables are stored as fact slices joined to the base's dimension tables (§5.2.2); the overall sample is flat",
+			"every sample table, the overall sample too, is stored as a fact slice joined to the base's dimension tables (§5.2.2)",
 		},
 	}
 	var secs, space, rows []float64

@@ -13,7 +13,7 @@ import (
 // TestCheckpointFixtureReencodes holds the DSCP0001 checkpoint to the bytes
 // an earlier build wrote: testdata/checkpoint.dscp (three idempotency ids and
 // a delta over a 500-row base, its family built with ingestSGCfg and
-// maintained online through the three batches, in store version 6) decodes,
+// maintained online through the three batches, in store version 7) decodes,
 // records the config that built its family, restores onto the regenerated
 // base, and writes back to the identical bytes.
 func TestCheckpointFixtureReencodes(t *testing.T) {
@@ -67,6 +67,19 @@ func TestCheckpointFixtureV5Refused(t *testing.T) {
 	}
 	if _, err := DecodeSnapshot(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), "store version 5") {
 		t.Fatalf("decoding a checkpoint over a version 5 store: %v, want it refused by the store's version", err)
+	}
+}
+
+// TestCheckpointFixtureV6Refused: testdata/checkpoint-v6.dscp embeds a
+// version 6 store, which stores its overall sample flattened; decoding
+// refuses it by the store's version.
+func TestCheckpointFixtureV6Refused(t *testing.T) {
+	old, err := os.ReadFile("testdata/checkpoint-v6.dscp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeSnapshot(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), "stores its overall sample flattened") {
+		t.Fatalf("decoding a checkpoint over a version 6 store: %v, want it refused by the store's version", err)
 	}
 }
 

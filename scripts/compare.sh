@@ -3,6 +3,7 @@
 #
 #   scripts/compare.sh <parent-ref> [workloads]        run, then summarise
 #   scripts/compare.sh --summary <parent> <change>     summarise saved results
+#   scripts/compare.sh --record <pr> <parent> <change> append them to BENCH_repo.json
 #
 # A run `git archive`s the parent ref and the change (CHANGE, default HEAD)
 # into a scratch directory (under TMPDIR) and runs `bench/run.sh --trace 0`
@@ -15,8 +16,12 @@
 # line each. The summary prints, per workload and metric, each side's median
 # and interquartile range (linear interpolation between order statistics),
 # the ratio of the medians, and the pairs the change wins: strictly lower, or
-# strictly higher for ci_cover_share and ops_per_s.
+# strictly higher for ci_cover_share and ops_per_s. A record is one JSON line
+# per workload appended to BENCH_repo.json at the repo root (RECORD overrides
+# the path): the PR number, the machine class (bench/machine.json) and each
+# side's median of the six gated metrics, null where a run has none.
 set -euo pipefail
+root="$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 
 summary() {
   awk '
@@ -61,6 +66,28 @@ extract() {
     NF == 3 && $1 ~ /^[a-z_]+$/ && $2 ~ /^[0-9.eE+-]+$/ { print w, p, $1, $2 }'
 }
 
+record() {
+  summary "$2" "$3" | awk -v pr="$1" -v m="$(tr -d ' \n' <"$root/bench/machine.json")" '
+    BEGIN { n = split("setup_s rel_err_mean groups_missed_share ci_cover_share sample_space_share rss_peak_mb", g, " ") }
+    NR > 1 { med[0, $1, $2] = $3; med[1, $1, $2] = $5; w[$1] = 1 }
+    END {
+      for (k in w) {
+        s = sprintf("{\"pr\": %d, \"workload\": \"%s\", \"machine\": %s", pr, k, m)
+        for (c = 0; c < 2; c++) {
+          s = s sprintf(", \"%s\": {", c ? "change" : "parent")
+          for (i = 1; i <= n; i++) s = s sprintf("%s\"%s\": %s", i > 1 ? ", " : "", g[i], (c, k, g[i]) in med ? med[c, k, g[i]] : "null")
+          s = s "}"
+        }
+        print s "}"
+      }
+    }' | LC_ALL=C sort >>"${RECORD:-$root/BENCH_repo.json}"
+}
+
+if [ "${1:-}" = "--record" ]; then
+  [ $# -eq 4 ] || { echo "usage: $0 --record <pr> <parent-results> <change-results>" >&2; exit 2; }
+  record "$2" "$3" "$4"
+  exit 0
+fi
 if [ "${1:-}" = "--summary" ]; then
   [ $# -eq 3 ] || { echo "usage: $0 --summary <parent-results> <change-results>" >&2; exit 2; }
   summary "$2" "$3"
@@ -69,7 +96,6 @@ fi
 [ $# -ge 1 ] || { echo "usage: $0 <parent-ref> [workloads]" >&2; exit 2; }
 parent="$1"
 workloads="${2:-dash_point groupby_scan ingest_only ingest_mixed}"
-root="$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 work="$(mktemp -d "${TMPDIR:-/tmp}/compare.XXXXXX")"
 out="${OUT:-$work}"
 mkdir -p "$out" "$work/parent" "$work/change"

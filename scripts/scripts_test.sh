@@ -7,7 +7,7 @@
 # loc.sh code-line counter with its locdiff.sh diff, and smoke.sh's body
 # matcher, and doclinks.sh on fixture trees (a dead link, a dead
 # "ARCHITECTURE.md §N" reference and a route from before /v1 must each
-# fail), and compare.sh's summary of two canned result files. Run by
+# fail), and compare.sh's summary and record of two canned result files. Run by
 # `make check`. Needs
 # only bash, awk, diff, git.
 set -u
@@ -108,6 +108,10 @@ t "compare summarises two canned result files" 0 \
   bash -c 'bash scripts/compare.sh --summary scripts/testdata/compare/parent.txt scripts/testdata/compare/change.txt | diff -u scripts/testdata/compare/golden.txt -'
 t "compare --summary rejects a missing file argument" 2 \
   bash scripts/compare.sh --summary scripts/testdata/compare/parent.txt
+# Their record, made twice: each one JSON line per workload, appended.
+t "compare --record appends one line per workload" 0 \
+  bash -c 'rm -f /tmp/scripts_test_record.json; for i in 1 2; do RECORD=/tmp/scripts_test_record.json bash scripts/compare.sh --record 39 scripts/testdata/compare/parent.txt scripts/testdata/compare/change.txt || exit 1; done
+    cat scripts/testdata/compare/record.json scripts/testdata/compare/record.json | diff -u - /tmp/scripts_test_record.json'
 
 if [ "$fails" -ne 0 ]; then
   echo "scripts_test: $fails failure(s)"
