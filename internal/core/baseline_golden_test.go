@@ -19,6 +19,9 @@ import (
 // enhanced with outlier indexing: per family, the SHA-256 of every sample
 // table's column names, values and weights — not its name — must be the
 // digest recorded when each baseline still ran its own pre-processing.
+// sg+outlier's was re-recorded once when sample rows stopped storing
+// membership masks: it is the earlier build's family without the mask
+// columns.
 func TestBaselineFamiliesGolden(t *testing.T) {
 	db, err := scenario.Builtin("tpch", 20000, 2.0, 3)
 	if err != nil {
@@ -43,7 +46,7 @@ func TestBaselineFamiliesGolden(t *testing.T) {
 		{"congress-full", baseline(congress.Config{Columns: cols, Variant: congress.Full, Seed: 4}, 0), "e980e9a1bdde395aaa25f2087f8c3b1b1ceb4fc3c524f47aa750ef141b52a5f5"},
 		{"weighted", baseline(weighted.Config{Workload: train, Seed: 5}, 0), "2de502b440ed4892988ce4aaeff955c5415683f5e1494362e0a1bc3b06a8f7a1"},
 		{"sg+outlier", core.NewSmallGroup(core.SmallGroupConfig{BaseRate: 0.02, Seed: 6,
-			Overall: outlier.Config{Measure: "l_extendedprice", Seed: 7}}), "db90f0382bad9588e81641876513686dcd0ce49648bdd86a24972c890d2a5c38"},
+			Overall: outlier.Config{Measure: "l_extendedprice", Seed: 7}}), "61fb73a581b644e6b55aaada8d4c4330f1dad3a2d2fd8f932be3d542dbbb1d4a"},
 	}
 	for _, c := range cases {
 		p, err := c.st.Preprocess(db)

@@ -208,6 +208,7 @@ func TestEveryFamilyRoundTrips(t *testing.T) {
 		{"congress-basic", baseline(congress.Config{Columns: cols, Seed: 3})},
 		{"congress-full", baseline(congress.Config{Columns: cols, Variant: congress.Full, Seed: 4})},
 		{"weighted", baseline(weighted.Config{Workload: train, Seed: 5})},
+		{"smallgroup", core.SmallGroupConfig{BaseRate: 0.02, Seed: 1}},
 	}
 	for ci, c := range cases {
 		st := core.NewSmallGroup(c.cfg)

@@ -90,13 +90,14 @@ type WorkerConfigurable interface {
 // Answer is an approximate query answer: estimated (or exact) per-group
 // aggregate values plus confidence intervals.
 type Answer struct {
-	// Result holds the combined groups. Groups answered entirely from small
-	// group tables have Exact set.
+	// Result holds the combined groups. A group has Exact set when the small
+	// group table that answers it stores it at a 100% rate.
 	Result *engine.Result
 	// Intervals maps each group to one confidence interval per aggregate.
 	Intervals map[engine.GroupKey][]stats.Interval
-	// RowsRead is the number of sample-table rows scanned to produce the
-	// answer (the runtime cost the paper holds constant across methods).
+	// RowsRead is the number of sample-table rows the plan's steps scanned
+	// to produce the answer, every row of each (the runtime cost the paper
+	// holds constant across methods).
 	RowsRead int64
 	// Elapsed is the wall-clock execution time of the runtime phase.
 	Elapsed time.Duration

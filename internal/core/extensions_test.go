@@ -292,3 +292,60 @@ func TestRewriteSQLWithPairTable(t *testing.T) {
 		t.Errorf("rewritten SQL missing %q:\n%s", want, sql)
 	}
 }
+
+// TestExactnessFollowsTheOwner: a group is exact only when the table that
+// answers it stores it at 100%. Over 10 000 rows with a medium band (25 %)
+// above the exact one, a = "a_med" (200 rows) is medium in a's table, b =
+// "b_rare" (100 rows) exact in b's; the group (a_med, b_rare) holds 100
+// rows. a's table comes first, so it owns the group and answers it from its
+// subsample. That answer is an estimate: it must never be marked exact with
+// a zero-width interval, and its 95 % interval must cover the true count on
+// at least five of six seeds (seed 4 draws 17 of the 100 rows, 68 ± 28).
+func TestExactnessFollowsTheOwner(t *testing.T) {
+	a := engine.NewColumn("a", engine.String)
+	b := engine.NewColumn("b", engine.String)
+	fact := engine.NewTable("fact", a, b)
+	for r := range 10000 {
+		switch {
+		case r%100 < 2:
+			a.AppendString("a_med")
+		default:
+			a.AppendString("a_common")
+		}
+		if r%100 == 0 {
+			b.AppendString("b_rare")
+		} else {
+			b.AppendString("b_common")
+		}
+		fact.EndRow()
+	}
+	db := engine.MustNewDatabase("owner", fact)
+	q := &engine.Query{GroupBy: []string{"a", "b"}, Aggs: []engine.Aggregate{{Kind: engine.Count}}}
+	key := engine.EncodeKey([]engine.Value{engine.StringVal("a_med"), engine.StringVal("b_rare")})
+	misses := 0
+	for seed := int64(1); seed <= 6; seed++ {
+		p := prep(t, db, SmallGroupConfig{BaseRate: 0.02, Seed: seed,
+			Levels: []HierarchyLevel{{MaxFraction: 0.011, Rate: 1}, {MaxFraction: 0.11, Rate: 0.25}}})
+		if !p.meta.IsExactValue("b", engine.StringVal("b_rare")) || p.meta.IsExactValue("a", engine.StringVal("a_med")) || p.meta.IsCommon("a", engine.StringVal("a_med")) {
+			t.Fatalf("seed %d: a_med is not medium in a's table or b_rare not exact in b's:\n%s", seed, p.meta)
+		}
+		ans, err := p.Answer(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := ans.Result.Group(key)
+		if g == nil {
+			t.Fatalf("seed %d: no (a_med, b_rare) group", seed)
+		}
+		iv := ans.Interval(key, 0)
+		if g.Exact || iv.Lo == iv.Hi {
+			t.Errorf("seed %d: (a_med, b_rare) = %g, exact %v, interval [%g, %g]; want an estimate", seed, g.Vals[0], g.Exact, iv.Lo, iv.Hi)
+		}
+		if iv.Lo > 100 || iv.Hi < 100 {
+			misses++
+		}
+	}
+	if misses > 1 {
+		t.Errorf("the (a_med, b_rare) interval missed its true count 100 on %d of 6 seeds", misses)
+	}
+}

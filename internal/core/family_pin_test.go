@@ -17,7 +17,9 @@ import (
 // the SHA-256 of the metadata catalog and every family table must be the
 // digest recorded when scan 2 was one fused loop, at every worker count. The
 // catalog carries scan 1's sharded counts. The tpch star database sends its
-// dimension columns through the row classifier's join.
+// dimension columns through the row classifier's join. The digests were
+// re-recorded once when sample rows stopped storing membership masks: they
+// are the earlier build's families with the mask columns left out.
 func TestPreprocessWorkerCountDeterminism(t *testing.T) {
 	levels := []core.HierarchyLevel{{MaxFraction: 0.01, Rate: 1}, {MaxFraction: 0.08, Rate: 0.25}, {MaxFraction: 0.2, Rate: 0.05}}
 	dbs := []struct {
@@ -27,14 +29,14 @@ func TestPreprocessWorkerCountDeterminism(t *testing.T) {
 		want  [3]string // default, levels, pairs
 	}{
 		{"zipf", core.ZipfDB, [2]string{"g", "h"}, [3]string{
-			"e2042af0c2a6610bc39c852b69396bcaf7ae64a090913bc80602d2e9c27668b9",
-			"44657a612e4a9a65c7ed3d4a2a68546f462fc7a4716f14a3488b9af3892de9ab",
-			"4429581b7d380826729782bcd9ae527513e2db069e96e1101ac0b9240d575056",
+			"42ec3a5faccd4df1170bfffc883369ce00bea7dc53e1eed383c97f3e98573579",
+			"15f6f299b715a225c24130f493b9071b28d3dd9822941b75379537187ae4836d",
+			"f7ae9b953d9e8030d9a119529af17e1778f47b86192eb91f4292520109de6ad7",
 		}},
 		{"tpch", func(rows int) *engine.Database { return specDB(t, "tpch", rows) }, [2]string{"l_shipmode", "p_brand"}, [3]string{
-			"6a73986f4dc43fb1f03af27923b91a3e112ddac58ee0e7505119fce180efc765",
-			"cef4494596c7e5a4586531b78d6f88d356924ba54eb7d06af2850a81c4da911c",
-			"5a9538d32c12534412fff0cffe4f1dedb0b8afcfa208fb4bdd63d9185b11a070",
+			"63d00450a4556dad21c5d78aa0f8fc18547c2a56e06c3b86ba9d86a6e18cce84",
+			"0e629288598271075cc469c413cdf7c0d311ee83612f36e678362a622491cff9",
+			"97b14b953ad0b26a9006deabd07cb24d7236496cf56da50f6107fe4a17a025b3",
 		}},
 	}
 	for _, d := range dbs {

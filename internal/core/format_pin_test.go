@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"strings"
 	"testing"
@@ -15,7 +16,7 @@ var fixtureFamilyConfig = SmallGroupConfig{
 	Pairs:  [][2]string{{"a", "b"}},
 }
 
-// TestFamilyFixtureReencodes holds the DSSG store, version 7, to the bytes
+// TestFamilyFixtureReencodes holds the DSSG store, version 8, to the bytes
 // an earlier build wrote: testdata/family.dssg, a family with a pair table
 // and two levels, loads, records the config that built it, and saves back to
 // the identical stream.
@@ -75,5 +76,19 @@ func TestFamilyFixtureV6Refused(t *testing.T) {
 	}
 	if _, err := LoadSmallGroup(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), "stores its overall sample flattened") {
 		t.Fatalf("loading a version 6 store: %v, want it refused by version", err)
+	}
+}
+
+// TestFamilyFixtureV7Refused: testdata/family-v7.dssg, the family
+// testdata/family.dssg holds as version 7 wrote it, stores membership masks
+// with its sample rows, and a load refuses it by its version.
+func TestFamilyFixtureV7Refused(t *testing.T) {
+	old, err := os.ReadFile("testdata/family-v7.dssg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = LoadSmallGroup(bytes.NewReader(old))
+	if !errors.Is(err, ErrStoreVersion) || !strings.Contains(err.Error(), "stores membership masks") {
+		t.Fatalf("loading a version 7 store: %v, want it refused by version", err)
 	}
 }

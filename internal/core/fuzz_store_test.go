@@ -16,7 +16,7 @@ import (
 // inside the format instead of bouncing off the magic check, a valid store
 // of each overall sample selector kind the config record holds, one over a
 // star schema, whose fact slices record the dimension table they join, and
-// the version 7 fixture (a pair table and two levels) beside the version 6
+// the version 8 fixture (a pair table and two levels) beside the version 7
 // one a load refuses.
 func FuzzLoadSmallGroup(f *testing.F) {
 	db := skewedDB(f, 2000)
@@ -38,7 +38,7 @@ func FuzzLoadSmallGroup(f *testing.F) {
 	}
 
 	f.Add(valid)
-	for _, fixture := range []string{"testdata/family.dssg", "testdata/family-v6.dssg"} {
+	for _, fixture := range []string{"testdata/family.dssg", "testdata/family-v7.dssg"} {
 		b, err := os.ReadFile(fixture)
 		if err != nil {
 			f.Fatal(err)

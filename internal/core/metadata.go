@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -9,8 +10,8 @@ import (
 )
 
 // ColumnMeta describes one small-group column: its table index (the bit
-// position in row bitmasks), its set of common values L(C), and how many base
-// rows fall outside L(C) (the rows stored in its small group table).
+// position in membership masks), its set of common values L(C), and how many
+// base rows fall outside L(C) (the rows stored in its small group table).
 type ColumnMeta struct {
 	Column string
 	Index  int
@@ -187,39 +188,64 @@ func (m *Metadata) RelevantTables(groupBy []string) []TableRef {
 	return out
 }
 
-// GroupIsExact reports whether a group with the given key values for the
-// given grouping columns is fully covered by the used small group tables:
-// true when at least one used single-column table stores the group's value
-// for that column at 100%, or a used pair table stores the group's value
-// combination. Such groups' rows are all present undownsampled, so the
-// answer is exact (footnote 1: smallness is monotonic).
-func (m *Metadata) GroupIsExact(groupBy []string, key []engine.Value, used map[int]bool) bool {
-	pos := make(map[string]int, len(groupBy))
-	for i, col := range groupBy {
-		pos[col] = i
+// holds reports whether small group table ix's domain holds a group whose
+// values of the table's columns are v0 (and, for a pair table, v1) — the
+// rows scan 2 and online maintenance put in the table, by the classes they
+// put them in by: a single-column table's domain is every value outside
+// L(C), unseen values included; a pair table's, as pairTester.test decides,
+// the rare tuples of two individually common values. A group's rows share
+// these values, so each row of it lies in the domain or none does.
+func (m *Metadata) holds(ix int, v0, v1 engine.Value) bool {
+	if ix < len(m.columns) {
+		_, common := m.columns[ix].Common[v0]
+		return !common
 	}
-	for i, col := range groupBy {
-		if ix, ok := m.byName[col]; ok && used[m.columns[ix].Index] {
-			if m.IsExactValue(col, key[i]) {
-				return true
-			}
+	p := m.pairs[ix-len(m.columns)]
+	_, rare := p.Rare[engine.EncodeKey([]engine.Value{v0, v1})]
+	return rare && m.IsCommon(p.Cols[0], v0) && m.IsCommon(p.Cols[1], v1)
+}
+
+// owners is the owner rule of one rewritten query: the small group tables it
+// reads, in step order, each with its columns' positions in the query's group
+// key. Every table of a query is on its grouping columns (RelevantTables), so
+// which tables hold a group is a test on the group's key, not on its rows.
+type owners struct {
+	meta   *Metadata
+	tables []ownedTable
+}
+
+type ownedTable struct {
+	index int
+	pos   [2]int // the columns' positions in the group key; a single column's twice
+}
+
+// newOwners is the owner rule of the tables refs, in step order, for a query
+// grouped by groupBy. Each table's columns must be among groupBy.
+func newOwners(meta *Metadata, groupBy []string, refs []TableRef) *owners {
+	o := &owners{meta: meta, tables: make([]ownedTable, len(refs))}
+	for j, ref := range refs {
+		first, last := ref.Columns[0], ref.Columns[len(ref.Columns)-1]
+		o.tables[j] = ownedTable{index: ref.Index, pos: [2]int{slices.Index(groupBy, first), slices.Index(groupBy, last)}}
+	}
+	return o
+}
+
+// owner returns the step that answers the group with the given key — the
+// first table, in step order, whose domain holds it, or len(tables), the
+// overall sample, when none does — and whether that table stores the group
+// at a 100% rate, which makes the answer exact (§4.2.2: "answers for groups
+// that result from querying small group tables are marked as being exact").
+// Every other step's rows of the group are double counts, and the step
+// gives the group up. A medium band of the multi-level extension stores its
+// values subsampled, so a group it owns is estimated, whatever a later table
+// holds; a pair table stores its rows completely.
+func (o *owners) owner(key []engine.Value) (step int, exact bool) {
+	for j, t := range o.tables {
+		if v0 := key[t.pos[0]]; o.meta.holds(t.index, v0, key[t.pos[1]]) {
+			return j, t.index >= len(o.meta.columns) || o.meta.IsExactValue(o.meta.columns[t.index].Column, v0)
 		}
 	}
-	for _, p := range m.pairs {
-		if !used[p.Index] {
-			continue
-		}
-		i0, ok0 := pos[p.Cols[0]]
-		i1, ok1 := pos[p.Cols[1]]
-		if !ok0 || !ok1 {
-			continue
-		}
-		tuple := engine.EncodeKey([]engine.Value{key[i0], key[i1]})
-		if _, rare := p.Rare[tuple]; rare {
-			return true
-		}
-	}
-	return false
+	return len(o.tables), false
 }
 
 // String renders the catalog as the metadata table of §4.2.1.

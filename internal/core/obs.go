@@ -40,7 +40,7 @@ var (
 // Pre-processing instrumentation: where the last SmallGroup.Preprocess run
 // spent its time — "count" (scan 1 and band derivation), "classify" (scan
 // 2: the sharded mask pass, then the generator-owning replay) and
-// "materialise" (masks and sample tables).
+// "materialise" (the sample tables).
 var obsPreprocessSeconds = obs.Default().GaugeVec("aqp_core_preprocess_seconds",
 	"Duration of the last small group pre-processing run, by phase.", "phase")
 

@@ -19,14 +19,14 @@ import (
 // the frozen pre-processing decisions:
 //
 //   - A batch is appended to the base data first, and its rows' membership
-//     masks come from the mask path scan 2 and materialise use
-//     (bandSplit.masks), over classes built from the family's metadata and
-//     grown to each version a batch appends (metaSplit, RowClassifier.Grow).
-//     So one rule serves build and ingest: a row whose value in column C lies
-//     outside the frozen common set L(C) is appended, completely, to C's
-//     small group table with the correct membership bitmask, and rare groups
-//     keep their exact answers. Values never seen before are outside L(C) by
-//     definition and therefore captured exactly from their first occurrence.
+//     masks come from the mask path scan 2 uses (bandSplit.masks), over
+//     classes built from the family's metadata and grown to each version a
+//     batch appends (metaSplit, RowClassifier.Grow). So one rule serves
+//     build and ingest: a row whose value in column C lies outside the
+//     frozen common set L(C) is appended, completely, to C's small group
+//     table, and rare groups keep their exact answers. Values never seen
+//     before are outside L(C) by definition and therefore captured exactly
+//     from their first occurrence.
 //   - The uniform overall sample continues as a reservoir (Vitter's
 //     Algorithm R) of fixed capacity k over the growing stream: each new row
 //     replaces a random slot with probability k/N, so after any number of
@@ -184,7 +184,7 @@ func NewOnline(sys *System, strategy string, cfg OnlineConfig) (*Online, error) 
 
 // newFamily checks that p is a family online maintenance supports — the
 // two-level hierarchy, a uniform reservoir overall sample, every sample row
-// the fact table's columns, then its mask words — and builds its maintenance
+// the fact table's columns and nothing else — and builds its maintenance
 // state at sample generation sampleGen. live is the newest database: the
 // mask source is bound and the rare-value counts seeded against it. pinned
 // is the database p was pre-processed from (live itself unless batches
@@ -197,13 +197,12 @@ func newFamily(p *smallGroupPrepared, live, pinned *engine.Database, sampleGen u
 	if live.NumRows() < int(p.meta.BaseRows) {
 		return nil, fmt.Errorf("core: the family was built over %d rows, the database holds %d", p.meta.BaseRows, live.NumRows())
 	}
-	words := maskWords(p.meta.Width())
 	for _, s := range p.samples() {
 		switch tbl := s.src.Fact; {
 		case tbl.Column(engine.WeightColumn) != nil:
 			return nil, fmt.Errorf("core: online maintenance does not support weighted sample table %q", tbl.Name)
-		case tbl.NumCols() != live.Fact.NumCols()+words:
-			return nil, fmt.Errorf("core: sample table %q has %d columns, the fact table and the mask words make %d", tbl.Name, tbl.NumCols(), live.Fact.NumCols()+words)
+		case tbl.NumCols() != live.Fact.NumCols():
+			return nil, fmt.Errorf("core: sample table %q has %d columns, the fact table %d", tbl.Name, tbl.NumCols(), live.Fact.NumCols())
 		}
 	}
 	if p.overall.rows() == 0 {
@@ -338,12 +337,12 @@ func (o *Online) Apply(seq uint64, rows [][]engine.Value) (BatchStats, error) {
 		return st, err
 	}
 	lo := int(o.seen)
-	words, perTable, victims := o.classify(newDB, len(rows), randx.New(batchSeed(o.seed, seq)), true)
+	perTable, victims := o.classify(newDB, len(rows), randx.New(batchSeed(o.seed, seq)), true)
 
 	np := *o.p
 	np.db, np.dims = newDB, newDB.Dims
 	if seq > o.sampleGen {
-		o.applySampleUpdates(&np, lo, words, perTable, victims, &st)
+		o.applySampleUpdates(&np, lo, perTable, victims, &st)
 		np.overallScale = float64(newDB.NumRows()) / float64(o.cap)
 		o.sampleGen = seq
 	}
@@ -385,19 +384,19 @@ type reservoirHit struct {
 	ri   int
 }
 
-// classify finds the masks of a batch's n rows, rows [seen, seen+n) of db
-// (row ri's words are words[ri*w:][:w], w words to a row), counts the new
-// values of still-dropped columns, and draws the reservoir decisions from
-// rng; with bumpFreqs it also bumps the rare-value frequency counts, row by
-// row. Apply bumps; Rebase's tail replay does not, because rebased counts
+// classify finds the small group tables each of a batch's n rows, rows
+// [seen, seen+n) of db, enters (perTable: the batch rows of each, by table
+// index), counts the new values of still-dropped columns, and draws the
+// reservoir decisions from rng; with bumpFreqs it also bumps the rare-value
+// frequency counts, row by row. Apply bumps; Rebase's tail replay does not, because rebased counts
 // were seeded from the full current database, tail rows included (the
 // missing-column watch was seeded from the pinned rebuild database, which
 // excludes the tail, so it counts either way). The family's classifiers must
 // be bound to db or a later version. It mutates only tracking state (freqs,
 // seen, missingNew), never sample tables.
-func (f *family) classify(db *engine.Database, n int, rng *rand.Rand, bumpFreqs bool) (words []uint64, perTable map[int][]int, victims []reservoirHit) {
+func (f *family) classify(db *engine.Database, n int, rng *rand.Rand, bumpFreqs bool) (perTable map[int][]int, victims []reservoirHit) {
 	lo, w, mw, cols := int(f.seen), maskWords(f.p.meta.Width()), f.missing.Words(), f.p.meta.Columns()
-	words = make([]uint64, n*max(w, mw)) // the watch's verdicts, then the masks
+	words := make([]uint64, n*max(w, mw)) // the watch's verdicts, then the masks
 	f.missing.BlockBits(lo, n, words)
 	for _, word := range words[:n*mw] {
 		f.missingNew += int64(bits.OnesCount64(word))
@@ -433,28 +432,23 @@ func (f *family) classify(db *engine.Database, n int, rng *rand.Rand, bumpFreqs 
 			victims = append(victims, reservoirHit{slot: int(j), ri: ri})
 		}
 	}
-	return words, perTable, victims
+	return perTable, victims
 }
 
 // applySampleUpdates materialises the classified batch, rows [lo, lo+n) of
 // np.db, into copy-on-write versions of the affected sample tables. A sample
 // row is the base row's fact values, foreign keys included (the appender
-// resolved them), then its mask words. An insert appends one to a small
-// group table's fact slice; a swap overwrites an overall sample slot with
-// one. Each slice changed is joined again to np.db's dimension tables, which
+// resolved them). An insert appends one to a small group table's fact
+// slice; a swap overwrites an overall sample slot with one. Each slice changed is joined again to np.db's dimension tables, which
 // may have grown, and every slice the batch did not touch keeps its join.
 // Either touches the chunks the row sits in and shares every other with the
 // published version.
-func (f *family) applySampleUpdates(np *smallGroupPrepared, lo int, words []uint64, perTable map[int][]int, victims []reservoirHit, st *BatchStats) {
-	w := maskWords(f.p.meta.Width())
+func (f *family) applySampleUpdates(np *smallGroupPrepared, lo int, perTable map[int][]int, victims []reservoirHit, st *BatchStats) {
 	var buf []engine.Value
 	row := func(ri int) []engine.Value {
 		buf = buf[:0]
 		for _, c := range np.db.Fact.Columns() {
 			buf = append(buf, c.Value(lo+ri))
-		}
-		for _, word := range words[ri*w:][:w] {
-			buf = append(buf, engine.IntVal(int64(word)))
 		}
 		return buf
 	}
@@ -521,8 +515,8 @@ func (o *Online) Rebase(p Prepared, rebuiltAt uint64, tail []TailBatch) error {
 			return fmt.Errorf("core: rebase tail out of order: batch %d after sample generation %d", b.Seq, f.sampleGen)
 		}
 		lo := int(f.seen)
-		words, perTable, victims := f.classify(np.db, len(b.Rows), randx.New(batchSeed(o.seed, b.Seq)), false)
-		f.applySampleUpdates(&np, lo, words, perTable, victims, new(BatchStats))
+		perTable, victims := f.classify(np.db, len(b.Rows), randx.New(batchSeed(o.seed, b.Seq)), false)
+		f.applySampleUpdates(&np, lo, perTable, victims, new(BatchStats))
 		f.sampleGen = b.Seq
 	}
 	np.overallScale = float64(np.db.NumRows()) / float64(f.cap)

@@ -104,7 +104,8 @@ func TestOnlineReservoirUniform(t *testing.T) {
 	}
 }
 
-// expectedMask recomputes a row's membership bitmask from the metadata.
+// expectedMask recomputes, from the metadata, the small group tables whose
+// domains hold a row: bit i for table i.
 func expectedMask(meta *Metadata, colPos map[string]int, row []engine.Value) []bool {
 	bits := make([]bool, meta.Width())
 	for _, cm := range meta.Columns() {
@@ -123,8 +124,8 @@ func expectedMask(meta *Metadata, colPos map[string]int, row []engine.Value) []b
 
 // TestOnlineSmallGroupMembership checks the exactness invariant after
 // ingest: every base row whose value lies outside L(C) is present in C's
-// small group table (same multiplicity), and every sample row's bitmask
-// matches the metadata's membership rule.
+// small group table (same multiplicity), and every row of the table lies in
+// the table's domain by the metadata's membership rule.
 func TestOnlineSmallGroupMembership(t *testing.T) {
 	const n0, ingest = 5000, 3000
 	_, o := onlineSystem(t, n0, SmallGroupConfig{
@@ -181,38 +182,15 @@ func TestOnlineSmallGroupMembership(t *testing.T) {
 	}
 	gotRare := map[engine.GroupKey]int{}
 	for r := 0; r < sg.NumRows(); r++ {
-		vals := sg.RowValues(r)[:len(view)] // the mask words follow the view's columns
+		vals := sg.RowValues(r)
 		gotRare[engine.EncodeKey(vals)]++
-		bits := expectedMask(meta, colPos, vals)
-		mask, okm := sg.RowMask(r)
-		if !okm {
-			t.Fatalf("sg_a row %d has no mask", r)
-		}
-		for b, want := range bits {
-			if mask.Bit(b) != want {
-				t.Fatalf("sg_a row %d bit %d = %v, want %v (row %v)", r, b, mask.Bit(b), want, vals)
-			}
+		if !expectedMask(meta, colPos, vals)[cmA.Index] {
+			t.Fatalf("sg_a row %d lies outside the table's domain (row %v)", r, vals)
 		}
 	}
 	for k, want := range wantRare {
 		if gotRare[k] != want {
 			t.Fatalf("rare row multiplicity mismatch: got %d, want %d", gotRare[k], want)
-		}
-	}
-
-	// Overall sample masks must match the membership rule too.
-	ot := p.Overall()
-	for r := 0; r < ot.NumRows(); r++ {
-		vals := ot.RowValues(r)[:len(view)]
-		bits := expectedMask(meta, colPos, vals)
-		mask, okm := ot.RowMask(r)
-		if !okm {
-			t.Fatalf("overall row %d has no mask", r)
-		}
-		for b, want := range bits {
-			if mask.Bit(b) != want {
-				t.Fatalf("overall row %d bit %d = %v, want %v", r, b, mask.Bit(b), want)
-			}
 		}
 	}
 }
@@ -686,14 +664,13 @@ func resultDigest(res *engine.Result) string {
 	return sb.String()
 }
 
-// maskDigest renders RowMask and RowWeight of every row the family stores.
-func maskDigest(p Prepared) string {
+// rowDigest renders the values and RowWeight of every row the family stores.
+func rowDigest(p Prepared) string {
 	sgp := p.(*smallGroupPrepared)
 	var sb strings.Builder
 	for _, tbl := range append(sgp.Tables(), sgp.Overall()) {
 		for r := 0; r < tbl.NumRows(); r++ {
-			m, _ := tbl.RowMask(r)
-			fmt.Fprintf(&sb, "%x/%g;", m.Words(), tbl.RowWeight(r))
+			fmt.Fprintf(&sb, "%q/%g;", engine.EncodeKey(tbl.RowValues(r)), tbl.RowWeight(r))
 		}
 	}
 	return sb.String()
@@ -702,7 +679,7 @@ func maskDigest(p Prepared) string {
 // TestPinnedVersionsUnchangedByIngest: readers holding the last four
 // published versions re-run one query, exact and approximate, while the
 // writer appends batches, inserts into small group tables and swaps reservoir
-// slots. Every answer, and every stored mask and weight, equals the one taken
+// slots. Every answer, and every stored row and weight, equals the one taken
 // when the version was published; under -race, a write into storage a pinned
 // version reads is a failure too.
 func TestPinnedVersionsUnchangedByIngest(t *testing.T) {
@@ -728,7 +705,7 @@ func TestPinnedVersionsUnchangedByIngest(t *testing.T) {
 		}
 		// The approximate answer reads the mask words through the scan; the
 		// stored masks and weights are read row by row beside it.
-		return resultDigest(ex), resultDigest(ans.Result) + maskDigest(p), nil
+		return resultDigest(ex), resultDigest(ans.Result) + rowDigest(p), nil
 	}
 	take := func() pin {
 		p, _ := sys.Prepared("smallgroup")

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"slices"
+	"context"
+	"math"
 	"testing"
 
 	"dynsample/internal/bitmask"
@@ -114,20 +115,21 @@ func TestAnswerWorkerCountDeterminism(t *testing.T) {
 }
 
 // AssertSlicesHoldBaseRows fails unless every small group table of p, read
-// through its join, is db.Flatten of the base rows it holds, each with its
-// mask: under the two-level hierarchy every row of db whose mask has the
-// table's bit, with more levels the rows scan 2 draws over db (p must then
-// be a build over db, or a copy of one). The overall sample is a draw: each
-// of its rows, read through its join, must be a row of db with that row's
-// mask.
+// through its join, is db.Flatten of the base rows it holds: under the
+// two-level hierarchy every row of db in the table's domain, with more levels
+// the rows scan 2 draws over db (p must then be a build over db, or a copy of
+// one); and every row of a table lies in its domain (Metadata.holds). The
+// overall sample is a draw: each of its rows, read through its join, must be
+// a row of db.
 func AssertSlicesHoldBaseRows(t *testing.T, p Prepared, db *engine.Database) {
 	t.Helper()
 	sgp := p.(*smallGroupPrepared)
-	split, err := metaSplit(sgp.meta, db)
+	meta := sgp.meta
+	split, err := metaSplit(meta, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, width, words := db.NumRows(), sgp.meta.Width(), maskWords(sgp.meta.Width())
+	n, width, words := db.NumRows(), meta.Width(), maskWords(meta.Width())
 	masks := make([]uint64, n*words)
 	split.masks(0, n, masks)
 	rows := make([][]int, width)
@@ -147,11 +149,7 @@ func AssertSlicesHoldBaseRows(t *testing.T, p Prepared, db *engine.Database) {
 		}
 	}
 	for i, s := range sgp.tables {
-		rowMasks := make([]bitmask.Mask, len(rows[i]))
-		for j, r := range rows[i] {
-			rowMasks[j] = bitmask.FromWords(width, masks[r*words:(r+1)*words])
-		}
-		want := db.Flatten(s.name, rows[i], rowMasks, nil)
+		want := db.Flatten(s.name, rows[i], nil, nil)
 		got := s.src.Flat(s.name)
 		if got.NumRows() != want.NumRows() {
 			t.Fatalf("%s holds %d rows, the base %d", s.name, got.NumRows(), want.NumRows())
@@ -165,6 +163,18 @@ func AssertSlicesHoldBaseRows(t *testing.T, p Prepared, db *engine.Database) {
 				if gc.Value(r) != wc.Value(r) {
 					t.Fatalf("%s row %d column %s: %v, the base row %d holds %v", s.name, r, wc.Name, gc.Value(r), rows[i][r], wc.Value(r))
 				}
+			}
+		}
+		var cols []string
+		if single := meta.Columns(); i < len(single) {
+			cols = []string{single[i].Column}
+		} else {
+			cols = meta.Pairs()[i-len(single)].Cols[:]
+		}
+		c0, c1 := got.Column(cols[0]), got.Column(cols[len(cols)-1])
+		for r := range got.NumRows() {
+			if !meta.holds(i, c0.Value(r), c1.Value(r)) {
+				t.Fatalf("%s row %d (%v) lies outside the table's domain", s.name, r, got.RowValues(r))
 			}
 		}
 	}
@@ -183,20 +193,117 @@ func AssertSlicesHoldBaseRows(t *testing.T, p Prepared, db *engine.Database) {
 		}
 		return string(engine.EncodeKey(vals))
 	}
-	maskOf := make(map[string][]uint64, n) // a view row's values -> its mask
+	base := make(map[string]bool, n)
 	baseAccs := make([]engine.ColumnAccessor, len(cols))
 	for r := range n {
-		maskOf[rowKey(db, r, baseAccs)] = masks[r*words : (r+1)*words]
+		base[rowKey(db, r, baseAccs)] = true
 	}
 	o := sgp.overall
 	got, accs := o.src.Flat(o.name), make([]engine.ColumnAccessor, len(cols))
 	for r := range got.NumRows() {
-		want, ok := maskOf[rowKey(got, r, accs)]
-		if !ok {
+		if !base[rowKey(got, r, accs)] {
 			t.Fatalf("%s row %d, read through its join, is no row of the base", o.name, r)
 		}
-		if m, _ := got.RowMask(r); width > 0 && !slices.Equal(m.Words(), want) {
-			t.Fatalf("%s row %d has mask %x, its base row %x", o.name, r, m.Words(), want)
+	}
+}
+
+// AssertExclusionMatchesRowFilter holds the plan every query gets from p
+// (Plan) to the paper's row-level rewrite, bit for bit: the oracle flattens
+// each step's source with the membership masks the family's classifier
+// (metaSplit) computes for its rows and scans it through the engine's
+// "bitmask & m = 0" filter (engine.ExecOptions.ExcludeMask), merging the
+// partials in step order. Values, raw sums and squares, variance
+// accumulators and row counts must match ExecutePlanCtx's. Under the two-level
+// hierarchy the answer's exact flags must mark the groups a small group
+// table's step contributed. It fails, too, when a family with tables drops
+// no group over all of queries: the comparison would prove nothing.
+func AssertExclusionMatchesRowFilter(t *testing.T, p Prepared, queries []*engine.Query) {
+	t.Helper()
+	sgp := p.(*smallGroupPrepared)
+	width, words := sgp.meta.Width(), maskWords(sgp.meta.Width())
+	dropped := 0
+	for qi, q := range queries {
+		plan := sgp.Plan(q)
+		want := engine.NewResult(q.GroupBy, q.Aggs)
+		fromTable := map[engine.GroupKey]bool{}
+		for j, st := range plan.Steps {
+			flat := st.Source.(*engine.Database).Flat(st.Name)
+			split, err := metaSplit(sgp.meta, engine.MustNewDatabase(st.Name, flat))
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := flat.NumRows()
+			slab := make([]uint64, n*words)
+			split.masks(0, n, slab)
+			masks, all := make([]bitmask.Mask, n), make([]int, n)
+			var weights []float64
+			if flat.Column(engine.WeightColumn) != nil {
+				weights = make([]float64, n)
+			}
+			for r := range n {
+				masks[r], all[r] = bitmask.FromWords(width, slab[r*words:(r+1)*words]), r
+				if weights != nil {
+					weights[r] = flat.RowWeight(r)
+				}
+			}
+			masked := engine.MustNewDatabase(st.Name, flat).Flatten(st.Name, all, masks, weights)
+			part, err := engine.ExecuteCtx(context.Background(), masked, q, engine.ExecOptions{
+				Scale: st.Scale, ExcludeMask: st.Exclude, MarkExact: st.MarkExact, MaxRows: st.MaxRows, Workers: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range part.Keys() {
+				fromTable[k] = fromTable[k] || j < len(plan.Steps)-1
+			}
+			if err := want.Merge(part); err != nil {
+				t.Fatal(err)
+			}
+			if j > 0 { // what the owner rule drops from the unfiltered partial
+				whole, err := engine.ExecuteCtx(context.Background(), st.Source, q, engine.ExecOptions{Scale: st.Scale, MaxRows: st.MaxRows, Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				dropped += whole.NumGroups() - part.NumGroups()
+			}
 		}
+		got, _, err := ExecutePlanCtx(context.Background(), plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.NumGroups() != want.NumGroups() {
+			t.Fatalf("query %d (%s): %d groups, the row filter %d", qi, q, got.NumGroups(), want.NumGroups())
+		}
+		for _, k := range want.Keys() {
+			w, g := want.Group(k), got.Group(k)
+			if g == nil {
+				t.Fatalf("query %d (%s): group %q missing", qi, q, k)
+			}
+			same := g.RawRows == w.RawRows
+			for i := range w.Vals {
+				same = same && math.Float64bits(g.Vals[i]) == math.Float64bits(w.Vals[i]) &&
+					math.Float64bits(g.RawSum[i]) == math.Float64bits(w.RawSum[i]) &&
+					math.Float64bits(g.RawSumSq[i]) == math.Float64bits(w.RawSumSq[i]) &&
+					math.Float64bits(g.VarAcc[i]) == math.Float64bits(w.VarAcc[i])
+			}
+			if !same {
+				t.Fatalf("query %d (%s) group %q: %+v, the row filter %+v", qi, q, k, *g, *w)
+			}
+		}
+		if len(sgp.cfg.Levels) > 1 {
+			continue // a medium band's groups are estimates, whoever else holds them
+		}
+		ans, err := p.Answer(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range ans.Result.Keys() {
+			if ans.Result.Group(k).Exact != fromTable[k] {
+				t.Fatalf("query %d (%s) group %q: exact %v, a table's step contributed it: %v", qi, q, k, ans.Result.Group(k).Exact, fromTable[k])
+			}
+		}
+	}
+	if width > 0 && dropped == 0 {
+		t.Fatal("no query dropped a group: the comparison holds nothing")
 	}
 }

@@ -97,8 +97,10 @@ func savedBytes(t *testing.T, p core.Prepared) []byte {
 // ingest.Snapshot.Restore over the base plus the checkpoint's delta — the
 // online ones when online maintenance supports the family. After each, every
 // sample table, the overall sample's too, read through its join holds the base
-// rows it should (core.AssertSlicesHoldBaseRows), and two paths to one family
-// answer the queries bit for bit alike. A save restored over another base of the same
+// rows it should (core.AssertSlicesHoldBaseRows), the owner rule answers the
+// queries as the row-level bitmask filter does
+// (core.AssertExclusionMatchesRowFilter), and two paths to one family answer
+// the queries bit for bit alike. A save restored over another base of the same
 // row count is refused, by the dimension's name.
 func throughEveryPath(t *testing.T, st *core.SmallGroup, online bool, queries []*engine.Query) {
 	t.Helper()
@@ -109,6 +111,7 @@ func throughEveryPath(t *testing.T, st *core.SmallGroup, online bool, queries []
 	}
 	fresh, _ := built.Prepared(name)
 	core.AssertSlicesHoldBaseRows(t, fresh, built.DB())
+	core.AssertExclusionMatchesRowFilter(t, fresh, queries)
 
 	saved := savedBytes(t, fresh)
 	load := func() core.Prepared {
@@ -128,6 +131,7 @@ func throughEveryPath(t *testing.T, st *core.SmallGroup, online bool, queries []
 		t.Fatal("load → re-save: the loaded family saves to other bytes")
 	}
 	core.AssertSlicesHoldBaseRows(t, lp, loaded.DB())
+	core.AssertExclusionMatchesRowFilter(t, lp, queries)
 	sameAnswers(t, "load", built, loaded, name, queries)
 
 	err := core.NewSystem(pathBase(t, 4)).AddPrepared(name, load())
@@ -163,6 +167,7 @@ func throughEveryPath(t *testing.T, st *core.SmallGroup, online bool, queries []
 			t.Fatal("online batches: no reservoir swap reached the overall sample")
 		}
 		core.AssertSlicesHoldBaseRows(t, onA.Prepared(), onA.DB())
+		core.AssertExclusionMatchesRowFilter(t, onA.Prepared(), queries)
 		if !bytes.Equal(savedBytes(t, onA.Prepared()), savedBytes(t, onB.Prepared())) {
 			t.Fatal("online batches: the built and the loaded family grew apart")
 		}
@@ -180,6 +185,7 @@ func throughEveryPath(t *testing.T, st *core.SmallGroup, online bool, queries []
 			t.Fatal(err)
 		}
 		core.AssertSlicesHoldBaseRows(t, onA.Prepared(), onA.DB())
+		core.AssertExclusionMatchesRowFilter(t, onA.Prepared(), queries)
 		last, lastDB, gen = onA.Prepared(), onA.DB(), 4
 	}
 
@@ -197,5 +203,6 @@ func throughEveryPath(t *testing.T, st *core.SmallGroup, online bool, queries []
 	}
 	rp, _ := restored.Prepared(name)
 	core.AssertSlicesHoldBaseRows(t, rp, restored.DB())
+	core.AssertExclusionMatchesRowFilter(t, rp, queries)
 	sameAnswers(t, "restore", built, restored, name, queries)
 }

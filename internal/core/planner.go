@@ -527,9 +527,9 @@ func (p *smallGroupPrepared) enumerate(q *engine.Query, conf float64, explore bo
 }
 
 // build turns a descriptor into the rewritten query of §4.2.2: one step per
-// small group table, each excluding the rows an earlier step already read
-// (the chained bitmask filters that avoid double counting), plus the overall
-// sample scaled by the inverse sampling rate. A descriptor that scans only a
+// small group table, each giving up the groups an earlier step owns (the
+// chained exclusions that avoid double counting), plus the overall sample
+// scaled by the inverse sampling rate. A descriptor that scans only a
 // prefix of the overall sample caps the step there and scales it up by the
 // trimmed share. The exact descriptor is one unscaled scan of the base data.
 func (p *smallGroupPrepared) build(q *engine.Query, c *candidate) *RewritePlan {
@@ -538,6 +538,7 @@ func (p *smallGroupPrepared) build(q *engine.Query, c *candidate) *RewritePlan {
 		plan.Steps = []RewriteStep{{Source: p.db, Name: p.db.Name, Scale: 1, MarkExact: true}}
 		return plan
 	}
+	plan.owners = newOwners(p.meta, q.GroupBy, c.refs)
 	used := bitmask.New(p.meta.Width())
 	for _, ref := range c.refs {
 		t := p.tables[ref.Index]

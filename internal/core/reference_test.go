@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"dynsample/internal/bitmask"
 	"dynsample/internal/engine"
 	"dynsample/internal/randx"
 	"dynsample/internal/sample"
@@ -74,20 +73,6 @@ func naivePreprocess(cfg SmallGroupConfig, db *engine.Database, flat bool) (*sma
 	width := meta.Width()
 
 	rng := randx.New(cfg.Seed)
-	maskOf := func(row int) bitmask.Mask {
-		m := bitmask.New(width)
-		for i, band := range bands {
-			if band(row) >= 0 {
-				m.Set(i)
-			}
-		}
-		for _, pt := range pairTesters {
-			if pt.test(row) {
-				m.Set(pt.index)
-			}
-		}
-		return m
-	}
 	target := int(cfg.BaseRate * float64(n))
 	if target < 1 {
 		target = 1
@@ -168,13 +153,9 @@ func naivePreprocess(cfg SmallGroupConfig, db *engine.Database, flat bool) (*sma
 				w = tableWeights[i]
 			}
 		}
-		masks := make([]bitmask.Mask, len(rows))
-		for j, r := range rows {
-			masks[j] = maskOf(r)
-		}
-		src := sampleSource{name: name, src: naiveSlice(db, name, rows, masks, w)}
+		src := sampleSource{name: name, src: naiveSlice(db, name, rows, w)}
 		if flat {
-			src.src = engine.MustNewDatabase(name, naiveFlatten(db, name, rows, masks, w))
+			src.src = engine.MustNewDatabase(name, naiveFlatten(db, name, rows, w))
 		}
 		if i < width {
 			p.tables[i] = src
@@ -187,9 +168,9 @@ func naivePreprocess(cfg SmallGroupConfig, db *engine.Database, flat bool) (*sma
 
 // naiveFlatten materialises the joined view for rows one cell at a time
 // through Accessor.Value and Column.Append. Only the engine adds columns under
-// reserved names, so the masks and weights go on through its Flatten, over
-// every row of the copy.
-func naiveFlatten(db *engine.Database, name string, rows []int, masks []bitmask.Mask, weights []float64) *engine.Table {
+// reserved names, so the weights go on through its Flatten, over every row of
+// the copy.
+func naiveFlatten(db *engine.Database, name string, rows []int, weights []float64) *engine.Table {
 	var cols []*engine.Column
 	var accs []engine.ColumnAccessor
 	for _, cn := range db.Columns() {
@@ -207,13 +188,13 @@ func naiveFlatten(db *engine.Database, name string, rows []int, masks []bitmask.
 		out.EndRow()
 		all[j] = j
 	}
-	return engine.MustNewDatabase(name, out).Flatten(name, all, masks, weights)
+	return engine.MustNewDatabase(name, out).Flatten(name, all, nil, weights)
 }
 
 // naiveSlice copies the fact table's columns, foreign keys included, for
 // rows one cell at a time, and joins the copy to db's dimension tables; the
-// masks and weights go on through the engine as in naiveFlatten.
-func naiveSlice(db *engine.Database, name string, rows []int, masks []bitmask.Mask, weights []float64) *engine.Database {
+// weights go on through the engine as in naiveFlatten.
+func naiveSlice(db *engine.Database, name string, rows []int, weights []float64) *engine.Database {
 	var cols []*engine.Column
 	for _, c := range db.Fact.Columns() {
 		cols = append(cols, engine.NewColumn(c.Name, c.Type))
@@ -227,7 +208,7 @@ func naiveSlice(db *engine.Database, name string, rows []int, masks []bitmask.Ma
 		out.EndRow()
 		all[j] = j
 	}
-	slice := engine.MustNewDatabase(name, out).FactSlice(name, all, masks, weights)
+	slice := engine.MustNewDatabase(name, out).FactSlice(name, all, weights)
 	return engine.MustNewDatabase(name, slice.Fact, db.Dims...)
 }
 
@@ -951,7 +932,7 @@ func AssertOnlineClassifyMatchesNaive(t *testing.T, db *engine.Database, cfg Sma
 		want := detached(t, before)
 		want.db = o.DB()
 		var wst BatchStats
-		(&family{p: want}).applySampleUpdates(want, lo, words, perTable, victims, &wst)
+		(&family{p: want}).applySampleUpdates(want, lo, perTable, victims, &wst)
 		if st.SmallGroupInserts != wst.SmallGroupInserts || st.ReservoirSwaps != wst.ReservoirSwaps {
 			t.Fatalf("batch %d: %d inserts and %d swaps, naive %d and %d", seq, st.SmallGroupInserts, st.ReservoirSwaps, wst.SmallGroupInserts, wst.ReservoirSwaps)
 		}
@@ -994,7 +975,7 @@ func AssertOnlineClassifyMatchesNaive(t *testing.T, db *engine.Database, cfg Sma
 	for _, b := range tail {
 		var st BatchStats
 		words, perTable, victims := naiveClassifyBatch(nf, b.Rows, randx.New(batchSeed(seed, b.Seq)), false)
-		(&family{p: replayed}).applySampleUpdates(replayed, lo, words, perTable, victims, &st)
+		(&family{p: replayed}).applySampleUpdates(replayed, lo, perTable, victims, &st)
 		got := make([]uint64, len(words))
 		o.split.masks(lo, len(b.Rows), got)
 		if !reflect.DeepEqual(got, words) {

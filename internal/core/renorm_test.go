@@ -85,7 +85,7 @@ func TestRenormalizerSharedDims(t *testing.T) {
 	}
 	rowsA := []int{0, 10, 20, 30}
 	rowsB := []int{5, 10, 4999}
-	a, b := db.FactSlice("a", rowsA, nil, nil), db.FactSlice("b", rowsB, nil, nil)
+	a, b := db.FactSlice("a", rowsA, nil), db.FactSlice("b", rowsB, nil)
 	for d := range db.Dims {
 		if a.Dims[d].Table != db.Dims[d].Table || b.Dims[d].Table != db.Dims[d].Table {
 			t.Errorf("dimension %d is not the base's", d)

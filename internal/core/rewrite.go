@@ -11,15 +11,18 @@ import (
 
 // RewriteStep is one branch of a rewritten query: an execution of the
 // original query shape against a single sample source — the overall
-// sample's flat table, a small group table's fact slice joined to the
-// dimension tables (§5.2.2), or the base data itself — with an optional
-// bitmask anti-double-counting filter and aggregate scale factor.
+// sample or a small group table, each a fact slice joined to the dimension
+// tables (§5.2.2), or the base data itself — with the small group tables it
+// gives up to earlier steps and an aggregate scale factor.
 type RewriteStep struct {
 	Source engine.Source
 	// Name labels the source in the rendered SQL.
 	Name string
-	// Exclude drops rows whose membership bitmask intersects it ("WHERE
-	// bitmask & m = 0"). A zero-width mask means no filter.
+	// Exclude holds the bits of the tables whose domains the step gives up:
+	// the paper's "WHERE bitmask & m = 0", as SQL renders it. Sample rows
+	// store no bitmask, so ExecutePlanCtx filters no row by it: a plan the
+	// planner builds drops those groups from the step's partial instead
+	// (RewritePlan.owners).
 	Exclude bitmask.Mask
 	// Scale multiplies aggregate values (the inverse sampling rate); 1 for
 	// small group tables, which are not downsampled.
@@ -43,10 +46,11 @@ func StepFor(t *engine.Table, scale float64) RewriteStep {
 // selection: the UNION ALL of its steps (§4.2.2).
 //
 // The steps are independent by construction: each reads a different sample
-// source, and the bitmask anti-double-counting filters are per-step WHERE
-// clauses baked in at plan time, not an execution-order dependency. They can
+// source, and which groups a step gives up is a test on the group's key
+// fixed at plan time (owners), not an execution-order dependency. They can
 // therefore run concurrently; only the final combination (merging partial
-// results in step order) is sequential.
+// results in step order, each less the groups an earlier step owns) is
+// sequential.
 type RewritePlan struct {
 	Query *engine.Query
 	Steps []RewriteStep
@@ -55,6 +59,10 @@ type RewritePlan struct {
 	// (engine.ExecOptions.Workers), and the per-step results are merged in
 	// step order — so answers are bit-identical for every worker count.
 	Workers int
+	// owners is the owner rule of the small group tables the first steps
+	// read, in step order; the last step is the overall sample. Nil for a
+	// plan of independent sources: the exact plan, or one made by hand.
+	owners *owners
 }
 
 // SQL renders the plan as the UNION ALL query of §4.2.2, e.g.

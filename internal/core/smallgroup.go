@@ -346,8 +346,9 @@ func (split *bandSplit) classify(db *engine.Database, cfg SmallGroupConfig) (*sa
 					}
 					rate := cfg.Levels[split.bands[i].Class(row)].Rate
 					if rate < 1 {
-						// Medium band: subsample at the level's rate; the bitmask
-						// still marks the row so the overall sample filters it out.
+						// Medium band: subsample at the level's rate; the value
+						// stays in the table's domain, so the overall sample
+						// gives its groups up (owners).
 						if rng.Float64() >= rate {
 							return
 						}
@@ -423,29 +424,17 @@ func (split *bandSplit) materialise(db *engine.Database, cfg SmallGroupConfig, r
 		names[pm.Index] = "sg_" + pm.Cols[0] + "__" + pm.Cols[1]
 	}
 
-	// Fan the per-table builds (bitmask computation + materialisation) out
-	// across workers: task i builds small group table i, the last task builds
-	// the overall sample. Every input (row lists, the classifier, the base
-	// data) is read-only by now, and each task writes only its own slot, so
-	// the built tables are identical for any worker count. Masks are computed
-	// for the sampled rows only.
+	// Fan the per-table builds out across workers: task i builds small group
+	// table i, the last task builds the overall sample. Every input (row
+	// lists, the base data) is read-only by now, and each task writes only
+	// its own slot, so the built tables are identical for any worker count.
+	// A row stores no membership mask: which tables hold a group is a test on
+	// its key at query time (owners).
 	parallel.ForEach(cfg.Workers, width+1, func(i int) {
-		list, w := rows.overall, rows.overallWeights
 		if i < width {
-			list, w = rows.tables[i], rows.weights[i]
-		}
-		// One slab of words for the table: a row's mask is a window onto it.
-		masks, words := make([]bitmask.Mask, len(list)), maskWords(width)
-		slab := make([]uint64, len(list)*words)
-		for j, r := range list {
-			rowBits := slab[j*words : (j+1)*words : (j+1)*words]
-			split.masks(r, 1, rowBits)
-			masks[j] = bitmask.FromWords(width, rowBits)
-		}
-		if i < width {
-			p.tables[i] = sampleSource{src: db.FactSlice(names[i], list, masks, w), name: names[i]}
+			p.tables[i] = sampleSource{src: db.FactSlice(names[i], rows.tables[i], rows.weights[i]), name: names[i]}
 		} else {
-			p.overall = sampleSource{src: db.FactSlice("sg_overall", list, masks, w), name: "sg_overall"}
+			p.overall = sampleSource{src: db.FactSlice("sg_overall", rows.overall, rows.overallWeights), name: "sg_overall"}
 		}
 	})
 	return p
@@ -531,8 +520,8 @@ func bitSet(words []uint64, i int) bool {
 
 func setBit(words []uint64, i int) { words[i/64] |= 1 << (uint(i) % 64) }
 
-// maskWords is how many 64-bit words, and so how many mask columns, a sample
-// row's membership mask takes when |S| is width.
+// maskWords is how many 64-bit words a row's membership mask takes when |S|
+// is width.
 func maskWords(width int) int { return (width + 63) / 64 }
 
 // key appends the row's encoded value tuple to buf.

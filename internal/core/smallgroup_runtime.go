@@ -243,20 +243,13 @@ func (p *smallGroupPrepared) AnswerBounds(ctx context.Context, q *engine.Query, 
 	// latency predictions track the machine the server actually runs on.
 	p.pstats.rate.observe(scanRows, time.Since(execStart))
 	endStage = tr.StartStage("finalize")
-	if !chosen.Exact {
-		// Mark exactness from the metadata: a group is exact when one of the
-		// chosen tables stores all of its rows undownsampled (§4.2.2: "answers
-		// for groups that result from querying small group tables are marked
-		// as being exact"). Under the multi-level extension, medium-band
-		// groups are estimated from their subsampled rows and stay inexact.
-		// The exact-fallback plan skips this: the engine already marked every
+	if plan.owners != nil {
+		// Mark exactness by the owner rule: a group is exact when the table
+		// that answers it stores it at a 100% rate (owners.owner). The
+		// exact-fallback plan has no owners: the engine already marked every
 		// group exact.
-		used := make(map[int]bool, len(chosen.refs))
-		for _, ref := range chosen.refs {
-			used[ref.Index] = true
-		}
 		for _, g := range combined.Groups() {
-			g.Exact = p.meta.GroupIsExact(q.GroupBy, g.Key, used)
+			_, g.Exact = plan.owners.owner(g.Key)
 		}
 	}
 	ivs := ConfidenceIntervals(combined, conf)
@@ -307,8 +300,8 @@ func plannerTrace(d *PlanDecision) *obs.PlannerData {
 }
 
 // planRows is the total number of sample rows a plan scans, before
-// predicate or bitmask filtering (the quantity latency predictions budget
-// against), honouring per-step MaxRows caps.
+// predicate filtering (the quantity latency predictions budget against),
+// honouring per-step MaxRows caps.
 func planRows(plan *RewritePlan) int64 {
 	var n int64
 	for _, st := range plan.Steps {
@@ -369,9 +362,11 @@ func ExecutePlan(plan *RewritePlan) (*engine.Result, int64, error) {
 // plan.Workers parallel tasks, each itself a partitioned scan, and the
 // per-step results are merged in step order on the calling goroutine.
 // Goroutines are cheap and blocked shards release workers quickly, so mild
-// oversubscription (steps × scan workers) beats partitioning the budget. The
-// bitmask anti-double-counting semantics are unaffected: each step's Exclude
-// mask was fixed at plan time, so no step depends on another's output.
+// oversubscription (steps × scan workers) beats partitioning the budget. No
+// step depends on another's output: the merge drops from each step's partial
+// the groups an earlier step owns (RewritePlan.owners), before the groups it
+// keeps are added, so every sum is added in step order as the paper's
+// row-level "bitmask & m = 0" filter would leave it.
 //
 // Cancellation propagates to every step's sharded scan: once ctx is done,
 // no new shard starts and ExecutePlanCtx returns ctx.Err(). A panic inside
@@ -390,11 +385,10 @@ func ExecutePlanCtx(ctx context.Context, plan *RewritePlan) (*engine.Result, int
 		st := plan.Steps[i]
 		stepStart := time.Now()
 		res, err := engine.ExecuteCtx(ctx, st.Source, plan.Query, engine.ExecOptions{
-			Scale:       st.Scale,
-			ExcludeMask: st.Exclude,
-			MarkExact:   st.MarkExact,
-			MaxRows:     st.MaxRows,
-			Workers:     plan.Workers,
+			Scale:     st.Scale,
+			MarkExact: st.MarkExact,
+			MaxRows:   st.MaxRows,
+			Workers:   plan.Workers,
 		})
 		if err != nil {
 			return err
@@ -419,9 +413,16 @@ func ExecutePlanCtx(ctx context.Context, plan *RewritePlan) (*engine.Result, int
 	endStage = tr.StartStage("combine")
 	combined := engine.NewResult(plan.Query.GroupBy, plan.Query.Aggs)
 	var rowsRead int64
-	for _, res := range partials {
+	for j, res := range partials {
 		rowsRead += res.RowsScanned
-		if err := combined.Consume(res); err != nil {
+		var keep func(key []engine.Value) bool // the groups no earlier step owns
+		if plan.owners != nil && j > 0 {
+			keep = func(key []engine.Value) bool {
+				step, _ := plan.owners.owner(key)
+				return step >= j
+			}
+		}
+		if err := combined.ConsumeKeeping(res, keep); err != nil {
 			return nil, 0, err
 		}
 	}

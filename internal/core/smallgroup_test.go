@@ -126,10 +126,6 @@ func TestSmallGroupTableContents(t *testing.T) {
 		if meta.IsCommon("a", v) {
 			t.Fatalf("row %d of a's small group table has common value %v", r, v)
 		}
-		mask, hasMask := tbl.RowMask(r)
-		if !hasMask || !mask.Bit(ix) {
-			t.Fatalf("row %d mask %v missing bit %d", r, mask, ix)
-		}
 	}
 	// Conversely, every rare-a base row must be in the table.
 	var rareBase int64
@@ -407,23 +403,33 @@ func TestPreprocessUnknownColumn(t *testing.T) {
 	}
 }
 
+// TestGroupIsExact: a group is exact when the first used table whose domain
+// holds it stores it at 100%; a rare value of an unused table counts for
+// nothing.
 func TestGroupIsExact(t *testing.T) {
 	meta := NewMetadata(100, []ColumnMeta{
 		{Column: "x", Common: map[engine.Value]struct{}{engine.IntVal(1): {}}},
 		{Column: "y", Common: map[engine.Value]struct{}{engine.IntVal(1): {}}},
 	})
-	used := map[int]bool{0: true}
+	groupBy := []string{"x", "y"}
+	xOnly := newOwners(meta, groupBy, meta.RelevantTables([]string{"x"}))
+	both := newOwners(meta, groupBy, meta.RelevantTables(groupBy))
+	exact := func(o *owners, key ...engine.Value) bool { _, e := o.owner(key); return e }
 	// x rare -> exact.
-	if !meta.GroupIsExact([]string{"x", "y"}, []engine.Value{engine.IntVal(2), engine.IntVal(1)}, used) {
+	if !exact(xOnly, engine.IntVal(2), engine.IntVal(1)) {
 		t.Error("rare used column should be exact")
 	}
 	// x common, y rare but unused -> not exact.
-	if meta.GroupIsExact([]string{"x", "y"}, []engine.Value{engine.IntVal(1), engine.IntVal(2)}, used) {
+	if exact(xOnly, engine.IntVal(1), engine.IntVal(2)) {
 		t.Error("rare value in unused table must not count as exact")
 	}
 	// all common -> not exact.
-	if meta.GroupIsExact([]string{"x", "y"}, []engine.Value{engine.IntVal(1), engine.IntVal(1)}, map[int]bool{0: true, 1: true}) {
+	if exact(both, engine.IntVal(1), engine.IntVal(1)) {
 		t.Error("common group marked exact")
+	}
+	// y rare, x common: y's table owns it.
+	if got, _ := both.owner([]engine.Value{engine.IntVal(1), engine.IntVal(2)}); got != 1 {
+		t.Errorf("owner of (common, rare) = %d, want y's table, step 1", got)
 	}
 }
 

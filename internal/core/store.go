@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"reflect"
@@ -26,14 +27,15 @@ import (
 
 const storeMagic = "DSSG"
 
-// storeVersion 7 stores every sample table, the overall sample too, as a
+// storeVersion 8 stores no membership mask with a sample row, where version
+// 7 stored one as mask word columns. Version 7 stored every sample table as a
 // fact slice, where version 6 stored the overall sample flattened; version 6
 // recorded the dimension tables the slices join (dimStamp), where version 5
 // stored every table flattened; version 5 recorded the whole configuration
 // that built the family (familySpec) where version 4 kept only
 // MaxTablesPerQuery and τ. It is the only version read: nothing writes
 // another.
-const storeVersion = 7
+const storeVersion = 8
 
 // Caps on the lengths and counts read back (binio refuses one over its cap):
 // a truncated or corrupted header must produce a descriptive error, not a
@@ -138,6 +140,21 @@ func stampDims(dims []engine.DimJoin) []dimStamp {
 	return out
 }
 
+// ErrStoreVersion is wrapped by the error LoadSmallGroup returns for a store
+// of a version it does not read: one an earlier or later build wrote.
+var ErrStoreVersion = errors.New("sample family store version not read")
+
+// oldStores is why LoadSmallGroup refuses each version an earlier build
+// wrote.
+var oldStores = map[uint32]string{
+	2: "carries a confidence level this build no longer reads",
+	3: "does not record the distinct-value cutoff τ",
+	4: "does not record the configuration that built the family",
+	5: "stores its small group tables flattened, not as fact slices",
+	6: "stores its overall sample flattened, not as a fact slice",
+	7: "stores membership masks with its sample rows",
+}
+
 // LoadSmallGroup reads state written by SaveSmallGroup.
 func LoadSmallGroup(r io.Reader) (Prepared, error) {
 	br := bufio.NewReader(r)
@@ -152,18 +169,10 @@ func LoadSmallGroup(r io.Reader) (Prepared, error) {
 	switch version := in.U32(); {
 	case in.Err() != nil:
 		return nil, fmt.Errorf("core: reading store header: %w", in.Err())
-	case version == 2:
-		return nil, fmt.Errorf("core: store version 2 carries a confidence level this build no longer reads; it reads version %d only", storeVersion)
-	case version == 3:
-		return nil, fmt.Errorf("core: store version 3 does not record the distinct-value cutoff τ; this build reads version %d only", storeVersion)
-	case version == 4:
-		return nil, fmt.Errorf("core: store version 4 does not record the configuration that built the family; this build reads version %d only", storeVersion)
-	case version == 5:
-		return nil, fmt.Errorf("core: store version 5 stores its small group tables flattened, not as fact slices; this build reads version %d only", storeVersion)
-	case version == 6:
-		return nil, fmt.Errorf("core: store version 6 stores its overall sample flattened, not as a fact slice; this build reads version %d only", storeVersion)
+	case oldStores[version] != "":
+		return nil, fmt.Errorf("core: %w: store version %d %s; this build reads version %d only", ErrStoreVersion, version, oldStores[version], storeVersion)
 	case version != storeVersion:
-		return nil, fmt.Errorf("core: unsupported store version %d", version)
+		return nil, fmt.Errorf("core: %w: unsupported store version %d", ErrStoreVersion, version)
 	}
 
 	cfg, err := parseSpec([]byte(in.String(maxStoreString)))

@@ -12,7 +12,7 @@ import (
 )
 
 // craftStore builds a raw store stream header-by-header so tests can plant
-// hostile length prefixes at exact positions: the header of store version 7,
+// hostile length prefixes at exact positions: the header of store version 8,
 // up to the metadata's column count. build writes everything after it — the
 // rest of the metadata, the dimension stamps, then every sample's fact table.
 func craftStore(maxTables, ncols uint32, build func(w *bufio.Writer)) []byte {

@@ -453,7 +453,7 @@ func TestFlattenMatchesRowAtATime(t *testing.T) {
 
 		// A fact slice answers every cell like the flat copy, and flattens
 		// back to Flatten's table byte for byte.
-		rdb := db.FactSlice("flat", rows, masks, weights)
+		rdb := maskedSlice(db, "flat", rows, masks, weights)
 		for _, c := range cols {
 			acc, _ := rdb.Accessor(c.Name)
 			for i := range rows {

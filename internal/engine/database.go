@@ -232,19 +232,19 @@ func (db *Database) Flatten(name string, rows []int, masks []bitmask.Mask, weigh
 
 // FactSlice materialises the given fact rows as a fact slice: the fact
 // table's own columns, foreign keys included, gathered for rows, then one
-// mask and one weight per row as Flatten adds them, joined to db's own
+// weight per row as Flatten adds it (nil adds none), joined to db's own
 // dimension tables. It answers every view column as Flatten's table does but
-// stores no dimension column, so a sample row costs its fact values and mask
-// words, not the width of the star. Rejoining the slice to a later version
+// stores no dimension column, so a sample row costs its fact values, not the
+// width of the star. Rejoining the slice to a later version
 // of the dimension tables (Rejoin) keeps its answers: appends only add
 // dimension rows.
-func (db *Database) FactSlice(name string, rows []int, masks []bitmask.Mask, weights []float64) *Database {
+func (db *Database) FactSlice(name string, rows []int, weights []float64) *Database {
 	cols := make([]*Column, db.Fact.NumCols())
 	for j, c := range db.Fact.Columns() {
 		cols[j] = c.View().gather(rows)
 	}
 	fact := NewTable(name, cols...)
-	fact.addSampleColumns(masks, weights)
+	fact.addSampleColumns(nil, weights)
 	return MustNewDatabase(name, fact, db.Dims...)
 }
 

@@ -11,14 +11,15 @@ import (
 
 // ExecOptions modify a query execution against a sample table, implementing
 // the rewriting knobs of §4.2.2: scaling aggregate values by the inverse
-// sampling rate and filtering out rows already counted by an earlier sample
-// table via the bitmask field.
+// sampling rate and, for a source that stores membership masks, filtering
+// out rows already counted by an earlier sample table via the bitmask field.
 type ExecOptions struct {
 	// Scale multiplies every aggregate contribution. Zero means 1 (no
 	// scaling), so the zero value of ExecOptions is exact execution.
 	Scale float64
 	// ExcludeMask, when non-empty, skips any row whose membership mask
-	// shares a bit with it — the "WHERE bitmask & m = 0" filter.
+	// shares a bit with it — the "WHERE bitmask & m = 0" filter. A source
+	// without mask columns (MaskColumn) has every row pass.
 	ExcludeMask bitmask.Mask
 	// MarkExact marks every produced group as exact (used for small group
 	// tables, which are not downsampled).

@@ -137,7 +137,7 @@ func kernelSources(t *testing.T, seed int64) []kernelSource {
 		}
 	}
 	masks, weights := kernelSideArrays(rng, len(rows), masks128)
-	sample := db.FactSlice("sample", rows, masks, weights)
+	sample := maskedSlice(db, "sample", rows, masks, weights)
 
 	return []kernelSource{
 		{"flat", flat, names(flatCols), []string{"m_f", "m_i", "s_low"}, masks245},
@@ -570,7 +570,7 @@ func TestResultIndexedOnDemand(t *testing.T) {
 	want := func(order ...int) *Result {
 		res := NewResult(q.GroupBy, q.Aggs)
 		for _, i := range order {
-			res.merge(referenceExecute(t, ks.src, q, opts[i]), false)
+			res.merge(referenceExecute(t, ks.src, q, opts[i]), false, nil)
 		}
 		return res
 	}
@@ -669,6 +669,14 @@ func TestKernelUnknownPredicateImplementation(t *testing.T) {
 	}
 }
 
+// maskedSlice is db.FactSlice of rows with one membership mask per row as
+// well: a source the exclude filter (ExecOptions.ExcludeMask) reads.
+func maskedSlice(db *Database, name string, rows []int, masks []bitmask.Mask, weights []float64) *Database {
+	fact := db.FactSlice(name, rows, nil).Fact
+	fact.addSampleColumns(masks, weights)
+	return MustNewDatabase(name, fact, db.Dims...)
+}
+
 // scanBenchData is a TPC-H-shaped star schema — fact columns, a small and a
 // large dimension, strings and ints of the benchmark's cardinalities, zipf
 // skew — and a weighted sample of it whose rows carry membership masks, as a
@@ -713,7 +721,7 @@ func scanBenchData(n int) (*Database, *Table, *Database) {
 		}
 		weights[r] = 1 + rng.Float64()*99
 	}
-	return db, db.Flatten("sample", rows, masks, weights), db.FactSlice("sample", rows, masks, weights)
+	return db, db.Flatten("sample", rows, masks, weights), maskedSlice(db, "sample", rows, masks, weights)
 }
 
 var scanBenchGroupBys = [][]string{

@@ -289,7 +289,7 @@ func referenceExecute(t testing.TB, src Source, q *Query, opt ExecOptions) *Resu
 		if res == nil {
 			res = part
 		} else {
-			res.merge(part, true)
+			res.merge(part, true, nil)
 		}
 	}
 	if res == nil {

@@ -46,9 +46,9 @@ type Result struct {
 	groups map[string]*Group
 	n      int
 
-	// RowsScanned counts source rows that survived the bitmask filter;
-	// RowsMatched additionally satisfied the predicates. RowsScanned is the
-	// effective sample size used for confidence intervals.
+	// RowsScanned counts the source rows the scan read, less those a
+	// bitmask filter (ExecOptions.ExcludeMask) dropped; RowsMatched counts
+	// those that also satisfied the predicates. Merging adds both up.
 	RowsScanned int64
 	RowsMatched int64
 }
@@ -68,7 +68,7 @@ func (r *Result) index() map[string]*Group {
 	defer r.mu.Unlock()
 	if t := r.tbl; t != nil {
 		r.tbl, r.groups = nil, nil
-		r.absorb(t, true)
+		r.absorb(t, true, nil)
 	}
 	return r.groups
 }
@@ -113,11 +113,12 @@ func (g *Group) add(og *Group) {
 	g.Exact = g.Exact && og.Exact
 }
 
-// absorb merges the groups of a scan's table into the index: the ones it has
-// are summed, the others built — boxed key, key string, Group, one slab of
-// each for all of them — over t's own accumulators when adopt says t is r's
-// to keep, over a copy otherwise. It returns how many it built.
-func (r *Result) absorb(t *groupTable, adopt bool) int {
+// absorb merges the groups of a scan's table that keep passes (every one when
+// keep is nil) into the index: the ones it has are summed, the others built —
+// boxed key, key string, Group, one slab of each for all of them — over t's
+// own accumulators when adopt says t is r's to keep, over a copy otherwise.
+// It returns how many it built.
+func (r *Result) absorb(t *groupTable, adopt bool, keep func(key []Value) bool) int {
 	k, na := len(r.GroupBy), len(r.Aggs)
 	if len(r.groups) == 0 {
 		r.groups = make(map[string]*Group, t.n)
@@ -128,6 +129,10 @@ func (r *Result) absorb(t *groupTable, adopt bool) int {
 		var rem uint64
 		for i := range t.cols {
 			vals = append(vals, t.cols[i].value(t.key(g), &rem))
+		}
+		if keep != nil && !keep(vals[len(vals)-k:]) {
+			vals = vals[:len(vals)-k]
+			continue
 		}
 		start := len(enc)
 		enc = AppendKey(enc, vals[len(vals)-k:])
@@ -205,18 +210,24 @@ func (r *Result) Merge(other *Result) error {
 	if err := r.sameShape(other); err != nil {
 		return err
 	}
-	r.merge(other, false)
+	r.merge(other, false, nil)
 	return nil
 }
 
 // Consume is Merge for a partial the caller owns and is done with: groups
 // new to r move over instead of being copied, so other must not be used
 // afterwards. The sums, and the order they are added in, are Merge's.
-func (r *Result) Consume(other *Result) error {
+func (r *Result) Consume(other *Result) error { return r.ConsumeKeeping(other, nil) }
+
+// ConsumeKeeping is Consume of only the groups of other whose key keep
+// passes; a nil keep passes every group. The groups it drops add nothing,
+// the rest are added as Consume adds them. Rows and matches are counted
+// whole.
+func (r *Result) ConsumeKeeping(other *Result, keep func(key []Value) bool) error {
 	if err := r.sameShape(other); err != nil {
 		return err
 	}
-	r.merge(other, true)
+	r.merge(other, true, keep)
 	return nil
 }
 
@@ -235,25 +246,29 @@ func (r *Result) sameShape(other *Result) error {
 	return nil
 }
 
-// merge is Merge without the shape checks; adopt is Consume's move. A scan's
-// partial is merged from its table, without an index of its own — and moved
-// into an empty r as it stands.
-func (r *Result) merge(other *Result, adopt bool) {
+// merge is Merge without the shape checks; adopt is Consume's move, keep
+// ConsumeKeeping's test. A scan's partial is merged from its table, without
+// an index of its own — and moved into an empty r as it stands when every
+// group is kept.
+func (r *Result) merge(other *Result, adopt bool, keep func(key []Value) bool) {
 	r.RowsScanned += other.RowsScanned
 	r.RowsMatched += other.RowsMatched
 	other.mu.Lock()
 	t := other.tbl
 	other.mu.Unlock()
-	if t != nil && adopt && r.n == 0 {
+	if t != nil && adopt && keep == nil && r.n == 0 {
 		r.tbl, r.n = t, t.n
 		return
 	}
 	groups := r.index()
 	if t != nil {
-		r.n += r.absorb(t, adopt)
+		r.n += r.absorb(t, adopt, keep)
 		return
 	}
 	for k, og := range other.groups {
+		if keep != nil && !keep(og.Key) {
+			continue
+		}
 		g, ok := groups[k]
 		if ok {
 			g.add(og)

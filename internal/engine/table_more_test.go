@@ -90,7 +90,7 @@ func TestDatabaseRowMaskAndWeight(t *testing.T) {
 	}
 	// A fact slice's rows carry both, as columns the view binds and does not
 	// list.
-	s := db.FactSlice("s", []int{0, 1}, []bitmask.Mask{bitmask.FromBits(3, 1), bitmask.New(3)}, []float64{2, 3})
+	s := maskedSlice(db, "s", []int{0, 1}, []bitmask.Mask{bitmask.FromBits(3, 1), bitmask.New(3)}, []float64{2, 3})
 	if m, ok := s.Fact.RowMask(0); !ok || !m.Bit(1) || s.Fact.RowWeight(1) != 3 {
 		t.Errorf("sample row mask %v (%v), weight %g", m, ok, s.Fact.RowWeight(1))
 	}

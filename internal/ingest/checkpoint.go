@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 
@@ -68,6 +69,9 @@ type Snapshot struct {
 	Delta *engine.Table
 	// IDs is the persisted idempotency window, oldest first.
 	IDs []IdentEntry
+	// familyErr is why Prepared is nil: the family is in a store version
+	// this build does not read (core.ErrStoreVersion).
+	familyErr error
 }
 
 // WriteCheckpoint serialises a checkpointed snapshot of db and the sample
@@ -117,7 +121,11 @@ func WriteCheckpoint(w io.Writer, p core.Prepared, ck Checkpoint, db *engine.Dat
 // DecodeSnapshot reads a catalog payload, sniffing the magic: a checkpoint,
 // or a bare SaveSmallGroup stream (the benchmark harness still saves one),
 // which decodes to the checkpoint that covers nothing over the base its
-// family was built on.
+// family was built on. A checkpoint whose family is in a store version this
+// build does not read is returned with the error (it wraps
+// core.ErrStoreVersion) and without its family: its data — delta, ids and
+// position — is still the only copy of the rows it covers, and Restore
+// restores it.
 func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	br := bufio.NewReader(r)
 	head, err := br.Peek(4)
@@ -164,10 +172,11 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	default:
 		return nil, fmt.Errorf("ingest: bad checkpoint delta flag %d", hasDelta)
 	}
-	if s.Prepared, err = core.LoadSmallGroup(br); err != nil {
-		return nil, err
+	s.Prepared, s.familyErr = core.LoadSmallGroup(br)
+	if s.familyErr != nil && !errors.Is(s.familyErr, core.ErrStoreVersion) {
+		return nil, s.familyErr
 	}
-	return s, nil
+	return s, s.familyErr
 }
 
 // restoreSliceRows is how many delta rows Restore holds boxed at a time: one
@@ -191,14 +200,17 @@ func (s *Snapshot) checkBase(rows int) error {
 // under strategy, joining its small group tables to the dimension tables the
 // delta has grown. sys must hold exactly Checkpoint.BaseRows base rows. When
 // its dimension tables are not the ones the family was saved over, the data
-// stays published and the error wraps core.ErrOtherDimensions.
+// stays published and the error wraps core.ErrOtherDimensions; when the
+// family's store version was not read (DecodeSnapshot), the data is published
+// and the error wraps core.ErrStoreVersion.
 func (s *Snapshot) Restore(sys *core.System, strategy string) error {
 	ck := s.Checkpoint
 	if err := s.checkBase(sys.DB().NumRows()); err != nil {
 		return fmt.Errorf("ingest: %w", err)
 	}
+	db := sys.DB()
 	if s.Delta != nil && s.Delta.NumRows() > 0 {
-		app, err := engine.NewAppender(sys.DB())
+		app, err := engine.NewAppender(db)
 		if err != nil {
 			return fmt.Errorf("ingest: restoring checkpoint delta: %w", err)
 		}
@@ -219,13 +231,14 @@ func (s *Snapshot) Restore(sys *core.System, strategy string) error {
 				}
 				rows = append(rows, row)
 			}
-			if _, err := app.Append(rows); err != nil {
+			if db, err = app.Append(rows); err != nil {
 				return fmt.Errorf("ingest: restoring checkpoint delta: %w", err)
 			}
 		}
-		sys.SwapData(app.DB(), ck.DataGen)
-	} else {
-		sys.SwapData(sys.DB(), ck.DataGen)
+	}
+	sys.SwapData(db, ck.DataGen)
+	if s.Prepared == nil {
+		return fmt.Errorf("ingest: restoring the sample family: %w", s.familyErr)
 	}
 	if err := sys.AddPrepared(strategy, s.Prepared); err != nil {
 		return fmt.Errorf("ingest: restoring the sample family: %w", err)

@@ -480,22 +480,6 @@ func (c *Coordinator) ProbeNow() error {
 	return nil
 }
 
-// Degraded returns the disk fault that put ingest into read-only mode, or
-// nil while ingest is writable.
-func (c *Coordinator) Degraded() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.degraded
-}
-
-// Poisoned returns the durable-but-unapplied failure freezing ingest until a
-// restart, or nil.
-func (c *Coordinator) Poisoned() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.poisoned
-}
-
 // State summarises ingest availability for health endpoints: "ok",
 // "degraded" (disk fault, self-recovering, ingest 503s), or "poisoned"
 // (restart required). detail carries the underlying error, empty when ok.

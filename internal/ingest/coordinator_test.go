@@ -382,8 +382,8 @@ func TestCoordinatorWALFailureNotApplied(t *testing.T) {
 	if err := c.ProbeNow(); err != nil {
 		t.Fatalf("probe after the fault cleared: %v", err)
 	}
-	if err := c.Degraded(); err != nil {
-		t.Fatalf("still degraded after a successful probe: %v", err)
+	if state, detail := c.State(); state != "ok" {
+		t.Fatalf("still %s after a successful probe: %s", state, detail)
 	}
 	if _, err := c.Ingest("x", ingestRows(randx.New(5), 10)); err != nil {
 		t.Fatalf("ingest after recovered fault: %v", err)

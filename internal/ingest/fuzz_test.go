@@ -2,8 +2,10 @@ package ingest
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"os"
 	"testing"
 
 	"dynsample/internal/catalog"
@@ -94,7 +96,10 @@ func snapshotStreams(t testing.TB) (checkpoint, bare []byte) {
 // FuzzDecodeSnapshot holds the one reader of catalog payloads to its
 // contract on arbitrary bytes, alone and behind the catalog container as
 // recovery reads a generation: an error, or a Snapshot with both a
-// Checkpoint and a Prepared — never a panic, never a nil Checkpoint.
+// Checkpoint and a Prepared — never a panic, never a nil Checkpoint. With an
+// error it returns a Snapshot only for a family in a store version this
+// build does not read, and then without the family (testdata's version 7
+// checkpoint is a seed).
 func FuzzDecodeSnapshot(f *testing.F) {
 	ck, bare := snapshotStreams(f)
 	for _, valid := range [][]byte{ck, bare} {
@@ -110,11 +115,19 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(ckMagic))
 	f.Add(wrapGeneration(f, ck))
+	old, err := os.ReadFile("testdata/checkpoint-v7.dscp")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(old)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		check := func(s *Snapshot, err error) {
 			if err == nil && (s == nil || s.Checkpoint == nil || s.Prepared == nil) {
 				t.Fatalf("decoded %+v with nil error", s)
+			}
+			if err != nil && s != nil && (!errors.Is(err, core.ErrStoreVersion) || s.Checkpoint == nil || s.Prepared != nil) {
+				t.Fatalf("decoded %+v with error %v", s, err)
 			}
 		}
 		check(DecodeSnapshot(bytes.NewReader(data)))

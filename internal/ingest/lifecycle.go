@@ -36,7 +36,7 @@ type Recovery struct {
 	Checkpoint *Checkpoint
 	// Skipped lists the newer catalog generations that failed verification
 	// or were cut over a different base, and last the restored one when its
-	// family was built from another configuration.
+	// family was built from another configuration or cannot be read.
 	Skipped []catalog.SkippedSnapshot
 	// Replay is the WAL replay's work; zero without a WAL.
 	Replay ReplayStats
@@ -56,11 +56,11 @@ type Recovery struct {
 //     this base-row count is restored (samples, ingested-row delta, data
 //     generation); older generations are the fall-back, reported in Skipped.
 //     When its family records another configuration than strategy's (after
-//     defaults), the family is reported in Skipped too and strategy
-//     pre-processes the restored data in its place. With no usable
-//     generation — or no catalog — the strategy pre-processes the base data.
-//     Either way a catalog gets the new family as its next generation, so it
-//     self-heals.
+//     defaults), or is in a store version this build does not read, the
+//     family is reported in Skipped too and strategy pre-processes the
+//     restored data in its place. With no usable generation — or no catalog
+//     — the strategy pre-processes the base data. Either way a catalog gets
+//     the new family as its next generation, so it self-heals.
 //  2. The runtime settings a saved family does not record — strategy's
 //     scan rate (SmallGroupConfig.ScanRowsPerSecond) and the worker budget —
 //     are applied to whichever state now serves.
@@ -82,9 +82,10 @@ func Recover(sys *core.System, cat *catalog.Catalog, wal *WAL, strategy *core.Sm
 		var res catalog.LoadResult
 		res, err = cat.LoadLatest(func(r io.Reader) error {
 			s, derr := DecodeSnapshot(r)
-			if derr == nil {
+			if s != nil {
 				// A generation cut over a different base is as unusable as a
-				// corrupt one.
+				// corrupt one. One whose family this build cannot read is
+				// not: its data is restored and the family rebuilt (below).
 				derr = s.checkBase(sys.DB().NumRows())
 			}
 			if derr == nil {
@@ -96,11 +97,11 @@ func Recover(sys *core.System, cat *catalog.Catalog, wal *WAL, strategy *core.Sm
 	}
 	switch {
 	case err == nil:
-		// A family built from another configuration, or saved over other
-		// dimension tables, is skipped, but not its data: the delta, ids and
-		// data generation stay, and the configured strategy pre-processes
-		// them as a rebuild would.
-		if err = snap.Restore(sys, cfg.Strategy); err != nil && !errors.Is(err, core.ErrOtherDimensions) {
+		// A family built from another configuration, saved over other
+		// dimension tables or in a store version this build does not read is
+		// skipped, but not its data: the delta, ids and data generation stay,
+		// and the configured strategy pre-processes them as a rebuild would.
+		if err = snap.Restore(sys, cfg.Strategy); err != nil && !errors.Is(err, core.ErrOtherDimensions) && !errors.Is(err, core.ErrStoreVersion) {
 			return nil, err
 		}
 		if err == nil {

@@ -24,8 +24,8 @@ func New(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 // Zipf draws values in [0, c) with P(i) proportional to (i+1)^-z.
 // The zero value is not usable; construct with NewZipf.
 type Zipf struct {
-	cdf   []float64 // cdf[i] = P(value <= i)
-	probs []float64
+	guided // over cdf[i] = P(value <= i)
+	probs  []float64
 }
 
 // NewZipf returns a truncated Zipf distribution over c values with skew z.
@@ -51,7 +51,7 @@ func NewZipf(z float64, c int) *Zipf {
 		cdf[i] = cum
 	}
 	cdf[c-1] = 1.0 // guard against float drift
-	return &Zipf{cdf: cdf, probs: probs}
+	return &Zipf{guided: newGuided(cdf), probs: probs}
 }
 
 // N returns the number of distinct values.
@@ -67,9 +67,52 @@ func (z *Zipf) Probs() []float64 { return z.probs }
 // Draw samples a value index in [0, N()) using rng.
 func (z *Zipf) Draw(rng *rand.Rand) int { return z.Index(rng.Float64()) }
 
+// guideBuckets is how many equal slices of [0, 1) a guide table cuts.
+const guideBuckets = 1024
+
+// guideProbe is how many CDF entries Index tries in order from a slice's
+// guide entry before it bisects the slice.
+const guideProbe = 4
+
+// guided is an inverse CDF with a guide table: guide[j] is the least i with
+// cdf[i] >= j/guideBuckets, for j in [0, guideBuckets]. A variate u in slice
+// j = ⌊u·guideBuckets⌋ has its index in [guide[j], guide[j+1]], every entry
+// before guide[j] lying below j/guideBuckets ≤ u and entry guide[j+1] at or
+// above (j+1)/guideBuckets > u: a few probes from guide[j] find it, or a
+// bisection of the slice's entries. The answer is inverse's.
+type guided struct {
+	cdf   []float64
+	guide []int32
+}
+
+func newGuided(cdf []float64) guided {
+	g := guided{cdf: cdf, guide: make([]int32, guideBuckets+1)}
+	i := 0
+	for j := range g.guide {
+		// cdf[len-1] is 1, so the scan stops for every j ≤ guideBuckets.
+		for x := float64(j) / guideBuckets; cdf[i] < x; i++ {
+		}
+		g.guide[j] = int32(i)
+	}
+	return g
+}
+
 // Index is the inverse CDF: the value index Draw returns when rng.Float64()
-// returns u. It reads no generator, so it may run anywhere.
-func (z *Zipf) Index(u float64) int { return inverse(z.cdf, u) }
+// returns u, the least i with cdf[i] >= u. It reads no generator, so it may
+// run anywhere. A u outside [0, 1) takes inverse.
+func (g guided) Index(u float64) int {
+	if !(u >= 0 && u < 1) {
+		return inverse(g.cdf, u)
+	}
+	j := int(u * guideBuckets) // exact: a power-of-two scale
+	lo, hi := int(g.guide[j]), int(g.guide[j+1])
+	for end := min(lo+guideProbe, hi); lo < end; lo++ {
+		if u <= g.cdf[lo] {
+			return lo
+		}
+	}
+	return lo + sort.SearchFloat64s(g.cdf[lo:hi], u)
+}
 
 // headProbe is how many CDF entries inverse tries in order before it bisects:
 // a skewed distribution puts most of its mass there (93 % in the first eight
@@ -90,7 +133,7 @@ func inverse(cdf []float64, u float64) int {
 
 // Categorical draws from an arbitrary finite distribution.
 type Categorical struct {
-	cdf []float64
+	guided
 }
 
 // NewCategorical builds a categorical distribution from unnormalised,
@@ -116,14 +159,11 @@ func NewCategorical(weights []float64) *Categorical {
 		cdf[i] = cum
 	}
 	cdf[len(cdf)-1] = 1.0
-	return &Categorical{cdf: cdf}
+	return &Categorical{guided: newGuided(cdf)}
 }
 
 // Draw samples an index using rng.
 func (c *Categorical) Draw(rng *rand.Rand) int { return c.Index(rng.Float64()) }
-
-// Index is the inverse CDF, as Zipf.Index.
-func (c *Categorical) Index(u float64) int { return inverse(c.cdf, u) }
 
 // N returns the number of categories.
 func (c *Categorical) N() int { return len(c.cdf) }

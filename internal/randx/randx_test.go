@@ -130,10 +130,12 @@ func TestCategoricalPanics(t *testing.T) {
 	}
 }
 
-// FuzzInverseCDF: Zipf.Index and Categorical.Index, which try the head of the
-// CDF in order before they bisect, return what sort.SearchFloat64s returns
-// over the whole CDF — at u = 0, at u exactly equal to a CDF entry or just
-// either side of one, and at whatever u in [0, 1] the fuzzer picks.
+// FuzzInverseCDF: Zipf.Index and Categorical.Index, which start from a
+// guide table's entry, and inverse, which tries the head of the CDF in order,
+// return what sort.SearchFloat64s returns over the whole CDF — at u = 0, at
+// u exactly equal to a CDF entry or just either side of one, at a guide
+// slice's edges, and at whatever u in [0, 1] the fuzzer picks. For every u,
+// NaN and the infinities too, Index returns what inverse returns.
 func FuzzInverseCDF(f *testing.F) {
 	f.Add(int64(1), uint8(3), 2.0, 0.5)
 	f.Add(int64(2), uint8(8), 0.0, 0.0)
@@ -159,11 +161,17 @@ func FuzzInverseCDF(f *testing.F) {
 			"zipf":        {NewZipf(z, c).cdf, NewZipf(z, c).Index},
 			"categorical": {NewCategorical(weights).cdf, NewCategorical(weights).Index},
 		} {
-			us := []float64{u, 0, 1}
+			us := []float64{u, 0, 1, math.Nextafter(1, 0), -u, math.NaN(), math.Inf(1), math.Inf(-1)}
 			for _, x := range d.cdf {
 				us = append(us, x, math.Nextafter(x, 0), math.Nextafter(x, 2))
 			}
+			for _, j := range []float64{1, 511, 1023} {
+				us = append(us, j/guideBuckets, math.Nextafter(j/guideBuckets, 0))
+			}
 			for _, x := range us {
+				if got, want := d.index(x), inverse(d.cdf, x); got != want {
+					t.Fatalf("%s over %d values: Index(%v) = %d, inverse %d", name, c, x, got, want)
+				}
 				if !(x >= 0 && x <= 1) {
 					// A variate is in [0, 1). Past 1, float drift can leave CDF
 					// entries above the last one, which is set to 1, and a

@@ -364,3 +364,33 @@ func dimTables(db *engine.Database) []*engine.Table {
 	}
 	return out
 }
+
+// TestGenerateTPCHAt50kRows pins the builtin tpch spec at 50 000 fact rows:
+// the SHA-256 of the fact rows through the join (WriteRowsBinary) and then of
+// each dimension table, recorded before Zipf and Categorical drew through a
+// guide table. Every draw is an inverse CDF, so a faster one must land on
+// the same index for every variate.
+func TestGenerateTPCHAt50kRows(t *testing.T) {
+	spec, err := BuiltinSpec("tpch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.FactTable().Rows = 50_000
+	db, err := Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	if err := db.WriteRowsBinary(h, "tpch", 0, db.NumRows()); err != nil {
+		t.Fatal(err)
+	}
+	for _, tbl := range dimTables(db) {
+		if err := engine.WriteBinary(tbl, h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const want = "d8e285a625b42fb5d6d24111485a955e36249e57f73974bf7f84e0286045a4f6"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("tpch at 50 000 rows hashes to %s, want %s", got, want)
+	}
+}

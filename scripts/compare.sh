@@ -4,10 +4,12 @@
 #   scripts/compare.sh <parent-ref> [workloads]        run, then summarise
 #   scripts/compare.sh --summary <parent> <change>     summarise saved results
 #   scripts/compare.sh --record <pr> <parent> <change> append them to BENCH_repo.json
+#   scripts/compare.sh --extract <workload> <pair>     one run's lines, from stdin
 #
 # A run `git archive`s the parent ref and the change (CHANGE, default HEAD)
 # into a scratch directory (under TMPDIR) and runs `bench/run.sh --trace 0`
-# in PAIRS (default 10) pairs per workload (default: all four). Pair i runs
+# (`--trace 1` with TRACE=1, which adds the per-layer metrics, such as
+# core.execute_us) in PAIRS (default 10) pairs per workload (default: all four). Pair i runs
 # both trees on seed i, the parent first in odd pairs and the change first in
 # even ones, so a slow spell of the host hits both sides. Each run's gated
 # metrics, its failed-op count and every timing of its #diag line (keys
@@ -63,7 +65,7 @@ extract() {
       next
     }
     /^attempted / { print w, p, "failed", $4; next }
-    NF == 3 && $1 ~ /^[a-z_]+$/ && $2 ~ /^[0-9.eE+-]+$/ { print w, p, $1, $2 }'
+    NF == 3 && $1 ~ /^[a-z][a-z0-9_.]*$/ && $2 ~ /^[0-9.eE+-]+$/ { print w, p, $1, $2 }'
 }
 
 record() {
@@ -88,6 +90,11 @@ if [ "${1:-}" = "--record" ]; then
   record "$2" "$3" "$4"
   exit 0
 fi
+if [ "${1:-}" = "--extract" ]; then
+  [ $# -eq 3 ] || { echo "usage: $0 --extract <workload> <pair> <run-output" >&2; exit 2; }
+  extract "$2" "$3"
+  exit 0
+fi
 if [ "${1:-}" = "--summary" ]; then
   [ $# -eq 3 ] || { echo "usage: $0 --summary <parent-results> <change-results>" >&2; exit 2; }
   summary "$2" "$3"
@@ -109,7 +116,7 @@ for pair in $(seq 1 "${PAIRS:-10}"); do
   for w in $workloads; do
     for side in $order; do
       echo "pair $pair $w $side" >&2
-      (cd "$work/$side" && bash bench/run.sh --workload "$w" --seed "$pair" --seconds 8 --trace 0) |
+      (cd "$work/$side" && bash bench/run.sh --workload "$w" --seed "$pair" --seconds 8 --trace "${TRACE:-0}") |
         extract "$w" "$pair" >>"$out/$side.txt"
     done
   done

@@ -108,6 +108,9 @@ t "compare summarises two canned result files" 0 \
   bash -c 'bash scripts/compare.sh --summary scripts/testdata/compare/parent.txt scripts/testdata/compare/change.txt | diff -u scripts/testdata/compare/golden.txt -'
 t "compare --summary rejects a missing file argument" 2 \
   bash scripts/compare.sh --summary scripts/testdata/compare/parent.txt
+# A traced run's lines: its dotted layer metrics are kept.
+t "compare --extract keeps a traced run's layer metrics" 0 \
+  bash -c 'bash scripts/compare.sh --extract groupby_scan 1 <scripts/testdata/compare/traced.out | diff -u scripts/testdata/compare/traced.txt -'
 # Their record, made twice: each one JSON line per workload, appended.
 t "compare --record appends one line per workload" 0 \
   bash -c 'rm -f /tmp/scripts_test_record.json; for i in 1 2; do RECORD=/tmp/scripts_test_record.json bash scripts/compare.sh --record 39 scripts/testdata/compare/parent.txt scripts/testdata/compare/change.txt || exit 1; done
