@@ -45,11 +45,14 @@ test:
 # I/O error at every hook point of ingest → rebuild → checkpoint → GC →
 # restart), and the cluster tier's network fault drills (shard death mid
 # query, flaky transports, truncated responses, hedging, breaker trips and
-# half-open re-admission), all under the race detector.
+# half-open re-admission), all under the race detector. The timing-
+# sensitive tests (hedging, breakers, the shared probe schedule, degraded
+# ingest, jitter) then rerun 20 times at 1 and 2 cores to vary scheduling.
 faults:
 	$(GO) test -race -timeout 120s ./internal/faults ./internal/faults/crashsim ./internal/catalog
 	$(GO) test -race -timeout 180s ./internal/ingest
 	$(GO) test -race -timeout 120s ./internal/cluster
+	$(GO) test -race -count 20 -cpu 1,2 -run 'Hedge|Breaker|Probe|Degraded|Jitter' ./internal/cluster ./internal/ingest ./internal/parallel
 	$(GO) test -race -timeout 180s \
 		-run 'Ctx|Cancel|Deadline|Degrade|Overload|Drain|Panic|Stuck|Robust|BadRequest|Malformed|Stress|WriteJSON|ExactParity|Snapshot|Catalog|Recovery|Rebuild|Swap|Healthz|Readyz|HostileLength|Ingest|WAL|Checkpoint|Shard' \
 		./internal/parallel ./internal/engine ./internal/core ./internal/server

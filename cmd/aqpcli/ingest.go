@@ -226,7 +226,9 @@ func postBatch(addr, id string, cols []string, rows [][]json.RawMessage, retries
 }
 
 // jitterDelay spreads a backoff uniformly over [d, 2d) so synchronized
-// clients (many aqpcli processes told to retry at once) desynchronise.
+// clients (many aqpcli processes told to retry at once) desynchronise. The
+// envelope is deliberately not parallel.Jitter's [d/2, d]: d may be the
+// server's Retry-After, a floor to wait at least, so jitter only lengthens it.
 func jitterDelay(d time.Duration) time.Duration {
 	if d <= 0 {
 		return 0

@@ -123,7 +123,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	rec, err := ingest.Recover(sys, cat, nil, strat, *workers, ingest.Config{})
+	rec, err := ingest.Recover(sys, cat, nil, strat, ingest.Config{})
 	if err != nil {
 		fatal(err)
 	}

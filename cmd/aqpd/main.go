@@ -160,7 +160,7 @@ func main() {
 	// The reservoir seed must be stable across restarts so replay reproduces
 	// the sample family bit-identically; the drift threshold's fraction is
 	// the family's own, restored or built.
-	rec, err := ingest.Recover(sys, cat, wal, strategy, *workers, ingest.Config{
+	rec, err := ingest.Recover(sys, cat, wal, strategy, ingest.Config{
 		Online:     core.OnlineConfig{Seed: *seed},
 		MaxPending: *maxPending,
 		DriftBound: *driftBound,

@@ -1,9 +1,10 @@
 package cluster
 
 import (
-	"math/rand"
 	"sync"
 	"time"
+
+	"dynsample/internal/parallel"
 )
 
 // breakerState is the circuit breaker's position. The zero value is closed
@@ -32,8 +33,8 @@ func (s breakerState) String() string {
 
 // breaker is a per-shard circuit breaker. Closed, it admits requests and
 // counts consecutive attempt-level failures; at threshold it trips open and
-// starts a background probe loop with jittered doubling backoff (mirroring
-// the ingest coordinator's degraded-disk probe loop). Each probe moves the
+// starts parallel.ProbeUntil, the jittered doubling schedule the ingest
+// coordinator's degraded-disk latch shares. Each probe moves the
 // breaker half-open for its duration: a successful probe closes it, a failed
 // one re-opens it and doubles the wait. ProbeNow is exposed so an operator
 // action (POST /v1/admin/probe) or a test can re-admit a recovered shard
@@ -48,7 +49,7 @@ type breaker struct {
 	mu      sync.Mutex
 	state   breakerState
 	fails   int
-	probing bool // a probe loop goroutine is live
+	probing bool // a ProbeUntil goroutine is live
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -109,7 +110,8 @@ func (b *breaker) Open() {
 	b.trip()
 }
 
-// trip moves to open and ensures a probe loop is running. Caller holds mu.
+// trip moves to open and ensures a probe schedule is running. Caller holds
+// mu.
 func (b *breaker) trip() {
 	if b.state != breakerOpen {
 		b.state = breakerOpen
@@ -117,7 +119,7 @@ func (b *breaker) trip() {
 	}
 	if !b.probing {
 		b.probing = true
-		go b.probeLoop()
+		go parallel.ProbeUntil(b.stop, b.backoff, b.backoffMax, b.ProbeNow)
 	}
 }
 
@@ -151,30 +153,6 @@ func (b *breaker) ProbeNow() error {
 	return nil
 }
 
-// probeLoop waits out a jittered doubling backoff between probes until one
-// succeeds or the breaker is shut down. The jitter prevents every
-// coordinator that lost the same shard from re-probing it in lockstep when
-// it comes back.
-func (b *breaker) probeLoop() {
-	backoff := b.backoff
-	for {
-		t := time.NewTimer(jitter(backoff))
-		select {
-		case <-b.stop:
-			t.Stop()
-			return
-		case <-t.C:
-		}
-		if b.ProbeNow() == nil {
-			return
-		}
-		backoff *= 2
-		if backoff > b.backoffMax {
-			backoff = b.backoffMax
-		}
-	}
-}
-
 // Shutdown stops any probe loop. The breaker stays usable (Allow etc.) but
 // will no longer self-heal; used when the coordinator is closing.
 func (b *breaker) Shutdown() {
@@ -185,14 +163,4 @@ func (b *breaker) notify(s breakerState) {
 	if b.onState != nil {
 		b.onState(s)
 	}
-}
-
-// jitter spreads d over [d/2, d], the same envelope the ingest probe loop
-// and Retry-After jitter use. Degenerate durations pass through.
-func jitter(d time.Duration) time.Duration {
-	if d <= 1 {
-		return d
-	}
-	half := d / 2
-	return half + time.Duration(rand.Int63n(int64(d-half)+1))
 }

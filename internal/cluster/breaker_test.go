@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dynsample/internal/parallel"
 )
 
 // newTestBreaker builds a breaker with a controllable probe and fast timing.
@@ -171,19 +173,19 @@ func TestJitterEnvelope(t *testing.T) {
 	for _, d := range []time.Duration{10 * time.Millisecond, time.Second} {
 		seen := map[time.Duration]bool{}
 		for i := 0; i < 200; i++ {
-			got := jitter(d)
+			got := parallel.Jitter(d)
 			if got < d/2 || got > d {
-				t.Fatalf("jitter(%v) = %v, want in [%v, %v]", d, got, d/2, d)
+				t.Fatalf("Jitter(%v) = %v, want in [%v, %v]", d, got, d/2, d)
 			}
 			seen[got] = true
 		}
 		if len(seen) < 2 {
-			t.Errorf("jitter(%v) produced no variation over 200 draws", d)
+			t.Errorf("Jitter(%v) produced no variation over 200 draws", d)
 		}
 	}
 	for _, d := range []time.Duration{0, 1, -3} {
-		if got := jitter(d); got != d {
-			t.Errorf("jitter(%v) = %v, want passthrough", d, got)
+		if got := parallel.Jitter(d); got != d {
+			t.Errorf("Jitter(%v) = %v, want passthrough", d, got)
 		}
 	}
 }

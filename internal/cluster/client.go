@@ -16,6 +16,7 @@ import (
 	"dynsample/internal/engine"
 	"dynsample/internal/faults"
 	"dynsample/internal/obs"
+	"dynsample/internal/parallel"
 	"dynsample/internal/server"
 )
 
@@ -280,7 +281,7 @@ func (sh *shard) do(ctx context.Context, path string, body []byte, perTry time.D
 	for try := 0; try <= sh.c.cfg.Retries; try++ {
 		if try > 0 {
 			obsShardRetries.With(sh.label).Inc()
-			t := time.NewTimer(jitter(backoff))
+			t := time.NewTimer(parallel.Jitter(backoff))
 			select {
 			case <-ctx.Done():
 				t.Stop()

@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"dynsample/internal/engine"
+	"dynsample/internal/parallel"
 )
 
 // CodeShardUnavailable is the error envelope code for answers the cluster
@@ -83,8 +84,8 @@ type Config struct {
 	// shard's breaker (default 3).
 	BreakerThreshold int
 	// ProbeBackoff and ProbeBackoffMax shape the tripped breaker's re-probe
-	// schedule: jittered doubling from the first to the second (defaults
-	// 500ms and 30s).
+	// schedule, parallel.ProbeUntil: jittered doubling from the first to the
+	// second (defaults 500ms and parallel.MaxBackoff, 30s).
 	ProbeBackoff    time.Duration
 	ProbeBackoffMax time.Duration
 	// ProbeTimeout bounds one half-open probe (default 2s).
@@ -122,7 +123,7 @@ func (cfg *Config) applyDefaults() {
 		cfg.ProbeBackoff = 500 * time.Millisecond
 	}
 	if cfg.ProbeBackoffMax <= 0 {
-		cfg.ProbeBackoffMax = 30 * time.Second
+		cfg.ProbeBackoffMax = parallel.MaxBackoff
 	}
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = 2 * time.Second

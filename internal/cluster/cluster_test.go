@@ -14,6 +14,7 @@ import (
 	"dynsample/internal/core"
 	"dynsample/internal/engine"
 	"dynsample/internal/faults"
+	"dynsample/internal/obs"
 	"dynsample/internal/randx"
 	"dynsample/internal/server"
 )
@@ -439,18 +440,24 @@ func TestClusterTruncatedBodyIsTransient(t *testing.T) {
 // long before the stall resolves.
 func TestClusterHedgeBeatsSlowShard(t *testing.T) {
 	tc := newTestCluster(t, 4, nil)
-	req := server.QueryRequest{SQL: "SELECT region, COUNT(*) FROM T GROUP BY region"}
 	// Prime the latency windows so the hedge delay is the (fast) p95, not
 	// the cold-start half-deadline.
+	prime := server.QueryRequest{SQL: "SELECT region, COUNT(*) FROM T GROUP BY region"}
 	for i := 0; i < 3; i++ {
-		if code, _ := tc.query(req); code != http.StatusOK {
+		if code, _ := tc.query(prime); code != http.StatusOK {
 			t.Fatalf("prime query %d failed", i)
 		}
 	}
+	// The measured query is the same query spelled apart, so the stall
+	// takes only its request: a hedge a priming query launched and then
+	// cancelled can still reach shard 3's handler after the hook is armed,
+	// and taking the one stall it would leave the measured query nothing
+	// to hedge.
+	req := server.QueryRequest{SQL: "select region, count(*) from T group by region"}
 	t.Cleanup(faults.Reset)
 	var stalled atomic.Bool
 	faults.Set(faults.PointShardRequest, func(ctx context.Context, i int) {
-		if i == 3 && stalled.CompareAndSwap(false, true) {
+		if i == 3 && obs.TraceFrom(ctx).Snapshot().SQL == req.SQL && stalled.CompareAndSwap(false, true) {
 			select {
 			case <-time.After(2 * time.Second):
 			case <-ctx.Done():

@@ -32,12 +32,12 @@ func TestBaselineFamiliesGolden(t *testing.T) {
 		"SELECT COUNT(*) FROM T WHERE l_shipmode IN ('l_shipmode_003', 'l_shipmode_005')",
 		"SELECT COUNT(*) FROM T WHERE l_quantity >= 20",
 	}
-	baseline := func(sel core.OverallBuilder, seed int64) core.Strategy {
+	baseline := func(sel core.OverallBuilder, seed int64) *core.SmallGroup {
 		return core.NewSmallGroup(core.SmallGroupConfig{BaseRate: 0.02, Columns: []string{}, Overall: sel, Seed: seed})
 	}
 	cases := []struct {
 		name string
-		st   core.Strategy
+		st   *core.SmallGroup
 		want string
 	}{
 		{"uniform", baseline(nil, 1), "1e63c1a99474d85d00f93f2d75c5e748a17a2e916b9b643b961bbb5b215e0ef4"},

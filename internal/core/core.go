@@ -22,18 +22,6 @@ import (
 	"dynsample/internal/stats"
 )
 
-// Strategy builds sample structures for a database during the pre-processing
-// phase. Its one implementation is SmallGroup: small group sampling, and the
-// baselines — uniform sampling, outlier indexing, congress and workload-
-// weighted sampling — each of which is small group sampling with S empty and,
-// but for uniform sampling, its own OverallBuilder.
-type Strategy interface {
-	// Name identifies the strategy in reports and the CLI.
-	Name() string
-	// Preprocess scans the database and returns the runtime query answerer.
-	Preprocess(db *engine.Database) (Prepared, error)
-}
-
 // Prepared is a sample family — sample tables plus the metadata that
 // describes them — and the one runtime that answers queries from it (§3).
 // Every strategy's pre-processing returns one; it has a single
@@ -227,7 +215,7 @@ func (s *System) update(mutate func(*preparedSet)) {
 // queries keep being answered from the current generation until the new
 // state is installed atomically. The samples cover every ingest batch the
 // current database version holds.
-func (s *System) AddStrategy(st Strategy) error {
+func (s *System) AddStrategy(st *SmallGroup) error {
 	start := time.Now()
 	db, gen := s.Data()
 	p, err := st.Preprocess(db)

@@ -284,9 +284,6 @@ func (f *family) seedMissing(db *engine.Database) error {
 // DataGeneration returns the data generation of the newest applied batch.
 func (o *Online) DataGeneration() uint64 { return o.gen }
 
-// SampleGeneration returns the generation baked into the sample family.
-func (o *Online) SampleGeneration() uint64 { return o.sampleGen }
-
 // DB returns the newest database version.
 func (o *Online) DB() *engine.Database { return o.app.DB() }
 
@@ -318,8 +315,8 @@ func (o *Online) Drift() float64 {
 
 // Apply appends one ingest batch (rows in view column order) as data
 // generation seq, which must be exactly DataGeneration()+1. The base data
-// always grows; the sample family is updated only when seq exceeds
-// SampleGeneration() — batches at or below it are already baked into a
+// always grows; the sample family is updated only when seq exceeds the
+// sample generation — batches at or below it are already baked into a
 // snapshot-restored family, so replay re-applies them to the regenerated
 // base only, while still burning the same reservoir draws and frequency
 // counts to stay bit-identical with a never-restored run. The new database

@@ -497,16 +497,6 @@ func (c *Column) AppendString(v string) {
 	c.codes.push(c.next(1), c.code(v), &c.tailShared)
 }
 
-// AppendCode adds a string the dictionary already holds, by its code: the
-// append of a caller that kept the code (Code) of an earlier AppendString and
-// so need not hash the string again. The column must be String-typed.
-func (c *Column) AppendCode(code int32) {
-	if c.Type != String || code < 0 || int(code) >= len(c.dict) {
-		panic(fmt.Sprintf("engine: AppendCode(%d) on %s column %q with %d dictionary entries", code, c.Type, c.Name, len(c.dict)))
-	}
-	c.codes.push(c.next(1), code, &c.tailShared)
-}
-
 // AppendInts adds vals in order, as AppendInt does one at a time. The column
 // must be Int-typed.
 func (c *Column) AppendInts(vals []int64) { appendAll(c, Int, &c.ints, vals) }
@@ -516,7 +506,7 @@ func (c *Column) AppendInts(vals []int64) { appendAll(c, Int, &c.ints, vals) }
 func (c *Column) AppendFloats(vals []float64) { appendAll(c, Float, &c.floats, vals) }
 
 // AppendCodes adds strings the dictionary already holds (Intern), by code,
-// in order, as AppendCode does one at a time. The column must be
+// in order, as AppendString does one at a time by value. The column must be
 // String-typed.
 func (c *Column) AppendCodes(codes []int32) {
 	for _, code := range codes {

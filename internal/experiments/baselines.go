@@ -40,13 +40,13 @@ func (r *Runner) Baselines() (*Figure, error) {
 	queries := gen.Queries(2 * r.Scale.QueriesPerConfig)
 	train, eval := queries[:len(queries)/2], queries[len(queries)/2:]
 	// A baseline is a family with nothing in S over its own row selector.
-	baseline := func(sel core.OverallBuilder) core.Strategy {
+	baseline := func(sel core.OverallBuilder) *core.SmallGroup {
 		return core.NewSmallGroup(core.SmallGroupConfig{BaseRate: matched, Columns: []string{}, Overall: sel})
 	}
 
 	type entry struct {
 		label string
-		st    core.Strategy
+		st    *core.SmallGroup
 	}
 	entries := []entry{
 		{"SmGroup", core.NewSmallGroup(core.SmallGroupConfig{

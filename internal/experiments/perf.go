@@ -90,7 +90,7 @@ func (r *Runner) Preprocess() (*Figure, error) {
 
 	type entry struct {
 		label string
-		st    core.Strategy
+		st    *core.SmallGroup
 	}
 	entries := []entry{
 		{"uniform", core.NewSmallGroup(core.SmallGroupConfig{BaseRate: rate, Columns: []string{}, Seed: 1})},

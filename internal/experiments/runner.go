@@ -117,7 +117,7 @@ func (r *Runner) exact(db *engine.Database, q *engine.Query) (*engine.Result, er
 }
 
 // prepared runs (and caches) a strategy's pre-processing on a database.
-func (r *Runner) prepared(db *engine.Database, key string, st core.Strategy) (core.Prepared, error) {
+func (r *Runner) prepared(db *engine.Database, key string, st *core.SmallGroup) (core.Prepared, error) {
 	full := cacheKey{db, key}
 	if p, ok := r.preps[full]; ok {
 		return p, nil

@@ -164,7 +164,7 @@ func (h *Harness) Start() ingest.ReplayStats {
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	rec, err := ingest.Recover(sys, cat, w, core.NewSmallGroup(sgCfg), 0, ingest.Config{
+	rec, err := ingest.Recover(sys, cat, w, core.NewSmallGroup(sgCfg), ingest.Config{
 		Online: core.OnlineConfig{Seed: onlineSeed},
 		// Scenarios drive recovery deterministically via ProbeNow; park the
 		// background prober out of the way.

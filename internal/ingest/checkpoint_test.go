@@ -60,7 +60,7 @@ func recoverNow(t testing.TB, n int, cat *catalog.Catalog, walDir string, cfg Co
 		t.Cleanup(func() { w.Close() })
 	}
 	sys := core.NewSystem(ingestDB(t, n))
-	rec, err := Recover(sys, cat, w, core.NewSmallGroup(ingestSGCfg), 0, cfg)
+	rec, err := Recover(sys, cat, w, core.NewSmallGroup(ingestSGCfg), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -14,6 +13,7 @@ import (
 	"dynsample/internal/core"
 	"dynsample/internal/engine"
 	"dynsample/internal/faults"
+	"dynsample/internal/parallel"
 )
 
 // ErrOverloaded is returned when more ingest requests are in flight than the
@@ -101,11 +101,10 @@ type Config struct {
 	// checkpoint delta was already restored onto the base (then the caller
 	// must pass the pre-delta count).
 	BaseRows int
-	// ProbeBackoff and ProbeBackoffMax bound the degraded-mode re-probe
-	// loop: the first probe runs after ProbeBackoff, doubling up to
-	// ProbeBackoffMax. Zero means 500ms and 30s.
-	ProbeBackoff    time.Duration
-	ProbeBackoffMax time.Duration
+	// ProbeBackoff starts the degraded-mode re-probe schedule,
+	// parallel.ProbeUntil: the first probe runs after a jittered
+	// ProbeBackoff, doubling up to parallel.MaxBackoff. Zero means 500ms.
+	ProbeBackoff time.Duration
 }
 
 // Coordinator is the single-writer ingest pipeline: validate → WAL append +
@@ -183,9 +182,6 @@ func New(sys *core.System, wal *WAL, cfg Config) (*Coordinator, error) {
 	}
 	if cfg.ProbeBackoff <= 0 {
 		cfg.ProbeBackoff = 500 * time.Millisecond
-	}
-	if cfg.ProbeBackoffMax <= 0 {
-		cfg.ProbeBackoffMax = 30 * time.Second
 	}
 	online, err := core.NewOnline(sys, cfg.Strategy, cfg.Online)
 	if err != nil {
@@ -402,7 +398,9 @@ func (c *Coordinator) apply(seq uint64, rows [][]engine.Value) (core.BatchStats,
 }
 
 // enterDegraded latches read-only mode (idempotently) and starts the probe
-// loop if one is not already running. Called with mu held.
+// schedule if one is not already running: ProbeNow on jittered doubling
+// backoff until it succeeds (ingest resumes) or the coordinator is closed.
+// Called with mu held.
 func (c *Coordinator) enterDegraded(cause error) {
 	if c.degraded == nil {
 		c.degraded = cause
@@ -410,45 +408,8 @@ func (c *Coordinator) enterDegraded(cause error) {
 	}
 	if !c.probing {
 		c.probing = true
-		go c.probeLoop()
+		go parallel.ProbeUntil(c.stop, c.cfg.ProbeBackoff, parallel.MaxBackoff, c.ProbeNow)
 	}
-}
-
-// probeLoop retries the WAL with bounded, jittered doubling backoff until a
-// probe succeeds (ingest resumes) or the coordinator is closed.
-func (c *Coordinator) probeLoop() {
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	backoff := c.cfg.ProbeBackoff
-	for {
-		t := time.NewTimer(jitterBackoff(rng, backoff))
-		select {
-		case <-c.stop:
-			t.Stop()
-			return
-		case <-t.C:
-		}
-		if err := c.ProbeNow(); err == nil {
-			return
-		}
-		backoff *= 2
-		if backoff > c.cfg.ProbeBackoffMax {
-			backoff = c.cfg.ProbeBackoffMax
-		}
-	}
-}
-
-// jitterBackoff draws a wait uniformly from [d/2, d]. Pure doubling from a
-// shared ProbeBackoff default synchronizes the probes of every degraded
-// process sharing a disk (they all trip on the same fault at the same
-// moment), so the recovered disk takes the whole herd's probes at once;
-// the jitter decorrelates them while keeping the wait within a factor of
-// two of the schedule.
-func jitterBackoff(rng *rand.Rand, d time.Duration) time.Duration {
-	if d <= 1 {
-		return d
-	}
-	half := d / 2
-	return half + time.Duration(rng.Int63n(int64(d-half)+1))
 }
 
 // ProbeNow attempts to clear degraded mode immediately: it asks the WAL to

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -387,6 +388,42 @@ func TestCoordinatorWALFailureNotApplied(t *testing.T) {
 	}
 	if _, err := c.Ingest("x", ingestRows(randx.New(5), 10)); err != nil {
 		t.Fatalf("ingest after recovered fault: %v", err)
+	}
+}
+
+// TestCoordinatorDegradedSelfHeals: with no ProbeNow call, the background
+// probe schedule the fault started clears degraded mode once the disk
+// heals, and ingest resumes without a restart.
+func TestCoordinatorDegradedSelfHeals(t *testing.T) {
+	_, c, _ := newIngestSystem(t, 2000, t.TempDir(),
+		Config{Online: core.OnlineConfig{Seed: 9}, ProbeBackoff: 2 * time.Millisecond})
+	t.Cleanup(c.Close)
+	var healed atomic.Bool
+	boom := errors.New("injected fsync failure")
+	faults.SetErr(faults.PointWALSync, func(int) error {
+		if healed.Load() {
+			return nil
+		}
+		return boom
+	})
+	t.Cleanup(faults.Reset)
+	if _, err := c.Ingest("x", ingestRows(randx.New(5), 10)); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("err = %v, want ErrDegraded", err)
+	}
+	healed.Store(true)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		state, detail := c.State()
+		if state == "ok" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("still %s 5s after the disk healed: %s", state, detail)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := c.Ingest("x", ingestRows(randx.New(5), 10)); err != nil {
+		t.Fatalf("ingest after the probe schedule healed: %v", err)
 	}
 }
 

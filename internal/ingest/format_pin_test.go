@@ -134,7 +134,7 @@ func TestRecoverKeepsTheDataOfAnOlderStore(t *testing.T) {
 	defer w.Close()
 	base := int(ck.BaseRows)
 	sys := core.NewSystem(ingestDB(t, base))
-	rec, err := Recover(sys, cat, w, core.NewSmallGroup(ingestSGCfg), 0, Config{Online: core.OnlineConfig{Seed: 5}})
+	rec, err := Recover(sys, cat, w, core.NewSmallGroup(ingestSGCfg), Config{Online: core.OnlineConfig{Seed: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}

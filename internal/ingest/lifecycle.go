@@ -62,8 +62,8 @@ type Recovery struct {
 //     — the strategy pre-processes the base data. Either way a catalog gets
 //     the new family as its next generation, so it self-heals.
 //  2. The runtime settings a saved family does not record — strategy's
-//     scan rate (SmallGroupConfig.ScanRowsPerSecond) and the worker budget —
-//     are applied to whichever state now serves.
+//     scan rate and worker budget (SmallGroupConfig.ScanRowsPerSecond and
+//     Workers) — are applied to whichever state now serves.
 //  3. With a WAL: segments wholly below the checkpoint are deleted
 //     (finishing a GC a crash interrupted), the coordinator attaches with
 //     the checkpoint's BaseRows, the idempotency window is seeded from the
@@ -73,7 +73,7 @@ type Recovery struct {
 // name, the one the family serves under, and cfg.BaseRows from the
 // checkpoint. Errors are fatal to start-up; everything survivable is in the
 // Recovery.
-func Recover(sys *core.System, cat *catalog.Catalog, wal *WAL, strategy *core.SmallGroup, workers int, cfg Config) (*Recovery, error) {
+func Recover(sys *core.System, cat *catalog.Catalog, wal *WAL, strategy *core.SmallGroup, cfg Config) (*Recovery, error) {
 	cfg.Strategy = strategy.Name()
 	rec := &Recovery{Source: "snapshot"}
 	var snap *Snapshot
@@ -127,7 +127,6 @@ func Recover(sys *core.System, cat *catalog.Catalog, wal *WAL, strategy *core.Sm
 	}
 	rec.Checkpoint = snap.Checkpoint
 	strategy.Configure(snap.Prepared)
-	snap.Prepared.SetWorkers(workers)
 	if wal == nil {
 		return rec, nil
 	}
@@ -171,7 +170,7 @@ type RebuildResult struct {
 // past it. Without one the data is immutable and the swap is a pointer store.
 // An error means the serving family is unchanged (or, from the rebase, that
 // ingest state must be rebuilt again); save failures are in the result.
-func Rebuild(sys *core.System, c *Coordinator, cat *catalog.Catalog, strategy core.Strategy, name string, workers int) (RebuildResult, error) {
+func Rebuild(sys *core.System, c *Coordinator, cat *catalog.Catalog, strategy *core.SmallGroup, name string, workers int) (RebuildResult, error) {
 	var res RebuildResult
 	db, pinned := sys.Data()
 	if c != nil {

@@ -33,7 +33,7 @@ func TestRecover(t *testing.T) {
 		}
 		defer w.Close()
 		sys := core.NewSystem(ingestDB(t, rows))
-		rec, err := Recover(sys, cat, w, core.NewSmallGroup(ingestSGCfg), 0, cfg)
+		rec, err := Recover(sys, cat, w, core.NewSmallGroup(ingestSGCfg), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +205,7 @@ func TestRecoverRefusesAnotherConfig(t *testing.T) {
 		t.Helper()
 		st := core.NewSmallGroup(cfg)
 		sys := core.NewSystem(ingestDB(t, n))
-		rec, err := Recover(sys, cat, nil, st, 0, Config{})
+		rec, err := Recover(sys, cat, nil, st, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +258,7 @@ func TestRecoverAnotherConfigKeepsTheData(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys := core.NewSystem(ingestDB(t, n))
-	rec, err := Recover(sys, cat, w, core.NewSmallGroup(ingestSGCfg), 0, cfg)
+	rec, err := Recover(sys, cat, w, core.NewSmallGroup(ingestSGCfg), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestRecoverAnotherConfigKeepsTheData(t *testing.T) {
 		}
 		t.Cleanup(func() { w.Close() })
 		sys := core.NewSystem(ingestDB(t, n))
-		rec, err := Recover(sys, cat, w, core.NewSmallGroup(other), 0, cfg)
+		rec, err := Recover(sys, cat, w, core.NewSmallGroup(other), cfg)
 		if err != nil {
 			t.Fatalf("restart at another base rate: %v", err)
 		}
@@ -334,6 +334,7 @@ func TestRecoverAnotherConfigKeepsTheData(t *testing.T) {
 func TestRecoverAppliesScanRate(t *testing.T) {
 	cfg := ingestSGCfg
 	cfg.ScanRowsPerSecond = 1
+	cfg.Workers = 2
 	cat, err := catalog.Open(t.TempDir(), catalog.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +342,7 @@ func TestRecoverAppliesScanRate(t *testing.T) {
 	q := &engine.Query{GroupBy: []string{"a"}, Aggs: []engine.Aggregate{{Kind: engine.Count}}}
 	for _, source := range []string{"preprocess", "snapshot"} {
 		sys := core.NewSystem(ingestDB(t, 3000))
-		rec, err := Recover(sys, cat, nil, core.NewSmallGroup(cfg), 2, Config{})
+		rec, err := Recover(sys, cat, nil, core.NewSmallGroup(cfg), Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

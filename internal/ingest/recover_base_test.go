@@ -28,7 +28,7 @@ func TestRecoverSkipsAnotherBase(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, err := ingest.Recover(core.NewSystem(db), cat, nil, st, 0, ingest.Config{})
+		rec, err := ingest.Recover(core.NewSystem(db), cat, nil, st, ingest.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -205,11 +205,6 @@ func (w *WAL) Dir() string { return w.dir }
 // crash mid-append. aqpd surfaces it as a startup warning.
 func (w *WAL) Torn() bool { return w.torn }
 
-// Broken returns the error that made the WAL refuse appends (a rollback or
-// rotation failure that could not be repaired in place), or nil while the
-// log is writable. Probe attempts to clear it.
-func (w *WAL) Broken() error { return w.broken }
-
 // Position returns the write position: the active segment's index and the
 // byte offset appends will land at. Immediately after a successful Append it
 // is the position just past that record, so a snapshot taken while no append

@@ -9,6 +9,10 @@
 // (slot i holds task i's output), so callers that combine partial results in
 // index order get answers independent of the worker count and of goroutine
 // scheduling.
+//
+// It also holds the one retry schedule the self-healing latches share (the
+// ingest WAL's degraded mode and the shard circuit breaker): ProbeUntil's
+// jittered doubling between MaxBackoff-capped probes.
 package parallel
 
 import (

@@ -526,7 +526,9 @@ func (p *Pipeline) fail(w http.ResponseWriter, r *http.Request, err error) (labe
 // [secs, 2·secs]. Without jitter every client rejected in the same overload
 // spike retries in the same second and re-creates the spike; the spread
 // halves the synchronized retry rate at the cost of at most doubling one
-// client's wait.
+// client's wait. The envelope is deliberately not parallel.Jitter's
+// [d/2, d]: the configured hint is a floor clients are told to wait at
+// least, so jitter only ever lengthens it.
 func retryAfterSecs(configured, fallback time.Duration) int {
 	retry := configured
 	if retry <= 0 {

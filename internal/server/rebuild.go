@@ -41,12 +41,12 @@ var (
 type RebuildConfig struct {
 	// Strategy is re-run against the base database on every rebuild. Nil
 	// disables POST /v1/admin/rebuild and AutoRebuild.
-	Strategy core.Strategy
+	Strategy *core.SmallGroup
 	// Catalog, when non-nil, persists each rebuilt generation as a
 	// crash-safe snapshot (and is the authority for generation numbers).
 	Catalog *catalog.Catalog
-	// Workers is applied to the rebuilt state when it is worker-configurable
-	// (as ingest.Recover does for the family it restores or builds).
+	// Workers, when positive, replaces the Strategy's own worker budget on
+	// the rebuilt state.
 	Workers int
 }
 
