@@ -178,7 +178,7 @@ func BenchmarkZipfDraw(b *testing.B) {
 	rng := randx.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		z.Draw(rng)
+		z.Index(rng.Float64())
 	}
 }
 

@@ -1,8 +1,9 @@
 package main
 
-// The docs list facts whose one source is the code: the metric families in
-// the registry, the flags, the error codes and the routes. These tests hold
-// ARCHITECTURE.md §8, README.md's aqpd flag table and docs/API.md to them.
+// The docs list facts whose one source is the code: the flags, the error
+// codes and the routes. These tests hold README.md's aqpd flag table and
+// docs/API.md to them. ARCHITECTURE.md §8's metric table is held to the
+// registry in internal/obs.
 
 import (
 	"encoding/json"
@@ -22,7 +23,6 @@ import (
 
 	"dynsample/internal/cluster"
 	"dynsample/internal/core"
-	"dynsample/internal/obs"
 	"dynsample/internal/parallel"
 	"dynsample/internal/scenario"
 	"dynsample/internal/server"
@@ -48,53 +48,6 @@ func cells(row string) []string {
 		c[i] = strings.TrimSpace(c[i])
 	}
 	return c
-}
-
-var backticked = regexp.MustCompile("`([^`]*)`")
-
-// TestArchitectureListsEveryMetric holds ARCHITECTURE.md §8's table to the
-// registry: every family this binary registers has a row with its labels, in
-// order, and every row names a registered family. This package imports every
-// layer that registers one.
-func TestArchitectureListsEveryMetric(t *testing.T) {
-	arch := readDoc(t, "ARCHITECTURE.md")
-	start := strings.Index(arch, "\n## 8. ")
-	if start < 0 {
-		t.Fatal("ARCHITECTURE.md has no ## 8. section")
-	}
-	sec := arch[start+1:]
-	if end := strings.Index(sec, "\n## "); end >= 0 {
-		sec = sec[:end]
-	}
-	doc := map[string]string{} // family -> labels, comma-separated
-	for _, row := range strings.Split(sec, "\n") {
-		c := cells(row)
-		if len(c) < 2 || !strings.HasPrefix(c[0], "`aqp_") {
-			continue
-		}
-		var labels []string
-		for _, m := range backticked.FindAllStringSubmatch(c[1], -1) {
-			labels = append(labels, m[1])
-		}
-		doc[strings.Trim(c[0], "`")] = strings.Join(labels, ",")
-	}
-	fams := obs.Default().Families()
-	if len(fams) == 0 {
-		t.Fatal("no metric family registered")
-	}
-	for name, labels := range fams {
-		got, ok := doc[name]
-		delete(doc, name)
-		switch {
-		case !ok:
-			t.Errorf("%s{%s} is registered but has no row in ARCHITECTURE.md §8", name, strings.Join(labels, ","))
-		case got != strings.Join(labels, ","):
-			t.Errorf("ARCHITECTURE.md §8 gives %s the labels {%s}; it is registered with {%s}", name, got, strings.Join(labels, ","))
-		}
-	}
-	for name := range doc {
-		t.Errorf("ARCHITECTURE.md §8 lists %s, which nothing registers", name)
-	}
 }
 
 // TestREADMEListsEveryFlag holds README.md's aqpd table to the flags: every

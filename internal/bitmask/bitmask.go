@@ -35,15 +35,6 @@ func New(width int) Mask {
 	return Mask{words: make([]uint64, (width+wordBits-1)/wordBits), width: width}
 }
 
-// FromBits returns a mask of the given width with the listed bits set.
-func FromBits(width int, bits ...int) Mask {
-	m := New(width)
-	for _, b := range bits {
-		m.Set(b)
-	}
-	return m
-}
-
 // FromWords returns the mask of the given width over words, which it keeps:
 // bit i of the mask is bit i%64 of words[i/64].
 func FromWords(width int, words []uint64) Mask {
@@ -57,19 +48,10 @@ func FromWords(width int, words []uint64) Mask {
 // own storage; callers must not modify it.
 func (m Mask) Words() []uint64 { return m.words }
 
-// Width reports the number of addressable bits in the mask.
-func (m Mask) Width() int { return m.width }
-
 // Set sets bit i.
 func (m Mask) Set(i int) {
 	m.check(i)
 	m.words[i/wordBits] |= 1 << (uint(i) % wordBits)
-}
-
-// Clear clears bit i.
-func (m Mask) Clear(i int) {
-	m.check(i)
-	m.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
 }
 
 // Bit reports whether bit i is set.
@@ -91,63 +73,10 @@ func (m Mask) Clone() Mask {
 	return Mask{words: w, width: m.width}
 }
 
-// Or sets m to m | other, in place. The widths must match.
-func (m Mask) Or(other Mask) {
-	m.checkWidth(other)
-	for i, w := range other.words {
-		m.words[i] |= w
-	}
-}
-
-// AndNot clears every bit of m that is set in other, in place.
-func (m Mask) AndNot(other Mask) {
-	m.checkWidth(other)
-	for i, w := range other.words {
-		m.words[i] &^= w
-	}
-}
-
-// Intersects reports whether m and other share any set bit. This implements
-// the rewritten-query filter "bitmask & mask = 0" from §4.2.2: a row passes
-// the filter exactly when !row.Mask.Intersects(usedTables).
-func (m Mask) Intersects(other Mask) bool {
-	m.checkWidth(other)
-	for i, w := range other.words {
-		if m.words[i]&w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // IsZero reports whether no bit is set.
 func (m Mask) IsZero() bool {
 	for _, w := range m.words {
 		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// OnesCount returns the number of set bits.
-func (m Mask) OnesCount() int {
-	n := 0
-	for _, w := range m.words {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
-	}
-	return n
-}
-
-// Equal reports whether the two masks have identical width and bits.
-func (m Mask) Equal(other Mask) bool {
-	if m.width != other.width {
-		return false
-	}
-	for i := range m.words {
-		if m.words[i] != other.words[i] {
 			return false
 		}
 	}
@@ -165,21 +94,6 @@ func (m Mask) Bits() []int {
 	return bits
 }
 
-// Uint64 returns the low 64 bits of the mask. It is the decimal value printed
-// in rewritten SQL when |S| <= 64, matching the paper's "bitmask & 5 = 0"
-// example. It panics if any bit at position >= 64 is set.
-func (m Mask) Uint64() uint64 {
-	for i, w := range m.words {
-		if i > 0 && w != 0 {
-			panic("bitmask: mask wider than 64 bits has high bits set")
-		}
-	}
-	if len(m.words) == 0 {
-		return 0
-	}
-	return m.words[0]
-}
-
 // String renders the mask as its set-bit list, e.g. "{0,2}".
 func (m Mask) String() string {
 	var sb strings.Builder
@@ -192,10 +106,4 @@ func (m Mask) String() string {
 	}
 	sb.WriteByte('}')
 	return sb.String()
-}
-
-func (m Mask) checkWidth(other Mask) {
-	if m.width != other.width {
-		panic(fmt.Sprintf("bitmask: width mismatch %d vs %d", m.width, other.width))
-	}
 }

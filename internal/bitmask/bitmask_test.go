@@ -6,17 +6,26 @@ import (
 	"testing/quick"
 )
 
+// fromBits returns a mask of the given width with the listed bits set.
+func fromBits(width int, bits ...int) Mask {
+	m := New(width)
+	for _, b := range bits {
+		m.Set(b)
+	}
+	return m
+}
+
 func TestNewIsZero(t *testing.T) {
 	for _, width := range []int{0, 1, 63, 64, 65, 128, 245} {
 		m := New(width)
 		if !m.IsZero() {
 			t.Errorf("New(%d) not zero", width)
 		}
-		if m.Width() != width {
-			t.Errorf("New(%d).Width() = %d", width, m.Width())
+		if m.width != width || len(m.Words()) != (width+63)/64 {
+			t.Errorf("New(%d) has width %d over %d words", width, m.width, len(m.Words()))
 		}
-		if m.OnesCount() != 0 {
-			t.Errorf("New(%d).OnesCount() = %d", width, m.OnesCount())
+		if bits := m.Bits(); len(bits) != 0 {
+			t.Errorf("New(%d).Bits() = %v", width, bits)
 		}
 	}
 }
@@ -32,20 +41,13 @@ func TestSetClearBit(t *testing.T) {
 			t.Fatalf("bit %d not set after Set", i)
 		}
 	}
-	if m.OnesCount() != 8 {
-		t.Fatalf("OnesCount = %d, want 8", m.OnesCount())
-	}
-	m.Clear(64)
-	if m.Bit(64) {
-		t.Fatal("bit 64 still set after Clear")
-	}
-	if m.OnesCount() != 7 {
-		t.Fatalf("OnesCount after clear = %d, want 7", m.OnesCount())
+	if bits := m.Bits(); len(bits) != 8 {
+		t.Fatalf("Bits() = %v, want 8 bits", bits)
 	}
 }
 
 func TestFromBitsAndBits(t *testing.T) {
-	m := FromBits(200, 3, 77, 199)
+	m := fromBits(200, 3, 77, 199)
 	got := m.Bits()
 	want := []int{3, 77, 199}
 	if len(got) != len(want) {
@@ -58,41 +60,8 @@ func TestFromBitsAndBits(t *testing.T) {
 	}
 }
 
-func TestIntersects(t *testing.T) {
-	a := FromBits(100, 0, 70)
-	b := FromBits(100, 70)
-	c := FromBits(100, 1, 2)
-	if !a.Intersects(b) {
-		t.Error("a should intersect b")
-	}
-	if a.Intersects(c) {
-		t.Error("a should not intersect c")
-	}
-	if c.Intersects(New(100)) {
-		t.Error("nothing intersects the zero mask")
-	}
-}
-
-func TestOrAndNot(t *testing.T) {
-	a := FromBits(130, 1, 65)
-	b := FromBits(130, 2, 65, 129)
-	a.Or(b)
-	for _, i := range []int{1, 2, 65, 129} {
-		if !a.Bit(i) {
-			t.Errorf("bit %d missing after Or", i)
-		}
-	}
-	a.AndNot(FromBits(130, 65, 129))
-	if a.Bit(65) || a.Bit(129) {
-		t.Error("AndNot did not clear bits")
-	}
-	if !a.Bit(1) || !a.Bit(2) {
-		t.Error("AndNot cleared unrelated bits")
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
-	a := FromBits(80, 5)
+	a := fromBits(80, 5)
 	b := a.Clone()
 	b.Set(6)
 	if a.Bit(6) {
@@ -103,42 +72,20 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestEqual(t *testing.T) {
-	a := FromBits(70, 1, 69)
-	b := FromBits(70, 1, 69)
-	c := FromBits(70, 1)
-	d := FromBits(71, 1, 69)
-	if !a.Equal(b) {
-		t.Error("identical masks not Equal")
-	}
-	if a.Equal(c) {
-		t.Error("different bits Equal")
-	}
-	if a.Equal(d) {
-		t.Error("different widths Equal")
-	}
-}
-
 func TestUint64(t *testing.T) {
 	// The paper's example: small group tables for columns A (index 0) and C
 	// (index 2); the overall-sample filter uses mask 5 = 2^0 + 2^2.
-	m := FromBits(3, 0, 2)
-	if m.Uint64() != 5 {
-		t.Fatalf("Uint64() = %d, want 5", m.Uint64())
+	m := fromBits(3, 0, 2)
+	if w := m.Words(); len(w) != 1 || w[0] != 5 {
+		t.Fatalf("Words() = %v, want [5]", w)
 	}
-	wide := FromBits(100, 7)
-	if wide.Uint64() != 128 {
-		t.Fatalf("wide Uint64() = %d, want 128", wide.Uint64())
+	wide := fromBits(100, 7, 64)
+	if w := wide.Words(); len(w) != 2 || w[0] != 128 || w[1] != 1 {
+		t.Fatalf("wide Words() = %v, want [128 1]", w)
 	}
-}
-
-func TestUint64PanicsOnHighBits(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for high bits")
-		}
-	}()
-	FromBits(100, 64).Uint64()
+	if back := FromWords(100, wide.Words()); back.String() != "{7,64}" {
+		t.Fatalf("FromWords(Words()) = %v, want {7,64}", back)
+	}
 }
 
 func TestOutOfRangePanics(t *testing.T) {
@@ -147,7 +94,6 @@ func TestOutOfRangePanics(t *testing.T) {
 		func() { m.Set(10) },
 		func() { m.Set(-1) },
 		func() { m.Bit(10) },
-		func() { m.Clear(12) },
 	} {
 		func() {
 			defer func() {
@@ -166,11 +112,11 @@ func TestWidthMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic on width mismatch")
 		}
 	}()
-	New(10).Intersects(New(11))
+	FromWords(65, make([]uint64, 1))
 }
 
 func TestString(t *testing.T) {
-	if s := FromBits(10, 0, 3).String(); s != "{0,3}" {
+	if s := fromBits(10, 0, 3).String(); s != "{0,3}" {
 		t.Errorf("String() = %q", s)
 	}
 	if s := New(10).String(); s != "{}" {
@@ -178,34 +124,8 @@ func TestString(t *testing.T) {
 	}
 }
 
-// Property: Intersects is symmetric and agrees with a brute-force definition.
-func TestIntersectsProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	f := func(seedA, seedB int64) bool {
-		const width = 150
-		a, b := New(width), New(width)
-		ra := rand.New(rand.NewSource(seedA))
-		rb := rand.New(rand.NewSource(seedB))
-		for i := 0; i < 20; i++ {
-			a.Set(ra.Intn(width))
-			b.Set(rb.Intn(width))
-		}
-		brute := false
-		for i := 0; i < width; i++ {
-			if a.Bit(i) && b.Bit(i) {
-				brute = true
-				break
-			}
-		}
-		return a.Intersects(b) == brute && b.Intersects(a) == brute
-	}
-	cfg := &quick.Config{MaxCount: 200, Rand: rng}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: OnesCount equals the length of Bits, and every listed bit is set.
+// Property: Bits lists as many bits as Bit reports set, and every listed bit
+// is set.
 func TestOnesCountProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		const width = 200
@@ -214,8 +134,13 @@ func TestOnesCountProperty(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			m.Set(r.Intn(width))
 		}
-		bits := m.Bits()
-		if len(bits) != m.OnesCount() {
+		bits, ones := m.Bits(), 0
+		for i := 0; i < width; i++ {
+			if m.Bit(i) {
+				ones++
+			}
+		}
+		if len(bits) != ones {
 			return false
 		}
 		for _, b := range bits {

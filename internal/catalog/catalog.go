@@ -1,7 +1,6 @@
 package catalog
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -13,9 +12,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"dynsample/internal/faults"
 	"dynsample/internal/obs"
 )
 
@@ -31,9 +28,8 @@ var (
 )
 
 const (
-	manifestName = "MANIFEST"
-	snapPrefix   = "gen-"
-	snapSuffix   = ".snap"
+	snapPrefix = "gen-"
+	snapSuffix = ".snap"
 	// DefaultRetain is how many snapshot generations Save keeps when
 	// Options.Retain is zero. More than one, so a generation that passes its
 	// write-time checksums but rots on disk later still has fallbacks.
@@ -61,48 +57,10 @@ type Catalog struct {
 	dir    string
 	retain int
 
-	mu  sync.Mutex    // serialises Save (and manifest/prune bookkeeping)
+	mu  sync.Mutex    // serialises Save (and prune bookkeeping)
 	gen atomic.Uint64 // newest committed generation, 0 = none
 
-	// ckpts carries each retained generation's checkpoint info into manifest
-	// rewrites. Seeded from the existing manifest at Open (best-effort — the
-	// manifest is advisory) and updated by SaveWithCheckpoint. Guarded by mu.
-	ckpts map[uint64]*CheckpointInfo
-
 	pruneLogged bool // one log line per process for failing prunes
-}
-
-// Manifest is the advisory metadata Save maintains next to the snapshots.
-// Recovery never trusts it — LoadLatest scans the directory and verifies
-// checksums — but it gives operators and tooling a cheap view of what the
-// catalog holds.
-type Manifest struct {
-	Current     uint64          `json:"current"`
-	UpdatedAt   time.Time       `json:"updatedAt"`
-	Generations []ManifestEntry `json:"generations"`
-}
-
-// ManifestEntry describes one retained snapshot generation.
-type ManifestEntry struct {
-	Generation uint64    `json:"generation"`
-	File       string    `json:"file"`
-	Bytes      int64     `json:"bytes"`
-	SavedAt    time.Time `json:"savedAt"`
-	// Checkpoint is the WAL position the snapshot covers, when the saver
-	// recorded one (SaveWithCheckpoint). Advisory, like the rest of the
-	// manifest: recovery reads the authoritative copy embedded in the
-	// snapshot itself.
-	Checkpoint *CheckpointInfo `json:"checkpoint,omitempty"`
-}
-
-// CheckpointInfo is the WAL position a snapshot generation covers: everything
-// at or before (WALSegment, WALOffset) — equivalently, the first
-// DataGeneration ingest batches — is reflected in the snapshot, so WAL
-// segments strictly below WALSegment are deletable once the save commits.
-type CheckpointInfo struct {
-	DataGeneration uint64 `json:"dataGeneration"`
-	WALSegment     uint64 `json:"walSegment"`
-	WALOffset      int64  `json:"walOffset"`
 }
 
 // Open creates (if needed) and scans a catalog directory, resuming the
@@ -131,19 +89,8 @@ func Open(dir string, opts Options) (*Catalog, error) {
 		}
 	}
 	c.gen.Store(newest)
-	c.ckpts = make(map[uint64]*CheckpointInfo)
-	if m, err := c.ReadManifest(); err == nil {
-		for _, e := range m.Generations {
-			if e.Checkpoint != nil {
-				c.ckpts[e.Generation] = e.Checkpoint
-			}
-		}
-	}
 	return c, nil
 }
-
-// Dir returns the catalog directory.
-func (c *Catalog) Dir() string { return c.dir }
 
 // Generation returns the newest committed generation number (0 if none).
 func (c *Catalog) Generation() uint64 { return c.gen.Load() }
@@ -172,17 +119,10 @@ func (c *Catalog) Generations() []uint64 {
 
 // Save writes the payload as the next snapshot generation: crash-safe
 // (WriteFileAtomic) and self-verifying (WriteSnapshot). On success it
-// advances the generation counter, rewrites the manifest, and prunes
-// generations beyond the retention limit. On failure the catalog is
-// unchanged — the previous generation remains current and loadable.
+// advances the generation counter and prunes generations beyond the
+// retention limit. On failure the catalog is unchanged — the previous
+// generation remains current and loadable.
 func (c *Catalog) Save(payload func(io.Writer) error) (uint64, error) {
-	return c.SaveWithCheckpoint(payload, nil)
-}
-
-// SaveWithCheckpoint is Save, additionally recording the WAL position the
-// snapshot covers in the manifest entry for the new generation. ck may be
-// nil (plain Save).
-func (c *Catalog) SaveWithCheckpoint(payload func(io.Writer) error, ck *CheckpointInfo) (uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	next := c.gen.Load() + 1
@@ -196,15 +136,7 @@ func (c *Catalog) SaveWithCheckpoint(payload func(io.Writer) error, ck *Checkpoi
 	}
 	obsSaves.With("ok").Inc()
 	c.gen.Store(next)
-	if ck != nil {
-		c.ckpts[next] = ck
-	}
 	c.prune()
-	if merr := c.writeManifest(); merr != nil {
-		// The snapshot itself is durable; a stale manifest only degrades
-		// operator visibility, and recovery never reads it.
-		return next, fmt.Errorf("catalog: generation %d saved but manifest update failed: %w", next, merr)
-	}
 	return next, nil
 }
 
@@ -275,48 +207,8 @@ func (c *Catalog) prune() {
 				c.pruneLogged = true
 				log.Printf("catalog: pruning generation %d failed (orphaned snapshot will use disk until removed): %v", g, err)
 			}
-			continue
 		}
-		delete(c.ckpts, g)
 	}
-}
-
-// writeManifest rewrites MANIFEST (atomically) to describe the retained
-// generations. Called with mu held. Fault point: PointManifestWrite (ErrHook)
-// simulates a crash in the gap between a committed save and the manifest
-// update — the snapshot must still be recovered without it.
-func (c *Catalog) writeManifest() error {
-	if err := faults.FireErr(faults.PointManifestWrite, 0); err != nil {
-		return err
-	}
-	m := Manifest{Current: c.gen.Load(), UpdatedAt: time.Now().UTC()}
-	for _, g := range c.Generations() {
-		e := ManifestEntry{Generation: g, File: filepath.Base(c.Path(g)), Checkpoint: c.ckpts[g]}
-		if fi, err := os.Stat(c.Path(g)); err == nil {
-			e.Bytes = fi.Size()
-			e.SavedAt = fi.ModTime().UTC()
-		}
-		m.Generations = append(m.Generations, e)
-	}
-	return WriteFileAtomic(filepath.Join(c.dir, manifestName), func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(m)
-	})
-}
-
-// ReadManifest returns the advisory manifest, or an error if it is missing
-// or unreadable (recovery does not depend on it).
-func (c *Catalog) ReadManifest() (Manifest, error) {
-	var m Manifest
-	b, err := os.ReadFile(filepath.Join(c.dir, manifestName))
-	if err != nil {
-		return m, err
-	}
-	if err := json.Unmarshal(b, &m); err != nil {
-		return m, fmt.Errorf("catalog: parsing manifest: %w", err)
-	}
-	return m, nil
 }
 
 // parseGen extracts the generation number from a snapshot file name.

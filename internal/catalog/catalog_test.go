@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -62,7 +63,7 @@ func TestCatalogSaveLoadGenerations(t *testing.T) {
 	}
 
 	// Reopen resumes the counter from disk.
-	c2, err := Open(c.Dir(), Options{})
+	c2, err := Open(c.dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,12 +87,64 @@ func TestCatalogRetentionPruning(t *testing.T) {
 	if len(gens) != 2 || gens[0] != 5 || gens[1] != 4 {
 		t.Fatalf("retained generations = %v, want [5 4]", gens)
 	}
-	m, err := c.ReadManifest()
+	if files := dirNames(t, c.dir); !slices.Equal(files, []string{"gen-0000000004.snap", "gen-0000000005.snap"}) {
+		t.Fatalf("catalog directory holds %v, want the two retained generations alone", files)
+	}
+}
+
+// dirNames lists the names in dir, sorted.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Current != 5 || len(m.Generations) != 2 {
-		t.Fatalf("manifest = %+v", m)
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// TestCatalogOpensAnOlderDirectory starts over a catalog directory an
+// earlier build wrote (testdata/manifest-dir: two generations and the
+// advisory MANIFEST that build kept beside them). It opens, loads its newest
+// generation, and saves the next one beside the old MANIFEST, which it leaves
+// as it found it.
+func TestCatalogOpensAnOlderDirectory(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "manifest-dir")
+	names := dirNames(t, src)
+	for _, name := range names {
+		b, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, res, err := load(t, c)
+	if err != nil || got != "generation two" || res.Generation != 2 {
+		t.Fatalf("load = %q gen %d err %v, want the newest generation", got, res.Generation, err)
+	}
+	if gen := save(t, c, "generation three"); gen != 3 {
+		t.Fatalf("save returned generation %d, want 3", gen)
+	}
+	want := []string{"MANIFEST", "gen-0000000001.snap", "gen-0000000002.snap", "gen-0000000003.snap"}
+	if files := dirNames(t, dir); !slices.Equal(files, want) {
+		t.Fatalf("catalog directory holds %v, want %v", files, want)
+	}
+	before, err := os.ReadFile(filepath.Join(src, "MANIFEST"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after, err := os.ReadFile(filepath.Join(dir, "MANIFEST")); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("the older build's MANIFEST changed (%v)", err)
 	}
 }
 
@@ -181,7 +234,7 @@ func TestCatalogCrashMidSaveKeepsOldGeneration(t *testing.T) {
 	if g := c.Generation(); g != 1 {
 		t.Fatalf("generation advanced to %d after failed save", g)
 	}
-	assertNoTempFiles(t, c.Dir())
+	assertNoTempFiles(t, c.dir)
 	got, res, err := load(t, c)
 	if err != nil || got != "stable" || res.Generation != 1 {
 		t.Fatalf("load after failed save: %q gen %d err %v", got, res.Generation, err)
@@ -206,7 +259,7 @@ func TestCatalogFsyncFailureAborts(t *testing.T) {
 	if g := c.Generation(); g != 1 {
 		t.Fatalf("generation advanced to %d after fsync failure", g)
 	}
-	assertNoTempFiles(t, c.Dir())
+	assertNoTempFiles(t, c.dir)
 }
 
 // TestCatalogOpenSweepsTempFiles: leftover temp files from a crashed writer
@@ -298,114 +351,6 @@ func assertNoTempFiles(t *testing.T, dir string) {
 			t.Fatalf("temp file %s left behind", e.Name())
 		}
 	}
-}
-
-// TestCatalogManifestFailureRecoversAndSelfHeals: Save's contract when the
-// snapshot committed but the manifest update failed is "generation N saved
-// but manifest update failed" with the new generation number. The manifest is
-// advisory, so (a) a restart must still recover the new generation by
-// scanning the directory, and (b) the next successful save must rewrite the
-// manifest to include it.
-func TestCatalogManifestFailureRecoversAndSelfHeals(t *testing.T) {
-	t.Cleanup(faults.Reset)
-	c, err := Open(t.TempDir(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	save(t, c, "p1")
-
-	boom := errors.New("injected manifest write failure")
-	faults.SetErr(faults.PointManifestWrite, faults.FailNth(0, boom))
-	gen, err := c.SaveWithCheckpoint(func(w io.Writer) error {
-		_, werr := io.WriteString(w, "p2")
-		return werr
-	}, &CheckpointInfo{DataGeneration: 7, WALSegment: 3, WALOffset: 99})
-	if gen != 2 || !errors.Is(err, boom) {
-		t.Fatalf("SaveWithCheckpoint = (%d, %v), want generation 2 and the injected failure", gen, err)
-	}
-	faults.Reset()
-	if m, merr := c.ReadManifest(); merr == nil && m.Current != 1 {
-		t.Fatalf("manifest current = %d after a failed manifest write, want 1", m.Current)
-	}
-
-	// Restart: recovery scans the directory, not the stale manifest — the
-	// generation whose manifest update was lost must still be found.
-	c2, err := Open(c.Dir(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, res, err := load(t, c2)
-	if err != nil || got != "p2" || res.Generation != 2 {
-		t.Fatalf("recovery after lost manifest update: %q gen %d err %v, want p2 gen 2", got, res.Generation, err)
-	}
-
-	// Self-heal: the next successful save rewrites the manifest with every
-	// retained generation, including the one whose update was lost.
-	save(t, c2, "p3")
-	m, err := c2.ReadManifest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Current != 3 {
-		t.Fatalf("manifest current = %d after self-heal, want 3", m.Current)
-	}
-	seen := false
-	for _, e := range m.Generations {
-		if e.Generation == 2 {
-			seen = true
-		}
-	}
-	if !seen {
-		t.Fatalf("self-healed manifest omits generation 2: %+v", m.Generations)
-	}
-}
-
-// TestCatalogManifestCarriesCheckpoint: SaveWithCheckpoint records the WAL
-// position in the manifest entry, and a reopened catalog keeps advertising it
-// on subsequent manifest rewrites.
-func TestCatalogManifestCarriesCheckpoint(t *testing.T) {
-	c, err := Open(t.TempDir(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := CheckpointInfo{DataGeneration: 12, WALSegment: 4, WALOffset: 4096}
-	gen, err := c.SaveWithCheckpoint(func(w io.Writer) error {
-		_, werr := io.WriteString(w, "ck")
-		return werr
-	}, &want)
-	if err != nil || gen != 1 {
-		t.Fatalf("SaveWithCheckpoint = (%d, %v)", gen, err)
-	}
-	checkEntry := func(m Manifest) {
-		t.Helper()
-		for _, e := range m.Generations {
-			if e.Generation == 1 {
-				if e.Checkpoint == nil || *e.Checkpoint != want {
-					t.Fatalf("generation 1 checkpoint = %+v, want %+v", e.Checkpoint, want)
-				}
-				return
-			}
-		}
-		t.Fatalf("generation 1 missing from manifest: %+v", m.Generations)
-	}
-	m, err := c.ReadManifest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkEntry(m)
-
-	// Reopen seeds checkpoint info from the manifest, so a later save still
-	// advertises generation 1's position.
-	c2, err := Open(c.Dir(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	save(t, c2, "plain")
-	m, err = c2.ReadManifest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkEntry(m)
 }
 
 // TestCatalogPruneFailureDoesNotFailSave: retention pruning is best-effort —

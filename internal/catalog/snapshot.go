@@ -9,8 +9,8 @@
 //   - atomic.go: crash-safe file replacement (temp file in the same
 //     directory, fsync, atomic rename, directory fsync), so a crash mid-save
 //     leaves either the old file or the new one, never a torn mix.
-//   - catalog.go: a generation directory (gen-NNN.snap files under a
-//     manifest) with retention pruning and newest→oldest startup recovery.
+//   - catalog.go: a generation directory (gen-NNN.snap files) with
+//     retention pruning and newest→oldest startup recovery.
 //
 // BlinkDB and VerdictDB both treat the sample store as a rebuildable catalog
 // managed by the system; this package gives the reproduction the same

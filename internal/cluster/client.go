@@ -67,9 +67,6 @@ func (sh *shard) noteErr(err error) {
 	sh.lastErr = err
 }
 
-// joined reports whether this shard has ever registered a summary.
-func (sh *shard) joined() bool { return sh.summary() != nil }
-
 // shardError classifies one failed shard sub-request. status 0 means the
 // failure happened below HTTP (dial, timeout, truncated body); otherwise
 // body holds the shard's error envelope for verbatim relay.

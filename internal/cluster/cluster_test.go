@@ -14,7 +14,6 @@ import (
 	"dynsample/internal/core"
 	"dynsample/internal/engine"
 	"dynsample/internal/faults"
-	"dynsample/internal/obs"
 	"dynsample/internal/randx"
 	"dynsample/internal/server"
 )
@@ -33,7 +32,7 @@ func buildClusterDBRows(t testing.TB, rows int) *engine.Database {
 	rng := randx.New(17)
 	zi := randx.NewZipf(1.3, 10)
 	for i := 0; i < rows; i++ {
-		r := "r" + string(rune('a'+zi.Draw(rng)))
+		r := "r" + string(rune('a'+zi.Index(rng.Float64())))
 		if i < 1500 && rng.Intn(20) == 0 {
 			r = "westonly"
 		}
@@ -435,33 +434,30 @@ func TestClusterTruncatedBodyIsTransient(t *testing.T) {
 	}
 }
 
-// TestClusterHedgeBeatsSlowShard: one shard stalls on one request; the
-// hedged duplicate (launched after the shard's recent p95 latency) answers
-// long before the stall resolves.
+// TestClusterHedgeBeatsSlowShard: one shard stalls on one request until the
+// request is abandoned; the hedged duplicate (launched after the shard's
+// recent p95 latency) answers long before the stalled attempt's per-try
+// deadline. Without a hedge the query cannot finish before that deadline:
+// only the deadline ends the stall, and only then does the retry run.
 func TestClusterHedgeBeatsSlowShard(t *testing.T) {
 	tc := newTestCluster(t, 4, nil)
 	// Prime the latency windows so the hedge delay is the (fast) p95, not
-	// the cold-start half-deadline.
-	prime := server.QueryRequest{SQL: "SELECT region, COUNT(*) FROM T GROUP BY region"}
+	// the cold-start half-deadline. The priming goes through /v1/exact,
+	// which does not reach the stall hook: a hedge a priming query launched
+	// and then cancelled can still reach shard 3's handler after the hook is
+	// armed, and must not take the stall meant for the measured query.
+	req := server.QueryRequest{SQL: "SELECT region, COUNT(*) FROM T GROUP BY region"}
 	for i := 0; i < 3; i++ {
-		if code, _ := tc.query(prime); code != http.StatusOK {
-			t.Fatalf("prime query %d failed", i)
+		if resp, body := tc.post("/v1/exact", req); resp.StatusCode != http.StatusOK {
+			t.Fatalf("prime query %d: status %d: %s", i, resp.StatusCode, body)
 		}
 	}
-	// The measured query is the same query spelled apart, so the stall
-	// takes only its request: a hedge a priming query launched and then
-	// cancelled can still reach shard 3's handler after the hook is armed,
-	// and taking the one stall it would leave the measured query nothing
-	// to hedge.
-	req := server.QueryRequest{SQL: "select region, count(*) from T group by region"}
+	perTry := tc.co.shards[3].perTryTimeout(&req, false)
 	t.Cleanup(faults.Reset)
 	var stalled atomic.Bool
 	faults.Set(faults.PointShardRequest, func(ctx context.Context, i int) {
-		if i == 3 && obs.TraceFrom(ctx).Snapshot().SQL == req.SQL && stalled.CompareAndSwap(false, true) {
-			select {
-			case <-time.After(2 * time.Second):
-			case <-ctx.Done():
-			}
+		if i == 3 && stalled.CompareAndSwap(false, true) {
+			<-ctx.Done()
 		}
 	})
 	hedgesBefore := obsShardHedges.With("3").Value()
@@ -474,8 +470,9 @@ func TestClusterHedgeBeatsSlowShard(t *testing.T) {
 	if !stalled.Load() {
 		t.Fatal("stall hook never fired; test exercised nothing")
 	}
-	if elapsed >= 1500*time.Millisecond {
-		t.Errorf("query took %v; the 2s stall was on the answer path", elapsed)
+	if elapsed >= perTry {
+		t.Errorf("query took %v, not under the %v per-try budget (hedge delay %v): the stall was on the answer path",
+			elapsed, perTry, tc.co.shards[3].hedgeDelay(perTry))
 	}
 	if obsShardHedges.With("3").Value() == hedgesBefore {
 		t.Error("no hedge launched against the stalled shard")

@@ -57,7 +57,11 @@ func TestBaselineFamiliesGolden(t *testing.T) {
 		for _, tbl := range core.FamilyTables(p) {
 			fmt.Fprintf(h, "%q %d\n", tbl.ColumnNames(), tbl.NumRows())
 			for i := range tbl.NumRows() {
-				h.Write(engine.AppendKey(nil, tbl.RowValues(i)))
+				row := make([]engine.Value, 0, len(tbl.Columns()))
+				for _, col := range tbl.Columns() {
+					row = append(row, col.Value(i))
+				}
+				h.Write(engine.AppendKey(nil, row))
 			}
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {

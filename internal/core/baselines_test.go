@@ -138,7 +138,7 @@ func TestBaselinesThroughEveryPath(t *testing.T) {
 // flat sample table, then the intervals at the default level.
 func singleSample(t *testing.T, tbl *engine.Table, scale float64, q *engine.Query) (*engine.Result, map[engine.GroupKey][]stats.Interval) {
 	t.Helper()
-	res, _, err := core.ExecutePlan(&core.RewritePlan{Query: q, Steps: []core.RewriteStep{core.StepFor(tbl, scale)}})
+	res, _, err := core.ExecutePlanCtx(context.Background(), &core.RewritePlan{Query: q, Steps: []core.RewriteStep{{Source: tbl, Name: tbl.Name, Scale: scale}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -13,10 +14,12 @@ import (
 func TestRewriteSQLNoGroupByWideMask(t *testing.T) {
 	tbl := engine.NewTable("s_wide", engine.NewColumn("x", engine.Int))
 	q := &engine.Query{Aggs: []engine.Aggregate{{Kind: engine.Sum, Col: "x"}}}
+	exclude := bitmask.New(100)
+	exclude.Set(64)
 	plan := &RewritePlan{
 		Query: q,
 		Steps: []RewriteStep{
-			{Source: tbl, Name: tbl.Name, Exclude: bitmask.FromBits(100, 64), Scale: 50},
+			{Source: tbl, Name: tbl.Name, Exclude: exclude, Scale: 50},
 		},
 	}
 	sql := plan.SQL()
@@ -122,7 +125,7 @@ func TestExecutePlanErrorPropagation(t *testing.T) {
 	tbl := engine.NewTable("s", engine.NewColumn("a", engine.Int))
 	q := &engine.Query{GroupBy: []string{"missing"}, Aggs: []engine.Aggregate{{Kind: engine.Count}}}
 	plan := &RewritePlan{Query: q, Steps: []RewriteStep{{Source: tbl, Name: tbl.Name, Scale: 1}}}
-	if _, _, err := ExecutePlan(plan); err == nil {
+	if _, _, err := ExecutePlanCtx(context.Background(), plan); err == nil {
 		t.Error("bad column not propagated")
 	}
 }
@@ -160,7 +163,7 @@ func TestExactFloatSumIntervalsCoverShardOrder(t *testing.T) {
 	sum := func(order ...int) (*engine.Group, []stats.Interval) {
 		res := engine.NewResult(q.GroupBy, q.Aggs)
 		for _, i := range order {
-			part, err := engine.Execute(shards[i], q, engine.ExecOptions{Scale: 1, MarkExact: true})
+			part, err := engine.ExecuteCtx(context.Background(), shards[i], q, engine.ExecOptions{Scale: 1, MarkExact: true})
 			if err != nil {
 				t.Fatal(err)
 			}

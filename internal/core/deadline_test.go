@@ -85,7 +85,7 @@ func TestAnswerCtxDegradesUnderDeadlinePressure(t *testing.T) {
 	}
 	// The degraded estimates are plain uniform-sample estimates: they must
 	// match executing the overall-sample-only plan directly.
-	want, _, err := ExecutePlan(&RewritePlan{Query: q, Steps: []RewriteStep{{
+	want, _, err := ExecutePlanCtx(context.Background(), &RewritePlan{Query: q, Steps: []RewriteStep{{
 		Source: p.overall.src, Name: p.overall.name, Scale: p.overallScale,
 	}}})
 	if err != nil {

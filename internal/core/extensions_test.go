@@ -81,14 +81,14 @@ func TestPairTablesCaptureRareCombinations(t *testing.T) {
 			t.Fatal("fixture broken: rare combination absent from exact answer")
 		}
 		if ag == nil {
-			t.Fatalf("rare combination %v missing from answer", engine.DecodeKey(k))
+			t.Fatalf("rare combination %v missing from answer", decodeKey(k))
 		}
 		if !ag.Exact {
-			t.Errorf("rare combination %v not exact", engine.DecodeKey(k))
+			t.Errorf("rare combination %v not exact", decodeKey(k))
 		}
 		for i := range eg.Vals {
 			if math.Abs(eg.Vals[i]-ag.Vals[i]) > 1e-9 {
-				t.Errorf("combination %v agg %d: exact %g approx %g", engine.DecodeKey(k), i, eg.Vals[i], ag.Vals[i])
+				t.Errorf("combination %v agg %d: exact %g approx %g", decodeKey(k), i, eg.Vals[i], ag.Vals[i])
 			}
 		}
 	}
@@ -128,7 +128,7 @@ func TestPairTablesRateOneExact(t *testing.T) {
 	}
 	for _, k := range exact.Keys() {
 		if math.Abs(exact.Group(k).Vals[0]-ans.Result.Group(k).Vals[0]) > 1e-9 {
-			t.Errorf("group %v: %g vs %g", engine.DecodeKey(k), exact.Group(k).Vals[0], ans.Result.Group(k).Vals[0])
+			t.Errorf("group %v: %g vs %g", decodeKey(k), exact.Group(k).Vals[0], ans.Result.Group(k).Vals[0])
 		}
 	}
 }

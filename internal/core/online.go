@@ -284,12 +284,6 @@ func (f *family) seedMissing(db *engine.Database) error {
 // DataGeneration returns the data generation of the newest applied batch.
 func (o *Online) DataGeneration() uint64 { return o.gen }
 
-// DB returns the newest database version.
-func (o *Online) DB() *engine.Database { return o.app.DB() }
-
-// Prepared returns the newest maintained sample state.
-func (o *Online) Prepared() Prepared { return o.p }
-
 // Validate checks a batch against the view schema without applying it. The
 // ingest coordinator calls it before a batch is acknowledged to the WAL.
 func (o *Online) Validate(rows [][]engine.Value) error { return o.app.Validate(rows) }

@@ -84,9 +84,9 @@ func TestOnlineReservoirUniform(t *testing.T) {
 			}
 		}
 		total := n0 + ingest
-		ot := o.Prepared().(*smallGroupPrepared).Overall()
+		ot := o.p.Overall()
 		k = ot.NumRows()
-		u := ot.MustColumn("u")
+		u := ot.Column("u")
 		for r := 0; r < ot.NumRows(); r++ {
 			pos := int(u.Int(r))
 			counts[pos*buckets/total]++
@@ -139,9 +139,9 @@ func TestOnlineSmallGroupMembership(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p := o.Prepared().(*smallGroupPrepared)
+	p := o.p
 	meta := p.Meta()
-	db := o.DB()
+	db := o.app.DB()
 	view := db.Columns()
 	colPos := make(map[string]int, len(view))
 	for i, n := range view {
@@ -182,7 +182,7 @@ func TestOnlineSmallGroupMembership(t *testing.T) {
 	}
 	gotRare := map[engine.GroupKey]int{}
 	for r := 0; r < sg.NumRows(); r++ {
-		vals := sg.RowValues(r)
+		vals := rowValues(sg, r)
 		gotRare[engine.EncodeKey(vals)]++
 		if !expectedMask(meta, colPos, vals)[cmA.Index] {
 			t.Fatalf("sg_a row %d lies outside the table's domain (row %v)", r, vals)
@@ -212,7 +212,7 @@ func TestOnlineAnswers(t *testing.T) {
 		}
 	}
 	q := &engine.Query{GroupBy: []string{"a"}, Aggs: []engine.Aggregate{{Kind: engine.Count}, {Kind: engine.Sum, Col: "m"}}}
-	exact, err := engine.ExecuteExact(o.DB(), q)
+	exact, err := engine.ExecuteExact(o.app.DB(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestOnlineAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := o.Prepared().(*smallGroupPrepared).Meta()
+	meta := o.p.Meta()
 	for _, key := range exact.Keys() {
 		eg := exact.Group(key)
 		ag := ans.Result.Group(key)
@@ -331,7 +331,7 @@ func TestOnlineReplayDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := preparedBytes(t, o1.Prepared())
+	want := preparedBytes(t, o1.p)
 
 	// Interrupted run: apply two batches, snapshot, then "restart": reload
 	// the snapshot over a fresh base and replay all four batches.
@@ -343,7 +343,7 @@ func TestOnlineReplayDeterminism(t *testing.T) {
 		}
 	}
 	var snap bytes.Buffer
-	if err := SaveSmallGroup(&snap, o2.Prepared()); err != nil {
+	if err := SaveSmallGroup(&snap, o2.p); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := LoadSmallGroup(&snap)
@@ -368,7 +368,7 @@ func TestOnlineReplayDeterminism(t *testing.T) {
 			t.Fatalf("covered batch %d touched samples (%d inserts, %d swaps)", i+1, st.SmallGroupInserts, st.ReservoirSwaps)
 		}
 	}
-	got := preparedBytes(t, o3.Prepared())
+	got := preparedBytes(t, o3.p)
 	if !bytes.Equal(got, want) {
 		t.Fatal("replayed sample family differs from uninterrupted run")
 	}
@@ -403,12 +403,12 @@ func TestOnlineRebase(t *testing.T) {
 	if err := o.Rebase(rebuilt, pinnedGen, tail); err != nil {
 		t.Fatal(err)
 	}
-	if g := o.Prepared().DataGeneration(); g != 3 {
+	if g := o.p.DataGeneration(); g != 3 {
 		t.Fatalf("rebased generation = %d, want 3", g)
 	}
 	// The rebased family must still answer rare groups exactly.
 	q := &engine.Query{GroupBy: []string{"a"}, Aggs: []engine.Aggregate{{Kind: engine.Count}}}
-	exact, err := engine.ExecuteExact(o.DB(), q)
+	exact, err := engine.ExecuteExact(o.app.DB(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestOnlineRebase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := o.Prepared().(*smallGroupPrepared).Meta()
+	meta := o.p.Meta()
 	cmA, _ := meta.Column("a")
 	for _, key := range exact.Keys() {
 		eg := exact.Group(key)
@@ -468,14 +468,14 @@ func TestOnlineRebaseFailureRestoresTracking(t *testing.T) {
 	if _, err := ref.Apply(2, mkBatch(n0+600)); err != nil {
 		t.Fatal(err)
 	}
-	wantBytes := preparedBytes(t, ref.Prepared())
+	wantBytes := preparedBytes(t, ref.p)
 	wantDrift := ref.Drift()
 
 	sys, o := onlineSystem(t, n0, cfg, 77)
 	if _, err := o.Apply(1, mkBatch(n0)); err != nil {
 		t.Fatal(err)
 	}
-	rebuilt, err := NewSmallGroup(cfg).Preprocess(o.DB())
+	rebuilt, err := NewSmallGroup(cfg).Preprocess(o.app.DB())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,21 +493,21 @@ func TestOnlineRebaseFailureRestoresTracking(t *testing.T) {
 	// nothing new published.
 	wcfg := cfg
 	wcfg.Overall = everyOtherRow{}
-	weighted, err := NewSmallGroup(wcfg).Preprocess(o.DB())
+	weighted, err := NewSmallGroup(wcfg).Preprocess(o.app.DB())
 	if err != nil {
 		t.Fatal(err)
 	}
-	published := o.Prepared()
+	published := o.p
 	if err := o.Rebase(weighted, 1, nil); err == nil {
 		t.Fatal("rebase onto a weighted-overall family should fail")
 	}
-	if now, _ := sys.Prepared("smallgroup"); now != published || o.Prepared() != published {
+	if now, _ := sys.Prepared("smallgroup"); now != published || o.p != published {
 		t.Fatal("a refused rebase changed the published family")
 	}
 	if _, err := o.Apply(2, mkBatch(n0+600)); err != nil {
 		t.Fatal(err)
 	}
-	if got := preparedBytes(t, o.Prepared()); !bytes.Equal(got, wantBytes) {
+	if got := preparedBytes(t, o.p); !bytes.Equal(got, wantBytes) {
 		t.Error("sample family after failed rebase differs from a run that never attempted it")
 	}
 	if d := o.Drift(); d != wantDrift {
@@ -535,7 +535,7 @@ func TestOnlineNewValueInDroppedColumn(t *testing.T) {
 	const n0 = 3000
 	cfg := SmallGroupConfig{BaseRate: 0.04, SmallGroupFraction: 0.08, DistinctLimit: 100, Seed: 9}
 	sys, o := onlineSystem(t, n0, cfg, 31)
-	meta := o.Prepared().(*smallGroupPrepared).Meta()
+	meta := o.p.Meta()
 	if _, inS := meta.Column("b"); inS {
 		t.Fatal("fixture drift: b should have been dropped from S (no small groups)")
 	}
@@ -567,7 +567,7 @@ func TestOnlineNewValueInDroppedColumn(t *testing.T) {
 	if err := o.Rebase(rebuilt, pinnedGen, nil); err != nil {
 		t.Fatal(err)
 	}
-	meta = o.Prepared().(*smallGroupPrepared).Meta()
+	meta = o.p.Meta()
 	if _, inS := meta.Column("b"); !inS {
 		t.Fatal("rebuild did not re-admit b to S")
 	}
@@ -670,7 +670,7 @@ func rowDigest(p Prepared) string {
 	var sb strings.Builder
 	for _, tbl := range append(sgp.Tables(), sgp.Overall()) {
 		for r := 0; r < tbl.NumRows(); r++ {
-			fmt.Fprintf(&sb, "%q/%g;", engine.EncodeKey(tbl.RowValues(r)), tbl.RowWeight(r))
+			fmt.Fprintf(&sb, "%q/%g;", engine.EncodeKey(rowValues(tbl, r)), tbl.RowWeight(r))
 		}
 	}
 	return sb.String()

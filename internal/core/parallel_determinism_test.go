@@ -23,8 +23,8 @@ func ZipfDB(rows int) *engine.Database {
 	zg := randx.NewZipf(1.8, 120)
 	zh := randx.NewZipf(1.2, 40)
 	for i := 0; i < rows; i++ {
-		g.AppendString("g" + itoa(zg.Draw(rng)))
-		h.AppendString("h" + itoa(zh.Draw(rng)))
+		g.AppendString("g" + itoa(zg.Index(rng.Float64())))
+		h.AppendString("h" + itoa(zh.Index(rng.Float64())))
 		m.AppendFloat(rng.NormFloat64() * 50)
 		fact.EndRow()
 	}
@@ -114,6 +114,10 @@ func TestAnswerWorkerCountDeterminism(t *testing.T) {
 	}
 }
 
+// OnlineState returns o's newest maintained sample state and the database
+// version it covers.
+func OnlineState(o *Online) (Prepared, *engine.Database) { return o.p, o.app.DB() }
+
 // AssertSlicesHoldBaseRows fails unless every small group table of p, read
 // through its join, is db.Flatten of the base rows it holds: under the
 // two-level hierarchy every row of db in the table's domain, with more levels
@@ -174,7 +178,7 @@ func AssertSlicesHoldBaseRows(t *testing.T, p Prepared, db *engine.Database) {
 		c0, c1 := got.Column(cols[0]), got.Column(cols[len(cols)-1])
 		for r := range got.NumRows() {
 			if !meta.holds(i, c0.Value(r), c1.Value(r)) {
-				t.Fatalf("%s row %d (%v) lies outside the table's domain", s.name, r, got.RowValues(r))
+				t.Fatalf("%s row %d (%v) lies outside the table's domain", s.name, r, rowValues(got, r))
 			}
 		}
 	}

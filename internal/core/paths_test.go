@@ -166,9 +166,11 @@ func throughEveryPath(t *testing.T, st *core.SmallGroup, online bool, queries []
 		if swaps == 0 {
 			t.Fatal("online batches: no reservoir swap reached the overall sample")
 		}
-		core.AssertSlicesHoldBaseRows(t, onA.Prepared(), onA.DB())
-		core.AssertExclusionMatchesRowFilter(t, onA.Prepared(), queries)
-		if !bytes.Equal(savedBytes(t, onA.Prepared()), savedBytes(t, onB.Prepared())) {
+		pA, dbA := core.OnlineState(onA)
+		pB, _ := core.OnlineState(onB)
+		core.AssertSlicesHoldBaseRows(t, pA, dbA)
+		core.AssertExclusionMatchesRowFilter(t, pA, queries)
+		if !bytes.Equal(savedBytes(t, pA), savedBytes(t, pB)) {
 			t.Fatal("online batches: the built and the loaded family grew apart")
 		}
 		sameAnswers(t, "online", built, loaded, name, queries)
@@ -184,9 +186,10 @@ func throughEveryPath(t *testing.T, st *core.SmallGroup, online bool, queries []
 		if err := onA.Rebase(rebuilt, pinnedGen, []core.TailBatch{{Seq: 4, Rows: batches[3]}}); err != nil {
 			t.Fatal(err)
 		}
-		core.AssertSlicesHoldBaseRows(t, onA.Prepared(), onA.DB())
-		core.AssertExclusionMatchesRowFilter(t, onA.Prepared(), queries)
-		last, lastDB, gen = onA.Prepared(), onA.DB(), 4
+		last, lastDB = core.OnlineState(onA)
+		core.AssertSlicesHoldBaseRows(t, last, lastDB)
+		core.AssertExclusionMatchesRowFilter(t, last, queries)
+		gen = 4
 	}
 
 	var ck bytes.Buffer

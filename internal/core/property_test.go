@@ -26,7 +26,7 @@ func randomDB(seed int64) *engine.Database {
 	fact := engine.NewTable("fact", append(cols, m)...)
 	for i := 0; i < n; i++ {
 		for j := 0; j < nCols; j++ {
-			cols[j].AppendString("v" + string(rune('0'+j)) + "_" + itoa(zipfs[j].Draw(rng)))
+			cols[j].AppendString("v" + string(rune('0'+j)) + "_" + itoa(zipfs[j].Index(rng.Float64())))
 		}
 		m.AppendInt(int64(rng.Intn(100)))
 		fact.EndRow()

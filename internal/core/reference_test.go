@@ -288,9 +288,49 @@ func naiveBuildPairs(db *engine.Database, meta *Metadata, cfg SmallGroupConfig, 
 	return testers, nil
 }
 
+// rowValues returns the values of row i in schema order.
+func rowValues(t *engine.Table, i int) []engine.Value {
+	vals := make([]engine.Value, len(t.Columns()))
+	for j, c := range t.Columns() {
+		vals[j] = c.Value(i)
+	}
+	return vals
+}
+
+// decodeKey unpacks a key the engine encoded, which is well-formed.
+func decodeKey(k engine.GroupKey) []engine.Value {
+	vals, err := engine.DecodeKeyChecked(k)
+	if err != nil {
+		panic(err)
+	}
+	return vals
+}
+
 // naiveBandTester returns the hierarchy level of a base row's value for one
 // column, or -1 when the value is common.
 type naiveBandTester func(row int) int
+
+// dictCodes numbers a string column's values in first-seen order: the
+// dictionary the naive counter counts codes over, built apart from the
+// engine's own.
+type dictCodes struct {
+	acc    engine.ColumnAccessor
+	code   map[string]int32
+	values []string
+}
+
+func (d *dictCodes) Code(row int) int32 {
+	s := d.acc.Value(row).S
+	c, ok := d.code[s]
+	if !ok {
+		c = int32(len(d.values))
+		d.code[s] = c
+		d.values = append(d.values, s)
+	}
+	return c
+}
+
+func (d *dictCodes) DictValue(code int32) string { return d.values[code] }
 
 // naiveCounter accumulates one candidate column's value frequencies a row at
 // a time.
@@ -298,7 +338,7 @@ type naiveCounter struct {
 	name  string
 	limit int
 
-	code  engine.CodeAccessor // non-nil for dictionary-encoded columns
+	code  *dictCodes // non-nil for string columns
 	codes []int64
 	acc   engine.ColumnAccessor
 	count map[engine.Value]int64
@@ -307,8 +347,8 @@ type naiveCounter struct {
 
 func newNaiveCounter(name string, acc engine.ColumnAccessor, t engine.Type, limit int) *naiveCounter {
 	c := &naiveCounter{name: name, limit: limit, acc: acc, alive: true}
-	if ca, ok := acc.(engine.CodeAccessor); ok && t == engine.String {
-		c.code = ca
+	if t == engine.String {
+		c.code = &dictCodes{acc: acc, code: map[string]int32{}}
 	} else {
 		c.count = make(map[engine.Value]int64)
 	}
@@ -634,7 +674,7 @@ func assertSameTracking(t *testing.T, o *Online, nf *naiveFamily) {
 	if o.missingNew != nf.missingNew {
 		t.Fatalf("%d new values in dropped columns, naive %d", o.missingNew, nf.missingNew)
 	}
-	if d, want := o.Drift(), nf.drift(o.t, o.DB().NumRows()); d != want {
+	if d, want := o.Drift(), nf.drift(o.t, o.app.DB().NumRows()); d != want {
 		t.Fatalf("drift %v, naive %v", d, want)
 	}
 }
@@ -930,7 +970,7 @@ func AssertOnlineClassifyMatchesNaive(t *testing.T, db *engine.Database, cfg Sma
 			t.Fatalf("batch %d: mask words differ from the naive classification", seq)
 		}
 		want := detached(t, before)
-		want.db = o.DB()
+		want.db = o.app.DB()
 		var wst BatchStats
 		(&family{p: want}).applySampleUpdates(want, lo, perTable, victims, &wst)
 		if st.SmallGroupInserts != wst.SmallGroupInserts || st.ReservoirSwaps != wst.ReservoirSwaps {
@@ -943,7 +983,7 @@ func AssertOnlineClassifyMatchesNaive(t *testing.T, db *engine.Database, cfg Sma
 	}
 	apply := func(seq uint64, rows [][]engine.Value) {
 		t.Helper()
-		before, lo := o.p, o.DB().NumRows()
+		before, lo := o.p, o.app.DB().NumRows()
 		st, err := o.Apply(seq, rows)
 		if err != nil {
 			t.Fatal(err)
@@ -967,7 +1007,7 @@ func AssertOnlineClassifyMatchesNaive(t *testing.T, db *engine.Database, cfg Sma
 	}
 	// The naive rebase: tracking seeded from the rebuilt family, the tail
 	// replayed without bumps onto it.
-	live := o.DB()
+	live := o.app.DB()
 	rp := *rebuilt.(*smallGroupPrepared)
 	rp.db = live
 	nf = newNaiveFamily(&rp, live, pinned, cfg.DistinctLimit, maxTracked)

@@ -37,11 +37,6 @@ type RewriteStep struct {
 	MaxRows int
 }
 
-// StepFor builds an unfiltered step over a flat sample table.
-func StepFor(t *engine.Table, scale float64) RewriteStep {
-	return RewriteStep{Source: t, Name: t.Name, Scale: scale}
-}
-
 // RewritePlan is the rewritten form of a query under dynamic sample
 // selection: the UNION ALL of its steps (§4.2.2).
 //

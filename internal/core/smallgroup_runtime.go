@@ -349,14 +349,9 @@ func (p *smallGroupPrepared) StoredBytes() int64 {
 	return b
 }
 
-// ExecutePlan runs every step of a rewrite plan and merges the partial
-// results, returning the combined result and total sample rows scanned. It
-// is ExecutePlanCtx with a background context.
-func ExecutePlan(plan *RewritePlan) (*engine.Result, int64, error) {
-	return ExecutePlanCtx(context.Background(), plan)
-}
-
-// ExecutePlanCtx runs a rewrite plan under a context.
+// ExecutePlanCtx runs every step of a rewrite plan under a context and
+// merges the partial results, returning the combined result and total
+// sample rows scanned.
 //
 // The steps — the branches of the rewritten UNION ALL — execute as up to
 // plan.Workers parallel tasks, each itself a partitioned scan, and the

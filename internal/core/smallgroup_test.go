@@ -120,7 +120,7 @@ func TestSmallGroupTableContents(t *testing.T) {
 		t.Fatal("a not in S")
 	}
 	tbl := p.Tables()[ix]
-	col := tbl.MustColumn("a")
+	col := tbl.Column("a")
 	for r := 0; r < tbl.NumRows(); r++ {
 		v := col.Value(r)
 		if meta.IsCommon("a", v) {

@@ -122,7 +122,7 @@ func TestSaveLoadWithPairsAndLevels(t *testing.T) {
 	}
 	for _, k := range a1.Result.Keys() {
 		if math.Abs(a1.Result.Group(k).Vals[0]-a2.Result.Group(k).Vals[0]) > 1e-9 {
-			t.Errorf("group %v differs after reload", engine.DecodeKey(k))
+			t.Errorf("group %v differs after reload", decodeKey(k))
 		}
 	}
 }
@@ -264,7 +264,7 @@ func TestRestoredFamilyWatchesItsOwnDistinctLimit(t *testing.T) {
 	if got, want := restored.Drift(), fresh.Drift(); got != want || got >= 1 {
 		t.Fatalf("drift after a batch of new ids: %g restored, %g fresh", got, want)
 	}
-	if !bytes.Equal(preparedBytes(t, restored.Prepared()), preparedBytes(t, fresh.Prepared())) {
+	if !bytes.Equal(preparedBytes(t, restored.p), preparedBytes(t, fresh.p)) {
 		t.Fatal("the restored family maintained one batch differs from the fresh one")
 	}
 }
@@ -286,7 +286,7 @@ func TestBindRefusesKeysPastTheDimension(t *testing.T) {
 		if which == "overall sample" {
 			fact = sgp.overall.src.Fact
 		}
-		row := fact.RowValues(0)
+		row := rowValues(fact, 0)
 		for j, name := range fact.ColumnNames() {
 			if name == "dim_fk" {
 				row[j] = engine.IntVal(40) // the dimension has rows 0..39

@@ -1,10 +1,10 @@
-// Package uniform holds the tests of the plain uniform-random-sampling AQP
-// baseline the paper compares against throughout §5: one reservoir sample of
-// the database stored as a flat join synopsis, with aggregates scaled by the
-// inverse sampling rate. The baseline is small group sampling with S empty
-// (core.SmallGroupConfig.Columns an empty list), whose default overall sample
-// is exactly that reservoir.
-package uniform
+package core_test
+
+// The plain uniform-random-sampling AQP baseline the paper compares against
+// throughout §5: one reservoir sample of the database stored as a flat join
+// synopsis, with aggregates scaled by the inverse sampling rate. The
+// baseline is small group sampling with S empty (core.SmallGroupConfig.Columns
+// an empty list), whose default overall sample is exactly that reservoir.
 
 import (
 	"math"

@@ -119,19 +119,19 @@ func TestCloneForAppendSharesPrefix(t *testing.T) {
 	db := appendTestDB(t)
 	fact := db.Fact
 	clone := fact.CloneForAppend()
-	clone.MustColumn("amount").AppendFloat(42)
-	clone.MustColumn("geo_fk").AppendInt(0)
-	clone.MustColumn("tag").AppendString("fresh")
+	clone.Column("amount").AppendFloat(42)
+	clone.Column("geo_fk").AppendInt(0)
+	clone.Column("tag").AppendString("fresh")
 	clone.EndRow()
 	if fact.NumRows() != 4 || clone.NumRows() != 5 {
 		t.Fatalf("rows: orig %d clone %d, want 4/5", fact.NumRows(), clone.NumRows())
 	}
 	// New dictionary entry is invisible to the original column header.
-	if fact.MustColumn("tag").DictSize() != 1 {
-		t.Fatalf("original dict grew: %d", fact.MustColumn("tag").DictSize())
+	if len(fact.Column("tag").dict) != 1 {
+		t.Fatalf("original dict grew: %d", len(fact.Column("tag").dict))
 	}
-	if clone.MustColumn("tag").DictSize() != 2 {
-		t.Fatalf("clone dict = %d, want 2", clone.MustColumn("tag").DictSize())
+	if len(clone.Column("tag").dict) != 2 {
+		t.Fatalf("clone dict = %d, want 2", len(clone.Column("tag").dict))
 	}
 }
 
@@ -140,19 +140,19 @@ func TestSetRowCopiesOnWrite(t *testing.T) {
 	fact := db.Fact
 	cp := fact.CloneForAppend()
 	cp.SetRow(0, IntVal(1), FloatVal(99), StringVal("replaced"))
-	if fact.MustColumn("amount").Float(0) != 0 {
+	if fact.Column("amount").Float(0) != 0 {
 		t.Fatal("SetRow leaked into the original")
 	}
-	if cp.MustColumn("amount").Float(0) != 99 {
+	if cp.Column("amount").Float(0) != 99 {
 		t.Fatal("SetRow did not apply")
 	}
-	if cp.MustColumn("tag").Value(0).S != "replaced" {
+	if cp.Column("tag").Value(0).S != "replaced" {
 		t.Fatal("string overwrite did not apply")
 	}
 	// A version cloned from the overwritten one copies again before it writes.
 	cp2 := cp.CloneForAppend()
 	cp2.SetRow(0, IntVal(0), FloatVal(7), StringVal("t0"))
-	if cp.MustColumn("amount").Float(0) != 99 || cp2.MustColumn("amount").Float(0) != 7 {
+	if cp.Column("amount").Float(0) != 99 || cp2.Column("amount").Float(0) != 7 {
 		t.Fatal("a second version's SetRow wrote into the first's chunk")
 	}
 }
@@ -233,7 +233,7 @@ func TestVersionsShareSealedChunks(t *testing.T) {
 			t.Fatalf("version %d has %d rows, want %d", k, db.NumRows(), want)
 		}
 		for _, r := range []int{0, chunkRows - 1, chunkRows, db.NumRows() - 1} {
-			got, want := db.Fact.RowValues(r), chunkedTestRow(r)
+			got, want := rowValues(db.Fact, r), chunkedTestRow(r)
 			for j := range want {
 				if got[j] != want[j] {
 					t.Fatalf("version %d row %d = %v, want %v", k, r, got, want)
@@ -253,7 +253,7 @@ func TestVersionsShareSealedChunks(t *testing.T) {
 			t.Fatalf("after SetRow in chunk 1, chunk %d shared = %v", ch, shared)
 		}
 	}
-	if last.MustColumn("id").Int(chunkRows+5) != chunkRows+5 || upd.MustColumn("id").Int(chunkRows+5) != -1 {
+	if last.Column("id").Int(chunkRows+5) != chunkRows+5 || upd.Column("id").Int(chunkRows+5) != -1 {
 		t.Fatal("SetRow tore the version it was cloned from")
 	}
 }
@@ -302,7 +302,7 @@ func TestStaleWriterFails(t *testing.T) {
 		t.Fatal("the appender that handed off appended again")
 	}
 	for r := 0; r < v2.NumRows(); r++ {
-		if got := v2.Fact.MustColumn("id").Int(r); got != int64(r) {
+		if got := v2.Fact.Column("id").Int(r); got != int64(r) {
 			t.Fatalf("row %d = %d after the refused appends", r, got)
 		}
 	}

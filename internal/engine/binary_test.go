@@ -3,6 +3,7 @@ package engine
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -28,7 +29,7 @@ func maskedFixture(width int) *Table {
 	t.AppendRow(StringVal("x"), IntVal(0), FloatVal(0))
 	var masks []bitmask.Mask
 	for _, bits := range fixtureBits(width) {
-		masks = append(masks, bitmask.FromBits(width, bits...))
+		masks = append(masks, maskOf(width, bits...))
 	}
 	t.addSampleColumns(masks, fixtureWeights)
 	return t
@@ -68,7 +69,7 @@ func testBinaryRoundTrip(t *testing.T, width int) {
 		}
 	}
 	for i, bits := range fixtureBits(width) {
-		if m, ok := got.RowMask(i); !ok || !reflect.DeepEqual(m.Bits(), bits) {
+		if m, ok := rowMask(got, i); !ok || !reflect.DeepEqual(m.Bits(), bits) {
 			t.Errorf("width %d mask %d: %v (%v), want bits %v", width, i, m, ok, bits)
 		}
 		if w := got.RowWeight(i); w != fixtureWeights[i] {
@@ -89,7 +90,7 @@ func TestBinaryRoundTripNoSideArrays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, masked := got.RowMask(0); masked || got.NumCols() != 1 || got.RowWeight(0) != 1 {
+	if _, masked := rowMask(got, 0); masked || got.NumCols() != 1 || got.RowWeight(0) != 1 {
 		t.Error("mask or weight columns materialised from nothing")
 	}
 }
@@ -149,7 +150,7 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 	}
 	// A dictionary that lists one string under two codes would split a group.
 	dup := binaryFixture()
-	a := dup.MustColumn("a")
+	a := dup.Column("a")
 	a.dict = append(a.dict, a.dict[0])
 	var dupBuf bytes.Buffer
 	if err := WriteBinary(dup, &dupBuf); err != nil {
@@ -164,7 +165,7 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := &Query{GroupBy: []string{"a"}, Aggs: []Aggregate{{Kind: Sum, Col: "c"}}}
-	res, err := Execute(got, q, ExecOptions{})
+	res, err := ExecuteCtx(context.Background(), got, q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,15 +10,15 @@ import (
 )
 
 // TestExecuteCtxBackgroundBitIdentical: an uncancelled ExecuteCtx must agree
-// exactly with Execute, and every worker count — the zero value included —
-// must agree exactly with every other.
+// exactly with a repeat of itself, and every worker count — the zero value
+// included — must agree exactly with every other.
 func TestExecuteCtxBackgroundBitIdentical(t *testing.T) {
 	tbl := randomScanTable(11, 3*ScanShardRows+123)
 	q := scanQuery()
 	var first *Result
 	for _, workers := range []int{0, 1, 4} {
 		opt := ExecOptions{Scale: 2.5, Workers: workers}
-		want, err := Execute(tbl, q, opt)
+		want, err := ExecuteCtx(context.Background(), tbl, q, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -69,7 +70,7 @@ func TestChunkEdgeRowCounts(t *testing.T) {
 			if r < 0 || r >= n {
 				continue
 			}
-			got, want := back.RowValues(r), tbl.RowValues(r)
+			got, want := rowValues(back, r), rowValues(tbl, r)
 			for j := range want {
 				if !sameValue(got[j], want[j]) {
 					t.Fatalf("n=%d row %d column %d: %v, want %v", n, r, j, got[j], want[j])
@@ -79,8 +80,8 @@ func TestChunkEdgeRowCounts(t *testing.T) {
 		// A decoded table is appendable: its tail, cut to length, grows.
 		if n > 0 {
 			grown := back.CloneForAppend()
-			grown.AppendRow(tbl.RowValues(0)...)
-			if grown.NumRows() != n+1 || back.NumRows() != n || !sameValue(grown.RowValues(n)[0], tbl.RowValues(0)[0]) {
+			grown.AppendRow(rowValues(tbl, 0)...)
+			if grown.NumRows() != n+1 || back.NumRows() != n || !sameValue(rowValues(grown, n)[0], rowValues(tbl, 0)[0]) {
 				t.Fatalf("n=%d: append onto a decoded table", n)
 			}
 		}
@@ -107,7 +108,7 @@ func TestChunkEdgeRowCounts(t *testing.T) {
 				q := kernelQuery(rng, ks)
 				opt := kernelOptions(rng, max(n, 1), ks.masks)
 				label := fmt.Sprintf("n=%d %s #%d: %s %+v", n, ks.name, i, q, opt)
-				got, err := Execute(ks.src, q, opt)
+				got, err := ExecuteCtx(context.Background(), ks.src, q, opt)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}

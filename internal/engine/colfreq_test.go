@@ -428,7 +428,7 @@ func TestFlattenMatchesRowAtATime(t *testing.T) {
 		masks := make([]bitmask.Mask, len(rows))
 		weights := make([]float64, len(rows))
 		for i := range rows {
-			masks[i] = bitmask.FromBits(3, i%3)
+			masks[i] = maskOf(3, i%3)
 			weights[i] = float64(i + 1)
 		}
 

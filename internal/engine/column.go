@@ -570,9 +570,3 @@ func (c *Column) Float(i int) float64 {
 
 // Code returns the dictionary code at row i. The column must be String-typed.
 func (c *Column) Code(i int) int32 { return c.codes.at(i) }
-
-// DictSize returns the dictionary size. The column must be String-typed.
-func (c *Column) DictSize() int { return len(c.dict) }
-
-// DictValue returns the string for a dictionary code.
-func (c *Column) DictValue(code int32) string { return c.dict[code] }

@@ -47,7 +47,7 @@ func TestReadCSVTypeInference(t *testing.T) {
 	}
 	wants := map[string]Type{"a": Int, "b": Float, "c": String, "d": Float}
 	for name, wt := range wants {
-		if got := tbl.MustColumn(name).Type; got != wt {
+		if got := tbl.Column(name).Type; got != wt {
 			t.Errorf("column %s inferred %v, want %v", name, got, wt)
 		}
 	}

@@ -163,7 +163,6 @@ func (db *Database) Accessor(name string) (ColumnAccessor, error) {
 		a.floats = vals
 	case []int32:
 		a.codes = vals
-		return &fkCodeAccessor{a}, nil
 	}
 	return &a, nil
 }
@@ -189,13 +188,6 @@ func (a *fkAccessor) Value(row int) Value {
 }
 
 func (a *fkAccessor) Float(row int) float64 { return a.Value(row).Float() }
-
-// fkCodeAccessor adds dictionary-code access for string dimension columns.
-type fkCodeAccessor struct{ fkAccessor }
-
-func (a *fkCodeAccessor) Code(row int) int32          { return a.codes[a.fk.Int(row)] }
-func (a *fkCodeAccessor) DictSize() int               { return a.col.DictSize() }
-func (a *fkCodeAccessor) DictValue(code int32) string { return a.col.DictValue(code) }
 
 // Flatten materialises the joined view for the given fact-row indices into a
 // single flat table containing every view column. This is the "join synopsis"

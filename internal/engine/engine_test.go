@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -209,7 +210,7 @@ func TestExecuteScaleAndWeights(t *testing.T) {
 	db := testDB(t)
 	flat := db.Flatten("s", []int{0, 2}, nil, []float64{2, 3})
 	q := &Query{Aggs: []Aggregate{{Kind: Count}, {Kind: Sum, Col: "quantity"}}}
-	res, err := Execute(flat, q, ExecOptions{Scale: 10})
+	res, err := ExecuteCtx(context.Background(), flat, q, ExecOptions{Scale: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,13 +234,13 @@ func TestExecuteScaleAndWeights(t *testing.T) {
 func TestExecuteMaskFilter(t *testing.T) {
 	db := testDB(t)
 	masks := []bitmask.Mask{
-		bitmask.FromBits(3, 0),
-		bitmask.FromBits(3, 1),
+		maskOf(3, 0),
+		maskOf(3, 1),
 		bitmask.New(3),
 	}
 	flat := db.Flatten("s", []int{0, 1, 2}, masks, nil)
 	q := &Query{Aggs: []Aggregate{{Kind: Count}}}
-	res, err := Execute(flat, q, ExecOptions{ExcludeMask: bitmask.FromBits(3, 0, 2)})
+	res, err := ExecuteCtx(context.Background(), flat, q, ExecOptions{ExcludeMask: maskOf(3, 0, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +257,7 @@ func TestExecuteMarkExact(t *testing.T) {
 	db := testDB(t)
 	flat := db.Flatten("s", []int{0, 1}, nil, nil)
 	q := &Query{GroupBy: []string{"product"}, Aggs: []Aggregate{{Kind: Count}}}
-	res, err := Execute(flat, q, ExecOptions{MarkExact: true})
+	res, err := ExecuteCtx(context.Background(), flat, q, ExecOptions{MarkExact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,16 +274,16 @@ func TestFlattenPreservesValues(t *testing.T) {
 	if flat.NumRows() != 2 {
 		t.Fatalf("rows = %d", flat.NumRows())
 	}
-	if got := flat.MustColumn("product").Value(0).S; got != "Stereo" {
+	if got := flat.Column("product").Value(0).S; got != "Stereo" {
 		t.Errorf("product[0] = %q", got)
 	}
-	if got := flat.MustColumn("city").Value(0).S; got != "Portland" {
+	if got := flat.Column("city").Value(0).S; got != "Portland" {
 		t.Errorf("city[0] = %q", got)
 	}
-	if got := flat.MustColumn("state").Value(1).S; got != "WA" {
+	if got := flat.Column("state").Value(1).S; got != "WA" {
 		t.Errorf("state[1] = %q", got)
 	}
-	if got := flat.MustColumn("quantity").Value(1).I; got != 7 {
+	if got := flat.Column("quantity").Value(1).I; got != 7 {
 		t.Errorf("quantity[1] = %d", got)
 	}
 }
@@ -458,8 +459,8 @@ func TestDictionaryEncoding(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		c.AppendString("v" + string(rune('a'+i%3)))
 	}
-	if c.DictSize() != 3 {
-		t.Errorf("distinct = %d, want 3", c.DictSize())
+	if len(c.dict) != 3 {
+		t.Errorf("distinct = %d, want 3", len(c.dict))
 	}
 	if c.Len() != 1000 {
 		t.Errorf("len = %d", c.Len())
@@ -482,7 +483,7 @@ func TestExactEqualsScaledAtRateOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := Execute(flat, q, ExecOptions{})
+	approx, err := ExecuteCtx(context.Background(), flat, q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +493,7 @@ func TestExactEqualsScaledAtRateOne(t *testing.T) {
 	for _, k := range exact.Keys() {
 		e, a := exact.Group(k), approx.Group(k)
 		if a == nil || math.Abs(e.Vals[0]-a.Vals[0]) > 1e-9 {
-			t.Errorf("group %v: exact %v approx %+v", DecodeKey(k), e.Vals[0], a)
+			t.Errorf("group %v: exact %v approx %+v", decodeKey(k), e.Vals[0], a)
 		}
 	}
 }

@@ -45,25 +45,19 @@ type ExecOptions struct {
 // function of the source — the determinism guarantee of ExecOptions.Workers.
 const ScanShardRows = 16384
 
-// Execute runs a group-by aggregation query against a source. Per-row
+// ExecuteCtx runs a group-by aggregation query against a source. Per-row
 // weights (for weighted samples) are always honoured; uniform sources have
 // weight 1. The result's group values are sums of weight*Scale*x where x is
 // 1 for COUNT and the measure value for SUM.
 //
 // The scan is partitioned into row-range shards evaluated by up to
 // opt.Workers goroutines (see ExecOptions.Workers); sources and predicates
-// are only read, so a single source may serve many Execute calls at once.
+// are only read, so a single source may serve many calls at once.
 //
-// Execute is ExecuteCtx with a background context — it cannot be cancelled.
-func Execute(src Source, q *Query, opt ExecOptions) (*Result, error) {
-	return ExecuteCtx(context.Background(), src, q, opt)
-}
-
-// ExecuteCtx is Execute under a context. Cancellation is observed between
-// shard tasks, never inside a shard, so an uncancelled ExecuteCtx returns
-// answers bit-identical to Execute for every worker count. When ctx is
-// cancelled or its deadline passes mid-scan, ExecuteCtx returns ctx.Err()
-// promptly (in-flight shards finish first) and no partial result.
+// Cancellation is observed between shard tasks, never inside a shard, so an
+// uncancelled call's answers are bit-identical for every worker count. When
+// ctx is cancelled or its deadline passes mid-scan, ExecuteCtx returns
+// ctx.Err() promptly (in-flight shards finish first) and no partial result.
 func ExecuteCtx(ctx context.Context, src Source, q *Query, opt ExecOptions) (*Result, error) {
 	scale := opt.Scale
 	if scale == 0 {

@@ -69,7 +69,7 @@ func FuzzReadBinary(f *testing.F) {
 			}
 		}
 		for i := 0; i < tbl.NumRows(); i++ {
-			tbl.RowMask(i)
+			rowMask(tbl, i)
 			tbl.RowWeight(i)
 			for _, c := range tbl.Columns() {
 				_ = c.Value(i)

@@ -219,19 +219,19 @@ func kernelOptions(rng *rand.Rand, n int, km kernelMasks) ExecOptions {
 	}
 	switch rng.Intn(6) {
 	case 0: // the last hot bit: word 1 or above
-		opt.ExcludeMask = bitmask.FromBits(km.width, km.hot[len(km.hot)-1])
+		opt.ExcludeMask = maskOf(km.width, km.hot[len(km.hot)-1])
 	case 1: // a bit of each word beside the hot ones: filters nothing
 		opt.ExcludeMask = bitmask.New(km.width)
 		for b := 1; b < km.width; b += 64 {
 			opt.ExcludeMask.Set(b)
 		}
 	case 2: // every word
-		opt.ExcludeMask = bitmask.FromBits(km.width, km.hot...)
+		opt.ExcludeMask = maskOf(km.width, km.hot...)
 		for b := 1; b < km.width; b += 64 {
 			opt.ExcludeMask.Set(b)
 		}
 	case 3:
-		opt.ExcludeMask = bitmask.FromBits(km.width, km.hot[0], km.hot[1])
+		opt.ExcludeMask = maskOf(km.width, km.hot[0], km.hot[1])
 	}
 	switch rng.Intn(4) {
 	case 0:
@@ -330,7 +330,7 @@ func TestKernelMatchesReferenceScan(t *testing.T) {
 func TestKernelEdgeSources(t *testing.T) {
 	check := func(label string, src Source, q *Query, opt ExecOptions) *Result {
 		t.Helper()
-		got, err := Execute(src, q, opt)
+		got, err := ExecuteCtx(context.Background(), src, q, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -356,7 +356,7 @@ func TestKernelEdgeSources(t *testing.T) {
 
 	// An ExcludeMask against a source without masks filters nothing.
 	check("no masks", tbl, &Query{GroupBy: []string{"s_low"}, Aggs: []Aggregate{{Kind: Count}}},
-		ExecOptions{ExcludeMask: bitmask.FromBits(3, 1)})
+		ExecOptions{ExcludeMask: maskOf(3, 1)})
 
 	// Five string columns whose dictionary sizes multiply past 2^64: the key
 	// spills into a second word.
@@ -440,7 +440,7 @@ func TestKernelEdgeSources(t *testing.T) {
 	two := intTable(chunkRows+50, -5, 1<<32-1)
 	y := NewColumn("y", Int)
 	for r := 0; r < two.NumRows(); r++ {
-		y.AppendInt(two.MustColumn("x").Int(r)/3 + int64(r&1)<<31)
+		y.AppendInt(two.Column("x").Int(r)/3 + int64(r&1)<<31)
 	}
 	two.AddColumn(y)
 	if words, dense, shared := layout(two, "x", "y"); words != 2 || dense != 0 || !shared[0] || !shared[1] {
@@ -478,7 +478,7 @@ func TestKernelEdgeSources(t *testing.T) {
 		t.Fatalf("50 x 11 integer values: %d words, dense %d; want one word, direct-indexed at 64*16", words, dense)
 	}
 	check("two narrow integers", pair, sumBy("qty", "disc"), ExecOptions{Workers: 2})
-	res, err = Execute(pair, sumBy("qty", "disc"), ExecOptions{})
+	res, err = ExecuteCtx(context.Background(), pair, sumBy("qty", "disc"), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +501,7 @@ func TestKernelEdgeSources(t *testing.T) {
 	if bp := bindPredicate(NewIn("qty", IntVal(3), IntVal(64)), qty.View()); len(bp.pass) != 64 || bp.base != 1 || bp.pass[2] != 1 || bp.pass[0] != 0 {
 		t.Fatalf("IN on 50 integer values: %d verdicts from %d", len(bp.pass), bp.base)
 	}
-	if bp := bindPredicate(NewIn("x", IntVal(3)), two.MustColumn("x").View()); bp.pass != nil || bp.ints == nil {
+	if bp := bindPredicate(NewIn("x", IntVal(3)), two.Column("x").View()); bp.pass != nil || bp.ints == nil {
 		t.Fatal("IN on an integer column of 2^32 values: want a typed compare")
 	}
 	narrow := sumBy("disc")
@@ -557,11 +557,11 @@ func TestResultIndexedOnDemand(t *testing.T) {
 	q := &Query{GroupBy: []string{"s_mid", "i_low", "f"}, Aggs: []Aggregate{{Kind: Count}, {Kind: Sum, Col: "m_f"}}}
 	opts := []ExecOptions{
 		{MarkExact: true, MaxRows: 5000},
-		{Scale: 3, ExcludeMask: bitmask.FromBits(ks.masks.width, ks.masks.hot[0])},
+		{Scale: 3, ExcludeMask: maskOf(ks.masks.width, ks.masks.hot[0])},
 		{Scale: 1.5, Workers: 2},
 	}
 	scan := func(i int) *Result {
-		res, err := Execute(ks.src, q, opts[i])
+		res, err := ExecuteCtx(context.Background(), ks.src, q, opts[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -617,7 +617,7 @@ func TestResultIndexedOnDemand(t *testing.T) {
 				if i == 0 {
 					prep = first.prep
 				}
-				if err := combined.Consume(prep(scan(i))); err != nil {
+				if err := combined.ConsumeKeeping(prep(scan(i)), nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -660,7 +660,7 @@ func TestKernelUnknownPredicateImplementation(t *testing.T) {
 	for _, ks := range kernelSources(t, 9)[:2] {
 		for _, col := range ks.columns {
 			q := &Query{GroupBy: ks.columns[:1], Aggs: []Aggregate{{Kind: Count}}, Where: []Predicate{unknownPredicate{col}}}
-			got, err := Execute(ks.src, q, ExecOptions{Workers: 2})
+			got, err := ExecuteCtx(context.Background(), ks.src, q, ExecOptions{Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -685,7 +685,7 @@ func scanBenchData(n int) (*Database, *Table, *Database) {
 	rng := rand.New(rand.NewSource(17))
 	zipf := func(card int) func() int {
 		z := randx.NewZipf(2, card)
-		return func() int { return z.Draw(rng) }
+		return func() int { return z.Index(rng.Float64()) }
 	}
 	dim := func(name string, rows int, sCol string, sCard int, iCol string, iCard int) *Table {
 		s, i := NewColumn(sCol, String), NewColumn(iCol, Int)
@@ -752,8 +752,8 @@ func BenchmarkScanKernel(b *testing.B) {
 		opt  ExecOptions
 	}{
 		{"base", db, ExecOptions{MarkExact: true}},
-		{"sample", sample, ExecOptions{Scale: 4, ExcludeMask: bitmask.FromBits(9, 2, 5)}},
-		{"slice", slice, ExecOptions{Scale: 4, ExcludeMask: bitmask.FromBits(9, 2, 5)}},
+		{"sample", sample, ExecOptions{Scale: 4, ExcludeMask: maskOf(9, 2, 5)}},
+		{"slice", slice, ExecOptions{Scale: 4, ExcludeMask: maskOf(9, 2, 5)}},
 	}
 	for _, s := range sources {
 		for _, groupBy := range scanBenchGroupBys {
@@ -763,7 +763,7 @@ func BenchmarkScanKernel(b *testing.B) {
 				runtime.ReadMemStats(&before)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := Execute(s.src, q, s.opt); err != nil {
+					if _, err := ExecuteCtx(context.Background(), s.src, q, s.opt); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -793,7 +793,7 @@ func TestScanAllocatesPerGroupNotPerRow(t *testing.T) {
 		var res *Result
 		perRun = testing.AllocsPerRun(5, func() {
 			var err error
-			if res, err = Execute(tbl, q, ExecOptions{MaxRows: maxRows}); err != nil {
+			if res, err = ExecuteCtx(context.Background(), tbl, q, ExecOptions{MaxRows: maxRows}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -822,7 +822,7 @@ func TestScanAllocatesPerGroupNotPerRow(t *testing.T) {
 	// index a consumer asks for) is not the scan's to pay.
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := Execute(tbl, q, ExecOptions{}); err != nil {
+	if _, err := ExecuteCtx(context.Background(), tbl, q, ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)

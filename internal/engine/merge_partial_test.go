@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -91,11 +92,11 @@ func buildPartialFixture(t *testing.T, stripes int) *partialFixture {
 		overall := db.Flatten(fmt.Sprintf("overall_%d", s), all, masks, nil)
 		small := db.Flatten(fmt.Sprintf("small_%d", s), rareRows, nil, nil)
 
-		part, err := Execute(small, q, ExecOptions{MarkExact: true})
+		part, err := ExecuteCtx(context.Background(), small, q, ExecOptions{MarkExact: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rest, err := Execute(overall, q, ExecOptions{ExcludeMask: bitmask.FromBits(1, 0)})
+		rest, err := ExecuteCtx(context.Background(), overall, q, ExecOptions{ExcludeMask: maskOf(1, 0)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +116,7 @@ func (fx *partialFixture) exactOver(t *testing.T, subset []int) *Result {
 		rows = append(rows, fx.stripeRows[s]...)
 	}
 	flat := fx.db.Flatten("subset", rows, nil, nil)
-	res, err := Execute(flat, fx.query, ExecOptions{})
+	res, err := ExecuteCtx(context.Background(), flat, fx.query, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

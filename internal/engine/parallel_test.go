@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -84,13 +85,13 @@ func TestExecuteWorkerCountDeterminism(t *testing.T) {
 	}()}
 
 	opt.Workers = 1
-	want, err := Execute(src, q, opt)
+	want, err := ExecuteCtx(context.Background(), src, q, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 3, 8, 64} {
 		opt.Workers = workers
-		got, err := Execute(src, q, opt)
+		got, err := ExecuteCtx(context.Background(), src, q, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +111,7 @@ func TestMergeShardPartialsProperty(t *testing.T) {
 		q := scanQuery()
 		opt := ExecOptions{Scale: 1 + rng.Float64()*20}
 
-		serial, err := Execute(src, q, opt)
+		serial, err := ExecuteCtx(context.Background(), src, q, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +181,7 @@ func closeEnough(a, b float64) bool {
 func TestMergeEmptyShards(t *testing.T) {
 	src := randomScanTable(3, 500)
 	q := scanQuery()
-	full, err := Execute(src, q, ExecOptions{MarkExact: true})
+	full, err := ExecuteCtx(context.Background(), src, q, ExecOptions{MarkExact: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,20 +22,6 @@ type ColumnAccessor interface {
 	Float(row int) float64
 }
 
-// CodeAccessor is the fast path for dictionary-encoded (string) columns:
-// rows are identified by their int32 dictionary code, which turns hot-loop
-// map-of-string lookups into array indexing. Accessors over string columns
-// (direct or through a foreign key) implement it.
-type CodeAccessor interface {
-	ColumnAccessor
-	// Code returns the row's dictionary code.
-	Code(row int) int32
-	// DictSize returns the dictionary size (codes are in [0, DictSize)).
-	DictSize() int
-	// DictValue maps a code back to its string.
-	DictValue(code int32) string
-}
-
 // Accessor implements Source for flat tables.
 func (t *Table) Accessor(col string) (ColumnAccessor, error) {
 	c := t.Column(col)

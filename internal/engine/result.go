@@ -214,15 +214,12 @@ func (r *Result) Merge(other *Result) error {
 	return nil
 }
 
-// Consume is Merge for a partial the caller owns and is done with: groups
-// new to r move over instead of being copied, so other must not be used
-// afterwards. The sums, and the order they are added in, are Merge's.
-func (r *Result) Consume(other *Result) error { return r.ConsumeKeeping(other, nil) }
-
-// ConsumeKeeping is Consume of only the groups of other whose key keep
-// passes; a nil keep passes every group. The groups it drops add nothing,
-// the rest are added as Consume adds them. Rows and matches are counted
-// whole.
+// ConsumeKeeping is Merge for a partial the caller owns and is done with,
+// of only the groups of other whose key keep passes; a nil keep passes every
+// group. Groups new to r move over instead of being copied, so other must
+// not be used afterwards. The groups it drops add nothing; the sums of the
+// rest, and the order they are added in, are Merge's. Rows and matches are
+// counted whole.
 func (r *Result) ConsumeKeeping(other *Result, keep func(key []Value) bool) error {
 	if err := r.sameShape(other); err != nil {
 		return err
@@ -246,8 +243,8 @@ func (r *Result) sameShape(other *Result) error {
 	return nil
 }
 
-// merge is Merge without the shape checks; adopt is Consume's move, keep
-// ConsumeKeeping's test. A scan's partial is merged from its table, without
+// merge is Merge without the shape checks; adopt is ConsumeKeeping's move,
+// keep its test. A scan's partial is merged from its table, without
 // an index of its own — and moved into an empty r as it stands when every
 // group is kept.
 func (r *Result) merge(other *Result, adopt bool, keep func(key []Value) bool) {

@@ -165,16 +165,6 @@ func (t *Table) addSampleColumns(masks []bitmask.Mask, weights []float64) {
 	}
 }
 
-// RowMask returns the membership mask a sample row stores, at the width of
-// its word columns; ok is false when the table has none.
-func (t *Table) RowMask(row int) (m bitmask.Mask, ok bool) {
-	var words []uint64
-	for c := t.Column(MaskColumn(0)); c != nil; c = t.Column(MaskColumn(len(words))) {
-		words = append(words, uint64(c.Int(row)))
-	}
-	return bitmask.FromWords(64*len(words), words), words != nil
-}
-
 // RowWeight returns the inverse-sampling-rate weight of a row: 1 in a table
 // without a weight column.
 func (t *Table) RowWeight(row int) float64 {
@@ -202,15 +192,6 @@ func (t *Table) Column(name string) *Column {
 	return nil
 }
 
-// MustColumn returns the named column or panics.
-func (t *Table) MustColumn(name string) *Column {
-	c := t.Column(name)
-	if c == nil {
-		panic(fmt.Sprintf("engine: table %q has no column %q", t.Name, name))
-	}
-	return c
-}
-
 // AppendRow adds a full row of values in schema order.
 func (t *Table) AppendRow(vals ...Value) {
 	if len(vals) != len(t.cols) {
@@ -232,15 +213,6 @@ func (t *Table) EndRow() {
 		}
 	}
 	t.rows++
-}
-
-// RowValues returns the values of row i in schema order.
-func (t *Table) RowValues(i int) []Value {
-	vals := make([]Value, len(t.cols))
-	for j, c := range t.cols {
-		vals[j] = c.Value(i)
-	}
-	return vals
 }
 
 // ColumnNames returns the column names in schema order.

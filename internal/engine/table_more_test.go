@@ -20,9 +20,9 @@ func TestAddColumnAndRowValues(t *testing.T) {
 	if tbl.NumCols() != 2 {
 		t.Fatalf("cols = %d", tbl.NumCols())
 	}
-	vals := tbl.RowValues(1)
+	vals := rowValues(tbl, 1)
 	if vals[0].I != 2 || vals[1].S != "y" {
-		t.Errorf("RowValues(1) = %v", vals)
+		t.Errorf("row 1 = %v", vals)
 	}
 	// Mismatched length must panic.
 	defer func() {
@@ -46,16 +46,6 @@ func TestEndRowPanicsWhenOutOfStep(t *testing.T) {
 		}
 	}()
 	tbl.EndRow()
-}
-
-func TestMustColumnPanics(t *testing.T) {
-	tbl := NewTable("t", NewColumn("a", Int))
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	tbl.MustColumn("nope")
 }
 
 func TestDuplicateColumnPanics(t *testing.T) {
@@ -82,7 +72,7 @@ func TestColumnTypeLookup(t *testing.T) {
 
 func TestDatabaseRowMaskAndWeight(t *testing.T) {
 	db := testDB(t)
-	if _, ok := db.Fact.RowMask(0); ok {
+	if _, ok := rowMask(db.Fact, 0); ok {
 		t.Error("base database should carry no masks")
 	}
 	if w := db.Fact.RowWeight(0); w != 1 {
@@ -90,8 +80,8 @@ func TestDatabaseRowMaskAndWeight(t *testing.T) {
 	}
 	// A fact slice's rows carry both, as columns the view binds and does not
 	// list.
-	s := maskedSlice(db, "s", []int{0, 1}, []bitmask.Mask{bitmask.FromBits(3, 1), bitmask.New(3)}, []float64{2, 3})
-	if m, ok := s.Fact.RowMask(0); !ok || !m.Bit(1) || s.Fact.RowWeight(1) != 3 {
+	s := maskedSlice(db, "s", []int{0, 1}, []bitmask.Mask{maskOf(3, 1), bitmask.New(3)}, []float64{2, 3})
+	if m, ok := rowMask(s.Fact, 0); !ok || !m.Bit(1) || s.Fact.RowWeight(1) != 3 {
 		t.Errorf("sample row mask %v (%v), weight %g", m, ok, s.Fact.RowWeight(1))
 	}
 	if _, err := s.View(MaskColumn(0)); err != nil || s.HasColumn("nope") || len(s.Columns()) != len(db.Columns()) {
@@ -105,15 +95,8 @@ func TestFKAccessorFloatAndCode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ca, ok := acc.(CodeAccessor)
-	if !ok {
-		t.Fatal("string dimension column should expose codes")
-	}
-	if ca.DictSize() != 3 {
-		t.Errorf("dict size = %d", ca.DictSize())
-	}
-	if got := ca.DictValue(ca.Code(2)); got != "Portland" {
-		t.Errorf("code round trip = %q", got)
+	if got := acc.Value(2); got != StringVal("Portland") {
+		t.Errorf("row 2 reads %v through its dictionary code, want 'Portland'", got)
 	}
 	if f := acc.Float(0); f != 0 {
 		t.Errorf("string Float = %g, want 0", f)

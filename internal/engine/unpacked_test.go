@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -29,7 +30,7 @@ func partsDB(t *testing.T) *Database {
 // join, as sorted lines.
 func partAnswers(t *testing.T, src Source) string {
 	t.Helper()
-	res, err := Execute(src, &Query{GroupBy: []string{"p_brand", "p_size"}, Aggs: []Aggregate{{Kind: Count}, {Kind: Sum, Col: "price"}}}, ExecOptions{})
+	res, err := ExecuteCtx(context.Background(), src, &Query{GroupBy: []string{"p_brand", "p_size"}, Aggs: []Aggregate{{Kind: Count}, {Kind: Sum, Col: "price"}}}, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestConcurrentFirstReadsBuildOneArray(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			if i%2 == 0 { // half of them through a scan first
-				if _, err := Execute(db, &Query{GroupBy: []string{"p_brand"}, Aggs: []Aggregate{{Kind: Count}}}, ExecOptions{}); err != nil {
+				if _, err := ExecuteCtx(context.Background(), db, &Query{GroupBy: []string{"p_brand"}, Aggs: []Aggregate{{Kind: Count}}}, ExecOptions{}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -165,7 +166,7 @@ func TestConcurrentFirstReadsBuildOneArray(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			arrays[i] = acc.(*fkCodeAccessor).codes
+			arrays[i] = acc.(*fkAccessor).codes
 		}()
 	}
 	wg.Wait()

@@ -129,21 +129,9 @@ func AppendKey(dst []byte, vals []Value) []byte {
 	return dst
 }
 
-// DecodeKey unpacks a GroupKey produced by EncodeKey. It panics on a
-// malformed key: engine-internal keys are always well-formed, so a failure
-// here is a programming error. Keys read from external input must go
-// through DecodeKeyChecked instead.
-func DecodeKey(k GroupKey) []Value {
-	vals, err := DecodeKeyChecked(k)
-	if err != nil {
-		panic(err.Error())
-	}
-	return vals
-}
-
-// DecodeKeyChecked unpacks a GroupKey, returning an error instead of
-// panicking on malformed bytes — the variant for keys deserialised from
-// untrusted input (e.g. a corrupted sample store).
+// DecodeKeyChecked unpacks a GroupKey produced by EncodeKey, returning an
+// error on malformed bytes: keys deserialised from untrusted input (e.g. a
+// corrupted sample store) go through it.
 func DecodeKeyChecked(k GroupKey) ([]Value, error) {
 	b := []byte(k)
 	var vals []Value

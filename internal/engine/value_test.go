@@ -52,7 +52,7 @@ func TestValueString(t *testing.T) {
 
 func TestEncodeDecodeKeyRoundTrip(t *testing.T) {
 	vals := []Value{IntVal(-5), StringVal("hello"), FloatVal(3.25), StringVal(""), IntVal(0)}
-	got := DecodeKey(EncodeKey(vals))
+	got := decodeKey(EncodeKey(vals))
 	if len(got) != len(vals) {
 		t.Fatalf("round trip gave %d values, want %d", len(got), len(vals))
 	}
@@ -81,7 +81,7 @@ func TestEncodeKeyRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	f := func(i int64, fl float64, s string) bool {
 		vals := []Value{IntVal(i), FloatVal(fl), StringVal(s)}
-		got := DecodeKey(EncodeKey(vals))
+		got := decodeKey(EncodeKey(vals))
 		return len(got) == 3 && got[0] == vals[0] && got[1] == vals[1] && got[2] == vals[2]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rng}); err != nil {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -102,7 +103,7 @@ func TestWidthEdges(t *testing.T) {
 	}
 	requireCells(t, "appended", tbl, all, vals)
 
-	edge, grow := tbl.MustColumn("i_edge"), tbl.MustColumn("s_high")
+	edge, grow := tbl.Column("i_edge"), tbl.Column("s_high")
 	for k := range edge.ints.sealed {
 		if c, want := &edge.ints.sealed[k], widthEdgeChunks[k%len(widthEdgeChunks)]; c.width != want.width {
 			t.Errorf("chunk %d (%s) sealed at width %d, want %d", k, want.name, c.width, want.width)
@@ -112,10 +113,10 @@ func TestWidthEdges(t *testing.T) {
 	for k := range grow.codes.sealed {
 		widths[grow.codes.sealed[k].width]++
 	}
-	if grow.DictSize() <= 1<<16 || widths[8] != 2 || widths[16] == 0 || widths[17] == 0 || widths[0] != 0 {
-		t.Errorf("%d strings, code chunks by width %v: want two at 8 bits, then one more bit as the dictionary doubles, up to 17", grow.DictSize(), widths)
+	if len(grow.dict) <= 1<<16 || widths[8] != 2 || widths[16] == 0 || widths[17] == 0 || widths[0] != 0 {
+		t.Errorf("%d strings, code chunks by width %v: want two at 8 bits, then one more bit as the dictionary doubles, up to 17", len(grow.dict), widths)
 	}
-	for k, c := range tbl.MustColumn("f").floats.sealed {
+	for k, c := range tbl.Column("f").floats.sealed {
 		if c.width != 0 {
 			t.Fatalf("float chunk %d packed at width %d", k, c.width)
 		}
@@ -124,7 +125,7 @@ func TestWidthEdges(t *testing.T) {
 		t.Errorf("open tail: width %d, capacity %d", tail.width, len(tail.wide))
 	}
 	// The 65 000 one-row strings aside, whose entries the logical size leaves out.
-	if stored, logical := tbl.StoredBytes()-int64(grow.DictSize())*dictEntryBytes, tbl.ApproxBytes(); stored >= logical {
+	if stored, logical := tbl.StoredBytes()-int64(len(grow.dict))*dictEntryBytes, tbl.ApproxBytes(); stored >= logical {
 		t.Errorf("StoredBytes %d without s_high's dictionary entries, ApproxBytes %d: nothing was packed", stored, logical)
 	}
 
@@ -168,7 +169,7 @@ func TestWidthEdges(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			q, opt := kernelQuery(rng, ks), kernelOptions(rng, ks.src.NumRows(), ks.masks)
 			label := fmt.Sprintf("%s #%d: %s %+v", ks.name, i, q, opt)
-			got, err := Execute(ks.src, q, opt)
+			got, err := ExecuteCtx(context.Background(), ks.src, q, opt)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -189,7 +190,7 @@ func TestSetRowRepacksUnderPinnedReaders(t *testing.T) {
 	const n = 3*chunkRows + 100
 	id, f, s := NewColumn("id", Int), NewColumn("f", Float), NewColumn("s", String)
 	pinned := NewTable("t", id, f, s)
-	pinned.addColumn(NewColumn(MaskColumn(0), Int)) // a sample table: the readers read RowMask and RowWeight too
+	pinned.addColumn(NewColumn(MaskColumn(0), Int)) // a sample table: the readers read its mask and RowWeight too
 	pinned.addColumn(NewColumn(WeightColumn, Float))
 	sampleCols := func(i int) []Value { return []Value{IntVal(1 << (i % 9)), FloatVal(float64(1 + i%5))} }
 	row := func(i int) []Value {
@@ -225,7 +226,7 @@ func TestSetRowRepacksUnderPinnedReaders(t *testing.T) {
 							return
 						}
 					}
-					if m, ok := pinned.RowMask(i); !ok || m.Words()[0] != uint64(vals[i][3].I) || pinned.RowWeight(i) != vals[i][4].F {
+					if m, ok := rowMask(pinned, i); !ok || m.Words()[0] != uint64(vals[i][3].I) || pinned.RowWeight(i) != vals[i][4].F {
 						t.Errorf("pinned version: row %d mask %v (%v), weight %g during the writes", i, m, ok, pinned.RowWeight(i))
 						return
 					}

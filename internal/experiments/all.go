@@ -63,16 +63,3 @@ func wrap(f *Figure, err error) ([]*Figure, error) {
 func IDs() []string {
 	return []string{"3a", "3b", "4", "5", "6", "7", "8", "9", "sum", "prep", "gamma", "tau", "baselines", "levels", "bounds"}
 }
-
-// All runs every experiment.
-func (r *Runner) All() ([]*Figure, error) {
-	var out []*Figure
-	for _, id := range IDs() {
-		figs, err := r.Run(id)
-		if err != nil {
-			return nil, fmt.Errorf("experiment %s: %w", id, err)
-		}
-		out = append(out, figs...)
-	}
-	return out, nil
-}

@@ -75,55 +75,6 @@ func TestCrashBetweenWALAppendAndApply(t *testing.T) {
 	}
 }
 
-// TestCrashBetweenSnapshotSaveAndManifestWrite kills the manifest update
-// after the checkpoint snapshot committed: the manifest is advisory, so the
-// restarted process must recover the new generation by scanning the
-// directory, and the next successful checkpoint must heal the manifest.
-func TestCrashBetweenSnapshotSaveAndManifestWrite(t *testing.T) {
-	t.Cleanup(faults.Reset)
-	want := reference(t, func(h *Harness) {
-		h.MustIngest(0, 5)
-		h.Rebuild()
-	})
-
-	h := New(t)
-	h.Start()
-	h.MustIngest(0, 5)
-	h.Rebuild()
-	boom := errors.New("injected manifest write failure")
-	faults.SetErr(faults.PointManifestWrite, faults.FailNth(0, boom))
-	res, err := h.Checkpoint()
-	faults.Reset()
-	// Generation 1 is the first Start's save of its from-scratch build.
-	if res.Generation != 2 || !errors.Is(err, boom) {
-		t.Fatalf("Checkpoint = (gen %d, %v), want generation 2 plus the manifest failure", res.Generation, err)
-	}
-
-	h.Crash()
-	rs := h.Start()
-	if rs.Batches != 0 {
-		t.Fatalf("replayed %d batches, want 0 (the checkpoint whose manifest update was lost covers them all)", rs.Batches)
-	}
-	h.CheckAcked()
-	if got := h.Answers(); got != want {
-		t.Error("recovered answers differ from the uncrashed reference")
-	}
-	// Self-heal: the next checkpoint writes a manifest naming all three
-	// generations.
-	h.Rebuild()
-	res, err = h.Checkpoint()
-	if err != nil || res.Generation != 3 {
-		t.Fatalf("second checkpoint = (gen %d, %v)", res.Generation, err)
-	}
-	m, err := h.Catalog().ReadManifest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Current != 3 || len(m.Generations) != 3 {
-		t.Fatalf("self-healed manifest = current %d with %d generations, want 3 and 3", m.Current, len(m.Generations))
-	}
-}
-
 // TestCrashBetweenCheckpointAndSegmentGC commits the checkpoint but fails
 // every segment deletion: the checkpoint itself must succeed (the snapshot
 // is durable; leftover segments only cost disk), and the next startup's GC

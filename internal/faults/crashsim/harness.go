@@ -4,8 +4,8 @@
 // on-disk state in a temp directory, while the scenarios (in the package's
 // tests) inject crashes and I/O errors at the internal/faults hook points
 // and at the interleavings between them: after the WAL append but before the
-// in-memory apply, after the snapshot save but before the manifest write,
-// after the checkpoint but before segment deletion, and partway through GC.
+// in-memory apply, after the checkpoint but before segment deletion, and
+// partway through GC.
 //
 // Crash() abandons every in-memory handle, exactly as a kill -9 would leave
 // things, and Start() recovers with ingest.Recover, the very function
@@ -200,9 +200,6 @@ func (h *Harness) Crash() {
 // Coordinator exposes the running coordinator for scenario-specific calls
 // (ProbeNow, State, direct Ingest of duplicate ids).
 func (h *Harness) Coordinator() *ingest.Coordinator { return h.coord }
-
-// Catalog exposes the running incarnation's catalog handle.
-func (h *Harness) Catalog() *catalog.Catalog { return h.cat }
 
 // Ingest submits batch k and records it as acknowledged on success.
 func (h *Harness) Ingest(k int) error {

@@ -78,10 +78,6 @@ const (
 	// it is applied in memory; an injected error leaves the log and memory
 	// divergent (the coordinator must poison itself until replay).
 	PointIngestApply Point = "ingest.apply"
-	// PointManifestWrite fires before the catalog rewrites its advisory
-	// MANIFEST after a successful snapshot save; an injected error simulates
-	// a crash between the save and the manifest update.
-	PointManifestWrite Point = "catalog.manifest-write"
 	// PointWALGC fires before each fully-checkpointed WAL segment is
 	// deleted; an injected error aborts the garbage collection mid-way,
 	// simulating a crash between the checkpoint and the segment deletions.

@@ -272,7 +272,7 @@ func TestCheckpointVerifyFailureRetainsWAL(t *testing.T) {
 	rebuildNow(t, c1)
 	before := walSegIndexes(t, walDir)
 
-	// Corrupt the snapshot as it lands: SaveWithCheckpoint sees a clean
+	// Corrupt the snapshot as it lands: Save sees a clean
 	// write, but the read-back verification must catch the damage.
 	faults.SetData(faults.PointSnapshotChunk, func(i int, b []byte) {
 		if i == 0 && len(b) > 0 {

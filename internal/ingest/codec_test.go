@@ -44,7 +44,7 @@ func TestIngestRefusesNonFiniteFloats(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Close()
-	records, _, err := Replay(dir, func(p []byte) error {
+	records, _, _, _, err := replay(dir, func(p []byte) error {
 		_, err := DecodeBatch(p)
 		return err
 	})

@@ -240,7 +240,7 @@ func (c *Coordinator) ReplayWAL() (ReplayStats, error) {
 	var rs ReplayStats
 	start := time.Now()
 	startGen := c.online.DataGeneration()
-	_, segments, bytes, torn, err := replayDetail(c.wal.Dir(), func(payload []byte) error {
+	_, segments, bytes, torn, err := replay(c.wal.Dir(), func(payload []byte) error {
 		if IsNoop(payload) {
 			rs.Noops++
 			return nil
@@ -490,13 +490,6 @@ func (c *Coordinator) Generation() uint64 {
 	return c.online.DataGeneration()
 }
 
-// Drift returns the current drift gauge (see core.Online.Drift).
-func (c *Coordinator) Drift() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.online.Drift()
-}
-
 // beginRebuild pins the current database version for a background rebuild
 // and starts buffering subsequent batches as the tail. Exactly one rebuild
 // may be in flight; a second call fails until completeRebuild or
@@ -578,9 +571,8 @@ type CheckpointResult struct {
 // instant); the snapshot bytes are written outside the lock so ingest stalls
 // only for the capture. Segments are deleted only after the snapshot file on
 // disk re-reads and verifies — never on the strength of a write that merely
-// returned nil. A manifest-update failure is reported in err with a non-zero
-// Generation, mirroring catalog.Save: the snapshot is durable and GC has
-// already run.
+// returned nil. A generation that fails that read-back is reported in err
+// with its non-zero Generation.
 func (c *Coordinator) SaveCheckpoint(cat *catalog.Catalog) (CheckpointResult, error) {
 	var res CheckpointResult
 	c.mu.Lock()
@@ -605,12 +597,11 @@ func (c *Coordinator) SaveCheckpoint(cat *catalog.Catalog) (CheckpointResult, er
 	// Both the database version and the prepared state are immutable
 	// snapshots, so writing the file races nothing.
 	cgen, err := saveGeneration(cat, p, ck, db, ids)
-	if err != nil && cgen == 0 {
+	if err != nil {
 		obsCheckpoints.With("error").Inc()
 		return res, err
 	}
 	res.Generation = cgen
-	manifestErr := err // snapshot durable; only the advisory manifest failed
 
 	if verr := verifyCheckpointFile(cat.Path(cgen)); verr != nil {
 		obsCheckpoints.With("error").Inc()
@@ -621,7 +612,7 @@ func (c *Coordinator) SaveCheckpoint(cat *catalog.Catalog) (CheckpointResult, er
 	c.mu.Lock()
 	res.Removed, res.GCErr = c.wal.RemoveSegmentsBelow(ck.Seg)
 	c.mu.Unlock()
-	return res, manifestErr
+	return res, nil
 }
 
 // verifyCheckpointFile re-reads a just-written snapshot from disk through

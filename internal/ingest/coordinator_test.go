@@ -595,7 +595,7 @@ func TestCoordinatorDriftTriggersOneRebuild(t *testing.T) {
 	if s := obsRebaseSeconds.Value(); s <= 0 {
 		t.Fatalf("aqp_ingest_rebase_seconds = %g after a completed rebuild, want the write stall", s)
 	}
-	if d := c.Drift(); d >= 1 {
+	if d := c.online.Drift(); d >= 1 {
 		t.Fatalf("drift = %g after rebuild, want < 1 (HOT is common now)", d)
 	}
 	// HOT must now be answerable and the sample generation caught up.

@@ -94,7 +94,7 @@ func TestAccuracyVsIngestVolume(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Logf("%7d%% %12.4f %12.1f %12.4f %12.1f %8.3f",
-			appended*100/n, acc.RelErr, acc.PctGroups, facc.RelErr, facc.PctGroups, c.Drift())
+			appended*100/n, acc.RelErr, acc.PctGroups, facc.RelErr, facc.PctGroups, c.online.Drift())
 
 		if acc.PctGroups != 0 {
 			t.Errorf("at %d appended rows the maintained answer misses %.1f%% of groups, want 0", appended, acc.PctGroups)

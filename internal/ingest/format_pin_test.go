@@ -123,8 +123,7 @@ func TestRecoverKeepsTheDataOfAnOlderStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cat.SaveWithCheckpoint(func(w io.Writer) error { _, err := w.Write(old); return err },
-		&catalog.CheckpointInfo{DataGeneration: ck.DataGen, WALSegment: ck.Seg, WALOffset: ck.Off}); err != nil {
+	if _, err := cat.Save(func(w io.Writer) error { _, err := w.Write(old); return err }); err != nil {
 		t.Fatal(err)
 	}
 	w, err := OpenWAL(t.TempDir())
@@ -175,7 +174,7 @@ func TestWALFixtureReencodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var batches, noops int
-	_, torn, err := Replay("testdata/wal", func(p []byte) error {
+	_, _, _, torn, err := replay("testdata/wal", func(p []byte) error {
 		re := EncodeNoop()
 		if IsNoop(p) {
 			noops++

@@ -153,8 +153,8 @@ type RebuildResult struct {
 	// Preprocess is the wall time of the strategy's pre-processing phase.
 	Preprocess time.Duration
 	// PersistErr is a non-fatal save failure: the new samples serve, but the
-	// generation is not durable (or, with a non-zero Generation, durable
-	// with a stale advisory manifest).
+	// generation is not durable (or, with a non-zero Generation, saved but
+	// failed its read-back verification).
 	PersistErr error
 }
 
@@ -219,7 +219,7 @@ func persist(sys *core.System, c *Coordinator, cat *catalog.Catalog, name string
 // saveGeneration writes one checkpoint as the catalog's next generation: the
 // only way this program writes into a catalog.
 func saveGeneration(cat *catalog.Catalog, p core.Prepared, ck Checkpoint, db *engine.Database, ids []IdentEntry) (uint64, error) {
-	return cat.SaveWithCheckpoint(func(w io.Writer) error {
+	return cat.Save(func(w io.Writer) error {
 		return WriteCheckpoint(w, p, ck, db, ids)
-	}, &catalog.CheckpointInfo{DataGeneration: ck.DataGen, WALSegment: ck.Seg, WALOffset: ck.Off})
+	})
 }

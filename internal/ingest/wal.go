@@ -98,7 +98,8 @@ type WALOptions struct {
 // If the newest segment ends in a torn record — the signature of a crash
 // mid-append — the tail is truncated to the last whole record before the
 // segment is reopened for writing, so the damage cannot propagate under new
-// appends. Call Replay before appending to rebuild in-memory state.
+// appends. Replay the log (Coordinator.ReplayWAL) before appending to rebuild
+// in-memory state.
 func OpenWAL(dir string) (*WAL, error) { return OpenWALWith(dir, WALOptions{}) }
 
 // OpenWALWith is OpenWAL with explicit options.
@@ -520,21 +521,16 @@ func scanSegment(path string, fn func(payload []byte) error) (valid int64, ok bo
 	}
 }
 
-// Replay reads every durable record in dir in append order and hands its
+// replay reads every durable record in dir in append order and hands its
 // payload to fn, which must not keep it: the next record is read into the
 // same storage. A torn or corrupt tail is tolerated only in the final
 // segment (the only place a crash mid-append can leave one) and reported
 // via the returned torn flag; the same damage in an earlier segment returns
-// an error wrapping ErrCorrupt. An error from fn aborts the replay.
-func Replay(dir string, fn func(payload []byte) error) (records int, torn bool, err error) {
-	records, _, _, torn, err = replayDetail(dir, fn)
-	return records, torn, err
-}
-
-// replayDetail is Replay plus the physical dimensions of the scan: how many
-// segments were read and how many valid bytes they held (the cost of this
-// recovery, exported as replay metrics by the coordinator).
-func replayDetail(dir string, fn func(payload []byte) error) (records, segments int, bytes int64, torn bool, err error) {
+// an error wrapping ErrCorrupt. An error from fn aborts the replay. It also
+// returns the physical dimensions of the scan: how many segments were read
+// and how many valid bytes they held (the cost of this recovery, exported
+// as replay metrics by the coordinator).
+func replay(dir string, fn func(payload []byte) error) (records, segments int, bytes int64, torn bool, err error) {
 	segs, err := listSegments(dir)
 	if err != nil {
 		return 0, 0, 0, false, err

@@ -13,7 +13,7 @@ import (
 
 func mustReplay(t *testing.T, dir string) (payloads [][]byte, torn bool) {
 	t.Helper()
-	_, torn, err := Replay(dir, func(p []byte) error {
+	_, _, _, torn, err := replay(dir, func(p []byte) error {
 		payloads = append(payloads, append([]byte(nil), p...))
 		return nil
 	})
@@ -67,7 +67,7 @@ func TestWALRejectsOversizeRecord(t *testing.T) {
 }
 
 // TestWALTornTailRecovery simulates a crash mid-append: a partial frame at
-// the end of the final segment. Replay must surface the durable records and
+// the end of the final segment. replay must surface the durable records and
 // flag the torn tail; reopening must truncate it so new appends are clean.
 func TestWALTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
@@ -140,7 +140,7 @@ func TestWALTornTailRecovery(t *testing.T) {
 // intact records behind it — even in the final segment — is bit rot, not a
 // torn tail: a crash cannot manufacture valid records past the point the log
 // stopped. Truncating there would silently delete acknowledged batches, so
-// both Replay and OpenWAL must refuse with ErrCorrupt.
+// both replay and OpenWAL must refuse with ErrCorrupt.
 func TestWALMidSegmentCorruptionWithLaterRecordsIsFatal(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenWAL(dir)
@@ -165,7 +165,7 @@ func TestWALMidSegmentCorruptionWithLaterRecordsIsFatal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, _, err := Replay(dir, func([]byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
+	if _, _, _, _, err := replay(dir, func([]byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("replay error = %v, want ErrCorrupt for mid-segment corruption", err)
 	}
 	if _, err := OpenWAL(dir); !errors.Is(err, ErrCorrupt) {
@@ -283,7 +283,7 @@ func TestWALCorruptionInEarlierSegmentIsFatal(t *testing.T) {
 	if err := os.WriteFile(seg0, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Replay(dir, func([]byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
+	if _, _, _, _, err := replay(dir, func([]byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("replay error = %v, want ErrCorrupt", err)
 	}
 }
@@ -305,7 +305,7 @@ func TestWALSegmentGapIsFatal(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, segName(1))); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Replay(dir, func([]byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
+	if _, _, _, _, err := replay(dir, func([]byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("replay error = %v, want ErrCorrupt for a segment gap", err)
 	}
 }

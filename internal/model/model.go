@@ -74,20 +74,6 @@ type Point struct {
 	Esg float64
 }
 
-// EvaluateRaw computes Equations 1 and 2 of Theorem 4.1 literally, by
-// enumerating the C^G cross-product groups. The effective per-group sample
-// mass is reduced by σ (a selection predicate thins the sample of every group
-// equally in expectation).
-//
-// The raw equations treat every one of the C^G groups as present and let the
-// per-group squared relative error (1−p)/(s·σ·p) grow without bound as p→0,
-// so their absolute values are dominated by vanishing groups at high skew.
-// Use Evaluate for figure-faithful curves; use EvaluateRaw to study the
-// equations themselves.
-func EvaluateRaw(p Params) (Point, error) {
-	return evaluate(p, false)
-}
-
 // Evaluate computes the expected SqRelErr of both methods under the
 // semantics of the empirical metric (Definitions 4.1–4.3) rather than the
 // unbounded raw equations:
@@ -105,6 +91,14 @@ func Evaluate(p Params) (Point, error) {
 	return evaluate(p, true)
 }
 
+// evaluate is Evaluate when metric is set. Without it, it computes Equations
+// 1 and 2 of Theorem 4.1 literally, by enumerating the C^G cross-product
+// groups, the form the tests check against hand computations. The
+// effective per-group sample mass is reduced by σ (a selection predicate
+// thins the sample of every group equally in expectation). The raw
+// equations treat every one of the C^G groups as present and let the
+// per-group squared relative error (1−p)/(s·σ·p) grow without bound as p→0,
+// so their absolute values are dominated by vanishing groups at high skew.
 func evaluate(p Params, metric bool) (Point, error) {
 	if err := p.validate(); err != nil {
 		return Point{}, err

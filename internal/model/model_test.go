@@ -9,7 +9,7 @@ func TestEvaluateRawMatchesHandComputation(t *testing.T) {
 	// Uniform distribution (z=0), 1 grouping column, c=2: every group has
 	// p=1/2. Eq 1: Eu = (1/n)·Σ (1-p)/(s·σ·p) = (1/2)·2·((0.5)/(s·0.5)) = 1/s.
 	p := Params{G: 1, Sigma: 1, C: 2, Z: 0, N: 1e6, TotalBudget: 100, Gamma: 0}
-	pt, err := EvaluateRaw(p)
+	pt, err := evaluate(p, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestEvaluateRawTwoColumns(t *testing.T) {
 	// z=0, c=2, g=2: four groups each p=1/4.
 	// Eu = (1/4)·4·(0.75/(s·0.25)) = 3/s.
 	p := Params{G: 2, Sigma: 1, C: 2, Z: 0, N: 1e6, TotalBudget: 300, Gamma: 0}
-	pt, err := EvaluateRaw(p)
+	pt, err := evaluate(p, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,12 +37,12 @@ func TestEvaluateRawTwoColumns(t *testing.T) {
 
 func TestEvaluateRawSelectivityScales(t *testing.T) {
 	base := Params{G: 1, Sigma: 1, C: 10, Z: 1.5, N: 1e6, TotalBudget: 1000, Gamma: 0}
-	full, err := EvaluateRaw(base)
+	full, err := evaluate(base, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base.Sigma = 0.5
-	half, err := EvaluateRaw(base)
+	half, err := evaluate(base, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestMetricEvaluateBounded(t *testing.T) {
 
 func TestRawUnboundedAtHighSkew(t *testing.T) {
 	p := Params{G: 3, Sigma: 0.3, C: 50, Z: 2.5, N: 1e8, TotalBudget: 1e6, Gamma: 0.5}
-	pt, err := EvaluateRaw(p)
+	pt, err := evaluate(p, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -229,19 +229,6 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labelNames
 	return &HistogramVec{r.register(name, help, kindHistogram, buckets, labelNames...)}
 }
 
-// Families returns the label names of every registered family by family
-// name, series or not: WritePrometheus leaves out a labelled family that
-// has no series yet.
-func (r *Registry) Families() map[string][]string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string][]string, len(r.families))
-	for n, f := range r.families {
-		out[n] = append([]string(nil), f.labelNames...)
-	}
-	return out
-}
-
 // WritePrometheus renders every family in the text exposition format
 // (version 0.0.4), families and series in deterministic sorted order so
 // scrapes diff cleanly.

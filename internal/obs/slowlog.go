@@ -67,10 +67,3 @@ func (l *SlowLog) Slowest() []SlowLogEntry {
 	defer l.mu.Unlock()
 	return append([]SlowLogEntry(nil), l.entries...)
 }
-
-// Len returns how many entries are currently retained.
-func (l *SlowLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.entries)
-}

@@ -182,17 +182,6 @@ func (t *Trace) Finish(status string) TraceData {
 	defer t.mu.Unlock()
 	t.data.Status = status
 	t.data.TotalMicros = time.Since(t.start).Microseconds()
-	return t.snapshotLocked()
-}
-
-// Snapshot returns a copy of the trace so far.
-func (t *Trace) Snapshot() TraceData {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.snapshotLocked()
-}
-
-func (t *Trace) snapshotLocked() TraceData {
 	d := t.data
 	d.Stages = append([]Stage(nil), t.data.Stages...)
 	d.Samples = append([]SampleExec(nil), t.data.Samples...)

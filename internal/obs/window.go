@@ -42,16 +42,6 @@ func (w *Window) Observe(v float64) {
 	w.mu.Unlock()
 }
 
-// Len returns the number of observations currently held.
-func (w *Window) Len() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.full {
-		return len(w.buf)
-	}
-	return w.next
-}
-
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) of the held observations
 // using nearest-rank on a sorted copy, and false if the window is empty.
 // With n observations the cost is O(n log n); windows are small (hundreds of

@@ -5,13 +5,23 @@ import (
 	"testing"
 )
 
+// held is how many observations w holds.
+func held(w *Window) int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.full {
+		return len(w.buf)
+	}
+	return w.next
+}
+
 func TestWindowEmpty(t *testing.T) {
 	w := NewWindow(8)
 	if _, ok := w.Quantile(0.5); ok {
 		t.Error("empty window reported a quantile")
 	}
-	if w.Len() != 0 {
-		t.Errorf("empty window Len = %d", w.Len())
+	if held(w) != 0 {
+		t.Errorf("empty window Len = %d", held(w))
 	}
 }
 
@@ -50,8 +60,8 @@ func TestWindowSlides(t *testing.T) {
 	if got, _ := w.Quantile(0.95); got != 100 {
 		t.Errorf("p95 after full slide = %v, want 100 (old regime evicted)", got)
 	}
-	if w.Len() != 10 {
-		t.Errorf("Len = %d, want 10", w.Len())
+	if held(w) != 10 {
+		t.Errorf("Len = %d, want 10", held(w))
 	}
 }
 
@@ -69,7 +79,7 @@ func TestWindowConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if w.Len() != 64 {
-		t.Errorf("Len = %d, want 64", w.Len())
+	if held(w) != 64 {
+		t.Errorf("Len = %d, want 64", held(w))
 	}
 }

@@ -1,6 +1,7 @@
 package outlier_test
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -189,7 +190,7 @@ func TestOutlierBeatsUniformOnSkewedSum(t *testing.T) {
 			}
 		}
 		flat := db.Flatten("u", rows, nil, nil)
-		res, err := engine.Execute(flat, q, engine.ExecOptions{Scale: float64(db.NumRows()) / float64(len(rows))})
+		res, err := engine.ExecuteCtx(context.Background(), flat, q, engine.ExecOptions{Scale: float64(db.NumRows()) / float64(len(rows))})
 		if err != nil {
 			t.Fatal(err)
 		}

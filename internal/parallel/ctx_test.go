@@ -10,7 +10,7 @@ import (
 )
 
 // TestForEachCtxMatchesForEachErr: with a live context, ForEachCtx runs every
-// task and picks the same deterministic (lowest-index) error as ForEachErr.
+// task and picks the deterministic (lowest-index) error.
 func TestForEachCtxMatchesForEachErr(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		var ran atomic.Int64

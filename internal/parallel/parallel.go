@@ -74,31 +74,17 @@ func ForEach(workers, n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// ForEachErr is ForEach for fallible tasks. All tasks run to completion even
-// after a failure; the returned error is the one from the lowest task index
-// (a deterministic choice, independent of scheduling), or nil.
-func ForEachErr(workers, n int, fn func(i int) error) error {
-	errs := make([]error, n)
-	ForEach(workers, n, func(i int) { errs[i] = fn(i) })
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ForEachCtx is the cancellable form of ForEachErr: it runs fn(0), ...,
-// fn(n-1) on up to workers goroutines, but stops handing out new tasks once
-// ctx is done. Tasks already started always run to completion — cancellation
-// is observed between tasks, never inside one — so a caller whose context
-// stays live gets exactly the ForEachErr behaviour and bit-identical outputs.
+// ForEachCtx is ForEach for fallible tasks under a context: it runs fn(0),
+// ..., fn(n-1) on up to workers goroutines, but stops handing out new tasks
+// once ctx is done. Tasks already started always run to completion —
+// cancellation is observed between tasks, never inside one — so a caller
+// whose context stays live runs every task, with bit-identical outputs.
 //
 // The returned error is ctx.Err() if the context was cancelled before all n
-// tasks completed; otherwise the error from the lowest task index (the same
-// deterministic choice as ForEachErr), or nil. A panicking task does not
-// crash the process: the panic is recovered on the worker goroutine and
-// reported as that task's error.
+// tasks completed; otherwise the error from the lowest task index (a
+// deterministic choice, independent of scheduling), or nil. A panicking task
+// does not crash the process: the panic is recovered on the worker goroutine
+// and reported as that task's error.
 func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 	if ctx == nil {
 		ctx = context.Background()

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -46,7 +47,7 @@ func TestForEachZeroTasks(t *testing.T) {
 func TestForEachErrReturnsLowestIndexError(t *testing.T) {
 	errLow, errHigh := errors.New("low"), errors.New("high")
 	var completed atomic.Int64
-	err := ForEachErr(8, 100, func(i int) error {
+	err := ForEachCtx(context.Background(), 8, 100, func(i int) error {
 		completed.Add(1)
 		switch i {
 		case 7:
@@ -63,7 +64,7 @@ func TestForEachErrReturnsLowestIndexError(t *testing.T) {
 	if got := completed.Load(); got != 100 {
 		t.Fatalf("%d tasks completed, want 100", got)
 	}
-	if err := ForEachErr(8, 100, func(int) error { return nil }); err != nil {
+	if err := ForEachCtx(context.Background(), 8, 100, func(int) error { return nil }); err != nil {
 		t.Fatalf("unexpected error %v", err)
 	}
 }

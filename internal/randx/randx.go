@@ -54,18 +54,12 @@ func NewZipf(z float64, c int) *Zipf {
 	return &Zipf{guided: newGuided(cdf), probs: probs}
 }
 
-// N returns the number of distinct values.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Prob returns P(value = i).
 func (z *Zipf) Prob(i int) float64 { return z.probs[i] }
 
 // Probs returns the full probability vector, most common value first.
 // The returned slice is shared; callers must not modify it.
 func (z *Zipf) Probs() []float64 { return z.probs }
-
-// Draw samples a value index in [0, N()) using rng.
-func (z *Zipf) Draw(rng *rand.Rand) int { return z.Index(rng.Float64()) }
 
 // guideBuckets is how many equal slices of [0, 1) a guide table cuts.
 const guideBuckets = 1024
@@ -165,12 +159,6 @@ func NewCategorical(weights []float64) *Categorical {
 // Draw samples an index using rng.
 func (c *Categorical) Draw(rng *rand.Rand) int { return c.Index(rng.Float64()) }
 
-// N returns the number of categories.
-func (c *Categorical) N() int { return len(c.cdf) }
-
-// Perm fills a deterministic pseudo-random permutation of [0,n).
-func Perm(rng *rand.Rand, n int) []int { return rng.Perm(n) }
-
 // SampleWithoutReplacement returns k distinct indices drawn uniformly from
 // [0, n) using Floyd's algorithm. It panics if k > n.
 func SampleWithoutReplacement(rng *rand.Rand, n, k int) []int {
@@ -188,10 +176,4 @@ func SampleWithoutReplacement(rng *rand.Rand, n, k int) []int {
 		out = append(out, t)
 	}
 	return out
-}
-
-// LogNormal draws a log-normal variate with the given parameters of the
-// underlying normal. Used for skewed measure columns (e.g. revenue).
-func LogNormal(rng *rand.Rand, mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*rng.NormFloat64())
 }

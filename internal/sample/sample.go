@@ -47,9 +47,6 @@ func (r *Reservoir) Offer(item int) {
 	}
 }
 
-// Seen returns the number of elements offered so far.
-func (r *Reservoir) Seen() int64 { return r.seen }
-
 // Items returns the current sample. The slice is owned by the reservoir.
 func (r *Reservoir) Items() []int { return r.items }
 

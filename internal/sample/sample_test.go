@@ -16,8 +16,8 @@ func TestReservoirUnderfill(t *testing.T) {
 	if len(r.Items()) != 5 {
 		t.Fatalf("items = %d, want 5", len(r.Items()))
 	}
-	if r.Seen() != 5 {
-		t.Fatalf("seen = %d", r.Seen())
+	if r.seen != 5 {
+		t.Fatalf("seen = %d", r.seen)
 	}
 	for i, v := range r.Items() {
 		if v != i {

@@ -1,7 +1,8 @@
-// Package datagen holds no code: the TPCH and SALES databases come from
-// scenario.Builtin. These are the tests the deleted generator carried, kept
-// under their names and run against the builtin specs.
-package datagen
+package scenario_test
+
+// The TPCH and SALES databases come from scenario.Builtin. These are the
+// tests the deleted datagen generator carried, kept under their names and
+// run against the builtin specs.
 
 import (
 	"testing"

@@ -322,7 +322,7 @@ func (dr *drawer) compile(c *ColumnSpec) error {
 		dr.dom, dr.index = newDomain(categoricalDomain(c)), randx.NewCategorical(d.Weights).Index
 	case DistNormal, DistLogNormal:
 		// x is a standard normal variate; the value is mean + sd·x, or its
-		// exp for a log-normal (randx.LogNormal).
+		// exp for a log-normal.
 		dr.draw = (*rand.Rand).NormFloat64
 		mean, sd, exp := d.Mean, d.Stddev, d.Kind == DistLogNormal
 		if exp {

@@ -233,7 +233,7 @@ func TestIngestNotConfigured(t *testing.T) {
 // threshold, and require the drift gauge to flip, exactly one background
 // rebuild to run, and every query issued meanwhile to succeed.
 func TestIngestDriftTriggersRebuild(t *testing.T) {
-	srv, coord, _ := ingestServer(t, ingest.Config{
+	srv, _, _ := ingestServer(t, ingest.Config{
 		Online:     core.OnlineConfig{Seed: 6},
 		DriftBound: 1.0,
 	})
@@ -267,29 +267,45 @@ func TestIngestDriftTriggersRebuild(t *testing.T) {
 		t.Fatal("drift never crossed the bound")
 	}
 
-	// The background rebuild resets the gauge (hh is common after the
-	// rebuild re-derives the metadata).
+	// The background rebuild completes, and it is the only one: the server
+	// health generation moves 0 -> 1.
+	var h HealthResponse
 	deadline := time.Now().Add(10 * time.Second)
-	for coord.Drift() >= 1 {
+	for {
+		resp, err := http.Get(srv.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		h = HealthResponse{}
+		err = json.NewDecoder(resp.Body).Decode(&h)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.LastRebuildError != "" {
+			t.Fatalf("rebuild error: %s", h.LastRebuildError)
+		}
+		if h.Generation >= 1 && !h.Rebuilding {
+			break
+		}
 		if time.Now().After(deadline) {
 			t.Fatal("drift-triggered rebuild never completed")
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-
-	// Exactly one rebuild: the server health generation moved 0 -> 1.
-	resp, err := http.Get(srv.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var h HealthResponse
-	json.NewDecoder(resp.Body).Decode(&h)
 	if h.Generation != 1 {
 		t.Fatalf("health generation = %d after drift, want exactly 1 rebuild", h.Generation)
 	}
-	if h.LastRebuildError != "" {
-		t.Fatalf("rebuild error: %s", h.LastRebuildError)
+
+	// The rebuild reset the gauge: hh is common once the rebuild re-derives
+	// the metadata, so more of it leaves the drift below the bound.
+	resp, body := post(t, srv, "/v1/ingest", IngestRequest{Rows: hot(1)})
+	var ir IngestResponse
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &ir) != nil {
+		t.Fatalf("ingest after the rebuild: status %d: %s", resp.StatusCode, body)
+	}
+	if ir.Drift >= 1 {
+		t.Fatalf("drift = %g after the rebuild, want < 1 (hh is common now)", ir.Drift)
 	}
 
 	// And the rebuilt samples answer for the new value without exactness

@@ -90,8 +90,8 @@ type RebuildStatus struct {
 	Persisted bool `json:"persisted"`
 	// PersistError carries a catalog save failure. The swap still happened —
 	// the server is answering from the new samples — but the generation is
-	// not durable (or, for a manifest-only failure, durable with stale
-	// advisory metadata).
+	// not durable (or, when Persisted, saved but failed its read-back
+	// verification).
 	PersistError string `json:"persistError,omitempty"`
 	// WALSegmentsRemoved is how many fully-checkpointed WAL segments the
 	// save garbage-collected (ingest-enabled servers only).

@@ -19,8 +19,8 @@ func skewedTestDB(t *testing.T) *engine.Database {
 	zi := randx.NewZipf(2.0, 200)
 	zs := randx.NewZipf(1.8, 80)
 	for i := 0; i < 30000; i++ {
-		g.AppendInt(int64(zi.Draw(rng)))
-		h.AppendString("h" + itoa(zs.Draw(rng)))
+		g.AppendInt(int64(zi.Index(rng.Float64())))
+		h.AppendString("h" + itoa(zs.Index(rng.Float64())))
 		fact.EndRow()
 	}
 	return engine.MustNewDatabase("skew", fact)

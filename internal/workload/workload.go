@@ -139,15 +139,6 @@ func NewGenerator(db *engine.Database, cfg Config) (*Generator, error) {
 	return g, nil
 }
 
-// EligibleColumns returns the names of the columns queries may reference.
-func (g *Generator) EligibleColumns() []string {
-	out := make([]string, len(g.cols))
-	for i, c := range g.cols {
-		out[i] = c.name
-	}
-	return out
-}
-
 // Query generates one random query.
 func (g *Generator) Query() *engine.Query {
 	q := &engine.Query{}

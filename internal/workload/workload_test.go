@@ -36,7 +36,10 @@ func TestEligibleColumnsExcludeUniqueAndMeasures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols := g.EligibleColumns()
+	var cols []string
+	for _, c := range g.cols {
+		cols = append(cols, c.name)
+	}
 	for _, c := range cols {
 		if c == "u" {
 			t.Error("near-unique column u eligible")

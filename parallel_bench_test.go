@@ -6,6 +6,7 @@
 package dynsample
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -34,7 +35,7 @@ func BenchmarkParallelScan(b *testing.B) {
 	for _, workers := range counts {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := engine.Execute(db, q, engine.ExecOptions{Workers: workers}); err != nil {
+				if _, err := engine.ExecuteCtx(context.Background(), db, q, engine.ExecOptions{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
