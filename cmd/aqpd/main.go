@@ -168,10 +168,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	logRecovery(rec, wal, sys.PreprocessTime("smallgroup"), *catalogDir, *walDir)
+	logRecovery(rec, wal, sys.PreprocessTime(strategy.Name()), *catalogDir, *walDir)
 
 	websrv := server.New(sys, server.Config{
-		Strategy:       "smallgroup",
 		DefaultTimeout: *queryTimeout,
 		MaxInflight:    *maxInflight,
 		SlowLogSize:    *slowlogSize,

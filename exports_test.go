@@ -1,11 +1,12 @@
 package dynsample
 
-// The module keeps no exported name that nothing calls, and its docs name
-// no declaration the code does not have. Both checks read the source with
-// the standard library alone: go/build picks each package's files, go/types
-// resolves every reference of the non-test files (cmd/, bench/ and
-// examples/ included), and the "source" importer type-checks the standard
-// library.
+// The module keeps no exported name that nothing calls, no option that no
+// program sets, and its docs name no declaration the code does not have.
+// The checks read the source with the standard library alone: go/build
+// picks each package's files, go/types resolves every reference of the
+// non-test files (cmd/, bench/ and examples/ included), and the "source"
+// importer type-checks the standard library. The module is loaded and
+// checked once for all of them.
 
 import (
 	"errors"
@@ -22,6 +23,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -38,6 +40,14 @@ var unusedAllowed = map[string]string{
 	"stats.VarianceFromSums":   "ROADMAP item 19's SUM interval variance",
 	"stats.Moments":            "ROADMAP item 19's SUM interval variance",
 	"stats.Interval.Contains":  "ROADMAP item 19's coverage check",
+}
+
+// unsetAllowed is the whole list of option fields that may lack a program
+// setting them, each with its reason.
+var unsetAllowed = map[string]string{
+	"core.SmallGroupConfig.Pairs":             "ROADMAP item 10 chooses the pair tables by budget",
+	"core.SmallGroupConfig.MaxTablesPerQuery": "every version 8 family record stores it",
+	"catalog.Options.Retain":                  "the benchmark harness builds catalog.Options{}, whose only field it is",
 }
 
 // modPkg is one directory of the module that holds Go files.
@@ -59,10 +69,29 @@ type moduleLoader struct {
 	pkgs map[string]*modPkg // by import path
 }
 
+var (
+	moduleOnce sync.Once
+	module     *moduleLoader
+	moduleErr  error
+)
+
+// loadedModule is the module parsed and type-checked, once per test binary.
+func loadedModule(t *testing.T) *moduleLoader {
+	t.Helper()
+	moduleOnce.Do(func() {
+		if module, moduleErr = loadModule(); moduleErr == nil {
+			moduleErr = module.checkAll()
+		}
+	})
+	if moduleErr != nil {
+		t.Fatal(moduleErr)
+	}
+	return module
+}
+
 // loadModule finds and parses every package of the module under the current
 // directory; testdata and hidden directories hold none.
-func loadModule(t *testing.T) *moduleLoader {
-	t.Helper()
+func loadModule() (*moduleLoader, error) {
 	fset := token.NewFileSet()
 	l := &moduleLoader{fset: fset, std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*modPkg{}}
 	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
@@ -91,20 +120,17 @@ func loadModule(t *testing.T) *moduleLoader {
 		l.pkgs[p.path] = p
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return l
+	return l, err
 }
 
 // checkAll type-checks every package of the module.
-func (l *moduleLoader) checkAll(t *testing.T) {
-	t.Helper()
+func (l *moduleLoader) checkAll() error {
 	for _, p := range l.pkgs {
 		if _, err := l.check(p); err != nil {
-			t.Fatal(err)
+			return err
 		}
 	}
+	return nil
 }
 
 // Import is the importer every module package is checked with.
@@ -147,8 +173,7 @@ func origin(obj types.Object) types.Object {
 // interface is how it is called. It also fails on an unusedAllowed entry that
 // no longer covers an unused name.
 func TestEveryExportHasACaller(t *testing.T) {
-	l := loadModule(t)
-	l.checkAll(t)
+	l := loadedModule(t)
 	used := map[types.Object]bool{}
 	var ifaces []*types.Interface
 	for _, p := range l.pkgs {
@@ -253,7 +278,7 @@ var docRef = regexp.MustCompile("`([a-z][a-z0-9]*)\\.([A-Za-z][A-Za-z0-9]*)(?:\\
 // resolves when Type declares a method, a field or an interface method of
 // that name.
 func TestDocsNameDeclarations(t *testing.T) {
-	l := loadModule(t)
+	l := loadedModule(t)
 	decls := map[string]map[string]bool{} // package name -> "Name" and "Type.Member"
 	for _, p := range l.pkgs {
 		if p.bp.Name == "main" {
@@ -385,4 +410,92 @@ func embeddedName(e ast.Expr) string {
 		return embeddedName(e.X)
 	}
 	return ""
+}
+
+// TestEveryOptionIsSet fails on each exported field of an exported *Config
+// or *Options struct that no non-test file of cmd/, internal/ or bench/
+// writes from outside the field's package, as a composite-literal key or
+// the target of an assignment. An option no program sets has one value in
+// use: it is a constant. examples/ does not count, since an example only
+// shows what a program could set. The test also fails on an unsetAllowed
+// entry that no longer covers an unset field.
+func TestEveryOptionIsSet(t *testing.T) {
+	l := loadedModule(t)
+	written := map[types.Object]bool{}
+	for _, p := range l.pkgs {
+		rel := strings.TrimPrefix(p.path, modulePath+"/")
+		if !strings.HasPrefix(rel, "cmd/") && !strings.HasPrefix(rel, "internal/") && rel != "bench" {
+			continue
+		}
+		write := func(e ast.Expr) {
+			var id *ast.Ident
+			switch e := e.(type) {
+			case *ast.Ident:
+				id = e
+			case *ast.SelectorExpr:
+				id = e.Sel
+			default:
+				return
+			}
+			if f, ok := p.info.Uses[id].(*types.Var); ok && f.IsField() && f.Pkg() != p.types {
+				written[f.Origin()] = true
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					write(n.Key)
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							write(sel)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	fields := 0
+	var unset []string
+	needed := map[string]bool{}
+	for _, p := range l.pkgs {
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !strings.HasSuffix(name, "Config") && !strings.HasSuffix(name, "Options") {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if !f.Exported() {
+					continue
+				}
+				fields++
+				qual := p.types.Name() + "." + name + "." + f.Name()
+				switch {
+				case written[f]:
+				case unsetAllowed[qual] != "":
+					needed[qual] = true
+				default:
+					unset = append(unset, qual)
+				}
+			}
+		}
+	}
+	sort.Strings(unset)
+	for _, name := range unset {
+		t.Errorf("%s is an option no non-test file of cmd/, internal/ or bench/ sets: make its default a constant and delete it", name)
+	}
+	for name := range unsetAllowed {
+		if !needed[name] {
+			t.Errorf("unsetAllowed lists %s, which is gone or set by a program now: drop the entry", name)
+		}
+	}
+	t.Logf("%d exported option fields, %d of them unset by any program", fields, len(needed)+len(unset))
 }

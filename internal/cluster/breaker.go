@@ -40,11 +40,10 @@ func (s breakerState) String() string {
 // action (POST /v1/admin/probe) or a test can re-admit a recovered shard
 // deterministically instead of waiting out the backoff.
 type breaker struct {
-	threshold  int
-	backoff    time.Duration
-	backoffMax time.Duration
-	probe      func() error
-	onState    func(breakerState)
+	threshold int
+	backoff   time.Duration
+	probe     func() error
+	onState   func(breakerState)
 
 	mu      sync.Mutex
 	state   breakerState
@@ -55,14 +54,13 @@ type breaker struct {
 	stop     chan struct{}
 }
 
-func newBreaker(threshold int, backoff, backoffMax time.Duration, probe func() error, onState func(breakerState)) *breaker {
+func newBreaker(threshold int, backoff time.Duration, probe func() error, onState func(breakerState)) *breaker {
 	b := &breaker{
-		threshold:  threshold,
-		backoff:    backoff,
-		backoffMax: backoffMax,
-		probe:      probe,
-		onState:    onState,
-		stop:       make(chan struct{}),
+		threshold: threshold,
+		backoff:   backoff,
+		probe:     probe,
+		onState:   onState,
+		stop:      make(chan struct{}),
 	}
 	b.notify(breakerClosed)
 	return b
@@ -119,7 +117,7 @@ func (b *breaker) trip() {
 	}
 	if !b.probing {
 		b.probing = true
-		go parallel.ProbeUntil(b.stop, b.backoff, b.backoffMax, b.ProbeNow)
+		go parallel.ProbeUntil(b.stop, b.backoff, parallel.MaxBackoff, b.ProbeNow)
 	}
 }
 

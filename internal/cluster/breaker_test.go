@@ -15,7 +15,7 @@ func newTestBreaker(probe func() error) *breaker {
 	if probe == nil {
 		probe = func() error { return errors.New("probe not expected") }
 	}
-	return newBreaker(3, 5*time.Millisecond, 20*time.Millisecond, probe, nil)
+	return newBreaker(3, 5*time.Millisecond, probe, nil)
 }
 
 func TestBreakerTripsAtThreshold(t *testing.T) {
@@ -89,10 +89,8 @@ func TestBreakerHalfOpenDuringProbe(t *testing.T) {
 		return nil
 	})
 	defer b.Shutdown()
-	// Open without starting the background loop racing our manual probe:
-	// trip via failures, then immediately shut the loop down before its
-	// first (5ms-jittered) probe can fire... simpler: use a long backoff.
-	b.backoff, b.backoffMax = time.Hour, time.Hour
+	// A long backoff keeps the background loop from racing the manual probe.
+	b.backoff = time.Hour
 	b.Open()
 	done := make(chan error, 1)
 	go func() { done <- b.ProbeNow() }()
@@ -140,7 +138,7 @@ func TestBreakerProbeLoopReadmits(t *testing.T) {
 func TestBreakerStateCallbacks(t *testing.T) {
 	var mu sync.Mutex
 	var seen []breakerState
-	b := newBreaker(1, time.Hour, time.Hour, func() error { return nil },
+	b := newBreaker(1, time.Hour, func() error { return nil },
 		func(s breakerState) {
 			mu.Lock()
 			seen = append(seen, s)

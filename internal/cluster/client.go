@@ -137,7 +137,7 @@ func (sh *shard) fetchSummary(ctx context.Context) (*core.ShardStats, error) {
 // is serving queries again, and probing through the join path means a
 // restarted shard re-registers fresh statistics before it re-admits.
 func (sh *shard) probe() error {
-	ctx, cancel := context.WithTimeout(context.Background(), sh.c.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	st, err := sh.fetchSummary(ctx)
 	if err != nil {
@@ -273,7 +273,7 @@ func (sh *shard) attemptHedged(ctx context.Context, path string, body []byte, pe
 // the breaker, and a breaker that trips mid-request stops further retries —
 // so a dead shard is cut off within a single fan-out.
 func (sh *shard) do(ctx context.Context, path string, body []byte, perTry time.Duration) (*rawAnswer, error) {
-	backoff := sh.c.cfg.RetryBackoff
+	backoff := retryBackoff
 	var lastErr error
 	for try := 0; try <= sh.c.cfg.Retries; try++ {
 		if try > 0 {
@@ -312,13 +312,13 @@ func (sh *shard) do(ctx context.Context, path string, body []byte, perTry time.D
 	return nil, lastErr
 }
 
-// perTryTimeout derives one attempt's deadline: the configured ceiling,
+// perTryTimeout derives one attempt's deadline: perTryCeiling,
 // tightened by what the shard's summary predicts a full-fraction scan costs
 // (generous 4x slack — the deadline exists to catch stuck shards, not to
 // race healthy ones) and by the request's own time bound and timeout. exact
 // queries scan the partition, not the samples, so they budget on Rows.
 func (sh *shard) perTryTimeout(req *server.QueryRequest, exact bool) time.Duration {
-	d := sh.c.cfg.PerTryTimeout
+	d := perTryCeiling
 	tighten := func(t time.Duration) {
 		if t > 0 && t < d {
 			d = t
@@ -340,8 +340,8 @@ func (sh *shard) perTryTimeout(req *server.QueryRequest, exact bool) time.Durati
 	if req.TimeoutMS != nil && *req.TimeoutMS > 0 {
 		tighten(time.Duration(*req.TimeoutMS) * time.Millisecond)
 	}
-	if d < sh.c.cfg.PerTryFloor {
-		d = sh.c.cfg.PerTryFloor
+	if d < perTryFloor {
+		d = perTryFloor
 	}
 	return d
 }
@@ -381,9 +381,8 @@ func newShard(c *Coordinator, id int, addr string) *shard {
 		label: strconv.Itoa(id),
 		lat:   obs.NewWindow(latencyWindowSize),
 	}
-	sh.br = newBreaker(c.cfg.BreakerThreshold, c.cfg.ProbeBackoff, c.cfg.ProbeBackoffMax,
-		sh.probe, func(s breakerState) {
-			obsBreakerState.With(sh.label).Set(float64(s))
-		})
+	sh.br = newBreaker(c.cfg.BreakerThreshold, c.cfg.ProbeBackoff, sh.probe, func(s breakerState) {
+		obsBreakerState.With(sh.label).Set(float64(s))
+	})
 	return sh
 }

@@ -46,13 +46,29 @@ import (
 	"time"
 
 	"dynsample/internal/engine"
-	"dynsample/internal/parallel"
 )
 
 // CodeShardUnavailable is the error envelope code for answers the cluster
 // cannot give because too many shards are unreachable. It rides the standard
 // ErrorResponse envelope with a Retry-After, like single-node overload.
 const CodeShardUnavailable = "shard_unavailable"
+
+// The coordinator's attempt, retry and probe timings that Config does not
+// set.
+const (
+	// perTryCeiling caps one attempt against one shard; the effective
+	// deadline is usually tighter, derived from the shard's scan rate and the
+	// request's time bound (see shard.perTryTimeout).
+	perTryCeiling = 10 * time.Second
+	// perTryFloor is the minimum per-attempt deadline, so an aggressive time
+	// bound cannot starve attempts into false failures.
+	perTryFloor = 100 * time.Millisecond
+	// retryBackoff is the initial retry backoff, jittered over [d/2, d] and
+	// doubled per retry.
+	retryBackoff = 25 * time.Millisecond
+	// probeTimeout bounds one half-open probe.
+	probeTimeout = 2 * time.Second
+)
 
 // Config tunes the coordinator. The zero value is completed by New with the
 // defaults documented per field.
@@ -64,54 +80,26 @@ type Config struct {
 	// hedges included) unless the request carries its own timeout_ms. Zero
 	// means no default deadline.
 	DefaultTimeout time.Duration
-	// PerTryTimeout caps one attempt against one shard (default 10s); the
-	// effective deadline is usually tighter, derived from the shard's scan
-	// rate and the request's time bound (see shard.perTryTimeout).
-	PerTryTimeout time.Duration
-	// PerTryFloor is the minimum per-attempt deadline (default 100ms), so an
-	// aggressive time bound cannot starve attempts into false failures.
-	PerTryFloor time.Duration
 	// Retries is how many times a failed shard sub-request is retried
 	// (default 2, i.e. up to 3 attempts).
 	Retries int
-	// RetryBackoff is the initial retry backoff, jittered over [d/2, d] and
-	// doubled per retry (default 25ms).
-	RetryBackoff time.Duration
 	// HedgeAfterMin floors the hedge delay (default 10ms) so a consistently
 	// fast shard is not duplicated on scheduling noise.
 	HedgeAfterMin time.Duration
 	// BreakerThreshold is how many consecutive failed attempts trip a
 	// shard's breaker (default 3).
 	BreakerThreshold int
-	// ProbeBackoff and ProbeBackoffMax shape the tripped breaker's re-probe
-	// schedule, parallel.ProbeUntil: jittered doubling from the first to the
-	// second (defaults 500ms and parallel.MaxBackoff, 30s).
-	ProbeBackoff    time.Duration
-	ProbeBackoffMax time.Duration
-	// ProbeTimeout bounds one half-open probe (default 2s).
-	ProbeTimeout time.Duration
-	// RetryAfter is the Retry-After hint on shard_unavailable 503s; zero
-	// means 1s. Jittered like the single-node server's.
-	RetryAfter time.Duration
-	// Client is the HTTP client for shard traffic; nil means a dedicated
-	// client with sane connection pooling.
-	Client *http.Client
+	// ProbeBackoff is the first wait of the tripped breaker's re-probe
+	// schedule, parallel.ProbeUntil, which doubles it, jittered, up to
+	// parallel.MaxBackoff (default 500ms).
+	ProbeBackoff time.Duration
 }
 
 func (cfg *Config) applyDefaults() {
-	if cfg.PerTryTimeout <= 0 {
-		cfg.PerTryTimeout = 10 * time.Second
-	}
-	if cfg.PerTryFloor <= 0 {
-		cfg.PerTryFloor = 100 * time.Millisecond
-	}
 	if cfg.Retries < 0 {
 		cfg.Retries = 0
 	} else if cfg.Retries == 0 {
 		cfg.Retries = 2
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 25 * time.Millisecond
 	}
 	if cfg.HedgeAfterMin <= 0 {
 		cfg.HedgeAfterMin = 10 * time.Millisecond
@@ -121,17 +109,6 @@ func (cfg *Config) applyDefaults() {
 	}
 	if cfg.ProbeBackoff <= 0 {
 		cfg.ProbeBackoff = 500 * time.Millisecond
-	}
-	if cfg.ProbeBackoffMax <= 0 {
-		cfg.ProbeBackoffMax = parallel.MaxBackoff
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 2 * time.Second
-	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: 16,
-		}}
 	}
 }
 
@@ -155,7 +132,7 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, fmt.Errorf("cluster: no shard addresses configured")
 	}
 	cfg.applyDefaults()
-	c := &Coordinator{cfg: cfg, client: cfg.Client}
+	c := &Coordinator{cfg: cfg, client: &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 16}}}
 	for i, addr := range cfg.ShardAddrs {
 		c.shards = append(c.shards, newShard(c, i, addr))
 	}

@@ -116,13 +116,9 @@ func newTestClusterOver(t *testing.T, db *engine.Database, n int, mut func(*Conf
 	}
 	cfg := Config{
 		ShardAddrs:       addrs,
-		PerTryTimeout:    5 * time.Second,
-		RetryBackoff:     5 * time.Millisecond,
 		HedgeAfterMin:    5 * time.Millisecond,
 		BreakerThreshold: 3,
 		ProbeBackoff:     20 * time.Millisecond,
-		ProbeBackoffMax:  100 * time.Millisecond,
-		ProbeTimeout:     time.Second,
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -560,8 +556,9 @@ func TestClusterExactRefusesPartial(t *testing.T) {
 	if er.Error.Code != CodeShardUnavailable {
 		t.Errorf("error code = %q, want %q", er.Error.Code, CodeShardUnavailable)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("shard_unavailable 503 carries no Retry-After")
+	// The hint is 1s, jittered over [1, 2] like the single-node server's.
+	if ra := resp.Header.Get("Retry-After"); ra != "1" && ra != "2" {
+		t.Errorf("shard_unavailable 503 Retry-After = %q, want 1 or 2", ra)
 	}
 	// With the breaker now open, the refusal is immediate (no fan-out).
 	resp2, _ := tc.post("/v1/exact", req)
@@ -685,7 +682,7 @@ func TestClusterAllShardsDown(t *testing.T) {
 	if err := json.Unmarshal(body, &er); err != nil {
 		t.Fatal(err)
 	}
-	if er.Error.Code != CodeShardUnavailable || er.Error.RetryAfterMS <= 0 {
-		t.Errorf("envelope = %+v, want shard_unavailable with retry hint", er.Error)
+	if er.Error.Code != CodeShardUnavailable || er.Error.RetryAfterMS < 1000 || er.Error.RetryAfterMS > 2000 {
+		t.Errorf("envelope = %+v, want shard_unavailable with a retry hint in [1s, 2s]", er.Error)
 	}
 }

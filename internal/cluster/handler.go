@@ -24,7 +24,6 @@ func (c *Coordinator) Handler() http.Handler {
 	p := server.NewPipeline(c, server.Config{
 		Strategy:       "cluster",
 		DefaultTimeout: c.cfg.DefaultTimeout,
-		RetryAfter:     c.cfg.RetryAfter,
 	})
 	p.Handle("GET /v1/shards", func(*http.Request) (any, error) {
 		return map[string]any{"shards": c.shardStatuses()}, nil

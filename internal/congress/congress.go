@@ -40,10 +40,6 @@ const MaxFullColumns = 12
 // set as core.SmallGroupConfig.Overall of a family with nothing in S, it is
 // the congress baseline.
 type Config struct {
-	// Rate is the total expected sample size as a fraction of the database.
-	// The size is the family's base rate: zero means it, and another value
-	// is refused.
-	Rate float64
 	// Columns is the candidate grouping-column set T. Nil means every view
 	// column with at most DistinctLimit distinct values.
 	Columns []string
@@ -70,9 +66,6 @@ func (c Config) StrataCount(db *engine.Database) (int, error) {
 // expected size rate·N, each row weighted by its stratum's inverse sampling
 // rate.
 func (c Config) BuildOverall(db *engine.Database, rate float64) ([]int, []float64, error) {
-	if c.Rate != 0 && c.Rate != rate {
-		return nil, nil, fmt.Errorf("congress: rate %g differs from the base rate %g", c.Rate, rate)
-	}
 	if c.Variant != Basic && c.Variant != Full {
 		return nil, nil, fmt.Errorf("congress: unknown variant %d", c.Variant)
 	}

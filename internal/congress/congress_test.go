@@ -30,14 +30,14 @@ func skewDB(n int) *engine.Database {
 }
 
 // preprocess builds the congress baseline: a family with nothing in S over
-// the congress selector, at the selector's rate.
-func preprocess(db *engine.Database, cfg congress.Config) (core.Prepared, error) {
-	return core.NewSmallGroup(core.SmallGroupConfig{BaseRate: cfg.Rate, Columns: []string{}, Overall: cfg}).Preprocess(db)
+// the congress selector, whose base rate is rate.
+func preprocess(db *engine.Database, rate float64, cfg congress.Config) (core.Prepared, error) {
+	return core.NewSmallGroup(core.SmallGroupConfig{BaseRate: rate, Columns: []string{}, Overall: cfg}).Preprocess(db)
 }
 
 func TestBasicCongressCoversSmallGroups(t *testing.T) {
 	db := skewDB(20000)
-	p, err := preprocess(db, congress.Config{Rate: 0.02, Columns: []string{"g"}, Seed: 1})
+	p, err := preprocess(db, 0.02, congress.Config{Columns: []string{"g"}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestBasicCongressCoversSmallGroups(t *testing.T) {
 
 func TestWeightsReconstructTotal(t *testing.T) {
 	db := skewDB(20000)
-	p, err := preprocess(db, congress.Config{Rate: 0.02, Columns: []string{"g"}, Seed: 2})
+	p, err := preprocess(db, 0.02, congress.Config{Columns: []string{"g"}, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestWeightsReconstructTotal(t *testing.T) {
 
 func TestPerStratumEstimatesExactForFullySampledStrata(t *testing.T) {
 	db := skewDB(20000)
-	p, err := preprocess(db, congress.Config{Rate: 0.02, Columns: []string{"g"}, Seed: 3})
+	p, err := preprocess(db, 0.02, congress.Config{Columns: []string{"g"}, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestPerStratumEstimatesExactForFullySampledStrata(t *testing.T) {
 
 func TestRateOneIsExact(t *testing.T) {
 	db := skewDB(2000)
-	p, err := preprocess(db, congress.Config{Rate: 1, Columns: []string{"g", "h"}, Seed: 4})
+	p, err := preprocess(db, 1, congress.Config{Columns: []string{"g", "h"}, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,14 +128,14 @@ func TestFullCongressGuard(t *testing.T) {
 	for i := 0; i <= congress.MaxFullColumns; i++ {
 		cols = append(cols, "g")
 	}
-	if _, err := preprocess(db, congress.Config{Rate: 0.1, Columns: cols, Variant: congress.Full}); err == nil {
+	if _, err := preprocess(db, 0.1, congress.Config{Columns: cols, Variant: congress.Full}); err == nil {
 		t.Error("full congress over too many columns not rejected")
 	}
 }
 
 func TestFullCongressRuns(t *testing.T) {
 	db := skewDB(5000)
-	p, err := preprocess(db, congress.Config{Rate: 0.05, Columns: []string{"g", "h"}, Variant: congress.Full, Seed: 5})
+	p, err := preprocess(db, 0.05, congress.Config{Columns: []string{"g", "h"}, Variant: congress.Full, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,29 +154,14 @@ func TestFullCongressRuns(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	db := skewDB(100)
-	if _, err := preprocess(db, congress.Config{Rate: 0}); err == nil {
+	if _, err := preprocess(db, 0, congress.Config{}); err == nil {
 		t.Error("rate 0 not rejected")
 	}
-	if _, err := preprocess(db, congress.Config{Rate: 0.1, Columns: []string{"nope"}}); err == nil {
+	if _, err := preprocess(db, 0.1, congress.Config{Columns: []string{"nope"}}); err == nil {
 		t.Error("unknown column not rejected")
 	}
-	if _, err := preprocess(db, congress.Config{Rate: 0.1, Variant: congress.Variant(2)}); err == nil {
+	if _, err := preprocess(db, 0.1, congress.Config{Variant: congress.Variant(2)}); err == nil {
 		t.Error("unknown variant not rejected")
-	}
-}
-
-// TestSelectorRefusesAnotherRate: plugged into small group sampling, the
-// selector draws at the base rate, so a Rate that says otherwise is refused
-// rather than ignored.
-func TestSelectorRefusesAnotherRate(t *testing.T) {
-	db := skewDB(1000)
-	for _, rate := range []float64{0, 0.02} {
-		if _, err := core.NewSmallGroup(core.SmallGroupConfig{BaseRate: 0.02, Overall: congress.Config{Rate: rate}}).Preprocess(db); err != nil {
-			t.Errorf("rate %g: %v", rate, err)
-		}
-	}
-	if _, err := core.NewSmallGroup(core.SmallGroupConfig{BaseRate: 0.02, Overall: congress.Config{Rate: 0.1}}).Preprocess(db); err == nil {
-		t.Error("rate 0.1 at base rate 0.02 not refused")
 	}
 }
 
@@ -191,7 +176,7 @@ func TestNames(t *testing.T) {
 
 func TestStrataCount(t *testing.T) {
 	db := skewDB(5000)
-	sc, err := congress.Config{Rate: 0.05, Columns: []string{"g", "h"}, Seed: 6}.StrataCount(db)
+	sc, err := congress.Config{Columns: []string{"g", "h"}, Seed: 6}.StrataCount(db)
 	if err != nil {
 		t.Fatal(err)
 	}

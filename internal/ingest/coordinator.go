@@ -71,12 +71,16 @@ func (e *PoisonedError) Unwrap() error { return e.Cause }
 // Config.MaxPending means.
 const DefaultMaxPending = 64
 
-// Config tunes a Coordinator. The zero value is usable given a Strategy
-// registered on the System.
+// idempotencyWindow is how many recent batch ids a coordinator remembers
+// for duplicate detection.
+const idempotencyWindow = 4096
+
+// Config tunes a Coordinator. The zero value is usable given the
+// "smallgroup" strategy registered on the System.
 type Config struct {
-	// Strategy names the prepared state to maintain online. Empty means
-	// "smallgroup".
-	Strategy string
+	// strategy names the prepared state to maintain online; Recover sets it
+	// to the family's name. Empty means "smallgroup".
+	strategy string
 	// Online parameterises the core maintenance layer. Online.Seed must be
 	// stable across restarts of the same WAL for bit-identical replay.
 	Online core.OnlineConfig
@@ -84,17 +88,11 @@ type Config struct {
 	// waiting on the writer lock); excess requests fail fast with
 	// ErrOverloaded. Zero means DefaultMaxPending.
 	MaxPending int
-	// DriftBound is the drift-gauge level at which OnDrift fires (serve
-	// slightly-stale-but-correct answers below it, rebuild above). Zero means
-	// 1.0; negative disables the trigger.
+	// DriftBound is the drift-gauge level at which the callback
+	// Coordinator.SetOnDrift installs fires (serve slightly-stale-but-correct
+	// answers below it, rebuild above). Zero means 1.0; negative disables the
+	// trigger.
 	DriftBound float64
-	// IdempotencyWindow is how many recent batch ids are remembered for
-	// duplicate detection. Zero means 4096.
-	IdempotencyWindow int
-	// OnDrift, when non-nil, is called (on its own goroutine, at most once
-	// per rebuild cycle) when the drift gauge crosses DriftBound. The server
-	// wires it to a background rebuild.
-	OnDrift func(drift float64)
 	// BaseRows is the row count of the regenerated base data before any
 	// ingested batch — the offset checkpoints cut their delta at. Zero means
 	// the system database's row count at New, which is correct unless a
@@ -121,6 +119,9 @@ type Coordinator struct {
 
 	mu     sync.Mutex
 	online *core.Online
+	// onDrift, when non-nil, is called (on its own goroutine, at most once
+	// per rebuild cycle) when the drift gauge crosses DriftBound.
+	onDrift func(drift float64)
 
 	// Idempotency LRU: ids in arrival order, evicting the oldest.
 	ids    map[string]core.BatchStats
@@ -168,8 +169,8 @@ type Coordinator struct {
 // strategy is registered (fresh Preprocess or snapshot restore) and the WAL
 // is open, then ReplayWAL before serving ingest traffic.
 func New(sys *core.System, wal *WAL, cfg Config) (*Coordinator, error) {
-	if cfg.Strategy == "" {
-		cfg.Strategy = "smallgroup"
+	if cfg.strategy == "" {
+		cfg.strategy = "smallgroup"
 	}
 	if cfg.MaxPending <= 0 {
 		cfg.MaxPending = DefaultMaxPending
@@ -177,13 +178,10 @@ func New(sys *core.System, wal *WAL, cfg Config) (*Coordinator, error) {
 	if cfg.DriftBound == 0 {
 		cfg.DriftBound = 1.0
 	}
-	if cfg.IdempotencyWindow <= 0 {
-		cfg.IdempotencyWindow = 4096
-	}
 	if cfg.ProbeBackoff <= 0 {
 		cfg.ProbeBackoff = 500 * time.Millisecond
 	}
-	online, err := core.NewOnline(sys, cfg.Strategy, cfg.Online)
+	online, err := core.NewOnline(sys, cfg.strategy, cfg.Online)
 	if err != nil {
 		return nil, err
 	}
@@ -195,7 +193,7 @@ func New(sys *core.System, wal *WAL, cfg Config) (*Coordinator, error) {
 		wal:      wal,
 		cfg:      cfg,
 		online:   online,
-		ids:      make(map[string]core.BatchStats, cfg.IdempotencyWindow),
+		ids:      make(map[string]core.BatchStats, idempotencyWindow),
 		baseRows: uint64(cfg.BaseRows),
 		stop:     make(chan struct{}),
 	}
@@ -379,10 +377,10 @@ func (c *Coordinator) Ingest(id string, rows [][]engine.Value) (core.BatchStats,
 	obsSmallGroupInserts.Add(uint64(st.SmallGroupInserts))
 	obsDataGen.Set(float64(st.DataGeneration))
 	obsDrift.Set(st.Drift)
-	if c.cfg.OnDrift != nil && c.cfg.DriftBound > 0 &&
+	if c.onDrift != nil && c.cfg.DriftBound > 0 &&
 		st.Drift >= c.cfg.DriftBound && !c.driftFired && !c.rebuilding {
 		c.driftFired = true
-		go c.cfg.OnDrift(st.Drift)
+		go c.onDrift(st.Drift)
 	}
 	return st, nil
 }
@@ -461,19 +459,20 @@ func (c *Coordinator) Close() {
 	c.closeOnce.Do(func() { close(c.stop) })
 }
 
-// SetOnDrift installs (or replaces) the drift-trigger callback after
-// construction. The server uses it to point the trigger at its own rebuild
-// once both sides exist; call before serving ingest traffic.
+// SetOnDrift installs (or replaces) the drift-trigger callback: fn is called
+// on its own goroutine, at most once per rebuild cycle, when the drift gauge
+// crosses Config.DriftBound. The server points it at its own rebuild once
+// both sides exist; call before serving ingest traffic.
 func (c *Coordinator) SetOnDrift(fn func(drift float64)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.cfg.OnDrift = fn
+	c.onDrift = fn
 }
 
 // remember records a batch id in the idempotency LRU, evicting the oldest
 // once the window is full.
 func (c *Coordinator) remember(id string, st core.BatchStats) {
-	if len(c.order) < c.cfg.IdempotencyWindow {
+	if len(c.order) < idempotencyWindow {
 		c.order = append(c.order, id)
 	} else {
 		delete(c.ids, c.order[c.oldest])
@@ -581,10 +580,10 @@ func (c *Coordinator) SaveCheckpoint(cat *catalog.Catalog) (CheckpointResult, er
 		return res, errors.New("ingest: cannot checkpoint during a rebuild")
 	}
 	db, gen := c.sys.Data()
-	p, ok := c.sys.Prepared(c.cfg.Strategy)
+	p, ok := c.sys.Prepared(c.cfg.strategy)
 	if !ok {
 		c.mu.Unlock()
-		return res, fmt.Errorf("ingest: no prepared state for strategy %q", c.cfg.Strategy)
+		return res, fmt.Errorf("ingest: no prepared state for strategy %q", c.cfg.strategy)
 	}
 	if got := p.DataGeneration(); got != gen {
 		c.mu.Unlock()

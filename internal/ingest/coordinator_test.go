@@ -280,20 +280,25 @@ func TestCoordinatorIdempotency(t *testing.T) {
 }
 
 func TestCoordinatorIdempotencyWindowEvicts(t *testing.T) {
-	_, c, _ := newIngestSystem(t, 2000, t.TempDir(),
-		Config{Online: core.OnlineConfig{Seed: 6}, IdempotencyWindow: 2})
+	_, c, _ := newIngestSystem(t, 2000, t.TempDir(), Config{Online: core.OnlineConfig{Seed: 6}})
 	rng := randx.New(2)
-	for i := 0; i < 3; i++ {
-		if _, err := c.Ingest(fmt.Sprintf("id-%d", i), ingestRows(rng, 10)); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := c.Ingest("id-0", ingestRows(rng, 10)); err != nil {
+		t.Fatal(err)
 	}
-	// id-0 was evicted by id-2; replaying it appends again (at-least-once
-	// beyond the window), while id-2 is still deduplicated.
+	// A window's worth of later ids, remembered as Ingest remembers them.
+	last := fmt.Sprintf("id-%d", idempotencyWindow)
+	c.mu.Lock()
+	for i := 1; i <= idempotencyWindow; i++ {
+		c.remember(fmt.Sprintf("id-%d", i), core.BatchStats{})
+	}
+	c.mu.Unlock()
+	// id-0 was evicted by the last of them; replaying it appends again
+	// (at-least-once beyond the window), while the last is still
+	// deduplicated.
 	if _, err := c.Ingest("id-0", ingestRows(rng, 10)); err != nil {
 		t.Fatalf("evicted id rejected: %v", err)
 	}
-	if _, err := c.Ingest("id-2", ingestRows(rng, 10)); !errors.Is(err, ErrDuplicate) {
+	if _, err := c.Ingest(last, ingestRows(rng, 10)); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("recent id not deduplicated: %v", err)
 	}
 }
@@ -527,17 +532,15 @@ func TestCoordinatorPoisonedRefusesIngest(t *testing.T) {
 }
 
 // TestCoordinatorDriftTriggersOneRebuild streams a brand-new heavy value
-// until drift crosses the bound and requires exactly one OnDrift firing,
-// then completes the rebuild handshake (with a tail batch landing
-// mid-rebuild) and checks drift resets and the trigger re-arms.
+// until drift crosses the bound and requires exactly one firing of the
+// SetOnDrift callback, then completes the rebuild handshake (with a tail
+// batch landing mid-rebuild) and checks drift resets and the trigger
+// re-arms.
 func TestCoordinatorDriftTriggersOneRebuild(t *testing.T) {
 	const n = 3000
 	fired := make(chan float64, 8)
-	cfg := Config{
-		Online:  core.OnlineConfig{Seed: 13},
-		OnDrift: func(d float64) { fired <- d },
-	}
-	sys, c, _ := newIngestSystem(t, n, t.TempDir(), cfg)
+	sys, c, _ := newIngestSystem(t, n, t.TempDir(), Config{Online: core.OnlineConfig{Seed: 13}})
+	c.SetOnDrift(func(d float64) { fired <- d })
 	hot := func(count int) [][]engine.Value {
 		rows := make([][]engine.Value, count)
 		for i := range rows {
@@ -562,7 +565,7 @@ func TestCoordinatorDriftTriggersOneRebuild(t *testing.T) {
 	select {
 	case <-fired:
 	case <-time.After(5 * time.Second):
-		t.Fatal("OnDrift never fired")
+		t.Fatal("the drift callback never fired")
 	}
 	// Keep ingesting past the bound: no second firing while un-rebuilt.
 	for i := 0; i < 3; i++ {
@@ -572,7 +575,7 @@ func TestCoordinatorDriftTriggersOneRebuild(t *testing.T) {
 	}
 	select {
 	case d := <-fired:
-		t.Fatalf("OnDrift fired twice (second drift %g)", d)
+		t.Fatalf("the drift callback fired twice (second drift %g)", d)
 	default:
 	}
 
@@ -623,7 +626,7 @@ func TestCoordinatorDriftTriggersOneRebuild(t *testing.T) {
 	select {
 	case <-fired:
 	case <-time.After(5 * time.Second):
-		t.Fatal("OnDrift did not re-arm after rebuild")
+		t.Fatal("the drift callback did not re-arm after rebuild")
 	}
 }
 

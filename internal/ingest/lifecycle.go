@@ -69,12 +69,11 @@ type Recovery struct {
 //     the checkpoint's BaseRows, the idempotency window is seeded from the
 //     snapshot, and the log's tail replays.
 //
-// cat and wal may each be nil. cfg.Strategy is overwritten with strategy's
-// name, the one the family serves under, and cfg.BaseRows from the
-// checkpoint. Errors are fatal to start-up; everything survivable is in the
-// Recovery.
+// cat and wal may each be nil. The coordinator maintains the family under
+// strategy's name, and cfg.BaseRows is overwritten from the checkpoint.
+// Errors are fatal to start-up; everything survivable is in the Recovery.
 func Recover(sys *core.System, cat *catalog.Catalog, wal *WAL, strategy *core.SmallGroup, cfg Config) (*Recovery, error) {
-	cfg.Strategy = strategy.Name()
+	cfg.strategy = strategy.Name()
 	rec := &Recovery{Source: "snapshot"}
 	var snap *Snapshot
 	err := catalog.ErrNoSnapshot
@@ -101,7 +100,7 @@ func Recover(sys *core.System, cat *catalog.Catalog, wal *WAL, strategy *core.Sm
 		// dimension tables or in a store version this build does not read is
 		// skipped, but not its data: the delta, ids and data generation stay,
 		// and the configured strategy pre-processes them as a rebuild would.
-		if err = snap.Restore(sys, cfg.Strategy); err != nil && !errors.Is(err, core.ErrOtherDimensions) && !errors.Is(err, core.ErrStoreVersion) {
+		if err = snap.Restore(sys, cfg.strategy); err != nil && !errors.Is(err, core.ErrOtherDimensions) && !errors.Is(err, core.ErrStoreVersion) {
 			return nil, err
 		}
 		if err == nil {
@@ -120,7 +119,7 @@ func Recover(sys *core.System, cat *catalog.Catalog, wal *WAL, strategy *core.Sm
 		if err := sys.AddStrategy(strategy); err != nil {
 			return nil, err
 		}
-		snap.Prepared, _ = sys.Prepared(cfg.Strategy)
+		snap.Prepared, _ = sys.Prepared(cfg.strategy)
 		if cat != nil {
 			rec.Generation, rec.SaveErr = saveGeneration(cat, snap.Prepared, *snap.Checkpoint, sys.DB(), snap.IDs)
 		}

@@ -25,27 +25,17 @@ import (
 
 // Config parameterises outlier indexing. It is a core.OverallBuilder: set as
 // SmallGroupConfig.Overall, it enhances small group sampling with outlier
-// indexing at the base rate.
+// indexing at the base rate, which budgets the outlier set and the remainder
+// sample together.
 type Config struct {
-	// Rate is the total sample budget as a fraction of the database,
-	// covering both the outlier set and the remainder sample. The budget is
-	// the family's base rate: zero means it, and another value is refused.
-	Rate float64
 	// Measure is the aggregate column the outlier index is built for.
 	Measure string
-	// OutlierShare is the fraction of the budget devoted to outlier rows
-	// (zero means 0.5).
-	OutlierShare float64
 	// Seed drives the remainder sampling.
 	Seed int64
 }
 
-func (c Config) withDefaults() Config {
-	if c.OutlierShare == 0 {
-		c.OutlierShare = 0.5
-	}
-	return c
-}
+// outlierShare is the fraction of the budget devoted to outlier rows.
+const outlierShare = 0.5
 
 // SelectOutliers returns the indices (into values) of the k elements whose
 // removal minimises the variance of the remaining values. The optimal set is
@@ -101,11 +91,7 @@ func SelectOutliers(values []float64, k int) []int {
 // (exact outlier contribution + scaled sample estimate) for both COUNT and
 // SUM.
 func (c Config) BuildOverall(db *engine.Database, rate float64) ([]int, []float64, error) {
-	cfg := c.withDefaults()
-	if cfg.Rate != 0 && cfg.Rate != rate {
-		return nil, nil, fmt.Errorf("outlier: rate %g differs from the base rate %g", cfg.Rate, rate)
-	}
-	acc, err := db.Accessor(cfg.Measure)
+	acc, err := db.Accessor(c.Measure)
 	if err != nil {
 		return nil, nil, fmt.Errorf("outlier: %w", err)
 	}
@@ -115,7 +101,7 @@ func (c Config) BuildOverall(db *engine.Database, rate float64) ([]int, []float6
 	for i := 0; i < n; i++ {
 		values[i] = acc.Float(i)
 	}
-	k := int(cfg.OutlierShare * float64(target))
+	k := int(outlierShare * float64(target))
 	if k > target {
 		k = target
 	}
@@ -134,7 +120,7 @@ func (c Config) BuildOverall(db *engine.Database, rate float64) ([]int, []float6
 	if sampleSize < 1 && len(remainder) > 0 {
 		sampleSize = 1
 	}
-	rng := randx.New(cfg.Seed)
+	rng := randx.New(c.Seed)
 	var rows []int
 	var weights []float64
 	for _, ix := range outliers {

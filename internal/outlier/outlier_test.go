@@ -13,9 +13,9 @@ import (
 )
 
 // preprocess builds the outlier indexing baseline: a family with nothing in
-// S over the outlier selector, at the selector's rate.
-func preprocess(db *engine.Database, cfg outlier.Config) (core.Prepared, error) {
-	return core.NewSmallGroup(core.SmallGroupConfig{BaseRate: cfg.Rate, Columns: []string{}, Overall: cfg}).Preprocess(db)
+// S over the outlier selector, whose base rate is rate.
+func preprocess(db *engine.Database, rate float64, cfg outlier.Config) (core.Prepared, error) {
+	return core.NewSmallGroup(core.SmallGroupConfig{BaseRate: rate, Columns: []string{}, Overall: cfg}).Preprocess(db)
 }
 
 // heavyTailDB builds a table whose measure column is mostly small with a few
@@ -171,7 +171,7 @@ func TestOutlierBeatsUniformOnSkewedSum(t *testing.T) {
 	var outErr, uniErr float64
 	const trials = 30
 	for seed := int64(0); seed < trials; seed++ {
-		p, err := preprocess(db, outlier.Config{Rate: 0.02, Measure: "rev", Seed: seed})
+		p, err := preprocess(db, 0.02, outlier.Config{Measure: "rev", Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func TestOutlierCountsUnbiased(t *testing.T) {
 	var sum float64
 	const trials = 40
 	for seed := int64(0); seed < trials; seed++ {
-		p, err := preprocess(db, outlier.Config{Rate: 0.05, Measure: "rev", Seed: seed})
+		p, err := preprocess(db, 0.05, outlier.Config{Measure: "rev", Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,27 +264,12 @@ func TestOverallBuilderPlugsIntoSmallGroup(t *testing.T) {
 	}
 }
 
-// TestSelectorRefusesAnotherRate: plugged into small group sampling, the
-// selector draws at the base rate, so a Rate that says otherwise is refused
-// rather than ignored.
-func TestSelectorRefusesAnotherRate(t *testing.T) {
-	db := heavyTailDB(1000)
-	for _, rate := range []float64{0, 0.02} {
-		if _, err := core.NewSmallGroup(core.SmallGroupConfig{BaseRate: 0.02, Overall: outlier.Config{Rate: rate, Measure: "rev"}}).Preprocess(db); err != nil {
-			t.Errorf("rate %g: %v", rate, err)
-		}
-	}
-	if _, err := core.NewSmallGroup(core.SmallGroupConfig{BaseRate: 0.02, Overall: outlier.Config{Rate: 0.1, Measure: "rev"}}).Preprocess(db); err == nil {
-		t.Error("rate 0.1 at base rate 0.02 not refused")
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	db := heavyTailDB(100)
-	if _, err := preprocess(db, outlier.Config{Rate: 0, Measure: "rev"}); err == nil {
+	if _, err := preprocess(db, 0, outlier.Config{Measure: "rev"}); err == nil {
 		t.Error("rate 0 not rejected")
 	}
-	if _, err := preprocess(db, outlier.Config{Rate: 0.1, Measure: "nope"}); err == nil {
+	if _, err := preprocess(db, 0.1, outlier.Config{Measure: "nope"}); err == nil {
 		t.Error("unknown measure not rejected")
 	}
 }

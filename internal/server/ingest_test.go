@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
@@ -205,8 +206,9 @@ func TestIngestWALFailureDegrades(t *testing.T) {
 	if er := decodeErr(t, body); er.Error.Code != CodeIngestDegraded {
 		t.Fatalf("code %q, want %q", er.Error.Code, CodeIngestDegraded)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("degraded 503 is missing a Retry-After header")
+	// The degraded hint is 5s, jittered over [5, 10] (see retryAfterSecs).
+	if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 5 || ra > 10 {
+		t.Fatalf("degraded 503 Retry-After = %q, want in [5, 10]", resp.Header.Get("Retry-After"))
 	}
 	faults.Reset()
 	if err := coord.ProbeNow(); err != nil {

@@ -75,8 +75,8 @@ func (e *RelayError) Error() string { return e.Err.Error() }
 func (e *RelayError) Unwrap() error { return e.Err }
 
 // UnavailableError is a retryable refusal: the pipeline answers 503 with a
-// jittered Retry-After (Config.RetryAfter, else After, else 1s) mirrored in
-// the envelope's retry_after_ms.
+// jittered Retry-After (After, else 1s) mirrored in the envelope's
+// retry_after_ms.
 type UnavailableError struct {
 	Code  string
 	After time.Duration
@@ -106,7 +106,7 @@ func badRequestf(format string, args ...any) error {
 // /v1/exact, GET /v1/columns, GET /metrics, GET /debug/slowlog and the
 // envelope-shaped 404 — over one Backend. Tiers add their own routes with
 // Handle. It reads Strategy (the metrics and trace label), DefaultTimeout,
-// MaxInflight, RetryAfter, SlowLogSize and ShardID from the Config.
+// MaxInflight, SlowLogSize and ShardID from the Config.
 type Pipeline struct {
 	backend  Backend
 	cfg      Config
@@ -499,7 +499,7 @@ func (p *Pipeline) fail(w http.ResponseWriter, r *http.Request, err error) (labe
 			return label
 		}
 	case errors.As(err, &unavail):
-		secs := retryAfterSecs(p.cfg.RetryAfter, unavail.After)
+		secs := retryAfterSecs(unavail.After)
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 		status, label = http.StatusServiceUnavailable, "unavailable"
 		detail.Code, detail.RetryAfterMS = unavail.Code, int64(secs)*1000
@@ -521,20 +521,15 @@ func (p *Pipeline) fail(w http.ResponseWriter, r *http.Request, err error) (labe
 	return label
 }
 
-// retryAfterSecs converts a configured Retry-After hint (falling back when
-// unset, to 1s when both are) to whole seconds and adds jitter in
-// [secs, 2·secs]. Without jitter every client rejected in the same overload
-// spike retries in the same second and re-creates the spike; the spread
-// halves the synchronized retry rate at the cost of at most doubling one
-// client's wait. The envelope is deliberately not parallel.Jitter's
-// [d/2, d]: the configured hint is a floor clients are told to wait at
-// least, so jitter only ever lengthens it.
-func retryAfterSecs(configured, fallback time.Duration) int {
-	retry := configured
-	if retry <= 0 {
-		retry = fallback
-	}
-	secs := int(retry.Round(time.Second) / time.Second)
+// retryAfterSecs converts a refusal's Retry-After hint (1s when it has
+// none) to whole seconds and adds jitter in [secs, 2·secs]. Without jitter
+// every client rejected in the same overload spike retries in the same
+// second and re-creates the spike; the spread halves the synchronized retry
+// rate at the cost of at most doubling one client's wait. The envelope is deliberately not parallel.Jitter's
+// [d/2, d]: the hint is a floor clients are told to wait at least, so
+// jitter only ever lengthens it.
+func retryAfterSecs(after time.Duration) int {
+	secs := int(after.Round(time.Second) / time.Second)
 	if secs < 1 {
 		secs = 1
 	}

@@ -86,12 +86,13 @@ type RebuildStatus struct {
 	Generation uint64 `json:"generation"`
 	// ElapsedMS is the pre-processing wall time in milliseconds.
 	ElapsedMS int64 `json:"elapsedMillis"`
-	// Persisted is true when the generation was saved to the catalog.
+	// Persisted is true when the generation was saved to the catalog and,
+	// on an ingest-enabled server, read back and verified.
 	Persisted bool `json:"persisted"`
 	// PersistError carries a catalog save failure. The swap still happened —
 	// the server is answering from the new samples — but the generation is
-	// not durable (or, when Persisted, saved but failed its read-back
-	// verification).
+	// not durable. A save that failed its read-back verification keeps the
+	// catalog's generation number.
 	PersistError string `json:"persistError,omitempty"`
 	// WALSegmentsRemoved is how many fully-checkpointed WAL segments the
 	// save garbage-collected (ingest-enabled servers only).
@@ -133,7 +134,7 @@ func (s *Server) Rebuild() (RebuildStatus, error) {
 		WALSegmentsRemoved: res.Removed,
 	}
 	if res.Generation > 0 {
-		st.Generation, st.Persisted = res.Generation, true
+		st.Generation, st.Persisted = res.Generation, res.PersistErr == nil
 	}
 	if res.PersistErr != nil {
 		st.PersistError = res.PersistErr.Error()

@@ -15,6 +15,7 @@ import (
 	"dynsample/internal/catalog"
 	"dynsample/internal/core"
 	"dynsample/internal/engine"
+	"dynsample/internal/faults"
 	"dynsample/internal/ingest"
 	"dynsample/internal/randx"
 )
@@ -179,6 +180,68 @@ func TestRebuildPersistedSnapshotRoundTrips(t *testing.T) {
 	}
 	if res.Generation != 1 || s.Prepared.SampleRows() == 0 || s.Checkpoint.DataGen != 0 {
 		t.Fatalf("recovered gen %d, snapshot %+v", res.Generation, s)
+	}
+}
+
+// TestRebuildUnverifiedSaveNotPersisted: a rebuilt generation whose
+// snapshot fails its read-back verification is reported as not persisted,
+// with the error, while the server answers from it.
+func TestRebuildUnverifiedSaveNotPersisted(t *testing.T) {
+	t.Cleanup(faults.Reset)
+	sgCfg := core.SmallGroupConfig{BaseRate: 0.05, Seed: 1, Workers: 4}
+	sys := testSystem(t, sgCfg)
+	w, err := ingest.OpenWAL(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	coord, err := ingest.New(sys, w, ingest.Config{Online: core.OnlineConfig{Seed: 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := catalog.Open(t.TempDir(), catalog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(New(sys, Config{
+		Ingest:  coord,
+		Rebuild: RebuildConfig{Strategy: core.NewSmallGroup(sgCfg), Catalog: cat},
+	}).Handler())
+	t.Cleanup(hs.Close)
+	before, _ := sys.Prepared("smallgroup")
+
+	// Corrupt the snapshot as it lands: the save sees a clean write, the
+	// read-back verification does not.
+	faults.SetData(faults.PointSnapshotChunk, func(i int, b []byte) {
+		if i == 0 && len(b) > 0 {
+			b[0] ^= 0x40
+		}
+	})
+	resp, body := post(t, hs, "/v1/admin/rebuild", struct{}{})
+	faults.Reset()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("rebuild: %d %s", resp.StatusCode, body)
+	}
+	var st RebuildStatus
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Persisted || st.PersistError == "" {
+		t.Fatalf("rebuild status %s: want persisted false with a persistError", body)
+	}
+	if after, _ := sys.Prepared("smallgroup"); after == before {
+		t.Fatal("the rebuilt generation is not serving")
+	}
+	var h HealthResponse
+	_, hbody := get(t, hs, "/healthz")
+	if err := json.Unmarshal(hbody, &h); err != nil {
+		t.Fatal(err)
+	}
+	if h.Generation != st.Generation || h.Source != "rebuild" {
+		t.Fatalf("healthz generation %d source %q, want %d from rebuild", h.Generation, h.Source, st.Generation)
+	}
+	if resp, body := post(t, hs, "/v1/query", QueryRequest{SQL: testSQL}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("query after the rebuild: %d %s", resp.StatusCode, body)
 	}
 }
 

@@ -109,8 +109,6 @@ type Config struct {
 	// excess requests are shed with 503 and a Retry-After header instead of
 	// queueing. Zero means unlimited.
 	MaxInflight int
-	// RetryAfter is the Retry-After hint on shed requests; zero means 1s.
-	RetryAfter time.Duration
 	// SlowLogSize is how many of the slowest queries GET /debug/slowlog
 	// retains. Zero means obs.DefaultSlowLogSize.
 	SlowLogSize int

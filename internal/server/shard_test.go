@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
@@ -164,7 +165,7 @@ func TestShardBodyCutTruncatesResponse(t *testing.T) {
 func TestRetryAfterJitter(t *testing.T) {
 	seen := map[int]bool{}
 	for i := 0; i < 200; i++ {
-		secs := retryAfterSecs(time.Second, time.Second)
+		secs := retryAfterSecs(time.Second)
 		if secs < 1 || secs > 2 {
 			t.Fatalf("retryAfterSecs(1s) = %d, want in [1, 2]", secs)
 		}
@@ -173,10 +174,12 @@ func TestRetryAfterJitter(t *testing.T) {
 	if !seen[1] || !seen[2] {
 		t.Errorf("no jitter: saw %v, want both 1 and 2 over 200 draws", seen)
 	}
-	// Fallback path when unconfigured.
 	for i := 0; i < 50; i++ {
-		if secs := retryAfterSecs(0, 4*time.Second); secs < 4 || secs > 8 {
-			t.Fatalf("retryAfterSecs(0, 4s) = %d, want in [4, 8]", secs)
+		if secs := retryAfterSecs(4 * time.Second); secs < 4 || secs > 8 {
+			t.Fatalf("retryAfterSecs(4s) = %d, want in [4, 8]", secs)
+		}
+		if secs := retryAfterSecs(0); secs < 1 || secs > 2 {
+			t.Fatalf("retryAfterSecs(0) = %d, want the 1s default in [1, 2]", secs)
 		}
 	}
 }
@@ -186,7 +189,7 @@ func TestRetryAfterJitter(t *testing.T) {
 // the body's retry_after_ms.
 func TestShedRetryAfterHeaderJittered(t *testing.T) {
 	sys := testSystem(t, core.SmallGroupConfig{})
-	blocked := New(sys, Config{MaxInflight: 1, RetryAfter: 2 * time.Second})
+	blocked := New(sys, Config{MaxInflight: 1})
 	// Fill the only admission slot so the next request sheds.
 	release := make(chan struct{})
 	t.Cleanup(func() { close(release) })
@@ -208,10 +211,10 @@ func TestShedRetryAfterHeaderJittered(t *testing.T) {
 		t.Fatal(err)
 	}
 	ra := rec.Header().Get("Retry-After")
-	if ra != "2" && ra != "3" && ra != "4" {
-		t.Errorf("Retry-After = %q, want within [2, 4]", ra)
+	if ra != "1" && ra != "2" {
+		t.Errorf("Retry-After = %q, want within [1, 2]", ra)
 	}
-	if er.Error.RetryAfterMS < 2000 || er.Error.RetryAfterMS > 4000 {
-		t.Errorf("retry_after_ms = %d, want within [2000, 4000]", er.Error.RetryAfterMS)
+	if want := ra + "000"; strconv.FormatInt(er.Error.RetryAfterMS, 10) != want {
+		t.Errorf("retry_after_ms = %d, want %s, the header's seconds", er.Error.RetryAfterMS, want)
 	}
 }

@@ -28,29 +28,19 @@ import (
 
 // Config parameterises workload-weighted sampling. It is a
 // core.OverallBuilder: set as SmallGroupConfig.Overall of a family with
-// nothing in S, it is the weighted baseline.
+// nothing in S, it is the weighted baseline, its expected sample size the
+// family's base rate.
 type Config struct {
-	// Rate is the expected sample size as a fraction of the database. The
-	// size is the family's base rate: zero means it, and another value is
-	// refused.
-	Rate float64
 	// Workload is the training query set whose footprint biases the sample,
 	// as SQL over the view T (SQL renders queries so).
 	Workload []string
-	// Smoothing is added to every tuple's usage count so tuples outside the
-	// workload footprint keep non-zero inclusion probability (zero means 0.1;
-	// a negative value, which would leave them out, and NaN are refused).
-	Smoothing float64
 	// Seed drives the Poisson sampling.
 	Seed int64
 }
 
-func (c Config) withDefaults() Config {
-	if c.Smoothing == 0 {
-		c.Smoothing = 0.1
-	}
-	return c
-}
+// smoothing is added to every tuple's usage count so tuples outside the
+// workload footprint keep non-zero inclusion probability.
+const smoothing = 0.1
 
 // SQL renders queries as the training workload a Config holds.
 func SQL(queries []*engine.Query) []string {
@@ -65,30 +55,23 @@ func SQL(queries []*engine.Query) []string {
 // size rate·N biased toward the workload's footprint, each row weighted by
 // its inverse inclusion probability.
 func (c Config) BuildOverall(db *engine.Database, rate float64) ([]int, []float64, error) {
-	cfg := c.withDefaults()
-	if cfg.Rate != 0 && cfg.Rate != rate {
-		return nil, nil, fmt.Errorf("weighted: rate %g differs from the base rate %g", cfg.Rate, rate)
-	}
-	if !(cfg.Smoothing >= 0) {
-		return nil, nil, fmt.Errorf("weighted: smoothing %g is negative or NaN", cfg.Smoothing)
-	}
-	if len(cfg.Workload) == 0 {
+	if len(c.Workload) == 0 {
 		return nil, nil, fmt.Errorf("weighted: empty training workload")
 	}
 	n := db.NumRows()
 
 	// Usage counts: how many workload queries select each tuple.
 	usage := make([]float64, n)
-	for qi, sql := range cfg.Workload {
+	for qi, sql := range c.Workload {
 		stmt, err := sqlparse.Parse(sql)
-		var c *sqlparse.Compiled
+		var compiled *sqlparse.Compiled
 		if err == nil {
-			c, err = sqlparse.Compile(stmt, db)
+			compiled, err = sqlparse.Compile(stmt, db)
 		}
 		if err != nil {
 			return nil, nil, fmt.Errorf("weighted: workload query %d: %w", qi, err)
 		}
-		q := c.Query
+		q := compiled.Query
 		type boundPred struct {
 			acc engine.ColumnAccessor
 			p   engine.Predicate
@@ -112,11 +95,11 @@ func (c Config) BuildOverall(db *engine.Database, rate float64) ([]int, []float6
 		}
 	}
 	for i := range usage {
-		usage[i] += cfg.Smoothing
+		usage[i] += smoothing
 	}
 
 	// Poisson sampling with inclusion probability proportional to usage.
-	rng := randx.New(cfg.Seed)
+	rng := randx.New(c.Seed)
 	rows, weights := sample.PoissonByWeight(rng, usage, rate*float64(n))
 	if len(rows) == 0 {
 		// Degenerate budget: fall back to one uniform row.

@@ -45,9 +45,9 @@ func trainingWorkload() []string {
 }
 
 // preprocess builds the weighted baseline: a family with nothing in S over
-// the weighted selector, at the selector's rate.
-func preprocess(db *engine.Database, cfg weighted.Config) (core.Prepared, error) {
-	return core.NewSmallGroup(core.SmallGroupConfig{BaseRate: cfg.Rate, Columns: []string{}, Overall: cfg}).Preprocess(db)
+// the weighted selector, whose base rate is rate.
+func preprocess(db *engine.Database, rate float64, cfg weighted.Config) (core.Prepared, error) {
+	return core.NewSmallGroup(core.SmallGroupConfig{BaseRate: rate, Columns: []string{}, Overall: cfg}).Preprocess(db)
 }
 
 // uniform builds the uniform baseline at rate, its reservoir drawn with seed.
@@ -57,7 +57,7 @@ func uniform(db *engine.Database, rate float64, seed int64) (core.Prepared, erro
 
 func TestExpectedSampleSizeMatchesBudget(t *testing.T) {
 	db := regionsDB(30000)
-	p, err := preprocess(db, weighted.Config{Rate: 0.02, Workload: trainingWorkload(), Seed: 1})
+	p, err := preprocess(db, 0.02, weighted.Config{Workload: trainingWorkload(), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestExpectedSampleSizeMatchesBudget(t *testing.T) {
 func TestWorkloadFootprintBeatsUniform(t *testing.T) {
 	db := regionsDB(30000)
 	workload := trainingWorkload()
-	wp, err := preprocess(db, weighted.Config{Rate: 0.01, Workload: workload, Seed: 2})
+	wp, err := preprocess(db, 0.01, weighted.Config{Workload: workload, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestWorkloadFootprintBeatsUniform(t *testing.T) {
 	var wErr, uErr float64
 	const trials = 25
 	for seed := int64(0); seed < trials; seed++ {
-		wpS, err := preprocess(db, weighted.Config{Rate: 0.01, Workload: workload, Seed: seed})
+		wpS, err := preprocess(db, 0.01, weighted.Config{Workload: workload, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestEstimatesUnbiasedOffWorkload(t *testing.T) {
 	var sum float64
 	const trials = 50
 	for seed := int64(0); seed < trials; seed++ {
-		p, err := preprocess(db, weighted.Config{Rate: 0.03, Workload: trainingWorkload(), Seed: seed})
+		p, err := preprocess(db, 0.03, weighted.Config{Workload: trainingWorkload(), Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,39 +146,19 @@ func TestEstimatesUnbiasedOffWorkload(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	db := regionsDB(100)
-	if _, err := preprocess(db, weighted.Config{Rate: 0, Workload: trainingWorkload()}); err == nil {
+	if _, err := preprocess(db, 0, weighted.Config{Workload: trainingWorkload()}); err == nil {
 		t.Error("rate 0 not rejected")
 	}
-	if _, err := preprocess(db, weighted.Config{Rate: 0.1}); err == nil {
+	if _, err := preprocess(db, 0.1, weighted.Config{}); err == nil {
 		t.Error("empty workload not rejected")
 	}
 	bad := []string{"SELECT zzz, COUNT(*) FROM T GROUP BY zzz"}
-	if _, err := preprocess(db, weighted.Config{Rate: 0.1, Workload: bad}); err == nil {
+	if _, err := preprocess(db, 0.1, weighted.Config{Workload: bad}); err == nil {
 		t.Error("invalid workload query not rejected")
 	}
-	for _, smoothing := range []float64{-0.5, math.NaN()} {
-		if _, err := preprocess(db, weighted.Config{Rate: 0.1, Workload: trainingWorkload(), Smoothing: smoothing}); err == nil {
-			t.Errorf("smoothing %g not rejected", smoothing)
-		}
-	}
 	empty := engine.MustNewDatabase("e", engine.NewTable("f", engine.NewColumn("region", engine.String)))
-	if _, err := preprocess(empty, weighted.Config{Rate: 0.1, Workload: trainingWorkload()}); err == nil {
+	if _, err := preprocess(empty, 0.1, weighted.Config{Workload: trainingWorkload()}); err == nil {
 		t.Error("empty database not rejected")
-	}
-}
-
-// TestSelectorRefusesAnotherRate: plugged into small group sampling, the
-// selector draws at the base rate, so a Rate that says otherwise is refused
-// rather than ignored.
-func TestSelectorRefusesAnotherRate(t *testing.T) {
-	db := regionsDB(1000)
-	for _, rate := range []float64{0, 0.02} {
-		if _, err := core.NewSmallGroup(core.SmallGroupConfig{BaseRate: 0.02, Overall: weighted.Config{Rate: rate, Workload: trainingWorkload()}}).Preprocess(db); err != nil {
-			t.Errorf("rate %g: %v", rate, err)
-		}
-	}
-	if _, err := core.NewSmallGroup(core.SmallGroupConfig{BaseRate: 0.02, Overall: weighted.Config{Rate: 0.1, Workload: trainingWorkload()}}).Preprocess(db); err == nil {
-		t.Error("rate 0.1 at base rate 0.02 not refused")
 	}
 }
 

@@ -46,8 +46,6 @@ func TestMassSelectivityHitsTarget(t *testing.T) {
 		GroupingColumns: 1,
 		Predicates:      1,
 		Aggregate:       engine.Count,
-		PredFracLo:      0.1,
-		PredFracHi:      0.3,
 		MassSelectivity: true,
 		MaxDistinct:     1000,
 		Seed:            1,
@@ -62,8 +60,9 @@ func TestMassSelectivityHitsTarget(t *testing.T) {
 		}
 		sel := float64(res.RowsMatched) / float64(db.NumRows())
 		// Value accumulation overshoots by at most one value's mass; the
-		// dominant value can carry ~60% on this data, so allow [0.1, 0.95].
-		if sel < 0.1 || sel > 0.95 {
+		// dominant value can carry ~60% on this data, so allow
+		// [predFracLo, 0.95].
+		if sel < predFracLo || sel > 0.95 {
 			t.Errorf("query %d selectivity %.4f outside calibrated band", i, sel)
 		}
 	}
@@ -75,8 +74,6 @@ func TestMassSelectivitySplitsAcrossPredicates(t *testing.T) {
 		GroupingColumns: 1,
 		Predicates:      2,
 		Aggregate:       engine.Count,
-		PredFracLo:      0.2,
-		PredFracHi:      0.2, // fixed total target
 		MassSelectivity: true,
 		MaxDistinct:     1000,
 		Seed:            2,
@@ -94,9 +91,9 @@ func TestMassSelectivitySplitsAcrossPredicates(t *testing.T) {
 			t.Fatal(err)
 		}
 		sel := float64(res.RowsMatched) / float64(db.NumRows())
-		// Independent columns: the two sqrt(0.2) predicates compound to
-		// roughly 0.2, give or take correlation noise and per-value
-		// granularity.
+		// Independent columns: the two square-root predicates compound to
+		// roughly the drawn total, at least predFracLo, give or take
+		// correlation noise and per-value granularity.
 		if sel >= 0.02 {
 			ok++
 		} else {
@@ -117,8 +114,6 @@ func TestLiteralConstructionStillAvailable(t *testing.T) {
 		GroupingColumns: 1,
 		Predicates:      1,
 		Aggregate:       engine.Count,
-		PredFracLo:      0.1,
-		PredFracHi:      0.1,
 		MaxDistinct:     1000,
 		Seed:            3,
 	})
@@ -134,12 +129,9 @@ func TestLiteralConstructionStillAvailable(t *testing.T) {
 				d = len(c.values)
 			}
 		}
-		want := int(0.1 * float64(d))
-		if want < 1 {
-			want = 1
-		}
-		if len(in.Values()) != want {
-			t.Errorf("query %d: predicate keeps %d of %d values, want %d", i, len(in.Values()), d, want)
+		lo, hi := max(1, int(predFracLo*float64(d))), max(1, int(predFracHi*float64(d)))
+		if k := len(in.Values()); k < lo || k > hi {
+			t.Errorf("query %d: predicate keeps %d of %d values, want within [%d, %d]", i, k, d, lo, hi)
 		}
 	}
 }

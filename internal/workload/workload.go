@@ -28,13 +28,6 @@ type Config struct {
 	GroupingColumns int
 	// Predicates is the number of conjunctive selection predicates (1 or 2).
 	Predicates int
-	// PredFracLo and PredFracHi bound each predicate's size. With
-	// MassSelectivity false (the paper's literal construction) they bound
-	// the fraction of the column's distinct values kept. With
-	// MassSelectivity true they bound the query's total effective
-	// selectivity: values are accumulated until the predicate covers the
-	// target fraction of the rows. Zeros mean the paper's 0.05 and 0.3.
-	PredFracLo, PredFracHi float64
 	// MassSelectivity calibrates predicates by row mass instead of by
 	// distinct-value count. On heavily skewed data a uniformly chosen value
 	// subset carries far less mass than its size suggests, so at reduced
@@ -57,13 +50,14 @@ type Config struct {
 	Seed int64
 }
 
+// predFracLo and predFracHi are the paper's bounds on each predicate's size.
+// With MassSelectivity false (the paper's literal construction) they bound
+// the fraction of the column's distinct values kept. With MassSelectivity
+// true they bound the query's total effective selectivity: values are
+// accumulated until the predicate covers the target fraction of the rows.
+const predFracLo, predFracHi = 0.05, 0.3
+
 func (c Config) withDefaults() Config {
-	if c.PredFracLo == 0 {
-		c.PredFracLo = 0.05
-	}
-	if c.PredFracHi == 0 {
-		c.PredFracHi = 0.3
-	}
 	if c.MaxDistinct == 0 {
 		c.MaxDistinct = 1000
 	}
@@ -93,9 +87,6 @@ func NewGenerator(db *engine.Database, cfg Config) (*Generator, error) {
 	}
 	if cfg.Aggregate == engine.Sum && len(cfg.Measures) == 0 {
 		return nil, fmt.Errorf("workload: SUM workload needs measure columns")
-	}
-	if cfg.PredFracLo > cfg.PredFracHi {
-		return nil, fmt.Errorf("workload: predicate fraction bounds inverted")
 	}
 	candidates := cfg.Columns
 	if candidates == nil {
@@ -160,7 +151,7 @@ func (g *Generator) Query() *engine.Query {
 
 	// Predicates: random column, random value subset.
 	if g.cfg.MassSelectivity && g.cfg.Predicates > 0 {
-		total := g.cfg.PredFracLo + g.rng.Float64()*(g.cfg.PredFracHi-g.cfg.PredFracLo)
+		total := predFracLo + g.rng.Float64()*(predFracHi-predFracLo)
 		perPred := math.Pow(total, 1/float64(g.cfg.Predicates))
 		for p := 0; p < g.cfg.Predicates; p++ {
 			ci := g.cols[g.rng.Intn(len(g.cols))]
@@ -170,7 +161,7 @@ func (g *Generator) Query() *engine.Query {
 	}
 	for p := 0; p < g.cfg.Predicates; p++ {
 		ci := g.cols[g.rng.Intn(len(g.cols))]
-		frac := g.cfg.PredFracLo + g.rng.Float64()*(g.cfg.PredFracHi-g.cfg.PredFracLo)
+		frac := predFracLo + g.rng.Float64()*(predFracHi-predFracLo)
 		k := int(frac * float64(len(ci.values)))
 		if k < 1 {
 			k = 1

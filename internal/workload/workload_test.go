@@ -99,7 +99,7 @@ func TestPredicateSubsetSize(t *testing.T) {
 	db := testDB(t)
 	g, err := NewGenerator(db, Config{
 		GroupingColumns: 1, Predicates: 1, Aggregate: engine.Count,
-		PredFracLo: 0.2, PredFracHi: 0.5, MaxDistinct: 100, Seed: 4,
+		MaxDistinct: 100, Seed: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -110,11 +110,11 @@ func TestPredicateSubsetSize(t *testing.T) {
 		in := q.Where[0].(*engine.InPredicate)
 		d := distinct[in.Col]
 		k := len(in.Values())
-		lo := int(0.2 * float64(d))
+		lo := int(predFracLo * float64(d))
 		if lo < 1 {
 			lo = 1
 		}
-		hi := int(0.5*float64(d)) + 1
+		hi := int(predFracHi*float64(d)) + 1
 		if k < lo || k > hi {
 			t.Errorf("query %d: predicate on %s keeps %d of %d values, want within [%d,%d]", i, in.Col, k, d, lo, hi)
 		}
@@ -142,8 +142,7 @@ func TestGeneratorValidation(t *testing.T) {
 	db := testDB(t)
 	cases := []Config{
 		{GroupingColumns: -1},
-		{GroupingColumns: 1, Aggregate: engine.Sum}, // no measures
-		{GroupingColumns: 1, PredFracLo: 0.5, PredFracHi: 0.1},
+		{GroupingColumns: 1, Aggregate: engine.Sum},                             // no measures
 		{GroupingColumns: 10, MaxDistinct: 100},                                 // not enough columns
 		{GroupingColumns: 1, Measures: []string{"nope"}, Aggregate: engine.Sum}, // unknown measure
 	}
