@@ -8,7 +8,8 @@ all: build vet test
 
 # The CI gate: build + vet + full test suite under the race detector, the
 # schedule-dependent build paths (generation's fills, pre-processing's
-# sharded scan 2) pinned at 1, 2 and 8 cores whatever the runner has, plus
+# sharded scan 2) pinned at 1, 2 and 8 cores whatever the runner has, the
+# shard stripes and the tiers' surface parity at the same core counts, plus
 # the dead-link and ARCHITECTURE.md § reference check over the docs and
 # the scripts' fixture tests, and a known-vulnerability
 # scan (skipped quietly where govulncheck is not installed; CI installs it).
@@ -17,6 +18,7 @@ check:
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -cpu 1,2,8 -run 'Determinism|Golden|PacksAsItGoes' ./internal/core ./internal/scenario
+	$(GO) test -cpu 1,2,8 -run 'Parity|Stripe' ./internal/cluster
 	bash scripts/doclinks.sh
 	bash scripts/scripts_test.sh
 	@if command -v govulncheck >/dev/null 2>&1; then \

@@ -8,9 +8,9 @@
 // machine word is not enough; masks here are backed by a []uint64.
 //
 // A Mask is a plan-time value: a query's plan holds a few (the tables it has
-// used so far, one exclude mask per step). Sample rows do not hold Masks: a
-// row stores its membership as one 64-bit integer column per word (see
-// engine.MaskColumn), and the scan filters on those words.
+// used so far, one exclude mask per step). Sample rows store no membership:
+// which tables hold a row's group is a test on the group's key at query
+// time, so no scan filters rows by a mask.
 package bitmask
 
 import (
@@ -43,10 +43,6 @@ func FromWords(width int, words []uint64) Mask {
 	}
 	return Mask{words: words, width: width}
 }
-
-// Words returns the mask's words, low bits first. The slice is the mask's
-// own storage; callers must not modify it.
-func (m Mask) Words() []uint64 { return m.words }
 
 // Set sets bit i.
 func (m Mask) Set(i int) {

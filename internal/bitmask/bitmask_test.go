@@ -21,8 +21,8 @@ func TestNewIsZero(t *testing.T) {
 		if !m.IsZero() {
 			t.Errorf("New(%d) not zero", width)
 		}
-		if m.width != width || len(m.Words()) != (width+63)/64 {
-			t.Errorf("New(%d) has width %d over %d words", width, m.width, len(m.Words()))
+		if m.width != width || len(m.words) != (width+63)/64 {
+			t.Errorf("New(%d) has width %d over %d words", width, m.width, len(m.words))
 		}
 		if bits := m.Bits(); len(bits) != 0 {
 			t.Errorf("New(%d).Bits() = %v", width, bits)
@@ -76,15 +76,15 @@ func TestUint64(t *testing.T) {
 	// The paper's example: small group tables for columns A (index 0) and C
 	// (index 2); the overall-sample filter uses mask 5 = 2^0 + 2^2.
 	m := fromBits(3, 0, 2)
-	if w := m.Words(); len(w) != 1 || w[0] != 5 {
-		t.Fatalf("Words() = %v, want [5]", w)
+	if w := m.words; len(w) != 1 || w[0] != 5 {
+		t.Fatalf("words = %v, want [5]", w)
 	}
 	wide := fromBits(100, 7, 64)
-	if w := wide.Words(); len(w) != 2 || w[0] != 128 || w[1] != 1 {
-		t.Fatalf("wide Words() = %v, want [128 1]", w)
+	if w := wide.words; len(w) != 2 || w[0] != 128 || w[1] != 1 {
+		t.Fatalf("wide words = %v, want [128 1]", w)
 	}
-	if back := FromWords(100, wide.Words()); back.String() != "{7,64}" {
-		t.Fatalf("FromWords(Words()) = %v, want {7,64}", back)
+	if back := FromWords(100, wide.words); back.String() != "{7,64}" {
+		t.Fatalf("FromWords(words) = %v, want {7,64}", back)
 	}
 }
 

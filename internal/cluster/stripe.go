@@ -6,12 +6,13 @@ import (
 	"dynsample/internal/engine"
 )
 
-// Stripe materializes shard id's partition of db: the contiguous row range
-// [id·N/M, (id+1)·N/M) of the joined view, flattened into a standalone fact
-// table. Contiguous striping keeps the partitions disjoint and exhaustive —
-// the property that makes cross-shard Result.Merge purely additive — and the
-// returned database keeps db's name so the same SQL compiles unchanged on
-// every shard.
+// Stripe materializes shard id's partition of db: the contiguous fact row
+// range [id·N/M, (id+1)·N/M) as a fact slice (engine.Database.FactSlice),
+// joined to db's own dimension tables, so a shard has the same star shape as
+// a single node and stores each dimension value once. Contiguous striping
+// keeps the partitions disjoint and exhaustive — the property that makes
+// cross-shard Result.Merge purely additive — and the returned database keeps
+// db's name so the same SQL compiles unchanged on every shard.
 func Stripe(db *engine.Database, id, shards int) (*engine.Database, error) {
 	if shards <= 0 {
 		return nil, fmt.Errorf("cluster: shards must be positive, got %d", shards)
@@ -25,6 +26,5 @@ func Stripe(db *engine.Database, id, shards int) (*engine.Database, error) {
 	for r := lo; r < hi; r++ {
 		rows = append(rows, r)
 	}
-	fact := db.Flatten(fmt.Sprintf("%s_shard%d", db.Name, id), rows, nil, nil)
-	return engine.NewDatabase(db.Name, fact)
+	return db.FactSlice(db.Name, rows, nil), nil
 }

@@ -594,11 +594,7 @@ func TestOnlineNewValueInDroppedColumn(t *testing.T) {
 // batch rows allocated over the first batches.
 func applyBytesPerBatch(t *testing.T, n, sampleRows, batch, batches int) float64 {
 	t.Helper()
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	sys := NewSystem(engine.MustNewDatabase("skewed", skewedDB(t, n).Flatten("fact", all, nil, nil)))
+	sys := NewSystem(engine.MustNewDatabase("skewed", skewedDB(t, n).Flat("fact")))
 	cfg := SmallGroupConfig{BaseRate: float64(sampleRows) / float64(n), SmallGroupFraction: 0.08, DistinctLimit: 100, Seed: 5}
 	if err := sys.AddStrategy(NewSmallGroup(cfg)); err != nil {
 		t.Fatal(err)

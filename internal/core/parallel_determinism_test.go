@@ -119,7 +119,8 @@ func TestAnswerWorkerCountDeterminism(t *testing.T) {
 func OnlineState(o *Online) (Prepared, *engine.Database) { return o.p, o.app.DB() }
 
 // AssertSlicesHoldBaseRows fails unless every small group table of p, read
-// through its join, is db.Flatten of the base rows it holds: under the
+// through its join, is the flat table of a fact slice of the base rows it
+// holds (db.FactSlice, then Flat): under the
 // two-level hierarchy every row of db in the table's domain, with more levels
 // the rows scan 2 draws over db (p must then be a build over db, or a copy of
 // one); and every row of a table lies in its domain (Metadata.holds). The
@@ -153,7 +154,7 @@ func AssertSlicesHoldBaseRows(t *testing.T, p Prepared, db *engine.Database) {
 		}
 	}
 	for i, s := range sgp.tables {
-		want := db.Flatten(s.name, rows[i], nil, nil)
+		want := db.FactSlice(s.name, rows[i], nil).Flat(s.name)
 		got := s.src.Flat(s.name)
 		if got.NumRows() != want.NumRows() {
 			t.Fatalf("%s holds %d rows, the base %d", s.name, got.NumRows(), want.NumRows())
@@ -212,12 +213,13 @@ func AssertSlicesHoldBaseRows(t *testing.T, p Prepared, db *engine.Database) {
 }
 
 // AssertExclusionMatchesRowFilter holds the plan every query gets from p
-// (Plan) to the paper's row-level rewrite, bit for bit: the oracle flattens
-// each step's source with the membership masks the family's classifier
-// (metaSplit) computes for its rows and scans it through the engine's
-// "bitmask & m = 0" filter (engine.ExecOptions.ExcludeMask), merging the
-// partials in step order. Values, raw sums and squares, variance
-// accumulators and row counts must match ExecutePlanCtx's. Under the two-level
+// (Plan) to the paper's row-level rewrite, bit for bit: for each step the
+// oracle takes the rows of the step's source it scans (the first MaxRows),
+// computes their membership masks with the family's classifier (metaSplit),
+// keeps the rows that pass "bitmask & m = 0" for the step's m, and scans a
+// fact slice of those rows, weights included, merging the partials in step
+// order. Values, raw sums and squares, variance accumulators and row counts
+// must match ExecutePlanCtx's. Under the two-level
 // hierarchy the answer's exact flags must mark the groups a small group
 // table's step contributed. It fails, too, when a family with tables drops
 // no group over all of queries: the comparison would prove nothing.
@@ -226,33 +228,51 @@ func AssertExclusionMatchesRowFilter(t *testing.T, p Prepared, queries []*engine
 	sgp := p.(*smallGroupPrepared)
 	width, words := sgp.meta.Width(), maskWords(sgp.meta.Width())
 	dropped := 0
+	// passes is the paper's "bitmask & m = 0" for row r of a slab of masks,
+	// read bit by bit.
+	passes := func(slab []uint64, r int, m bitmask.Mask) bool {
+		for _, b := range m.Bits() {
+			if slab[r*words+b/64]>>(b%64)&1 != 0 {
+				return false
+			}
+		}
+		return true
+	}
 	for qi, q := range queries {
 		plan := sgp.Plan(q)
 		want := engine.NewResult(q.GroupBy, q.Aggs)
 		fromTable := map[engine.GroupKey]bool{}
 		for j, st := range plan.Steps {
 			flat := st.Source.(*engine.Database).Flat(st.Name)
-			split, err := metaSplit(sgp.meta, engine.MustNewDatabase(st.Name, flat))
+			flatDB := engine.MustNewDatabase(st.Name, flat)
+			split, err := metaSplit(sgp.meta, flatDB)
 			if err != nil {
 				t.Fatal(err)
 			}
-			n := flat.NumRows()
+			n := flatDB.NumRows()
+			if st.MaxRows > 0 && st.MaxRows < n {
+				n = st.MaxRows
+			}
 			slab := make([]uint64, n*words)
 			split.masks(0, n, slab)
-			masks, all := make([]bitmask.Mask, n), make([]int, n)
+			var kept []int
 			var weights []float64
-			if flat.Column(engine.WeightColumn) != nil {
-				weights = make([]float64, n)
-			}
 			for r := range n {
-				masks[r], all[r] = bitmask.FromWords(width, slab[r*words:(r+1)*words]), r
-				if weights != nil {
-					weights[r] = flat.RowWeight(r)
+				if passes(slab, r, st.Exclude) {
+					kept = append(kept, r)
+					weights = append(weights, flat.RowWeight(r))
 				}
 			}
-			masked := engine.MustNewDatabase(st.Name, flat).Flatten(st.Name, all, masks, weights)
-			part, err := engine.ExecuteCtx(context.Background(), masked, q, engine.ExecOptions{
-				Scale: st.Scale, ExcludeMask: st.Exclude, MarkExact: st.MarkExact, MaxRows: st.MaxRows, Workers: 1,
+			if flat.Column(engine.WeightColumn) == nil {
+				weights = nil
+			}
+			view := make([]*engine.Column, 0, flat.NumCols())
+			for _, c := range flatDB.Columns() {
+				view = append(view, flat.Column(c))
+			}
+			rows := engine.MustNewDatabase(st.Name, engine.NewTable(st.Name, view...)).FactSlice(st.Name, kept, weights)
+			part, err := engine.ExecuteCtx(context.Background(), rows, q, engine.ExecOptions{
+				Scale: st.Scale, MarkExact: st.MarkExact, Workers: 1,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -168,8 +168,8 @@ func naivePreprocess(cfg SmallGroupConfig, db *engine.Database, flat bool) (*sma
 
 // naiveFlatten materialises the joined view for rows one cell at a time
 // through Accessor.Value and Column.Append. Only the engine adds columns under
-// reserved names, so the weights go on through its Flatten, over every row of
-// the copy.
+// reserved names, so the weights go on through its FactSlice, over every row
+// of the copy.
 func naiveFlatten(db *engine.Database, name string, rows []int, weights []float64) *engine.Table {
 	var cols []*engine.Column
 	var accs []engine.ColumnAccessor
@@ -188,7 +188,7 @@ func naiveFlatten(db *engine.Database, name string, rows []int, weights []float6
 		out.EndRow()
 		all[j] = j
 	}
-	return engine.MustNewDatabase(name, out).Flatten(name, all, nil, weights)
+	return engine.MustNewDatabase(name, out).FactSlice(name, all, weights).Fact
 }
 
 // naiveSlice copies the fact table's columns, foreign keys included, for

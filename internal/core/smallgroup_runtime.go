@@ -106,9 +106,14 @@ var ErrOtherDimensions = errors.New("the family was saved over other dimension t
 // dimension must be the table the family was saved over, grown or not: the
 // same name and foreign key, and at least the rows recorded, which must hold
 // what they held (the same Checksum). A family that is bound already, or
-// was built in this process, is left as it is.
+// was built in this process, is left as it is, as is one loaded from disk
+// that joins no dimension table, so long as db has as many dimension tables
+// as it joins: a family saved over a flat table cannot serve a star schema.
 func (p *smallGroupPrepared) bind(db *engine.Database) error {
 	if p.stamps == nil {
+		if len(db.Dims) != len(p.dims) {
+			return fmt.Errorf("core: %w: it joins %d, the database has %d", ErrOtherDimensions, len(p.dims), len(db.Dims))
+		}
 		return nil
 	}
 	if len(db.Dims) != len(p.stamps) {

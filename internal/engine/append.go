@@ -77,8 +77,8 @@ func (c *Column) setValue(i int, v Value) {
 // with the receiver. Appending rows (AppendRow, or direct column pushes plus
 // EndRow) and overwriting rows with SetRow are safe while readers scan the
 // original: appended data lands only at indices beyond the original's length,
-// and SetRow writes to copies. A sample row's mask words and weight are
-// columns, so they are covered like the rest of the row. The clone and
+// and SetRow writes to copies. A sample row's weight is a column, so it is
+// covered like the rest of the row. The clone and
 // the original share dictionaries and the byName index; do not AddColumn to
 // either afterwards, and keep all mutation on one goroutine. Only the newest
 // version of a table may be appended to.

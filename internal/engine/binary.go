@@ -17,7 +17,8 @@ import (
 // be saved once and reloaded by later sessions (see core.SaveSmallGroup).
 
 // tableMagic names the one table format: a header and the columns, a sample
-// table's mask words and weights among them. ("DSTB" files kept those in two
+// table's weights among them (and an older sample table's mask words, read
+// as any reserved Int column). ("DSTB" files kept those in two
 // sections after the columns; nothing reads them any more.) The header,
 // column names and dictionaries are in binio's field layout; values are
 // fixed-width little-endian cells, a column at a time.
@@ -41,8 +42,8 @@ func WriteBinary(t *Table, w io.Writer) error {
 }
 
 // WriteRowsBinary writes rows [lo, hi) of the joined view in the binary
-// table format: the bytes WriteBinary makes of the table Flatten builds from
-// those rows, without building it. Values go from the column chunks to w
+// table format: the bytes WriteBinary makes of the flat table (Flat) of a
+// fact slice of those rows, without building it. Values go from the column chunks to w
 // through one block-sized buffer, a column at a time.
 func (db *Database) WriteRowsBinary(w io.Writer, name string, lo, hi int) error {
 	views := make([]ColumnView, len(db.colNames))

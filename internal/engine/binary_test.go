@@ -4,22 +4,23 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"reflect"
+	"strconv"
 	"strings"
 	"testing"
-
-	"dynsample/internal/bitmask"
 )
 
-var (
-	fixtureWeights = []float64{1, 2.5, 100}
-	fixtureBits    = func(width int) [][]int { return [][]int{{0, width - 1}, nil, {width / 2}} }
-)
+var fixtureWeights = []float64{1, 2.5, 100}
 
-func binaryFixture() *Table { return maskedFixture(70) }
+// olderMaskColumn is the reserved name an older build stored the first 64
+// bits of a sample row's membership mask under; the format reads such an Int
+// column as any other (testdata/masked.dst2 holds two).
+const olderMaskColumn = ReservedPrefix + "mask0"
 
-// maskedFixture is a three-row sample table whose masks are width bits wide.
-func maskedFixture(width int) *Table {
+func binaryFixture() *Table { return sampleFixture(2) }
+
+// sampleFixture is a three-row weighted sample table that, as a table an
+// older build wrote, also holds words columns of membership mask words.
+func sampleFixture(words int) *Table {
 	a := NewColumn("a", String)
 	b := NewColumn("b", Int)
 	c := NewColumn("c", Float)
@@ -27,24 +28,27 @@ func maskedFixture(width int) *Table {
 	t.AppendRow(StringVal("x"), IntVal(-7), FloatVal(1.5))
 	t.AppendRow(StringVal("y"), IntVal(1<<50), FloatVal(-0.25))
 	t.AppendRow(StringVal("x"), IntVal(0), FloatVal(0))
-	var masks []bitmask.Mask
-	for _, bits := range fixtureBits(width) {
-		masks = append(masks, maskOf(width, bits...))
+	for w := range words {
+		m := NewColumn(ReservedPrefix+"mask"+strconv.Itoa(w), Int)
+		for _, v := range []int64{-1 << 63, 0, 1 << w} {
+			m.AppendInt(v)
+		}
+		t.addColumn(m)
 	}
-	t.addSampleColumns(masks, fixtureWeights)
+	t.addWeights(fixtureWeights)
 	return t
 }
 
 func TestBinaryRoundTrip(t *testing.T) {
-	for _, width := range []int{2, 64, 70, 146, 245} {
-		testBinaryRoundTrip(t, width)
+	for _, words := range []int{0, 1, 2, 4} {
+		testBinaryRoundTrip(t, words)
 	}
 }
 
-func testBinaryRoundTrip(t *testing.T, width int) {
-	orig := maskedFixture(width)
-	if want := 3 + (width+63)/64 + 1; orig.NumCols() != want {
-		t.Fatalf("width %d: %d columns, want %d", width, orig.NumCols(), want)
+func testBinaryRoundTrip(t *testing.T, words int) {
+	orig := sampleFixture(words)
+	if want := 3 + words + 1; orig.NumCols() != want {
+		t.Fatalf("%d mask words: %d columns, want %d", words, orig.NumCols(), want)
 	}
 	var buf bytes.Buffer
 	if err := WriteBinary(orig, &buf); err != nil {
@@ -68,10 +72,7 @@ func testBinaryRoundTrip(t *testing.T, width int) {
 			}
 		}
 	}
-	for i, bits := range fixtureBits(width) {
-		if m, ok := rowMask(got, i); !ok || !reflect.DeepEqual(m.Bits(), bits) {
-			t.Errorf("width %d mask %d: %v (%v), want bits %v", width, i, m, ok, bits)
-		}
+	for i := range fixtureWeights {
 		if w := got.RowWeight(i); w != fixtureWeights[i] {
 			t.Errorf("weight %d: %g vs %g", i, w, fixtureWeights[i])
 		}
@@ -90,8 +91,8 @@ func TestBinaryRoundTripNoSideArrays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, masked := rowMask(got, 0); masked || got.NumCols() != 1 || got.RowWeight(0) != 1 {
-		t.Error("mask or weight columns materialised from nothing")
+	if got.NumCols() != 1 || got.RowWeight(0) != 1 {
+		t.Error("weight columns materialised from nothing")
 	}
 }
 
@@ -133,8 +134,8 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 	if _, err := ReadBinary(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), `"DSTB"`) || !strings.Contains(err.Error(), tableMagic) {
 		t.Errorf("old-format file: %v, want an error naming both formats", err)
 	}
-	// A reserved column of the wrong type would be read as mask words.
-	bad := maskedFixture(70)
+	// A reserved column of the wrong type is refused.
+	bad := binaryFixture()
 	bad.cols[3].Name, bad.cols[5].Name = bad.cols[5].Name, bad.cols[3].Name // @weight names an Int column
 	var badBuf bytes.Buffer
 	if err := WriteBinary(bad, &badBuf); err != nil {

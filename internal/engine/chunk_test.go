@@ -14,8 +14,8 @@ import (
 // sealed chunk and a one-row tail, several chunks and a ragged tail.
 var chunkEdgeRows = []int{0, 1, chunkRows - 1, chunkRows, chunkRows + 1, 3*chunkRows + 7}
 
-// chunkEdgeSources builds, for n fact rows, a flat table with masks and
-// weights and a star database whose second dimension is longer than a chunk.
+// chunkEdgeSources builds, for n fact rows, a flat table with weights and a
+// star database whose second dimension is longer than a chunk.
 func chunkEdgeSources(rng *rand.Rand, n int) (flat kernelSource, star kernelSource) {
 	names := func(cols []*Column) []string {
 		out := make([]string, len(cols))
@@ -26,7 +26,7 @@ func chunkEdgeSources(rng *rand.Rand, n int) (flat kernelSource, star kernelSour
 	}
 	flatCols := kernelColumns(rng, "", n)
 	tbl := NewTable("flat", flatCols...)
-	tbl.addSampleColumns(kernelSideArrays(rng, n, masks65))
+	tbl.addWeights(kernelWeights(rng, n))
 
 	const d1Rows, d2Rows = 40, chunkRows + 300
 	factCols, d1Cols, d2Cols := kernelColumns(rng, "f_", n), kernelColumns(rng, "d1_", d1Rows), kernelColumns(rng, "d2_", d2Rows)
@@ -38,8 +38,8 @@ func chunkEdgeSources(rng *rand.Rand, n int) (flat kernelSource, star kernelSour
 	db := MustNewDatabase("star", NewTable("fact", append(factCols, fk1, fk2)...),
 		DimJoin{Table: NewTable("d1", d1Cols...), FK: "fk1"}, DimJoin{Table: NewTable("d2", d2Cols...), FK: "fk2"})
 	starCols := append(append(names(factCols), names(d1Cols)...), names(d2Cols)...)
-	return kernelSource{"flat", tbl, names(flatCols), []string{"f", "i_low", "s_low"}, masks65},
-		kernelSource{"star", db, starCols, []string{"f_f", "d1_i_wide", "d2_f"}, masks65}
+	return kernelSource{"flat", tbl, names(flatCols), []string{"f", "i_low", "s_low"}},
+		kernelSource{"star", db, starCols, []string{"f_f", "d1_i_wide", "d2_f"}}
 }
 
 // TestChunkEdgeRowCounts: at every length where the storage changes shape the
@@ -86,7 +86,7 @@ func TestChunkEdgeRowCounts(t *testing.T) {
 			}
 		}
 
-		// Streamed row ranges of the joined view against Flatten's copy.
+		// Streamed row ranges of the joined view against the flattened copy.
 		db := star.src.(*Database)
 		for _, r := range [][2]int{{0, n}, {n / 3, n}, {min(n, chunkRows-1), n}, {n / 2, n / 2}} {
 			rows := make([]int, 0, r[1]-r[0])
@@ -97,7 +97,7 @@ func TestChunkEdgeRowCounts(t *testing.T) {
 			if err := db.WriteRowsBinary(&streamed, "delta", r[0], r[1]); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(streamed.Bytes(), tableBytes(t, db.Flatten("delta", rows, nil, nil))) {
+			if !bytes.Equal(streamed.Bytes(), tableBytes(t, flatten(db, "delta", rows, nil))) {
 				t.Fatalf("n=%d: rows [%d,%d) streamed differ from the flattened table's bytes", n, r[0], r[1])
 			}
 		}
@@ -106,7 +106,7 @@ func TestChunkEdgeRowCounts(t *testing.T) {
 		for _, ks := range []kernelSource{flat, star} {
 			for i := 0; i < 12; i++ {
 				q := kernelQuery(rng, ks)
-				opt := kernelOptions(rng, max(n, 1), ks.masks)
+				opt := kernelOptions(rng, max(n, 1))
 				label := fmt.Sprintf("n=%d %s #%d: %s %+v", n, ks.name, i, q, opt)
 				got, err := ExecuteCtx(context.Background(), ks.src, q, opt)
 				if err != nil {
@@ -119,7 +119,7 @@ func TestChunkEdgeRowCounts(t *testing.T) {
 				if scale == 0 {
 					scale = 1
 				}
-				bound, err := bindQuery(ks.src, q, opt.ExcludeMask)
+				bound, err := bindQuery(ks.src, q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -152,11 +152,7 @@ func appendBytesPerBatch(t *testing.T, base, batches int) float64 {
 	t.Helper()
 	const batch = 200
 	// Gathered, as a restored or flattened table is: no spare capacity.
-	all := make([]int, base)
-	for i := range all {
-		all[i] = i
-	}
-	app, err := NewAppender(MustNewDatabase("DB", chunkedTestDB(base).Flatten("fact", all, nil, nil)))
+	app, err := NewAppender(MustNewDatabase("DB", chunkedTestDB(base).Flat("fact")))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -282,7 +282,7 @@ func TestChunkedMatchesSliceModel(t *testing.T) {
 						at[j] = rng.Intn(len(cur.rows))
 						rows[j] = cur.rows[at[j]]
 					}
-					flat := MustNewDatabase("db", cur.tbl).Flatten("flat", at, nil, nil)
+					flat := flatten(MustNewDatabase("db", cur.tbl), "flat", at, nil)
 					codecTable{flat, rows, map[int]bool{}}.check(t, what+", flattened", rng)
 				case 7: // as a dimension's view: the rows unpacked, then gathered
 					v := cur.tbl.cols[0].View()

@@ -7,8 +7,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-
-	"dynsample/internal/bitmask"
 )
 
 // Property and fuzz tests for the column-frequency and classification
@@ -411,8 +409,8 @@ func TestColumnFrequenciesShardedRows(t *testing.T) {
 	}
 }
 
-// TestFlattenMatchesRowAtATime: the column-at-a-time gather (Flatten, and a
-// fact slice's fact columns and Flat) serialises to the same bytes as
+// TestFlattenMatchesRowAtATime: the column-at-a-time gather (a fact slice's
+// fact columns, then Flat) serialises to the same bytes as
 // appending the sampled rows cell by cell — same values, same dictionary
 // first-appearance order.
 func TestFlattenMatchesRowAtATime(t *testing.T) {
@@ -425,10 +423,8 @@ func TestFlattenMatchesRowAtATime(t *testing.T) {
 				rows = append(rows, r)
 			}
 		}
-		masks := make([]bitmask.Mask, len(rows))
 		weights := make([]float64, len(rows))
 		for i := range rows {
-			masks[i] = maskOf(3, i%3)
 			weights[i] = float64(i + 1)
 		}
 
@@ -445,15 +441,11 @@ func TestFlattenMatchesRowAtATime(t *testing.T) {
 			}
 			want.EndRow()
 		}
-		want.addSampleColumns(masks, weights)
-		got := db.Flatten("flat", rows, masks, weights)
-		if !bytes.Equal(tableBytes(t, got), tableBytes(t, want)) {
-			t.Fatalf("seed %d: Flatten differs from the row-at-a-time copy", seed)
-		}
+		want.addWeights(weights)
 
 		// A fact slice answers every cell like the flat copy, and flattens
-		// back to Flatten's table byte for byte.
-		rdb := maskedSlice(db, "flat", rows, masks, weights)
+		// to the row-at-a-time copy byte for byte.
+		rdb := db.FactSlice("flat", rows, weights)
 		for _, c := range cols {
 			acc, _ := rdb.Accessor(c.Name)
 			for i := range rows {
@@ -462,8 +454,8 @@ func TestFlattenMatchesRowAtATime(t *testing.T) {
 				}
 			}
 		}
-		if !bytes.Equal(tableBytes(t, rdb.Flat("flat")), tableBytes(t, got)) {
-			t.Fatalf("seed %d: the flattened fact slice differs from Flatten's table", seed)
+		if !bytes.Equal(tableBytes(t, rdb.Flat("flat")), tableBytes(t, want)) {
+			t.Fatalf("seed %d: the flattened fact slice differs from the row-at-a-time copy", seed)
 		}
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"dynsample/internal/bitmask"
 )
 
 // DimJoin links a fact-table foreign-key column to a dimension table whose
@@ -189,43 +187,10 @@ func (a *fkAccessor) Value(row int) Value {
 
 func (a *fkAccessor) Float(row int) float64 { return a.Value(row).Float() }
 
-// Flatten materialises the joined view for the given fact-row indices into a
-// single flat table containing every view column. This is the "join synopsis"
-// construction from [3] that the paper applies to sample tables (§5.2.2): each
-// sample table is stored pre-joined so runtime queries scan it directly.
-//
-// masks and weights, when non-nil, hold one entry per emitted row and become
-// the table's mask word and weight columns.
-func (db *Database) Flatten(name string, rows []int, masks []bitmask.Mask, weights []float64) *Table {
-	// Resolve the join once per dimension, then gather column-at-a-time.
-	dimRows := make([][]int, len(db.Dims))
-	cols := make([]*Column, len(db.colNames))
-	for i, cn := range db.colNames {
-		v, err := db.View(cn)
-		if err != nil {
-			panic(err)
-		}
-		at := rows
-		if v.Dim >= 0 {
-			if dimRows[v.Dim] == nil {
-				dimRows[v.Dim] = make([]int, len(rows))
-				for j, r := range rows {
-					dimRows[v.Dim][j] = int(v.fk.at(r))
-				}
-			}
-			at = dimRows[v.Dim]
-		}
-		cols[i] = v.gather(at)
-	}
-	out := NewTable(name, cols...)
-	out.addSampleColumns(masks, weights)
-	return out
-}
-
 // FactSlice materialises the given fact rows as a fact slice: the fact
 // table's own columns, foreign keys included, gathered for rows, then one
-// weight per row as Flatten adds it (nil adds none), joined to db's own
-// dimension tables. It answers every view column as Flatten's table does but
+// weight per row (nil adds none), joined to db's own dimension tables. It
+// answers every view column as a flat table of the same rows does (Flat) but
 // stores no dimension column, so a sample row costs its fact values, not the
 // width of the star. Rejoining the slice to a later version
 // of the dimension tables (Rejoin) keeps its answers: appends only add
@@ -236,20 +201,39 @@ func (db *Database) FactSlice(name string, rows []int, weights []float64) *Datab
 		cols[j] = c.View().gather(rows)
 	}
 	fact := NewTable(name, cols...)
-	fact.addSampleColumns(nil, weights)
+	fact.addWeights(weights)
 	return MustNewDatabase(name, fact, db.Dims...)
 }
 
 // Flat materialises every row of the joined view as one flat table named
-// name: the view's columns, then the fact table's mask and weight columns.
-// Of a fact slice it makes the table Flatten makes of the base rows the slice
-// holds, with their masks and weights.
+// name: the view's columns, then the fact table's reserved (weight) columns.
+// This is the "join synopsis" of [3] that the paper stores each sample table
+// as (§5.2.2); here it serves readers that want a sample's rows as one table.
 func (db *Database) Flat(name string) *Table {
 	all := make([]int, db.NumRows())
 	for i := range all {
 		all[i] = i
 	}
-	out := db.Flatten(name, all, nil, nil)
+	// Resolve the join once per dimension, then gather column-at-a-time.
+	dimRows := make([][]int, len(db.Dims))
+	out := newTable(name, len(db.colNames))
+	for _, cn := range db.colNames {
+		v, err := db.View(cn)
+		if err != nil {
+			panic(err)
+		}
+		at := all
+		if v.Dim >= 0 {
+			if dimRows[v.Dim] == nil {
+				dimRows[v.Dim] = make([]int, len(all))
+				for j := range all {
+					dimRows[v.Dim][j] = int(v.fk.at(j))
+				}
+			}
+			at = dimRows[v.Dim]
+		}
+		out.addColumn(v.gather(at))
+	}
 	for _, c := range db.Fact.Columns() {
 		if strings.HasPrefix(c.Name, ReservedPrefix) {
 			out.addColumn(c.View().gather(all))

@@ -5,8 +5,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"dynsample/internal/bitmask"
 )
 
 // testDB builds the running example from §3 scaled up: a fact table of sales
@@ -208,7 +206,7 @@ func TestExecuteNoGroupBy(t *testing.T) {
 
 func TestExecuteScaleAndWeights(t *testing.T) {
 	db := testDB(t)
-	flat := db.Flatten("s", []int{0, 2}, nil, []float64{2, 3})
+	flat := flatten(db, "s", []int{0, 2}, []float64{2, 3})
 	q := &Query{Aggs: []Aggregate{{Kind: Count}, {Kind: Sum, Col: "quantity"}}}
 	res, err := ExecuteCtx(context.Background(), flat, q, ExecOptions{Scale: 10})
 	if err != nil {
@@ -231,31 +229,9 @@ func TestExecuteScaleAndWeights(t *testing.T) {
 	}
 }
 
-func TestExecuteMaskFilter(t *testing.T) {
-	db := testDB(t)
-	masks := []bitmask.Mask{
-		maskOf(3, 0),
-		maskOf(3, 1),
-		bitmask.New(3),
-	}
-	flat := db.Flatten("s", []int{0, 1, 2}, masks, nil)
-	q := &Query{Aggs: []Aggregate{{Kind: Count}}}
-	res, err := ExecuteCtx(context.Background(), flat, q, ExecOptions{ExcludeMask: maskOf(3, 0, 2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Row 0 has bit 0 -> excluded. Rows 1,2 pass.
-	if g := res.Group(EncodeKey(nil)); g.Vals[0] != 2 {
-		t.Errorf("count = %g, want 2", g.Vals[0])
-	}
-	if res.RowsScanned != 2 {
-		t.Errorf("RowsScanned = %d, want 2", res.RowsScanned)
-	}
-}
-
 func TestExecuteMarkExact(t *testing.T) {
 	db := testDB(t)
-	flat := db.Flatten("s", []int{0, 1}, nil, nil)
+	flat := flatten(db, "s", []int{0, 1}, nil)
 	q := &Query{GroupBy: []string{"product"}, Aggs: []Aggregate{{Kind: Count}}}
 	res, err := ExecuteCtx(context.Background(), flat, q, ExecOptions{MarkExact: true})
 	if err != nil {
@@ -270,7 +246,7 @@ func TestExecuteMarkExact(t *testing.T) {
 
 func TestFlattenPreservesValues(t *testing.T) {
 	db := testDB(t)
-	flat := db.Flatten("s", []int{3, 4}, nil, nil)
+	flat := flatten(db, "s", []int{3, 4}, nil)
 	if flat.NumRows() != 2 {
 		t.Fatalf("rows = %d", flat.NumRows())
 	}
@@ -473,11 +449,7 @@ func TestDictionaryEncoding(t *testing.T) {
 func TestExactEqualsScaledAtRateOne(t *testing.T) {
 	// Sampling at rate 1 with scale 1 must reproduce the exact answer.
 	db := testDB(t)
-	all := make([]int, db.NumRows())
-	for i := range all {
-		all[i] = i
-	}
-	flat := db.Flatten("full", all, nil, nil)
+	flat := db.Flat("full")
 	q := &Query{GroupBy: []string{"product"}, Aggs: []Aggregate{{Kind: Sum, Col: "quantity"}}}
 	exact, err := ExecuteExact(db, q)
 	if err != nil {

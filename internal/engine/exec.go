@@ -10,16 +10,17 @@ import (
 )
 
 // ExecOptions modify a query execution against a sample table, implementing
-// the rewriting knobs of §4.2.2: scaling aggregate values by the inverse
-// sampling rate and, for a source that stores membership masks, filtering
-// out rows already counted by an earlier sample table via the bitmask field.
+// the rewriting knob of §4.2.2 that survives in the engine: scaling aggregate
+// values by the inverse sampling rate. (The paper's other knob, the
+// "WHERE bitmask & m = 0" filter, is the owner test on the group key that
+// core.ExecutePlanCtx applies after the scan; sample rows store no mask.)
 type ExecOptions struct {
 	// Scale multiplies every aggregate contribution. Zero means 1 (no
 	// scaling), so the zero value of ExecOptions is exact execution.
 	Scale float64
-	// ExcludeMask, when non-empty, skips any row whose membership mask
-	// shares a bit with it — the "WHERE bitmask & m = 0" filter. A source
-	// without mask columns (MaskColumn) has every row pass.
+	// ExcludeMask is ignored: no scan filters rows by a membership mask. The
+	// field stays only for a benchmark harness that still sets it, and goes
+	// with ROADMAP item 18.
 	ExcludeMask bitmask.Mask
 	// MarkExact marks every produced group as exact (used for small group
 	// tables, which are not downsampled).
@@ -63,7 +64,7 @@ func ExecuteCtx(ctx context.Context, src Source, q *Query, opt ExecOptions) (*Re
 	if scale == 0 {
 		scale = 1
 	}
-	bound, err := bindQuery(src, q, opt.ExcludeMask)
+	bound, err := bindQuery(src, q)
 	if err != nil {
 		return nil, err
 	}

@@ -6,8 +6,6 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
-
-	"dynsample/internal/bitmask"
 )
 
 // The scan kernel. A query is bound to a source once per scan (bindQuery):
@@ -16,9 +14,7 @@ import (
 // integer key per row. Each row-range shard is then taken through the same
 // stages a block of scanBlockRows rows at a time (shardScan.scan):
 //
-//	select      the exclude filter, one (word & m) == 0 test per mask word
-//	            column the ExcludeMask has a bit in, then each predicate
-//	            narrow a selection vector
+//	select      each predicate narrows a selection vector
 //	group id    the group columns' codes are packed into the row's key and
 //	            the key is looked up in the shard's groupTable
 //	accumulate  the five accumulators are updated in row order
@@ -47,33 +43,13 @@ const (
 // boundQuery is a query resolved against one source. It is read-only after
 // bindQuery and shared by every scan worker.
 type boundQuery struct {
-	q       *Query
-	exclude []excludeWord // "WHERE bitmask & m = 0", a word column at a time
-	weight  *ColumnView   // nil for an unweighted source
-	preds   []boundPred
-	groups  []groupCol
-	aggs    []ColumnView // the measure of each SUM; unused for COUNT
-	words   int          // 64-bit words in a row's key
-	dense   int          // size of the direct-indexed table; 0 when keys are hashed
-}
-
-// excludeWord is the exclude filter on one mask word column: a row passes
-// when it has none of bits set.
-type excludeWord struct {
-	view ColumnView
-	bits int64
-}
-
-// keep narrows sel, in place, to the rows of the block at lo that pass.
-func (e *excludeWord) keep(sel []int32, lo int, buf *blockBuf) []int32 {
-	words, at := window(&e.view.ints, &e.view, sel, lo, buf.ints, buf)
-	k := 0
-	for j, a := range at {
-		sel[k] = sel[j] // branch-free: kept only if k moves on
-		hit := uint64(words[a] & e.bits)
-		k += int((hit|-hit)>>63 ^ 1)
-	}
-	return sel[:k]
+	q      *Query
+	weight *ColumnView // nil for an unweighted source
+	preds  []boundPred
+	groups []groupCol
+	aggs   []ColumnView // the measure of each SUM; unused for COUNT
+	words  int          // 64-bit words in a row's key
+	dense  int          // size of the direct-indexed table; 0 when keys are hashed
 }
 
 // groupCol is one group-by column's share of the key. A column whose values
@@ -91,23 +67,13 @@ type groupCol struct {
 	base int64 // Int: the value of code 0
 }
 
-// bindQuery resolves q, and the exclude filter of a scan that has one, against
-// src. A word of exclude the source has no column for filters nothing: rows
-// without a mask belong to no small group table.
-func bindQuery(src Source, q *Query, exclude bitmask.Mask) (*boundQuery, error) {
+// bindQuery resolves q against src.
+func bindQuery(src Source, q *Query) (*boundQuery, error) {
 	b := &boundQuery{
 		q:      q,
 		preds:  make([]boundPred, len(q.Where)),
 		groups: make([]groupCol, len(q.GroupBy)),
 		aggs:   make([]ColumnView, len(q.Aggs)),
-	}
-	for w, bits := range exclude.Words() {
-		if bits == 0 {
-			continue
-		}
-		if v, err := src.View(MaskColumn(w)); err == nil {
-			b.exclude = append(b.exclude, excludeWord{view: v, bits: int64(bits)})
-		}
 	}
 	if v, err := src.View(WeightColumn); err == nil {
 		b.weight = &v
@@ -592,14 +558,10 @@ func (s *shardScan) scan(b *boundQuery, scale float64, lo, hi int) {
 	for n := 0; lo < hi; lo += n {
 		n = blockLen(lo, hi)
 
-		// Select. The exclude filter narrows first: RowsScanned counts the
-		// rows it lets through.
+		// Select.
+		t.scanned += int64(n)
 		sel := s.sel[:n]
 		copy(sel, identity[:])
-		for i := range b.exclude {
-			sel = b.exclude[i].keep(sel, lo, &s.buf)
-		}
-		t.scanned += int64(len(sel))
 		for i := range b.preds {
 			sel = b.preds[i].keep(sel, lo, &s.buf)
 		}

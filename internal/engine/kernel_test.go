@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"dynsample/internal/bitmask"
 	"dynsample/internal/randx"
 )
 
@@ -48,33 +47,12 @@ func kernelColumns(rng *rand.Rand, prefix string, n int) []*Column {
 	return []*Column{sLow, sMid, sHigh, iLow, iWide, iEdge, f}
 }
 
-// kernelMasks is the mask shape of one source: |S| and the bits a row may
-// have set. The three shapes take two, two and four word columns; the second
-// leaves word 0 and the third word 2 without a set bit in any row.
-type kernelMasks struct {
-	width int
-	hot   []int
-}
-
-var (
-	masks65  = kernelMasks{65, []int{0, 3, 64}}
-	masks128 = kernelMasks{128, []int{64, 100, 127}}
-	masks245 = kernelMasks{245, []int{0, 3, 69, 200, 244}}
-)
-
-func kernelSideArrays(rng *rand.Rand, n int, km kernelMasks) ([]bitmask.Mask, []float64) {
-	masks := make([]bitmask.Mask, n)
+func kernelWeights(rng *rand.Rand, n int) []float64 {
 	weights := make([]float64, n)
-	for r := range masks {
-		masks[r] = bitmask.New(km.width)
-		for _, bit := range km.hot {
-			if rng.Intn(4) == 0 {
-				masks[r].Set(bit)
-			}
-		}
+	for r := range weights {
 		weights[r] = 1 + rng.Float64()*9
 	}
-	return masks, weights
+	return weights
 }
 
 type kernelSource struct {
@@ -82,13 +60,11 @@ type kernelSource struct {
 	src     Source
 	columns []string // group/predicate columns
 	sums    []string // SUM columns: float, int and (summing as zero) string
-	masks   kernelMasks
 }
 
-// kernelSources builds the three source shapes: a flat table with masks and
-// weights (twice over the same columns, at two mask widths), a star database
-// read through foreign keys, and a fact slice sample of it — each longer
-// than three shards, the last shard ragged.
+// kernelSources builds the three source shapes: a flat table with weights, a
+// star database read through foreign keys, and a weighted fact slice sample
+// of it — each longer than three shards, the last shard ragged.
 func kernelSources(t *testing.T, seed int64) []kernelSource {
 	rng := rand.New(rand.NewSource(seed))
 	n := 3*ScanShardRows + 1000 + rng.Intn(3000)
@@ -112,9 +88,7 @@ func kernelSources(t *testing.T, seed int64) []kernelSource {
 
 	flatCols := kernelColumns(rng, "", n)
 	flat := NewTable("flat", append(flatCols, measures("", n)...)...)
-	flat65 := NewTable("flat65", flat.Columns()...)
-	flat.addSampleColumns(kernelSideArrays(rng, n, masks245))
-	flat65.addSampleColumns(kernelSideArrays(rng, n, masks65))
+	flat.addWeights(kernelWeights(rng, n))
 
 	factCols := kernelColumns(rng, "f_", n)
 	d1Cols := kernelColumns(rng, "d1_", 700)
@@ -136,14 +110,12 @@ func kernelSources(t *testing.T, seed int64) []kernelSource {
 			rows = append(rows, r)
 		}
 	}
-	masks, weights := kernelSideArrays(rng, len(rows), masks128)
-	sample := maskedSlice(db, "sample", rows, masks, weights)
+	sample := db.FactSlice("sample", rows, kernelWeights(rng, len(rows)))
 
 	return []kernelSource{
-		{"flat", flat, names(flatCols), []string{"m_f", "m_i", "s_low"}, masks245},
-		{"flat65", flat65, names(flatCols), []string{"m_f", "m_i", "s_low"}, masks65},
-		{"star", db, starCols, []string{"f_m_f", "f_m_i", "d1_m_f", "d1_m_i", "d2_s_mid"}, masks65}, // stores none
-		{"fact slice", sample, starCols, []string{"f_m_f", "d1_m_i"}, masks128},
+		{"flat", flat, names(flatCols), []string{"m_f", "m_i", "s_low"}},
+		{"star", db, starCols, []string{"f_m_f", "f_m_i", "d1_m_f", "d1_m_i", "d2_s_mid"}},
+		{"fact slice", sample, starCols, []string{"f_m_f", "d1_m_i"}},
 	}
 }
 
@@ -209,29 +181,11 @@ func kernelQuery(rng *rand.Rand, ks kernelSource) *Query {
 	return q
 }
 
-// kernelOptions draws scan options for a source of n rows whose masks have
-// shape km. Half the exclude masks have their only bits in word 1 or above,
-// in words (or at bits) no row has set, or in every word.
-func kernelOptions(rng *rand.Rand, n int, km kernelMasks) ExecOptions {
+// kernelOptions draws scan options for a source of n rows.
+func kernelOptions(rng *rand.Rand, n int) ExecOptions {
 	opt := ExecOptions{MarkExact: rng.Intn(2) == 0, Workers: []int{1, 2, 7}[rng.Intn(3)]}
 	if rng.Intn(2) == 0 {
 		opt.Scale = 0.5 + rng.Float64()*40
-	}
-	switch rng.Intn(6) {
-	case 0: // the last hot bit: word 1 or above
-		opt.ExcludeMask = maskOf(km.width, km.hot[len(km.hot)-1])
-	case 1: // a bit of each word beside the hot ones: filters nothing
-		opt.ExcludeMask = bitmask.New(km.width)
-		for b := 1; b < km.width; b += 64 {
-			opt.ExcludeMask.Set(b)
-		}
-	case 2: // every word
-		opt.ExcludeMask = maskOf(km.width, km.hot...)
-		for b := 1; b < km.width; b += 64 {
-			opt.ExcludeMask.Set(b)
-		}
-	case 3:
-		opt.ExcludeMask = maskOf(km.width, km.hot[0], km.hot[1])
 	}
 	switch rng.Intn(4) {
 	case 0:
@@ -285,13 +239,13 @@ func TestKernelMatchesReferenceScan(t *testing.T) {
 	if testing.Short() {
 		seeds, perSource = seeds[:1], 30
 	}
-	var dense, hashed, multiWord, maskedOut int
+	var dense, hashed, multiWord int
 	for _, seed := range seeds {
 		for _, ks := range kernelSources(t, seed) {
 			rng := rand.New(rand.NewSource(seed*1000 + int64(len(ks.name))))
 			for i := 0; i < perSource; i++ {
 				q := kernelQuery(rng, ks)
-				opt := kernelOptions(rng, ks.src.NumRows(), ks.masks)
+				opt := kernelOptions(rng, ks.src.NumRows())
 				label := fmt.Sprintf("seed %d %s #%d: %s %+v", seed, ks.name, i, q, opt)
 
 				got, err := ExecuteCtx(context.Background(), ks.src, q, opt)
@@ -301,7 +255,7 @@ func TestKernelMatchesReferenceScan(t *testing.T) {
 				want := referenceExecute(t, ks.src, q, opt)
 				requireSameResult(t, label, want, got)
 
-				b, err := bindQuery(ks.src, q, opt.ExcludeMask)
+				b, err := bindQuery(ks.src, q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -313,16 +267,13 @@ func TestKernelMatchesReferenceScan(t *testing.T) {
 				default:
 					hashed++
 				}
-				if got.RowsScanned < int64(ks.src.NumRows()) && opt.MaxRows == 0 {
-					maskedOut++
-				}
 			}
 		}
 	}
 	// The generator must have exercised both regimes (and multi-word keys),
 	// or the agreement above says less than it seems to.
-	if dense < 10 || hashed < 10 || multiWord < 10 || maskedOut < 10 {
-		t.Fatalf("coverage: %d dense, %d hashed, %d multi-word, %d mask-filtered scans", dense, hashed, multiWord, maskedOut)
+	if dense < 10 || hashed < 10 || multiWord < 10 {
+		t.Fatalf("coverage: %d dense, %d hashed, %d multi-word", dense, hashed, multiWord)
 	}
 }
 
@@ -354,10 +305,6 @@ func TestKernelEdgeSources(t *testing.T) {
 		t.Fatalf("nothing matches: %d groups, scanned %d, matched %d", res.NumGroups(), res.RowsScanned, res.RowsMatched)
 	}
 
-	// An ExcludeMask against a source without masks filters nothing.
-	check("no masks", tbl, &Query{GroupBy: []string{"s_low"}, Aggs: []Aggregate{{Kind: Count}}},
-		ExecOptions{ExcludeMask: maskOf(3, 1)})
-
 	// Five string columns whose dictionary sizes multiply past 2^64: the key
 	// spills into a second word.
 	wide := make([]*Column, 5)
@@ -369,7 +316,7 @@ func TestKernelEdgeSources(t *testing.T) {
 	}
 	wideTbl := NewTable("wide", wide...)
 	q := &Query{GroupBy: wideTbl.ColumnNames(), Aggs: []Aggregate{{Kind: Count}}}
-	b, err := bindQuery(wideTbl, q, bitmask.Mask{})
+	b, err := bindQuery(wideTbl, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +330,7 @@ func TestKernelEdgeSources(t *testing.T) {
 	// shares a mixed-radix word (true) or owns one.
 	layout := func(src Source, groupBy ...string) (words, dense int, shared []bool) {
 		t.Helper()
-		b, err := bindQuery(src, &Query{GroupBy: groupBy, Aggs: []Aggregate{{Kind: Count}}}, bitmask.Mask{})
+		b, err := bindQuery(src, &Query{GroupBy: groupBy, Aggs: []Aggregate{{Kind: Count}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -513,7 +460,7 @@ func TestKernelEdgeSources(t *testing.T) {
 	// scan reads.
 	older := intTable(chunkRows+100, 10, 9)
 	q = sumBy("x", "s")
-	bound, err := bindQuery(older, q, bitmask.Mask{})
+	bound, err := bindQuery(older, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,7 +504,7 @@ func TestResultIndexedOnDemand(t *testing.T) {
 	q := &Query{GroupBy: []string{"s_mid", "i_low", "f"}, Aggs: []Aggregate{{Kind: Count}, {Kind: Sum, Col: "m_f"}}}
 	opts := []ExecOptions{
 		{MarkExact: true, MaxRows: 5000},
-		{Scale: 3, ExcludeMask: maskOf(ks.masks.width, ks.masks.hot[0])},
+		{Scale: 3},
 		{Scale: 1.5, Workers: 2},
 	}
 	scan := func(i int) *Result {
@@ -657,7 +604,7 @@ func (p unknownPredicate) Matches(v Value) bool {
 }
 
 func TestKernelUnknownPredicateImplementation(t *testing.T) {
-	for _, ks := range kernelSources(t, 9)[:2] {
+	for _, ks := range kernelSources(t, 9)[:2] { // flat and star
 		for _, col := range ks.columns {
 			q := &Query{GroupBy: ks.columns[:1], Aggs: []Aggregate{{Kind: Count}}, Where: []Predicate{unknownPredicate{col}}}
 			got, err := ExecuteCtx(context.Background(), ks.src, q, ExecOptions{Workers: 2})
@@ -669,18 +616,9 @@ func TestKernelUnknownPredicateImplementation(t *testing.T) {
 	}
 }
 
-// maskedSlice is db.FactSlice of rows with one membership mask per row as
-// well: a source the exclude filter (ExecOptions.ExcludeMask) reads.
-func maskedSlice(db *Database, name string, rows []int, masks []bitmask.Mask, weights []float64) *Database {
-	fact := db.FactSlice(name, rows, nil).Fact
-	fact.addSampleColumns(masks, weights)
-	return MustNewDatabase(name, fact, db.Dims...)
-}
-
 // scanBenchData is a TPC-H-shaped star schema — fact columns, a small and a
 // large dimension, strings and ints of the benchmark's cardinalities, zipf
-// skew — and a weighted sample of it whose rows carry membership masks, as a
-// flat table and as a fact slice.
+// skew — and a weighted sample of it, as a flat table and as a fact slice.
 func scanBenchData(n int) (*Database, *Table, *Database) {
 	rng := rand.New(rand.NewSource(17))
 	zipf := func(card int) func() int {
@@ -713,15 +651,12 @@ func scanBenchData(n int) (*Database, *Table, *Database) {
 		DimJoin{Table: part, FK: "part_fk"}, DimJoin{Table: orders, FK: "ord_fk"})
 
 	rows := rng.Perm(n)[:n/4]
-	masks, weights := make([]bitmask.Mask, len(rows)), make([]float64, len(rows))
+	weights := make([]float64, len(rows))
 	for r := range rows {
-		masks[r] = bitmask.New(9)
-		if rng.Intn(4) == 0 {
-			masks[r].Set(rng.Intn(9))
-		}
 		weights[r] = 1 + rng.Float64()*99
 	}
-	return db, db.Flatten("sample", rows, masks, weights), maskedSlice(db, "sample", rows, masks, weights)
+	slice := db.FactSlice("sample", rows, weights)
+	return db, slice.Flat("sample"), slice
 }
 
 var scanBenchGroupBys = [][]string{
@@ -739,11 +674,10 @@ func scanBenchQuery(groupBy []string) *Query {
 }
 
 // BenchmarkScanKernel measures the scan layer alone, one worker: the base
-// database read through its foreign keys (the /v1/exact path), a flat sample
-// table with masks, weights and an ExcludeMask (one step of a rewrite plan),
-// and the same sample rows as a fact slice joined to the base's dimensions
-// (the form a sample family serves), for one, three and four group-by
-// columns.
+// database read through its foreign keys (the /v1/exact path), a flat
+// weighted sample table scaled as one step of a rewrite plan, and the same
+// sample rows as a fact slice joined to the base's dimensions (the form a
+// sample family serves), for one, three and four group-by columns.
 func BenchmarkScanKernel(b *testing.B) {
 	db, sample, slice := scanBenchData(1 << 18)
 	sources := []struct {
@@ -752,8 +686,8 @@ func BenchmarkScanKernel(b *testing.B) {
 		opt  ExecOptions
 	}{
 		{"base", db, ExecOptions{MarkExact: true}},
-		{"sample", sample, ExecOptions{Scale: 4, ExcludeMask: maskOf(9, 2, 5)}},
-		{"slice", slice, ExecOptions{Scale: 4, ExcludeMask: maskOf(9, 2, 5)}},
+		{"sample", sample, ExecOptions{Scale: 4}},
+		{"slice", slice, ExecOptions{Scale: 4}},
 	}
 	for _, s := range sources {
 		for _, groupBy := range scanBenchGroupBys {
@@ -787,7 +721,7 @@ func TestScanAllocatesPerGroupNotPerRow(t *testing.T) {
 	for i := range rows {
 		rows[i] = i % ScanShardRows
 	}
-	tbl := db.Flatten("x4", rows, nil, nil)
+	tbl := db.FactSlice("x4", rows, nil).Flat("x4")
 	q := scanBenchQuery(scanBenchGroupBys[2])
 	allocs := func(maxRows int) (perRun float64, groups int) {
 		var res *Result

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"dynsample/internal/bitmask"
 )
 
 // This file is the partial-shard property suite for Result.Merge: the
@@ -18,9 +16,9 @@ import (
 // merges can be compared bit-for-bit.
 
 // partialFixture holds one striped dataset: per-stripe rewrite partials
-// (small-group branch + bitmask-excluded overall branch, i.e. the same
-// UNION ALL algebra the planner emits) plus the stripes' raw row sets so a
-// subset can be re-executed exactly for comparison.
+// (small-group branch + an overall branch without the groups it owns, i.e.
+// the same UNION ALL algebra the planner emits) plus the stripes' raw row
+// sets so a subset can be re-executed exactly for comparison.
 type partialFixture struct {
 	db         *Database
 	query      *Query
@@ -32,8 +30,8 @@ type partialFixture struct {
 // hitters plus rare singletons, the regime small-group sampling exists for),
 // stripes the fact rows into `stripes` contiguous ranges, and computes each
 // stripe's partial answer the way a shard would: an exact small-group branch
-// over the rare rows merged with an overall branch that excludes those rows
-// via the bitmask, so a row can never be counted by both branches.
+// over the rare rows merged with an overall branch over the other rows, so a
+// row can never be counted by both branches.
 func buildPartialFixture(t *testing.T, stripes int) *partialFixture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
@@ -62,7 +60,7 @@ func buildPartialFixture(t *testing.T, stripes int) *partialFixture {
 	}
 
 	// Rare rows (categories under 20 occurrences) belong to the small-group
-	// family; they carry mask bit 0 in the overall table.
+	// family; the overall branch gives their groups up.
 	counts := map[string]int{}
 	catAcc, err := db.Accessor("cat")
 	if err != nil {
@@ -76,27 +74,25 @@ func buildPartialFixture(t *testing.T, stripes int) *partialFixture {
 	fx := &partialFixture{db: db, query: q}
 	for s := 0; s < stripes; s++ {
 		lo, hi := s*rows/stripes, (s+1)*rows/stripes
-		var all, rareRows []int
-		var masks []bitmask.Mask
+		var all, rareRows, commonRows []int
 		for i := lo; i < hi; i++ {
 			all = append(all, i)
-			m := bitmask.New(1)
 			if rare(i) {
-				m.Set(0)
 				rareRows = append(rareRows, i)
+			} else {
+				commonRows = append(commonRows, i)
 			}
-			masks = append(masks, m)
 		}
 		fx.stripeRows = append(fx.stripeRows, all)
 
-		overall := db.Flatten(fmt.Sprintf("overall_%d", s), all, masks, nil)
-		small := db.Flatten(fmt.Sprintf("small_%d", s), rareRows, nil, nil)
+		overall := db.FactSlice(fmt.Sprintf("overall_%d", s), commonRows, nil)
+		small := db.FactSlice(fmt.Sprintf("small_%d", s), rareRows, nil)
 
 		part, err := ExecuteCtx(context.Background(), small, q, ExecOptions{MarkExact: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rest, err := ExecuteCtx(context.Background(), overall, q, ExecOptions{ExcludeMask: maskOf(1, 0)})
+		rest, err := ExecuteCtx(context.Background(), overall, q, ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,8 +111,7 @@ func (fx *partialFixture) exactOver(t *testing.T, subset []int) *Result {
 	for _, s := range subset {
 		rows = append(rows, fx.stripeRows[s]...)
 	}
-	flat := fx.db.Flatten("subset", rows, nil, nil)
-	res, err := ExecuteCtx(context.Background(), flat, fx.query, ExecOptions{})
+	res, err := ExecuteCtx(context.Background(), fx.db.FactSlice("subset", rows, nil), fx.query, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +170,7 @@ func sameResult(t *testing.T, label string, got, want *Result) {
 // TestMergePartialSubsetsNeverOverCount checks, for every non-empty subset
 // of stripes, that merging just those partials equals an exact scan over
 // just those stripes' rows: an absent shard removes exactly its contribution
-// and the bitmask algebra never counts a surviving row twice.
+// and the branch algebra never counts a surviving row twice.
 func TestMergePartialSubsetsNeverOverCount(t *testing.T) {
 	const stripes = 5
 	fx := buildPartialFixture(t, stripes)

@@ -5,34 +5,26 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"dynsample/internal/bitmask"
 )
 
-// randomScanTable builds a weighted, masked table whose shape is derived
-// from the seed: two group columns (string and int), a float measure, per-row
-// weights in [1, 11) and a 2-bit membership mask.
+// randomScanTable builds a weighted table whose shape is derived from the
+// seed: two group columns (string and int), a float measure and per-row
+// weights in [1, 11).
 func randomScanTable(seed int64, n int) *Table {
 	rng := rand.New(rand.NewSource(seed))
 	g := NewColumn("g", String)
 	h := NewColumn("h", Int)
 	m := NewColumn("m", Float)
 	t := NewTable("t", g, h, m)
-	masks := make([]bitmask.Mask, n)
 	weights := make([]float64, n)
 	for i := 0; i < n; i++ {
 		g.AppendString("g" + string(rune('a'+rng.Intn(7))))
 		h.AppendInt(int64(rng.Intn(5)))
 		m.AppendFloat(rng.NormFloat64() * 100)
 		t.EndRow()
-		mk := bitmask.New(2)
-		if rng.Intn(3) == 0 {
-			mk.Set(rng.Intn(2))
-		}
-		masks[i] = mk
 		weights[i] = 1 + rng.Float64()*10
 	}
-	t.addSampleColumns(masks, weights)
+	t.addWeights(weights)
 	return t
 }
 
@@ -78,11 +70,7 @@ func resultsBitIdentical(t *testing.T, want, got *Result) {
 func TestExecuteWorkerCountDeterminism(t *testing.T) {
 	src := randomScanTable(7, 3*ScanShardRows+137) // 4 shards, last one ragged
 	q := scanQuery()
-	opt := ExecOptions{Scale: 17.5, ExcludeMask: func() bitmask.Mask {
-		m := bitmask.New(2)
-		m.Set(1)
-		return m
-	}()}
+	opt := ExecOptions{Scale: 17.5}
 
 	opt.Workers = 1
 	want, err := ExecuteCtx(context.Background(), src, q, opt)
@@ -123,7 +111,7 @@ func TestMergeShardPartialsProperty(t *testing.T) {
 				cuts[j], cuts[j-1] = cuts[j-1], cuts[j]
 			}
 		}
-		bound, err := bindQuery(src, q, opt.ExcludeMask)
+		bound, err := bindQuery(src, q)
 		if err != nil {
 			t.Fatal(err)
 		}

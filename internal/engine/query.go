@@ -6,8 +6,8 @@ import (
 )
 
 // Source is anything the executor can scan: the joined base view (*Database)
-// or a flat (sample) table (*Table). A sample source's mask words and weights
-// are columns of it (MaskColumn, WeightColumn).
+// or a flat table (*Table). A weighted sample's weights are a column of it
+// (WeightColumn).
 type Source interface {
 	NumRows() int
 	Accessor(col string) (ColumnAccessor, error)

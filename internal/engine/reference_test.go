@@ -6,11 +6,10 @@ import (
 	"testing"
 	"testing/quick"
 
-	"dynsample/internal/bitmask"
 	"dynsample/internal/randx"
 )
 
-// sampleFact is the table whose columns hold src's mask words and weights.
+// sampleFact is the table whose column holds src's weights.
 func sampleFact(src Source) *Table {
 	if db, ok := src.(*Database); ok {
 		return db.Fact
@@ -18,23 +17,10 @@ func sampleFact(src Source) *Table {
 	return src.(*Table)
 }
 
-// maskOf returns a mask of the given width with the listed bits set.
-func maskOf(width int, bits ...int) bitmask.Mask {
-	m := bitmask.New(width)
-	for _, b := range bits {
-		m.Set(b)
-	}
-	return m
-}
-
-// rowMask returns the membership mask a sample row stores, at the width of
-// its word columns; ok is false when the table has none.
-func rowMask(t *Table, row int) (m bitmask.Mask, ok bool) {
-	var words []uint64
-	for c := t.Column(MaskColumn(0)); c != nil; c = t.Column(MaskColumn(len(words))) {
-		words = append(words, uint64(c.Int(row)))
-	}
-	return bitmask.FromWords(64*len(words), words), words != nil
+// flatten is the flat table of db's fact rows, weights included (nil adds
+// none): a sample table of those rows, read as one table.
+func flatten(db *Database, name string, rows []int, weights []float64) *Table {
+	return db.FactSlice(name, rows, weights).Flat(name)
 }
 
 // rowValues returns the values of row i in schema order.
@@ -55,21 +41,6 @@ func decodeKey(k GroupKey) []Value {
 	return vals
 }
 
-// rowExcluded is the reference reading of "bitmask & m != 0": bit by bit
-// through the row's mask, sharing nothing with the kernel's word test.
-func rowExcluded(src Source, row int, m bitmask.Mask) bool {
-	rm, ok := rowMask(sampleFact(src), row)
-	if !ok {
-		return false
-	}
-	for _, b := range m.Bits() {
-		if b < len(rm.Words())*64 && rm.Bit(b) {
-			return true
-		}
-	}
-	return false
-}
-
 // naiveExecute is an independent, obviously-correct evaluator used as a
 // reference: it materialises every row as values and aggregates with plain
 // maps, sharing no code with the production executor.
@@ -81,9 +52,6 @@ func naiveExecute(src Source, allCols []string, q *Query, opt ExecOptions) map[s
 	out := make(map[string][]float64)
 	n := src.NumRows()
 	for row := 0; row < n; row++ {
-		if rowExcluded(src, row, opt.ExcludeMask) {
-			continue
-		}
 		ok := true
 		for _, p := range q.Where {
 			acc, err := src.Accessor(p.Column())
@@ -122,8 +90,8 @@ func naiveExecute(src Source, allCols []string, q *Query, opt ExecOptions) map[s
 }
 
 // TestExecuteMatchesNaiveReference cross-checks the production executor
-// against the naive evaluator over randomly generated databases, queries,
-// masks and weights.
+// against the naive evaluator over randomly generated databases, queries and
+// weights.
 func TestExecuteMatchesNaiveReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := randx.New(seed)
@@ -140,28 +108,15 @@ func TestExecuteMatchesNaiveReference(t *testing.T) {
 			c.AppendFloat(rng.NormFloat64() * 10)
 			tbl.EndRow()
 		}
-		// Random masks and weights.
-		var masks []bitmask.Mask
+		// Random weights.
 		var weights []float64
-		if rng.Intn(2) == 0 {
-			masks = make([]bitmask.Mask, n)
-			for i := range masks {
-				m := bitmask.New(5)
-				for bit := 0; bit < 5; bit++ {
-					if rng.Intn(4) == 0 {
-						m.Set(bit)
-					}
-				}
-				masks[i] = m
-			}
-		}
 		if rng.Intn(2) == 0 {
 			weights = make([]float64, n)
 			for i := range weights {
 				weights[i] = 1 + rng.Float64()*9
 			}
 		}
-		tbl.addSampleColumns(masks, weights)
+		tbl.addWeights(weights)
 
 		// Random query.
 		q := &Query{Aggs: []Aggregate{{Kind: Count}, {Kind: Sum, Col: "c"}}}
@@ -180,9 +135,6 @@ func TestExecuteMatchesNaiveReference(t *testing.T) {
 		opt := ExecOptions{}
 		if rng.Intn(2) == 0 {
 			opt.Scale = 1 + rng.Float64()*99
-		}
-		if masks != nil && rng.Intn(2) == 0 {
-			opt.ExcludeMask = maskOf(5, rng.Intn(5), rng.Intn(5))
 		}
 
 		got, err := ExecuteCtx(context.Background(), tbl, q, opt)
@@ -269,9 +221,6 @@ func referenceScanRange(res *Result, src Source, q *Query, bound *referenceBound
 
 rows:
 	for row := lo; row < hi; row++ {
-		if rowExcluded(src, row, opt.ExcludeMask) {
-			continue
-		}
 		res.RowsScanned++
 		for _, bp := range bound.preds {
 			if !bp.p.Matches(bp.acc.Value(row)) {

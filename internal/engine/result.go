@@ -46,8 +46,7 @@ type Result struct {
 	groups map[string]*Group
 	n      int
 
-	// RowsScanned counts the source rows the scan read, less those a
-	// bitmask filter (ExecOptions.ExcludeMask) dropped; RowsMatched counts
+	// RowsScanned counts the source rows the scan read; RowsMatched counts
 	// those that also satisfied the predicates. Merging adds both up.
 	RowsScanned int64
 	RowsMatched int64

@@ -4,19 +4,16 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 	"sync"
 	"unsafe"
 
 	"dynsample/internal/binio"
-	"dynsample/internal/bitmask"
 )
 
-// Table is a named relation of typed columns. A sample table's rows
-// additionally carry their membership bitmask (the paper's extra bitmask
-// field, §4.2.1) and, under a weighted sampling strategy, their weight: as
-// columns like any other, under reserved names.
+// Table is a named relation of typed columns. Under a weighted sampling
+// strategy a sample table's rows additionally carry their weight: as a column
+// like any other, under a reserved name.
 type Table struct {
 	Name string
 
@@ -78,19 +75,17 @@ func unpackRows[T stored](s *chunked[T], n int) []T {
 }
 
 // Names under ReservedPrefix belong to the columns a sample row keeps beside
-// the view's: one Int column per 64-bit word of its membership mask and, when
-// rows are weighted, one Float column of inverse sampling rates. The prefix is
-// no SQL identifier character, and every place a column name arrives from
-// outside the program refuses it (CheckColumnName), so they cannot collide
-// with data. They are physical-only, as foreign keys are: a Database binds
-// them for View and leaves them out of Columns.
+// the view's: when rows are weighted, one Float column of inverse sampling
+// rates. (Tables an older build wrote may hold Int columns of membership mask
+// words under the prefix too; they are read and kept like any column.) The
+// prefix is no SQL identifier character, and every place a column name
+// arrives from outside the program refuses it (CheckColumnName), so they
+// cannot collide with data. They are physical-only, as foreign keys are: a
+// Database binds them for View and leaves them out of Columns.
 const (
 	ReservedPrefix = "@"
 	WeightColumn   = ReservedPrefix + "weight"
 )
-
-// MaskColumn names the column holding bits [64w, 64w+64) of the mask.
-func MaskColumn(w int) string { return ReservedPrefix + "mask" + strconv.Itoa(w) }
 
 // reservedType is the type a column under a reserved name has.
 func reservedType(name string) Type {
@@ -104,7 +99,7 @@ func reservedType(name string) Type {
 // program and starts with the reserved prefix.
 func CheckColumnName(name string) error {
 	if strings.HasPrefix(name, ReservedPrefix) {
-		return fmt.Errorf("engine: column name %q starts with %q, which is reserved for sample mask and weight columns", name, ReservedPrefix)
+		return fmt.Errorf("engine: column name %q starts with %q, which is reserved for sample weight columns", name, ReservedPrefix)
 	}
 	return nil
 }
@@ -145,19 +140,9 @@ func (t *Table) AddColumn(c *Column) {
 	t.addColumn(c)
 }
 
-// addSampleColumns stores one mask and one weight per row as columns: word w
-// of every mask in MaskColumn(w), the weights in WeightColumn. A nil slice
-// adds nothing.
-func (t *Table) addSampleColumns(masks []bitmask.Mask, weights []float64) {
-	for w := 0; len(masks) > 0 && w < len(masks[0].Words()); w++ {
-		c := newColumn(MaskColumn(w), Int, len(masks))
-		c.ints = fillRows(len(masks), func(vals []int64, lo int) {
-			for i := range vals {
-				vals[i] = int64(masks[lo+i].Words()[w])
-			}
-		})
-		t.addColumn(c)
-	}
+// addWeights stores one weight per row as the WeightColumn. A nil slice adds
+// nothing.
+func (t *Table) addWeights(weights []float64) {
 	if weights != nil {
 		c := newColumn(WeightColumn, Float, len(weights))
 		c.floats = fillRows(len(weights), func(vals []float64, lo int) { copy(vals, weights[lo:]) })

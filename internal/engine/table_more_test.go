@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"dynsample/internal/bitmask"
 )
 
 func TestAddColumnAndRowValues(t *testing.T) {
@@ -72,19 +70,21 @@ func TestColumnTypeLookup(t *testing.T) {
 
 func TestDatabaseRowMaskAndWeight(t *testing.T) {
 	db := testDB(t)
-	if _, ok := rowMask(db.Fact, 0); ok {
-		t.Error("base database should carry no masks")
-	}
 	if w := db.Fact.RowWeight(0); w != 1 {
 		t.Errorf("base row weight = %g", w)
 	}
-	// A fact slice's rows carry both, as columns the view binds and does not
-	// list.
-	s := maskedSlice(db, "s", []int{0, 1}, []bitmask.Mask{maskOf(3, 1), bitmask.New(3)}, []float64{2, 3})
-	if m, ok := rowMask(s.Fact, 0); !ok || !m.Bit(1) || s.Fact.RowWeight(1) != 3 {
-		t.Errorf("sample row mask %v (%v), weight %g", m, ok, s.Fact.RowWeight(1))
+	// A fact slice's rows carry their weights, and a table an older build
+	// wrote its mask words, as columns the view binds and does not list.
+	fact := db.FactSlice("s", []int{0, 1}, []float64{2, 3}).Fact
+	mask := NewColumn(olderMaskColumn, Int)
+	mask.AppendInt(2)
+	mask.AppendInt(0)
+	fact.addColumn(mask)
+	s := MustNewDatabase("s", fact, db.Dims...)
+	if s.Fact.RowWeight(1) != 3 {
+		t.Errorf("sample row weight %g", s.Fact.RowWeight(1))
 	}
-	if _, err := s.View(MaskColumn(0)); err != nil || s.HasColumn("nope") || len(s.Columns()) != len(db.Columns()) {
+	if v, err := s.View(olderMaskColumn); err != nil || v.Type != Int || s.HasColumn("nope") || len(s.Columns()) != len(db.Columns()) {
 		t.Errorf("reserved columns: view %v, logical columns %v", err, s.Columns())
 	}
 }
@@ -157,8 +157,8 @@ func TestCmpOpStrings(t *testing.T) {
 
 func TestApproxBytesWithMasksAndWeights(t *testing.T) {
 	db := testDB(t)
-	plain := db.Flatten("p", []int{0, 1}, nil, nil)
-	weighted := db.Flatten("w", []int{0, 1}, nil, []float64{1, 2})
+	plain := flatten(db, "p", []int{0, 1}, nil)
+	weighted := flatten(db, "w", []int{0, 1}, []float64{1, 2})
 	if weighted.ApproxBytes() <= plain.ApproxBytes() {
 		t.Error("weights not accounted in ApproxBytes")
 	}

@@ -4,8 +4,8 @@
 // paper: it stores base tables and sample tables as ordinary relations,
 // executes aggregation queries with group-bys over single tables and over
 // star schemas (fact table joined to dimension tables via foreign keys), and
-// supports the per-row bitmask filters and scaling that rewritten sample
-// queries require.
+// supports the per-row weights and scaling that rewritten sample queries
+// require.
 package engine
 
 import (

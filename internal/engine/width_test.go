@@ -131,9 +131,9 @@ func TestWidthEdges(t *testing.T) {
 
 	// Gathered (every chunk sealed, the last short), in order and shuffled.
 	db := MustNewDatabase("DB", tbl)
-	requireCells(t, "flattened", db.Flatten("flat", all, nil, nil), all, vals)
+	requireCells(t, "flattened", db.Flat("flat"), all, vals)
 	some := rng.Perm(n)[:3*chunkRows+11]
-	requireCells(t, "gathered", db.Flatten("some", some, nil, nil), some, vals)
+	requireCells(t, "gathered", flatten(db, "some", some, nil), some, vals)
 
 	// The binary format: same cells back, same bytes again, streamed or not.
 	enc := tableBytes(t, tbl)
@@ -149,7 +149,7 @@ func TestWidthEdges(t *testing.T) {
 	if err := db.WriteRowsBinary(&streamed, "some", chunkRows-5, n-7); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(streamed.Bytes(), tableBytes(t, db.Flatten("some", all[chunkRows-5:n-7], nil, nil))) {
+	if !bytes.Equal(streamed.Bytes(), tableBytes(t, flatten(db, "some", all[chunkRows-5:n-7], nil))) {
 		t.Fatal("streamed rows differ from the flattened table's bytes")
 	}
 	// A decoded table ends in a short sealed chunk; appending reopens it.
@@ -165,9 +165,9 @@ func TestWidthEdges(t *testing.T) {
 	}
 	star := MustNewDatabase("star", NewTable("fact", fk), DimJoin{Table: tbl, FK: "fk"})
 	cols := []string{"i_edge", "s_high", "f", "s_mid"}
-	for _, ks := range []kernelSource{{"flat", tbl, cols, []string{"m", "i_edge", "s_mid"}, masks65}, {"star", star, cols, []string{"m", "i_edge"}, masks65}} {
+	for _, ks := range []kernelSource{{"flat", tbl, cols, []string{"m", "i_edge", "s_mid"}}, {"star", star, cols, []string{"m", "i_edge"}}} {
 		for i := 0; i < 10; i++ {
-			q, opt := kernelQuery(rng, ks), kernelOptions(rng, ks.src.NumRows(), ks.masks)
+			q, opt := kernelQuery(rng, ks), kernelOptions(rng, ks.src.NumRows())
 			label := fmt.Sprintf("%s #%d: %s %+v", ks.name, i, q, opt)
 			got, err := ExecuteCtx(context.Background(), ks.src, q, opt)
 			if err != nil {
@@ -190,9 +190,8 @@ func TestSetRowRepacksUnderPinnedReaders(t *testing.T) {
 	const n = 3*chunkRows + 100
 	id, f, s := NewColumn("id", Int), NewColumn("f", Float), NewColumn("s", String)
 	pinned := NewTable("t", id, f, s)
-	pinned.addColumn(NewColumn(MaskColumn(0), Int)) // a sample table: the readers read its mask and RowWeight too
-	pinned.addColumn(NewColumn(WeightColumn, Float))
-	sampleCols := func(i int) []Value { return []Value{IntVal(1 << (i % 9)), FloatVal(float64(1 + i%5))} }
+	pinned.addColumn(NewColumn(WeightColumn, Float)) // a sample table: the readers read its RowWeight too
+	sampleCols := func(i int) []Value { return []Value{FloatVal(float64(1 + i%5))} }
 	row := func(i int) []Value {
 		return append([]Value{IntVal(int64(i % 200)), FloatVal(kernelFloats[i%len(kernelFloats)]), StringVal(fmt.Sprint("s", i%7))}, sampleCols(i)...)
 	}
@@ -226,8 +225,8 @@ func TestSetRowRepacksUnderPinnedReaders(t *testing.T) {
 							return
 						}
 					}
-					if m, ok := rowMask(pinned, i); !ok || m.Words()[0] != uint64(vals[i][3].I) || pinned.RowWeight(i) != vals[i][4].F {
-						t.Errorf("pinned version: row %d mask %v (%v), weight %g during the writes", i, m, ok, pinned.RowWeight(i))
+					if pinned.RowWeight(i) != vals[i][3].F {
+						t.Errorf("pinned version: row %d weight %g during the writes", i, pinned.RowWeight(i))
 						return
 					}
 				}
@@ -238,7 +237,7 @@ func TestSetRowRepacksUnderPinnedReaders(t *testing.T) {
 	upd := pinned.CloneForAppend()
 	want := append([][]Value(nil), vals...)
 	set := func(i int, v ...Value) {
-		v = append(v, sampleCols(i+4)...) // another mask bit, another weight
+		v = append(v, sampleCols(i+4)...) // another weight
 		upd.SetRow(i, v...)
 		want[i] = v
 	}

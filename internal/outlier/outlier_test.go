@@ -189,8 +189,7 @@ func TestOutlierBeatsUniformOnSkewedSum(t *testing.T) {
 				rows = append(rows, i)
 			}
 		}
-		flat := db.Flatten("u", rows, nil, nil)
-		res, err := engine.ExecuteCtx(context.Background(), flat, q, engine.ExecOptions{Scale: float64(db.NumRows()) / float64(len(rows))})
+		res, err := engine.ExecuteCtx(context.Background(), db.FactSlice("u", rows, nil), q, engine.ExecOptions{Scale: float64(db.NumRows()) / float64(len(rows))})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,28 +36,31 @@ type RawQueryResponse struct {
 }
 
 // shardSummary caches the (expensive: full column scans) join summary per
-// data generation, so a coordinator probing GET /shard on every breaker
-// half-open cycle does not rescan an unchanged partition.
+// data generation and served family, so a coordinator probing GET /shard on
+// every breaker half-open cycle does not rescan an unchanged partition.
 type shardSummary struct {
-	mu    sync.Mutex
-	gen   uint64
-	stats *core.ShardStats
+	mu       sync.Mutex
+	gen      uint64
+	prepared core.Prepared
+	stats    *core.ShardStats
 }
 
 // shardStats implements GET /v1/shard: the summary statistics the
 // coordinator registers at shard join (row counts, sample size, rare mass,
 // scan rate, per-column value sets). Recomputed only when the data
-// generation moved.
+// generation moved or the family was swapped: a rebuild swaps it and leaves
+// the generation where it was.
 func (s *Server) shardStats(*http.Request) (any, error) {
 	gen := s.sys.DataGeneration()
+	p, _ := s.sys.Prepared(s.strategy)
 	s.shard.mu.Lock()
 	defer s.shard.mu.Unlock()
-	if s.shard.stats == nil || s.shard.gen != gen {
+	if s.shard.stats == nil || s.shard.gen != gen || s.shard.prepared != p {
 		st, err := core.ComputeShardStats(s.sys, s.strategy, s.cfg.ShardID, s.cfg.Shards)
 		if err != nil {
 			return nil, err
 		}
-		s.shard.stats, s.shard.gen = st, gen
+		s.shard.stats, s.shard.gen, s.shard.prepared = st, gen, p
 	}
 	return s.shard.stats, nil
 }

@@ -11,6 +11,8 @@ import (
 	"dynsample/internal/core"
 	"dynsample/internal/engine"
 	"dynsample/internal/faults"
+	"dynsample/internal/ingest"
+	"dynsample/internal/randx"
 )
 
 // shardServer boots the fixture system in shard mode (slot 1 of 4).
@@ -216,5 +218,65 @@ func TestShedRetryAfterHeaderJittered(t *testing.T) {
 	}
 	if want := ra + "000"; strconv.FormatInt(er.Error.RetryAfterMS, 10) != want {
 		t.Errorf("retry_after_ms = %d, want %s, the header's seconds", er.Error.RetryAfterMS, want)
+	}
+}
+
+// TestShardSummaryFollowsARebuild: a rebuild swaps the served family, whose
+// sample size, rare mass and scan rate GET /v1/shard reports, without moving
+// the data generation. The summary must be the served family's after it, not
+// the one cached before.
+func TestShardSummaryFollowsARebuild(t *testing.T) {
+	sgCfg := core.SmallGroupConfig{BaseRate: 0.05, SmallGroupFraction: 0.05, DistinctLimit: 2000, Workers: 2}
+	sys := testSystem(t, sgCfg)
+	w, err := ingest.OpenWAL(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	coord, err := ingest.New(sys, w, ingest.Config{Online: core.OnlineConfig{Seed: 3}, DriftBound: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sgCfg.Seed = 1
+	srv := httptest.NewServer(New(sys, Config{Shards: 2, ShardID: 0, Ingest: coord, Rebuild: RebuildConfig{Strategy: core.NewSmallGroup(sgCfg)}}).Handler())
+	t.Cleanup(srv.Close)
+
+	// About a tenth of the base, in batches, rare regions among them.
+	rng := randx.New(5)
+	for b := 0; b < 10; b++ {
+		rows := make([][]engine.Value, 200)
+		for i := range rows {
+			rows[i] = []engine.Value{engine.StringVal("n" + string(rune('a'+rng.Intn(26)))), engine.FloatVal(rng.Float64() * 100)}
+		}
+		if _, err := coord.Ingest("b-"+strconv.Itoa(b), rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	summary := func() core.ShardStats {
+		t.Helper()
+		resp, body := get(t, srv, "/v1/shard")
+		var st core.ShardStats
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &st) != nil {
+			t.Fatalf("GET /v1/shard: %d %s", resp.StatusCode, body)
+		}
+		return st
+	}
+	served := func() core.Prepared {
+		p, _ := sys.Prepared(DefaultStrategy)
+		return p
+	}
+	if st := summary(); st.SampleRows != served().SampleRows() {
+		t.Fatalf("before the rebuild: sample_rows %d, the served family holds %d", st.SampleRows, served().SampleRows())
+	}
+	before := served()
+	if resp, body := post(t, srv, "/v1/admin/rebuild", struct{}{}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("rebuild: %d %s", resp.StatusCode, body)
+	}
+	if served() == before || served().SampleRows() == before.SampleRows() {
+		t.Fatalf("the rebuild kept a family of %d sample rows: the test shows nothing", before.SampleRows())
+	}
+	if st := summary(); st.SampleRows != served().SampleRows() || st.Generation != sys.DataGeneration() {
+		t.Fatalf("after the rebuild: sample_rows %d at generation %d, the served family holds %d at %d",
+			st.SampleRows, st.Generation, served().SampleRows(), sys.DataGeneration())
 	}
 }
