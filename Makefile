@@ -127,7 +127,8 @@ fuzz:
 # bytes (including bit-flipped valid inputs) must produce errors, never
 # panics. And over the checksummed frame the WAL and the catalog container
 # share: a payload or an error, never an allocation past the cap, the stream
-# read and the byte-slice check agreeing. And over the ingest cell parser,
+# read and the byte-slice check agreeing. And over a shard's raw answer: an
+# answer it accepts re-encodes to the same bytes. And over the ingest cell parser,
 # held to what encoding/json makes of the same cell, the chunk codec, held to a plain
 # slice, and the scenario spec parser: a spec it accepts must generate. And
 # over the column-frequency kernel, held to a naive per-row count on random
@@ -142,6 +143,7 @@ fuzz-smoke:
 	$(GO) test ./internal/engine -run FuzzReadBinary -fuzz FuzzReadBinary -fuzztime 15s -fuzzminimizetime 1s
 	$(GO) test ./internal/binio -run FuzzFrame -fuzz FuzzFrame -fuzztime 15s -fuzzminimizetime 1s
 	$(GO) test ./internal/engine -run FuzzChunkCodec -fuzz FuzzChunkCodec -fuzztime 15s -fuzzminimizetime 1s
+	$(GO) test ./internal/server -run FuzzDecodeRaw -fuzz FuzzDecodeRaw -fuzztime 15s -fuzzminimizetime 1s
 	$(GO) test ./internal/server -run FuzzDecodeCell -fuzz FuzzDecodeCell -fuzztime 15s -fuzzminimizetime 1s
 	$(GO) test ./internal/scenario -run FuzzParseSpec -fuzz FuzzParseSpec -fuzztime 15s -fuzzminimizetime 1s
 	$(GO) test ./internal/engine -run FuzzColumnFrequencies -fuzz FuzzColumnFrequencies -fuzztime 15s -fuzzminimizetime 1s

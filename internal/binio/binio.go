@@ -1,17 +1,19 @@
-// Package binio is the one encoding of the bytes this program keeps on disk.
-// The sample store, the table format, the checkpoint, the WAL's batch
-// records and segments, and the catalog container all lay out their fields
-// and frames through it; each owns only the order of its fields.
+// Package binio is the one encoding of the bytes this program keeps on disk
+// or sends between its own processes. The sample store, the table format,
+// the checkpoint, the WAL's batch records and segments, the catalog
+// container and a shard's raw answer all lay out their fields and frames
+// through it; each owns only the order of its fields.
 //
-// Fields are little-endian. A string is [len u32][bytes], a short string
-// (a batch id) [len u16][bytes], and a counted set [count u32] followed by
-// that many strings (its writer, which must order the set, is the caller's). A reader refuses any length or count over the cap its
-// caller names, so a corrupt or hostile stream produces an error, never an
-// allocation of the stream's choosing.
+// Fields are little-endian. A flag is one byte, 0 or 1. A string is
+// [len u32][bytes], a short string (a batch id) [len u16][bytes], and a
+// counted set [count u32] followed by that many strings (its writer, which
+// must order the set, is the caller's). A reader refuses any length or count
+// over the cap its caller names, so a corrupt or hostile stream produces an
+// error, never an allocation of the stream's choosing.
 //
 // A frame is [len u32][crc32c(len‖payload) u32][payload]. A WAL segment is
 // its magic followed by frames; the catalog container is frames ended by one
-// with an empty payload.
+// with an empty payload; a shard's raw answer is one frame.
 package binio
 
 import (
@@ -39,6 +41,15 @@ func AppendFrame(dst, payload []byte) []byte {
 	dst = le.AppendUint32(dst, uint32(len(payload)))
 	sum := Checksum(Checksum(0, dst[len(dst)-4:]), payload)
 	return append(le.AppendUint32(dst, sum), payload...)
+}
+
+// SealFrame makes b one frame: its first FrameHeader bytes, reserved by the
+// caller, take the length and checksum of the payload after them, so a
+// payload built in place costs no copy.
+func SealFrame(b []byte) []byte {
+	le.PutUint32(b, uint32(len(b)-FrameHeader))
+	le.PutUint32(b[4:], Checksum(Checksum(0, b[:4]), b[FrameHeader:]))
+	return b
 }
 
 // ParseFrame reports whether b begins with a whole frame of at most max
@@ -154,6 +165,16 @@ func (r *Reader) U32() uint32  { return le.Uint32(r.fixed(4)) }
 func (r *Reader) U64() uint64  { return le.Uint64(r.fixed(8)) }
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
+// Bool reads a flag, refusing any byte but 0 and 1 so a flag has one
+// encoding.
+func (r *Reader) Bool() bool {
+	b := r.U8()
+	if b > 1 {
+		r.Fail(fmt.Errorf("flag byte %d is neither 0 nor 1", b))
+	}
+	return b == 1
+}
+
 func (r *Reader) bound(n uint64, max int, what string) int {
 	if n > uint64(max) {
 		r.Fail(fmt.Errorf("unreasonable %s %d", what, n))
@@ -210,4 +231,12 @@ func AppendString(b []byte, s string) []byte { return append(le.AppendUint32(b, 
 
 func AppendShortString(b []byte, s string) []byte {
 	return append(le.AppendUint16(b, uint16(len(s))), s...)
+}
+
+// AppendBool appends v as a flag.
+func AppendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
 }

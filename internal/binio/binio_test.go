@@ -49,6 +49,12 @@ func TestFieldsRoundTrip(t *testing.T) {
 			t.Fatal("read past the end")
 		}
 	}
+	if r := NewBytesReader(AppendBool(AppendBool(nil, true), false)); !r.Bool() || r.Bool() || r.Err() != nil {
+		t.Fatalf("flags changed: %v", r.Err())
+	}
+	if sealed := SealFrame(append(make([]byte, FrameHeader), "payload"...)); !bytes.Equal(sealed, AppendFrame(nil, []byte("payload"))) {
+		t.Fatal("a frame sealed in place differs from an appended one")
+	}
 }
 
 // TestReaderBoundsAndLatches: a length or count over the caller's cap is
@@ -76,6 +82,7 @@ func TestReaderBoundsAndLatches(t *testing.T) {
 		{"string", func(r *Reader) { r.String(1 << 24) }, "unreasonable string length 4294967288"},
 		{"short string", func(r *Reader) { r.ShortString(4) }, "unreasonable string length 65528"},
 		{"set", func(r *Reader) { r.Strings(1<<20, 8, "rare key count") }, "unreasonable rare key count 4294967288"},
+		{"flag", func(r *Reader) { r.Bool() }, "flag byte 248 is neither 0 nor 1"},
 	} {
 		if err := read(huge, c.f); err == nil || err.Error() != c.want {
 			t.Errorf("%s: %v, want %q", c.name, err, c.want)

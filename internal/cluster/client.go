@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"dynsample/internal/core"
-	"dynsample/internal/engine"
 	"dynsample/internal/faults"
 	"dynsample/internal/obs"
 	"dynsample/internal/parallel"
@@ -99,13 +98,6 @@ func (e *shardError) fatal() bool {
 	return false
 }
 
-// rawAnswer is one shard's decoded contribution to a fan-out.
-type rawAnswer struct {
-	shard int
-	raw   *server.RawQueryResponse
-	res   *engine.Result
-}
-
 // fetchSummary GETs the shard's join summary (GET /v1/shard).
 func (sh *shard) fetchSummary(ctx context.Context) (*core.ShardStats, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, sh.addr+"/v1/shard", nil)
@@ -156,10 +148,10 @@ func (sh *shard) probe() error {
 }
 
 // attempt runs one HTTP round trip against the shard with its own deadline,
-// decoding the raw accumulator response. Any failure below a 200-with-valid-
-// body — dial error, timeout, 5xx, truncated or undecodable body — comes
-// back as a *shardError for the retry layer to classify.
-func (sh *shard) attempt(ctx context.Context, path string, body []byte, perTry time.Duration) (*rawAnswer, error) {
+// decoding the raw answer. Any failure below a 200-with-valid-body — dial
+// error, timeout, 5xx, truncated or undecodable body — comes back as a
+// *shardError for the retry layer to classify.
+func (sh *shard) attempt(ctx context.Context, path string, body []byte, perTry time.Duration) (*server.Outcome, error) {
 	if err := faults.FireErr(faults.PointShardTransport, sh.id); err != nil {
 		return nil, &shardError{shard: sh.id, err: err}
 	}
@@ -192,15 +184,11 @@ func (sh *shard) attempt(ctx context.Context, path string, body []byte, perTry t
 		return nil, &shardError{shard: sh.id, status: resp.StatusCode, body: data,
 			err: fmt.Errorf("HTTP %d", resp.StatusCode)}
 	}
-	var raw server.RawQueryResponse
-	if err := json.Unmarshal(data, &raw); err != nil {
+	out, err := server.DecodeRaw(data)
+	if err != nil {
 		return nil, &shardError{shard: sh.id, err: fmt.Errorf("bad response body: %w", err)}
 	}
-	res, err := engine.ResultFromWire(raw.Result)
-	if err != nil {
-		return nil, &shardError{shard: sh.id, err: err}
-	}
-	return &rawAnswer{shard: sh.id, raw: &raw, res: res}, nil
+	return out, nil
 }
 
 // hedgeDelay is how long to wait on the primary attempt before launching a
@@ -227,11 +215,11 @@ func (sh *shard) hedgeDelay(perTry time.Duration) time.Duration {
 // targets the same shard (each shard owns its partition exclusively), so it
 // defends against transient slowness — a GC pause, a cold cache, one slow
 // scan — not against shard death; the retry/breaker layers own that.
-func (sh *shard) attemptHedged(ctx context.Context, path string, body []byte, perTry time.Duration) (*rawAnswer, error) {
+func (sh *shard) attemptHedged(ctx context.Context, path string, body []byte, perTry time.Duration) (*server.Outcome, error) {
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type outcome struct {
-		ans *rawAnswer
+		ans *server.Outcome
 		err error
 	}
 	ch := make(chan outcome, 2)
@@ -272,7 +260,7 @@ func (sh *shard) attemptHedged(ctx context.Context, path string, body []byte, pe
 // request itself is bad) propagate immediately; attempt-level failures feed
 // the breaker, and a breaker that trips mid-request stops further retries —
 // so a dead shard is cut off within a single fan-out.
-func (sh *shard) do(ctx context.Context, path string, body []byte, perTry time.Duration) (*rawAnswer, error) {
+func (sh *shard) do(ctx context.Context, path string, body []byte, perTry time.Duration) (*server.Outcome, error) {
 	backoff := retryBackoff
 	var lastErr error
 	for try := 0; try <= sh.c.cfg.Retries; try++ {

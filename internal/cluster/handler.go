@@ -141,9 +141,9 @@ func equalityStrings(p engine.Predicate) (string, []string) {
 // request deadline ctx carries, and returns the per-shard outcomes indexed by
 // shard id. A fatal error is a property of the request, so the first one
 // (in shard order) is returned for relay.
-func (c *Coordinator) fanOut(ctx context.Context, path string, req *server.QueryRequest, targets []*shard, exact bool) ([]*rawAnswer, error) {
+func (c *Coordinator) fanOut(ctx context.Context, path string, req *server.QueryRequest, targets []*shard, exact bool) ([]*server.Outcome, error) {
 	defer obs.TraceFrom(ctx).StartStage("execute")()
-	answers := make([]*rawAnswer, len(c.shards))
+	answers := make([]*server.Outcome, len(c.shards))
 	errs := make([]error, len(c.shards))
 	var wg sync.WaitGroup
 	for _, sh := range targets {
@@ -249,31 +249,31 @@ func (c *Coordinator) Exact(ctx context.Context, q *engine.Query, req *server.Qu
 // generation is the minimum (the answer includes at least every batch up to
 // it on every shard), degraded ORs, predicted error takes the conservative
 // maximum, and plan is the shared name or "mixed".
-func mergeAnswers(contributing []*shard, answers []*rawAnswer) (*server.Outcome, error) {
+func mergeAnswers(contributing []*shard, answers []*server.Outcome) (*server.Outcome, error) {
 	out := &server.Outcome{}
 	maxPred := math.Inf(-1)
 	for _, sh := range contributing {
 		ans := answers[sh.id]
 		if out.Result == nil {
-			out.Result = ans.res
-		} else if err := out.Result.Merge(ans.res); err != nil {
+			out.Result = ans.Result
+		} else if err := out.Result.Merge(ans.Result); err != nil {
 			return nil, fmt.Errorf("merging shard %d: %w", sh.id, err)
 		}
-		out.RowsRead += ans.raw.RowsRead
-		out.Degraded = out.Degraded || ans.raw.Degraded
-		if out.Generation == 0 || ans.raw.Generation < out.Generation {
-			out.Generation = ans.raw.Generation
+		out.RowsRead += ans.RowsRead
+		out.Degraded = out.Degraded || ans.Degraded
+		if out.Generation == 0 || ans.Generation < out.Generation {
+			out.Generation = ans.Generation
 		}
-		if ans.raw.Plan != "" {
+		if ans.Plan != "" {
 			switch out.Plan {
-			case "", ans.raw.Plan:
-				out.Plan = ans.raw.Plan
+			case "", ans.Plan:
+				out.Plan = ans.Plan
 			default:
 				out.Plan = "mixed"
 			}
 		}
-		if ans.raw.Predicted != nil && *ans.raw.Predicted > maxPred {
-			maxPred = *ans.raw.Predicted
+		if ans.Predicted != nil && *ans.Predicted > maxPred {
+			maxPred = *ans.Predicted
 		}
 	}
 	if !math.IsInf(maxPred, -1) {

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
@@ -160,13 +159,7 @@ func TestStripeStarSchema(t *testing.T) {
 		{GroupBy: []string{"cat", "store_size"}, Aggs: []engine.Aggregate{{Kind: engine.Sum, Col: "qty"}},
 			Where: []engine.Predicate{engine.NewIn("prod_kind", engine.StringVal("prod_0"), engine.StringVal("prod_1"))}},
 	}
-	wire := func(r *engine.Result) string {
-		b, err := json.Marshal(r.Wire())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
+	wire := func(r *engine.Result) string { return string(engine.AppendPartial(nil, r)) }
 	for _, shards := range []int{1, 2, 3, 7} {
 		merged := make([]*engine.Result, len(queries))
 		for i, q := range queries {
@@ -235,7 +228,7 @@ func TestStripeStarSchema(t *testing.T) {
 			t.Fatal(err)
 		}
 		if wire(a.Result) != wire(b.Result) || a.RowsRead != b.RowsRead || !reflect.DeepEqual(a.Intervals, b.Intervals) {
-			t.Fatalf("%s: the family over the stripe answers\n%s\nover its flat form\n%s", q, wire(a.Result), wire(b.Result))
+			t.Fatalf("%s: the family over the stripe answers\n%x\nover its flat form\n%x", q, wire(a.Result), wire(b.Result))
 		}
 	}
 }

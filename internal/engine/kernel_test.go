@@ -522,7 +522,7 @@ func TestResultIndexedOnDemand(t *testing.T) {
 		return res
 	}
 	throughWire := func(r *Result) *Result {
-		back, err := ResultFromWire(r.Wire())
+		back, err := readPartial(AppendPartial(nil, r))
 		if err != nil {
 			t.Fatal(err)
 		}

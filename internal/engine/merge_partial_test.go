@@ -1,8 +1,8 @@
 package engine
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -119,21 +119,13 @@ func (fx *partialFixture) exactOver(t *testing.T, subset []int) *Result {
 }
 
 // mergeSubset merges the partials of the given stripes, in the given order,
-// round-tripping each through the JSON wire format first — the same path a
+// round-tripping each through the wire format first — the same path a
 // coordinator takes with shard responses.
 func (fx *partialFixture) mergeSubset(t *testing.T, order []int) *Result {
 	t.Helper()
 	acc := NewResult(fx.query.GroupBy, fx.query.Aggs)
 	for _, s := range order {
-		raw, err := json.Marshal(fx.partials[s].Wire())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var w ResultWire
-		if err := json.Unmarshal(raw, &w); err != nil {
-			t.Fatal(err)
-		}
-		part, err := ResultFromWire(&w)
+		part, err := readPartial(AppendPartial(nil, fx.partials[s]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,21 +187,14 @@ func TestMergePartialOrderIndependence(t *testing.T) {
 	fx := buildPartialFixture(t, stripes)
 	subset := []int{0, 2, 3, 5}
 	ref := fx.mergeSubset(t, subset)
-	refJSON, err := json.Marshal(ref.Wire())
-	if err != nil {
-		t.Fatal(err)
-	}
+	refWire := AppendPartial(nil, ref)
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
 		perm := append([]int(nil), subset...)
 		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 		got := fx.mergeSubset(t, perm)
-		gotJSON, err := json.Marshal(got.Wire())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(gotJSON) != string(refJSON) {
-			t.Fatalf("merge order %v differs from %v:\n%s\nvs\n%s", perm, subset, gotJSON, refJSON)
+		if gotWire := AppendPartial(nil, got); !bytes.Equal(gotWire, refWire) {
+			t.Fatalf("merge order %v differs from %v:\n%x\nvs\n%x", perm, subset, gotWire, refWire)
 		}
 	}
 }

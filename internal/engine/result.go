@@ -2,7 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -175,7 +175,7 @@ func (r *Result) Keys() []GroupKey {
 	for k := range groups {
 		keys = append(keys, GroupKey(k))
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return keys
 }
 

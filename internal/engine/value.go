@@ -132,39 +132,37 @@ func AppendKey(dst []byte, vals []Value) []byte {
 // DecodeKeyChecked unpacks a GroupKey produced by EncodeKey, returning an
 // error on malformed bytes: keys deserialised from untrusted input (e.g. a
 // corrupted sample store) go through it.
-func DecodeKeyChecked(k GroupKey) ([]Value, error) {
-	b := []byte(k)
-	var vals []Value
+func DecodeKeyChecked(k GroupKey) ([]Value, error) { return appendKeyValues(nil, k) }
+
+// appendKeyValues appends the values of k to dst. A string value shares k's
+// bytes.
+func appendKeyValues(dst []Value, k GroupKey) ([]Value, error) {
+	b := string(k)
 	for len(b) > 0 {
 		t := Type(b[0])
 		b = b[1:]
-		switch t {
-		case Int:
-			if len(b) < 8 {
-				return nil, fmt.Errorf("engine: corrupt group key: short int value")
-			}
-			vals = append(vals, IntVal(int64(binary.LittleEndian.Uint64(b))))
-			b = b[8:]
-		case Float:
-			if len(b) < 8 {
-				return nil, fmt.Errorf("engine: corrupt group key: short float value")
-			}
-			vals = append(vals, FloatVal(math.Float64frombits(binary.LittleEndian.Uint64(b))))
-			b = b[8:]
-		case String:
-			if len(b) < 8 {
-				return nil, fmt.Errorf("engine: corrupt group key: short string header")
-			}
-			n := binary.LittleEndian.Uint64(b)
-			b = b[8:]
-			if n > uint64(len(b)) {
-				return nil, fmt.Errorf("engine: corrupt group key: string length %d exceeds %d remaining bytes", n, len(b))
-			}
-			vals = append(vals, StringVal(string(b[:n])))
-			b = b[n:]
-		default:
+		if t > String {
 			return nil, fmt.Errorf("engine: corrupt group key, type byte %d", t)
 		}
+		if len(b) < 8 {
+			return nil, fmt.Errorf("engine: corrupt group key: short %v value", t)
+		}
+		// Little-endian, read off the string: a []byte would copy the key.
+		x := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+			uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+		b = b[8:]
+		switch t {
+		case Int:
+			dst = append(dst, IntVal(int64(x)))
+		case Float:
+			dst = append(dst, FloatVal(math.Float64frombits(x)))
+		default:
+			if x > uint64(len(b)) {
+				return nil, fmt.Errorf("engine: corrupt group key: string length %d exceeds %d remaining bytes", x, len(b))
+			}
+			dst = append(dst, StringVal(b[:x]))
+			b = b[x:]
+		}
 	}
-	return vals, nil
+	return dst, nil
 }

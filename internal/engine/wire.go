@@ -1,168 +1,136 @@
 package engine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+
+	"dynsample/internal/binio"
 )
 
-// This file defines the JSON wire form of a partial Result, so the
-// scatter-gather cluster tier can move raw per-group accumulators — not just
-// presented values — between a shard server and the coordinator. The
-// coordinator re-merges decoded partials with Result.Merge, which requires
-// every additive accumulator (Vals, RawSum, RawSumSq, VarAcc, RawRows) and
-// the Exact flags, none of which survive the human-facing response shape.
+// This file is the binary form of a partial Result, the section of a shard's
+// raw answer that carries its groups, so the cluster tier can move raw
+// per-group accumulators — not just presented values — between a shard and
+// the coordinator. The coordinator re-merges decoded partials with
+// Result.Merge, which needs every additive accumulator (Vals, RawSum,
+// RawSumSq, VarAcc, RawRows) and the Exact flags.
+//
+// The section is, in binio fields:
+//
+//	group-by   [count u32] then that many strings
+//	aggregates [count u32] then per aggregate [kind u8][column string]
+//	rows       [scanned u64][matched u64]
+//	groups     [count u32] then per group, in ascending key order:
+//	           [EncodeKey bytes as a string][RawRows u64][Exact flag]
+//	           [Vals][RawSum][RawSumSq][VarAcc], one f64 per aggregate each
 
-// ValueWire is the JSON form of one typed Value. T is the Type; exactly one
-// of I/F/S is meaningful, matching the type.
-type ValueWire struct {
-	T uint8   `json:"t"`
-	I int64   `json:"i,omitempty"`
-	F float64 `json:"f,omitempty"`
-	S string  `json:"s,omitempty"`
-}
+// maxPartialGroups bounds how many groups one decoded partial may carry, so
+// a corrupt or hostile count cannot make the coordinator allocate
+// unboundedly.
+const maxPartialGroups = 1 << 22
 
-// wireValue converts a Value to its wire form.
-func wireValue(v Value) ValueWire {
-	return ValueWire{T: uint8(v.T), I: v.I, F: v.F, S: v.S}
-}
-
-// value converts back to a Value, validating the type tag.
-func (w ValueWire) value() (Value, error) {
-	switch Type(w.T) {
-	case Int:
-		return IntVal(w.I), nil
-	case Float:
-		return FloatVal(w.F), nil
-	case String:
-		return StringVal(w.S), nil
-	default:
-		return Value{}, fmt.Errorf("engine: wire value has unknown type tag %d", w.T)
+// AppendPartial appends r's section to dst. Groups go in ascending key order,
+// so equal results encode to equal bytes.
+func AppendPartial(dst []byte, r *Result) []byte {
+	le := binary.LittleEndian
+	dst = le.AppendUint32(dst, uint32(len(r.GroupBy)))
+	for _, c := range r.GroupBy {
+		dst = binio.AppendString(dst, c)
 	}
-}
-
-// AggWire is the JSON form of one Aggregate.
-type AggWire struct {
-	Kind uint8  `json:"kind"`
-	Col  string `json:"col,omitempty"`
-}
-
-// GroupWire is the JSON form of one Group with all its additive
-// accumulators.
-type GroupWire struct {
-	Key      []ValueWire `json:"key"`
-	Vals     []float64   `json:"vals"`
-	RawRows  int64       `json:"rawRows"`
-	RawSum   []float64   `json:"rawSum"`
-	RawSumSq []float64   `json:"rawSumSq"`
-	VarAcc   []float64   `json:"varAcc"`
-	Exact    bool        `json:"exact,omitempty"`
-}
-
-// ResultWire is the JSON form of a partial Result. Groups are emitted in
-// deterministic key order so equal results serialize identically.
-type ResultWire struct {
-	GroupBy     []string    `json:"groupBy"`
-	Aggs        []AggWire   `json:"aggs"`
-	Groups      []GroupWire `json:"groups"`
-	RowsScanned int64       `json:"rowsScanned"`
-	RowsMatched int64       `json:"rowsMatched"`
-}
-
-// Wire converts the result to its wire form.
-func (r *Result) Wire() *ResultWire {
-	w := &ResultWire{
-		GroupBy:     r.GroupBy,
-		RowsScanned: r.RowsScanned,
-		RowsMatched: r.RowsMatched,
-	}
+	dst = le.AppendUint32(dst, uint32(len(r.Aggs)))
 	for _, a := range r.Aggs {
-		w.Aggs = append(w.Aggs, AggWire{Kind: uint8(a.Kind), Col: a.Col})
+		dst = binio.AppendString(append(dst, byte(a.Kind)), a.Col)
 	}
-	for _, g := range r.Groups() {
-		gw := GroupWire{
-			Vals:     g.Vals,
-			RawRows:  g.RawRows,
-			RawSum:   g.RawSum,
-			RawSumSq: g.RawSumSq,
-			VarAcc:   g.VarAcc,
-			Exact:    g.Exact,
-		}
-		for _, v := range g.Key {
-			gw.Key = append(gw.Key, wireValue(v))
-		}
-		w.Groups = append(w.Groups, gw)
+	dst = le.AppendUint64(le.AppendUint64(dst, uint64(r.RowsScanned)), uint64(r.RowsMatched))
+	keys := r.Keys()
+	size := len(keys) * (13 + 32*len(r.Aggs))
+	for _, k := range keys {
+		size += len(k)
 	}
-	return w
+	dst = le.AppendUint32(slices.Grow(dst, 4+size), uint32(len(keys)))
+	for _, k := range keys {
+		g := r.groups[string(k)]
+		dst = binio.AppendString(dst, string(k))
+		dst = binio.AppendBool(le.AppendUint64(dst, uint64(g.RawRows)), g.Exact)
+		for _, run := range [4][]float64{g.Vals, g.RawSum, g.RawSumSq, g.VarAcc} {
+			for _, v := range run {
+				dst = le.AppendUint64(dst, math.Float64bits(v))
+			}
+		}
+	}
+	return dst
 }
 
-// maxWireGroups bounds how many groups one decoded partial may carry, so a
-// corrupt or hostile length cannot make the coordinator allocate unboundedly.
-const maxWireGroups = 1 << 22
-
-// ResultFromWire validates and rebuilds a Result from its wire form. The
-// bytes cross a network, so every shape invariant is checked: a truncated or
-// corrupted payload must produce an error here, never a malformed Result
-// that Merge would silently mis-combine.
-func ResultFromWire(w *ResultWire) (*Result, error) {
-	if w == nil {
-		return nil, fmt.Errorf("engine: nil wire result")
-	}
-	if len(w.Groups) > maxWireGroups {
-		return nil, fmt.Errorf("engine: wire result has %d groups (max %d)", len(w.Groups), maxWireGroups)
-	}
-	if w.RowsScanned < 0 || w.RowsMatched < 0 {
-		return nil, fmt.Errorf("engine: wire result has negative row counts (%d scanned, %d matched)",
-			w.RowsScanned, w.RowsMatched)
-	}
-	aggs := make([]Aggregate, len(w.Aggs))
-	for i, a := range w.Aggs {
-		if AggKind(a.Kind) != Count && AggKind(a.Kind) != Sum {
-			return nil, fmt.Errorf("engine: wire aggregate %d has unknown kind %d", i, a.Kind)
+// ReadPartial reads a section AppendPartial wrote from a record in memory
+// (binio.NewBytesReader). The bytes cross a network, so every shape
+// invariant is checked: a damaged or hostile section produces an error,
+// never a Result that Merge would silently mis-combine, and a count is
+// refused before it sizes anything the remaining bytes cannot fill.
+func ReadPartial(in *binio.Reader) (*Result, error) {
+	groupBy := in.Strings(maxTableColumns, maxTableString, "group-by column count")
+	na := in.Count(maxTableColumns, "aggregate count")
+	aggs := make([]Aggregate, 0, min(na, 64))
+	for i := 0; i < na && in.Err() == nil; i++ {
+		a := Aggregate{Kind: AggKind(in.U8()), Col: in.String(maxTableString)}
+		if a.Kind != Count && a.Kind != Sum {
+			in.Fail(fmt.Errorf("engine: partial aggregate %d has unknown kind %d", i, a.Kind))
 		}
-		aggs[i] = Aggregate{Kind: AggKind(a.Kind), Col: a.Col}
+		aggs = append(aggs, a)
 	}
-	res := NewResult(append([]string(nil), w.GroupBy...), aggs)
-	res.RowsScanned = w.RowsScanned
-	res.RowsMatched = w.RowsMatched
-	for gi, gw := range w.Groups {
-		if len(gw.Key) != len(w.GroupBy) {
-			return nil, fmt.Errorf("engine: wire group %d has %d key values, query groups by %d columns",
-				gi, len(gw.Key), len(w.GroupBy))
+	res := NewResult(groupBy, aggs)
+	res.RowsScanned, res.RowsMatched = int64(in.U64()), int64(in.U64())
+	if in.Err() == nil && (res.RowsScanned < 0 || res.RowsMatched < 0) {
+		in.Fail(fmt.Errorf("engine: partial has negative row counts (%d scanned, %d matched)",
+			res.RowsScanned, res.RowsMatched))
+	}
+	n, k := in.Count(maxPartialGroups, "group count"), len(groupBy)
+	// A group is at least its key's length, RawRows, Exact and 4·na floats.
+	if left := in.Len(); in.Err() == nil && n*(13+32*na) > left {
+		in.Fail(fmt.Errorf("engine: partial declares %d groups but only %d bytes remain", n, left))
+	}
+	if err := in.Err(); err != nil {
+		return nil, err
+	}
+	groups, accs, vals := make([]Group, n), make([]float64, n*4*na), make([]Value, 0, n*k)
+	res.groups = make(map[string]*Group, n)
+	var prev string
+	for i := range groups {
+		key, g, acc := in.String(maxTableString), &groups[i], accs[i*4*na:(i+1)*4*na]
+		g.RawRows, g.Exact = int64(in.U64()), in.Bool()
+		for j := range acc {
+			acc[j] = in.F64()
 		}
-		if len(gw.Vals) != len(aggs) || len(gw.RawSum) != len(aggs) ||
-			len(gw.RawSumSq) != len(aggs) || len(gw.VarAcc) != len(aggs) {
-			return nil, fmt.Errorf("engine: wire group %d accumulator lengths (%d/%d/%d/%d) do not match %d aggregates",
-				gi, len(gw.Vals), len(gw.RawSum), len(gw.RawSumSq), len(gw.VarAcc), len(aggs))
+		if err := in.Err(); err != nil {
+			return nil, err
 		}
-		if gw.RawRows < 0 {
-			return nil, fmt.Errorf("engine: wire group %d has negative raw row count %d", gi, gw.RawRows)
+		var err error
+		start := len(vals)
+		if vals, err = appendKeyValues(vals, GroupKey(key)); err != nil {
+			return nil, fmt.Errorf("engine: partial group %d: %w", i, err)
 		}
-		for _, vs := range [][]float64{gw.Vals, gw.RawSum, gw.RawSumSq, gw.VarAcc} {
-			for _, v := range vs {
-				if math.IsNaN(v) {
-					return nil, fmt.Errorf("engine: wire group %d carries NaN accumulators", gi)
-				}
+		switch {
+		case len(vals)-start != k:
+			return nil, fmt.Errorf("engine: partial group %d has %d key values, query groups by %d columns",
+				i, len(vals)-start, k)
+		case i > 0 && key <= prev:
+			if key == prev {
+				return nil, fmt.Errorf("engine: partial repeats group %v", vals[start:])
+			}
+			return nil, fmt.Errorf("engine: partial group %d is out of key order", i)
+		case g.RawRows < 0:
+			return nil, fmt.Errorf("engine: partial group %d has negative raw row count %d", i, g.RawRows)
+		}
+		for _, v := range acc {
+			if math.IsNaN(v) {
+				return nil, fmt.Errorf("engine: partial group %d carries NaN accumulators", i)
 			}
 		}
-		key := make([]Value, len(gw.Key))
-		for i, vw := range gw.Key {
-			v, err := vw.value()
-			if err != nil {
-				return nil, fmt.Errorf("engine: wire group %d: %w", gi, err)
-			}
-			key[i] = v
-		}
-		ek := EncodeKey(key)
-		if res.Group(ek) != nil {
-			return nil, fmt.Errorf("engine: wire result repeats group %v", key)
-		}
-		g := res.Upsert(ek, func() []Value { return key })
-		copy(g.Vals, gw.Vals)
-		copy(g.RawSum, gw.RawSum)
-		copy(g.RawSumSq, gw.RawSumSq)
-		copy(g.VarAcc, gw.VarAcc)
-		g.RawRows = gw.RawRows
-		g.Exact = gw.Exact
+		g.Key = vals[start:len(vals):len(vals)]
+		g.window(acc, na)
+		res.groups[key] = g
+		prev = key
 	}
+	res.n = n
 	return res, nil
 }

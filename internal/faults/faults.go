@@ -135,10 +135,6 @@ var (
 	cutHooks  map[Point]CutHook
 )
 
-// Active reports whether any hook is registered. Hook sites use it (via
-// Fire) as the fast path; it is safe to call from any goroutine.
-func Active() bool { return active.Load() }
-
 // Set registers the hook for a point, replacing any previous one.
 func Set(p Point, h Hook) {
 	mu.Lock()

@@ -8,8 +8,8 @@ import (
 
 func TestFireNoHookIsNoop(t *testing.T) {
 	Reset()
-	if Active() {
-		t.Fatal("Active() = true with no hooks")
+	if active.Load() {
+		t.Fatal("active with no hooks")
 	}
 	Fire(context.Background(), PointScanShard, 0) // must not panic or block
 }
@@ -18,8 +18,8 @@ func TestSetFireReset(t *testing.T) {
 	t.Cleanup(Reset)
 	var got []int
 	Set(PointPlanStep, func(_ context.Context, i int) { got = append(got, i) })
-	if !Active() {
-		t.Fatal("Active() = false after Set")
+	if !active.Load() {
+		t.Fatal("not active after Set")
 	}
 	Fire(context.Background(), PointPlanStep, 3)
 	Fire(context.Background(), PointScanShard, 7) // different point: no hook
@@ -97,8 +97,8 @@ func TestErrAndDataHooks(t *testing.T) {
 		t.Fatalf("FlipBit did not flip chunk 1 byte 1 bit 1: %v", c1)
 	}
 	Reset()
-	if Active() {
-		t.Fatal("Active() after Reset")
+	if active.Load() {
+		t.Fatal("active after Reset")
 	}
 }
 

@@ -8,8 +8,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"dynsample/internal/core"
+	"dynsample/internal/engine"
 	"dynsample/internal/ingest"
 )
 
@@ -93,4 +95,44 @@ func BenchmarkConcurrentQuery(b *testing.B) {
 		close(stop)
 		<-done
 	})
+}
+
+// BenchmarkRawAnswer is one shard partial across the wire: encodeRaw on the
+// shard plus DecodeRaw at the coordinator, for the shape of a traced
+// groupby_scan answer (400 groups of a 4-column key, COUNT and SUM).
+func BenchmarkRawAnswer(b *testing.B) {
+	out := rawBenchOutcome()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeRaw(encodeRaw(out)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// rawBenchOutcome builds the partial BenchmarkRawAnswer moves: every
+// accumulator set, every tenth group exact.
+func rawBenchOutcome() *Outcome {
+	res := engine.NewResult([]string{"p_type", "l_quantity", "o_ordermonth", "s_region"},
+		[]engine.Aggregate{{Kind: engine.Count}, {Kind: engine.Sum, Col: "l_extendedprice"}})
+	for i := 0; i < 400; i++ {
+		key := []engine.Value{
+			engine.StringVal(fmt.Sprintf("p_type_%03d", i%25)),
+			engine.IntVal(int64(i/25 + 1)),
+			engine.StringVal(fmt.Sprintf("o_ordermonth_%03d", i%7)),
+			engine.StringVal(fmt.Sprintf("s_region_%03d", i%5)),
+		}
+		g := res.Upsert(engine.EncodeKey(key), func() []engine.Value { return key })
+		n, x := float64(i%13+1), 1234.5678*float64(i+1)
+		copy(g.Vals, []float64{40 * n, 40 * x})
+		copy(g.RawSum, []float64{n, x})
+		copy(g.RawSumSq, []float64{n, x * x / n})
+		copy(g.VarAcc, []float64{1560 * n, 1560 * x * x / n})
+		g.RawRows, g.Exact = int64(n), i%10 == 0
+	}
+	res.RowsScanned, res.RowsMatched = 47000, 31000
+	predicted, achieved := 0.05, 0.04
+	return &Outcome{Result: res, RowsRead: 47000, Elapsed: 2 * time.Millisecond, Generation: 3,
+		Plan: "smallgroup/0.5", Predicted: &predicted, Achieved: &achieved}
 }

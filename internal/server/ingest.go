@@ -65,8 +65,8 @@ func (s *Server) ingest(r *http.Request) (any, error) {
 		return nil, unimplementedError{errors.New("ingestion not configured (start the server with -wal-dir)")}
 	}
 	var req IngestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return nil, badRequestf("bad request body: %w", err)
+	if err := decodeBody(r, &req); err != nil {
+		return nil, err
 	}
 	cols := s.sys.DB().Columns()
 	if req.Columns != nil {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -181,6 +182,48 @@ func TestIngestBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d (%s), want 400", tc.name, resp.StatusCode, body)
 		}
+	}
+}
+
+// TestStrictRequestBodies: a query or ingest body with a field the request
+// does not declare, or with anything but whitespace after its object, is a
+// 400 bad_request naming the field. Before, a camelCase "errorBound" ran the
+// query unbounded and a "batchId" lost idempotency, so a retried batch
+// appended its rows twice.
+func TestStrictRequestBodies(t *testing.T) {
+	srv, coord, _ := ingestServer(t, ingest.Config{Online: core.OnlineConfig{Seed: 7}})
+	const sql = "SELECT region, COUNT(*) FROM T GROUP BY region"
+	batch := `{"batchId":"b-1","rows":[["zz",1.5]]}`
+	for _, c := range []struct{ path, body, want string }{
+		{"/v1/query", `{"sql":"` + sql + `","errorBound":0.05}`, `unknown field "errorBound"`},
+		{"/v1/exact", `{"sql":"` + sql + `","raw":true,"shard":1}`, `unknown field "shard"`},
+		{"/v1/query", `{"sql":"` + sql + `"} {"sql":"` + sql + `"}`, "data after the JSON object"},
+		{"/v1/query", `{"sql":"` + sql + `"}x`, "data after the JSON object"},
+		{"/v1/ingest", batch, `unknown field "batchId"`},
+		{"/v1/ingest", batch, `unknown field "batchId"`}, // the retry
+	} {
+		resp, err := http.Post(srv.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er ErrorResponse
+		json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || er.Error.Code != CodeBadRequest || !strings.Contains(er.Error.Message, c.want) {
+			t.Errorf("%s %s: %d %+v, want 400 bad_request naming %s", c.path, c.body, resp.StatusCode, er.Error, c.want)
+		}
+	}
+	if g := coord.Generation(); g != 0 {
+		t.Errorf("refused batches moved the data generation to %d", g)
+	}
+	// Whitespace after the object is not data.
+	resp, err := http.Post(srv.URL+"/v1/query", "application/json", strings.NewReader(`{"sql":"`+sql+`"}`+" \n\t "))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("a body ending in whitespace: status %d", resp.StatusCode)
 	}
 }
 

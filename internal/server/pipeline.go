@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
 	"net/http"
@@ -296,8 +297,8 @@ func (p *Pipeline) serve(exact bool) http.HandlerFunc {
 func (p *Pipeline) compile(trace *obs.Trace, r *http.Request, exact bool) (*sqlparse.Compiled, *QueryRequest, error) {
 	defer trace.StartStage("parse")()
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return nil, nil, badRequestf("bad request body: %w", err)
+	if err := decodeBody(r, &req); err != nil {
+		return nil, nil, err
 	}
 	trace.SetSQL(req.SQL)
 	switch {
@@ -331,6 +332,22 @@ func (p *Pipeline) compile(trace *obs.Trace, r *http.Request, exact bool) (*sqlp
 		return nil, nil, badRequestError{err}
 	}
 	return compiled, &req, nil
+}
+
+// decodeBody decodes a request body into v strictly: a field v does not
+// declare, or anything but whitespace after the object, is the client's
+// error (400), so a misspelled option fails loudly instead of falling back
+// to its default.
+func decodeBody(r *http.Request, v any) error {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return badRequestf("bad request body: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return badRequestf("bad request body: data after the JSON object")
+	}
+	return nil
 }
 
 // present renders an outcome as the client response: HAVING / ORDER BY /

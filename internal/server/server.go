@@ -202,11 +202,12 @@ type QueryRequest struct {
 	// intervals are stated at, in (0, 1). Zero means the server's configured
 	// level (default 0.95). Requires error_bound or time_bound_ms.
 	Confidence float64 `json:"confidence,omitempty"`
-	// Raw asks for the answer as raw merge-ready accumulators
-	// (RawQueryResponse wrapping engine.ResultWire) instead of presented
-	// groups. This is the shard-side wire format of the scatter-gather tier:
-	// the coordinator needs every additive accumulator to re-merge shard
-	// partials with Result.Merge, which the presented groups do not carry.
+	// Raw asks for the answer as raw merge-ready accumulators instead of
+	// presented groups: one binio frame, sent as application/octet-stream,
+	// laid out by encodeRaw (shard.go) and read by DecodeRaw. This is the
+	// shard-side wire format of the scatter-gather tier: the coordinator
+	// needs every additive accumulator to re-merge shard partials with
+	// Result.Merge, which the presented groups do not carry.
 	Raw bool `json:"raw,omitempty"`
 }
 

@@ -1,13 +1,17 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
+	"dynsample/internal/binio"
 	"dynsample/internal/core"
 	"dynsample/internal/engine"
 	"dynsample/internal/faults"
@@ -24,23 +28,33 @@ func shardServer(t *testing.T) *httptest.Server {
 	return srv
 }
 
-func TestRawQueryResponse(t *testing.T) {
-	srv := shardServer(t)
-	resp, body := post(t, srv, "/v1/query", QueryRequest{
-		SQL: "SELECT region, COUNT(*), SUM(amount) FROM T GROUP BY region",
-		Raw: true,
-	})
+// rawAnswer posts a raw query to srv and decodes the frame it answers with.
+func rawAnswer(t *testing.T, srv *httptest.Server, path string, req QueryRequest) (*Outcome, []byte) {
+	t.Helper()
+	req.Raw = true
+	resp, body := post(t, srv, path, req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var raw RawQueryResponse
-	if err := json.Unmarshal(body, &raw); err != nil {
-		t.Fatal(err)
+	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
+		t.Errorf("raw answer sent as %q", ct)
 	}
-	res, err := engine.ResultFromWire(raw.Result)
+	out, err := DecodeRaw(body)
 	if err != nil {
-		t.Fatalf("raw result does not decode: %v", err)
+		t.Fatalf("raw answer does not decode: %v", err)
 	}
+	if again := encodeRaw(out); !bytes.Equal(again, body) {
+		t.Error("a decoded raw answer re-encodes to other bytes")
+	}
+	return out, body
+}
+
+func TestRawQueryResponse(t *testing.T) {
+	srv := shardServer(t)
+	out, _ := rawAnswer(t, srv, "/v1/query", QueryRequest{
+		SQL: "SELECT region, COUNT(*), SUM(amount) FROM T GROUP BY region",
+	})
+	res := out.Result
 	if res.NumGroups() == 0 {
 		t.Fatal("raw result has no groups")
 	}
@@ -49,6 +63,9 @@ func TestRawQueryResponse(t *testing.T) {
 	}
 	if len(res.Aggs) != 2 {
 		t.Errorf("raw aggs = %v", res.Aggs)
+	}
+	if out.RowsRead <= 0 || out.Generation != 0 || out.Predicted != nil {
+		t.Errorf("raw scalars: %d rows read, generation %d, predicted %v", out.RowsRead, out.Generation, out.Predicted)
 	}
 	// The raw accumulators must be merge-ready: every estimated group needs
 	// variance state for the coordinator to rebuild intervals.
@@ -68,32 +85,104 @@ func TestRawQueryResponse(t *testing.T) {
 	if !sawVar {
 		t.Error("no variance accumulators survived the wire")
 	}
+
+	// A bounded query carries its plan and both error figures.
+	out, _ = rawAnswer(t, srv, "/v1/query", QueryRequest{
+		SQL:        "SELECT region, COUNT(*) FROM T GROUP BY region",
+		ErrorBound: 0.5,
+	})
+	if out.Plan == "" || out.Predicted == nil || out.Achieved == nil {
+		t.Errorf("bounded raw answer: plan %q, predicted %v, achieved %v", out.Plan, out.Predicted, out.Achieved)
+	}
 }
 
 func TestRawExactResponse(t *testing.T) {
 	srv := shardServer(t)
-	resp, body := post(t, srv, "/v1/exact", QueryRequest{
+	out, _ := rawAnswer(t, srv, "/v1/exact", QueryRequest{
 		SQL: "SELECT region, COUNT(*) FROM T GROUP BY region",
-		Raw: true,
 	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var raw RawQueryResponse
-	if err := json.Unmarshal(body, &raw); err != nil {
-		t.Fatal(err)
-	}
-	res, err := engine.ResultFromWire(raw.Result)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var total float64
-	for _, g := range res.Groups() {
+	for _, g := range out.Result.Groups() {
 		total += g.Vals[0]
 	}
 	if total != 20000 {
 		t.Errorf("exact raw COUNT total = %v, want 20000", total)
 	}
+}
+
+// TestRawFrameRefusesDamage: a raw answer cut short at any byte, with a byte
+// flipped, with bytes past its frame, or of another version is an error,
+// never a partial Outcome.
+func TestRawFrameRefusesDamage(t *testing.T) {
+	srv := shardServer(t)
+	_, b := rawAnswer(t, srv, "/v1/query", QueryRequest{
+		SQL: "SELECT region, COUNT(*), SUM(amount) FROM T GROUP BY region",
+	})
+	for n := 0; n < len(b); n++ {
+		if _, err := DecodeRaw(b[:n]); err == nil {
+			t.Fatalf("the first %d of %d bytes decoded", n, len(b))
+		}
+	}
+	flipped := append([]byte(nil), b...)
+	flipped[len(b)/2] ^= 0x10
+	if _, err := DecodeRaw(flipped); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Errorf("a flipped byte: %v", err)
+	}
+	if _, err := DecodeRaw(append(b[:len(b):len(b)], '\n')); err == nil || !strings.Contains(err.Error(), "not one frame") {
+		t.Errorf("a byte past the frame: %v", err)
+	}
+	payload, _ := binio.ParseFrame(b, len(b))
+	other := append([]byte{rawVersion + 1}, payload[1:]...)
+	if _, err := DecodeRaw(binio.AppendFrame(nil, other)); err == nil ||
+		!strings.Contains(err.Error(), "frame version 2, this build reads version 1") {
+		t.Errorf("another version: %v", err)
+	}
+}
+
+// FuzzDecodeRaw holds DecodeRaw to its contract on arbitrary bytes: an
+// Outcome or an error, never a panic, and an accepted frame re-encodes to
+// the bytes it was read from. Each input is tried as it is and as the payload
+// of a frame with a good checksum, which a random flip almost never has. The
+// seeds are a single node's real answers, as frames and as payloads.
+func FuzzDecodeRaw(f *testing.F) {
+	be := local{New(testSystem(f, core.SmallGroupConfig{Workers: 2}), Config{Shards: 4, ShardID: 1})}
+	countSum := &engine.Query{GroupBy: []string{"region"}, Aggs: []engine.Aggregate{{Kind: engine.Count}, {Kind: engine.Sum, Col: "amount"}}}
+	empty := *countSum
+	empty.Where = []engine.Predicate{engine.NewIn("region", engine.StringVal("nowhere"))}
+	for _, seed := range []struct {
+		q     *engine.Query
+		req   QueryRequest
+		exact bool
+	}{
+		{q: countSum}, // estimated and exact groups
+		{q: countSum, req: QueryRequest{ErrorBound: 0.5}}, // a plan and its error figures
+		{q: countSum, exact: true},                        // a base scan
+		{q: &empty},                                       // no group
+	} {
+		exec := be.Query
+		if seed.exact {
+			exec = be.Exact
+		}
+		out, err := exec(context.Background(), seed.q, &seed.req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		frame := encodeRaw(out)
+		payload, _ := binio.ParseFrame(frame, len(frame))
+		f.Add(frame)
+		f.Add(payload)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		for _, b := range [][]byte{in, binio.AppendFrame(nil, in)} {
+			out, err := DecodeRaw(b)
+			if err != nil {
+				continue
+			}
+			if again := encodeRaw(out); !bytes.Equal(again, b) {
+				t.Fatalf("accepted %x\nre-encodes to %x", b, again)
+			}
+		}
+	})
 }
 
 func TestShardSummaryEndpoint(t *testing.T) {
@@ -154,10 +243,8 @@ func TestShardBodyCutTruncatesResponse(t *testing.T) {
 		Raw: true,
 	})
 	resp.Body.Close()
-	var raw RawQueryResponse
-	err := json.Unmarshal(body, &raw)
-	if err == nil && raw.Result != nil {
-		t.Fatal("truncated body still decoded to a full raw response")
+	if _, err := DecodeRaw(body); err == nil {
+		t.Fatal("truncated body still decoded to a full raw answer")
 	}
 }
 

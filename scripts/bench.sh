@@ -23,8 +23,8 @@ go test ./internal/ingest -run '^$' -bench 'BenchmarkIngest' \
   -benchtime "$BENCHTIME" -benchmem | tee /tmp/bench_ingest.txt
 bench_json "$OUTDIR/BENCH_ingest.json" /tmp/bench_ingest.txt
 
-echo "bench: query path (concurrent HTTP queries, with and without ingest load; the scan kernel alone, ns/row and allocs/row; a sealed chunk's decode per width, ns/value; one exact group-by at 1 and 2 scan workers)..." >&2
-go test ./internal/server -run '^$' -bench 'BenchmarkConcurrentQuery' \
+echo "bench: query path (concurrent HTTP queries, with and without ingest load; a shard's raw answer, encoded and decoded; the scan kernel alone, ns/row and allocs/row; a sealed chunk's decode per width, ns/value; one exact group-by at 1 and 2 scan workers)..." >&2
+go test ./internal/server -run '^$' -bench 'BenchmarkConcurrentQuery|BenchmarkRawAnswer' \
   -benchtime "$BENCHTIME" -benchmem | tee /tmp/bench_query.txt
 go test ./internal/engine -run '^$' -bench 'BenchmarkScanKernel|BenchmarkChunkDecode' \
   -benchtime "$BENCHTIME" -benchmem | tee -a /tmp/bench_query.txt
