@@ -13,6 +13,7 @@ all: build vet test
 # the dead-link and ARCHITECTURE.md § reference check over the docs and
 # the scripts' fixture tests, and a known-vulnerability
 # scan (skipped quietly where govulncheck is not installed; CI installs it).
+# The layer benchmarks are `make bench-guard`'s, a step of their own.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -26,7 +27,6 @@ check:
 	else \
 		echo "govulncheck not installed; skipping vulnerability scan"; \
 	fi
-	@if [ "$(BENCH_GUARD)" = "1" ]; then $(MAKE) bench-guard; fi
 
 build:
 	$(GO) build ./...
@@ -81,17 +81,15 @@ bench:
 bench-json:
 	bash scripts/bench.sh
 
-# Benchmark regression guard: reruns the benchmarks into a scratch dir and
-# fails if any ns_per_op, allocs_per_op or B_per_op regressed >25% versus the committed
-# baseline JSON.
-# Also runs as part of `make check BENCH_GUARD=1`. Override BENCHTIME for a
-# longer, less noisy run; refresh baselines with `make bench-json`.
+# Benchmark regression guard: runs scripts/bench.sh of the parent BASE
+# (default HEAD~1) and of HEAD in PAIRS (default 5) alternating pairs on this
+# host, at BENCHTIME (default 500ms), and fails on an ns_per_op, allocs_per_op
+# or B_per_op median more than 25 % and more than the parent's IQR worse, in
+# at least nine tenths of the pairs (scripts/compare.sh --guard). Five pairs
+# take ~8 min on 2 vCPU.
+bench-guard: BASE ?= HEAD~1
 bench-guard:
-	@mkdir -p /tmp/benchguard
-	BENCH_OUTDIR=/tmp/benchguard BENCHTIME=$${BENCHTIME:-500ms} bash scripts/bench.sh
-	bash scripts/benchdiff.sh BENCH_ingest.json /tmp/benchguard/BENCH_ingest.json
-	bash scripts/benchdiff.sh BENCH_query.json /tmp/benchguard/BENCH_query.json
-	bash scripts/benchdiff.sh BENCH_preprocess.json /tmp/benchguard/BENCH_preprocess.json
+	PAIRS=$${PAIRS:-5} bash scripts/compare.sh --guard $(BASE)
 
 # Full scenario sweep: run every committed case end-to-end against a live
 # server and write one SCENARIO_<case>.json verdict per case. Fails if any

@@ -287,9 +287,9 @@ func mergeAnswers(contributing []*shard, answers []*server.Outcome) (*server.Out
 // longer the whole truth. Only a missing shard whose complete value sets
 // exclude the group's key values provably cannot contribute.
 func demoteExact(res *engine.Result, groupBy []string, missing []*shard) {
-	for _, g := range res.Groups() {
+	res.Each(func(_ engine.GroupKey, g *engine.Group) {
 		if !g.Exact {
-			continue
+			return
 		}
 		for _, sh := range missing {
 			if shardMayHoldGroup(sh.summary(), groupBy, g.Key) {
@@ -297,7 +297,7 @@ func demoteExact(res *engine.Result, groupBy []string, missing []*shard) {
 				break
 			}
 		}
-	}
+	})
 }
 
 func shardMayHoldGroup(st *core.ShardStats, groupBy []string, key []engine.Value) bool {

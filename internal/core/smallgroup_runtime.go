@@ -253,9 +253,9 @@ func (p *smallGroupPrepared) AnswerBounds(ctx context.Context, q *engine.Query, 
 		// that answers it stores it at a 100% rate (owners.owner). The
 		// exact-fallback plan has no owners: the engine already marked every
 		// group exact.
-		for _, g := range combined.Groups() {
+		combined.Each(func(_ engine.GroupKey, g *engine.Group) {
 			_, g.Exact = plan.owners.owner(g.Key)
-		}
+		})
 	}
 	ivs := ConfidenceIntervals(combined, conf)
 	ans := &Answer{
@@ -444,8 +444,7 @@ func ConfidenceIntervals(res *engine.Result, level float64) map[engine.GroupKey]
 	}
 	z := stats.NormalQuantile(0.5 + level/2)
 	out := make(map[engine.GroupKey][]stats.Interval, res.NumGroups())
-	for _, k := range res.Keys() {
-		g := res.Group(k)
+	res.Each(func(k engine.GroupKey, g *engine.Group) {
 		ivs := make([]stats.Interval, len(res.Aggs))
 		for i := range res.Aggs {
 			if g.Exact {
@@ -460,7 +459,7 @@ func ConfidenceIntervals(res *engine.Result, level float64) map[engine.GroupKey]
 			ivs[i] = stats.Interval{Lo: lo, Hi: hi, Level: level}
 		}
 		out[k] = ivs
-	}
+	})
 	return out
 }
 

@@ -179,6 +179,14 @@ func (r *Result) Keys() []GroupKey {
 	return keys
 }
 
+// Each calls f on every group in no set order: for a pass whose outcome does
+// not depend on the order, it skips the sort Keys and Groups pay.
+func (r *Result) Each(f func(key GroupKey, g *Group)) {
+	for k, g := range r.index() {
+		f(GroupKey(k), g)
+	}
+}
+
 // Groups returns the groups ordered by key.
 func (r *Result) Groups() []*Group {
 	keys := r.Keys()

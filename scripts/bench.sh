@@ -10,7 +10,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCHTIME:-2s}"
-OUTDIR="${BENCH_OUTDIR:-.}"
 
 # Converts `go test -bench` lines into a JSON array; see bench_json.sh for
 # the format and the hardening it applies (scientific notation, escaping).
@@ -21,7 +20,7 @@ bench_json() {
 echo "bench: ingest path (WAL append + fsync + online maintenance; base tables of 20k, 100k and 1M rows)..." >&2
 go test ./internal/ingest -run '^$' -bench 'BenchmarkIngest' \
   -benchtime "$BENCHTIME" -benchmem | tee /tmp/bench_ingest.txt
-bench_json "$OUTDIR/BENCH_ingest.json" /tmp/bench_ingest.txt
+bench_json BENCH_ingest.json /tmp/bench_ingest.txt
 
 echo "bench: query path (concurrent HTTP queries, with and without ingest load; a shard's raw answer, encoded and decoded; the scan kernel alone, ns/row and allocs/row; a sealed chunk's decode per width, ns/value; one exact group-by at 1 and 2 scan workers)..." >&2
 go test ./internal/server -run '^$' -bench 'BenchmarkConcurrentQuery|BenchmarkRawAnswer' \
@@ -30,13 +29,13 @@ go test ./internal/engine -run '^$' -bench 'BenchmarkScanKernel|BenchmarkChunkDe
   -benchtime "$BENCHTIME" -benchmem | tee -a /tmp/bench_query.txt
 go test . -run '^$' -bench 'BenchmarkParallelScan' \
   -benchtime "$BENCHTIME" -benchmem | tee -a /tmp/bench_query.txt
-bench_json "$OUTDIR/BENCH_query.json" /tmp/bench_query.txt
+bench_json BENCH_query.json /tmp/bench_query.txt
 
 echo "bench: pre-processing layers (count, classify, materialise, online seeding; tpch spec, 200k rows) and base-data generation (tpch spec, 1M rows)..." >&2
 go test ./internal/core -run '^$' -bench 'BenchmarkPreprocessLayers' \
   -benchtime "$BENCHTIME" -benchmem | tee /tmp/bench_preprocess.txt
 go test ./internal/scenario -run '^$' -bench 'BenchmarkGenerate' \
   -benchtime "$BENCHTIME" -benchmem | tee -a /tmp/bench_preprocess.txt
-bench_json "$OUTDIR/BENCH_preprocess.json" /tmp/bench_preprocess.txt
+bench_json BENCH_preprocess.json /tmp/bench_preprocess.txt
 
-echo "bench: wrote $OUTDIR/BENCH_ingest.json, $OUTDIR/BENCH_query.json and $OUTDIR/BENCH_preprocess.json" >&2
+echo "bench: wrote BENCH_ingest.json, BENCH_query.json and BENCH_preprocess.json" >&2

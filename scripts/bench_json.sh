@@ -12,8 +12,8 @@
 #     escaped so the output stays valid JSON
 #
 # Metric keys are derived from the unit ("ns/op" -> "ns_per_op") and
-# sanitised to [A-Za-z0-9_]. Exactly one benchmark object per line, which
-# scripts/benchdiff.sh relies on.
+# sanitised to [A-Za-z0-9_]. Exactly one benchmark object per line, so a
+# line diff of two of them shows what moved.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then

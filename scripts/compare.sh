@@ -5,6 +5,8 @@
 #   scripts/compare.sh --summary <parent> <change>     summarise saved results
 #   scripts/compare.sh --record <pr> <parent> <change> append them to BENCH_repo.json
 #   scripts/compare.sh --extract <workload> <pair>     one run's lines, from stdin
+#   scripts/compare.sh --guard <parent-ref>            run the layer benchmarks, then gate
+#   scripts/compare.sh --gate <parent> <change>        gate saved layer results
 #
 # A run `git archive`s the parent ref and the change (CHANGE, default HEAD)
 # into a scratch directory (under TMPDIR) and runs `bench/run.sh --trace 0`
@@ -22,6 +24,15 @@
 # per workload appended to BENCH_repo.json at the repo root (RECORD overrides
 # the path): the PR number, the machine class (bench/machine.json) and each
 # side's median of the six gated metrics, null where a run has none.
+#
+# --guard runs each tree's own scripts/bench.sh (BENCHTIME, default 500ms) in
+# place of bench/run.sh, in the same alternating pairs; a benchmark line gives
+# "<benchmark> <pair> ns_per_op|B_per_op|allocs_per_op <value>". The gate then
+# fails (exit 1) on a benchmark metric whose change median exceeds the
+# parent's by more than 25 % and by more than the parent's IQR, in a run where
+# the change is worse in at least nine tenths of the pairs (rounded up; a tie
+# counts for neither side). A zero parent median is a bar like any other, and
+# a benchmark on one side only is printed and never fails.
 set -euo pipefail
 root="$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 
@@ -34,7 +45,6 @@ summary() {
       for (i = 1; i < n; i++) for (j = i; j > 0 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
       med[side] = qs(a, n, 0.5); iqr[side] = qs(a, n, 0.75) - qs(a, n, 0.25)
     }
-    FNR == 1 { side = FILENAME == ARGV[1] ? "p" : "c" }
     NF == 4 {
       k = $1 " " $3; v[side, k, $2] = $4; keys[k] = 1
       if ($2 + 0 > maxpair) maxpair = $2 + 0
@@ -52,7 +62,7 @@ summary() {
         ratio = med["p"] != 0 ? sprintf("%.3f", med["c"] / med["p"]) : "-"
         printf "%-13s %-22s %12.6g %10.4g %12.6g %10.4g %7s %5s\n", km[1], km[2], med["p"], iqr["p"], med["c"], iqr["c"], ratio, wins "/" n
       }
-    }' "$1" "$2" | LC_ALL=C sort -k1,1 -k2,2 |
+    }' side=p "$1" side=c "$2" | LC_ALL=C sort -k1,1 -k2,2 |
     { printf "%-13s %-22s %12s %10s %12s %10s %7s %5s\n" workload metric parent_med parent_iqr change_med change_iqr ratio wins; cat; }
 }
 
@@ -65,7 +75,30 @@ extract() {
       next
     }
     /^attempted / { print w, p, "failed", $4; next }
+    /^Benchmark/ {
+      name = $1; sub(/-[0-9]+$/, "", name)
+      for (i = 3; i < NF; i += 2) {
+        m = $(i + 1); if (m != "ns/op" && m != "B/op" && m != "allocs/op") continue
+        sub(/\//, "_per_", m); v = sprintf("%.4f", $i); sub(/\.?0+$/, "", v)
+        print name, p, m, v
+      }
+      next
+    }
     NF == 3 && $1 ~ /^[a-z][a-z0-9_.]*$/ && $2 ~ /^[0-9.eE+-]+$/ { print w, p, $1, $2 }'
+}
+
+# gate <parent> <change>: the summary with the sides swapped, so that its
+# wins are the pairs the change loses.
+gate() {
+  summary "$2" "$1" | awk '
+    NR > 1 {
+      split($8, w, "/"); lost = w[1]; n = w[2]; pm = $5 + 0; cm = $3 + 0
+      if (n == 0) { printf "gate: ONE SIDE  %s %s\n", $1, $2; next }
+      bad = cm > 1.25 * pm && cm - pm > $6 + 0 && lost >= int((9 * n + 9) / 10)
+      printf "gate: %-9s %s %s %s -> %s (parent IQR %s, worse in %d/%d pairs)\n", bad ? "REGRESSED" : "ok", $1, $2, $5, $3, $6, lost, n
+      fail = fail || bad
+    }
+    END { exit fail }'
 }
 
 record() {
@@ -95,14 +128,26 @@ if [ "${1:-}" = "--extract" ]; then
   extract "$2" "$3"
   exit 0
 fi
+if [ "${1:-}" = "--gate" ]; then
+  [ $# -eq 3 ] && [ -f "$2" ] && [ -f "$3" ] || { echo "usage: $0 --gate <parent-results> <change-results>" >&2; exit 2; }
+  gate "$2" "$3"
+  exit
+fi
 if [ "${1:-}" = "--summary" ]; then
   [ $# -eq 3 ] || { echo "usage: $0 --summary <parent-results> <change-results>" >&2; exit 2; }
   summary "$2" "$3"
   exit 0
 fi
+guard=
+if [ "${1:-}" = "--guard" ]; then
+  [ $# -eq 2 ] || { echo "usage: $0 --guard <parent-ref>" >&2; exit 2; }
+  guard=1
+  shift
+fi
 [ $# -ge 1 ] || { echo "usage: $0 <parent-ref> [workloads]" >&2; exit 2; }
 parent="$1"
 workloads="${2:-dash_point groupby_scan ingest_only ingest_mixed}"
+[ -z "$guard" ] || workloads=bench
 work="$(mktemp -d "${TMPDIR:-/tmp}/compare.XXXXXX")"
 out="${OUT:-$work}"
 mkdir -p "$out" "$work/parent" "$work/change"
@@ -116,11 +161,18 @@ for pair in $(seq 1 "${PAIRS:-10}"); do
   for w in $workloads; do
     for side in $order; do
       echo "pair $pair $w $side" >&2
-      (cd "$work/$side" && bash bench/run.sh --workload "$w" --seed "$pair" --seconds 8 --trace "${TRACE:-0}") |
-        extract "$w" "$pair" >>"$out/$side.txt"
+      if [ -n "$guard" ]; then
+        (cd "$work/$side" && BENCHTIME="${BENCHTIME:-500ms}" bash scripts/bench.sh)
+      else
+        (cd "$work/$side" && bash bench/run.sh --workload "$w" --seed "$pair" --seconds 8 --trace "${TRACE:-0}")
+      fi | extract "$w" "$pair" >>"$out/$side.txt"
     done
   done
 done
 rm -rf "$work/parent" "$work/change"
-summary "$out/parent.txt" "$out/change.txt"
 echo "results: $out" >&2
+if [ -n "$guard" ]; then
+  gate "$out/parent.txt" "$out/change.txt"
+else
+  summary "$out/parent.txt" "$out/change.txt"
+fi

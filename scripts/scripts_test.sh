@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Fixture-driven tests for the shell tooling in scripts/: the bench output
-# -> JSON converter (scientific notation, name escaping) and the benchdiff
-# regression guard (including the required failures on a synthetic 2x
-# ns_per_op regression, a synthetic 2x allocs_per_op regression and a
-# synthetic 2x B_per_op regression), and the
+# -> JSON converter (scientific notation, name escaping) and compare.sh's
+# layer gate (including the required failures on a synthetic 2x ns_per_op
+# regression, a synthetic 2x allocs_per_op regression and a synthetic 2x
+# B_per_op regression), and the
 # loc.sh code-line counter with its locdiff.sh diff, and smoke.sh's body
 # matcher, and doclinks.sh on fixture trees (a dead link, a dead
 # "ARCHITECTURE.md §N" reference and a route from before /v1 must each
@@ -48,23 +48,25 @@ fi
 
 t "bench_json rejects missing args" 2 bash scripts/bench_json.sh /tmp/only_one_arg.json
 
-# --- benchdiff.sh --------------------------------------------------------
-t "benchdiff passes on identical results" 0 \
-  bash scripts/benchdiff.sh scripts/testdata/baseline.json scripts/testdata/baseline.json
-t "benchdiff passes on regression within threshold" 0 \
-  bash scripts/benchdiff.sh scripts/testdata/baseline.json scripts/testdata/within.json
-t "benchdiff fails on synthetic 2x ns_per_op regression" 1 \
-  bash scripts/benchdiff.sh scripts/testdata/baseline.json scripts/testdata/regress2x.json
-t "benchdiff fails on synthetic 2x allocs_per_op regression at equal ns_per_op" 1 \
-  bash scripts/benchdiff.sh scripts/testdata/baseline.json scripts/testdata/regress_allocs.json
-t "benchdiff fails on synthetic 2x B_per_op regression at equal ns_per_op and allocs_per_op" 1 \
-  bash scripts/benchdiff.sh scripts/testdata/baseline.json scripts/testdata/regress_bytes.json
-t "benchdiff passes on improvement (new benchmark is informational)" 0 \
-  bash scripts/benchdiff.sh scripts/testdata/baseline.json scripts/testdata/improved.json
-t "benchdiff honours a custom threshold (2x allowed at 150%)" 0 \
-  bash scripts/benchdiff.sh scripts/testdata/baseline.json scripts/testdata/regress2x.json 150
-t "benchdiff rejects a missing file" 2 \
-  bash scripts/benchdiff.sh scripts/testdata/baseline.json /tmp/does_not_exist_$$.json
+# --- compare.sh --gate ----------------------------------------------------
+# Canned layer results, five pairs each, against one parent: the gate fails a
+# metric only when its median is >25 % and more than the parent's IQR worse in
+# at least nine tenths of the pairs; a zero parent median (B and allocs of
+# BenchmarkQuery/Baseline) is a bar like any other.
+g=scripts/testdata/guard
+t "gate passes on identical results" 0 bash scripts/compare.sh --gate $g/parent.txt $g/parent.txt
+t "gate passes on +20% in every pair" 0 bash scripts/compare.sh --gate $g/parent.txt $g/within.txt
+t "gate fails on 2x ns_per_op in every pair" 1 bash scripts/compare.sh --gate $g/parent.txt $g/regress2x.txt
+t "gate fails on 2x allocs_per_op at equal ns_per_op" 1 bash scripts/compare.sh --gate $g/parent.txt $g/regress_allocs.txt
+t "gate fails on 2x B_per_op at equal ns_per_op and allocs_per_op" 1 \
+  bash scripts/compare.sh --gate $g/parent.txt $g/regress_bytes.txt
+t "gate passes on 2x in one pair of five at equal medians" 0 bash scripts/compare.sh --gate $g/parent.txt $g/one_pair.txt
+t "gate passes on a benchmark on one side only" 0 bash scripts/compare.sh --gate $g/parent.txt $g/one_side.txt
+t "gate rejects a missing file" 2 bash scripts/compare.sh --gate $g/parent.txt /tmp/does_not_exist_$$.txt
+# A benchmark line's -N suffix is stripped and its scientific notation printed
+# as a plain decimal; units other than ns/op, B/op and allocs/op are dropped.
+t "compare --extract reads go test -bench lines" 0 \
+  bash -c "bash scripts/compare.sh --extract bench 1 <scripts/testdata/bench_sci.txt | diff -u $g/bench_sci.txt -"
 
 # --- loc.sh --------------------------------------------------------------
 # Golden test: comment-only lines, /* */ blocks, blank lines and _test.go
