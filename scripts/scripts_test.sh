@@ -51,8 +51,7 @@ t "bench_json rejects missing args" 2 bash scripts/bench_json.sh /tmp/only_one_a
 # --- compare.sh --gate ----------------------------------------------------
 # Canned layer results, five pairs each, against one parent: the gate fails a
 # metric only when its median is >25 % and more than the parent's IQR worse in
-# at least nine tenths of the pairs; a zero parent median (B and allocs of
-# BenchmarkQuery/Baseline) is a bar like any other.
+# at least nine tenths of the pairs.
 g=scripts/testdata/guard
 t "gate passes on identical results" 0 bash scripts/compare.sh --gate $g/parent.txt $g/parent.txt
 t "gate passes on +20% in every pair" 0 bash scripts/compare.sh --gate $g/parent.txt $g/within.txt
@@ -60,6 +59,7 @@ t "gate fails on 2x ns_per_op in every pair" 1 bash scripts/compare.sh --gate $g
 t "gate fails on 2x allocs_per_op at equal ns_per_op" 1 bash scripts/compare.sh --gate $g/parent.txt $g/regress_allocs.txt
 t "gate fails on 2x B_per_op at equal ns_per_op and allocs_per_op" 1 \
   bash scripts/compare.sh --gate $g/parent.txt $g/regress_bytes.txt
+t "gate fails on one alloc per op over a zero parent median" 1 bash scripts/compare.sh --gate $g/parent.txt $g/zero_bar.txt
 t "gate passes on 2x in one pair of five at equal medians" 0 bash scripts/compare.sh --gate $g/parent.txt $g/one_pair.txt
 t "gate passes on a benchmark on one side only" 0 bash scripts/compare.sh --gate $g/parent.txt $g/one_side.txt
 t "gate rejects a missing file" 2 bash scripts/compare.sh --gate $g/parent.txt /tmp/does_not_exist_$$.txt
