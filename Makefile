@@ -8,7 +8,8 @@ all: build vet test
 
 # The CI gate: build + vet + full test suite under the race detector, the
 # schedule-dependent build paths (generation's fills, pre-processing's
-# sharded scan 2) pinned at 1, 2 and 8 cores whatever the runner has, the
+# sharded scan 2) and the exact scan on every core pinned at 1, 2 and 8
+# cores whatever the runner has, the
 # shard stripes and the tiers' surface parity at the same core counts, plus
 # the dead-link and ARCHITECTURE.md § reference check over the docs and
 # the scripts' fixture tests, and a known-vulnerability
@@ -18,7 +19,7 @@ check:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -cpu 1,2,8 -run 'Determinism|Golden|PacksAsItGoes' ./internal/core ./internal/scenario
+	$(GO) test -cpu 1,2,8 -run 'Determinism|Golden|PacksAsItGoes' ./internal/core ./internal/scenario ./internal/engine
 	$(GO) test -cpu 1,2,8 -run 'Parity|Stripe' ./internal/cluster
 	bash scripts/doclinks.sh
 	bash scripts/scripts_test.sh
@@ -83,10 +84,10 @@ bench-json:
 
 # Benchmark regression guard: runs scripts/bench.sh of the parent BASE
 # (default HEAD~1) and of HEAD in PAIRS (default 5) alternating pairs on this
-# host, at BENCHTIME (default 500ms), and fails on an ns_per_op, allocs_per_op
-# or B_per_op median more than 25 % and more than the parent's IQR worse, in
-# at least nine tenths of the pairs (scripts/compare.sh --guard). Five pairs
-# take ~8 min on 2 vCPU.
+# host, one section at a time, at BENCHTIME (default 500ms), and fails on an
+# ns_per_op, allocs_per_op or B_per_op median more than 25 % and more than
+# the parent's IQR worse, in at least nine tenths of the pairs
+# (scripts/compare.sh --guard). Five pairs take ~8 min on 2 vCPU.
 bench-guard: BASE ?= HEAD~1
 bench-guard:
 	PAIRS=$${PAIRS:-5} bash scripts/compare.sh --guard $(BASE)
@@ -126,8 +127,8 @@ fuzz:
 # panics. And over the checksummed frame the WAL and the catalog container
 # share: a payload or an error, never an allocation past the cap, the stream
 # read and the byte-slice check agreeing. And over a shard's raw answer: an
-# answer it accepts re-encodes to the same bytes. And over the ingest cell parser,
-# held to what encoding/json makes of the same cell, the chunk codec, held to a plain
+# answer it accepts re-encodes to the same bytes. And over the ingest body parser,
+# held to what encoding/json makes of the same body, the chunk codec, held to a plain
 # slice, and the scenario spec parser: a spec it accepts must generate. And
 # over the column-frequency kernel, held to a naive per-row count on random
 # star schemas (integer columns counted densely and in a map), and the
@@ -142,7 +143,7 @@ fuzz-smoke:
 	$(GO) test ./internal/binio -run FuzzFrame -fuzz FuzzFrame -fuzztime 15s -fuzzminimizetime 1s
 	$(GO) test ./internal/engine -run FuzzChunkCodec -fuzz FuzzChunkCodec -fuzztime 15s -fuzzminimizetime 1s
 	$(GO) test ./internal/server -run FuzzDecodeRaw -fuzz FuzzDecodeRaw -fuzztime 15s -fuzzminimizetime 1s
-	$(GO) test ./internal/server -run FuzzDecodeCell -fuzz FuzzDecodeCell -fuzztime 15s -fuzzminimizetime 1s
+	$(GO) test ./internal/server -run FuzzIngestBody -fuzz FuzzIngestBody -fuzztime 15s -fuzzminimizetime 1s
 	$(GO) test ./internal/scenario -run FuzzParseSpec -fuzz FuzzParseSpec -fuzztime 15s -fuzzminimizetime 1s
 	$(GO) test ./internal/engine -run FuzzColumnFrequencies -fuzz FuzzColumnFrequencies -fuzztime 15s -fuzzminimizetime 1s
 	$(GO) test ./internal/randx -run FuzzInverseCDF -fuzz FuzzInverseCDF -fuzztime 15s -fuzzminimizetime 1s

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"runtime"
 	"sync"
 
 	"dynsample/internal/bitmask"
@@ -129,10 +130,11 @@ func ExecuteExact(db *Database, q *Query) (*Result, error) {
 }
 
 // ExecuteExactCtx is ExecuteExact under a context; see ExecuteCtx for the
-// cancellation granularity.
+// cancellation granularity. It scans on every core (runtime.GOMAXPROCS),
+// which changes no answer: see ExecOptions.Workers.
 func ExecuteExactCtx(ctx context.Context, db *Database, q *Query) (*Result, error) {
 	if err := q.Validate(db); err != nil {
 		return nil, err
 	}
-	return ExecuteCtx(ctx, db, q, ExecOptions{MarkExact: true})
+	return ExecuteCtx(ctx, db, q, ExecOptions{MarkExact: true, Workers: runtime.GOMAXPROCS(0)})
 }

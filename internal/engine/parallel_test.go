@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -186,5 +187,24 @@ func TestMergeEmptyShards(t *testing.T) {
 		if !g.Exact {
 			t.Fatal("exactness lost when merging into an empty result")
 		}
+	}
+}
+
+// TestExactScanDeterminism: ExecuteExactCtx, which scans on every
+// core, answers bit for bit as one worker does, on sources of 1, 2 and 5
+// shards (make check runs it at -cpu 1,2,8).
+func TestExactScanDeterminism(t *testing.T) {
+	for _, shards := range []int{1, 2, 5} {
+		db := MustNewDatabase("d", randomScanTable(int64(shards), (shards-1)*ScanShardRows+211))
+		q := scanQuery()
+		want, err := ExecuteCtx(context.Background(), db, q, ExecOptions{MarkExact: true, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ExecuteExactCtx(context.Background(), db, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResult(t, fmt.Sprintf("%d shards", shards), want, got)
 	}
 }

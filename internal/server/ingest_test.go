@@ -227,6 +227,31 @@ func TestStrictRequestBodies(t *testing.T) {
 	}
 }
 
+// TestIngestRefusesNull: null is no value of any column type, and a cell
+// holding it is a 400 that names the cell. encoding/json reads null into a
+// string as "", so it used to ingest an invented empty group key.
+func TestIngestRefusesNull(t *testing.T) {
+	srv, coord, _ := ingestServer(t, ingest.Config{Online: core.OnlineConfig{Seed: 8}})
+	for _, c := range []struct{ body, want string }{
+		{`{"rows":[["ra",1.5],[null,2.5]]}`, `rows[1][0] (column "region"): want a JSON string, got null`},
+		{`{"rows":[["ra",null]]}`, `rows[0][1] (column "amount"): want a JSON number, got null`},
+	} {
+		resp, err := http.Post(srv.URL+"/v1/ingest", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er ErrorResponse
+		json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || er.Error.Code != CodeBadRequest || !strings.HasSuffix(er.Error.Message, c.want) {
+			t.Errorf("%s: %d %+v, want 400 bad_request ending %s", c.body, resp.StatusCode, er.Error, c.want)
+		}
+	}
+	if g := coord.Generation(); g != 0 {
+		t.Errorf("refused batches moved the data generation to %d", g)
+	}
+}
+
 // TestIngestWALFailureDegrades: a WAL fsync failure is the server's fault,
 // not the request's — it latches read-only degraded mode and surfaces as a
 // retryable 503 with Retry-After (so clients keep the batch and retry) rather

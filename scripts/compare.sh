@@ -26,8 +26,13 @@
 # side's median of the six gated metrics, null where a run has none.
 #
 # --guard runs each tree's own scripts/bench.sh (BENCHTIME, default 500ms) in
-# place of bench/run.sh, in the same alternating pairs; a benchmark line gives
-# "<benchmark> <pair> ns_per_op|B_per_op|allocs_per_op <value>". The gate then
+# place of bench/run.sh, in the same alternating pairs, one section (ingest,
+# query, preprocess) at a time: both sides run a section before either runs
+# the next, so a benchmark's two readings in a pair are seconds apart, not a
+# whole bench.sh run. A benchmark line gives "<benchmark> <pair>
+# ns_per_op|B_per_op|allocs_per_op <value>"; a parent whose bench.sh runs
+# every section whatever it is asked gives each benchmark three readings a
+# pair, and the last one counts. The gate then
 # fails (exit 1) on a benchmark metric whose change median exceeds the
 # parent's by more than 25 % and by more than the parent's IQR, in a run where
 # the change is worse in at least nine tenths of the pairs (rounded up; a tie
@@ -147,7 +152,7 @@ fi
 [ $# -ge 1 ] || { echo "usage: $0 <parent-ref> [workloads]" >&2; exit 2; }
 parent="$1"
 workloads="${2:-dash_point groupby_scan ingest_only ingest_mixed}"
-[ -z "$guard" ] || workloads=bench
+[ -z "$guard" ] || workloads="ingest query preprocess"
 work="$(mktemp -d "${TMPDIR:-/tmp}/compare.XXXXXX")"
 out="${OUT:-$work}"
 mkdir -p "$out" "$work/parent" "$work/change"
@@ -162,7 +167,7 @@ for pair in $(seq 1 "${PAIRS:-10}"); do
     for side in $order; do
       echo "pair $pair $w $side" >&2
       if [ -n "$guard" ]; then
-        (cd "$work/$side" && BENCHTIME="${BENCHTIME:-500ms}" bash scripts/bench.sh)
+        (cd "$work/$side" && BENCHTIME="${BENCHTIME:-500ms}" bash scripts/bench.sh "$w")
       else
         (cd "$work/$side" && bash bench/run.sh --workload "$w" --seed "$pair" --seconds 8 --trace "${TRACE:-0}")
       fi | extract "$w" "$pair" >>"$out/$side.txt"

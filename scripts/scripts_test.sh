@@ -7,9 +7,9 @@
 # loc.sh code-line counter with its locdiff.sh diff, and smoke.sh's body
 # matcher, and doclinks.sh on fixture trees (a dead link, a dead
 # "ARCHITECTURE.md §N" reference and a route from before /v1 must each
-# fail), and compare.sh's summary and record of two canned result files. Run by
-# `make check`. Needs
-# only bash, awk, diff, git.
+# fail), and compare.sh's summary and record of two canned result files,
+# and bench.sh's section argument (one it does not know exits 2). Run by
+# `make check`. Needs only bash, awk, diff, git.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -67,6 +67,10 @@ t "gate rejects a missing file" 2 bash scripts/compare.sh --gate $g/parent.txt /
 # as a plain decimal; units other than ns/op, B/op and allocs/op are dropped.
 t "compare --extract reads go test -bench lines" 0 \
   bash -c "bash scripts/compare.sh --extract bench 1 <scripts/testdata/bench_sci.txt | diff -u $g/bench_sci.txt -"
+
+# --- bench.sh --------------------------------------------------------------
+# A section it does not know is a usage error, before any benchmark runs.
+t "bench.sh refuses an unknown section" 2 bash scripts/bench.sh ingestion
 
 # --- loc.sh --------------------------------------------------------------
 # Golden test: comment-only lines, /* */ blocks, blank lines and _test.go
