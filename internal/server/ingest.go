@@ -176,29 +176,34 @@ const maxDepth, maxRowGuess = 10000, 4096
 // another kind, which is a wrong type (null, the empty request, is not).
 func (p *ingestParser) parse() (err error) {
 	defer func() {
-		if e := recover(); e != nil {
-			err = e.(syntaxError).err // any other panic is a bug, and the assertion panics on
+		switch e := recover().(type) {
+		case nil:
+		case syntaxError:
+			err = e.err
+		default:
+			panic(e) // a bug
 		}
 	}()
 	if p.next(); p.eof == io.EOF {
 		p.eof = io.ErrUnexpectedEOF
 	}
-	if !p.want('{', 0, "Go value of type server.IngestRequest") {
-		return nil
+	if p.want('{', 0, "Go value of type server.IngestRequest") {
+		p.container(func(_ int, key []byte, plain bool) {
+			switch name := []byte(unquote(key, plain)); {
+			case bytes.EqualFold(name, []byte("rows")):
+				p.rows()
+			case bytes.EqualFold(name, []byte("columns")):
+				p.columnNames()
+			case bytes.EqualFold(name, []byte("batch_id")):
+				if p.want('"', 1, "Go struct field IngestRequest.batch_id of type string") {
+					p.batchID = unquote(p.str())
+				}
+			default:
+				p.saved = cmp.Or(p.saved, fmt.Errorf("json: unknown field %q", name))
+				p.skip(1)
+			}
+		})
 	}
-	p.container(func(_ int, key []byte, plain bool) {
-		switch name := []byte(unquote(key, plain)); {
-		case bytes.EqualFold(name, []byte("rows")):
-			p.rows()
-		case bytes.EqualFold(name, []byte("columns")):
-			p.columnNames()
-		case bytes.EqualFold(name, []byte("batch_id")):
-			p.text(1, &p.batchID, "Go struct field IngestRequest.batch_id of type string")
-		default:
-			p.saved = cmp.Or(p.saved, fmt.Errorf("json: unknown field %q", name))
-			p.skip(1)
-		}
-	})
 	return nil
 }
 
@@ -209,38 +214,37 @@ func (p *ingestParser) columnNames() {
 	if p.next() == 'n' {
 		p.columns = nil
 	}
-	if !p.want('[', 1, place+"[]string") {
-		return
+	if p.want('[', 1, place+"[]string") {
+		names := p.columns[:0]
+		p.container(func(i int, _ []byte, _ bool) {
+			if names = slices.Grow(names[:i], 1)[:i+1]; p.want('"', 2, place+"string") {
+				names[i] = unquote(p.str())
+			}
+		})
+		if len(names) == 0 {
+			names = []string{}
+		}
+		p.columns = names
 	}
-	names := p.columns[:0]
-	p.container(func(i int, _ []byte, _ bool) {
-		names = slices.Grow(names[:i], 1)[:i+1]
-		p.text(2, &names[i], place+"string")
-	})
-	if len(names) == 0 {
-		names = []string{}
-	}
-	p.columns = names
 }
 
 // rows parses "rows", row after row, each cell typed as its column is.
 func (p *ingestParser) rows() {
 	const place = "Go struct field IngestRequest.rows of type "
-	if p.vals, p.nrows, p.rowsErr = p.vals[:0], 0, nil; !p.want('[', 1, place+"[][]json.RawMessage") {
-		return
+	if p.vals, p.nrows, p.rowsErr = p.vals[:0], 0, nil; p.want('[', 1, place+"[][]json.RawMessage") {
+		p.container(func(ri int, _ []byte, _ bool) {
+			start, n, cellErr := p.i, 0, error(nil)
+			if p.nrows++; p.want('[', 2, place+"[]json.RawMessage") { // null: a row of no cells
+				p.container(func(ci int, _ []byte, _ bool) { p.cell(ri, ci, &cellErr); n++ })
+			}
+			if n != len(p.cols) { // the row's length goes before its cells
+				cellErr = fmt.Errorf("rows[%d] has %d values, view has %d columns (%v)", ri, n, len(p.cols), p.cols)
+			}
+			if p.rowsErr = cmp.Or(p.rowsErr, cellErr); ri == 0 { // size the batch by its first row
+				p.vals = slices.Grow(p.vals, min((len(p.b)-p.i)/(p.i-start+1), maxRowGuess)*len(p.cols))
+			}
+		})
 	}
-	p.container(func(ri int, _ []byte, _ bool) {
-		start, n, cellErr := p.i, 0, error(nil)
-		if p.nrows++; p.want('[', 2, place+"[]json.RawMessage") { // null: a row of no cells
-			p.container(func(ci int, _ []byte, _ bool) { p.cell(ri, ci, &cellErr); n++ })
-		}
-		if n != len(p.cols) { // the row's length goes before its cells
-			cellErr = fmt.Errorf("rows[%d] has %d values, view has %d columns (%v)", ri, n, len(p.cols), p.cols)
-		}
-		if p.rowsErr = cmp.Or(p.rowsErr, cellErr); ri == 0 { // size the batch by its first row
-			p.vals = slices.Grow(p.vals, min((len(p.b)-p.i)/(p.i-start+1), maxRowGuess)*len(p.cols))
-		}
-	})
 }
 
 // cell parses cell ci of row ri where it lies: a string without escapes
@@ -273,13 +277,6 @@ func (p *ingestParser) cell(ri, ci int, cellErr *error) {
 		*cellErr = fmt.Errorf("rows[%d][%d] (column %q): %w", ri, ci, p.cols[ci], err)
 	}
 	p.vals = append(p.vals, v)
-}
-
-// text parses a string into *dst, depth arrays and objects deep.
-func (p *ingestParser) text(depth int, dst *string, place string) {
-	if p.want('"', depth, place) {
-		*dst = unquote(p.str())
-	}
 }
 
 // want reports whether the value next, depth arrays and objects deep,
