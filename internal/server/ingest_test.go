@@ -252,6 +252,32 @@ func TestIngestRefusesNull(t *testing.T) {
 	}
 }
 
+// TestIngestBodyOverTheCap: a body longer than maxBody is refused whether
+// or not its object ends within the cap, with the errors the strict decode
+// gave: the cut read, or data after the object.
+func TestIngestBodyOverTheCap(t *testing.T) {
+	srv, coord, _ := ingestServer(t, ingest.Config{Online: core.OnlineConfig{Seed: 9}})
+	row := `["ra",1.5],`
+	for _, c := range []struct{ body, want string }{
+		{`{"rows":[` + strings.Repeat(row, maxBody/len(row)) + `["ra",1.5]]}`, "bad request body: http: request body too large"},
+		{`{"rows":[["ra",1.5]]}` + strings.Repeat(" ", maxBody), "bad request body: data after the JSON object"},
+	} {
+		resp, err := http.Post(srv.URL+"/v1/ingest", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er ErrorResponse
+		json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || er.Error.Message != c.want {
+			t.Errorf("a %d-byte body: %d %+v, want 400 %q", len(c.body), resp.StatusCode, er.Error, c.want)
+		}
+	}
+	if g := coord.Generation(); g != 0 {
+		t.Errorf("refused batches moved the data generation to %d", g)
+	}
+}
+
 // TestIngestWALFailureDegrades: a WAL fsync failure is the server's fault,
 // not the request's — it latches read-only degraded mode and surfaces as a
 // retryable 503 with Retry-After (so clients keep the batch and retry) rather
