@@ -170,3 +170,44 @@ func TestAnswerCtxStuckShardTimesOut(t *testing.T) {
 		t.Fatalf("stuck shard held the query for %v", elapsed)
 	}
 }
+
+// TestAmpleDeadlineBuildsNoPlannerStats: an unbounded query whose full plan
+// fits its deadline runs that plan without predicting anything, so the
+// family's planner statistics stay unbuilt.
+func TestAmpleDeadlineBuildsNoPlannerStats(t *testing.T) {
+	p := prep(t, skewedDB(t, 20000), SmallGroupConfig{BaseRate: 0.02, DistinctLimit: 100, Seed: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	ans, err := p.AnswerCtx(ctx, deadlineQuery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ans.Degraded || len(ans.Rewrite.Steps) < 2 {
+		t.Fatalf("ran %d steps degraded=%v, want the full plan", len(ans.Rewrite.Steps), ans.Degraded)
+	}
+	if p.pstats.cols != nil {
+		t.Fatal("answering under an ample deadline built the planner statistics")
+	}
+}
+
+// TestDeadlineWithoutTablesAnswersFromTheOverallSample: a query no small
+// group table serves has the overall sample alone as its full plan. When
+// that does not fit the deadline, the overall sample still answers it, and
+// the answer is flagged degraded like any plan that does not fit.
+func TestDeadlineWithoutTablesAnswersFromTheOverallSample(t *testing.T) {
+	p := prep(t, skewedDB(t, 20000), SmallGroupConfig{BaseRate: 0.02, Columns: []string{}, Seed: 1, ScanRowsPerSecond: 1})
+	q := deadlineQuery()
+	want, err := p.Answer(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	got, err := p.AnswerCtx(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := renderSteps(got.Rewrite), renderSteps(want.Rewrite); g != w || !got.Degraded {
+		t.Fatalf("ran %q degraded=%v, want %q degraded=true", g, got.Degraded, w)
+	}
+}

@@ -454,17 +454,37 @@ func (p *smallGroupPrepared) full(q *engine.Query) *candidate {
 		relevant = relevant[:limit]
 		sort.Slice(relevant, func(i, j int) bool { return relevant[i].Index < relevant[j].Index })
 	}
-	return &candidate{refs: relevant, overallRows: p.overall.rows()}
+	c := p.describe(relevant, p.overall.rows())
+	return &c
 }
 
-// enumerate lists the candidates for q, predicted but neither built nor
-// executed: every prefix (by descending rare-row mass, §4.2.3's preference
-// order) of the full descriptor's tables, and the full descriptor itself at
-// index full. With explore — the opt-in a stated bound gives — each prefix is
-// also tried over every trimmed fraction of a uniform overall sample, and the
-// exact fallback is appended when the base data is attached. Selection
-// breaks ties by first seen, so the order is part of the contract.
-func (p *smallGroupPrepared) enumerate(q *engine.Query, conf float64, explore bool) (cands []candidate, full int, caveats []string) {
+// describe is the candidate reading refs (in index order) and the first m
+// rows of the overall sample, with the rows it scans: every candidate's rows,
+// the full one's included, are counted here.
+func (p *smallGroupPrepared) describe(refs []TableRef, m int64) candidate {
+	c := candidate{refs: refs, overallRows: m, PlanCandidate: PlanCandidate{Rows: m}}
+	for _, ref := range refs {
+		c.Rows += p.tables[ref.Index].rows()
+	}
+	return c
+}
+
+// price sets c's predicted latency: its rows over the scan rate.
+func (c *PlanCandidate) price(rate float64) {
+	c.PredictedLatency = time.Duration(float64(c.Rows) / rate * float64(time.Second))
+	c.PredictedLatencyMicros = c.PredictedLatency.Microseconds()
+}
+
+// enumerate lists the candidates for q, predicted and priced at rate but
+// neither built nor executed: every prefix (by descending rare-row mass,
+// §4.2.3's preference order) of the full descriptor's tables, over the whole
+// overall sample, the last of them the full descriptor itself. With explore —
+// the opt-in a stated bound gives — each prefix is also tried over every
+// trimmed fraction of a uniform overall sample, and the exact fallback is
+// appended when the base data is attached. Selection breaks ties by first
+// seen, so the order is part of the contract. The caveats are the full
+// plan's.
+func (p *smallGroupPrepared) enumerate(q *engine.Query, conf, rate float64, explore bool) (cands []candidate, caveats []string) {
 	ps := p.stats()
 	z := stats.NormalQuantile(0.5 + conf/2)
 	pri := p.full(q).refs
@@ -473,18 +493,17 @@ func (p *smallGroupPrepared) enumerate(q *engine.Query, conf float64, explore bo
 	if !explore || !ps.uniform {
 		fractions = []float64{1}
 	}
+	total := p.overall.rows()
 	for k := 0; k <= len(pri); k++ {
 		refs := append([]TableRef(nil), pri[:k]...)
 		sort.Slice(refs, func(i, j int) bool { return refs[i].Index < refs[j].Index })
 		used := make(map[string]bool, k) // columns whose own table answers their rare values
 		var names []string
-		var tableRows int64
 		for _, ref := range refs {
 			if len(ref.Columns) == 1 {
 				used[ref.Columns[0]] = true
 			}
 			names = append(names, p.tables[ref.Index].name)
-			tableRows += p.tables[ref.Index].rows()
 		}
 		name := p.overall.name
 		if k > 0 {
@@ -492,24 +511,23 @@ func (p *smallGroupPrepared) enumerate(q *engine.Query, conf float64, explore bo
 		}
 		seen := map[int64]bool{}
 		for _, f := range fractions {
-			m := max(1, int64(math.Ceil(f*float64(ps.overallRows))))
-			if m >= ps.overallRows {
-				m, f = ps.overallRows, 1
+			m := max(1, int64(math.Ceil(f*float64(total))))
+			if m >= total {
+				m, f = total, 1
 			}
 			if seen[m] {
 				continue
 			}
 			seen[m] = true
-			c := candidate{refs: refs, overallRows: m, PlanCandidate: PlanCandidate{
-				Name: name, Tables: names, OverallFraction: f, Rows: tableRows + m,
-			}}
-			var cavs []string
-			c.PredictedError, cavs = ps.predictError(q, used, float64(m), z)
+			c := p.describe(refs, m)
+			c.Name, c.Tables, c.OverallFraction = name, names, f
 			if f < 1 {
 				c.Name += fmt.Sprintf("/%g", f)
 			}
+			var cavs []string
+			c.PredictedError, cavs = ps.predictError(q, used, float64(m), z)
 			if k == len(pri) && f == 1 {
-				full, caveats = len(cands), cavs // report the full plan's caveats once
+				caveats = cavs // report the full plan's caveats once
 			}
 			cands = append(cands, c)
 		}
@@ -517,13 +535,10 @@ func (p *smallGroupPrepared) enumerate(q *engine.Query, conf float64, explore bo
 	if explore && p.db != nil {
 		cands = append(cands, candidate{PlanCandidate: PlanCandidate{Name: "exact", Rows: int64(p.db.NumRows()), Exact: true}})
 	}
-	rate := p.scanRate()
 	for i := range cands {
-		c := &cands[i].PlanCandidate
-		c.PredictedLatency = time.Duration(float64(c.Rows) / rate * float64(time.Second))
-		c.PredictedLatencyMicros = c.PredictedLatency.Microseconds()
+		cands[i].price(rate)
 	}
-	return cands, full, caveats
+	return cands, caveats
 }
 
 // build turns a descriptor into the rewritten query of §4.2.2: one step per
@@ -647,37 +662,22 @@ func unsatisfiable(cands []candidate, b Bounds) *UnsatisfiableBoundsError {
 	return unsat
 }
 
-// selectForDeadline picks the plan for the implicit-deadline path (a request
-// deadline with no explicit bounds): the most accurate candidate whose
-// predicted latency fits the remaining budget, falling back to the cheapest
-// candidate when nothing fits — degradation always produces an answer. The
-// second return reports whether the choice degraded below the full plan,
-// cands[full].
-func selectForDeadline(cands []candidate, full int, budget time.Duration) (*candidate, bool) {
+// selectForDeadline picks the plan for a request deadline the full plan does
+// not fit (no bounds stated) among the table prefixes enumerate lists, fewest
+// tables first: the most accurate whose predicted latency fits the remaining
+// budget, ties going to more tables, else the cheapest, the overall sample
+// alone at cands[0] — degradation always produces an answer.
+func selectForDeadline(cands []candidate, budget time.Duration) *candidate {
 	var best *candidate
 	for i := range cands {
-		c := &cands[i]
-		if c.PredictedLatency > budget {
-			continue
-		}
-		if best == nil ||
-			c.PredictedError < best.PredictedError ||
-			(c.PredictedError == best.PredictedError && len(c.Tables) > len(best.Tables)) ||
-			(c.PredictedError == best.PredictedError && len(c.Tables) == len(best.Tables) && c.Rows < best.Rows) {
+		if c := &cands[i]; c.PredictedLatency <= budget && (best == nil || c.PredictedError <= best.PredictedError) {
 			best = c
 		}
 	}
 	if best == nil {
-		// Nothing fits: cheapest candidate, flagged degraded.
-		best = &cands[0]
-		for i := 1; i < len(cands); i++ {
-			if cands[i].Rows < best.Rows {
-				best = &cands[i]
-			}
-		}
-		return best, true
+		return &cands[0]
 	}
-	return best, best != &cands[full]
+	return best
 }
 
 // AchievedError estimates the answer's realized mean per-group relative

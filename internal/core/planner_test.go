@@ -221,7 +221,7 @@ func TestFractionalOverallStepScalesBack(t *testing.T) {
 	db := skewedDB(t, 20000)
 	p := prep(t, db, SmallGroupConfig{BaseRate: 0.05, ScanRowsPerSecond: 25e6, Seed: 1})
 	q := countQuery("a")
-	cands, _, _ := p.enumerate(q, 0.95, true)
+	cands, _ := p.enumerate(q, 0.95, p.scanRate(), true)
 	var frac *candidate
 	for i := range cands {
 		if f := cands[i].OverallFraction; f > 0 && f < 1 {
@@ -458,5 +458,35 @@ func TestPlanChoiceCharacterisation(t *testing.T) {
 	// only the exact plan meets the error bound.
 	if math.Abs(unsat.BestError-0.10068357449773098) > 1e-12 || unsat.BestLatency != 1200*time.Microsecond {
 		t.Errorf("unsatisfiable: best error %v latency %v, want 0.10068357449773098 and 1.2ms", unsat.BestError, unsat.BestLatency)
+	}
+}
+
+// TestPlannerOverallRowsFollowTheFamily: the enumeration counts the overall
+// sample's rows as the full descriptor does, from the family itself, and the
+// planner statistics, built once and shared by every version online ingest
+// publishes, hold the same count: the reservoir keeps its size until a
+// rebuild.
+func TestPlannerOverallRowsFollowTheFamily(t *testing.T) {
+	sys, o := onlineSystem(t, 8000, SmallGroupConfig{BaseRate: 0.05, SmallGroupFraction: 0.08, DistinctLimit: 100, Seed: 7}, 3)
+	q := countQuery("a", "b")
+	o.p.stats()
+	rng := randx.New(5)
+	for seq := uint64(1); seq <= 5; seq++ {
+		if _, err := o.Apply(seq, onlineRows(rng, 8000+400*int(seq-1), 400)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pp, _ := sys.Prepared("smallgroup")
+	p := pp.(*smallGroupPrepared)
+	if got, want := p.stats().overallRows, p.overall.rows(); got != want {
+		t.Fatalf("planner statistics count %d overall rows, the family holds %d", got, want)
+	}
+	full := p.full(q)
+	cands, _ := p.enumerate(q, 0.95, p.scanRate(), false)
+	last := cands[len(cands)-1]
+	full.price(p.scanRate())
+	if renderSteps(p.build(q, &last)) != renderSteps(p.build(q, full)) || last.Rows != full.Rows || last.PredictedLatency != full.PredictedLatency {
+		t.Fatalf("enumeration's full candidate %s (%d rows, %v), the full descriptor %s (%d rows, %v)",
+			renderSteps(p.build(q, &last)), last.Rows, last.PredictedLatency, renderSteps(p.build(q, full)), full.Rows, full.PredictedLatency)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // error it actually achieved, which is the measurement behind the
 // correlated-columns accuracy study in EXPERIMENTS.md.
 func (p *smallGroupPrepared) PreviewPlans(q *engine.Query, b Bounds) ([]PlanCandidate, []string, error) {
-	cands, _, caveats := p.enumerate(q, p.confidence(b), true)
+	cands, caveats := p.enumerate(q, p.confidence(b), p.scanRate(), true)
 	for i := range cands {
 		cands[i].Feasible = b.admits(&cands[i].PlanCandidate)
 	}

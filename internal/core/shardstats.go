@@ -44,11 +44,6 @@ type ShardStats struct {
 	// SampleRows is the total rows across the shard's sample tables — the
 	// work a full-fraction plan scans, used for deadline derivation.
 	SampleRows int64 `json:"sample_rows"`
-	// RareMass is the fraction of the shard's rows living in small group
-	// tables (rare rows / base rows, worst column). A missing shard with
-	// high rare mass can hide entire exact groups, so the coordinator
-	// reports group-level completeness more cautiously.
-	RareMass float64 `json:"rare_mass"`
 	// Generation is the shard's data generation at summary time.
 	Generation uint64 `json:"generation"`
 	// ScanRowsPerSecond is the shard's calibrated scan throughput, for
@@ -61,9 +56,8 @@ type ShardStats struct {
 }
 
 // ComputeShardStats builds the join summary for this process's partition:
-// row counts and sample sizes from the named strategy's prepared state, the
-// rare-row mass from its catalog, and per-column value sets from the base
-// view (string columns only; high-cardinality columns are truncated and
+// row counts, sample sizes and the scan rate from the named strategy's
+// prepared state, and per-column value sets from the base view (string columns only; high-cardinality columns are truncated and
 // marked as such).
 func ComputeShardStats(sys *System, strategy string, shardID, shards int) (*ShardStats, error) {
 	p, ok := sys.Prepared(strategy)
@@ -79,13 +73,6 @@ func ComputeShardStats(sys *System, strategy string, shardID, shards int) (*Shar
 		Generation:        gen,
 		ScanRowsPerSecond: p.scanRate(),
 		Columns:           make(map[string]ShardColumnStats),
-	}
-	if meta := p.Meta(); meta.BaseRows > 0 {
-		for _, cm := range meta.Columns() {
-			if mass := float64(cm.RareRows) / float64(meta.BaseRows); mass > st.RareMass {
-				st.RareMass = mass
-			}
-		}
 	}
 	for _, name := range db.Columns() {
 		t, err := db.ColumnType(name)

@@ -26,9 +26,6 @@ func TestComputeShardStats(t *testing.T) {
 	if st.SampleRows <= 0 {
 		t.Errorf("sampleRows = %d, want > 0", st.SampleRows)
 	}
-	if st.RareMass <= 0 || st.RareMass >= 1 {
-		t.Errorf("rareMass = %v, want in (0, 1)", st.RareMass)
-	}
 	if st.ScanRowsPerSecond <= 0 {
 		t.Errorf("scanRate = %v, want > 0", st.ScanRowsPerSecond)
 	}
@@ -63,7 +60,7 @@ func TestComputeShardStats(t *testing.T) {
 	if err := json.Unmarshal(raw, &rt); err != nil {
 		t.Fatal(err)
 	}
-	if rt.Rows != st.Rows || rt.RareMass != st.RareMass || len(rt.Columns) != len(st.Columns) {
+	if rt.Rows != st.Rows || len(rt.Columns) != len(st.Columns) {
 		t.Error("ShardStats did not survive JSON round trip")
 	}
 	if rt.MayContain("a", "Z9") {

@@ -22,13 +22,13 @@ const DefaultDistinctLimit = 5000
 // DefaultConfidenceLevel is the nominal coverage of reported intervals.
 const DefaultConfidenceLevel = 0.95
 
-// DefaultScanRowsPerSecond is the conservative scan-throughput estimate the
-// deadline degradation rule uses when SmallGroupConfig.ScanRowsPerSecond is
-// unset (including sample sets restored from disk, whose serialised form
-// does not carry this machine-local figure). It sits below what the block
-// kernel measures on the repo benchmark at one worker — 19–24 ns per sample
-// row, 10–20 ns per base row, i.e. 40–100 million rows per second — so it
-// errs low: degradation is slightly more eager, never an answer slower.
+// DefaultScanRowsPerSecond is the conservative scan-throughput estimate plan
+// latencies are predicted from when SmallGroupConfig.ScanRowsPerSecond is
+// unset and no plan has executed yet to learn the rate from. It sits below
+// what the block kernel measures on the repo benchmark at one worker —
+// 19–24 ns per sample row, 10–20 ns per base row, i.e. 40–100 million rows
+// per second — so it errs low: degradation is slightly more eager, never an
+// answer slower.
 // (Against the row-at-a-time kernel it replaced, 97–139 ns per row, the
 // same figure was 2–3x optimistic.)
 const DefaultScanRowsPerSecond = 25e6
@@ -107,11 +107,13 @@ type SmallGroupConfig struct {
 	Workers int `json:"-"`
 	// Seed drives all randomness in pre-processing.
 	Seed int64
-	// ScanRowsPerSecond estimates runtime scan throughput for the deadline
-	// degradation rule (AnswerCtx): a plan whose total sample rows exceed
-	// remaining-budget × ScanRowsPerSecond falls back to the overall sample.
-	// Zero means DefaultScanRowsPerSecond. Tests set it very low (force
-	// degradation) or very high (forbid it) to make the rule deterministic.
+	// ScanRowsPerSecond pins the scan throughput plan latencies are
+	// predicted from: a time_bound's, and a request deadline's, which
+	// degrades an unbounded query whose full plan's rows exceed
+	// remaining-budget × ScanRowsPerSecond (AnswerCtx). Zero means the rate
+	// learned from executed plans, DefaultScanRowsPerSecond before the
+	// first. Tests set it very low (force degradation) or very high (forbid
+	// it) to make the rules deterministic.
 	ScanRowsPerSecond float64 `json:"-"`
 }
 

@@ -162,48 +162,52 @@ func (p *smallGroupPrepared) Answer(q *engine.Query) (*Answer, error) {
 }
 
 // AnswerCtx is AnswerBounds with no bounds. Cancellation propagates into
-// every step's sharded scan; when ctx also carries a deadline, the planner
-// picks the most accurate plan predicted to fit the remaining budget
-// (falling back to the cheapest plan, flagged Answer.Degraded, when nothing
-// fits).
+// every step's sharded scan; when ctx also carries a deadline shorter than
+// the full plan's predicted latency, the planner picks the most accurate plan
+// predicted to fit the remaining budget (falling back to the cheapest plan)
+// and flags the answer Answer.Degraded.
 func (p *smallGroupPrepared) AnswerCtx(ctx context.Context, q *engine.Query) (*Answer, error) {
 	return p.AnswerBounds(ctx, q, Bounds{})
 }
 
 // choose is sample selection (§3.2's "compare the query with the metadata"):
-// three regimes, each one selector over the same candidate descriptors.
-// Explicit bounds explore the whole space (table prefixes × overall-sample
-// fractions × the exact fallback) and select strictly, recording the
-// decision; a request deadline without stated bounds is the degradation
-// path — the most accurate table prefix fitting the budget; anything else is
-// the full descriptor, with no prediction run at all.
+// two regimes over the same candidate descriptors. Stated bounds explore the
+// whole space (table prefixes × overall-sample fractions × the exact
+// fallback) and select strictly, recording the decision. Anything else is
+// the full descriptor, with no prediction run at all — unless a request
+// deadline leaves less time than the full plan's predicted latency: then the
+// answer is degraded to the most accurate table prefix that fits.
 func (p *smallGroupPrepared) choose(ctx context.Context, q *engine.Query, b Bounds, conf float64) (chosen *candidate, decision *PlanDecision, degraded bool, err error) {
 	deadline, hasDeadline := ctx.Deadline()
-	switch {
-	case !b.IsZero():
-		cands, _, caveats := p.enumerate(q, conf, true)
-		obsPlannerCandidates.Observe(float64(len(cands)))
-		var soft time.Duration
-		if hasDeadline {
-			soft = time.Until(deadline)
-		}
-		if chosen, err = selectBounded(cands, b, soft); err != nil {
-			obsPlannerUnsat.Inc()
-			return nil, nil, false, err
-		}
-		decision = &PlanDecision{
-			Bounds:     Bounds{ErrorBound: b.ErrorBound, TimeBound: b.TimeBound, Confidence: conf},
-			Chosen:     chosen.PlanCandidate,
-			Candidates: cheapestFirst(cands),
-			Caveats:    caveats,
-		}
-	case hasDeadline:
-		cands, full, _ := p.enumerate(q, conf, false)
-		chosen, degraded = selectForDeadline(cands, full, time.Until(deadline))
-	default:
+	if b.IsZero() {
 		chosen = p.full(q)
+		if hasDeadline {
+			rate := p.scanRate()
+			chosen.price(rate)
+			if budget := time.Until(deadline); chosen.PredictedLatency > budget {
+				cands, _ := p.enumerate(q, conf, rate, false)
+				chosen, degraded = selectForDeadline(cands, budget), true
+			}
+		}
+		return chosen, nil, degraded, nil
 	}
-	return chosen, decision, degraded, nil
+	cands, caveats := p.enumerate(q, conf, p.scanRate(), true)
+	obsPlannerCandidates.Observe(float64(len(cands)))
+	var soft time.Duration
+	if hasDeadline {
+		soft = time.Until(deadline)
+	}
+	if chosen, err = selectBounded(cands, b, soft); err != nil {
+		obsPlannerUnsat.Inc()
+		return nil, nil, false, err
+	}
+	decision = &PlanDecision{
+		Bounds:     Bounds{ErrorBound: b.ErrorBound, TimeBound: b.TimeBound, Confidence: conf},
+		Chosen:     chosen.PlanCandidate,
+		Candidates: cheapestFirst(cands),
+		Caveats:    caveats,
+	}
+	return chosen, decision, false, nil
 }
 
 // AnswerBounds implements Prepared, and is the runtime phase as one

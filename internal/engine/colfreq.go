@@ -581,9 +581,9 @@ var classifyBufs = sync.Pool{New: func() any { return &classifyBuf{blockBuf: new
 // BlockBits overwrites dst[:n·Words()] with the bit vectors of rows [lo,
 // lo+n), row lo+j's at dst[j·Words():]. A scan block at a time, it reads each
 // dimension's foreign keys and each fact column once for all the block's
-// rows, then sets the rows' bits. A lone row (materialise asks for its sampled
-// rows' masks one at a time) is read by at, into no block scratch. It only
-// reads, so any goroutine may call it.
+// rows, then sets the rows' bits. A lone row (a one-row ingest batch, or a
+// range's row alone in its block) is read by at, into no block scratch. It
+// only reads, so any goroutine may call it.
 func (rc *RowClassifier) BlockBits(lo, n int, dst []uint64) {
 	w := rc.words
 	dst = dst[:n*w]

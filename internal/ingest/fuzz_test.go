@@ -115,6 +115,9 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(ckMagic))
 	f.Add(wrapGeneration(f, ck))
+	bad := wrapGeneration(f, ck)
+	bad[len(bad)-1] ^= 1 // the trailer's own checksum: the payload decodes, the container fails
+	f.Add(bad)
 	old, err := os.ReadFile("testdata/checkpoint-v7.dscp")
 	if err != nil {
 		f.Fatal(err)
@@ -147,11 +150,19 @@ func wrapGeneration(t testing.TB, payload []byte) []byte {
 }
 
 // readGeneration reads b as recovery reads a catalog generation: the
-// container's checks around DecodeSnapshot.
-func readGeneration(b []byte) (s *Snapshot, err error) {
-	err = catalog.ReadSnapshot(bytes.NewReader(b), func(r io.Reader) (derr error) {
+// container's checks around DecodeSnapshot. Like recovery it keeps what the
+// decode built only when the container verifies, or when the decode's own
+// error is a store version this build does not read: a payload that decodes
+// under a trailer that fails its check is discarded (catalog.ReadSnapshot).
+func readGeneration(b []byte) (*Snapshot, error) {
+	var s *Snapshot
+	var derr error
+	err := catalog.ReadSnapshot(bytes.NewReader(b), func(r io.Reader) error {
 		s, derr = DecodeSnapshot(r)
 		return derr
 	})
+	if err != nil && (err != derr || !errors.Is(err, core.ErrStoreVersion)) {
+		return nil, err
+	}
 	return s, err
 }

@@ -34,7 +34,7 @@ type shardSummary struct {
 }
 
 // shardStats implements GET /v1/shard: the summary statistics the
-// coordinator registers at shard join (row counts, sample size, rare mass,
+// coordinator registers at shard join (row counts, sample size,
 // scan rate, per-column value sets). Recomputed only when the data
 // generation moved or the family was swapped: a rebuild swaps it and leaves
 // the generation where it was.

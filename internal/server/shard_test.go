@@ -309,7 +309,7 @@ func TestShedRetryAfterHeaderJittered(t *testing.T) {
 }
 
 // TestShardSummaryFollowsARebuild: a rebuild swaps the served family, whose
-// sample size, rare mass and scan rate GET /v1/shard reports, without moving
+// sample size and scan rate GET /v1/shard reports, without moving
 // the data generation. The summary must be the served family's after it, not
 // the one cached before.
 func TestShardSummaryFollowsARebuild(t *testing.T) {

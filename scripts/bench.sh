@@ -42,9 +42,11 @@ if wanted ingest; then
 fi
 
 if wanted query; then
-  echo "bench: query path (concurrent HTTP queries, with and without ingest load; a shard's raw answer, encoded and decoded; the scan kernel alone, ns/row and allocs/row; a sealed chunk's decode per width, ns/value; one exact group-by at 1 and 2 scan workers)..." >&2
+  echo "bench: query path (concurrent HTTP queries, with and without ingest load; a shard's raw answer, encoded and decoded; one unbounded approximate answer in process, without and with a request deadline; the scan kernel alone, ns/row and allocs/row; a sealed chunk's decode per width, ns/value; one exact group-by at 1 and 2 scan workers)..." >&2
   go test ./internal/server -run '^$' -bench 'BenchmarkConcurrentQuery|BenchmarkRawAnswer' \
     -benchtime "$BENCHTIME" -benchmem | tee /tmp/bench_query.txt
+  go test ./internal/core -run '^$' -bench 'BenchmarkAnswerUnbounded' \
+    -benchtime "$BENCHTIME" -benchmem | tee -a /tmp/bench_query.txt
   go test ./internal/engine -run '^$' -bench 'BenchmarkScanKernel|BenchmarkChunkDecode' \
     -benchtime "$BENCHTIME" -benchmem | tee -a /tmp/bench_query.txt
   go test . -run '^$' -bench 'BenchmarkParallelScan' \
