@@ -16,7 +16,7 @@ var (
 		"Rewrite steps (sample tables) per selected plan.",
 		[]float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32})
 	obsDegraded = obs.Default().Counter("aqp_core_degraded_total",
-		"Plans degraded to the overall sample under deadline pressure.")
+		"Unbounded plans degraded by a request deadline shorter than the full plan's predicted latency.")
 	obsSampleRows = obs.Default().Counter("aqp_core_sample_rows_scanned_total",
 		"Sample-table rows scanned by approximate answers.")
 )

@@ -644,8 +644,9 @@ func TestOnlineApplyAllocatesPerBatchNotPerTable(t *testing.T) {
 	}
 }
 
-// resultDigest renders every group's key, row count and accumulator bits.
-func resultDigest(res *engine.Result) string {
+// ResultDigest renders every group's key, row count, exactness and
+// accumulator bits; results with equal digests agree on all of them.
+func ResultDigest(res *engine.Result) string {
 	keys := res.Keys()
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	var sb strings.Builder
@@ -701,7 +702,7 @@ func TestPinnedVersionsUnchangedByIngest(t *testing.T) {
 		}
 		// The approximate answer reads the mask words through the scan; the
 		// stored masks and weights are read row by row beside it.
-		return resultDigest(ex), resultDigest(ans.Result) + rowDigest(p), nil
+		return ResultDigest(ex), ResultDigest(ans.Result) + rowDigest(p), nil
 	}
 	take := func() pin {
 		p, _ := sys.Prepared("smallgroup")

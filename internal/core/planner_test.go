@@ -485,8 +485,9 @@ func TestPlannerOverallRowsFollowTheFamily(t *testing.T) {
 	cands, _ := p.enumerate(q, 0.95, p.scanRate(), false)
 	last := cands[len(cands)-1]
 	full.price(p.scanRate())
-	if renderSteps(p.build(q, &last)) != renderSteps(p.build(q, full)) || last.Rows != full.Rows || last.PredictedLatency != full.PredictedLatency {
+	got, want := renderSteps(p.build(q, &last)), renderSteps(p.build(q, full))
+	if got != want || last.Rows != full.Rows || last.PredictedLatency != full.PredictedLatency {
 		t.Fatalf("enumeration's full candidate %s (%d rows, %v), the full descriptor %s (%d rows, %v)",
-			renderSteps(p.build(q, &last)), last.Rows, last.PredictedLatency, renderSteps(p.build(q, full)), full.Rows, full.PredictedLatency)
+			got, last.Rows, last.PredictedLatency, want, full.Rows, full.PredictedLatency)
 	}
 }

@@ -161,7 +161,7 @@ func readGeneration(b []byte) (*Snapshot, error) {
 		s, derr = DecodeSnapshot(r)
 		return derr
 	})
-	if err != nil && (err != derr || !errors.Is(err, core.ErrStoreVersion)) {
+	if err != nil && !errors.Is(derr, core.ErrStoreVersion) {
 		return nil, err
 	}
 	return s, err
